@@ -371,11 +371,11 @@ class SoaBoundaryRule(Rule):
     """Engine hot paths stay on flat arrays, never per-peer objects.
 
     The million-peer budget (PR 6) holds because the batch kernels in
-    ``engine/construct.py``, ``engine/batch.py`` and ``engine/churn.py``
-    read and write :class:`~repro.core.soa.SubstrateState` columns
-    directly; one innocent ``for node in view.nodes`` reintroduces a
-    per-peer Python round-trip and silently re-caps practical scale at
-    ~100k. This rule flags, inside those three modules:
+    ``engine/{construct,batch,churn,serve,walk}.py`` read and write
+    :class:`~repro.core.soa.SubstrateState` columns directly; one
+    innocent ``for node in view.nodes`` reintroduces a per-peer Python
+    round-trip and silently re-caps practical scale at ~100k. This rule
+    flags, inside those modules:
 
     * reads of a ``.nodes`` attribute or of a local bound to one
       (subscripting, iterating or calling through ``nodes``);
@@ -387,10 +387,9 @@ class SoaBoundaryRule(Rule):
     **Whitelisted:** any function whose name contains ``reference`` —
     the sequential executable-specification twins are *defined* by
     crossing the boundary (that is what the differential tests compare
-    against). Intentional scalar fallbacks for substrates without a
-    shared state (Chord/Mercury dict paths) carry explicit per-line
-    allows instead, so every boundary crossing is visible in the diff
-    that introduces it.
+    against). The remaining intentional scalar fallbacks carry
+    explicit per-line allows instead, so every boundary crossing is
+    visible in the diff that introduces it.
     """
 
     code = "SOA001"
@@ -401,6 +400,8 @@ class SoaBoundaryRule(Rule):
         "repro/engine/construct.py",
         "repro/engine/batch.py",
         "repro/engine/churn.py",
+        "repro/engine/serve.py",
+        "repro/engine/walk.py",
     )
     #: Attributes unique to per-peer view objects (never SubstrateState
     #: columns — ``out_links``/``samples_spent`` are deliberately absent

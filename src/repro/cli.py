@@ -434,7 +434,7 @@ def _run_bench_route(args: argparse.Namespace) -> int:
         rng = split(args.seed, "bench-queries", 0)
         t0 = time.perf_counter()
         reference = measure_search_cost(
-            overlay, rng, n_queries=batch, engine=_ScalarOnlyEngine(overlay)
+            overlay, rng, n_queries=batch, engine=BatchQueryEngine(overlay, vectorized=False)
         )
         elapsed = time.perf_counter() - t0
         agree = reference == stats
@@ -823,15 +823,6 @@ def _run_bench_serve(args: argparse.Namespace) -> int:
         f"stale_serves={serve.stale_serves} final_live={engine.history[-1].live}"
     )
     return 0
-
-
-def _ScalarOnlyEngine(overlay):  # noqa: N802 - factory reads like a class
-    """An engine forced down the scalar path (for the bench comparison)."""
-    from .engine import BatchQueryEngine
-
-    engine = BatchQueryEngine(overlay)
-    engine._vectorizable = lambda: False  # type: ignore[method-assign]
-    return engine
 
 
 def _shared_defaults(args: argparse.Namespace) -> dict[str, object]:

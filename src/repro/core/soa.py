@@ -47,7 +47,31 @@ import numpy as np
 
 from ..types import NodeId
 
-__all__ = ["SubstrateState", "LinkView", "NodeTable", "FingerTable"]
+__all__ = ["SubstrateState", "LinkView", "NodeTable", "FingerTable", "row_table", "rows_of"]
+
+
+def row_table(ids: np.ndarray, size: int | None = None) -> np.ndarray:
+    """``node id -> row`` inverse of ``ids`` (``-1`` for every other id).
+
+    ``size`` defaults to ``max(ids) + 2``; pass it when the table must
+    also cover ids that are not rows (a believed-live subset of a ring).
+    """
+    if size is None:
+        size = int(ids.max()) + 2 if ids.size else 1
+    table = np.full(size, -1, dtype=np.int64)
+    table[ids] = np.arange(ids.size, dtype=np.int64)
+    return table
+
+
+def rows_of(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Bounds-checked ``table[ids]``: ids outside ``[0, table.size)``
+    map to ``-1`` instead of wrapping around or raising. The one
+    ``id -> row`` / ``id -> slot`` translation every array kernel uses
+    (any shape of ``ids``)."""
+    if table.size == 0:
+        return np.full(ids.shape, -1, dtype=np.int64)
+    inside = (ids >= 0) & (ids < table.size)
+    return np.where(inside, table[np.clip(ids, 0, table.size - 1)], -1)
 
 _MIN_CAPACITY = 8
 
@@ -173,13 +197,7 @@ class SubstrateState:
 
     def slots_of(self, node_ids: np.ndarray) -> np.ndarray:
         """Vectorized id -> slot lookup; unknown ids map to ``-1``."""
-        ids = np.asarray(node_ids, dtype=np.int64)
-        if ids.size == 0:
-            return np.empty(0, dtype=np.int64)
-        table = self._slot_of
-        safe = np.clip(ids, 0, table.size - 1) if table.size else np.zeros_like(ids)
-        slots = table[safe] if table.size else np.full(ids.shape, -1, np.int64)
-        return np.where((ids >= 0) & (ids < table.size), slots, -1)
+        return rows_of(self._slot_of, np.asarray(node_ids, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # slot allocation / recycling
@@ -263,6 +281,13 @@ class SubstrateState:
     # ------------------------------------------------------------------
     # link rows
     # ------------------------------------------------------------------
+
+    def link_rows(self, slots: np.ndarray, row_of: np.ndarray) -> np.ndarray:
+        """The link table of ``slots`` translated through an ``id -> row``
+        table: entry ``(i, j)`` is the row of peer ``slots[i]``'s ``j``-th
+        link target, ``-1`` where the target has no row or the column is
+        padding (the padding invariant makes one mask serve both)."""
+        return rows_of(row_of, self.out_links[slots])
 
     def clear_links(self, slots: np.ndarray) -> None:
         """Wipe the outgoing-link rows of ``slots`` back to padding."""

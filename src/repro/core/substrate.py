@@ -28,9 +28,11 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from ..config import RoutingConfig
 from ..ring import Ring, RingPointers
 from ..routing import RouteResult
 from ..types import Key, NodeId
+from .soa import SubstrateState
 
 __all__ = ["Substrate"]
 
@@ -44,10 +46,16 @@ class Substrate(Protocol):
     structure changes, so derived caches (the batch engine's topology
     snapshot) can validate themselves cheaply instead of subscribing to
     mutation callbacks.
+
+    ``state`` is the struct-of-arrays storage ``ring`` orders (the same
+    object as ``ring.state``); the array engines read positions, keys
+    and link tables from it directly.
     """
 
     ring: Ring
     pointers: RingPointers
+    state: SubstrateState
+    routing: RoutingConfig
 
     # -- membership ----------------------------------------------------
 

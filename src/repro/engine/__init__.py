@@ -1,6 +1,6 @@
 """Execution engines: discrete-event simulation and batched operations.
 
-Five engines live here:
+Five engines and the one routing kernel they share live here:
 
 * the discrete-event kernel (:mod:`repro.engine.core`,
   :mod:`repro.engine.resources`) — :class:`Environment` drives
@@ -8,10 +8,15 @@ Five engines live here:
   :class:`Event`/:class:`Timeout` scheduling, :class:`Resource` adds
   counted capacities, and deterministic same-time FIFO ordering keeps
   simulations reproducible;
+* the greedy-walk kernel (:mod:`repro.engine.walk`) —
+  ``greedy_walk`` advances a whole query batch one hop per iteration
+  over flat arrays, ``greedy_walk_reference`` is its pure-Python twin;
+  the two engines below differ only in the arrays they hand it;
 * the batched query engine (:mod:`repro.engine.batch`) —
-  :class:`BatchQueryEngine` evaluates thousands of routes per call over
-  numpy arrays against any :class:`~repro.core.substrate.Substrate`,
-  with a topology-snapshot cache invalidated on membership change;
+  :class:`BatchQueryEngine` evaluates thousands of routes per call
+  against any :class:`~repro.core.substrate.Substrate` by running the
+  kernel over a ground-truth :class:`TopologySnapshot`, cached and
+  invalidated on membership change;
 * the batched construction engine (:mod:`repro.engine.construct`) —
   :class:`BatchConstructionEngine` runs partition estimation and link
   acquisition for all peers in lock-step numpy rounds, with a
@@ -24,9 +29,10 @@ Five engines live here:
   contract);
 * the serving engine (:mod:`repro.engine.serve`) —
   :class:`ServeEngine` is the data-plane request path: believed-
-  membership owner resolution and routing over a per-version
-  :class:`ServeSnapshot`, an LRU :class:`ResultCache` invalidated on
-  topology/replica/belief change, and delivery verified against a
+  membership owner resolution and the same kernel over a per-version
+  believed-live :class:`ServeSnapshot`, an LRU :class:`ResultCache`
+  invalidated on topology/replica/belief change, and delivery verified
+  against a
   :class:`~repro.index.replication.ReplicatedStore` (same
   bit-identical reference-path contract).
 """

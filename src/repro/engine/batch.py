@@ -11,23 +11,13 @@ all vectorized, with a cached topology snapshot (successor pointers +
 padded neighbor matrix) that is rebuilt only when the substrate's
 ``topology_version`` changes — i.e. on join/leave/churn/rewire.
 
-The batched walk replays the greedy router's rules — the same
-closest-preceding-node rule, the same final-interval delivery check, the
-same first-wins tie-breaking — as **exact fixed-point keyspace
-kernels** (:mod:`repro.ring.keyspace`): target keys are converted to
-``uint64`` once per batch and every per-hop distance is a wrapping
-integer subtraction — cheaper than the float ``%`` it replaced, and
-immune to the rounding disagreements float subtraction allowed. The
-scalar router decides the identical questions with comparison-exact
-predicates at full float resolution; the two agree bit-for-bit whenever
-peer positions occupy distinct ``2**-64`` key cells, which real
-workloads always do (a million uniform draws share a cell with
-probability below ``10**-7``; sub-resolution fixtures are an
-adversarial-test-only construct). Batched hop counts and
-:class:`~repro.routing.RouteStats` are therefore bit-identical to
-routing the same queries one at a time — a property the test suite
-asserts for all three substrates and the golden fixture pins across
-refactors.
+The walk itself is the shared kernel :func:`repro.engine.walk.greedy_walk`
+(the serving path runs the same function over believed-live arrays);
+this module owns the *ground-truth* array view it runs on. Batched hop
+counts and :class:`~repro.routing.RouteStats` are bit-identical to
+routing the same queries one at a time (see :mod:`repro.engine.walk`
+for why) — a property the test suite asserts for all three substrates
+and the golden fixture pins across refactors.
 
 Typical use::
 
@@ -59,11 +49,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..config import RoutingConfig
+from ..core.soa import row_table, rows_of
 from ..errors import RoutingError
 from ..ring import keyspace
 from ..routing import RouteStats, summarize_routes
 from ..routing.result import _percentile  # shared so folds stay bit-identical
 from ..workloads import QueryWorkload
+from .walk import greedy_walk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports routing)
     from ..core.substrate import Substrate
@@ -94,10 +86,12 @@ class TopologySnapshot:
         row_of: ``node id -> row`` translation array (-1 for unknown).
         succ_row: Maintained ring-successor pointer per row (-1 when the
             peer has no pointer, e.g. it is dead and was repaired away).
-        nbr_rows: Padded neighbor matrix: row ``i`` holds the rows of
-            ``neighbors_of(all_ids[i])`` in provider order, padded with
-            -1. Provider order is what makes batched tie-breaking match
-            the scalar closest-preceding scan.
+        nbr_rows: Candidate matrix: the non-negative entries of row
+            ``i`` are the rows of peer ``all_ids[i]``'s ``neighbors_of``
+            list in provider order (what makes batched tie-breaking
+            match the scalar closest-preceding scan); -1 entries —
+            absent pointer, padding, hard-removed target — may sit
+            anywhere and are ignored by the walk.
     """
 
     version: object
@@ -114,125 +108,41 @@ class TopologySnapshot:
     def capture(cls, substrate: "Substrate") -> "TopologySnapshot":
         """Materialize the current topology of ``substrate`` as arrays."""
         ring = substrate.ring
-        all_pos = ring.positions_array(live_only=False)
-        all_keys = ring.keys_array(live_only=False)
         all_ids = ring.ids_array(live_only=False)
-        n = int(all_ids.size)
+        row_of = row_table(all_ids)
+        rows_idx = np.arange(all_ids.size, dtype=np.int64)
 
-        max_id = int(all_ids.max()) if n else -1
-        row_of = np.full(max_id + 2, -1, dtype=np.int64)
-        row_of[all_ids] = np.arange(n, dtype=np.int64)
-
-        live_ids = ring.ids_array(live_only=True)
-        live_pos = ring.positions_array(live_only=True)
-        live_rows = row_of[live_ids]
-
-        succ_row = cls._pointer_rows(substrate.pointers.successor, row_of, max_id, n)
-
-        # Rows for every peer, dead ones included: the greedy walk follows
-        # links without liveness checks (so can land on an unrepaired dead
-        # peer), and the scalar router still scans that peer's neighbors.
-        state = getattr(substrate, "state", None)
-        if state is not None and getattr(ring, "state", None) is state:
-            # Struct-of-arrays fast path: succ/pred columns from the
-            # pointer maps plus the state's padded link matrix, compacted
-            # into the exact rows the scalar per-peer scan would build.
-            pred_row = cls._pointer_rows(
-                substrate.pointers.predecessor, row_of, max_id, n
-            )
-            nbr_rows = cls._neighbor_rows_from_state(
-                state, ring, row_of, succ_row, pred_row, n
-            )
-        else:
-            neighbor_lists: list[list[int]] = [[] for __ in range(n)]
-            width = 1
-            for row, node_id in enumerate(all_ids):
-                nbrs = [
-                    int(row_of[nbr])
-                    for nbr in substrate.neighbors_of(int(node_id))  # repro: allow[SOA001] scalar fallback
-                ]
-                neighbor_lists[row] = nbrs
-                width = max(width, len(nbrs))
-            nbr_rows = np.full((n, width), -1, dtype=np.int64)
-            for row, nbrs in enumerate(neighbor_lists):
-                if nbrs:
-                    nbr_rows[row, : len(nbrs)] = nbrs
-
+        # Candidates in the scalar ``neighbors_of`` order: successor, then
+        # predecessor, then every link slot — for dead peers too (greedy
+        # routing follows links without liveness checks).
+        succ_row = cls._pointer_rows(substrate.pointers.successor, row_of, all_ids.size)
+        pred_row = cls._pointer_rows(substrate.pointers.predecessor, row_of, all_ids.size)
+        succ_col = np.where(succ_row != rows_idx, succ_row, -1)
+        pred_col = np.where((pred_row != rows_idx) & (pred_row != succ_row), pred_row, -1)
+        links = substrate.state.link_rows(ring.slots_array(live_only=False), row_of)
         return cls(
             version=substrate.topology_version,
-            all_pos=all_pos,
-            all_keys=all_keys,
+            all_pos=ring.positions_array(live_only=False),
+            all_keys=ring.keys_array(live_only=False),
             all_ids=all_ids,
-            live_pos=live_pos,
-            live_rows=live_rows,
+            live_pos=ring.positions_array(live_only=True),
+            live_rows=row_of[ring.ids_array(live_only=True)],
             row_of=row_of,
             succ_row=succ_row,
-            nbr_rows=nbr_rows,
+            nbr_rows=np.concatenate([succ_col[:, None], pred_col[:, None], links], axis=1),
         )
 
     @staticmethod
-    def _pointer_rows(
-        pointer_map: dict, row_of: np.ndarray, max_id: int, n: int
-    ) -> np.ndarray:
+    def _pointer_rows(pointer_map: dict, row_of: np.ndarray, n: int) -> np.ndarray:
         """Per-row pointer-target rows from one maintained pointer map
         (-1 where the peer has no pointer)."""
         rows = np.full(n, -1, dtype=np.int64)
-        if not pointer_map:
-            return rows
         ks = np.fromiter(pointer_map.keys(), dtype=np.int64, count=len(pointer_map))
         vs = np.fromiter(pointer_map.values(), dtype=np.int64, count=len(pointer_map))
-        ok = ks <= max_id
-        krows = row_of[ks[ok]]
+        krows = rows_of(row_of, ks)
         keep = krows >= 0
-        rows[krows[keep]] = row_of[vs[ok][keep]]
+        rows[krows[keep]] = rows_of(row_of, vs[keep])
         return rows
-
-    @staticmethod
-    def _neighbor_rows_from_state(
-        state,
-        ring,
-        row_of: np.ndarray,
-        succ_row: np.ndarray,
-        pred_row: np.ndarray,
-        n: int,
-    ) -> np.ndarray:
-        """Padded neighbor matrix straight from the substrate state.
-
-        Emits exactly what the scalar ``neighbors_of`` scan appends per
-        peer: ring successor (unless absent or self), ring predecessor
-        (unless absent, self, or equal to the successor), then every
-        outgoing link slot in table order — dead targets *kept* (their
-        rows resolve normally) and targets of hard-removed ids kept as
-        -1, both occupying their column just as the scalar translation
-        does. Only truly absent entries (no pointer, past ``out_count``)
-        are compacted away; they use a transient -2 sentinel so they
-        cannot be confused with the -1 unknown-translation entries.
-        """
-        rows_idx = np.arange(n, dtype=np.int64)
-        succ_col = np.where((succ_row >= 0) & (succ_row != rows_idx), succ_row, -2)
-        pred_col = np.where(
-            (pred_row >= 0) & (pred_row != rows_idx) & (pred_row != succ_row),
-            pred_row,
-            -2,
-        )
-        slots = ring.slots_array(live_only=False)
-        width = state.link_width
-        if width:
-            links = state.out_links[slots].astype(np.int64)
-            have = np.arange(width) < state.out_count[slots][:, None]
-            safe = np.clip(links, 0, row_of.size - 1)
-            trans = np.where((links >= 0) & (links < row_of.size), row_of[safe], -1)
-            link_cols = np.where(have, trans, -2)
-            full = np.concatenate(
-                [succ_col[:, None], pred_col[:, None], link_cols], axis=1
-            )
-        else:
-            full = np.stack([succ_col, pred_col], axis=1)
-        # Stable left-compaction of the absent entries only.
-        order = np.argsort(full == -2, axis=1, kind="stable")
-        matrix = np.take_along_axis(full, order, axis=1)
-        keep = max(1, int((full != -2).sum(axis=1).max(initial=0)))
-        return np.where(matrix == -2, -1, matrix)[:, :keep]
 
     def responsible_rows(self, target_keys: np.ndarray) -> np.ndarray:
         """Row of the live peer responsible for each key (vectorized
@@ -300,11 +210,21 @@ class BatchQueryEngine:
         routing: Router cost model; defaults to the substrate's own
             ``routing`` config so engine-measured budgets match scalar
             routing.
+        vectorized: ``True`` measures through :meth:`route_batch`;
+            ``False`` through the scalar ``substrate.route`` reference
+            (same RNG draws, same statistics) — the only path for
+            overlays that are not full substrates.
     """
 
-    def __init__(self, substrate: "Substrate", routing: RoutingConfig | None = None) -> None:
+    def __init__(
+        self,
+        substrate: "Substrate",
+        routing: RoutingConfig | None = None,
+        vectorized: bool = True,
+    ) -> None:
         self.substrate = substrate
         self.routing = routing or getattr(substrate, "routing", None) or RoutingConfig()
+        self.vectorized = bool(vectorized)
         self._route_cache: TopologySnapshot | None = None
 
     # ------------------------------------------------------------------
@@ -335,15 +255,10 @@ class BatchQueryEngine:
 
     def route_batch(self, sources: np.ndarray, target_keys: np.ndarray) -> BatchRouteResult:
         """Route every ``(source, key)`` pair through the fault-free
-        greedy walk, all queries advancing one hop per iteration.
-
-        Per iteration, each still-active query at peer ``v``: if its key
-        falls in ``(v, successor(v)]`` it takes the delivery hop to the
-        ring successor; otherwise it forwards to the neighbor with
-        maximal clockwise progress not passing the key (first-listed
-        wins ties; the ring successor is the standing fallback). These
-        are exactly the scalar router's rules evaluated as array ops, so
-        hop counts match one-at-a-time routing exactly.
+        greedy walk — :func:`~repro.engine.walk.greedy_walk` over the
+        current :class:`TopologySnapshot`, all queries advancing one hop
+        per iteration. The kernel evaluates exactly the scalar router's
+        rules as array ops, so hop counts match one-at-a-time routing.
 
         Raises:
             RoutingError: A query exceeded the message budget, reached a
@@ -357,73 +272,26 @@ class BatchQueryEngine:
         if sources.shape != target_keys.shape:
             raise ValueError("sources and target_keys must be aligned 1-d arrays")
 
-        n = int(sources.size)
-        targets = keyspace.from_units(target_keys)  # one conversion per batch
         responsible = snap.responsible_rows(target_keys)
-        current = snap.row_of[sources]
-        if np.any(current < 0):
+        source_rows = rows_of(snap.row_of, sources)
+        if np.any(source_rows < 0):
             raise RoutingError("batch contains sources unknown to the topology")
-        hops = np.zeros(n, dtype=np.int64)
-        budget = self.routing.budget
-
-        active = current != responsible
-        while np.any(active):
-            rows = np.nonzero(active)[0]
-            if int(hops[rows].max(initial=0)) >= budget:
-                raise RoutingError(
-                    f"fault-free batch route exceeded budget {budget}"
-                )
-            cur = current[rows]
-            tgt = targets[rows]
-            cur_key = snap.all_keys[cur]
-            succ = snap.succ_row[cur]
-            if np.any(succ < 0):
-                bad = int(snap.all_ids[cur[succ < 0][0]])
-                raise RoutingError(f"node {bad} has no ring successor pointer")
-            succ_key = snap.all_keys[succ]
-
-            deliver = keyspace.in_cw_intervals(tgt, cur_key, succ_key)
-            nxt = succ.copy()
-
-            forward = ~deliver
-            if np.any(forward):
-                f_cur = cur[forward]
-                f_key = cur_key[forward]
-                span = tgt[forward] - f_key  # wrapping uint64 cw distances
-                succ_progress = succ_key[forward] - f_key
-
-                cand = snap.nbr_rows[f_cur]  # (k, width)
-                valid = cand >= 0
-                cand_key = snap.all_keys[np.where(valid, cand, 0)]
-                progress = cand_key - f_key[:, None]
-                # Candidates past the key (or padding) never win: zero
-                # progress never beats the >= 1 ring-successor fallback
-                # (zero-progress real candidates are the peer itself,
-                # which the scalar scan skips for the same reason).
-                progress = np.where(valid & (progress <= span[:, None]), progress, np.uint64(0))
-
-                best_col = progress.argmax(axis=1)  # first max == scalar first-wins
-                take = np.arange(best_col.size)
-                best_progress = progress[take, best_col]
-                best = cand[take, best_col]
-                improved = best_progress > succ_progress
-                nxt[forward] = np.where(improved, best, succ[forward])
-
-            if np.any(nxt == cur):
-                stuck = int(snap.all_ids[cur[nxt == cur][0]])
-                raise RoutingError(
-                    f"node {stuck} has no progressing neighbor (batch route)"
-                )
-            current[rows] = nxt
-            hops[rows] += 1
-            active[rows] = nxt != responsible[rows]
-
+        hops = greedy_walk(
+            snap.all_keys,
+            snap.succ_row,
+            snap.nbr_rows,
+            snap.all_ids,
+            source_rows,
+            responsible,
+            keyspace.from_units(target_keys),  # one conversion per batch
+            self.routing.budget,
+        )
         return BatchRouteResult(
             sources=sources,
             target_keys=target_keys,
             responsible=snap.all_ids[responsible],
             hops=hops,
-            success=np.ones(n, dtype=bool),
+            success=np.ones(hops.size, dtype=bool),
         )
 
     # ------------------------------------------------------------------
@@ -466,19 +334,10 @@ class BatchQueryEngine:
         count = self.substrate.ring.live_count if n_queries is None else n_queries
         wl = workload if workload is not None else QueryWorkload()
         sources, targets = wl.generate_arrays(self.substrate.ring, rng, count)
-        if not faulty and self._vectorizable():
+        if self.vectorized and not faulty:
             return self.route_batch(sources, targets).stats()
         results = [
             self.substrate.route(int(source), float(target), faulty=faulty)
             for source, target in zip(sources, targets)
         ]
         return summarize_routes(results)
-
-    def _vectorizable(self) -> bool:
-        """Whether the wrapped overlay exposes the full substrate surface
-        the snapshot needs; minimal ``ring``+``route`` stubs (and the
-        fault-aware path) fall back to scalar routing."""
-        return all(
-            hasattr(self.substrate, attr)
-            for attr in ("topology_version", "pointers", "neighbors_of")
-        )

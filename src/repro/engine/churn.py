@@ -121,17 +121,6 @@ class ChurnEpochStats:
         }
 
 
-class _ScalarQueryEngine(BatchQueryEngine):
-    """A :class:`BatchQueryEngine` pinned to the scalar routing fallback
-    — the reference path's probe backend (identical RNG consumption,
-    identical statistics; the batched/scalar agreement is pinned by the
-    engine's own test suite)."""
-
-    def _vectorizable(self) -> bool:
-        """Always route one query at a time."""
-        return False
-
-
 class SteadyStateChurnEngine:
     """Vectorized steady-state churn simulation over one substrate.
 
@@ -252,8 +241,7 @@ class SteadyStateChurnEngine:
         self.workload = workload if workload is not None else QueryWorkload()
         self.history: list[ChurnEpochStats] = []
         self._epoch = 0
-        engine_cls = BatchQueryEngine if self.vectorized else _ScalarQueryEngine
-        self._query_engine = engine_cls(substrate)
+        self._query_engine = BatchQueryEngine(substrate, vectorized=self.vectorized)
         # The initial population's sessions, clocked from time 0 — one
         # bulk draw on its own labelled stream.
         ids = substrate.ring.ids_array(live_only=True)
@@ -520,35 +508,19 @@ class SteadyStateChurnEngine:
         membership over one concatenated target array; the reference
         twin walks a set — identical counts.
         """
-        ring = self.substrate.ring
         live_ids = self.membership.live_ids()
-        state = getattr(self.substrate, "state", None)
-        if self.vectorized and state is not None and getattr(ring, "state", None) is state:
-            # Struct-of-arrays fast path: every live peer's link row at
-            # once, no per-node list materialization.
+        if self.vectorized:
+            # Every live peer's link row at once, no per-node lists.
+            state = self.substrate.state
             slots = self.membership.live_slots()
-            width = state.link_width
-            if width == 0 or slots.size == 0:
-                return 0
             links = state.out_links[slots]
-            have = np.arange(width) < state.out_count[slots][:, None]
-            flat = links[have].astype(np.int64)
+            flat = links[links >= 0].astype(np.int64)  # padding invariant: -1 past out_count
             if flat.size == 0:
                 return 0
             live_sorted = np.sort(live_ids)  # ring order is by position, not id
             idx = np.minimum(np.searchsorted(live_sorted, flat), live_sorted.size - 1)
             return int((live_sorted[idx] != flat).sum())
         targets = self._long_link_targets(live_ids)
-        if not targets:
-            return 0
-        if self.vectorized:
-            nonempty = [np.asarray(links, dtype=np.int64) for links in targets if links]
-            if not nonempty:
-                return 0
-            flat = np.concatenate(nonempty)
-            live_sorted = np.sort(live_ids)  # ring order is by position, not id
-            idx = np.minimum(np.searchsorted(live_sorted, flat), live_sorted.size - 1)
-            return int((live_sorted[idx] != flat).sum())
         live_set = {int(i) for i in live_ids}
         return sum(1 for links in targets for target in links if int(target) not in live_set)
 

@@ -56,6 +56,7 @@ import numpy as np
 
 from ..config import SamplingMode
 from ..core.construction import LinkAcquisitionStats
+from ..core.soa import row_table
 from ..degree import DegreeDistribution, assign_caps
 from ..errors import SamplingError
 from ..protocol.decisions import accepts_link, link_winner_key
@@ -66,6 +67,7 @@ from ..workloads import KeyDistribution
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.node import OscarNode
+    from ..core.soa import SubstrateState
     from ..core.overlay import OscarOverlay
 
 __all__ = ["BatchConstructionEngine", "LiveView"]
@@ -96,9 +98,8 @@ class LiveView:
         pos: np.ndarray,
         keys: np.ndarray,
         row_of: np.ndarray,
-        slots: np.ndarray | None = None,
-        state=None,
-        nodes: "tuple[OscarNode, ...] | None" = None,
+        slots: np.ndarray,
+        state: "SubstrateState",
     ) -> None:
         self.ids = ids
         self.pos = pos
@@ -106,7 +107,7 @@ class LiveView:
         self.row_of = row_of
         self.slots = slots
         self.state = state
-        self._nodes = tuple(nodes) if nodes is not None else None
+        self._nodes: "tuple[OscarNode, ...] | None" = None
 
     @property
     def m(self) -> int:
@@ -131,14 +132,9 @@ class LiveView:
         ids = ring.ids_array(live_only=True)
         pos = ring.positions_array(live_only=True)
         keys = ring.keys_array(live_only=True)
-        max_id = int(ids.max()) if ids.size else -1
-        row_of = np.full(max_id + 2, -1, dtype=np.int64)
-        row_of[ids] = np.arange(ids.size, dtype=np.int64)
-        state = getattr(overlay, "state", None)
-        if state is None:
-            nodes = tuple(overlay.nodes[int(i)] for i in ids)  # repro: allow[SOA001] no-SoA fallback
-            return cls(ids, pos, keys, row_of, nodes=nodes)
-        return cls(ids, pos, keys, row_of, slots=ring.slots_array(live_only=True), state=state)
+        return cls(
+            ids, pos, keys, row_table(ids), ring.slots_array(live_only=True), overlay.state
+        )
 
 
 def _isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -551,24 +547,15 @@ class BatchConstructionEngine:
         provider order — the same adjacency the scalar walker scans.
         """
         m = view.m
-        state = view.state
         row_idx = np.arange(m, dtype=np.int64)
         succ = (row_idx + 1) % m
         pred = (row_idx - 1) % m
         succ_col = np.where(succ != row_idx, succ, -1)
         pred_col = np.where((pred != row_idx) & (pred != succ), pred, -1)
-        width = state.link_width
-        if width:
-            link_rows = state.out_links[view.slots].astype(np.int64)
-            have = np.arange(width) < state.out_count[view.slots][:, None]
-            targets = np.where(have, link_rows, -1)
-            safe = np.clip(targets, 0, view.row_of.size - 1)
-            t_rows = np.where(
-                (targets >= 0) & (targets < view.row_of.size), view.row_of[safe], -1
-            )
-            full = np.concatenate([succ_col[:, None], pred_col[:, None], t_rows], axis=1)
-        else:
-            full = np.stack([succ_col, pred_col], axis=1)
+        full = np.concatenate(
+            [succ_col[:, None], pred_col[:, None], view.state.link_rows(view.slots, view.row_of)],
+            axis=1,
+        )
         # Stable left-compaction: valid entries keep provider order, the
         # -1 holes (self, dead targets) are pushed off the right edge —
         # the same rows the scalar list construction produced.
@@ -649,18 +636,8 @@ class BatchConstructionEngine:
         out_count = state.out_count[req_slots].astype(np.int64)
         n_cand = 2 if config.power_of_two else 1
 
-        width = state.link_width
-        if width:
-            link_rows = state.out_links[req_slots].astype(np.int64)
-            have = np.arange(width) < state.out_count[req_slots][:, None]
-            targets = link_rows[have]
-            requesters = np.broadcast_to(rows[:, None], link_rows.shape)[have]
-            safe = np.minimum(targets, view.row_of.size - 1)
-            t_rows = np.where(targets < view.row_of.size, view.row_of[safe], -1)
-            known = t_rows >= 0
-            pairs = requesters[known] * m + t_rows[known]
-        else:
-            pairs = np.empty(0, dtype=np.int64)
+        t_rows = state.link_rows(req_slots, view.row_of)
+        pairs = (rows[:, None] * m + t_rows)[t_rows >= 0]
         linked = np.sort(pairs)
         linked_set = set(int(p) for p in pairs)
 

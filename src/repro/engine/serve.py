@@ -9,12 +9,13 @@ to be**, at millions of requests against a ring that churns underneath.
 
 * a **per-version serve snapshot** (:class:`ServeSnapshot`) — the
   believed-live peers as flat arrays (positions, exact ``uint64`` keys,
-  a believed-row neighbor matrix), so owner lookup is one
-  ``searchsorted`` and routing is the lock-step greedy walk restricted
-  to believed-live peers. Because the walk never enters a believed-dead
-  peer, it cannot abort on missing successor pointers the way the
-  ground-truth batch walk does mid-churn — and it never *routes via* a
-  peer the view has evicted;
+  a successor column, a believed-row link matrix), so owner lookup is
+  one ``searchsorted`` and routing is the shared greedy-walk kernel
+  (:mod:`repro.engine.walk` — the same function the batch engine runs
+  over ground truth) handed believed-live arrays. Because no row is a
+  believed-dead peer, the walk cannot abort on missing successor
+  pointers the way the ground-truth batch walk does mid-churn — and it
+  never *routes via* a peer the view has evicted;
 * an **LRU result cache** (:class:`ResultCache`) keyed on the target
   key, every entry stamped with the serve version it was computed at
   and served **only** while that version is current — membership
@@ -45,9 +46,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.soa import row_table, rows_of
 from ..errors import ConfigError, RoutingError
 from ..ring import keyspace
-from .batch import BatchQueryEngine
+from .walk import greedy_walk, greedy_walk_reference
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.substrate import Substrate
@@ -55,8 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..membership import MembershipView
 
 __all__ = ["ResultCache", "ServeBatchResult", "ServeEngine", "ServeSnapshot"]
-
-_KEY_MASK = (1 << 64) - 1
 
 
 class ResultCache:
@@ -131,9 +131,11 @@ class ServeSnapshot:
     The successor/owner cache of the serving path: positions, exact
     keys and the neighbor matrix are precomputed once per version, so
     per-request work is pure array gathering. Rows index believed-live
-    peers in clockwise (position) order; the believed ring successor of
-    row ``i`` is implicitly ``(i + 1) % m``. Links to believed-dead
-    peers are dropped at capture — the walk cannot route via them.
+    peers in clockwise (position) order, so the believed ring successor
+    of row ``i`` is ``(i + 1) % m``. Links to believed-dead peers are
+    dropped at capture — the walk cannot route via them — and the long
+    links are the only forwarding candidates (the ground-truth snapshot
+    also offers the ring predecessor; see ``docs/architecture.md``).
 
     Attributes:
         version: The serve version triple this snapshot was built at.
@@ -142,8 +144,9 @@ class ServeSnapshot:
         keys: Exact ``uint64`` twins of ``pos``.
         row_of: ``node id -> believed row`` translation (-1 unknown or
             believed-dead).
-        nbr_rows: Padded believed-row neighbor matrix (-1 padding),
-            link-table order.
+        succ_row: Believed ring successor row per row (never -1).
+        nbr_rows: Padded believed-row link matrix (-1 padding and
+            dropped links), link-table order.
     """
 
     version: object
@@ -151,6 +154,7 @@ class ServeSnapshot:
     pos: np.ndarray
     keys: np.ndarray
     row_of: np.ndarray
+    succ_row: np.ndarray
     nbr_rows: np.ndarray
 
     @classmethod
@@ -158,64 +162,29 @@ class ServeSnapshot:
         cls, substrate: "Substrate", view: "MembershipView", version: object
     ) -> "ServeSnapshot":
         """Materialize the believed-live topology of ``substrate`` as
-        seen through ``view``, stamped with ``version``.
-
-        The neighbor matrix is built the same way on both execution
-        paths (struct-of-arrays gather when the substrate exposes flat
-        state, per-peer link lists otherwise), so the vectorized and
-        reference walk kernels consume identical candidates.
-        """
+        seen through ``view``, stamped with ``version``."""
         ring = substrate.ring
-        all_ids = ring.ids_array(live_only=False)
-        all_pos = ring.positions_array(live_only=False)
-        all_keys = ring.keys_array(live_only=False)
+        ids = all_ids = ring.ids_array(live_only=False)
+        pos = ring.positions_array(live_only=False)
+        keys = ring.keys_array(live_only=False)
+        slots = ring.slots_array(live_only=False)
         believed = view.live_ids()
         if believed.size == 0:
             raise ConfigError("serve snapshot needs at least one believed-live peer")
-        if believed.size == all_ids.size:
-            ids, pos, keys = all_ids, all_pos, all_keys
-        else:
+        if believed.size != all_ids.size:
             mask = np.isin(all_ids, believed, assume_unique=True)
-            ids, pos, keys = all_ids[mask], all_pos[mask], all_keys[mask]
+            ids, pos, keys, slots = ids[mask], pos[mask], keys[mask], slots[mask]
         m = int(ids.size)
-        max_id = int(all_ids.max()) if all_ids.size else -1
-        row_of = np.full(max_id + 2, -1, dtype=np.int64)
-        row_of[ids] = np.arange(m, dtype=np.int64)
-
-        state = getattr(substrate, "state", None)
-        if state is not None and getattr(ring, "state", None) is state and state.link_width:
-            slots = state.slots_of(ids)
-            links = state.out_links[slots].astype(np.int64)
-            width = int(state.link_width)
-            have = np.arange(width) < state.out_count[slots][:, None]
-            safe = np.clip(links, 0, row_of.size - 1)
-            trans = np.where(have & (links >= 0) & (links < row_of.size), row_of[safe], -1)
-            nbr_rows = trans if width else np.full((m, 1), -1, dtype=np.int64)
-        else:
-            lists = cls._link_lists(substrate, ids)
-            width = max(1, max((len(links) for links in lists), default=0))
-            nbr_rows = np.full((m, width), -1, dtype=np.int64)
-            for row, links in enumerate(lists):
-                for col, target in enumerate(links):
-                    target = int(target)
-                    nbr_rows[row, col] = row_of[target] if 0 <= target <= max_id else -1
-        if nbr_rows.shape[1] == 0:
-            nbr_rows = np.full((m, 1), -1, dtype=np.int64)
+        row_of = row_table(ids, int(all_ids.max()) + 2)
         return cls(
-            version=version, ids=ids, pos=pos, keys=keys, row_of=row_of, nbr_rows=nbr_rows
+            version=version,
+            ids=ids,
+            pos=pos,
+            keys=keys,
+            row_of=row_of,
+            succ_row=(np.arange(m, dtype=np.int64) + 1) % m,
+            nbr_rows=substrate.state.link_rows(slots, row_of),
         )
-
-    @staticmethod
-    def _link_lists(substrate: "Substrate", ids: np.ndarray) -> list[list[int]]:
-        """Per-believed-peer long-link target lists, link-table order
-        (the scalar fallback of :meth:`capture`)."""
-        nodes = getattr(substrate, "nodes", None)
-        if nodes is not None:
-            return [list(nodes[int(i)].out_links) for i in ids]
-        fingers = getattr(substrate, "fingers", None)
-        if fingers is not None:
-            return [list(fingers[int(i)]) for i in ids]
-        return [[] for __ in range(int(ids.size))]
 
     @property
     def size(self) -> int:
@@ -269,15 +238,15 @@ class ServeBatchResult:
         }
 
 
-class ServeEngine(BatchQueryEngine):
+class ServeEngine:
     """The data-plane request path: cached, believed-membership serving.
 
-    Extends :class:`~repro.engine.batch.BatchQueryEngine` (all
-    measurement APIs still work) with :meth:`serve_batch`: resolve each
-    request key to its believed owner, route to it over believed-live
-    peers only, and verify delivery against the replicated store —
-    with an LRU result cache in front, invalidated by serve-version
-    change.
+    :meth:`serve_batch` resolves each request key to its believed
+    owner, routes to it over believed-live peers only (the shared
+    :func:`~repro.engine.walk.greedy_walk` kernel on a
+    :class:`ServeSnapshot`), and verifies delivery against the
+    replicated store — with an LRU result cache in front, invalidated
+    by serve-version change.
 
     Args:
         substrate: Any overlay satisfying the
@@ -293,6 +262,8 @@ class ServeEngine(BatchQueryEngine):
             bit-identical pure-Python reference twin.
 
     Attributes:
+        routing: Router cost model (the substrate's own ``routing``
+            config): the per-request hop budget.
         result_cache: The :class:`ResultCache` (hit/miss/eviction
             counters).
         stale_serves: Requests that failed because the believed owner
@@ -307,11 +278,12 @@ class ServeEngine(BatchQueryEngine):
         cache_size: int = 1 << 20,
         vectorized: bool = True,
     ) -> None:
-        super().__init__(substrate)
         if store.ring is not substrate.ring:
             raise ConfigError("replicated store wraps a different ring than the substrate")
         if membership.ring is not substrate.ring:
             raise ConfigError("membership view wraps a different ring than the substrate")
+        self.substrate = substrate
+        self.routing = substrate.routing
         self.store = store
         self.membership = membership
         self.vectorized = bool(vectorized)
@@ -347,9 +319,8 @@ class ServeEngine(BatchQueryEngine):
         return self._serve_cache
 
     def invalidate(self) -> None:
-        """Drop the route snapshot, the serve snapshot and every cached
-        result unconditionally (next batch rebuilds)."""
-        super().invalidate()
+        """Drop the serve snapshot and every cached result
+        unconditionally (next batch rebuilds)."""
         self._serve_cache = None
         self.result_cache.clear()  # repro: allow[CACHE001] bulk invalidation, not a serve read
 
@@ -400,10 +371,7 @@ class ServeEngine(BatchQueryEngine):
             miss = np.asarray(miss_idx, dtype=np.int64)
             m_keys = target_keys[miss]
             m_sources = sources[miss]
-            source_rows = snap.row_of[np.clip(m_sources, 0, snap.row_of.size - 1)]
-            source_rows = np.where(
-                (m_sources >= 0) & (m_sources < snap.row_of.size), source_rows, -1
-            )
+            source_rows = rows_of(snap.row_of, m_sources)
             if np.any(source_rows < 0):
                 bad = int(m_sources[source_rows < 0][0])
                 raise RoutingError(f"serve source {bad} is not believed live")
@@ -416,7 +384,17 @@ class ServeEngine(BatchQueryEngine):
                     dtype=np.int64,
                 )
             m_owners = snap.ids[owner_rows]
-            m_hops = self._walk_hops(snap, source_rows, owner_rows, m_keys)
+            walk = greedy_walk if self.vectorized else greedy_walk_reference
+            m_hops = walk(
+                snap.keys,
+                snap.succ_row,
+                snap.nbr_rows,
+                snap.ids,
+                source_rows,
+                owner_rows,
+                keyspace.from_units(m_keys),
+                self.routing.budget,
+            )
             m_found, m_success, m_stale = self._verify(m_keys, m_owners)
             owners[miss] = m_owners
             found[miss] = m_found
@@ -441,7 +419,7 @@ class ServeEngine(BatchQueryEngine):
         )
 
     # ------------------------------------------------------------------
-    # kernels (vectorized + reference twins)
+    # delivery verification (vectorized + reference twins)
     # ------------------------------------------------------------------
 
     def _verify(
@@ -469,117 +447,3 @@ class ServeEngine(BatchQueryEngine):
                 holder_row = store.holders[int(rows[i])]
                 holds[i] = any(int(h) == int(owner_ids[i]) for h in holder_row)
         return found, found & owner_live & holds, stale
-
-    def _walk_hops(
-        self,
-        snap: ServeSnapshot,
-        source_rows: np.ndarray,
-        owner_rows: np.ndarray,
-        target_keys: np.ndarray,
-    ) -> np.ndarray:
-        """Greedy-walk hop counts from each source to its believed owner
-        over believed-live peers only.
-
-        Per hop: deliver to the believed ring successor when the key
-        falls in ``(current, successor]``, else forward to the neighbor
-        with maximal clockwise progress not passing the key (first-wins
-        ties, successor fallback) — the batch router's rules restricted
-        to belief. Vectorized and reference twins are bit-identical.
-
-        Raises:
-            RoutingError: A walk exceeded the routing budget.
-        """
-        if self.vectorized:
-            return self._walk_vectorized(snap, source_rows, owner_rows, target_keys)
-        return self._walk_reference(snap, source_rows, owner_rows, target_keys)
-
-    def _walk_vectorized(
-        self,
-        snap: ServeSnapshot,
-        source_rows: np.ndarray,
-        owner_rows: np.ndarray,
-        target_keys: np.ndarray,
-    ) -> np.ndarray:
-        """Lock-step numpy walk kernel (see :meth:`_walk_hops`)."""
-        m = snap.size
-        n = int(source_rows.size)
-        targets = keyspace.from_units(target_keys)
-        current = source_rows.copy()
-        hops = np.zeros(n, dtype=np.int64)
-        budget = self.routing.budget
-        active = current != owner_rows
-        while np.any(active):
-            rows = np.nonzero(active)[0]
-            if int(hops[rows].max(initial=0)) >= budget:
-                raise RoutingError(f"believed serve walk exceeded budget {budget}")
-            cur = current[rows]
-            tgt = targets[rows]
-            cur_key = snap.keys[cur]
-            succ = (cur + 1) % m
-            succ_key = snap.keys[succ]
-            deliver = keyspace.in_cw_intervals(tgt, cur_key, succ_key)
-            nxt = succ.copy()
-            forward = ~deliver
-            if np.any(forward):
-                f_cur = cur[forward]
-                f_key = cur_key[forward]
-                span = tgt[forward] - f_key
-                succ_progress = succ_key[forward] - f_key
-                cand = snap.nbr_rows[f_cur]
-                valid = cand >= 0
-                cand_key = snap.keys[np.where(valid, cand, 0)]
-                progress = cand_key - f_key[:, None]
-                progress = np.where(
-                    valid & (progress <= span[:, None]), progress, np.uint64(0)
-                )
-                best_col = progress.argmax(axis=1)
-                take = np.arange(best_col.size)
-                best_progress = progress[take, best_col]
-                best = cand[take, best_col]
-                improved = best_progress > succ_progress
-                nxt[forward] = np.where(improved, best, succ[forward])
-            current[rows] = nxt
-            hops[rows] += 1
-            active[rows] = nxt != owner_rows[rows]
-        return hops
-
-    def _walk_reference(
-        self,
-        snap: ServeSnapshot,
-        source_rows: np.ndarray,
-        owner_rows: np.ndarray,
-        target_keys: np.ndarray,
-    ) -> np.ndarray:
-        """Pure-Python walk twin (see :meth:`_walk_hops`) — one query at
-        a time, exact integer geometry, identical hop counts."""
-        m = snap.size
-        keys_int = [int(k) for k in snap.keys]
-        nbrs = [[int(c) for c in row if c >= 0] for row in snap.nbr_rows]
-        budget = self.routing.budget
-        hops = np.zeros(int(source_rows.size), dtype=np.int64)
-        for q in range(int(source_rows.size)):
-            cur = int(source_rows[q])
-            owner = int(owner_rows[q])
-            tgt = keyspace.from_unit(float(target_keys[q]))
-            count = 0
-            while cur != owner:
-                if count >= budget:
-                    raise RoutingError(f"believed serve walk exceeded budget {budget}")
-                cur_key = keys_int[cur]
-                succ = (cur + 1) % m
-                succ_key = keys_int[succ]
-                span = (tgt - cur_key) & _KEY_MASK
-                succ_progress = (succ_key - cur_key) & _KEY_MASK
-                if cur_key == succ_key or 0 < span <= succ_progress:
-                    nxt = succ
-                else:
-                    best, best_progress = succ, succ_progress
-                    for cand in nbrs[cur]:
-                        progress = (keys_int[cand] - cur_key) & _KEY_MASK
-                        if progress <= span and progress > best_progress:
-                            best, best_progress = cand, progress
-                    nxt = best
-                cur = nxt
-                count += 1
-            hops[q] = count
-        return hops

@@ -2,14 +2,11 @@
 
 Before this package, "who is alive" leaked through three unrelated
 surfaces: the churn engine read the liveness bitmap directly, the crash
-experiments called free-floating :func:`crash_many` /
-:func:`revive_many` / :func:`crash_fraction` helpers, and the net
-runtime trusted a seed-dealt directory. :class:`MembershipView` is the
-one protocol that replaces all of them — engines and drivers ask the
-*view* who is alive, and inject failures through the view's
-``crash()`` / ``revive()`` methods (the old helpers survive one
-release as :class:`DeprecationWarning` shims; see
-``docs/architecture.md``).
+experiments called free-floating helper functions on the ring, and the
+net runtime trusted a seed-dealt directory. :class:`MembershipView` is
+the one protocol that replaced all of them — engines and drivers ask
+the *view* who is alive, and inject failures through the view's
+``crash()`` / ``revive()`` methods.
 
 Two implementations ship:
 
@@ -163,9 +160,7 @@ class OracleView:
 
         ``floor(fraction * live_count)`` victims, but never the entire
         population (at least one peer survives); victims are drawn from
-        the live view only. Returns the victims' ids. Identical draw
-        layout to the deprecated :func:`repro.churn.failures
-        .crash_fraction` it replaces.
+        the live view only. Returns the victims' ids.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")

@@ -21,6 +21,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from ..core.substrate import Substrate
 from ..engine.batch import BatchQueryEngine
 from ..ring import Ring
 from ..routing import RouteResult, RouteStats
@@ -65,7 +66,11 @@ def measure_search_cost(
             ``overlay`` being measured.
     """
     if engine is None:
-        engine = BatchQueryEngine(overlay)  # type: ignore[arg-type]
+        # A bare ``ring`` + ``route`` overlay is measured one query at a time.
+        engine = BatchQueryEngine(
+            overlay,  # type: ignore[arg-type]
+            vectorized=isinstance(overlay, Substrate),
+        )
     elif engine.substrate is not overlay:
         raise ValueError("engine wraps a different overlay than the one being measured")
     return engine.measure(rng, n_queries=n_queries, workload=workload, faulty=faulty)

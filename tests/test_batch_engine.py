@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_mercury, build_overlay
 from repro import ChordOverlay, Substrate
@@ -19,7 +21,10 @@ from repro.churn import apply_churn, revive_all
 from repro.config import ChurnConfig
 from repro.degree import ConstantDegrees
 from repro.engine import BatchQueryEngine, TopologySnapshot
+from repro.engine.walk import greedy_walk, greedy_walk_reference
 from repro.errors import RoutingError
+from repro.membership import OracleView
+from repro.ring import keyspace
 from repro.metrics import measure_search_cost
 from repro.rng import make_rng, split
 from repro.routing import summarize_routes
@@ -150,6 +155,98 @@ class TestBatchMatchesScalar:
         engine = BatchQueryEngine(overlay, routing=RoutingConfig(budget=1))
         with pytest.raises(RoutingError):
             engine.measure(split(17, "b"), n_queries=50)
+
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_out_of_range_sources_raise_routing_error(self, kind):
+        """Regression: ``row_of[sources]`` let numpy wrap ``-2`` to the
+        highest-id peer and raised ``IndexError`` past ``max_id + 1``."""
+        overlay = build_substrate(kind, n=30)
+        engine = BatchQueryEngine(overlay)
+        max_id = int(overlay.ring.ids_array(live_only=False).max())
+        for source in (-2, -1, max_id + 1, max_id + 5):
+            with pytest.raises(RoutingError):
+                engine.route_batch(np.asarray([source]), np.asarray([0.5]))
+
+
+def _walk_outcome(walk, snap, source_rows, owner_rows, targets, budget):
+    try:
+        return walk(
+            snap.all_keys,
+            snap.succ_row,
+            snap.nbr_rows,
+            snap.all_ids,
+            source_rows,
+            owner_rows,
+            targets,
+            budget,
+        ).tolist()
+    except RoutingError:
+        return "RoutingError"
+
+
+class TestWalkKernelTwins:
+    """``greedy_walk`` and ``greedy_walk_reference`` are one function
+    written twice: equal hop arrays, or both raise ``RoutingError`` —
+    on ground-truth snapshots, where (unlike believed-live ones) rows
+    can be dead peers with stale or missing successor pointers."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**16),
+        n=st.integers(8, 40),
+        crash=st.sampled_from([0.0, 0.1, 0.3, 0.6]),
+        stale_leaves=st.integers(0, 3),
+        repair=st.booleans(),
+        budget=st.sampled_from([3, 64]),
+    )
+    def test_twins_agree_on_truth_snapshots(
+        self, kind, seed, n, crash, stale_leaves, repair, budget
+    ):
+        overlay = build_substrate(kind, n=n, seed=seed)
+        rng = split(seed, "twin")
+        for __ in range(stale_leaves):  # departures that leave stale pointers behind
+            overlay.leave(overlay.random_live_node(rng), repair=False)
+        OracleView(overlay.ring).crash_fraction(rng, crash)  # crashed, links dangling
+        if repair:
+            overlay.repair_ring()  # dead peers lose their successor pointer
+        snap = TopologySnapshot.capture(overlay)
+        target_keys = rng.random(8)
+        source_rows = rng.integers(0, snap.all_ids.size, size=8)  # dead rows included
+        owner_rows = snap.responsible_rows(target_keys)
+        targets = keyspace.from_units(target_keys)
+
+        def outcomes(walk):
+            """Each query alone (so one abort cannot mask the others),
+            then the whole batch in lock-step."""
+            alone = [
+                _walk_outcome(walk, snap, source_rows[q], owner_rows[q], targets[q], budget)
+                for q in (slice(i, i + 1) for i in range(8))
+            ]
+            return alone, _walk_outcome(walk, snap, source_rows, owner_rows, targets, budget)
+
+        alone, batch = outcomes(greedy_walk)
+        assert (alone, batch) == outcomes(greedy_walk_reference)
+        assert batch == ("RoutingError" if "RoutingError" in alone else [h for [h] in alone])
+
+    @pytest.mark.parametrize("walk", [greedy_walk, greedy_walk_reference])
+    def test_each_abort_condition_raises(self, walk):
+        keys = keyspace.from_units(np.asarray([0.1, 0.4, 0.7]))
+        ids = np.arange(3)
+        no_links = np.full((3, 1), -1, dtype=np.int64)
+        source, owner = np.asarray([0]), np.asarray([2])
+        target = keyspace.from_units(np.asarray([0.65]))
+        ring = np.asarray([1, 2, 0])
+        assert walk(keys, ring, no_links, ids, source, owner, target, 8).tolist() == [2]
+        zero_width = np.empty((3, 0), dtype=np.int64)  # a substrate with no link table yet
+        assert walk(keys, ring, zero_width, ids, source, owner, target, 8).tolist() == [2]
+        with pytest.raises(RoutingError, match="budget"):
+            walk(keys, ring, no_links, ids, source, owner, target, 1)
+        with pytest.raises(RoutingError, match="no ring successor"):
+            walk(keys, np.asarray([1, -1, 0]), no_links, ids, source, owner, target, 8)
+        with pytest.raises(RoutingError, match="no progressing"):
+            walk(keys, np.asarray([0, 2, 0]), no_links, ids, source, owner, target, 8)
 
 
 class TestSnapshotCache:

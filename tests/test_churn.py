@@ -1,23 +1,18 @@
-"""Tests for failure injection (repro.churn.failures).
-
-``crash_many`` / ``revive_many`` / ``crash_fraction`` are deprecated
-shims over :class:`repro.membership.OracleView` — this module *is* the
-shim-behavior suite (semantics must stay frozen for the one-release
-grace period), so the deprecation warnings they emit are expected and
-filtered; ``TestDeprecationShims`` asserts they fire at all.
+"""Tests for failure injection: the crash/revive liveness mutations of
+:class:`repro.membership.OracleView` and the paper's churn procedures
+(:func:`repro.churn.apply_churn`, :func:`repro.churn.revive_all`).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.churn import apply_churn, crash_fraction, crash_many, revive_all, revive_many
+from repro.churn import apply_churn, revive_all
 from repro.config import ChurnConfig
 from repro.errors import EmptyPopulationError
+from repro.membership import OracleView
 from repro.ring import Ring, build_pointers, verify
 from repro.rng import make_rng
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def ring_of(n: int) -> Ring:
@@ -30,104 +25,104 @@ def ring_of(n: int) -> Ring:
 class TestCrashFraction:
     def test_kills_requested_share(self):
         ring = ring_of(100)
-        victims = crash_fraction(ring, make_rng(0), 0.33)
+        victims = OracleView(ring).crash_fraction(make_rng(0), 0.33)
         assert len(victims) == 33
         assert ring.live_count == 67
 
     def test_victims_are_actually_dead(self):
         ring = ring_of(50)
-        victims = crash_fraction(ring, make_rng(1), 0.2)
+        victims = OracleView(ring).crash_fraction(make_rng(1), 0.2)
         for victim in victims:
             assert not ring.is_alive(victim)
 
     def test_zero_fraction_kills_nobody(self):
         ring = ring_of(10)
-        assert crash_fraction(ring, make_rng(2), 0.0) == []
+        assert OracleView(ring).crash_fraction(make_rng(2), 0.0) == []
         assert ring.live_count == 10
 
     def test_never_kills_everyone(self):
         ring = ring_of(3)
-        victims = crash_fraction(ring, make_rng(3), 0.99)
+        victims = OracleView(ring).crash_fraction(make_rng(3), 0.99)
         assert ring.live_count >= 1
         assert len(victims) <= 2
 
     def test_full_fraction_spares_exactly_one(self):
         ring = ring_of(5)
-        victims = crash_fraction(ring, make_rng(4), 1.0)
+        victims = OracleView(ring).crash_fraction(make_rng(4), 1.0)
         assert len(victims) == 4
         assert ring.live_count == 1
 
     def test_rejects_fraction_above_one(self):
         with pytest.raises(ValueError):
-            crash_fraction(ring_of(5), make_rng(4), 1.0000001)
+            OracleView(ring_of(5)).crash_fraction(make_rng(4), 1.0000001)
 
     def test_rejects_negative_fraction(self):
         with pytest.raises(ValueError):
-            crash_fraction(ring_of(5), make_rng(4), -0.1)
+            OracleView(ring_of(5)).crash_fraction(make_rng(4), -0.1)
 
     def test_single_peer_ring_loses_nobody(self):
         ring = ring_of(1)
-        assert crash_fraction(ring, make_rng(4), 1.0) == []
+        assert OracleView(ring).crash_fraction(make_rng(4), 1.0) == []
         assert ring.live_count == 1
 
     def test_already_dead_victims_excluded_from_base(self):
         # 10 peers, 4 already dead: fraction 0.5 counts over the 6 live
         # peers only (3 victims) and never re-selects a dead one.
         ring = ring_of(10)
-        first = crash_fraction(ring, make_rng(11), 0.4)
+        first = OracleView(ring).crash_fraction(make_rng(11), 0.4)
         assert len(first) == 4
-        second = crash_fraction(ring, make_rng(12), 0.5)
+        second = OracleView(ring).crash_fraction(make_rng(12), 0.5)
         assert len(second) == 3
         assert not set(first) & set(second)
         assert ring.live_count == 3
 
     def test_rejects_empty_ring(self):
         with pytest.raises(EmptyPopulationError):
-            crash_fraction(Ring(), make_rng(5), 0.1)
+            OracleView(Ring()).crash_fraction(make_rng(5), 0.1)
 
     def test_victims_unique(self):
         ring = ring_of(60)
-        victims = crash_fraction(ring, make_rng(6), 0.5)
+        victims = OracleView(ring).crash_fraction(make_rng(6), 0.5)
         assert len(victims) == len(set(victims))
 
     def test_repeated_waves_compound(self):
         ring = ring_of(100)
-        crash_fraction(ring, make_rng(7), 0.5)
-        crash_fraction(ring, make_rng(8), 0.5)
+        OracleView(ring).crash_fraction(make_rng(7), 0.5)
+        OracleView(ring).crash_fraction(make_rng(8), 0.5)
         assert ring.live_count == 25
 
 
 class TestBulkPrimitives:
     def test_crash_many_flips_and_reports(self):
         ring = ring_of(10)
-        assert crash_many(ring, [1, 3, 5]) == [1, 3, 5]
+        assert OracleView(ring).crash([1, 3, 5]) == [1, 3, 5]
         assert ring.live_count == 7
 
     def test_crash_many_skips_already_dead(self):
         ring = ring_of(10)
-        crash_many(ring, [1, 3])
+        OracleView(ring).crash([1, 3])
         # Re-crashing dead peers is a no-op, reported as unchanged.
-        assert crash_many(ring, [1, 3, 5]) == [5]
+        assert OracleView(ring).crash([1, 3, 5]) == [5]
         assert ring.live_count == 7
 
     def test_revive_many_mirrors_crash_many(self):
         ring = ring_of(10)
-        crash_many(ring, [2, 4, 6])
-        assert revive_many(ring, [2, 6, 8]) == [2, 6]  # 8 was never dead
+        OracleView(ring).crash([2, 4, 6])
+        assert OracleView(ring).revive([2, 6, 8]) == [2, 6]  # 8 was never dead
         assert ring.live_count == 9
         assert not ring.is_alive(4)
 
     def test_bulk_round_trip_restores_everything(self):
         ring = ring_of(25)
-        dead = crash_many(ring, range(0, 25, 2))
-        assert revive_many(ring, dead) == dead
+        dead = OracleView(ring).crash(range(0, 25, 2))
+        assert OracleView(ring).revive(dead) == dead
         assert ring.live_count == 25
 
 
 class TestReviveAll:
     def test_round_trip(self):
         ring = ring_of(40)
-        victims = crash_fraction(ring, make_rng(9), 0.25)
+        victims = OracleView(ring).crash_fraction(make_rng(9), 0.25)
         revive_all(ring, victims)
         assert ring.live_count == 40
 
@@ -197,23 +192,8 @@ class TestChurnOnOverlay:
 
 
 class TestDeprecationShims:
-    """The old helpers must warn once per call and delegate verbatim to
-    the membership API they are shims for."""
-
-    @pytest.mark.filterwarnings("error::DeprecationWarning")
-    def test_crash_many_warns(self):
-        with pytest.warns(DeprecationWarning, match="crash_many.*OracleView.crash"):
-            crash_many(ring_of(5), [1])
-
-    @pytest.mark.filterwarnings("error::DeprecationWarning")
-    def test_revive_many_warns(self):
-        with pytest.warns(DeprecationWarning, match="revive_many.*OracleView.revive"):
-            revive_many(ring_of(5), [1])
-
-    @pytest.mark.filterwarnings("error::DeprecationWarning")
-    def test_crash_fraction_warns(self):
-        with pytest.warns(DeprecationWarning, match="crash_fraction.*OracleView.crash_fraction"):
-            crash_fraction(ring_of(10), make_rng(0), 0.2)
+    """The deprecated free-function shims are removed; the procedures
+    that stayed are supported API and must never warn."""
 
     @pytest.mark.filterwarnings("error::DeprecationWarning")
     def test_supported_procedures_do_not_warn(self):
@@ -221,12 +201,3 @@ class TestDeprecationShims:
         ring = ring_of(20)
         victims = apply_churn(ring, build_pointers(ring), ChurnConfig(kill_fraction=0.2))
         revive_all(ring, victims)
-
-    def test_shims_match_membership_api(self):
-        from repro.membership import OracleView
-
-        ring_a, ring_b = ring_of(40), ring_of(40)
-        assert crash_fraction(ring_a, make_rng(3), 0.3) == OracleView(
-            ring_b
-        ).crash_fraction(make_rng(3), 0.3)
-        assert revive_many(ring_a, range(40)) == OracleView(ring_b).revive(range(40))

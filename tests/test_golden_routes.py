@@ -71,33 +71,21 @@ def test_batched_routes_match_fixture(fixture, overlays, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_snapshot_fast_path_matches_scalar_fallback(overlays, kind):
-    """The struct-of-arrays snapshot kernel must emit exactly the arrays
-    the per-peer ``neighbors_of`` fallback builds on the golden overlays
-    — same successor pointers, same padded neighbor matrix, column for
-    column."""
-    import numpy as np
-
+    """The snapshot's candidate matrix must offer exactly what the
+    public per-peer ``neighbors_of`` scan offers on the golden overlays
+    — same successor pointers, same candidates in the same order (the
+    ``-1`` holes are ignored by the walk and may sit anywhere)."""
     from repro.engine.batch import TopologySnapshot
 
     overlay = overlays[kind]
-    fast = TopologySnapshot.capture(overlay)
-
-    class ScalarView:
-        """Wrapper hiding ``state`` so capture takes the fallback path."""
-
-        state = None
-
-        def __init__(self, substrate):
-            self._substrate = substrate
-
-        def __getattr__(self, name):
-            return getattr(self._substrate, name)
-
-    slow = TopologySnapshot.capture(ScalarView(overlay))
-    assert np.array_equal(fast.succ_row, slow.succ_row)
-    assert fast.nbr_rows.shape == slow.nbr_rows.shape
-    assert np.array_equal(fast.nbr_rows, slow.nbr_rows)
-    assert np.array_equal(fast.row_of, slow.row_of)
+    snap = TopologySnapshot.capture(overlay)
+    assert snap.nbr_rows.shape[0] == snap.all_ids.size
+    for row, node_id in enumerate(snap.all_ids.tolist()):
+        expected = [int(snap.row_of[nbr]) for nbr in overlay.neighbors_of(node_id)]
+        offered = [int(c) for c in snap.nbr_rows[row] if c >= 0]
+        assert offered == [r for r in expected if r >= 0], f"node {node_id}"
+        successor = overlay.pointers.successor.get(node_id)
+        assert snap.succ_row[row] == (-1 if successor is None else snap.row_of[successor])
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -151,6 +151,16 @@ class TestServeSnapshot:
         # Every neighbor entry is a valid believed row or -1 padding.
         assert snap.nbr_rows.max() < snap.size
 
+    def test_successor_column_is_the_believed_ring(self):
+        """Under belief the successor of row ``i`` is row ``i + 1``
+        (wrapping) — never the ``-1`` a truth snapshot can hold."""
+        overlay, view, store, serve = build_plane()
+        view.crash([int(i) for i in view.live_ids()[::7]])
+        snap = serve.serve_snapshot()
+        m = snap.size
+        np.testing.assert_array_equal(snap.succ_row, (np.arange(m) + 1) % m)
+        assert snap.succ_row.min() >= 0
+
     def test_empty_believed_set_rejected(self):
         overlay, view, store, serve = build_plane(n=20, n_items=5)
         for i in view.live_ids():
@@ -204,8 +214,10 @@ class TestServeEngine:
     def test_unknown_or_believed_dead_source_rejected(self):
         overlay, view, store, serve = build_plane()
         key = float(store.item_keys[0])
-        with pytest.raises(RoutingError):
-            serve.serve_batch(np.asarray([10**6]), np.asarray([key]))
+        max_id = int(overlay.ring.ids_array(live_only=False).max())
+        for source in (-2, -1, max_id + 1, max_id + 5, 10**6):
+            with pytest.raises(RoutingError):
+                serve.serve_batch(np.asarray([source]), np.asarray([key]))
         victim = int(view.live_ids()[3])
         view.crash([victim])
         with pytest.raises(RoutingError):

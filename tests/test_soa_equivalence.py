@@ -28,7 +28,6 @@ from repro import ChordOverlay, MercuryOverlay, OscarConfig, OscarOverlay
 from repro.churn.sessions import ExponentialSessions
 from repro.degree import ConstantDegrees
 from repro.engine import BatchQueryEngine, SteadyStateChurnEngine
-from repro.engine.churn import _ScalarQueryEngine
 from repro.rng import split
 from repro.workloads import UniformKeys
 
@@ -78,10 +77,9 @@ def run_program(name: str, seed: int, ops: list[str], vectorized: bool):
                 )
             epoch_stats.append(churn.run_epoch())
         else:  # route
-            engine_cls = BatchQueryEngine if vectorized else _ScalarQueryEngine
             faulty = len(overlay.ring) > overlay.ring.live_count
             route_stats.append(
-                engine_cls(overlay).measure(
+                BatchQueryEngine(overlay, vectorized=vectorized).measure(
                     split(seed, "prog-route", i), n_queries=16, faulty=faulty
                 )
             )
