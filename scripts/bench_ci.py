@@ -1,56 +1,42 @@
-"""Benchmark-trajectory recorder: emit BENCH_*.json, gate on regressions.
+"""Benchmark-trajectory recorder: one table of spec rows, recorded and gated.
 
-Runs the three headline benchmarks through the same
-:class:`repro.experiments.Runner` the CLI uses and snapshots them as
-schema-versioned JSON documents:
+A measurement is a spec run. Every row of :data:`ROWS` names a registered
+experiment spec, the parameters to run it with and the gates its scalars
+must pass; :func:`run_row` — the only code here that runs anything —
+executes the row through the same :class:`repro.experiments.Runner` the
+CLI uses (no artifact cache: always a fresh simulation) and snapshots it
+as a schema-versioned ``BENCH_<row>.json`` document whose metrics are
+``wall_seconds`` plus every scalar the spec emits, under the spec's own
+names (``python -m repro list --params`` documents them).
 
-* ``BENCH_fig1c.json`` — the routing hot path: fig1c wall time and final
-  search costs at a CI-sized scale;
-* ``BENCH_build.json`` — the construction hot path: ``scale-build`` at
-  paper scale (10k, ~32k and 100k peers on the struct-of-arrays
-  substrate), recording build/rewire wall time, construction throughput
-  in peers/second and the batched-vs-scalar rewire speedup at 10k;
-* ``BENCH_churn.json`` — the steady-state hot path: a ``steady-churn``
-  run on a mid-size overlay, recording epoch throughput, probe success
-  and the stale-link ceiling;
-* ``BENCH_detector.json`` — the probe-membership hot path: a
-  ``detector-churn`` run (failure detector + gossip instead of the
-  oracle view), recording detection-lag p50/p99 in epochs, the
-  false-eviction rate and epoch throughput;
-* ``BENCH_serve.json`` — the data-plane hot path: a ``serve-churn``
-  run (k-replicated catalog + cached serving under gentle churn),
-  recording cached/uncached queries per second, hit rate, items lost
-  (zero under the oracle at this churn rate), under-replication and
-  stale serves.
+The five *baselined* rows are the durable performance trajectory CI
+uploads on every run; each also fails when its wall time exceeds
+:data:`MAX_REGRESSION` x the committed ``benchmarks/baselines/`` document
+(recorded on a developer container — the headroom absorbs runner variance
+while still catching a silent fall-back from the vectorized kernels). The
+other rows are CI smoke checks with gates only. With no row names the
+baselined rows run; a CI job names just the rows it owns::
 
-CI uploads the files as artifacts on every run — the durable
-performance trajectory — and this script *fails* the job when
-
-* a benchmark's wall time regresses more than ``--max-regression``
-  (default 2×) over the committed baseline in ``benchmarks/baselines/``,
-  or
-* the batched rewire speedup at 10k peers falls below ``--min-speedup``
-  (default 5×, the ISSUE 4 acceptance floor; a ratio of two timings on
-  the same host, so it is robust to slow runners).
+    PYTHONPATH=src python scripts/bench_ci.py --out-dir bench-out
+    PYTHONPATH=src python scripts/bench_ci.py serve serve-probe
 
 Baselines are refreshed deliberately (never implicitly) with::
 
     PYTHONPATH=src python scripts/bench_ci.py --write-baseline
 
 which overwrites the committed files with the current host's numbers.
-Baseline wall times are recorded on a developer container; the 2×
-headroom absorbs runner variance while still catching order-of-magnitude
-regressions (e.g. a silent fall-back from the vectorized kernels).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import platform
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -60,191 +46,150 @@ from repro.engine.resources import max_rss_mb  # noqa: E402
 from repro.experiments import Runner  # noqa: E402
 
 SCHEMA_VERSION = 1
+SEED = 42
+MAX_REGRESSION = 2.0
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
 
+OPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
 
-def _document(benchmark: str, params: dict, metrics: dict, series: dict) -> dict:
+
+class Row(NamedTuple):
+    """One recorded measurement: a spec, its parameters, its gates.
+
+    ``gates`` are ``(scalar, op, bound)`` triples over the document's
+    metrics; ``baselined`` rows additionally carry the wall-time gate
+    against their committed baseline.
+    """
+
+    spec: str
+    params: dict[str, object]
+    gates: tuple[tuple[str, str, float], ...] = ()
+    baselined: bool = False
+
+
+# Gentle churn (half-life 64 epochs, repair every epoch) is the regime
+# where the k-replication zero-loss bound provably holds: fewer than k
+# successive holders die per repair interval (docs/serving.md has the
+# math), so under the oracle any loss or stale serve is a bug.
+GENTLE_SERVE = {"size": 5000, "epochs": 12, "half_life": 64.0, "repair_every": 1}
+
+ROWS: dict[str, Row] = {
+    # The routing hot path: fig1c at a CI-sized scale.
+    "fig1c": Row("fig1c", {"scale": 0.05}, baselined=True),
+    # The construction hot path at paper scale; the batched-vs-scalar
+    # rewire speedup at 10k is a ratio of two timings on one host, so its
+    # floor is robust to slow runners.
+    "build": Row(
+        "scale-build",
+        {"sizes": (10_000, 31_600, 100_000), "n_queries": 500},
+        (("rewire_speedup", ">=", 5.0),),
+        baselined=True,
+    ),
+    # The steady-state hot path on a mid-size overlay.
+    "churn": Row("steady-churn", {"size": 5000, "epochs": 10, "n_queries": 256}, baselined=True),
+    # Probe-derived membership; twelve epochs so evictions actually flow
+    # (detection + gossip completion takes several epochs).
+    "detector": Row(
+        "detector-churn", {"size": 2000, "epochs": 12, "n_queries": 256}, baselined=True
+    ),
+    "serve": Row(
+        "serve-churn",
+        {**GENTLE_SERVE, "n_queries": 2048},
+        (
+            ("items_lost_total", "==", 0),
+            ("under_k_final", "==", 0),
+            ("phantom_total", "==", 0),
+            ("stale_serves", "==", 0),
+        ),
+        baselined=True,
+    ),
+    # A 50k-peer overlay sustains 20 churn epochs in under a minute of
+    # churn-loop wall time (~26 s on the dev container).
+    "churn-50k": Row(
+        "steady-churn",
+        {"size": 50_000, "epochs": 20, "n_queries": 256},
+        (("churn_seconds", "<", 60.0),),
+    ),
+    # Lossless probes: the detector must evict, and only the dead.
+    "detector-1k": Row(
+        "detector-churn",
+        {"size": 1000, "epochs": 12},
+        (("evictions", ">", 0), ("false_evictions", "==", 0)),
+    ),
+    # The serve row under 10% probe loss: detection lag must show up as
+    # data risk (phantoms and stale serves strictly positive) while
+    # re-replication keeps loss within 1% of the catalog — silence in
+    # either direction is a bug.
+    "serve-probe": Row(
+        "serve-churn",
+        {**GENTLE_SERVE, "n_queries": 4096, "membership": "probe", "loss": 0.1},
+        (("items_lost_total", "<=", 50), ("phantom_total", ">", 0), ("stale_serves", ">", 0)),
+    ),
+}
+
+
+def run_row(name: str) -> dict:
+    """Run one row's spec through the Runner and build its document."""
+    row = ROWS[name]
+    record = Runner(defaults={"seed": SEED}).run(row.spec, row.params)
+    metrics = {"wall_seconds": round(record.wall_time, 3)}
+    for scalar, value in sorted(record.result.scalars.items()):
+        metrics[scalar] = round(float(value), 4)
+    # Peak RSS so far (a process-lifetime high-water mark): rows run in
+    # table order, so each value bounds the memory its own row needed.
+    # Recorded, not gated — the hard RSS gate lives in the million-peer
+    # smoke test.
+    metrics["max_rss_mb_so_far"] = round(max_rss_mb(), 1)
     return {
         "schema_version": SCHEMA_VERSION,
-        "benchmark": benchmark,
+        "benchmark": name,
         "generated_unix": int(time.time()),
         "host": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
         },
-        "params": params,
-        # Peak RSS so far (a process-lifetime high-water mark): the
-        # benchmarks run in document order, so each value bounds the
-        # memory its own phase needed. Recorded, not gated — the hard
-        # RSS gate lives in the million-peer smoke test.
-        "metrics": {**metrics, "max_rss_mb_so_far": round(max_rss_mb(), 1)},
-        "series": series,
+        "params": record.params,
+        "metrics": metrics,
+        "series": record.result.series,
     }
 
 
-def bench_fig1c(scale: float, seed: int) -> dict:
-    """Route-phase benchmark: fig1c through the Runner, fresh simulation."""
-    runner = Runner(store=None, defaults={"scale": scale, "seed": seed})
-    started = time.perf_counter()
-    record = runner.run("fig1c")
-    wall = time.perf_counter() - started
-    result = record.result
-    metrics = {"wall_seconds": round(wall, 3)}
-    for name, value in sorted(result.scalars.items()):
-        metrics[name] = round(float(value), 4)
-    return _document(
-        "fig1c",
-        {"scale": scale, "seed": seed},
-        metrics,
-        {name: points for name, points in result.series.items()},
-    )
+def check(name: str, document: dict) -> list[str]:
+    """Every gate of row ``name`` that ``document`` fails.
 
-
-def bench_build(seed: int, sizes: tuple[int, ...]) -> dict:
-    """Build-phase benchmark: scale-build at paper scale."""
-    runner = Runner(store=None, defaults={"scale": 1.0, "seed": seed})
-    started = time.perf_counter()
-    record = runner.run("scale-build", {"sizes": sizes, "n_queries": 500})
-    wall = time.perf_counter() - started
-    result = record.result
-    final_size = result.series["build seconds"][-1][0]
-    metrics = {
-        "wall_seconds": round(wall, 3),
-        "peers_per_second": round(result.scalars["final_peers_per_second"], 1),
-        "rewire_speedup": round(result.scalars["rewire_speedup"], 2),
-        "mean_cost": round(result.scalars["final_mean_cost"], 4),
-        "build_seconds": round(result.scalars["final_build_seconds"], 3),
-        "rewire_seconds": round(result.scalars["final_rewire_seconds"], 3),
-        "largest_size": int(final_size),
-    }
-    return _document(
-        "build",
-        {"seed": seed, "sizes": list(sizes), "scale": 1.0},
-        metrics,
-        {name: points for name, points in result.series.items()},
-    )
-
-
-def bench_churn(seed: int, size: int, epochs: int) -> dict:
-    """Churn-phase benchmark: steady-churn on a mid-size overlay."""
-    runner = Runner(store=None, defaults={"scale": 1.0, "seed": seed})
-    started = time.perf_counter()
-    record = runner.run(
-        "steady-churn", {"size": size, "epochs": epochs, "n_queries": 256}
-    )
-    wall = time.perf_counter() - started
-    result = record.result
-    metrics = {
-        "wall_seconds": round(wall, 3),
-        "epochs_per_second": round(result.scalars["epochs_per_second"], 3),
-        "mean_success_rate": round(result.scalars["mean_success_rate"], 4),
-        "mean_cost": round(result.scalars["mean_cost"], 4),
-        "max_stale_links": int(result.scalars["max_stale_links"]),
-        "final_live": int(result.scalars["final_live"]),
-        "build_seconds": round(result.scalars["build_seconds"], 3),
-        "churn_seconds": round(result.scalars["churn_seconds"], 3),
-    }
-    return _document(
-        "churn",
-        {"seed": seed, "size": size, "epochs": epochs, "scale": 1.0},
-        metrics,
-        {name: points for name, points in result.series.items()},
-    )
-
-
-def bench_detector(seed: int, size: int, epochs: int) -> dict:
-    """Detector-phase benchmark: probe-derived membership under churn."""
-    runner = Runner(store=None, defaults={"scale": 1.0, "seed": seed})
-    started = time.perf_counter()
-    record = runner.run(
-        "detector-churn", {"size": size, "epochs": epochs, "n_queries": 256}
-    )
-    wall = time.perf_counter() - started
-    result = record.result
-    metrics = {
-        "wall_seconds": round(wall, 3),
-        "epochs_per_second": round(result.scalars["epochs_per_second"], 3),
-        "detection_lag_p50": round(result.scalars["detection_lag_p50"], 2),
-        "detection_lag_p99": round(result.scalars["detection_lag_p99"], 2),
-        "detection_lag_mean": round(result.scalars["detection_lag_mean"], 3),
-        "false_eviction_rate": round(result.scalars["false_eviction_rate"], 4),
-        "evictions": int(result.scalars["evictions"]),
-        "mean_success_rate": round(result.scalars["mean_success_rate"], 4),
-        "max_undetected_dead": int(result.scalars["max_undetected_dead"]),
-        "final_live": int(result.scalars["final_live"]),
-        "churn_seconds": round(result.scalars["churn_seconds"], 3),
-    }
-    return _document(
-        "detector",
-        {"seed": seed, "size": size, "epochs": epochs, "scale": 1.0},
-        metrics,
-        {name: points for name, points in result.series.items()},
-    )
-
-
-def bench_serve(seed: int, size: int, epochs: int) -> dict:
-    """Serve-phase benchmark: the replicated data plane under churn.
-
-    Gentle-churn parameters (half-life 64 epochs, repair every epoch)
-    so the oracle zero-loss guarantee holds deterministically: fewer
-    than k holders die per repair interval, and ``items_lost`` doubles
-    as a correctness gate in CI.
+    A baselined row's last gate is its wall time against the committed
+    baseline, of which only ``schema_version`` and
+    ``metrics.wall_seconds`` are read.
     """
-    runner = Runner(store=None, defaults={"scale": 1.0, "seed": seed})
-    started = time.perf_counter()
-    record = runner.run(
-        "serve-churn",
-        {
-            "size": size,
-            "epochs": epochs,
-            "half_life": 64.0,
-            "repair_every": 1,
-            "n_queries": 2048,
-        },
-    )
-    wall = time.perf_counter() - started
-    result = record.result
-    metrics = {
-        "wall_seconds": round(wall, 3),
-        "qps_cached": round(result.scalars["qps_cached"], 1),
-        "qps_uncached": round(result.scalars["qps_uncached"], 1),
-        "hit_rate": round(result.scalars["hit_rate"], 4),
-        "items_lost_total": int(result.scalars["items_lost_total"]),
-        "items_final": int(result.scalars["items_final"]),
-        "under_k_final": int(result.scalars["under_k_final"]),
-        "phantom_total": int(result.scalars["phantom_total"]),
-        "stale_serves": int(result.scalars["stale_serves"]),
-        "mean_success_rate": round(result.scalars["mean_success_rate"], 4),
-        "final_live": int(result.scalars["final_live"]),
-        "serve_seconds": round(result.scalars["serve_seconds"], 3),
-    }
-    return _document(
-        "serve",
-        {"seed": seed, "size": size, "epochs": epochs, "scale": 1.0},
-        metrics,
-        {name: points for name, points in result.series.items()},
-    )
-
-
-def compare(document: dict, baseline_path: Path, max_regression: float) -> list[str]:
-    """Regression findings of ``document`` vs its committed baseline."""
-    if not baseline_path.exists():
-        return [f"missing baseline {baseline_path} (run with --write-baseline)"]
-    baseline = json.loads(baseline_path.read_text())
+    row = ROWS[name]
+    metrics = document["metrics"]
+    problems = [
+        f"{name}: {scalar} = {metrics[scalar]} fails {scalar} {op} {bound}"
+        for scalar, op, bound in row.gates
+        if not OPS[op](metrics[scalar], bound)
+    ]
+    if not row.baselined:
+        return problems
+    path = BASELINE_DIR / f"BENCH_{name}.json"
+    if not path.exists():
+        return [*problems, f"missing baseline {path} (run with --write-baseline)"]
+    baseline = json.loads(path.read_text())
     if baseline.get("schema_version") != SCHEMA_VERSION:
-        return [
-            f"{baseline_path.name}: schema_version "
-            f"{baseline.get('schema_version')} != {SCHEMA_VERSION}"
-        ]
-    problems = []
-    measured = float(document["metrics"]["wall_seconds"])
+        found = baseline.get("schema_version")
+        return [*problems, f"{path.name}: schema_version {found} != {SCHEMA_VERSION}"]
     reference = float(baseline["metrics"]["wall_seconds"])
-    if measured > reference * max_regression:
+    if metrics["wall_seconds"] > reference * MAX_REGRESSION:
         problems.append(
-            f"{document['benchmark']}: wall {measured:.2f}s exceeds "
-            f"{max_regression:.1f}x baseline {reference:.2f}s"
+            f"{name}: wall {metrics['wall_seconds']:.2f}s exceeds "
+            f"{MAX_REGRESSION:.1f}x baseline {reference:.2f}s"
         )
     return problems
 
@@ -252,60 +197,13 @@ def compare(document: dict, baseline_path: Path, max_regression: float) -> list[
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
+        "rows",
+        nargs="*",
+        metavar="row",
+        help=f"rows to run (default: the baselined ones); known: {', '.join(ROWS)}",
+    )
+    parser.add_argument(
         "--out-dir", type=Path, default=REPO_ROOT, help="where to write BENCH_*.json"
-    )
-    parser.add_argument("--baseline-dir", type=Path, default=BASELINE_DIR)
-    parser.add_argument("--scale", type=float, default=0.05, help="fig1c scale")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--sizes",
-        type=lambda text: tuple(int(part) for part in text.split(",")),
-        default=(10_000, 31_600, 100_000),
-        help="comma-separated build sizes (default: 10000,31600,100000)",
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="fail when wall time exceeds this multiple of the baseline",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=5.0,
-        help="fail when the batched rewire speedup at the smallest build "
-        "size drops below this (0 disables)",
-    )
-    parser.add_argument(
-        "--churn-size",
-        type=int,
-        default=5000,
-        help="steady-churn benchmark population (mid-size by design)",
-    )
-    parser.add_argument(
-        "--churn-epochs", type=int, default=10, help="steady-churn benchmark epochs"
-    )
-    parser.add_argument(
-        "--detector-size",
-        type=int,
-        default=2000,
-        help="detector-churn benchmark population",
-    )
-    parser.add_argument(
-        "--detector-epochs",
-        type=int,
-        default=12,
-        help="detector-churn benchmark epochs (long enough for evictions "
-        "to flow: detection + gossip completion takes several epochs)",
-    )
-    parser.add_argument(
-        "--serve-size",
-        type=int,
-        default=5000,
-        help="serve-churn benchmark population",
-    )
-    parser.add_argument(
-        "--serve-epochs", type=int, default=12, help="serve-churn benchmark epochs"
     )
     parser.add_argument(
         "--write-baseline",
@@ -313,54 +211,30 @@ def main(argv: list[str] | None = None) -> int:
         help="record the measured numbers as the new committed baselines",
     )
     args = parser.parse_args(argv)
+    unknown = [name for name in args.rows if name not in ROWS]
+    if unknown:
+        parser.error(f"unknown row(s) {', '.join(unknown)}; known: {', '.join(ROWS)}")
+    names = args.rows or [name for name, row in ROWS.items() if row.baselined]
 
-    documents = {
-        "BENCH_fig1c.json": bench_fig1c(args.scale, args.seed),
-        "BENCH_build.json": bench_build(args.seed, args.sizes),
-        "BENCH_churn.json": bench_churn(args.seed, args.churn_size, args.churn_epochs),
-        "BENCH_detector.json": bench_detector(
-            args.seed, args.detector_size, args.detector_epochs
-        ),
-        "BENCH_serve.json": bench_serve(args.seed, args.serve_size, args.serve_epochs),
-    }
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    for name, document in documents.items():
-        path = args.out_dir / name
-        path.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
-        print(f"[bench-ci] wrote {path}: {json.dumps(document['metrics'])}")
-
-    if args.write_baseline:
-        args.baseline_dir.mkdir(parents=True, exist_ok=True)
-        for name, document in documents.items():
-            (args.baseline_dir / name).write_text(
-                json.dumps(document, indent=1, sort_keys=True) + "\n"
-            )
-            print(f"[bench-ci] baseline refreshed: {args.baseline_dir / name}")
-        return 0
-
     problems: list[str] = []
-    for name, document in documents.items():
-        problems.extend(
-            compare(document, args.baseline_dir / name, args.max_regression)
-        )
-    lost = int(documents["BENCH_serve.json"]["metrics"]["items_lost_total"])
-    if lost != 0:
-        problems.append(
-            f"serve: {lost} items lost under the oracle at gentle churn "
-            "(k-replication must guarantee zero loss here)"
-        )
-    speedup = float(documents["BENCH_build.json"]["metrics"]["rewire_speedup"])
-    if args.min_speedup > 0 and speedup < args.min_speedup:
-        problems.append(
-            f"build: rewire speedup x{speedup:.1f} below the x{args.min_speedup:.1f} floor"
-        )
-    if problems:
-        for problem in problems:
-            print(f"[bench-ci] FAIL: {problem}", file=sys.stderr)
-        return 1
-    print("[bench-ci] OK: within budget "
-          f"(<= {args.max_regression:.1f}x baselines, speedup x{speedup:.1f})")
-    return 0
+    for name in names:
+        document = run_row(name)
+        text = json.dumps(document, indent=1, sort_keys=True) + "\n"
+        path = args.out_dir / f"BENCH_{name}.json"
+        path.write_text(text)
+        print(f"[bench-ci] wrote {path}: {json.dumps(document['metrics'])}")
+        if not args.write_baseline:
+            problems.extend(check(name, document))
+        elif ROWS[name].baselined:
+            (BASELINE_DIR / path.name).write_text(text)
+            print(f"[bench-ci] baseline refreshed: {BASELINE_DIR / path.name}")
+
+    for problem in problems:
+        print(f"[bench-ci] FAIL: {problem}", file=sys.stderr)
+    if not problems and not args.write_baseline:
+        print(f"[bench-ci] OK: {', '.join(names)} within their gates")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -619,17 +619,18 @@ class WallClockRule(Rule):
     function of ``(code, seed, params)`` — the artifact cache would
     happily serve stale results and the differential suites would chase
     phantom divergences. Timing belongs to the *measurement* layer:
-    ``cli.py`` (bench output) and ``experiments/runner.py`` (the
-    Runner's wall-time shim) are the two sanctioned scopes and are
-    excluded wholesale, as is the whole ``repro.net`` transport package
+    ``cli.py`` (elapsed-time summaries) and ``experiments/runner.py``
+    (the Runner's wall-time capture and its ``Stopwatch``) are the two
+    sanctioned scopes and are excluded wholesale, as is the whole
+    ``repro.net`` transport package
     — an asyncio runtime legitimately owns timeouts, socket deadlines
     and loop clocks; its determinism is enforced *behaviorally* by the
     lockstep oracle-equivalence suite (``tests/test_net.py``), not by
     banning the clock. The sans-I/O machines the runtime drives live in
     ``repro.protocol`` and remain fully in scope. Experiment specs that
     legitimately *report* wall-time series (``scale-build``,
-    ``steady-churn``, ``net-smoke``) carry explicit per-line allows so
-    each site stays visible.
+    ``steady-churn``, ``net-smoke``) time them through
+    ``experiments.runner.Stopwatch`` and read no clock themselves.
 
     Fires on ``time.time/..._ns/monotonic/perf_counter/process_time``,
     ``from time import <those>``, ``datetime.now/utcnow/today``,

@@ -5,7 +5,7 @@
 ``scripts/repro_lint.py``. Boundary errors (unknown rule code, bad
 path, broken baseline file) raise :class:`~repro.errors.ConfigError`,
 which :func:`main` turns into a ``lint: <message>`` line on stderr and
-exit status 2 — the same convention as ``repro run``/``repro bench``.
+exit status 2 — the same convention as ``repro run``/``repro sweep``.
 
 Exit statuses: 0 clean, 1 findings, 2 usage/config error.
 """

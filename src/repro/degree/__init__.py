@@ -10,6 +10,7 @@ all three share mean 27 so experiments compare like with like.
 ``(rho_max_in, rho_max_out)`` arrays.
 """
 
+from ..errors import ConfigError
 from .base import DegreeDistribution, assign_caps
 from .spiky import SpikyDegreeDistribution
 from .standard import ConstantDegrees, SteppedDegrees
@@ -37,5 +38,5 @@ def by_name(name: str, **kwargs: object) -> DegreeDistribution:
     try:
         factory = registry[name]
     except KeyError:
-        raise ValueError(f"unknown degree distribution {name!r}; known: {sorted(registry)}") from None
+        raise ConfigError(f"unknown degree distribution {name!r}; known: {sorted(registry)}") from None
     return factory(**kwargs)  # type: ignore[arg-type]

@@ -24,16 +24,12 @@ snapshots this spec into ``BENCH_detector.json``.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..churn.sessions import make_sessions
-from ..engine import SteadyStateChurnEngine
 from ..membership import DetectorConfig, ProbeView
-from .base import ExperimentResult, scaled_sizes
-from .growth import make_overlay
-from .scenario import DEGREE_DISTRIBUTIONS, KEY_DISTRIBUTIONS
+from .base import ExperimentResult
+from .growth import build_churn_bed
+from .runner import Stopwatch
 from .spec import SweepSpec, experiment, register_sweep
 
 __all__ = ["run"]
@@ -83,13 +79,6 @@ def run(
     backend: str = "vectorized",
 ) -> ExperimentResult:
     """Epoch time series of churn routed over probe-derived knowledge."""
-    if keys not in KEY_DISTRIBUTIONS:
-        raise ValueError(f"unknown key distribution {keys!r}; known: {sorted(KEY_DISTRIBUTIONS)}")
-    if degrees not in DEGREE_DISTRIBUTIONS:
-        raise ValueError(
-            f"unknown degree distribution {degrees!r}; known: {sorted(DEGREE_DISTRIBUTIONS)}"
-        )
-    session_times = make_sessions(sessions, half_life)  # validates the name
     detector = DetectorConfig(
         failure_threshold=threshold,
         quorum=quorum,
@@ -98,29 +87,20 @@ def run(
         rounds_per_epoch=rounds,
         gossip_fanout=fanout,
     )
-
-    (target,) = scaled_sizes((size,), scale)
-    key_distribution = KEY_DISTRIBUTIONS[keys]()
-    degree_distribution = DEGREE_DISTRIBUTIONS[degrees]()
-    overlay = make_overlay(substrate, seed=seed)  # type: ignore[arg-type]
-
-    build_started = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
-    overlay.grow_batch(target, key_distribution, degree_distribution)
-    overlay.rewire_batch()
-    build_seconds = time.perf_counter() - build_started  # repro: allow[CLK001] measured wall-time series
-
-    membership = ProbeView(overlay.ring, detector, seed=seed, backend=backend)
-    engine = SteadyStateChurnEngine(
-        overlay,
-        key_distribution,
-        degree_distribution,
-        session_times,
-        arrival_rate=target / session_times.mean,
-        repair_every=repair_every,
-        n_probes=n_queries,
+    bed = build_churn_bed(
+        scale=scale,
         seed=seed,
-        membership=membership,
+        substrate=substrate,
+        size=size,
+        epochs=epochs,
+        half_life=half_life,
+        sessions=sessions,
+        keys=keys,
+        degrees=degrees,
     )
+    overlay = bed.overlay
+    membership = ProbeView(overlay.ring, detector, seed=seed, backend=backend)
+    engine = bed.engine(repair_every=repair_every, n_probes=n_queries, membership=membership)
 
     success: list[tuple[float, float]] = []
     cost: list[tuple[float, float]] = []
@@ -133,11 +113,11 @@ def run(
     # window when its probe batch ran with undetected dead peers still
     # believed alive — the regime the oracle never enters.
     lag_window: list[tuple[float, bool]] = []
-    churn_started = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
+    churn_watch = Stopwatch()
     for __ in range(epochs):
-        t0 = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
+        epoch_watch = Stopwatch()
         stats = engine.run_epoch()
-        elapsed = time.perf_counter() - t0  # repro: allow[CLK001] measured wall-time series
+        elapsed = epoch_watch.lap()
         x = float(stats.epoch)
         gap = membership.live_count - overlay.ring.live_count
         success.append((x, stats.probes.success_rate))
@@ -148,7 +128,7 @@ def run(
         evictions.append((x, float(membership.evictions)))
         epoch_seconds.append((x, elapsed))
         lag_window.append((stats.probes.success_rate, gap > 0))
-    churn_seconds = time.perf_counter() - churn_started  # repro: allow[CLK001] measured wall-time series
+    churn_seconds = churn_watch.lap()
 
     history = engine.history
     lags = np.asarray(membership.detection_lags, dtype=float)
@@ -189,20 +169,12 @@ def run(
             "max_undetected_dead": max(y for __, y in undetected),
             "final_live": float(history[-1].live),
             "total_departures": float(sum(s.departures for s in history)),
-            "build_seconds": build_seconds,
+            "build_seconds": bed.build_seconds,
             "churn_seconds": churn_seconds,
             "epochs_per_second": epochs / max(churn_seconds, 1e-9),
         },
         metadata={
-            "scale": scale,
-            "seed": seed,
-            "substrate": substrate,
-            "size": target,
-            "epochs": epochs,
-            "half_life": half_life,
-            "sessions": sessions,
-            "keys": keys,
-            "degrees": degrees,
+            **bed.metadata,
             "repair_every": repair_every,
             "n_queries": n_queries,
             "rounds": rounds,

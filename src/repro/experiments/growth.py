@@ -24,20 +24,26 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .. import degree, workloads
 from ..chord import ChordOverlay
-from ..churn import apply_churn, revive_all
+from ..churn import SessionTimes, apply_churn, make_sessions, revive_all
 from ..config import ChurnConfig, GrowthConfig, MercuryConfig, OscarConfig, RoutingConfig
 from ..core import OscarOverlay
 from ..core.substrate import Substrate
 from ..degree import DegreeDistribution
-from ..engine import BatchQueryEngine
+from ..engine import BatchQueryEngine, SteadyStateChurnEngine
+from ..errors import ConfigError
+from ..index import ReplicatedStore
+from ..membership import MembershipView
 from ..mercury import MercuryOverlay
 from ..metrics import measure_search_cost, relative_degree_load, volume_exploitation
 from ..routing import RouteStats
 from ..rng import split
 from ..workloads import KeyDistribution, QueryWorkload
+from .base import scaled_sizes
+from .runner import Stopwatch
 
-__all__ = ["SizeMeasurement", "make_overlay", "grow_and_measure"]
+__all__ = ["ChurnBed", "SizeMeasurement", "build_churn_bed", "make_overlay", "grow_and_measure"]
 
 OverlayKind = Literal["oscar", "mercury", "chord"]
 
@@ -78,7 +84,117 @@ def make_overlay(
         return MercuryOverlay(mercury_config or MercuryConfig(), seed=seed, routing=routing)
     if kind == "chord":
         return ChordOverlay(seed=seed, routing=routing)
-    raise ValueError(f"unknown overlay kind {kind!r}")
+    raise ConfigError(f"unknown overlay kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class ChurnBed:
+    """A built overlay plus the churn inputs the epoch engine needs.
+
+    What the ``steady-churn``, ``detector-churn`` and ``serve-churn``
+    specs share before they diverge (membership view, replicated store,
+    serve engine): see :func:`build_churn_bed`.
+
+    Attributes:
+        overlay: The grown and once-rewired substrate.
+        keys: Key distribution arrivals draw from.
+        degrees: Cap distribution arrivals draw from.
+        sessions: Session-time distribution (departures).
+        size: Steady-state population target (already scaled).
+        seed: Root seed the overlay and the engine derive from.
+        build_seconds: Wall time of ``grow_batch`` + ``rewire_batch``.
+        metadata: The shared parameters as built (``size`` scaled), for
+            the result's metadata block.
+    """
+
+    overlay: Substrate
+    keys: KeyDistribution
+    degrees: DegreeDistribution
+    sessions: SessionTimes
+    size: int
+    seed: int
+    build_seconds: float
+    metadata: dict[str, object]
+
+    def engine(
+        self,
+        *,
+        repair_every: int,
+        n_probes: int,
+        membership: MembershipView | None = None,
+        replication: ReplicatedStore | None = None,
+    ) -> SteadyStateChurnEngine:
+        """The churn engine over this bed, holding the population steady.
+
+        The arrival rate follows Little's law (``N = arrival_rate x mean
+        session``); the keywords are the engine's own.
+        """
+        return SteadyStateChurnEngine(
+            self.overlay,
+            self.keys,
+            self.degrees,
+            self.sessions,
+            arrival_rate=self.size / self.sessions.mean,
+            repair_every=repair_every,
+            n_probes=n_probes,
+            seed=self.seed,
+            membership=membership,
+            replication=replication,
+        )
+
+
+def build_churn_bed(
+    *,
+    scale: float,
+    seed: int,
+    substrate: str,
+    size: int,
+    epochs: int,
+    half_life: float,
+    sessions: str,
+    keys: str,
+    degrees: str,
+) -> ChurnBed:
+    """Validate the shared churn-spec parameters and build the overlay.
+
+    Names resolve through the ``workloads`` / ``degree`` / session
+    registries and ``epochs`` must be at least 1 (every churn spec
+    averages over its epoch history) — all raise
+    :class:`~repro.errors.ConfigError` before anything is built. The
+    overlay is then bulk-grown to ``size x scale`` peers and rewired
+    once, timed.
+    """
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    key_distribution = workloads.by_name(keys)
+    degree_distribution = degree.by_name(degrees)
+    session_times = make_sessions(sessions, half_life)
+    (target,) = scaled_sizes((size,), scale)
+    overlay = make_overlay(substrate, seed=seed)  # type: ignore[arg-type]
+
+    watch = Stopwatch()
+    overlay.grow_batch(target, key_distribution, degree_distribution)
+    overlay.rewire_batch()
+    return ChurnBed(
+        overlay=overlay,
+        keys=key_distribution,
+        degrees=degree_distribution,
+        sessions=session_times,
+        size=target,
+        seed=seed,
+        build_seconds=watch.lap(),
+        metadata={
+            "scale": scale,
+            "seed": seed,
+            "substrate": substrate,
+            "size": target,
+            "epochs": epochs,
+            "half_life": half_life,
+            "sessions": sessions,
+            "keys": keys,
+            "degrees": degrees,
+        },
+    )
 
 
 def grow_and_measure(

@@ -27,14 +27,13 @@ the wall-clocked twin of ``detector-churn``'s epoch-counted lag.
 
 from __future__ import annotations
 
-import time
-
+from .. import degree, workloads
 from ..config import OscarConfig
 from ..membership import DetectorConfig
 from ..net import NetConfig, NetHarness
 from ..rng import split
 from .base import ExperimentResult, scaled_sizes
-from .scenario import DEGREE_DISTRIBUTIONS, KEY_DISTRIBUTIONS
+from .runner import Stopwatch
 from .spec import experiment
 
 __all__ = ["run"]
@@ -83,12 +82,8 @@ def run(
     degrees: str = "constant",
 ) -> ExperimentResult:
     """Crash peers under an armed detector; measure lag and recovery."""
-    if keys not in KEY_DISTRIBUTIONS:
-        raise ValueError(f"unknown key distribution {keys!r}; known: {sorted(KEY_DISTRIBUTIONS)}")
-    if degrees not in DEGREE_DISTRIBUTIONS:
-        raise ValueError(
-            f"unknown degree distribution {degrees!r}; known: {sorted(DEGREE_DISTRIBUTIONS)}"
-        )
+    key_distribution = workloads.by_name(keys)
+    degree_distribution = degree.by_name(degrees)
     (n,) = scaled_sizes((size,), scale)
     if not 0 < kills < n - 1:
         raise ValueError(f"kills must leave >= 2 of {n} peers alive, got {kills}")
@@ -109,9 +104,9 @@ def run(
     )
 
     with NetHarness(config) as harness:
-        build_started = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
-        stats = harness.build(n, KEY_DISTRIBUTIONS[keys](), DEGREE_DISTRIBUTIONS[degrees]())
-        build_seconds = time.perf_counter() - build_started  # repro: allow[CLK001] measured wall-time series
+        build_watch = Stopwatch()
+        stats = harness.build(n, key_distribution, degree_distribution)
+        build_seconds = build_watch.lap()
 
         before = harness.summary()
         harness.route_check(probes)
@@ -120,7 +115,7 @@ def run(
 
         harness.start_detector()
         harness.kill(victims)
-        killed_at = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
+        kill_watch = Stopwatch()
 
         # The lag window: dead peers are still in every directory, so
         # some probes route into the void and hit the reply deadline.
@@ -130,7 +125,7 @@ def run(
         lag_window_success = _phase_success(harness, before, after)
 
         evicted = harness.await_evictions(victims, timeout_s=60.0)
-        detection_lag_seconds = time.perf_counter() - killed_at  # repro: allow[CLK001] measured wall-time series
+        detection_lag_seconds = kill_watch.lap()
 
         before = harness.summary()
         harness.route_check(probes)

@@ -23,14 +23,13 @@ TCP flavor separately via ``scripts/launch_network.py``).
 
 from __future__ import annotations
 
-import time
-
+from .. import degree, workloads
 from ..config import OscarConfig
 from ..core.overlay import OscarOverlay
 from ..engine.construct import BatchConstructionEngine, LiveView
 from ..net import NetHarness
 from .base import ExperimentResult, scaled_sizes
-from .scenario import DEGREE_DISTRIBUTIONS, KEY_DISTRIBUTIONS
+from .runner import Stopwatch
 from .spec import experiment
 
 __all__ = ["run"]
@@ -78,25 +77,19 @@ def run(
     degrees: str = "constant",
 ) -> ExperimentResult:
     """Lockstep oracle equivalence + free-mode invariants, one record."""
-    if keys not in KEY_DISTRIBUTIONS:
-        raise ValueError(f"unknown key distribution {keys!r}; known: {sorted(KEY_DISTRIBUTIONS)}")
-    if degrees not in DEGREE_DISTRIBUTIONS:
-        raise ValueError(
-            f"unknown degree distribution {degrees!r}; known: {sorted(DEGREE_DISTRIBUTIONS)}"
-        )
+    key_distribution = workloads.by_name(keys)
+    degree_distribution = degree.by_name(degrees)
     (lock_size,) = scaled_sizes((size,), scale)
     (open_size,) = scaled_sizes((free_size,), scale)
-    key_distribution = KEY_DISTRIBUTIONS[keys]()
-    degree_distribution = DEGREE_DISTRIBUTIONS[degrees]()
 
     # Lockstep half: the net build must equal the engine build exactly.
     oracle_links, oracle_in, oracle_stats = _engine_topology(
-        lock_size, seed, KEY_DISTRIBUTIONS[keys](), DEGREE_DISTRIBUTIONS[degrees]()
+        lock_size, seed, key_distribution, degree_distribution
     )
-    t0 = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
+    watch = Stopwatch()
     with NetHarness(OscarConfig(), seed=seed, lockstep=True) as locked:
         net_stats = locked.build(lock_size, key_distribution, degree_distribution)
-        lock_seconds = time.perf_counter() - t0  # repro: allow[CLK001] measured wall-time series
+        lock_seconds = watch.lap()
         mismatches = sum(
             1
             for node_id, expected in oracle_links.items()
@@ -112,11 +105,11 @@ def run(
         lock_summary = locked.summary()
 
     # Free half: adversarial delivery, invariant-level checks.
-    t0 = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
+    watch = Stopwatch()
     with NetHarness(OscarConfig(), seed=seed, delivery="random") as free:
-        free.build(open_size, KEY_DISTRIBUTIONS[keys](), DEGREE_DISTRIBUTIONS[degrees]())
+        free.build(open_size, key_distribution, degree_distribution)
         free.rewire()
-        free_seconds = time.perf_counter() - t0  # repro: allow[CLK001] measured wall-time series
+        free_seconds = watch.lap()
         free_success, free_hops = free.route_check(probes)
         free_summary = free.summary()
 

@@ -23,7 +23,29 @@ from .base import ExperimentResult
 from .spec import ExperimentSpec, SweepSpec, get_spec
 from .store import ArtifactStore
 
-__all__ = ["RunRecord", "Runner"]
+__all__ = ["RunRecord", "Runner", "Stopwatch"]
+
+
+class Stopwatch:
+    """Wall-clock seconds between marks — how specs time what they report.
+
+    This module is a sanctioned wall-clock scope of the CLK001 lint rule
+    (``docs/determinism.md``), so a spec that *reports* timing series
+    times them through here instead of reading the clock itself::
+
+        watch = Stopwatch()
+        overlay.grow_batch(size, keys, degrees)
+        build_seconds = watch.lap()
+    """
+
+    def __init__(self) -> None:
+        self._mark = time.perf_counter()
+
+    def lap(self) -> float:
+        """Seconds since construction or the previous lap; restarts the lap."""
+        now = time.perf_counter()
+        elapsed, self._mark = now - self._mark, now
+        return elapsed
 
 
 @dataclass(frozen=True)
@@ -58,9 +80,9 @@ def _execute(spec_id: str, params: dict[str, object]) -> tuple[dict[str, object]
     keeps worker payloads plain and matches what the store persists.
     """
     spec = get_spec(spec_id)
-    started = time.perf_counter()
+    watch = Stopwatch()
     result = spec.fn(**params)
-    wall = time.perf_counter() - started
+    wall = watch.lap()
     if not isinstance(result, ExperimentResult):
         raise TypeError(f"spec {spec_id!r} returned {type(result).__name__}, not ExperimentResult")
     return result.to_json_dict(), wall

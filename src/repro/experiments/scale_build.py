@@ -17,14 +17,13 @@ ISSUE 4 introduces.
 
 from __future__ import annotations
 
-import time
-
 from ..degree import ConstantDegrees
 from ..engine import BatchQueryEngine
 from ..rng import split
 from ..workloads import GnutellaLikeDistribution
 from .base import ExperimentResult, scaled_sizes
 from .growth import make_overlay
+from .runner import Stopwatch
 from .spec import experiment
 
 
@@ -62,22 +61,22 @@ def run(
         keys = GnutellaLikeDistribution()
         degrees = ConstantDegrees(cap)
 
-        started = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
+        watch = Stopwatch()
         overlay.grow_batch(size, keys, degrees)
-        build_seconds = time.perf_counter() - started  # repro: allow[CLK001] measured wall-time series
+        build_seconds = watch.lap()
 
         if compare_scalar and index == 0:
             # Scalar reference rewire first (it is replaced by the batched
             # round below, so the measured overlay is the batched build).
-            started = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
+            watch = Stopwatch()
             overlay.rewire(split(seed, "scale-build-scalar", size))
-            scalar_seconds = time.perf_counter() - started  # repro: allow[CLK001] measured wall-time series
+            scalar_seconds = watch.lap()
         else:
             scalar_seconds = None
 
-        started = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
+        watch = Stopwatch()
         overlay.rewire_batch(split(seed, "scale-build-rewire", size))
-        rewire_seconds = time.perf_counter() - started  # repro: allow[CLK001] measured wall-time series
+        rewire_seconds = watch.lap()
         if scalar_seconds is not None:
             rewire_speedup = scalar_seconds / max(rewire_seconds, 1e-9)
 

@@ -12,36 +12,14 @@ full substrate x churn x key-distribution grid in ten lines.
 
 from __future__ import annotations
 
+from .. import degree, workloads
 from ..config import ChurnConfig, GrowthConfig
-from ..degree import ConstantDegrees, DegreeDistribution, SpikyDegreeDistribution, SteppedDegrees
-from ..workloads import (
-    ClusteredKeys,
-    GnutellaLikeDistribution,
-    KeyDistribution,
-    UniformKeys,
-    ZipfKeys,
-)
 from .base import ExperimentResult, scaled_sizes
 from .fig1c import PAPER_SIZES
 from .growth import grow_and_measure, make_overlay
 from .spec import SweepSpec, experiment, register_sweep
 
-__all__ = ["run", "KEY_DISTRIBUTIONS", "DEGREE_DISTRIBUTIONS"]
-
-#: Key-distribution factories addressable from sweep axes.
-KEY_DISTRIBUTIONS: dict[str, type[KeyDistribution]] = {
-    "uniform": UniformKeys,
-    "clustered": ClusteredKeys,
-    "zipf": ZipfKeys,
-    "gnutella": GnutellaLikeDistribution,
-}
-
-#: Degree-cap factories addressable from sweep axes.
-DEGREE_DISTRIBUTIONS: dict[str, type[DegreeDistribution]] = {
-    "constant": ConstantDegrees,
-    "realistic": SpikyDegreeDistribution,
-    "stepped": SteppedDegrees,
-}
+__all__ = ["run"]
 
 
 @experiment(
@@ -66,16 +44,12 @@ def run(
     n_queries: int = 0,
 ) -> ExperimentResult:
     """One configurable growth run measured at the paper's sizes."""
-    if keys not in KEY_DISTRIBUTIONS:
-        raise ValueError(f"unknown key distribution {keys!r}; known: {sorted(KEY_DISTRIBUTIONS)}")
-    if degrees not in DEGREE_DISTRIBUTIONS:
-        raise ValueError(f"unknown degree distribution {degrees!r}; known: {sorted(DEGREE_DISTRIBUTIONS)}")
+    key_distribution = workloads.by_name(keys)
+    degree_distribution = degree.by_name(degrees)
 
     sizes = scaled_sizes(PAPER_SIZES, scale)
     growth = GrowthConfig(measure_sizes=sizes, n_queries=n_queries, seed=seed)
     churn_cases = (ChurnConfig(kill_fraction=kill_fraction, seed=seed),)
-    key_distribution = KEY_DISTRIBUTIONS[keys]()
-    degree_distribution = DEGREE_DISTRIBUTIONS[degrees]()
 
     overlay = make_overlay(substrate, seed=seed)  # type: ignore[arg-type]
     measurements = grow_and_measure(

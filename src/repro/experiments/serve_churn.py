@@ -25,19 +25,17 @@ popularity skew.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..churn.sessions import make_sessions
-from ..engine import ServeEngine, SteadyStateChurnEngine
+from ..engine import ServeEngine
+from ..errors import ConfigError
 from ..index import ReplicatedStore
 from ..membership import DetectorConfig, OracleView, ProbeView
 from ..rng import split
 from ..workloads import FlashCrowdSchedule, ServingWorkload
-from .base import ExperimentResult, scaled_sizes
-from .growth import make_overlay
-from .scenario import DEGREE_DISTRIBUTIONS, KEY_DISTRIBUTIONS
+from .base import ExperimentResult
+from .growth import build_churn_bed
+from .runner import Stopwatch
 from .spec import SweepSpec, experiment, register_sweep
 
 __all__ = ["run"]
@@ -88,45 +86,29 @@ def run(
 ) -> ExperimentResult:
     """Epoch time series of cached serving over a churning, replicated
     catalog (the flash crowd occupies the middle third of the run)."""
-    if keys not in KEY_DISTRIBUTIONS:
-        raise ValueError(f"unknown key distribution {keys!r}; known: {sorted(KEY_DISTRIBUTIONS)}")
-    if degrees not in DEGREE_DISTRIBUTIONS:
-        raise ValueError(
-            f"unknown degree distribution {degrees!r}; known: {sorted(DEGREE_DISTRIBUTIONS)}"
-        )
     if membership not in ("oracle", "probe"):
-        raise ValueError(f"unknown membership {membership!r}; known: ['oracle', 'probe']")
-    session_times = make_sessions(sessions, half_life)  # validates the name
-
-    (target,) = scaled_sizes((size,), scale)
-    key_distribution = KEY_DISTRIBUTIONS[keys]()
-    degree_distribution = DEGREE_DISTRIBUTIONS[degrees]()
-    overlay = make_overlay(substrate, seed=seed)  # type: ignore[arg-type]
-
-    build_started = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
-    overlay.grow_batch(target, key_distribution, degree_distribution)
-    overlay.rewire_batch()
-    build_seconds = time.perf_counter() - build_started  # repro: allow[CLK001] measured wall-time series
+        raise ConfigError(f"unknown membership {membership!r}; known: ['oracle', 'probe']")
+    bed = build_churn_bed(
+        scale=scale,
+        seed=seed,
+        substrate=substrate,
+        size=size,
+        epochs=epochs,
+        half_life=half_life,
+        sessions=sessions,
+        keys=keys,
+        degrees=degrees,
+    )
+    overlay = bed.overlay
 
     if membership == "probe":
         view = ProbeView(overlay.ring, DetectorConfig(loss=loss), seed=seed)
     else:
         view = OracleView(overlay.ring)
     store = ReplicatedStore(overlay.ring, k=replicas)
-    n_items = target if items == 0 else items
+    n_items = bed.size if items == 0 else items
     store.seed_items(split(seed, "serve-items").random(n_items), view)
-    engine = SteadyStateChurnEngine(
-        overlay,
-        key_distribution,
-        degree_distribution,
-        session_times,
-        arrival_rate=target / session_times.mean,
-        repair_every=repair_every,
-        n_probes=0,
-        seed=seed,
-        membership=view,
-        replication=store,
-    )
+    engine = bed.engine(repair_every=repair_every, n_probes=0, membership=view, replication=store)
     serve = ServeEngine(overlay, store, view, cache_size=cache_size)
     flash = FlashCrowdSchedule(
         start=max(1, epochs // 3), stop=max(2, 2 * epochs // 3), fraction=flash_fraction
@@ -141,7 +123,7 @@ def run(
     phantom: list[tuple[float, float]] = []
     stale: list[tuple[float, float]] = []
     success_rate: list[tuple[float, float]] = []
-    serve_started = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
+    serve_watch = Stopwatch()
     for __ in range(epochs):
         stats = engine.run_epoch()
         e = stats.epoch
@@ -157,25 +139,25 @@ def run(
         sources, targets_keys = workload.generate_arrays(
             pool, store.item_keys, rng, count, epoch=e
         )
-        t0 = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
+        batch_watch = Stopwatch()
         cold = serve.serve_batch(sources, targets_keys)
-        t1 = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
+        cold_seconds = batch_watch.lap()
         warm = serve.serve_batch(sources, targets_keys)
-        t2 = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
+        warm_seconds = batch_watch.lap()
         cold_d, warm_d = cold.as_dict(), warm.as_dict()
         requests = max(1, int(cold_d["requests"]))  # type: ignore[arg-type]
         epoch_lost = sum(
             r.items_lost for r in store.history if r.epoch == e
         )
         hit_rate.append((x, warm_d["cache_hits"] / requests))  # type: ignore[operator]
-        qps_cold.append((x, requests / max(t1 - t0, 1e-9)))
-        qps_warm.append((x, requests / max(t2 - t1, 1e-9)))
+        qps_cold.append((x, requests / max(cold_seconds, 1e-9)))
+        qps_warm.append((x, requests / max(warm_seconds, 1e-9)))
         lost.append((x, float(epoch_lost)))
         under_k.append((x, float(store.under_replicated())))
         phantom.append((x, float(sum(r.phantom_replicas for r in store.history if r.epoch == e))))
         stale.append((x, cold_d["stale_serves"] / requests))  # type: ignore[operator]
         success_rate.append((x, cold_d["successes"] / requests))  # type: ignore[operator]
-    serve_seconds = time.perf_counter() - serve_started  # repro: allow[CLK001] measured wall-time series
+    serve_seconds = serve_watch.lap()
 
     return ExperimentResult(
         experiment_id="serve-churn",
@@ -197,23 +179,15 @@ def run(
             "phantom_total": float(sum(r.phantom_replicas for r in store.history)),
             "stale_serves": float(serve.stale_serves),
             "hit_rate": serve.result_cache.hit_rate,
-            "mean_success_rate": sum(y for __, y in success_rate) / max(1, len(success_rate)),
-            "qps_cached": float(np.median([y for __, y in qps_warm])) if qps_warm else 0.0,
-            "qps_uncached": float(np.median([y for __, y in qps_cold])) if qps_cold else 0.0,
-            "final_live": float(engine.history[-1].live) if engine.history else float(target),
-            "build_seconds": build_seconds,
+            "mean_success_rate": sum(y for __, y in success_rate) / len(success_rate),
+            "qps_cached": float(np.median([y for __, y in qps_warm])),
+            "qps_uncached": float(np.median([y for __, y in qps_cold])),
+            "final_live": float(engine.history[-1].live),
+            "build_seconds": bed.build_seconds,
             "serve_seconds": serve_seconds,
         },
         metadata={
-            "scale": scale,
-            "seed": seed,
-            "substrate": substrate,
-            "size": target,
-            "epochs": epochs,
-            "half_life": half_life,
-            "sessions": sessions,
-            "keys": keys,
-            "degrees": degrees,
+            **bed.metadata,
             "repair_every": repair_every,
             "n_queries": n_queries,
             "replicas": replicas,

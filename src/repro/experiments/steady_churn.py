@@ -19,13 +19,10 @@ grid the docs call the steady-churn scenario family.
 
 from __future__ import annotations
 
-import time
-
-from ..churn.sessions import SESSION_DISTRIBUTIONS, make_sessions
-from ..engine import SteadyStateChurnEngine
-from .base import ExperimentResult, scaled_sizes
-from .growth import make_overlay
-from .scenario import DEGREE_DISTRIBUTIONS, KEY_DISTRIBUTIONS
+from ..churn.sessions import SESSION_DISTRIBUTIONS
+from .base import ExperimentResult
+from .growth import build_churn_bed
+from .runner import Stopwatch
 from .spec import SweepSpec, experiment, register_sweep
 
 __all__ = ["run"]
@@ -61,52 +58,36 @@ def run(
     n_queries: int = 256,
 ) -> ExperimentResult:
     """Epoch time series of an overlay under steady-state churn."""
-    if keys not in KEY_DISTRIBUTIONS:
-        raise ValueError(f"unknown key distribution {keys!r}; known: {sorted(KEY_DISTRIBUTIONS)}")
-    if degrees not in DEGREE_DISTRIBUTIONS:
-        raise ValueError(
-            f"unknown degree distribution {degrees!r}; known: {sorted(DEGREE_DISTRIBUTIONS)}"
-        )
-    session_times = make_sessions(sessions, half_life)  # validates the name
-
-    (target,) = scaled_sizes((size,), scale)
-    key_distribution = KEY_DISTRIBUTIONS[keys]()
-    degree_distribution = DEGREE_DISTRIBUTIONS[degrees]()
-    overlay = make_overlay(substrate, seed=seed)  # type: ignore[arg-type]
-
-    build_started = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
-    overlay.grow_batch(target, key_distribution, degree_distribution)
-    overlay.rewire_batch()
-    build_seconds = time.perf_counter() - build_started  # repro: allow[CLK001] measured wall-time series
-
-    engine = SteadyStateChurnEngine(
-        overlay,
-        key_distribution,
-        degree_distribution,
-        session_times,
-        arrival_rate=target / session_times.mean,
-        repair_every=repair_every,
-        n_probes=n_queries,
+    bed = build_churn_bed(
+        scale=scale,
         seed=seed,
+        substrate=substrate,
+        size=size,
+        epochs=epochs,
+        half_life=half_life,
+        sessions=sessions,
+        keys=keys,
+        degrees=degrees,
     )
+    engine = bed.engine(repair_every=repair_every, n_probes=n_queries)
 
     success: list[tuple[float, float]] = []
     cost: list[tuple[float, float]] = []
     stale: list[tuple[float, float]] = []
     live: list[tuple[float, float]] = []
     epoch_seconds: list[tuple[float, float]] = []
-    churn_started = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
+    churn_watch = Stopwatch()
     for __ in range(epochs):
-        t0 = time.perf_counter()  # repro: allow[CLK001] measured wall-time series
+        epoch_watch = Stopwatch()
         stats = engine.run_epoch()
-        elapsed = time.perf_counter() - t0  # repro: allow[CLK001] measured wall-time series
+        elapsed = epoch_watch.lap()
         x = float(stats.epoch)
         success.append((x, stats.probes.success_rate))
         cost.append((x, stats.probes.mean_cost))
         stale.append((x, float(stats.stale_links)))
         live.append((x, float(stats.live)))
         epoch_seconds.append((x, elapsed))
-    churn_seconds = time.perf_counter() - churn_started  # repro: allow[CLK001] measured wall-time series
+    churn_seconds = churn_watch.lap()
 
     history = engine.history
     return ExperimentResult(
@@ -127,20 +108,12 @@ def run(
             "final_live": float(history[-1].live),
             "total_arrivals": float(sum(s.arrivals for s in history)),
             "total_departures": float(sum(s.departures for s in history)),
-            "build_seconds": build_seconds,
+            "build_seconds": bed.build_seconds,
             "churn_seconds": churn_seconds,
             "epochs_per_second": epochs / max(churn_seconds, 1e-9),
         },
         metadata={
-            "scale": scale,
-            "seed": seed,
-            "substrate": substrate,
-            "size": target,
-            "epochs": epochs,
-            "half_life": half_life,
-            "sessions": sessions,
-            "keys": keys,
-            "degrees": degrees,
+            **bed.metadata,
             "repair_every": repair_every,
             "n_queries": n_queries,
             "session_distributions": sorted(SESSION_DISTRIBUTIONS),

@@ -8,6 +8,7 @@ generator used by every experiment and the skewed serving workloads
 hot-region spikes) the data plane is load-tested with.
 """
 
+from ..errors import ConfigError
 from .base import KeyDistribution
 from .gnutella import GnutellaLikeDistribution
 from .queries import Query, QueryWorkload
@@ -41,5 +42,5 @@ def by_name(name: str, **kwargs: object) -> KeyDistribution:
     try:
         factory = registry[name]
     except KeyError:
-        raise ValueError(f"unknown key distribution {name!r}; known: {sorted(registry)}") from None
+        raise ConfigError(f"unknown key distribution {name!r}; known: {sorted(registry)}") from None
     return factory(**kwargs)  # type: ignore[arg-type]

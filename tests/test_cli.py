@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_bench_parser, build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 from repro.experiments import all_specs
 
 
@@ -255,95 +255,120 @@ class TestReportSubcommand:
         assert "no artifacts" in capsys.readouterr().err
 
 
-class TestBenchSubcommand:
-    def test_defaults(self):
-        args = build_bench_parser().parse_args([])
-        assert args.substrate == "oscar"
-        assert args.batch == 1000
-        assert args.nodes == 1000
+def run_spec(spec_id: str, *params: str, extra: tuple[str, ...] = ()) -> int:
+    """``repro run <spec> --param k=v ...`` in-process; returns the exit code."""
+    argv = ["run", spec_id, *extra]
+    for pair in params:
+        argv += ["--param", pair]
+    return main(argv)
 
-    def test_substrate_choices(self):
-        for substrate in ("oscar", "chord", "mercury"):
-            assert build_bench_parser().parse_args(["--substrate", substrate]).substrate == substrate
-        with pytest.raises(SystemExit):
-            build_bench_parser().parse_args(["--substrate", "kademlia"])
+
+TINY_CHURN = ("size=150", "epochs=4", "n_queries=32", "half_life=3", "repair_every=2")
+
+
+class TestBenchSubcommand:
+    """``bench`` is gone: a measurement is a spec run.
+
+    Each test drives the ``repro run`` twin of a removed ``bench``
+    invocation (old -> new table: docs/reproduction.md), so the
+    replacement commands stay runnable and keep the one-line, exit-2
+    answer to bad values that ``bench`` gave.
+    """
+
+    def test_bench_is_gone(self, capsys):
+        assert "bench" not in COMMANDS
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_bench_runs_and_validates(self, capsys):
-        exit_code = main(
-            ["bench", "--substrate", "chord", "--nodes", "120", "--batch", "64", "--rounds", "2"]
-        )
-        assert exit_code == 0
+        extra = ("--scale", "0.012", "--queries", "64")
+        assert run_spec("scenario", "substrate=chord", extra=extra) == 0
         out = capsys.readouterr().out
-        assert "routes/s" in out
-        assert "stats_match=True" in out
+        assert "chord/gnutella/constant" in out
+        assert "success_rate" in out
 
-    def test_bench_rejects_bad_sizes(self, capsys):
-        assert main(["bench", "--nodes", "1"]) == 2
+    def test_substrate_choices(self, capsys):
+        extra = ("--scale", "0.0064", "--queries", "16")
+        for substrate in ("oscar", "mercury"):
+            assert run_spec("scenario", f"substrate={substrate}", extra=extra) == 0
+        capsys.readouterr()
+        assert run_spec("scenario", "substrate=kademlia", extra=extra) == 2
+        assert "unknown overlay kind 'kademlia'" in capsys.readouterr().err
 
-    def test_bench_phase_defaults_to_route(self):
-        assert build_bench_parser().parse_args([]).phase == "route"
-        assert build_bench_parser().parse_args(["--phase", "build"]).phase == "build"
+    def test_bench_build_phase_runs(self, capsys):
+        assert run_spec("scale-build", "sizes=150", "n_queries=50") == 0
+        out = capsys.readouterr().out
+        assert "rewire_speedup" in out
+        assert "final_peers_per_second" in out
+        assert run_spec("scale-build", "sizes=150", "compare_scalar=false") == 0
+
+    def test_bench_churn_phase_runs(self, capsys):
+        assert run_spec("steady-churn", *TINY_CHURN) == 0
+        out = capsys.readouterr().out
+        assert "epochs_per_second" in out
+        assert "max_stale_links" in out
+
+    def test_bench_detector_phase_runs(self, capsys):
+        assert run_spec("detector-churn", *TINY_CHURN, "loss=0.05", "rounds=3") == 0
+        assert "false_evictions" in capsys.readouterr().out
+
+    def test_bench_serve_phase_runs(self, capsys):
+        serve = ("replicas=2", "items=100", "cache_size=64", "exponent=1.1")
+        assert run_spec("serve-churn", *TINY_CHURN, *serve) == 0
+        assert "items_lost_total" in capsys.readouterr().out
+        assert run_spec("serve-churn", *TINY_CHURN, *serve, "membership=probe", "loss=0.1") == 0
+        assert "stale_serves" in capsys.readouterr().out
+
+    def test_bench_net_phase_runs(self, capsys):
+        assert run_spec("net-smoke", "size=64", "free_size=64", "probes=20") == 0
+        assert "lockstep_stats_equal" in capsys.readouterr().out
 
     def test_bench_batch_zero_means_one_query_per_peer(self, capsys):
         # The PR 2 n_queries=0 convention: 0 is a valid "default budget".
-        exit_code = main(
-            ["bench", "--substrate", "chord", "--nodes", "80", "--batch", "0",
-             "--rounds", "1", "--skip-scalar"]
-        )
-        assert exit_code == 0
-        assert "batch=80" in capsys.readouterr().out
+        assert run_spec("steady-churn", "size=80", "epochs=1", "n_queries=0") == 0
+        assert "mean_success_rate" in capsys.readouterr().out
 
     def test_bench_negative_batch_is_a_config_error(self, capsys):
-        assert main(["bench", "--batch", "-3"]) == 2
-        err = capsys.readouterr().err
-        assert "--batch must be >= 0" in err
+        assert run_spec("steady-churn", "size=80", "n_queries=-3") == 2
+        assert "run: n_probes must be >= 0" in capsys.readouterr().err
 
     def test_bench_rejects_bad_rounds_and_cap(self, capsys):
-        assert main(["bench", "--rounds", "0"]) == 2
-        assert "--rounds" in capsys.readouterr().err
-        assert main(["bench", "--cap", "0"]) == 2
-        assert "--cap" in capsys.readouterr().err
+        assert run_spec("detector-churn", "size=80", "rounds=0") == 2
+        assert "run: rounds_per_epoch must be >= 1" in capsys.readouterr().err
+        assert run_spec("scale-build", "sizes=80", "cap=0") == 2
+        assert "run: cap must be >= 1" in capsys.readouterr().err
 
-    def test_bench_build_phase_runs(self, capsys):
-        exit_code = main(
-            ["bench", "--phase", "build", "--nodes", "150", "--rounds", "1",
-             "--batch", "50"]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "phase=build" in out
-        assert "grow_batch" in out
-        assert "speedup" in out
-        assert "success_rate=1.000" in out
-
-    def test_bench_churn_phase_runs(self, capsys):
-        exit_code = main(
-            ["bench", "--phase", "churn", "--nodes", "150", "--epochs", "4",
-             "--batch", "32", "--half-life", "3", "--repair-every", "2"]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "phase=churn" in out
-        assert "epoch   4" in out
-        assert "epochs/s" in out
-        assert "repair(compacted=" in out
-
-    def test_bench_churn_defaults(self):
-        args = build_bench_parser().parse_args(["--phase", "churn"])
-        assert args.epochs == 10
-        assert args.half_life == 8.0
-        assert args.sessions == "exponential"
-        assert args.repair_every == 4
+    @pytest.mark.parametrize("spec_id", ["steady-churn", "detector-churn", "serve-churn"])
+    def test_zero_epochs_is_a_config_error(self, spec_id, capsys):
+        # steady-/detector-churn used to die with ZeroDivisionError here.
+        assert run_spec(spec_id, "size=80", "epochs=0") == 2
+        assert capsys.readouterr().err == "run: epochs must be >= 1, got 0\n"
 
     def test_bench_churn_rejects_bad_flags(self, capsys):
-        assert main(["bench", "--phase", "churn", "--epochs", "0"]) == 2
-        assert "--epochs" in capsys.readouterr().err
-        assert main(["bench", "--phase", "churn", "--half-life", "0"]) == 2
-        assert "--half-life" in capsys.readouterr().err
-        assert main(["bench", "--phase", "churn", "--repair-every", "0"]) == 2
-        assert "--repair-every" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            build_bench_parser().parse_args(["--sessions", "weibull"])
+        for pair, message in [
+            ("half_life=0", "run: half_life must be a positive finite float"),
+            ("repair_every=0", "run: repair_every must be >= 1"),
+            ("sessions=weibull", "run: unknown session distribution 'weibull'"),
+            ("keys=bogus", "run: unknown key distribution 'bogus'"),
+            ("degrees=bogus", "run: unknown degree distribution 'bogus'"),
+        ]:
+            assert run_spec("steady-churn", "size=80", pair) == 2
+            assert message in capsys.readouterr().err
+
+    def test_engine_rejections_exit_2_without_a_traceback(self, capsys):
+        assert run_spec("detector-churn", "size=80", "loss=1.5") == 2
+        assert "run: loss must be in [0, 1)" in capsys.readouterr().err
+        assert run_spec("serve-churn", "size=80", "replicas=0") == 2
+        assert "run: replication factor k must be >= 1" in capsys.readouterr().err
+        assert run_spec("serve-churn", "size=80", "membership=gossip") == 2
+        assert "run: unknown membership 'gossip'" in capsys.readouterr().err
+
+    def test_sweep_reports_run_time_config_errors(self, capsys):
+        argv = ["sweep", "steady-churn", "--axis", "epochs=0,1", "--scale", "0.02"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "sweep: epochs must be >= 1, got 0\n"
 
 
 class TestModuleEntryPoint:

@@ -3,8 +3,7 @@
 Bad input must die at the boundary with a ``lint: ...`` message on
 stderr and exit status 2 — never as a traceback from inside the
 analyzer — and the ``oscar-repro`` front-end must dispatch ``lint``
-exactly like ``bench`` (before the main parser, with a stub subparser
-so ``--help`` lists it).
+before the main parser, with a stub subparser so ``--help`` lists it.
 """
 
 from __future__ import annotations

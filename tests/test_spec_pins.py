@@ -1,0 +1,70 @@
+"""The throughput specs are the only producers of their numbers: pin them.
+
+``tests/data/spec_scalars.json`` holds every non-timing scalar of the
+five specs ``scripts/bench_ci.py`` and CI record, captured at
+``scale=0.02, seed=42`` *before* ISSUE 13 moved their shared preamble
+into ``build_churn_bed`` and their clock reads into ``Stopwatch`` — any
+change to RNG labels, call order or scalar names shows up here as a
+diff against that recording. The ``bench_ci`` table is checked against
+the same runs: its rows must name registered specs, declared parameters
+and scalars the specs really emit.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.experiments import Runner, RunRecord, get_spec
+
+from scripts.bench_ci import OPS, ROWS  # type: ignore[import-not-found]
+
+PINS = json.loads((Path(__file__).parent / "data" / "spec_scalars.json").read_text())
+
+#: Scalar and series names that report wall time (or a ratio of wall
+#: times); everything else a spec emits is a pure function of (seed, params).
+TIMING = re.compile(r"seconds|per.second|qps_|/sec|rewire_speedup")
+
+
+@functools.cache
+def tiny(spec_id: str) -> RunRecord:
+    return Runner(defaults={"scale": 0.02, "seed": 42}).run(spec_id)
+
+
+def deterministic(values: dict) -> dict:
+    return {name: value for name, value in values.items() if not TIMING.search(name)}
+
+
+@pytest.mark.parametrize("spec_id", sorted(PINS))
+class TestPinnedSpecs:
+    def test_scalars_match_the_parent_recording(self, spec_id):
+        measured = deterministic(tiny(spec_id).result.scalars)
+        assert sorted(measured) == sorted(PINS[spec_id])
+        assert measured == pytest.approx(PINS[spec_id], rel=1e-12, abs=0.0)
+
+    def test_same_seed_same_result(self, spec_id):
+        first, second = tiny(spec_id).result, tiny.__wrapped__(spec_id).result
+        assert deterministic(second.scalars) == deterministic(first.scalars)
+        assert deterministic(second.series) == deterministic(first.series)
+
+
+class TestBenchCiTable:
+    def test_rows_name_registered_specs_and_declared_params(self):
+        for name, row in ROWS.items():
+            spec = get_spec(row.spec)  # KeyError = unregistered
+            assert set(row.params) <= set(spec.param_names), name
+
+    def test_baselined_rows_have_committed_baselines(self):
+        baselines = Path(__file__).parent.parent / "benchmarks" / "baselines"
+        baselined = {f"BENCH_{name}.json" for name, row in ROWS.items() if row.baselined}
+        assert baselined == {path.name for path in baselines.glob("BENCH_*.json")}
+
+    def test_gates_name_scalars_the_spec_emits(self):
+        for name, row in ROWS.items():
+            for scalar, op, bound in row.gates:
+                assert op in OPS, (name, op)
+                assert scalar in tiny(row.spec).result.scalars, (name, scalar)
