@@ -1,91 +1,83 @@
-"""Continuous churn on the discrete-event kernel (future-work extension).
+"""Continuous churn on the epoch engine (future-work extension).
 
 Run:
     python examples/continuous_churn.py
 
 The paper evaluates single crash waves; deployed systems see a steady
-drip of departures with maintenance running on a timer. This example
-composes the library's event kernel with the ring-maintenance substrate:
-peers crash as a Poisson process, Chord-style stabilization runs every
-``MAINTENANCE_PERIOD`` simulated seconds, and a measurement process
-samples search cost between repairs — showing how stale long links
-accumulate and what the repair cadence buys.
+drip of departures and arrivals with maintenance running on a timer.
+``SteadyStateChurnEngine`` simulates exactly that in lock-step epochs:
+sessions expire and peers crash, a Poisson cohort joins, ring pointers
+re-stabilize at once, and only every ``REPAIR_EVERY`` epochs are dead
+peers compacted and long links rewired. Routed probes after every epoch
+show what users would see — and the stale-link count traces a sawtooth
+whose period is the repair cadence.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import OscarConfig, OscarOverlay
-from repro.churn import ContinuousChurn
+from repro.churn import ExponentialSessions
 from repro.degree import ConstantDegrees
-from repro.engine import Environment
-from repro.metrics import measure_search_cost
-from repro.rng import split
+from repro.engine import SteadyStateChurnEngine
 from repro.workloads import GnutellaLikeDistribution
 
 N_PEERS = 300
-SIM_HORIZON = 60.0  # simulated seconds
-CRASH_RATE = 1.5  # expected crashes per second
-MAINTENANCE_PERIOD = 5.0
+EPOCHS = 20
+HALF_LIFE = 12.0  # epochs until half of a cohort has left
+REPAIR_EVERY = 5
 SEED = 59
 
 
 def main() -> None:
+    keys, degrees = GnutellaLikeDistribution(), ConstantDegrees(16)
     overlay = OscarOverlay(OscarConfig(), seed=SEED)
-    overlay.grow(N_PEERS, GnutellaLikeDistribution(), ConstantDegrees(16))
+    overlay.grow(N_PEERS, keys, degrees)
     overlay.rewire()
 
-    env = Environment()
-    churn = ContinuousChurn(
-        ring=overlay.ring,
-        pointers=overlay.pointers,
-        rng=split(SEED, "churn"),
-        crash_rate=CRASH_RATE,
-        maintenance_period=MAINTENANCE_PERIOD,
+    sessions = ExponentialSessions(HALF_LIFE)
+    engine = SteadyStateChurnEngine(
+        overlay,
+        keys,
+        degrees,
+        sessions,
+        arrival_rate=N_PEERS / sessions.mean,  # Little's law: hold the size
+        repair_every=REPAIR_EVERY,
+        n_probes=120,
+        seed=SEED,
     )
-    churn.start(env)
+    history = engine.run(EPOCHS)
 
-    timeline: list[tuple[float, int, float, float]] = []
+    print(f"simulated {EPOCHS} epochs of steady churn (session half-life "
+          f"{HALF_LIFE:.0f} epochs, link repair every {REPAIR_EVERY})\n")
+    print(f"  {'epoch':>5s} {'live':>5s} {'joined':>7s} {'left':>5s} "
+          f"{'stale links':>12s} {'mean cost':>10s} {'success':>8s}")
+    for stats in history:
+        print(f"  {stats.epoch:5d} {stats.live:5d} {stats.arrivals:7d} "
+              f"{stats.departures:5d} {stats.stale_links:12d} "
+              f"{stats.probes.mean_cost:10.2f} {stats.probes.success_rate:8.1%}"
+              f"{'  <- repair' if stats.link_repair else ''}")
 
-    def prober(env):
-        """Measurement process: sample search cost every 10 sim-seconds."""
-        while True:
-            yield env.timeout(10.0)
-            stats = measure_search_cost(
-                overlay,
-                split(SEED, "probe", int(env.now)),
-                n_queries=120,
-                faulty=True,
-            )
-            timeline.append(
-                (env.now, overlay.ring.live_count, stats.mean_cost, stats.success_rate)
-            )
+    left = sum(stats.departures for stats in history)
+    compacted = sum(stats.compacted for stats in history)
+    print(f"\n{left} peers left over the run ({left / N_PEERS:.0%} of the "
+          f"starting population); {EPOCHS // REPAIR_EVERY} repairs compacted "
+          f"{compacted} of them out of the ring")
 
-    env.process(prober(env))
-    env.run(until=SIM_HORIZON)
+    # The network must remain navigable throughout, despite routing
+    # over stale long links between repairs.
+    assert min(s.probes.success_rate for s in history) == 1.0, (
+        "navigability lost under continuous churn"
+    )
 
-    print(f"simulated {SIM_HORIZON:.0f}s of Poisson churn "
-          f"(rate {CRASH_RATE}/s, maintenance every {MAINTENANCE_PERIOD}s)\n")
-    print(f"  {'time':>6s} {'live peers':>11s} {'mean cost':>10s} {'success':>8s}")
-    for when, live, cost, success in timeline:
-        print(f"  {when:6.0f} {live:11d} {cost:10.2f} {success:8.1%}")
-
-    crashed = len(churn.victims)
-    repaired = sum(changed for __, changed in churn.repairs)
-    print(f"\n{crashed} peers crashed over the run "
-          f"({crashed / N_PEERS:.0%} of the population)")
-    print(f"{len(churn.repairs)} maintenance rounds repaired {repaired} ring pointers")
-
-    # The network must remain navigable throughout, despite never
-    # rewiring its (increasingly stale) long links.
-    success_rates = [s for __, __l, __c, s in timeline]
-    assert min(success_rates) == 1.0, "navigability lost under continuous churn"
-
-    costs = np.array([c for __, __l, c, __s in timeline])
-    print(f"\nsearch cost drifted from {costs[0]:.2f} to {costs[-1]:.2f} messages "
-          f"as long links went stale — the periodic rewiring round of the "
-          f"paper's growth harness is what reclaims this.")
+    # The sawtooth: damage peaks on the repair epoch (counted before the
+    # repair runs) and restarts from one epoch's worth right after it.
+    stale = {stats.epoch: stats.stale_links for stats in history}
+    for repair in range(REPAIR_EVERY, EPOCHS, REPAIR_EVERY):
+        assert stale[repair + 1] < stale[repair], "repair did not clear stale links"
+    peak, after = stale[REPAIR_EVERY], stale[REPAIR_EVERY + 1]
+    print(f"\nstale long links climbed to {peak} by epoch {REPAIR_EVERY}, fell to "
+          f"{after} right after the repair and climbed again — the periodic "
+          f"rewiring round of the paper's growth harness is what reclaims them.")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ Environments" (Girdzijauskas, Datta, Aberer — ICDE 2007).
 
 A pure-Python simulation library implementing the Oscar small-world
 overlay, its substrates (ring, routing, sampling, workloads, degree
-models, churn, discrete-event kernel) and the Mercury baseline, plus an
+models, churn) and the Mercury baseline, plus an
 experiment harness that regenerates every figure of the paper.
 
 Quickstart::

@@ -1,13 +1,9 @@
-"""Execution engines: discrete-event simulation and batched operations.
+"""Execution engines: batched operations over whole populations.
 
-Five engines and the one routing kernel they share live here:
+Four engines and the one routing kernel they share live here (plus the
+process-RSS gates of :mod:`repro.engine.resources`). Time is lock-step
+**epochs**; there is no event scheduler:
 
-* the discrete-event kernel (:mod:`repro.engine.core`,
-  :mod:`repro.engine.resources`) — :class:`Environment` drives
-  generator-based :class:`Process` objects through
-  :class:`Event`/:class:`Timeout` scheduling, :class:`Resource` adds
-  counted capacities, and deterministic same-time FIFO ordering keeps
-  simulations reproducible;
 * the greedy-walk kernel (:mod:`repro.engine.walk`) —
   ``greedy_walk`` advances a whole query batch one hop per iteration
   over flat arrays, ``greedy_walk_reference`` is its pure-Python twin;
@@ -38,36 +34,22 @@ Five engines and the one routing kernel they share live here:
 """
 
 from .batch import BatchQueryEngine, BatchRouteResult, TopologySnapshot
+from .churn import ChurnEpochStats, SteadyStateChurnEngine
 from .construct import BatchConstructionEngine, LiveView
-from .core import AllOf, AnyOf, Environment, Event, Interrupt, Process, Timeout
-from .resources import Resource, check_rss_ceiling, max_rss_mb
+from .resources import check_rss_ceiling, max_rss_mb
 from .serve import ResultCache, ServeBatchResult, ServeEngine, ServeSnapshot
 
-# Imported last: repro.churn.process (pulled in by repro.churn, which
-# the churn engine's session distributions live under) imports this
-# package's kernel names, so they must be bound before the line below
-# triggers that import chain.
-from .churn import ChurnEpochStats, SteadyStateChurnEngine  # noqa: E402
-
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "BatchConstructionEngine",
     "BatchQueryEngine",
     "BatchRouteResult",
     "ChurnEpochStats",
-    "Environment",
-    "Event",
-    "Interrupt",
     "LiveView",
-    "Process",
-    "Resource",
     "ResultCache",
     "ServeBatchResult",
     "ServeEngine",
     "ServeSnapshot",
     "SteadyStateChurnEngine",
-    "Timeout",
     "TopologySnapshot",
     "check_rss_ceiling",
     "max_rss_mb",

@@ -53,11 +53,12 @@ overlay state; the test suite pins the equivalence property-style.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..churn.sessions import SessionTimes
+from ..core.soa import SubstrateState
 from ..degree import DegreeDistribution
 from ..errors import ConfigError
 from ..membership import MembershipView, OracleView
@@ -199,15 +200,14 @@ class SteadyStateChurnEngine:
         if substrate.ring.live_count < 2:
             raise ConfigError("steady-state churn needs an overlay with >= 2 live peers")
         # Fail fast on substrates the engine cannot observe: beyond the
-        # Substrate protocol it reads the per-peer link state (`nodes`
-        # with ``out_links``, or Chord-style `fingers`) for stale-link
-        # accounting and compaction, and the contiguous `_next_id` join
+        # Substrate protocol it reads the link table of `state` for
+        # stale-link accounting, and the contiguous `_next_id` join
         # counter to identify each epoch's arrival cohort. A silently
-        # unobservable substrate would report stale_links=0 forever and
-        # leak state on compaction — better to refuse it here.
-        if getattr(substrate, "nodes", None) is None and getattr(substrate, "fingers", None) is None:
+        # unobservable substrate would report stale_links=0 forever —
+        # better to refuse it here.
+        if not isinstance(getattr(substrate, "state", None), SubstrateState):
             raise ConfigError(
-                "substrate exposes neither 'nodes' (with out_links) nor 'fingers'; "
+                "substrate exposes no SubstrateState as '.state'; "
                 "the churn engine cannot track its long links"
             )
         if not hasattr(substrate, "_next_id"):
@@ -438,33 +438,16 @@ class SteadyStateChurnEngine:
         else:
             # A lone survivor has nothing to rewire to; its long links
             # all referenced compacted peers and must still be dropped.
-            self._clear_links(ring.ids_array(live_only=True))
+            state = self.substrate.state
+            slots = ring.slots_array(live_only=True)
+            state.clear_links(slots)
+            state.in_deg[slots] = 0
         return int(dead.size)
 
-    def _clear_links(self, live_ids: np.ndarray) -> None:
-        """Drop every long link of the given live peers (the degenerate
-        repair when the population collapsed below two peers)."""
-        nodes = getattr(self.substrate, "nodes", None)
-        fingers = getattr(self.substrate, "fingers", None)
-        for node_id in live_ids:
-            if nodes is not None:
-                node = nodes[int(node_id)]  # repro: allow[SOA001] dict-substrate fallback
-                node.reset_links()  # repro: allow[SOA001]
-                node.in_degree = 0  # repro: allow[SOA001]
-            elif fingers is not None:
-                fingers[int(node_id)] = []
-
     def _drop_state(self, dead: np.ndarray) -> None:
-        """Delete per-substrate node state for compacted peers (Oscar /
-        Mercury ``nodes``, Chord ``fingers`` + ``application_key``)."""
-        nodes = getattr(self.substrate, "nodes", None)
-        if nodes is not None:
-            for node_id in dead:
-                nodes.pop(int(node_id), None)  # repro: allow[SOA001] dict-substrate fallback
-        fingers = getattr(self.substrate, "fingers", None)
-        if fingers is not None:
-            for node_id in dead:
-                fingers.pop(int(node_id), None)
+        """Delete what a substrate keeps outside the ring's slots for
+        compacted peers (Chord's ``application_key``); slot-indexed
+        state dies with the ring slot."""
         application_key = getattr(self.substrate, "application_key", None)
         if application_key is not None:
             for node_id in dead:
@@ -497,11 +480,11 @@ class SteadyStateChurnEngine:
     def _count_stale_links(self) -> int:
         """Believed-live-to-believed-dead long links outstanding now.
 
-        Long links are the substrate's sampled links (Oscar / Mercury
-        ``out_links``) or deterministic fingers (Chord); ring pointers
-        never count (they are re-stabilized every epoch). Liveness is
-        whatever :attr:`membership` believes: under the oracle this is
-        exactly the old truth-based count, under a probe view a link to
+        Long links are the rows of ``state.out_links`` (Oscar / Mercury
+        sampled links, Chord fingers); ring pointers never count (they
+        are re-stabilized every epoch). Liveness is whatever
+        :attr:`membership` believes: under the oracle this is exactly
+        the old truth-based count, under a probe view a link to
         a crashed-but-undetected peer is *not* yet stale — the gap
         between this number and the probe failures in :meth:`_probe` is
         the detection lag made visible. The vectorized kernel batches
@@ -520,16 +503,14 @@ class SteadyStateChurnEngine:
             live_sorted = np.sort(live_ids)  # ring order is by position, not id
             idx = np.minimum(np.searchsorted(live_sorted, flat), live_sorted.size - 1)
             return int((live_sorted[idx] != flat).sum())
-        targets = self._long_link_targets(live_ids)
+        targets = self._long_link_targets()
         live_set = {int(i) for i in live_ids}
         return sum(1 for links in targets for target in links if int(target) not in live_set)
 
-    def _long_link_targets(self, live_ids: np.ndarray) -> list[Sequence[int]]:
-        """Per-live-peer long-link target lists, in ring order."""
-        nodes = getattr(self.substrate, "nodes", None)
-        if nodes is not None:
-            return [nodes[int(i)].out_links for i in live_ids]
-        fingers = getattr(self.substrate, "fingers", None)
-        if fingers is not None:
-            return [fingers[int(i)] for i in live_ids]
-        return []
+    def _long_link_targets(self) -> list[list[int]]:
+        """Per-believed-live-peer long-link target lists, in ring order."""
+        state = self.substrate.state
+        return [
+            state.out_links[slot, : state.out_count[slot]].tolist()
+            for slot in self.membership.live_slots()
+        ]

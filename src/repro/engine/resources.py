@@ -1,29 +1,20 @@
-"""A FIFO capacity resource for the event kernel, plus process-resource
-gates.
+"""Process-resource gates for the benchmark CI.
 
-Used by simulations that model contended capacities (e.g. a peer's
-bandwidth slots while answering queries). Semantics follow simpy's
-``Resource``: ``request()`` returns an event that succeeds once a slot
-is granted; ``release()`` frees one and wakes the next waiter.
-
-The module also hosts the *process*-level resource accounting the
-benchmark CI leans on: :func:`max_rss_mb` reports the peak resident set
-of the current process and :func:`check_rss_ceiling` turns it into a
-hard gate — the million-peer smoke test uses it to pin the
-struct-of-arrays memory footprint so per-peer object regressions fail
-loudly instead of silently tripling RAM.
+:func:`max_rss_mb` reports the peak resident set of the current process
+and :func:`check_rss_ceiling` turns it into a hard gate — the
+million-peer smoke test uses it to pin the struct-of-arrays memory
+footprint so per-peer object regressions fail loudly instead of
+silently tripling RAM.
 """
 
 from __future__ import annotations
 
 import resource as _resource
 import sys
-from collections import deque
 
 from ..errors import SimulationError
-from .core import Environment, Event
 
-__all__ = ["Resource", "check_rss_ceiling", "max_rss_mb"]
+__all__ = ["check_rss_ceiling", "max_rss_mb"]
 
 
 def max_rss_mb() -> float:
@@ -52,45 +43,3 @@ def check_rss_ceiling(ceiling_mb: float) -> float:
             f"peak RSS {peak:.0f} MiB exceeds the {float(ceiling_mb):.0f} MiB ceiling"
         )
     return peak
-
-
-class Resource:
-    """A counted resource with FIFO granting."""
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiting: deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Currently granted slots."""
-        return self._in_use
-
-    @property
-    def queued(self) -> int:
-        """Requests waiting for a slot."""
-        return len(self._waiting)
-
-    def request(self) -> Event:
-        """Ask for a slot; the returned event succeeds when granted."""
-        event = Event(self.env)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed(self)
-        else:
-            self._waiting.append(event)
-        return event
-
-    def release(self) -> None:
-        """Free one slot (caller must hold one)."""
-        if self._in_use <= 0:
-            raise SimulationError("release() without a granted slot")
-        if self._waiting:
-            waiter = self._waiting.popleft()
-            waiter.succeed(self)  # slot transfers; _in_use unchanged
-        else:
-            self._in_use -= 1

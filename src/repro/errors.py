@@ -115,7 +115,7 @@ class DistributionError(ReproError, ValueError):
 
 
 class SimulationError(ReproError, RuntimeError):
-    """The discrete-event engine or a simulation process misbehaved."""
+    """A running simulation or network harness was driven into an unusable state."""
 
 
 class ExperimentError(ReproError, RuntimeError):

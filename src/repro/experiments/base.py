@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from ..config import DEFAULT_SIZE_FLOOR
+from ..errors import ConfigError
 from ..reporting import ascii_chart, format_table, write_series
 
 __all__ = ["ExperimentResult", "jsonify", "merged_metadata", "scaled_sizes"]
@@ -168,8 +169,8 @@ def scaled_sizes(
     no scaled size drops below :data:`repro.config.DEFAULT_SIZE_FLOOR`
     (64 peers) unless a caller explicitly passes a different ``floor``.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    if not scale > 0:
+        raise ConfigError(f"scale must be > 0, got {scale}")
     out: list[int] = []
     for size in paper_sizes:
         value = max(floor, int(round(size * scale)))

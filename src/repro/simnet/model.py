@@ -32,7 +32,7 @@ class BandwidthModel:
         if not rates:
             raise ConfigError("BandwidthModel needs at least one peer rate")
         for node, rate in rates.items():
-            if rate <= 0:
+            if not rate > 0:
                 raise ConfigError(f"service rate of node {node} must be > 0, got {rate}")
         self._rates = dict(rates)
 
@@ -43,7 +43,7 @@ class BandwidthModel:
         """Bandwidth matched to declared degree caps (the Oscar story:
         peers *derived* their caps from their bandwidth, so a peer with
         twice the cap really is twice as fast)."""
-        if rate_per_link <= 0:
+        if not rate_per_link > 0:
             raise ConfigError(f"rate_per_link must be > 0, got {rate_per_link}")
         return cls({node: cap * rate_per_link for node, cap in caps.items()})
 
@@ -77,7 +77,7 @@ class LatencyModel:
     """
 
     def __init__(self, mean_delay: float = 0.02, seed: int = 42) -> None:
-        if mean_delay < 0:
+        if not mean_delay >= 0:
             raise ConfigError(f"mean_delay must be >= 0, got {mean_delay}")
         self.mean_delay = mean_delay
         self._rng = split(seed, "simnet-latency")

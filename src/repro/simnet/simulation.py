@@ -1,27 +1,83 @@
 """Query-latency simulation: Poisson arrivals over real overlay routes.
 
-Each query is a kernel process replaying a route recorded from the
-overlay's own router. At every intermediate hop the message must be
-*forwarded*: it queues for the hop peer's single server, occupies it
-for the peer's service time, then pays the link's propagation delay.
-Queueing is where heterogeneity bites — a popular slow peer backs up.
+Each query replays a route recorded from the overlay's own router. At
+every intermediate hop the message must be *forwarded*: it queues for
+the hop peer's single server, occupies it for the peer's service time,
+then pays the link's propagation delay. Queueing is where heterogeneity
+bites — a popular slow peer backs up.
+
+Simulated time exists only inside :func:`replay_routes`: one event heap
+and one ``free_at`` clock per peer (a FIFO single server is
+``start = max(arrival, free_at)``), a pure function of its arguments.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Generator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ..engine import Environment, Event, Resource
 from ..errors import ConfigError, EmptyPopulationError
 from ..metrics import RoutableOverlay
+from ..rng import split
 from ..types import NodeId
 from ..workloads import QueryWorkload
 from .model import BandwidthModel, LatencyModel
 
-__all__ = ["QueryLatencyStats", "QuerySimulation"]
+__all__ = ["QueryLatencyStats", "QuerySimulation", "replay_routes"]
+
+_ARRIVE, _DONE = 0, 1
+
+
+def replay_routes(
+    paths: Sequence[Sequence[NodeId]],
+    arrival_times: Sequence[float],
+    service_time: Callable[[NodeId], float],
+    delay: Callable[[NodeId, NodeId], float],
+) -> tuple[list[float], list[float]]:
+    """Replay non-empty node paths through per-peer FIFO single servers.
+
+    Query ``q`` leaves ``paths[q][0]`` at ``arrival_times[q]`` (the
+    source emits for free). Every later node on its path must receive,
+    service and forward it: the message waits until the node's server
+    is free, holds it for ``service_time(node)``, then travels
+    ``delay(prev, node)`` to stand at the node. Events at equal times
+    run in the order they were scheduled, so equal arrivals are served
+    in submission order; ``delay`` is called once per hop, in
+    service-completion order.
+
+    Returns ``(latencies, queue_waits)``, one entry per query in
+    **completion order**: end-to-end time, and the part of it spent
+    waiting for busy servers.
+    """
+    latencies: list[float] = []
+    queue_waits: list[float] = []
+    waited = [0.0] * len(paths)
+    free_at: dict[NodeId, float] = {}
+    # (time, seq, kind, query, hop): seq makes same-time order FIFO.
+    events = [(float(t), q, _ARRIVE, q, 1) for q, t in enumerate(arrival_times)]
+    heapq.heapify(events)
+    seq = len(events)
+    while events:
+        now, _, kind, q, hop = heapq.heappop(events)
+        path = paths[q]
+        if hop == len(path):
+            latencies.append(now - arrival_times[q])
+            queue_waits.append(waited[q])
+            continue
+        node = path[hop]
+        if kind == _ARRIVE:
+            start = max(now, free_at.get(node, now))
+            waited[q] += start - now
+            free_at[node] = start + service_time(node)
+            heapq.heappush(events, (free_at[node], seq, _DONE, q, hop))
+        else:
+            arrive = now + delay(path[hop - 1], node)
+            heapq.heappush(events, (arrive, seq, _ARRIVE, q, hop + 1))
+        seq += 1
+    return latencies, queue_waits
 
 
 @dataclass(frozen=True)
@@ -83,7 +139,7 @@ class QuerySimulation:
         arrival_rate: float = 50.0,
         seed: int = 42,
     ) -> None:
-        if arrival_rate <= 0:
+        if not arrival_rate > 0:
             raise ConfigError(f"arrival_rate must be > 0, got {arrival_rate}")
         self.overlay = overlay
         self.bandwidth = bandwidth
@@ -92,46 +148,6 @@ class QuerySimulation:
         self.seed = seed
         self.latencies: list[float] = []
         self.queue_waits: list[float] = []
-
-    # ------------------------------------------------------------------
-    # kernel processes
-    # ------------------------------------------------------------------
-
-    def _query_process(
-        self,
-        env: Environment,
-        servers: dict[NodeId, Resource],
-        path: tuple[NodeId, ...],
-    ) -> Generator[Event, object, None]:
-        started = env.now
-        queued = 0.0
-        # The source emits for free; every subsequent hop must be
-        # received, serviced and forwarded by its peer.
-        for prev, node in zip(path, path[1:]):
-            wait_started = env.now
-            grant = servers[node].request()
-            yield grant
-            queued += env.now - wait_started
-            yield env.timeout(self.bandwidth.service_time(node))
-            servers[node].release()
-            yield env.timeout(self.latency.delay(prev, node))
-        self.latencies.append(env.now - started)
-        self.queue_waits.append(queued)
-
-    def _arrival_process(
-        self,
-        env: Environment,
-        servers: dict[NodeId, Resource],
-        paths: list[tuple[NodeId, ...]],
-        rng: np.random.Generator,
-    ) -> Generator[Event, object, None]:
-        for path in paths:
-            yield env.timeout(float(rng.exponential(1.0 / self.arrival_rate)))
-            env.process(self._query_process(env, servers, path))
-
-    # ------------------------------------------------------------------
-    # entry point
-    # ------------------------------------------------------------------
 
     def run(
         self,
@@ -142,13 +158,12 @@ class QuerySimulation:
         """Simulate ``n_queries`` arrivals; returns the latency summary.
 
         Routes are resolved through the overlay's real router (with
-        paths recorded), then replayed in simulated time. The run ends
+        paths recorded), then replayed in simulated time with one
+        exponential inter-arrival gap per routed query. The run ends
         when every query has completed.
         """
         if n_queries < 1:
             raise ConfigError(f"n_queries must be >= 1, got {n_queries}")
-        from ..rng import split
-
         rng = split(self.seed, "simnet-run")
         wl = workload if workload is not None else QueryWorkload()
         paths: list[tuple[NodeId, ...]] = []
@@ -159,13 +174,11 @@ class QuerySimulation:
             if result.success and len(result.path) >= 1:
                 paths.append(result.path)
 
-        env = Environment()
-        servers = {
-            node: Resource(env, capacity=1)
-            for node in self.overlay.ring.node_ids(live_only=True)
-        }
-        self.latencies.clear()
-        self.queue_waits.clear()
-        env.process(self._arrival_process(env, servers, paths, rng))
-        env.run()
+        gaps = rng.exponential(1.0 / self.arrival_rate, size=len(paths))
+        self.latencies, self.queue_waits = replay_routes(
+            paths,
+            np.cumsum(gaps).tolist(),
+            self.bandwidth.service_time,
+            self.latency.delay,
+        )
         return QueryLatencyStats.from_samples(self.latencies, self.queue_waits)

@@ -365,6 +365,21 @@ class TestBenchSubcommand:
         assert run_spec("serve-churn", "size=80", "membership=gossip") == 2
         assert "run: unknown membership 'gossip'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec_id", ["steady-churn", "ext-latency", "scenario"])
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_nonpositive_scale_is_a_config_error(self, spec_id, scale, capsys):
+        # scaled_sizes raised a bare ValueError: a traceback on every spec.
+        assert run_spec(spec_id, f"scale={scale}") == 2
+        assert capsys.readouterr().err == f"run: scale must be > 0, got {float(scale)}\n"
+
+    def test_nan_load_is_a_config_error(self, capsys):
+        # NaN passed `arrival_rate <= 0` and died in the ASCII chart.
+        extra = ("--scale", "0.02")
+        assert run_spec("ext-latency", "load_factor=nan", extra=extra) == 2
+        assert capsys.readouterr().err == "run: arrival_rate must be > 0, got nan\n"
+        assert run_spec("ext-latency", "rate_per_link=nan", extra=extra) == 2
+        assert capsys.readouterr().err == "run: rate_per_link must be > 0, got nan\n"
+
     def test_sweep_reports_run_time_config_errors(self, capsys):
         argv = ["sweep", "steady-churn", "--axis", "epochs=0,1", "--scale", "0.02"]
         assert main(argv) == 2

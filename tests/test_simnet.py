@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, EmptyPopulationError
-from repro.simnet import BandwidthModel, LatencyModel, QueryLatencyStats, QuerySimulation
+from repro.simnet import (
+    BandwidthModel,
+    LatencyModel,
+    QueryLatencyStats,
+    QuerySimulation,
+    replay_routes,
+)
 
 from conftest import build_overlay
 
@@ -151,3 +157,129 @@ class TestExtLatencyExperiment:
         # Bandwidth-oblivious load placement must not be cheaper.
         assert result.scalars["mean_penalty"] > 1.0
         assert result.scalars["queue_penalty"] > 1.1
+
+
+class TestReplayRoutes:
+    """The one event loop, without an overlay: explicit paths and clocks."""
+
+    @staticmethod
+    def free(src, dst):
+        return 0.0
+
+    def test_second_query_waits_for_the_busy_server(self):
+        latencies, waits = replay_routes(
+            [("a", "x"), ("b", "x")], [0.0, 0.1], lambda node: 1.0, self.free
+        )
+        assert waits == [0.0, 0.9]
+        assert latencies == [1.0, 1.9]
+
+    def test_equal_arrival_times_are_served_in_submission_order(self):
+        paths = [("a", "x", "first"), ("b", "x", "second"), ("c", "x", "third")]
+        seen: list[str] = []
+
+        def delay(src, dst):
+            if src == "x":
+                seen.append(dst)
+            return 0.0
+
+        latencies, waits = replay_routes(paths, [0.5, 0.5, 0.5], lambda node: 1.0, delay)
+        assert seen == ["first", "second", "third"]
+        assert waits == [0.0, 1.0, 2.0]
+        assert latencies == [2.0, 3.0, 4.0]
+
+    def test_single_node_path_is_free(self):
+        assert replay_routes([("a",)], [3.0], lambda node: 1.0, self.free) == ([0.0], [0.0])
+
+    def test_samples_come_out_in_completion_order(self):
+        # The first query crosses a slow link; the later one overtakes it.
+        delay = {("a", "x"): 5.0, ("b", "y"): 0.25}
+        latencies, waits = replay_routes(
+            [("a", "x"), ("b", "y")], [0.0, 1.0], lambda node: 0.5, lambda s, d: delay[s, d]
+        )
+        assert latencies == [0.75, 5.5]
+        assert waits == [0.0, 0.0]
+
+    def test_service_then_propagation_per_hop(self):
+        service = {"x": 0.5, "y": 0.25}
+        latencies, waits = replay_routes(
+            [("a", "x", "y")], [0.0], service.__getitem__, lambda s, d: 0.125
+        )
+        assert latencies == [0.5 + 0.125 + 0.25 + 0.125]
+        assert waits == [0.0]
+
+    def test_no_paths_no_samples(self):
+        assert replay_routes([], [], lambda node: 1.0, self.free) == ([], [])
+
+
+class TestPinnedAgainstTheEventKernel:
+    """``QueryLatencyStats`` recorded at 54d9d83, when every query was a
+    generator process on ``engine/core.py``'s scheduler: the heap loop
+    must return the same samples, in the same order, to the last bit."""
+
+    PINS = {
+        "default": QueryLatencyStats(
+            n_queries=300,
+            mean=0.5456236586546239,
+            p50=0.49568410238420746,
+            p95=1.1530551298350376,
+            max=1.7221188216608634,
+            mean_queue_wait=0.18557151914426442,
+        ),
+        "heavy": QueryLatencyStats(
+            n_queries=300,
+            mean=1.5924505558883912,
+            p50=1.4706605974389388,
+            p95=3.7129963287328853,
+            max=5.008479207559492,
+            mean_queue_wait=0.9085827222700285,
+        ),
+        "no_delay": QueryLatencyStats(
+            n_queries=300,
+            mean=0.5124369848335916,
+            p50=0.4835769159779477,
+            p95=1.1132315421839316,
+            max=1.6307620690325821,
+            mean_queue_wait=0.1871036515002582,
+        ),
+        "fast": QueryLatencyStats(
+            n_queries=300,
+            mean=0.06599471764635872,
+            p50=0.06389017485151835,
+            p95=0.12181359806280288,
+            max=0.19441279443945092,
+            mean_queue_wait=8.583795422511494e-05,
+        ),
+    }
+    CONFIGS = {
+        "default": {},
+        "heavy": {"rate": 5.0, "arrival_rate": 500.0},
+        "no_delay": {"mean_delay": 0.0},
+        "fast": {"rate": 100.0, "arrival_rate": 50.0},
+    }
+
+    @pytest.fixture(scope="class")
+    def overlay(self):
+        return build_overlay(n=120, seed=71, cap=8)
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_stats_equal_the_parent_recording(self, overlay, name):
+        sim = TestQuerySimulation().make_sim(overlay, **self.CONFIGS[name])
+        assert sim.run(300) == self.PINS[name]
+
+
+class TestNanIsRejected:
+    """NaN compares false against everything: `x <= 0` let it through."""
+
+    def test_models(self):
+        nan = float("nan")
+        with pytest.raises(ConfigError):
+            BandwidthModel({0: nan})
+        with pytest.raises(ConfigError):
+            BandwidthModel.proportional_to_caps({0: 4}, rate_per_link=nan)
+        with pytest.raises(ConfigError):
+            LatencyModel(mean_delay=nan)
+
+    def test_arrival_rate(self):
+        overlay = build_overlay(n=20, seed=71, cap=4)
+        with pytest.raises(ConfigError, match="arrival_rate must be > 0, got nan"):
+            TestQuerySimulation().make_sim(overlay, arrival_rate=float("nan"))

@@ -3,7 +3,9 @@
 ``tests/data/spec_scalars.json`` holds every non-timing scalar of the
 five specs ``scripts/bench_ci.py`` and CI record, captured at
 ``scale=0.02, seed=42`` *before* ISSUE 13 moved their shared preamble
-into ``build_churn_bed`` and their clock reads into ``Stopwatch`` — any
+into ``build_churn_bed`` and their clock reads into ``Stopwatch``, plus
+``ext-latency`` captured the same way *before* ISSUE 14 replaced the
+generator event kernel under it with ``simnet.replay_routes`` — any
 change to RNG labels, call order or scalar names shows up here as a
 diff against that recording. The ``bench_ci`` table is checked against
 the same runs: its rows must name registered specs, declared parameters

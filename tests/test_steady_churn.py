@@ -144,7 +144,7 @@ class TestEngineValidation:
             )
 
         class NoCounter(Opaque):
-            nodes = real.nodes
+            state = real.state
 
         with pytest.raises(ConfigError, match="_next_id"):
             SteadyStateChurnEngine(
