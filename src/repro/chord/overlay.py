@@ -3,8 +3,7 @@
 Peers join at ``hash(application key)`` — uniform positions whatever
 the application skew — and maintain deterministic power-of-two finger
 tables (the successor of ``position + 2^-i`` for each scale ``i``).
-Point lookups ride the same greedy router as Oscar and cost
-``O(log N)``.
+Point lookups ride the same greedy router as Oscar and cost ``O(log N)``.
 
 What this control system *cannot* do is enumerate an application range:
 hashing scatters adjacent keys across the whole circle, so a range
@@ -22,12 +21,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..config import RoutingConfig
-from ..core.soa import FingerTable, SubstrateState
-from ..errors import DuplicateNodeError, EmptyPopulationError, UnknownNodeError
-from ..ring import Ring, RingPointers, attach_node, in_closed_cw_range, normalize
-from ..ring import repair as repair_ring
-from ..routing import RouteResult, route_faulty, route_greedy
-from ..rng import split
+from ..core.soa import FingerTable, row_table
+from ..core.substrate import Substrate
+from ..errors import DuplicateNodeError
+from ..ring import in_closed_cw_range, normalize
+from ..routing import RouteResult
 from ..types import Key, NodeId
 from ..workloads import KeyDistribution
 from .hashing import hash_key
@@ -35,13 +33,12 @@ from .hashing import hash_key
 __all__ = ["ChordOverlay", "scatter_range"]
 
 
-class ChordOverlay:
+class ChordOverlay(Substrate):
     """A hash-based DHT under simulation (the data-oriented control).
 
-    Mirrors the facade surface of
-    :class:`~repro.core.overlay.OscarOverlay` (grow / rewire / route /
-    stat arrays) so the experiment harness and the measurement layer
-    treat it interchangeably. Differences from Oscar:
+    Shares the :class:`~repro.core.substrate.Substrate` facade with Oscar
+    and Mercury, so the experiment harness and the measurement layer
+    treat it interchangeably. Its link policy differs from Oscar's:
 
     * peer positions are ``hash_key(application key)`` — uniform by
       construction, order destroyed;
@@ -51,38 +48,19 @@ class ChordOverlay:
     * :meth:`rewire` rebuilds fingers against the current population.
     """
 
-    def __init__(
-        self,
-        seed: int = 42,
-        routing: RoutingConfig | None = None,
-    ) -> None:
-        self.routing = routing or RoutingConfig()
-        self.seed = seed
-        self.state = SubstrateState()
-        self.ring = Ring(self.state)
-        self.pointers = RingPointers()
+    _stream = "chord-"
+
+    def __init__(self, seed: int = 42, routing: RoutingConfig | None = None) -> None:
+        super().__init__(seed, routing)
         self.fingers = FingerTable(self.state)
         self.application_key: dict[NodeId, Key] = {}
-        self._next_id = 0
-        self._links_epoch = 0
-        self._join_rng = split(seed, "chord-join")
-
-    # ------------------------------------------------------------------
-    # membership
-    # ------------------------------------------------------------------
 
     def join(self, application_key: Key) -> NodeId:
         """Add a peer identified by an application key; its circle
-        position is the key's hash. Raises
-        :class:`DuplicateNodeError` on (astronomically unlikely) hash
-        collision — callers redraw."""
-        position = hash_key(application_key)
-        node_id = self._next_id
-        self.ring.insert(node_id, position)
-        self._next_id += 1
+        position is the key's hash. Raises :class:`DuplicateNodeError` on
+        (astronomically unlikely) hash collision — callers redraw."""
+        node_id = self._splice(hash_key(application_key))
         self.application_key[node_id] = application_key
-        self.fingers[node_id] = []
-        attach_node(self.ring, self.pointers, node_id)
         if self.ring.live_count > 1:
             self.fingers[node_id] = self._build_fingers(node_id)
         return node_id
@@ -95,9 +73,10 @@ class ChordOverlay:
         paired_caps: bool = True,
     ) -> None:
         """Grow to ``target_size`` live peers (same contract as Oscar's
-        ``grow``; the degree distribution is accepted and ignored —
-        finger counts are dictated by the protocol, which is precisely
-        the heterogeneity-blindness the paper criticizes)."""
+        ``grow``; the degree distribution is accepted and ignored — no
+        caps are drawn, finger counts are dictated by the protocol,
+        which is precisely the heterogeneity-blindness the paper
+        criticizes)."""
         del degrees, paired_caps
         missing = target_size - self.ring.live_count
         while missing > 0:
@@ -108,32 +87,11 @@ class ChordOverlay:
                 continue
             missing -= 1
 
-    def leave(self, node_id: NodeId, repair: bool = True) -> None:
-        """Remove a live peer (graceful departure; fingers left dangling).
-
-        Same contract as :meth:`OscarOverlay.leave
-        <repro.core.overlay.OscarOverlay.leave>`: the peer is marked dead
-        and, with ``repair`` (default), ring pointers are re-stabilized.
-        """
-        self.ring.mark_dead(node_id)
-        if repair:
-            self.repair_ring()
-
-    def leave_batch(self, node_ids: Sequence[NodeId], repair: bool = True) -> int:
-        """Scalar fallback of the bulk-departure surface (see
-        :meth:`Substrate.leave_batch
-        <repro.core.substrate.Substrate.leave_batch>`): mark every peer
-        dead, then one ring repair — identical end state to per-peer
-        :meth:`leave` calls, one stabilization pass instead of K.
-        Returns the pointer entries fixed (0 with ``repair=False``).
-        """
+    def retire(self, node_ids: Sequence[NodeId]) -> None:
+        """Compact peers out for good; their application keys go too."""
+        super().retire(node_ids)
         for node_id in node_ids:
-            self.ring.mark_dead(int(node_id))
-        return self.repair_ring() if repair else 0
-
-    # ------------------------------------------------------------------
-    # fingers
-    # ------------------------------------------------------------------
+            self.application_key.pop(node_id, None)
 
     def _build_fingers(self, node_id: NodeId) -> list[NodeId]:
         position = self.ring.position(node_id)
@@ -156,124 +114,17 @@ class ChordOverlay:
             placed += len(self.fingers[node_id])
         return placed
 
-    def grow_batch(
-        self,
-        target_size: int,
-        keys: KeyDistribution,
-        degrees: object = None,
-        paired_caps: bool = True,
-        vectorized: bool = True,
-    ) -> None:
-        """Scalar fallback of the batched-construction surface.
-
-        Chord's fingers are protocol-dictated (no sampling, no capacity
-        negotiation), so there is nothing to vectorize: per-join
-        construction already costs ``O(log N)`` deterministic lookups.
-        Delegates to :meth:`grow` — here the fallback *is* the batched
-        semantics, draw-for-draw (``vectorized`` is accepted for
-        surface uniformity and ignored).
-        """
-        del vectorized
-        return self.grow(target_size, keys, degrees, paired_caps=paired_caps)
-
-    def rewire_batch(
-        self, rng: np.random.Generator | None = None, vectorized: bool = True
-    ) -> int:
-        """Scalar fallback: finger rebuilds are deterministic, so the
-        batched surface delegates to :meth:`rewire` unchanged
-        (``vectorized`` accepted for surface uniformity, ignored)."""
-        del vectorized
-        return self.rewire(rng)
-
-    def repair_ring(self) -> int:
-        """Re-stabilize ring pointers after churn."""
-        self._links_epoch += 1
-        return repair_ring(self.ring, self.pointers)
-
-    @property
-    def topology_version(self) -> tuple[int, int]:
-        """(membership version, link epoch) — batch-engine cache key."""
-        return (self.ring.version, self._links_epoch)
-
-    # ------------------------------------------------------------------
-    # topology access (NeighborProvider) + routing
-    # ------------------------------------------------------------------
-
-    def neighbors_of(self, node_id: NodeId) -> Sequence[NodeId]:
-        """Ring successor + predecessor + fingers (dead links included)."""
-        if node_id not in self.fingers:
-            raise UnknownNodeError(node_id)
-        out: list[NodeId] = []
-        succ = self.pointers.successor.get(node_id)
-        pred = self.pointers.predecessor.get(node_id)
-        if succ is not None and succ != node_id:
-            out.append(succ)
-        if pred is not None and pred != node_id and pred != succ:
-            out.append(pred)
-        out.extend(self.fingers[node_id])
-        return out
-
-    def random_live_node(self, rng: np.random.Generator | None = None) -> NodeId:
-        """A uniformly random live peer."""
-        ids = self.ring.ids_array(live_only=True)
-        if ids.size == 0:
-            raise EmptyPopulationError("overlay has no live peers")
-        generator = rng if rng is not None else self._join_rng
-        return int(ids[int(generator.integers(0, ids.size))])
-
-    def route(
-        self,
-        source: NodeId,
-        target_key: Key,
-        faulty: bool = False,
-        record_path: bool = False,
-    ) -> RouteResult:
-        """Route a lookup for a *circle position* (pre-hashed)."""
-        if faulty:
-            return route_faulty(
-                self.ring, self.pointers, self, source, target_key, self.routing, record_path
-            )
-        return route_greedy(
-            self.ring, self.pointers, self, source, target_key, self.routing, record_path
-        )
-
     def lookup(self, source: NodeId, application_key: Key, faulty: bool = False) -> RouteResult:
-        """Route a lookup for an *application key* (hashes first)."""
+        """Route a lookup for an *application key* (hashes first;
+        :meth:`route` takes a pre-hashed circle position)."""
         return self.route(source, hash_key(application_key), faulty=faulty)
 
-    # ------------------------------------------------------------------
-    # statistics (facade parity)
-    # ------------------------------------------------------------------
-
-    def live_node_ids(self) -> list[NodeId]:
-        """Live peer ids in circle order."""
-        return self.ring.node_ids(live_only=True)
-
     def in_degree_array(self) -> np.ndarray:
-        """Incoming finger counts per live peer (circle order)."""
-        counts: dict[NodeId, int] = {nid: 0 for nid in self.live_node_ids()}
-        for node_id in self.live_node_ids():
-            for finger in self.fingers[node_id]:
-                if finger in counts:
-                    counts[finger] += 1
-        return np.array([counts[nid] for nid in self.live_node_ids()], dtype=np.int64)
-
-    def out_degree_array(self) -> np.ndarray:
-        """Finger counts per live peer (circle order)."""
-        return np.array(
-            [len(self.fingers[nid]) for nid in self.live_node_ids()], dtype=np.int64
-        )
-
-    @property
-    def size(self) -> int:
-        """Number of currently live peers (the :class:`Substrate` surface)."""
-        return self.ring.live_count
-
-    def __len__(self) -> int:
-        return self.ring.live_count
-
-    def __repr__(self) -> str:
-        return f"ChordOverlay(live={self.ring.live_count}, total={len(self.ring)})"
+        """Incoming finger counts per live peer (circle order) — counted
+        on demand, fingers keep no ``in_deg`` column."""
+        ids = self.ring.ids_array(live_only=True)
+        rows = self.state.link_rows(self.ring.slots_array(live_only=True), row_table(ids))
+        return np.bincount(rows[rows >= 0], minlength=ids.size)
 
 
 def scatter_range(
@@ -294,9 +145,8 @@ def scatter_range(
 
     Returns ``(matching_items, total_messages)``.
     """
-    # One shared closed-[lo, hi] predicate with DistributedIndex.range:
-    # PR 2 fixed these two disagreeing about a key exactly at `lo` of a
-    # wrapped range, and sharing the definition keeps them agreed.
+    # One closed-[lo, hi] predicate shared with DistributedIndex.range, so
+    # the two agree about a key exactly at `lo` of a wrapped range.
     matches = [k for k in item_keys if in_closed_cw_range(k, lo, hi)]
     messages = 0
     for key in matches:

@@ -1,17 +1,17 @@
 """The Oscar overlay facade — the library's primary public object.
 
-:class:`OscarOverlay` ties the substrates together: the membership ring,
-maintained ring pointers, per-peer state, partition estimation, link
-acquisition, rewiring, and routing. It implements the
-:class:`~repro.routing.NeighborProvider` protocol so both routers work
-against it directly.
+:class:`OscarOverlay` is the shared
+:class:`~repro.core.substrate.Substrate` facade (membership ring,
+maintained ring pointers, per-peer state, routing — the
+:class:`~repro.routing.NeighborProvider` both routers work against) plus
+Oscar's link policy: partition estimation and capacity-respecting link
+acquisition and rewiring, scalar and batched.
 
 Typical use::
 
     from repro import OscarOverlay, OscarConfig
     from repro.workloads import GnutellaLikeDistribution
     from repro.degree import ConstantDegrees
-    from repro import rng as rngmod
 
     overlay = OscarOverlay(OscarConfig(), seed=42)
     keys = GnutellaLikeDistribution()
@@ -23,38 +23,30 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ..config import OscarConfig, RoutingConfig
-from ..degree import DegreeDistribution, assign_caps
-from ..errors import DuplicateNodeError, EmptyPopulationError, UnknownNodeError
-from ..ring import Ring, RingPointers, attach_node
-from ..ring import repair as repair_ring
-from ..ring import repair_all as bulk_repair_ring
-from ..routing import RouteResult, route_faulty, route_greedy
-from ..rng import split
+from ..degree import DegreeDistribution
 from ..types import Key, NodeId
 from ..workloads import KeyDistribution
 from .construction import LinkAcquisitionStats, acquire_links, rewire_all
 from .estimators import estimate_partitions
 from .node import OscarNode
-from .soa import NodeTable, SubstrateState
+from .soa import NodeTable
+from .substrate import Substrate
 
 __all__ = ["OscarOverlay"]
 
 
-class OscarOverlay:
+class OscarOverlay(Substrate):
     """A full Oscar network under simulation.
 
     Args:
         config: Construction parameters (partitions, sampling, caps
             behaviour, power-of-two).
-        seed: Root seed; all internal randomness derives from it via
-            labelled streams, so two overlays with equal arguments are
-            identical.
-        routing: Router cost model (budgets, probe/backtrack charges).
+        seed, routing: As for :class:`~repro.core.substrate.Substrate`.
     """
 
     def __init__(
@@ -63,21 +55,9 @@ class OscarOverlay:
         seed: int = 42,
         routing: RoutingConfig | None = None,
     ) -> None:
+        super().__init__(seed, routing)
         self.config = config or OscarConfig()
-        self.routing = routing or RoutingConfig()
-        self.seed = seed
-        self.state = SubstrateState()
-        self.ring = Ring(self.state)
-        self.pointers = RingPointers()
         self.nodes = NodeTable(self.state, OscarNode._view)
-        self._next_id = 0
-        self._links_epoch = 0
-        self._join_rng = split(seed, "join")
-        self._rewire_rng = split(seed, "rewire")
-
-    # ------------------------------------------------------------------
-    # membership
-    # ------------------------------------------------------------------
 
     def join(self, position: Key, rho_max_in: int, rho_max_out: int) -> NodeId:
         """Add a peer at ``position`` with the given capacity caps.
@@ -88,48 +68,14 @@ class OscarOverlay:
         :class:`DuplicateNodeError` on position collision — callers
         redraw their key.
         """
-        node_id = self._next_id
-        self.ring.insert(node_id, position)  # raises DuplicateNodeError on collision
-        self._next_id += 1
-        slot = self.state.slot_of(node_id)
-        self.state.cap_in[slot] = int(rho_max_in)
-        self.state.cap_out[slot] = int(rho_max_out)
-        node = self.nodes[node_id]
-        self._attach_pointers(node_id)
+        node_id = self._splice(position, rho_max_in, rho_max_out)
         if self.ring.live_count > 1:
+            node = self.nodes[node_id]
             node.partitions = estimate_partitions(
                 self.ring, node_id, self.config, self._join_rng, neighbor_fn=self.neighbors_of
             )
             acquire_links(self.ring, self.nodes, node, self.config, self._join_rng)
         return node_id
-
-    def grow(
-        self,
-        target_size: int,
-        keys: KeyDistribution,
-        degrees: DegreeDistribution,
-        paired_caps: bool = True,
-    ) -> None:
-        """Grow the network to ``target_size`` live peers by joins.
-
-        Keys come from ``keys`` (collisions redrawn), caps from
-        ``degrees``. Growth is incremental — existing links stay as they
-        are until :meth:`rewire` is called, mirroring the paper's
-        bootstrap-then-periodically-rewire procedure.
-        """
-        current = self.ring.live_count
-        missing = target_size - current
-        if missing <= 0:
-            return
-        caps_in, caps_out = assign_caps(degrees, self._join_rng, missing, paired=paired_caps)
-        joined = 0
-        while joined < missing:
-            key = float(keys.sample(self._join_rng, 1)[0])
-            try:
-                self.join(key, int(caps_in[joined]), int(caps_out[joined]))
-            except DuplicateNodeError:
-                continue
-            joined += 1
 
     def grow_batch(
         self,
@@ -160,79 +106,10 @@ class OscarOverlay:
             target_size, keys, degrees, paired_caps=paired_caps
         )
 
-    def leave(self, node_id: NodeId, repair: bool = True) -> None:
-        """Remove a live peer from the population (graceful departure).
-
-        The peer is marked dead in the ring — its long links stay as
-        dangling references, exactly like a crash — and, when ``repair``
-        is true (the default, matching the paper's self-stabilization
-        assumption), ring pointers are immediately re-stabilized around
-        the gap. Pass ``repair=False`` to model an abrupt crash whose
-        repair is deferred to churn machinery.
-        """
-        self.ring.mark_dead(node_id)
-        if repair:
-            self.repair_ring()
-
-    def leave_batch(self, node_ids: Sequence[NodeId], repair: bool = True) -> int:
-        """Remove many peers in one bulk step (see
-        :meth:`Substrate.leave_batch
-        <repro.core.substrate.Substrate.leave_batch>`).
-
-        All departures are marked dead through
-        :meth:`OracleView.crash
-        <repro.membership.views.OracleView.crash>`, then the ring is
-        re-stabilized once via the bulk
-        :func:`~repro.ring.maintenance.repair_all` rebuild — identical
-        resulting pointers to per-peer :meth:`leave` calls, one repair
-        pass instead of K. Returns the pointer entries fixed.
-        """
-        from ..membership import OracleView  # lazy: import cycle
-
-        OracleView(self.ring).crash(node_ids)
-        if not repair:
-            return 0
-        self._links_epoch += 1
-        return bulk_repair_ring(self.ring, self.pointers)
-
-    def _attach_pointers(self, node_id: NodeId) -> None:
-        """Splice a fresh peer into the maintained ring pointers."""
-        attach_node(self.ring, self.pointers, node_id)
-
-    # ------------------------------------------------------------------
-    # topology access (NeighborProvider)
-    # ------------------------------------------------------------------
-
-    def neighbors_of(self, node_id: NodeId) -> Sequence[NodeId]:
-        """Outgoing neighbors: ring successor + predecessor + long links.
-
-        Includes links currently pointing at dead peers — discovering
-        that costs the router a probe, as in a real deployment.
-        """
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise UnknownNodeError(node_id)
-        out: list[NodeId] = []
-        succ = self.pointers.successor.get(node_id)
-        pred = self.pointers.predecessor.get(node_id)
-        if succ is not None and succ != node_id:
-            out.append(succ)
-        if pred is not None and pred != node_id and pred != succ:
-            out.append(pred)
-        out.extend(node.out_links)
-        return out
-
-    def random_live_node(self, rng: np.random.Generator | None = None) -> NodeId:
-        """A uniformly random live peer (convenience for examples)."""
-        ids = self.ring.ids_array(live_only=True)
-        if ids.size == 0:
-            raise EmptyPopulationError("overlay has no live peers")
-        generator = rng if rng is not None else self._join_rng
-        return int(ids[int(generator.integers(0, ids.size))])
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
+    # Rebound in this class body, not re-implemented: the committed
+    # benchmark's tracer wraps ``OscarOverlay.__dict__["leave_batch"]``
+    # (bench/harness.py::TRACED), so the name must live here too.
+    leave_batch = Substrate.leave_batch
 
     def rewire(self, rng: np.random.Generator | None = None) -> LinkAcquisitionStats:
         """One global rewiring round (see
@@ -241,9 +118,7 @@ class OscarOverlay:
         return rewire_all(self, rng if rng is not None else self._rewire_rng)
 
     def rewire_batch(
-        self,
-        rng: np.random.Generator | None = None,
-        vectorized: bool = True,
+        self, rng: np.random.Generator | None = None, vectorized: bool = True
     ) -> LinkAcquisitionStats:
         """One global rewiring round, vectorized.
 
@@ -264,76 +139,7 @@ class OscarOverlay:
             rng if rng is not None else self._rewire_rng
         )
 
-    def repair_ring(self) -> int:
-        """Re-stabilize ring pointers after churn; returns pointers fixed."""
-        self._links_epoch += 1
-        return repair_ring(self.ring, self.pointers)
-
-    @property
-    def topology_version(self) -> tuple[int, int]:
-        """Changes whenever membership or link structure changes.
-
-        The pair ``(ring membership version, link epoch)`` — compared by
-        the batch engine to validate its cached topology snapshot.
-        """
-        return (self.ring.version, self._links_epoch)
-
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-
-    def route(
-        self,
-        source: NodeId,
-        target_key: Key,
-        faulty: bool = False,
-        record_path: bool = False,
-    ) -> RouteResult:
-        """Route one lookup; ``faulty=True`` uses the probing/backtracking
-        router required when the overlay contains crashed peers."""
-        if faulty:
-            return route_faulty(
-                self.ring, self.pointers, self, source, target_key, self.routing, record_path
-            )
-        return route_greedy(
-            self.ring, self.pointers, self, source, target_key, self.routing, record_path
-        )
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-
     def live_nodes(self) -> Iterable[OscarNode]:
         """Live peers' states, in ring order."""
         for node_id in self.ring.node_ids(live_only=True):
             yield self.nodes[node_id]
-
-    def in_degree_array(self) -> np.ndarray:
-        """Long-link in-degrees of live peers (ring order)."""
-        return self.state.in_deg[self.ring.slots_array(live_only=True)].astype(np.int64)
-
-    def in_cap_array(self) -> np.ndarray:
-        """``rho_max_in`` of live peers (ring order)."""
-        return self.state.cap_in[self.ring.slots_array(live_only=True)].astype(np.int64)
-
-    def out_degree_array(self) -> np.ndarray:
-        """Long-link out-degrees of live peers (ring order)."""
-        return self.state.out_count[self.ring.slots_array(live_only=True)].astype(np.int64)
-
-    def out_cap_array(self) -> np.ndarray:
-        """``rho_max_out`` of live peers (ring order)."""
-        return self.state.cap_out[self.ring.slots_array(live_only=True)].astype(np.int64)
-
-    @property
-    def size(self) -> int:
-        """Number of currently live peers (the :class:`Substrate` surface)."""
-        return self.ring.live_count
-
-    def __len__(self) -> int:
-        return self.ring.live_count
-
-    def __repr__(self) -> str:
-        return (
-            f"OscarOverlay(live={self.ring.live_count}, total={len(self.ring)}, "
-            f"config={self.config!r})"
-        )

@@ -467,30 +467,21 @@ class NodeTable:
         return self.get(node_id, default)
 
     def __repr__(self) -> str:
-        return f"NodeTable(n={len(self)})"
+        return f"{type(self).__name__}(n={len(self)})"
 
 
-class FingerTable:
-    """Dict-like ``node_id -> finger list`` view for the Chord baseline.
+class FingerTable(NodeTable):
+    """Dict-like ``node_id -> finger list`` view for the Chord baseline:
+    a :class:`NodeTable` whose per-peer view is the :class:`LinkView`.
 
     Fingers are stored in the same padded link table the other
     substrates use for long links; assignment replaces the row.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ()
 
     def __init__(self, state: SubstrateState) -> None:
-        self._state = state
-
-    def _ids(self) -> np.ndarray:
-        used = self._state.node_id[: self._state._top]
-        return np.sort(used[used >= 0])
-
-    def __getitem__(self, node_id: NodeId) -> LinkView:
-        slot = self._state.slot_of(node_id)
-        if slot < 0:
-            raise KeyError(node_id)
-        return LinkView(self._state, slot)
+        super().__init__(state, LinkView)
 
     def __setitem__(self, node_id: NodeId, targets: Iterable[int]) -> None:
         slot = self._state.slot_of(node_id)
@@ -498,52 +489,11 @@ class FingerTable:
             raise KeyError(node_id)
         self._state.set_links(slot, targets)
 
-    def get(self, node_id: NodeId, default: Any = None) -> Any:
-        slot = self._state.slot_of(node_id)
-        if slot < 0:
-            return default
-        return LinkView(self._state, slot)
-
-    def __contains__(self, node_id: object) -> bool:
-        return self._state.slot_of(node_id) >= 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(int(i) for i in self._ids())
-
-    def __len__(self) -> int:
-        return self._state.n_slots
-
-    def keys(self) -> Iterator[int]:
-        return iter(self)
-
-    def values(self) -> Iterator[LinkView]:
-        for node_id in self:
-            yield self[node_id]
-
-    def items(self) -> Iterator[tuple[int, LinkView]]:
-        for node_id in self:
-            yield node_id, self[node_id]
-
-    def pop(self, node_id: NodeId, default: Any = None) -> Any:
-        """Non-destructive: finger rows die with their ring slot."""
-        return self.get(node_id, default)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FingerTable):
-            return {i: list(v) for i, v in self.items()} == {
-                i: list(v) for i, v in other.items()
-            }
+            other = dict(other.items())
         if isinstance(other, dict):
             return {i: list(v) for i, v in self.items()} == {
                 int(i): [int(t) for t in v] for i, v in other.items()
             }
         return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __repr__(self) -> str:
-        return f"FingerTable(n={len(self)})"

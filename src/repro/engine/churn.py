@@ -9,14 +9,14 @@ any :class:`~repro.core.substrate.Substrate` through lock-step
 **epochs**, each epoch being
 
 1. **arrivals** — a Poisson cohort joins through the substrate's
-   ``grow_batch`` (Oscar: the vectorized
-   :class:`~repro.engine.construct.BatchConstructionEngine`; Chord /
-   Mercury: their scalar fallbacks), each newcomer drawing a session
-   length from a pluggable :class:`~repro.churn.sessions.SessionTimes`
-   distribution (exponential, Pareto heavy-tail, or trace-driven from
-   the synthetic Gnutella cascade);
+   ``grow_batch``, each newcomer drawing a session length from a
+   pluggable :class:`~repro.churn.sessions.SessionTimes` distribution
+   (exponential, Pareto heavy-tail, or trace-driven from the synthetic
+   Gnutella cascade);
 2. **departures** — every peer whose session expired crashes in one
-   bulk ``leave_batch`` wave, and ring pointers re-stabilize immediately
+   bulk :meth:`Substrate.leave_batch
+   <repro.core.substrate.Substrate.leave_batch>` wave — the same code
+   for every substrate — and ring pointers re-stabilize immediately
    (the paper's standing self-stabilization assumption) through the
    bulk :func:`~repro.ring.maintenance.repair_all` rebuild, while long
    links keep dangling;
@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..churn.sessions import SessionTimes
-from ..core.soa import SubstrateState
+from ..core.substrate import Substrate
 from ..degree import DegreeDistribution
 from ..errors import ConfigError
 from ..membership import MembershipView, OracleView
@@ -68,7 +68,6 @@ from ..workloads import KeyDistribution, QueryWorkload
 from .batch import BatchQueryEngine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.substrate import Substrate
     from ..index.replication import ReplicatedStore
 
 __all__ = ["ChurnEpochStats", "SteadyStateChurnEngine"]
@@ -126,8 +125,8 @@ class SteadyStateChurnEngine:
     """Vectorized steady-state churn simulation over one substrate.
 
     Args:
-        substrate: Any overlay satisfying the
-            :class:`~repro.core.substrate.Substrate` protocol. Must hold
+        substrate: Any :class:`~repro.core.substrate.Substrate`
+            (Oscar, Chord, Mercury). Must hold
             at least one live peer (the engine assigns the initial
             population its sessions at construction).
         keys: Key distribution for arriving peers.
@@ -178,7 +177,7 @@ class SteadyStateChurnEngine:
 
     def __init__(
         self,
-        substrate: "Substrate",
+        substrate: Substrate,
         keys: KeyDistribution,
         degrees: DegreeDistribution,
         sessions: SessionTimes,
@@ -197,24 +196,18 @@ class SteadyStateChurnEngine:
             raise ConfigError(f"repair_every must be >= 1, got {repair_every}")
         if n_probes < 0:
             raise ConfigError(f"n_probes must be >= 0 (0 = one per live peer), got {n_probes}")
+        # The engine reads the base class's own storage — the link table
+        # of `state` for stale-link accounting, the contiguous `_next_id`
+        # join counter to identify each epoch's arrival cohort — so a
+        # look-alike that is not a Substrate is refused, not tracked
+        # silently wrong (stale_links=0 forever).
+        if not isinstance(substrate, Substrate):
+            raise ConfigError(
+                f"{type(substrate).__name__} is not a repro Substrate; "
+                "the churn engine cannot track its long links or arrival cohorts"
+            )
         if substrate.ring.live_count < 2:
             raise ConfigError("steady-state churn needs an overlay with >= 2 live peers")
-        # Fail fast on substrates the engine cannot observe: beyond the
-        # Substrate protocol it reads the link table of `state` for
-        # stale-link accounting, and the contiguous `_next_id` join
-        # counter to identify each epoch's arrival cohort. A silently
-        # unobservable substrate would report stale_links=0 forever —
-        # better to refuse it here.
-        if not isinstance(getattr(substrate, "state", None), SubstrateState):
-            raise ConfigError(
-                "substrate exposes no SubstrateState as '.state'; "
-                "the churn engine cannot track its long links"
-            )
-        if not hasattr(substrate, "_next_id"):
-            raise ConfigError(
-                "substrate has no '_next_id' join counter; the churn engine "
-                "cannot identify arrival cohorts"
-            )
         if membership is None:
             membership = OracleView(substrate.ring)
         elif membership.ring is not substrate.ring:
@@ -412,11 +405,12 @@ class SteadyStateChurnEngine:
     def _repair_links(self, e: int) -> int:
         """Periodic full repair: compact the dead, rewire the living.
 
-        Long-dead peers leave the ring for good in one bulk
-        ``remove_many`` pass (their per-substrate state dropped with
-        them), then every live peer rebuilds its long links through the
-        substrate's batched rewiring on the ``("steady-repair", e)``
-        stream. Returns how many peers were compacted away.
+        Long-dead peers leave the overlay for good in one bulk
+        :meth:`~repro.core.substrate.Substrate.retire` (ring slots and
+        per-substrate side state), then every live peer rebuilds its
+        long links through the substrate's batched rewiring on the
+        ``("steady-repair", e)`` stream. Returns how many peers were
+        compacted away.
         """
         ring = self.substrate.ring
         all_ids = ring.ids_array(live_only=False)
@@ -428,9 +422,9 @@ class SteadyStateChurnEngine:
             # (and keeps poisoning routes) until evicted. The view
             # drops its per-peer detector state first — ring slots get
             # recycled, and a recycled slot must not inherit counters.
-            self.membership.forget([int(i) for i in dead])
-            self._drop_state(dead)
-            ring.remove_many([int(i) for i in dead])
+            dead_ids = [int(i) for i in dead]
+            self.membership.forget(dead_ids)
+            self.substrate.retire(dead_ids)
         if ring.live_count >= 2:
             self.substrate.rewire_batch(
                 split(self.seed, "steady-repair", e), vectorized=self.vectorized
@@ -443,15 +437,6 @@ class SteadyStateChurnEngine:
             state.clear_links(slots)
             state.in_deg[slots] = 0
         return int(dead.size)
-
-    def _drop_state(self, dead: np.ndarray) -> None:
-        """Delete what a substrate keeps outside the ring's slots for
-        compacted peers (Chord's ``application_key``); slot-indexed
-        state dies with the ring slot."""
-        application_key = getattr(self.substrate, "application_key", None)
-        if application_key is not None:
-            for node_id in dead:
-                application_key.pop(int(node_id), None)
 
     def _probe(self, e: int) -> RouteStats:
         """Route this epoch's probe batch; returns its statistics.

@@ -224,9 +224,10 @@ def grow_and_measure(
         overlay.grow(size, keys, degrees)
         overlay.rewire(split(growth.seed, "rewire-round", size))
 
-        if hasattr(overlay, "in_cap_array"):
-            volume = volume_exploitation(overlay.in_degree_array(), overlay.in_cap_array())
-            ratios = relative_degree_load(overlay.in_degree_array(), overlay.in_cap_array())
+        in_caps = overlay.in_cap_array()
+        if in_caps.any():
+            volume = volume_exploitation(overlay.in_degree_array(), in_caps)
+            ratios = relative_degree_load(overlay.in_degree_array(), in_caps)
         else:  # cap-less substrate (Chord): volume is undefined
             volume = float("nan")
             ratios = np.empty(0, dtype=float)

@@ -1,35 +1,32 @@
 """The Mercury baseline overlay facade.
 
-Public surface mirrors :class:`~repro.core.overlay.OscarOverlay` (same
-join/grow/rewire/route/stat methods), so the experiment harness treats
-the two systems interchangeably. Only the *link selection machinery*
-differs — see :mod:`repro.mercury.construction`.
+Public surface is the shared :class:`~repro.core.substrate.Substrate`
+(the join/grow/rewire/route/stat methods of
+:class:`~repro.core.overlay.OscarOverlay`), so the experiment harness
+treats the two systems interchangeably. Only the *link selection
+machinery* differs — see :mod:`repro.mercury.construction`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ..config import MercuryConfig, RoutingConfig
-from ..degree import DegreeDistribution, assign_caps
-from ..errors import DuplicateNodeError, EmptyPopulationError, UnknownNodeError
-from ..ring import Ring, RingPointers, attach_node
-from ..ring import repair as repair_ring
-from ..routing import RouteResult, route_faulty, route_greedy
-from ..rng import split
+from ..core.soa import NodeTable
+from ..core.substrate import Substrate
 from ..types import Key, NodeId
-from ..workloads import KeyDistribution
-from ..core.soa import NodeTable, SubstrateState
 from .construction import acquire_links, build_histogram, rewire_all
 from .node import MercuryNode
 
 __all__ = ["MercuryOverlay"]
 
 
-class MercuryOverlay:
+class MercuryOverlay(Substrate):
     """A Mercury network under simulation (the paper's baseline)."""
+
+    _stream = "mercury-"
 
     def __init__(
         self,
@@ -37,203 +34,26 @@ class MercuryOverlay:
         seed: int = 42,
         routing: RoutingConfig | None = None,
     ) -> None:
+        super().__init__(seed, routing)
         self.config = config or MercuryConfig()
-        self.routing = routing or RoutingConfig()
-        self.seed = seed
-        self.state = SubstrateState()
-        self.ring = Ring(self.state)
-        self.pointers = RingPointers()
         self.nodes = NodeTable(self.state, MercuryNode._view)
-        self._next_id = 0
-        self._links_epoch = 0
-        self._join_rng = split(seed, "mercury-join")
-        self._rewire_rng = split(seed, "mercury-rewire")
-
-    # ------------------------------------------------------------------
-    # membership
-    # ------------------------------------------------------------------
 
     def join(self, position: Key, rho_max_in: int, rho_max_out: int) -> NodeId:
         """Add a peer: splice into the ring, sample a histogram, link up."""
-        node_id = self._next_id
-        self.ring.insert(node_id, position)
-        self._next_id += 1
-        slot = self.state.slot_of(node_id)
-        self.state.cap_in[slot] = int(rho_max_in)
-        self.state.cap_out[slot] = int(rho_max_out)
-        node = self.nodes[node_id]
-        attach_node(self.ring, self.pointers, node_id)
+        node_id = self._splice(position, rho_max_in, rho_max_out)
         if self.ring.live_count > 1:
+            node = self.nodes[node_id]
             node.histogram = build_histogram(self.ring, self.config, self._join_rng)
             node.samples_spent += self.config.sample_size
             acquire_links(self.ring, self.nodes, node, self.config, self._join_rng)
         return node_id
-
-    def grow(
-        self,
-        target_size: int,
-        keys: KeyDistribution,
-        degrees: DegreeDistribution,
-        paired_caps: bool = True,
-    ) -> None:
-        """Grow to ``target_size`` live peers by joins (same contract as
-        :meth:`OscarOverlay.grow <repro.core.overlay.OscarOverlay.grow>`)."""
-        current = self.ring.live_count
-        missing = target_size - current
-        if missing <= 0:
-            return
-        caps_in, caps_out = assign_caps(degrees, self._join_rng, missing, paired=paired_caps)
-        joined = 0
-        while joined < missing:
-            key = float(keys.sample(self._join_rng, 1)[0])
-            try:
-                self.join(key, int(caps_in[joined]), int(caps_out[joined]))
-            except DuplicateNodeError:
-                continue
-            joined += 1
-
-    def leave(self, node_id: NodeId, repair: bool = True) -> None:
-        """Remove a live peer (graceful departure; links left dangling).
-
-        Same contract as :meth:`OscarOverlay.leave
-        <repro.core.overlay.OscarOverlay.leave>`.
-        """
-        self.ring.mark_dead(node_id)
-        if repair:
-            self.repair_ring()
-
-    def leave_batch(self, node_ids: Sequence[NodeId], repair: bool = True) -> int:
-        """Scalar fallback of the bulk-departure surface (see
-        :meth:`Substrate.leave_batch
-        <repro.core.substrate.Substrate.leave_batch>`): mark every peer
-        dead, then one ring repair — identical end state to per-peer
-        :meth:`leave` calls, one stabilization pass instead of K.
-        Returns the pointer entries fixed (0 with ``repair=False``).
-        """
-        for node_id in node_ids:
-            self.ring.mark_dead(int(node_id))
-        return self.repair_ring() if repair else 0
-
-    # ------------------------------------------------------------------
-    # topology access (NeighborProvider)
-    # ------------------------------------------------------------------
-
-    def neighbors_of(self, node_id: NodeId) -> Sequence[NodeId]:
-        """Ring successor + predecessor + long links (dead links included)."""
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise UnknownNodeError(node_id)
-        out: list[NodeId] = []
-        succ = self.pointers.successor.get(node_id)
-        pred = self.pointers.predecessor.get(node_id)
-        if succ is not None and succ != node_id:
-            out.append(succ)
-        if pred is not None and pred != node_id and pred != succ:
-            out.append(pred)
-        out.extend(node.out_links)
-        return out
-
-    def random_live_node(self, rng: np.random.Generator | None = None) -> NodeId:
-        """A uniformly random live peer."""
-        ids = self.ring.ids_array(live_only=True)
-        if ids.size == 0:
-            raise EmptyPopulationError("overlay has no live peers")
-        generator = rng if rng is not None else self._join_rng
-        return int(ids[int(generator.integers(0, ids.size))])
-
-    # ------------------------------------------------------------------
-    # maintenance / routing / statistics (same surface as Oscar)
-    # ------------------------------------------------------------------
 
     def rewire(self, rng: np.random.Generator | None = None) -> int:
         """One global rewiring round; returns links placed."""
         self._links_epoch += 1
         return rewire_all(self, rng if rng is not None else self._rewire_rng)
 
-    def grow_batch(
-        self,
-        target_size: int,
-        keys: KeyDistribution,
-        degrees: DegreeDistribution,
-        paired_caps: bool = True,
-        vectorized: bool = True,
-    ) -> None:
-        """Scalar fallback of the batched-construction surface.
-
-        Mercury is the *baseline* whose construction cost the paper
-        argues against; vectorizing it would change what the comparison
-        measures, so the batched surface delegates to scalar
-        :meth:`grow` draw-for-draw (``vectorized`` is accepted for
-        surface uniformity and ignored).
-        """
-        del vectorized
-        return self.grow(target_size, keys, degrees, paired_caps=paired_caps)
-
-    def rewire_batch(
-        self, rng: np.random.Generator | None = None, vectorized: bool = True
-    ) -> int:
-        """Scalar fallback: delegates to :meth:`rewire` unchanged
-        (``vectorized`` accepted for surface uniformity, ignored)."""
-        del vectorized
-        return self.rewire(rng)
-
-    def repair_ring(self) -> int:
-        """Re-stabilize ring pointers after churn; returns pointers fixed."""
-        self._links_epoch += 1
-        return repair_ring(self.ring, self.pointers)
-
-    @property
-    def topology_version(self) -> tuple[int, int]:
-        """(membership version, link epoch) — batch-engine cache key."""
-        return (self.ring.version, self._links_epoch)
-
-    def route(
-        self,
-        source: NodeId,
-        target_key: Key,
-        faulty: bool = False,
-        record_path: bool = False,
-    ) -> RouteResult:
-        """Route one lookup (``faulty=True`` after crashes)."""
-        if faulty:
-            return route_faulty(
-                self.ring, self.pointers, self, source, target_key, self.routing, record_path
-            )
-        return route_greedy(
-            self.ring, self.pointers, self, source, target_key, self.routing, record_path
-        )
-
     def live_nodes(self) -> Iterable[MercuryNode]:
         """Live peers' states, in ring order."""
         for node_id in self.ring.node_ids(live_only=True):
             yield self.nodes[node_id]
-
-    def in_degree_array(self) -> np.ndarray:
-        """Long-link in-degrees of live peers (ring order)."""
-        return self.state.in_deg[self.ring.slots_array(live_only=True)].astype(np.int64)
-
-    def in_cap_array(self) -> np.ndarray:
-        """``rho_max_in`` of live peers (ring order)."""
-        return self.state.cap_in[self.ring.slots_array(live_only=True)].astype(np.int64)
-
-    def out_degree_array(self) -> np.ndarray:
-        """Long-link out-degrees of live peers (ring order)."""
-        return self.state.out_count[self.ring.slots_array(live_only=True)].astype(np.int64)
-
-    def out_cap_array(self) -> np.ndarray:
-        """``rho_max_out`` of live peers (ring order)."""
-        return self.state.cap_out[self.ring.slots_array(live_only=True)].astype(np.int64)
-
-    @property
-    def size(self) -> int:
-        """Number of currently live peers (the :class:`Substrate` surface)."""
-        return self.ring.live_count
-
-    def __len__(self) -> int:
-        return self.ring.live_count
-
-    def __repr__(self) -> str:
-        return (
-            f"MercuryOverlay(live={self.ring.live_count}, total={len(self.ring)}, "
-            f"config={self.config!r})"
-        )
