@@ -33,6 +33,7 @@ import argparse
 import json
 import operator
 import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -42,7 +43,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.engine.resources import max_rss_mb  # noqa: E402
 from repro.experiments import Runner  # noqa: E402
 
 SCHEMA_VERSION = 1
@@ -58,6 +58,18 @@ OPS = {
     ">=": operator.ge,
     ">": operator.gt,
 }
+
+
+def max_rss_mb() -> float:
+    """Peak resident set size of this process, in MiB (a high-water mark).
+
+    ``getrusage`` reports ``ru_maxrss`` in KiB on Linux and in bytes on
+    macOS; both are normalized here.
+    """
+    peak = float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    if sys.platform == "darwin":  # pragma: no cover - platform dependent
+        return peak / (1024.0 * 1024.0)
+    return peak / 1024.0
 
 
 class Row(NamedTuple):

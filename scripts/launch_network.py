@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.config import OscarConfig, SamplingMode  # noqa: E402
 from repro.degree import ConstantDegrees  # noqa: E402
-from repro.net import NetHarness, have_msgpack  # noqa: E402
+from repro.net import NetConfig, NetHarness, have_msgpack  # noqa: E402
 from repro.workloads import UniformKeys  # noqa: E402
 
 
@@ -49,11 +49,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     mode = SamplingMode.WALK if args.walk else SamplingMode.UNIFORM
-    config = OscarConfig(sampling_mode=mode)
+    config = NetConfig(
+        overlay=OscarConfig(sampling_mode=mode),
+        seed=args.seed,
+        transport="tcp",
+        codec=args.codec,
+    )
     started = time.perf_counter()
-    with NetHarness(
-        config, seed=args.seed, transport="tcp", codec=args.codec
-    ) as harness:
+    with NetHarness(config) as harness:
         harness.build(args.peers, UniformKeys(), ConstantDegrees(args.cap))
         build_seconds = time.perf_counter() - started
         success, mean_hops = harness.route_check(args.probes)

@@ -12,12 +12,10 @@ Layout:
 * :mod:`~repro.analysis.core` — Finding/Rule/Analyzer engine + registry
 * :mod:`~repro.analysis.rules` — the six project rules (RNG001 ... DOC001)
 * :mod:`~repro.analysis.suppressions` — ``# repro: allow[CODE]`` sheets
-* :mod:`~repro.analysis.baseline` — committed grandfathered findings
-* :mod:`~repro.analysis.reporters` — text / ``repro-lint/1`` JSON output
+* :mod:`~repro.analysis.reporters` — text / ``repro-lint/2`` JSON output
 * :mod:`~repro.analysis.run` — orchestration + the ``repro lint`` argv entry
 """
 
-from .baseline import BASELINE_CODE, Baseline, BaselineEntry
 from .core import (
     Analyzer,
     Finding,
@@ -35,9 +33,6 @@ from .suppressions import SUPPRESSION_CODE, SuppressionSheet
 
 __all__ = [
     "Analyzer",
-    "Baseline",
-    "BaselineEntry",
-    "BASELINE_CODE",
     "Finding",
     "JSON_SCHEMA",
     "ModuleContext",

@@ -1,18 +1,12 @@
 """The analyzer engine: one AST walk per module, rules as visitors.
 
 The framework is deliberately small. A :class:`Rule` declares a stable
-``code`` (``RNG001``-style — reporters, suppressions and the baseline
-all key on it) and implements ``visit_<NodeType>`` hooks; the
+``code`` (``RNG001``-style — reporters and suppressions key on it) and
+implements ``visit_<NodeType>`` hooks; the
 :class:`Analyzer` parses each module once, walks its AST once, and
 dispatches every node to every applicable rule, tracking the enclosing
 class/function scope so rules can whitelist known-scalar reference
 paths without re-walking anything.
-
-Findings are plain value objects carrying a *fingerprint* — the
-stripped source line they anchor to — so the committed baseline
-(:mod:`repro.analysis.baseline`) survives unrelated line-number drift:
-moving a grandfathered violation does not invalidate its entry,
-editing the offending line does.
 
 The rule registry is module-global and populated by
 :mod:`repro.analysis.rules` at import time; :func:`all_rules` /
@@ -24,7 +18,7 @@ at the CLI boundary, exit 2 — the PR 4/5 convention).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -50,14 +44,11 @@ class Finding:
 
     Attributes:
         path: Posix-style path of the module, as given to the analyzer
-            (repo-relative when linting from the repo root — the form
-            the committed baseline stores).
+            (repo-relative when linting from the repo root).
         line: 1-based line of the offending node.
         col: 0-based column of the offending node.
         code: The stable rule code (``RNG001`` ...).
         message: Human-readable description of the violation.
-        fingerprint: The stripped source text of ``line`` — the
-            line-number-independent identity the baseline matches on.
     """
 
     path: str
@@ -65,21 +56,19 @@ class Finding:
     col: int
     code: str
     message: str
-    fingerprint: str = field(compare=False, default="")
 
     def location(self) -> str:
         """``path:line:col`` — the reporter prefix."""
         return f"{self.path}:{self.line}:{self.col}"
 
     def as_dict(self) -> dict[str, object]:
-        """JSON-ready view (the ``repro-lint/1`` finding schema)."""
+        """JSON-ready view (the ``repro-lint/2`` finding schema)."""
         return {
             "path": self.path,
             "line": self.line,
             "col": self.col,
             "code": self.code,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -91,21 +80,13 @@ class ModuleContext:
         posix: ``path`` with forward slashes — what rules match their
             scope patterns against (e.g. ``"repro/engine/churn.py" in
             ctx.posix``).
-        lines: Raw source lines (1-based access via :meth:`line_text`).
         tree: The parsed ``ast.Module``.
     """
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
         self.posix = path.replace("\\", "/")
-        self.lines = source.splitlines()
         self.tree = tree
-
-    def line_text(self, line: int) -> str:
-        """The stripped text of 1-based ``line`` ('' when out of range)."""
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
 
     def finding(self, code: str, node: ast.AST | int, message: str) -> Finding:
         """Build a :class:`Finding` anchored at ``node`` (or a line no)."""
@@ -114,14 +95,7 @@ class ModuleContext:
         else:
             line = int(getattr(node, "lineno", 1))
             col = int(getattr(node, "col_offset", 0))
-        return Finding(
-            path=self.path,
-            line=line,
-            col=col,
-            code=code,
-            message=message,
-            fingerprint=self.line_text(line),
-        )
+        return Finding(path=self.path, line=line, col=col, code=code, message=message)
 
 
 class Rule:
@@ -137,7 +111,7 @@ class Rule:
 
     Attributes:
         code: Stable identifier — never renumber; retired codes stay
-            reserved (suppressions and baselines reference them).
+            reserved (suppressions reference them).
         name: Short kebab-case slug used by reporters.
         description: One-line summary shown by ``repro lint --list-rules``.
     """
@@ -167,7 +141,7 @@ def register_rule(rule_cls: type[Rule]) -> type[Rule]:
 
     Codes are unique forever: re-registering an existing code raises
     (a second rule silently shadowing RNG001 would corrupt every
-    suppression and baseline referencing it).
+    suppression referencing it).
     """
     code = rule_cls.code
     if not code or not code[0].isalpha():
@@ -294,7 +268,7 @@ class Analyzer:
 
     def analyze_file(self, path: Path, report_as: str | None = None) -> list[Finding]:
         """Analyze one file on disk (``report_as`` overrides the path
-        string findings carry — used to keep baseline paths stable)."""
+        string findings carry — repo-relative in ``repro lint`` reports)."""
         source = path.read_text(encoding="utf-8")
         return self.analyze_source(report_as or path.as_posix(), source)
 
@@ -317,8 +291,3 @@ class Analyzer:
             self._walk(ctx, child, rules, findings)
         if scoped:
             self.scope.pop()
-
-
-def relocate(finding: Finding, path: str) -> Finding:
-    """A copy of ``finding`` reported under a different path string."""
-    return replace(finding, path=path)

@@ -4,10 +4,9 @@ Two formats, both deterministic for identical inputs:
 
 * **text** — one ``path:line:col CODE message`` line per finding (the
   grep/editor-jump format), followed by a one-line summary including
-  how many findings were silenced by suppressions and by the baseline,
-  so a "clean" run still shows how much grandfathered debt it is
-  standing on.
-* **json** — the ``repro-lint/1`` schema consumed by the CI
+  how many findings were silenced by suppressions, so a "clean" run
+  still shows how much waived debt it is standing on.
+* **json** — the ``repro-lint/2`` schema consumed by the CI
   ``static-analysis`` job (uploaded as an artifact). Stable keys,
   sorted findings, counts per rule code.
 """
@@ -22,7 +21,7 @@ from .core import Finding
 __all__ = ["RunResult", "render_text", "render_json", "JSON_SCHEMA"]
 
 #: Schema tag stamped into every JSON report.
-JSON_SCHEMA = "repro-lint/1"
+JSON_SCHEMA = "repro-lint/2"
 
 
 @dataclass
@@ -30,17 +29,14 @@ class RunResult:
     """The outcome of one lint run, pre-rendering.
 
     Attributes:
-        findings: Surviving findings (post-suppression, post-baseline),
-            sorted.
+        findings: Surviving findings (post-suppression), sorted.
         files_checked: How many modules were analyzed.
         suppressed: Findings silenced by ``# repro: allow[...]``.
-        baselined: Findings matched by committed baseline entries.
     """
 
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def clean(self) -> bool:
@@ -64,28 +60,26 @@ def render_text(result: RunResult) -> str:
     if result.clean:
         summary = (
             f"ok: {result.files_checked} {noun} checked, 0 findings "
-            f"({result.suppressed} suppressed, {result.baselined} baselined)"
+            f"({result.suppressed} suppressed)"
         )
     else:
         per_code = ", ".join(f"{code}×{n}" for code, n in result.counts().items())
         summary = (
             f"FAIL: {len(result.findings)} finding(s) [{per_code}] in "
-            f"{result.files_checked} {noun} "
-            f"({result.suppressed} suppressed, {result.baselined} baselined)"
+            f"{result.files_checked} {noun} ({result.suppressed} suppressed)"
         )
     lines.append(summary)
     return "\n".join(lines)
 
 
 def render_json(result: RunResult) -> str:
-    """The machine format (``repro-lint/1``), for the CI artifact."""
+    """The machine format (``repro-lint/2``), for the CI artifact."""
     payload = {
         "schema": JSON_SCHEMA,
         "clean": result.clean,
         "files_checked": result.files_checked,
         "counts": result.counts(),
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "findings": [finding.as_dict() for finding in result.findings],
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"

@@ -25,9 +25,7 @@ CACHE001  cache-version-guard         version-keyed cache state (``*_cache``)
 ========  ==========================  =============================================
 
 Scope notes live on each rule; per-line escapes are
-``# repro: allow[CODE]`` (:mod:`repro.analysis.suppressions`) and
-grandfathered findings live in the committed baseline
-(:mod:`repro.analysis.baseline`).
+``# repro: allow[CODE]`` (:mod:`repro.analysis.suppressions`).
 """
 
 from __future__ import annotations

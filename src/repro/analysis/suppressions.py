@@ -14,8 +14,7 @@ Design rules:
   that line (the violation was fixed, the code moved, the code was
   mistyped), the analyzer emits :data:`SUPPRESSION_CODE` instead of
   silently carrying the stale comment forward. ``SUP001`` findings are
-  themselves unsuppressible and unbaselineable — they always fail the
-  run.
+  themselves unsuppressible — they always fail the run.
 * **Malformed directives error too.** ``# repro: allow`` spelled with a
   typo (``alow``, missing brackets, empty brackets) is reported rather
   than ignored; a directive the author believes is active must never be
@@ -32,7 +31,7 @@ from typing import Iterator
 __all__ = ["SUPPRESSION_CODE", "SuppressionSheet"]
 
 #: The framework code unused/malformed suppressions are reported under.
-#: Not suppressible, not baselineable.
+#: Not suppressible.
 SUPPRESSION_CODE = "SUP001"
 
 #: A well-formed directive comment: ``allow[CODE]`` or ``allow[A,B]``

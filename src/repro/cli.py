@@ -8,7 +8,7 @@ Subcommands::
     list    the spec registry — the single source of truth
     report  regenerate EXPERIMENTS.md from stored artifacts
     lint    static analysis of the determinism / SoA contracts
-            (rule codes, suppressions and baseline: docs/determinism.md)
+            (rule codes and suppressions: docs/determinism.md)
 
 Examples::
 

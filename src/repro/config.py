@@ -79,8 +79,6 @@ class OscarConfig:
         link_retries: How many times a peer redraws (partition, candidate)
             after all candidates of a draw refused before giving up on that
             out-link slot.
-        respect_out_caps: Whether peers stop at ``rho_max_out`` links
-            (always true in the paper; exposed for ablations).
     """
 
     n_partitions: int = 0
@@ -89,7 +87,6 @@ class OscarConfig:
     walk_hops: int = 8
     power_of_two: bool = True
     link_retries: int = 8
-    respect_out_caps: bool = True
 
     def __post_init__(self) -> None:
         _require(self.n_partitions >= 0, f"n_partitions must be >= 0, got {self.n_partitions}")

@@ -113,7 +113,7 @@ def acquire_links(
     table = node.partitions
     if table is None:
         raise ValueError(f"node {node.node_id} has no partition table yet")
-    target = node.rho_max_out if config.respect_out_caps else max(node.rho_max_out, 1)
+    target = node.rho_max_out
     existing = set(node.out_links)
 
     while len(node.out_links) < target:

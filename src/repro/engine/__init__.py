@@ -1,8 +1,7 @@
 """Execution engines: batched operations over whole populations.
 
-Four engines and the one routing kernel they share live here (plus the
-process-RSS gates of :mod:`repro.engine.resources`). Time is lock-step
-**epochs**; there is no event scheduler:
+Four engines and the one routing kernel they share live here. Time is
+lock-step **epochs**; there is no event scheduler:
 
 * the greedy-walk kernel (:mod:`repro.engine.walk`) —
   ``greedy_walk`` advances a whole query batch one hop per iteration
@@ -36,7 +35,6 @@ process-RSS gates of :mod:`repro.engine.resources`). Time is lock-step
 from .batch import BatchQueryEngine, BatchRouteResult, TopologySnapshot
 from .churn import ChurnEpochStats, SteadyStateChurnEngine
 from .construct import BatchConstructionEngine, LiveView
-from .resources import check_rss_ceiling, max_rss_mb
 from .serve import ResultCache, ServeBatchResult, ServeEngine, ServeSnapshot
 
 __all__ = [
@@ -51,6 +49,4 @@ __all__ = [
     "ServeSnapshot",
     "SteadyStateChurnEngine",
     "TopologySnapshot",
-    "check_rss_ceiling",
-    "max_rss_mb",
 ]

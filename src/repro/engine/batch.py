@@ -205,15 +205,13 @@ class BatchQueryEngine:
     membership or links changed.
 
     Args:
-        substrate: Any overlay satisfying the
-            :class:`~repro.core.substrate.Substrate` protocol.
+        substrate: Any :class:`~repro.core.substrate.Substrate`.
         routing: Router cost model; defaults to the substrate's own
             ``routing`` config so engine-measured budgets match scalar
             routing.
         vectorized: ``True`` measures through :meth:`route_batch`;
             ``False`` through the scalar ``substrate.route`` reference
-            (same RNG draws, same statistics) — the only path for
-            overlays that are not full substrates.
+            (same RNG draws, same statistics).
     """
 
     def __init__(
@@ -223,7 +221,7 @@ class BatchQueryEngine:
         vectorized: bool = True,
     ) -> None:
         self.substrate = substrate
-        self.routing = routing or getattr(substrate, "routing", None) or RoutingConfig()
+        self.routing = routing or substrate.routing
         self.vectorized = bool(vectorized)
         self._route_cache: TopologySnapshot | None = None
 

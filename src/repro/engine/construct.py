@@ -631,8 +631,7 @@ class BatchConstructionEngine:
         req_slots = view.slots[rows]
         rho_in = state.cap_in[view.slots].astype(np.int64)
         in_deg = state.in_deg[view.slots].astype(np.int64)
-        rho_out = state.cap_out[req_slots].astype(np.int64)
-        target = rho_out if config.respect_out_caps else np.maximum(rho_out, 1)
+        target = state.cap_out[req_slots].astype(np.int64)
         out_count = state.out_count[req_slots].astype(np.int64)
         n_cand = 2 if config.power_of_two else 1
 

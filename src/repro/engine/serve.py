@@ -304,7 +304,7 @@ class ServeEngine:
         return (
             self.substrate.topology_version,
             self.store.data_version,
-            int(getattr(self.membership, "evictions", 0)),
+            self.membership.evictions,
         )
 
     def serve_snapshot(self) -> ServeSnapshot:

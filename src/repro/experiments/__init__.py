@@ -17,8 +17,6 @@ Typical use::
     print(record.result.render(), record.cached)
 """
 
-from typing import Callable
-
 # Importing the experiment modules populates the spec registry.
 from . import (  # noqa: F401
     ablations,
@@ -56,7 +54,6 @@ from .spec import (
 from .store import ArtifactStore, StoredRun, artifact_key
 
 __all__ = [
-    "EXPERIMENTS",
     "ArtifactStore",
     "ExperimentResult",
     "ExperimentSpec",
@@ -76,22 +73,5 @@ __all__ = [
     "grow_and_measure",
     "make_overlay",
     "register_sweep",
-    "run_experiment",
     "scaled_sizes",
 ]
-
-#: Back-compat view of the registry: spec id -> run callable. Prefer
-#: :class:`Runner` (validation, caching, parallelism) for new code.
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    spec.id: spec.fn for spec in all_specs() if spec.standalone
-}
-
-
-def run_experiment(name: str, scale: float = 1.0, seed: int = 42, **kwargs: object) -> ExperimentResult:
-    """Run an experiment by registry name (thin wrapper over the spec).
-
-    Kept for API stability; equivalent to ``get_spec(name).run(...)``.
-    """
-    result = get_spec(name).run(scale=scale, seed=seed, **kwargs)
-    assert isinstance(result, ExperimentResult)
-    return result

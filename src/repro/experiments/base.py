@@ -8,7 +8,7 @@ EXPERIMENTS.md to be regenerated mechanically.
 
 ``scale`` shrinks the paper-sized workload proportionally (network
 sizes, query counts) so the same code path serves full reproductions,
-CI smoke runs and pytest benchmarks.
+CI smoke runs and the tier-1 tests.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .. import degree, workloads
 from ..config import OscarConfig
 from ..core.overlay import OscarOverlay
 from ..engine.construct import BatchConstructionEngine, LiveView
-from ..net import NetHarness
+from ..net import NetConfig, NetHarness
 from .base import ExperimentResult, scaled_sizes
 from .runner import Stopwatch
 from .spec import experiment
@@ -87,7 +87,7 @@ def run(
         lock_size, seed, key_distribution, degree_distribution
     )
     watch = Stopwatch()
-    with NetHarness(OscarConfig(), seed=seed, lockstep=True) as locked:
+    with NetHarness(NetConfig(seed=seed, lockstep=True)) as locked:
         net_stats = locked.build(lock_size, key_distribution, degree_distribution)
         lock_seconds = watch.lap()
         mismatches = sum(
@@ -106,7 +106,7 @@ def run(
 
     # Free half: adversarial delivery, invariant-level checks.
     watch = Stopwatch()
-    with NetHarness(OscarConfig(), seed=seed, delivery="random") as free:
+    with NetHarness(NetConfig(seed=seed, delivery="random")) as free:
         free.build(open_size, key_distribution, degree_distribution)
         free.rewire()
         free_seconds = watch.lap()

@@ -168,9 +168,8 @@ class ExperimentSpec:
         """Whether this spec is a canonical record on its own.
 
         Scenario-tagged specs are sweep building blocks: one grid point
-        is not a paper artifact, so ``repro all``, ``repro report`` and
-        the back-compat ``EXPERIMENTS`` view all exclude them through
-        this one property.
+        is not a paper artifact, so ``repro all`` and ``repro report``
+        both exclude them through this one property.
         """
         return "scenario" not in self.tags
 

@@ -78,7 +78,9 @@ class ArtifactStore:
         """Write one artifact (atomically via a temp file) and return it."""
         key = artifact_key(spec_id, params)
         canonical_params = jsonify(dict(params))
-        created = time.time()
+        # Artifact provenance timestamp in the store metadata, never read
+        # back into simulation state.
+        created = time.time()  # repro: allow[CLK001] provenance only
         payload = {
             "format": _FORMAT,
             "spec": spec_id,

@@ -1,7 +1,7 @@
 """Failure detection and gossip membership — probe-derived liveness.
 
 The package behind the liveness API redesign: one
-:class:`~repro.membership.views.MembershipView` protocol is the only
+:class:`~repro.membership.views.MembershipView` base class is the only
 surface engines and the net runtime use to learn who is alive.
 :class:`~repro.membership.views.OracleView` preserves the historical
 omniscient behavior bit-for-bit; :class:`~repro.membership.probe

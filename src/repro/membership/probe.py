@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ..errors import ConfigError, EmptyPopulationError
+from ..errors import ConfigError
 from ..protocol.messages import Pong
 from ..rng import split
 from ..types import NodeId
@@ -44,6 +44,7 @@ from .config import DetectorConfig
 from .detector import FailureDetector
 from .gossip import GossipMembership
 from .vectorized import VectorizedDetectorBank
+from .views import MembershipView
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from ..ring import Ring
@@ -199,7 +200,7 @@ class ScalarDetectorBank:
         return out
 
 
-class ProbeView:
+class ProbeView(MembershipView):
     """Probe-derived liveness over a :class:`~repro.ring.ring.Ring`.
 
     Args:
@@ -229,7 +230,7 @@ class ProbeView:
         seed: int = 0,
         backend: str = "vectorized",
     ) -> None:
-        self.ring = ring
+        super().__init__(ring)
         self.config = config or DetectorConfig()
         self.seed = int(seed)
         if backend == "vectorized":
@@ -283,28 +284,16 @@ class ProbeView:
         return int(self._believed()[0].size)
 
     # -- failure injection (ground truth) ------------------------------
-
-    def crash(self, node_ids: "Iterable[NodeId]") -> list[NodeId]:
-        """Ground-truth kill; the view keeps believing the victims
-        alive until their panels vote them out. Returns changed ids."""
-        crashed: list[NodeId] = []
-        for node_id in node_ids:
-            node_id = int(node_id)
-            if self.ring.is_alive(node_id):
-                self.ring.mark_dead(node_id)
-                crashed.append(node_id)
-        return crashed
+    # ``crash`` / ``crash_fraction`` are the base's: the view keeps
+    # believing the victims alive until their panels vote them out.
 
     def revive(self, node_ids: "Iterable[NodeId]") -> list[NodeId]:
         """Ground-truth revive; also restores belief (an evicted peer
         that comes back re-enters the believed set with fresh detector
         state and may be reported dead again later)."""
-        revived: list[NodeId] = []
-        for node_id in node_ids:
-            node_id = int(node_id)
-            if not self.ring.is_alive(node_id):
-                self.ring.mark_alive(node_id)
-                revived.append(node_id)
+        ids = [int(n) for n in node_ids]
+        revived = super().revive(ids)
+        for node_id in ids:
             self._believed_dead.discard(node_id)
             self._death_epoch.pop(node_id, None)
             self._gossip.cancel(node_id)
@@ -313,21 +302,6 @@ class ProbeView:
             slots = self.ring.state.slots_of(arr)
             self._bank.forget(revived, slots[slots >= 0])
         return revived
-
-    def crash_fraction(self, rng: np.random.Generator, fraction: float) -> list[NodeId]:
-        """Kill ``fraction`` of the truth-live population, uniformly —
-        identical draw layout and guards as :meth:`OracleView
-        .crash_fraction <repro.membership.views.OracleView.crash_fraction>`."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        live = self.ring.ids_array(live_only=True)
-        if live.size == 0:
-            raise EmptyPopulationError("no live peers to crash")
-        n_victims = min(int(fraction * live.size), live.size - 1)
-        if n_victims <= 0:
-            return []
-        victims = rng.choice(live, size=n_victims, replace=False)
-        return self.crash(victims)
 
     # -- knowledge acquisition -----------------------------------------
 

@@ -21,6 +21,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from ..config import RoutingConfig
 from ..core.substrate import Substrate
 from ..engine.batch import BatchQueryEngine
 from ..ring import Ring
@@ -65,11 +66,15 @@ def measure_search_cost(
             is constructed on the fly when omitted. Must wrap the same
             ``overlay`` being measured.
     """
-    if engine is None:
-        # A bare ``ring`` + ``route`` overlay is measured one query at a time.
+    if engine is None and isinstance(overlay, Substrate):
+        engine = BatchQueryEngine(overlay)
+    elif engine is None:
+        # A bare ``ring`` + ``route`` overlay is measured one query at a
+        # time; that path never reads the router cost model.
         engine = BatchQueryEngine(
             overlay,  # type: ignore[arg-type]
-            vectorized=isinstance(overlay, Substrate),
+            RoutingConfig(),
+            vectorized=False,
         )
     elif engine.substrate is not overlay:
         raise ValueError("engine wraps a different overlay than the one being measured")

@@ -1,14 +1,12 @@
 """The net runtime's configuration surface, validated once.
 
-:class:`NetConfig` replaces the loose keyword soup
-``NetHarness(config, seed=..., lockstep=..., delivery=..., ...)`` with
-one frozen dataclass validated eagerly at construction with
-:class:`~repro.errors.ConfigError` — the same
-fail-at-the-boundary convention as :class:`~repro.config.OscarConfig`
-and :class:`~repro.membership.config.DetectorConfig`. The legacy
-keyword form still works (:class:`~repro.net.harness.NetHarness`
-assembles a ``NetConfig`` from it), so the two spellings cannot drift:
-every combination is vetted by the same ``__post_init__``.
+:class:`NetConfig` is the one argument of
+:class:`~repro.net.harness.NetHarness`: a frozen dataclass validated
+eagerly at construction with :class:`~repro.errors.ConfigError` — the
+same fail-at-the-boundary convention as
+:class:`~repro.config.OscarConfig` and
+:class:`~repro.membership.config.DetectorConfig` — so every knob
+combination is vetted by one ``__post_init__``.
 
 The interesting cross-field rules, and why:
 

@@ -41,9 +41,6 @@ the loop across calls) so the test suite needs no asyncio plugin::
     stats = harness.build(500, UniformKeys(), ConstantDegrees(4))
     success, hops = harness.route_check(200)
     harness.close()
-
-(The legacy keyword spelling ``NetHarness(OscarConfig(), seed=7,
-lockstep=True)`` still works — it assembles the same ``NetConfig``.)
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import OscarConfig
 from ..core.construction import LinkAcquisitionStats
 from ..degree import DegreeDistribution, assign_caps
 from ..errors import ConfigError, SimulationError
@@ -119,67 +115,20 @@ class NetHarness:
     """Seed-side driver: boot peers, build, rewire, probe, extract.
 
     Args:
-        config: A :class:`~repro.net.config.NetConfig` carrying every
-            knob (the redesigned surface), or — legacy spelling — the
-            bare :class:`~repro.config.OscarConfig`, with the remaining
-            knobs as keywords. Both forms are validated by
-            ``NetConfig`` with :class:`~repro.errors.ConfigError`.
-        seed / lockstep / delivery / transport / codec: Legacy keyword
-            knobs; forbidden when ``config`` is already a ``NetConfig``
-            (one source of truth — see :class:`NetConfig` for their
-            meaning).
+        config: The :class:`~repro.net.config.NetConfig` carrying every
+            knob, validated there with
+            :class:`~repro.errors.ConfigError`.
     """
 
-    _KW_DEFAULTS = {
-        "seed": 0,
-        "lockstep": False,
-        "delivery": None,
-        "transport": "memory",
-        "codec": "json",
-    }
-
-    def __init__(
-        self,
-        config: NetConfig | OscarConfig | None = None,
-        *,
-        seed: int = 0,
-        lockstep: bool = False,
-        delivery: str | None = None,
-        transport: str = "memory",
-        codec: str = "json",
-    ) -> None:
-        if isinstance(config, NetConfig):
-            passed = {
-                "seed": seed,
-                "lockstep": lockstep,
-                "delivery": delivery,
-                "transport": transport,
-                "codec": codec,
-            }
-            overrides = [k for k, v in passed.items() if v != self._KW_DEFAULTS[k]]
-            if overrides:
-                raise ConfigError(
-                    "knobs must live inside the NetConfig, not ride along as "
-                    f"keywords; got both a NetConfig and {overrides}"
-                )
-            net_config = config
-        else:
-            net_config = NetConfig(
-                overlay=config or OscarConfig(),
-                seed=int(seed),
-                lockstep=bool(lockstep),
-                delivery=delivery,
-                transport=transport,
-                codec=codec,
-            )
-        self.net_config = net_config
-        self.config = net_config.overlay
-        self.seed = net_config.seed
-        self.lockstep = net_config.lockstep
-        self.transport_kind = net_config.transport
-        self.delivery = net_config.resolved_delivery
-        self.codec_name = net_config.codec
-        self.detector_config = net_config.detector
+    def __init__(self, config: NetConfig = NetConfig()) -> None:
+        self.net_config = config
+        self.config = config.overlay
+        self.seed = config.seed
+        self.lockstep = config.lockstep
+        self.transport_kind = config.transport
+        self.delivery = config.resolved_delivery
+        self.codec_name = config.codec
+        self.detector_config = config.detector
         self.nodes: list[NetNode] = []
         self.directory: Directory | None = None
         self.stats = LinkAcquisitionStats()
@@ -570,8 +519,6 @@ class NetHarness:
         # requester per round; the same retry/fill bookkeeping as
         # BatchConstructionEngine._acquire over the peers' reports.
         target = np.asarray([self.nodes[i].cap_out for i in ids], dtype=np.int64)
-        if not config.respect_out_caps:
-            target = np.maximum(target, 1)
         n_cand = 2 if config.power_of_two else 1
         out_count = np.zeros(n, dtype=np.int64)
         slot_attempts = np.zeros(n, dtype=np.int64)

@@ -403,7 +403,6 @@ class NetNode:
             rho_max_out=self.cap_out,
             link_retries=self.config.link_retries,
             power_of_two=self.config.power_of_two,
-            respect_out_caps=self.config.respect_out_caps,
             walk_mode=self.config.sampling_mode is SamplingMode.WALK,
             walk_hops=self.config.walk_hops,
         )

@@ -107,7 +107,6 @@ class JoinProtocol:
         rho_max_out: int,
         link_retries: int,
         power_of_two: bool = True,
-        respect_out_caps: bool = True,
         walk_mode: bool = False,
         walk_hops: int = 8,
         priority: int = 0,
@@ -119,7 +118,7 @@ class JoinProtocol:
         self.rng = rng
         self.k = int(k)
         self.sample_size = int(sample_size)
-        self.target = int(rho_max_out) if respect_out_caps else max(int(rho_max_out), 1)
+        self.target = int(rho_max_out)
         self.link_retries = int(link_retries)
         self.n_candidates = 2 if power_of_two else 1
         self.walk_mode = bool(walk_mode)

@@ -251,10 +251,6 @@ class Ring:
         idx = int(np.searchsorted(positions, key, side="left"))
         return int(ids[idx % ids.size])
 
-    def responsible_for(self, key: float, live_only: bool = True) -> NodeId:
-        """Alias of :meth:`successor_of_key` — the data-placement rule."""
-        return self.successor_of_key(key, live_only)
-
     def successor(self, node_id: NodeId, live_only: bool = True) -> NodeId:
         """The next peer clockwise after ``node_id`` (never itself, unless
         it is the only peer in scope)."""

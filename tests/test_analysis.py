@@ -17,9 +17,6 @@ import pytest
 
 from repro.analysis import (
     Analyzer,
-    Baseline,
-    BaselineEntry,
-    BASELINE_CODE,
     JSON_SCHEMA,
     RunResult,
     SUPPRESSION_CODE,
@@ -67,7 +64,7 @@ class TestFramework:
         findings = lint("def broken(:\n")
         assert codes_of(findings) == ["PARSE"]
 
-    def test_findings_sort_and_carry_fingerprints(self):
+    def test_findings_sort_by_location(self):
         findings = lint(
             """
             import time
@@ -79,7 +76,6 @@ class TestFramework:
         )
         assert codes_of(findings) == ["CLK001", "CLK001"]
         assert findings[0].line < findings[1].line
-        assert findings[0].fingerprint == "a = time.time()"
         assert findings[0].location().startswith(PLAIN_PATH)
 
 
@@ -95,7 +91,7 @@ class TestSuppressions:
             """
         )
         assert codes_of(findings) == ["CLK001"]
-        assert findings[0].fingerprint == "b = time.time()"
+        assert findings[0].line == 6  # the un-waived `b = time.time()`
 
     def test_unused_suppression_is_its_own_finding(self):
         findings = lint("x = 1  # repro: allow[CLK001]\n")
@@ -128,76 +124,6 @@ class TestSuppressions:
     def test_sup001_itself_cannot_be_suppressed(self):
         findings = lint("x = 1  # repro: allow[SUP001]\n")
         assert codes_of(findings) == [SUPPRESSION_CODE]
-
-
-class TestBaseline:
-    def entry(self, **kw):
-        base = dict(
-            code="CLK001",
-            path="src/m.py",
-            fingerprint="a = time.time()",
-            justification="known timestamp",
-        )
-        base.update(kw)
-        return BaselineEntry(**base)
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        Baseline([self.entry()]).write(path)
-        loaded = Baseline.load(path)
-        assert [e.key() for e in loaded.entries] == [self.entry().key()]
-
-    def test_match_consumes_multiset_style(self):
-        findings = lint(
-            """
-            import time
-
-            def f():
-                a = time.time()
-                b = time.time()
-            """,
-            path="src/m.py",
-        )
-        # Different fingerprints -> one entry matches only its line.
-        baseline = Baseline([self.entry()])
-        assert baseline.match(findings[0])
-        assert not baseline.match(findings[1])
-        assert baseline.stale() == []
-
-    def test_stale_entry_becomes_base001(self):
-        baseline = Baseline([self.entry(fingerprint="gone = time.time()")])
-        stale = baseline.stale()
-        assert codes_of(stale) == [BASELINE_CODE]
-        assert "stale baseline entry" in stale[0].message
-
-    def test_load_rejects_todo_placeholder(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        Baseline([self.entry(justification="TODO: justify")]).write(path)
-        with pytest.raises(ConfigError, match="TODO"):
-            Baseline.load(path)
-
-    def test_load_rejects_missing_fields_and_bad_schema(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"schema": "other/1", "entries": []}')
-        with pytest.raises(ConfigError, match="schema"):
-            Baseline.load(path)
-        path.write_text(
-            '{"schema": "repro-lint-baseline/1", "entries": [{"code": "CLK001"}]}'
-        )
-        with pytest.raises(ConfigError, match="missing"):
-            Baseline.load(path)
-
-    def test_from_findings_preserves_old_justifications(self):
-        findings = lint("import time\n\n\ndef f():\n    return time.time()\n", path="src/m.py")
-        previous = Baseline(
-            [
-                self.entry(
-                    fingerprint="return time.time()", justification="the real reason"
-                )
-            ]
-        )
-        rebuilt = Baseline.from_findings(findings, previous)
-        assert [e.justification for e in rebuilt.entries] == ["the real reason"]
 
 
 class TestRngDiscipline:
@@ -603,13 +529,13 @@ class Engine:
 class TestReporters:
     def make_result(self):
         findings = lint("import time\n\n\ndef f():\n    return time.time()\n")
-        return RunResult(findings=findings, files_checked=1, suppressed=2, baselined=3)
+        return RunResult(findings=findings, files_checked=1, suppressed=2)
 
     def test_text_report(self):
         text = render_text(self.make_result())
         assert "CLK001" in text
         assert "FAIL: 1 finding(s)" in text
-        assert "(2 suppressed, 3 baselined)" in text
+        assert text.endswith("(2 suppressed)")
 
     def test_json_schema(self):
         payload = json.loads(render_json(self.make_result()))
@@ -618,9 +544,16 @@ class TestReporters:
         assert payload["files_checked"] == 1
         assert payload["counts"] == {"CLK001": 1}
         assert payload["suppressed"] == 2
-        assert payload["baselined"] == 3
+        assert set(payload) == {
+            "schema",
+            "clean",
+            "files_checked",
+            "counts",
+            "suppressed",
+            "findings",
+        }
         finding = payload["findings"][0]
-        assert set(finding) == {"path", "line", "col", "code", "message", "fingerprint"}
+        assert set(finding) == {"path", "line", "col", "code", "message"}
 
     def test_clean_json_report(self):
         payload = json.loads(render_json(RunResult(files_checked=4)))
@@ -629,7 +562,7 @@ class TestReporters:
 
 
 class TestRunLint:
-    def test_run_over_directory_with_baseline(self, tmp_path):
+    def test_run_over_directory(self, tmp_path):
         src = tmp_path / "pkg"
         src.mkdir()
         (src / "a.py").write_text(
@@ -639,20 +572,6 @@ class TestRunLint:
         result = run_lint([src])
         assert codes_of(result.findings) == ["CLK001"]
         assert result.files_checked == 2
-
-        baseline = Baseline(
-            [
-                BaselineEntry(
-                    code="CLK001",
-                    path=result.findings[0].path,
-                    fingerprint="return time.time()",
-                    justification="test fixture",
-                )
-            ]
-        )
-        again = run_lint([src], baseline=baseline)
-        assert again.findings == []
-        assert again.baselined == 1
 
     def test_bad_path_is_config_error(self):
         with pytest.raises(ConfigError, match="no such file"):

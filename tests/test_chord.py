@@ -189,9 +189,9 @@ class TestScatterRange:
 
 class TestExtRangeExperiment:
     def test_structure_and_motivation_claim(self):
-        from repro.experiments import run_experiment
+        from repro.experiments import get_spec
 
-        result = run_experiment("ext-range", scale=0.02, n_queries=8)
+        result = get_spec("ext-range").run(scale=0.02, n_queries=8)
         assert set(result.series) == {
             "oscar (search + sweep)",
             "chord (per-item lookups)",

@@ -308,6 +308,44 @@ DETECT = DetectorConfig(
 )
 
 
+VIEWS = {
+    "oracle": OracleView,
+    "probe": lambda ring: ProbeView(ring, DETECT, seed=3),
+}
+
+
+class TestMembershipViewContract:
+    """The ground-truth mutation half is written once, in the base
+    class: both views must behave identically through it."""
+
+    @pytest.mark.parametrize("make_view", VIEWS.values(), ids=VIEWS)
+    def test_crash_and_revive_are_idempotent(self, make_view):
+        view = make_view(make_ring(8))
+        assert view.crash([6, 2, 6]) == [6, 2]
+        assert view.crash([2, 6]) == []
+        assert view.ring.live_count == 6
+        assert view.revive([2, 3, 2]) == [2]  # 3 was never dead
+        assert view.revive([2]) == []
+        assert view.ring.live_count == 7
+
+    @pytest.mark.parametrize("make_view", VIEWS.values(), ids=VIEWS)
+    def test_crash_fraction_never_empties_the_population(self, make_view):
+        view = make_view(make_ring(8))
+        for round_no in range(4):
+            view.crash_fraction(split(1, "contract", round_no), 1.0)
+            assert view.ring.live_count == 1
+
+    def test_equal_rng_state_draws_identical_victims(self):
+        oracle, probe = (make_view(make_ring(40)) for make_view in VIEWS.values())
+        for fraction in (0.25, 0.5):
+            victims = oracle.crash_fraction(split(9, "contract"), fraction)
+            assert victims
+            assert victims == probe.crash_fraction(split(9, "contract"), fraction)
+        assert list(oracle.ring.ids_array(live_only=True)) == list(
+            probe.ring.ids_array(live_only=True)
+        )
+
+
 def evict_all(view: ProbeView, start_epoch: int, max_epochs: int = 40) -> int:
     """Advance until believed == truth; returns the last epoch run."""
     for epoch in range(start_epoch, start_epoch + max_epochs):

@@ -13,6 +13,7 @@ walk-based sampling mode.
 
 from __future__ import annotations
 
+import inspect
 import struct
 
 import pytest
@@ -107,7 +108,7 @@ class TestLockstepOracle:
         oracle_links, oracle_in, oracle_stats = engine_topology(
             LOCKSTEP_PEERS, 42, UniformKeys(), ConstantDegrees(4)
         )
-        with NetHarness(OscarConfig(), seed=42, lockstep=True) as harness:
+        with NetHarness(NetConfig(seed=42, lockstep=True)) as harness:
             stats = harness.build(LOCKSTEP_PEERS, keys, degrees)
             assert harness.out_links() == oracle_links
             assert harness.in_degrees() == oracle_in
@@ -122,7 +123,7 @@ class TestLockstepOracle:
             SpikyDegreeDistribution(),
             rewire=True,
         )
-        with NetHarness(OscarConfig(), seed=7, lockstep=True) as harness:
+        with NetHarness(NetConfig(seed=7, lockstep=True)) as harness:
             harness.build(REWIRE_PEERS, keys, degrees)
             stats = harness.rewire()
             assert harness.out_links() == oracle_links
@@ -130,21 +131,19 @@ class TestLockstepOracle:
             assert [getattr(stats, f) for f in stats.__slots__] == oracle_stats
 
     def test_lockstep_requires_memory_uniform(self):
-        # Validation now lives in NetConfig and raises ConfigError —
-        # the legacy keyword spelling is vetted by the same rules.
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            NetHarness(OscarConfig(), seed=0, lockstep=True, transport="tcp")
+            NetHarness(NetConfig(seed=0, lockstep=True, transport="tcp"))
         with pytest.raises(ConfigError):
-            NetHarness(OscarConfig(), seed=0, lockstep=True, delivery="random")
+            NetHarness(NetConfig(seed=0, lockstep=True, delivery="random"))
 
 
 class TestFreeMode:
     """Concurrent joins under adversarial delivery: invariants, not bits."""
 
     def test_random_delivery_respects_caps_and_routes(self):
-        with NetHarness(OscarConfig(), seed=11, delivery="random") as harness:
+        with NetHarness(NetConfig(seed=11, delivery="random")) as harness:
             stats = harness.build(FREE_PEERS, UniformKeys(), ConstantDegrees(4))
             assert stats.links_placed > 0
             summary = harness.summary()
@@ -157,7 +156,7 @@ class TestFreeMode:
 
     def test_same_seed_same_topology(self):
         def build_links(seed):
-            with NetHarness(OscarConfig(), seed=seed, delivery="random") as h:
+            with NetHarness(NetConfig(seed=seed, delivery="random")) as h:
                 h.build(80, UniformKeys(), ConstantDegrees(4))
                 return h.out_links()
 
@@ -165,7 +164,7 @@ class TestFreeMode:
         assert build_links(5) != build_links(6)
 
     def test_rewire_resets_then_reacquires(self):
-        with NetHarness(OscarConfig(), seed=3, delivery="random") as harness:
+        with NetHarness(NetConfig(seed=3, delivery="random")) as harness:
             harness.build(80, UniformKeys(), ConstantDegrees(4))
             before = harness.out_links()
             stats = harness.rewire()
@@ -179,7 +178,7 @@ class TestFreeMode:
 
     def test_walk_mode_build_routes(self):
         config = OscarConfig(sampling_mode=SamplingMode.WALK)
-        with NetHarness(config, seed=9) as harness:
+        with NetHarness(NetConfig(overlay=config, seed=9)) as harness:
             harness.build(60, UniformKeys(), ConstantDegrees(4))
             assert harness.summary().cap_violations == 0
             success, __ = harness.route_check(50)
@@ -224,10 +223,13 @@ class TestNetConfig:
             NetConfig().seed = 7  # type: ignore[misc]
 
     def test_harness_rejects_kwargs_alongside_netconfig(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            NetHarness(NetConfig(), seed=7)
+        # One constructor spelling: every knob lives inside the NetConfig.
+        assert list(inspect.signature(NetHarness.__init__).parameters) == [
+            "self",
+            "config",
+        ]
+        with pytest.raises(TypeError):
+            NetHarness(NetConfig(), seed=7)  # type: ignore[call-arg]
 
     def test_lockstep_sampling_walk_rejected(self):
         from repro.errors import ConfigError
@@ -301,7 +303,7 @@ class TestDetectorPipeline:
     def test_kill_mid_join_requires_detector(self):
         from repro.errors import ConfigError
 
-        with NetHarness(OscarConfig(), seed=0) as harness:
+        with NetHarness(NetConfig(seed=0)) as harness:
             with pytest.raises(ConfigError):
                 harness.build(
                     20, UniformKeys(), ConstantDegrees(4), kill_mid_join=(3,)
@@ -321,7 +323,7 @@ class TestDetectorPipeline:
 
 class TestTcpTransport:
     def test_small_overlay_over_real_sockets(self):
-        with NetHarness(OscarConfig(), seed=21, transport="tcp") as harness:
+        with NetHarness(NetConfig(seed=21, transport="tcp")) as harness:
             stats = harness.build(8, UniformKeys(), ConstantDegrees(3))
             assert stats.links_placed > 0
             summary = harness.summary()
@@ -333,7 +335,7 @@ class TestTcpTransport:
 
 class TestSummary:
     def test_summary_accounting(self):
-        with NetHarness(OscarConfig(), seed=13) as harness:
+        with NetHarness(NetConfig(seed=13)) as harness:
             harness.build(50, UniformKeys(), ConstantDegrees(4))
             harness.route_check(25)
             summary = harness.summary()

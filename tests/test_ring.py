@@ -141,10 +141,6 @@ class TestSuccessorLookups:
         ring, __ = five_ring
         assert ring.successor_of_key(0.95) == 0  # wraps to node at 0.1
 
-    def test_responsible_for_alias(self, five_ring):
-        ring, __ = five_ring
-        assert ring.responsible_for(0.2) == ring.successor_of_key(0.2)
-
     def test_successor_of_node(self, five_ring):
         ring, __ = five_ring
         assert ring.successor(0) == 1

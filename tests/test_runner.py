@@ -253,7 +253,6 @@ class TestScenarioSpec:
             Runner(defaults={"scale": 0.008}).run("scenario", {"degrees": "nope"})
 
     def test_scenario_excluded_from_all_view(self):
-        from repro.experiments import EXPERIMENTS
-
-        assert "scenario" not in EXPERIMENTS
-        assert len(EXPERIMENTS) == 18
+        standalone = [spec.id for spec in all_specs() if spec.standalone]
+        assert "scenario" not in standalone
+        assert len(standalone) == 18

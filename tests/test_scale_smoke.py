@@ -17,13 +17,12 @@ import pytest
 from repro import OscarConfig, OscarOverlay
 from repro.churn.sessions import ExponentialSessions
 from repro.degree import ConstantDegrees
-from repro.engine import (
-    BatchQueryEngine,
-    SteadyStateChurnEngine,
-    check_rss_ceiling,
-)
+from repro.engine import BatchQueryEngine, SteadyStateChurnEngine
+from repro.net import NetConfig, NetHarness
 from repro.rng import split
-from repro.workloads import GnutellaLikeDistribution
+from repro.workloads import GnutellaLikeDistribution, UniformKeys
+
+from scripts.bench_ci import max_rss_mb  # type: ignore[import-not-found]
 
 MILLION = 1_000_000
 BUILD_WALL_SECONDS = 300.0
@@ -32,6 +31,14 @@ RSS_CEILING_MB = 8192.0
 NET_PEERS = 10_000
 NET_BUILD_WALL_SECONDS = 120.0
 NET_RSS_CEILING_MB = 2048.0
+
+
+def check_rss_ceiling(ceiling_mb: float) -> None:
+    """Fail when the process peak RSS (a high-water mark) exceeds the ceiling."""
+    peak = max_rss_mb()
+    assert peak <= ceiling_mb, (
+        f"peak RSS {peak:.0f} MiB exceeds the {ceiling_mb:.0f} MiB ceiling"
+    )
 
 
 @pytest.mark.slow
@@ -45,11 +52,8 @@ def test_ten_thousand_live_asyncio_peers_boot_and_route():
     order-of-magnitude guards (per-peer state bloat, a directory copy
     per peer), not scheduler jitter.
     """
-    from repro.net import NetHarness
-    from repro.workloads import UniformKeys
-
     started = time.perf_counter()
-    with NetHarness(OscarConfig(), seed=42) as harness:
+    with NetHarness(NetConfig(seed=42)) as harness:
         stats = harness.build(NET_PEERS, UniformKeys(), ConstantDegrees(4))
         build_seconds = time.perf_counter() - started
         assert build_seconds < NET_BUILD_WALL_SECONDS, (

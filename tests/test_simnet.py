@@ -145,15 +145,17 @@ class TestQuerySimulation:
 
 class TestExtLatencyExperiment:
     def test_structure_and_direction(self):
-        from repro.experiments import run_experiment
+        from repro.experiments import get_spec
 
         # 300 peers is the smallest size where the heterogeneity effect
         # clears per-seed noise (at ~200 peers the handful of slow peers
         # may land off the hot paths entirely).
-        result = run_experiment("ext-latency", scale=0.03, n_queries=300)
+        result = get_spec("ext-latency").run(scale=0.03, n_queries=300)
         assert set(result.series) == {"matched", "oblivious"}
         for label in ("matched", "oblivious"):
             assert result.scalars[f"p95_latency_{label}"] > 0.0
+            ladder = dict(result.series[label])
+            assert ladder[50.0] <= ladder[95.0] <= ladder[100.0]
         # Bandwidth-oblivious load placement must not be cheaper.
         assert result.scalars["mean_penalty"] > 1.0
         assert result.scalars["queue_penalty"] > 1.1
