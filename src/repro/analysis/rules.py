@@ -822,8 +822,8 @@ class CacheGuardRule(Rule):
     Fires on any ``Load`` of a ``*_cache`` attribute inside a
     ``repro/engine`` function that contains no ``==``/``!=`` comparison
     involving a ``version``-named operand. A method call on the cache
-    that *passes* a ``version``-named argument (``result_cache.get(key,
-    version)``) delegates the check to the cache and is exempt.
+    that *passes* a ``version``-named argument (``result_cache.probe(
+    keys, version)``) delegates the check to the cache and is exempt.
     Writes/rebuilds (``self._route_cache = ...``) are not reads.
     Intentional unguarded reads — test-only exposure properties, bulk
     ``clear()`` — carry per-line ``# repro: allow[CACHE001]`` escapes
@@ -871,7 +871,7 @@ class CacheGuardRule(Rule):
         if guarded:
             return
         # Calls on the cache that hand the version to the cache itself
-        # (`result_cache.get(key, version)`) delegate the guard.
+        # (`result_cache.probe(keys, version)`) delegate the guard.
         delegated: set[ast.AST] = set()
         for sub in own:
             if (

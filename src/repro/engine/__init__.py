@@ -25,8 +25,9 @@ lock-step **epochs**; there is no event scheduler:
 * the serving engine (:mod:`repro.engine.serve`) —
   :class:`ServeEngine` is the data-plane request path: believed-
   membership owner resolution and the same kernel over a per-version
-  believed-live :class:`ServeSnapshot`, an LRU :class:`ResultCache`
-  invalidated on topology/replica/belief change, and delivery verified
+  believed-live :class:`ServeSnapshot`, an array-native LRU
+  :class:`ResultCache` (one probe and one insert per batch) dropped on
+  topology/replica/belief change, and delivery verified
   against a
   :class:`~repro.index.replication.ReplicatedStore` (same
   bit-identical reference-path contract).
@@ -35,7 +36,7 @@ lock-step **epochs**; there is no event scheduler:
 from .batch import BatchQueryEngine, BatchRouteResult, TopologySnapshot
 from .churn import ChurnEpochStats, SteadyStateChurnEngine
 from .construct import BatchConstructionEngine, LiveView
-from .serve import ResultCache, ServeBatchResult, ServeEngine, ServeSnapshot
+from .serve import Outcome, ResultCache, ServeBatchResult, ServeEngine, ServeSnapshot
 
 __all__ = [
     "BatchConstructionEngine",
@@ -43,6 +44,7 @@ __all__ = [
     "BatchRouteResult",
     "ChurnEpochStats",
     "LiveView",
+    "Outcome",
     "ResultCache",
     "ServeBatchResult",
     "ServeEngine",

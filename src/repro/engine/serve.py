@@ -1,5 +1,9 @@
 """Cached data-plane serving: believed-membership routing + result LRU.
 
+A batch is served in three array steps — **probe** the result cache,
+**route and verify** the misses, **insert** their results — with no
+per-request Python anywhere on the ``vectorized=True`` path.
+
 :class:`~repro.engine.batch.BatchQueryEngine` measures what the *paper*
 cares about — hop costs of greedy routing over ground-truth topology.
 A deployed data plane cares about something harsher: every ``get`` must
@@ -8,24 +12,29 @@ to be**, at millions of requests against a ring that churns underneath.
 :class:`ServeEngine` is that path:
 
 * a **per-version serve snapshot** (:class:`ServeSnapshot`) — the
-  believed-live peers as flat arrays (positions, exact ``uint64`` keys,
-  a successor column, a believed-row link matrix), so owner lookup is
+  believed-live peers as flat arrays (exact ``uint64`` keys, a
+  successor column, a believed-row link matrix), so owner lookup is
   one ``searchsorted`` and routing is the shared greedy-walk kernel
   (:mod:`repro.engine.walk` — the same function the batch engine runs
   over ground truth) handed believed-live arrays. Because no row is a
   believed-dead peer, the walk cannot abort on missing successor
   pointers the way the ground-truth batch walk does mid-churn — and it
   never *routes via* a peer the view has evicted;
-* an **LRU result cache** (:class:`ResultCache`) keyed on the target
-  key, every entry stamped with the serve version it was computed at
-  and served **only** while that version is current — membership
-  change, link change, or replica movement each bump the version, so a
-  cache can return stale bytes for at most zero versions, never "the
-  old owner";
+* an **LRU result cache** (:class:`ResultCache`) — a struct-of-arrays
+  table sorted on an injective ``uint64`` image of the request key,
+  with stamp / owner / packed-verdict columns and **one** scalar
+  version: ``probe`` is one ``searchsorted`` + gather, ``insert`` one
+  sorted merge + ``argpartition`` eviction, and a version change drops
+  the whole table — membership change, link change, or replica movement
+  each bump the version, so a cache can return stale bytes for at most
+  zero versions, never "the old owner";
 * **stale-serve accounting**: a believed owner that is truth-dead (the
   detection-lag window) fails the request and increments
   ``stale_serves`` — the serving-side twin of the replication layer's
-  phantom replicas.
+  phantom replicas;
+* **failure isolation**: a miss whose source is unknown or believed
+  dead fails alone (:class:`Outcome` ``BAD_SOURCE`` in the result's
+  ``outcome`` column) instead of raising for the batch.
 
 The serve **version** is the triple ``(topology_version,
 data_version, evictions)``: substrate links/membership, replica
@@ -34,20 +43,21 @@ placement, and probe-view belief each invalidate independently.
 ``vectorized=False`` swaps every kernel (owner lookup, greedy walk,
 holder check) for a pure-Python twin that must produce **bit-identical**
 :class:`ServeBatchResult` arrays — the differential the test suite
-pins, cache-enabled vs cache-disabled and vectorized vs reference.
+pins, cache-enabled vs cache-disabled and vectorized vs reference. The
+one result cache serves both modes.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import OrderedDict
+import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core.soa import row_table, rows_of
-from ..errors import ConfigError, RoutingError
+from ..errors import ConfigError
 from ..ring import keyspace
 from .walk import greedy_walk, greedy_walk_reference
 
@@ -56,17 +66,66 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..index.replication import ReplicatedStore
     from ..membership import MembershipView
 
-__all__ = ["ResultCache", "ServeBatchResult", "ServeEngine", "ServeSnapshot"]
+__all__ = ["Outcome", "ResultCache", "ServeBatchResult", "ServeEngine", "ServeSnapshot"]
+
+
+#: Bits of the packed delivery-verdict column (``flags``).
+FLAG_FOUND = np.uint8(1)
+FLAG_SUCCESS = np.uint8(2)
+FLAG_STALE = np.uint8(4)
+
+
+def pack_flags(found: np.ndarray, success: np.ndarray, stale: np.ndarray) -> np.ndarray:
+    """The three boolean delivery-verdict masks as one ``uint8`` column."""
+    return found * FLAG_FOUND | success * FLAG_SUCCESS | stale * FLAG_STALE
+
+
+def _key_bits(keys: np.ndarray) -> np.ndarray:
+    """Injective ``uint64`` image of float request keys: the IEEE bit
+    pattern (``+ 0.0`` folds ``-0.0`` onto ``0.0``, the only two equal
+    floats with different bits). Distinct floats stay distinct even
+    inside one ``2**-64`` keyspace cell, which ``keyspace.from_units``
+    merges below ``2**-11``."""
+    return (np.asarray(keys, dtype=np.float64) + 0.0).view(np.uint64)
+
+
+def _empty_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    return (
+        np.empty(0, dtype=np.uint64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.uint8),
+    )
 
 
 class ResultCache:
-    """LRU result cache with version-stamped entries.
+    """LRU result cache held as a struct-of-arrays table.
 
-    Every entry records the serve version it was computed at; a read
-    only returns the entry while the caller's current version equals the
-    stored one (the CACHE001 contract — see ``docs/serving.md``), so a
-    topology/membership/replica change can never resurface a stale
-    owner. Stale entries are dropped lazily on the read that finds them.
+    One row per cached request key, sorted on ``bits`` so a whole batch
+    is probed with one ``searchsorted`` and one gather:
+
+    ========  ======  =================================================
+    column    dtype   meaning
+    ========  ======  =================================================
+    bits      uint64  IEEE bit pattern of the float request key (sorted)
+    stamp     int64   use-counter value when last hit or inserted
+    owner     int64   believed owner node id
+    flags     uint8   ``FLAG_FOUND | FLAG_SUCCESS | FLAG_STALE``
+    ========  ======  =================================================
+
+    The table carries **one** version: the first :meth:`probe` or
+    :meth:`insert` at a different version drops every row (counted in
+    ``invalidations``), so a read can only return a result computed at
+    the caller's current version (the CACHE001 contract — see
+    ``docs/serving.md``). Versions are expected to be monotone: one that
+    returns to an earlier value finds an empty cache.
+
+    Recency is the ``stamp`` column — every probed or inserted request
+    takes the next counter value, in request order — and an insert that
+    overflows ``capacity`` drops the rows with the smallest stamps
+    (counted in ``evictions``). After each batch the table therefore
+    holds the ``capacity`` most recently used distinct keys, which is
+    what a sequential ``get … get, put … put`` LRU holds.
 
     Args:
         capacity: Maximum retained entries; least-recently-used entries
@@ -77,45 +136,123 @@ class ResultCache:
         if capacity < 0:
             raise ConfigError(f"cache capacity must be >= 0, got {capacity}")
         self.capacity = int(capacity)
-        self._entries: OrderedDict[float, tuple[object, tuple]] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        self._version: object = None
+        self._clock = 0
+        self._table = _empty_table()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return int(self._table[0].size)
 
-    def get(self, key: float, version: object) -> tuple | None:
-        """The payload cached for ``key`` at exactly ``version``, else
-        ``None`` (counted as a miss; version-mismatched entries are
-        invalidated on the spot)."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            stored_version, payload = entry
-            if stored_version == version:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return payload
-            del self._entries[key]
-            self.invalidations += 1
-        self.misses += 1
-        return None
+    def _enter(self, version: object) -> None:
+        """Make ``version`` the table's version, dropping every row
+        computed at another one."""
+        if version != self._version:
+            self.clear()
+            self._version = version
 
-    def put(self, key: float, version: object, payload: tuple) -> None:
-        """Insert/overwrite the entry for ``key`` stamped ``version``."""
-        if self.capacity == 0:
+    def probe(
+        self, keys: np.ndarray, version: object
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Look a batch of request keys up at ``version``.
+
+        Returns ``(hit, owners, flags)`` aligned with ``keys``; a miss
+        reads ``owner = -1``, ``flags = 0``. Every key counts in
+        ``hits`` or ``misses``, and every hit refreshes its row's stamp
+        in request order (the last occurrence of a repeated key wins).
+        """
+        self._enter(version)
+        n, size = int(keys.size), len(self)
+        if size == 0:
+            self.misses += n
+            return (
+                np.zeros(n, dtype=bool),
+                np.full(n, -1, dtype=np.int64),
+                np.zeros(n, dtype=np.uint8),
+            )
+        table_bits, table_stamp, table_owner, table_flags = self._table
+        bits = _key_bits(keys)
+        # Asked in key order the binary searches walk the table front to
+        # back instead of jumping around it (about half the time at 100k
+        # rows), so sort the questions and scatter the answers back.
+        order = np.argsort(bits)
+        row = np.empty(n, dtype=np.intp)
+        row[order] = np.minimum(np.searchsorted(table_bits, bits[order]), size - 1)
+        hit = table_bits[row] == bits
+        at = np.flatnonzero(hit)
+        np.maximum.at(table_stamp, row[at], self._clock + at)
+        self._clock += n
+        self.hits += int(at.size)
+        self.misses += n - int(at.size)
+        return hit, np.where(hit, table_owner[row], -1), table_flags[row] * hit
+
+    def insert(
+        self, keys: np.ndarray, version: object, owners: np.ndarray, flags: np.ndarray
+    ) -> None:
+        """Insert/overwrite the results of a batch of request keys at
+        ``version`` (the last occurrence of a repeated key wins), then
+        evict least-recently-used rows down to ``capacity``."""
+        n = int(keys.size)
+        if self.capacity == 0 or n == 0:
             return
-        self._entries[key] = (version, payload)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        self._enter(version)
+        bits, first = np.unique(_key_bits(keys)[::-1], return_index=True)
+        last = n - 1 - first
+        added = (bits, self._clock + last, owners[last], flags[last])
+        self._clock += n
+        table_bits = self._table[0]
+        at = np.searchsorted(table_bits, bits)
+        known = at < table_bits.size
+        known[known] = table_bits[at[known]] == bits[known]
+        if known.any():
+            for column, values in zip(self._table[1:], added[1:]):
+                column[at[known]] = values[known]
+            at = at[~known]
+            added = tuple(values[~known] for values in added)
+        if at.size:
+            # One sorted merge: new row ``j`` lands before old row ``at[j]``.
+            self._table = tuple(
+                np.insert(column, at, values) for column, values in zip(self._table, added)
+            )
+        size = len(self)
+        excess = size - self.capacity
+        if excess > 0:
+            keep = np.ones(size, dtype=bool)
+            keep[np.argpartition(self._table[1], excess - 1)[:excess]] = False
+            self._table = tuple(column[keep] for column in self._table)
+            self.evictions += excess
+
+    def get(self, key: float, version: object) -> tuple[int, bool, bool, bool] | None:
+        """Scalar :meth:`probe`: the ``(owner, found, success, stale)``
+        cached for ``key`` at exactly ``version``, else ``None``."""
+        hit, owners, flags = self.probe(np.asarray([key], dtype=float), version)
+        if not hit[0]:
+            return None
+        return (
+            int(owners[0]),
+            bool(flags[0] & FLAG_FOUND),
+            bool(flags[0] & FLAG_SUCCESS),
+            bool(flags[0] & FLAG_STALE),
+        )
+
+    def put(self, key: float, version: object, payload: tuple[int, bool, bool, bool]) -> None:
+        """Scalar :meth:`insert` of one ``(owner, found, success,
+        stale)`` result."""
+        owner, found, success, stale = payload
+        self.insert(
+            np.asarray([key], dtype=float),
+            version,
+            np.asarray([owner], dtype=np.int64),
+            pack_flags(np.asarray([found]), np.asarray([success]), np.asarray([stale])),
+        )
 
     def clear(self) -> None:
         """Drop every entry (bulk invalidation)."""
-        self.invalidations += len(self._entries)
-        self._entries.clear()
+        self.invalidations += len(self)
+        self._table = _empty_table()
 
     @property
     def hit_rate(self) -> float:
@@ -128,8 +265,8 @@ class ResultCache:
 class ServeSnapshot:
     """Array view of the *believed-live* overlay at one serve version.
 
-    The successor/owner cache of the serving path: positions, exact
-    keys and the neighbor matrix are precomputed once per version, so
+    The successor/owner cache of the serving path: exact keys and
+    the neighbor matrix are precomputed once per version, so
     per-request work is pure array gathering. Rows index believed-live
     peers in clockwise (position) order, so the believed ring successor
     of row ``i`` is ``(i + 1) % m``. Links to believed-dead peers are
@@ -140,8 +277,7 @@ class ServeSnapshot:
     Attributes:
         version: The serve version triple this snapshot was built at.
         ids: Believed-live node ids, position order.
-        pos: Their unit-circle positions (sorted).
-        keys: Exact ``uint64`` twins of ``pos``.
+        keys: Their exact ``uint64`` ring keys (sorted).
         row_of: ``node id -> believed row`` translation (-1 unknown or
             believed-dead).
         succ_row: Believed ring successor row per row (never -1).
@@ -151,7 +287,6 @@ class ServeSnapshot:
 
     version: object
     ids: np.ndarray
-    pos: np.ndarray
     keys: np.ndarray
     row_of: np.ndarray
     succ_row: np.ndarray
@@ -165,7 +300,6 @@ class ServeSnapshot:
         seen through ``view``, stamped with ``version``."""
         ring = substrate.ring
         ids = all_ids = ring.ids_array(live_only=False)
-        pos = ring.positions_array(live_only=False)
         keys = ring.keys_array(live_only=False)
         slots = ring.slots_array(live_only=False)
         believed = view.live_ids()
@@ -173,13 +307,12 @@ class ServeSnapshot:
             raise ConfigError("serve snapshot needs at least one believed-live peer")
         if believed.size != all_ids.size:
             mask = np.isin(all_ids, believed, assume_unique=True)
-            ids, pos, keys, slots = ids[mask], pos[mask], keys[mask], slots[mask]
+            ids, keys, slots = ids[mask], keys[mask], slots[mask]
         m = int(ids.size)
         row_of = row_table(ids, int(all_ids.max()) + 2)
         return cls(
             version=version,
             ids=ids,
-            pos=pos,
             keys=keys,
             row_of=row_of,
             succ_row=(np.arange(m, dtype=np.int64) + 1) % m,
@@ -191,11 +324,28 @@ class ServeSnapshot:
         """Number of believed-live peers in the snapshot."""
         return int(self.ids.size)
 
-    def owner_rows(self, target_keys: np.ndarray) -> np.ndarray:
+    def owner_rows(self, targets: np.ndarray) -> np.ndarray:
         """Believed owner (first believed-live clockwise successor) row
-        per key — the vectorized ``successor_of_key`` over belief."""
-        idx = np.searchsorted(self.pos, np.asarray(target_keys, dtype=float), side="left")
+        per exact ``uint64`` target key — the vectorized
+        ``successor_of_key`` over belief, decided in the key domain the
+        walk delivers in."""
+        idx = np.searchsorted(self.keys, np.asarray(targets, dtype=np.uint64), side="left")
         return idx % self.size
+
+
+class Outcome(enum.IntEnum):
+    """Codes of :attr:`ServeBatchResult.outcome`: how far a request got.
+
+    Walk-level failures (budget, missing successor, stuck) still raise
+    :class:`~repro.errors.RoutingError` for the whole batch.
+    """
+
+    SERVED = 0
+    """Resolved from the cache or routed to the believed owner; whether
+    it was *delivered* is the ``success`` column."""
+    BAD_SOURCE = 1
+    """A miss whose source is unknown or believed dead: failed, not
+    routed, not cached."""
 
 
 @dataclass(frozen=True)
@@ -205,7 +355,9 @@ class ServeBatchResult:
     Attributes:
         target_keys: Requested keys.
         owners: Believed owner node id per request (always a
-            believed-live peer — never a peer the view has evicted).
+            believed-live peer — never a peer the view has evicted;
+            ``-1`` on a ``BAD_SOURCE`` row).
+        outcome: :class:`Outcome` code per request (``uint8``).
         hit: Served from the result cache (hops charged 0).
         found: The key matched a surviving catalog item.
         success: Delivered — found, owner truth-live, and the owner
@@ -217,6 +369,7 @@ class ServeBatchResult:
 
     target_keys: np.ndarray
     owners: np.ndarray
+    outcome: np.ndarray
     hit: np.ndarray
     found: np.ndarray
     success: np.ndarray
@@ -331,18 +484,23 @@ class ServeEngine:
     def serve_batch(self, sources: np.ndarray, target_keys: np.ndarray) -> ServeBatchResult:
         """Serve one ``get`` batch; returns per-request outcome arrays.
 
-        Each request resolves its believed owner, routes to it over
-        believed-live peers (cache hits skip routing and charge zero
-        hops) and succeeds iff the key names a surviving item whose
-        believed owner is truth-alive and truly holds a replica. A
-        truth-dead believed owner is a **stale serve**: counted, failed,
-        never silently redirected — the detection-lag data risk made
-        visible. Results enter the LRU cache stamped with the current
-        serve version.
+        One cache probe for the whole batch, then the misses resolve
+        their believed owner, route to it over believed-live peers and
+        are verified, and their results enter the cache stamped with
+        the current serve version. A request succeeds iff its key names
+        a surviving item whose believed owner is truth-alive and truly
+        holds a replica; a truth-dead believed owner is a **stale
+        serve**: counted, failed, never silently redirected — the
+        detection-lag data risk made visible.
+
+        A cache hit charges zero hops and never consults its source.
+        Repeats of a key inside one batch all miss together (the probe
+        precedes every insert). A miss whose source is unknown or
+        believed dead fails alone (``Outcome.BAD_SOURCE``: no owner, no
+        hops, not cached); the rest of the batch is served.
 
         Raises:
-            RoutingError: A source is outside the believed-live set, or
-                a believed walk exceeded the routing budget.
+            RoutingError: A believed walk exceeded the routing budget.
         """
         sources = np.asarray(sources, dtype=np.int64)
         target_keys = np.asarray(target_keys, dtype=float)
@@ -351,69 +509,54 @@ class ServeEngine:
         version = self.serve_version
         snap = self.serve_snapshot()
         n = int(sources.size)
+        # The batch's one exact key domain: owner lookup and walk both
+        # decide on these, so they cannot disagree inside a 2**-64 cell.
+        targets = keyspace.from_units(target_keys)
 
-        owners = np.empty(n, dtype=np.int64)
-        hit = np.zeros(n, dtype=bool)
-        found = np.zeros(n, dtype=bool)
-        success = np.zeros(n, dtype=bool)
-        stale = np.zeros(n, dtype=bool)
+        hit, owners, flags = self.result_cache.probe(target_keys, version)
+        outcome = np.full(n, Outcome.SERVED, dtype=np.uint8)
         hops = np.zeros(n, dtype=np.int64)
-
-        miss_idx: list[int] = []
-        for i in range(n):
-            payload = self.result_cache.get(float(target_keys[i]), version)
-            if payload is not None:
-                owners[i], found[i], success[i], stale[i] = payload
-                hit[i] = True
-            else:
-                miss_idx.append(i)
-        if miss_idx:
-            miss = np.asarray(miss_idx, dtype=np.int64)
-            m_keys = target_keys[miss]
-            m_sources = sources[miss]
-            source_rows = rows_of(snap.row_of, m_sources)
-            if np.any(source_rows < 0):
-                bad = int(m_sources[source_rows < 0][0])
-                raise RoutingError(f"serve source {bad} is not believed live")
+        miss = np.flatnonzero(~hit)
+        source_rows = rows_of(snap.row_of, sources[miss])
+        bad = source_rows < 0
+        if bad.any():
+            outcome[miss[bad]] = Outcome.BAD_SOURCE
+            miss, source_rows = miss[~bad], source_rows[~bad]
+        if miss.size:
+            m_keys, m_targets = target_keys[miss], targets[miss]
             if self.vectorized:
-                owner_rows = snap.owner_rows(m_keys)
+                owner_rows = snap.owner_rows(m_targets)
             else:
-                positions = [float(p) for p in snap.pos]
+                ring_keys = [int(k) for k in snap.keys]
                 owner_rows = np.asarray(
-                    [bisect.bisect_left(positions, float(k)) % snap.size for k in m_keys],
+                    [bisect.bisect_left(ring_keys, int(t)) % snap.size for t in m_targets],
                     dtype=np.int64,
                 )
             m_owners = snap.ids[owner_rows]
             walk = greedy_walk if self.vectorized else greedy_walk_reference
-            m_hops = walk(
+            hops[miss] = walk(
                 snap.keys,
                 snap.succ_row,
                 snap.nbr_rows,
                 snap.ids,
                 source_rows,
                 owner_rows,
-                keyspace.from_units(m_keys),
+                m_targets,
                 self.routing.budget,
             )
-            m_found, m_success, m_stale = self._verify(m_keys, m_owners)
+            m_flags = pack_flags(*self._verify(m_keys, m_owners))
             owners[miss] = m_owners
-            found[miss] = m_found
-            success[miss] = m_success
-            stale[miss] = m_stale
-            hops[miss] = m_hops
-            for j, i in enumerate(miss_idx):
-                self.result_cache.put(
-                    float(target_keys[i]),
-                    version,
-                    (int(m_owners[j]), bool(m_found[j]), bool(m_success[j]), bool(m_stale[j])),
-                )
+            flags[miss] = m_flags
+            self.result_cache.insert(m_keys, version, m_owners, m_flags)
+        stale = (flags & FLAG_STALE) != 0
         self.stale_serves += int(stale.sum())
         return ServeBatchResult(
             target_keys=target_keys,
             owners=owners,
+            outcome=outcome,
             hit=hit,
-            found=found,
-            success=success,
+            found=(flags & FLAG_FOUND) != 0,
+            success=(flags & FLAG_SUCCESS) != 0,
             stale=stale,
             hops=hops,
         )

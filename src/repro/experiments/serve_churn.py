@@ -7,16 +7,17 @@ publishes one item per ~peer at k-fold successor-list replication, a
 underneath (re-replicating on its repair epochs through the installed
 membership view), and a :class:`~repro.engine.serve.ServeEngine` fields
 Zipf-skewed request batches — with a mid-run flash crowd — through its
-believed-membership router and version-stamped LRU result cache.
+believed-membership router and version-stamped array result cache.
 
 Each epoch serves the same request batch **twice**: a *cold* pass right
 after churn moved the serve version (nearly every request routes — the
 uncached throughput) and a *warm* pass at the unchanged version (nearly
 every request hits the cache — the cached throughput). The series that
-fall out are the serving story: queries/sec cold vs warm, hit rate,
-items lost, items below ``k`` live replicas, phantom replicas, and
-stale serves — the last three zero under ``membership="oracle"`` and
-the direct price of detection lag under ``membership="probe"``.
+fall out are the serving story: queries/sec cold vs warm (their ratio
+is the ``cache_speedup`` scalar), hit rate, items lost, items below
+``k`` live replicas, phantom replicas, and stale serves — the last
+three zero under ``membership="oracle"`` and the direct price of
+detection lag under ``membership="probe"``.
 
 ``scripts/bench_ci.py`` snapshots this spec into ``BENCH_serve.json``;
 the ``serve-grid`` sweep crosses replication factor x probe loss x
@@ -158,6 +159,8 @@ def run(
         stale.append((x, cold_d["stale_serves"] / requests))  # type: ignore[operator]
         success_rate.append((x, cold_d["successes"] / requests))  # type: ignore[operator]
     serve_seconds = serve_watch.lap()
+    qps_cached = float(np.median([y for __, y in qps_warm]))
+    qps_uncached = float(np.median([y for __, y in qps_cold]))
 
     return ExperimentResult(
         experiment_id="serve-churn",
@@ -180,8 +183,9 @@ def run(
             "stale_serves": float(serve.stale_serves),
             "hit_rate": serve.result_cache.hit_rate,
             "mean_success_rate": sum(y for __, y in success_rate) / len(success_rate),
-            "qps_cached": float(np.median([y for __, y in qps_warm])),
-            "qps_uncached": float(np.median([y for __, y in qps_cold])),
+            "qps_cached": qps_cached,
+            "qps_uncached": qps_uncached,
+            "cache_speedup": qps_cached / qps_uncached,
             "final_live": float(engine.history[-1].live),
             "build_seconds": bed.build_seconds,
             "serve_seconds": serve_seconds,

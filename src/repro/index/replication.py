@@ -183,16 +183,13 @@ class ReplicatedStore:
 
     def truth_live_mask(self, node_ids: np.ndarray) -> np.ndarray:
         """Element-wise "is this holder truth-alive" over an id array
-        (``-1`` slots and compacted ids are dead). Vectorized via a
-        sorted-membership gather; the reference twin asks the ring one
-        id at a time — identical masks."""
+        (``-1`` slots and compacted ids are dead). Vectorized as an
+        ``id -> slot -> alive`` gather; the reference twin asks the ring
+        one id at a time — identical masks."""
         if self.vectorized:
-            live = np.sort(self.ring.ids_array(live_only=True))
-            flat = node_ids.reshape(-1)
-            if live.size == 0:
-                return np.zeros(node_ids.shape, dtype=bool)
-            idx = np.minimum(np.searchsorted(live, flat), live.size - 1)
-            return ((flat >= 0) & (live[idx] == flat)).reshape(node_ids.shape)
+            state = self.ring.state
+            slots = state.slots_of(node_ids)
+            return (slots >= 0) & state.alive[slots]
         mask = np.zeros(node_ids.shape, dtype=bool)
         flat = node_ids.reshape(-1)
         out = mask.reshape(-1)

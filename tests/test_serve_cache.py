@@ -21,20 +21,25 @@ The serving half of the PR-10 acceptance criteria:
 
 from __future__ import annotations
 
+import copy
 import json
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.churn.sessions import make_sessions
 from repro.config import RoutingConfig
 from repro.degree import ConstantDegrees
-from repro.engine import ResultCache, ServeEngine, SteadyStateChurnEngine
+from repro.engine import Outcome, ResultCache, ServeEngine, SteadyStateChurnEngine
 from repro.errors import ConfigError, ExperimentError, RoutingError
 from repro.experiments.growth import make_overlay
 from repro.index import ReplicatedStore
 from repro.membership import DetectorConfig, OracleView, ProbeView
+from repro.ring import keyspace
 from repro.rng import split
 from repro.workloads import FlashCrowdSchedule, GnutellaLikeDistribution, ServingWorkload
 
@@ -75,45 +80,78 @@ def request_batch(view, overlay, store, seed: int, count: int = 64):
     )
 
 
+A = (1, True, True, False)
+B = (2, True, False, True)
+C = (3, False, False, False)
+
+
 class TestResultCache:
     def test_hit_requires_exact_version(self):
         cache = ResultCache(8)
-        cache.put(0.5, ("v1",), (1, True, True, False))
-        assert cache.get(0.5, ("v1",)) == (1, True, True, False)
+        cache.put(0.5, ("v1",), A)
+        cache.put(0.6, ("v1",), B)
+        assert cache.get(0.5, ("v1",)) == A
         assert cache.hits == 1
-        assert cache.get(0.5, ("v2",)) is None  # stale -> dropped
-        assert cache.invalidations == 1
+        # A read at another version drops the whole table, eagerly.
+        assert cache.get(0.5, ("v2",)) is None
+        assert cache.invalidations == 2 and cache.evictions == 0
         assert cache.misses == 1
         assert len(cache) == 0
+        # The version contract is monotone: going back finds nothing.
+        assert cache.get(0.6, ("v1",)) is None
 
     def test_absent_key_is_a_miss(self):
         cache = ResultCache(8)
         assert cache.get(0.1, ("v",)) is None
         assert cache.misses == 1 and cache.hits == 0
 
+    def test_payload_columns_round_trip(self):
+        cache = ResultCache(8)
+        for key, payload in ((0.1, A), (0.2, B), (0.3, C)):
+            cache.put(key, "v", payload)
+        assert [cache.get(k, "v") for k in (0.3, 0.1, 0.2)] == [C, A, B]
+        cache.put(0.2, "v", C)  # overwrite in place
+        assert cache.get(0.2, "v") == C and len(cache) == 3
+
     def test_lru_eviction_order(self):
         cache = ResultCache(2)
-        cache.put(0.1, "v", ("a",))
-        cache.put(0.2, "v", ("b",))
-        cache.put(0.3, "v", ("c",))  # evicts 0.1
-        assert cache.evictions == 1
+        cache.put(0.1, "v", A)
+        cache.put(0.2, "v", B)
+        cache.put(0.3, "v", C)  # evicts 0.1
+        assert cache.evictions == 1 and cache.invalidations == 0
         assert cache.get(0.1, "v") is None
-        assert cache.get(0.2, "v") == ("b",)
+        assert cache.get(0.2, "v") == B
 
     def test_get_refreshes_recency(self):
         cache = ResultCache(2)
-        cache.put(0.1, "v", ("a",))
-        cache.put(0.2, "v", ("b",))
+        cache.put(0.1, "v", A)
+        cache.put(0.2, "v", B)
         cache.get(0.1, "v")  # 0.1 now most recent
-        cache.put(0.3, "v", ("c",))  # evicts 0.2
+        cache.put(0.3, "v", C)  # evicts 0.2
         assert cache.get(0.2, "v") is None
-        assert cache.get(0.1, "v") == ("a",)
+        assert cache.get(0.1, "v") == A
+
+    def test_batch_probe_refreshes_in_request_order(self):
+        keys = np.asarray([0.1, 0.2, 0.3])
+        cache = ResultCache(3)
+        cache.insert(keys, "v", np.asarray([1, 2, 3]), np.asarray([1, 3, 0], dtype=np.uint8))
+        # 0.1 is touched last (its repeat wins), 0.3 not at all.
+        hit, owners, flags = cache.probe(np.asarray([0.1, 0.2, 0.9, 0.1]), "v")
+        assert hit.tolist() == [True, True, False, True]
+        assert owners.tolist() == [1, 2, -1, 1] and flags.tolist() == [1, 3, 0, 1]
+        cache.insert(np.asarray([0.4, 0.5]), "v", np.asarray([4, 5]), np.zeros(2, dtype=np.uint8))
+        assert cache.evictions == 2  # 0.3, then 0.2
+        assert cache.get(0.1, "v") == (1, True, False, False)
+        assert cache.get(0.2, "v") is None and cache.get(0.3, "v") is None
 
     def test_capacity_zero_disables(self):
         cache = ResultCache(0)
-        cache.put(0.1, "v", ("a",))
+        cache.put(0.1, "v", A)
         assert len(cache) == 0
         assert cache.get(0.1, "v") is None
+        hit, __, ___ = cache.probe(np.asarray([0.1, 0.2, 0.1]), "v")
+        assert not hit.any()
+        assert cache.misses == 4 and cache.hits == 0  # every request still counted
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigError):
@@ -122,13 +160,92 @@ class TestResultCache:
     def test_clear_counts_invalidations_and_hit_rate(self):
         cache = ResultCache(8)
         assert cache.hit_rate == 0.0
-        cache.put(0.1, "v", ("a",))
-        cache.put(0.2, "v", ("b",))
+        cache.put(0.1, "v", A)
+        cache.put(0.2, "v", B)
         cache.get(0.1, "v")
         cache.get(0.9, "v")
         assert cache.hit_rate == 0.5
         cache.clear()
         assert cache.invalidations == 2 and len(cache) == 0
+        assert cache.get(0.1, "v") is None
+
+
+class LruModel:
+    """The ``OrderedDict`` LRU the array cache replaced, verbatim: lazy
+    invalidation, one ``get``/``put`` per request."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity, self.entries = capacity, OrderedDict()
+        self.hits = self.misses = 0
+
+    def get(self, key, version):
+        entry = self.entries.get(key)
+        if entry is not None and entry[0] == version:
+            self.entries.move_to_end(key)
+            self.hits += 1
+            return entry[1]
+        self.entries.pop(key, None)
+        self.misses += 1
+        return None
+
+    def put(self, key, version, payload):
+        if self.capacity == 0:
+            return
+        self.entries[key] = (version, payload)
+        self.entries.move_to_end(key)
+        while len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+
+    def live_keys(self, version):
+        return {key for key, entry in self.entries.items() if entry[0] == version}
+
+
+# Distinct floats, four of them inside the first 2**-64 keyspace cell.
+KEY_POOL = np.asarray([0.0, 5e-324, 2.0**-70, 1.5 * 2.0**-70, 2.0**-12, 0.1, 0.25, 0.5, 0.75, 0.9])
+
+
+class TestLruModelDifferential:
+    @given(
+        capacity=st.integers(0, 6),
+        batches=st.lists(
+            st.tuples(
+                st.booleans(),  # bump the version before this batch
+                st.lists(st.integers(0, KEY_POOL.size - 1), min_size=1, max_size=16),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 1 << 16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_array_cache_serves_what_the_ordered_dict_served(self, capacity, batches, seed):
+        cache, model = ResultCache(capacity), LruModel(capacity)
+        rng = np.random.default_rng(seed)
+        version = 0
+        for bump, picks in batches:
+            version += int(bump)
+            keys = KEY_POOL[picks]
+            owners = rng.integers(0, 100, size=keys.size)
+            flags = rng.integers(0, 8, size=keys.size).astype(np.uint8)
+
+            hit, got_owners, got_flags = cache.probe(keys, version)
+            miss = ~hit
+            cache.insert(keys[miss], version, owners[miss], flags[miss])
+
+            want = [model.get(float(key), version) for key in keys]
+            for key, served, owner, flag in zip(keys, want, owners, flags):
+                if served is None:
+                    model.put(float(key), version, (int(owner), int(flag)))
+
+            assert hit.tolist() == [served is not None for served in want]
+            assert [
+                (int(o), int(f)) for o, f in zip(got_owners[hit], got_flags[hit])
+            ] == [served for served in want if served is not None]
+            assert (cache.hits, cache.misses) == (model.hits, model.misses)
+            live = model.live_keys(version)
+            assert len(cache) == len(live)
+            replica = copy.deepcopy(cache)  # reading must not disturb recency
+            assert {float(k) for k in KEY_POOL if replica.get(float(k), version) is not None} == live
 
 
 class TestServeSnapshot:
@@ -136,8 +253,8 @@ class TestServeSnapshot:
         overlay, view, store, serve = build_plane()
         snap = serve.serve_snapshot()
         keys = split(3, "probe-keys").random(32)
-        for key in keys:
-            row = int(snap.owner_rows(np.asarray([key]))[0])
+        rows = snap.owner_rows(keyspace.from_units(keys))
+        for key, row in zip(keys, rows):
             assert int(snap.ids[row]) == overlay.ring.successor_of_key(float(key))
 
     def test_believed_dead_peers_are_excluded(self):
@@ -212,16 +329,62 @@ class TestServeEngine:
             serve.serve_batch(np.asarray([1, 2]), np.asarray([0.5]))
 
     def test_unknown_or_believed_dead_source_rejected(self):
+        """The request is rejected — failed, unrouted, uncached — and
+        nothing is raised."""
         overlay, view, store, serve = build_plane()
         key = float(store.item_keys[0])
         max_id = int(overlay.ring.ids_array(live_only=False).max())
-        for source in (-2, -1, max_id + 1, max_id + 5, 10**6):
-            with pytest.raises(RoutingError):
-                serve.serve_batch(np.asarray([source]), np.asarray([key]))
         victim = int(view.live_ids()[3])
         view.crash([victim])
-        with pytest.raises(RoutingError):
-            serve.serve_batch(np.asarray([victim]), np.asarray([key]))
+        for source in (-2, -1, max_id + 1, max_id + 5, 10**6, victim):
+            r = serve.serve_batch(np.asarray([source]), np.asarray([key]))
+            assert r.outcome.tolist() == [Outcome.BAD_SOURCE]
+            assert r.owners.tolist() == [-1] and r.hops.tolist() == [0]
+            assert not (r.hit[0] or r.found[0] or r.success[0] or r.stale[0])
+        assert len(serve.result_cache) == 0
+        assert serve.result_cache.misses == 6
+
+    def test_one_bad_source_fails_only_its_own_row(self):
+        absent = 0.123456789  # in no catalog, so in no other request
+        clean_plane, poisoned_plane = build_plane(), build_plane()
+        overlay, view, store, serve = clean_plane
+        sources, targets = request_batch(view, overlay, store, seed=1)
+        targets[5] = absent
+        clean = serve.serve_batch(sources, targets)
+        assert (clean.outcome == Outcome.SERVED).all()
+
+        serve = poisoned_plane[3]
+        poisoned_sources = sources.copy()
+        poisoned_sources[5] = -1
+        poisoned = serve.serve_batch(poisoned_sources, targets)
+        others = np.arange(sources.size) != 5
+        for column in ("owners", "outcome", "hit", "found", "success", "stale", "hops"):
+            np.testing.assert_array_equal(
+                getattr(poisoned, column)[others], getattr(clean, column)[others], column
+            )
+        assert poisoned.outcome[5] == Outcome.BAD_SOURCE
+        assert poisoned.owners[5] == -1 and poisoned.hops[5] == 0
+        assert not (poisoned.hit[5] or poisoned.success[5])
+        # The failed request was not cached; everything else was.
+        again = serve.serve_batch(sources, targets)
+        assert again.hit.tolist() == others.tolist()
+        assert again.outcome[5] == Outcome.SERVED
+
+    def test_cache_hit_never_consults_the_source(self):
+        overlay, view, store, serve = build_plane()
+        sources, targets = request_batch(view, overlay, store, seed=1)
+        cold = serve.serve_batch(sources, targets)
+        warm = serve.serve_batch(np.full_like(sources, -1), targets)
+        assert warm.hit.all() and (warm.outcome == Outcome.SERVED).all()
+        np.testing.assert_array_equal(warm.success, cold.success)
+
+    def test_repeats_of_a_key_inside_one_batch_all_miss(self):
+        overlay, view, store, serve = build_plane()
+        source = int(view.live_ids()[0])
+        key = float(store.item_keys[0])
+        first = serve.serve_batch(np.full(3, source), np.full(3, key))
+        assert not first.hit.any() and first.success.all()
+        assert serve.serve_batch(np.full(3, source), np.full(3, key)).hit.all()
 
     def test_budget_exhaustion_raises(self):
         overlay, view, store, serve = build_plane()
@@ -333,6 +496,28 @@ class TestDifferential:
         vec = self._run_epochs(cache_size=1 << 20, vectorized=True)
         ref = self._run_epochs(cache_size=1 << 20, vectorized=False)
         assert vec == ref
+
+    def test_distinct_keys_inside_one_keyspace_cell_stay_distinct(self):
+        """Two floats below ``2**-11`` share the ``2**-64`` cell 0 —
+        one a catalog item, one not. The cache must not serve one for
+        the other: cache-on ≡ cache-off, vectorized ≡ reference."""
+        item, not_item = 2.0**-70, 1.5 * 2.0**-70
+        assert keyspace.from_unit(item) == keyspace.from_unit(not_item)
+        runs = []
+        for cache_size, vectorized in ((1 << 20, True), (0, True), (1 << 20, False)):
+            overlay, view, store, serve = build_plane(
+                cache_size=cache_size, vectorized=vectorized
+            )
+            store.seed_items([item], view)
+            sources = view.live_ids()[:4]
+            targets = np.asarray([item, not_item, not_item, item])
+            passes = [serve.serve_batch(sources, targets) for __ in range(2)]
+            assert passes[1].hit.all() == bool(cache_size)
+            for r in passes:
+                assert r.found.tolist() == [True, False, False, True]
+                assert r.success.tolist() == [True, False, False, True]
+            runs.append([(r.owners.tolist(), r.stale.tolist()) for r in passes])
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestStaleServes:

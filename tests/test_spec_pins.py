@@ -29,7 +29,7 @@ PINS = json.loads((Path(__file__).parent / "data" / "spec_scalars.json").read_te
 
 #: Scalar and series names that report wall time (or a ratio of wall
 #: times); everything else a spec emits is a pure function of (seed, params).
-TIMING = re.compile(r"seconds|per.second|qps_|/sec|rewire_speedup")
+TIMING = re.compile(r"seconds|per.second|qps_|/sec|_speedup")
 
 
 @functools.cache
