@@ -139,6 +139,15 @@ ROWS: dict[str, Row] = {
         {"size": 1000, "epochs": 12},
         (("evictions", ">", 0), ("false_evictions", "==", 0)),
     ),
+    # The committed benchmark's regime (bench/ `detect-churn`: 10k peers,
+    # half-life 64): ~7 s on the dev container with the bit-matrix gossip
+    # plane, 19 s with a Python set per report — the ceiling is ~2x the
+    # former, so falling back to the latter fails.
+    "detector-10k": Row(
+        "detector-churn",
+        {"size": 10_000, "half_life": 64.0, "epochs": 12},
+        (("evictions", ">", 0), ("false_evictions", "==", 0), ("wall_seconds", "<", 15.0)),
+    ),
     # The serve row under 10% probe loss: detection lag must show up as
     # data risk (phantoms and stale serves strictly positive) while
     # re-replication keeps loss within 1% of the catalog — silence in

@@ -26,7 +26,11 @@ machine one probe round at a time:
 Both consume the *same* uniform draw matrix per round (one
 ``rng.random((T, J_eff))`` from the ``("steady-detect", epoch)``
 stream) and are pinned bit-identical on every observable by the
-hypothesis differential in ``tests/test_membership.py``.
+hypothesis differential in ``tests/test_membership.py``. The backend
+picks the gossip twin too: the bit-matrix :class:`~repro.membership
+.gossip.GossipMembership` with the kernel, the set-per-report
+:class:`~repro.membership.gossip.ScalarGossipMembership` with the
+scalar bank.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from ..rng import split
 from ..types import NodeId
 from .config import DetectorConfig
 from .detector import FailureDetector
-from .gossip import GossipMembership
+from .gossip import GossipMembership, ScalarGossipMembership
 from .vectorized import VectorizedDetectorBank
 from .views import MembershipView
 
@@ -211,7 +215,8 @@ class ProbeView(MembershipView):
             engine stream, so installing a ``ProbeView`` consumes zero
             draws from the engine's generators (the oracle path stays
             bit-identical by construction).
-        backend: ``"vectorized"`` (default) or ``"scalar"``.
+        backend: ``"vectorized"`` (default) or ``"scalar"`` — the
+            detector bank and the gossip plane switch together.
 
     Attributes:
         detection_lags: Epoch lag (eviction epoch − recorded death
@@ -237,14 +242,15 @@ class ProbeView(MembershipView):
             self._bank: ScalarDetectorBank | VectorizedDetectorBank = (
                 VectorizedDetectorBank(self.config)
             )
+            self._gossip: GossipMembership | ScalarGossipMembership = GossipMembership(self.config)
         elif backend == "scalar":
             self._bank = ScalarDetectorBank(self.config)
+            self._gossip = ScalarGossipMembership(self.config)
         else:
             raise ConfigError(
                 f"backend must be 'vectorized' or 'scalar', got {backend!r}"
             )
         self.backend = backend
-        self._gossip = GossipMembership(self.config)
         self._believed_dead: set[int] = set()
         self._death_epoch: dict[int, int] = {}
         self.detection_lags: list[int] = []
@@ -296,7 +302,7 @@ class ProbeView(MembershipView):
         for node_id in ids:
             self._believed_dead.discard(node_id)
             self._death_epoch.pop(node_id, None)
-            self._gossip.cancel(node_id)
+        self._gossip.forget(ids)
         if revived:
             arr = np.asarray(revived, dtype=np.int64)
             slots = self.ring.state.slots_of(arr)
@@ -325,8 +331,8 @@ class ProbeView(MembershipView):
                 reports = self._bank.round(
                     believed_ids, believed_slots, self.ring.state.alive, u
                 )
-                for target, origin in reports:
-                    self._gossip.start(target, origin)
+                if reports:
+                    self._gossip.start_many(*np.array(reports, dtype=np.int64).T)
             for target in self._gossip.spread(believed_ids, rng):
                 self._evict(int(target), int(epoch))
                 evicted.append(int(target))
@@ -363,5 +369,4 @@ class ProbeView(MembershipView):
         for node_id in ids:
             self._believed_dead.discard(node_id)
             self._death_epoch.pop(node_id, None)
-            self._gossip.cancel(node_id)
-            self._gossip.completed.discard(node_id)
+        self._gossip.forget(ids)

@@ -7,7 +7,10 @@ Four layers, innermost out:
   round trip equals ``timeout_s`` exactly is on time; a poll at exactly
   the deadline expires nothing);
 * :class:`~repro.membership.gossip.GossipMembership` — push-epidemic
-  spread, the staleness bound, duplicate suppression;
+  spread, the staleness bound, duplicate suppression, and the
+  hypothesis differential that holds the bit-matrix class identical to
+  its set-per-report reference twin (completions, ``informed_count``,
+  generator position);
 * the :class:`~repro.membership.views.MembershipView` implementations —
   :class:`OracleView` must be byte-for-byte the old bitmap behavior,
   :class:`ProbeView` must measure detection lag and never falsely evict
@@ -21,6 +24,7 @@ Four layers, innermost out:
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +41,8 @@ from repro.membership import (
     OracleView,
     ProbeView,
 )
+from repro.membership import gossip as gossip_module
+from repro.membership.gossip import ScalarGossipMembership
 from repro.protocol.effects import Send, StartTimer, SuspectPeer
 from repro.protocol.messages import Ping, Pong
 from repro.ring import Ring
@@ -204,6 +210,11 @@ class TestFailureDetector:
         assert 4 in pings(effects)  # fresh probe, fresh window
 
 
+GOSSIP_TWINS = (GossipMembership, ScalarGossipMembership)
+GOSSIP_OPS = ["start", "start_many", "cancel", "forget", "arrive", "leave", "empty", "spread"]
+IDS = st.integers(min_value=0, max_value=24)
+
+
 class TestGossipMembership:
     CFG = DetectorConfig(gossip_fanout=2)
 
@@ -254,6 +265,77 @@ class TestGossipMembership:
         gossip.start(5, origin=1)
         done = gossip.spread(np.empty(0, dtype=np.int64), split(3, "gossip-test"))
         assert done == [5]
+
+    def test_forget_drops_in_flight_and_completed_state(self):
+        gossip = GossipMembership(self.CFG)
+        assert gossip.start_many([5, 7, 5], [1, 2, 3]) == 2  # repeated target: once
+        gossip.spread(np.empty(0, dtype=np.int64), split(4, "gossip-test"))
+        gossip.start(9, origin=1)
+        gossip.forget([5, 9, 11])
+        assert gossip.active == [] and gossip.completed == {7}
+        assert gossip.start(5, origin=1)  # forgotten: may be reported again
+        assert not gossip.start(7, origin=1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        fanout=st.sampled_from([1, 2, 3]),
+        staleness=st.sampled_from([0, 1, 4]),
+        chunk=st.sampled_from([3, 1 << 20]),
+        data=st.data(),
+    )
+    def test_matrix_matches_set_reference(self, seed, fanout, staleness, chunk, data):
+        """Random start / start_many / cancel / forget programs over a
+        population that arrives, leaves, revives and empties: after
+        every ``spread`` the two twins agree on completions, ``active``,
+        ``informed_count`` and generator position."""
+        cfg = DetectorConfig(gossip_fanout=fanout, staleness_rounds=staleness)
+        twins = [(cls(cfg), split(seed, "gossip-diff")) for cls in GOSSIP_TWINS]
+        live: list[int] = data.draw(st.lists(IDS, max_size=12, unique=True), label="live")
+        for step in range(data.draw(st.integers(min_value=1, max_value=12))):
+            op = data.draw(st.sampled_from(GOSSIP_OPS), label=f"op@{step}")
+            ids = data.draw(st.lists(IDS, max_size=4), label=f"ids@{step}")
+            if op == "start" and ids:
+                assert len({g.start(ids[0], ids[-1]) for g, _ in twins}) == 1
+            elif op == "start_many":
+                origins = np.array(ids[::-1], dtype=np.int64)
+                assert len({g.start_many(np.array(ids, np.int64), origins) for g, _ in twins}) == 1
+            elif op == "cancel" and ids:
+                for gossip, _ in twins:
+                    gossip.cancel(ids[0])
+            elif op == "forget":
+                for gossip, _ in twins:
+                    gossip.forget(ids)
+            elif op == "arrive":  # arrivals and revivals alike: ids come (back)
+                live += [i for i in dict.fromkeys(ids) if i not in live]
+            elif op == "leave":
+                live = [i for i in live if i not in ids]
+            elif op == "empty":
+                live = []
+            population = np.array(live, dtype=np.int64)
+            with mock.patch.object(gossip_module, "DRAW_CHUNK", chunk):  # cut mid-round too
+                matrix, reference = (g.spread(population, rng) for g, rng in twins)
+            assert matrix == reference
+            (matrix, rng_m), (reference, rng_r) = twins
+            assert matrix.active == reference.active
+            assert matrix.completed == reference.completed
+            for target in reference.active:
+                assert matrix.informed_count(target) == reference.informed_count(target)
+            assert rng_m.integers(1 << 30) == rng_r.integers(1 << 30)
+
+
+@pytest.mark.parametrize("n", [7, 9_973, 10_000, 100_000])
+def test_batched_gossip_draw_matches_per_report_draws(n):
+    """The RNG-layout assumption ``GossipMembership.spread`` rests on:
+    one bounded ``integers`` call of ``k1 + k2 + k3`` rows consumes the
+    stream exactly like three consecutive calls (a zero-row one
+    included), and leaves the generator in the same place."""
+    sizes, fanout = (5, 0, 38), 2
+    batched, per_report = split(11, "gossip-layout", n), split(11, "gossip-layout", n)
+    whole = batched.integers(0, n, size=(sum(sizes), fanout))
+    parts = [per_report.integers(0, n, size=(k, fanout)) for k in sizes]
+    assert np.array_equal(whole, np.concatenate(parts))
+    assert batched.random() == per_report.random()
 
 
 class TestOracleView:
@@ -394,6 +476,23 @@ class TestProbeView:
         assert view.is_live(5)
         assert view.evictions == 0
 
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_revived_peer_that_dies_again_is_evicted_again(self, backend):
+        """evict -> revive -> crash: the completed report must not
+        survive the revival, or the second death is a zombie forever."""
+        view = ProbeView(make_ring(16), DETECT, seed=8, backend=backend)
+        view.crash([5])
+        view.record_deaths([5], epoch=1)
+        last = evict_all(view, start_epoch=1)
+        assert view.revive([5]) == [5] and view.is_live(5)
+        view.crash([5])
+        view.record_deaths([5], epoch=last + 1)
+        rounds = DETECT.failure_threshold + DETECT.staleness_bound(16)
+        epochs = -(-rounds // DETECT.rounds_per_epoch)
+        evict_all(view, start_epoch=last + 1, max_epochs=epochs)
+        assert not view.is_live(5)
+        assert view.evictions == 2 and view.false_evictions == 0
+
     def test_forget_drops_all_trace_before_compaction(self):
         view = ProbeView(make_ring(16), DETECT, seed=6)
         view.crash([3, 9])
@@ -459,35 +558,42 @@ class TestProbeView:
         data=st.data(),
     )
     def test_scalar_and_vectorized_banks_agree(self, n, seed, loss, data):
-        """The bit-identity differential: both backends, fed identical
-        crash schedules and the same seed (hence the same uniform draw
-        matrices), must agree on every observable after every epoch."""
+        """The bit-identity differential: both backends (detector bank
+        *and* gossip twin), fed identical churn — crashes, compaction
+        of evicted peers, arrivals — and the same seed (hence the same
+        draws), must agree on every observable after every epoch."""
         config = dataclasses.replace(DETECT, loss=loss)
         views = {
             backend: ProbeView(make_ring(n), config, seed=seed, backend=backend)
             for backend in ("scalar", "vectorized")
         }
-        schedule: list[list[int]] = []
-        for epoch in range(1, 7):
-            reference = views["scalar"]
-            live = [int(i) for i in reference.ring.ids_array(live_only=True)]
+        scalar, vectorized = views["scalar"], views["vectorized"]
+        schedule: list[tuple[list[int], bool]] = []
+        for epoch in range(1, 15):
+            live = [int(i) for i in scalar.ring.ids_array(live_only=True)]
             victims = (
                 data.draw(
-                    st.lists(
-                        st.sampled_from(live), max_size=len(live) - 2, unique=True
-                    ),
+                    st.lists(st.sampled_from(live), max_size=len(live) - 2, unique=True),
                     label=f"victims@{epoch}",
                 )
                 if len(live) > 2
                 else []
             )
-            schedule.append(victims)
+            compact = data.draw(st.booleans(), label=f"compact@{epoch}")
+            schedule.append((victims, compact))
             for view in views.values():
+                if compact:  # evicted peers leave the ring, one newcomer joins
+                    believed = set(int(i) for i in view.live_ids())
+                    gone = [int(i) for i in view.ring.ids_array(live_only=False)]
+                    gone = [i for i in gone if i not in believed]
+                    view.forget(gone)
+                    view.ring.remove_many(gone)
+                    view.ring.insert(n + epoch, (epoch + 0.5) / 16)
                 view.crash(victims)
                 view.record_deaths(victims, epoch)
                 view.advance(epoch)
-            scalar, vectorized = views["scalar"], views["vectorized"]
             assert list(scalar.live_ids()) == list(vectorized.live_ids()), schedule
             assert scalar.evictions == vectorized.evictions, schedule
             assert scalar.false_evictions == vectorized.false_evictions, schedule
             assert scalar.detection_lags == vectorized.detection_lags, schedule
+            assert scalar._gossip.active == vectorized._gossip.active, schedule
