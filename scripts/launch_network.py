@@ -1,8 +1,8 @@
 """Launch a live Oscar overlay over TCP loopback and health-check it.
 
 Boots a seed endpoint plus ``--peers`` peer tasks, each an asyncio
-:class:`repro.net.NetNode` speaking length-prefixed frames over real
-sockets (msgpack when the ``net`` extra is installed, JSON otherwise),
+:class:`repro.net.NetNode` speaking length-prefixed JSON frames over
+real sockets,
 runs the join protocol to quiescence, prints a topology summary, and
 routes ``--probes`` greedy lookups. Exit status is the health check:
 nonzero when any probe misses the responsible peer, any in-cap is
@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.config import OscarConfig, SamplingMode  # noqa: E402
 from repro.degree import ConstantDegrees  # noqa: E402
-from repro.net import NetConfig, NetHarness, have_msgpack  # noqa: E402
+from repro.net import NetConfig, NetHarness  # noqa: E402
 from repro.workloads import UniformKeys  # noqa: E402
 
 
@@ -35,12 +35,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--cap", type=int, default=4, help="per-peer degree cap (default: 4)")
     parser.add_argument("--probes", type=int, default=100, help="route probes (default: 100)")
-    parser.add_argument(
-        "--codec",
-        default="msgpack",
-        choices=("json", "msgpack"),
-        help="wire codec; msgpack falls back to json when not installed",
-    )
     parser.add_argument(
         "--walk",
         action="store_true",
@@ -53,7 +47,6 @@ def main(argv: list[str] | None = None) -> int:
         overlay=OscarConfig(sampling_mode=mode),
         seed=args.seed,
         transport="tcp",
-        codec=args.codec,
     )
     started = time.perf_counter()
     with NetHarness(config) as harness:
@@ -62,12 +55,9 @@ def main(argv: list[str] | None = None) -> int:
         success, mean_hops = harness.route_check(args.probes)
         summary = harness.summary()
 
-    codec_note = args.codec
-    if args.codec == "msgpack" and not have_msgpack():
-        codec_note = "msgpack->json (msgpack not installed)"
     print(
         f"[launch-network] {summary.n} peers over TCP loopback in "
-        f"{build_seconds:.2f}s ({codec_note}): {summary.links} links, "
+        f"{build_seconds:.2f}s: {summary.links} links, "
         f"{summary.gave_up} slots given up"
     )
     print(

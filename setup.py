@@ -2,10 +2,7 @@
 (and plain ``python setup.py develop``) work on offline hosts whose
 setuptools lacks the ``wheel`` package.
 
-The library proper needs only numpy. The ``net`` extra pulls in msgpack
-for compact wire frames in the asyncio runtime (``repro.net``) — purely
-optional: without it the codec falls back to JSON with identical
-semantics (see ``src/repro/net/codec.py``).
+The library needs only numpy.
 """
 
 from setuptools import find_packages, setup
@@ -16,9 +13,4 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.11",
     install_requires=["numpy"],
-    extras_require={
-        # `pip install repro[net]`: msgpack-encoded frames for the TCP
-        # transport; JSON remains the zero-dependency fallback.
-        "net": ["msgpack>=1.0"],
-    },
 )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..config import ChurnConfig
 from ..membership import OracleView
-from ..ring import Ring, RingPointers, repair
+from ..ring import Ring, RingPointers, repair_all
 from ..rng import split
 from ..types import NodeId
 
@@ -46,5 +46,5 @@ def apply_churn(ring: Ring, pointers: RingPointers, config: ChurnConfig) -> list
     rng = split(config.seed, "churn-victims", int(config.kill_fraction * 1_000_000))
     victims = OracleView(ring).crash_fraction(rng, config.kill_fraction)
     if config.repair_ring:
-        repair(ring, pointers)
+        repair_all(ring, pointers)
     return victims

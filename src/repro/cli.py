@@ -208,23 +208,6 @@ def _make_runner(args: argparse.Namespace) -> Runner:
     )
 
 
-#: Flags of this CLI that take no value (everything else consumes the
-#: next token), used by the back-compat argv scan in main().
-_BOOLEAN_FLAGS = {"-h", "--help", "--force", "--log-x", "--log-y", "--params"}
-
-
-def _first_positional(argv: Sequence[str]) -> str | None:
-    """The first token that is neither an option nor an option's value."""
-    index = 0
-    while index < len(argv):
-        token = argv[index]
-        if token.startswith("-"):
-            index += 1 if (token in _BOOLEAN_FLAGS or "=" in token) else 2
-            continue
-        return token
-    return None
-
-
 def _slug(label: str) -> str:
     """A filesystem-safe stem from a sweep point label (``k=v,k=v``)."""
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in label)
@@ -397,18 +380,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .analysis.run import main as lint_main
 
         return lint_main(argv[1:], prog="oscar-repro lint")
-    # Back-compat with the old single-parser CLI, where options could
-    # precede the positional: find the first true positional (skipping
-    # option values). A spec id there means `run <id> ...`; a subcommand
-    # there (e.g. `--scale 0.1 all`) is rotated to the front.
-    first = _first_positional(argv)
-    spec_ids = {spec.id for spec in all_specs()}
-    if first is not None and first in spec_ids and first not in COMMANDS:
-        argv = ["run", *argv]
-    elif first is not None and first in COMMANDS and argv[0] != first:
-        rest = list(argv)
-        rest.remove(first)
-        argv = [first, *rest]
     args = build_parser().parse_args(argv)
 
     # User-input errors exit 2 with a one-line message: unknown

@@ -4,13 +4,13 @@ This module is the data layout underneath the whole system: one
 :class:`SubstrateState` holds, in flat numpy arrays indexed by *slot*,
 everything the ring and the three substrates (Oscar, Mercury, Chord)
 know about a peer — its id, unit-circle position, exact ``uint64`` key,
-liveness flag, in/out capacities and degrees, its padded long-link
-table, its partition-table view of the key space, and its cumulative
-sampling spend. ``Ring``, ``OscarNode``, ``MercuryNode`` and the
-overlay ``nodes`` / ``fingers`` mappings are thin views over these
-arrays: reading ``node.in_degree`` reads one array cell, and the batch
-engines read whole columns without crossing the Python object boundary
-per peer.
+liveness flag, maintained ring successor / predecessor pointers, in/out
+capacities and degrees, its padded long-link table, its partition-table
+view of the key space, and its cumulative sampling spend. ``Ring``,
+``OscarNode``, ``MercuryNode`` and the overlay ``nodes`` / ``fingers``
+mappings are thin views over these arrays: reading ``node.in_degree``
+reads one array cell, and the batch engines read whole columns without
+crossing the Python object boundary per peer.
 
 Design notes
 ------------
@@ -77,13 +77,37 @@ _MIN_CAPACITY = 8
 
 
 class SubstrateState:
-    """Flat per-peer arrays indexed by slot, with free-list recycling."""
+    """Flat per-peer arrays indexed by slot, with free-list recycling.
+
+    ======================== ======== ==================================
+    column                   dtype    cleared value / meaning
+    ======================== ======== ==================================
+    ``node_id``              int64    ``-1`` = free slot
+    ``pos`` / ``key``        f8 / u8  unit-circle position, exact key
+    ``alive``                bool     crashed peers keep their slot
+    ``succ`` / ``pred``      int64    maintained ring pointers as node
+                                      *ids* (ids are never reused, so a
+                                      recycled slot cannot alias);
+                                      ``-1`` = no pointer
+    ``cap_in`` / ``cap_out`` int32    degree caps (0 when cap-less)
+    ``in_deg``               int32    long links pointing at the peer
+    ``out_count``            int32    filled columns of ``out_links``
+    ``out_links``            int32 2d target ids, ``-1`` padding
+    ``samples_spent``        int64    cumulative sampling spend
+    ``part_origin`` /        f8       partition-table span
+    ``part_far_end``
+    ``n_medians``            int32    ``-1`` = no partition table yet
+    ``medians``              f8 2d    partition borders
+    ======================== ======== ==================================
+    """
 
     __slots__ = (
         "node_id",
         "pos",
         "key",
         "alive",
+        "succ",
+        "pred",
         "cap_in",
         "cap_out",
         "in_deg",
@@ -106,6 +130,8 @@ class SubstrateState:
         self.pos = np.zeros(capacity, dtype=np.float64)
         self.key = np.zeros(capacity, dtype=np.uint64)
         self.alive = np.zeros(capacity, dtype=bool)
+        self.succ = np.full(capacity, -1, dtype=np.int64)
+        self.pred = np.full(capacity, -1, dtype=np.int64)
         self.cap_in = np.zeros(capacity, dtype=np.int32)
         self.cap_out = np.zeros(capacity, dtype=np.int32)
         self.in_deg = np.zeros(capacity, dtype=np.int32)
@@ -153,6 +179,8 @@ class SubstrateState:
         self.pos = _grow1(self.pos, new, 0.0)
         self.key = _grow1(self.key, new, 0)
         self.alive = _grow1(self.alive, new, False)
+        self.succ = _grow1(self.succ, new, -1)
+        self.pred = _grow1(self.pred, new, -1)
         self.cap_in = _grow1(self.cap_in, new, 0)
         self.cap_out = _grow1(self.cap_out, new, 0)
         self.in_deg = _grow1(self.in_deg, new, 0)
@@ -211,8 +239,8 @@ class SubstrateState:
         Recycled slots are handed out smallest-first (the free list is
         kept sorted), then fresh slots continue from the high-water
         mark, so physical layout is deterministic for a fixed operation
-        history. All other per-slot fields start cleared (capacities 0,
-        degree 0, no links, no partition table).
+        history. All other per-slot fields start cleared (no ring
+        pointers, capacities 0, degree 0, no links, no partition table).
         """
         ids = np.asarray(node_ids, dtype=np.int64)
         k = int(ids.size)
@@ -260,6 +288,8 @@ class SubstrateState:
         self.pos[arr] = 0.0
         self.key[arr] = 0
         self.alive[arr] = False
+        self.succ[arr] = -1
+        self.pred[arr] = -1
         self.cap_in[arr] = 0
         self.cap_out[arr] = 0
         self.in_deg[arr] = 0

@@ -61,7 +61,7 @@ class Substrate:
         self.seed = seed
         self.state = SubstrateState()
         self.ring = Ring(self.state)
-        self.pointers = RingPointers()
+        self.pointers = RingPointers(self.state)
         self._next_id = 0
         self._links_epoch = 0
         self._join_rng = split(seed, f"{self._stream}join")
@@ -226,11 +226,10 @@ class Substrate:
         if slot < 0:
             raise UnknownNodeError(node_id)
         out: list[NodeId] = []
-        succ = self.pointers.successor.get(node_id)
-        pred = self.pointers.predecessor.get(node_id)
-        if succ is not None and succ != node_id:
+        succ, pred = int(self.state.succ[slot]), int(self.state.pred[slot])
+        if succ >= 0 and succ != node_id:
             out.append(succ)
-        if pred is not None and pred != node_id and pred != succ:
+        if pred >= 0 and pred != node_id and pred != succ:
             out.append(pred)
         out.extend(self.state.out_links[slot, : self.state.out_count[slot]].tolist())
         return out

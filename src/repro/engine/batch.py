@@ -79,13 +79,14 @@ class TopologySnapshot:
         all_keys: Exact ``uint64`` keyspace twin of ``all_pos`` — what
             the per-hop integer geometry computes on.
         all_ids: Node id per row, aligned with ``all_pos``.
-        live_pos: Positions of live peers only (sorted) — the
+        live_keys: ``uint64`` keys of live peers only (sorted) — the
             responsible-peer (``successor_of_key``) lookup table.
         live_rows: Row index (into ``all_pos``) of each live peer,
-            aligned with ``live_pos``.
+            aligned with ``live_keys``.
         row_of: ``node id -> row`` translation array (-1 for unknown).
-        succ_row: Maintained ring-successor pointer per row (-1 when the
-            peer has no pointer, e.g. it is dead and was repaired away).
+        succ_row: Maintained ring-successor pointer per row — the
+            state's ``succ`` column as rows (-1 when the peer has no
+            pointer, e.g. it is dead and was repaired away).
         nbr_rows: Candidate matrix: the non-negative entries of row
             ``i`` are the rows of peer ``all_ids[i]``'s ``neighbors_of``
             list in provider order (what makes batched tie-breaking
@@ -98,7 +99,7 @@ class TopologySnapshot:
     all_pos: np.ndarray
     all_keys: np.ndarray
     all_ids: np.ndarray
-    live_pos: np.ndarray
+    live_keys: np.ndarray
     live_rows: np.ndarray
     row_of: np.ndarray
     succ_row: np.ndarray
@@ -115,42 +116,32 @@ class TopologySnapshot:
         # Candidates in the scalar ``neighbors_of`` order: successor, then
         # predecessor, then every link slot — for dead peers too (greedy
         # routing follows links without liveness checks).
-        succ_row = cls._pointer_rows(substrate.pointers.successor, row_of, all_ids.size)
-        pred_row = cls._pointer_rows(substrate.pointers.predecessor, row_of, all_ids.size)
+        slots = ring.slots_array(live_only=False)
+        succ_row = rows_of(row_of, substrate.state.succ[slots])
+        pred_row = rows_of(row_of, substrate.state.pred[slots])
         succ_col = np.where(succ_row != rows_idx, succ_row, -1)
         pred_col = np.where((pred_row != rows_idx) & (pred_row != succ_row), pred_row, -1)
-        links = substrate.state.link_rows(ring.slots_array(live_only=False), row_of)
+        links = substrate.state.link_rows(slots, row_of)
         return cls(
             version=substrate.topology_version,
             all_pos=ring.positions_array(live_only=False),
             all_keys=ring.keys_array(live_only=False),
             all_ids=all_ids,
-            live_pos=ring.positions_array(live_only=True),
+            live_keys=ring.keys_array(live_only=True),
             live_rows=row_of[ring.ids_array(live_only=True)],
             row_of=row_of,
             succ_row=succ_row,
             nbr_rows=np.concatenate([succ_col[:, None], pred_col[:, None], links], axis=1),
         )
 
-    @staticmethod
-    def _pointer_rows(pointer_map: dict, row_of: np.ndarray, n: int) -> np.ndarray:
-        """Per-row pointer-target rows from one maintained pointer map
-        (-1 where the peer has no pointer)."""
-        rows = np.full(n, -1, dtype=np.int64)
-        ks = np.fromiter(pointer_map.keys(), dtype=np.int64, count=len(pointer_map))
-        vs = np.fromiter(pointer_map.values(), dtype=np.int64, count=len(pointer_map))
-        krows = rows_of(row_of, ks)
-        keep = krows >= 0
-        rows[krows[keep]] = rows_of(row_of, vs[keep])
-        return rows
-
-    def responsible_rows(self, target_keys: np.ndarray) -> np.ndarray:
-        """Row of the live peer responsible for each key (vectorized
-        ``ring.successor_of_key``: first live peer at-or-after the key,
-        wrapping)."""
-        if self.live_pos.size == 0:
+    def responsible_rows(self, targets: np.ndarray) -> np.ndarray:
+        """Row of the live peer responsible for each exact ``uint64``
+        target key (vectorized ``ring.successor_of_key``: first live peer
+        at-or-after the key, wrapping) — decided in the key domain the
+        walk delivers in."""
+        if self.live_keys.size == 0:
             raise RoutingError("topology snapshot has no live peers")
-        idx = np.searchsorted(self.live_pos, target_keys, side="left")
+        idx = np.searchsorted(self.live_keys, targets, side="left")
         return self.live_rows[idx % self.live_rows.size]
 
 
@@ -270,7 +261,10 @@ class BatchQueryEngine:
         if sources.shape != target_keys.shape:
             raise ValueError("sources and target_keys must be aligned 1-d arrays")
 
-        responsible = snap.responsible_rows(target_keys)
+        # The batch's one exact key domain: owner lookup and walk both
+        # decide on these, so they cannot disagree inside a 2**-64 cell.
+        targets = keyspace.from_units(target_keys)
+        responsible = snap.responsible_rows(targets)
         source_rows = rows_of(snap.row_of, sources)
         if np.any(source_rows < 0):
             raise RoutingError("batch contains sources unknown to the topology")
@@ -281,7 +275,7 @@ class BatchQueryEngine:
             snap.all_ids,
             source_rows,
             responsible,
-            keyspace.from_units(target_keys),  # one conversion per batch
+            targets,
             self.routing.budget,
         )
         return BatchRouteResult(

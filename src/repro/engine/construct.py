@@ -61,7 +61,7 @@ from ..degree import DegreeDistribution, assign_caps
 from ..errors import SamplingError
 from ..protocol.decisions import accepts_link, link_winner_key
 from ..protocol.estimation import cw_arc_slice, select_border
-from ..ring import rebuild_pointers
+from ..ring import repair_all
 from ..sampling.batch_walk import BatchRestrictedWalker, in_cw_arc
 from ..workloads import KeyDistribution
 
@@ -247,7 +247,7 @@ class BatchConstructionEngine:
         new_slots = overlay.state.slots_of(np.asarray(new_ids, dtype=np.int64))
         overlay.state.cap_in[new_slots] = np.asarray(caps_in, dtype=np.int64)
         overlay.state.cap_out[new_slots] = np.asarray(caps_out, dtype=np.int64)
-        rebuild_pointers(overlay.ring, overlay.pointers)
+        repair_all(overlay.ring, overlay.pointers)
         if overlay.ring.live_count < 2:
             return LinkAcquisitionStats()
         view = LiveView.capture(overlay)

@@ -16,7 +16,6 @@ __all__ = [
     "DeadNodeError",
     "RingInvariantError",
     "RoutingError",
-    "RoutingBudgetExceeded",
     "SamplingError",
     "InsufficientSamplesError",
     "PartitionError",
@@ -70,19 +69,6 @@ class RingInvariantError(ReproError, RuntimeError):
 
 class RoutingError(ReproError, RuntimeError):
     """Greedy routing could not make progress or deliver a message."""
-
-
-class RoutingBudgetExceeded(RoutingError):
-    """A route exceeded its hop/message budget before delivery.
-
-    Carries the partial cost so experiments can account for abandoned
-    queries instead of silently dropping them.
-    """
-
-    def __init__(self, budget: int, cost: int) -> None:
-        super().__init__(f"routing budget of {budget} messages exceeded (spent {cost})")
-        self.budget = budget
-        self.cost = cost
 
 
 class SamplingError(ReproError, RuntimeError):

@@ -8,8 +8,7 @@ distributed system: one asyncio task per peer, each driving the same
 * :mod:`~repro.net.config` — :class:`~repro.net.config.NetConfig`, the
   frozen, eagerly-validated configuration surface (transport, delivery,
   lockstep, failure-detector knobs, probe-plane loss);
-* :mod:`~repro.net.codec` — length-prefixed JSON frames (msgpack when
-  installed, automatic JSON fallback);
+* :mod:`~repro.net.codec` — length-prefixed JSON frames;
 * :mod:`~repro.net.transport` — the in-memory queue transport with
   seeded deterministic delivery order (``fifo`` / ``random`` /
   ``lockstep`` supersteps) and a real localhost-TCP transport;
@@ -34,14 +33,12 @@ rule only for the *TCP* event loop's internals — see
 ``docs/determinism.md``.)
 """
 
-from .codec import Codec, get_codec, have_msgpack
 from .config import NetConfig
 from .harness import SEED_ID, NetHarness, TopologySummary
 from .node import NetNode
 from .transport import MemoryTransport, TcpEndpoint
 
 __all__ = [
-    "Codec",
     "MemoryTransport",
     "NetConfig",
     "NetHarness",
@@ -49,6 +46,4 @@ __all__ = [
     "SEED_ID",
     "TcpEndpoint",
     "TopologySummary",
-    "get_codec",
-    "have_msgpack",
 ]

@@ -1,18 +1,10 @@
-"""Length-prefixed wire codec: JSON always, msgpack when installed.
+"""Length-prefixed JSON wire framing.
 
 Frames are ``4-byte big-endian length || body``; the body is one
-envelope dict ``{"src": <node id>, "msg": <message wire dict>}``
-encoded by the active codec. JSON is the baseline every interpreter
-ships; installing the ``net`` extra (``pip install repro[net]``) swaps
-the body encoding to msgpack for compact frames. Selection is
-automatic and degradation silent-but-inspectable: ask for msgpack
-without the library and :func:`get_codec` hands back JSON with
-``requested != name`` so callers (and the CI matrix) can see which
-codec actually ran.
-
-Both codecs round-trip the message grammar losslessly: payloads are
-ints, bools, strings, lists and IEEE-754 doubles (positions), all of
-which JSON and msgpack preserve exactly.
+envelope dict ``{"src": <node id>, "msg": <message wire dict>}`` as
+compact UTF-8 JSON, which round-trips the message grammar losslessly:
+payloads are ints, bools, strings, lists and IEEE-754 doubles
+(positions), and ``json`` prints doubles shortest-round-trip.
 """
 
 from __future__ import annotations
@@ -20,15 +12,9 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
-try:  # the optional `net` extra
-    import msgpack  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - exercised where msgpack is absent
-    msgpack = None
-
-__all__ = ["Codec", "FrameError", "get_codec", "have_msgpack"]
+__all__ = ["FrameError", "MAX_FRAME", "decode_body", "encode", "read_frame"]
 
 _LEN = struct.Struct(">I")
 MAX_FRAME = 64 * 1024 * 1024  # a directory of a million peers fits well under this
@@ -38,72 +24,30 @@ class FrameError(ValueError):
     """A frame violated the length-prefix contract."""
 
 
-def have_msgpack() -> bool:
-    """Whether the msgpack codec is importable in this environment."""
-    return msgpack is not None
+def encode(payload: dict[str, Any]) -> bytes:
+    """One framed message: length prefix + encoded body."""
+    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    if len(body) > MAX_FRAME:
+        raise FrameError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
+    return _LEN.pack(len(body)) + body
 
 
-@dataclass(frozen=True)
-class Codec:
-    """One body encoding plus the shared length-prefix framing.
-
-    ``requested`` records what the caller asked for; when it differs
-    from ``name`` the codec silently fell back (msgpack not installed).
-    """
-
-    name: str
-    requested: str
-    _dumps: Callable[[Any], bytes]
-    _loads: Callable[[bytes], Any]
-
-    def encode(self, payload: dict[str, Any]) -> bytes:
-        """One framed message: length prefix + encoded body."""
-        body = self._dumps(payload)
-        if len(body) > MAX_FRAME:
-            raise FrameError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
-        return _LEN.pack(len(body)) + body
-
-    def decode_body(self, body: bytes) -> dict[str, Any]:
-        """Decode one frame body (the length prefix already stripped)."""
-        payload = self._loads(body)
-        if not isinstance(payload, dict):
-            raise FrameError(f"frame body decoded to {type(payload).__name__}, expected dict")
-        return payload
-
-    async def read_frame(self, reader: Any) -> dict[str, Any] | None:
-        """Read one frame from an ``asyncio.StreamReader``; None on EOF."""
-        try:
-            prefix = await reader.readexactly(_LEN.size)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return None
-        (length,) = _LEN.unpack(prefix)
-        if length > MAX_FRAME:
-            raise FrameError(f"incoming frame of {length} bytes exceeds MAX_FRAME")
-        body = await reader.readexactly(length)
-        return self.decode_body(body)
+def decode_body(body: bytes) -> dict[str, Any]:
+    """Decode one frame body (the length prefix already stripped)."""
+    payload = json.loads(body.decode("utf-8"))
+    if not isinstance(payload, dict):
+        raise FrameError(f"frame body decoded to {type(payload).__name__}, expected dict")
+    return payload
 
 
-def _json_dumps(payload: Any) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
-
-
-def _json_loads(body: bytes) -> Any:
-    return json.loads(body.decode("utf-8"))
-
-
-def get_codec(name: str = "json") -> Codec:
-    """Resolve a codec by name (``"json"`` or ``"msgpack"``).
-
-    Requesting msgpack without the library installed falls back to JSON
-    — the returned codec's ``requested`` field keeps the original ask.
-    """
-    if name not in ("json", "msgpack"):
-        raise ValueError(f"unknown codec {name!r}")
-    if name == "msgpack" and msgpack is not None:
-        return Codec(
-            name="msgpack",
-            requested=name,
-            _dumps=lambda p: msgpack.packb(p, use_bin_type=True),
-            _loads=lambda b: msgpack.unpackb(b, raw=False),
-        )
-    return Codec(name="json", requested=name, _dumps=_json_dumps, _loads=_json_loads)
+async def read_frame(reader: Any) -> dict[str, Any] | None:
+    """Read one frame from an ``asyncio.StreamReader``; None on EOF."""
+    try:
+        prefix = await reader.readexactly(_LEN.size)
+    except (asyncio.IncompleteReadError, ConnectionError, OSError):
+        return None
+    (length,) = _LEN.unpack(prefix)
+    if length > MAX_FRAME:
+        raise FrameError(f"incoming frame of {length} bytes exceeds MAX_FRAME")
+    body = await reader.readexactly(length)
+    return decode_body(body)

@@ -35,7 +35,6 @@ __all__ = ["NetConfig"]
 
 _TRANSPORTS = ("memory", "tcp")
 _DELIVERIES = (None, "fifo", "random", "lockstep")
-_CODECS = ("json", "msgpack")
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ class NetConfig:
             resolves to ``"lockstep"`` when ``lockstep`` else ``"fifo"``
             (see :attr:`resolved_delivery`).
         transport: ``"memory"`` or ``"tcp"``.
-        codec: Wire codec for TCP (``"json"`` / ``"msgpack"``).
         detector: Per-peer failure-detector knobs; ``None`` (the
             default) keeps today's oracle behavior — protocol timers
             stay inert and liveness is never probed. Setting it arms
@@ -73,7 +71,6 @@ class NetConfig:
     lockstep: bool = False
     delivery: str | None = None
     transport: str = "memory"
-    codec: str = "json"
     detector: DetectorConfig | None = None
     loss: float = 0.0
 
@@ -86,8 +83,6 @@ class NetConfig:
             raise ConfigError(
                 f"delivery must be one of {_DELIVERIES}, got {self.delivery!r}"
             )
-        if self.codec not in _CODECS:
-            raise ConfigError(f"codec must be one of {_CODECS}, got {self.codec!r}")
         if not (0.0 <= self.loss < 1.0):
             raise ConfigError(f"loss must be in [0, 1), got {self.loss}")
         if self.lockstep:

@@ -77,7 +77,6 @@ from ..protocol.messages import (
 )
 from ..rng import split
 from ..workloads import KeyDistribution
-from .codec import get_codec
 from .config import NetConfig
 from .node import NetNode
 from .transport import MemoryTransport, TcpEndpoint
@@ -127,7 +126,6 @@ class NetHarness:
         self.lockstep = config.lockstep
         self.transport_kind = config.transport
         self.delivery = config.resolved_delivery
-        self.codec_name = config.codec
         self.detector_config = config.detector
         self.nodes: list[NetNode] = []
         self.directory: Directory | None = None
@@ -366,13 +364,12 @@ class NetHarness:
     async def _build_tcp(
         self, n: int, positions: np.ndarray, caps_in: np.ndarray, caps_out: np.ndarray
     ) -> LinkAcquisitionStats:
-        codec = get_codec(self.codec_name)
-        self._seed_ep = TcpEndpoint(SEED_ID, codec=codec)
+        self._seed_ep = TcpEndpoint(SEED_ID)
         await self._seed_ep.start()
         seed_addr = self._seed_ep.address
         loop = asyncio.get_running_loop()
         for i in range(n):
-            endpoint = TcpEndpoint(-2 - i, codec=get_codec(self.codec_name))
+            endpoint = TcpEndpoint(-2 - i)
             endpoint.learn_addresses([(SEED_ID, *seed_addr)])
             node = NetNode(
                 endpoint,

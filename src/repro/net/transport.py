@@ -40,7 +40,7 @@ import numpy as np
 
 from ..protocol.messages import LinkCommit, Message, Ping, Pong, message_from_wire
 from ..rng import split
-from .codec import Codec, get_codec
+from . import codec
 
 __all__ = ["MemoryEndpoint", "MemoryTransport", "TcpEndpoint"]
 
@@ -229,14 +229,12 @@ class TcpEndpoint:
         node_id: This peer's id (stamped into outgoing envelopes). The
             seed's id is known up front; joining peers may re-identify
             after the seed assigns their id via ``set_node_id``.
-        codec: Frame codec (default JSON; msgpack via ``get_codec``).
         host: Interface to bind (localhost only — this transport exists
             for same-machine experiments, not the open internet).
     """
 
-    def __init__(self, node_id: int, codec: Codec | None = None, host: str = "127.0.0.1") -> None:
+    def __init__(self, node_id: int, host: str = "127.0.0.1") -> None:
         self.node_id = int(node_id)
-        self.codec = codec or get_codec("json")
         self._host = host
         self._server: asyncio.base_events.Server | None = None
         self._inbox: asyncio.Queue = asyncio.Queue()
@@ -270,7 +268,7 @@ class TcpEndpoint:
     ) -> None:
         try:
             while True:
-                payload = await self.codec.read_frame(reader)
+                payload = await codec.read_frame(reader)
                 if payload is None:
                     break
                 self._inbox.put_nowait(
@@ -305,7 +303,7 @@ class TcpEndpoint:
                 raise ConnectionError(f"no known address for node {dst}")
             __, writer = await asyncio.open_connection(addr[0], addr[1])
             self._writers[dst] = writer
-        writer.write(self.codec.encode({"src": self.node_id, "msg": message.to_wire()}))
+        writer.write(codec.encode({"src": self.node_id, "msg": message.to_wire()}))
         await writer.drain()
 
     def done(self) -> None:

@@ -4,8 +4,8 @@ One flat registry of frozen dataclasses; each kind round-trips through
 ``to_wire()`` / :func:`message_from_wire` as a plain dict of JSON-safe
 values (ints, floats, bools, strings, lists), so the same grammar runs
 over the in-memory queue transport (objects passed by reference — float
-exactness trivially preserved) and the TCP codec (length-prefixed JSON
-or msgpack; IEEE doubles survive both losslessly).
+exactness trivially preserved) and the TCP codec (length-prefixed JSON;
+IEEE doubles survive it losslessly).
 
 Grammar overview (sender identity travels in the transport envelope,
 never inside the message):

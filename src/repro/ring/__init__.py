@@ -30,7 +30,6 @@ from .maintenance import (
     RingPointers,
     attach_node,
     build_pointers,
-    rebuild_pointers,
     repair,
     repair_all,
     verify,
@@ -52,7 +51,6 @@ __all__ = [
     "in_cw_interval",
     "keyspace",
     "normalize",
-    "rebuild_pointers",
     "repair",
     "repair_all",
     "verify",

@@ -5,12 +5,17 @@ self-stabilizing techniques (e.g. Chord ring maintenance algorithms)"
 while long-range links are left dangling after crashes. This module
 implements exactly that contract:
 
-* :func:`build_pointers` wires every live peer to its live ring neighbors;
-* :func:`repair` is the self-stabilization outcome — after failures it
-  re-points any successor/predecessor that references a dead peer to the
-  nearest live one, returning how many pointers had to change;
-* :func:`verify` checks the two ring invariants (pointer closure over live
-  peers, mutual successor/predecessor consistency) and raises
+* the pointers are the ``succ`` / ``pred`` columns of the shared
+  :class:`~repro.core.soa.SubstrateState` (node ids, ``-1`` = none);
+  :class:`RingPointers` is the dict-shaped handle scalar code reads and
+  writes them through;
+* :func:`repair_all` is the self-stabilization outcome as one array
+  kernel — every live peer points at its live ring neighbors, nobody
+  else holds a pointer — returning how many cells had to change;
+  :func:`build_pointers` is the same kernel on a fresh handle and
+  :func:`repair` its entry-by-entry scalar twin;
+* :func:`verify` checks the ring invariants (pointers exactly on the
+  live peers, wired in geometric order) and raises
   :class:`~repro.errors.RingInvariantError` on violation.
 
 Keeping the pointers explicit (rather than recomputing successors from the
@@ -21,48 +26,104 @@ repair" from "long link, possibly dangling".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator, MutableMapping
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..errors import EmptyPopulationError, RingInvariantError
 from ..types import NodeId
 from .ring import Ring
 
+if TYPE_CHECKING:
+    from ..core.soa import SubstrateState
+
 __all__ = [
     "RingPointers",
     "attach_node",
     "build_pointers",
-    "rebuild_pointers",
     "repair",
     "repair_all",
     "verify",
 ]
 
 
-@dataclass
+class _PointerColumn(MutableMapping[NodeId, NodeId]):
+    """``node id -> pointer target id`` view over one state column.
+
+    A peer is *in* the mapping while its cell is not ``-1``; ``del``
+    writes ``-1``. Only peers the state knows can hold a pointer.
+    Iteration is in slot order.
+    """
+
+    __slots__ = ("_state", "_name")
+
+    def __init__(self, state: "SubstrateState", name: str) -> None:
+        self._state = state
+        self._name = name
+
+    def _cells(self) -> np.ndarray:
+        # Looked up per access: the state replaces its columns when it grows.
+        column: np.ndarray = getattr(self._state, self._name)
+        return column
+
+    def _slot(self, node_id: NodeId) -> int:
+        slot = self._state.slot_of(node_id)
+        if slot < 0:
+            raise KeyError(node_id)
+        return slot
+
+    def __getitem__(self, node_id: NodeId) -> NodeId:
+        target = int(self._cells()[self._slot(node_id)])
+        if target < 0:
+            raise KeyError(node_id)
+        return target
+
+    def __setitem__(self, node_id: NodeId, target: NodeId) -> None:
+        self._cells()[self._slot(node_id)] = int(target)
+
+    def __delitem__(self, node_id: NodeId) -> None:
+        cells, slot = self._cells(), self._slot(node_id)
+        if cells[slot] < 0:
+            raise KeyError(node_id)
+        cells[slot] = -1
+
+    def __iter__(self) -> Iterator[NodeId]:
+        held = self._cells() >= 0
+        return iter(self._state.node_id[held].tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._cells() >= 0))
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 class RingPointers:
-    """Per-peer ring neighbor pointers (only meaningful for live peers)."""
+    """Handle on the ring-pointer columns of one substrate state:
+    ``successor`` / ``predecessor`` are mapping views over
+    ``state.succ`` / ``state.pred``."""
 
-    successor: dict[NodeId, NodeId] = field(default_factory=dict)
-    predecessor: dict[NodeId, NodeId] = field(default_factory=dict)
+    __slots__ = ("state", "successor", "predecessor")
 
-    def copy(self) -> "RingPointers":
-        """Deep-enough copy (new dicts, shared immutable ids)."""
-        return RingPointers(dict(self.successor), dict(self.predecessor))
+    def __init__(self, state: "SubstrateState") -> None:
+        self.state = state
+        self.successor = _PointerColumn(state, "succ")
+        self.predecessor = _PointerColumn(state, "pred")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RingPointers):
+            return NotImplemented
+        return self.successor == other.successor and self.predecessor == other.predecessor
 
 
 def build_pointers(ring: Ring) -> RingPointers:
-    """Construct correct pointers for the current live population.
-
-    A single live peer points at itself (the degenerate Chord ring).
-    """
-    live = ring.node_ids(live_only=True)
-    if not live:
-        raise EmptyPopulationError("cannot build ring pointers with no live peers")
-    # zip over the rotated list — one C-level pass instead of N indexings.
-    return RingPointers(
-        successor=dict(zip(live, live[1:] + live[:1])),
-        predecessor=dict(zip(live, live[-1:] + live[:-1])),
-    )
+    """Wire the current live population of ``ring`` and return the handle
+    on its pointers. A single live peer points at itself (the degenerate
+    Chord ring)."""
+    pointers = RingPointers(ring.state)
+    repair_all(ring, pointers)
+    return pointers
 
 
 def attach_node(ring: Ring, pointers: RingPointers, node_id: NodeId) -> None:
@@ -83,110 +144,78 @@ def attach_node(ring: Ring, pointers: RingPointers, node_id: NodeId) -> None:
     pointers.predecessor[succ] = node_id
 
 
-def rebuild_pointers(ring: Ring, pointers: RingPointers) -> None:
-    """Reset ``pointers`` *in place* to the correct live-ring wiring.
+def repair_all(ring: Ring, pointers: RingPointers) -> int:
+    """Self-stabilize ``pointers`` after membership changes — the one
+    array kernel behind joins in bulk, departures in bulk and
+    :func:`build_pointers`.
 
-    The bulk counterpart of :func:`attach_node`: after a bulk membership
-    change (:meth:`Ring.insert_many <repro.ring.ring.Ring.insert_many>`)
-    one ``O(N)`` rebuild replaces K pointer splices. Mutating the given
-    object (rather than returning a fresh one) keeps every holder of the
-    pointers table — overlays, engines, cached snapshots — looking at
-    the same instance.
+    The correct wiring is the live ids in ring order rolled by one,
+    scattered through their slots; every other cell is ``-1``. Returns
+    the number of cells that had to change — pointers dropped from dead
+    peers plus live cells that were missing or stale — 0 when the ring
+    was already stable. **Bit-identical** in count and result to the
+    scalar :func:`repair` (the test suite pins the equivalence).
     """
-    fresh = build_pointers(ring)
-    pointers.successor.clear()
-    pointers.successor.update(fresh.successor)
-    pointers.predecessor.clear()
-    pointers.predecessor.update(fresh.predecessor)
+    live = ring.ids_array(live_only=True)
+    if live.size == 0:
+        raise EmptyPopulationError("cannot repair a ring with no live peers")
+    slots = ring.slots_array(live_only=True)
+    state = pointers.state
+    changes = 0
+    for column, shift in ((state.succ, -1), (state.pred, 1)):
+        correct = np.full(column.size, -1, dtype=np.int64)
+        correct[slots] = np.roll(live, shift)
+        changes += int(np.count_nonzero(column != correct))
+        column[:] = correct
+    return changes
 
 
 def repair(ring: Ring, pointers: RingPointers) -> int:
-    """Self-stabilize ``pointers`` after membership changes.
-
-    Every live peer whose successor (resp. predecessor) is dead, missing
-    or stale is re-pointed to its current live ring neighbor. Entries for
-    dead peers are dropped. Returns the number of pointer entries that
-    were added, changed or removed — 0 means the ring was already stable.
-    """
+    """Scalar reference twin of :func:`repair_all`: entry by entry
+    through the mapping views, same change count, same end state."""
     live = ring.node_ids(live_only=True)
     if not live:
         raise EmptyPopulationError("cannot repair a ring with no live peers")
+    live_set = set(live)
     changes = 0
-    correct_succ = dict(zip(live, live[1:] + live[:1]))
-    correct_pred = dict(zip(live, live[-1:] + live[:-1]))
-
-    for table, correct in ((pointers.successor, correct_succ), (pointers.predecessor, correct_pred)):
+    for table, step in ((pointers.successor, 1), (pointers.predecessor, -1)):
         for node in list(table):
-            if node not in correct:  # owner died: drop its state
+            if node not in live_set:  # owner died: drop its state
                 del table[node]
                 changes += 1
-        for node, target in correct.items():
+        for i, node in enumerate(live):
+            target = live[(i + step) % len(live)]
             if table.get(node) != target:
                 table[node] = target
                 changes += 1
     return changes
 
 
-def repair_all(ring: Ring, pointers: RingPointers) -> int:
-    """Bulk self-stabilization — :func:`repair` restated as one rebuild.
-
-    Computes the correct live wiring once from the ring's sorted order
-    and replaces both tables wholesale instead of probing them entry by
-    entry, which is what the steady-state churn engine calls after every
-    bulk departure wave. The returned change count (entries added,
-    changed or removed) is **bit-identical** to :func:`repair` on the
-    same state — the test suite pins the equivalence — so the two are
-    interchangeable; this one is the bulk-departure hot path.
-    """
-    live = ring.node_ids(live_only=True)
-    if not live:
-        raise EmptyPopulationError("cannot repair a ring with no live peers")
-    changes = 0
-    for table, correct in (
-        (pointers.successor, dict(zip(live, live[1:] + live[:1]))),
-        (pointers.predecessor, dict(zip(live, live[-1:] + live[:-1]))),
-    ):
-        stale = len(table.keys() - correct.keys())
-        if stale == 0 and table == correct:
-            continue  # already stable — skip the per-entry diff entirely
-        changed = sum(1 for node, target in correct.items() if table.get(node) != target)
-        changes += stale + changed
-        if stale or changed:
-            table.clear()
-            table.update(correct)
-    return changes
-
-
 def verify(ring: Ring, pointers: RingPointers) -> None:
     """Check ring invariants; raise :class:`RingInvariantError` on failure.
 
-    Invariants checked:
+    Invariants checked, per column:
 
-    1. every live peer has successor and predecessor entries, and they
-       reference live peers;
-    2. the pointers agree with the geometric order of positions (each
-       peer's successor is its true live clockwise neighbor);
-    3. successor and predecessor are mutually inverse;
-    4. no entries exist for dead or unknown peers.
+    1. no cell of a dead, retired or free slot holds a pointer;
+    2. every live peer holds one, and it is its true live clockwise
+       (resp. counter-clockwise) neighbor — which makes the two columns
+       mutually inverse and every target live.
     """
-    live = ring.node_ids(live_only=True)
-    live_set = set(live)
-    n = len(live)
-    for node in live:
-        if node not in pointers.successor or node not in pointers.predecessor:
-            raise RingInvariantError(f"live node {node} is missing ring pointers")
-    for table_name, table in (("successor", pointers.successor), ("predecessor", pointers.predecessor)):
-        for node, target in table.items():
-            if node not in live_set:
-                raise RingInvariantError(f"{table_name} entry for non-live node {node}")
-            if target not in live_set:
-                raise RingInvariantError(f"{table_name} of {node} points at non-live node {target}")
-    for i, node in enumerate(live):
-        expected = live[(i + 1) % n]
-        actual = pointers.successor[node]
-        if actual != expected:
-            raise RingInvariantError(f"successor of {node} is {actual}, expected {expected}")
-        if pointers.predecessor[expected] != node:
+    live = ring.ids_array(live_only=True)
+    slots = ring.slots_array(live_only=True)
+    state = pointers.state
+    for name, column, shift in (("successor", state.succ, -1), ("predecessor", state.pred, 1)):
+        stray = column >= 0
+        stray[slots] = False
+        if stray.any():
+            owner = int(state.node_id[int(stray.argmax())])
+            raise RingInvariantError(f"{name} entry for non-live node {owner}")
+        actual, expected = column[slots], np.roll(live, shift)
+        wrong = np.flatnonzero(actual != expected)
+        if wrong.size:
+            i = int(wrong[0])
+            if actual[i] < 0:
+                raise RingInvariantError(f"live node {int(live[i])} is missing ring pointers")
             raise RingInvariantError(
-                f"predecessor of {expected} is {pointers.predecessor[expected]}, expected {node}"
+                f"{name} of {int(live[i])} is {int(actual[i])}, expected {int(expected[i])}"
             )

@@ -1,4 +1,4 @@
-"""Shared type aliases and protocols used across the library.
+"""Shared type aliases used across the library.
 
 Centralizing these keeps signatures consistent between the Oscar core,
 the Mercury baseline and the simulation harness, and gives downstream
@@ -7,19 +7,7 @@ users one place to look up the vocabulary of the public API.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    import numpy as np
-
-__all__ = [
-    "NodeId",
-    "Key",
-    "Seed",
-    "KeySampler",
-    "DegreeSampler",
-    "RandomSource",
-]
+__all__ = ["NodeId", "Key", "Seed"]
 
 #: Opaque, stable identifier of a peer. Node ids are dense integers assigned
 #: at join time and never reused, so they double as indices into per-node
@@ -33,55 +21,3 @@ Key = float
 #: Seed material accepted by :func:`repro.rng.make_rng` /
 #: :func:`repro.rng.split`.
 Seed = int
-
-
-@runtime_checkable
-class KeySampler(Protocol):
-    """Anything that can draw keys in ``[0, 1)`` — see :mod:`repro.workloads`."""
-
-    def sample(self, rng: "np.random.Generator", size: int) -> "np.ndarray":
-        """Draw ``size`` keys; returns a float array with values in ``[0, 1)``."""
-        ...
-
-
-@runtime_checkable
-class DegreeSampler(Protocol):
-    """Anything that can draw per-peer degree caps — see :mod:`repro.degree`."""
-
-    def sample(self, rng: "np.random.Generator", size: int) -> "np.ndarray":
-        """Draw ``size`` integer degree caps (each >= 1)."""
-        ...
-
-
-@runtime_checkable
-class RandomSource(Protocol):
-    """The subset of :class:`numpy.random.Generator` the library relies on.
-
-    Declared as a protocol so tests can substitute deterministic stubs
-    without subclassing numpy internals.
-    """
-
-    def random(self, size: int | None = None) -> "float | np.ndarray": ...
-
-    def integers(self, low: int, high: int | None = None, size: int | None = None) -> "int | np.ndarray": ...
-
-    def choice(self, a: "Sequence | np.ndarray", size: int | None = None, replace: bool = True) -> object: ...
-
-    def shuffle(self, x: "np.ndarray") -> None: ...
-
-
-def ensure_node_ids(ids: Iterable[int]) -> list[int]:
-    """Validate and normalize an iterable of node ids into a list.
-
-    Raises :class:`TypeError` when an element is not an integer and
-    :class:`ValueError` when an id is negative. Used by bulk operations
-    (e.g. failure injection) to fail fast on malformed input.
-    """
-    out: list[int] = []
-    for raw in ids:
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise TypeError(f"node id must be an int, got {raw!r}")
-        if raw < 0:
-            raise ValueError(f"node id must be non-negative, got {raw}")
-        out.append(raw)
-    return out

@@ -100,6 +100,35 @@ class TestBatchMatchesScalar:
             assert result.responsible == batch.responsible[i]
             assert result.success and bool(batch.success[i])
 
+    def test_distinct_keys_inside_one_keyspace_cell_stay_distinct(self):
+        """Truth-path twin of the serve-path case of the same name: a
+        peer sits at ``2**-70`` and two distinct target floats share its
+        ``2**-64`` cell. Owner lookup and walk decide in the one key
+        domain, so both resolve to that peer at the same hop count (a
+        float lookup sends the second one peer — and one hop — past it)."""
+        overlay = build_overlay(n=60, seed=5)
+        peer = overlay.join(2.0**-70, 8, 8)
+        on_peer, past_peer = 2.0**-70, 1.5 * 2.0**-70
+        cell = overlay.ring.key_of(peer)
+        assert keyspace.from_unit(on_peer) == keyspace.from_unit(past_peer) == cell
+        sources = np.full(2, overlay.live_node_ids()[30])
+        engine = BatchQueryEngine(overlay)
+        batch = engine.route_batch(sources, np.asarray([on_peer, past_peer]))
+        assert batch.responsible.tolist() == [peer, peer]
+        assert batch.hops[0] == batch.hops[1] > 0
+        snap = engine.snapshot()
+        reference = greedy_walk_reference(
+            snap.all_keys,
+            snap.succ_row,
+            snap.nbr_rows,
+            snap.all_ids,
+            snap.row_of[sources],
+            snap.row_of[batch.responsible],
+            keyspace.from_units(batch.target_keys),
+            overlay.routing.budget,
+        )
+        assert reference.tolist() == batch.hops.tolist()
+
     def test_unrepaired_departure_still_matches_scalar(self):
         # A peer leaves without ring repair: its links dangle but its own
         # pointers survive, so the fault-free greedy walk can pass straight
@@ -214,8 +243,8 @@ class TestWalkKernelTwins:
         snap = TopologySnapshot.capture(overlay)
         target_keys = rng.random(8)
         source_rows = rng.integers(0, snap.all_ids.size, size=8)  # dead rows included
-        owner_rows = snap.responsible_rows(target_keys)
         targets = keyspace.from_units(target_keys)
+        owner_rows = snap.responsible_rows(targets)
 
         def outcomes(walk):
             """Each query alone (so one abort cannot mask the others),
@@ -265,7 +294,7 @@ class TestSnapshotCache:
         overlay.join(0.123456789, 8, 8)
         second = engine.snapshot()
         assert second is not first
-        assert second.live_pos.size == first.live_pos.size + 1
+        assert second.live_keys.size == first.live_keys.size + 1
 
     def test_leave_invalidates(self):
         overlay = build_overlay(n=60, seed=19)
@@ -274,7 +303,7 @@ class TestSnapshotCache:
         overlay.leave(overlay.random_live_node(make_rng(5)))
         second = engine.snapshot()
         assert second is not first
-        assert second.live_pos.size == first.live_pos.size - 1
+        assert second.live_keys.size == first.live_keys.size - 1
 
     def test_rewire_invalidates(self):
         overlay = build_overlay(n=60, seed=19)
@@ -312,7 +341,7 @@ class TestSnapshotCache:
         overlay = build_overlay(n=50, seed=27)
         snap = TopologySnapshot.capture(overlay)
         assert snap.all_pos.size == len(overlay.ring)
-        assert snap.live_pos.size == overlay.size
+        assert snap.live_keys.size == overlay.size
         assert snap.nbr_rows.shape[0] == snap.all_pos.size
         # every live row's successor pointer resolves
         assert np.all(snap.succ_row[snap.live_rows] >= 0)

@@ -71,30 +71,32 @@ class TestMain:
         assert "finished in" in out
         assert "ran 1, cached 0" in out
 
-    def test_bare_experiment_name_still_works(self, capsys):
-        # Back-compat: `repro fig1a` == `repro run fig1a`.
-        exit_code = main(["fig1a", "--scale", "0.02"])
-        assert exit_code == 0
-        assert "analytic_mean" in capsys.readouterr().out
+    def test_bare_experiment_name_is_an_invalid_choice(self, capsys):
+        # One spelling: `repro run fig1a`; a bare id is not a subcommand.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig1a", "--scale", "0.02"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fig1a'" in capsys.readouterr().err
 
-    def test_flags_first_spelling_still_works(self, capsys):
-        # The old single parser accepted options before the positional.
-        exit_code = main(["--scale", "0.02", "fig1a"])
-        assert exit_code == 0
-        assert "analytic_mean" in capsys.readouterr().out
+    def test_flags_first_spelling_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scale", "0.02", "run", "fig1a"])
+        assert excinfo.value.code == 2
+
+    def test_flags_before_subcommand(self, capsys):
+        # Options belong to their subcommand; nothing rotates them there.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--tag", "ablation", "list"])
+        assert excinfo.value.code == 2
+        assert "abl-sampling" not in capsys.readouterr().out
 
     def test_flag_value_colliding_with_command_name(self, tmp_path, capsys):
         # "run" here is the value of --out, not a subcommand.
         exit_code = main(
-            ["fig1a", "--scale", "0.02", "--out", str(tmp_path / "run")]
+            ["run", "fig1a", "--scale", "0.02", "--out", str(tmp_path / "run")]
         )
         assert exit_code == 0
         assert "analytic_mean" in capsys.readouterr().out
-
-    def test_flags_before_subcommand(self, capsys):
-        exit_code = main(["--tag", "ablation", "list"])
-        assert exit_code == 0
-        assert "abl-sampling" in capsys.readouterr().out
 
     def test_object_param_rejected_from_cli(self, capsys):
         exit_code = main(["run", "ext-mercury", "--param", "oscar_config=foo"])
@@ -102,7 +104,7 @@ class TestMain:
         assert "oscar_config" in capsys.readouterr().err
 
     def test_csv_output(self, tmp_path, capsys):
-        exit_code = main(["fig1a", "--scale", "0.02", "--csv-dir", str(tmp_path)])
+        exit_code = main(["run", "fig1a", "--scale", "0.02", "--csv-dir", str(tmp_path)])
         assert exit_code == 0
         csv_file = tmp_path / "fig1a.csv"
         assert csv_file.exists()
@@ -110,18 +112,18 @@ class TestMain:
         assert "series written to" in capsys.readouterr().out
 
     def test_small_growth_experiment(self, capsys):
-        exit_code = main(["fig1c", "--scale", "0.015", "--seed", "3"])
+        exit_code = main(["run", "fig1c", "--scale", "0.015", "--seed", "3"])
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "constant" in out and "stepped" in out
 
     def test_queries_flag_caps_measurement(self, capsys):
-        exit_code = main(["fig1c", "--scale", "0.015", "--queries", "20"])
+        exit_code = main(["run", "fig1c", "--scale", "0.015", "--queries", "20"])
         assert exit_code == 0
         assert "fig1c" in capsys.readouterr().out
 
     def test_queries_flag_ignored_by_fig1a(self, capsys):
-        exit_code = main(["fig1a", "--scale", "0.02", "--queries", "20"])
+        exit_code = main(["run", "fig1a", "--scale", "0.02", "--queries", "20"])
         assert exit_code == 0
 
     def test_param_override(self, capsys):
@@ -392,7 +394,7 @@ class TestModuleEntryPoint:
         import sys
 
         completed = subprocess.run(
-            [sys.executable, "-m", "repro", "fig1a", "--scale", "0.02"],
+            [sys.executable, "-m", "repro", "run", "fig1a", "--scale", "0.02"],
             capture_output=True,
             text=True,
             timeout=120,

@@ -1,16 +1,10 @@
-"""Tests for the exception hierarchy (repro.errors) and shared types."""
+"""Tests for the exception hierarchy (repro.errors)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import errors
-from repro.types import (
-    DegreeSampler,
-    KeySampler,
-    RandomSource,
-    ensure_node_ids,
-)
 
 
 class TestHierarchy:
@@ -22,7 +16,6 @@ class TestHierarchy:
         errors.DeadNodeError,
         errors.RingInvariantError,
         errors.RoutingError,
-        errors.RoutingBudgetExceeded,
         errors.SamplingError,
         errors.InsufficientSamplesError,
         errors.PartitionError,
@@ -47,7 +40,6 @@ class TestHierarchy:
         assert issubclass(errors.UnknownNodeError, KeyError)
 
     def test_specializations(self):
-        assert issubclass(errors.RoutingBudgetExceeded, errors.RoutingError)
         assert issubclass(errors.InsufficientSamplesError, errors.SamplingError)
         assert issubclass(errors.CapacityExhaustedError, errors.LinkAcquisitionError)
 
@@ -67,11 +59,6 @@ class TestErrorPayloads:
         assert exc.node_id == 3
         assert "route" in str(exc)
 
-    def test_budget_exceeded_carries_partial_cost(self):
-        exc = errors.RoutingBudgetExceeded(budget=100, cost=101)
-        assert exc.budget == 100
-        assert exc.cost == 101
-
     def test_insufficient_samples_counts(self):
         exc = errors.InsufficientSamplesError(needed=4, got=1)
         assert exc.needed == 4
@@ -86,53 +73,9 @@ class TestErrorPayloads:
                     raise exc(1)
                 if exc is errors.DeadNodeError:
                     raise exc(1)
-                if exc is errors.RoutingBudgetExceeded:
-                    raise exc(1, 2)
                 if exc is errors.InsufficientSamplesError:
                     raise exc(1, 0)
                 raise exc("boom")
             except errors.ReproError:
                 caught += 1
         assert caught == len(TestHierarchy.ALL_ERRORS)
-
-
-class TestProtocols:
-    def test_numpy_generator_satisfies_random_source(self):
-        import numpy as np
-
-        assert isinstance(np.random.default_rng(0), RandomSource)
-
-    def test_key_distributions_satisfy_key_sampler(self):
-        from repro.workloads import GnutellaLikeDistribution, UniformKeys
-
-        assert isinstance(UniformKeys(), KeySampler)
-        assert isinstance(GnutellaLikeDistribution(), KeySampler)
-
-    def test_degree_distributions_satisfy_degree_sampler(self):
-        from repro.degree import ConstantDegrees, SpikyDegreeDistribution
-
-        assert isinstance(ConstantDegrees(), DegreeSampler)
-        assert isinstance(SpikyDegreeDistribution(), DegreeSampler)
-
-
-class TestEnsureNodeIds:
-    def test_passes_through_valid_ids(self):
-        assert ensure_node_ids([0, 1, 2]) == [0, 1, 2]
-
-    def test_accepts_any_iterable(self):
-        assert ensure_node_ids(iter((5, 6))) == [5, 6]
-
-    def test_rejects_bools(self):
-        with pytest.raises(TypeError):
-            ensure_node_ids([True])
-
-    def test_rejects_floats(self):
-        with pytest.raises(TypeError):
-            ensure_node_ids([1.0])  # type: ignore[list-item]
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ensure_node_ids([-1])
-
-    def test_empty_is_fine(self):
-        assert ensure_node_ids([]) == []

@@ -68,7 +68,7 @@ class TestAttachNode:
 
     def test_first_node_self_loop(self):
         ring = Ring()
-        pointers = RingPointers()
+        pointers = RingPointers(ring.state)
         ring.insert(0, 0.3)
         attach_node(ring, pointers, 0)
         assert pointers.successor[0] == 0
@@ -76,7 +76,7 @@ class TestAttachNode:
 
     def test_incremental_join_sequence_stays_valid(self):
         ring = Ring()
-        pointers = RingPointers()
+        pointers = RingPointers(ring.state)
         rng = np.random.default_rng(3)
         for node_id in range(50):
             ring.insert(node_id, float(rng.random()))
@@ -170,7 +170,7 @@ class TestRepairAll:
         ring = fresh_ring([0.5])
         ring.mark_dead(0)
         with pytest.raises(EmptyPopulationError):
-            repair_all(ring, RingPointers())
+            repair_all(ring, RingPointers(ring.state))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -244,10 +244,100 @@ class TestVerify:
             verify(ring, pointers)
 
 
-class TestCopy:
-    def test_copy_is_independent(self, five_ring):
+def _position(node_id: int) -> float:
+    """A distinct position per id (golden-ratio rotation)."""
+    return (0.5 + node_id * 0.6180339887498949) % 1.0
+
+
+OPS = ("insert", "insert_many", "mark_dead", "mark_alive", "remove_many", "corrupt")
+
+
+class TestPointerColumns:
+    """The pointers live in ``state.succ`` / ``state.pred``: random
+    membership programs over twin rings — one stabilized by the array
+    kernel, one by the scalar twin — must stay cell-for-cell equal."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_kernel_equals_scalar_twin_on_random_programs(self, data):
+        n0 = data.draw(st.integers(1, 6), label="initial peers")
+        twins = [Ring(), Ring()]
+        for ring in twins:
+            ring.insert_many((i, _position(i)) for i in range(n0))
+        handles = [build_pointers(ring) for ring in twins]
+        next_id = n0
+
+        def subset(ids, max_size):
+            if not ids:
+                return []
+            return data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=max_size))
+
+        def join(ids, bulk):
+            for ring, pointers in zip(twins, handles):
+                if bulk:
+                    ring.insert_many((i, _position(i)) for i in ids)
+                else:
+                    ring.insert(ids[0], _position(ids[0]))
+                for i in ids:  # fresh or recycled, a new slot holds no pointer
+                    slot = ring.state.slot_of(i)
+                    assert ring.state.succ[slot] == ring.state.pred[slot] == -1
+                    assert i not in pointers.successor and i not in pointers.predecessor
+
+        for __ in range(data.draw(st.integers(1, 8), label="steps")):
+            for __ in range(data.draw(st.integers(1, 3), label="mutations")):
+                ring = twins[0]
+                known = ring.node_ids()
+                live = ring.node_ids(live_only=True)
+                dead = sorted(set(known) - set(live))
+                op = data.draw(st.sampled_from(OPS))
+                if op in ("insert", "insert_many"):
+                    k = 1 if op == "insert" else data.draw(st.integers(1, 3))
+                    join(list(range(next_id, next_id + k)), bulk=op == "insert_many")
+                    next_id += k
+                elif op in ("mark_dead", "mark_alive"):
+                    chosen = subset(live, len(live) - 1) if op == "mark_dead" else subset(dead, 3)
+                    for ring in twins:
+                        for node_id in chosen:
+                            getattr(ring, op)(node_id)
+                elif op == "remove_many":
+                    # Live peers go too — unrepaired, so their cells are
+                    # set when the slot is freed; one live peer stays.
+                    chosen = subset(live[1:] + dead, 3)
+                    for ring in twins:
+                        ring.remove_many(chosen)
+                else:
+                    node_id = data.draw(st.sampled_from(known))
+                    side = data.draw(st.sampled_from(["successor", "predecessor"]))
+                    value = data.draw(st.none() | st.integers(0, next_id + 2))
+                    for pointers in handles:
+                        view = getattr(pointers, side)
+                        if value is None:
+                            view.pop(node_id, None)
+                        else:
+                            view[node_id] = value
+            assert repair_all(twins[0], handles[0]) == repair(twins[1], handles[1])
+            assert handles[0] == handles[1]
+            for column in ("succ", "pred"):
+                np.testing.assert_array_equal(
+                    getattr(twins[0].state, column), getattr(twins[1].state, column)
+                )
+            for ring, pointers in zip(twins, handles):
+                verify(ring, pointers)
+                assert set(pointers.successor) == set(ring.node_ids(live_only=True))
+
+    def test_views_write_the_cells_the_kernel_reads(self, five_ring):
         ring, __ = five_ring
         pointers = build_pointers(ring)
-        clone = pointers.copy()
-        clone.successor[0] = 99
-        assert pointers.successor[0] == 1
+        state = ring.state
+        assert pointers.successor == {0: 1, 1: 2, 2: 3, 3: 4, 4: 0}
+        assert len(pointers.predecessor) == 5 and list(pointers.predecessor) == [0, 1, 2, 3, 4]
+        pointers.successor[3] = 0
+        assert state.succ[state.slot_of(3)] == 0
+        del pointers.predecessor[2]
+        assert state.pred[state.slot_of(2)] == -1 and 2 not in pointers.predecessor
+        assert pointers.predecessor.get(2) is None and len(pointers.predecessor) == 4
+        with pytest.raises(KeyError):
+            del pointers.predecessor[2]
+        with pytest.raises(KeyError):
+            pointers.successor[99] = 0  # only peers the state knows hold pointers
+        assert repair_all(ring, pointers) == 2

@@ -24,8 +24,8 @@ from repro.core.overlay import OscarOverlay
 from repro.degree import ConstantDegrees, SpikyDegreeDistribution
 from repro.engine.construct import BatchConstructionEngine, LiveView
 from repro.membership import DetectorConfig
-from repro.net import NetConfig, NetHarness, get_codec, have_msgpack
 from repro.errors import SimulationError
+from repro.net import NetConfig, NetHarness, codec
 from repro.net.codec import MAX_FRAME, FrameError
 from repro.rng import split
 from repro.workloads import GnutellaLikeDistribution, UniformKeys
@@ -63,41 +63,28 @@ class TestCodec:
     }
 
     def test_json_frame_round_trip(self):
-        codec = get_codec("json")
         frame = codec.encode(self.ENVELOPE)
         (length,) = struct.unpack(">I", frame[:4])
         assert length == len(frame) - 4
         assert codec.decode_body(frame[4:]) == self.ENVELOPE
 
-    def test_msgpack_request_resolves_or_falls_back(self):
-        codec = get_codec("msgpack")
-        assert codec.requested == "msgpack"
-        if have_msgpack():
-            assert codec.name == "msgpack"
-        else:
-            assert codec.name == "json"  # silent-but-inspectable fallback
-        frame = codec.encode(self.ENVELOPE)
-        assert codec.decode_body(frame[4:]) == self.ENVELOPE
-
     def test_floats_survive_exactly(self):
-        codec = get_codec("json")
         for value in (0.1 + 0.2, 1e-300, 0.9999999999999999):
             frame = codec.encode({"x": value})
             assert codec.decode_body(frame[4:])["x"] == value
 
     def test_oversized_frame_rejected(self):
-        codec = get_codec("json")
         with pytest.raises(FrameError):
             codec.encode({"blob": "x" * (MAX_FRAME + 1)})
 
     def test_non_dict_body_rejected(self):
-        codec = get_codec("json")
         with pytest.raises(FrameError):
             codec.decode_body(b"[1,2,3]")
 
     def test_unknown_codec_rejected(self):
-        with pytest.raises(ValueError):
-            get_codec("pickle")
+        """JSON is the one wire format; no config field selects another."""
+        with pytest.raises(TypeError):
+            NetConfig(codec="pickle")
 
 
 class TestLockstepOracle:
@@ -200,7 +187,7 @@ class TestNetConfig:
         [
             {"transport": "carrier-pigeon"},
             {"delivery": "chaotic"},
-            {"codec": "pickle"},
+            {"loss": float("nan"), "detector": DetectorConfig()},
             {"loss": -0.1},
             {"loss": 1.0, "detector": DetectorConfig()},
             {"lockstep": True, "transport": "tcp"},

@@ -7,7 +7,8 @@ contracts the views assume:
 * slot recycling — freed slots are reissued smallest-first, never twice,
   and a leave/rejoin sequence lands on deterministic slots;
 * compaction (``remove_many``) preserves clockwise ring order and the
-  id/slot mappings (:meth:`Ring.verify` must stay silent);
+  id/slot mappings (:meth:`Ring.verify` must stay silent), and a freed
+  slot holds no ring pointer (``succ`` / ``pred`` are ``-1``);
 * the liveness bitmap agrees with the ring's live view after
   ``OracleView.crash`` / ``remove_many`` waves;
 * the padded link table round-trips through :class:`LinkView` at
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.soa import LinkView, SubstrateState
 from repro.errors import RingInvariantError
 from repro.membership import OracleView
-from repro.ring import Ring
+from repro.ring import Ring, build_pointers
 
 
 def fresh_ring(n: int, start: int = 0) -> Ring:
@@ -128,8 +129,11 @@ class TestCompactionAndLiveness:
     @settings(max_examples=60, deadline=None)
     def test_remove_many_preserves_cw_order(self, drops):
         ring = fresh_ring(30)
+        build_pointers(ring)  # every peer holds pointers when its slot is freed
         ring.remove_many(drops)
         ring.verify()  # structural invariants: order, id/slot maps, caches
+        free = np.asarray(ring.state._free)
+        assert (ring.state.succ[free] == -1).all() and (ring.state.pred[free] == -1).all()
         survivors = ring.node_ids(live_only=False)
         assert survivors == sorted(set(range(30)) - set(drops))
         pos = ring.positions_array(live_only=False)

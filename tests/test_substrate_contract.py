@@ -12,6 +12,7 @@ import pytest
 
 from repro import Substrate
 from repro.degree import ConstantDegrees
+from repro.engine import TopologySnapshot
 from repro.errors import EmptyPopulationError, UnknownNodeError
 from repro.experiments import make_overlay
 from repro.ring import repair, verify
@@ -135,6 +136,20 @@ class TestFacade:
             assert list(overlay.neighbors_of(node_id)) == expected + row
         with pytest.raises(UnknownNodeError):
             overlay.neighbors_of(10_000)
+
+    def test_snapshot_successor_column_is_the_pointer_view_as_rows(self, kind):
+        overlay = build(kind)
+        crashed, retired, *__ = some_ids(overlay, 4)
+        overlay.leave(retired)
+        overlay.retire([retired])
+        overlay.leave(crashed, repair=False)  # its cell and its neighbors' go stale
+        snap = TopologySnapshot.capture(overlay)
+        successor = overlay.pointers.successor
+        assert crashed in successor and retired not in successor
+        assert retired not in snap.all_ids
+        for row, node_id in enumerate(snap.all_ids.tolist()):
+            target = successor.get(node_id)
+            assert snap.succ_row[row] == (-1 if target is None else snap.row_of[target])
 
     def test_degree_columns_are_live_ring_order(self, kind):
         overlay = build(kind)
