@@ -97,11 +97,13 @@ ROWS: dict[str, Row] = {
     "fig1c": Row("fig1c", {"scale": 0.05}, baselined=True),
     # The construction hot path at paper scale; the batched-vs-scalar
     # rewire speedup at 10k is a ratio of two timings on one host, so its
-    # floor is robust to slow runners.
+    # floor is robust to slow runners: 72-86 on the dev container with
+    # link dedupe and arc windows read from the columns, 38-45 with the
+    # per-round pair-table sort they replaced — the floor sits between.
     "build": Row(
         "scale-build",
         {"sizes": (10_000, 31_600, 100_000), "n_queries": 500},
-        (("rewire_speedup", ">=", 5.0),),
+        (("rewire_speedup", ">=", 50.0),),
         baselined=True,
     ),
     # The steady-state hot path on a mid-size overlay.
@@ -126,12 +128,14 @@ ROWS: dict[str, Row] = {
         ),
         baselined=True,
     ),
-    # A 50k-peer overlay sustains 20 churn epochs in under a minute of
-    # churn-loop wall time (~26 s on the dev container).
+    # A 50k-peer overlay sustains 20 churn epochs in ~10 s of churn-loop
+    # wall time on the dev container (23 s while every epoch re-sorted
+    # the live ids to count stale links and every acquisition round
+    # re-sorted the link pairs) — the ceiling is 2x the former.
     "churn-50k": Row(
         "steady-churn",
         {"size": 50_000, "epochs": 20, "n_queries": 256},
-        (("churn_seconds", "<", 60.0),),
+        (("churn_seconds", "<", 20.0),),
     ),
     # Lossless probes: the detector must evict, and only the dead.
     "detector-1k": Row(

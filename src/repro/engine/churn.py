@@ -345,9 +345,7 @@ class SteadyStateChurnEngine:
         )
         new_ids = np.arange(before, int(self.substrate._next_id), dtype=np.int64)
         self._session_ids = np.concatenate([self._session_ids, new_ids])
-        self._departs = np.concatenate(
-            [self._departs, float(e) + np.asarray(lengths, dtype=float)]
-        )
+        self._departs = np.concatenate([self._departs, float(e) + np.asarray(lengths, dtype=float)])
         return count
 
     def _depart(self, e: int) -> tuple[int, int]:
@@ -382,7 +380,7 @@ class SteadyStateChurnEngine:
             if expired.size == 0:
                 return 0, 0
         if self.vectorized:
-            fixes = int(self.substrate.leave_batch([int(i) for i in expired], repair=True))
+            fixes = int(self.substrate.leave_batch(expired, repair=True))
         else:
             for node_id in expired:
                 self.substrate.ring.mark_dead(int(node_id))
@@ -390,7 +388,7 @@ class SteadyStateChurnEngine:
         gone = np.isin(self._session_ids, expired)
         self._session_ids = self._session_ids[~gone]
         self._departs = self._departs[~gone]
-        self.membership.record_deaths([int(i) for i in expired], e)
+        self.membership.record_deaths(expired, e)
         return int(expired.size), fixes
 
     def _longest_lived(self, expired: np.ndarray) -> int:
@@ -422,9 +420,8 @@ class SteadyStateChurnEngine:
             # (and keeps poisoning routes) until evicted. The view
             # drops its per-peer detector state first — ring slots get
             # recycled, and a recycled slot must not inherit counters.
-            dead_ids = [int(i) for i in dead]
-            self.membership.forget(dead_ids)
-            self.substrate.retire(dead_ids)
+            self.membership.forget(dead)
+            self.substrate.retire(dead)
         if ring.live_count >= 2:
             self.substrate.rewire_batch(
                 split(self.seed, "steady-repair", e), vectorized=self.vectorized
@@ -472,22 +469,22 @@ class SteadyStateChurnEngine:
         the old truth-based count, under a probe view a link to
         a crashed-but-undetected peer is *not* yet stale — the gap
         between this number and the probe failures in :meth:`_probe` is
-        the detection lag made visible. The vectorized kernel batches
-        membership over one concatenated target array; the reference
-        twin walks a set — identical counts.
+        the detection lag made visible. The vectorized kernel gathers a
+        believed-live flag per link target from one id-indexed table
+        (sized to cover every target, so a retired id or one above every
+        live id just reads "not live"); the reference twin walks a set —
+        identical counts.
         """
         live_ids = self.membership.live_ids()
         if self.vectorized:
             # Every live peer's link row at once, no per-node lists.
-            state = self.substrate.state
-            slots = self.membership.live_slots()
-            links = state.out_links[slots]
-            flat = links[links >= 0].astype(np.int64)  # padding invariant: -1 past out_count
+            links = self.substrate.state.out_links[self.membership.live_slots()]
+            flat = links[links >= 0]  # padding invariant: -1 past out_count
             if flat.size == 0:
                 return 0
-            live_sorted = np.sort(live_ids)  # ring order is by position, not id
-            idx = np.minimum(np.searchsorted(live_sorted, flat), live_sorted.size - 1)
-            return int((live_sorted[idx] != flat).sum())
+            believed = np.zeros(max(int(flat.max()), int(live_ids.max())) + 1, dtype=bool)
+            believed[live_ids] = True
+            return int(flat.size - np.count_nonzero(believed[flat]))
         targets = self._long_link_targets()
         live_set = {int(i) for i in live_ids}
         return sum(1 for links in targets for target in links if int(target) not in live_set)

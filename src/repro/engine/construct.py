@@ -23,7 +23,11 @@ whole construction procedure as lock-step numpy rounds:
   conflict resolution — requests are ordered by (candidate, priority)
   and the first ``spare`` requesters per candidate win, which is
   *bit-identical* to replaying the round one request at a time in
-  priority order.
+  priority order. A round builds no side table: the population is
+  fixed for the whole acquisition, so every arc's candidate window is
+  searched once when the tables are packed (a round gathers it), and
+  "already my target?" is a compare against the requester's own
+  ``state.out_links`` row — the state both execution paths write.
 
 Determinism contract
 --------------------
@@ -120,9 +124,7 @@ class LiveView:
         if self._nodes is None:
             from ..core.node import OscarNode
 
-            self._nodes = tuple(
-                OscarNode._view(self.state, int(s)) for s in self.slots
-            )
+            self._nodes = tuple(OscarNode._view(self.state, int(s)) for s in self.slots)
         return self._nodes
 
     @classmethod
@@ -132,18 +134,7 @@ class LiveView:
         ids = ring.ids_array(live_only=True)
         pos = ring.positions_array(live_only=True)
         keys = ring.keys_array(live_only=True)
-        return cls(
-            ids, pos, keys, row_table(ids), ring.slots_array(live_only=True), overlay.state
-        )
-
-
-def _isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Membership of ``values`` in a sorted ``table`` (vectorized, exact
-    equality — works for the int64 link-pair keys and float positions)."""
-    if table.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    idx = np.minimum(np.searchsorted(table, values), table.size - 1)
-    return table[idx] == values
+        return cls(ids, pos, keys, row_table(ids), ring.slots_array(live_only=True), overlay.state)
 
 
 @dataclass(frozen=True)
@@ -153,13 +144,19 @@ class _ArcTables:
     Row ``i`` describes requester ``rows[i]``'s table: partition ``p``
     (0-indexed) is the clockwise arc ``(starts[i, p], ends[i, p]]``,
     ``valid[i, p]`` masks degenerate (provably empty) arcs, and
-    ``k_count[i]`` is the number of partitions.
+    ``k_count[i]`` is the number of partitions. ``lo`` / ``count`` are
+    every arc's :func:`~repro.protocol.estimation.cw_arc_slice` window
+    over the view's positions (``count`` 0 where ``valid`` is false),
+    searched once when the table is packed — the population is fixed for
+    the whole acquisition, so a round only gathers them.
     """
 
     starts: np.ndarray
     ends: np.ndarray
     valid: np.ndarray
     k_count: np.ndarray
+    lo: np.ndarray
+    count: np.ndarray
 
 
 class BatchConstructionEngine:
@@ -271,23 +268,14 @@ class BatchConstructionEngine:
         one-key-at-a-time try/except loop. Float key collisions have
         probability ~0, so the expected number of redraw passes is 1.
         """
-        occupied = np.sort(
-            np.asarray(self.overlay.ring.positions_array(live_only=False), dtype=float)
-        )
-        accepted: list[float] = []
-        seen: set[float] = set()
-        need = count
-        while need > 0:
-            draw = np.asarray(keys.sample(rng, need), dtype=float)
-            fresh = ~_isin_sorted(draw, occupied)
-            for value in draw[fresh]:
-                position = float(value)
-                if position in seen:
-                    continue
-                seen.add(position)
-                accepted.append(position)
-            need = count - len(accepted)
-        return np.asarray(accepted, dtype=float)
+        occupied = self.overlay.ring.positions_array(live_only=False)
+        accepted = np.empty(0, dtype=float)
+        while accepted.size < count:
+            draw = np.asarray(keys.sample(rng, count - accepted.size), dtype=float)
+            pool = np.concatenate([accepted, draw[~np.isin(draw, occupied)]])
+            # First occurrences, in draw order (earlier passes come first).
+            accepted = pool[np.sort(np.unique(pool, return_index=True)[1])]
+        return accepted
 
     def _draw_priority(
         self, rng: np.random.Generator, view: LiveView, rows: np.ndarray
@@ -349,7 +337,7 @@ class BatchConstructionEngine:
         state.n_medians[est_slots] = counts
         if track_spend:
             state.samples_spent[est_slots] += config.sample_size * counts
-        return self._arc_tables(origin, far_end, medians, counts)
+        return self._arc_tables(view.pos, origin, far_end, medians, counts)
 
     def _oracle_levels(
         self,
@@ -428,7 +416,7 @@ class BatchConstructionEngine:
                     config.walk_hops,
                 )
             else:
-                samples, drew = self._uniform_samples(rng, view, origin[act], prev[act])
+                samples, drew = self._uniform_samples(rng, view, rows[act], prev[act])
                 if not drew.all():
                     active[act[~drew]] = False
                     samples = samples[drew]
@@ -453,10 +441,11 @@ class BatchConstructionEngine:
         self,
         rng: np.random.Generator,
         view: LiveView,
-        origin: np.ndarray,
+        rows: np.ndarray,
         prev: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One ``(active peers, sample_size)`` uniform arc draw.
+        """One ``(active peers, sample_size)`` uniform arc draw over the
+        arcs ``(pos[rows], prev]``.
 
         The uniform matrix is drawn for *every* active peer — peers whose
         arc holds no peers discard their row (``drew`` false) — so the
@@ -465,8 +454,9 @@ class BatchConstructionEngine:
         """
         m = view.m
         sample_size = self.overlay.config.sample_size
+        origin = view.pos[rows]
         u = rng.random((int(origin.size), sample_size))
-        lo = np.searchsorted(view.pos, origin, side="right")
+        lo = rows + 1  # positions are distinct: the slot right of the origin's own
         hi = np.searchsorted(view.pos, prev, side="right")
         count = np.where(origin < prev, hi - lo, np.where(origin == prev, m, m - lo + hi))
         drew = count > 0
@@ -500,9 +490,15 @@ class BatchConstructionEngine:
         """
         n, sample_size = samples.shape
         distance = view.keys[samples] - okey[:, None]  # wrapping uint64
-        order = np.argsort(distance, axis=1, kind="stable")
-        take = np.arange(n)
-        selected = samples[take, order[:, (sample_size - 1) // 2]]
+        rank = (sample_size - 1) // 2
+        if not (view.keys[1:] - view.keys[:-1]).all():
+            # A zero gap: distinct positions (below 2**-12) share a key,
+            # different rows tie, only the draw-index order is the twin's.
+            pick = np.argsort(distance, axis=1, kind="stable")[:, rank]
+        else:
+            # Equal distances are one row drawn twice — any rank-th pick.
+            pick = np.argpartition(distance, rank, axis=1)[:, rank]
+        selected = samples[np.arange(n), pick]
         float_dist = np.remainder(view.pos[selected] - origin, 1.0)
         border = np.remainder(origin + float_dist, 1.0)
         border = np.where(border >= 1.0, 0.0, border)
@@ -566,6 +562,7 @@ class BatchConstructionEngine:
 
     def _arc_tables(
         self,
+        pos: np.ndarray,
         origin: np.ndarray,
         far_end: np.ndarray,
         medians: np.ndarray,
@@ -577,9 +574,13 @@ class BatchConstructionEngine:
         <repro.core.partitions.PartitionTable.arc>` exactly: partition
         ``p`` (0-indexed) ends at ``far_end`` (``p == 0``) or median
         ``p - 1``, starts at median ``p`` or the origin, and a
-        non-outermost arc whose borders coincide is degenerate.
+        non-outermost arc whose borders coincide is degenerate. The
+        candidate windows over ``pos`` are searched here, once: arc
+        ``p`` ends where arc ``p - 1`` starts, so one search over the
+        starts plus one over the far ends closes every window.
         """
         n = int(origin.size)
+        m = int(pos.size)
         kmax = int(counts.max(initial=0)) + 1
         starts = np.zeros((n, kmax), dtype=float)
         ends = np.zeros((n, kmax), dtype=float)
@@ -594,7 +595,15 @@ class BatchConstructionEngine:
             starts[:, p] = np.where(has, start_col, 0.0)
             ends[:, p] = np.where(has, end_col, 0.0)
             valid[:, p] = has & ~((start_col == end_col) & (p > 0))
-        return _ArcTables(starts=starts, ends=ends, valid=valid, k_count=counts + 1)
+        lo = np.searchsorted(pos, starts, side="right")
+        hi = np.empty_like(lo)
+        hi[:, 0] = np.searchsorted(pos, far_end, side="right")
+        hi[:, 1:] = lo[:, :-1]
+        count = np.where(starts < ends, hi - lo, np.where(starts == ends, m, m - lo + hi))
+        count[~valid] = 0
+        return _ArcTables(
+            starts=starts, ends=ends, valid=valid, k_count=counts + 1, lo=lo, count=count
+        )
 
     # ------------------------------------------------------------------
     # link acquisition (vectorized rounds)
@@ -627,6 +636,7 @@ class BatchConstructionEngine:
         n = int(rows.size)
         if n == 0 or m < 2:
             return stats
+        assert m * m < 2**63, "conflict resolution packs (candidate, priority) into one int64"
         state = view.state
         req_slots = view.slots[rows]
         rho_in = state.cap_in[view.slots].astype(np.int64)
@@ -634,12 +644,7 @@ class BatchConstructionEngine:
         target = state.cap_out[req_slots].astype(np.int64)
         out_count = state.out_count[req_slots].astype(np.int64)
         n_cand = 2 if config.power_of_two else 1
-
-        t_rows = state.link_rows(req_slots, view.row_of)
-        pairs = (rows[:, None] * m + t_rows)[t_rows >= 0]
-        linked = np.sort(pairs)
-        linked_set = set(int(p) for p in pairs)
-
+        run_round = self._round_vectorized if self.vectorized else self._round_reference
         slot_attempts = np.zeros(n, dtype=np.int64)
         active = out_count < target
 
@@ -650,16 +655,19 @@ class BatchConstructionEngine:
             u_part = rng.random(act.size)
             u_cand = rng.random((act.size, n_cand))
             stats.draws += int(act.size)
-            if self.vectorized:
-                success, linked = self._round_vectorized(
-                    view, rows, arcs, priority_of, act, u_part, u_cand,
-                    rho_in, in_deg, out_count, linked, n_cand, stats,
-                )
-            else:
-                success = self._round_reference(
-                    view, rows, arcs, priority_of, act, u_part, u_cand,
-                    rho_in, in_deg, out_count, linked_set, n_cand, stats,
-                )
+            success = run_round(
+                view,
+                rows,
+                arcs,
+                priority_of,
+                act,
+                u_part,
+                u_cand,
+                rho_in,
+                in_deg,
+                out_count,
+                stats,
+            )
             fail = ~success
             slot_attempts[act[success]] = 0
             slot_attempts[act[fail]] += 1
@@ -684,41 +692,37 @@ class BatchConstructionEngine:
         rho_in: np.ndarray,
         in_deg: np.ndarray,
         out_count: np.ndarray,
-        linked: np.ndarray,
-        n_cand: int,
         stats: LinkAcquisitionStats,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One acquisition round as array kernels; returns
-        ``(success mask over act, updated sorted link-pair table)``."""
+    ) -> np.ndarray:
+        """One acquisition round as array kernels; returns the success
+        mask over ``act``."""
         m = view.m
-        pos = view.pos
         ids = view.ids
+        state = view.state
+        n_cand = u_cand.shape[1]
         snapshot = in_deg.copy()
         act_rows = rows[act]
+        act_slots = view.slots[act_rows]
         success = np.zeros(act.size, dtype=bool)
 
-        pcol = (u_part * arcs.k_count[act]).astype(np.int64)
-        okay = arcs.valid[act, pcol]
-        start = arcs.starts[act, pcol]
-        end = arcs.ends[act, pcol]
-        lo = np.searchsorted(pos, start, side="right")
-        hi = np.searchsorted(pos, end, side="right")
-        count = np.where(start < end, hi - lo, np.where(start == end, m, m - lo + hi))
-        count = np.where(okay, count, 0)
+        arc = act * arcs.lo.shape[1] + (u_part * arcs.k_count[act]).astype(np.int64)
+        lo = arcs.lo.take(arc)
+        count = arcs.count.take(arc)
         drew = count > 0
         stats.empty_partition_draws += int((~drew).sum())
 
         offsets = (u_cand * count[:, None]).astype(np.int64)
         cand = (lo[:, None] + offsets) % m
+        cand_ids = ids[cand]
+        # "Already my target?" is a compare against the requester's own
+        # link row: ids are never reused, so a dead or retired target
+        # cannot alias a live candidate, and padding is -1.
+        own = state.out_links[act_slots, : int(out_count[act].max())]
         ack = np.zeros((act.size, n_cand), dtype=bool)
         for j in range(n_cand):
             c = cand[:, j]
             considered = drew if j == 0 else (drew & (cand[:, 1] != cand[:, 0]))
-            eligible = (
-                considered
-                & (c != act_rows)
-                & ~_isin_sorted(act_rows * m + c, linked)
-            )
+            eligible = considered & (c != act_rows) & ~(own == cand_ids[:, j, None]).any(axis=1)
             acks = eligible & (snapshot[c] < rho_in[c])
             stats.refusals += int((eligible & ~acks).sum())
             ack[:, j] = acks
@@ -727,11 +731,9 @@ class BatchConstructionEngine:
             c0, c1 = cand[:, 0], cand[:, 1]
             d0, d1 = snapshot[c0], snapshot[c1]
             s0, s1 = d0 - rho_in[c0], d1 - rho_in[c1]
-            i0, i1 = ids[c0], ids[c1]
+            i0, i1 = cand_ids[:, 0], cand_ids[:, 1]
             # Lexicographic (in-degree, -spare, id) — the scalar min() key.
-            better1 = (d1 < d0) | (
-                (d1 == d0) & ((s1 < s0) | ((s1 == s0) & (i1 < i0)))
-            )
+            better1 = (d1 < d0) | ((d1 == d0) & ((s1 < s0) | ((s1 == s0) & (i1 < i0))))
             use1 = ack[:, 1] & (~ack[:, 0] | better1)
             chosen = np.where(use1, c1, c0)
             has_choice = ack[:, 0] | ack[:, 1]
@@ -743,7 +745,9 @@ class BatchConstructionEngine:
         if req.size:
             req_rows = act_rows[req]
             req_cand = chosen[req]
-            order_idx = np.lexsort((priority_of[req_rows], req_cand))
+            # (candidate, priority) as one key: priorities are unique, so
+            # the keys are and any sort yields the lexicographic order.
+            order_idx = np.argsort(req_cand * m + priority_of[req_rows])
             sorted_cand = req_cand[order_idx]
             seq = np.arange(sorted_cand.size, dtype=np.int64)
             group_head = np.empty(sorted_cand.size, dtype=bool)
@@ -755,24 +759,19 @@ class BatchConstructionEngine:
             winners = req[order_idx[win]]
             stats.conflicts += int(req.size - winners.size)
             if winners.size:
-                win_rows = act_rows[winners]
                 win_cand = chosen[winners]
-                np.add.at(in_deg, win_cand, 1)
-                out_count[act[winners]] += 1
-                linked = np.sort(
-                    np.concatenate([linked, win_rows * m + win_cand])
-                )
+                in_deg += np.bincount(win_cand, minlength=m)
                 # Scatter commit: requester rows are unique within a round,
                 # so the write column is just each winner's current count.
-                state = view.state
-                win_slots = view.slots[win_rows]
-                write_col = state.out_count[win_slots].astype(np.int64)
+                win_slots = act_slots[winners]
+                write_col = out_count[act[winners]]
                 state.ensure_link_width(int(write_col.max()) + 1)
                 state.out_links[win_slots, write_col] = ids[win_cand]
                 state.out_count[win_slots] = write_col + 1
+                out_count[act[winners]] = write_col + 1
                 stats.links_placed += int(winners.size)
                 success[winners] = True
-        return success, linked
+        return success
 
     def _round_reference(
         self,
@@ -786,8 +785,6 @@ class BatchConstructionEngine:
         rho_in: np.ndarray,
         in_deg: np.ndarray,
         out_count: np.ndarray,
-        linked_set: set[int],
-        n_cand: int,
         stats: LinkAcquisitionStats,
     ) -> np.ndarray:
         """One acquisition round replayed one request at a time.
@@ -818,13 +815,13 @@ class BatchConstructionEngine:
                 stats.empty_partition_draws += 1
                 continue
             candidates: list[int] = []
-            for j in range(n_cand):
-                c = (lo + int(u_cand[a_i, j] * count)) % m
+            for u in u_cand[a_i]:
+                c = (lo + int(u * count)) % m
                 if c not in candidates:
                     candidates.append(c)
             accepting: list[int] = []
             for c in candidates:
-                if c == r_row or (r_row * m + c) in linked_set:
+                if c == r_row or int(ids[c]) in view.nodes[r_row].out_links:
                     continue
                 if accepts_link(int(snapshot[c]), int(rho_in[c])):
                     accepting.append(c)
@@ -843,7 +840,6 @@ class BatchConstructionEngine:
                 in_deg[chosen] += 1
                 out_count[act[a_i]] += 1
                 view.nodes[r_row].out_links.append(int(ids[chosen]))
-                linked_set.add(r_row * m + chosen)
                 stats.links_placed += 1
                 success[a_i] = True
             else:

@@ -175,17 +175,17 @@ class ScalarDetectorBank:
         return reports
 
     def forget(self, node_ids: "Iterable[int]", slots: np.ndarray) -> None:
-        """Drop all pair state involving ``node_ids`` (``slots`` is the
-        vectorized twin's half of the signature; ids key this bank)."""
+        """Drop the pair state of ``node_ids`` *as targets* — exactly the
+        rows the vectorized twin resets (``slots`` is its half of the
+        signature; ids key this bank). A forgotten peer's own machine
+        stays: other panels may still list it as a monitor, and the next
+        :meth:`_sync_watches` unwatches and reaps it once none does."""
         for nid in node_ids:
             nid = int(nid)
-            prev = self._prev_panels.pop(nid, None)
-            if prev is not None:
-                for m_prev in prev:
-                    machine = self._machines.get(m_prev)
-                    if machine is not None:
-                        machine.unwatch(nid)
-            self._machines.pop(nid, None)
+            for m_prev in self._prev_panels.pop(nid, ()):
+                machine = self._machines.get(m_prev)
+                if machine is not None:
+                    machine.unwatch(nid)
 
     def failures_matrix(self, believed_ids: np.ndarray, j_eff: int) -> np.ndarray:
         """Failure counters shaped like the kernel's matrix (test hook

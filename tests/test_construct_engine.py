@@ -26,10 +26,11 @@ from repro.degree import ConstantDegrees
 from repro.engine import BatchQueryEngine
 from repro.engine.construct import BatchConstructionEngine, LiveView
 from repro.errors import DuplicateNodeError, SamplingError
+from repro.protocol.estimation import cw_arc_slice
 from repro.ring import Ring
 from repro.rng import make_rng, split
 from repro.sampling import BatchRestrictedWalker
-from repro.workloads import GnutellaLikeDistribution, UniformKeys
+from repro.workloads import GnutellaLikeDistribution, KeyDistribution, UniformKeys
 
 from conftest import build_mercury, build_overlay
 
@@ -138,6 +139,169 @@ class TestPathEquivalence:
         assert stats_a.slots_given_up == 20
         assert stats_a.refusals > 0
         assert all(not node.out_links for node in a.live_nodes())
+
+
+def prefilled_pair(n, seed, extra, power_of_two):
+    """Two identical overlays whose rows already hold links when a new
+    acquisition starts: every peer keeps the links scalar growth gave it
+    (live targets), the first half additionally points at a peer that
+    then crashes and at one that is then retired, and everyone's caps
+    are raised by ``extra`` so slots are open again."""
+    pair = paired_overlays(n=n, seed=seed, cap=3, power_of_two=power_of_two)
+    for overlay in pair:
+        ids = [int(i) for i in overlay.ring.ids_array(live_only=True)]
+        crashed, retired = ids[1], ids[-2]
+        for node in overlay.live_nodes():
+            node.rho_max_in += extra
+            node.rho_max_out += extra + 2
+            if node.node_id in ids[: n // 2] and node.node_id not in (crashed, retired):
+                node.out_links.extend(
+                    t for t in (crashed, retired) if t not in node.out_links
+                )
+        overlay.leave_batch([crashed, retired])
+        overlay.retire([retired])
+    return pair
+
+
+def acquire_cohort(overlay, vectorized, seed):
+    """Estimate + acquire for every live row, straight through the
+    engine's kernels (no teardown: existing links stay)."""
+    engine = BatchConstructionEngine(overlay, vectorized=vectorized)
+    rng = split(seed, "prefilled")
+    view = LiveView.capture(overlay)
+    rows = np.arange(view.m, dtype=np.int64)
+    arcs = engine._estimate(rng, view, rows, track_spend=False)
+    priority_of = engine._draw_priority(rng, view, rows)
+    return engine._acquire(rng, view, rows, arcs, priority_of)
+
+
+class TestAcquireOverExistingLinks:
+    """The dedupe-against-existing branch: both twins answer "already my
+    target?" from the requester's own ``out_links`` row."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=6, max_value=30),
+        seed=st.integers(min_value=0, max_value=9_999),
+        extra=st.integers(min_value=1, max_value=6),
+        power_of_two=st.booleans(),
+    )
+    def test_vectorized_matches_reference(self, n, seed, extra, power_of_two):
+        a, b = prefilled_pair(n, seed, extra, power_of_two)
+        before = {node.node_id: list(node.out_links) for node in a.live_nodes()}
+        stats_a = acquire_cohort(a, True, seed)
+        stats_b = acquire_cohort(b, False, seed)
+        assert snapshot(a) == snapshot(b)
+        assert stats_a == stats_b
+        for node in a.live_nodes():
+            links = list(node.out_links)
+            assert links[: len(before[node.node_id])] == before[node.node_id]
+            assert len(set(links)) == len(links) and node.node_id not in links
+
+    def test_small_population_must_dedupe_to_fill(self):
+        """10 peers wanting 8 targets each out of 9 possible: without the
+        row compare duplicates would be certain."""
+        a, b = prefilled_pair(12, 5, 5, True)
+        stats = acquire_cohort(a, True, 7)
+        assert stats == acquire_cohort(b, False, 7)
+        assert stats.links_placed > 0
+        assert snapshot(a) == snapshot(b)
+        assert all(len(set(n.out_links)) == len(n.out_links) for n in a.live_nodes())
+
+
+class TestArcTables:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pos=st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=2, max_size=12,
+            unique=True,
+        ),
+        data=st.data(),
+    )
+    def test_packed_windows_equal_per_round_search(self, pos, data):
+        """``lo`` / ``count`` of every ``(row, partition)`` are exactly
+        the ``cw_arc_slice`` the reference twin searches per round —
+        wrapped, degenerate and ``start == end`` arcs included."""
+        pos = np.sort(np.asarray(pos, dtype=float))
+        border = st.one_of(st.sampled_from(list(pos)), st.floats(0.0, 1.0, exclude_max=True))
+        n = data.draw(st.integers(min_value=1, max_value=5), label="rows")
+        levels = data.draw(st.integers(min_value=1, max_value=4), label="levels")
+        origin = np.asarray(data.draw(st.lists(border, min_size=n, max_size=n)), dtype=float)
+        far_end = np.asarray(data.draw(st.lists(border, min_size=n, max_size=n)), dtype=float)
+        medians = np.asarray(
+            data.draw(st.lists(st.lists(border, min_size=levels, max_size=levels), min_size=n,
+                               max_size=n)),
+            dtype=float,
+        )
+        counts = np.asarray(
+            data.draw(st.lists(st.integers(0, levels), min_size=n, max_size=n)), dtype=np.int64
+        )
+        if data.draw(st.booleans(), label="repeat a border"):
+            medians[:, -1] = medians[:, 0]  # coinciding borders: degenerate arcs
+            far_end[0] = origin[0]  # the outermost arc may be the full circle
+        engine = BatchConstructionEngine(OscarOverlay(OscarConfig(), seed=0))
+        arcs = engine._arc_tables(pos, origin, far_end, medians, counts)
+        assert arcs.lo.shape == arcs.count.shape == arcs.starts.shape
+        for i in range(n):
+            for p in range(arcs.starts.shape[1]):
+                if p >= arcs.k_count[i] or not arcs.valid[i, p]:
+                    assert arcs.count[i, p] == 0
+                    continue
+                lo, __, count = cw_arc_slice(pos, arcs.starts[i, p], arcs.ends[i, p])
+                assert (int(arcs.lo[i, p]), int(arcs.count[i, p])) == (lo, count)
+
+
+class TestSelectBorders:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tiny=st.integers(min_value=0, max_value=4),
+        regular=st.integers(min_value=3, max_value=10),
+        sample_size=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_colliding_keys_keep_the_draw_order_tiebreak(self, tiny, regular, sample_size, seed):
+        """Distinct positions below ``2**-64`` share key 0, so different
+        rows tie on distance; the kernel must still pick the twin's
+        draw-order median (and take the partition shortcut only when no
+        two rows share a key)."""
+        overlay = OscarOverlay(OscarConfig(sample_size=sample_size), seed=1)
+        for j in range(tiny):
+            overlay.join((j + 1) * 2.0**-70, 3, 3)
+        for j in range(regular):
+            overlay.join((j + 1) / (regular + 1), 3, 3)
+        view = LiveView.capture(overlay)
+        assert (np.unique(view.keys).size < view.m) == (tiny >= 2)
+        rng = make_rng(seed)
+        rows = np.arange(view.m, dtype=np.int64)
+        samples = rng.integers(0, view.m, size=(view.m, sample_size))
+        args = (view, view.keys[rows], view.pos[rows], view.pos[(rows - 1) % view.m], samples)
+        engine = BatchConstructionEngine(overlay)
+        border, stop = engine._select_borders(*args)
+        border_ref, stop_ref = engine._select_borders_reference(*args)
+        assert np.array_equal(border, border_ref) and np.array_equal(stop, stop_ref)
+
+
+class _Scripted(KeyDistribution):
+    """Hands out a fixed value list, ``size`` at a time."""
+
+    def __init__(self, values):
+        self.values, self.calls = list(values), []
+
+    def sample(self, rng, size):
+        self.calls.append(size)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.asarray(out, dtype=float)
+
+
+def test_draw_positions_keeps_first_occurrences_and_redraws_the_rest():
+    overlay = OscarOverlay(OscarConfig(), seed=1)
+    overlay.join(0.25, 3, 3)
+    overlay.join(0.5, 3, 3)
+    overlay.leave(overlay.ring.node_ids()[1])  # dead positions stay occupied
+    script = _Scripted([0.7, 0.25, 0.1, 0.7, 0.5, 0.1, 0.9, 0.7, -0.0, 0.0, 0.3, 0.9, 0.6])
+    drawn = BatchConstructionEngine(overlay)._draw_positions(make_rng(0), script, 6)
+    assert drawn.tolist() == [0.7, 0.1, 0.9, -0.0, 0.3, 0.6]
+    assert script.calls == [6, 4, 2, 1]
 
 
 class TestConstructionInvariants:

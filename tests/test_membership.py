@@ -493,6 +493,26 @@ class TestProbeView:
         assert not view.is_live(5)
         assert view.evictions == 2 and view.false_evictions == 0
 
+    def test_revive_right_after_eviction_keeps_other_panels_monitored(self):
+        """Regression: at small ``n`` the evicted peer still sits in the
+        other targets' last-synced panels when it is revived before the
+        next round; the scalar bank used to drop its machine anyway and
+        the next round raised ``KeyError``. Both backends must now run
+        on, and run identically."""
+        trace = {}
+        for backend in ("scalar", "vectorized"):
+            view = ProbeView(make_ring(8), DETECT, seed=0, backend=backend)
+            view.crash([2])
+            view.record_deaths([2], epoch=1)
+            last = evict_all(view, start_epoch=1)
+            assert view.revive([2]) == [2] and view.is_live(2)
+            view.crash([5])
+            view.record_deaths([5], epoch=last + 1)
+            seen = [list(view.advance(epoch)) for epoch in range(last + 1, last + 9)]
+            assert view.is_live(2) and not view.is_live(5)
+            trace[backend] = (last, seen, view.detection_lags, view.false_evictions)
+        assert trace["scalar"] == trace["vectorized"]
+
     def test_forget_drops_all_trace_before_compaction(self):
         view = ProbeView(make_ring(16), DETECT, seed=6)
         view.crash([3, 9])
@@ -560,15 +580,16 @@ class TestProbeView:
     def test_scalar_and_vectorized_banks_agree(self, n, seed, loss, data):
         """The bit-identity differential: both backends (detector bank
         *and* gossip twin), fed identical churn — crashes, compaction
-        of evicted peers, arrivals — and the same seed (hence the same
-        draws), must agree on every observable after every epoch."""
+        of evicted peers, arrivals, revivals of the evicted — and the
+        same seed (hence the same draws), must agree on every observable
+        after every epoch."""
         config = dataclasses.replace(DETECT, loss=loss)
         views = {
             backend: ProbeView(make_ring(n), config, seed=seed, backend=backend)
             for backend in ("scalar", "vectorized")
         }
         scalar, vectorized = views["scalar"], views["vectorized"]
-        schedule: list[tuple[list[int], bool]] = []
+        schedule: list[tuple[list[int], bool, bool]] = []
         for epoch in range(1, 15):
             live = [int(i) for i in scalar.ring.ids_array(live_only=True)]
             victims = (
@@ -580,8 +601,13 @@ class TestProbeView:
                 else []
             )
             compact = data.draw(st.booleans(), label=f"compact@{epoch}")
-            schedule.append((victims, compact))
+            revive = data.draw(st.booleans(), label=f"revive@{epoch}")
+            schedule.append((victims, compact, revive))
             for view in views.values():
+                if revive:  # every peer evicted so far comes back at once
+                    believed = set(int(i) for i in view.live_ids())
+                    ids = [int(i) for i in view.ring.ids_array(live_only=False)]
+                    view.revive([i for i in ids if i not in believed])
                 if compact:  # evicted peers leave the ring, one newcomer joins
                     believed = set(int(i) for i in view.live_ids())
                     gone = [int(i) for i in view.ring.ids_array(live_only=False)]

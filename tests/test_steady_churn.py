@@ -351,3 +351,60 @@ class TestMembershipViews:
         assert view.live_count == ring.live_count
         assert sorted(int(i) for i in view.live_ids()) == truth_oracle
         assert view.false_evictions == 0
+
+
+class TestStaleLinkCount:
+    """``_count_stale_links`` is a gather from one id-indexed
+    believed-live table; the set-walking twin pins it on every shape of
+    link table the engine can meet."""
+
+    @staticmethod
+    def both(engine: SteadyStateChurnEngine) -> int:
+        counts = []
+        for vectorized in (True, False):
+            engine.vectorized = vectorized
+            counts.append(engine._count_stale_links())
+        assert counts[0] == counts[1]
+        return counts[0]
+
+    @pytest.mark.parametrize("substrate", ["oscar", "chord", "mercury"])
+    def test_probe_view_crashed_undetected_then_evicted_then_retired(self, substrate):
+        config = DetectorConfig(failure_threshold=2, quorum=2, n_monitors=3, rounds_per_epoch=2)
+        engine = build_engine(
+            substrate=substrate,
+            size=60,
+            seed=31,
+            membership_factory=lambda ring: ProbeView(ring, config, seed=31),
+        )
+        overlay, view = engine.substrate, engine.membership
+        assert self.both(engine) == 0
+        victims = [int(i) for i in overlay.ring.ids_array(live_only=True)[[3, 17, 40]]]
+        view.crash(victims)
+        view.record_deaths(victims, 1)
+        # Crashed but undetected: still believed live, nothing is stale yet.
+        assert self.both(engine) == 0
+        for epoch in range(1, 40):
+            view.advance(epoch)
+            if view.live_count == overlay.ring.live_count:
+                break
+        inbound = sum(
+            int(target) in victims
+            for links in engine._long_link_targets()
+            for target in links
+        )
+        assert inbound > 0 and self.both(engine) == inbound
+        # Retired: the ids no longer have a slot, the dangling links still count.
+        view.forget(victims)
+        overlay.retire(victims)
+        assert self.both(engine) == inbound
+
+    def test_empty_link_table_and_ids_past_every_live_id(self):
+        engine = build_engine(size=40, seed=32)
+        state = engine.substrate.state
+        slots = engine.membership.live_slots()
+        state.clear_links(slots)
+        assert self.both(engine) == 0
+        # Targets above every live id (a newer peer, already gone) are stale.
+        top = int(engine.membership.live_ids().max())
+        state.set_links(int(slots[0]), [top + 1, top + 5_000, int(state.node_id[slots[1]])])
+        assert self.both(engine) == 2
