@@ -100,10 +100,14 @@ ROWS: dict[str, Row] = {
     # floor is robust to slow runners: 72-86 on the dev container with
     # link dedupe and arc windows read from the columns, 38-45 with the
     # per-round pair-table sort they replaced — the floor sits between.
+    # walk_speedup is the same kind of ratio for the walk kernel against
+    # its pure-Python twin (one query per peer on the 10k snapshot):
+    # 23-30 reading the sorted progress table, 8-11 with the per-hop
+    # double gather + argmax it replaced — the floor sits between.
     "build": Row(
         "scale-build",
         {"sizes": (10_000, 31_600, 100_000), "n_queries": 500},
-        (("rewire_speedup", ">=", 50.0),),
+        (("rewire_speedup", ">=", 50.0), ("walk_speedup", ">=", 16.0)),
         baselined=True,
     ),
     # The steady-state hot path on a mid-size overlay.
@@ -115,7 +119,11 @@ ROWS: dict[str, Row] = {
     ),
     # The warm pass is one array probe per batch, the cold pass routes
     # every request: like rewire_speedup, a ratio of two timings on one
-    # host (~24 on the dev container; 6.6 with a per-request cache loop).
+    # host. A faster walk *lowers* it (the cold pass is the denominator):
+    # 18.3-19.8 on the dev container with the walk reading the sorted
+    # progress table, 23.1-26.0 with the walk before it; the per-request
+    # cache loop this gate exists to catch read 6.6 against that older
+    # walk, i.e. ~5 against this one — the floor sits between 5 and 18.
     "serve": Row(
         "serve-churn",
         {**GENTLE_SERVE, "n_queries": 2048},
@@ -124,7 +132,7 @@ ROWS: dict[str, Row] = {
             ("under_k_final", "==", 0),
             ("phantom_total", "==", 0),
             ("stale_serves", "==", 0),
-            ("cache_speedup", ">=", 12.0),
+            ("cache_speedup", ">=", 10.0),
         ),
         baselined=True,
     ),

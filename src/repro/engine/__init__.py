@@ -5,8 +5,10 @@ lock-step **epochs**; there is no event scheduler:
 
 * the greedy-walk kernel (:mod:`repro.engine.walk`) —
   ``greedy_walk`` advances a whole query batch one hop per iteration
-  over flat arrays, ``greedy_walk_reference`` is its pure-Python twin;
-  the two engines below differ only in the arrays they hand it;
+  over a per-snapshot ``WalkTable`` (every row's candidates sorted by
+  clockwise progress) and returns hops plus a ``WalkCode`` per query,
+  ``greedy_walk_reference`` is its pure-Python twin; the two engines
+  below differ only in the table they hand it;
 * the batched query engine (:mod:`repro.engine.batch`) —
   :class:`BatchQueryEngine` evaluates thousands of routes per call
   against any :class:`~repro.core.substrate.Substrate` by running the

@@ -8,7 +8,7 @@ millions of interpreter iterations per sweep. This module evaluates a
 whole query batch in lock-step instead: target-key sampling, responsible
 -peer resolution, per-hop next-hop selection and hop/success tallies are
 all vectorized, with a cached topology snapshot (successor pointers +
-padded neighbor matrix) that is rebuilt only when the substrate's
+a sorted candidate table) that is rebuilt only when the substrate's
 ``topology_version`` changes — i.e. on join/leave/churn/rewire.
 
 The walk itself is the shared kernel :func:`repro.engine.walk.greedy_walk`
@@ -55,7 +55,7 @@ from ..ring import keyspace
 from ..routing import RouteStats, summarize_routes
 from ..routing.result import _percentile  # shared so folds stay bit-identical
 from ..workloads import QueryWorkload
-from .walk import greedy_walk
+from .walk import WalkCode, WalkTable, greedy_walk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports routing)
     from ..core.substrate import Substrate
@@ -84,15 +84,14 @@ class TopologySnapshot:
         live_rows: Row index (into ``all_pos``) of each live peer,
             aligned with ``live_keys``.
         row_of: ``node id -> row`` translation array (-1 for unknown).
-        succ_row: Maintained ring-successor pointer per row — the
-            state's ``succ`` column as rows (-1 when the peer has no
-            pointer, e.g. it is dead and was repaired away).
-        nbr_rows: Candidate matrix: the non-negative entries of row
-            ``i`` are the rows of peer ``all_ids[i]``'s ``neighbors_of``
-            list in provider order (what makes batched tie-breaking
-            match the scalar closest-preceding scan); -1 entries —
-            absent pointer, padding, hard-removed target — may sit
-            anywhere and are ignored by the walk.
+        table: The :class:`~repro.engine.walk.WalkTable` the kernel
+            walks. Its ``succ_row`` is the state's ``succ`` column as
+            rows (-1 when the peer has no pointer, e.g. it is dead and
+            was repaired away); the candidates of row ``i`` are the rows
+            of peer ``all_ids[i]``'s ``neighbors_of`` list — successor,
+            predecessor, every link slot (absent pointers and
+            hard-removed targets are padding) — sorted by clockwise
+            progress from row ``i``.
     """
 
     version: object
@@ -102,8 +101,7 @@ class TopologySnapshot:
     live_keys: np.ndarray
     live_rows: np.ndarray
     row_of: np.ndarray
-    succ_row: np.ndarray
-    nbr_rows: np.ndarray
+    table: WalkTable
 
     @classmethod
     def capture(cls, substrate: "Substrate") -> "TopologySnapshot":
@@ -113,25 +111,29 @@ class TopologySnapshot:
         row_of = row_table(all_ids)
         rows_idx = np.arange(all_ids.size, dtype=np.int64)
 
-        # Candidates in the scalar ``neighbors_of`` order: successor, then
-        # predecessor, then every link slot — for dead peers too (greedy
-        # routing follows links without liveness checks).
+        # The scalar ``neighbors_of`` candidates: successor, predecessor
+        # and every link slot — for dead peers too (greedy routing
+        # follows links without liveness checks).
         slots = ring.slots_array(live_only=False)
         succ_row = rows_of(row_of, substrate.state.succ[slots])
         pred_row = rows_of(row_of, substrate.state.pred[slots])
         succ_col = np.where(succ_row != rows_idx, succ_row, -1)
         pred_col = np.where((pred_row != rows_idx) & (pred_row != succ_row), pred_row, -1)
         links = substrate.state.link_rows(slots, row_of)
+        all_keys = ring.keys_array(live_only=False)
         return cls(
             version=substrate.topology_version,
             all_pos=ring.positions_array(live_only=False),
-            all_keys=ring.keys_array(live_only=False),
+            all_keys=all_keys,
             all_ids=all_ids,
             live_keys=ring.keys_array(live_only=True),
             live_rows=row_of[ring.ids_array(live_only=True)],
             row_of=row_of,
-            succ_row=succ_row,
-            nbr_rows=np.concatenate([succ_col[:, None], pred_col[:, None], links], axis=1),
+            table=WalkTable.build(
+                all_keys,
+                succ_row,
+                np.concatenate([succ_col[:, None], pred_col[:, None], links], axis=1),
+            ),
         )
 
     def responsible_rows(self, targets: np.ndarray) -> np.ndarray:
@@ -235,6 +237,7 @@ class BatchQueryEngine:
         reusing the cache when ``topology_version`` is unchanged."""
         version = self.substrate.topology_version
         if self._route_cache is None or self._route_cache.version != version:
+            self._route_cache = None  # the stale arrays go before their replacements come
             self._route_cache = TopologySnapshot.capture(self.substrate)
         return self._route_cache
 
@@ -268,16 +271,18 @@ class BatchQueryEngine:
         source_rows = rows_of(snap.row_of, sources)
         if np.any(source_rows < 0):
             raise RoutingError("batch contains sources unknown to the topology")
-        hops = greedy_walk(
-            snap.all_keys,
-            snap.succ_row,
-            snap.nbr_rows,
-            snap.all_ids,
-            source_rows,
-            responsible,
-            targets,
-            self.routing.budget,
-        )
+        budget = self.routing.budget
+        hops, code, stopped = greedy_walk(snap.table, source_rows, responsible, targets, budget)
+        failed = np.flatnonzero(code)
+        if failed.size:
+            node = int(snap.all_ids[stopped[failed[0]]])
+            raise RoutingError(
+                {
+                    WalkCode.BUDGET: f"greedy walk exceeded budget {budget}",
+                    WalkCode.NO_SUCCESSOR: f"node {node} has no ring successor pointer",
+                    WalkCode.STUCK: f"node {node} has no progressing neighbor",
+                }[WalkCode(code[failed[0]])]
+            )
         return BatchRouteResult(
             sources=sources,
             target_keys=target_keys,

@@ -13,13 +13,14 @@ to be**, at millions of requests against a ring that churns underneath.
 
 * a **per-version serve snapshot** (:class:`ServeSnapshot`) — the
   believed-live peers as flat arrays (exact ``uint64`` keys, a
-  successor column, a believed-row link matrix), so owner lookup is
-  one ``searchsorted`` and routing is the shared greedy-walk kernel
-  (:mod:`repro.engine.walk` — the same function the batch engine runs
-  over ground truth) handed believed-live arrays. Because no row is a
-  believed-dead peer, the walk cannot abort on missing successor
-  pointers the way the ground-truth batch walk does mid-churn — and it
-  never *routes via* a peer the view has evicted;
+  successor column, the believed-row links sorted by clockwise
+  progress), so owner lookup is one ``searchsorted`` and routing is
+  the shared greedy-walk kernel (:mod:`repro.engine.walk` — the same
+  function the batch engine runs over ground truth) handed the
+  believed-live table. Because no row is a believed-dead peer, a walk
+  cannot fail on a missing successor pointer the way a ground-truth
+  batch walk does mid-churn — and it never *routes via* a peer the
+  view has evicted;
 * an **LRU result cache** (:class:`ResultCache`) — a struct-of-arrays
   table sorted on an injective ``uint64`` image of the request key,
   with stamp / owner / packed-verdict columns and **one** scalar
@@ -33,8 +34,9 @@ to be**, at millions of requests against a ring that churns underneath.
   ``stale_serves`` — the serving-side twin of the replication layer's
   phantom replicas;
 * **failure isolation**: a miss whose source is unknown or believed
-  dead fails alone (:class:`Outcome` ``BAD_SOURCE`` in the result's
-  ``outcome`` column) instead of raising for the batch.
+  dead, or whose walk fails (budget, missing successor, stuck), fails
+  alone — an :class:`Outcome` code in the result's ``outcome`` column —
+  instead of raising for the batch.
 
 The serve **version** is the triple ``(topology_version,
 data_version, evictions)``: substrate links/membership, replica
@@ -59,7 +61,7 @@ import numpy as np
 from ..core.soa import row_table, rows_of
 from ..errors import ConfigError
 from ..ring import keyspace
-from .walk import greedy_walk, greedy_walk_reference
+from .walk import WalkCode, WalkTable, greedy_walk, greedy_walk_reference
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.substrate import Substrate
@@ -266,7 +268,7 @@ class ServeSnapshot:
     """Array view of the *believed-live* overlay at one serve version.
 
     The successor/owner cache of the serving path: exact keys and
-    the neighbor matrix are precomputed once per version, so
+    the sorted link table are precomputed once per version, so
     per-request work is pure array gathering. Rows index believed-live
     peers in clockwise (position) order, so the believed ring successor
     of row ``i`` is ``(i + 1) % m``. Links to believed-dead peers are
@@ -280,17 +282,17 @@ class ServeSnapshot:
         keys: Their exact ``uint64`` ring keys (sorted).
         row_of: ``node id -> believed row`` translation (-1 unknown or
             believed-dead).
-        succ_row: Believed ring successor row per row (never -1).
-        nbr_rows: Padded believed-row link matrix (-1 padding and
-            dropped links), link-table order.
+        table: The :class:`~repro.engine.walk.WalkTable` the kernel
+            walks: believed ring successor ``(i + 1) % m`` per row
+            (never -1), and each row's believed-row links sorted by
+            clockwise progress (dropped links are padding).
     """
 
     version: object
     ids: np.ndarray
     keys: np.ndarray
     row_of: np.ndarray
-    succ_row: np.ndarray
-    nbr_rows: np.ndarray
+    table: WalkTable
 
     @classmethod
     def capture(
@@ -315,8 +317,11 @@ class ServeSnapshot:
             ids=ids,
             keys=keys,
             row_of=row_of,
-            succ_row=(np.arange(m, dtype=np.int64) + 1) % m,
-            nbr_rows=substrate.state.link_rows(slots, row_of),
+            table=WalkTable.build(
+                keys,
+                (np.arange(m, dtype=np.int64) + 1) % m,
+                substrate.state.link_rows(slots, row_of),
+            ),
         )
 
     @property
@@ -336,16 +341,24 @@ class ServeSnapshot:
 class Outcome(enum.IntEnum):
     """Codes of :attr:`ServeBatchResult.outcome`: how far a request got.
 
-    Walk-level failures (budget, missing successor, stuck) still raise
-    :class:`~repro.errors.RoutingError` for the whole batch.
+    Every code but ``SERVED`` is a miss that failed alone — no owner,
+    not cached — while the rest of its batch was served. The three walk
+    failures are the kernel's :class:`~repro.engine.walk.WalkCode`
+    values, so the walk's code column is recorded as it comes.
     """
 
-    SERVED = 0
+    SERVED = WalkCode.OK
     """Resolved from the cache or routed to the believed owner; whether
     it was *delivered* is the ``success`` column."""
-    BAD_SOURCE = 1
-    """A miss whose source is unknown or believed dead: failed, not
-    routed, not cached."""
+    BUDGET = WalkCode.BUDGET
+    """The believed walk was still short of the owner after the routing
+    budget; ``hops`` is the budget."""
+    NO_SUCCESSOR = WalkCode.NO_SUCCESSOR
+    """The believed walk reached a row without a successor pointer."""
+    STUCK = WalkCode.STUCK
+    """The believed walk reached a row it could not move from."""
+    BAD_SOURCE = 4
+    """A miss whose source is unknown or believed dead: not routed."""
 
 
 @dataclass(frozen=True)
@@ -356,7 +369,7 @@ class ServeBatchResult:
         target_keys: Requested keys.
         owners: Believed owner node id per request (always a
             believed-live peer — never a peer the view has evicted;
-            ``-1`` on a ``BAD_SOURCE`` row).
+            ``-1`` on a row whose ``outcome`` is not ``SERVED``).
         outcome: :class:`Outcome` code per request (``uint8``).
         hit: Served from the result cache (hops charged 0).
         found: The key matched a surviving catalog item.
@@ -364,7 +377,8 @@ class ServeBatchResult:
             actually holds a replica.
         stale: Believed owner was truth-dead (detection-lag window);
             the request failed even though routing "worked".
-        hops: Believed-walk forward hops charged (0 on cache hits).
+        hops: Believed-walk forward hops charged (0 on cache hits;
+            the hops taken before it stopped on a failed walk).
     """
 
     target_keys: np.ndarray
@@ -466,6 +480,7 @@ class ServeEngine:
         successor/owner cache)."""
         version = self.serve_version
         if self._serve_cache is None or self._serve_cache.version != version:
+            self._serve_cache = None  # the stale arrays go before their replacements come
             self._serve_cache = ServeSnapshot.capture(
                 self.substrate, self.membership, version
             )
@@ -497,10 +512,12 @@ class ServeEngine:
         Repeats of a key inside one batch all miss together (the probe
         precedes every insert). A miss whose source is unknown or
         believed dead fails alone (``Outcome.BAD_SOURCE``: no owner, no
-        hops, not cached); the rest of the batch is served.
+        hops, not cached), and so does one whose walk fails
+        (``BUDGET`` / ``NO_SUCCESSOR`` / ``STUCK``: no owner, the hops
+        it took, not cached); the rest of the batch is served.
 
         Raises:
-            RoutingError: A believed walk exceeded the routing budget.
+            ValueError: ``sources`` and ``target_keys`` are misaligned.
         """
         sources = np.asarray(sources, dtype=np.int64)
         target_keys = np.asarray(target_keys, dtype=float)
@@ -523,7 +540,7 @@ class ServeEngine:
             outcome[miss[bad]] = Outcome.BAD_SOURCE
             miss, source_rows = miss[~bad], source_rows[~bad]
         if miss.size:
-            m_keys, m_targets = target_keys[miss], targets[miss]
+            m_targets = targets[miss]
             if self.vectorized:
                 owner_rows = snap.owner_rows(m_targets)
             else:
@@ -532,18 +549,15 @@ class ServeEngine:
                     [bisect.bisect_left(ring_keys, int(t)) % snap.size for t in m_targets],
                     dtype=np.int64,
                 )
-            m_owners = snap.ids[owner_rows]
             walk = greedy_walk if self.vectorized else greedy_walk_reference
-            hops[miss] = walk(
-                snap.keys,
-                snap.succ_row,
-                snap.nbr_rows,
-                snap.ids,
-                source_rows,
-                owner_rows,
-                m_targets,
-                self.routing.budget,
+            hops[miss], code, __ = walk(
+                snap.table, source_rows, owner_rows, m_targets, self.routing.budget
             )
+            if code.any():
+                outcome[miss] = code
+                walked = code == WalkCode.OK
+                miss, owner_rows = miss[walked], owner_rows[walked]
+            m_keys, m_owners = target_keys[miss], snap.ids[owner_rows]
             m_flags = pack_flags(*self._verify(m_keys, m_owners))
             owners[miss] = m_owners
             flags[miss] = m_flags

@@ -8,7 +8,9 @@ sweep of network sizes up to 100k peers it times a cold bulk build
 (``rewire_batch``), derives the end-to-end construction throughput in
 peers/second, and sanity-routes a query batch so a fast-but-broken build
 cannot masquerade as a win. At the smallest size it also times the
-scalar ``rewire`` for the batched-vs-scalar speedup headline.
+scalar ``rewire`` for the batched-vs-scalar speedup headline, and the
+walk kernel against its pure-Python twin (one query per peer on the
+one snapshot) for ``walk_speedup``.
 
 The emitted series are what ``scripts/bench_ci.py`` snapshots into
 ``BENCH_build.json`` on every CI run — the durable benchmark trajectory
@@ -17,10 +19,14 @@ ISSUE 4 introduces.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..degree import ConstantDegrees
 from ..engine import BatchQueryEngine
+from ..engine.walk import greedy_walk, greedy_walk_reference
+from ..ring import keyspace
 from ..rng import split
-from ..workloads import GnutellaLikeDistribution
+from ..workloads import GnutellaLikeDistribution, QueryWorkload
 from .base import ExperimentResult, scaled_sizes
 from .growth import make_overlay
 from .runner import Stopwatch
@@ -36,7 +42,7 @@ from .spec import experiment
         "substrate": "overlay kind: oscar (vectorized) / chord / mercury (scalar fallback)",
         "cap": "per-peer degree cap (in and out)",
         "n_queries": "post-build sanity queries per size (0 = one per peer)",
-        "compare_scalar": "also time scalar rewire at the smallest size for the speedup scalar",
+        "compare_scalar": "also time scalar rewire and the walk twin at the smallest size",
     },
 )
 def run(
@@ -54,7 +60,7 @@ def run(
     rewire_series: list[tuple[float, float]] = []
     rate_series: list[tuple[float, float]] = []
     cost_series: list[tuple[float, float]] = []
-    rewire_speedup = float("nan")
+    rewire_speedup = walk_speedup = float("nan")
 
     for index, size in enumerate(measured):
         overlay = make_overlay(substrate, seed=seed)
@@ -85,6 +91,8 @@ def run(
         stats = engine.measure(
             split(seed, "scale-build-queries", size), n_queries=queries
         )
+        if scalar_seconds is not None:
+            walk_speedup = _walk_speedup(engine, split(seed, "scale-build-walk", size))
 
         build_series.append((float(size), build_seconds))
         rewire_series.append((float(size), rewire_seconds))
@@ -104,6 +112,7 @@ def run(
         },
         scalars={
             "rewire_speedup": rewire_speedup,
+            "walk_speedup": walk_speedup,
             "final_peers_per_second": rate_series[-1][1],
             "final_mean_cost": cost_series[-1][1],
             "final_build_seconds": build_series[-1][1],
@@ -119,3 +128,22 @@ def run(
             "compare_scalar": compare_scalar,
         },
     )
+
+
+def _walk_speedup(engine: BatchQueryEngine, rng: np.random.Generator) -> float:
+    """Reference-twin seconds over kernel seconds for one query per live
+    peer on the engine's snapshot — a ratio of two timings on one host.
+    The kernel side is the best of three: it is milliseconds long."""
+    snap = engine.snapshot()
+    ring = engine.substrate.ring
+    sources, target_keys = QueryWorkload().generate_arrays(ring, rng, ring.live_count)
+    targets = keyspace.from_units(target_keys)
+    batch = (snap.table, snap.row_of[sources], snap.responsible_rows(targets), targets)
+    kernel_seconds = []
+    for __ in range(3):
+        watch = Stopwatch()
+        greedy_walk(*batch, engine.routing.budget)
+        kernel_seconds.append(watch.lap())
+    watch = Stopwatch()
+    greedy_walk_reference(*batch, engine.routing.budget)
+    return watch.lap() / max(min(kernel_seconds), 1e-9)

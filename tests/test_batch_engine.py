@@ -21,7 +21,8 @@ from repro.churn import apply_churn, revive_all
 from repro.config import ChurnConfig
 from repro.degree import ConstantDegrees
 from repro.engine import BatchQueryEngine, TopologySnapshot
-from repro.engine.walk import greedy_walk, greedy_walk_reference
+from repro.engine import ServeSnapshot
+from repro.engine.walk import WalkCode, WalkTable, greedy_walk, greedy_walk_reference
 from repro.errors import RoutingError
 from repro.membership import OracleView
 from repro.ring import keyspace
@@ -117,17 +118,15 @@ class TestBatchMatchesScalar:
         assert batch.responsible.tolist() == [peer, peer]
         assert batch.hops[0] == batch.hops[1] > 0
         snap = engine.snapshot()
-        reference = greedy_walk_reference(
-            snap.all_keys,
-            snap.succ_row,
-            snap.nbr_rows,
-            snap.all_ids,
+        hops, code, stopped = greedy_walk_reference(
+            snap.table,
             snap.row_of[sources],
             snap.row_of[batch.responsible],
             keyspace.from_units(batch.target_keys),
             overlay.routing.budget,
         )
-        assert reference.tolist() == batch.hops.tolist()
+        assert hops.tolist() == batch.hops.tolist() and not code.any()
+        assert snap.all_ids[stopped].tolist() == batch.responsible.tolist()
 
     def test_unrepaired_departure_still_matches_scalar(self):
         # A peer leaves without ring repair: its links dangle but its own
@@ -198,27 +197,151 @@ class TestBatchMatchesScalar:
                 engine.route_batch(np.asarray([source]), np.asarray([0.5]))
 
 
-def _walk_outcome(walk, snap, source_rows, owner_rows, targets, budget):
-    try:
-        return walk(
-            snap.all_keys,
-            snap.succ_row,
-            snap.nbr_rows,
-            snap.all_ids,
-            source_rows,
-            owner_rows,
-            targets,
-            budget,
-        ).tolist()
-    except RoutingError:
-        return "RoutingError"
+def brute_force_table(keys, nbr_rows):
+    """Per-row Python sort of ``(progress, candidate)`` pairs, padding
+    (``-1``) as progress 0 — what :meth:`WalkTable.build` must equal
+    wherever progress is non-zero."""
+    return [
+        sorted(
+            ((int(keys[c]) - int(keys[row])) & keyspace.KEY_MASK, c) if c >= 0 else (0, -1)
+            for c in cands
+        )
+        for row, cands in enumerate(nbr_rows.tolist())
+    ]
+
+
+def assert_table_matches(table, keys, nbr_rows):
+    m, width = table.progress.shape
+    assert table.cand_rows.shape == (m, width) and table.cand_rows.dtype == np.int32
+    assert table.progress.dtype == np.uint64 and m == keys.size
+    assert (table.progress[:, 1:] >= table.progress[:, :-1]).all()
+    expected = brute_force_table(keys, nbr_rows)
+    dropped = nbr_rows.shape[1] - width
+    assert dropped >= 0
+    for row in range(m):
+        assert all(progress == 0 for progress, __ in expected[row][:dropped])
+        kept = expected[row][dropped:]
+        assert table.progress[row].tolist() == [progress for progress, __ in kept]
+        # Same multiset of real candidates; zero progress (padding, a
+        # self link, a peer of the same cell) names a row that never wins.
+        moving = [(p, c) for p, c in kept if p > 0]
+        offered = list(zip(table.progress[row].tolist(), table.cand_rows[row].tolist()))
+        assert [pc for pc in offered if pc[0] > 0] == moving
+        assert all(keys[c] == keys[row] for p, c in offered if p == 0)
+    if width and np.unique(keys).size == m:
+        assert table.progress[:, 0].any()  # no column that is padding in every row is stored
+
+
+class TestWalkTable:
+    """``WalkTable.build`` against a brute-force per-row Python sort."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        width=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+        padding=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+        cells=st.sampled_from([3, 2**20, 2**64]),
+    )
+    def test_sorted_table_equals_brute_force(self, m, width, seed, padding, cells):
+        """Random candidate matrices: ``-1`` anywhere in a row,
+        duplicate candidates, self links, zero-width and all-padding
+        matrices, rows whose links wrap past key 0, and (``cells=3``)
+        several rows sharing one key cell."""
+        rng = np.random.default_rng(seed)
+        keys = np.sort(rng.integers(0, cells, size=m, dtype=np.uint64, endpoint=False))
+        if cells > 3:
+            keys = np.unique(keys)
+        m = int(keys.size)
+        nbr_rows = rng.integers(0, m, size=(m, width))
+        nbr_rows[rng.random((m, width)) < padding] = -1
+        succ_row = (np.arange(m) + 1) % m
+        succ_row[rng.random(m) < 0.2] = -1
+        table = WalkTable.build(keys, succ_row, nbr_rows)
+        assert_table_matches(table, keys, nbr_rows)
+        assert table.keys is keys and table.succ_row is succ_row
+        for row in range(m):
+            succ = int(succ_row[row])
+            expected = 0 if succ < 0 else (int(keys[succ]) - int(keys[row])) & keyspace.KEY_MASK
+            assert int(table.succ_progress[row]) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**16),
+        n=st.integers(8, 40),
+        crash=st.sampled_from([0.0, 0.3, 0.6]),
+        repair=st.booleans(),
+    )
+    def test_truth_snapshot_table_is_the_neighbor_scan_sorted(self, kind, seed, n, crash, repair):
+        """Dead rows (``succ_row == -1`` after a repair), dangling links
+        and the successor offered twice (pointer and link)."""
+        overlay = build_substrate(kind, n=n, seed=seed)
+        rng = split(seed, "table")
+        overlay.leave(overlay.random_live_node(rng), repair=False)
+        OracleView(overlay.ring).crash_fraction(rng, crash)
+        if repair:
+            overlay.repair_ring()
+        snap = TopologySnapshot.capture(overlay)
+        width = max(len(list(overlay.neighbors_of(int(i)))) for i in snap.all_ids)
+        nbr_rows = np.full((snap.all_ids.size, width), -1, dtype=np.int64)
+        for row, node_id in enumerate(snap.all_ids.tolist()):
+            offered = [int(snap.row_of[nbr]) for nbr in overlay.neighbors_of(node_id)]
+            nbr_rows[row, : len(offered)] = offered
+        assert_table_matches(snap.table, snap.all_keys, nbr_rows)
+        if repair and crash:
+            assert (snap.table.succ_row == -1).any()
+        assert not snap.table.succ_progress[snap.table.succ_row < 0].any()
+
+    def test_wide_table_with_narrow_rows_drops_the_padding_columns(self):
+        keys = keyspace.from_units(np.asarray([0.1, 0.4, 0.7, 0.9]))
+        nbr_rows = np.full((4, 8), -1, dtype=np.int64)
+        nbr_rows[0, 5], nbr_rows[2, [1, 6]] = 2, [0, 3]
+        table = WalkTable.build(keys, np.asarray([1, 2, 3, 0]), nbr_rows)
+        assert table.progress.shape == (4, 2)
+        assert table.cand_rows[2].tolist() == [3, 0]  # 0.7 -> 0.9, then past key 0 to 0.1
+        assert_table_matches(table, keys, nbr_rows)
+
+    @pytest.mark.parametrize("kind", ["truth", "belief"])
+    def test_snapshot_bytes_per_peer_are_bounded(self, kind):
+        """A snapshot costs 12 bytes per stored candidate (``uint64``
+        progress + ``int32`` row) and a handful of columns per peer."""
+        cap = 8
+        overlay = build_overlay(n=400, seed=3, cap=cap)
+        if kind == "truth":
+            snap, width = TopologySnapshot.capture(overlay), cap + 2
+        else:
+            snap = ServeSnapshot.capture(overlay, OracleView(overlay.ring), version=0)
+            width = cap
+        assert snap.table.progress.shape[1] <= width
+        arrays = {
+            id(a): a.nbytes
+            for holder in (snap, snap.table)
+            for a in vars(holder).values()
+            if isinstance(a, np.ndarray)
+        }
+        assert sum(arrays.values()) / overlay.size <= 12 * width + 96
+
+
+def _walk_outcome(walk, table, source_rows, owner_rows, targets, budget):
+    return [column.tolist() for column in walk(table, source_rows, owner_rows, targets, budget)]
+
+
+def ring_table(keys, succ_row, nbr_rows=None):
+    if nbr_rows is None:
+        nbr_rows = np.empty((len(keys), 0), dtype=np.int64)  # no link table yet
+    return WalkTable.build(
+        keyspace.from_units(np.asarray(keys)), np.asarray(succ_row), np.asarray(nbr_rows)
+    )
 
 
 class TestWalkKernelTwins:
     """``greedy_walk`` and ``greedy_walk_reference`` are one function
-    written twice: equal hop arrays, or both raise ``RoutingError`` —
-    on ground-truth snapshots, where (unlike believed-live ones) rows
-    can be dead peers with stale or missing successor pointers."""
+    written twice: equal hop, code and stop-row arrays — on ground-truth
+    snapshots, where (unlike believed-live ones) rows can be dead peers
+    with stale or missing successor pointers. The twin rescans every
+    candidate from ``keys``, so agreement pins the table's distances,
+    its sort and the kernel's prefix count together."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -247,35 +370,78 @@ class TestWalkKernelTwins:
         owner_rows = snap.responsible_rows(targets)
 
         def outcomes(walk):
-            """Each query alone (so one abort cannot mask the others),
-            then the whole batch in lock-step."""
+            """Each query alone, then the whole batch in lock-step."""
             alone = [
-                _walk_outcome(walk, snap, source_rows[q], owner_rows[q], targets[q], budget)
+                _walk_outcome(walk, snap.table, source_rows[q], owner_rows[q], targets[q], budget)
                 for q in (slice(i, i + 1) for i in range(8))
             ]
-            return alone, _walk_outcome(walk, snap, source_rows, owner_rows, targets, budget)
+            batch = _walk_outcome(walk, snap.table, source_rows, owner_rows, targets, budget)
+            return alone, batch
 
         alone, batch = outcomes(greedy_walk)
         assert (alone, batch) == outcomes(greedy_walk_reference)
-        assert batch == ("RoutingError" if "RoutingError" in alone else [h for [h] in alone])
+        # A failed query stops alone: the batch is the per-query results.
+        assert batch == [[value for [value] in column] for column in zip(*alone)]
+        hops, code, stopped = (np.asarray(column) for column in batch)
+        assert (stopped[code == WalkCode.OK] == owner_rows[code == WalkCode.OK]).all()
+        assert (hops[code == WalkCode.BUDGET] == budget).all()
+        assert (snap.table.succ_row[stopped[code == WalkCode.NO_SUCCESSOR]] == -1).all()
 
     @pytest.mark.parametrize("walk", [greedy_walk, greedy_walk_reference])
-    def test_each_abort_condition_raises(self, walk):
-        keys = keyspace.from_units(np.asarray([0.1, 0.4, 0.7]))
-        ids = np.arange(3)
-        no_links = np.full((3, 1), -1, dtype=np.int64)
+    def test_each_failure_condition_is_a_code(self, walk):
+        keys = [0.1, 0.4, 0.7]
         source, owner = np.asarray([0]), np.asarray([2])
         target = keyspace.from_units(np.asarray([0.65]))
-        ring = np.asarray([1, 2, 0])
-        assert walk(keys, ring, no_links, ids, source, owner, target, 8).tolist() == [2]
-        zero_width = np.empty((3, 0), dtype=np.int64)  # a substrate with no link table yet
-        assert walk(keys, ring, zero_width, ids, source, owner, target, 8).tolist() == [2]
-        with pytest.raises(RoutingError, match="budget"):
-            walk(keys, ring, no_links, ids, source, owner, target, 1)
-        with pytest.raises(RoutingError, match="no ring successor"):
-            walk(keys, np.asarray([1, -1, 0]), no_links, ids, source, owner, target, 8)
-        with pytest.raises(RoutingError, match="no progressing"):
-            walk(keys, np.asarray([0, 2, 0]), no_links, ids, source, owner, target, 8)
+        ring = [1, 2, 0]
+        no_links = np.full((3, 1), -1, dtype=np.int64)
+        for table in (ring_table(keys, ring), ring_table(keys, ring, no_links)):
+            assert table.progress.shape == (3, 0)
+            assert _walk_outcome(walk, table, source, owner, target, 8) == [[2], [WalkCode.OK], [2]]
+        assert _walk_outcome(walk, ring_table(keys, ring), source, owner, target, 1) == [
+            [1],
+            [WalkCode.BUDGET],
+            [1],
+        ]
+        assert _walk_outcome(walk, ring_table(keys, [1, -1, 0]), source, owner, target, 8) == [
+            [1],
+            [WalkCode.NO_SUCCESSOR],
+            [1],
+        ]
+        assert _walk_outcome(walk, ring_table(keys, [0, 2, 0]), source, owner, target, 8) == [
+            [0],
+            [WalkCode.STUCK],
+            [0],
+        ]
+
+    @pytest.mark.parametrize("walk", [greedy_walk, greedy_walk_reference])
+    def test_failed_queries_stop_alone(self, walk):
+        """One stuck, one over-budget and one pointer-less query beside
+        good ones: good rows carry the hops they get alone, bad rows
+        their code, on a ring with one long link per row."""
+        m = 12
+        keys = (np.arange(m) + 0.5) / m
+        succ_row = (np.arange(m) + 1) % m
+        succ_row[3], succ_row[7] = 3, -1  # row 3 loops on itself, row 7 has no pointer
+        links = ((np.arange(m) + 4) % m)[:, None]
+        table = ring_table(keys, succ_row, links)
+        #                    good  good  stuck  hole  budget  good(0 hops)
+        source = np.asarray([0, 8, 3, 7, 9, 5])
+        owner = np.asarray([2, 1, 6, 9, 8, 5])
+        targets = table.keys[owner]
+        hops, code, stopped = walk(table, source, owner, targets, 4)
+        assert code.tolist() == [
+            WalkCode.OK,
+            WalkCode.OK,
+            WalkCode.STUCK,
+            WalkCode.NO_SUCCESSOR,
+            WalkCode.BUDGET,
+            WalkCode.OK,
+        ]
+        assert hops.tolist() == [2, 2, 0, 0, 4, 0]
+        assert stopped.tolist() == [2, 1, 3, 7, 7, 5]
+        for q in range(source.size):
+            alone = walk(table, source[q : q + 1], owner[q : q + 1], targets[q : q + 1], 4)
+            assert [int(column[0]) for column in alone] == [hops[q], code[q], stopped[q]]
 
 
 class TestSnapshotCache:
@@ -342,9 +508,9 @@ class TestSnapshotCache:
         snap = TopologySnapshot.capture(overlay)
         assert snap.all_pos.size == len(overlay.ring)
         assert snap.live_keys.size == overlay.size
-        assert snap.nbr_rows.shape[0] == snap.all_pos.size
+        assert snap.table.progress.shape[0] == snap.all_pos.size
         # every live row's successor pointer resolves
-        assert np.all(snap.succ_row[snap.live_rows] >= 0)
+        assert np.all(snap.table.succ_row[snap.live_rows] >= 0)
 
 
 class TestWorkloadArrays:

@@ -71,21 +71,25 @@ def test_batched_routes_match_fixture(fixture, overlays, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_snapshot_fast_path_matches_scalar_fallback(overlays, kind):
-    """The snapshot's candidate matrix must offer exactly what the
-    public per-peer ``neighbors_of`` scan offers on the golden overlays
-    — same successor pointers, same candidates in the same order (the
-    ``-1`` holes are ignored by the walk and may sit anywhere)."""
+    """The snapshot's walk table must offer exactly what the public
+    per-peer ``neighbors_of`` scan offers on the golden overlays — same
+    successor pointers, same candidates, each row in ascending clockwise
+    progress (padding, progress 0, first)."""
     from repro.engine.batch import TopologySnapshot
 
     overlay = overlays[kind]
     snap = TopologySnapshot.capture(overlay)
-    assert snap.nbr_rows.shape[0] == snap.all_ids.size
+    table = snap.table
+    assert table.progress.shape == table.cand_rows.shape
+    assert table.progress.shape[0] == snap.all_ids.size
+    assert (table.progress[:, 1:] >= table.progress[:, :-1]).all()
+    assert (table.progress == snap.all_keys[table.cand_rows] - snap.all_keys[:, None]).all()
     for row, node_id in enumerate(snap.all_ids.tolist()):
         expected = [int(snap.row_of[nbr]) for nbr in overlay.neighbors_of(node_id)]
-        offered = [int(c) for c in snap.nbr_rows[row] if c >= 0]
-        assert offered == [r for r in expected if r >= 0], f"node {node_id}"
+        offered = table.cand_rows[row][table.progress[row] > 0].tolist()
+        assert sorted(offered) == sorted(r for r in expected if r >= 0), f"node {node_id}"
         successor = overlay.pointers.successor.get(node_id)
-        assert snap.succ_row[row] == (-1 if successor is None else snap.row_of[successor])
+        assert table.succ_row[row] == (-1 if successor is None else snap.row_of[successor])
 
 
 @pytest.mark.parametrize("kind", KINDS)

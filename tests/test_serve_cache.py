@@ -22,6 +22,7 @@ The serving half of the PR-10 acceptance criteria:
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 from collections import OrderedDict
 from pathlib import Path
@@ -35,7 +36,8 @@ from repro.churn.sessions import make_sessions
 from repro.config import RoutingConfig
 from repro.degree import ConstantDegrees
 from repro.engine import Outcome, ResultCache, ServeEngine, SteadyStateChurnEngine
-from repro.errors import ConfigError, ExperimentError, RoutingError
+from repro.engine.walk import WalkTable
+from repro.errors import ConfigError, ExperimentError
 from repro.experiments.growth import make_overlay
 from repro.index import ReplicatedStore
 from repro.membership import DetectorConfig, OracleView, ProbeView
@@ -265,8 +267,10 @@ class TestServeSnapshot:
         assert victim not in snap.ids
         assert snap.row_of[victim] == -1
         assert snap.size == view.live_ids().size
-        # Every neighbor entry is a valid believed row or -1 padding.
-        assert snap.nbr_rows.max() < snap.size
+        # Every candidate is a believed row; padding has progress 0.
+        cand = snap.table.cand_rows
+        assert 0 <= cand.min() and cand.max() < snap.size
+        assert int(snap.row_of[victim]) not in cand[snap.table.progress > 0]
 
     def test_successor_column_is_the_believed_ring(self):
         """Under belief the successor of row ``i`` is row ``i + 1``
@@ -275,8 +279,10 @@ class TestServeSnapshot:
         view.crash([int(i) for i in view.live_ids()[::7]])
         snap = serve.serve_snapshot()
         m = snap.size
-        np.testing.assert_array_equal(snap.succ_row, (np.arange(m) + 1) % m)
-        assert snap.succ_row.min() >= 0
+        np.testing.assert_array_equal(snap.table.succ_row, (np.arange(m) + 1) % m)
+        np.testing.assert_array_equal(
+            snap.table.succ_progress, snap.keys[(np.arange(m) + 1) % m] - snap.keys
+        )
 
     def test_empty_believed_set_rejected(self):
         overlay, view, store, serve = build_plane(n=20, n_items=5)
@@ -386,12 +392,64 @@ class TestServeEngine:
         assert not first.hit.any() and first.success.all()
         assert serve.serve_batch(np.full(3, source), np.full(3, key)).hit.all()
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_fails_only_its_own_rows(self):
         overlay, view, store, serve = build_plane()
-        serve.routing = RoutingConfig(budget=1)
         sources, targets = request_batch(view, overlay, store, seed=2)
-        with pytest.raises(RoutingError):
-            serve.serve_batch(sources, targets)
+        free = serve.serve_batch(sources, targets)
+        budget = int(np.median(free.hops))
+        over = free.hops > budget
+        assert over.any() and not over.all()
+        serve.invalidate()
+        serve.routing = RoutingConfig(budget=budget)
+        capped = serve.serve_batch(sources, targets)
+        assert (capped.outcome[over] == Outcome.BUDGET).all()
+        assert (capped.hops[over] == budget).all() and (capped.owners[over] == -1).all()
+        assert not capped.success[over].any()
+        for column in ("outcome", "hops", "owners", "success", "found"):
+            np.testing.assert_array_equal(
+                getattr(capped, column)[~over], getattr(free, column)[~over]
+            )
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_failed_walks_fail_alone_and_are_not_cached(self, vectorized):
+        """A stuck, an over-budget and a pointer-less request beside
+        good ones: every row of the batch is what that request gets
+        when served alone. Belief never produces a self-loop or a
+        missing pointer, so the snapshot's successor column is doctored."""
+        overlay, view, store, serve = build_plane(vectorized=vectorized)
+        sources, targets = request_batch(view, overlay, store, seed=4, count=48)
+        __, first = np.unique(targets, return_index=True)  # one request per key
+        sources, targets = sources[first], targets[first]
+        clean = serve.serve_batch(sources, targets)
+        assert (clean.outcome == Outcome.SERVED).all()
+        budget = int(np.median(clean.hops))
+        assert 0 < budget < clean.hops.max()
+        snap = serve.serve_snapshot()
+        loop, hole = snap.row_of[sources[np.flatnonzero(clean.hops > 0)[:2]]]
+        succ_row = snap.table.succ_row.copy()
+        succ_row[loop], succ_row[hole] = loop, -1
+        doctored = WalkTable.build(snap.keys, succ_row, snap.table.cand_rows)
+        serve._serve_cache = dataclasses.replace(snap, table=doctored)
+        serve.routing = RoutingConfig(budget=budget)
+
+        def uncached(lo, hi):
+            serve.result_cache.clear()
+            return serve.serve_batch(sources[lo:hi], targets[lo:hi])
+
+        alone = [uncached(i, i + 1) for i in range(sources.size)]
+        batch = uncached(0, sources.size)
+        for column in ("outcome", "hops", "owners", "hit", "found", "success", "stale"):
+            np.testing.assert_array_equal(
+                getattr(batch, column), np.concatenate([getattr(r, column) for r in alone])
+            )
+        assert set(batch.outcome.tolist()) == set(Outcome) - {Outcome.BAD_SOURCE}
+        failed = batch.outcome != Outcome.SERVED
+        assert (batch.owners[failed] == -1).all() and not batch.success[failed].any()
+        assert (batch.hops[batch.outcome == Outcome.BUDGET] == budget).all()
+        assert len(serve.result_cache) == int((~failed).sum())
+        again = serve.serve_batch(sources, targets)
+        np.testing.assert_array_equal(again.hit, ~failed)
+        np.testing.assert_array_equal(again.outcome, batch.outcome)
 
     def test_absent_key_is_found_false(self):
         overlay, view, store, serve = build_plane()

@@ -149,7 +149,7 @@ class TestFacade:
         assert retired not in snap.all_ids
         for row, node_id in enumerate(snap.all_ids.tolist()):
             target = successor.get(node_id)
-            assert snap.succ_row[row] == (-1 if target is None else snap.row_of[target])
+            assert snap.table.succ_row[row] == (-1 if target is None else snap.row_of[target])
 
     def test_degree_columns_are_live_ring_order(self, kind):
         overlay = build(kind)
