@@ -13,10 +13,15 @@ and the network heals.
 
 from __future__ import annotations
 
-from repro import DistributedIndex, OscarConfig, OscarOverlay
+import numpy as np
+
+from repro import OscarConfig, OscarOverlay
 from repro.churn import apply_churn, revive_all
 from repro.config import ChurnConfig
 from repro.degree import ConstantDegrees
+from repro.engine import ServeEngine
+from repro.index import ReplicatedStore
+from repro.membership import OracleView
 from repro.metrics import measure_search_cost
 from repro.rng import split
 from repro.ring import verify
@@ -24,6 +29,7 @@ from repro.workloads import GnutellaLikeDistribution
 
 N_PEERS = 400
 N_ITEMS = 1000
+REPLICAS = 8  # a successor list of ~log2(N) peers: what outlives a 33% wave
 SEED = 31
 
 
@@ -41,12 +47,12 @@ def main() -> None:
     overlay = OscarOverlay(OscarConfig(), seed=SEED)
     overlay.grow(N_PEERS, GnutellaLikeDistribution(), ConstantDegrees(16))
     overlay.rewire()
-    index = DistributedIndex(overlay=overlay)
+    view = OracleView(overlay.ring)
+    store = ReplicatedStore(overlay.ring, k=REPLICAS)
     item_keys = GnutellaLikeDistribution().sample(split(SEED, "items"), N_ITEMS)
-    index.put_many(overlay.random_live_node(split(SEED, "pub")), [
-        (float(k), i) for i, k in enumerate(item_keys)
-    ])
-    print(f"built {N_PEERS}-peer network holding {index.item_count()} items\n")
+    store.seed_items(item_keys, view)
+    serve = ServeEngine(overlay, store, view)
+    print(f"built {N_PEERS}-peer network holding {store.item_count} items\n")
 
     print("search cost through the churn lifecycle:")
     healthy = cost_report(overlay, "healthy network", faulty=False, round_id="healthy")
@@ -68,12 +74,13 @@ def main() -> None:
     victims = apply_churn(
         overlay.ring, overlay.pointers, ChurnConfig(kill_fraction=0.33, seed=SEED + 1)
     )
-    moved = index.rebalance_after_churn()
+    owners_before = store.holders[:, 0]
+    repair = store.rereplicate(view, epoch=1)
+    assert repair.items_lost == 0, "some replica of every item must outlive the wave"
+    moved = int((store.holders[:, 0] != owners_before).sum())
     print(f"\n33% of peers crashed; {moved} items re-homed to live successors")
     reader = overlay.random_live_node(split(SEED, "reader"))
-    found = sum(
-        bool(index.get(reader, float(k), faulty=True).items) for k in item_keys[:100]
-    )
+    found = int(serve.serve_batch(np.full(100, reader), item_keys[:100]).success.sum())
     print(f"post-crash availability: {found}/100 sample items readable")
     assert found == 100, "successor takeover must preserve every item"
 

@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import DistributedIndex, OscarConfig, OscarOverlay
+from repro import OscarConfig, OscarOverlay
 from repro.chord import ChordOverlay, hash_key, scatter_range
 from repro.degree import ConstantDegrees
+from repro.engine import ServeEngine
+from repro.index import ReplicatedStore
+from repro.membership import OracleView
 from repro.rng import split
 from repro.workloads import GnutellaLikeDistribution
 
@@ -42,10 +45,10 @@ def main() -> None:
     chord.grow(N_PEERS, keys)
 
     item_keys = np.unique(keys.sample(split(SEED, "items"), N_ITEMS))
-    index = DistributedIndex(overlay=oscar)
-    index.put_many(oscar.random_live_node(split(SEED, "pub")), [
-        (float(k), None) for k in item_keys
-    ])
+    view = OracleView(oscar.ring)
+    store = ReplicatedStore(oscar.ring, k=1)
+    store.seed_items(item_keys, view)
+    serve = ServeEngine(oscar, store, view)
     print(f"indexed {item_keys.size} items over {N_PEERS} peers in both systems\n")
 
     # Hashing destroys locality: where do four adjacent keys live?
@@ -61,19 +64,19 @@ def main() -> None:
           f"({'selectivity':>11s} | {'oscar msgs':>10s} | {'chord msgs':>10s} | ratio):")
     rng = split(SEED, "queries")
     for width in (0.002, 0.01, 0.05, 0.2):
-        oscar_costs, chord_costs = [], []
-        for __ in range(20):
-            anchor = float(item_keys[int(rng.integers(0, item_keys.size))])
-            lo, hi = anchor, float((anchor + width) % 1.0)
-            receipt = index.range(oscar.random_live_node(rng), lo, hi)
-            matches, messages = scatter_range(
-                chord, chord.random_live_node(rng), item_keys, lo, hi
-            )
-            assert len(receipt.items) == matches, "both must find the same items"
-            oscar_costs.append(receipt.messages)
-            chord_costs.append(messages)
-        oscar_mean = float(np.mean(oscar_costs))
-        chord_mean = float(np.mean(chord_costs))
+        lo, sources, scattered = np.empty(20), np.empty(20, dtype=np.int64), []
+        for q in range(20):
+            lo[q] = item_keys[int(rng.integers(0, item_keys.size))]
+            sources[q] = oscar.random_live_node(rng)
+            scattered.append(scatter_range(
+                chord, chord.random_live_node(rng), item_keys, lo[q], (lo[q] + width) % 1.0
+            ))
+        # Oscar answers the twenty ranges as one batch.
+        scans = serve.serve_range(sources, lo, (lo + width) % 1.0)
+        matches, messages = np.transpose(scattered)
+        assert (scans.item_count == matches).all(), "both must find the same items"
+        oscar_mean = float(np.mean(scans.hops + scans.sweep_hops))
+        chord_mean = float(messages.mean())
         print(f"  {width:11.3f} | {oscar_mean:10.1f} | {chord_mean:10.1f} "
               f"| {chord_mean / max(oscar_mean, 1e-9):5.1f}x")
 

@@ -1,11 +1,15 @@
 #!/usr/bin/env python
-"""Fail if README.md or docs/*.md contain links to nonexistent files.
+"""Fail if README.md or docs/*.md name files that do not exist.
 
 Checks every markdown inline link ``[text](target)`` whose target is a
 relative path (external URLs and pure in-page anchors are skipped);
 targets may carry an anchor suffix (``docs/a.md#section``), which is
-stripped before the existence check. Exit status 1 lists every broken
-link — this is the CI ``docs`` job.
+stripped before the existence check. Also checks every backticked repo
+path — ``src/…``, ``tests/…``, ``scripts/…``, ``examples/…``,
+``docs/…``, ``benchmarks/…``, with or without a ``::name`` suffix,
+relative to the repo root, globs allowed — so a deleted or renamed
+module cannot stay cited. Exit status 1 lists every broken link and
+path — this is the CI ``docs`` job.
 
 Usage::
 
@@ -20,6 +24,9 @@ from pathlib import Path
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
+REPO_PATH = re.compile(
+    r"`((?:src|tests|scripts|examples|docs|benchmarks)/[^`\s:]*)(?:::[^`\s]*)?`"
+)
 
 
 def broken_links(markdown: Path, root: Path) -> list[str]:
@@ -37,6 +44,15 @@ def broken_links(markdown: Path, root: Path) -> list[str]:
     return missing
 
 
+def missing_paths(markdown: Path, root: Path) -> list[str]:
+    """Backticked repo paths in ``markdown`` that match no file."""
+    missing = []
+    for path in REPO_PATH.findall(markdown.read_text(encoding="utf-8")):
+        if not (any(root.glob(path)) if set(path) & set("*?[") else (root / path).exists()):
+            missing.append(f"{markdown.relative_to(root)}: no such path -> {path}")
+    return missing
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path.cwd()
     documents = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
@@ -48,9 +64,11 @@ def main(argv: list[str]) -> int:
             continue
         checked += 1
         problems.extend(broken_links(document, root))
+        problems.extend(missing_paths(document, root))
     for problem in problems:
         print(problem, file=sys.stderr)
-    print(f"checked {checked} documents: " + ("FAIL" if problems else "all links resolve"))
+    verdict = "FAIL" if problems else "all links and paths resolve"
+    print(f"checked {checked} documents: {verdict}")
     return 1 if problems else 0
 
 

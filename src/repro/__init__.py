@@ -31,7 +31,6 @@ from .config import (
 from .core import OscarNode, OscarOverlay, PartitionTable, Substrate
 from .engine import BatchQueryEngine
 from .errors import ReproError
-from .index import DistributedIndex
 from .mercury import MercuryOverlay
 from .ring import Ring
 from .routing import RangeQueryResult, RouteResult, RouteStats, route_range, summarize_routes
@@ -40,7 +39,6 @@ __all__ = [
     "BatchQueryEngine",
     "ChordOverlay",
     "ChurnConfig",
-    "DistributedIndex",
     "GrowthConfig",
     "MercuryConfig",
     "MercuryOverlay",

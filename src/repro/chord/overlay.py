@@ -70,14 +70,13 @@ class ChordOverlay(Substrate):
         target_size: int,
         keys: KeyDistribution,
         degrees: object = None,
-        paired_caps: bool = True,
     ) -> None:
         """Grow to ``target_size`` live peers (same contract as Oscar's
         ``grow``; the degree distribution is accepted and ignored — no
         caps are drawn, finger counts are dictated by the protocol,
         which is precisely the heterogeneity-blindness the paper
         criticizes)."""
-        del degrees, paired_caps
+        del degrees
         missing = target_size - self.ring.live_count
         while missing > 0:
             key = float(keys.sample(self._join_rng, 1)[0])
@@ -145,8 +144,8 @@ def scatter_range(
 
     Returns ``(matching_items, total_messages)``.
     """
-    # One closed-[lo, hi] predicate shared with DistributedIndex.range, so
-    # the two agree about a key exactly at `lo` of a wrapped range.
+    # The closed-[lo, hi] predicate ReplicatedStore.range_rows slices by,
+    # so the two agree about a key exactly at `lo` of a wrapped range.
     matches = [k for k in item_keys if in_closed_cw_range(k, lo, hi)]
     messages = 0
     for key in matches:

@@ -82,7 +82,6 @@ class OscarOverlay(Substrate):
         target_size: int,
         keys: KeyDistribution,
         degrees: DegreeDistribution,
-        paired_caps: bool = True,
         vectorized: bool = True,
     ) -> LinkAcquisitionStats:
         """Grow to ``target_size`` live peers in one vectorized bulk step.
@@ -102,9 +101,7 @@ class OscarOverlay(Substrate):
         """
         from ..engine.construct import BatchConstructionEngine  # lazy: import cycle
 
-        return BatchConstructionEngine(self, vectorized=vectorized).grow(
-            target_size, keys, degrees, paired_caps=paired_caps
-        )
+        return BatchConstructionEngine(self, vectorized=vectorized).grow(target_size, keys, degrees)
 
     # Rebound in this class body, not re-implemented: the committed
     # benchmark's tracer wraps ``OscarOverlay.__dict__["leave_batch"]``

@@ -91,7 +91,6 @@ class Substrate:
         target_size: int,
         keys: KeyDistribution,
         degrees: DegreeDistribution,
-        paired_caps: bool = True,
     ) -> None:
         """Grow the network to ``target_size`` live peers by joins.
 
@@ -103,7 +102,7 @@ class Substrate:
         missing = target_size - self.ring.live_count
         if missing <= 0:
             return
-        caps_in, caps_out = assign_caps(degrees, self._join_rng, missing, paired=paired_caps)
+        caps_in, caps_out = assign_caps(degrees, self._join_rng, missing)
         joined = 0
         while joined < missing:
             key = float(keys.sample(self._join_rng, 1)[0])
@@ -118,7 +117,6 @@ class Substrate:
         target_size: int,
         keys: KeyDistribution,
         degrees: Any = None,
-        paired_caps: bool = True,
         vectorized: bool = True,
     ) -> object:
         """Grow to ``target_size`` live peers in one bulk construction step.
@@ -134,7 +132,7 @@ class Substrate:
         :class:`~repro.engine.construct.BatchConstructionEngine`.
         """
         del vectorized
-        self.grow(target_size, keys, degrees, paired_caps=paired_caps)
+        self.grow(target_size, keys, degrees)
         return None
 
     def leave(self, node_id: NodeId, repair: bool = True) -> None:

@@ -32,13 +32,21 @@ lock-step **epochs**; there is no event scheduler:
   topology/replica/belief change, and delivery verified
   against a
   :class:`~repro.index.replication.ReplicatedStore` (same
-  bit-identical reference-path contract).
+  bit-identical reference-path contract); a range is the same walk
+  plus a slice of the believed ring and of the store's key column.
 """
 
 from .batch import BatchQueryEngine, BatchRouteResult, TopologySnapshot
 from .churn import ChurnEpochStats, SteadyStateChurnEngine
 from .construct import BatchConstructionEngine, LiveView
-from .serve import Outcome, ResultCache, ServeBatchResult, ServeEngine, ServeSnapshot
+from .serve import (
+    Outcome,
+    ResultCache,
+    ServeBatchResult,
+    ServeEngine,
+    ServeRangeResult,
+    ServeSnapshot,
+)
 
 __all__ = [
     "BatchConstructionEngine",
@@ -50,6 +58,7 @@ __all__ = [
     "ResultCache",
     "ServeBatchResult",
     "ServeEngine",
+    "ServeRangeResult",
     "ServeSnapshot",
     "SteadyStateChurnEngine",
     "TopologySnapshot",

@@ -212,7 +212,6 @@ class BatchConstructionEngine:
         target_size: int,
         keys: KeyDistribution,
         degrees: DegreeDistribution,
-        paired_caps: bool = True,
     ) -> LinkAcquisitionStats:
         """Grow to ``target_size`` live peers in one bulk step.
 
@@ -235,7 +234,7 @@ class BatchConstructionEngine:
         if missing <= 0:
             return LinkAcquisitionStats()
         rng = overlay._join_rng
-        caps_in, caps_out = assign_caps(degrees, rng, missing, paired=paired_caps)
+        caps_in, caps_out = assign_caps(degrees, rng, missing)
         positions = self._draw_positions(rng, keys, missing)
         first_id = overlay._next_id
         new_ids = list(range(first_id, first_id + missing))

@@ -36,7 +36,10 @@ to be**, at millions of requests against a ring that churns underneath.
 * **failure isolation**: a miss whose source is unknown or believed
   dead, or whose walk fails (budget, missing successor, stuck), fails
   alone — an :class:`Outcome` code in the result's ``outcome`` column —
-  instead of raising for the batch.
+  instead of raising for the batch;
+* **ranges** (:meth:`ServeEngine.serve_range`): the same walk to the
+  owner of ``lo``, then two slices — of the believed ring and of the
+  store's sorted key column. No second loop, no cache.
 
 The serve **version** is the triple ``(topology_version,
 data_version, evictions)``: substrate links/membership, replica
@@ -68,7 +71,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..index.replication import ReplicatedStore
     from ..membership import MembershipView
 
-__all__ = ["Outcome", "ResultCache", "ServeBatchResult", "ServeEngine", "ServeSnapshot"]
+__all__ = [
+    "Outcome",
+    "ResultCache",
+    "ServeBatchResult",
+    "ServeEngine",
+    "ServeRangeResult",
+    "ServeSnapshot",
+]
 
 
 #: Bits of the packed delivery-verdict column (``flags``).
@@ -405,6 +415,37 @@ class ServeBatchResult:
         }
 
 
+@dataclass(frozen=True)
+class ServeRangeResult:
+    """Per-range outcome arrays of one :meth:`ServeEngine.serve_range`
+    batch. A range whose ``outcome`` is not ``SERVED`` has no owner, no
+    sweep, no items.
+
+    Attributes:
+        lo: Range starts (inclusive).
+        hi: Range ends (inclusive); ``lo > hi`` wraps through 1.0.
+        outcome: :class:`Outcome` code of the entry walk (``uint8``).
+        hops: Entry-walk hops to the believed owner of ``lo``.
+        owners: That owner's node id — the first swept peer.
+        sweep_hops: Believed ring-successor hops from it to the owner
+            of ``hi``; the swept owners are ``sweep_hops + 1`` peers.
+        item_first: First catalog row of the range.
+        item_count: Items in the range
+            (``store.slice_rows(item_first[i], item_count[i])``).
+        stale_owners: Swept owners that are truth-dead.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    outcome: np.ndarray
+    hops: np.ndarray
+    owners: np.ndarray
+    sweep_hops: np.ndarray
+    item_first: np.ndarray
+    item_count: np.ndarray
+    stale_owners: np.ndarray
+
+
 class ServeEngine:
     """The data-plane request path: cached, believed-membership serving.
 
@@ -575,6 +616,88 @@ class ServeEngine:
             hops=hops,
         )
 
+    def serve_range(
+        self, sources: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> ServeRangeResult:
+        """Answer one batch of closed clockwise ranges ``[lo, hi]``.
+
+        A range is the point path's walk plus two slices: the walk goes
+        to the believed owner of ``lo``; the owners of the range are
+        the believed-ring rows from there to the owner of ``hi``; its
+        items are :meth:`ReplicatedStore.range_rows
+        <repro.index.replication.ReplicatedStore.range_rows>`. Both ends
+        falling to one owner is either a range inside its arc (no
+        sweep) or, when its key lies in clockwise ``[lo, hi)``, the
+        range that leaves it, crosses every other peer and re-enters
+        its arc from behind — all ``m`` owners, ``m - 1`` hops. Source
+        and walk failures are coded as on the point path; nothing is
+        cached. ``vectorized=False`` finds the same answers by stepping
+        believed successors one at a time.
+
+        Raises:
+            ValueError: ``sources``, ``lo`` and ``hi`` are misaligned.
+        """
+        sources = np.asarray(sources, dtype=np.int64)
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if not sources.shape == lo.shape == hi.shape:
+            raise ValueError("sources, lo and hi must be aligned 1-d arrays")
+        snap = self.serve_snapshot()
+        n, m = int(sources.size), snap.size
+        lo_keys, hi_keys = keyspace.from_units(lo), keyspace.from_units(hi)
+        if self.vectorized:
+            row_lo = snap.owner_rows(lo_keys)
+        else:
+            ring_keys = [int(k) for k in snap.keys]
+            row_lo = np.asarray(
+                [bisect.bisect_left(ring_keys, int(t)) % m for t in lo_keys], dtype=np.int64
+            )
+        outcome = np.full(n, Outcome.BAD_SOURCE, dtype=np.uint8)
+        hops = np.zeros(n, dtype=np.int64)
+        source_rows = rows_of(snap.row_of, sources)
+        known = np.flatnonzero(source_rows >= 0)
+        walk = greedy_walk if self.vectorized else greedy_walk_reference
+        hops[known], outcome[known], __ = walk(
+            snap.table, source_rows[known], row_lo[known], lo_keys[known], self.routing.budget
+        )
+        served = outcome == Outcome.SERVED
+        dead = ~self.store.truth_live_mask(snap.ids)
+        width = hi_keys - lo_keys  # wrapping uint64: 0 is the point range
+        if self.vectorized:
+            sweep = (snap.owner_rows(hi_keys) - row_lo) % m
+            sweep[(sweep == 0) & (snap.keys[row_lo] - lo_keys < width)] = m - 1
+            dead_before = np.concatenate([[0], np.cumsum(dead)])
+            end = row_lo + sweep + 1  # one past the last swept row, up to m past row 0
+            stale = (
+                dead_before[np.minimum(end, m)]
+                - dead_before[row_lo]
+                + dead_before[np.maximum(end - m, 0)]
+            )
+        else:
+            sweep, stale = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+            for i in np.flatnonzero(served):
+                row = first = int(row_lo[i])
+                stale[i] = dead[row]
+                # Step while the owner stood on ends inside [lo, hi), and
+                # never back onto the first one.
+                while (int(snap.keys[row]) - int(lo_keys[i])) & keyspace.KEY_MASK < int(width[i]):
+                    row = (row + 1) % m
+                    if row == first:
+                        break
+                    sweep[i] += 1
+                    stale[i] += dead[row]
+        item_first, item_count = self.store.range_rows(lo, hi)
+        return ServeRangeResult(
+            lo=lo,
+            hi=hi,
+            outcome=outcome,
+            hops=hops,
+            owners=np.where(served, snap.ids[row_lo], -1),
+            sweep_hops=sweep * served,
+            item_first=item_first,
+            item_count=item_count * served,
+            stale_owners=stale * served,
+        )
+
     # ------------------------------------------------------------------
     # delivery verification (vectorized + reference twins)
     # ------------------------------------------------------------------
@@ -593,7 +716,9 @@ class ServeEngine:
         found = rows >= 0
         owner_live = store.truth_live_mask(owner_ids)
         stale = ~owner_live
-        if self.vectorized:
+        if not store.item_count:
+            holds = found  # an empty catalog: nothing found, nothing held
+        elif self.vectorized:
             safe = np.where(found, rows, 0)
             holds = (store.holders[safe] == owner_ids[:, None]).any(axis=1) & found
         else:

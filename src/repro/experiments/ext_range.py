@@ -25,7 +25,9 @@ from ..chord import ChordOverlay, scatter_range
 from ..config import OscarConfig
 from ..core import OscarOverlay
 from ..degree import ConstantDegrees
-from ..index import DistributedIndex
+from ..engine import ServeEngine
+from ..index import ReplicatedStore
+from ..membership import OracleView
 from ..rng import split
 from ..workloads import GnutellaLikeDistribution
 from .base import ExperimentResult, scaled_sizes
@@ -78,9 +80,10 @@ def run(
 
     # The same item population lives in both systems.
     item_keys = np.unique(keys.sample(split(seed, "ext-range-items"), size * ITEMS_PER_PEER))
-    index = DistributedIndex(overlay=oscar)
-    publisher = oscar.random_live_node(split(seed, "ext-range-pub"))
-    index.put_many(publisher, [(float(k), None) for k in item_keys])
+    view = OracleView(oscar.ring)
+    store = ReplicatedStore(oscar.ring)
+    store.seed_items(item_keys, view)
+    serve = ServeEngine(oscar, store, view)
 
     query_rng = split(seed, "ext-range-queries")
     oscar_series: list[tuple[float, float]] = []
@@ -89,26 +92,25 @@ def run(
     scalars: dict[str, float] = {}
 
     for selectivity in selectivities:
-        width = float(selectivity)
-        oscar_costs: list[float] = []
-        chord_costs: list[float] = []
-        recall_ok = 0
-        for __ in range(n_queries):
-            anchor = float(item_keys[int(query_rng.integers(0, item_keys.size))])
-            lo = anchor
-            hi = float((anchor + width) % 1.0)
-            source_oscar = oscar.random_live_node(query_rng)
-            source_chord = chord.random_live_node(query_rng)
+        # One draw order per query (anchor, Oscar source, Chord source);
+        # the Oscar side is then answered as one batch.
+        lo = np.empty(n_queries)
+        sources = np.empty((n_queries, 2), dtype=np.int64)
+        for q in range(n_queries):
+            lo[q] = item_keys[int(query_rng.integers(0, item_keys.size))]
+            sources[q] = oscar.random_live_node(query_rng), chord.random_live_node(query_rng)
+        hi = (lo + float(selectivity)) % 1.0
+        answer = serve.serve_range(sources[:, 0], lo, hi)
+        scattered = np.asarray(
+            [
+                scatter_range(chord, int(source), item_keys, float(a), float(b))
+                for source, a, b in zip(sources[:, 1], lo, hi)
+            ]
+        )
+        recall_ok = int((answer.item_count == scattered[:, 0]).sum())
 
-            receipt = index.range(source_oscar, lo, hi)
-            oscar_costs.append(receipt.messages)
-
-            matches, messages = scatter_range(chord, source_chord, item_keys, lo, hi)
-            chord_costs.append(messages)
-            recall_ok += len(receipt.items) == matches
-
-        oscar_mean = float(np.mean(oscar_costs))
-        chord_mean = float(np.mean(chord_costs))
+        oscar_mean = float(np.mean(answer.hops + answer.sweep_hops))
+        chord_mean = float(scattered[:, 1].mean())
         oscar_series.append((selectivity, oscar_mean))
         chord_series.append((selectivity, chord_mean))
         ratio_series.append((selectivity, chord_mean / max(oscar_mean, 1e-9)))

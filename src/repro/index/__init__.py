@@ -1,12 +1,5 @@
-"""Application layer: a distributed key-value index over the overlay."""
+"""Application layer: a replicated key-value catalog over the overlay."""
 
 from .replication import ReplicatedStore, ReplicationEpochStats
-from .store import DistributedIndex, IndexedItem, OperationReceipt
 
-__all__ = [
-    "DistributedIndex",
-    "IndexedItem",
-    "OperationReceipt",
-    "ReplicatedStore",
-    "ReplicationEpochStats",
-]
+__all__ = ["ReplicatedStore", "ReplicationEpochStats"]

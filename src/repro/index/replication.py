@@ -1,12 +1,9 @@
 """Successor-list replication: k copies of every item, churn-surviving.
 
-:class:`~repro.index.store.DistributedIndex` places each item on exactly
-one peer, so a single departure loses data until the reactive
-``rebalance_after_churn`` notices. This module adds the proactive
-story every data-oriented overlay ships: each item lives on its
-**owner** (the first believed-live clockwise successor of its key) plus
-``k - 1`` further clockwise believed-live successors, and a periodic
-**re-replication pass** — wired into
+An item placed on one peer is lost with that peer's departure, so each
+item lives on its **owner** (the first believed-live clockwise
+successor of its key) plus ``k - 1`` further clockwise believed-live
+successors, and a periodic **re-replication pass** — wired into
 :class:`~repro.engine.churn.SteadyStateChurnEngine`'s repair epoch —
 restores the replication factor after deaths.
 
@@ -283,6 +280,22 @@ class ReplicatedStore:
             return np.full(keys.shape, -1, dtype=np.int64)
         idx = np.minimum(np.searchsorted(self.item_keys, keys), self.item_keys.size - 1)
         return np.where(self.item_keys[idx] == keys, idx, -1)
+
+    def range_rows(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Catalog slice ``(first, count)`` of each closed clockwise
+        range ``[lo, hi]`` — the keys :func:`~repro.ring.identifiers
+        .in_closed_cw_range` admits (:meth:`slice_rows` names the rows).
+        ``lo > hi`` wraps through 1.0; ``lo == hi`` is the point range."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        first = np.searchsorted(self.item_keys, lo, side="left")
+        count = np.searchsorted(self.item_keys, hi, side="right") - first
+        return first, count + (lo > hi) * self.item_count
+
+    def slice_rows(self, first: int, count: int) -> np.ndarray:
+        """Catalog rows of one :meth:`range_rows` slice, clockwise from
+        the range start (a wrapped range runs off the end of the
+        catalog and on from row 0)."""
+        return (int(first) + np.arange(int(count))) % max(self.item_count, 1)
 
     def live_replica_counts(self) -> np.ndarray:
         """Truth-live copies per item, aligned with ``item_keys``."""

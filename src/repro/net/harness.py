@@ -157,7 +157,6 @@ class NetHarness:
         n: int,
         keys: KeyDistribution,
         degrees: DegreeDistribution,
-        paired_caps: bool = True,
         kill_mid_join: tuple[int, ...] = (),
     ) -> LinkAcquisitionStats:
         """Draw a population and build the overlay to quiescence.
@@ -190,7 +189,7 @@ class NetHarness:
             if len(set(kill_mid_join)) >= n - 1:
                 raise ConfigError("kill_mid_join must leave at least 2 peers alive")
         rng = split(self.seed, "join")
-        caps_in, caps_out = assign_caps(degrees, rng, n, paired=paired_caps)
+        caps_in, caps_out = assign_caps(degrees, rng, n)
         positions = self._draw_positions(rng, keys, n)
         self.stats = self._runner.run(
             self._build_async(n, positions, caps_in, caps_out, rng, kill_mid_join)

@@ -134,10 +134,11 @@ def in_closed_cw_range(key: float, lo: float, hi: float) -> bool:
     ``lo > hi`` wraps through 1.0; ``lo == hi`` is the point range (not
     the whole circle — that convention belongs to the ``(start, end]``
     overlay interval of :func:`in_cw_interval`). This is the one
-    definition shared by ``DistributedIndex.range`` and
-    ``chord.scatter_range``: PR 2 fixed those two disagreeing about a
-    key exactly at ``lo`` of a wrapped range, and keeping a single
-    predicate is what stops that bug class from reopening.
+    definition ``chord.scatter_range`` filters by and
+    ``ReplicatedStore.range_rows`` slices by: PR 2 fixed two hand-rolled
+    copies of it disagreeing about a key exactly at ``lo`` of a wrapped
+    range, and keeping a single predicate is what stops that bug class
+    from reopening.
     """
     _check(key, "key")
     _check(lo, "lo")

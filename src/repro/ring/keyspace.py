@@ -7,9 +7,9 @@ on ``[0, 1)``. Subtractive float arithmetic rounds: a key separated from
 ``0.9``, so the metric (``cw_distance``) and the comparison-based
 predicate (``in_cw_interval``) could disagree about boundary membership.
 Two real bugs came from exactly that class — a wrapped-range
-inconsistency between ``chord.scatter_range`` and
-``DistributedIndex.range`` (PR 2) and a ``PartitionTable.partition_of``
-failure at the far-end border (PR 3).
+inconsistency between ``chord.scatter_range`` and the index's range
+scan (PR 2) and a ``PartitionTable.partition_of`` failure at the
+far-end border (PR 3).
 
 This module removes the class instead of patching instances: keys are
 ``uint64`` points on a circle of size ``2**64``, where modular

@@ -210,16 +210,22 @@ class TestIndexRangeProperty:
         hi=keys,
     )
     def test_range_equals_brute_force(self, item_keys, lo, hi):
-        from repro import DistributedIndex
+        from repro.engine import ServeEngine
+        from repro.index import ReplicatedStore
+        from repro.membership import OracleView
 
         from conftest import build_overlay
 
         overlay = build_overlay(n=40, seed=991, cap=6)
-        index = DistributedIndex(overlay=overlay)
-        index.put_many(0, [(k, None) for k in item_keys])
-        receipt = index.range(0, lo, hi)
-        assert receipt.success
-        got = sorted(item.key for item in receipt.items)
+        view = OracleView(overlay.ring)
+        store = ReplicatedStore(overlay.ring, k=1)
+        store.seed_items(item_keys, view)
+        scan = ServeEngine(overlay, store, view).serve_range(
+            np.asarray([0]), np.asarray([lo]), np.asarray([hi])
+        )
+        assert not scan.outcome.any()
+        rows = store.slice_rows(scan.item_first[0], scan.item_count[0])
+        got = sorted(store.item_keys[rows].tolist())
         if lo == hi:
             expected = sorted(k for k in item_keys if k == lo)
         elif lo < hi:
