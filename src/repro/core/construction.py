@@ -25,6 +25,7 @@ cohort systematically wins the race for scarce in-capacity.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["acquire_links", "rewire_all", "LinkAcquisitionStats"]
 
 
+@dataclass(slots=True)
 class LinkAcquisitionStats:
     """Counters describing one acquisition run (diagnostics/ablations).
 
@@ -53,47 +55,23 @@ class LinkAcquisitionStats:
     such races; the one-peer-at-a-time scalar path always leaves it 0.
     """
 
-    __slots__ = (
-        "links_placed",
-        "slots_given_up",
-        "draws",
-        "refusals",
-        "empty_partition_draws",
-        "conflicts",
-    )
+    links_placed: int = 0
+    slots_given_up: int = 0
+    draws: int = 0
+    refusals: int = 0
+    empty_partition_draws: int = 0
+    conflicts: int = 0
 
-    def __init__(self) -> None:
-        self.links_placed = 0
-        self.slots_given_up = 0
-        self.draws = 0
-        self.refusals = 0
-        self.empty_partition_draws = 0
-        self.conflicts = 0
-
-    def merge(self, other: "LinkAcquisitionStats") -> None:
-        """Accumulate another run's counters into this one."""
-        self.links_placed += other.links_placed
-        self.slots_given_up += other.slots_given_up
-        self.draws += other.draws
-        self.refusals += other.refusals
-        self.empty_partition_draws += other.empty_partition_draws
-        self.conflicts += other.conflicts
+    def merge(self, other: object) -> None:
+        """Accumulate another run's counters into this one (``other``
+        is anything carrying the six fields, e.g. a live peer's
+        :class:`~repro.protocol.join.JoinProtocol`)."""
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view (stable key order) for artifacts and tests."""
         return {name: int(getattr(self, name)) for name in self.__slots__}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinkAcquisitionStats):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
-    def __repr__(self) -> str:
-        return (
-            f"LinkAcquisitionStats(placed={self.links_placed}, given_up={self.slots_given_up}, "
-            f"draws={self.draws}, refusals={self.refusals}, empty={self.empty_partition_draws}, "
-            f"conflicts={self.conflicts})"
-        )
 
 
 def acquire_links(

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..errors import CapacityExhaustedError
 from ..ring import keyspace
 from ..types import NodeId
@@ -25,6 +27,20 @@ from .partitions import PartitionTable
 from .soa import LinkView, SubstrateState
 
 __all__ = ["OscarNode", "StateNodeView"]
+
+
+def _cell(name: str, settable: bool = True) -> property:
+    """A view property over one cell of column ``name``, read and
+    written as the Python scalar of the column's declared dtype."""
+    cast = float if np.issubdtype(SubstrateState.COLUMNS[name].dtype, np.floating) else int
+
+    def fget(self: "StateNodeView"):
+        return cast(getattr(self._state, name)[self._slot])
+
+    def fset(self: "StateNodeView", value) -> None:
+        getattr(self._state, name)[self._slot] = cast(value)
+
+    return property(fget, fset if settable else None)
 
 
 class StateNodeView:
@@ -71,9 +87,11 @@ class StateNodeView:
 
     # -- array-backed fields ------------------------------------------
 
-    @property
-    def node_id(self) -> int:
-        return int(self._state.node_id[self._slot])
+    node_id = _cell("node_id", settable=False)
+    rho_max_in = _cell("cap_in")
+    rho_max_out = _cell("cap_out")
+    in_degree = _cell("in_deg")
+    samples_spent = _cell("samples_spent")
 
     @property
     def position(self) -> float:
@@ -90,40 +108,32 @@ class StateNodeView:
         )
 
     @property
-    def rho_max_in(self) -> int:
-        return int(self._state.cap_in[self._slot])
-
-    @rho_max_in.setter
-    def rho_max_in(self, value: int) -> None:
-        self._state.cap_in[self._slot] = int(value)
-
-    @property
-    def rho_max_out(self) -> int:
-        return int(self._state.cap_out[self._slot])
-
-    @rho_max_out.setter
-    def rho_max_out(self, value: int) -> None:
-        self._state.cap_out[self._slot] = int(value)
-
-    @property
-    def in_degree(self) -> int:
-        return int(self._state.in_deg[self._slot])
-
-    @in_degree.setter
-    def in_degree(self, value: int) -> None:
-        self._state.in_deg[self._slot] = int(value)
-
-    @property
     def out_links(self) -> LinkView:
         return LinkView(self._state, self._slot)
 
-    @property
-    def samples_spent(self) -> int:
-        return int(self._state.samples_spent[self._slot])
+    #: The fields ``==`` compares; subclasses append their learned state.
+    _fields: tuple[str, ...] = (
+        "node_id",
+        "position",
+        "rho_max_in",
+        "rho_max_out",
+        "out_links",
+        "in_degree",
+        "samples_spent",
+    )
 
-    @samples_spent.setter
-    def samples_spent(self, value: int) -> None:
-        self._state.samples_spent[self._slot] = int(value)
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    __hash__ = None  # mutable view, same as the old (unfrozen) dataclass
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(id={self.node_id}, pos={self.position:.6f}, "
+            f"out={len(self.out_links)}/{self.rho_max_out}, in={self.in_degree}/{self.rho_max_in})"
+        )
 
     # -- shared protocol ----------------------------------------------
 
@@ -171,6 +181,7 @@ class OscarNode(StateNodeView):
     """
 
     __slots__ = ()
+    _fields = StateNodeView._fields + ("partitions",)
 
     def __init__(
         self,
@@ -211,7 +222,7 @@ class OscarNode(StateNodeView):
         state.part_origin[slot] = table.origin
         state.part_far_end[slot] = table.far_end
         if medians:
-            state.ensure_median_width(len(medians))
+            state.ensure_width("medians", len(medians))
             state.medians[slot, : len(medians)] = medians
         state.n_medians[slot] = len(medians)
 
@@ -230,34 +241,3 @@ class OscarNode(StateNodeView):
         if self.in_degree <= 0:
             raise CapacityExhaustedError(f"node {self.node_id} has no incoming links to drop")
         self._state.in_deg[self._slot] -= 1
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, OscarNode):
-            return (
-                self.node_id,
-                self.position,
-                self.rho_max_in,
-                self.rho_max_out,
-                list(self.out_links),
-                self.in_degree,
-                self.partitions,
-                self.samples_spent,
-            ) == (
-                other.node_id,
-                other.position,
-                other.rho_max_in,
-                other.rho_max_out,
-                list(other.out_links),
-                other.in_degree,
-                other.partitions,
-                other.samples_spent,
-            )
-        return NotImplemented
-
-    __hash__ = None  # mutable view, same as the old (unfrozen) dataclass
-
-    def __repr__(self) -> str:
-        return (
-            f"OscarNode(id={self.node_id}, pos={self.position:.6f}, "
-            f"out={len(self.out_links)}/{self.rho_max_out}, in={self.in_degree}/{self.rho_max_in})"
-        )

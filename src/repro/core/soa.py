@@ -6,7 +6,9 @@ everything the ring and the three substrates (Oscar, Mercury, Chord)
 know about a peer — its id, unit-circle position, exact ``uint64`` key,
 liveness flag, maintained ring successor / predecessor pointers, in/out
 capacities and degrees, its padded long-link table, its partition-table
-view of the key space, and its cumulative sampling spend. ``Ring``,
+view of the key space (or Mercury's histogram of it), its cumulative
+sampling spend, the failure-detector schedule that watches it and what
+the membership view believes about it. ``Ring``,
 ``OscarNode``, ``MercuryNode`` and the overlay ``nodes`` / ``fingers``
 mappings are thin views over these arrays: reading ``node.in_degree``
 reads one array cell, and the batch engines read whole columns without
@@ -26,6 +28,11 @@ Design notes
   same physical layout regardless of dict iteration order or the
   platform's hash seed, which is what lets resume-from-fixture tests
   compare raw arrays.
+* **One declaration per column.** A column's dtype, cleared value and
+  shape are stated once, as an annotated class attribute of
+  :class:`SubstrateState`; allocation, growth and freeing walk the
+  collected table, so a freed slot is cleared in every column and the
+  next peer to get it inherits nothing.
 * **Padded tables.** The long-link table is an ``int32`` matrix with
   ``-1`` padding; row ``s`` holds ``out_count[s]`` targets in columns
   ``0..out_count[s])`` and ``-1`` everywhere after (the *padding
@@ -41,13 +48,22 @@ Design notes
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Any, Callable, ClassVar, Iterable, Iterator
 
 import numpy as np
 
 from ..types import NodeId
 
-__all__ = ["SubstrateState", "LinkView", "NodeTable", "FingerTable", "row_table", "rows_of"]
+__all__ = [
+    "SubstrateState",
+    "Column",
+    "LinkView",
+    "NodeTable",
+    "FingerTable",
+    "row_table",
+    "rows_of",
+]
 
 
 def row_table(ids: np.ndarray, size: int | None = None) -> np.ndarray:
@@ -76,74 +92,93 @@ def rows_of(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
 _MIN_CAPACITY = 8
 
 
+@dataclass(frozen=True)
+class Column:
+    """One declared per-peer column of :class:`SubstrateState`.
+
+    Attributes:
+        dtype: Element type of the array.
+        fill: The *cleared value* — what every cell of a never-used or
+            freed slot holds.
+        matrix: ``True`` for a padded table (one row per slot, width
+            grown on demand by :meth:`SubstrateState.ensure_width`),
+            ``False`` for a vector (one cell per slot).
+    """
+
+    dtype: Any
+    fill: Any
+    matrix: bool = False
+
+    def full(self, rows: int, width: int = 0) -> np.ndarray:
+        """A cleared array of ``rows`` slots (``width`` columns wide)."""
+        return np.full((rows, width) if self.matrix else rows, self.fill, dtype=self.dtype)
+
+
+def column(dtype: Any, fill: Any, matrix: bool = False) -> Any:
+    """Declare a column. Typed ``Any`` (the ``dataclasses.field``
+    pattern) so ``succ: np.ndarray = column(np.int64, -1)`` annotates
+    the array every instance holds under that name."""
+    return Column(dtype, fill, matrix)
+
+
 class SubstrateState:
     """Flat per-peer arrays indexed by slot, with free-list recycling.
 
-    ======================== ======== ==================================
-    column                   dtype    cleared value / meaning
-    ======================== ======== ==================================
-    ``node_id``              int64    ``-1`` = free slot
-    ``pos`` / ``key``        f8 / u8  unit-circle position, exact key
-    ``alive``                bool     crashed peers keep their slot
-    ``succ`` / ``pred``      int64    maintained ring pointers as node
-                                      *ids* (ids are never reused, so a
-                                      recycled slot cannot alias);
-                                      ``-1`` = no pointer
-    ``cap_in`` / ``cap_out`` int32    degree caps (0 when cap-less)
-    ``in_deg``               int32    long links pointing at the peer
-    ``out_count``            int32    filled columns of ``out_links``
-    ``out_links``            int32 2d target ids, ``-1`` padding
-    ``samples_spent``        int64    cumulative sampling spend
-    ``part_origin`` /        f8       partition-table span
-    ``part_far_end``
-    ``n_medians``            int32    ``-1`` = no partition table yet
-    ``medians``              f8 2d    partition borders
-    ======================== ======== ==================================
+    Each column is declared exactly once, below: its dtype, its cleared
+    value and whether it is a padded matrix. :attr:`COLUMNS` collects
+    the declarations, and construction, row growth, width growth and
+    :meth:`free_many` walk that table — a recycled slot is clean in
+    *every* column by construction, whoever added the column. On an
+    instance each name is a plain array attribute.
     """
 
-    __slots__ = (
-        "node_id",
-        "pos",
-        "key",
-        "alive",
-        "succ",
-        "pred",
-        "cap_in",
-        "cap_out",
-        "in_deg",
-        "out_count",
-        "out_links",
-        "samples_spent",
-        "part_origin",
-        "part_far_end",
-        "n_medians",
-        "medians",
-        "histograms",
-        "_slot_of",
-        "_free",
-        "_top",
-    )
+    #: ``name -> Column`` of every declaration below, in this order.
+    COLUMNS: ClassVar[dict[str, Column]]
+
+    #: Peer id; ``-1`` = free slot.
+    node_id: np.ndarray = column(np.int64, -1)
+    #: Unit-circle position and its exact ``uint64`` key.
+    pos: np.ndarray = column(np.float64, 0.0)
+    key: np.ndarray = column(np.uint64, 0)
+    #: Ground-truth liveness; a crashed peer keeps its slot.
+    alive: np.ndarray = column(bool, False)
+    #: Maintained ring pointers as node *ids* (ids are never reused, so
+    #: a recycled slot cannot alias); ``-1`` = no pointer.
+    succ: np.ndarray = column(np.int64, -1)
+    pred: np.ndarray = column(np.int64, -1)
+    #: Degree caps (0 when cap-less) and long links pointing at the peer.
+    cap_in: np.ndarray = column(np.int32, 0)
+    cap_out: np.ndarray = column(np.int32, 0)
+    in_deg: np.ndarray = column(np.int32, 0)
+    #: Long-link target ids, ``-1`` padding past ``out_count`` columns.
+    out_count: np.ndarray = column(np.int32, 0)
+    out_links: np.ndarray = column(np.int32, -1, matrix=True)
+    #: Cumulative sampling spend.
+    samples_spent: np.ndarray = column(np.int64, 0)
+    #: Partition table: its span, its border count (``-1`` = no table
+    #: yet) and the borders.
+    part_origin: np.ndarray = column(np.float64, 0.0)
+    part_far_end: np.ndarray = column(np.float64, 0.0)
+    n_medians: np.ndarray = column(np.int32, -1)
+    medians: np.ndarray = column(np.float64, 0.0, matrix=True)
+    #: Mercury's density histogram as its cumulative vector; ``nan``
+    #: past its end, an all-``nan`` row = no histogram.
+    hist_cdf: np.ndarray = column(np.float64, np.nan, matrix=True)
+    #: The failure-detector schedule of the peer *as a probe target*,
+    #: one column per monitor rank: consecutive failures, whether last
+    #: round's probe went unanswered, and the monitor id at that rank.
+    probe_fails: np.ndarray = column(np.int64, 0, matrix=True)
+    probe_pending: np.ndarray = column(bool, False, matrix=True)
+    probe_monitor: np.ndarray = column(np.int64, -1, matrix=True)
+    #: Probe-derived belief: evicted by the membership view, and the
+    #: epoch the environment recorded the death (``-1`` = none).
+    believed_dead: np.ndarray = column(bool, False)
+    died_at: np.ndarray = column(np.int32, -1)
 
     def __init__(self, capacity: int = 0) -> None:
         capacity = max(int(capacity), 0)
-        self.node_id = np.full(capacity, -1, dtype=np.int64)
-        self.pos = np.zeros(capacity, dtype=np.float64)
-        self.key = np.zeros(capacity, dtype=np.uint64)
-        self.alive = np.zeros(capacity, dtype=bool)
-        self.succ = np.full(capacity, -1, dtype=np.int64)
-        self.pred = np.full(capacity, -1, dtype=np.int64)
-        self.cap_in = np.zeros(capacity, dtype=np.int32)
-        self.cap_out = np.zeros(capacity, dtype=np.int32)
-        self.in_deg = np.zeros(capacity, dtype=np.int32)
-        self.out_count = np.zeros(capacity, dtype=np.int32)
-        self.out_links = np.full((capacity, 0), -1, dtype=np.int32)
-        self.samples_spent = np.zeros(capacity, dtype=np.int64)
-        self.part_origin = np.zeros(capacity, dtype=np.float64)
-        self.part_far_end = np.zeros(capacity, dtype=np.float64)
-        self.n_medians = np.full(capacity, -1, dtype=np.int32)
-        self.medians = np.zeros((capacity, 0), dtype=np.float64)
-        # Object side-car for Mercury's density histograms (rare, small).
-        self.histograms: dict[int, Any] = {}
+        for name, col in self.COLUMNS.items():
+            setattr(self, name, col.full(capacity))
         self._slot_of = np.full(capacity, -1, dtype=np.int64)
         self._free: list[int] = []
         self._top = 0
@@ -166,48 +201,33 @@ class SubstrateState:
     def link_width(self) -> int:
         return int(self.out_links.shape[1])
 
-    @property
-    def median_width(self) -> int:
-        return int(self.medians.shape[1])
-
     def _grow_rows(self, needed: int) -> None:
         old = self.capacity
         if needed <= old:
             return
         new = max(needed, old * 2, _MIN_CAPACITY)
-        self.node_id = _grow1(self.node_id, new, -1)
-        self.pos = _grow1(self.pos, new, 0.0)
-        self.key = _grow1(self.key, new, 0)
-        self.alive = _grow1(self.alive, new, False)
-        self.succ = _grow1(self.succ, new, -1)
-        self.pred = _grow1(self.pred, new, -1)
-        self.cap_in = _grow1(self.cap_in, new, 0)
-        self.cap_out = _grow1(self.cap_out, new, 0)
-        self.in_deg = _grow1(self.in_deg, new, 0)
-        self.out_count = _grow1(self.out_count, new, 0)
-        self.samples_spent = _grow1(self.samples_spent, new, 0)
-        self.part_origin = _grow1(self.part_origin, new, 0.0)
-        self.part_far_end = _grow1(self.part_far_end, new, 0.0)
-        self.n_medians = _grow1(self.n_medians, new, -1)
-        self.out_links = _grow2(self.out_links, new, self.link_width, -1)
-        self.medians = _grow2(self.medians, new, self.median_width, 0.0)
+        for name, col in self.COLUMNS.items():
+            table = getattr(self, name)
+            grown = col.full(new, *table.shape[1:])
+            grown[:old] = table
+            setattr(self, name, grown)
 
-    def ensure_link_width(self, width: int) -> None:
-        """Grow the padded link table to at least ``width`` columns."""
-        if width > self.link_width:
-            new_w = max(width, self.link_width * 2, 4)
-            self.out_links = _grow2(self.out_links, self.capacity, new_w, -1)
-
-    def ensure_median_width(self, width: int) -> None:
-        """Grow the padded medians table to at least ``width`` columns."""
-        if width > self.median_width:
-            new_w = max(width, self.median_width * 2, 4)
-            self.medians = _grow2(self.medians, self.capacity, new_w, 0.0)
+    def ensure_width(self, name: str, width: int) -> None:
+        """Grow the padded matrix column ``name`` to at least ``width``
+        columns (new cells hold the column's cleared value)."""
+        table = getattr(self, name)
+        have = table.shape[1]
+        if width > have:
+            grown = self.COLUMNS[name].full(self.capacity, max(width, have * 2))
+            grown[:, :have] = table
+            setattr(self, name, grown)
 
     def _ensure_ids(self, max_id: int) -> None:
         if max_id >= self._slot_of.size:
             new = max(max_id + 1, self._slot_of.size * 2, _MIN_CAPACITY)
-            self._slot_of = _grow1(self._slot_of, new, -1)
+            grown = np.full(new, -1, dtype=np.int64)
+            grown[: self._slot_of.size] = self._slot_of
+            self._slot_of = grown
 
     # ------------------------------------------------------------------
     # id -> slot lookup
@@ -239,8 +259,9 @@ class SubstrateState:
         Recycled slots are handed out smallest-first (the free list is
         kept sorted), then fresh slots continue from the high-water
         mark, so physical layout is deterministic for a fixed operation
-        history. All other per-slot fields start cleared (no ring
-        pointers, capacities 0, degree 0, no links, no partition table).
+        history. Every other column holds its cleared value (no ring
+        pointers, capacities 0, degree 0, no links, no partition table,
+        no detector schedule, believed live).
         """
         ids = np.asarray(node_ids, dtype=np.int64)
         k = int(ids.size)
@@ -274,7 +295,8 @@ class SubstrateState:
         )
 
     def free_many(self, slots: np.ndarray) -> None:
-        """Return slots to the pool and clear every per-slot field.
+        """Return slots to the pool, every column back at its cleared
+        value.
 
         The free list is re-sorted so subsequent allocations pop the
         smallest slot first (deterministic recycling).
@@ -284,28 +306,9 @@ class SubstrateState:
             return
         ids = self.node_id[arr]
         self._slot_of[ids[ids >= 0]] = -1
-        self.node_id[arr] = -1
-        self.pos[arr] = 0.0
-        self.key[arr] = 0
-        self.alive[arr] = False
-        self.succ[arr] = -1
-        self.pred[arr] = -1
-        self.cap_in[arr] = 0
-        self.cap_out[arr] = 0
-        self.in_deg[arr] = 0
-        self.out_count[arr] = 0
-        if self.link_width:
-            self.out_links[arr] = -1
-        self.samples_spent[arr] = 0
-        self.part_origin[arr] = 0.0
-        self.part_far_end[arr] = 0.0
-        self.n_medians[arr] = -1
-        if self.median_width:
-            self.medians[arr] = 0.0
-        if self.histograms:
-            for s in arr:
-                self.histograms.pop(int(s), None)
-        self._free.extend(int(s) for s in arr)
+        for name, col in self.COLUMNS.items():
+            getattr(self, name)[arr] = col.fill
+        self._free.extend(arr.tolist())
         self._free.sort()
 
     # ------------------------------------------------------------------
@@ -334,21 +337,14 @@ class SubstrateState:
         if self.link_width:
             self.out_links[slot] = -1
         if ids:
-            self.ensure_link_width(len(ids))
+            self.ensure_width("out_links", len(ids))
             self.out_links[slot, : len(ids)] = ids
         self.out_count[slot] = len(ids)
 
 
-def _grow1(arr: np.ndarray, size: int, fill: object) -> np.ndarray:
-    out = np.full(size, fill, dtype=arr.dtype)
-    out[: arr.size] = arr
-    return out
-
-
-def _grow2(arr: np.ndarray, rows: int, cols: int, fill: object) -> np.ndarray:
-    out = np.full((rows, cols), fill, dtype=arr.dtype)
-    out[: arr.shape[0], : arr.shape[1]] = arr
-    return out
+SubstrateState.COLUMNS = {
+    name: spec for name, spec in vars(SubstrateState).items() if isinstance(spec, Column)
+}
 
 
 class LinkView:
@@ -418,7 +414,7 @@ class LinkView:
     def append(self, value: int) -> None:
         state, slot = self._state, self._slot
         n = int(state.out_count[slot])
-        state.ensure_link_width(n + 1)
+        state.ensure_width("out_links", n + 1)
         state.out_links[slot, n] = int(value)
         state.out_count[slot] = n + 1
 

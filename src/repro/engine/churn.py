@@ -410,16 +410,17 @@ class SteadyStateChurnEngine:
         ``("steady-repair", e)`` stream. Returns how many peers were
         compacted away.
         """
-        ring = self.substrate.ring
-        all_ids = ring.ids_array(live_only=False)
-        live_ids = self.membership.live_ids()
-        dead = np.setdiff1d(all_ids, live_ids, assume_unique=True)
+        ring, state = self.substrate.ring, self.substrate.state
+        slots = ring.slots_array(live_only=False)
+        believed = np.zeros(state.capacity, dtype=bool)
+        believed[self.membership.live_slots()] = True
+        dead = np.sort(state.node_id[slots[~believed[slots]]])
         if dead.size:
             # Only *believed*-dead peers are compacted: under a probe
             # view a crashed-but-undetected peer keeps its ring slot
             # (and keeps poisoning routes) until evicted. The view
-            # drops its per-peer detector state first — ring slots get
-            # recycled, and a recycled slot must not inherit counters.
+            # drops what it keys by id (gossip reports in flight) first;
+            # what it keys by slot is cleared with the slot.
             self.membership.forget(dead)
             self.substrate.retire(dead)
         if ring.live_count >= 2:
@@ -429,7 +430,6 @@ class SteadyStateChurnEngine:
         else:
             # A lone survivor has nothing to rewire to; its long links
             # all referenced compacted peers and must still be dropped.
-            state = self.substrate.state
             slots = ring.slots_array(live_only=True)
             state.clear_links(slots)
             state.in_deg[slots] = 0

@@ -74,7 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.soa import SubstrateState
     from ..core.overlay import OscarOverlay
 
-__all__ = ["BatchConstructionEngine", "LiveView"]
+__all__ = ["BatchConstructionEngine", "LiveView", "draw_positions"]
 
 
 class LiveView:
@@ -159,6 +159,29 @@ class _ArcTables:
     count: np.ndarray
 
 
+def draw_positions(
+    rng: np.random.Generator, keys: KeyDistribution, count: int, occupied: np.ndarray
+) -> np.ndarray:
+    """``count`` distinct positions from the key sampler, none of them
+    in ``occupied``.
+
+    Bulk draws with vectorized collision rejection (against
+    ``occupied`` — a ring's dead entries included, positions are
+    forever — *and* within the batch, keeping first occurrences)
+    replace the scalar one-key-at-a-time try/except loop. Float key
+    collisions have probability ~0, so the expected number of redraw
+    passes is 1. RNG: one ``keys.sample(rng, missing)`` per pass — the
+    layout the engine's join stream and the live runtime's share.
+    """
+    accepted = np.empty(0, dtype=float)
+    while accepted.size < count:
+        draw = np.asarray(keys.sample(rng, count - accepted.size), dtype=float)
+        pool = np.concatenate([accepted, draw[~np.isin(draw, occupied)]])
+        # First occurrences, in draw order (earlier passes come first).
+        accepted = pool[np.sort(np.unique(pool, return_index=True)[1])]
+    return accepted
+
+
 class BatchConstructionEngine:
     """Vectorized construction/maintenance for one
     :class:`~repro.core.overlay.OscarOverlay`.
@@ -235,7 +258,9 @@ class BatchConstructionEngine:
             return LinkAcquisitionStats()
         rng = overlay._join_rng
         caps_in, caps_out = assign_caps(degrees, rng, missing)
-        positions = self._draw_positions(rng, keys, missing)
+        positions = draw_positions(
+            rng, keys, missing, overlay.ring.positions_array(live_only=False)
+        )
         first_id = overlay._next_id
         new_ids = list(range(first_id, first_id + missing))
         overlay._next_id += missing
@@ -255,26 +280,6 @@ class BatchConstructionEngine:
     # ------------------------------------------------------------------
     # bulk membership helpers
     # ------------------------------------------------------------------
-
-    def _draw_positions(
-        self, rng: np.random.Generator, keys: KeyDistribution, count: int
-    ) -> np.ndarray:
-        """``count`` distinct, unoccupied positions from the key sampler.
-
-        Bulk draws with vectorized collision rejection (against the ring
-        — dead entries included, positions are forever — *and* within
-        the batch, keeping first occurrences) replace the scalar
-        one-key-at-a-time try/except loop. Float key collisions have
-        probability ~0, so the expected number of redraw passes is 1.
-        """
-        occupied = self.overlay.ring.positions_array(live_only=False)
-        accepted = np.empty(0, dtype=float)
-        while accepted.size < count:
-            draw = np.asarray(keys.sample(rng, count - accepted.size), dtype=float)
-            pool = np.concatenate([accepted, draw[~np.isin(draw, occupied)]])
-            # First occurrences, in draw order (earlier passes come first).
-            accepted = pool[np.sort(np.unique(pool, return_index=True)[1])]
-        return accepted
 
     def _draw_priority(
         self, rng: np.random.Generator, view: LiveView, rows: np.ndarray
@@ -330,7 +335,7 @@ class BatchConstructionEngine:
         est_slots = view.slots[rows]
         state.part_origin[est_slots] = origin
         state.part_far_end[est_slots] = far_end
-        state.ensure_median_width(medians.shape[1])
+        state.ensure_width("medians", medians.shape[1])
         state.medians[est_slots, :] = 0.0
         state.medians[est_slots, : medians.shape[1]] = medians
         state.n_medians[est_slots] = counts
@@ -764,7 +769,7 @@ class BatchConstructionEngine:
                 # so the write column is just each winner's current count.
                 win_slots = act_slots[winners]
                 write_col = out_count[act[winners]]
-                state.ensure_link_width(int(write_col.max()) + 1)
+                state.ensure_width("out_links", int(write_col.max()) + 1)
                 state.out_links[win_slots, write_col] = ids[win_cand]
                 state.out_count[win_slots] = write_col + 1
                 out_count[act[winners]] = write_col + 1

@@ -310,18 +310,13 @@ class ServeSnapshot:
     ) -> "ServeSnapshot":
         """Materialize the believed-live topology of ``substrate`` as
         seen through ``view``, stamped with ``version``."""
-        ring = substrate.ring
-        ids = all_ids = ring.ids_array(live_only=False)
-        keys = ring.keys_array(live_only=False)
-        slots = ring.slots_array(live_only=False)
-        believed = view.live_ids()
-        if believed.size == 0:
+        state, slots = substrate.state, view.live_slots()
+        if slots.size == 0:
             raise ConfigError("serve snapshot needs at least one believed-live peer")
-        if believed.size != all_ids.size:
-            mask = np.isin(all_ids, believed, assume_unique=True)
-            ids, keys, slots = ids[mask], keys[mask], slots[mask]
+        ids, keys = state.node_id[slots], state.key[slots]
         m = int(ids.size)
-        row_of = row_table(ids, int(all_ids.max()) + 2)
+        # Sized over every ring id, so a believed-dead peer reads -1.
+        row_of = row_table(ids, int(substrate.ring.ids_array(live_only=False).max()) + 2)
         return cls(
             version=version,
             ids=ids,
@@ -330,7 +325,7 @@ class ServeSnapshot:
             table=WalkTable.build(
                 keys,
                 (np.arange(m, dtype=np.int64) + 1) % m,
-                substrate.state.link_rows(slots, row_of),
+                state.link_rows(slots, row_of),
             ),
         )
 
@@ -629,9 +624,12 @@ class ServeEngine:
         falling to one owner is either a range inside its arc (no
         sweep) or, when its key lies in clockwise ``[lo, hi)``, the
         range that leaves it, crosses every other peer and re-enters
-        its arc from behind — all ``m`` owners, ``m - 1`` hops. Source
-        and walk failures are coded as on the point path; nothing is
-        cached. ``vectorized=False`` finds the same answers by stepping
+        its arc from behind — all ``m`` owners, ``m - 1`` hops. Two ends
+        in one ``2**-64`` key cell with ``hi < lo`` are that full circle
+        too (the items are sliced on the floats, and a cell cannot
+        straddle 1.0), not the point range. Source and walk failures
+        are coded as on the point path; nothing is cached.
+        ``vectorized=False`` finds the same answers by stepping
         believed successors one at a time.
 
         Raises:
@@ -661,10 +659,11 @@ class ServeEngine:
         )
         served = outcome == Outcome.SERVED
         dead = ~self.store.truth_live_mask(snap.ids)
-        width = hi_keys - lo_keys  # wrapping uint64: 0 is the point range
+        width = hi_keys - lo_keys  # wrapping uint64: 0 is the point range ...
+        full = (width == 0) & (hi < lo)  # ... or a wrap inside one key cell
         if self.vectorized:
             sweep = (snap.owner_rows(hi_keys) - row_lo) % m
-            sweep[(sweep == 0) & (snap.keys[row_lo] - lo_keys < width)] = m - 1
+            sweep[(sweep == 0) & ((snap.keys[row_lo] - lo_keys < width) | full)] = m - 1
             dead_before = np.concatenate([[0], np.cumsum(dead)])
             end = row_lo + sweep + 1  # one past the last swept row, up to m past row 0
             stale = (
@@ -679,7 +678,8 @@ class ServeEngine:
                 stale[i] = dead[row]
                 # Step while the owner stood on ends inside [lo, hi), and
                 # never back onto the first one.
-                while (int(snap.keys[row]) - int(lo_keys[i])) & keyspace.KEY_MASK < int(width[i]):
+                reach = keyspace.KEY_MASK + 1 if full[i] else int(width[i])
+                while (int(snap.keys[row]) - int(lo_keys[i])) & keyspace.KEY_MASK < reach:
                     row = (row + 1) % m
                     if row == first:
                         break

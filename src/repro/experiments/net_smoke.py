@@ -52,7 +52,7 @@ def _engine_topology(
         node_id = int(view.ids[row])
         links[node_id] = [int(x) for x in state.out_links[slot][:count]]
         in_deg[node_id] = int(state.in_deg[slot])
-    return links, in_deg, [getattr(stats, f) for f in stats.__slots__]
+    return links, in_deg, list(stats.as_dict().values())
 
 
 @experiment(
@@ -100,7 +100,7 @@ def run(
             for node_id, expected in oracle_in.items()
             if locked.in_degrees().get(node_id) != expected
         )
-        stats_equal = [getattr(net_stats, f) for f in net_stats.__slots__] == oracle_stats
+        stats_equal = list(net_stats.as_dict().values()) == oracle_stats
         lock_success, lock_hops = locked.route_check(probes)
         lock_summary = locked.summary()
 

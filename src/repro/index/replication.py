@@ -137,19 +137,10 @@ class ReplicatedStore:
         return int(self.item_keys.size)
 
     def _believed_ring(self, view: "MembershipView") -> tuple[np.ndarray, np.ndarray]:
-        """``(positions, ids)`` of the believed-live peers, ring order.
-
-        ``view.live_ids()`` answers in ring (position) order — a subset
-        of ``ring.ids_array(live_only=False)`` in the same order — so a
-        membership mask recovers the aligned positions without a sort.
-        """
-        all_ids = self.ring.ids_array(live_only=False)
-        all_pos = self.ring.positions_array(live_only=False)
-        believed = view.live_ids()
-        if believed.size == all_ids.size:
-            return all_pos, all_ids
-        mask = np.isin(all_ids, believed, assume_unique=True)
-        return all_pos[mask], all_ids[mask]
+        """``(positions, ids)`` of the believed-live peers, ring order —
+        the two columns gathered at ``view.live_slots()``."""
+        state, slots = self.ring.state, view.live_slots()
+        return state.pos[slots], state.node_id[slots]
 
     def successor_targets(self, keys: np.ndarray, view: "MembershipView") -> np.ndarray:
         """First ``k`` believed-live clockwise successors of each key.

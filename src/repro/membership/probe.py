@@ -174,10 +174,9 @@ class ScalarDetectorBank:
         self._round += 1
         return reports
 
-    def forget(self, node_ids: "Iterable[int]", slots: np.ndarray) -> None:
+    def forget(self, node_ids: "Iterable[int]") -> None:
         """Drop the pair state of ``node_ids`` *as targets* — exactly the
-        rows the vectorized twin resets (``slots`` is its half of the
-        signature; ids key this bank). A forgotten peer's own machine
+        rows the vectorized twin resets. A forgotten peer's own machine
         stays: other panels may still list it as a monitor, and the next
         :meth:`_sync_watches` unwatches and reaps it once none does."""
         for nid in node_ids:
@@ -186,22 +185,6 @@ class ScalarDetectorBank:
                 machine = self._machines.get(m_prev)
                 if machine is not None:
                     machine.unwatch(nid)
-
-    def failures_matrix(self, believed_ids: np.ndarray, j_eff: int) -> np.ndarray:
-        """Failure counters shaped like the kernel's matrix (test hook
-        for the differential; dead-monitor columns may diverge — only
-        observables are pinned)."""
-        b = believed_ids.astype(np.int64, copy=False)
-        t = int(b.size)
-        out = np.zeros((t, j_eff), dtype=np.int64)
-        offsets = np.arange(1, j_eff + 1, dtype=np.int64)
-        panel_rows = (np.arange(t, dtype=np.int64)[:, None] + offsets[None, :]) % t
-        for i in range(t):
-            for j in range(j_eff):
-                machine = self._machines.get(int(b[int(panel_rows[i, j])]))
-                if machine is not None:
-                    out[i, j] = machine.failures_of(int(b[i]))
-        return out
 
 
 class ProbeView(MembershipView):
@@ -240,7 +223,7 @@ class ProbeView(MembershipView):
         self.seed = int(seed)
         if backend == "vectorized":
             self._bank: ScalarDetectorBank | VectorizedDetectorBank = (
-                VectorizedDetectorBank(self.config)
+                VectorizedDetectorBank(self.config, ring.state)
             )
             self._gossip: GossipMembership | ScalarGossipMembership = GossipMembership(self.config)
         elif backend == "scalar":
@@ -251,8 +234,6 @@ class ProbeView(MembershipView):
                 f"backend must be 'vectorized' or 'scalar', got {backend!r}"
             )
         self.backend = backend
-        self._believed_dead: set[int] = set()
-        self._death_epoch: dict[int, int] = {}
         self.detection_lags: list[int] = []
         self.false_evictions = 0
         self.evictions = 0
@@ -260,15 +241,15 @@ class ProbeView(MembershipView):
     # -- believed knowledge --------------------------------------------
 
     def _believed(self) -> tuple[np.ndarray, np.ndarray]:
-        ids = self.ring.ids_array(live_only=False)
+        state = self.ring.state
         slots = self.ring.slots_array(live_only=False)
-        if self._believed_dead:
-            dead = np.fromiter(
-                self._believed_dead, dtype=np.int64, count=len(self._believed_dead)
-            )
-            keep = ~np.isin(ids, dead)
-            ids, slots = ids[keep], slots[keep]
-        return ids, slots
+        slots = slots[~state.believed_dead[slots]]
+        return state.node_id[slots], slots
+
+    def _slots(self, node_ids: "Iterable[NodeId]") -> np.ndarray:
+        """Slots of the ``node_ids`` the ring still knows."""
+        slots = self.ring.state.slots_of(np.fromiter(node_ids, dtype=np.int64))
+        return slots[slots >= 0]
 
     def live_ids(self) -> np.ndarray:
         """Believed-live ids, ring order — truth-dead peers linger here
@@ -281,13 +262,13 @@ class ProbeView(MembershipView):
 
     def is_live(self, node_id: NodeId) -> bool:
         """Believed liveness (may disagree with the bitmap both ways)."""
-        node_id = int(node_id)
-        return node_id not in self._believed_dead and node_id in self.ring
+        slot = self.ring.state.slot_of(node_id)
+        return slot >= 0 and not self.ring.state.believed_dead[slot]
 
     @property
     def live_count(self) -> int:
         """Believed-live population size."""
-        return int(self._believed()[0].size)
+        return int(self._believed()[1].size)
 
     # -- failure injection (ground truth) ------------------------------
     # ``crash`` / ``crash_fraction`` are the base's: the view keeps
@@ -299,14 +280,11 @@ class ProbeView(MembershipView):
         state and may be reported dead again later)."""
         ids = [int(n) for n in node_ids]
         revived = super().revive(ids)
-        for node_id in ids:
-            self._believed_dead.discard(node_id)
-            self._death_epoch.pop(node_id, None)
+        state, slots = self.ring.state, self._slots(ids)
+        state.believed_dead[slots] = False
+        state.died_at[slots] = -1
         self._gossip.forget(ids)
-        if revived:
-            arr = np.asarray(revived, dtype=np.int64)
-            slots = self.ring.state.slots_of(arr)
-            self._bank.forget(revived, slots[slots >= 0])
+        self._bank.forget(revived)
         return revived
 
     # -- knowledge acquisition -----------------------------------------
@@ -339,34 +317,31 @@ class ProbeView(MembershipView):
         return evicted
 
     def _evict(self, target: int, epoch: int) -> None:
-        self._believed_dead.add(target)
         self.evictions += 1
-        death_epoch = self._death_epoch.pop(target, None)
-        if death_epoch is not None:
-            self.detection_lags.append(epoch - death_epoch)
-        elif target in self.ring and self.ring.is_alive(target):
+        state = self.ring.state
+        slot = state.slot_of(target)
+        if slot < 0:  # compacted while its report was still spreading
+            return
+        state.believed_dead[slot] = True
+        if state.died_at[slot] >= 0:
+            self.detection_lags.append(epoch - int(state.died_at[slot]))
+            state.died_at[slot] = -1
+        elif state.alive[slot]:
             self.false_evictions += 1
             self.ring.mark_dead(target)
 
     def record_deaths(self, node_ids: "Iterable[NodeId]", epoch: int) -> None:
         """Stamp environment-caused deaths with their epoch so eviction
         can measure the lag (first stamp wins)."""
-        for node_id in node_ids:
-            node_id = int(node_id)
-            if node_id not in self._believed_dead:
-                self._death_epoch.setdefault(node_id, int(epoch))
+        state, slots = self.ring.state, self._slots(node_ids)
+        slots = slots[~state.believed_dead[slots] & (state.died_at[slots] < 0)]
+        state.died_at[slots] = int(epoch)
 
     def forget(self, node_ids: "Iterable[NodeId]") -> None:
-        """Drop every per-peer trace **before** the ring compacts the
-        peers away — slots get recycled, and a recycled slot must not
-        inherit a predecessor's failure counters."""
+        """Drop what is keyed by *id* — gossip reports in flight and
+        the scalar bank's machines — **before** the ring compacts the
+        peers away. What is keyed by slot (belief, death stamps, the
+        kernel's probe rows) needs nothing: freeing a slot clears it."""
         ids = [int(n) for n in node_ids]
-        if not ids:
-            return
-        arr = np.asarray(ids, dtype=np.int64)
-        slots = self.ring.state.slots_of(arr)
-        self._bank.forget(ids, slots[slots >= 0])
-        for node_id in ids:
-            self._believed_dead.discard(node_id)
-            self._death_epoch.pop(node_id, None)
+        self._bank.forget(ids)
         self._gossip.forget(ids)

@@ -3,10 +3,12 @@
 The sim probes every believed-live peer every round: at 50k+ peers the
 scalar machines would burn hundreds of thousands of Python dict
 operations per round, so the hot path runs over struct-of-arrays
-state instead — persistent ``(capacity, n_monitors)`` failure-count /
-pending / monitor-id matrices indexed by the ring's physical slots
-(the same slot space as :class:`~repro.core.soa.SubstrateState`), one
-boolean-mask update per round.
+state instead — the ``probe_fails`` / ``probe_pending`` /
+``probe_monitor`` matrix columns of the ring's
+:class:`~repro.core.soa.SubstrateState` (one row per target slot, one
+column per monitor rank), one boolean-mask update per round. They are
+columns like any other: a compacted peer's row is cleared with its
+slot, so the next peer to get the slot starts a fresh schedule.
 
 Pinned semantics (the hypothesis differential in
 ``tests/test_membership.py`` holds the two banks bit-identical on
@@ -30,47 +32,35 @@ every observable):
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
+from ..core.soa import SubstrateState
 from .config import DetectorConfig
 
 __all__ = ["VectorizedDetectorBank"]
 
 
 class VectorizedDetectorBank:
-    """Slot-indexed failure-count matrices advancing one round at a time."""
+    """The probe columns of ``state`` advancing one round at a time."""
 
-    def __init__(self, config: DetectorConfig) -> None:
+    _COLUMNS = ("probe_fails", "probe_pending", "probe_monitor")
+
+    def __init__(self, config: DetectorConfig, state: SubstrateState) -> None:
         self.config = config
-        j = config.n_monitors
-        self._counts = np.zeros((0, j), dtype=np.int64)
-        self._pending = np.zeros((0, j), dtype=bool)
-        self._monitors = np.full((0, j), -1, dtype=np.int64)
+        self.state = state
+        for name in self._COLUMNS:
+            state.ensure_width(name, config.n_monitors)
 
-    def _ensure_capacity(self, capacity: int) -> None:
-        have = self._counts.shape[0]
-        if capacity <= have:
-            return
-        j = self.config.n_monitors
-        grow = capacity - have
-        self._counts = np.concatenate([self._counts, np.zeros((grow, j), dtype=np.int64)])
-        self._pending = np.concatenate([self._pending, np.zeros((grow, j), dtype=bool)])
-        self._monitors = np.concatenate(
-            [self._monitors, np.full((grow, j), -1, dtype=np.int64)]
-        )
-
-    def forget(self, node_ids, slots: np.ndarray) -> None:
-        """Reset every pair state stored at ``slots`` (pre-compaction,
-        so a recycled slot starts with a clean schedule). ``node_ids``
-        is the scalar twin's half of the shared signature — slots key
-        this bank."""
-        slots = np.asarray(slots, dtype=np.int64)
-        if slots.size == 0 or self._counts.shape[0] == 0:
-            return
-        slots = slots[slots < self._counts.shape[0]]
-        self._counts[slots] = 0
-        self._pending[slots] = False
-        self._monitors[slots] = -1
+    def forget(self, node_ids: "Iterable[int]") -> None:
+        """Restart the probe schedule of ``node_ids`` as targets (a
+        revived peer re-enters with clean counters). Compaction needs no
+        call: freeing a slot clears its row."""
+        slots = self.state.slots_of(np.fromiter(node_ids, dtype=np.int64))
+        slots = slots[slots >= 0]
+        for name in self._COLUMNS:
+            getattr(self.state, name)[slots] = self.state.COLUMNS[name].fill
 
     def round(
         self,
@@ -98,8 +88,7 @@ class VectorizedDetectorBank:
         j_eff = int(u.shape[1]) if u.ndim == 2 else 0
         if t == 0 or j_eff == 0:
             return []
-        max_slot = int(believed_slots.max()) + 1
-        self._ensure_capacity(max_slot)
+        state = self.state
         b = believed_ids.astype(np.int64, copy=False)
         s = believed_slots.astype(np.int64, copy=False)
         # Rank-keyed panels: rows i+1..i+J_eff (mod T) monitor row i.
@@ -108,11 +97,11 @@ class VectorizedDetectorBank:
         monitor_ids = b[panel_rows]
         monitor_slots = s[panel_rows]
 
-        snap = self._counts[s]
+        snap = state.probe_fails[s]
         counts = snap[:, :j_eff]
-        pend_snap = self._pending[s]
+        pend_snap = state.probe_pending[s]
         pending = pend_snap[:, :j_eff]
-        mon_snap = self._monitors[s]
+        mon_snap = state.probe_monitor[s]
         prev_monitors = mon_snap[:, :j_eff]
 
         changed = prev_monitors != monitor_ids
@@ -141,12 +130,7 @@ class VectorizedDetectorBank:
         pend_snap[:, j_eff:] = False
         mon_snap[:, :j_eff] = monitor_ids
         mon_snap[:, j_eff:] = -1
-        self._counts[s] = snap
-        self._pending[s] = pend_snap
-        self._monitors[s] = mon_snap
+        state.probe_fails[s] = snap
+        state.probe_pending[s] = pend_snap
+        state.probe_monitor[s] = mon_snap
         return reports
-
-    def failures_matrix(self, believed_slots: np.ndarray, j_eff: int) -> np.ndarray:
-        """The current failure counters for the given slots (test hook
-        for the scalar differential)."""
-        return self._counts[np.asarray(believed_slots, dtype=np.int64)][:, :j_eff].copy()

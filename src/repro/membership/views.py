@@ -138,7 +138,8 @@ class MembershipView(ABC):
         expiry), so detection lag has a reference point."""
 
     def forget(self, node_ids: "Iterable[NodeId]") -> None:
-        """Drop all per-peer detector state ahead of compaction."""
+        """Drop what the view keys by node id ahead of compaction (what
+        is keyed by slot is cleared with the slot)."""
 
 
 class OracleView(MembershipView):

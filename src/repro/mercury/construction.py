@@ -84,7 +84,8 @@ def acquire_links(
     ``config.link_retries`` redraws per slot, duplicates and self are
     refused draws (a peer will not hold two links to one neighbor).
     """
-    if node.histogram is None:
+    histogram = node.histogram
+    if histogram is None:
         raise ValueError(f"node {node.node_id} has no histogram yet")
     n = ring.live_count
     placed = 0
@@ -95,7 +96,7 @@ def acquire_links(
             if n < 2:
                 break
             fraction = harmonic_rank_fraction(rng, n)
-            target_key = node.histogram.key_at_cw_fraction(node.position, fraction)
+            target_key = histogram.key_at_cw_fraction(node.position, fraction)
             candidate_id = ring.successor_of_key(target_key, live_only=True)
             if candidate_id == node.node_id or candidate_id in existing:
                 continue

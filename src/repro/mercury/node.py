@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.node import StateNodeView
 from ..sampling import NodeDensityHistogram
 from ..types import NodeId
@@ -17,11 +19,12 @@ class MercuryNode(StateNodeView):
     state: the equi-width density histogram it built from its uniform
     samples, instead of a recursive-median partition table. Like the
     Oscar node it is a view over a :class:`~repro.core.soa.SubstrateState`
-    slot; the histogram object lives in the state's object side-car
-    (``state.histograms``), keyed by slot.
+    slot: the histogram's cumulative vector is the slot's ``hist_cdf``
+    row, and ``histogram`` is a read-only view of it.
     """
 
     __slots__ = ()
+    _fields = StateNodeView._fields + ("histogram",)
 
     def __init__(
         self,
@@ -42,42 +45,17 @@ class MercuryNode(StateNodeView):
 
     @property
     def histogram(self) -> NodeDensityHistogram | None:
-        return self._state.histograms.get(self._slot)
+        row = self._state.hist_cdf[self._slot]
+        cumulative = row[: row.size - int(np.isnan(row).sum())]
+        if cumulative.size == 0:
+            return None
+        cumulative.flags.writeable = False
+        return NodeDensityHistogram(cumulative=cumulative)
 
     @histogram.setter
     def histogram(self, value: NodeDensityHistogram | None) -> None:
-        if value is None:
-            self._state.histograms.pop(self._slot, None)
-        else:
-            self._state.histograms[self._slot] = value
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, MercuryNode):
-            return (
-                self.node_id,
-                self.position,
-                self.rho_max_in,
-                self.rho_max_out,
-                list(self.out_links),
-                self.in_degree,
-                self.histogram,
-                self.samples_spent,
-            ) == (
-                other.node_id,
-                other.position,
-                other.rho_max_in,
-                other.rho_max_out,
-                list(other.out_links),
-                other.in_degree,
-                other.histogram,
-                other.samples_spent,
-            )
-        return NotImplemented
-
-    __hash__ = None  # mutable view, same as the old (unfrozen) dataclass
-
-    def __repr__(self) -> str:
-        return (
-            f"MercuryNode(id={self.node_id}, pos={self.position:.6f}, "
-            f"out={len(self.out_links)}/{self.rho_max_out}, in={self.in_degree}/{self.rho_max_in})"
-        )
+        state, slot = self._state, self._slot
+        cumulative = np.empty(0) if value is None else value.cumulative
+        state.ensure_width("hist_cdf", cumulative.size)
+        state.hist_cdf[slot] = np.nan
+        state.hist_cdf[slot, : cumulative.size] = cumulative

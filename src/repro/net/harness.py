@@ -53,6 +53,7 @@ import numpy as np
 
 from ..core.construction import LinkAcquisitionStats
 from ..degree import DegreeDistribution, assign_caps
+from ..engine.construct import draw_positions
 from ..errors import ConfigError, SimulationError
 from ..protocol.directory import Directory
 from ..protocol.messages import (
@@ -190,7 +191,7 @@ class NetHarness:
                 raise ConfigError("kill_mid_join must leave at least 2 peers alive")
         rng = split(self.seed, "join")
         caps_in, caps_out = assign_caps(degrees, rng, n)
-        positions = self._draw_positions(rng, keys, n)
+        positions = draw_positions(rng, keys, n, occupied=np.empty(0))
         self.stats = self._runner.run(
             self._build_async(n, positions, caps_in, caps_out, rng, kill_mid_join)
         )
@@ -285,27 +286,6 @@ class NetHarness:
             self._runner.run(self._close_async())
         finally:
             self._runner.close()
-
-    # -- population draw (engine grow layout) --------------------------
-
-    def _draw_positions(
-        self, rng: np.random.Generator, keys: KeyDistribution, count: int
-    ) -> np.ndarray:
-        """Engine ``_draw_positions`` over an empty ring: bulk draws with
-        in-batch dedup keeping first occurrences."""
-        accepted: list[float] = []
-        seen: set[float] = set()
-        need = count
-        while need > 0:
-            draw = np.asarray(keys.sample(rng, need), dtype=float)
-            for value in draw:
-                position = float(value)
-                if position in seen:
-                    continue
-                seen.add(position)
-                accepted.append(position)
-            need = count - len(accepted)
-        return np.asarray(accepted, dtype=float)
 
     # -- async internals -----------------------------------------------
 
@@ -747,10 +727,5 @@ class NetHarness:
             join = node.join
             if join is None or node.node_id in self._killed:
                 continue
-            stats.links_placed += join.links_placed
-            stats.slots_given_up += join.slots_given_up
-            stats.draws += join.draws
-            stats.refusals += join.refusals
-            stats.empty_partition_draws += join.empty_partition_draws
-            stats.conflicts += join.conflicts
+            stats.merge(join)
         return stats

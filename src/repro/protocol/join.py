@@ -144,17 +144,6 @@ class JoinProtocol:
         """Whether the join pipeline finished (links placed or given up)."""
         return self.state == "done"
 
-    def stats_dict(self) -> dict[str, int]:
-        """Acquisition counters, keyed like ``LinkAcquisitionStats``."""
-        return {
-            "links_placed": self.links_placed,
-            "slots_given_up": self.slots_given_up,
-            "draws": self.draws,
-            "refusals": self.refusals,
-            "empty_partition_draws": self.empty_partition_draws,
-            "conflicts": self.conflicts,
-        }
-
     # -- estimation ----------------------------------------------------
 
     def start(self) -> list[Effect]:

@@ -27,7 +27,7 @@ from ..ring.identifiers import normalize
 __all__ = ["NodeDensityHistogram"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeDensityHistogram:
     """A normalized equi-width histogram over the key circle ``[0, 1)``.
 
@@ -39,6 +39,13 @@ class NodeDensityHistogram:
     """
 
     cumulative: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NodeDensityHistogram):
+            return NotImplemented
+        return np.array_equal(self.cumulative, other.cumulative)
+
+    __hash__ = None  # type: ignore[assignment]  # holds an array
 
     @property
     def buckets(self) -> int:

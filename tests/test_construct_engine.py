@@ -24,7 +24,7 @@ from repro.core.construction import LinkAcquisitionStats
 from repro.core.substrate import Substrate
 from repro.degree import ConstantDegrees
 from repro.engine import BatchQueryEngine
-from repro.engine.construct import BatchConstructionEngine, LiveView
+from repro.engine.construct import BatchConstructionEngine, LiveView, draw_positions
 from repro.errors import DuplicateNodeError, SamplingError
 from repro.protocol.estimation import cw_arc_slice
 from repro.ring import Ring
@@ -299,7 +299,8 @@ def test_draw_positions_keeps_first_occurrences_and_redraws_the_rest():
     overlay.join(0.5, 3, 3)
     overlay.leave(overlay.ring.node_ids()[1])  # dead positions stay occupied
     script = _Scripted([0.7, 0.25, 0.1, 0.7, 0.5, 0.1, 0.9, 0.7, -0.0, 0.0, 0.3, 0.9, 0.6])
-    drawn = BatchConstructionEngine(overlay)._draw_positions(make_rng(0), script, 6)
+    occupied = overlay.ring.positions_array(live_only=False)
+    drawn = draw_positions(make_rng(0), script, 6, occupied)
     assert drawn.tolist() == [0.7, 0.1, 0.9, -0.0, 0.3, 0.6]
     assert script.calls == [6, 4, 2, 1]
 

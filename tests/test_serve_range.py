@@ -27,7 +27,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.degree import ConstantDegrees
@@ -134,6 +134,8 @@ class TestAgainstRouteRange:
     @pytest.mark.parametrize("substrate", SUBSTRATES)
     @settings(max_examples=40, deadline=None)
     @given(n=st.sampled_from([2, 3, 4, 40]), drawn=ranges)
+    # Both ends in one 2**-64 key cell, hi < lo: the full circle, not a point.
+    @example(n=2, drawn=[(0, 6.124244195258732e-130, 0.0, "free")])
     def test_differential(self, substrate, n, drawn):
         assert_matches_route_range(substrate, n, *resolve(substrate, n, drawn))
 

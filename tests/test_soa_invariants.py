@@ -13,7 +13,15 @@ contracts the views assume:
   ``OracleView.crash`` / ``remove_many`` waves;
 * the padded link table round-trips through :class:`LinkView` at
   degree 0 and at the maximum width, keeping the padding invariant
-  (columns at or past ``out_count`` are -1).
+  (columns at or past ``out_count`` are -1);
+* the column lifecycle — every column declared in
+  ``SubstrateState.COLUMNS`` is back at its cleared value on a freed
+  slot, under random alloc / write / widen / free programs and on a
+  real overlay of each substrate (detector schedule, belief, histogram,
+  links and medians included), and a seeded mutant of each kind (a
+  column skipped by the free pass, a bank that skips its revive reset)
+  is caught;
+* ``docs/architecture.md`` lists exactly the declared columns.
 """
 
 from __future__ import annotations
@@ -23,10 +31,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import re
+from pathlib import Path
+from unittest import mock
+
 from repro.core.soa import LinkView, SubstrateState
+from repro.degree import ConstantDegrees
 from repro.errors import RingInvariantError
-from repro.membership import OracleView
+from repro.experiments.growth import make_overlay
+from repro.membership import DetectorConfig, OracleView, ProbeView, VectorizedDetectorBank
+from repro.mercury.node import MercuryNode
 from repro.ring import Ring, build_pointers
+from repro.sampling import NodeDensityHistogram
+from repro.workloads import GnutellaLikeDistribution
 
 
 def fresh_ring(n: int, start: int = 0) -> Ring:
@@ -240,3 +257,249 @@ class TestLinkTablePadding:
         state.set_links(0, [3])
         assert list(LinkView(state, 0)) == [3]
         assert self.padding_ok(state)
+
+
+# ----------------------------------------------------------------------
+# column lifecycle: one declaration, one clearing pass
+# ----------------------------------------------------------------------
+
+#: The declarations as imported — the mutants below patch the class's.
+DECLARED = dict(SubstrateState.COLUMNS)
+MATRICES = sorted(name for name, col in DECLARED.items() if col.matrix)
+#: ``alloc_many`` writes the first four itself, so they are never at
+#: their cleared value on a slot in use; the ``write`` op dirties the rest.
+IDENTITY = ("node_id", "pos", "key", "alive")
+REST = tuple(name for name in DECLARED if name not in IDENTITY)
+MEMBERSHIP = ("probe_fails", "probe_pending", "probe_monitor", "believed_dead", "died_at")
+
+
+def assert_cleared(state: SubstrateState, slots, names=tuple(DECLARED)) -> None:
+    slots = np.asarray(slots, dtype=np.int64)
+    for name in names:
+        cells, fill = getattr(state, name)[slots], DECLARED[name].fill
+        clean = np.array_equal(cells, np.full_like(cells, fill), equal_nan=True)
+        assert clean, f"column {name!r} not at its cleared value {fill!r}"
+
+
+def dirty(state: SubstrateState, slot: int) -> None:
+    """Write a non-cleared value through every declared column."""
+    for name in REST:
+        junk = {"b": True, "f": 0.25}.get(np.dtype(DECLARED[name].dtype).kind, 7)
+        assert junk != DECLARED[name].fill
+        getattr(state, name)[slot] = junk
+
+
+lifecycle_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("alloc"), st.integers(1, 6)),
+        st.tuples(st.just("write"), st.integers(0, 10**6)),
+        st.tuples(st.just("widen"), st.sampled_from(MATRICES), st.integers(1, 9)),
+        st.tuples(st.just("free"), st.lists(st.integers(0, 10**6), max_size=6)),
+    ),
+    max_size=40,
+)
+
+
+def run_lifecycle(ops) -> None:
+    """alloc / write / widen / free on a ring's state: a freed slot is
+    cleared in every column at once, a reissued one everywhere but the
+    identity ``alloc_many`` writes, and ``Ring.verify`` holds."""
+    ring = Ring()
+    state, next_id = ring.state, 0
+    for op, *args in [("alloc", 4), *ops]:
+        present = ring.node_ids(live_only=False)
+        if op == "alloc":
+            ids = list(range(next_id, next_id + args[0]))
+            next_id += args[0]
+            ring.insert_many((i, (i + 0.5) / 4096) for i in ids)
+            assert_cleared(state, state.slots_of(np.asarray(ids)), REST)
+        elif op == "widen":
+            state.ensure_width(*args)
+            assert getattr(state, args[0]).shape[1] >= args[1]
+        elif present and op == "write":
+            dirty(state, state.slot_of(present[args[0] % len(present)]))
+        elif present and op == "free":
+            gone = sorted({present[i % len(present)] for i in args[0]})
+            slots = state.slots_of(np.asarray(gone, dtype=np.int64))
+            ring.remove_many(gone)
+            assert_cleared(state, slots)
+        ring.verify()
+        assert_cleared(state, state._free)
+        assert_cleared(state, np.arange(state._top, state.capacity))
+
+
+class TestColumnLifecycle:
+    @given(ops=lifecycle_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_recycled_slots_are_cleared_in_every_column(self, ops):
+        run_lifecycle(ops)
+
+    def test_mutant_column_left_out_of_the_free_pass_is_caught(self, monkeypatch):
+        program = [("widen", "probe_fails", 3), ("widen", "hist_cdf", 2), ("alloc", 3)]
+        program += [("write", 1), ("write", 2), ("free", [1, 2]), ("alloc", 2)]
+        run_lifecycle(program)
+        real_free = SubstrateState.free_many
+        for name in ("died_at", "probe_fails", "hist_cdf"):
+            mutant = {k: v for k, v in DECLARED.items() if k != name}
+
+            def leaky_free(self, slots, mutant=mutant):
+                with mock.patch.object(SubstrateState, "COLUMNS", mutant):
+                    real_free(self, slots)
+
+            monkeypatch.setattr(SubstrateState, "free_many", leaky_free)
+            with pytest.raises(AssertionError, match=name):
+                run_lifecycle(program)
+
+    def test_ensure_width_is_exact_then_doubles_and_never_shrinks(self):
+        state = SubstrateState(4)
+        state.ensure_width("probe_fails", 3)
+        assert state.probe_fails.shape == (4, 3)
+        state.probe_fails[:] = 5
+        state.ensure_width("probe_fails", 4)
+        assert state.probe_fails.shape == (4, 6)
+        assert (state.probe_fails[:, :3] == 5).all() and (state.probe_fails[:, 3:] == 0).all()
+        state.ensure_width("probe_fails", 2)
+        assert state.probe_fails.shape == (4, 6)
+
+    def test_architecture_doc_lists_the_declared_columns(self):
+        text = (Path(__file__).parents[1] / "docs" / "architecture.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` \| (\w+)( matrix)? \| `([^`]+)` \|", text, re.MULTILINE)
+        assert [row[0] for row in rows] == list(DECLARED)
+        for name, dtype, matrix, fill in rows:
+            col = DECLARED[name]
+            assert np.dtype(col.dtype).name == dtype, name
+            assert col.matrix == bool(matrix), name
+            documented = {"False": False, "True": True}.get(fill, fill)
+            assert np.array_equal(
+                np.asarray(documented, dtype=col.dtype),
+                np.asarray(col.fill, dtype=col.dtype),
+                equal_nan=True,
+            ), name
+
+
+# ----------------------------------------------------------------------
+# the same on a real overlay: detector, belief, histogram, links, medians
+# ----------------------------------------------------------------------
+
+DETECT = DetectorConfig(failure_threshold=2, quorum=2, n_monitors=3, rounds_per_epoch=2)
+
+
+@pytest.mark.parametrize("substrate", ["oscar", "chord", "mercury"])
+def test_overlay_slots_recycle_clean_without_forget(substrate):
+    """grow -> rewire -> probe epochs with evictions -> leave_batch ->
+    retire -> grow into the recycled slots. ``view.forget`` is *not*
+    called: what is keyed by slot must be clean by construction."""
+    keys, degrees = GnutellaLikeDistribution(), ConstantDegrees(6)
+    overlay = make_overlay(substrate, seed=5)
+    overlay.grow_batch(48, keys, degrees)
+    overlay.rewire_batch()
+    state, ring = overlay.state, overlay.ring
+    view = ProbeView(ring, DETECT, seed=5)
+    live = ring.ids_array(live_only=True)
+    evicted, lingering = live[[3, 17, 30]].tolist(), live[[8, 40]].tolist()
+    view.crash(evicted)
+    view.record_deaths(evicted, 1)
+    epoch = 1
+    while view.evictions < len(evicted):
+        view.advance(epoch)
+        epoch += 1
+        assert epoch < 40
+    # A second wave leaves mid-detection: stamped, counted, not yet evicted.
+    overlay.leave_batch(lingering)
+    view.record_deaths(lingering, epoch)
+    view.advance(epoch)
+    gone = evicted + lingering
+    slots = state.slots_of(np.asarray(gone))
+    assert state.believed_dead[slots].sum() == len(evicted)
+    assert (state.died_at[slots] >= 0).sum() == len(lingering)
+    assert state.probe_fails[slots].any() and (state.probe_monitor[slots] >= 0).any()
+    assert state.out_count[slots].all()
+    assert (state.n_medians[slots] >= 0).all() == (substrate == "oscar")
+    assert (~np.isnan(state.hist_cdf[slots])).any() == (substrate == "mercury")
+
+    overlay.retire(gone)
+    assert_cleared(state, slots)
+    ring.verify()
+
+    first_new = overlay._next_id
+    overlay.grow_batch(48, keys, degrees)
+    new_ids = np.arange(first_new, overlay._next_id)
+    assert sorted(state.slots_of(new_ids)) == sorted(slots)  # recycled, all of them
+    assert_cleared(state, slots, MEMBERSHIP)
+    assert all(view.is_live(int(i)) for i in new_ids)
+    assert not np.isin(state.out_links[slots], gone).any()
+    ring.verify()
+    before = view.evictions
+    for e in range(epoch + 1, epoch + 6):  # zero loss: a clean schedule evicts nobody
+        view.advance(e)
+    assert view.evictions == before and view.false_evictions == 0
+
+
+def revive_resets_the_schedule() -> None:
+    ring = fresh_ring(16)
+    view = ProbeView(ring, DETECT, seed=8)
+    view.crash([5])
+    view.record_deaths([5], 1)
+    epoch = 1
+    while not view.evictions:
+        view.advance(epoch)
+        epoch += 1
+    slot = ring.state.slot_of(5)
+    assert ring.state.believed_dead[slot] and ring.state.probe_fails[slot].any()
+    assert view.revive([5]) == [5]
+    assert_cleared(ring.state, [slot], MEMBERSHIP)
+
+
+def test_revive_resets_the_schedule_and_a_bank_that_skips_it_is_caught(monkeypatch):
+    revive_resets_the_schedule()
+    monkeypatch.setattr(VectorizedDetectorBank, "forget", lambda self, node_ids: None)
+    with pytest.raises(AssertionError, match="probe_fails"):
+        revive_resets_the_schedule()
+
+
+def test_evicting_an_id_the_ring_no_longer_knows_is_a_counted_no_op():
+    ring = fresh_ring(8)
+    view = ProbeView(ring, DETECT, seed=1)
+    ring.remove_many([3])  # compacted while its report was still spreading
+    view._evict(3, epoch=4)
+    view._evict(999, epoch=4)
+    assert view.evictions == 2
+    assert view.detection_lags == [] and view.false_evictions == 0
+    assert view.live_count == 7 and not ring.state.believed_dead.any()
+
+
+# ----------------------------------------------------------------------
+# Mercury's histogram is a row of ``hist_cdf``
+# ----------------------------------------------------------------------
+
+
+class TestHistogramColumn:
+    def test_round_trips_exactly_and_is_read_only(self):
+        samples = GnutellaLikeDistribution().sample(np.random.default_rng(3), 200)
+        for buckets in (1, 7, 32):
+            histogram = NodeDensityHistogram.from_samples(samples, buckets)
+            node = MercuryNode(node_id=2, position=0.25, rho_max_in=1, rho_max_out=1)
+            assert node.histogram is None
+            node.histogram = histogram
+            stored = node.histogram
+            assert stored == histogram and stored.buckets == buckets
+            assert stored.cumulative.tobytes() == histogram.cumulative.tobytes()
+            assert not stored.cumulative.flags.writeable
+            with pytest.raises(ValueError):
+                stored.cumulative[0] = 0.5
+            assert stored.quantile(0.37) == histogram.quantile(0.37)
+            node.histogram = None
+            assert node.histogram is None
+
+    def test_rows_of_different_lengths_share_one_table(self):
+        overlay = make_overlay("mercury", seed=2)
+        overlay.grow(6, GnutellaLikeDistribution(), ConstantDegrees(3))
+        a, b = (overlay.nodes[i] for i in overlay.ring.node_ids()[:2])
+        samples = np.linspace(0.0, 0.99, 50)
+        small = NodeDensityHistogram.from_samples(samples, 4)
+        large = NodeDensityHistogram.from_samples(samples, 4 * overlay.config.histogram_buckets)
+        a.histogram, b.histogram = small, large
+        assert a.histogram == small and b.histogram == large
+        assert a != b and a == overlay.nodes[a.node_id]
+        b.histogram = small  # a shorter vector leaves no tail behind
+        assert b.histogram == small
