@@ -97,9 +97,12 @@ ROWS: dict[str, Row] = {
     "fig1c": Row("fig1c", {"scale": 0.05}, baselined=True),
     # The construction hot path at paper scale; the batched-vs-scalar
     # rewire speedup at 10k is a ratio of two timings on one host, so its
-    # floor is robust to slow runners: 72-86 on the dev container with
-    # link dedupe and arc windows read from the columns, 38-45 with the
-    # per-round pair-table sort they replaced — the floor sits between.
+    # floor is robust to slow runners. Five interleaved runs a side on
+    # the dev container: 129-175 with the median picked as an order
+    # statistic of the draw, borders carrying their ring rank and the
+    # column-major link table (137-154 on eight more undisturbed runs;
+    # a run that shared the box with another process read 68), 71-78
+    # with the kernels they replaced — the floor sits between the bands.
     # walk_speedup is the same kind of ratio for the walk kernel against
     # its pure-Python twin (one query per peer on the 10k snapshot):
     # 23-30 reading the sorted progress table, 8-11 with the per-hop
@@ -107,7 +110,7 @@ ROWS: dict[str, Row] = {
     "build": Row(
         "scale-build",
         {"sizes": (10_000, 31_600, 100_000), "n_queries": 500},
-        (("rewire_speedup", ">=", 50.0), ("walk_speedup", ">=", 16.0)),
+        (("rewire_speedup", ">=", 100.0), ("walk_speedup", ">=", 16.0)),
         baselined=True,
     ),
     # The steady-state hot path on a mid-size overlay.
@@ -136,14 +139,16 @@ ROWS: dict[str, Row] = {
         ),
         baselined=True,
     ),
-    # A 50k-peer overlay sustains 20 churn epochs in ~10 s of churn-loop
-    # wall time on the dev container (23 s while every epoch re-sorted
-    # the live ids to count stale links and every acquisition round
-    # re-sorted the link pairs) — the ceiling is 2x the former.
+    # A 50k-peer overlay sustains 20 churn epochs in 5.2-5.8 s of
+    # churn-loop wall time on the dev container (five interleaved runs a
+    # side; 9.1-9.4 s with the repair rewire's kernels before the
+    # order-statistic median and the link table) — the ceiling sits
+    # between the bands. An absolute time, unlike the ratios above: on a
+    # runner much slower than that container re-derive it, don't loosen it.
     "churn-50k": Row(
         "steady-churn",
         {"size": 50_000, "epochs": 20, "n_queries": 256},
-        (("churn_seconds", "<", 20.0),),
+        (("churn_seconds", "<", 7.5),),
     ),
     # Lossless probes: the detector must evict, and only the dead.
     "detector-1k": Row(

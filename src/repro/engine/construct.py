@@ -13,6 +13,13 @@ whole construction procedure as lock-step numpy rounds:
   exact ``uint64`` clockwise rank on the fixed-point keyspace, level
   termination decided by the same comparison-exact border clamp the
   scalar estimator uses (:func:`repro.core.estimators.border_is_terminal`).
+  In ``UNIFORM`` mode the kernel does not build the samples it ranks:
+  rows are in key order, so the sample median is the offset of an order
+  statistic of the uniform draw (one in-place ``partition``), unless
+  rows share a key cell or an arc is the full circle. Every border
+  keeps the ring rank it was picked at, so no arc window is searched
+  twice — only the few percent of borders whose float reconstruction
+  misses their sample's position by an ulp are searched at all.
   ``WALK`` mode advances every peer's restricted Metropolis–Hastings
   walker in lock-step over one shared padded neighbor matrix
   (:class:`repro.sampling.BatchRestrictedWalker`);
@@ -25,9 +32,11 @@ whole construction procedure as lock-step numpy rounds:
   *bit-identical* to replaying the round one request at a time in
   priority order. A round builds no side table: the population is
   fixed for the whole acquisition, so every arc's candidate window is
-  searched once when the tables are packed (a round gathers it), and
-  "already my target?" is a compare against the requester's own
-  ``state.out_links`` row — the state both execution paths write.
+  closed once when the tables are packed (a round gathers it), and
+  "already my target?" is a compare against the requester's own link
+  row — held, for the vectorized rounds, in a requester-ordered
+  column-major copy that is written back to ``state.out_links`` once
+  when the loop ends.
 
 Determinism contract
 --------------------
@@ -94,7 +103,7 @@ class LiveView:
             the test suite touch per-peer objects).
     """
 
-    __slots__ = ("ids", "pos", "keys", "row_of", "slots", "state", "_nodes")
+    __slots__ = ("ids", "pos", "keys", "row_of", "slots", "state", "_nodes", "_keys_distinct")
 
     def __init__(
         self,
@@ -112,11 +121,24 @@ class LiveView:
         self.slots = slots
         self.state = state
         self._nodes: "tuple[OscarNode, ...] | None" = None
+        self._keys_distinct: bool | None = None
 
     @property
     def m(self) -> int:
         """Live peer count."""
         return int(self.ids.size)
+
+    @property
+    def keys_distinct(self) -> bool:
+        """Whether no two rows share a key cell (checked on first access).
+
+        Distinct positions closer than ``2**-64`` share one; clockwise
+        key distance is then only weakly increasing along the rows, and
+        ranking samples by it needs the draw-index tiebreak.
+        """
+        if self._keys_distinct is None:
+            self._keys_distinct = bool((self.keys[1:] - self.keys[:-1]).all())
+        return self._keys_distinct
 
     @property
     def nodes(self) -> "tuple[OscarNode, ...]":
@@ -141,22 +163,37 @@ class LiveView:
 class _ArcTables:
     """Partition arcs of the requesting rows as padded matrices.
 
-    Row ``i`` describes requester ``rows[i]``'s table: partition ``p``
-    (0-indexed) is the clockwise arc ``(starts[i, p], ends[i, p]]``,
-    ``valid[i, p]`` masks degenerate (provably empty) arcs, and
-    ``k_count[i]`` is the number of partitions. ``lo`` / ``count`` are
+    Row ``i`` describes requester ``rows[i]``'s table: ``k_count[i]`` is
+    its number of partitions, and ``lo`` / ``count`` (``int32``) are
     every arc's :func:`~repro.protocol.estimation.cw_arc_slice` window
-    over the view's positions (``count`` 0 where ``valid`` is false),
-    searched once when the table is packed — the population is fixed for
-    the whole acquisition, so a round only gathers them.
+    over the view's positions (``count`` 0 for a degenerate, provably
+    empty arc), closed once when the table is packed — the population
+    is fixed for the whole acquisition, so a round only gathers them.
+
+    The float borders are kept for the sequential twin alone, which
+    searches them per request (``None`` on the vectorized path):
+    partition ``p`` (0-indexed) is the clockwise arc
+    ``(starts[i, p], ends[i, p]]`` and ``valid[i, p]`` masks the
+    degenerate ones.
     """
 
-    starts: np.ndarray
-    ends: np.ndarray
-    valid: np.ndarray
     k_count: np.ndarray
     lo: np.ndarray
     count: np.ndarray
+    starts: np.ndarray | None = None
+    ends: np.ndarray | None = None
+    valid: np.ndarray | None = None
+
+
+def _window_counts(
+    m: int, start: np.ndarray, end: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Member counts of the clockwise arcs ``(start, end]`` whose borders
+    rank at ``lo`` / ``hi`` among ``m`` sorted positions — the vectorized
+    :func:`~repro.protocol.estimation.cw_arc_slice` with both searches
+    already done (``start == end`` reads as the full circle)."""
+    span = hi - lo
+    return np.where(start < end, span, np.where(start == end, m, m + span))
 
 
 def draw_positions(
@@ -261,18 +298,17 @@ class BatchConstructionEngine:
         positions = draw_positions(
             rng, keys, missing, overlay.ring.positions_array(live_only=False)
         )
-        first_id = overlay._next_id
-        new_ids = list(range(first_id, first_id + missing))
+        new_ids = np.arange(overlay._next_id, overlay._next_id + missing, dtype=np.int64)
         overlay._next_id += missing
-        overlay.ring.insert_many(zip(new_ids, positions))
-        new_slots = overlay.state.slots_of(np.asarray(new_ids, dtype=np.int64))
+        overlay.ring.insert_many(new_ids, positions)
+        new_slots = overlay.state.slots_of(new_ids)
         overlay.state.cap_in[new_slots] = np.asarray(caps_in, dtype=np.int64)
         overlay.state.cap_out[new_slots] = np.asarray(caps_out, dtype=np.int64)
         repair_all(overlay.ring, overlay.pointers)
         if overlay.ring.live_count < 2:
             return LinkAcquisitionStats()
         view = LiveView.capture(overlay)
-        rows = np.sort(view.row_of[np.asarray(new_ids, dtype=np.int64)])
+        rows = np.sort(view.row_of[new_ids])
         arcs = self._estimate(rng, view, rows, track_spend=False)
         priority_of = self._draw_priority(rng, view, rows)
         return self._acquire(rng, view, rows, arcs, priority_of)
@@ -314,23 +350,32 @@ class BatchConstructionEngine:
         and returns the same tables as padded arc matrices for the
         acquisition rounds. ``track_spend`` mirrors the rewiring path's
         ``samples_spent`` cost accounting.
+
+        Every border is carried with its *ring rank* —
+        ``searchsorted(pos, border, side="right")``, known when the
+        border is picked — in a local matrix next to ``medians``, so
+        packing the arcs searches nothing.
         """
         config = self.overlay.config
         m = view.m
         if m < 2:
             raise SamplingError("partition estimation needs at least 2 live peers")
+        assert m < 2**31, "ring ranks are carried as int32"
         k = config.partitions_for(max(1, m))
         n = int(rows.size)
         origin = view.pos[rows]
-        far_end = view.pos[(rows - 1) % m]
+        # The predecessor's rank is its row + 1: positions are distinct.
+        far_rank = np.where(rows == 0, m, rows).astype(np.int32)
+        far_end = view.pos[far_rank - 1]
         levels = max(0, k - 1)
         medians = np.zeros((n, max(1, levels)), dtype=float)
+        ranks = np.zeros((n, max(1, levels)), dtype=np.int32)
         counts = np.zeros(n, dtype=np.int64)
         if levels:
             if config.sampling_mode is SamplingMode.ORACLE:
-                self._oracle_levels(view, rows, medians, counts, levels)
+                self._oracle_levels(view, rows, medians, ranks, counts, levels)
             else:
-                self._sampled_levels(rng, view, rows, medians, counts, levels)
+                self._sampled_levels(rng, view, rows, medians, ranks, counts, levels)
         state = view.state
         est_slots = view.slots[rows]
         state.part_origin[est_slots] = origin
@@ -341,13 +386,15 @@ class BatchConstructionEngine:
         state.n_medians[est_slots] = counts
         if track_spend:
             state.samples_spent[est_slots] += config.sample_size * counts
-        return self._arc_tables(view.pos, origin, far_end, medians, counts)
+        origin_rank = (rows + 1).astype(np.int32)
+        return self._arc_tables(m, origin, far_end, medians, counts, origin_rank, far_rank, ranks)
 
     def _oracle_levels(
         self,
         view: LiveView,
         rows: np.ndarray,
         medians: np.ndarray,
+        ranks: np.ndarray,
         counts: np.ndarray,
         levels: int,
     ) -> None:
@@ -364,7 +411,10 @@ class BatchConstructionEngine:
             half = remaining // 2
             if half < 1:
                 break
-            medians[:, level] = view.pos[(rows + half) % m]
+            at = rows + half
+            at[at >= m] -= m
+            medians[:, level] = view.pos[at]
+            ranks[:, level] = at + 1
             remaining = half
             level += 1
         counts[:] = level
@@ -375,6 +425,7 @@ class BatchConstructionEngine:
         view: LiveView,
         rows: np.ndarray,
         medians: np.ndarray,
+        ranks: np.ndarray,
         counts: np.ndarray,
         levels: int,
     ) -> None:
@@ -385,13 +436,24 @@ class BatchConstructionEngine:
         sample median, and stops when its arc runs empty or the border
         clamp fires — the vectorized restatement of
         :func:`repro.core.estimators.sampled_partitions`.
+
+        In ``UNIFORM`` mode over distinct keys the vectorized kernel
+        never builds the samples: rows are in key order and an arc
+        starts right after its origin, so clockwise distance is strictly
+        increasing in the drawn offset ``floor(u * count)``, which is
+        monotone in ``u`` — the rank-th sample *is* the offset of the
+        rank-th smallest uniform (:meth:`_median_offsets`). Rows sharing
+        a key cell tie on distance, and a full-circle arc ends on the
+        origin itself (distance 0, the *largest* offset); either sends
+        the whole level through the materialised samples instead.
         """
         config = self.overlay.config
         m = view.m
         sample_size = config.sample_size
         origin = view.pos[rows]
         okey = view.keys[rows]
-        prev = view.pos[(rows - 1) % m].copy()
+        prev_rank = np.where(rows == 0, m, rows)
+        prev = view.pos[prev_rank - 1]
         active = np.ones(int(rows.size), dtype=bool)
         walk = config.sampling_mode is SamplingMode.WALK
         if walk:
@@ -401,6 +463,7 @@ class BatchConstructionEngine:
             act = np.nonzero(active)[0]
             if act.size == 0:
                 break
+            selected = None
             if walk:
                 started = in_cw_arc(view.pos[start_rows[act]], origin[act], prev[act])
                 # A walker whose ring successor fell outside the shrunken
@@ -420,61 +483,64 @@ class BatchConstructionEngine:
                     config.walk_hops,
                 )
             else:
-                samples, drew = self._uniform_samples(rng, view, rows[act], prev[act])
+                # Drawn for *every* active peer — one whose arc holds no
+                # peers discards its row — so the draw layout is
+                # state-independent and both paths consume it identically.
+                u = rng.random((int(act.size), sample_size))
+                lo = rows[act] + 1  # positions are distinct: right of the origin's own slot
+                count = _window_counts(m, origin[act], prev[act], lo, prev_rank[act])
+                drew = count > 0
                 if not drew.all():
                     active[act[~drew]] = False
-                    samples = samples[drew]
-                    act = act[drew]
+                    act, u, lo, count = act[drew], u[drew], lo[drew], count[drew]
                     if act.size == 0:
                         continue
-            if self.vectorized:
-                border, stop = self._select_borders(
-                    view, okey[act], origin[act], prev[act], samples
-                )
-            else:
+                # count == m: the full circle, ending on the origin itself.
+                if self.vectorized and view.keys_distinct and (count < m).all():
+                    selected = self._median_offsets(u, count) + lo
+                    selected[selected >= m] -= m
+                else:
+                    samples = self._uniform_samples(m, u, lo, count)
+            if not self.vectorized:
                 border, stop = self._select_borders_reference(
                     view, okey[act], origin[act], prev[act], samples
                 )
+                rank = np.searchsorted(view.pos, border, side="right")
+            elif selected is None:
+                border, stop, rank = self._select_borders(
+                    view, okey[act], origin[act], prev[act], samples
+                )
+            else:
+                border, stop, rank = self._clamp_borders(view, origin[act], prev[act], selected)
             active[act[stop]] = False
             keep = act[~stop]
             medians[keep, level] = border[~stop]
+            ranks[keep, level] = rank[~stop]
             counts[keep] += 1
             prev[keep] = border[~stop]
+            prev_rank[keep] = rank[~stop]
+
+    @staticmethod
+    def _median_offsets(u: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """Offset ``floor(u * count)`` of each row's rank-``(s - 1) // 2``
+        uniform — an order statistic of the draw (partitions ``u`` in
+        place)."""
+        rank = (u.shape[1] - 1) // 2
+        u.partition(rank, axis=1)
+        return (u[:, rank] * count).astype(np.int64)
 
     def _uniform_samples(
-        self,
-        rng: np.random.Generator,
-        view: LiveView,
-        rows: np.ndarray,
-        prev: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One ``(active peers, sample_size)`` uniform arc draw over the
-        arcs ``(pos[rows], prev]``.
-
-        The uniform matrix is drawn for *every* active peer — peers whose
-        arc holds no peers discard their row (``drew`` false) — so the
-        draw layout is state-independent and both execution paths consume
-        the stream identically. Returns ``(sample rows, drew mask)``.
-        """
-        m = view.m
-        sample_size = self.overlay.config.sample_size
-        origin = view.pos[rows]
-        u = rng.random((int(origin.size), sample_size))
-        lo = rows + 1  # positions are distinct: the slot right of the origin's own
-        hi = np.searchsorted(view.pos, prev, side="right")
-        count = np.where(origin < prev, hi - lo, np.where(origin == prev, m, m - lo + hi))
-        drew = count > 0
+        self, m: int, u: np.ndarray, lo: np.ndarray, count: np.ndarray
+    ) -> np.ndarray:
+        """The ``(active peers, sample_size)`` sample rows one uniform
+        draw ``u`` selects from the windows ``(lo, count)``."""
         if self.vectorized:
-            offsets = (u * count[:, None]).astype(np.int64)
-            samples = (lo[:, None] + offsets) % m
-            return samples, drew
-        samples = np.zeros((int(origin.size), sample_size), dtype=np.int64)
-        for i in range(int(origin.size)):
-            if not drew[i]:
-                continue
-            for j in range(sample_size):
+            return (lo[:, None] + (u * count[:, None]).astype(np.int64)) % m
+        samples = np.zeros(u.shape, dtype=np.int64)
+        for i in range(u.shape[0]):
+            for j in range(u.shape[1]):
                 samples[i, j] = (int(lo[i]) + int(u[i, j] * int(count[i]))) % m
-        return samples, drew
+        return samples
 
     def _select_borders(
         self,
@@ -483,31 +549,46 @@ class BatchConstructionEngine:
         origin: np.ndarray,
         prev: np.ndarray,
         samples: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized clockwise sample medians + border clamp.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorized clockwise sample medians of materialised samples,
+        then :meth:`_clamp_borders`.
 
         Samples are ranked by exact wrapping ``uint64`` distance from
-        each origin (stable ties by draw index); the returned border is
-        the float reconstruction ``normalize(origin + cw_distance)`` of
-        the selected sample — the historical output format — and
-        ``stop`` marks borders the clamp rejects.
+        each origin (stable ties by draw index).
         """
         n, sample_size = samples.shape
         distance = view.keys[samples] - okey[:, None]  # wrapping uint64
         rank = (sample_size - 1) // 2
-        if not (view.keys[1:] - view.keys[:-1]).all():
+        if not view.keys_distinct:
             # A zero gap: distinct positions (below 2**-12) share a key,
             # different rows tie, only the draw-index order is the twin's.
             pick = np.argsort(distance, axis=1, kind="stable")[:, rank]
         else:
             # Equal distances are one row drawn twice — any rank-th pick.
             pick = np.argpartition(distance, rank, axis=1)[:, rank]
-        selected = samples[np.arange(n), pick]
-        float_dist = np.remainder(view.pos[selected] - origin, 1.0)
-        border = np.remainder(origin + float_dist, 1.0)
+        return self._clamp_borders(view, origin, prev, samples[np.arange(n), pick])
+
+    @staticmethod
+    def _clamp_borders(
+        view: LiveView, origin: np.ndarray, prev: np.ndarray, selected: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Border, clamp and ring rank of each peer's selected sample row.
+
+        The border is the float reconstruction
+        ``normalize(origin + cw_distance)`` of the selected sample — the
+        historical output format — and ``stop`` marks borders the clamp
+        rejects. Where the reconstruction lands back on the sample's own
+        position (all but an ulp-off few percent) its rank is the row
+        after it; only the rest are searched.
+        """
+        at = view.pos[selected]
+        border = np.remainder(origin + np.remainder(at - origin, 1.0), 1.0)
         border = np.where(border >= 1.0, 0.0, border)
         stop = (border == prev) | ~in_cw_arc(border, origin, prev)
-        return border, stop
+        rank = selected + 1
+        inexact = np.nonzero(at != border)[0]
+        rank[inexact] = np.searchsorted(view.pos, border[inexact], side="right")
+        return border, stop, rank
 
     def _select_borders_reference(
         self,
@@ -566,11 +647,14 @@ class BatchConstructionEngine:
 
     def _arc_tables(
         self,
-        pos: np.ndarray,
+        m: int,
         origin: np.ndarray,
         far_end: np.ndarray,
         medians: np.ndarray,
         counts: np.ndarray,
+        origin_rank: np.ndarray,
+        far_rank: np.ndarray,
+        ranks: np.ndarray,
     ) -> _ArcTables:
         """Pack per-peer partition arcs into padded matrices.
 
@@ -579,34 +663,41 @@ class BatchConstructionEngine:
         ``p`` (0-indexed) ends at ``far_end`` (``p == 0``) or median
         ``p - 1``, starts at median ``p`` or the origin, and a
         non-outermost arc whose borders coincide is degenerate. The
-        candidate windows over ``pos`` are searched here, once: arc
-        ``p`` ends where arc ``p - 1`` starts, so one search over the
-        starts plus one over the far ends closes every window.
+        candidate windows over the ``m`` ring positions are closed here,
+        once, and without a search: ``origin_rank`` / ``far_rank`` /
+        ``ranks`` are every border's ``searchsorted(pos, border,
+        side="right")``, and arc ``p`` ends where arc ``p - 1`` starts.
         """
         n = int(origin.size)
-        m = int(pos.size)
         kmax = int(counts.max(initial=0)) + 1
-        starts = np.zeros((n, kmax), dtype=float)
-        ends = np.zeros((n, kmax), dtype=float)
-        valid = np.zeros((n, kmax), dtype=bool)
+        lo = np.zeros((n, kmax), dtype=np.int32)
+        count = np.zeros((n, kmax), dtype=np.int32)
+        if not self.vectorized:
+            starts = np.zeros((n, kmax), dtype=float)
+            ends = np.zeros((n, kmax), dtype=float)
+            valid = np.zeros((n, kmax), dtype=bool)
+        end_col, hi = far_end, far_rank
         for p in range(kmax):
-            has = (counts + 1) > p
-            end_col = far_end if p == 0 else medians[:, p - 1]
+            has = counts >= p
             if p < medians.shape[1]:
-                start_col = np.where(counts > p, medians[:, p], origin)
+                inner = counts > p
+                start_col = np.where(inner, medians[:, p], origin)
+                lo_col = np.where(inner, ranks[:, p], origin_rank)
             else:
-                start_col = origin
-            starts[:, p] = np.where(has, start_col, 0.0)
-            ends[:, p] = np.where(has, end_col, 0.0)
-            valid[:, p] = has & ~((start_col == end_col) & (p > 0))
-        lo = np.searchsorted(pos, starts, side="right")
-        hi = np.empty_like(lo)
-        hi[:, 0] = np.searchsorted(pos, far_end, side="right")
-        hi[:, 1:] = lo[:, :-1]
-        count = np.where(starts < ends, hi - lo, np.where(starts == ends, m, m - lo + hi))
-        count[~valid] = 0
+                start_col, lo_col = origin, origin_rank
+            window = _window_counts(m, start_col, end_col, lo_col, hi)
+            ok = has & ~((start_col == end_col) & (p > 0))
+            lo[:, p] = np.where(has, lo_col, 0)
+            count[:, p] = np.where(ok, window, 0)
+            if not self.vectorized:
+                starts[:, p] = np.where(has, start_col, 0.0)
+                ends[:, p] = np.where(has, end_col, 0.0)
+                valid[:, p] = ok
+            end_col, hi = start_col, lo_col
+        if self.vectorized:
+            return _ArcTables(k_count=counts + 1, lo=lo, count=count)
         return _ArcTables(
-            starts=starts, ends=ends, valid=valid, k_count=counts + 1, lo=lo, count=count
+            k_count=counts + 1, lo=lo, count=count, starts=starts, ends=ends, valid=valid
         )
 
     # ------------------------------------------------------------------
@@ -633,6 +724,13 @@ class BatchConstructionEngine:
         in the reference). A failed attempt consumes one of the slot's
         ``link_retries + 1`` tries; exhausting them gives the peer's
         remaining slots up, exactly like the scalar per-slot loop.
+
+        The vectorized rounds read and write the requesters' link rows
+        through ``links_t`` — a requester-ordered, column-major copy
+        taken once here (row ``c`` is link column ``c`` of every
+        requester, contiguous) and written back to ``state.out_links``
+        / ``out_count`` once when the loop ends; the twin appends
+        through each peer's :class:`~repro.core.soa.LinkView`.
         """
         config = self.overlay.config
         stats = LinkAcquisitionStats()
@@ -651,6 +749,13 @@ class BatchConstructionEngine:
         run_round = self._round_vectorized if self.vectorized else self._round_reference
         slot_attempts = np.zeros(n, dtype=np.int64)
         active = out_count < target
+        links_t = None
+        if self.vectorized:
+            # Wide enough for a row already past its cap: ids are compared,
+            # so stale or retired targets in a prefilled row keep working.
+            held = int(out_count.max())
+            links_t = np.full((max(int(target.max()), held), n), -1, dtype=state.out_links.dtype)
+            links_t[:held] = state.out_links[req_slots, :held].T
 
         while True:
             act = np.nonzero(active)[0]
@@ -670,6 +775,7 @@ class BatchConstructionEngine:
                 rho_in,
                 in_deg,
                 out_count,
+                links_t,
                 stats,
             )
             fail = ~success
@@ -681,6 +787,11 @@ class BatchConstructionEngine:
             filled = success & (out_count[act] >= target[act])
             active[act[filled]] = False
 
+        if links_t is not None:
+            held = int(out_count.max())
+            state.ensure_width("out_links", held)
+            state.out_links[req_slots, :held] = links_t[:held].T
+            state.out_count[req_slots] = out_count
         state.in_deg[view.slots] = in_deg
         return stats
 
@@ -696,17 +807,20 @@ class BatchConstructionEngine:
         rho_in: np.ndarray,
         in_deg: np.ndarray,
         out_count: np.ndarray,
+        links_t: np.ndarray,
         stats: LinkAcquisitionStats,
     ) -> np.ndarray:
         """One acquisition round as array kernels; returns the success
         mask over ``act``."""
         m = view.m
         ids = view.ids
-        state = view.state
         n_cand = u_cand.shape[1]
-        snapshot = in_deg.copy()
-        act_rows = rows[act]
-        act_slots = view.slots[act_rows]
+        # Round-start spare in-capacity; with the snapshot in-degree it is
+        # gathered once per candidate column and serves the refusal test,
+        # the tiebreak and the winner rank.
+        spare_of = rho_in - in_deg
+        everyone = act.size == rows.size
+        act_rows = rows if everyone else rows[act]
         success = np.zeros(act.size, dtype=bool)
 
         arc = act * arcs.lo.shape[1] + (u_part * arcs.k_count[act]).astype(np.int64)
@@ -716,42 +830,45 @@ class BatchConstructionEngine:
         stats.empty_partition_draws += int((~drew).sum())
 
         offsets = (u_cand * count[:, None]).astype(np.int64)
-        cand = (lo[:, None] + offsets) % m
-        cand_ids = ids[cand]
+        cand = lo[:, None] + offsets
+        cand[cand >= m] -= m
         # "Already my target?" is a compare against the requester's own
-        # link row: ids are never reused, so a dead or retired target
+        # link columns: ids are never reused, so a dead or retired target
         # cannot alias a live candidate, and padding is -1.
-        own = state.out_links[act_slots, : int(out_count[act].max())]
-        ack = np.zeros((act.size, n_cand), dtype=bool)
+        held = int(out_count[act].max())
+        own = links_t[:held] if everyone else links_t[:held].take(act, axis=1)
+        columns = []
         for j in range(n_cand):
             c = cand[:, j]
-            considered = drew if j == 0 else (drew & (cand[:, 1] != cand[:, 0]))
-            eligible = considered & (c != act_rows) & ~(own == cand_ids[:, j, None]).any(axis=1)
-            acks = eligible & (snapshot[c] < rho_in[c])
-            stats.refusals += int((eligible & ~acks).sum())
-            ack[:, j] = acks
+            cand_id = ids[c].astype(links_t.dtype)
+            eligible = (c != act_rows) & (drew if j == 0 else drew & (c != cand[:, 0]))
+            for column in own:
+                eligible &= column != cand_id
+            spare = spare_of[c]
+            ack = eligible & (spare > 0)
+            stats.refusals += int(eligible.sum() - ack.sum())
+            columns.append((c, cand_id, ack, spare))
 
+        c0, i0, ack0, spare0 = columns[0]
         if n_cand == 2:
-            c0, c1 = cand[:, 0], cand[:, 1]
-            d0, d1 = snapshot[c0], snapshot[c1]
-            s0, s1 = d0 - rho_in[c0], d1 - rho_in[c1]
-            i0, i1 = cand_ids[:, 0], cand_ids[:, 1]
+            c1, i1, ack1, spare1 = columns[1]
+            d0, d1 = in_deg[c0], in_deg[c1]
             # Lexicographic (in-degree, -spare, id) — the scalar min() key.
-            better1 = (d1 < d0) | ((d1 == d0) & ((s1 < s0) | ((s1 == s0) & (i1 < i0))))
-            use1 = ack[:, 1] & (~ack[:, 0] | better1)
+            roomier1 = (spare1 > spare0) | ((spare1 == spare0) & (i1 < i0))
+            better1 = (d1 < d0) | ((d1 == d0) & roomier1)
+            use1 = ack1 & (~ack0 | better1)
             chosen = np.where(use1, c1, c0)
-            has_choice = ack[:, 0] | ack[:, 1]
+            chosen_spare = np.where(use1, spare1, spare0)
+            has_choice = ack0 | ack1
         else:
-            chosen = cand[:, 0]
-            has_choice = ack[:, 0]
+            chosen, chosen_spare, has_choice = c0, spare0, ack0
 
         req = np.nonzero(has_choice)[0]
         if req.size:
-            req_rows = act_rows[req]
             req_cand = chosen[req]
             # (candidate, priority) as one key: priorities are unique, so
             # the keys are and any sort yields the lexicographic order.
-            order_idx = np.argsort(req_cand * m + priority_of[req_rows])
+            order_idx = np.argsort(req_cand * m + priority_of[act_rows[req]])
             sorted_cand = req_cand[order_idx]
             seq = np.arange(sorted_cand.size, dtype=np.int64)
             group_head = np.empty(sorted_cand.size, dtype=bool)
@@ -759,7 +876,7 @@ class BatchConstructionEngine:
             group_head[1:] = sorted_cand[1:] != sorted_cand[:-1]
             group_start = np.maximum.accumulate(np.where(group_head, seq, 0))
             rank = seq - group_start
-            win = rank < (rho_in[sorted_cand] - snapshot[sorted_cand])
+            win = rank < chosen_spare[req][order_idx]
             winners = req[order_idx[win]]
             stats.conflicts += int(req.size - winners.size)
             if winners.size:
@@ -767,12 +884,10 @@ class BatchConstructionEngine:
                 in_deg += np.bincount(win_cand, minlength=m)
                 # Scatter commit: requester rows are unique within a round,
                 # so the write column is just each winner's current count.
-                win_slots = act_slots[winners]
-                write_col = out_count[act[winners]]
-                state.ensure_width("out_links", int(write_col.max()) + 1)
-                state.out_links[win_slots, write_col] = ids[win_cand]
-                state.out_count[win_slots] = write_col + 1
-                out_count[act[winners]] = write_col + 1
+                won = act[winners]
+                write_col = out_count[won]
+                links_t[write_col, won] = ids[win_cand]
+                out_count[won] = write_col + 1
                 stats.links_placed += int(winners.size)
                 success[winners] = True
         return success
@@ -789,6 +904,7 @@ class BatchConstructionEngine:
         rho_in: np.ndarray,
         in_deg: np.ndarray,
         out_count: np.ndarray,
+        links_t: None,
         stats: LinkAcquisitionStats,
     ) -> np.ndarray:
         """One acquisition round replayed one request at a time.

@@ -100,29 +100,46 @@ class Ring:
         self._version += 1
         self._invalidate()
 
-    def insert_many(self, items: "Iterable[tuple[NodeId, float]]") -> None:
+    def insert_many(
+        self,
+        items: "Iterable[tuple[NodeId, float]] | np.ndarray",
+        positions: "np.ndarray | None" = None,
+    ) -> None:
         """Bulk-add live peers in one sorted merge.
+
+        ``items`` is an iterable of ``(node id, position)`` pairs or,
+        with ``positions`` given, the id array aligned with it (the bulk
+        builders hand over the two columns they already hold).
 
         Equivalent to calling :meth:`insert` per pair (same uniqueness
         rules, same keys — the vectorized ``from_units`` adapter is
         bit-equal to the scalar one) but ``O((N + K) log (N + K))``
         instead of the ``O(N)``-per-insert splicing, which is what
-        makes million-peer bulk construction feasible. Validation happens
-        before any mutation: a duplicate id or position raises
-        :class:`DuplicateNodeError` and leaves the ring untouched.
+        makes million-peer bulk construction feasible. Validation runs
+        on the arrays and before any mutation: a bad position raises
+        :class:`~repro.ring.keyspace.KeyspaceError`, a duplicate id or position
+        :class:`DuplicateNodeError` — naming the first offender, as the
+        per-pair loop would — and the ring is left untouched.
         """
-        pairs = list(items)
-        if not pairs:
+        if positions is None:
+            pairs = list(items)
+            new_ids = np.array([int(node_id) for node_id, __ in pairs], dtype=np.int64)
+            new_pos = np.array([pos for __, pos in pairs], dtype=float)
+        else:
+            new_ids = np.asarray(items, dtype=np.int64)
+            new_pos = np.asarray(positions, dtype=float)
+            if new_ids.shape != new_pos.shape or new_ids.ndim != 1:
+                raise ValueError("bulk insert needs one position per node id")
+        if not new_ids.size:
             return
-        new_ids = [int(node_id) for node_id, __ in pairs]
-        new_pos = np.array([pos for __, pos in pairs], dtype=float)
-        for position in new_pos:
-            _check(float(position), "position")
-        if len(set(new_ids)) != len(new_ids):
+        bad = ~(np.isfinite(new_pos) & (new_pos >= 0.0) & (new_pos < 1.0))
+        if bad.any():
+            _check(float(new_pos[int(bad.argmax())]), "position")
+        if np.unique(new_ids).size != new_ids.size:
             raise DuplicateNodeError("bulk insert contains a repeated node id")
-        for node_id in new_ids:
-            if self.state.slot_of(node_id) >= 0:
-                raise DuplicateNodeError(f"node {node_id} already joined")
+        joined = self.state.slots_of(new_ids) >= 0
+        if joined.any():
+            raise DuplicateNodeError(f"node {int(new_ids[int(joined.argmax())])} already joined")
         order = np.argsort(new_pos, kind="stable")
         sorted_new = new_pos[order]
         if sorted_new.size > 1 and bool((sorted_new[1:] == sorted_new[:-1]).any()):
@@ -139,15 +156,13 @@ class Ring:
                     f"{int(self.state.node_id[occupant_slot])}"
                 )
         new_keys = keyspace.from_units(new_pos)  # bit-equal to scalar from_unit
-        slots = self.state.alloc_many(
-            np.asarray(new_ids, dtype=np.int64), new_pos, new_keys.astype(np.uint64)
-        )
+        slots = self.state.alloc_many(new_ids, new_pos, new_keys.astype(np.uint64))
         merged_pos = np.concatenate([existing, new_pos])
         merged_slots = np.concatenate([self._sorted_slots, slots])
         merge_order = np.argsort(merged_pos, kind="stable")
         self._sorted_pos = merged_pos[merge_order]
         self._sorted_slots = merged_slots[merge_order]
-        self._version += len(pairs)
+        self._version += int(new_ids.size)
         self._invalidate()
 
     def remove_many(self, node_ids: "Iterable[NodeId]") -> None:
@@ -162,26 +177,29 @@ class Ring:
         slots are recycled smallest-first so fixed-seed runs have a
         deterministic physical layout.
 
-        Validation happens before any mutation: an unknown or repeated
-        id raises :class:`UnknownNodeError` / :class:`DuplicateNodeError`
-        and leaves the ring untouched. Removing nothing is a no-op (no
-        version bump).
+        Validation runs on the id array and before any mutation: a
+        repeated or unknown id raises :class:`DuplicateNodeError` /
+        :class:`UnknownNodeError` (the first unknown one) and leaves the
+        ring untouched. Removing nothing is a no-op (no version bump).
         """
-        ids = [int(node_id) for node_id in node_ids]
-        if not ids:
+        if not isinstance(node_ids, np.ndarray):
+            node_ids = list(node_ids)
+        ids = np.asarray(node_ids, dtype=np.int64)
+        if not ids.size:
             return
-        if len(set(ids)) != len(ids):
+        if np.unique(ids).size != ids.size:
             raise DuplicateNodeError("bulk remove contains a repeated node id")
-        for node_id in ids:
-            self._require_known(node_id)
-        drop_slots = self.state.slots_of(np.asarray(ids, dtype=np.int64))
+        drop_slots = self.state.slots_of(ids)
+        unknown = drop_slots < 0
+        if unknown.any():
+            raise UnknownNodeError(int(ids[int(unknown.argmax())]))
         flags = np.zeros(self.state.capacity, dtype=bool)
         flags[drop_slots] = True
         keep = ~flags[self._sorted_slots]
         self._sorted_slots = self._sorted_slots[keep]
         self._sorted_pos = self._sorted_pos[keep]
         self.state.free_many(drop_slots)
-        self._version += len(ids)
+        self._version += int(ids.size)
         self._invalidate()
 
     def mark_dead(self, node_id: NodeId) -> None:

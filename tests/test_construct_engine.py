@@ -24,7 +24,12 @@ from repro.core.construction import LinkAcquisitionStats
 from repro.core.substrate import Substrate
 from repro.degree import ConstantDegrees
 from repro.engine import BatchQueryEngine
-from repro.engine.construct import BatchConstructionEngine, LiveView, draw_positions
+from repro.engine.construct import (
+    BatchConstructionEngine,
+    LiveView,
+    _window_counts,
+    draw_positions,
+)
 from repro.errors import DuplicateNodeError, SamplingError
 from repro.protocol.estimation import cw_arc_slice
 from repro.ring import Ring
@@ -197,6 +202,7 @@ class TestAcquireOverExistingLinks:
             links = list(node.out_links)
             assert links[: len(before[node.node_id])] == before[node.node_id]
             assert len(set(links)) == len(links) and node.node_id not in links
+        assert_padding(a)
 
     def test_small_population_must_dedupe_to_fill(self):
         """10 peers wanting 8 targets each out of 9 possible: without the
@@ -209,6 +215,54 @@ class TestAcquireOverExistingLinks:
         assert all(len(set(n.out_links)) == len(n.out_links) for n in a.live_nodes())
 
 
+    def test_row_already_past_its_cap_sets_the_table_width(self):
+        """One requester holds 8 links under a cap of 2 (caps shrank
+        since it acquired them) while every cap is at most 5: the link
+        table's width has to come from ``out_count``, not the caps."""
+        pair = paired_overlays(n=24, seed=4, cap=3)
+        for overlay in pair:
+            nodes = list(overlay.live_nodes())
+            hoarder = nodes[0]
+            for node in nodes:
+                node.rho_max_in += 4
+                node.rho_max_out = 5
+            fresh = [n.node_id for n in nodes[1:] if n.node_id not in hoarder.out_links]
+            hoarder.out_links.extend(fresh[: 8 - len(hoarder.out_links)])
+            hoarder.rho_max_out = 2
+        held = list(pair[0].live_nodes())[0].out_links[:]
+        assert len(held) == 8
+        stats = acquire_cohort(pair[0], True, 3)
+        assert stats == acquire_cohort(pair[1], False, 3)
+        assert stats.links_placed > 0
+        assert snapshot(pair[0]) == snapshot(pair[1])
+        assert list(pair[0].live_nodes())[0].out_links == held
+        assert_padding(pair[0])
+
+    def test_growing_cohort_is_a_strict_subset_of_the_rows(self):
+        """``grow`` over an existing population: only the newcomers
+        request, so every round gathers its columns of the link table
+        (and the write-back must leave everyone else's row alone)."""
+        pair = paired_overlays(n=60, seed=11, cap=4)
+        before = {node.node_id: list(node.out_links) for node in pair[0].live_nodes()}
+        keys, degrees = GnutellaLikeDistribution(), ConstantDegrees(6)
+        stats = BatchConstructionEngine(pair[0], vectorized=True).grow(100, keys, degrees)
+        assert stats == BatchConstructionEngine(pair[1], vectorized=False).grow(100, keys, degrees)
+        assert stats.links_placed > 0
+        assert snapshot(pair[0]) == snapshot(pair[1])
+        after = {node.node_id: list(node.out_links) for node in pair[0].live_nodes()}
+        assert len(after) == 100 and all(after[nid] == links for nid, links in before.items())
+        assert_padding(pair[0])
+
+
+def assert_padding(overlay):
+    """The padding invariant: ``-1`` past ``out_count`` in every row."""
+    state = overlay.state
+    slots = overlay.ring.slots_array(live_only=False)
+    links = state.out_links[slots]
+    padding = np.arange(links.shape[1])[None, :] >= state.out_count[slots][:, None]
+    assert (links[padding] == -1).all() and (links[~padding] >= 0).all()
+
+
 class TestArcTables:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -219,8 +273,9 @@ class TestArcTables:
         data=st.data(),
     )
     def test_packed_windows_equal_per_round_search(self, pos, data):
-        """``lo`` / ``count`` of every ``(row, partition)`` are exactly
-        the ``cw_arc_slice`` the reference twin searches per round —
+        """``lo`` / ``count`` of every ``(row, partition)``, closed from
+        the borders' ring ranks without a search, are exactly the
+        ``cw_arc_slice`` the reference twin searches per round —
         wrapped, degenerate and ``start == end`` arcs included."""
         pos = np.sort(np.asarray(pos, dtype=float))
         border = st.one_of(st.sampled_from(list(pos)), st.floats(0.0, 1.0, exclude_max=True))
@@ -239,9 +294,22 @@ class TestArcTables:
         if data.draw(st.booleans(), label="repeat a border"):
             medians[:, -1] = medians[:, 0]  # coinciding borders: degenerate arcs
             far_end[0] = origin[0]  # the outermost arc may be the full circle
-        engine = BatchConstructionEngine(OscarOverlay(OscarConfig(), seed=0))
-        arcs = engine._arc_tables(pos, origin, far_end, medians, counts)
+        # The twin's engine: it alone keeps the float borders it searches.
+        engine = BatchConstructionEngine(OscarOverlay(OscarConfig(), seed=0), vectorized=False)
+
+        def rank(border):
+            return np.searchsorted(pos, border, side="right").astype(np.int32)
+
+        arcs = engine._arc_tables(
+            pos.size, origin, far_end, medians, counts, rank(origin), rank(far_end), rank(medians)
+        )
         assert arcs.lo.shape == arcs.count.shape == arcs.starts.shape
+        assert arcs.lo.dtype == arcs.count.dtype == np.int32
+        packed = BatchConstructionEngine(engine.overlay)._arc_tables(
+            pos.size, origin, far_end, medians, counts, rank(origin), rank(far_end), rank(medians)
+        )
+        assert packed.starts is None and packed.ends is None and packed.valid is None
+        assert np.array_equal(packed.lo, arcs.lo) and np.array_equal(packed.count, arcs.count)
         for i in range(n):
             for p in range(arcs.starts.shape[1]):
                 if p >= arcs.k_count[i] or not arcs.valid[i, p]:
@@ -276,9 +344,112 @@ class TestSelectBorders:
         samples = rng.integers(0, view.m, size=(view.m, sample_size))
         args = (view, view.keys[rows], view.pos[rows], view.pos[(rows - 1) % view.m], samples)
         engine = BatchConstructionEngine(overlay)
-        border, stop = engine._select_borders(*args)
+        border, stop, rank = engine._select_borders(*args)
         border_ref, stop_ref = engine._select_borders_reference(*args)
         assert np.array_equal(border, border_ref) and np.array_equal(stop, stop_ref)
+        assert np.array_equal(rank, np.searchsorted(view.pos, border, side="right"))
+
+
+def ring_view(positions):
+    overlay = OscarOverlay(OscarConfig(), seed=1)
+    for position in positions:
+        overlay.join(float(position), 3, 3)
+    return overlay, LiveView.capture(overlay)
+
+
+class TestOrderStatisticMedian:
+    """The ``UNIFORM`` shortcut: the sample median picked as an order
+    statistic of the uniform draw, its two guards, the carried rank."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(min_value=2, max_value=24),
+        sample_size=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**31),
+        data=st.data(),
+    )
+    def test_pick_equals_the_materialised_median(self, m, sample_size, seed, data):
+        """For one drawn ``u``, ``lo + floor(u_(rank) * count)`` is the
+        row the materialised samples' stable distance sort selects —
+        wrapped arcs, one-member arcs and arcs ending at the origin's
+        predecessor included (never the full circle: that is guarded)."""
+        rng = make_rng(seed)
+        engine, view = ring_view(np.unique(rng.random(m)))
+        engine = BatchConstructionEngine(engine)
+        m = view.m
+        rows = np.arange(m, dtype=np.int64)
+        reach = st.one_of(st.just(1), st.just(m - 1), st.integers(1, m - 1))
+        count = np.asarray(data.draw(st.lists(reach, min_size=m, max_size=m)), dtype=np.int64)
+        end_rows = (rows + count) % m
+        origin, prev = view.pos[rows], view.pos[end_rows]
+        lo = rows + 1
+        assert np.array_equal(_window_counts(m, origin, prev, lo, end_rows + 1), count)
+        for i in range(m):
+            assert cw_arc_slice(view.pos, origin[i], prev[i])[::2] == (lo[i], count[i])
+        u = rng.random((m, sample_size))
+        if data.draw(st.booleans(), label="ties and zeros in u"):
+            u[:, 0] = 0.0
+            u[:, -1] = u[:, sample_size // 2]
+        samples = engine._uniform_samples(m, u, lo, count)
+        distance = view.keys[samples] - view.keys[rows][:, None]
+        pick = np.argsort(distance, axis=1, kind="stable")[:, (sample_size - 1) // 2]
+        selected = (engine._median_offsets(u.copy(), count) + lo) % m
+        assert np.array_equal(selected, samples[rows, pick])
+        args = (view, view.keys[rows], origin, prev)
+        shortcut = engine._clamp_borders(view, origin, prev, selected)
+        for got, want in zip(shortcut, engine._select_borders(*args, samples)):
+            assert np.array_equal(got, want)
+        for got, want in zip(shortcut, engine._select_borders_reference(*args, samples)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_colliding_keys_route_to_the_stable_sort(self, seed):
+        """Positions ``j * 2**-70`` share key 0: ``_estimate`` must send
+        every level through the materialised samples (the draw-index
+        tiebreak is the twin's), not through the order statistic."""
+        positions = [(j + 1) * 2.0**-70 for j in range(12)] + [(j + 1) / 9 for j in range(8)]
+        tables = []
+        for vectorized in (True, False):
+            overlay, view = ring_view(positions)
+            assert not view.keys_distinct
+            engine = BatchConstructionEngine(overlay, vectorized=vectorized)
+            rows = np.arange(view.m, dtype=np.int64)
+            arcs = engine._estimate(split(seed, "collide"), view, rows, track_spend=True)
+            state = overlay.state
+            tables.append(
+                (
+                    state.medians[view.slots].tolist(),
+                    state.n_medians[view.slots].tolist(),
+                    state.samples_spent[view.slots].tolist(),
+                    arcs.lo.tolist(),
+                    arcs.count.tolist(),
+                )
+            )
+        assert tables[0] == tables[1]
+        assert max(tables[0][1]) >= 2
+
+    def test_carried_rank_is_the_searched_rank(self):
+        """Every stored median's carried rank equals its
+        ``searchsorted(pos, median, "right")`` — including the borders
+        whose float reconstruction misses the sample's own position by
+        an ulp, which this build must contain (they alone are searched)."""
+        overlay = OscarOverlay(OscarConfig(), seed=5)
+        overlay.grow_batch(3000, GnutellaLikeDistribution(), ConstantDegrees(4))
+        view = LiveView.capture(overlay)
+        rows = np.arange(view.m, dtype=np.int64)
+        levels = overlay.config.partitions_for(view.m) - 1
+        medians = np.zeros((view.m, levels))
+        ranks = np.zeros((view.m, levels), dtype=np.int32)
+        counts = np.zeros(view.m, dtype=np.int64)
+        BatchConstructionEngine(overlay)._sampled_levels(
+            split(5, "ranks"), view, rows, medians, ranks, counts, levels
+        )
+        stored = np.arange(levels)[None, :] < counts[:, None]
+        assert stored.sum() > 10 * view.m
+        searched = np.searchsorted(view.pos, medians, side="right")
+        assert np.array_equal(ranks[stored], searched[stored])
+        inexact = view.pos[ranks[stored] - 1] != medians[stored]
+        assert 0 < inexact.sum() < 0.2 * stored.sum()
 
 
 class _Scripted(KeyDistribution):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import DuplicateNodeError, EmptyPopulationError, UnknownNodeError
 from repro.ring import Ring, keyspace
+from repro.ring.keyspace import KeyspaceError
 
 
 def make_ring(positions: list[float]) -> Ring:
@@ -67,6 +68,75 @@ class TestMembership:
     def test_iteration_matches_node_ids(self, five_ring):
         ring, ids = five_ring
         assert list(ring) == ids
+
+
+def ring_fingerprint(ring: Ring) -> tuple:
+    state = ring.state
+    return (
+        ring.version,
+        ring.node_ids(),
+        ring.positions_array().tolist(),
+        ring.keys_array().tolist(),
+        state.n_slots,
+        list(state._free),
+    )
+
+
+class TestBulkValidation:
+    """``insert_many`` / ``remove_many`` validate on arrays: same
+    exception class and first-offender message whether the batch comes
+    as pairs or as two columns, and nothing mutates before the raise."""
+
+    INSERT_ERRORS = [
+        ([4, 5, 4], [0.11, 0.12, 0.13], DuplicateNodeError, "repeated node id"),
+        ([5, 3, 1], [0.11, 0.12, 0.13], DuplicateNodeError, "node 3 already joined"),
+        ([5, 6, 7], [0.11, 0.12, 0.11], DuplicateNodeError, "repeated position"),
+        # First offender in position order: 0.3 (node 1) before 0.9 (node 4).
+        ([5, 6, 7], [0.9, 0.11, 0.3], DuplicateNodeError, "0.3 already occupied by node 1"),
+        ([5, 6, 7], [0.11, 1.0, -0.5], KeyspaceError, "position must be in [0, 1), got 1.0"),
+        ([5, 6, 7], [0.11, float("nan"), 2.0], KeyspaceError, "position must be finite, got nan"),
+        ([5, 6, 7], [float("inf"), 0.2, 0.3], KeyspaceError, "position must be finite, got inf"),
+    ]
+
+    @pytest.mark.parametrize("ids, positions, error, message", INSERT_ERRORS)
+    def test_insert_errors_match_and_leave_the_ring_untouched(
+        self, five_ring, ids, positions, error, message
+    ):
+        ring, __ = five_ring
+        ring.mark_dead(2)
+        before = ring_fingerprint(ring)
+        for batch in (
+            (zip(ids, positions),),
+            (np.asarray(ids), np.asarray(positions)),
+        ):
+            with pytest.raises(error) as caught:
+                ring.insert_many(*batch)
+            assert message in str(caught.value)
+            assert ring_fingerprint(ring) == before
+
+    def test_insert_columns_match_pairs(self):
+        positions = np.random.default_rng(3).random(50)
+        pairs, columns = Ring(), Ring()
+        pairs.insert_many(enumerate(positions.tolist()))
+        columns.insert_many(np.arange(50), positions)
+        assert ring_fingerprint(pairs) == ring_fingerprint(columns)
+        with pytest.raises(ValueError):
+            columns.insert_many(np.arange(60, 63), positions[:2] / 2)
+        assert ring_fingerprint(pairs) == ring_fingerprint(columns)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_remove_names_the_first_unknown_id(self, five_ring, as_array):
+        ring, __ = five_ring
+        before = ring_fingerprint(ring)
+        batch = [0, 77, 3, 99]
+        with pytest.raises(UnknownNodeError) as caught:
+            ring.remove_many(np.asarray(batch) if as_array else iter(batch))
+        assert caught.value.args == (77,)
+        with pytest.raises(DuplicateNodeError, match="repeated node id"):
+            ring.remove_many(np.asarray([1, 4, 1]) if as_array else (1, 4, 1))
+        assert ring_fingerprint(ring) == before
+        ring.remove_many(np.asarray([], dtype=np.int64) if as_array else ())
+        assert ring_fingerprint(ring) == before
 
 
 class TestRemoveMany:
