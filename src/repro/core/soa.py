@@ -317,10 +317,15 @@ class SubstrateState:
 
     def link_rows(self, slots: np.ndarray, row_of: np.ndarray) -> np.ndarray:
         """The link table of ``slots`` translated through an ``id -> row``
-        table: entry ``(i, j)`` is the row of peer ``slots[i]``'s ``j``-th
-        link target, ``-1`` where the target has no row or the column is
-        padding (the padding invariant makes one mask serve both)."""
-        return rows_of(row_of, self.out_links[slots])
+        table: entry ``(i, j)`` (``int32``) is the row of peer
+        ``slots[i]``'s ``j``-th link target, ``-1`` where the target has
+        no row or the column is padding.
+
+        One gather, no mask: read as ``uint32``, the padding ``-1`` and
+        every id past the table are out of range, and ``take`` clips
+        them all onto one ``-1`` appended to the table."""
+        table = np.append(row_of, -1).astype(np.int32)
+        return table.take(self.out_links.take(slots, axis=0).view(np.uint32), mode="clip")
 
     def clear_links(self, slots: np.ndarray) -> None:
         """Wipe the outgoing-link rows of ``slots`` back to padding."""

@@ -5,8 +5,9 @@ lock-step **epochs**; there is no event scheduler:
 
 * the greedy-walk kernel (:mod:`repro.engine.walk`) —
   ``greedy_walk`` advances a whole query batch one hop per iteration
-  over a per-snapshot ``WalkTable`` (every row's candidates sorted by
-  clockwise progress) and returns hops plus a ``WalkCode`` per query,
+  over a per-snapshot ``WalkTable`` (every row's successor and
+  candidates as ascending ``int32`` row offsets — rank space, no key
+  distances) and returns hops plus a ``WalkCode`` per query,
   ``greedy_walk_reference`` is its pure-Python twin; the two engines
   below differ only in the table they hand it;
 * the batched query engine (:mod:`repro.engine.batch`) —

@@ -8,7 +8,7 @@ millions of interpreter iterations per sweep. This module evaluates a
 whole query batch in lock-step instead: target-key sampling, responsible
 -peer resolution, per-hop next-hop selection and hop/success tallies are
 all vectorized, with a cached topology snapshot (successor pointers +
-a sorted candidate table) that is rebuilt only when the substrate's
+a rank-space candidate table) that is rebuilt only when the substrate's
 ``topology_version`` changes — i.e. on join/leave/churn/rewire.
 
 The walk itself is the shared kernel :func:`repro.engine.walk.greedy_walk`
@@ -90,8 +90,8 @@ class TopologySnapshot:
             was repaired away); the candidates of row ``i`` are the rows
             of peer ``all_ids[i]``'s ``neighbors_of`` list — successor,
             predecessor, every link slot (absent pointers and
-            hard-removed targets are padding) — sorted by clockwise
-            progress from row ``i``.
+            hard-removed targets are padding) — as row offsets, those
+            that cannot beat the successor dropped.
     """
 
     version: object
@@ -109,16 +109,14 @@ class TopologySnapshot:
         ring = substrate.ring
         all_ids = ring.ids_array(live_only=False)
         row_of = row_table(all_ids)
-        rows_idx = np.arange(all_ids.size, dtype=np.int64)
 
-        # The scalar ``neighbors_of`` candidates: successor, predecessor
+        # The scalar ``neighbors_of`` candidates — successor, predecessor
         # and every link slot — for dead peers too (greedy routing
-        # follows links without liveness checks).
+        # follows links without liveness checks). The successor is the
+        # table's own first column, so it is not offered again.
         slots = ring.slots_array(live_only=False)
         succ_row = rows_of(row_of, substrate.state.succ[slots])
         pred_row = rows_of(row_of, substrate.state.pred[slots])
-        succ_col = np.where(succ_row != rows_idx, succ_row, -1)
-        pred_col = np.where((pred_row != rows_idx) & (pred_row != succ_row), pred_row, -1)
         links = substrate.state.link_rows(slots, row_of)
         all_keys = ring.keys_array(live_only=False)
         return cls(
@@ -132,7 +130,7 @@ class TopologySnapshot:
             table=WalkTable.build(
                 all_keys,
                 succ_row,
-                np.concatenate([succ_col[:, None], pred_col[:, None], links], axis=1),
+                np.concatenate([pred_row[:, None], links], axis=1, dtype=np.int32),
             ),
         )
 
@@ -143,7 +141,7 @@ class TopologySnapshot:
         walk delivers in."""
         if self.live_keys.size == 0:
             raise RoutingError("topology snapshot has no live peers")
-        idx = np.searchsorted(self.live_keys, targets, side="left")
+        idx = keyspace.search_sorted(self.live_keys, targets)
         return self.live_rows[idx % self.live_rows.size]
 
 

@@ -13,8 +13,8 @@ to be**, at millions of requests against a ring that churns underneath.
 
 * a **per-version serve snapshot** (:class:`ServeSnapshot`) — the
   believed-live peers as flat arrays (exact ``uint64`` keys, a
-  successor column, the believed-row links sorted by clockwise
-  progress), so owner lookup is one ``searchsorted`` and routing is
+  successor column, the believed-row links as row offsets), so owner
+  lookup is one ``searchsorted`` and routing is
   the shared greedy-walk kernel (:mod:`repro.engine.walk` — the same
   function the batch engine runs over ground truth) handed the
   believed-live table. Because no row is a believed-dead peer, a walk
@@ -187,12 +187,7 @@ class ResultCache:
             )
         table_bits, table_stamp, table_owner, table_flags = self._table
         bits = _key_bits(keys)
-        # Asked in key order the binary searches walk the table front to
-        # back instead of jumping around it (about half the time at 100k
-        # rows), so sort the questions and scatter the answers back.
-        order = np.argsort(bits)
-        row = np.empty(n, dtype=np.intp)
-        row[order] = np.minimum(np.searchsorted(table_bits, bits[order]), size - 1)
+        row = np.minimum(keyspace.search_sorted(table_bits, bits), size - 1)
         hit = table_bits[row] == bits
         at = np.flatnonzero(hit)
         np.maximum.at(table_stamp, row[at], self._clock + at)
@@ -278,7 +273,7 @@ class ServeSnapshot:
     """Array view of the *believed-live* overlay at one serve version.
 
     The successor/owner cache of the serving path: exact keys and
-    the sorted link table are precomputed once per version, so
+    the rank-space link table are precomputed once per version, so
     per-request work is pure array gathering. Rows index believed-live
     peers in clockwise (position) order, so the believed ring successor
     of row ``i`` is ``(i + 1) % m``. Links to believed-dead peers are
@@ -294,8 +289,8 @@ class ServeSnapshot:
             believed-dead).
         table: The :class:`~repro.engine.walk.WalkTable` the kernel
             walks: believed ring successor ``(i + 1) % m`` per row
-            (never -1), and each row's believed-row links sorted by
-            clockwise progress (dropped links are padding).
+            (never -1), and each row's believed-row links as ascending
+            row offsets (dropped links are padding).
     """
 
     version: object
@@ -339,8 +334,7 @@ class ServeSnapshot:
         per exact ``uint64`` target key — the vectorized
         ``successor_of_key`` over belief, decided in the key domain the
         walk delivers in."""
-        idx = np.searchsorted(self.keys, np.asarray(targets, dtype=np.uint64), side="left")
-        return idx % self.size
+        return keyspace.search_sorted(self.keys, np.asarray(targets, dtype=np.uint64)) % self.size
 
 
 class Outcome(enum.IntEnum):

@@ -10,24 +10,58 @@ Per hop, a query at row ``v`` with successor ``s = succ_row[v]``:
 deliver to ``s`` when the key falls in ``(v, s]``; otherwise forward to
 the candidate of ``v`` with maximal clockwise progress not passing the
 key, falling back to ``s`` when no candidate beats it — the scalar
-greedy router's closest-preceding-node rule and final-interval delivery
-check, as **exact fixed-point keyspace kernels**
-(:mod:`repro.ring.keyspace`): every distance is a wrapping ``uint64``
-subtraction. The scalar router decides the identical questions with
-comparison-exact predicates at full float resolution; the two agree
-bit-for-bit whenever peer positions occupy distinct ``2**-64`` key
-cells, which real workloads always do (a million uniform draws share a
-cell with probability below ``10**-7``; sub-resolution fixtures are an
-adversarial-test-only construct). Distinct cells also mean no two
-candidates of a row tie on progress, so which of them is listed first
-never matters (a link that duplicates the successor resolves to the
-same row either way).
+greedy router's final-interval check and closest-preceding-node rule
+over exact fixed-point keys (:mod:`repro.ring.keyspace`): progress is a
+wrapping ``uint64`` subtraction, and a successor without progress
+(missing, or in ``v``'s own ``2**-64`` key cell) is always delivered
+to. :func:`greedy_walk_reference` states that rule one query at a time.
 
-How far clockwise each candidate is from its own row does not depend on
-the query, so the :class:`WalkTable` holds that answer per snapshot:
-every row's candidates sorted by progress. A hop is then one row
-gather, one ``progress <= span`` compare and one row sum — the count of
-candidates not passing the key is the column of the best one.
+**The kernel walks in rank space.** Rows are in key order, so clockwise
+order from a row is row order from it: row ``c`` sits ``(c - v) mod m``
+rows clockwise of ``v`` — its *offset* — and progress never decreases
+with the offset, except on the rows of ``v``'s own key cell below ``v``
+(progress 0, offsets at the far end). So :func:`greedy_walk` asks every
+question about offsets, never about distances:
+
+* once per query, ``hi`` = the last row keyed at or below the target
+  (``searchsorted(keys, t, "right") - 1``; ``-1`` when there is none);
+* per hop, ``lim = (hi - v) mod m``. For every row outside ``v``'s
+  cell, offset ``<= lim`` ⇔ progress ``<=`` the target's, and offset
+  ``<= succ_lim`` ⇔ progress ``<=`` the successor's, where ``succ_lim``
+  is the offset of the last row of ``s``'s cell. The rows of ``v``'s own
+  cell have progress 0 and never win: those above ``v`` sit below every
+  ``succ_lim``, those below ``v`` above every ``lim`` (``hi`` cannot
+  land among them, since row ``v`` is keyed no higher).
+
+:meth:`WalkTable.build` therefore keeps, per row, only the candidates
+past the successor's cell — offset ``> succ_lim``: every candidate that
+can beat the successor, plus, in a shared cell, any row of ``v``'s own
+cell below ``v``, which no ``lim`` reaches — ascending, behind the
+successor's own offset: row ``v`` of ``offsets`` reads
+``[(s - v) mod m, c_1 <= c_2 <= ..., m, ...]``. A hop is one row gather,
+one compare and one ``argmin``: ``c`` counts the candidates not passing
+the key (every row ends in an ``m``, which is ``<=`` no ``lim``, so the
+``argmin`` always finds a ``False``), and the next row is
+``(v + offsets[v, c]) mod m`` — the successor when ``c`` is 0, else the
+last candidate that qualifies. The delivery check needs no code of its
+own: a key in ``(v, s]`` has ``lim <= succ_lim``, below every kept
+candidate, and so does a key on ``v``'s own cell (``lim`` ends there),
+which the scalar rule also sends to ``s``. A row without a successor
+pointer, or whose successor is itself, keeps offset 0 and no
+candidates: the hop lands on ``v`` and the query stops with the code
+``succ_row`` names.
+
+**Ties.** Two candidates in one shared key cell (not ``v``'s) have equal
+progress and consecutive offsets in row order, so the last of the
+prefix is the *higher row* — the rule the twin states explicitly (most
+progress, then highest row); a candidate tied with the successor is not
+kept, so it never beats it. With distinct cells there are no ties —
+real workloads always have them (a million uniform draws share a cell
+with probability below ``10**-7``) — and the kernel picks what the
+scalar router :func:`~repro.routing.greedy.route_greedy` picks. Inside
+a shared cell that router decides at full float resolution and takes
+the first-listed of exact ties, so it may pick another row of the cell;
+only adversarial fixtures build such cells.
 
 Both functions take the same arguments:
 
@@ -38,8 +72,8 @@ Both functions take the same arguments:
 
 and return ``(hops, code, stopped)`` per query: the ``int64`` hops
 taken, a :class:`WalkCode` (``uint8``) and the row the query stands on
-when it stops (its owner row when ``OK``). A failed query stops where
-it failed; the rest of the batch finishes.
+when it stops (``int32``; its owner row when ``OK``). A failed query
+stops where it failed; the rest of the batch finishes.
 """
 
 from __future__ import annotations
@@ -49,7 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ring.keyspace import KEY_MASK
+from ..ring.keyspace import KEY_MASK, search_sorted
 
 __all__ = ["WalkCode", "WalkTable", "greedy_walk", "greedy_walk_reference"]
 
@@ -67,6 +101,12 @@ class WalkCode(enum.IntEnum):
     """Cannot move: its best next hop is the row it stands on."""
 
 
+def _wrap(values: np.ndarray, m: int) -> np.ndarray:
+    """``values mod m`` in place, for ``int32`` values in ``[-m, m)``."""
+    values += (values >> 31) & m
+    return values
+
+
 @dataclass(frozen=True)
 class WalkTable:
     """What the walk reads, computed once per snapshot.
@@ -74,59 +114,52 @@ class WalkTable:
     Attributes:
         keys: ``uint64`` key per row, non-decreasing (rows in ring order).
         succ_row: Ring-successor row per row (``-1``: no pointer).
-        succ_progress: ``keys[succ_row] - keys`` (wrapping); 0 where
-            there is no pointer.
-        progress: ``(m, width)`` clockwise distance from each row to its
-            candidates, every row ascending. Padding (absent and dropped
-            links) has progress 0 and sorts first; columns that are
-            padding in every row are not stored.
-        cand_rows: The candidate row behind each ``progress`` entry
-            (``int32``); where ``progress`` is 0 the entry is padding
-            and names a row of the same key cell.
+        offsets: ``(m, w + 2)`` ``int32``. Column 0 is the successor's
+            offset ``(succ_row - row) mod m`` (0 where there is no
+            pointer); columns ``1 .. w`` are the offsets of the
+            candidates past the successor's key cell, ascending, padded
+            with ``m`` (none are kept where there is no pointer or the
+            successor shares the row's cell); the last column is ``m``
+            in every row. ``w`` is the most candidates any row keeps.
     """
 
     keys: np.ndarray
     succ_row: np.ndarray
-    succ_progress: np.ndarray
-    progress: np.ndarray
-    cand_rows: np.ndarray
+    offsets: np.ndarray
 
     @classmethod
     def build(cls, keys: np.ndarray, succ_row: np.ndarray, nbr_rows: np.ndarray) -> "WalkTable":
-        """Sort each row of the padded candidate matrix ``nbr_rows``
-        (``-1`` entries, anywhere in a row, are padding) by clockwise
-        progress from its own row.
+        """Offset table of the padded candidate matrix ``nbr_rows``
+        (``-1`` entries, anywhere in a row, are padding; self links,
+        duplicates and the successor itself may appear).
 
-        Rows are in key order, so progress order is the order of the
-        candidate's row offset from the first row of this row's key
-        cell, wrapping past row 0: a sort of small integers instead of
-        an ``argsort`` of keys with two permutations behind it. Read as
-        ``uint32`` the wrapped (negative) offsets already rank after the
-        others, and adding the base back undoes the subtraction exactly.
+        Offsets are a sort of small integers per row: no key is
+        gathered. Of the keys only their cells are read — the last row
+        of each cell, so that every candidate sharing the successor's
+        cell is dropped with it.
         """
         m = int(keys.size)
-        cell_start = np.arange(m, dtype=np.int32)
+        if m * (nbr_rows.shape[1] + 2) >= 2**31:
+            raise ValueError(f"an int32 walk table indexes fewer than 2**31 cells, got {m} rows")
+        rows = np.arange(m, dtype=np.int32)
+        cell_end = rows.copy()  # the last row of each row's key cell
         if m > 1:
-            cell_start[1:] *= keys[1:] != keys[:-1]
-            np.maximum.accumulate(cell_start, out=cell_start)
-        base = cell_start[:, None]
-        offset = nbr_rows.astype(np.int32)
-        padding = offset < 0
-        offset -= base
-        np.copyto(offset, 0, where=padding)
-        rank = offset.view(np.uint32)
-        rank.sort(axis=1)
-        lead = int((rank.max(axis=0, initial=0) == 0).sum())
-        cand_rows = offset[:, lead:] + base
-        progress = keys[cand_rows]
-        progress -= keys[:, None]
-        return cls(
-            keys=keys,
-            succ_row=succ_row,
-            succ_progress=np.where(succ_row >= 0, keys[succ_row] - keys, np.uint64(0)),
-            progress=progress,
-            cand_rows=cand_rows,
-        )
+            np.copyto(cell_end[:-1], m, where=keys[:-1] == keys[1:])
+            np.minimum.accumulate(cell_end[::-1], out=cell_end[::-1])
+        # A missing successor points at the row itself: offset 0, and a
+        # cell shared with the row, so no candidate is kept past it.
+        succ = np.where(succ_row >= 0, succ_row, rows).astype(np.int32)
+        succ_lim = _wrap(cell_end[succ] - rows, m)
+        succ_lim[cell_end[succ] == cell_end] = m
+        cands = _wrap(np.subtract(nbr_rows, rows[:, None], dtype=np.int32), m)
+        np.copyto(cands, m, where=(nbr_rows < 0) | (cands <= succ_lim[:, None]))
+        cands.sort(axis=1)
+        width = int((cands.min(axis=0, initial=m) < m).sum())
+        offsets = np.empty((m, width + 2), dtype=np.int32)
+        offsets[:, 0] = _wrap(succ - rows, m)
+        offsets[:, 1:-1] = cands[:, :width]
+        offsets[:, -1] = m
+        return cls(keys=keys, succ_row=succ_row, offsets=offsets)
 
 
 def greedy_walk(
@@ -138,42 +171,36 @@ def greedy_walk(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lock-step numpy walk: every still-active query advances one hop
     per iteration (see the module docstring for arguments and result)."""
-    keys, width = table.keys, table.progress.shape[1]
-    flat_progress, flat_cand = table.progress.reshape(-1), table.cand_rows.reshape(-1)
-    current = source_rows.copy()
+    offsets = table.offsets
+    m, width = offsets.shape
+    flat = offsets.reshape(-1)
+    hi = (search_sorted(table.keys, targets, side="right") - 1).astype(np.int32)
+    owners = owner_rows.astype(np.int32)
+    current = source_rows.astype(np.int32)
     hops = np.zeros(current.size, dtype=np.int64)
     code = np.zeros(current.size, dtype=np.uint8)
-    rows = np.flatnonzero(current != owner_rows)
+    rows = np.flatnonzero(current != owners)
     taken = 0  # in lock-step every active query has taken the same hops
     while rows.size:
         if taken >= budget:
             code[rows] = WalkCode.BUDGET
             break
         cur = current[rows]
-        span = targets[rows] - keys[cur]  # wrapping uint64 cw distances
-        succ_progress = table.succ_progress[cur]
-        nxt = table.succ_row[cur]
-
-        # Deliver to the successor when the key falls in (cur, succ]
-        # (succ_progress 0: the whole circle, or no pointer at all).
-        forward = np.flatnonzero((succ_progress != 0) & ((span == 0) | (span > succ_progress)))
-        if width and forward.size:
-            f_cur = cur[forward]
-            # Progress ascends along a row, so the candidates not
-            # passing the key are a prefix and the best is its last.
-            reach = (table.progress.take(f_cur, axis=0) <= span[forward][:, None]).sum(axis=1)
-            best = f_cur * width + reach - 1
-            improved = (reach > 0) & (flat_progress[best] > succ_progress[forward])
-            nxt[forward] = np.where(improved, flat_cand[best], nxt[forward])
-
-        failed = (nxt < 0) | (nxt == cur)
-        if failed.any():
-            code[rows[failed]] = np.where(nxt[failed] < 0, WalkCode.NO_SUCCESSOR, WalkCode.STUCK)
-            rows, nxt = rows[~failed], nxt[~failed]
+        lim = _wrap(hi[rows] - cur, m)
+        # Candidates ascend along a row, so those not passing the key
+        # are a prefix; its length is the column of the next hop.
+        count = (offsets.take(cur, axis=0)[:, 1:] <= lim[:, None]).argmin(axis=1)
+        nxt = _wrap(flat[cur * width + count] + cur - m, m)
+        stuck = nxt == cur
+        if stuck.any():
+            code[rows[stuck]] = np.where(
+                table.succ_row[cur[stuck]] < 0, WalkCode.NO_SUCCESSOR, WalkCode.STUCK
+            )
+            rows, nxt = rows[~stuck], nxt[~stuck]
         taken += 1
         current[rows] = nxt
         hops[rows] = taken
-        rows = rows[nxt != owner_rows[rows]]
+        rows = rows[nxt != owners[rows]]
     return hops, code, current
 
 
@@ -185,16 +212,20 @@ def greedy_walk_reference(
     budget: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pure-Python twin of :func:`greedy_walk` — one query at a time,
-    exact integer geometry, identical results. It scans a row's
-    candidates for the maximum, recomputing each progress from ``keys``:
-    neither the precomputed distances nor their order are trusted."""
+    exact integer geometry, identical results. It reads the rows behind
+    ``offsets`` — ``(row + offset) mod m``: the successor, the kept
+    candidates, and the row itself for padding — and scans them for the
+    most progress, recomputing each progress from ``keys`` and breaking
+    ties toward the higher row: neither the offsets' order nor their
+    arithmetic is trusted."""
     keys_int = [int(k) for k in table.keys]
     succs = [int(s) for s in table.succ_row]
-    nbrs = table.cand_rows.tolist()
+    m = len(keys_int)
+    nbrs = ((np.arange(m)[:, None] + table.offsets) % max(m, 1)).tolist()
     n = int(source_rows.size)
     hops = np.zeros(n, dtype=np.int64)
     code = np.zeros(n, dtype=np.uint8)
-    stopped = np.asarray(source_rows).copy()
+    stopped = np.asarray(source_rows).astype(np.int32)
     for q in range(n):
         cur = int(source_rows[q])
         owner = int(owner_rows[q])
@@ -211,13 +242,13 @@ def greedy_walk_reference(
             cur_key = keys_int[cur]
             span = (tgt - cur_key) & KEY_MASK
             succ_progress = (keys_int[succ] - cur_key) & KEY_MASK
-            nxt = succ
+            best = (succ_progress, succ)
             if succ_progress != 0 and not 0 < span <= succ_progress:
-                best_progress = succ_progress
                 for cand in nbrs[cur]:
                     progress = (keys_int[cand] - cur_key) & KEY_MASK
-                    if progress <= span and progress > best_progress:
-                        nxt, best_progress = cand, progress
+                    if succ_progress < progress <= span:
+                        best = max(best, (progress, cand))  # ties: the higher row
+            nxt = best[1]
             if nxt == cur:
                 code[q] = WalkCode.STUCK
                 break

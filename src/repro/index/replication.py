@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import ConfigError
+from ..ring.keyspace import search_sorted
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..membership import MembershipView
@@ -269,7 +270,7 @@ class ReplicatedStore:
         keys = np.asarray(keys, dtype=float)
         if self.item_keys.size == 0:
             return np.full(keys.shape, -1, dtype=np.int64)
-        idx = np.minimum(np.searchsorted(self.item_keys, keys), self.item_keys.size - 1)
+        idx = np.minimum(search_sorted(self.item_keys, keys), self.item_keys.size - 1)
         return np.where(self.item_keys[idx] == keys, idx, -1)
 
     def range_rows(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -48,7 +48,7 @@ array kernels take and return ``numpy.uint64`` arrays.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -72,6 +72,7 @@ __all__ = [
     "to_units",
     "cw_distances",
     "in_cw_intervals",
+    "search_sorted",
 ]
 
 #: Width of a key in bits; the circle has ``2**KEY_BITS`` cells.
@@ -259,3 +260,25 @@ def in_cw_intervals(
     span = end_arr - start_arr
     zero = np.uint64(0)
     return (start_arr == end_arr) | ((distance > zero) & (distance <= span))
+
+
+def search_sorted(
+    column: np.ndarray, queries: np.ndarray, side: Literal["left", "right"] = "left"
+) -> np.ndarray:
+    """``np.searchsorted(column, queries, side)`` for a batch of queries
+    of any shape, asked in sorted order.
+
+    Asked in key order the binary searches walk the column front to back
+    instead of jumping around it — at 100k rows less than half the time
+    of the same questions in arrival order — so the queries are sorted,
+    searched, and the answers scattered back to where each question
+    stood. Every answer depends on its own query alone, so the result is
+    the plain ``searchsorted`` exactly. ``queries`` must already have
+    ``column``'s dtype (``searchsorted`` compares mixed ``uint64`` /
+    ``int64`` as floats).
+    """
+    flat = np.asarray(queries).reshape(-1)
+    order = np.argsort(flat)
+    found = np.empty(flat.size, dtype=np.intp)
+    found[order] = np.searchsorted(column, flat[order], side=side)
+    return found.reshape(np.shape(queries))

@@ -27,9 +27,12 @@ settings.register_profile(
 settings.register_profile("random", print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 
+import numpy as np
+
 from repro import MercuryConfig, MercuryOverlay, OscarConfig, OscarOverlay
 from repro.degree import ConstantDegrees
 from repro.ring import Ring, build_pointers
+from repro.ring.keyspace import KEY_MASK
 from repro.workloads import GnutellaLikeDistribution, UniformKeys
 
 
@@ -65,6 +68,40 @@ def build_mercury(
     if rewire:
         overlay.rewire()
     return overlay
+
+
+def assert_walk_table(table, candidates) -> None:
+    """``table`` (a ``WalkTable``) holds what its keys and successor
+    column say it must, recomputed from scratch row by row: column 0 is
+    the successor's row offset ``(s - v) mod m`` (0 without a pointer);
+    then, ascending, the offsets of the candidates of ``candidates[v]``
+    (``-1`` is padding) that make more clockwise progress than the
+    successor — none when the successor makes none — plus any candidate
+    of ``v``'s own key cell below ``v``; then ``m`` to the width of the
+    fullest row, and one more ``m``. Progress never decreases along the
+    kept candidates outside ``v``'s cell."""
+    keys = [int(k) for k in table.keys]
+    m = len(keys)
+    expected = []
+    for v, cands in enumerate(candidates):
+        key, succ = keys[v], int(table.succ_row[v])
+        succ_progress = (keys[succ] - key) & KEY_MASK if succ >= 0 else 0
+        kept = sorted(
+            (c - v) % m
+            for c in (int(c) for c in cands)
+            if c >= 0
+            and succ_progress
+            and ((keys[c] - key) & KEY_MASK > succ_progress or (keys[c] == key and c < v))
+        )
+        progress = [(keys[(v + off) % m] - key) & KEY_MASK for off in kept]
+        moving = [p for p in progress if p]
+        assert moving == sorted(moving) and all(p > succ_progress for p in moving)
+        expected.append(((succ - v) % m if succ >= 0 else 0, kept))
+    width = max((len(kept) for __, kept in expected), default=0)
+    assert table.offsets.dtype == np.int32 and table.offsets.shape == (m, width + 2)
+    assert table.offsets.tolist() == [
+        [first] + kept + [m] * (width + 1 - len(kept)) for first, kept in expected
+    ]
 
 
 @pytest.fixture

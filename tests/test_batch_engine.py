@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_mercury, build_overlay
+from conftest import assert_walk_table, build_mercury, build_overlay
 from repro import ChordOverlay, Substrate
 from repro.churn import apply_churn, revive_all
 from repro.config import ChurnConfig
@@ -197,43 +197,8 @@ class TestBatchMatchesScalar:
                 engine.route_batch(np.asarray([source]), np.asarray([0.5]))
 
 
-def brute_force_table(keys, nbr_rows):
-    """Per-row Python sort of ``(progress, candidate)`` pairs, padding
-    (``-1``) as progress 0 — what :meth:`WalkTable.build` must equal
-    wherever progress is non-zero."""
-    return [
-        sorted(
-            ((int(keys[c]) - int(keys[row])) & keyspace.KEY_MASK, c) if c >= 0 else (0, -1)
-            for c in cands
-        )
-        for row, cands in enumerate(nbr_rows.tolist())
-    ]
-
-
-def assert_table_matches(table, keys, nbr_rows):
-    m, width = table.progress.shape
-    assert table.cand_rows.shape == (m, width) and table.cand_rows.dtype == np.int32
-    assert table.progress.dtype == np.uint64 and m == keys.size
-    assert (table.progress[:, 1:] >= table.progress[:, :-1]).all()
-    expected = brute_force_table(keys, nbr_rows)
-    dropped = nbr_rows.shape[1] - width
-    assert dropped >= 0
-    for row in range(m):
-        assert all(progress == 0 for progress, __ in expected[row][:dropped])
-        kept = expected[row][dropped:]
-        assert table.progress[row].tolist() == [progress for progress, __ in kept]
-        # Same multiset of real candidates; zero progress (padding, a
-        # self link, a peer of the same cell) names a row that never wins.
-        moving = [(p, c) for p, c in kept if p > 0]
-        offered = list(zip(table.progress[row].tolist(), table.cand_rows[row].tolist()))
-        assert [pc for pc in offered if pc[0] > 0] == moving
-        assert all(keys[c] == keys[row] for p, c in offered if p == 0)
-    if width and np.unique(keys).size == m:
-        assert table.progress[:, 0].any()  # no column that is padding in every row is stored
-
-
 class TestWalkTable:
-    """``WalkTable.build`` against a brute-force per-row Python sort."""
+    """``WalkTable.build`` against a from-scratch per-row Python scan."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -246,8 +211,9 @@ class TestWalkTable:
     def test_sorted_table_equals_brute_force(self, m, width, seed, padding, cells):
         """Random candidate matrices: ``-1`` anywhere in a row,
         duplicate candidates, self links, zero-width and all-padding
-        matrices, rows whose links wrap past key 0, and (``cells=3``)
-        several rows sharing one key cell."""
+        matrices, rows whose links wrap past key 0, missing, self and
+        random successor pointers, and (``cells=3``) several rows
+        sharing one key cell."""
         rng = np.random.default_rng(seed)
         keys = np.sort(rng.integers(0, cells, size=m, dtype=np.uint64, endpoint=False))
         if cells > 3:
@@ -256,14 +222,12 @@ class TestWalkTable:
         nbr_rows = rng.integers(0, m, size=(m, width))
         nbr_rows[rng.random((m, width)) < padding] = -1
         succ_row = (np.arange(m) + 1) % m
-        succ_row[rng.random(m) < 0.2] = -1
+        draw = rng.random(m)
+        succ_row[draw < 0.2] = -1
+        succ_row[draw > 0.9] = rng.integers(0, m, size=int((draw > 0.9).sum()))
         table = WalkTable.build(keys, succ_row, nbr_rows)
-        assert_table_matches(table, keys, nbr_rows)
+        assert_walk_table(table, nbr_rows)
         assert table.keys is keys and table.succ_row is succ_row
-        for row in range(m):
-            succ = int(succ_row[row])
-            expected = 0 if succ < 0 else (int(keys[succ]) - int(keys[row])) & keyspace.KEY_MASK
-            assert int(table.succ_progress[row]) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -283,29 +247,37 @@ class TestWalkTable:
         if repair:
             overlay.repair_ring()
         snap = TopologySnapshot.capture(overlay)
-        width = max(len(list(overlay.neighbors_of(int(i)))) for i in snap.all_ids)
-        nbr_rows = np.full((snap.all_ids.size, width), -1, dtype=np.int64)
-        for row, node_id in enumerate(snap.all_ids.tolist()):
-            offered = [int(snap.row_of[nbr]) for nbr in overlay.neighbors_of(node_id)]
-            nbr_rows[row, : len(offered)] = offered
-        assert_table_matches(snap.table, snap.all_keys, nbr_rows)
+        assert_walk_table(
+            snap.table,
+            [
+                [int(snap.row_of[nbr]) for nbr in overlay.neighbors_of(node_id)]
+                for node_id in snap.all_ids.tolist()
+            ],
+        )
+        pointerless = snap.table.succ_row < 0
         if repair and crash:
-            assert (snap.table.succ_row == -1).any()
-        assert not snap.table.succ_progress[snap.table.succ_row < 0].any()
+            assert pointerless.any()
+        assert (snap.table.offsets[pointerless, 0] == 0).all()
+        assert (snap.table.offsets[pointerless, 1:] == snap.all_ids.size).all()
 
     def test_wide_table_with_narrow_rows_drops_the_padding_columns(self):
         keys = keyspace.from_units(np.asarray([0.1, 0.4, 0.7, 0.9]))
         nbr_rows = np.full((4, 8), -1, dtype=np.int64)
         nbr_rows[0, 5], nbr_rows[2, [1, 6]] = 2, [0, 3]
         table = WalkTable.build(keys, np.asarray([1, 2, 3, 0]), nbr_rows)
-        assert table.progress.shape == (4, 2)
-        assert table.cand_rows[2].tolist() == [3, 0]  # 0.7 -> 0.9, then past key 0 to 0.1
-        assert_table_matches(table, keys, nbr_rows)
+        # Row 2 (0.7): successor 3 (0.9) one row on, its link to 3 is
+        # the successor again and dropped, its link past key 0 to row 0
+        # (0.1) is two rows on.
+        assert table.offsets[2].tolist() == [1, 2, 4]
+        assert table.offsets.shape == (4, 3)
+        assert_walk_table(table, nbr_rows)
 
     @pytest.mark.parametrize("kind", ["truth", "belief"])
     def test_snapshot_bytes_per_peer_are_bounded(self, kind):
-        """A snapshot costs 12 bytes per stored candidate (``uint64``
-        progress + ``int32`` row) and a handful of columns per peer."""
+        """A snapshot costs 4 bytes per stored candidate (an ``int32``
+        row offset), the successor's and the trailing ``m`` included,
+        and a handful of columns per peer — a table of ``uint64``
+        distances does not fit."""
         cap = 8
         overlay = build_overlay(n=400, seed=3, cap=cap)
         if kind == "truth":
@@ -313,18 +285,27 @@ class TestWalkTable:
         else:
             snap = ServeSnapshot.capture(overlay, OracleView(overlay.ring), version=0)
             width = cap
-        assert snap.table.progress.shape[1] <= width
+        assert snap.table.offsets.shape[1] <= width + 2
         arrays = {
             id(a): a.nbytes
             for holder in (snap, snap.table)
             for a in vars(holder).values()
             if isinstance(a, np.ndarray)
         }
-        assert sum(arrays.values()) / overlay.size <= 12 * width + 96
+        assert sum(arrays.values()) / overlay.size <= 4 * (width + 2) + 96
 
 
 def _walk_outcome(walk, table, source_rows, owner_rows, targets, budget):
     return [column.tolist() for column in walk(table, source_rows, owner_rows, targets, budget)]
+
+
+def _alone_and_batch(walk, table, source_rows, owner_rows, targets, budget):
+    """Each query alone, then the whole batch in lock-step."""
+    alone = [
+        _walk_outcome(walk, table, source_rows[q], owner_rows[q], targets[q], budget)
+        for q in (slice(i, i + 1) for i in range(source_rows.size))
+    ]
+    return alone, _walk_outcome(walk, table, source_rows, owner_rows, targets, budget)
 
 
 def ring_table(keys, succ_row, nbr_rows=None):
@@ -369,23 +350,64 @@ class TestWalkKernelTwins:
         targets = keyspace.from_units(target_keys)
         owner_rows = snap.responsible_rows(targets)
 
-        def outcomes(walk):
-            """Each query alone, then the whole batch in lock-step."""
-            alone = [
-                _walk_outcome(walk, snap.table, source_rows[q], owner_rows[q], targets[q], budget)
-                for q in (slice(i, i + 1) for i in range(8))
-            ]
-            batch = _walk_outcome(walk, snap.table, source_rows, owner_rows, targets, budget)
-            return alone, batch
-
-        alone, batch = outcomes(greedy_walk)
-        assert (alone, batch) == outcomes(greedy_walk_reference)
+        query = (snap.table, source_rows, owner_rows, targets, budget)
+        alone, batch = _alone_and_batch(greedy_walk, *query)
+        assert (alone, batch) == _alone_and_batch(greedy_walk_reference, *query)
         # A failed query stops alone: the batch is the per-query results.
         assert batch == [[value for [value] in column] for column in zip(*alone)]
         hops, code, stopped = (np.asarray(column) for column in batch)
         assert (stopped[code == WalkCode.OK] == owner_rows[code == WalkCode.OK]).all()
         assert (hops[code == WalkCode.BUDGET] == budget).all()
         assert (snap.table.succ_row[stopped[code == WalkCode.NO_SUCCESSOR]] == -1).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_twins_agree_on_adversarial_tables(self, seed):
+        """Raw tables no overlay builds, 1-13 rows: key cells shared by
+        several rows, padding anywhere, missing, self and random
+        successor pointers, targets exactly on a row's key, random
+        owners, budgets 2, 5 and 40. Inside a shared cell the twin must
+        break ties as the kernel does."""
+        rng = np.random.default_rng(seed)
+        m, width = int(rng.integers(1, 14)), int(rng.integers(0, 6))
+        cells = (3, 5, 8, 2**64 - 1)[int(rng.integers(4))]
+        budget = (2, 5, 40)[int(rng.integers(3))]
+        keys = np.sort(rng.integers(0, cells, size=m, dtype=np.uint64, endpoint=True))
+        if cells < 2**64 - 1:
+            keys <<= np.uint64(60)  # a few cells spread around the circle
+        succ_row = (np.arange(m) + 1) % m
+        draw = rng.random(m)
+        succ_row[draw < 0.15] = -1
+        succ_row[(draw >= 0.15) & (draw < 0.3)] = np.flatnonzero((draw >= 0.15) & (draw < 0.3))
+        succ_row[draw > 0.8] = rng.integers(0, m, size=int((draw > 0.8).sum()))
+        table = WalkTable.build(keys, succ_row, rng.integers(-1, m, size=(m, width)))
+        q = 12
+        targets = rng.integers(0, 2**64, size=q, dtype=np.uint64, endpoint=False)
+        on_key = rng.random(q) < 0.4
+        targets[on_key] = keys[rng.integers(0, m, size=int(on_key.sum()))]
+        owner_rows = np.searchsorted(keys, targets) % m
+        stray = rng.random(q) < 0.3
+        owner_rows[stray] = rng.integers(0, m, size=int(stray.sum()))
+        query = (table, rng.integers(0, m, size=q), owner_rows, targets, budget)
+        alone, batch = _alone_and_batch(greedy_walk, *query)
+        assert (alone, batch) == _alone_and_batch(greedy_walk_reference, *query)
+        assert batch == [[value for [value] in column] for column in zip(*alone)]
+
+    @pytest.mark.parametrize("walk", [greedy_walk, greedy_walk_reference])
+    def test_ties_in_a_shared_cell_go_to_the_higher_row(self, walk):
+        """Rows 2 and 3 share a key cell; row 0 links to both, listing
+        the lower first. The hop goes to row 3, one ring hop short of
+        the owner, not to row 2, two short."""
+        keys = np.asarray([0, 2, 5, 5, 9], dtype=np.uint64) << np.uint64(60)
+        succ_row = np.asarray([1, 2, 3, 4, 0])
+        nbr_rows = np.asarray([[2, 3], [-1, -1], [-1, -1], [-1, -1], [-1, -1]])
+        table = WalkTable.build(keys, succ_row, nbr_rows)
+        target = np.asarray([7 << 60], dtype=np.uint64)
+        assert _walk_outcome(walk, table, np.asarray([0]), np.asarray([4]), target, 8) == [
+            [2],
+            [WalkCode.OK],
+            [4],
+        ]
 
     @pytest.mark.parametrize("walk", [greedy_walk, greedy_walk_reference])
     def test_each_failure_condition_is_a_code(self, walk):
@@ -395,7 +417,7 @@ class TestWalkKernelTwins:
         ring = [1, 2, 0]
         no_links = np.full((3, 1), -1, dtype=np.int64)
         for table in (ring_table(keys, ring), ring_table(keys, ring, no_links)):
-            assert table.progress.shape == (3, 0)
+            assert table.offsets.shape == (3, 2)
             assert _walk_outcome(walk, table, source, owner, target, 8) == [[2], [WalkCode.OK], [2]]
         assert _walk_outcome(walk, ring_table(keys, ring), source, owner, target, 1) == [
             [1],
@@ -508,7 +530,7 @@ class TestSnapshotCache:
         snap = TopologySnapshot.capture(overlay)
         assert snap.all_pos.size == len(overlay.ring)
         assert snap.live_keys.size == overlay.size
-        assert snap.table.progress.shape[0] == snap.all_pos.size
+        assert snap.table.offsets.shape[0] == snap.all_pos.size
         # every live row's successor pointer resolves
         assert np.all(snap.table.succ_row[snap.live_rows] >= 0)
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import assert_walk_table
 from repro.engine import BatchQueryEngine
 from repro.routing.range_query import route_range
 from repro.rng import split
@@ -71,25 +72,27 @@ def test_batched_routes_match_fixture(fixture, overlays, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_snapshot_fast_path_matches_scalar_fallback(overlays, kind):
-    """The snapshot's walk table must offer exactly what the public
+    """The snapshot's walk table must hold exactly what the public
     per-peer ``neighbors_of`` scan offers on the golden overlays — same
-    successor pointers, same candidates, each row in ascending clockwise
-    progress (padding, progress 0, first)."""
+    successor pointers, and per row the successor's offset, then the
+    offsets of the candidates that beat it, ascending (recomputed from
+    the keys by ``assert_walk_table``)."""
     from repro.engine.batch import TopologySnapshot
 
     overlay = overlays[kind]
     snap = TopologySnapshot.capture(overlay)
     table = snap.table
-    assert table.progress.shape == table.cand_rows.shape
-    assert table.progress.shape[0] == snap.all_ids.size
-    assert (table.progress[:, 1:] >= table.progress[:, :-1]).all()
-    assert (table.progress == snap.all_keys[table.cand_rows] - snap.all_keys[:, None]).all()
+    assert table.offsets.shape[0] == snap.all_ids.size
     for row, node_id in enumerate(snap.all_ids.tolist()):
-        expected = [int(snap.row_of[nbr]) for nbr in overlay.neighbors_of(node_id)]
-        offered = table.cand_rows[row][table.progress[row] > 0].tolist()
-        assert sorted(offered) == sorted(r for r in expected if r >= 0), f"node {node_id}"
         successor = overlay.pointers.successor.get(node_id)
         assert table.succ_row[row] == (-1 if successor is None else snap.row_of[successor])
+    assert_walk_table(
+        table,
+        [
+            [int(snap.row_of[nbr]) for nbr in overlay.neighbors_of(node_id)]
+            for node_id in snap.all_ids.tolist()
+        ],
+    )
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -261,6 +261,36 @@ class TestVectorScalarEquivalence:
         assert to_units(np.empty(0, dtype=np.uint64)).size == 0
 
 
+
+class TestSearchSorted:
+    """``search_sorted`` is ``np.searchsorted`` asked in key order: the
+    same answer for every query, whatever the batch around it."""
+
+    @given(
+        column=st.lists(st.integers(0, 40), max_size=30),
+        queries=st.lists(st.integers(-1, 42), max_size=30),
+        side=st.sampled_from(["left", "right"]),
+    )
+    def test_equals_plain_searchsorted_with_duplicates(self, column, queries, side):
+        table = np.sort(np.asarray(column, dtype=np.uint64) * np.uint64(2**58))
+        asked = np.asarray([q % 41 for q in queries], dtype=np.uint64) * np.uint64(2**58)
+        np.testing.assert_array_equal(
+            keyspace.search_sorted(table, asked, side), np.searchsorted(table, asked, side)
+        )
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_floats_with_signed_zero_and_a_2d_batch(self, side):
+        table = np.asarray([-0.0, 0.0, 0.0, 0.25, 0.25, 0.5, 0.75])
+        asked = np.asarray([[0.25, -0.0, 0.0], [0.9, 0.25, -0.0], [0.5, 0.1, 0.75]])
+        found = keyspace.search_sorted(table, asked, side)
+        assert found.shape == asked.shape
+        np.testing.assert_array_equal(found, np.searchsorted(table, asked, side))
+
+    def test_empty_column_and_empty_batch(self):
+        empty = np.empty(0, dtype=np.uint64)
+        assert keyspace.search_sorted(empty, np.asarray([5], dtype=np.uint64)).tolist() == [0]
+        assert keyspace.search_sorted(np.asarray([1], dtype=np.uint64), empty).size == 0
+
 class TestModuleExports:
     def test_reexported_from_ring_package(self):
         from repro.ring import KeyspaceError as ringKeyspaceError

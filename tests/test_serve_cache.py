@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_walk_table
 from repro.churn.sessions import make_sessions
 from repro.config import RoutingConfig
 from repro.degree import ConstantDegrees
@@ -267,10 +268,15 @@ class TestServeSnapshot:
         assert victim not in snap.ids
         assert snap.row_of[victim] == -1
         assert snap.size == view.live_ids().size
-        # Every candidate is a believed row; padding has progress 0.
-        cand = snap.table.cand_rows
-        assert 0 <= cand.min() and cand.max() < snap.size
-        assert int(snap.row_of[victim]) not in cand[snap.table.progress > 0]
+        # Every candidate is a believed row: the table holds each row's
+        # links to believed-live peers, and nothing else.
+        assert_walk_table(
+            snap.table,
+            [
+                [int(snap.row_of[t]) for t in overlay.state.out_links[slot] if t >= 0]
+                for slot in view.live_slots().tolist()
+            ],
+        )
 
     def test_successor_column_is_the_believed_ring(self):
         """Under belief the successor of row ``i`` is row ``i + 1``
@@ -280,9 +286,7 @@ class TestServeSnapshot:
         snap = serve.serve_snapshot()
         m = snap.size
         np.testing.assert_array_equal(snap.table.succ_row, (np.arange(m) + 1) % m)
-        np.testing.assert_array_equal(
-            snap.table.succ_progress, snap.keys[(np.arange(m) + 1) % m] - snap.keys
-        )
+        np.testing.assert_array_equal(snap.table.offsets[:, 0], np.full(m, 1 % m))
 
     def test_empty_believed_set_rejected(self):
         overlay, view, store, serve = build_plane(n=20, n_items=5)
@@ -428,7 +432,8 @@ class TestServeEngine:
         loop, hole = snap.row_of[sources[np.flatnonzero(clean.hops > 0)[:2]]]
         succ_row = snap.table.succ_row.copy()
         succ_row[loop], succ_row[hole] = loop, -1
-        doctored = WalkTable.build(snap.keys, succ_row, snap.table.cand_rows)
+        links = overlay.state.link_rows(view.live_slots(), snap.row_of)
+        doctored = WalkTable.build(snap.keys, succ_row, links)
         serve._serve_cache = dataclasses.replace(snap, table=doctored)
         serve.routing = RoutingConfig(budget=budget)
 
