@@ -93,26 +93,28 @@ class Row(NamedTuple):
 GENTLE_SERVE = {"size": 5000, "epochs": 12, "half_life": 64.0, "repair_every": 1}
 
 ROWS: dict[str, Row] = {
-    # The routing hot path: fig1c at a CI-sized scale.
-    "fig1c": Row("fig1c", {"scale": 0.05}, baselined=True),
-    # The construction hot path at paper scale; the batched-vs-scalar
-    # rewire speedup at 10k is a ratio of two timings on one host, so its
-    # floor is robust to slow runners. Five interleaved runs a side on
-    # the dev container: 129-175 with the median picked as an order
-    # statistic of the draw, borders carrying their ring rank and the
-    # column-major link table (137-154 on eight more undisturbed runs;
-    # a run that shared the box with another process read 68), 71-78
-    # with the kernels they replaced — the floor sits between the bands.
-    # walk_speedup is the same kind of ratio for the walk kernel against
-    # its pure-Python twin (one query per peer on the 10k snapshot), five
-    # interleaved runs a side: 62.7-68.4 walking in rank space (int32 row
-    # offsets), 23.1-29.0 reading the sorted uint64 progress table it
-    # replaced (8-11 with the per-hop double gather before that) — the
-    # floor sits between the bands.
+    # The paper's figure at the paper's size: fig1c grows to 10k peers
+    # through the construction engine and routes every measurement batch
+    # through the walk kernel (~2 s on the dev container).
+    "fig1c": Row("fig1c", {"scale": 1.0}, baselined=True),
+    # The construction hot path at paper scale; rewire_speedup is the
+    # 10k-peer full rewire on the kernels against their pure-Python twin
+    # (vectorized=False) — a ratio of two timings on one host, so its
+    # floor is robust to slow runners. Six interleaved runs a side on the
+    # dev container: 84.8-121.4 with today's kernels (102.6-121.4 in five
+    # of them; a run sharing the box with another process read 69),
+    # 54.8-57.6 with the kernels before the order-statistic median,
+    # carried border ranks and the column-major link table — the floor
+    # sits between the bands. walk_speedup is the same kind of ratio for
+    # the walk kernel against its pure-Python twin (one query per peer on
+    # the 10k snapshot), five interleaved runs a side: 62.7-68.4 walking
+    # in rank space (int32 row offsets), 23.1-29.0 reading the sorted
+    # uint64 progress table it replaced (8-11 with the per-hop double
+    # gather before that) — the floor sits between the bands.
     "build": Row(
         "scale-build",
         {"sizes": (10_000, 31_600, 100_000), "n_queries": 500},
-        (("rewire_speedup", ">=", 100.0), ("walk_speedup", ">=", 40.0)),
+        (("rewire_speedup", ">=", 75.0), ("walk_speedup", ">=", 40.0)),
         baselined=True,
     ),
     # The steady-state hot path on a mid-size overlay.

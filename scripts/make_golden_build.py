@@ -8,10 +8,9 @@ single link or border fails the golden test instead of silently
 re-rolling the network. Floats are serialized by ``repr`` round-trip
 (exact), so the comparison is bit-level.
 
-The fixture build: scalar ``grow`` to 150 peers (the PR-3-era join path,
-stable across PRs), then one ``rewire_batch`` epoch through the
-vectorized engine. Regenerate ONLY when the engine's semantics change on
-purpose::
+The fixture build: ``grow`` to 150 peers (one engine cohort), then one
+``rewire`` epoch through the vectorized engine on its own stream.
+Regenerate ONLY when the engine's semantics change on purpose::
 
     PYTHONPATH=src python scripts/make_golden_build.py
 """

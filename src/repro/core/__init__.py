@@ -1,18 +1,15 @@
 """Oscar core: the paper's primary contribution.
 
 * :class:`PartitionTable` — recursive-median logarithmic partitions;
-* :func:`estimate_partitions` — oracle / uniform-sample / restricted-walk
-  estimators;
-* :func:`acquire_links` / :func:`rewire_all` — capacity-respecting link
-  acquisition with power-of-two balancing;
+* :func:`oracle_partitions` — the exact table sampled estimates approach;
 * :class:`OscarOverlay` — the facade tying ring, links and routing
-  together;
+  together; it builds through the one construction engine,
+  :class:`repro.engine.construct.BatchConstructionEngine`;
 * :class:`SubstrateState` — the struct-of-arrays store every substrate's
   per-peer columns live in (:class:`OscarNode` and friends are views).
 """
 
-from .construction import LinkAcquisitionStats, acquire_links, rewire_all
-from .estimators import estimate_partitions, oracle_partitions, sampled_partitions
+from .estimators import oracle_partitions
 from .node import OscarNode, StateNodeView
 from .overlay import OscarOverlay
 from .partitions import PartitionTable
@@ -21,7 +18,6 @@ from .substrate import Substrate
 
 __all__ = [
     "FingerTable",
-    "LinkAcquisitionStats",
     "LinkView",
     "NodeTable",
     "OscarNode",
@@ -30,9 +26,5 @@ __all__ = [
     "StateNodeView",
     "Substrate",
     "SubstrateState",
-    "acquire_links",
-    "estimate_partitions",
     "oracle_partitions",
-    "rewire_all",
-    "sampled_partitions",
 ]

@@ -1,48 +1,27 @@
-"""Building partition tables: exact (oracle) and sampled estimators.
+"""The exact partition table — the reference every sampled estimate is held to.
 
 The paper's nodes cannot see the population; they *estimate* each median
 "by uniformly sampling each subpopulation B_i" with restricted random
-walkers. This module provides the three fidelity levels declared in
-:class:`~repro.config.SamplingMode`:
+walkers. Every fidelity level of :class:`~repro.config.SamplingMode` is
+run for all peers at once by
+:class:`~repro.engine.construct.BatchConstructionEngine`; this module
+keeps :func:`oracle_partitions` — exact recursive medians straight from
+the ring's order statistics (`O(k log N)`) — as the ground truth the
+tests hold sampled tables against.
 
-* :func:`oracle_partitions` — exact recursive medians straight from the
-  ring's order statistics (`O(k log N)`); ground truth for tests and the
-  upper-bound ablation;
-* :func:`sampled_partitions` with ``UNIFORM`` — i.i.d. uniform samples
-  per subpopulation, the idealized walk outcome (the experiments'
-  default, matching the paper's observation that very low sample sizes
-  already work well);
-* :func:`sampled_partitions` with ``WALK`` — true restricted
-  Metropolis–Hastings walks over the current overlay links.
-
-All estimators return a :class:`~repro.core.partitions.PartitionTable`
-whose monotonicity invariants are enforced on construction, so a buggy
-estimate fails loudly rather than silently degrading routing.
+It returns a :class:`~repro.core.partitions.PartitionTable` whose
+monotonicity invariants are enforced on construction, so a buggy table
+fails loudly rather than silently degrading routing.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-import numpy as np
-
-from ..config import OscarConfig, SamplingMode
 from ..errors import SamplingError
-from ..protocol.decisions import border_is_terminal
-from ..protocol.estimation import PartitionEstimator
 from ..ring import Ring
-from ..sampling import RestrictedWalker, sample_arc_uniform
 from ..types import NodeId
 from .partitions import PartitionTable
 
-__all__ = [
-    "oracle_partitions",
-    "sampled_partitions",
-    "estimate_partitions",
-    "border_is_terminal",  # canonical home: repro.protocol.decisions
-]
-
-NeighborFn = Callable[[NodeId], Sequence[NodeId]]
+__all__ = ["oracle_partitions"]
 
 
 def oracle_partitions(ring: Ring, node_id: NodeId, k: int) -> PartitionTable:
@@ -69,86 +48,3 @@ def oracle_partitions(ring: Ring, node_id: NodeId, k: int) -> PartitionTable:
         medians.append(ring.position_at_cw_rank(origin, half, live_only=True))
         remaining = half
     return PartitionTable(origin=origin, far_end=far_end, medians=tuple(medians))
-
-
-def sampled_partitions(
-    ring: Ring,
-    node_id: NodeId,
-    k: int,
-    config: OscarConfig,
-    rng: np.random.Generator,
-    neighbor_fn: NeighborFn | None = None,
-) -> PartitionTable:
-    """Estimate partitions from samples (``UNIFORM`` or ``WALK`` mode).
-
-    Drives the sans-I/O :class:`~repro.protocol.estimation.PartitionEstimator`
-    — the same level machine the message-passing runtime runs — feeding
-    it this simulator's samplers: per level ``i`` the machine requests
-    the remaining arc ``(origin, m_{i-1}]``, receives samples, and takes
-    the clockwise sample median as the border ``m_i``; levels stop early
-    when a subpopulation yields no non-self samples, and estimated
-    borders are clamped to preserve the table's monotonicity invariant
-    under sampling noise.
-    """
-    origin = ring.position(node_id)
-    if ring.live_count - (1 if ring.is_alive(node_id) else 0) < 1:
-        raise SamplingError(f"node {node_id} sees an empty population")
-    far_end = ring.position(ring.predecessor(node_id, live_only=True))
-    if far_end == origin:
-        # Sole live peer aside from dead entries: single-partition table.
-        return PartitionTable(origin=origin, far_end=far_end)
-
-    walker_start: NodeId | None = None
-    if config.sampling_mode is SamplingMode.WALK:
-        if neighbor_fn is None:
-            raise SamplingError("WALK sampling requires a neighbor_fn")
-        walker_start = ring.successor(node_id, live_only=True)
-
-    estimator = PartitionEstimator(origin, far_end, k)
-    while (arc := estimator.pending_arc()) is not None:
-        estimator.add_samples(
-            _sample_arc(ring, config, rng, node_id, arc[0], arc[1], neighbor_fn, walker_start)
-        )
-    return estimator.table()
-
-
-def estimate_partitions(
-    ring: Ring,
-    node_id: NodeId,
-    config: OscarConfig,
-    rng: np.random.Generator,
-    neighbor_fn: NeighborFn | None = None,
-) -> PartitionTable:
-    """Dispatch on ``config.sampling_mode`` (the public entry point)."""
-    k = config.partitions_for(max(1, ring.live_count))
-    if config.sampling_mode is SamplingMode.ORACLE:
-        return oracle_partitions(ring, node_id, k)
-    return sampled_partitions(ring, node_id, k, config, rng, neighbor_fn)
-
-
-def _sample_arc(
-    ring: Ring,
-    config: OscarConfig,
-    rng: np.random.Generator,
-    node_id: NodeId,
-    origin: float,
-    arc_end: float,
-    neighbor_fn: NeighborFn | None,
-    walker_start: NodeId | None,
-) -> np.ndarray:
-    """Positions of sampled peers in ``(origin, arc_end]``, self excluded."""
-    if config.sampling_mode is SamplingMode.UNIFORM:
-        ids = sample_arc_uniform(ring, rng, origin, arc_end, config.sample_size)
-    else:
-        assert neighbor_fn is not None and walker_start is not None
-        walker = RestrictedWalker(ring, neighbor_fn, start=origin, end=arc_end)
-        start = walker_start
-        if not walker._in_arc(start):
-            # The node's direct successor can fall outside a shrunken arc
-            # only if the arc is empty of live peers; bail out.
-            return np.empty(0, dtype=float)
-        ids = walker.walk(rng, start, config.sample_size, hops_per_sample=config.walk_hops)
-    ids = ids[ids != node_id]
-    if ids.size == 0:
-        return np.empty(0, dtype=float)
-    return np.array([ring.position(int(i)) for i in ids], dtype=float)

@@ -2,8 +2,8 @@
 
 A node's state is deliberately small: capacities, its current partition
 table, and its link sets. Link *semantics* (acceptance, choice-of-two,
-rewiring) live in :mod:`repro.core.construction`; the node only does the
-local bookkeeping a real peer would do.
+rewiring) live in the construction engine, :mod:`repro.engine.construct`;
+the node only does the local bookkeeping a real peer would do.
 
 Since the struct-of-arrays refactor a node object is a *view*: it holds
 ``(state, slot)`` and every attribute reads or writes one cell of the

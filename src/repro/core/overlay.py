@@ -5,7 +5,8 @@
 maintained ring pointers, per-peer state, routing — the
 :class:`~repro.routing.NeighborProvider` both routers work against) plus
 Oscar's link policy: partition estimation and capacity-respecting link
-acquisition and rewiring, scalar and batched.
+acquisition and rewiring, all run by the one builder,
+:class:`~repro.engine.construct.BatchConstructionEngine`.
 
 Typical use::
 
@@ -23,7 +24,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -31,11 +32,12 @@ from ..config import OscarConfig, RoutingConfig
 from ..degree import DegreeDistribution
 from ..types import Key, NodeId
 from ..workloads import KeyDistribution
-from .construction import LinkAcquisitionStats, acquire_links, rewire_all
-from .estimators import estimate_partitions
 from .node import OscarNode
 from .soa import NodeTable
 from .substrate import Substrate
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..engine.construct import LinkAcquisitionStats
 
 __all__ = ["OscarOverlay"]
 
@@ -62,19 +64,17 @@ class OscarOverlay(Substrate):
     def join(self, position: Key, rho_max_in: int, rho_max_out: int) -> NodeId:
         """Add a peer at ``position`` with the given capacity caps.
 
-        The new peer is spliced into the ring, estimates its partitions
-        against the current population and immediately acquires long
-        links (bounded by the caps of already-present peers). Raises
-        :class:`DuplicateNodeError` on position collision — callers
-        redraw their key.
+        The new peer is spliced into the ring, then estimates its
+        partitions against the current population and acquires long
+        links (bounded by the caps of already-present peers) as a
+        one-peer :meth:`~repro.engine.construct.BatchConstructionEngine.join_cohort`.
+        Raises :class:`DuplicateNodeError` on position collision —
+        callers redraw their key.
         """
+        from ..engine.construct import BatchConstructionEngine  # lazy: import cycle
+
         node_id = self._splice(position, rho_max_in, rho_max_out)
-        if self.ring.live_count > 1:
-            node = self.nodes[node_id]
-            node.partitions = estimate_partitions(
-                self.ring, node_id, self.config, self._join_rng, neighbor_fn=self.neighbors_of
-            )
-            acquire_links(self.ring, self.nodes, node, self.config, self._join_rng)
+        BatchConstructionEngine(self).join_cohort(np.array([node_id], dtype=np.int64))
         return node_id
 
     def grow_batch(
@@ -83,51 +83,35 @@ class OscarOverlay(Substrate):
         keys: KeyDistribution,
         degrees: DegreeDistribution,
         vectorized: bool = True,
-    ) -> LinkAcquisitionStats:
-        """Grow to ``target_size`` live peers in one vectorized bulk step.
+    ) -> "LinkAcquisitionStats":
+        """Grow to ``target_size`` live peers in one bulk step.
 
-        The batched counterpart of :meth:`grow`: newcomers are spliced
-        into the ring with one sorted merge, then estimate partitions
-        and acquire links as a single lock-step cohort through
-        :class:`~repro.engine.construct.BatchConstructionEngine`.
-        Existing peers keep their links (the same incremental contract
-        as ``grow``); the two paths are statistically equivalent but not
-        draw-for-draw aligned, so they build different (equally valid)
-        overlays from the same seed. ``vectorized=False`` runs the
-        engine's pure-Python sequential reference on the identical RNG
-        stream — bit-identical output, used by equivalence tests and
-        the churn engine's reference path. Returns the cohort's
-        :class:`~repro.core.construction.LinkAcquisitionStats`.
+        Newcomers are spliced into the ring with one sorted merge, then
+        estimate partitions and acquire links as a single lock-step
+        cohort through
+        :class:`~repro.engine.construct.BatchConstructionEngine`, Oscar's
+        one builder; existing peers keep their links until the next
+        :meth:`rewire_batch`. ``vectorized=False`` runs the engine's
+        pure-Python sequential reference on the identical RNG stream —
+        bit-identical output, used by equivalence tests and the churn
+        engine's reference path. Returns the cohort's
+        :class:`~repro.engine.construct.LinkAcquisitionStats`.
         """
         from ..engine.construct import BatchConstructionEngine  # lazy: import cycle
 
         return BatchConstructionEngine(self, vectorized=vectorized).grow(target_size, keys, degrees)
 
-    # Rebound in this class body, not re-implemented: the committed
-    # benchmark's tracer wraps ``OscarOverlay.__dict__["leave_batch"]``
-    # (bench/harness.py::TRACED), so the name must live here too.
-    leave_batch = Substrate.leave_batch
-
-    def rewire(self, rng: np.random.Generator | None = None) -> LinkAcquisitionStats:
-        """One global rewiring round (see
-        :func:`repro.core.construction.rewire_all`)."""
-        self._links_epoch += 1
-        return rewire_all(self, rng if rng is not None else self._rewire_rng)
-
     def rewire_batch(
         self, rng: np.random.Generator | None = None, vectorized: bool = True
-    ) -> LinkAcquisitionStats:
-        """One global rewiring round, vectorized.
-
-        Same epoch semantics as :meth:`rewire` (teardown, re-estimation
-        against the current population, re-acquisition under a random
-        peer priority) executed by the
+    ) -> "LinkAcquisitionStats":
+        """One global rewiring round: teardown, re-estimation against
+        the current population, re-acquisition under a random peer
+        priority — executed by
         :class:`~repro.engine.construct.BatchConstructionEngine` in
-        lock-step numpy rounds — ≥5× faster at 10k peers. Batched and
-        scalar rewiring consume the RNG differently, so the resulting
-        overlays differ per-link while obeying the identical invariants.
-        ``vectorized=False`` runs the engine's sequential reference on
-        the same stream instead — bit-identical to the vectorized round.
+        lock-step numpy rounds on ``rng`` (default: the overlay's rewire
+        stream). ``vectorized=False`` runs the engine's sequential
+        reference on the same stream instead — bit-identical to the
+        vectorized round.
         """
         from ..engine.construct import BatchConstructionEngine  # lazy: import cycle
 
@@ -135,6 +119,14 @@ class OscarOverlay(Substrate):
         return BatchConstructionEngine(self, vectorized=vectorized).rewire(
             rng if rng is not None else self._rewire_rng
         )
+
+    # Bound in this class body, not re-implemented: Oscar has one builder,
+    # so ``grow`` / ``rewire`` *are* the batched verbs. The committed
+    # benchmark's tracer wraps ``OscarOverlay.__dict__[name]`` for every
+    # name in bench/harness.py::TRACED, so those names live here too.
+    grow = grow_batch
+    rewire = rewire_batch
+    leave_batch = Substrate.leave_batch
 
     def live_nodes(self) -> Iterable[OscarNode]:
         """Live peers' states, in ring order."""

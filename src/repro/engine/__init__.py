@@ -15,10 +15,11 @@ lock-step **epochs**; there is no event scheduler:
   against any :class:`~repro.core.substrate.Substrate` by running the
   kernel over a ground-truth :class:`TopologySnapshot`, cached and
   invalidated on membership change;
-* the batched construction engine (:mod:`repro.engine.construct`) —
-  :class:`BatchConstructionEngine` runs partition estimation and link
-  acquisition for all peers in lock-step numpy rounds, with a
-  sequential reference path pinned bit-identical by tests;
+* the construction engine (:mod:`repro.engine.construct`) —
+  :class:`BatchConstructionEngine`, Oscar's one builder, runs partition
+  estimation and link acquisition for all peers in lock-step numpy
+  rounds, with a sequential reference path pinned bit-identical by
+  tests;
 * the steady-state churn engine (:mod:`repro.engine.churn`) —
   :class:`SteadyStateChurnEngine` advances an overlay through lock-step
   epochs of batched arrivals, session-expiry departures, periodic
@@ -39,7 +40,7 @@ lock-step **epochs**; there is no event scheduler:
 
 from .batch import BatchQueryEngine, BatchRouteResult, TopologySnapshot
 from .churn import ChurnEpochStats, SteadyStateChurnEngine
-from .construct import BatchConstructionEngine, LiveView
+from .construct import BatchConstructionEngine, LinkAcquisitionStats, LiveView
 from .serve import (
     Outcome,
     ResultCache,
@@ -54,6 +55,7 @@ __all__ = [
     "BatchQueryEngine",
     "BatchRouteResult",
     "ChurnEpochStats",
+    "LinkAcquisitionStats",
     "LiveView",
     "Outcome",
     "ResultCache",

@@ -153,22 +153,31 @@ class BatchRouteResult:
         sources: Originating node ids.
         target_keys: Looked-up keys.
         responsible: Ground-truth responsible node id per query.
-        hops: Forward hops per query (the fault-free search cost).
-        success: Delivery flag per query (always true — the fault-free
-            greedy walk either delivers or raises, as the scalar router
-            does).
+        hops: Forward hops per query (the fault-free search cost; for a
+            failed walk, the hops taken before it stopped).
+        code: The kernel's :class:`~repro.engine.walk.WalkCode` per
+            query — ``OK``, or the condition that makes the scalar
+            fault-free router raise (``BUDGET``, ``NO_SUCCESSOR``,
+            ``STUCK``). A failed query stops alone; the rest of the
+            batch is routed as if it were not there.
     """
 
     sources: np.ndarray
     target_keys: np.ndarray
     responsible: np.ndarray
     hops: np.ndarray
-    success: np.ndarray
+    code: np.ndarray
+
+    @property
+    def success(self) -> np.ndarray:
+        """Delivery flag per query (``code == WalkCode.OK``)."""
+        return self.code == WalkCode.OK
 
     def stats(self) -> RouteStats:
         """Fold into :class:`~repro.routing.RouteStats`, bit-identical to
         :func:`~repro.routing.summarize_routes` over the equivalent
-        scalar :class:`~repro.routing.RouteResult` batch."""
+        scalar :class:`~repro.routing.RouteResult` batch (a batch the
+        scalar router routes without raising)."""
         n = int(self.hops.size)
         if n == 0:
             return RouteStats(0, 0, 0.0, 0.0, 0.0, 0, 0.0)
@@ -249,12 +258,14 @@ class BatchQueryEngine:
         current :class:`TopologySnapshot`, all queries advancing one hop
         per iteration. The kernel evaluates exactly the scalar router's
         rules as array ops, so hop counts match one-at-a-time routing.
+        A query that exceeds the message budget, reaches a peer with no
+        ring successor pointer or finds no progressing neighbor — the
+        conditions that abort the scalar fault-free router — is a row
+        code in the result, not an exception.
 
         Raises:
-            RoutingError: A query exceeded the message budget, reached a
-                peer with no ring successor pointer, or found no
-                progressing neighbor — the same conditions that abort
-                the scalar fault-free router.
+            RoutingError: A source is unknown to the topology (checked
+                before anything is routed).
         """
         snap = self.snapshot()
         sources = np.asarray(sources, dtype=np.int64)
@@ -269,24 +280,15 @@ class BatchQueryEngine:
         source_rows = rows_of(snap.row_of, sources)
         if np.any(source_rows < 0):
             raise RoutingError("batch contains sources unknown to the topology")
-        budget = self.routing.budget
-        hops, code, stopped = greedy_walk(snap.table, source_rows, responsible, targets, budget)
-        failed = np.flatnonzero(code)
-        if failed.size:
-            node = int(snap.all_ids[stopped[failed[0]]])
-            raise RoutingError(
-                {
-                    WalkCode.BUDGET: f"greedy walk exceeded budget {budget}",
-                    WalkCode.NO_SUCCESSOR: f"node {node} has no ring successor pointer",
-                    WalkCode.STUCK: f"node {node} has no progressing neighbor",
-                }[WalkCode(code[failed[0]])]
-            )
+        hops, code, __ = greedy_walk(
+            snap.table, source_rows, responsible, targets, self.routing.budget
+        )
         return BatchRouteResult(
             sources=sources,
             target_keys=target_keys,
             responsible=snap.all_ids[responsible],
             hops=hops,
-            success=np.ones(hops.size, dtype=bool),
+            code=code,
         )
 
     # ------------------------------------------------------------------

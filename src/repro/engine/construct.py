@@ -1,18 +1,16 @@
-"""Batched overlay construction and maintenance — the build hot path.
+"""Overlay construction and maintenance — Oscar's one builder.
 
-Routing went array-oriented in PR 1 and exact in PR 3, but *construction*
-stayed scalar: ``rewire_all`` re-estimates every peer's partition table
-through per-node Python loops and places long links one slot at a time.
-At the ROADMAP's scales that is the binding constraint — a 10k-peer full
-rewire spends seconds in the interpreter, and a 100k-peer bootstrap is
-minutes of list splicing. :class:`BatchConstructionEngine` re-states the
-whole construction procedure as lock-step numpy rounds:
+:class:`BatchConstructionEngine` runs the paper's construction procedure
+— estimate the partitions by sampling, acquire capacity-respecting
+links with two choices, rewire periodically — as lock-step numpy rounds
+over every peer at once. Every Oscar build goes through it: a bulk
+``grow``, a single ``join`` (a one-row cohort) and a full ``rewire``.
 
 * **partition estimation** runs for all peers simultaneously — one
   ``(peers, samples)`` draw per recursion level, medians selected by
   exact ``uint64`` clockwise rank on the fixed-point keyspace, level
-  termination decided by the same comparison-exact border clamp the
-  scalar estimator uses (:func:`repro.core.estimators.border_is_terminal`).
+  termination decided by the comparison-exact border clamp the protocol
+  core defines (:func:`repro.protocol.decisions.border_is_terminal`).
   In ``UNIFORM`` mode the kernel does not build the samples it ranks:
   rows are in key order, so the sample median is the offset of an order
   statistic of the uniform draw (one in-place ``partition``), unless
@@ -41,23 +39,22 @@ whole construction procedure as lock-step numpy rounds:
 Determinism contract
 --------------------
 
-The engine defines round-based semantics of its own (it is **not**
-draw-for-draw aligned with the one-peer-at-a-time
-:func:`repro.core.construction.rewire_all`; both are faithful
-implementations of the paper's procedure). Within the engine, the RNG
-draw layout is fixed and state-independent — every round draws the same
-array shapes regardless of what individual peers decide — so the
-vectorized kernels and the pure-Python sequential reference
-(``vectorized=False``) consume one stream identically and must produce
-bit-identical link sets, partition tables and
-:class:`~repro.core.construction.LinkAcquisitionStats`. The test suite
-pins that equivalence property-style and via a golden build fixture.
+The engine's RNG draw layout is fixed and state-independent — every
+round draws the same array shapes regardless of what individual peers
+decide — so the vectorized kernels and the pure-Python sequential
+reference (``vectorized=False``) consume one stream identically and must
+produce bit-identical link sets, partition tables and
+:class:`LinkAcquisitionStats`. That reference is the only twin of the
+kernels; the live runtime's :mod:`repro.protocol` machines are the one
+message-passing realisation, held to this engine by a lockstep
+differential. The test suite pins the equivalence property-style and
+via a golden build fixture.
 
 Typical use goes through the substrate surface::
 
     overlay = OscarOverlay(OscarConfig(), seed=42)
-    overlay.grow_batch(100_000, GnutellaLikeDistribution(), ConstantDegrees(12))
-    stats = overlay.rewire_batch()
+    overlay.grow(100_000, GnutellaLikeDistribution(), ConstantDegrees(12))
+    stats = overlay.rewire()
 """
 
 from __future__ import annotations
@@ -68,7 +65,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..config import SamplingMode
-from ..core.construction import LinkAcquisitionStats
 from ..core.soa import row_table
 from ..degree import DegreeDistribution, assign_caps
 from ..errors import SamplingError
@@ -83,7 +79,35 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.soa import SubstrateState
     from ..core.overlay import OscarOverlay
 
-__all__ = ["BatchConstructionEngine", "LiveView", "draw_positions"]
+__all__ = ["BatchConstructionEngine", "LinkAcquisitionStats", "LiveView", "draw_positions"]
+
+
+@dataclass(slots=True)
+class LinkAcquisitionStats:
+    """Counters describing one acquisition run (diagnostics/ablations).
+
+    ``conflicts`` counts requests that were acknowledged but lost the
+    commit race for a candidate's last free slot within one acquisition
+    round (an earlier-priority requester of the same round took it).
+    """
+
+    links_placed: int = 0
+    slots_given_up: int = 0
+    draws: int = 0
+    refusals: int = 0
+    empty_partition_draws: int = 0
+    conflicts: int = 0
+
+    def merge(self, other: object) -> None:
+        """Accumulate another run's counters into this one (``other``
+        is anything carrying the six fields, e.g. a live peer's
+        :class:`~repro.protocol.join.JoinProtocol`)."""
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    def as_dict(self) -> dict[str, int]:
+        """Plain-dict view (stable key order) for artifacts and tests."""
+        return {name: int(getattr(self, name)) for name in self.__slots__}
 
 
 class LiveView:
@@ -242,10 +266,9 @@ class BatchConstructionEngine:
     # ------------------------------------------------------------------
 
     def rewire(self, rng: np.random.Generator) -> LinkAcquisitionStats:
-        """One global rewiring round, batched.
+        """One global rewiring round (the paper's periodic rewiring).
 
-        Same epoch structure as :func:`repro.core.construction.rewire_all`:
-        teardown of every long link, partition re-estimation for all
+        Teardown of every long link, partition re-estimation for all
         peers against the current population, then link re-acquisition
         under a random peer priority so no cohort systematically wins
         the race for scarce in-capacity.
@@ -278,10 +301,8 @@ class BatchConstructionEngine:
         Keys and caps are drawn in bulk (collisions redrawn), all
         newcomers are spliced into the ring with one sorted merge
         (:meth:`Ring.insert_many <repro.ring.ring.Ring.insert_many>`),
-        ring pointers are rebuilt once, and the newcomers then estimate
-        partitions and acquire links as one batched cohort against the
-        full population — existing peers keep their links, mirroring the
-        incremental contract of scalar ``grow``.
+        ring pointers are rebuilt once, and the newcomers then join as
+        one :meth:`join_cohort`.
 
         RNG-stream contract: consumes the overlay's join stream
         (``_join_rng``) — state-dependent on the overlay's history, but
@@ -305,8 +326,20 @@ class BatchConstructionEngine:
         overlay.state.cap_in[new_slots] = np.asarray(caps_in, dtype=np.int64)
         overlay.state.cap_out[new_slots] = np.asarray(caps_out, dtype=np.int64)
         repair_all(overlay.ring, overlay.pointers)
+        return self.join_cohort(new_ids)
+
+    def join_cohort(self, new_ids: np.ndarray) -> LinkAcquisitionStats:
+        """Link up peers already spliced into the ring.
+
+        The newcomers ``new_ids`` estimate partitions against the full
+        live population and acquire links as one batched cohort on the
+        overlay's join stream; existing peers keep their links. Nothing
+        happens below two live peers (a lone peer has no one to link to).
+        """
+        overlay = self.overlay
         if overlay.ring.live_count < 2:
             return LinkAcquisitionStats()
+        rng = overlay._join_rng
         view = LiveView.capture(overlay)
         rows = np.sort(view.row_of[new_ids])
         arcs = self._estimate(rng, view, rows, track_spend=False)
@@ -434,8 +467,9 @@ class BatchConstructionEngine:
         Per level every still-active peer draws ``sample_size`` arc
         members (one shared RNG call), takes the exact-rank clockwise
         sample median, and stops when its arc runs empty or the border
-        clamp fires — the vectorized restatement of
-        :func:`repro.core.estimators.sampled_partitions`.
+        clamp fires — the lock-step form of the level machine
+        :class:`repro.protocol.estimation.PartitionEstimator` runs per
+        peer.
 
         In ``UNIFORM`` mode over distinct keys the vectorized kernel
         never builds the samples: rows are in key order and an arc
@@ -467,8 +501,8 @@ class BatchConstructionEngine:
             if walk:
                 started = in_cw_arc(view.pos[start_rows[act]], origin[act], prev[act])
                 # A walker whose ring successor fell outside the shrunken
-                # arc sees an arc empty of other live peers: stop (the
-                # scalar estimator bails with an empty sample the same way).
+                # arc sees an arc empty of other live peers: stop, as an
+                # empty sample stops the level machine.
                 active[act[~started]] = False
                 act = act[started]
                 if act.size == 0:
@@ -625,7 +659,7 @@ class BatchConstructionEngine:
         Row ``i``: geometric ring successor and predecessor (the
         pointers' steady state) followed by the peer's long links, dead
         targets dropped (a restricted walker refuses them anyway), in
-        provider order — the same adjacency the scalar walker scans.
+        provider order — the overlay's ``neighbors_of`` adjacency.
         """
         m = view.m
         row_idx = np.arange(m, dtype=np.int64)
@@ -638,8 +672,7 @@ class BatchConstructionEngine:
             axis=1,
         )
         # Stable left-compaction: valid entries keep provider order, the
-        # -1 holes (self, dead targets) are pushed off the right edge —
-        # the same rows the scalar list construction produced.
+        # -1 holes (self, dead targets) are pushed off the right edge.
         order = np.argsort(full < 0, axis=1, kind="stable")
         matrix = np.take_along_axis(full, order, axis=1)
         keep = max(1, int((full >= 0).sum(axis=1).max(initial=0)))
@@ -723,7 +756,7 @@ class BatchConstructionEngine:
         ranks in the vectorized path, an explicit priority-ordered loop
         in the reference). A failed attempt consumes one of the slot's
         ``link_retries + 1`` tries; exhausting them gives the peer's
-        remaining slots up, exactly like the scalar per-slot loop.
+        remaining slots up.
 
         The vectorized rounds read and write the requesters' link rows
         through ``links_t`` — a requester-ordered, column-major copy
@@ -853,7 +886,7 @@ class BatchConstructionEngine:
         if n_cand == 2:
             c1, i1, ack1, spare1 = columns[1]
             d0, d1 = in_deg[c0], in_deg[c1]
-            # Lexicographic (in-degree, -spare, id) — the scalar min() key.
+            # Lexicographic (in-degree, -spare, id) — the link_winner_key order.
             roomier1 = (spare1 > spare0) | ((spare1 == spare0) & (i1 < i0))
             better1 = (d1 < d0) | ((d1 == d0) & roomier1)
             use1 = ack1 & (~ack0 | better1)

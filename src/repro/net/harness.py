@@ -17,7 +17,7 @@ quiescence. Two build disciplines:
   everything locally from their directory; the transport's superstep
   barrier gives replies snapshot semantics and replays commits in
   priority order. The resulting topology and
-  :class:`~repro.core.construction.LinkAcquisitionStats` are
+  :class:`~repro.engine.construct.LinkAcquisitionStats` are
   **bit-identical** to :meth:`BatchConstructionEngine.grow
   <repro.engine.construct.BatchConstructionEngine.grow>` /
   :meth:`rewire <repro.engine.construct.BatchConstructionEngine.rewire>`
@@ -51,9 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.construction import LinkAcquisitionStats
 from ..degree import DegreeDistribution, assign_caps
-from ..engine.construct import draw_positions
+from ..engine.construct import LinkAcquisitionStats, draw_positions
 from ..errors import ConfigError, SimulationError
 from ..protocol.directory import Directory
 from ..protocol.messages import (

@@ -8,11 +8,10 @@ in messages. This package states those decisions once, transport-free:
 * :mod:`~repro.protocol.decisions` — the atomic decision rules (link
   acceptance, the power-of-two winner key, the Metropolis–Hastings
   acceptance step, the border clamp, the closest-preceding-hop rule).
-  The simulation paths (:mod:`repro.core.construction`,
-  :mod:`repro.core.estimators`, :mod:`repro.sampling.random_walk`,
-  :mod:`repro.routing.greedy` and the scalar reference paths of
-  :mod:`repro.engine.construct`) call these *exact same functions*, so
-  the sim is pinned bit-identical to the protocol by construction;
+  The simulation paths (:mod:`repro.routing.greedy` and the sequential
+  reference of :mod:`repro.engine.construct`, the one Oscar builder)
+  call these *exact same functions*, so the sim is pinned bit-identical
+  to the protocol by construction;
 * :mod:`~repro.protocol.messages` / :mod:`~repro.protocol.effects` —
   the typed message grammar and the typed effects machines emit
   (``Send``, ``StartTimer``, ``LinkEstablished``, ...);

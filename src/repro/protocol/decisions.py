@@ -2,9 +2,9 @@
 
 Each function here is a *local* rule a peer applies to information it
 can legitimately hold — its own counters plus what arrived in messages.
-The scalar simulation, the batched engine's sequential reference and
+The scalar router, the construction engine's sequential reference and
 the :mod:`repro.net` runtime all call these same functions, which is
-what pins the three paths to one protocol:
+what pins the paths to one protocol:
 
 * a candidate acknowledges a link request iff :func:`accepts_link`;
 * among acknowledging candidates the requester links the
@@ -89,9 +89,9 @@ def border_is_terminal(border: float, origin: float, previous_end: float) -> boo
     Decided with the same comparison-exact interval predicate
     :class:`~repro.core.partitions.PartitionTable` validates with, so an
     estimator can never hand the table a border the table would reject.
-    Shared by the scalar estimator, the batched construction engine
-    (:mod:`repro.engine.construct`) — whose vectorized twin must agree
-    with this predicate bit-for-bit — and the net runtime's estimators.
+    Shared by the construction engine (:mod:`repro.engine.construct`) —
+    whose vectorized kernel must agree with this predicate bit-for-bit —
+    and the net runtime's estimators.
     """
     return border == previous_end or not in_cw_interval(border, origin, previous_end)
 

@@ -4,9 +4,9 @@
 with the *sampling* left to the driver: the machine announces which arc
 it needs samples from, the driver obtains positions however its world
 allows (i.i.d. draws against a membership directory, a restricted walk
-over real messages, the ring's order statistics), and feeds them back.
-:func:`repro.core.estimators.sampled_partitions` drives it with the
-historical scalar samplers — same draw order, bit-identical tables.
+over real messages), and feeds them back; :class:`JoinProtocol
+<repro.protocol.join.JoinProtocol>` drives it for a live peer. The
+construction engine runs the same level loop for every peer at once.
 
 :func:`select_border` and :func:`cw_arc_slice` are the scalar exactness
 kernels shared with the batched engine's sequential reference
@@ -96,10 +96,10 @@ class PartitionEstimator:
     Per level the machine requests samples of the remaining arc
     ``(origin, m_{i-1}]``, takes the clockwise sample median as the
     border ``m_i``, and finishes early when a level yields no samples or
-    the border clamp fires — exactly the level loop of
-    :func:`repro.core.estimators.sampled_partitions`, which now drives
-    this machine. The machine never samples: the driver owns whatever
-    randomness or messaging the samples cost.
+    the border clamp fires — the level loop the construction engine's
+    ``_sampled_levels`` runs for every peer in lock-step. The machine
+    never samples: the driver owns whatever randomness or messaging the
+    samples cost.
     """
 
     __slots__ = ("origin", "far_end", "_previous_end", "_medians", "_levels_left")
@@ -146,8 +146,8 @@ class PartitionEstimator:
     def table(self) -> "PartitionTable":
         """The estimated table (valid once ``pending_arc()`` is ``None``)."""
         # Imported here, not at module level: repro.core pulls in the
-        # sampling package, whose walker shares protocol decisions —
-        # a module-level import would close that loop.
+        # routers, which share protocol decisions — a module-level
+        # import would close that loop.
         from ..core.partitions import PartitionTable
 
         return PartitionTable(origin=self.origin, far_end=self.far_end, medians=tuple(self._medians))

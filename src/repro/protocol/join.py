@@ -9,18 +9,16 @@ and membership knowledge arrives as a
 :class:`~repro.protocol.directory.Directory` the driver obtained from
 the seed.
 
-Fidelity contract: the machine makes the same decisions in the same
-order as the scalar :func:`repro.core.construction.acquire_links` /
-:func:`repro.core.estimators.sampled_partitions` pair — same retry
-budget, same dedup-and-sort candidate handling, same
-abandon-the-rest-on-first-give-up rule, same refusal/conflict
-accounting — but draws from *its own* labelled stream and learns load
-from :class:`~repro.protocol.messages.LinkReply` fields rather than
-reading other peers' state. Equivalence with the engines is therefore
-at the invariant level (degree caps, partition balance, routing
-success); the bit-exact oracle lives in :mod:`repro.net`'s lockstep
-mode, which bypasses this machine's sampling and deals engine-layout
-tickets instead.
+Fidelity contract: the machine makes one peer's decisions one request
+at a time — the same retry budget, acceptance rule, power-of-two winner
+key and refusal/conflict accounting as the construction engine
+(:mod:`repro.engine.construct`) — but draws from *its own* labelled
+stream and learns load from :class:`~repro.protocol.messages.LinkReply`
+fields rather than reading other peers' state. Equivalence with the
+engine is therefore at the invariant level (degree caps, partition
+balance, routing success); the bit-exact oracle lives in
+:mod:`repro.net`'s lockstep mode, which bypasses this machine's sampling
+and deals engine-layout tickets instead.
 """
 
 from __future__ import annotations

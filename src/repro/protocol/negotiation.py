@@ -5,7 +5,7 @@ requester asks every sampled candidate, candidates acknowledge iff
 below their volunteered in-cap, and the requester commits to the
 power-of-two winner — which re-checks its *live* cap at commit time, so
 a concurrent requester that committed first turns the grant into a
-conflict. The scalar simulation collapses this exchange into direct
+conflict. The construction engine collapses this exchange into direct
 state reads; :class:`LinkNegotiation` is the same decision sequence
 with the reads replaced by :class:`~repro.protocol.messages.LinkReply`
 fields, which is exactly what lets the asyncio runtime and the
@@ -22,8 +22,8 @@ Lifecycle::
                                              # counts as a conflict
 
 The machine is single-shot: retries and re-sampling are the caller's
-loop (:class:`~repro.protocol.join.JoinProtocol` / the scalar
-``_acquire_one``), matching the historical retry bookkeeping.
+loop (:class:`~repro.protocol.join.JoinProtocol`), matching the
+engine's retry bookkeeping.
 """
 
 from __future__ import annotations

@@ -17,14 +17,14 @@ compares the degrees of both endpoints and no peer knows the other's:
    :class:`~repro.protocol.messages.WalkDone` is returned to the origin
    when the sample quota or the step budget runs out).
 
-This mirrors :class:`repro.sampling.random_walk.RestrictedWalker` at
-the decision level — same proposal rule, same acceptance rule (via the
-shared :mod:`~repro.protocol.decisions` functions), same step budget
-``burn_in + n_samples * hops_per_sample + 1`` — but distributes the
-draws across the visited peers' streams, so equivalence with the
-single-stream simulation is statistical, not bitwise (the net
-runtime's lockstep oracle therefore runs ``UNIFORM`` estimation; walk
-mode is exercised invariant-level).
+This is the walk :class:`repro.sampling.BatchRestrictedWalker` runs in
+lock-step — same proposal rule, same ``min(1, deg_here / deg_there)``
+acceptance rule (here via the shared :mod:`~repro.protocol.decisions`
+functions), a ``burn_in + n_samples * hops_per_sample + 1`` step budget
+— but it distributes the draws across the visited peers' streams, so
+equivalence with the single-stream simulation is statistical, not
+bitwise (the net runtime's lockstep oracle therefore runs ``UNIFORM``
+estimation; walk mode is exercised invariant-level).
 """
 
 from __future__ import annotations

@@ -312,26 +312,6 @@ class Ring:
         idx = (base + np.arange(count)) % ids.size
         return ids[idx]
 
-    def choose_in_cw_range(
-        self,
-        rng: np.random.Generator,
-        start: float,
-        end: float,
-        k: int = 1,
-        live_only: bool = True,
-    ) -> np.ndarray:
-        """Draw ``k`` peers uniformly (with replacement) from clockwise
-        ``(start, end]`` without materializing the range.
-
-        Returns an empty array when the range holds no peers — callers
-        treat that as "partition currently empty, redraw".
-        """
-        base, count, ids = self._range_span(start, end, live_only)
-        if count == 0:
-            return np.empty(0, dtype=int)
-        offsets = rng.integers(0, count, size=k)
-        return ids[(base + offsets) % ids.size]
-
     def position_at_cw_rank(self, origin: float, rank: int, live_only: bool = True) -> float:
         """Position of the peer at clockwise rank ``rank`` from ``origin``.
 

@@ -1,27 +1,24 @@
 """Sampling substrate: restricted walks, medians, density histograms.
 
-* :func:`sample_arc_uniform` / :class:`RestrictedWalker` — the paper's
-  Mercury-style uniform samplers over clockwise arcs (``UNIFORM`` and
-  ``WALK`` fidelity modes);
+* :class:`BatchRestrictedWalker` — the paper's Mercury-style restricted
+  Metropolis–Hastings walk over clockwise arcs (the ``WALK`` fidelity
+  mode), every walker in lock-step, with its sequential twin
+  :meth:`~BatchRestrictedWalker.walk_reference`; the construction
+  engine draws ``UNIFORM`` samples itself;
 * :func:`cw_sample_median` / :func:`cw_sample_quantile` — clockwise
   order statistics used for Oscar's recursive partition borders;
-* :class:`BatchRestrictedWalker` — the lock-step batched twin of the
-  restricted walker used by the construction engine;
 * :class:`NodeDensityHistogram` — Mercury's equi-width density learner.
 """
 
 from .batch_walk import BatchRestrictedWalker, in_cw_arc
 from .histogram import NodeDensityHistogram
 from .median import cw_sample_median, cw_sample_quantile, lower_median_index
-from .random_walk import RestrictedWalker, sample_arc_uniform
 
 __all__ = [
     "BatchRestrictedWalker",
     "NodeDensityHistogram",
-    "RestrictedWalker",
     "cw_sample_median",
     "cw_sample_quantile",
     "in_cw_arc",
     "lower_median_index",
-    "sample_arc_uniform",
 ]

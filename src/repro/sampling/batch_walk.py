@@ -1,12 +1,22 @@
 """Lock-step restricted random walks over a shared neighbor snapshot.
 
-The scalar :class:`~repro.sampling.random_walk.RestrictedWalker` advances
-one Metropolis–Hastings walker at a time through Python-level neighbor
-scans — fine for a single join, hopeless for a full rewiring round where
-*every* peer runs ``k - 1`` walks. :class:`BatchRestrictedWalker`
-advances many walkers simultaneously: one padded neighbor-row matrix is
-shared by all walkers (captured once per estimation pass), and each step
-is a handful of array gathers over every active walker at once.
+Oscar estimates each partition border as the median of a *uniform*
+sample of a clockwise arc of the population; the paper adopts Mercury's
+random-walk sampler, restricted so walkers "do not visit nodes with
+identifiers that do not belong to the current population". A full
+rewiring round runs ``k - 1`` such walks for *every* peer, so
+:class:`BatchRestrictedWalker` advances all walkers simultaneously: one
+padded neighbor-row matrix is shared by all of them (captured once per
+estimation pass), and each step is a handful of array gathers over every
+active walker at once.
+
+The Metropolis–Hastings correction (accept a move ``u -> v`` with
+probability ``min(1, deg_R(u) / deg_R(v))``, degrees counted within the
+arc-restricted subgraph) removes the degree bias of a plain walk, so the
+stationary distribution is uniform over the arc regardless of the
+heterogeneous degree caps. Connectivity inside an arc is guaranteed by
+the mandatory ring links: the peers of any clockwise arc form a ring
+path, so a restricted walker can always move.
 
 Draw convention
 ---------------
@@ -17,16 +27,14 @@ walker is stuck (restricted degree 0) or the acceptance test is decided
 without randomness. A fixed, state-independent draw layout is what lets
 the vectorized construction engine and its sequential reference path
 (:mod:`repro.engine.construct`) consume one RNG stream identically, so
-their outputs can be compared bit-for-bit. The scalar
-:class:`RestrictedWalker` draws lazily instead, so the two walkers are
-*statistically* equivalent (same chain law) but not draw-for-draw
-aligned; equivalence tests therefore pair this walker with the engine's
-sequential path, never with the scalar walker.
+their outputs can be compared bit-for-bit; :meth:`walk_reference
+<BatchRestrictedWalker.walk_reference>` is this walker's sequential twin
+on the same draws.
 
-MH semantics are otherwise the scalar walker's: a proposal leaving the
-arc, hitting a dead peer or failing the ``min(1, deg_here / deg_there)``
-acceptance test leaves the walker in place for that step (lazy chain),
-and restricted degrees are counted within the arc-induced subgraph.
+A proposal leaving the arc, hitting a dead peer or failing the
+``min(1, deg_here / deg_there)`` acceptance test leaves the walker in
+place for that step (lazy chain — staying put is what preserves
+uniformity).
 """
 
 from __future__ import annotations
@@ -45,8 +53,9 @@ def in_cw_arc(
 
     Membership of ``positions`` in clockwise ``(start, end]`` decided
     with comparisons only (broadcasting; ``start == end`` denotes the
-    whole circle) — the same exact predicate the scalar estimator
-    clamps with, so batched and scalar level-termination agree.
+    whole circle) — the same exact predicate
+    :func:`~repro.protocol.decisions.border_is_terminal` clamps with, so
+    the kernels and the protocol core agree on level termination.
     """
     p = np.asarray(positions, dtype=float)
     s = np.asarray(start, dtype=float)
@@ -99,9 +108,8 @@ class BatchRestrictedWalker:
         Walker ``w`` starts at ``start_rows[w]`` (must lie inside its arc
         ``(arc_start[w], arc_end[w]]`` — callers filter) and records its
         position every ``hops_per_sample`` steps after ``burn_in`` mixing
-        steps (default ``2 * hops_per_sample``), exactly the scalar
-        walker's schedule. Returns an ``(n_walkers, n_samples)`` int64
-        matrix of rows.
+        steps (default ``2 * hops_per_sample``). Returns an
+        ``(n_walkers, n_samples)`` int64 matrix of rows.
         """
         if n_samples < 1:
             raise SamplingError(f"n_samples must be >= 1, got {n_samples}")
@@ -168,7 +176,7 @@ class BatchRestrictedWalker:
     ) -> np.ndarray:
         """Sequential twin of :meth:`walk`: same draws, per-walker Python.
 
-        Steps every walker with plain scalar logic (list scans, float
+        Steps every walker with plain per-walker logic (list scans, float
         comparisons) against the identical :meth:`step_draws` stream.
         This is the reference the construction engine's equivalence
         tests pin :meth:`walk`'s array kernels to.

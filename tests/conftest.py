@@ -70,6 +70,27 @@ def build_mercury(
     return overlay
 
 
+def draw_in_arc(pos, ids, rng, start: float, end: float, size: int) -> np.ndarray:
+    """``size`` ids drawn uniformly from clockwise ``(start, end]`` over
+    sorted positions ``pos`` (ids ``ids``) the way the construction
+    engine draws samples and link candidates: the arc's window of the
+    rows, ``lo + floor(u * count)`` per draw — on the kernel and on its
+    twin, checked identical. Empty when the arc holds no row."""
+    from repro.engine.construct import BatchConstructionEngine
+    from repro.protocol.estimation import cw_arc_slice
+
+    lo, __, count = cw_arc_slice(pos, start, end)
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    u, window = rng.random((1, size)), (np.asarray([lo]), np.asarray([count]))
+    kernel, twin = (
+        BatchConstructionEngine(OscarOverlay(), vectorized=v)._uniform_samples(pos.size, u, *window)
+        for v in (True, False)
+    )
+    assert np.array_equal(kernel, twin)
+    return ids[kernel[0]]
+
+
 def assert_walk_table(table, candidates) -> None:
     """``table`` (a ``WalkTable``) holds what its keys and successor
     column say it must, recomputed from scratch row by row: column 0 is

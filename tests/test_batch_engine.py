@@ -177,12 +177,24 @@ class TestBatchMatchesScalar:
         assert stats.mean_cost == 0.0
 
     def test_budget_exhaustion_raises_like_scalar(self):
+        """Where the scalar router raises for the budget, the batch
+        reports ``WalkCode.BUDGET`` for that query alone."""
         from repro.config import RoutingConfig
 
         overlay = build_overlay(n=80, seed=17)
-        engine = BatchQueryEngine(overlay, routing=RoutingConfig(budget=1))
-        with pytest.raises(RoutingError):
-            engine.measure(split(17, "b"), n_queries=50)
+        overlay.routing = RoutingConfig(budget=1)
+        sources, targets = QueryWorkload().generate_arrays(overlay.ring, split(17, "b"), 50)
+        batch = BatchQueryEngine(overlay).route_batch(sources, targets)
+        assert (batch.code == WalkCode.BUDGET).any() and batch.success.any()
+        for i in range(sources.size):
+            if batch.success[i]:
+                assert overlay.route(int(sources[i]), float(targets[i])).hops == batch.hops[i]
+            else:
+                assert batch.code[i] == WalkCode.BUDGET
+                with pytest.raises(RoutingError, match="exceeded budget"):
+                    overlay.route(int(sources[i]), float(targets[i]))
+        stats = BatchQueryEngine(overlay).measure(split(17, "b"), n_queries=50)
+        assert stats.n_success == int(batch.success.sum()) < stats.n_routes
 
 
     @pytest.mark.parametrize("kind", KINDS)

@@ -15,17 +15,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import OscarConfig, OscarOverlay
 from repro.config import SamplingMode
-from repro.core.construction import LinkAcquisitionStats
 from repro.core.substrate import Substrate
 from repro.degree import ConstantDegrees
 from repro.engine import BatchQueryEngine
 from repro.engine.construct import (
     BatchConstructionEngine,
+    LinkAcquisitionStats,
     LiveView,
     _window_counts,
     draw_positions,
@@ -135,6 +135,46 @@ class TestPathEquivalence:
         assert snapshot(a) == snapshot(b)
         assert stats_a.as_dict() == stats_b.as_dict()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=24),
+        seed=st.integers(min_value=0, max_value=9_999),
+        positions=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                # Distinct floats below 2**-64 share key cell 0.
+                st.integers(min_value=1, max_value=8).map(lambda j: j * 2.0**-70),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        caps=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        mode=st.sampled_from([SamplingMode.UNIFORM, SamplingMode.ORACLE, SamplingMode.WALK]),
+    )
+    @example(
+        n=1, seed=3, positions=[2.0**-70, 3 * 2.0**-70, 0.5], caps=(3, 3), mode=SamplingMode.UNIFORM
+    )
+    @example(n=0, seed=4, positions=[0.25, 2.0**-69, 2.0**-70], caps=(2, 4), mode=SamplingMode.WALK)
+    def test_join_matches_the_twin(self, n, seed, positions, caps, mode):
+        """``OscarOverlay.join`` — a splice plus the kernels' one-row
+        cohort — equals the splice plus the twin's cohort, join after
+        join: into an empty ring, a one-peer ring (``n`` 0 and 1), and
+        at positions sharing a ``2**-64`` key cell."""
+        kernel, twin = (OscarOverlay(OscarConfig(sampling_mode=mode), seed=seed) for __ in "ab")
+        for overlay, vectorized in ((kernel, True), (twin, False)):
+            overlay.grow_batch(n, UniformKeys(), ConstantDegrees(4), vectorized=vectorized)
+        for position in positions:
+            try:
+                node_id = kernel.join(position, *caps)
+            except DuplicateNodeError:
+                with pytest.raises(DuplicateNodeError):
+                    twin._splice(position, *caps)
+                continue
+            assert twin._splice(position, *caps) == node_id
+            BatchConstructionEngine(twin, vectorized=False).join_cohort(np.asarray([node_id]))
+            assert snapshot(kernel) == snapshot(twin)
+            assert kernel.nodes[node_id].partitions is not None or kernel.size == 1
+
     def test_all_refusal_gives_up_every_slot(self):
         a, b = paired_overlays(n=20, seed=8, cap=3, caps=[(0, 3)] * 20)
         stats_a = BatchConstructionEngine(a, vectorized=True).rewire(split(4, "x"))
@@ -148,7 +188,7 @@ class TestPathEquivalence:
 
 def prefilled_pair(n, seed, extra, power_of_two):
     """Two identical overlays whose rows already hold links when a new
-    acquisition starts: every peer keeps the links scalar growth gave it
+    acquisition starts: every peer keeps the links growth gave it
     (live targets), the first half additionally points at a peer that
     then crashes and at one that is then retired, and everyone's caps
     are raised by ``extra`` so slots are open again."""

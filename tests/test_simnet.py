@@ -214,42 +214,47 @@ class TestReplayRoutes:
 
 
 class TestPinnedAgainstTheEventKernel:
-    """``QueryLatencyStats`` recorded at 54d9d83, when every query was a
-    generator process on ``engine/core.py``'s scheduler: the heap loop
-    must return the same samples, in the same order, to the last bit."""
+    """``QueryLatencyStats`` of the heap loop, pinned to the last bit.
+
+    First recorded when every query was a generator process on a
+    discrete-event scheduler, which the heap loop reproduced exactly.
+    Re-recorded once, when Oscar's per-peer builder was deleted and
+    ``grow`` / ``rewire`` became ``grow_batch`` / ``rewire_batch``: with
+    only ``build_overlay``'s two calls switched to those, before the
+    deletion, so nothing but the builder moved them."""
 
     PINS = {
         "default": QueryLatencyStats(
             n_queries=300,
-            mean=0.5456236586546239,
-            p50=0.49568410238420746,
-            p95=1.1530551298350376,
-            max=1.7221188216608634,
-            mean_queue_wait=0.18557151914426442,
+            mean=0.5373803075270595,
+            p50=0.5156376506768834,
+            p95=1.0495013665759663,
+            max=1.4623104259943986,
+            mean_queue_wait=0.17554411180375415,
         ),
         "heavy": QueryLatencyStats(
             n_queries=300,
-            mean=1.5924505558883912,
-            p50=1.4706605974389388,
-            p95=3.7129963287328853,
-            max=5.008479207559492,
-            mean_queue_wait=0.9085827222700285,
+            mean=1.5905730592368112,
+            p50=1.5702826339219784,
+            p95=3.0747580885835415,
+            max=3.8041756976148045,
+            mean_queue_wait=0.8966338262402141,
         ),
         "no_delay": QueryLatencyStats(
             n_queries=300,
-            mean=0.5124369848335916,
-            p50=0.4835769159779477,
-            p95=1.1132315421839316,
-            max=1.6307620690325821,
-            mean_queue_wait=0.1871036515002582,
+            mean=0.5029825755420514,
+            p50=0.4769335377987107,
+            p95=0.975070078086948,
+            max=1.5192619055634105,
+            mean_queue_wait=0.17331590887538453,
         ),
         "fast": QueryLatencyStats(
             n_queries=300,
-            mean=0.06599471764635872,
-            p50=0.06389017485151835,
-            p95=0.12181359806280288,
-            max=0.19441279443945092,
-            mean_queue_wait=8.583795422511494e-05,
+            mean=0.0675501342224134,
+            p50=0.06398377720423887,
+            p95=0.1259972879803437,
+            max=0.20439303441604295,
+            mean_queue_wait=0.0002453868287598403,
         ),
     }
     CONFIGS = {
