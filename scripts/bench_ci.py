@@ -162,13 +162,16 @@ ROWS: dict[str, Row] = {
         (("evictions", ">", 0), ("false_evictions", "==", 0)),
     ),
     # The committed benchmark's regime (bench/ `detect-churn`: 10k peers,
-    # half-life 64): ~7 s on the dev container with the bit-matrix gossip
-    # plane, 19 s with a Python set per report — the ceiling is ~2x the
-    # former, so falling back to the latter fails.
+    # half-life 64). Six interleaved runs a side on the dev container
+    # (2 vCPUs): 1.56-1.64 s with the bit-packed, block-wise gossip plane,
+    # 2.14-2.42 s with the re-indexed bool matrix before it; backend=scalar
+    # (a Python set per report) takes 9.7 s. The ceiling sits between the
+    # first two bands, so either fallback fails. An absolute time, like
+    # churn-50k: on a much slower runner re-derive it, don't loosen it.
     "detector-10k": Row(
         "detector-churn",
         {"size": 10_000, "half_life": 64.0, "epochs": 12},
-        (("evictions", ">", 0), ("false_evictions", "==", 0), ("wall_seconds", "<", 15.0)),
+        (("evictions", ">", 0), ("false_evictions", "==", 0), ("wall_seconds", "<", 2.0)),
     ),
     # The serve row under 10% probe loss: detection lag must show up as
     # data risk (phantoms and stale serves strictly positive) while

@@ -12,5 +12,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",
-    install_requires=["numpy"],
+    install_requires=["numpy>=2.0"],  # np.bitwise_count (the gossip plane's row counts)
 )

@@ -14,32 +14,33 @@ comes first. The bound is the contract that keeps membership knowledge
 *boundedly* stale: no report older than ``staleness_bound(n)`` rounds
 can still be spreading.
 
-Layout (:class:`GossipMembership`): the reports in flight are the rows
-of one ``bool`` matrix — ``M[r, c]``: report ``r`` has informed the
-peer owning column ``c`` — beside ``target`` and ``age`` columns. The
-**column universe** is a sorted id array, the believed-live ids ∪ every
-id some in-flight report has informed: a member that has left the
-population still counts in ``informed_count`` (and the next draw size),
-a revived id finds its old column and is never counted twice, and a
-column no row has set and no live peer owns is dropped at the next
-round. Rows are appended with capacity doubling, compacted on completion.
+Layout (:class:`GossipMembership`): the reports in flight are
+bit-packed ``uint8`` rows — bit ``c & 7`` of byte ``c >> 3`` in row
+``r``: report ``r`` has informed the peer owning column ``c`` — beside
+``target``, ``age`` and ``count`` (the row's popcount) columns. Columns
+are keyed by node id (an ``id -> column`` table; ids are never reused)
+and only ever appended: a believed-live id or report origin without one
+gets the next, so a member that has left still counts in
+``informed_count`` (and the next draw size) and a revived id finds its
+old column. Columns no row has set and no live peer owns are dropped in
+one compaction once they are over half the width. Rows are appended
+with capacity doubling, compacted on completion.
 
 Determinism: no generator of its own — the caller passes the round's
 ``rng`` (the ``("steady-detect", epoch)`` stream). A report with ``k``
-informed members consumes ``integers(0, n, (k, fanout))`` per round,
-reports in ascending target order; every ``k`` is a row sum of the
-state at round start, so the round is **one** ``integers(0, n, (Σk,
-fanout))`` call (cut between reports every :data:`DRAW_CHUNK` rows to
-bound the scratch arrays) — consecutive bounded ``integers`` calls
-concatenate exactly on PCG64, pinned by
-``test_batched_gossip_draw_matches_per_report_draws``.
+informed members (its count at round start) consumes ``integers(0, n,
+(k, fanout))`` per round, reports in ascending target order. The round
+walks them in blocks of at most :data:`DRAW_CHUNK` draw rows and
+:data:`BLOCK_BYTES` unpacked bytes (at least one row; a report over the
+draw budget is drawn in pieces): unpack, draw, one flat scatter,
+repack. Bounded ``integers`` calls concatenate exactly on PCG64 at any
+cut (``test_batched_gossip_draw_matches_per_report_draws``), so no
+block boundary shows in the stream.
 
-Memory is reports in flight × columns bytes (transiently 3× while the
-universe is re-indexed): ``detector-churn`` at 10k peers, half-life 64
-peaks at 666 × 11 108, a 7 MB matrix (129 MiB peak RSS); one run at
-``size=100_000, half_life=64, epochs=12`` peaked at 7 364 × 112 831,
-0.83 GB (2.5 GiB peak RSS, 266 s wall; 282 and 442 s in earlier runs)
-where a Python ``set`` per report passed 15 GB.
+Memory is reports in flight × columns / 8 bytes plus one block of
+scratch: ``detector-churn`` at ``size=100_000, half_life=64,
+epochs=12`` peaks at 523 MiB RSS (42 s on a 2-vCPU container); a
+Python ``set`` per report passed 15 GB there.
 
 :class:`ScalarGossipMembership` is that set-per-report code, kept as
 the reference twin: ``ProbeView(backend="scalar")`` pairs it with the
@@ -59,7 +60,8 @@ from .config import DetectorConfig
 
 __all__ = ["GossipMembership", "ScalarGossipMembership"]
 
-DRAW_CHUNK = 1 << 20  # rows of a round's draw matrix materialised at a time (+ one report)
+DRAW_CHUNK = 1 << 16  # draw rows materialised at a time: one block's, or one report's piece
+BLOCK_BYTES = 1 << 20  # unpacked bytes of one block's rows (a block holds at least one row)
 
 
 class GossipMembership:
@@ -71,13 +73,15 @@ class GossipMembership:
             dead exactly once per life).
     """
 
-    __slots__ = ("config", "completed", "_cols", "_informed", "_target", "_age")
+    __slots__ = ("config", "completed", "_col_of", "_cols", "_bits", "_count", "_target", "_age")
 
     def __init__(self, config: DetectorConfig | None = None) -> None:
         self.config = config or DetectorConfig()
         self.completed: set[int] = set()
-        self._cols = np.empty(0, dtype=np.int64)
-        self._informed = np.zeros((0, 0), dtype=bool)
+        self._col_of = np.empty(0, dtype=np.int64)  # node id -> column, -1 for none
+        self._cols = np.empty(0, dtype=np.int64)  # column -> node id
+        self._bits = np.zeros((0, 0), dtype=np.uint8)
+        self._count = np.empty(0, dtype=np.int64)
         self._target = np.empty(0, dtype=np.int64)
         self._age = np.empty(0, dtype=np.int64)
 
@@ -90,7 +94,7 @@ class GossipMembership:
         """Size of the informed set for ``target``'s report (0 if no
         report is in flight)."""
         rows = np.flatnonzero(self._target == int(target))
-        return int(self._informed[rows[0]].sum()) if rows.size else 0
+        return int(self._count[rows[0]]) if rows.size else 0
 
     def start(self, target: NodeId, origin: NodeId) -> bool:
         """Begin spreading "``target`` is dead" from ``origin``.
@@ -109,13 +113,15 @@ class GossipMembership:
         fresh = ~(np.isin(targets, self._target) | np.isin(targets, done))
         targets, origins = targets[fresh], origins[fresh]
         if targets.size:
-            r = self._target.size
-            self._relayout(r + targets.size, np.union1d(self._cols, origins))
-            new = self._informed[r : r + targets.size]
-            new[:] = False  # compaction leaves stale bits past the last row
-            new[np.arange(targets.size), np.searchsorted(self._cols, origins)] = True
+            r, m = self._target.size, targets.size
+            cols = self._columns(origins)
+            self._reserve(r + m)
+            new = self._bits[r : r + m]
+            new[:] = 0  # compaction leaves stale bits past the last row
+            new[np.arange(m), cols >> 3] = 1 << (cols & 7)
             self._target = np.concatenate([self._target, targets])
-            self._age = np.concatenate([self._age, np.zeros(targets.size, dtype=np.int64)])
+            self._age = np.concatenate([self._age, np.zeros(m, dtype=np.int64)])
+            self._count = np.concatenate([self._count, np.ones(m, dtype=np.int64)])
         return int(targets.size)
 
     def cancel(self, target: NodeId) -> None:
@@ -141,49 +147,101 @@ class GossipMembership:
         applies.
         """
         r = int(self._target.size)
-        if r == 0:
-            return []
         live_ids = np.asarray(live_ids, dtype=np.int64)
         n = int(live_ids.size)
         self._age += 1
-        needed = self._informed[:r].any(axis=0)
-        self._relayout(r, np.union1d(self._cols[needed], live_ids))
-        informed = self._informed[:r]
-        live_cols = np.searchsorted(self._cols, live_ids)
+        live_cols = self._columns(live_ids)
         if n > 0:
-            order = np.argsort(self._target)
-            sizes = informed.sum(axis=1)[order]
-            cuts = np.flatnonzero(np.diff(np.cumsum(sizes) // DRAW_CHUNK)) + 1
-            for part, k in zip(np.split(order, cuts), np.split(sizes, cuts)):
-                rows = np.repeat(part, k)
-                draws = rng.integers(0, n, size=(rows.size, self.config.gossip_fanout))
-                informed[rows[:, None], live_cols[draws]] = True
-        covered = informed.all(axis=1, where=np.isin(self._cols, live_ids, assume_unique=True))
+            self._push(live_cols, rng)
+        stale = np.ones(self._cols.size, dtype=bool)  # columns no live peer owns
+        stale[live_cols] = False
+        n_stale, mask = int(stale.sum()), np.packbits(stale, bitorder="little")
+        hit = np.flatnonzero(mask)  # a covered report's count is its stale bits + every live one
+        off_live = np.bitwise_count(self._bits[:r, hit] & mask[hit]).sum(axis=1, dtype=np.int64)
+        covered = self._count - off_live == stale.size - n_stale
         done = covered | (self._age >= self.config.staleness_bound(max(n, 2)))
         finished = np.sort(self._target[done]).tolist()
         self.completed.update(finished)
         self._keep(~done)
+        if 2 * n_stale > stale.size:
+            self._drop_columns(stale)
         return finished
+
+    def _push(self, live_cols: np.ndarray, rng: np.random.Generator) -> None:
+        """One push round of every report, block by block (module docstring)."""
+        nbytes = -(-self._cols.size // 8)
+        width = 8 * nbytes
+        order = np.argsort(self._target)
+        sizes = self._count[order]
+        ends = np.cumsum(sizes)
+        per_block = max(1, BLOCK_BYTES // width)
+        i = 0
+        while i < order.size:
+            j = int(np.searchsorted(ends, ends[i] - sizes[i] + DRAW_CHUNK, side="right"))
+            j = min(max(j, i + 1), i + per_block)
+            rows = order[i:j]
+            block = np.unpackbits(self._bits[rows, :nbytes], axis=1, bitorder="little")
+            owner = np.repeat(np.arange(j - i) * width, sizes[i:j])
+            for lo in range(0, owner.size, DRAW_CHUNK):  # > 1 piece: one report over budget
+                part = owner[lo : lo + DRAW_CHUNK]
+                draws = rng.integers(0, live_cols.size, size=(part.size, self.config.gossip_fanout))
+                flat = live_cols[draws]
+                flat += part[:, None]
+                block.reshape(-1)[flat.ravel()] = 1
+            packed = np.packbits(block, axis=1, bitorder="little")
+            self._bits[rows, :nbytes] = packed
+            self._count[rows] = np.bitwise_count(packed).sum(axis=1)
+            i = j
+
+    def _columns(self, ids: np.ndarray) -> np.ndarray:
+        """The column of each of ``ids``, appending one for every id without."""
+        top = int(ids.max()) + 1 if ids.size else 0
+        if top > self._col_of.size:
+            grown = np.full(max(top, 2 * self._col_of.size), -1, dtype=np.int64)
+            grown[: self._col_of.size] = self._col_of
+            self._col_of = grown
+        fresh = np.unique(ids[self._col_of[ids] < 0])
+        if fresh.size:
+            self._col_of[fresh] = np.arange(self._cols.size, self._cols.size + fresh.size)
+            self._cols = np.concatenate([self._cols, fresh])
+            self._reserve(self._target.size)
+        return self._col_of[ids]
+
+    def _drop_columns(self, stale: np.ndarray) -> None:
+        """Drop the ``stale`` columns no row has set, if they are over
+        half the width, repacking the rows block by block."""
+        r, width = self._target.size, self._cols.size
+        used = np.bitwise_or.reduce(self._bits[:r], axis=0)
+        keep = ~stale | np.unpackbits(used, count=width, bitorder="little").astype(bool)
+        if 2 * int(keep.sum()) >= width:
+            return
+        self._col_of[self._cols[~keep]] = -1
+        self._cols = self._cols[keep]
+        self._col_of[self._cols] = np.arange(self._cols.size)
+        step = max(1, BLOCK_BYTES // (8 * self._bits.shape[1]))
+        for lo in range(0, r, step):
+            rows = self._bits[lo : min(lo + step, r)]
+            unpacked = np.unpackbits(rows, axis=1, count=width, bitorder="little")
+            packed = np.packbits(unpacked[:, keep], axis=1, bitorder="little")
+            rows[:] = 0
+            rows[:, : packed.shape[1]] = packed
 
     def _keep(self, keep: np.ndarray) -> None:
         """Compact the rows down to those ``keep`` marks."""
         if not keep.all():
-            self._informed[: int(keep.sum())] = self._informed[: keep.size][keep]
+            self._bits[: int(keep.sum())] = self._bits[: keep.size][keep]
             self._target, self._age = self._target[keep], self._age[keep]
+            self._count = self._count[keep]
 
-    def _relayout(self, rows: int, cols: np.ndarray) -> None:
-        """Re-index the matrix onto the sorted universe ``cols`` with
-        room for ``rows`` rows (capacity doubles when it must grow)."""
-        capacity = self._informed.shape[0]
-        if rows <= capacity and np.array_equal(cols, self._cols):
-            return
-        if rows > capacity:
-            capacity = max(rows, 2 * capacity)
-        r = self._target.size
-        kept = np.isin(self._cols, cols, assume_unique=True)
-        informed = np.zeros((capacity, cols.size), dtype=bool)
-        informed[:r, np.searchsorted(cols, self._cols[kept])] = self._informed[:r][:, kept]
-        self._informed, self._cols = informed, cols
+    def _reserve(self, rows: int) -> None:
+        """Room for ``rows`` rows of every column (capacities double)."""
+        need = (rows, -(-self._cols.size // 8))
+        shape = tuple(c if k <= c else max(k, 2 * c) for k, c in zip(need, self._bits.shape))
+        if shape != self._bits.shape:
+            grown = np.zeros(shape, dtype=np.uint8)
+            r = self._target.size
+            grown[:r, : self._bits.shape[1]] = self._bits[:r]
+            self._bits = grown
 
 
 class ScalarGossipMembership:

@@ -212,7 +212,33 @@ class TestFailureDetector:
 
 GOSSIP_TWINS = (GossipMembership, ScalarGossipMembership)
 GOSSIP_OPS = ["start", "start_many", "cancel", "forget", "arrive", "leave", "empty", "spread"]
-IDS = st.integers(min_value=0, max_value=24)
+# Budgets the differential patches in: the smallest (one draw row, a
+# one-row block — every report drawn in pieces), a middling cut and the
+# shipped constants.
+BUDGETS = [(1, 1), (3, 64), (gossip_module.DRAW_CHUNK, gossip_module.BLOCK_BYTES)]
+
+
+def assert_gossip_layout(gossip: GossipMembership, live: list[int]) -> None:
+    """The storage invariants of the bit-packed plane: every count is
+    its row's popcount, every believed-live id has a column, the id
+    table and the column ids invert each other, and no bit is set past
+    the used width."""
+    r, width = gossip._target.size, gossip._cols.size
+    rows = gossip._bits[:r]
+    assert np.array_equal(gossip._count, np.bitwise_count(rows).sum(axis=1))
+    assert (gossip._col_of[np.array(live, dtype=np.int64)] >= 0).all()
+    assert np.array_equal(gossip._col_of[gossip._cols], np.arange(width))
+    assert int((gossip._col_of >= 0).sum()) == width
+    assert not np.unpackbits(rows, axis=1, bitorder="little")[:, width:].any()
+
+
+def informed_departed(gossip: GossipMembership, live: list[int]) -> int:
+    """Columns some in-flight report has set whose id is not live."""
+    r, width = gossip._target.size, gossip._cols.size
+    used = np.unpackbits(
+        np.bitwise_or.reduce(gossip._bits[:r], axis=0), count=width, bitorder="little"
+    ).astype(bool)
+    return int((used & ~np.isin(gossip._cols, live)).sum())
 
 
 class TestGossipMembership:
@@ -276,25 +302,47 @@ class TestGossipMembership:
         assert gossip.start(5, origin=1)  # forgotten: may be reported again
         assert not gossip.start(7, origin=1)
 
+    def test_width_stays_bounded_as_ids_advance(self):
+        """Ids are never reused, so a long run keeps handing out fresh
+        ones: the one-shot column compaction holds the width within
+        twice what must stay (the live ids and the departed ones some
+        report still holds), however many ids have come and gone."""
+        gossip, rng = GossipMembership(self.CFG), split(5, "gossip-test")
+        first = 0
+        for step in range(300):
+            first += 3
+            live = list(range(first, first + 40))
+            if step % 2 == 0:
+                gossip.start_many([first - 1, first - 2], [first, first + 39])
+            gossip.spread(np.array(live, dtype=np.int64), rng)
+            assert_gossip_layout(gossip, live)
+            assert gossip._cols.size <= 2 * (len(live) + informed_departed(gossip, live)) + 8
+        assert gossip._col_of.size > 900  # the id table did grow past every id seen
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         fanout=st.sampled_from([1, 2, 3]),
         staleness=st.sampled_from([0, 1, 4]),
-        chunk=st.sampled_from([3, 1 << 20]),
+        budgets=st.sampled_from(BUDGETS),
+        pool=st.lists(
+            st.integers(min_value=0, max_value=5000), min_size=1, max_size=25, unique=True
+        ),
         data=st.data(),
     )
-    def test_matrix_matches_set_reference(self, seed, fanout, staleness, chunk, data):
+    def test_matrix_matches_set_reference(self, seed, fanout, staleness, budgets, pool, data):
         """Random start / start_many / cancel / forget programs over a
-        population that arrives, leaves, revives and empties: after
-        every ``spread`` the two twins agree on completions, ``active``,
-        ``informed_count`` and generator position."""
+        population of sparse ids that arrives, leaves, revives and
+        empties: after every ``spread`` the two twins agree on
+        completions, ``active``, ``informed_count`` and generator
+        position, and the bit-packed layout holds its invariants."""
         cfg = DetectorConfig(gossip_fanout=fanout, staleness_rounds=staleness)
         twins = [(cls(cfg), split(seed, "gossip-diff")) for cls in GOSSIP_TWINS]
-        live: list[int] = data.draw(st.lists(IDS, max_size=12, unique=True), label="live")
+        ids_from = st.sampled_from(pool)
+        live: list[int] = data.draw(st.lists(ids_from, max_size=12, unique=True), label="live")
         for step in range(data.draw(st.integers(min_value=1, max_value=12))):
             op = data.draw(st.sampled_from(GOSSIP_OPS), label=f"op@{step}")
-            ids = data.draw(st.lists(IDS, max_size=4), label=f"ids@{step}")
+            ids = data.draw(st.lists(ids_from, max_size=4), label=f"ids@{step}")
             if op == "start" and ids:
                 assert len({g.start(ids[0], ids[-1]) for g, _ in twins}) == 1
             elif op == "start_many":
@@ -313,10 +361,14 @@ class TestGossipMembership:
             elif op == "empty":
                 live = []
             population = np.array(live, dtype=np.int64)
-            with mock.patch.object(gossip_module, "DRAW_CHUNK", chunk):  # cut mid-round too
+            with (
+                mock.patch.object(gossip_module, "DRAW_CHUNK", budgets[0]),
+                mock.patch.object(gossip_module, "BLOCK_BYTES", budgets[1]),
+            ):
                 matrix, reference = (g.spread(population, rng) for g, rng in twins)
             assert matrix == reference
             (matrix, rng_m), (reference, rng_r) = twins
+            assert_gossip_layout(matrix, live)
             assert matrix.active == reference.active
             assert matrix.completed == reference.completed
             for target in reference.active:
@@ -324,18 +376,24 @@ class TestGossipMembership:
             assert rng_m.integers(1 << 30) == rng_r.integers(1 << 30)
 
 
-@pytest.mark.parametrize("n", [7, 9_973, 10_000, 100_000])
+@pytest.mark.parametrize("n", [7, 9_973, 10_000, 100_000, 2**33])
 def test_batched_gossip_draw_matches_per_report_draws(n):
     """The RNG-layout assumption ``GossipMembership.spread`` rests on:
     one bounded ``integers`` call of ``k1 + k2 + k3`` rows consumes the
-    stream exactly like three consecutive calls (a zero-row one
-    included), and leaves the generator in the same place."""
-    sizes, fanout = (5, 0, 38), 2
-    batched, per_report = split(11, "gossip-layout", n), split(11, "gossip-layout", n)
-    whole = batched.integers(0, n, size=(sum(sizes), fanout))
-    parts = [per_report.integers(0, n, size=(k, fanout)) for k in sizes]
-    assert np.array_equal(whole, np.concatenate(parts))
-    assert batched.random() == per_report.random()
+    stream exactly like three consecutive per-report calls (a zero-row
+    one included) and like blocks cut anywhere — inside a report, at odd
+    element counts — at every fanout, and every split leaves the
+    generator in the same place."""
+    sizes = (5, 0, 38)
+    cuts = (0, 3, 5, 5, 22, 43)  # blocks of 3, 2, 0, 17 and 21 rows
+    for fanout in (1, 2, 3):
+        batched, per_report, blocks = (split(11, "gossip-layout", n, fanout) for _ in range(3))
+        whole = batched.integers(0, n, size=(sum(sizes), fanout))
+        parts = [per_report.integers(0, n, size=(k, fanout)) for k in sizes]
+        pieces = [blocks.integers(0, n, size=(b - a, fanout)) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(whole, np.concatenate(parts))
+        assert np.array_equal(whole, np.concatenate(pieces))
+        assert batched.random() == per_report.random() == blocks.random()
 
 
 class TestOracleView:

@@ -1,4 +1,5 @@
-"""Scale smoke tests: 10k live asyncio peers, then a million-peer SoA build.
+"""Scale smoke tests: 10k live asyncio peers, 100k-peer probe membership,
+then a million-peer SoA build.
 
 Marked ``slow`` and therefore excluded from the tier-1 run (see
 ``pytest.ini``); the bench-trajectory CI job runs it with ``-m slow``. The
@@ -18,6 +19,7 @@ from repro import OscarConfig, OscarOverlay
 from repro.churn.sessions import ExponentialSessions
 from repro.degree import ConstantDegrees
 from repro.engine import BatchQueryEngine, SteadyStateChurnEngine
+from repro.experiments import Runner
 from repro.net import NetConfig, NetHarness
 from repro.rng import split
 from repro.workloads import GnutellaLikeDistribution, UniformKeys
@@ -31,6 +33,8 @@ RSS_CEILING_MB = 8192.0
 NET_PEERS = 10_000
 NET_BUILD_WALL_SECONDS = 120.0
 NET_RSS_CEILING_MB = 2048.0
+
+DETECT_RSS_CEILING_MB = 1024.0
 
 
 def check_rss_ceiling(ceiling_mb: float) -> None:
@@ -67,6 +71,24 @@ def test_ten_thousand_live_asyncio_peers_boot_and_route():
         assert summary.n == NET_PEERS
         assert summary.cap_violations == 0
     check_rss_ceiling(NET_RSS_CEILING_MB)
+
+
+@pytest.mark.slow
+def test_hundred_thousand_peer_probe_membership_fits_a_gibibyte():
+    """``detector-churn`` at 100k peers (half-life 64, 12 epochs): the
+    probe plane evicts, never falsely at zero loss, and fits in 1 GiB.
+
+    Ordered after the 10k net test (~130 MiB) and before the
+    million-peer test, so the high-water mark it reads is its own. The
+    measured numbers are ~42 s and ~523 MiB; the bit-packed gossip plane
+    is what fits — its ``bool``-matrix predecessor peaked at 2.5 GiB.
+    """
+    record = Runner(defaults={"seed": 20070415}).run(
+        "detector-churn", {"size": 100_000, "half_life": 64.0, "epochs": 12}
+    )
+    assert record.result.scalars["evictions"] > 0
+    assert record.result.scalars["false_evictions"] == 0
+    check_rss_ceiling(DETECT_RSS_CEILING_MB)
 
 
 @pytest.mark.slow
