@@ -182,6 +182,22 @@ ROWS: dict[str, Row] = {
         {**GENTLE_SERVE, "n_queries": 4096, "membership": "probe", "loss": 0.1},
         (("items_lost_total", "<=", 50), ("phantom_total", ">", 0), ("stale_serves", ">", 0)),
     ),
+    # The live runtime at the spec's default sizes (a 500-peer lockstep
+    # oracle build, a 150-peer free build + rewire under random delivery;
+    # ~3.4 s on the dev container): the lockstep build must equal the
+    # engine's bit for bit, and the free build must respect every in-cap,
+    # agree on membership and deliver every probe.
+    "net-smoke": Row(
+        "net-smoke",
+        {},
+        (
+            ("lockstep_mismatches", "==", 0),
+            ("lockstep_stats_equal", "==", 1),
+            ("free_cap_violations", "==", 0),
+            ("free_directory_mismatches", "==", 0),
+            ("free_route_success", "==", 1),
+        ),
+    ),
 }
 
 

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import PartitionError
 from ..ring.identifiers import cw_distance, in_cw_interval
 
@@ -138,10 +136,6 @@ class PartitionTable:
             f"cw distance {distance!r} exceeds the far-end distance {far_distance!r}\n"
             + self.describe()
         )
-
-    def sample_partition(self, rng: np.random.Generator) -> int:
-        """Draw a partition index uniformly — step one of link acquisition."""
-        return int(rng.integers(1, self.n_partitions + 1))
 
     def describe(self) -> str:
         """Human-readable dump used by diagnostics and the CLI."""

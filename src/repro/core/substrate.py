@@ -28,7 +28,6 @@ from ..config import RoutingConfig
 from ..degree import DegreeDistribution, assign_caps
 from ..errors import DuplicateNodeError, EmptyPopulationError, UnknownNodeError
 from ..ring import Ring, RingPointers, attach_node, repair_all
-from ..ring import repair as repair_pointers
 from ..rng import split
 from ..routing import RouteResult, route_faulty, route_greedy
 from ..types import Key, NodeId
@@ -202,9 +201,10 @@ class Substrate:
         return self.rewire(rng)
 
     def repair_ring(self) -> int:
-        """Re-stabilize ring pointers after churn; returns pointers fixed."""
+        """Re-stabilize ring pointers after churn with the bulk
+        :func:`~repro.ring.maintenance.repair_all`; returns pointers fixed."""
         self._links_epoch += 1
-        return repair_pointers(self.ring, self.pointers)
+        return repair_all(self.ring, self.pointers)
 
     @property
     def topology_version(self) -> tuple[int, int]:

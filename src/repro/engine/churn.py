@@ -62,6 +62,7 @@ from ..core.substrate import Substrate
 from ..degree import DegreeDistribution
 from ..errors import ConfigError
 from ..membership import MembershipView, OracleView
+from ..ring import repair as repair_pointers
 from ..routing import RouteStats
 from ..rng import split
 from ..workloads import KeyDistribution, QueryWorkload
@@ -384,7 +385,10 @@ class SteadyStateChurnEngine:
         else:
             for node_id in expired:
                 self.substrate.ring.mark_dead(int(node_id))
-            fixes = int(self.substrate.repair_ring())
+            # The scalar twin of repair_all, with the link-epoch bump
+            # leave_batch's repair makes.
+            self.substrate._links_epoch += 1
+            fixes = repair_pointers(self.substrate.ring, self.substrate.pointers)
         gone = np.isin(self._session_ids, expired)
         self._session_ids = self._session_ids[~gone]
         self._departs = self._departs[~gone]

@@ -467,9 +467,8 @@ class BatchConstructionEngine:
         Per level every still-active peer draws ``sample_size`` arc
         members (one shared RNG call), takes the exact-rank clockwise
         sample median, and stops when its arc runs empty or the border
-        clamp fires — the lock-step form of the level machine
-        :class:`repro.protocol.estimation.PartitionEstimator` runs per
-        peer.
+        clamp fires — the lock-step form of the estimation level
+        :class:`repro.protocol.join.JoinProtocol` runs per peer.
 
         In ``UNIFORM`` mode over distinct keys the vectorized kernel
         never builds the samples: rows are in key order and an arc
@@ -636,7 +635,8 @@ class BatchConstructionEngine:
 
         The per-row body is the shared protocol kernel
         :func:`repro.protocol.estimation.select_border` — the same exact
-        rank-median-and-clamp a lockstep net member computes over its
+        rank-median-and-clamp every live peer's
+        :class:`~repro.protocol.join.JoinProtocol` computes over its
         directory snapshot.
         """
         n, __ = samples.shape

@@ -13,8 +13,9 @@ distributed system: one asyncio task per peer, each driving the same
   seeded deterministic delivery order (``fifo`` / ``random`` /
   ``lockstep`` supersteps) and a real localhost-TCP transport;
 * :mod:`~repro.net.node` — the per-peer driver: answers link requests,
-  advances walks, routes probes, and runs the join machine (free mode)
-  or replays coordinator-dealt RNG tickets (lockstep mode);
+  advances walks, routes probes, and runs the one join machine,
+  :class:`~repro.protocol.join.JoinProtocol`, on its own stream (free
+  mode) or on coordinator-dealt RNG tickets (lockstep mode);
 * :mod:`~repro.net.harness` — :class:`~repro.net.harness.NetHarness`:
   boots a seed plus N peers, runs join/rewire to quiescence, extracts
   the final topology, and validates it against the deterministic

@@ -3,7 +3,10 @@
 :class:`NetHarness` owns the seed side of the runtime: it registers the
 seed endpoint (:data:`SEED_ID`), boots N :class:`~repro.net.node.NetNode`
 tasks, answers the bootstrap handshake, and drives construction to
-quiescence. Two build disciplines:
+quiescence. Every peer joins through one
+:class:`~repro.protocol.join.JoinProtocol`, and the stats are the sum of
+the peers' own counters; two build disciplines differ only in where the
+machines' uniforms come from and who paces the rounds:
 
 * **free** — peers join concurrently under their own labelled RNG
   streams; the harness only deals membership and collects ``JoinDone``.
@@ -13,10 +16,11 @@ quiescence. Two build disciplines:
   engine's exact draw layout (caps, positions, one uniform matrix per
   estimation level over the active rows in ascending row order, one
   priority shuffle, one partition + candidate draw per acquisition
-  round) and deals the uniforms to peers as RNG tickets. Peers decide
-  everything locally from their directory; the transport's superstep
-  barrier gives replies snapshot semantics and replays commits in
-  priority order. The resulting topology and
+  round) and deals the uniforms to peers as RNG tickets for as long as
+  they report themselves active. Peers decide everything locally from
+  their directory; the transport's superstep barrier gives replies
+  snapshot semantics and replays commits in priority order. The
+  resulting topology and
   :class:`~repro.engine.construct.LinkAcquisitionStats` are
   **bit-identical** to :meth:`BatchConstructionEngine.grow
   <repro.engine.construct.BatchConstructionEngine.grow>` /
@@ -337,7 +341,7 @@ class NetHarness:
                 self._killed.add(victim)
                 self._seed_ep.send(victim, Kill())
         await self._collect_join({i for i in range(n) if i not in self._killed})
-        return self._aggregate_free()
+        return self._aggregate()
 
     async def _build_tcp(
         self, n: int, positions: np.ndarray, caps_in: np.ndarray, caps_out: np.ndarray
@@ -375,7 +379,7 @@ class NetHarness:
         for node_id in range(n):
             self._seed_ep.send(node_id, DirectoryUpdate(peers=pairs, addrs=addrs))
         await self._collect(n, JoinDone)
-        return self._aggregate_free()
+        return self._aggregate()
 
     async def _rewire_async(self) -> LinkAcquisitionStats:
         assert self.directory is not None
@@ -388,7 +392,7 @@ class NetHarness:
         for node_id in live:
             self._seed_ep.send(node_id, Rewire(epoch=self._epoch))
         await self._collect_join(set(live))
-        return self._aggregate_free()
+        return self._aggregate()
 
     async def _route_async(
         self, n_probes: int, budget: int | None, timeout_s: float | None
@@ -453,89 +457,63 @@ class NetHarness:
 
         ``rows`` are the requesting directory rows in ascending order —
         the same index space as the engine's ``LiveView`` rows, so every
-        uniform lands on the peer the engine would have spent it on.
+        uniform lands on the peer the engine would have spent it on. The
+        coordinator is a pure dealer: each level and each round it draws
+        one row per peer still reporting itself active, in row order;
+        every decision and counter lives in the peers' dealt
+        :class:`~repro.protocol.join.JoinProtocol` machines.
         """
         config = self.config
         directory = self.directory
         assert directory is not None
-        stats = LinkAcquisitionStats()
-        m = directory.m
-        n = len(rows)
         ids = [directory.id_at(r) for r in rows]
 
-        # Estimation: one (active, sample_size) matrix per level, rows
-        # dealt in ascending row order; peers report level survival.
-        k = config.partitions_for(max(1, m))
-        active = [True] * n
-        for level in range(max(0, k - 1)):
-            act = [i for i in range(n) if active[i]]
-            if not act:
+        # Estimation: one (active, sample_size) matrix per level.
+        active = ids
+        for level in range(config.partitions_for(max(1, directory.m)) - 1):
+            if not active:
                 break
-            u = rng.random((len(act), config.sample_size))
-            for j, i in enumerate(act):
+            u = rng.random((len(active), config.sample_size))
+            for node_id, u_row in zip(active, u):
                 self._seed_ep.send(
-                    ids[i],
-                    EstimateLevel(level=level, u_row=[float(x) for x in u[j]]),
+                    node_id, EstimateLevel(level=level, u_row=[float(x) for x in u_row])
                 )
-            reports = await self._collect(len(act), EstimateReport)
-            cont = {src: msg.cont for src, msg in reports}
-            for i in act:
-                active[i] = cont[ids[i]]
+            active = await self._still_active(active, EstimateReport)
 
         # One priority shuffle over the requesting rows.
-        order = np.asarray(rows, dtype=np.int64).copy()
+        order = np.asarray(rows, dtype=np.int64)
         rng.shuffle(order)
-        priority_of = np.full(m, -1, dtype=np.int64)
-        priority_of[order] = np.arange(order.size, dtype=np.int64)
-        for i in range(n):
-            self._seed_ep.send(ids[i], BeginAcquire(priority=int(priority_of[rows[i]])))
+        priority_of = {int(row): rank for rank, row in enumerate(order)}
+        for row, node_id in zip(rows, ids):
+            self._seed_ep.send(node_id, BeginAcquire(priority=priority_of[row]))
 
         # Acquisition rounds: one partition + candidate draw per active
-        # requester per round; the same retry/fill bookkeeping as
-        # BatchConstructionEngine._acquire over the peers' reports.
-        target = np.asarray([self.nodes[i].cap_out for i in ids], dtype=np.int64)
+        # peer; every peer with out-capacity (the caps its Hello
+        # announced) starts active.
         n_cand = 2 if config.power_of_two else 1
-        out_count = np.zeros(n, dtype=np.int64)
-        slot_attempts = np.zeros(n, dtype=np.int64)
-        acquiring = out_count < target
+        active = [node_id for node_id in ids if self.nodes[node_id].cap_out > 0]
         round_no = 0
-        while True:
-            act_idx = np.nonzero(acquiring)[0]
-            if act_idx.size == 0:
-                break
-            u_part = rng.random(act_idx.size)
-            u_cand = rng.random((act_idx.size, n_cand))
-            stats.draws += int(act_idx.size)
-            for j, i in enumerate(act_idx):
+        while active:
+            u_part = rng.random(len(active))
+            u_cand = rng.random((len(active), n_cand))
+            for j, node_id in enumerate(active):
                 self._seed_ep.send(
-                    ids[int(i)],
+                    node_id,
                     AcquireTicket(
                         round_no=round_no,
                         u_part=float(u_part[j]),
                         u_cand=[float(x) for x in u_cand[j]],
                     ),
                 )
-            reports = await self._collect(int(act_idx.size), AcquireReport)
-            report_of = {src: msg for src, msg in reports}
-            success = np.zeros(act_idx.size, dtype=bool)
-            for j, i in enumerate(act_idx):
-                report = report_of[ids[int(i)]]
-                success[j] = report.success
-                stats.links_placed += int(report.success)
-                stats.refusals += int(report.refusals)
-                stats.empty_partition_draws += int(report.empty_draw)
-                stats.conflicts += int(report.conflict)
-            fail = ~success
-            slot_attempts[act_idx[success]] = 0
-            slot_attempts[act_idx[fail]] += 1
-            gave = fail & (slot_attempts[act_idx] > config.link_retries)
-            stats.slots_given_up += int(gave.sum())
-            acquiring[act_idx[gave]] = False
-            out_count[act_idx[success]] += 1
-            filled = success & (out_count[act_idx] >= target[act_idx])
-            acquiring[act_idx[filled]] = False
+            active = await self._still_active(active, AcquireReport)
             round_no += 1
-        return stats
+        return self._aggregate()
+
+    async def _still_active(self, dealt: list[int], kind: type[Message]) -> list[int]:
+        """One ``kind`` report per dealt peer; the ones that go on, in
+        dealt order."""
+        reports = dict(await self._collect(len(dealt), kind))
+        return [node_id for node_id in dealt if reports[node_id].cont]
 
     # -- membership authority (detector mode) --------------------------
 
@@ -719,7 +697,7 @@ class NetHarness:
             if isinstance(message, JoinDone):
                 pending.discard(int(src))
 
-    def _aggregate_free(self) -> LinkAcquisitionStats:
+    def _aggregate(self) -> LinkAcquisitionStats:
         """Sum the per-peer join counters into engine-shaped stats."""
         stats = LinkAcquisitionStats()
         for node in self.nodes:

@@ -2,23 +2,23 @@
 
 :class:`NetNode` owns a peer's *state* (position, caps, in-degree, the
 long links it holds) and its *I/O* (an endpoint), and drives the pure
-:mod:`repro.protocol` machines over them. Two operating modes:
+:mod:`repro.protocol` machines over them. Every peer joins through one
+:class:`~repro.protocol.join.JoinProtocol`; the two operating modes
+differ only in where its uniforms come from and who paces the rounds:
 
-* **free** — the peer runs :class:`~repro.protocol.join.JoinProtocol`
-  with its own labelled RNG stream: it estimates partitions against the
-  seed-fed directory (or by real message walks in ``WALK`` mode) and
-  negotiates links concurrently with everyone else. Delivery order is
-  whatever the transport provides; equivalence with the engines is at
-  the invariant level. TCP always runs free mode.
+* **free** — the machine draws from the peer's own labelled RNG stream:
+  it estimates partitions against the seed-fed directory (or by real
+  message walks in ``WALK`` mode) and negotiates links concurrently
+  with everyone else. Delivery order is whatever the transport
+  provides; equivalence with the engines is at the invariant level.
+  TCP always runs free mode.
 * **lockstep** — the peer holds no construction RNG at all: the
   coordinator (the harness behind the seed id) deals
-  ``EstimateLevel`` / ``AcquireTicket`` messages whose uniforms follow
-  the batched engine's exact draw layout, and the peer resolves every
-  *decision* locally from its directory snapshot with the same shared
-  protocol kernels the engine's sequential reference calls. Combined
-  with the memory transport's superstep barrier (replies precede
-  commits; commits replay in priority order), the built topology is
-  bit-identical to :meth:`BatchConstructionEngine.grow
+  ``EstimateLevel`` / ``AcquireTicket`` rows in the batched engine's
+  exact draw layout, and the machine runs the same steps over them.
+  Combined with the memory transport's superstep barrier (replies
+  precede commits; commits replay in priority order), the built
+  topology is bit-identical to :meth:`BatchConstructionEngine.grow
   <repro.engine.construct.BatchConstructionEngine.grow>`.
 
 In both modes the *resident* duties are identical and message-driven:
@@ -35,7 +35,7 @@ import numpy as np
 
 from ..config import OscarConfig, SamplingMode
 from ..membership import POLL_TIMER, DetectorConfig, FailureDetector
-from ..protocol.decisions import accepts_link, link_winner_key
+from ..protocol.decisions import accepts_link
 from ..protocol.directory import Directory
 from ..protocol.effects import (
     CancelTimer,
@@ -46,18 +46,14 @@ from ..protocol.effects import (
     StartTimer,
     SuspectPeer,
 )
-from ..protocol.estimation import cw_arc_slice, select_border
 from ..protocol.join import JoinProtocol
 from ..protocol.messages import (
-    AcquireReport,
     AcquireTicket,
     BeginAcquire,
     Dead,
     DirectoryUpdate,
     EstimateLevel,
-    EstimateReport,
     Hello,
-    JoinDone,
     Kill,
     LinkCommit,
     LinkReply,
@@ -76,7 +72,6 @@ from ..protocol.messages import (
     WalkStep,
     Welcome,
 )
-from ..protocol.negotiation import LinkNegotiation
 from ..protocol.routing import Deliver, GreedyRouter
 from ..protocol.sampling import SamplingWalk
 from ..ring.identifiers import in_cw_interval
@@ -104,7 +99,7 @@ class NetNode:
             peer never probes liveness. When set, ``StartTimer`` /
             ``CancelTimer`` effects are wired to real loop timers —
             so probe schedules fire, reply timeouts count dead
-            candidates as refusals, lost walks relaunch — and a
+            candidates as refusals, a lost walk ends the descent — and a
             ``StartDetector`` message arms a
             :class:`~repro.membership.detector.FailureDetector` over
             this peer's directory predecessors.
@@ -143,8 +138,6 @@ class NetNode:
         self.detector_config = detector
         self._fd: FailureDetector | None = None
         self._timers: dict[str, asyncio.TimerHandle] = {}
-        # lockstep member state
-        self._member: _LockstepMember | None = None
         self._stopped = False
 
     # -- lifecycle -----------------------------------------------------
@@ -236,19 +229,23 @@ class NetNode:
             self.out_links.clear()
             self.in_degree = 0
             self.epoch = int(message.epoch)
-            if self.lockstep and self.directory is not None:
-                self._member = _LockstepMember(self)
+            self.join = self._new_join(rng=None)
             return
-        if self.lockstep and self._member is not None:
-            self._run_effects(self._member.dispatch(src, message))
+        join = self.join
+        if join is None:
             return
-        if self.join is not None:
-            if isinstance(message, LinkReply):
-                self._run_effects(self.join.on_reply(src, message))
-            elif isinstance(message, LinkResult):
-                self._run_effects(self.join.on_result(message))
-            elif isinstance(message, WalkDone):
-                self._run_effects(self.join.on_walk_done(message))
+        if isinstance(message, LinkReply):
+            self._run_effects(join.on_reply(src, message))
+        elif isinstance(message, LinkResult):
+            self._run_effects(join.on_result(message))
+        elif isinstance(message, WalkDone):
+            self._run_effects(join.on_walk_done(message))
+        elif isinstance(message, EstimateLevel):
+            self._run_effects(join.on_level(message))
+        elif isinstance(message, BeginAcquire):
+            self._run_effects(join.on_begin(message))
+        elif isinstance(message, AcquireTicket):
+            self._run_effects(join.on_ticket(message))
 
     def _run_effects(self, effects: list[Effect]) -> None:
         for effect in effects:
@@ -268,7 +265,7 @@ class NetNode:
                 if self.detector_config is not None:
                     self._cancel_timer(effect.name)
             elif isinstance(effect, JoinOutcome):
-                pass  # terminal marker; JoinDone rides as a Send effect
+                pass  # terminal marker; a free join's JoinDone rides as a Send
             # Without a detector config, timers stay deliberately inert:
             # every directory member is live and replies, so the oracle
             # modes never need them and stay exactly as deterministic as
@@ -384,20 +381,25 @@ class NetNode:
                 [(int(a[0]), str(a[1]), int(a[2])) for a in message.addrs]
             )
         if self.lockstep:
-            assert self.directory is not None
-            self._member = _LockstepMember(self)
+            self.join = self._new_join(rng=None)  # dealt: waits for tickets
             return
         self._run_effects(self._start_join())
 
     def _start_join(self) -> list[Effect]:
-        assert self.directory is not None
         self.rng = split(self.net_seed, "net", self.epoch, self.node_id)
-        self.join = JoinProtocol(
+        self.join = self._new_join(self.rng)
+        return self.join.start()
+
+    def _new_join(self, rng: np.random.Generator | None) -> JoinProtocol:
+        """This peer's join machine over its directory; ``rng=None``
+        makes it dealt (lockstep)."""
+        assert self.directory is not None
+        return JoinProtocol(
             self.node_id,
             self.position,
             self.seed_id,
             self.directory,
-            self.rng,
+            rng,
             k=self.config.partitions_for(max(1, self.directory.m)),
             sample_size=self.config.sample_size,
             rho_max_out=self.cap_out,
@@ -406,7 +408,6 @@ class NetNode:
             walk_mode=self.config.sampling_mode is SamplingMode.WALK,
             walk_hops=self.config.walk_hops,
         )
-        return self.join.start()
 
     def _on_rewire(self, message: Rewire) -> None:
         """Free-mode rewiring epoch: local teardown, then re-join.
@@ -488,158 +489,3 @@ class NetNode:
                 budget=message.budget,
             ),
         )
-
-
-class _LockstepMember:
-    """The ticket-replay half of a lockstep peer.
-
-    Holds the estimation descent state and the per-round negotiation,
-    computing every decision from the owner's directory snapshot with
-    the exact protocol kernels — no local randomness whatsoever.
-    """
-
-    def __init__(self, node: NetNode) -> None:
-        self.node = node
-        d = node.directory
-        assert d is not None
-        self.row = d.row_of(node.node_id)
-        self.origin = node.position
-        self.prev = d.position_at(self.row - 1)
-        self.far_end = self.prev
-        self.anchor = d.key_at(self.row)
-        self.medians: list[float] = []
-        self.est_active = True
-        self.priority = 0
-        self.linked_rows: set[int] = set()
-        self._nego: LinkNegotiation | None = None
-        self._round = -1
-
-    def dispatch(self, src: int, message: Message) -> list[Effect]:
-        if isinstance(message, EstimateLevel):
-            return self._on_level(message)
-        if isinstance(message, BeginAcquire):
-            self.priority = int(message.priority)
-            return []
-        if isinstance(message, AcquireTicket):
-            return self._on_ticket(message)
-        if isinstance(message, LinkReply) and self._nego is not None:
-            return self._after(self._nego.on_reply(src, message))
-        if isinstance(message, LinkResult) and self._nego is not None:
-            return self._after(self._nego.on_result(message))
-        return []
-
-    # -- estimation (engine draw layout, local decisions) --------------
-
-    def _on_level(self, message: EstimateLevel) -> list[Effect]:
-        d = self.node.directory
-        assert d is not None
-        report = EstimateReport(level=message.level, cont=False)
-        if not self.est_active:
-            return [Send(to=self.node.seed_id, message=report)]
-        lo, __, count = cw_arc_slice(d.positions, self.origin, self.prev)
-        if count == 0:
-            self.est_active = False
-            return [Send(to=self.node.seed_id, message=report)]
-        m = d.m
-        rows = [(lo + int(float(u) * count)) % m for u in message.u_row]
-        border, stop = select_border(
-            self.anchor,
-            self.origin,
-            self.prev,
-            [d.key_at(r) for r in rows],
-            [d.position_at(r) for r in rows],
-        )
-        if stop:
-            self.est_active = False
-            return [Send(to=self.node.seed_id, message=report)]
-        self.medians.append(border)
-        self.prev = border
-        return [Send(to=self.node.seed_id, message=EstimateReport(level=message.level, cont=True))]
-
-    # -- acquisition (engine round semantics over real messages) -------
-
-    def _table_arc(self, p: int) -> tuple[float, float] | None:
-        """Partition ``p`` (0-indexed) of my estimated table, engine layout."""
-        end = self.far_end if p == 0 else self.medians[p - 1]
-        start = self.medians[p] if len(self.medians) > p else self.origin
-        if start == end and p > 0:
-            return None
-        return (start, end)
-
-    def _on_ticket(self, message: AcquireTicket) -> list[Effect]:
-        d = self.node.directory
-        assert d is not None
-        self._round = int(message.round_no)
-        k_count = len(self.medians) + 1
-        arc = self._table_arc(int(float(message.u_part) * k_count))
-        if arc is None:
-            return [self._report(empty_draw=True)]
-        lo, __, count = cw_arc_slice(d.positions, arc[0], arc[1])
-        if count == 0:
-            return [self._report(empty_draw=True)]
-        m = d.m
-        candidates: list[int] = []
-        for u in message.u_cand:
-            c = (lo + int(float(u) * count)) % m
-            if c not in candidates:
-                candidates.append(c)
-        eligible = [c for c in candidates if c != self.row and c not in self.linked_rows]
-        if not eligible:
-            return [self._report()]
-        self._nego = LinkNegotiation(
-            token=self._round, candidates=[d.id_at(c) for c in eligible], priority=self.priority
-        )
-        return self._nego.start()
-
-    def _after(self, effects: list[Effect]) -> list[Effect]:
-        nego = self._nego
-        if nego is None or not nego.done:
-            return effects
-        self._nego = None
-        # The member does its own link bookkeeping below; keep only the
-        # Send effects so the node driver doesn't double-append.
-        effects = [e for e in effects if isinstance(e, Send)]
-        if nego.placed:
-            assert nego.linked_to is not None
-            d = self.node.directory
-            assert d is not None
-            self.node.out_links.append(int(nego.linked_to))
-            self.linked_rows.add(d.row_of(nego.linked_to))
-            filled = len(self.node.out_links) >= self.node.cap_out
-            return effects + [
-                self._report(success=True, refusals=nego.refusals, filled=filled)
-            ]
-        return effects + [
-            self._report(refusals=nego.refusals, conflict=nego.conflict)
-        ]
-
-    def _report(
-        self,
-        success: bool = False,
-        refusals: int = 0,
-        empty_draw: bool = False,
-        conflict: bool = False,
-        filled: bool = False,
-    ) -> Effect:
-        return Send(
-            to=self.node.seed_id,
-            message=AcquireReport(
-                round_no=self._round,
-                success=success,
-                filled=filled,
-                empty_draw=empty_draw,
-                refusals=refusals,
-                conflict=conflict,
-            ),
-        )
-
-
-# Engine parity notes, for the reader auditing bit-exactness:
-#   * replies carry the round-start in-degree because the superstep
-#     barrier processes every LinkReply before any LinkCommit;
-#   * the winner scan is LinkNegotiation's link_winner_key minimum —
-#     the same key min() the engine's sequential reference evaluates;
-#   * a commit's grant re-checks the live in-degree at the candidate,
-#     and lockstep delivery replays commits in ascending priority —
-#     the engine round's conflict rule, message-shaped.
-_ = (JoinDone, link_winner_key)  # names referenced by the notes above

@@ -15,18 +15,22 @@ in messages. This package states those decisions once, transport-free:
 * :mod:`~repro.protocol.messages` / :mod:`~repro.protocol.effects` —
   the typed message grammar and the typed effects machines emit
   (``Send``, ``StartTimer``, ``LinkEstablished``, ...);
+* :mod:`~repro.protocol.estimation` — the exact-rank border and
+  arc-window kernels the engine's reference and the join machine share;
 * the four state machines: :class:`~repro.protocol.join.JoinProtocol`,
   :class:`~repro.protocol.sampling.SamplingWalk`,
   :class:`~repro.protocol.negotiation.LinkNegotiation`,
   :class:`~repro.protocol.routing.GreedyRouter` — pure objects that
   consume typed messages/events and emit typed effects, never touching
-  sockets, clocks, or another peer's state.
+  sockets, clocks, or another peer's state. ``JoinProtocol`` is the
+  per-peer form of the construction engine's join: every live peer,
+  free or lockstep, in memory or over TCP, joins through it.
 
 Drivers provide the I/O: the synchronous engines deliver omnisciently
 in-process, while :mod:`repro.net` runs one asyncio task per peer over
-a pluggable transport. RNG generators may be *passed in* (labelled
-streams from :mod:`repro.rng`); nothing here creates entropy, reads a
-clock, or blocks.
+a pluggable transport. Uniforms are *passed in* — a labelled stream from
+:mod:`repro.rng` or rows dealt by the lockstep coordinator; nothing here
+creates entropy, reads a clock, or blocks.
 """
 
 from .decisions import (
@@ -47,7 +51,7 @@ from .effects import (
     Send,
     StartTimer,
 )
-from .estimation import PartitionEstimator, cw_arc_slice, select_border
+from .estimation import cw_arc_slice, select_border
 from .join import JoinProtocol
 from .messages import Message, message_from_wire
 from .negotiation import LinkNegotiation
@@ -66,7 +70,6 @@ __all__ = [
     "LinkEstablished",
     "LinkNegotiation",
     "Message",
-    "PartitionEstimator",
     "SamplingWalk",
     "Send",
     "StartTimer",

@@ -91,7 +91,8 @@ def border_is_terminal(border: float, origin: float, previous_end: float) -> boo
     estimator can never hand the table a border the table would reject.
     Shared by the construction engine (:mod:`repro.engine.construct`) —
     whose vectorized kernel must agree with this predicate bit-for-bit —
-    and the net runtime's estimators.
+    and, through :func:`~repro.protocol.estimation.select_border`, the
+    live runtime's join machine.
     """
     return border == previous_end or not in_cw_interval(border, origin, previous_end)
 

@@ -307,19 +307,19 @@ class EstimateLevel(Message):
     """Coordinator -> active peer: one estimation level's uniform row.
 
     ``u_row`` is this peer's slice of the engine's per-level
-    ``rng.random((active, sample_size))`` matrix; the peer resolves the
-    draws against its directory and selects the border locally.
+    ``rng.random((active, sample_size))`` matrix; the peer's
+    :class:`~repro.protocol.join.JoinProtocol` resolves the draws against
+    its directory and selects the border locally.
     """
 
     kind: ClassVar[str] = "estimate_level"
     level: int = 0
     u_row: list = None  # type: ignore[assignment]
-    track_spend: bool = False
 
 
 @dataclass(frozen=True)
 class EstimateReport(Message):
-    """Peer -> coordinator: still active after this level?"""
+    """Peer -> coordinator: does my descent take another level?"""
 
     kind: ClassVar[str] = "estimate_report"
     level: int = 0
@@ -348,15 +348,12 @@ class AcquireTicket(Message):
 
 @dataclass(frozen=True)
 class AcquireReport(Message):
-    """Peer -> coordinator: this round's outcome and counters."""
+    """Peer -> coordinator: this round's attempt is over; do I take
+    another ticket? (The counters stay with the peer.)"""
 
     kind: ClassVar[str] = "acquire_report"
     round_no: int = 0
-    success: bool = False
-    filled: bool = False
-    empty_draw: bool = False
-    refusals: int = 0
-    conflict: bool = False
+    cont: bool = False
 
 
 # ----------------------------------------------------------------------

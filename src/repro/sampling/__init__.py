@@ -1,24 +1,22 @@
-"""Sampling substrate: restricted walks, medians, density histograms.
+"""Sampling substrate: restricted walks and density histograms.
 
 * :class:`BatchRestrictedWalker` — the paper's Mercury-style restricted
   Metropolis–Hastings walk over clockwise arcs (the ``WALK`` fidelity
   mode), every walker in lock-step, with its sequential twin
   :meth:`~BatchRestrictedWalker.walk_reference`; the construction
   engine draws ``UNIFORM`` samples itself;
-* :func:`cw_sample_median` / :func:`cw_sample_quantile` — clockwise
-  order statistics used for Oscar's recursive partition borders;
 * :class:`NodeDensityHistogram` — Mercury's equi-width density learner.
+
+Oscar's partition borders are not estimated here: the construction
+engine and the per-peer join machine both take them with the exact-rank
+:func:`repro.protocol.estimation.select_border`.
 """
 
 from .batch_walk import BatchRestrictedWalker, in_cw_arc
 from .histogram import NodeDensityHistogram
-from .median import cw_sample_median, cw_sample_quantile, lower_median_index
 
 __all__ = [
     "BatchRestrictedWalker",
     "NodeDensityHistogram",
-    "cw_sample_median",
-    "cw_sample_quantile",
     "in_cw_arc",
-    "lower_median_index",
 ]

@@ -1,4 +1,5 @@
-"""Tests for clockwise median/quantile estimation (repro.sampling.median)."""
+"""Tests for the clockwise sample median every partition border takes
+(``repro.protocol.estimation.select_border``)."""
 
 from __future__ import annotations
 
@@ -10,66 +11,75 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import InsufficientSamplesError
-from repro.sampling import cw_sample_median, cw_sample_quantile, lower_median_index
+from repro.protocol import select_border
+from repro.ring.keyspace import from_unit, from_units
 
-keys = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
+# Positions at or above 2**-11 are lossless keys: distinct floats, distinct
+# key cells, so the exact key rank is the exact clockwise float order.
+cells = st.floats(min_value=2.0**-11, max_value=1.0, exclude_max=True)
+
+
+def cw_median(origin: float, samples) -> float:
+    """``select_border``'s border over float samples: the keys are the
+    samples' key cells, the anchor the origin's (the clamp is not asked)."""
+    positions = [float(p) for p in samples]
+    sample_keys = [int(k) for k in from_units(positions)]
+    border, __ = select_border(from_unit(origin), origin, origin, sample_keys, positions)
+    return border
 
 
 class TestLowerMedianIndex:
+    """The border is the sample at clockwise rank ``(n - 1) // 2`` — the
+    lower median, an actual peer, never a midpoint — in any draw order."""
+
     @pytest.mark.parametrize(
         ("n", "expected"),
         [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2), (10, 4), (11, 5)],
     )
     def test_known_values(self, n, expected):
-        assert lower_median_index(n) == expected
+        ordered = [(i + 1) / 32 for i in range(n)]
+        assert cw_median(0.0, ordered[::-1]) == ordered[expected]
 
-    def test_rejects_empty(self):
-        with pytest.raises(InsufficientSamplesError):
-            lower_median_index(0)
-
-    @given(st.integers(min_value=1, max_value=10_000))
+    @given(st.integers(min_value=1, max_value=200))
     def test_always_a_valid_index(self, n):
-        idx = lower_median_index(n)
-        assert 0 <= idx < n
+        ordered = [(i + 1) / 256 for i in range(n)]
+        assert cw_median(0.0, ordered[::-1]) == ordered[(n - 1) // 2]
 
 
 class TestCwSampleMedian:
     def test_simple_no_wrap(self):
         samples = np.array([0.2, 0.4, 0.6])
-        assert cw_sample_median(0.0, samples) == pytest.approx(0.4)
+        assert cw_median(0.0, samples) == pytest.approx(0.4)
 
     def test_median_is_a_sample(self):
         samples = np.array([0.15, 0.35, 0.55, 0.75, 0.95])
-        result = cw_sample_median(0.1, samples)
+        result = cw_median(0.1, samples)
         assert result in samples
 
     def test_wraps_around_origin(self):
         # From origin 0.9, clockwise order is 0.95, 0.05, 0.15.
         samples = np.array([0.05, 0.15, 0.95])
-        assert cw_sample_median(0.9, samples) == pytest.approx(0.05)
+        assert cw_median(0.9, samples) == pytest.approx(0.05)
 
     def test_even_count_takes_lower_middle(self):
         samples = np.array([0.1, 0.2, 0.3, 0.4])
-        assert cw_sample_median(0.0, samples) == pytest.approx(0.2)
+        assert cw_median(0.0, samples) == pytest.approx(0.2)
 
     def test_duplicates_are_legal(self):
         samples = np.array([0.3, 0.3, 0.3, 0.7])
-        assert cw_sample_median(0.0, samples) == pytest.approx(0.3)
+        assert cw_median(0.0, samples) == pytest.approx(0.3)
 
     def test_rejects_empty(self):
         with pytest.raises(InsufficientSamplesError):
-            cw_sample_median(0.0, np.array([]))
+            select_border(0, 0.0, 0.5, [], [])
 
-    @given(
-        origin=keys,
-        samples=st.lists(keys, min_size=1, max_size=40),
-    )
+    @given(origin=cells, samples=st.lists(cells, min_size=1, max_size=40))
     def test_median_halves_the_sample(self, origin, samples):
         arr = np.array(samples)
-        median = cw_sample_median(origin, arr)
-        # Distances computed the estimator's way; the returned key may
-        # differ from the winning sample by one rounding ulp, so compare
-        # with a small tolerance.
+        median = cw_median(origin, arr)
+        # Distances computed the float way; the returned key may differ
+        # from the winning sample by one rounding ulp, so compare with a
+        # small tolerance.
         d_median = float((median - origin) % 1.0)
         distances = (arr - origin) % 1.0
         at_or_before = int((distances <= d_median + 1e-9).sum())
@@ -89,126 +99,44 @@ class TestCwSampleMedian:
     def test_rotation_equivariance(self, origin, samples, shift):
         # Rotating origin and samples together rotates the median.
         arr = np.array(samples)
-        base = cw_sample_median(origin, arr)
-        rotated = cw_sample_median(
-            (origin + shift) % 1.0, (arr + shift) % 1.0
-        )
+        base = cw_median(origin, arr)
+        rotated = cw_median((origin + shift) % 1.0, (arr + shift) % 1.0)
         expected = (base + shift) % 1.0
         assert rotated == pytest.approx(expected, abs=1e-12)
 
 
-class TestCwSampleQuantile:
-    def test_full_quantile_is_clockwise_farthest(self):
-        samples = np.array([0.2, 0.5, 0.8])
-        assert cw_sample_quantile(0.1, samples, 1.0) == pytest.approx(0.8)
-
-    def test_small_quantile_is_clockwise_nearest(self):
-        samples = np.array([0.2, 0.5, 0.8])
-        assert cw_sample_quantile(0.1, samples, 0.01) == pytest.approx(0.2)
-
-    def test_median_equals_half_quantile(self):
-        samples = np.array([0.11, 0.31, 0.51, 0.71, 0.91])
-        assert cw_sample_median(0.0, samples) == cw_sample_quantile(0.0, samples, 0.5)
-
-    @pytest.mark.parametrize("q", [0.0, -0.5, 1.5])
-    def test_rejects_bad_q(self, q):
-        with pytest.raises(ValueError):
-            cw_sample_quantile(0.0, np.array([0.5]), q)
-
-    def test_rejects_empty(self):
-        with pytest.raises(InsufficientSamplesError):
-            cw_sample_quantile(0.0, np.array([]), 0.5)
-
-    @given(
-        origin=keys,
-        samples=st.lists(keys, min_size=1, max_size=30),
-        q=st.floats(min_value=0.01, max_value=1.0),
-    )
-    def test_quantile_is_always_a_sample(self, origin, samples, q):
-        arr = np.array(samples)
-        result = cw_sample_quantile(origin, arr, q)
-        # Circular comparison: a sample at 1 - ulp legitimately round-trips
-        # to 0.0 through origin-relative arithmetic.
-        gap = np.abs(arr - result)
-        circular_gap = np.minimum(gap, 1.0 - gap)
-        assert (circular_gap < 1e-9).any()
-
-    @given(
-        origin=keys,
-        samples=st.lists(keys, min_size=2, max_size=30),
-        q1=st.floats(min_value=0.01, max_value=1.0),
-        q2=st.floats(min_value=0.01, max_value=1.0),
-    )
-    def test_quantiles_are_monotone_in_q(self, origin, samples, q1, q2):
-        if q1 > q2:
-            q1, q2 = q2, q1
-        arr = np.array(samples)
-        lo = cw_sample_quantile(origin, arr, q1)
-        hi = cw_sample_quantile(origin, arr, q2)
-        d = np.sort((arr - origin) % 1.0)
-        d_lo = (lo - origin) % 1.0
-        d_hi = (hi - origin) % 1.0
-        del d
-        assert d_lo <= d_hi + 1e-12
-
-
 class TestExactTieAtBorder:
-    """Boundary-audit satellite: samples whose float distances collapse
-    (or round onto the full circle) must still rank in true clockwise
-    order."""
+    """Boundary audit: samples whose float distances collapse (or round
+    onto the full circle) still rank in true clockwise key order."""
 
     def test_sample_behind_origin_ranks_last_not_first(self):
-        # Regression (hypothesis-found): with origin below keyspace
-        # resolution, the sample at 0.0 sits a denormal step *behind*
-        # the origin — clockwise distance ~1.0 — and must sort last.
-        # A quantized uint64 ordering collapsed it onto distance 0 and
-        # returned 0.5 as the "median" of a 3-sample set.
-        origin = 6.9078580063116134e-102
-        median = cw_sample_median(origin, np.array([0.0, 0.5, 0.75]))
-        assert median == 0.75
+        # A sample one ulp counter-clockwise of the origin is a whole
+        # circle away: it sorts last, so the median of three is 0.75.
+        origin = 0.5
+        behind = math.nextafter(origin, 0.0)
+        assert cw_median(origin, np.array([behind, 0.6, 0.75])) == 0.75
+        # Inside the origin's own 2**-64 key cell the rank is the key
+        # distance, 0 on either side: 0.0 sorts first behind an origin
+        # of 2**-70 — the engine's rank, which every peer shares.
+        assert cw_median(2.0**-70, np.array([0.0, 0.5, 0.75])) == 0.5
 
     def test_collapsed_float_distances_order_exactly(self):
-        # 0.0 and 1.4e-45 both measure float distance exactly 0.9 from
-        # origin 0.1 (subtractive rounding) but are distinct points; the
-        # exact comparison rank orders 0.0 first. The returned float is
-        # the same either way (ties reconstruct the same distance),
-        # which is what keeps stored artifacts stable.
+        # 0.0 and 2**-60 both measure float distance exactly 0.9 from
+        # origin 0.1 (subtractive rounding) but sit in distinct key
+        # cells; the key rank orders 0.0 first whatever the draw order.
+        # The returned float is the same either way (ties reconstruct
+        # the same distance), which is what keeps stored artifacts stable.
         origin = 0.1
-        for samples in ([0.0, 1.4e-45], [1.4e-45, 0.0]):
+        for samples in ([0.0, 2.0**-60], [2.0**-60, 0.0]):
             arr = np.array(samples)
             assert float(((arr - origin) % 1.0)[0]) == float(((arr - origin) % 1.0)[1])
-            assert cw_sample_median(origin, arr) == cw_sample_median(origin, arr[::-1])
+            assert from_unit(samples[0]) != from_unit(samples[1])
+            assert cw_median(origin, arr) == cw_median(origin, arr[::-1]) == 0.0
 
     def test_full_circle_rounding_does_not_escape_the_order(self):
-        # A sample a denormal step counter-clockwise of the origin has
-        # float distance rounding to exactly 1.0; it must rank last, not
+        # A sample one ulp counter-clockwise of the origin has float
+        # distance rounding to exactly 1.0; it must rank last, not
         # shadow the true nearest sample.
         origin = 0.5
         behind = math.nextafter(origin, 0.0)
-        q_first = cw_sample_quantile(origin, np.array([behind, 0.6]), q=0.5)
-        assert q_first == 0.6
-
-    @given(
-        origin=st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
-        samples=st.lists(
-            st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
-            min_size=1,
-            max_size=20,
-        ),
-    )
-    def test_quantile_one_is_the_clockwise_farthest(self, origin, samples):
-        arr = np.array(samples)
-        farthest = cw_sample_quantile(origin, arr, q=1.0)
-        # Exact rank: every sample is at or before the selected one.
-        def rank(pos):
-            return (pos < origin, pos)
-        best = max(samples, key=rank)
-        assert rank_key_equal(farthest, origin, best)
-
-
-def rank_key_equal(reconstructed: float, origin: float, winner: float) -> bool:
-    """The reconstruction may differ from the winning sample by one
-    rounding ulp; compare via the winner's float distance instead."""
-    expected = float((np.float64(winner) - origin) % 1.0)
-    got = float((np.float64(reconstructed) - origin) % 1.0)
-    return abs(got - expected) <= 1e-12 or got == expected
+        assert cw_median(origin, np.array([behind, 0.6])) == 0.6

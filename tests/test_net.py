@@ -5,8 +5,11 @@ coordinator the live runtime — real peer tasks, real envelopes, the
 deterministic in-memory transport — must rebuild bit-for-bit the
 topology :class:`~repro.engine.construct.BatchConstructionEngine`
 derives from the same seed, including every
-:class:`~repro.core.construction.LinkAcquisitionStats` counter. Around
-that sit invariant-level checks for the free (concurrent, adversarially
+:class:`~repro.engine.construct.LinkAcquisitionStats` counter. The
+peers run the one join machine,
+:class:`~repro.protocol.join.JoinProtocol`, on dealt tickets — the
+machine free-mode and TCP peers run on their own streams. Around that
+sit invariant-level checks for the free (concurrent, adversarially
 ordered) mode, the wire codec, TCP transport end to end, and the
 walk-based sampling mode.
 """

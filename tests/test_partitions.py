@@ -160,22 +160,6 @@ class TestPartitionOf:
             assert d_start < d <= d_end
 
 
-class TestSamplePartition:
-    def test_uniform_over_indices(self):
-        table = make_table(0.0, 0.9, 0.5, 0.25, 0.125)
-        rng = make_rng(1)
-        draws = np.array([table.sample_partition(rng) for _ in range(4000)])
-        counts = np.bincount(draws, minlength=5)[1:]
-        assert counts.min() > 0
-        # Uniform over four partitions: each within 4 sigma of 1000.
-        assert np.all(np.abs(counts - 1000) < 4 * np.sqrt(1000 * 0.75))
-
-    def test_single_partition_always_one(self):
-        table = make_table(0.0, 0.9)
-        rng = make_rng(1)
-        assert all(table.sample_partition(rng) == 1 for _ in range(10))
-
-
 class TestDescribe:
     def test_describe_mentions_every_partition(self):
         table = make_table(0.0, 0.9, 0.5, 0.25)

@@ -3,27 +3,35 @@
 The simulators exercise these kernels end to end (the engines now call
 them directly); this module pins the *local* contracts a transport
 driver leans on — decision functions, message wire round-trips, the
-link-negotiation state machine, the estimator descent, and the per-hop
-router's equivalence with the omniscient simulator.
+link-negotiation state machine, the join machine's estimation level and
+its equivalence with the construction engine's one-peer join, and the
+per-hop router's equivalence with the omniscient simulator.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro import OscarConfig
+from repro.core.overlay import OscarOverlay
 from repro.core.partitions import PartitionTable
+from repro.degree import ConstantDegrees, SpikyDegreeDistribution
+from repro.engine.construct import BatchConstructionEngine
 from repro.errors import SamplingError
 from repro.protocol import (
     Deliver,
     Directory,
     GreedyRouter,
     JoinOutcome,
+    JoinProtocol,
     LinkEstablished,
     LinkNegotiation,
-    PartitionEstimator,
     Send,
     accepts_link,
     border_is_terminal,
@@ -41,6 +49,7 @@ from repro.protocol.messages import (
     BeginAcquire,
     DirectoryUpdate,
     EstimateLevel,
+    EstimateReport,
     Hello,
     JoinDone,
     LinkCommit,
@@ -57,7 +66,10 @@ from repro.protocol.messages import (
 from repro.ring.identifiers import in_cw_interval
 from repro.rng import split
 from repro.routing.greedy import route_greedy
+from repro.workloads import UniformKeys
 from tests.conftest import build_overlay
+
+SEED = -1
 
 
 class TestDecisions:
@@ -170,7 +182,7 @@ class TestMessages:
             EstimateLevel(level=2, u_row=[0.1, 0.9]),
             BeginAcquire(priority=5),
             AcquireTicket(round_no=1, u_part=0.3, u_cand=[0.2, 0.8]),
-            AcquireReport(round_no=1, success=True, refusals=1),
+            AcquireReport(round_no=1, cont=True),
         ]
 
     def test_wire_round_trip_every_kind(self):
@@ -240,36 +252,167 @@ class TestLinkNegotiation:
 
 
 class TestPartitionEstimator:
+    """Partition estimation is :class:`JoinProtocol`'s level step: one
+    border per row of uniforms, the descent ending on an empty level or
+    a clamped border."""
+
     def test_descends_and_builds_a_table(self):
-        estimator = PartitionEstimator(origin=0.0, far_end=0.99, k=4)
+        n = 64
+        positions = [i / n for i in range(n)]
+        join = JoinProtocol(
+            0, 0.0, SEED, Directory(range(n), positions), None,
+            k=4, sample_size=8, rho_max_out=2, link_retries=2,
+        )
+        assert join.far_end == positions[-1]
         rng = split(7, "est")
-        while (arc := estimator.pending_arc()) is not None:
-            start, end = arc
-            span = (end - start) % 1.0 or 1.0
-            estimator.add_samples(
-                [float((start + u * span) % 1.0) for u in rng.random(8)]
-            )
-        table = estimator.table()
-        assert isinstance(table, PartitionTable)
-        assert 1 <= table.n_partitions <= 4
-        assert table.origin == 0.0
+        for level in range(3):
+            (effect,) = join.on_level(EstimateLevel(level=level, u_row=list(rng.random(8))))
+            assert effect.to == SEED and isinstance(effect.message, EstimateReport)
+            if not effect.message.cont:
+                break
+        table = PartitionTable(origin=0.0, far_end=join.far_end, medians=tuple(join.medians))
+        assert 2 <= table.n_partitions <= 4
+        assert not effect.message.cont  # k - 1 levels at most
 
     def test_empty_sample_terminates_the_descent(self):
-        estimator = PartitionEstimator(origin=0.1, far_end=0.9, k=5)
-        assert estimator.pending_arc() is not None
-        estimator.add_samples([])
-        assert estimator.pending_arc() is None
-        assert estimator.medians == ()
+        positions = [0.1 + i / 10 for i in range(8)]
+        join = JoinProtocol(
+            0, 0.1, SEED, Directory(range(8), positions), split(1, "walk"),
+            k=5, sample_size=4, rho_max_out=0, link_retries=2, walk_mode=True,
+        )
+        launch = join.start()
+        assert isinstance(launch[0].message, WalkStep)
+        effects = join.on_walk_done(WalkDone(walk_id=1, positions=[]))
+        assert join.medians == [] and join.done
+        assert effects[-1] == Send(to=SEED, message=JoinDone(node_id=0, links=0, gave_up=0))
 
     def test_degenerate_arc_needs_no_samples(self):
-        estimator = PartitionEstimator(origin=0.3, far_end=0.3, k=4)
-        assert estimator.pending_arc() is None
-        assert estimator.table().n_partitions == 1
+        # The sole member: far end == origin, one partition, no draws.
+        rng = split(3, "solo")
+        before = rng.bit_generator.state
+        join = JoinProtocol(
+            5, 0.3, SEED, Directory([5], [0.3]), rng,
+            k=4, sample_size=8, rho_max_out=0, link_retries=2,
+        )
+        join.start()
+        assert join.far_end == 0.3 and join.medians == [] and join.done
+        assert rng.bit_generator.state == before
 
     def test_feeding_a_finished_estimator_raises(self):
-        estimator = PartitionEstimator(origin=0.3, far_end=0.3, k=4)
+        join = JoinProtocol(
+            5, 0.3, SEED, Directory([5], [0.3]), None,
+            k=4, sample_size=8, rho_max_out=0, link_retries=2,
+        )
         with pytest.raises(SamplingError):
-            estimator.add_samples([0.5])
+            join.on_level(EstimateLevel(level=0, u_row=[0.5]))
+
+
+def drive(join, overlay):
+    """Run a free join machine to ``JoinDone`` synchronously: link
+    requests and commits are answered from the overlay's ``in_deg`` /
+    ``cap_in`` columns, and every grant is applied to them."""
+    state = overlay.state
+    effects = deque(join.start())
+    seen = []
+    while effects:
+        effect = effects.popleft()
+        seen.append(effect)
+        message = effect.message if isinstance(effect, Send) else None
+        if isinstance(message, LinkRequest):
+            slot = state.slot_of(effect.to)
+            in_degree, cap = int(state.in_deg[slot]), int(state.cap_in[slot])
+            reply = LinkReply(
+                token=message.token,
+                accept=accepts_link(in_degree, cap),
+                in_degree=in_degree,
+                rho_in=cap,
+            )
+            effects.extend(join.on_reply(effect.to, reply))
+        elif isinstance(message, LinkCommit):
+            slot = state.slot_of(effect.to)
+            granted = accepts_link(int(state.in_deg[slot]), int(state.cap_in[slot]))
+            state.in_deg[slot] += granted
+            effects.extend(join.on_result(LinkResult(token=message.token, granted=granted)))
+    return seen
+
+
+class TestJoinProtocolMatchesEngine:
+    """One peer's :class:`JoinProtocol`, fed from the overlay's join
+    stream, is :meth:`OscarOverlay.join` (the splice plus the engine's
+    one-row ``join_cohort``) on a twin overlay: the engine's layout for
+    one row *is* the per-peer layout — ``shuffle`` of one row draws
+    nothing, ``random(1)`` is ``random()``, ``random((1, s))`` is
+    ``random(s)``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 60),
+        spiky=st.booleans(),
+        cap=st.integers(1, 6),
+        saturated=st.booleans(),
+        caps=st.tuples(st.integers(0, 6), st.integers(0, 8)),
+        power_of_two=st.booleans(),
+        link_retries=st.integers(0, 3),
+        sample_size=st.sampled_from([1, 2, 5, 16]),
+        where=st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(["below", "above"])
+        ),
+    )
+    def test_join_equals_the_engine_join(
+        self, seed, n, spiky, cap, saturated, caps, power_of_two, link_retries, sample_size, where
+    ):
+        config = OscarConfig(
+            power_of_two=power_of_two, link_retries=link_retries, sample_size=sample_size
+        )
+        degrees = SpikyDegreeDistribution() if spiky else ConstantDegrees(cap)
+        # "below" / "above": the joiner shares the 2**-64 key cell of
+        # peers at 2**-70 and 2**-69, below both or between them — rows
+        # that tie on key distance, ranked by draw index.
+        shared = isinstance(where, str)
+        position = {"below": 2.0**-71, "above": 1.5 * 2.0**-70}.get(where, where)
+
+        def spliced():
+            overlay = OscarOverlay(config, seed=seed)
+            overlay.grow(n, UniformKeys(), degrees)
+            if shared:
+                overlay.join(2.0**-70, cap, cap)
+                overlay.join(2.0**-69, cap, cap)
+            if saturated:
+                live = overlay.ring.slots_array(live_only=True)
+                overlay.state.in_deg[live] = overlay.state.cap_in[live]
+            assume(position not in overlay.ring.positions_array(live_only=False))
+            return overlay, overlay._splice(position, *caps)
+
+        twin, node_id = spliced()
+        ring = twin.ring
+        directory = Directory(ring.ids_array(live_only=True), ring.positions_array(live_only=True))
+        join = JoinProtocol(
+            node_id, position, SEED, directory, twin._join_rng,
+            k=config.partitions_for(directory.m),
+            sample_size=sample_size,
+            rho_max_out=caps[1],
+            link_retries=link_retries,
+            power_of_two=power_of_two,
+        )
+        effects = drive(join, twin)
+        done = JoinDone(node_id=node_id, links=len(join.links), gave_up=join.slots_given_up)
+        assert effects[-1] == Send(to=SEED, message=done)
+
+        for vectorized in (True, False):
+            overlay, engine_id = spliced()
+            assert engine_id == node_id
+            ids = np.array([node_id], dtype=np.int64)
+            stats = BatchConstructionEngine(overlay, vectorized=vectorized).join_cohort(ids)
+            state = overlay.state
+            slot = state.slot_of(node_id)
+            assert join.links == state.out_links[slot, : state.out_count[slot]].tolist()
+            assert join.medians == state.medians[slot, : state.n_medians[slot]].tolist()
+            assert [getattr(join, f) for f in stats.__slots__] == [
+                getattr(stats, f) for f in stats.__slots__
+            ]
+            assert twin._join_rng.bit_generator.state == overlay._join_rng.bit_generator.state
+            assert twin.in_degree_array().tolist() == overlay.in_degree_array().tolist()
 
 
 class TestGreedyRouterEquivalence:
