@@ -91,12 +91,11 @@ def run(
         failure_threshold=threshold,
         quorum=quorum,
         n_monitors=monitors,
+        loss=loss,
         ping_interval_s=ping_interval_s,
         timeout_s=timeout_s,
     )
-    config = NetConfig(
-        overlay=OscarConfig(), seed=seed, detector=detector, loss=loss
-    )
+    config = NetConfig(overlay=OscarConfig(), seed=seed, detector=detector)
     # Victim choice is seeded but independent of the build/detector
     # streams, so the same seed crashes the same peers every run.
     victims = sorted(

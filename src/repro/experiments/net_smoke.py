@@ -87,7 +87,7 @@ def run(
         lock_size, seed, key_distribution, degree_distribution
     )
     watch = Stopwatch()
-    with NetHarness(NetConfig(seed=seed, lockstep=True)) as locked:
+    with NetHarness(NetConfig(seed=seed, delivery="lockstep")) as locked:
         net_stats = locked.build(lock_size, key_distribution, degree_distribution)
         lock_seconds = watch.lap()
         mismatches = sum(

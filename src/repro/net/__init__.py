@@ -6,8 +6,9 @@ distributed system: one asyncio task per peer, each driving the same
 :mod:`repro.protocol` state machines over a pluggable transport —
 
 * :mod:`~repro.net.config` — :class:`~repro.net.config.NetConfig`, the
-  frozen, eagerly-validated configuration surface (transport, delivery,
-  lockstep, failure-detector knobs, probe-plane loss);
+  frozen, eagerly-validated configuration surface (overlay, seed,
+  delivery — ``"lockstep"`` is the oracle mode — transport and the
+  failure-detector knobs, probe-plane loss included);
 * :mod:`~repro.net.codec` — length-prefixed JSON frames;
 * :mod:`~repro.net.transport` — the in-memory queue transport with
   seeded deterministic delivery order (``fifo`` / ``random`` /
@@ -17,7 +18,9 @@ distributed system: one asyncio task per peer, each driving the same
   :class:`~repro.protocol.join.JoinProtocol`, on its own stream (free
   mode) or on coordinator-dealt RNG tickets (lockstep mode);
 * :mod:`~repro.net.harness` — :class:`~repro.net.harness.NetHarness`:
-  boots a seed plus N peers, runs join/rewire to quiescence, extracts
+  boots a seed plus N peers through one sequence on either transport
+  (``Hello`` in, one ``DirectoryUpdate`` out), runs join/rewire to
+  quiescence, extracts
   the final topology, and validates it against the deterministic
   engines (the oracle-equivalence contract of ``docs/net.md``). With
   :attr:`NetConfig.detector` set it also runs the probe-derived
@@ -35,8 +38,8 @@ rule only for the *TCP* event loop's internals — see
 """
 
 from .config import NetConfig
-from .harness import SEED_ID, NetHarness, TopologySummary
-from .node import NetNode
+from .harness import NetHarness, TopologySummary
+from .node import SEED_ID, NetNode
 from .transport import MemoryTransport, TcpEndpoint
 
 __all__ = [

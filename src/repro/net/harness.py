@@ -1,9 +1,12 @@
 """Boot a network, run it to quiescence, validate the topology.
 
 :class:`NetHarness` owns the seed side of the runtime: it registers the
-seed endpoint (:data:`SEED_ID`), boots N :class:`~repro.net.node.NetNode`
-tasks, answers the bootstrap handshake, and drives construction to
-quiescence. Every peer joins through one
+seed endpoint (:data:`~repro.net.node.SEED_ID`), creates peer ``i``'s
+endpoint and boots its :class:`~repro.net.node.NetNode` task, collects
+one ``Hello`` per peer and broadcasts one ``DirectoryUpdate`` — the same
+boot sequence over both transports, except that TCP peers announce
+listening addresses the broadcast passes on — and drives construction
+to quiescence. Every peer joins through one
 :class:`~repro.protocol.join.JoinProtocol`, and the stats are the sum of
 the peers' own counters; two build disciplines differ only in where the
 machines' uniforms come from and who paces the rounds:
@@ -11,15 +14,15 @@ machines' uniforms come from and who paces the rounds:
 * **free** — peers join concurrently under their own labelled RNG
   streams; the harness only deals membership and collects ``JoinDone``.
   Runs over the memory transport (any delivery order) and over TCP.
-* **lockstep** (memory transport only) — the harness is the
-  *coordinator*: it consumes one construction stream in the batched
-  engine's exact draw layout (caps, positions, one uniform matrix per
-  estimation level over the active rows in ascending row order, one
-  priority shuffle, one partition + candidate draw per acquisition
-  round) and deals the uniforms to peers as RNG tickets for as long as
-  they report themselves active. Peers decide everything locally from
-  their directory; the transport's superstep barrier gives replies
-  snapshot semantics and replays commits in priority order. The
+* **lockstep** (``delivery="lockstep"``, memory transport only) — the
+  harness is the *coordinator*: it consumes one construction stream in
+  the batched engine's exact draw layout (caps, positions, one uniform
+  matrix per estimation level over the active rows in ascending row
+  order, one priority shuffle, one partition + candidate draw per
+  acquisition round) and deals the uniforms to peers as RNG tickets for
+  as long as they report themselves active. Peers decide everything
+  locally from their directory; the transport's superstep barrier gives
+  replies snapshot semantics and replays commits in priority order. The
   resulting topology and
   :class:`~repro.engine.construct.LinkAcquisitionStats` are
   **bit-identical** to :meth:`BatchConstructionEngine.grow
@@ -41,7 +44,7 @@ detection pipeline end to end.
 The facade is synchronous (one private :class:`asyncio.Runner` carries
 the loop across calls) so the test suite needs no asyncio plugin::
 
-    harness = NetHarness(NetConfig(lockstep=True, seed=7))
+    harness = NetHarness(NetConfig(delivery="lockstep", seed=7))
     stats = harness.build(500, UniformKeys(), ConstantDegrees(4))
     success, hops = harness.route_check(200)
     harness.close()
@@ -52,6 +55,7 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -71,24 +75,19 @@ from ..protocol.messages import (
     JoinDone,
     Kill,
     Message,
-    ResetLinks,
     Rewire,
     RouteDone,
     RouteProbe,
     StartDetector,
     Suspect,
-    Welcome,
 )
 from ..rng import split
 from ..workloads import KeyDistribution
 from .config import NetConfig
-from .node import NetNode
+from .node import SEED_ID, NetNode
 from .transport import MemoryTransport, TcpEndpoint
 
-__all__ = ["NetHarness", "SEED_ID", "TopologySummary"]
-
-SEED_ID = -1
-"""The seed node's transport id (peers are 0..n-1)."""
+__all__ = ["NetHarness", "TopologySummary"]
 
 
 @dataclass(frozen=True)
@@ -124,19 +123,13 @@ class NetHarness:
     """
 
     def __init__(self, config: NetConfig = NetConfig()) -> None:
-        self.net_config = config
-        self.config = config.overlay
-        self.seed = config.seed
-        self.lockstep = config.lockstep
-        self.transport_kind = config.transport
-        self.delivery = config.resolved_delivery
-        self.detector_config = config.detector
+        self.config = config
         self.nodes: list[NetNode] = []
         self.directory: Directory | None = None
         self.stats = LinkAcquisitionStats()
         self._runner = asyncio.Runner()
         self._transport: MemoryTransport | None = None
-        self._seed_ep = None
+        self._seed_ep: Any = None
         self._tasks: list[asyncio.Task] = []
         self._epoch = 0
         self._probe_id = 0
@@ -182,7 +175,7 @@ class NetHarness:
             raise SimulationError("a network needs at least 2 peers")
         kill_mid_join = tuple(int(i) for i in kill_mid_join)
         if kill_mid_join:
-            if self.detector_config is None:
+            if self.config.detector is None:
                 raise ConfigError(
                     "kill_mid_join needs NetConfig.detector set: dead-peer "
                     "negotiations only resolve via the reply timers"
@@ -192,7 +185,7 @@ class NetHarness:
                 raise ConfigError(f"kill_mid_join ids out of range [0, {n}): {bad}")
             if len(set(kill_mid_join)) >= n - 1:
                 raise ConfigError("kill_mid_join must leave at least 2 peers alive")
-        rng = split(self.seed, "join")
+        rng = split(self.config.seed, "join")
         caps_in, caps_out = assign_caps(degrees, rng, n)
         positions = draw_positions(rng, keys, n, occupied=np.empty(0))
         self.stats = self._runner.run(
@@ -227,14 +220,14 @@ class NetHarness:
         judged against the harness's *current* directory, so after an
         eviction the responsibility of the dead peer's arc has moved to
         its successor. ``timeout_s`` bounds each probe's round trip
-        (defaulting to 2 s once the detector is running — a probe that
-        lands on a dead-but-undetected peer is silently dropped and
+        (defaulting to 2 s whenever a detector is configured — a probe
+        that lands on a dead-but-undetected peer is silently dropped and
         must not hang the check); timed-out probes count attempted but
         undelivered.
         """
         if self.directory is None:
             raise SimulationError("build() the network before routing on it")
-        if timeout_s is None and self._detector_on:
+        if timeout_s is None and self.config.detector is not None:
             timeout_s = 2.0
         return self._runner.run(self._route_async(n_probes, budget, timeout_s))
 
@@ -255,11 +248,7 @@ class NetHarness:
         """
         attempted, delivered, hops = self._routes
         transport = self._transport
-        live = [
-            node
-            for node in self.nodes
-            if node.node_id not in self._killed and node.node_id not in self._evicted
-        ]
+        live = self._live_nodes()
         return TopologySummary(
             n=len(live),
             links=sum(len(node.out_links) for node in live),
@@ -275,8 +264,8 @@ class NetHarness:
 
     @property
     def probes_dropped(self) -> int:
-        """Ping/Pong frames the lossy probe plane has eaten so far (0
-        without a memory transport or with ``NetConfig.loss == 0``)."""
+        """Pings the lossy probe plane has eaten so far (0 without a
+        detector or at its ``loss == 0``)."""
         transport = self._transport
         return transport.probes_dropped if transport is not None else 0
 
@@ -301,97 +290,61 @@ class NetHarness:
         rng: np.random.Generator,
         kill_mid_join: tuple[int, ...] = (),
     ) -> LinkAcquisitionStats:
-        if self.transport_kind == "tcp":
-            return await self._build_tcp(n, positions, caps_in, caps_out)
-        transport = MemoryTransport(
-            mode=self.delivery, seed=self.seed, loss=self.net_config.loss
-        )
-        self._transport = transport
-        self._seed_ep = transport.endpoint(SEED_ID)
+        """Boot the seed and ``n`` peers, deal membership, build.
+
+        Peer ``i`` is id ``i`` on either transport. Memory peers share
+        the harness's one :class:`Directory` object (the 10k-peer scale
+        regime); TCP peers rebuild it from the broadcast, whose
+        ``addrs`` carry the listening addresses their ``Hello`` messages
+        announced.
+        """
+        config = self.config
         self.directory = Directory(range(n), positions)
-        transport.start()
+        shared: Directory | None = None
+        if config.transport == "tcp":
+            self._seed_ep = TcpEndpoint(SEED_ID)
+            await self._seed_ep.start()
+            endpoints: list[Any] = [TcpEndpoint(i) for i in range(n)]
+        else:
+            loss = config.detector.loss if config.detector is not None else 0.0
+            self._transport = MemoryTransport(config.delivery, config.seed, loss)
+            self._seed_ep = self._transport.endpoint(SEED_ID)
+            self._transport.start()
+            endpoints = [self._transport.endpoint(i) for i in range(n)]
+            shared = self.directory
         loop = asyncio.get_running_loop()
-        for i in range(n):
+        for i, endpoint in enumerate(endpoints):
+            endpoint.learn_addresses([(SEED_ID, *self._seed_ep.address)])
             node = NetNode(
-                transport.endpoint(i),
-                positions[i],
-                int(caps_in[i]),
-                int(caps_out[i]),
-                SEED_ID,
-                config=self.config,
-                net_seed=self.seed,
-                lockstep=self.lockstep,
-                directory=self.directory,  # one shared object at scale
-                detector=self.detector_config,
+                endpoint, positions[i], int(caps_in[i]), int(caps_out[i]), config, shared
             )
             self.nodes.append(node)
             self._tasks.append(loop.create_task(node.run()))
-        await self._collect(n, Hello)
+        hellos = await self._collect(n, Hello)
+        addrs = [[src, hello.host, hello.port] for src, hello in hellos if hello.port]
+        self._seed_ep.learn_addresses(addrs)
         pairs = self.directory.to_pairs()
         for node in self.nodes:
-            self._seed_ep.send(node.node_id, Welcome(node_id=node.node_id, peers=[]))
-        for node in self.nodes:
-            self._seed_ep.send(node.node_id, DirectoryUpdate(peers=pairs, addrs=[]))
-        if self.lockstep:
+            self._seed_ep.send(node.node_id, DirectoryUpdate(peers=pairs, addrs=addrs))
+        if config.delivery == "lockstep":
             return await self._coordinate(rng, list(range(n)))
-        if kill_mid_join:
-            # Buffered after the directory broadcast: every peer starts
-            # joining, then the victims die in the following generation.
-            for victim in kill_mid_join:
-                self._killed.add(victim)
-                self._seed_ep.send(victim, Kill())
-        await self._collect_join({i for i in range(n) if i not in self._killed})
-        return self._aggregate()
-
-    async def _build_tcp(
-        self, n: int, positions: np.ndarray, caps_in: np.ndarray, caps_out: np.ndarray
-    ) -> LinkAcquisitionStats:
-        self._seed_ep = TcpEndpoint(SEED_ID)
-        await self._seed_ep.start()
-        seed_addr = self._seed_ep.address
-        loop = asyncio.get_running_loop()
-        for i in range(n):
-            endpoint = TcpEndpoint(-2 - i)
-            endpoint.learn_addresses([(SEED_ID, *seed_addr)])
-            node = NetNode(
-                endpoint,
-                positions[i],
-                int(caps_in[i]),
-                int(caps_out[i]),
-                SEED_ID,
-                config=self.config,
-                net_seed=self.seed,
-            )
-            self.nodes.append(node)
-            self._tasks.append(loop.create_task(node.run()))
-        # Ids go out in Hello arrival order — construction order under a
-        # deterministic transport, socket order here.
-        hellos = await self._collect(n, Hello)
-        pairs: list[list[object]] = []
-        addrs: list[list[object]] = []
-        for node_id, (src, hello) in enumerate(hellos):
-            self._seed_ep.learn_addresses([(src, hello.host, hello.port)])
-            self._seed_ep.learn_addresses([(node_id, hello.host, hello.port)])
-            pairs.append([node_id, float(hello.position)])
-            addrs.append([node_id, hello.host, hello.port])
-            self._seed_ep.send(src, Welcome(node_id=node_id, peers=[]))
-        self.directory = Directory.from_pairs(pairs)
-        for node_id in range(n):
-            self._seed_ep.send(node_id, DirectoryUpdate(peers=pairs, addrs=addrs))
-        await self._collect(n, JoinDone)
+        # Buffered after the directory broadcast: every peer starts
+        # joining, then the victims die in the following generation.
+        for victim in kill_mid_join:
+            self._killed.add(victim)
+            self._seed_ep.send(victim, Kill())
+        await self._collect_join(self._live_nodes())
         return self._aggregate()
 
     async def _rewire_async(self) -> LinkAcquisitionStats:
         assert self.directory is not None
-        if self.lockstep:
-            for node in self.nodes:
-                self._seed_ep.send(node.node_id, ResetLinks(epoch=self._epoch))
-            rng = split(self.seed, "rewire")
+        live = self._live_nodes()
+        for node in live:
+            self._seed_ep.send(node.node_id, Rewire(epoch=self._epoch))
+        if self.config.delivery == "lockstep":
+            rng = split(self.config.seed, "rewire")
             return await self._coordinate(rng, list(range(self.directory.m)))
-        live = self._live_ids()
-        for node_id in live:
-            self._seed_ep.send(node_id, Rewire(epoch=self._epoch))
-        await self._collect_join(set(live))
+        await self._collect_join(live)
         return self._aggregate()
 
     async def _route_async(
@@ -402,7 +355,7 @@ class NetHarness:
         m = directory.m
         if budget is None:
             budget = 4 * max(1, math.ceil(math.log2(max(2, m)))) + 8
-        rng = split(self.seed, "net", "routes", self._probe_id)
+        rng = split(self.config.seed, "net", "routes", self._probe_id)
         attempted, delivered, hops_total = self._routes
         for __ in range(int(n_probes)):
             probe_id = self._probe_id
@@ -463,7 +416,7 @@ class NetHarness:
         every decision and counter lives in the peers' dealt
         :class:`~repro.protocol.join.JoinProtocol` machines.
         """
-        config = self.config
+        config = self.config.overlay
         directory = self.directory
         assert directory is not None
         ids = [directory.id_at(r) for r in rows]
@@ -488,8 +441,7 @@ class NetHarness:
             self._seed_ep.send(node_id, BeginAcquire(priority=priority_of[row]))
 
         # Acquisition rounds: one partition + candidate draw per active
-        # peer; every peer with out-capacity (the caps its Hello
-        # announced) starts active.
+        # peer; every peer with out-capacity starts active.
         n_cand = 2 if config.power_of_two else 1
         active = [node_id for node_id in ids if self.nodes[node_id].cap_out > 0]
         round_no = 0
@@ -521,11 +473,15 @@ class NetHarness:
         """Crash peers silently: they detach from the transport and
         stop serving — no goodbye, no error; the rest of the network
         only learns of the deaths through probe timeouts. Requires a
-        built memory-transport network."""
+        built network with ``NetConfig.detector`` set — without reply
+        timers, anything sent to a victim would be awaited forever."""
+        if self.config.detector is None:
+            raise ConfigError(
+                "kill() needs NetConfig.detector set: a dead peer's silence "
+                "only resolves via the reply timers"
+            )
         if self.directory is None:
             raise SimulationError("build() the network before killing peers")
-        if self.transport_kind != "memory":
-            raise SimulationError("kill() requires the memory transport")
         ids = [int(i) for i in node_ids]
         known = {node.node_id for node in self.nodes}
         bad = [i for i in ids if i not in known]
@@ -555,14 +511,14 @@ class NetHarness:
         authority, tallying ``Suspect`` reports into quorum evictions."""
         if self.directory is None:
             raise SimulationError("build() the network before starting detectors")
-        if self.detector_config is None:
+        if self.config.detector is None:
             raise ConfigError("start_detector() requires NetConfig.detector to be set")
         self._detector_on = True
         self._runner.run(self._start_detector_async())
 
     async def _start_detector_async(self) -> None:
-        for node_id in self._live_ids():
-            self._seed_ep.send(node_id, StartDetector())
+        for node in self._live_nodes():
+            self._seed_ep.send(node.node_id, StartDetector())
         await asyncio.sleep(0)
 
     def await_evictions(self, node_ids: tuple[int, ...] | list[int], timeout_s: float = 30.0) -> list[int]:
@@ -611,21 +567,16 @@ class NetHarness:
         if self.directory is None:
             raise SimulationError("build() the network before comparing directories")
         truth = {int(i) for i in self.directory.ids}
-        mismatches = 0
-        for node in self.nodes:
-            if node.node_id in self._killed or node.node_id in self._evicted:
-                continue
-            view = node.directory
-            if view is None or {int(i) for i in view.ids} != truth:
-                mismatches += 1
-        return mismatches
+        return sum(
+            1
+            for node in self._live_nodes()
+            if node.directory is None or {int(i) for i in node.directory.ids} != truth
+        )
 
-    def _live_ids(self) -> list[int]:
-        return [
-            node.node_id
-            for node in self.nodes
-            if node.node_id not in self._killed and node.node_id not in self._evicted
-        ]
+    def _live_nodes(self) -> list[NetNode]:
+        """The peers neither killed nor evicted, in id order."""
+        dead = self._killed | self._evicted
+        return [node for node in self.nodes if node.node_id not in dead]
 
     def _on_suspect(self, src: int, message: Suspect) -> None:
         """Tally one monitor's report; evict at quorum."""
@@ -634,7 +585,7 @@ class NetHarness:
             return
         reporters = self._suspects.setdefault(target, set())
         reporters.add(int(src))
-        quorum = self.detector_config.quorum if self.detector_config else 1
+        quorum = self.config.detector.quorum if self.config.detector else 1
         if len(reporters) >= quorum:
             self._evict(target)
 
@@ -645,8 +596,8 @@ class NetHarness:
         self._suspects.pop(target, None)
         keep = [pair for pair in self.directory.to_pairs() if int(pair[0]) != target]
         self.directory = Directory.from_pairs(keep)
-        for node_id in self._live_ids():
-            self._seed_ep.send(node_id, Dead(targets=[target]))
+        for node in self._live_nodes():
+            self._seed_ep.send(node.node_id, Dead(targets=[target]))
 
     # -- plumbing ------------------------------------------------------
 
@@ -678,15 +629,15 @@ class NetHarness:
                 out.append((src, message))
         return out
 
-    async def _collect_join(self, expected: set[int]) -> None:
-        """Await one ``JoinDone`` from every id in ``expected``.
+    async def _collect_join(self, expected: list[NetNode]) -> None:
+        """Await one ``JoinDone`` from every peer in ``expected``.
 
         Dead peers never report, so membership (not a bare count) is
         what quiesces a build with mid-join kills; the generous guard
         converts a hung build into a diagnosable failure instead of a
         silent test timeout.
         """
-        pending = set(expected)
+        pending = {node.node_id for node in expected}
         while pending:
             try:
                 src, message = await self._recv_seed(120.0)
@@ -700,9 +651,7 @@ class NetHarness:
     def _aggregate(self) -> LinkAcquisitionStats:
         """Sum the per-peer join counters into engine-shaped stats."""
         stats = LinkAcquisitionStats()
-        for node in self.nodes:
-            join = node.join
-            if join is None or node.node_id in self._killed:
-                continue
-            stats.merge(join)
+        for node in self._live_nodes():
+            if node.join is not None:
+                stats.merge(node.join)
         return stats

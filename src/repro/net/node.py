@@ -12,18 +12,21 @@ differ only in where its uniforms come from and who paces the rounds:
   with everyone else. Delivery order is whatever the transport
   provides; equivalence with the engines is at the invariant level.
   TCP always runs free mode.
-* **lockstep** — the peer holds no construction RNG at all: the
-  coordinator (the harness behind the seed id) deals
-  ``EstimateLevel`` / ``AcquireTicket`` rows in the batched engine's
-  exact draw layout, and the machine runs the same steps over them.
+* **lockstep** (``NetConfig(delivery="lockstep")``) — the peer holds no
+  construction RNG at all: the coordinator (the harness behind the seed
+  id) deals ``EstimateLevel`` / ``AcquireTicket`` rows in the batched
+  engine's exact draw layout, and the machine runs the same steps over
+  them.
   Combined with the memory transport's superstep barrier (replies
   precede commits; commits replay in priority order), the built
   topology is bit-identical to :meth:`BatchConstructionEngine.grow
   <repro.engine.construct.BatchConstructionEngine.grow>`.
 
-In both modes the *resident* duties are identical and message-driven:
-acknowledge link requests below the in-cap, grant commits against the
-live in-degree, advance sampling walks, and route probes greedily.
+Both modes begin a join the same way — on the seed's
+``DirectoryUpdate`` at boot and on every ``Rewire`` — and their
+*resident* duties are identical and message-driven: acknowledge link
+requests below the in-cap, grant commits against the live in-degree,
+advance sampling walks, and route probes greedily.
 """
 
 from __future__ import annotations
@@ -33,14 +36,13 @@ from typing import Any
 
 import numpy as np
 
-from ..config import OscarConfig, SamplingMode
-from ..membership import POLL_TIMER, DetectorConfig, FailureDetector
+from ..config import SamplingMode
+from ..membership import POLL_TIMER, FailureDetector
 from ..protocol.decisions import accepts_link
 from ..protocol.directory import Directory
 from ..protocol.effects import (
     CancelTimer,
     Effect,
-    JoinOutcome,
     LinkEstablished,
     Send,
     StartTimer,
@@ -62,7 +64,6 @@ from ..protocol.messages import (
     Message,
     Ping,
     Pong,
-    ResetLinks,
     Rewire,
     RouteDone,
     RouteProbe,
@@ -70,39 +71,41 @@ from ..protocol.messages import (
     Suspect,
     WalkDone,
     WalkStep,
-    Welcome,
 )
 from ..protocol.routing import Deliver, GreedyRouter
 from ..protocol.sampling import SamplingWalk
 from ..ring.identifiers import in_cw_interval
 from ..rng import split
+from .config import NetConfig
 
-__all__ = ["NetNode"]
+__all__ = ["NetNode", "SEED_ID"]
+
+SEED_ID = -1
+"""The seed node's transport id (peers are 0..n-1)."""
 
 
 class NetNode:
     """One peer: state + endpoint + the machines that animate them.
 
     Args:
-        endpoint: Transport endpoint (memory or TCP).
+        endpoint: Transport endpoint (memory or TCP); its ``node_id`` is
+            this peer's id.
         position: Ring position in ``[0, 1)``.
         cap_in / cap_out: Volunteered capacities (``rho_max_in/out``).
-        seed_id: The seed node's transport id.
-        config: Overlay parameters (sample size, retries, ...).
-        net_seed: Root seed for this peer's own labelled streams.
-        lockstep: Run the coordinator-dealt oracle mode.
-        directory: Pre-shared :class:`Directory` (in-memory scale runs
-            share one object across all peers; wire bootstrap builds a
-            private copy from the seed's broadcast when absent).
-        detector: Failure-detector knobs. ``None`` (the default) keeps
-            the oracle contract: protocol timers stay inert and the
-            peer never probes liveness. When set, ``StartTimer`` /
-            ``CancelTimer`` effects are wired to real loop timers —
-            so probe schedules fire, reply timeouts count dead
-            candidates as refusals, a lost walk ends the descent — and a
-            ``StartDetector`` message arms a
+        config: The run's :class:`~repro.net.config.NetConfig`: overlay
+            parameters, the root seed of this peer's labelled streams,
+            the delivery mode (``"lockstep"`` = dealt joins) and the
+            failure-detector knobs. Without a detector, protocol timers
+            stay inert and the peer never probes liveness; with one,
+            ``StartTimer`` / ``CancelTimer`` effects are wired to real
+            loop timers — so probe schedules fire, reply timeouts count
+            dead candidates as refusals, a lost walk ends the descent —
+            and a ``StartDetector`` message arms a
             :class:`~repro.membership.detector.FailureDetector` over
             this peer's directory predecessors.
+        directory: Pre-shared :class:`Directory` (in-memory runs share
+            one object across all peers; TCP peers build a private copy
+            from the seed's broadcast).
     """
 
     def __init__(
@@ -111,22 +114,15 @@ class NetNode:
         position: float,
         cap_in: int,
         cap_out: int,
-        seed_id: int,
-        config: OscarConfig | None = None,
-        net_seed: int = 0,
-        lockstep: bool = False,
+        config: NetConfig,
         directory: Directory | None = None,
-        detector: DetectorConfig | None = None,
     ) -> None:
         self.endpoint = endpoint
+        self.node_id = int(endpoint.node_id)
         self.position = float(position)
         self.cap_in = int(cap_in)
         self.cap_out = int(cap_out)
-        self.seed_id = int(seed_id)
-        self.config = config or OscarConfig()
-        self.net_seed = int(net_seed)
-        self.lockstep = bool(lockstep)
-        self.node_id: int = getattr(endpoint, "node_id", -1)
+        self.config = config
         self.directory = directory
         self._shared_directory = directory is not None
         self.in_degree = 0
@@ -134,8 +130,7 @@ class NetNode:
         self.join: JoinProtocol | None = None
         self.epoch = 0
         self.rng: np.random.Generator | None = None
-        # failure-detector state (None/empty unless `detector` is set)
-        self.detector_config = detector
+        # failure-detector state (None/empty unless a detector is set)
         self._fd: FailureDetector | None = None
         self._timers: dict[str, asyncio.TimerHandle] = {}
         self._stopped = False
@@ -146,16 +141,7 @@ class NetNode:
         """Bootstrap, then serve messages until cancelled."""
         await self.endpoint.start()
         host, port = self.endpoint.address
-        self.endpoint.send(
-            self.seed_id,
-            Hello(
-                position=self.position,
-                cap_in=self.cap_in,
-                cap_out=self.cap_out,
-                host=host,
-                port=port,
-            ),
-        )
+        self.endpoint.send(SEED_ID, Hello(host=host, port=port))
         while not self._stopped:
             src, message = await self.endpoint.recv()
             try:
@@ -182,11 +168,6 @@ class NetNode:
             return
         if isinstance(message, Dead):
             self._on_dead(message)
-            return
-        if isinstance(message, Welcome):
-            self.node_id = int(message.node_id)
-            if hasattr(self.endpoint, "set_node_id"):
-                self.endpoint.set_node_id(self.node_id)
             return
         if isinstance(message, DirectoryUpdate):
             self._on_directory(message)
@@ -225,12 +206,6 @@ class NetNode:
         if isinstance(message, Rewire):
             self._on_rewire(message)
             return
-        if isinstance(message, ResetLinks):
-            self.out_links.clear()
-            self.in_degree = 0
-            self.epoch = int(message.epoch)
-            self.join = self._new_join(rng=None)
-            return
         join = self.join
         if join is None:
             return
@@ -255,17 +230,15 @@ class NetNode:
                 self.out_links.append(int(effect.peer))
             elif isinstance(effect, SuspectPeer):
                 self.endpoint.send(
-                    self.seed_id,
+                    SEED_ID,
                     Suspect(target=int(effect.peer), failures=int(effect.failures)),
                 )
             elif isinstance(effect, StartTimer):
-                if self.detector_config is not None:
+                if self.config.detector is not None:
                     self._start_timer(effect.name, effect.delay)
             elif isinstance(effect, CancelTimer):
-                if self.detector_config is not None:
+                if self.config.detector is not None:
                     self._cancel_timer(effect.name)
-            elif isinstance(effect, JoinOutcome):
-                pass  # terminal marker; a free join's JoinDone rides as a Send
             # Without a detector config, timers stay deliberately inert:
             # every directory member is live and replies, so the oracle
             # modes never need them and stay exactly as deterministic as
@@ -280,8 +253,8 @@ class NetNode:
     def _start_timer(self, name: str, delay: float) -> None:
         """(Re-)arm ``name``; a zero delay means one reply-timeout."""
         self._cancel_timer(name)
-        assert self.detector_config is not None
-        seconds = delay if delay > 0.0 else self.detector_config.timeout_s
+        assert self.config.detector is not None
+        seconds = delay if delay > 0.0 else self.config.detector.timeout_s
         loop = asyncio.get_running_loop()
         self._timers[name] = loop.call_later(seconds, self._on_timer, name)
 
@@ -321,9 +294,9 @@ class NetNode:
 
     def _arm_detector(self) -> None:
         """``StartDetector``: probe my directory predecessors forever."""
-        if self.detector_config is None or self.directory is None or self._stopped:
+        if self.config.detector is None or self.directory is None or self._stopped:
             return
-        self._fd = FailureDetector(self.node_id, self.detector_config)
+        self._fd = FailureDetector(self.node_id, self.config.detector)
         self._rewatch()
         self._run_effects(self._fd.poll(self._now()))
 
@@ -337,7 +310,7 @@ class NetNode:
         """
         assert self._fd is not None and self.directory is not None
         d = self.directory
-        config = self.detector_config
+        config = self.config.detector
         assert config is not None
         row = d.row_of(self.node_id)
         panel = min(config.n_monitors, d.m - 1)
@@ -374,43 +347,15 @@ class NetNode:
     # -- bootstrap and rewiring ----------------------------------------
 
     def _on_directory(self, message: DirectoryUpdate) -> None:
+        """Boot: adopt the membership (and, on TCP, the address book),
+        then begin joining."""
         if not self._shared_directory:
             self.directory = Directory.from_pairs(message.peers)
-        if message.addrs:
-            self.endpoint.learn_addresses(
-                [(int(a[0]), str(a[1]), int(a[2])) for a in message.addrs]
-            )
-        if self.lockstep:
-            self.join = self._new_join(rng=None)  # dealt: waits for tickets
-            return
-        self._run_effects(self._start_join())
-
-    def _start_join(self) -> list[Effect]:
-        self.rng = split(self.net_seed, "net", self.epoch, self.node_id)
-        self.join = self._new_join(self.rng)
-        return self.join.start()
-
-    def _new_join(self, rng: np.random.Generator | None) -> JoinProtocol:
-        """This peer's join machine over its directory; ``rng=None``
-        makes it dealt (lockstep)."""
-        assert self.directory is not None
-        return JoinProtocol(
-            self.node_id,
-            self.position,
-            self.seed_id,
-            self.directory,
-            rng,
-            k=self.config.partitions_for(max(1, self.directory.m)),
-            sample_size=self.config.sample_size,
-            rho_max_out=self.cap_out,
-            link_retries=self.config.link_retries,
-            power_of_two=self.config.power_of_two,
-            walk_mode=self.config.sampling_mode is SamplingMode.WALK,
-            walk_hops=self.config.walk_hops,
-        )
+        self.endpoint.learn_addresses(message.addrs)
+        self._begin_join()
 
     def _on_rewire(self, message: Rewire) -> None:
-        """Free-mode rewiring epoch: local teardown, then re-join.
+        """A rewiring epoch: local teardown, then a fresh join.
 
         Teardown is purely local (own links dropped, own in-degree
         zeroed), and the memory transport's superstep barrier guarantees
@@ -419,13 +364,43 @@ class NetNode:
         self.out_links.clear()
         self.in_degree = 0
         self.epoch = int(message.epoch)
-        self._run_effects(self._start_join())
+        self._begin_join()
+
+    def _begin_join(self) -> None:
+        """Deal this epoch's join machine (lockstep: it waits for the
+        coordinator's tickets) or start it on the own stream (free)."""
+        if self.config.delivery == "lockstep":
+            self.join = self._new_join(rng=None)
+            return
+        self.rng = split(self.config.seed, "net", self.epoch, self.node_id)
+        self.join = self._new_join(self.rng)
+        self._run_effects(self.join.start())
+
+    def _new_join(self, rng: np.random.Generator | None) -> JoinProtocol:
+        """This peer's join machine over its directory; ``rng=None``
+        makes it dealt (lockstep)."""
+        assert self.directory is not None
+        overlay = self.config.overlay
+        return JoinProtocol(
+            self.node_id,
+            self.position,
+            SEED_ID,
+            self.directory,
+            rng,
+            k=overlay.partitions_for(max(1, self.directory.m)),
+            sample_size=overlay.sample_size,
+            rho_max_out=self.cap_out,
+            link_retries=overlay.link_retries,
+            power_of_two=overlay.power_of_two,
+            walk_mode=overlay.sampling_mode is SamplingMode.WALK,
+            walk_hops=overlay.walk_hops,
+        )
 
     # -- walking and routing -------------------------------------------
 
     def _walk_rng(self) -> np.random.Generator:
         if self.rng is None:
-            self.rng = split(self.net_seed, "net", self.epoch, self.node_id)
+            self.rng = split(self.config.seed, "net", self.epoch, self.node_id)
         return self.rng
 
     def _arc_neighbors(self, start: float, end: float) -> list[int]:

@@ -36,9 +36,7 @@ from __future__ import annotations
 import asyncio
 from typing import Iterable
 
-import numpy as np
-
-from ..protocol.messages import LinkCommit, Message, Ping, Pong, message_from_wire
+from ..protocol.messages import LinkCommit, Message, Ping, message_from_wire
 from ..rng import split
 from . import codec
 
@@ -52,15 +50,13 @@ class MemoryTransport:
         mode: ``"fifo"``, ``"random"`` or ``"lockstep"`` (see module
             docstring).
         seed: Seeds the ``random`` mode's delivery shuffle and the
-            probe-plane loss stream (ignored by the deterministic
-            delivery modes when ``loss`` is zero).
-        loss: Probe-plane loss probability in ``[0, 1)``: each ``Ping``
-            or ``Pong`` frame is independently dropped with this
-            probability, drawn from the dedicated
-            ``split(seed, "net", "loss")`` stream. Construction,
-            routing and membership traffic is never dropped, and a
-            zero ``loss`` consumes no draws at all — default runs stay
-            bit-identical to the pre-loss transport.
+            probe-plane loss stream.
+        loss: Probe-plane loss probability in ``[0, 1)`` (the
+            detector's ``loss``): each ``Ping`` is independently dropped
+            with this probability — one draw per probe round trip —
+            from the dedicated ``split(seed, "net", "loss")`` stream.
+            Every other frame is always delivered, and a zero ``loss``
+            consumes no draws at all.
     """
 
     def __init__(self, mode: str = "fifo", seed: int = 0, loss: float = 0.0) -> None:
@@ -127,13 +123,6 @@ class MemoryTransport:
             self._pump_task.cancel()
             self._pump_task = None
 
-    async def quiesce(self) -> None:
-        """Wait until no message is buffered or being processed."""
-        while self._buffer or self._outstanding:
-            await self._drained.wait()
-            if self._buffer:
-                await asyncio.sleep(0)
-
     def _order(self, batch: list[tuple[int, int, Message]]) -> Iterable[tuple[int, int, Message]]:
         if self.mode == "random":
             order = self._rng.permutation(len(batch))
@@ -166,7 +155,7 @@ class MemoryTransport:
                     continue
                 if (
                     self._loss_rng is not None
-                    and isinstance(message, (Ping, Pong))
+                    and isinstance(message, Ping)
                     and float(self._loss_rng.random()) < self.loss
                 ):
                     self.probes_dropped += 1
@@ -226,9 +215,7 @@ class TcpEndpoint:
     """One peer's localhost-TCP endpoint (listener + dialed connections).
 
     Args:
-        node_id: This peer's id (stamped into outgoing envelopes). The
-            seed's id is known up front; joining peers may re-identify
-            after the seed assigns their id via ``set_node_id``.
+        node_id: This peer's id (stamped into outgoing envelopes).
         host: Interface to bind (localhost only — this transport exists
             for same-machine experiments, not the open internet).
     """
@@ -241,10 +228,6 @@ class TcpEndpoint:
         self._writers: dict[int, asyncio.StreamWriter] = {}
         self._addrs: dict[int, tuple[str, int]] = {}
         self._reader_tasks: set[asyncio.Task] = set()
-
-    def set_node_id(self, node_id: int) -> None:
-        """Adopt the seed-assigned id for subsequent envelopes."""
-        self.node_id = int(node_id)
 
     async def start(self) -> None:
         """Bind the listening socket (port 0 = ephemeral)."""

@@ -46,7 +46,6 @@ from .directory import Directory
 from .effects import (
     CancelTimer,
     Effect,
-    JoinOutcome,
     LinkEstablished,
     Send,
     StartTimer,
@@ -65,7 +64,6 @@ __all__ = [
     "Effect",
     "Forward",
     "GreedyRouter",
-    "JoinOutcome",
     "JoinProtocol",
     "LinkEstablished",
     "LinkNegotiation",

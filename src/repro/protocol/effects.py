@@ -9,7 +9,7 @@ dataclasses so tests can assert on them structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..types import NodeId
 from .messages import Message
@@ -17,7 +17,6 @@ from .messages import Message
 __all__ = [
     "CancelTimer",
     "Effect",
-    "JoinOutcome",
     "LinkEstablished",
     "Send",
     "StartTimer",
@@ -76,15 +75,3 @@ class LinkEstablished(Effect):
     """A long link to ``peer`` was granted and is now held."""
 
     peer: NodeId
-
-
-@dataclass(frozen=True)
-class JoinOutcome(Effect):
-    """Terminal join effect: the slot-filling phase finished.
-
-    ``links`` are the peers now linked (acquisition order);
-    ``gave_up`` counts slots abandoned after exhausting retries.
-    """
-
-    links: tuple = field(default_factory=tuple)
-    gave_up: int = 0

@@ -54,7 +54,7 @@ from ..ring.identifiers import in_cw_interval
 from ..ring.keyspace import from_units
 from ..types import NodeId
 from .directory import Directory
-from .effects import CancelTimer, Effect, JoinOutcome, Send, StartTimer
+from .effects import CancelTimer, Effect, Send, StartTimer
 from .estimation import select_border
 from .messages import (
     AcquireReport,
@@ -281,10 +281,7 @@ class JoinProtocol:
         if self.state == "acquiring":
             return self._attempt(self.rng.random(), self.rng.random(self.n_candidates))
         done = JoinDone(node_id=self.node_id, links=len(self.links), gave_up=self.slots_given_up)
-        return [
-            JoinOutcome(links=tuple(self.links), gave_up=self.slots_given_up),
-            Send(to=self.seed, message=done),
-        ]
+        return [Send(to=self.seed, message=done)]
 
     def _arc(self, p: int) -> tuple[float, float] | None:
         """Partition ``p`` (0-indexed, outermost first) as the clockwise

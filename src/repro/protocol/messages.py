@@ -10,9 +10,9 @@ IEEE doubles survive it losslessly).
 Grammar overview (sender identity travels in the transport envelope,
 never inside the message):
 
-* bootstrap — ``Hello`` (peer -> seed), ``Welcome`` (seed -> peer,
-  assigns the id and ships the membership directory), ``DirectoryUpdate``
-  (seed broadcast of the final membership);
+* bootstrap — ``Hello`` (peer -> seed: up, and where to reach me),
+  ``DirectoryUpdate`` (seed broadcast of the membership, plus the
+  address book on transports that dial);
 * link negotiation — ``LinkRequest`` / ``LinkReply`` / ``LinkCommit`` /
   ``LinkResult`` (the message form of paper §2's acknowledge-and-choose
   procedure; see :class:`~repro.protocol.negotiation.LinkNegotiation`);
@@ -20,7 +20,7 @@ never inside the message):
   ``WalkDone`` returns collected positions to the origin;
 * routing — ``RouteProbe`` hops a lookup greedily, ``RouteDone``
   reports the delivery back to the origin;
-* join/rewire orchestration — ``JoinDone``, ``ResetLinks``, ``Rewire``;
+* join/rewire orchestration — ``JoinDone``, ``Rewire``;
 * lockstep construction (coordinator-dealt RNG tickets that replicate
   the batched engine's draw layout exactly) — ``EstimateLevel`` /
   ``EstimateReport`` / ``BeginAcquire`` / ``AcquireTicket`` /
@@ -57,7 +57,6 @@ __all__ = [
     "Message",
     "Ping",
     "Pong",
-    "ResetLinks",
     "Rewire",
     "RouteDone",
     "RouteProbe",
@@ -65,7 +64,6 @@ __all__ = [
     "Suspect",
     "WalkDone",
     "WalkStep",
-    "Welcome",
     "message_from_wire",
 ]
 
@@ -111,33 +109,19 @@ def message_from_wire(payload: dict[str, Any]) -> Message:
 
 @dataclass(frozen=True)
 class Hello(Message):
-    """Peer -> seed: announce position and capacity caps.
-
-    ``host``/``port`` carry the peer's listening address on transports
-    that need an address book (TCP); the in-memory transport leaves
-    them empty.
-    """
+    """Peer -> seed: I am up. ``host``/``port`` is the peer's listening
+    address on transports that need an address book (TCP); the
+    in-memory transport leaves them empty."""
 
     kind: ClassVar[str] = "hello"
-    position: float = 0.0
-    cap_in: int = 0
-    cap_out: int = 0
     host: str = ""
     port: int = 0
 
 
 @dataclass(frozen=True)
-class Welcome(Message):
-    """Seed -> peer: assigned id plus the membership directory."""
-
-    kind: ClassVar[str] = "welcome"
-    node_id: int = -1
-    peers: list = None  # type: ignore[assignment]  # [[id, position], ...]
-
-
-@dataclass(frozen=True)
 class DirectoryUpdate(Message):
-    """Seed broadcast of the (final) membership directory.
+    """Seed broadcast of the membership directory (``[[id, position],
+    ...]``); receiving it starts the peer's join.
 
     ``addrs`` (``[[id, host, port], ...]``) rides along on transports
     that dial peers directly; it is membership *plumbing*, not protocol
@@ -273,7 +257,9 @@ class RouteDone(Message):
 
 @dataclass(frozen=True)
 class JoinDone(Message):
-    """Peer -> seed: my join (or rewire epoch) reached quiescence."""
+    """Peer -> seed: my join (or rewire epoch) reached quiescence. The
+    harness reads the counters off the machines; ``links`` /
+    ``gave_up`` are informational."""
 
     kind: ClassVar[str] = "join_done"
     node_id: int = -1
@@ -282,16 +268,9 @@ class JoinDone(Message):
 
 
 @dataclass(frozen=True)
-class ResetLinks(Message):
-    """Coordinator -> peer: rewiring teardown (drop links, zero in-degree)."""
-
-    kind: ClassVar[str] = "reset_links"
-    epoch: int = 0
-
-
-@dataclass(frozen=True)
 class Rewire(Message):
-    """Coordinator -> peer: re-estimate and re-acquire (free mode)."""
+    """Seed -> peer: drop my links, zero my in-degree and join afresh
+    (dealt in lockstep mode, on the epoch's own stream otherwise)."""
 
     kind: ClassVar[str] = "rewire"
     epoch: int = 0

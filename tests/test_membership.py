@@ -83,6 +83,7 @@ class TestDetectorConfig:
             {"staleness_rounds": -1},
             {"ping_interval_s": 0.0},
             {"timeout_s": 0.0},
+            {"loss": float("nan")},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):

@@ -16,9 +16,11 @@ walk-based sampling mode.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import struct
 
+import numpy as np
 import pytest
 
 from repro import OscarConfig
@@ -27,7 +29,8 @@ from repro.core.overlay import OscarOverlay
 from repro.degree import ConstantDegrees, SpikyDegreeDistribution
 from repro.engine.construct import BatchConstructionEngine, LiveView
 from repro.membership import DetectorConfig
-from repro.errors import SimulationError
+from repro.engine import BatchQueryEngine
+from repro.errors import ConfigError, SimulationError
 from repro.net import NetConfig, NetHarness, codec
 from repro.net.codec import MAX_FRAME, FrameError
 from repro.rng import split
@@ -36,6 +39,7 @@ from repro.workloads import GnutellaLikeDistribution, UniformKeys
 LOCKSTEP_PEERS = 500
 REWIRE_PEERS = 256
 FREE_PEERS = 150
+WALK = OscarConfig(sampling_mode=SamplingMode.WALK)
 
 
 def engine_topology(size, seed, keys, degrees, *, rewire=False):
@@ -98,7 +102,7 @@ class TestLockstepOracle:
         oracle_links, oracle_in, oracle_stats = engine_topology(
             LOCKSTEP_PEERS, 42, UniformKeys(), ConstantDegrees(4)
         )
-        with NetHarness(NetConfig(seed=42, lockstep=True)) as harness:
+        with NetHarness(NetConfig(seed=42, delivery="lockstep")) as harness:
             stats = harness.build(LOCKSTEP_PEERS, keys, degrees)
             assert harness.out_links() == oracle_links
             assert harness.in_degrees() == oracle_in
@@ -113,7 +117,7 @@ class TestLockstepOracle:
             SpikyDegreeDistribution(),
             rewire=True,
         )
-        with NetHarness(NetConfig(seed=7, lockstep=True)) as harness:
+        with NetHarness(NetConfig(seed=7, delivery="lockstep")) as harness:
             harness.build(REWIRE_PEERS, keys, degrees)
             stats = harness.rewire()
             assert harness.out_links() == oracle_links
@@ -124,9 +128,33 @@ class TestLockstepOracle:
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            NetHarness(NetConfig(seed=0, lockstep=True, transport="tcp"))
+            NetHarness(NetConfig(seed=0, delivery="lockstep", transport="tcp"))
         with pytest.raises(ConfigError):
-            NetHarness(NetConfig(seed=0, lockstep=True, delivery="random"))
+            NetHarness(NetConfig(seed=0, delivery="lockstep", overlay=WALK))
+
+
+class TestRoutesMatchWalkKernel:
+    """Live probes hop exactly as the engines' walk kernel does."""
+
+    def test_lockstep_probes_match_route_batch(self):
+        keys, degrees = GnutellaLikeDistribution(), SpikyDegreeDistribution()
+        probes = 200
+        with NetHarness(NetConfig(seed=7, delivery="lockstep")) as harness:
+            harness.build(REWIRE_PEERS, keys, degrees)
+            success, mean_hops = harness.route_check(probes)
+            directory = harness.directory
+        assert success == 1.0
+        overlay = OscarOverlay(OscarConfig(), seed=7)
+        BatchConstructionEngine(overlay).grow(REWIRE_PEERS, keys, degrees)
+        # The harness's own probe draws, replayed against the twin.
+        rng = split(7, "net", "routes", 0)
+        targets, sources = [], []
+        for __ in range(probes):
+            targets.append(float(rng.random()))
+            sources.append(directory.id_at(int(rng.integers(0, directory.m))))
+        result = BatchQueryEngine(overlay).route_batch(np.array(sources), np.array(targets))
+        assert result.success.all()
+        assert mean_hops == int(result.hops.sum()) / probes
 
 
 class TestFreeMode:
@@ -180,35 +208,39 @@ class TestNetConfig:
     ConfigError at construction, not a traceback mid-run."""
 
     def test_defaults_resolve(self):
+        # Five fields, one spelling each: lockstep is a delivery order and
+        # probe loss is the detector's own knob.
         config = NetConfig()
-        assert config.resolved_delivery == "fifo"
-        assert NetConfig(lockstep=True).resolved_delivery == "lockstep"
-        assert NetConfig(delivery="random").resolved_delivery == "random"
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "overlay",
+            "seed",
+            "delivery",
+            "transport",
+            "detector",
+        ]
+        assert (config.delivery, config.transport, config.detector) == ("fifo", "memory", None)
 
+    # Probe loss is DetectorConfig.loss, validated there
+    # (tests/test_membership.py::TestDetectorConfig).
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"transport": "carrier-pigeon"},
             {"delivery": "chaotic"},
-            {"loss": float("nan"), "detector": DetectorConfig()},
-            {"loss": -0.1},
-            {"loss": 1.0, "detector": DetectorConfig()},
-            {"lockstep": True, "transport": "tcp"},
-            {"lockstep": True, "delivery": "random"},
-            {"lockstep": True, "detector": DetectorConfig()},
+            {"delivery": None},  # no unresolved spelling: fifo is the default
+            {"delivery": "lockstep", "transport": "tcp"},
+            {"delivery": "lockstep", "overlay": WALK},
+            {"transport": None},
+            {"delivery": "random", "detector": DetectorConfig(), "transport": "tcp"},
+            {"delivery": "lockstep", "detector": DetectorConfig()},
             {"detector": DetectorConfig(), "transport": "tcp"},
-            {"loss": 0.1},  # loss without a detector is meaningless
         ],
     )
     def test_bad_combinations_rejected(self, kwargs):
-        from repro.errors import ConfigError
-
         with pytest.raises(ConfigError):
             NetConfig(**kwargs)
 
     def test_frozen(self):
-        import dataclasses
-
         with pytest.raises(dataclasses.FrozenInstanceError):
             NetConfig().seed = 7  # type: ignore[misc]
 
@@ -222,12 +254,8 @@ class TestNetConfig:
             NetHarness(NetConfig(), seed=7)  # type: ignore[call-arg]
 
     def test_lockstep_sampling_walk_rejected(self):
-        from repro.errors import ConfigError
-
         with pytest.raises(ConfigError):
-            NetConfig(
-                overlay=OscarConfig(sampling_mode=SamplingMode.WALK), lockstep=True
-            )
+            NetConfig(overlay=WALK, delivery="lockstep")
 
 
 DETECTOR = DetectorConfig(
@@ -272,16 +300,17 @@ class TestDetectorPipeline:
             assert success >= 0.99
 
     def test_eviction_converges_under_probe_loss(self):
+        # The wire drops Pings at the detector's own loss rate.
         lossy = NetConfig(
             seed=13,
             detector=DetectorConfig(
                 failure_threshold=3,
                 quorum=2,
                 n_monitors=3,
+                loss=0.2,
                 ping_interval_s=0.02,
                 timeout_s=0.05,
             ),
-            loss=0.2,
         )
         with NetHarness(lossy) as harness:
             harness.build(20, UniformKeys(), ConstantDegrees(4))
@@ -291,13 +320,33 @@ class TestDetectorPipeline:
             assert harness.probes_dropped > 0
 
     def test_kill_mid_join_requires_detector(self):
-        from repro.errors import ConfigError
-
         with NetHarness(NetConfig(seed=0)) as harness:
             with pytest.raises(ConfigError):
                 harness.build(
                     20, UniformKeys(), ConstantDegrees(4), kill_mid_join=(3,)
                 )
+
+    def test_kill_requires_detector(self):
+        # Without reply timers a probe into a victim would be awaited
+        # forever: refused before any Kill is sent.
+        with NetHarness(NetConfig(seed=5)) as harness:
+            harness.build(30, UniformKeys(), ConstantDegrees(4))
+            with pytest.raises(ConfigError):
+                harness.kill([3, 17])
+            success, __ = harness.route_check(20)
+            assert success == 1.0
+            assert harness.summary().n == 30
+
+    def test_route_check_bounded_before_detector_starts(self):
+        # Mid-join victims are still in every directory and nobody
+        # probes them yet; the first probe starts at victim 20 and must
+        # time out instead of hanging the check.
+        with NetHarness(NetConfig(seed=9, detector=DETECTOR)) as harness:
+            harness.build(24, UniformKeys(), ConstantDegrees(4), kill_mid_join=(4, 20))
+            harness.route_check(2)
+            summary = harness.summary()
+            assert summary.routes_attempted == 2
+            assert summary.routes_delivered < 2
 
     def test_kill_before_build_rejected(self):
         with NetHarness(NetConfig(seed=0, detector=DETECTOR)) as harness:

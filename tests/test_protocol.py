@@ -28,7 +28,6 @@ from repro.protocol import (
     Deliver,
     Directory,
     GreedyRouter,
-    JoinOutcome,
     JoinProtocol,
     LinkEstablished,
     LinkNegotiation,
@@ -61,7 +60,6 @@ from repro.protocol.messages import (
     RouteProbe,
     WalkDone,
     WalkStep,
-    Welcome,
 )
 from repro.ring.identifiers import in_cw_interval
 from repro.rng import split
@@ -154,8 +152,7 @@ class TestDecisions:
 class TestMessages:
     def _samples(self) -> list[Message]:
         return [
-            Hello(position=0.25, cap_in=4, cap_out=4, host="127.0.0.1", port=4100),
-            Welcome(node_id=7, peers=[[0, 0.1], [1, 0.9]]),
+            Hello(host="127.0.0.1", port=4100),
             DirectoryUpdate(peers=[[0, 0.1]], addrs=[[0, "127.0.0.1", 4100]]),
             LinkRequest(token=3),
             LinkReply(token=3, accept=True, in_degree=2, rho_in=4),
@@ -470,10 +467,10 @@ class TestGreedyRouterEquivalence:
 
 class TestEffects:
     def test_effect_values_are_frozen(self):
-        outcome = JoinOutcome(links=(3, 5), gave_up=1)
-        assert outcome.links == (3, 5)
+        effect = LinkEstablished(peer=3)
+        assert effect.peer == 3
         with pytest.raises(dataclasses.FrozenInstanceError):
-            outcome.gave_up = 2
+            effect.peer = 5
 
     def test_directory_round_trip_and_lookup(self):
         directory = Directory([5, 2, 9], [0.7, 0.1, 0.4])
