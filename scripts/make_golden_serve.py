@@ -78,6 +78,7 @@ def build():
         seed=SEED,
         membership=view,
         replication=store,
+        repair="full",  # the paper's rewire: the fixture predates refill
     )
     serve = ServeEngine(overlay, store, view)
     workload = ServingWorkload(

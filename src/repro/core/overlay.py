@@ -120,6 +120,24 @@ class OscarOverlay(Substrate):
             rng if rng is not None else self._rewire_rng
         )
 
+    def refill_batch(
+        self, rng: np.random.Generator | None = None, vectorized: bool = True
+    ) -> "LinkAcquisitionStats":
+        """Periodic repair that refills only what churn broke: links to
+        departed peers are dropped, in-degrees recounted, and under-filled
+        peers acquire links over the partition tables they already store
+        (:meth:`~repro.engine.construct.BatchConstructionEngine.refill` —
+        no re-estimation, no samples spent) on ``rng`` (default: the
+        overlay's rewire stream). ``vectorized=False`` runs the engine's
+        sequential reference on the same stream — bit-identical.
+        """
+        from ..engine.construct import BatchConstructionEngine  # lazy: import cycle
+
+        self._links_epoch += 1
+        return BatchConstructionEngine(self, vectorized=vectorized).refill(
+            rng if rng is not None else self._rewire_rng
+        )
+
     # Bound in this class body, not re-implemented: Oscar has one builder,
     # so ``grow`` / ``rewire`` *are* the batched verbs. The committed
     # benchmark's tracer wraps ``OscarOverlay.__dict__[name]`` for every

@@ -200,6 +200,14 @@ class Substrate:
         del vectorized
         return self.rewire(rng)
 
+    def refill_batch(
+        self, rng: np.random.Generator | None = None, vectorized: bool = True
+    ) -> object:
+        """Periodic repair that refills only what churn broke. Without
+        per-peer tables to refill against (Chord's fingers, Mercury's
+        histograms) it is :meth:`rewire_batch` unchanged."""
+        return self.rewire_batch(rng, vectorized=vectorized)
+
     def repair_ring(self) -> int:
         """Re-stabilize ring pointers after churn with the bulk
         :func:`~repro.ring.maintenance.repair_all`; returns pointers fixed."""

@@ -24,8 +24,18 @@ any :class:`~repro.core.substrate.Substrate` through lock-step
    damage is actually fixed: long-dead peers are compacted out of the
    ring in one :meth:`Ring.remove_many
    <repro.ring.ring.Ring.remove_many>` pass (keeping long runs
-   memory-bounded) and every live peer rewires through the batched
-   construction path;
+   memory-bounded), then the links are repaired by the engine's
+   ``repair`` policy. ``"refill"`` (the default, a deployed overlay's
+   maintenance) drops the links that point at departed peers and lets
+   the peers left with open slots acquire new ones over the partition
+   tables they already store (:meth:`Substrate.refill_batch
+   <repro.core.substrate.Substrate.refill_batch>` — Oscar re-estimates
+   nothing; Chord and Mercury, with no tables to refill against, rebuild
+   in full). ``"full"`` is the paper's procedure: every live peer tears
+   its links down, re-estimates its partitions by sampling and
+   re-acquires through the batched construction path
+   (:meth:`Substrate.rewire_batch
+   <repro.core.substrate.Substrate.rewire_batch>`);
 4. **probes** — a routed query batch through
    :class:`~repro.engine.batch.BatchQueryEngine` measures what users
    would see *right now*: the fault-aware router (and its probe costs)
@@ -33,7 +43,8 @@ any :class:`~repro.core.substrate.Substrate` through lock-step
    on a freshly repaired overlay.
 
 Per-epoch outcomes land in :class:`ChurnEpochStats` — success rate,
-mean cost, stale-link count, population size — the time series the
+mean cost, stale-link count, population size, and on repair epochs the
+repair's acquisition counters and sampling spend — the time series the
 ``steady-churn`` experiment plots.
 
 Determinism contract
@@ -67,11 +78,15 @@ from ..routing import RouteStats
 from ..rng import split
 from ..workloads import KeyDistribution, QueryWorkload
 from .batch import BatchQueryEngine
+from .construct import LinkAcquisitionStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..index.replication import ReplicatedStore
 
-__all__ = ["ChurnEpochStats", "SteadyStateChurnEngine"]
+__all__ = ["ChurnEpochStats", "REPAIR_POLICIES", "SteadyStateChurnEngine"]
+
+#: Repair policy name -> the substrate verb a repair epoch calls.
+REPAIR_POLICIES = {"refill": "refill_batch", "full": "rewire_batch"}
 
 
 @dataclass(frozen=True)
@@ -88,12 +103,19 @@ class ChurnEpochStats:
         stale_links: Live-to-dead long links outstanding after the wave
             (before any periodic repair this epoch) — the damage the
             fault-aware router pays probes for.
-        link_repair: Whether the periodic full repair ran this epoch.
+        link_repair: Whether the periodic repair ran this epoch.
         compacted: Dead peers removed from the ring by that repair
             (0 on non-repair epochs).
         probes: Routed probe-batch statistics
             (:class:`~repro.routing.RouteStats`): success rate and mean
             cost as seen by queries issued at this instant.
+        repair: The link repair's acquisition counters
+            (:class:`~repro.engine.construct.LinkAcquisitionStats`;
+            substrates without an acquisition engine report only
+            ``links_placed``), ``None`` off repair epochs.
+        repair_samples: Sampling messages the link repair spent (the
+            growth of the live peers' ``samples_spent``; 0 for a refill
+            and off repair epochs).
     """
 
     epoch: int
@@ -105,9 +127,13 @@ class ChurnEpochStats:
     link_repair: bool
     compacted: int
     probes: RouteStats
+    repair: LinkAcquisitionStats | None = None
+    repair_samples: int = 0
 
     def as_dict(self) -> dict[str, object]:
-        """Flat JSON-ready view (used by benchmarks and the CLI)."""
+        """Flat JSON-ready view (used by benchmarks and the CLI); the
+        repair counters are ``repair_*`` keys, 0 off repair epochs."""
+        repair = self.repair if self.repair is not None else LinkAcquisitionStats()
         return {
             "epoch": self.epoch,
             "arrivals": self.arrivals,
@@ -119,6 +145,8 @@ class ChurnEpochStats:
             "compacted": self.compacted,
             "success_rate": self.probes.success_rate,
             "mean_cost": self.probes.mean_cost,
+            **{f"repair_{name}": value for name, value in repair.as_dict().items()},
+            "repair_samples_spent": self.repair_samples,
         }
 
 
@@ -140,7 +168,7 @@ class SteadyStateChurnEngine:
             steady-state population is ``arrival_rate * sessions.mean``
             (Little's law); pass
             ``live_count / sessions.mean`` to hold the current size.
-        repair_every: Periodic full repair cadence in epochs (1 = every
+        repair_every: Periodic repair cadence in epochs (1 = every
             epoch; damage never accumulates).
         n_probes: Routed probes per epoch (0 = one per live peer, the
             paper's N convention).
@@ -167,6 +195,11 @@ class SteadyStateChurnEngine:
             shows up as data risk. The pass consumes no RNG, so
             attaching a store never shifts the engine's epoch
             statistics.
+        repair: How a repair epoch fixes long links (see
+            :data:`REPAIR_POLICIES`): ``"refill"`` (default) replaces
+            only what churn broke over the stored partition tables,
+            ``"full"`` rewires every live peer from scratch — the
+            paper's procedure, which the paper-reproducing specs keep.
 
     Attributes:
         history: Every :class:`ChurnEpochStats` recorded so far.
@@ -190,7 +223,10 @@ class SteadyStateChurnEngine:
         workload: QueryWorkload | None = None,
         membership: MembershipView | None = None,
         replication: "ReplicatedStore | None" = None,
+        repair: str = "refill",
     ) -> None:
+        if repair not in REPAIR_POLICIES:
+            raise ConfigError(f"unknown repair {repair!r}; known: {list(REPAIR_POLICIES)}")
         if not (arrival_rate >= 0.0 and np.isfinite(arrival_rate)):
             raise ConfigError(f"arrival_rate must be a finite float >= 0, got {arrival_rate}")
         if repair_every < 1:
@@ -229,6 +265,7 @@ class SteadyStateChurnEngine:
         self.sessions = sessions
         self.arrival_rate = float(arrival_rate)
         self.repair_every = int(repair_every)
+        self.repair = repair
         self.n_probes = int(n_probes)
         self.seed = int(seed)
         self.vectorized = bool(vectorized)
@@ -296,12 +333,10 @@ class SteadyStateChurnEngine:
         if evicted:
             # A false eviction ground-truth kills a session holder; its
             # session must not expire a second time later.
-            gone = np.isin(self._session_ids, np.asarray(evicted, dtype=np.int64))
-            self._session_ids = self._session_ids[~gone]
-            self._departs = self._departs[~gone]
+            self._drop_sessions(np.asarray(evicted, dtype=np.int64))
         stale = self._count_stale_links()
         repair_due = (e % self.repair_every) == 0
-        compacted = self._repair_links(e) if repair_due else 0
+        compacted, repair, repair_samples = self._repair_links(e) if repair_due else (0, None, 0)
         if repair_due and self.replication is not None:
             # Re-replication rides the repair epoch and acts on the same
             # *believed* membership the link repair just used; it draws
@@ -318,6 +353,8 @@ class SteadyStateChurnEngine:
             link_repair=repair_due,
             compacted=compacted,
             probes=probes,
+            repair=repair,
+            repair_samples=repair_samples,
         )
         self.history.append(stats)
         return stats
@@ -352,7 +389,9 @@ class SteadyStateChurnEngine:
     def _depart(self, e: int) -> tuple[int, int]:
         """Crash every expired session; returns ``(departures, fixes)``.
 
-        Expiry is "session end at or before time ``e``". At least one
+        Expiry is "session end at or before time ``e``"; a session whose
+        peer is no longer live (it left through an external
+        ``leave_batch`` or crash) ends without a departure. At least one
         peer always survives (a fully dead overlay has nothing left to
         measure): when every session expired at once, the longest-lived
         peer (ties to the higher id) is reprieved and keeps its slot in
@@ -361,11 +400,13 @@ class SteadyStateChurnEngine:
         reference path crashes one peer at a time and runs the scalar
         repair instead — identical end state.
         """
+        ring = self.substrate.ring
         if self.vectorized:
-            expired_mask = self._departs <= float(e)
-            expired = self._session_ids[expired_mask]
+            ended = self._session_ids[self._departs <= float(e)]
+            slots = ring.state.slots_of(ended)  # -1: compacted (its alive read is masked)
+            expired = ended[(slots >= 0) & ring.state.alive[slots]]
         else:
-            expired = np.asarray(
+            ended = np.asarray(
                 [
                     int(node_id)
                     for node_id, depart in zip(self._session_ids, self._departs)
@@ -373,6 +414,15 @@ class SteadyStateChurnEngine:
                 ],
                 dtype=np.int64,
             )
+            expired = np.asarray(
+                [node_id for node_id in ended if node_id in ring and ring.is_alive(node_id)],
+                dtype=np.int64,
+            )
+        if expired.size < ended.size:
+            # A peer that already left by another door (an external
+            # leave_batch or crash wave) just ends its session: nothing
+            # departs twice, and a compacted id is never asked to leave.
+            self._drop_sessions(ended[~np.isin(ended, expired)])
         if expired.size == 0:
             return 0, 0
         if expired.size >= self.substrate.ring.live_count:
@@ -389,11 +439,15 @@ class SteadyStateChurnEngine:
             # leave_batch's repair makes.
             self.substrate._links_epoch += 1
             fixes = repair_pointers(self.substrate.ring, self.substrate.pointers)
-        gone = np.isin(self._session_ids, expired)
-        self._session_ids = self._session_ids[~gone]
-        self._departs = self._departs[~gone]
+        self._drop_sessions(expired)
         self.membership.record_deaths(expired, e)
         return int(expired.size), fixes
+
+    def _drop_sessions(self, node_ids: np.ndarray) -> None:
+        """End the sessions of ``node_ids`` (the table keeps the rest)."""
+        gone = np.isin(self._session_ids, node_ids)
+        self._session_ids = self._session_ids[~gone]
+        self._departs = self._departs[~gone]
 
     def _longest_lived(self, expired: np.ndarray) -> int:
         """The reprieved peer of a total-expiry wave: maximal
@@ -404,15 +458,16 @@ class SteadyStateChurnEngine:
         best = int(np.lexsort((ids, departs))[-1])
         return int(ids[best])
 
-    def _repair_links(self, e: int) -> int:
-        """Periodic full repair: compact the dead, rewire the living.
+    def _repair_links(self, e: int) -> tuple[int, LinkAcquisitionStats, int]:
+        """Periodic repair: compact the dead, repair the living's links.
 
         Long-dead peers leave the overlay for good in one bulk
         :meth:`~repro.core.substrate.Substrate.retire` (ring slots and
-        per-substrate side state), then every live peer rebuilds its
-        long links through the substrate's batched rewiring on the
+        per-substrate side state), then the live peers' long links are
+        repaired by the :attr:`repair` policy's substrate verb on the
         ``("steady-repair", e)`` stream. Returns how many peers were
-        compacted away.
+        compacted away, the repair's acquisition counters and the
+        samples it spent.
         """
         ring, state = self.substrate.ring, self.substrate.state
         slots = ring.slots_array(live_only=False)
@@ -427,17 +482,21 @@ class SteadyStateChurnEngine:
             # what it keys by slot is cleared with the slot.
             self.membership.forget(dead)
             self.substrate.retire(dead)
-        if ring.live_count >= 2:
-            self.substrate.rewire_batch(
-                split(self.seed, "steady-repair", e), vectorized=self.vectorized
-            )
-        else:
+        slots = ring.slots_array(live_only=True)
+        if ring.live_count < 2:
             # A lone survivor has nothing to rewire to; its long links
             # all referenced compacted peers and must still be dropped.
-            slots = ring.slots_array(live_only=True)
             state.clear_links(slots)
             state.in_deg[slots] = 0
-        return int(dead.size)
+            return int(dead.size), LinkAcquisitionStats(), 0
+        spent = int(state.samples_spent[slots].sum())
+        verb = getattr(self.substrate, REPAIR_POLICIES[self.repair])
+        result = verb(split(self.seed, "steady-repair", e), vectorized=self.vectorized)
+        if not isinstance(result, LinkAcquisitionStats):
+            # Chord and Mercury rebuild through their scalar rewire,
+            # which reports links placed only.
+            result = LinkAcquisitionStats(links_placed=int(result))
+        return int(dead.size), result, int(state.samples_spent[slots].sum()) - spent
 
     def _probe(self, e: int) -> RouteStats:
         """Route this epoch's probe batch; returns its statistics.

@@ -24,17 +24,25 @@ over every peer at once. Every Oscar build goes through it: a bulk
 * **link acquisition** proceeds in vectorized rounds: every unfinished
   peer draws a partition and candidate peers, refusals and the
   power-of-two in-degree tiebreak are evaluated against a round-start
-  snapshot, and acknowledgments are committed with ``np.argsort``-based
-  conflict resolution — requests are ordered by (candidate, priority)
-  and the first ``spare`` requesters per candidate win, which is
+  snapshot, and acknowledgments are committed by counting each
+  candidate's demand — where it is within the candidate's ``spare``
+  every requester wins, and only over-subscribed candidates order their
+  requests by priority and take the first ``spare``, which is
   *bit-identical* to replaying the round one request at a time in
-  priority order. A round builds no side table: the population is
+  priority order. A round costs what it touches: in-degree and
+  capacity are gathered at the candidates, never read or written over
+  the whole population. A round builds no side table: the population is
   fixed for the whole acquisition, so every arc's candidate window is
   closed once when the tables are packed (a round gathers it), and
   "already my target?" is a compare against the requester's own link
   row — held, for the vectorized rounds, in a requester-ordered
   column-major copy that is written back to ``state.out_links`` once
-  when the loop ends.
+  when the loop ends;
+* **refill** is the cheap periodic repair: every live peer drops its
+  links to peers that are gone, in-degrees are recounted from the
+  surviving links, and the peers left with open slots acquire over the
+  partition tables they already store — no teardown, no re-estimation,
+  no samples spent.
 
 Determinism contract
 --------------------
@@ -287,6 +295,35 @@ class BatchConstructionEngine:
         view.state.in_deg[view.slots] = 0
         rows = np.arange(view.m, dtype=np.int64)
         arcs = self._estimate(rng, view, rows, track_spend=True)
+        priority_of = self._draw_priority(rng, view, rows)
+        return self._acquire(rng, view, rows, arcs, priority_of)
+
+    def refill(self, rng: np.random.Generator) -> LinkAcquisitionStats:
+        """Repair what churn broke, keep what it did not.
+
+        Every live peer drops its links to peers outside the live view
+        (its row compacted in order, ``-1`` past the new count), every
+        live peer's in-degree is recounted from the surviving links, and
+        each peer left with open slots acquires links over the partition
+        table it *stores* — its borders kept as they are, only their
+        ring ranks searched over the current population. Nothing is
+        re-estimated and no samples are spent.
+
+        RNG-stream contract: one priority shuffle over the under-filled
+        rows, then the acquisition rounds — the draw layout of
+        :meth:`rewire` after its estimation, consumed identically by
+        both execution paths.
+        """
+        view = LiveView.capture(self.overlay)
+        if view.m < 2:
+            raise SamplingError("cannot refill an overlay with fewer than 2 live peers")
+        if self.vectorized:
+            self._drop_dead_links(view)
+        else:
+            self._drop_dead_links_reference(view)
+        state = view.state
+        rows = np.flatnonzero(state.out_count[view.slots] < state.cap_out[view.slots])
+        arcs = self._stored_arcs(view, rows)
         priority_of = self._draw_priority(rng, view, rows)
         return self._acquire(rng, view, rows, arcs, priority_of)
 
@@ -703,35 +740,113 @@ class BatchConstructionEngine:
         """
         n = int(origin.size)
         kmax = int(counts.max(initial=0)) + 1
-        lo = np.zeros((n, kmax), dtype=np.int32)
-        count = np.zeros((n, kmax), dtype=np.int32)
+        # Built level-major, so each level reads and writes contiguous
+        # rows instead of strided columns; handed out requester-major.
+        lo = np.zeros((kmax, n), dtype=np.int32)
+        count = np.zeros((kmax, n), dtype=np.int32)
         if not self.vectorized:
             starts = np.zeros((n, kmax), dtype=float)
             ends = np.zeros((n, kmax), dtype=float)
             valid = np.zeros((n, kmax), dtype=bool)
+        medians_t = np.ascontiguousarray(medians.T)
+        ranks_t = np.ascontiguousarray(ranks.T)
         end_col, hi = far_end, far_rank
         for p in range(kmax):
             has = counts >= p
-            if p < medians.shape[1]:
+            if p < medians_t.shape[0]:
                 inner = counts > p
-                start_col = np.where(inner, medians[:, p], origin)
-                lo_col = np.where(inner, ranks[:, p], origin_rank)
+                start_col = np.where(inner, medians_t[p], origin)
+                lo_col = np.where(inner, ranks_t[p], origin_rank)
             else:
                 start_col, lo_col = origin, origin_rank
             window = _window_counts(m, start_col, end_col, lo_col, hi)
             ok = has & ~((start_col == end_col) & (p > 0))
-            lo[:, p] = np.where(has, lo_col, 0)
-            count[:, p] = np.where(ok, window, 0)
+            lo[p] = np.where(has, lo_col, 0)
+            count[p] = np.where(ok, window, 0)
             if not self.vectorized:
                 starts[:, p] = np.where(has, start_col, 0.0)
                 ends[:, p] = np.where(has, end_col, 0.0)
                 valid[:, p] = ok
             end_col, hi = start_col, lo_col
+        lo, count = np.ascontiguousarray(lo.T), np.ascontiguousarray(count.T)
         if self.vectorized:
             return _ArcTables(k_count=counts + 1, lo=lo, count=count)
         return _ArcTables(
             k_count=counts + 1, lo=lo, count=count, starts=starts, ends=ends, valid=valid
         )
+
+    # ------------------------------------------------------------------
+    # refill (repair over the stored tables)
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _drop_dead_links(view: LiveView) -> None:
+        """Drop every link whose target is not in ``view``; recount
+        in-degree from the links that survive.
+
+        Column by column over a column-major ``int32`` copy of the live
+        rows: a link survives when its target has a row, and is written
+        to the next free cell of its row, so each row keeps its
+        survivors in order with ``-1`` past the new ``out_count``; a
+        dropped link is written to one sink cell instead. No per-link
+        index pair is built — every temporary is one column long.
+        """
+        state, m = view.state, view.m
+        width = int(state.out_count[view.slots].max(initial=0))
+        links = np.ascontiguousarray(state.out_links[view.slots, :width].T)
+        # id -> row; the padding, dead and retired ids all read row m.
+        table = np.append(view.row_of, m).astype(np.int32)
+        table[table < 0] = m
+        sink = links.size
+        kept = np.full(sink + 1, -1, dtype=links.dtype)  # column-major cells + the sink
+        cell = np.arange(m, dtype=np.int64)  # each row's next free cell
+        in_deg = np.zeros(m + 1, dtype=np.int64)
+        for column in links:
+            target = table.take(column.view(np.uint32), mode="clip")
+            live = target < m
+            kept[np.where(live, cell, sink)] = column
+            cell += live * m
+            in_deg += np.bincount(target, minlength=m + 1)
+        state.out_links[view.slots, :width] = kept[:sink].reshape(width, m).T
+        state.out_count[view.slots] = cell // m
+        state.in_deg[view.slots] = in_deg[:m]
+
+    @staticmethod
+    def _drop_dead_links_reference(view: LiveView) -> None:
+        """Sequential twin of :meth:`_drop_dead_links`, one peer at a
+        time through the node views."""
+        live = {int(node_id) for node_id in view.ids}
+        in_deg = dict.fromkeys(live, 0)
+        for node in view.nodes:
+            kept = [target for target in node.out_links if target in live]
+            node.out_links.clear()
+            node.out_links.extend(kept)
+            for target in kept:
+                in_deg[target] += 1
+        for node in view.nodes:
+            node.in_degree = in_deg[node.node_id]
+
+    def _stored_arcs(self, view: LiveView, rows: np.ndarray) -> _ArcTables:
+        """The partition tables ``rows`` store, packed as arcs.
+
+        Borders are read back as the last estimation left them; their
+        ring ranks, which churn has moved since, are searched over the
+        current positions. A peer that never estimated (it joined a
+        one-peer ring) holds one partition: the whole ring up to its
+        current predecessor.
+        """
+        state, m = view.state, view.m
+        slots = view.slots[rows]
+        n_medians = state.n_medians[slots].astype(np.int64)
+        counts = np.maximum(n_medians, 0)
+        origin = view.pos[rows]
+        pred = view.pos[np.where(rows == 0, m, rows) - 1]
+        far_end = np.where(n_medians < 0, pred, state.part_far_end[slots])
+        medians = state.medians[slots, : max(1, int(counts.max(initial=0)))]
+        ranks = np.searchsorted(view.pos, medians, side="right").astype(np.int32)
+        far_rank = np.searchsorted(view.pos, far_end, side="right").astype(np.int32)
+        origin_rank = (rows + 1).astype(np.int32)
+        return self._arc_tables(m, origin, far_end, medians, counts, origin_rank, far_rank, ranks)
 
     # ------------------------------------------------------------------
     # link acquisition (vectorized rounds)
@@ -848,10 +963,6 @@ class BatchConstructionEngine:
         m = view.m
         ids = view.ids
         n_cand = u_cand.shape[1]
-        # Round-start spare in-capacity; with the snapshot in-degree it is
-        # gathered once per candidate column and serves the refusal test,
-        # the tiebreak and the winner rank.
-        spare_of = rho_in - in_deg
         everyone = act.size == rows.size
         act_rows = rows if everyone else rows[act]
         success = np.zeros(act.size, dtype=bool)
@@ -877,53 +988,78 @@ class BatchConstructionEngine:
             eligible = (c != act_rows) & (drew if j == 0 else drew & (c != cand[:, 0]))
             for column in own:
                 eligible &= column != cand_id
-            spare = spare_of[c]
+            # Round-start in-degree and spare in-capacity, gathered at the
+            # candidates: they serve the refusal test, the tiebreak and
+            # the commit.
+            deg = in_deg[c]
+            spare = rho_in[c] - deg
             ack = eligible & (spare > 0)
             stats.refusals += int(eligible.sum() - ack.sum())
-            columns.append((c, cand_id, ack, spare))
+            columns.append((c, cand_id, ack, deg, spare))
 
-        c0, i0, ack0, spare0 = columns[0]
+        c0, i0, ack0, d0, spare0 = columns[0]
         if n_cand == 2:
-            c1, i1, ack1, spare1 = columns[1]
-            d0, d1 = in_deg[c0], in_deg[c1]
+            c1, i1, ack1, d1, spare1 = columns[1]
             # Lexicographic (in-degree, -spare, id) — the link_winner_key order.
             roomier1 = (spare1 > spare0) | ((spare1 == spare0) & (i1 < i0))
             better1 = (d1 < d0) | ((d1 == d0) & roomier1)
             use1 = ack1 & (~ack0 | better1)
             chosen = np.where(use1, c1, c0)
+            chosen_deg = np.where(use1, d1, d0)
             chosen_spare = np.where(use1, spare1, spare0)
             has_choice = ack0 | ack1
         else:
-            chosen, chosen_spare, has_choice = c0, spare0, ack0
+            chosen, chosen_deg, chosen_spare, has_choice = c0, d0, spare0, ack0
 
-        req = np.nonzero(has_choice)[0]
-        if req.size:
-            req_cand = chosen[req]
+        req = np.flatnonzero(has_choice)
+        if req.size == 0:
+            return success
+        req_cand = chosen[req]
+        spare = chosen_spare[req]
+        demand = self._demand(req_cand, m)
+        # A candidate asked at most `spare` times takes every request;
+        # only the over-subscribed ones need the priority order, in which
+        # their first `spare` requesters win.
+        win = demand <= spare
+        over = np.flatnonzero(~win)
+        if over.size:
+            over_cand = req_cand[over]
             # (candidate, priority) as one key: priorities are unique, so
             # the keys are and any sort yields the lexicographic order.
-            order_idx = np.argsort(req_cand * m + priority_of[act_rows[req]])
-            sorted_cand = req_cand[order_idx]
+            order = np.argsort(over_cand * m + priority_of[act_rows[req[over]]])
+            sorted_cand = over_cand[order]
             seq = np.arange(sorted_cand.size, dtype=np.int64)
             group_head = np.empty(sorted_cand.size, dtype=bool)
             group_head[0] = True
             group_head[1:] = sorted_cand[1:] != sorted_cand[:-1]
             group_start = np.maximum.accumulate(np.where(group_head, seq, 0))
             rank = seq - group_start
-            win = rank < chosen_spare[req][order_idx]
-            winners = req[order_idx[win]]
-            stats.conflicts += int(req.size - winners.size)
-            if winners.size:
-                win_cand = chosen[winners]
-                in_deg += np.bincount(win_cand, minlength=m)
-                # Scatter commit: requester rows are unique within a round,
-                # so the write column is just each winner's current count.
-                won = act[winners]
-                write_col = out_count[won]
-                links_t[write_col, won] = ids[win_cand]
-                out_count[won] = write_col + 1
-                stats.links_placed += int(winners.size)
-                success[winners] = True
+            ranked = over[order]
+            win[ranked[rank < spare[ranked]]] = True
+        winners = req[win]
+        stats.conflicts += int(req.size - winners.size)
+        # A candidate takes min(demand, spare) links, so every request of
+        # it writes the same committed in-degree.
+        in_deg[req_cand] = chosen_deg[req] + np.minimum(demand, spare)
+        # Scatter commit: requester rows are unique within a round, so the
+        # write column is just each winner's current count.
+        won = act[winners]
+        write_col = out_count[won]
+        links_t[write_col, won] = ids[chosen[winners]]
+        out_count[won] = write_col + 1
+        stats.links_placed += int(winners.size)
+        success[winners] = True
         return success
+
+    @staticmethod
+    def _demand(cand: np.ndarray, m: int) -> np.ndarray:
+        """How many of a round's requests name each request's candidate
+        (one ``bincount`` when the requests are a fair share of the
+        ``m`` rows, a sort of the requests alone when they are few)."""
+        if cand.size * 16 >= m:
+            return np.bincount(cand).take(cand)
+        __, inverse, counts = np.unique(cand, return_inverse=True, return_counts=True)
+        return counts.take(inverse)
 
     def _round_reference(
         self,

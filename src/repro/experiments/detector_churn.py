@@ -47,7 +47,8 @@ __all__ = ["run"]
         "sessions": "session-time shape: exponential | pareto | trace",
         "keys": "key distribution: uniform | clustered | zipf | gnutella",
         "degrees": "cap distribution: constant | realistic | stepped",
-        "repair_every": "epochs between full link repairs (1 = every epoch)",
+        "repair_every": "epochs between link repairs (1 = every epoch)",
+        "repair": "link repair policy: full (the paper's rewire) | refill",
         "n_queries": "routed probes per epoch (0 = one per live peer)",
         "rounds": "probe rounds per epoch (detector aggressiveness)",
         "threshold": "consecutive probe failures before suspicion (K)",
@@ -69,6 +70,7 @@ def run(
     keys: str = "gnutella",
     degrees: str = "constant",
     repair_every: int = 4,
+    repair: str = "full",
     n_queries: int = 256,
     rounds: int = 2,
     threshold: int = 3,
@@ -97,6 +99,7 @@ def run(
         sessions=sessions,
         keys=keys,
         degrees=degrees,
+        repair=repair,
     )
     overlay = bed.overlay
     membership = ProbeView(overlay.ring, detector, seed=seed, backend=backend)

@@ -32,6 +32,7 @@ from ..core import OscarOverlay
 from ..core.substrate import Substrate
 from ..degree import DegreeDistribution
 from ..engine import BatchQueryEngine, SteadyStateChurnEngine
+from ..engine.churn import REPAIR_POLICIES
 from ..errors import ConfigError
 from ..index import ReplicatedStore
 from ..membership import MembershipView
@@ -105,6 +106,8 @@ class ChurnBed:
         build_seconds: Wall time of ``grow_batch`` + ``rewire_batch``.
         metadata: The shared parameters as built (``size`` scaled), for
             the result's metadata block.
+        repair: The engine's link-repair policy
+            (:data:`~repro.engine.churn.REPAIR_POLICIES`).
     """
 
     overlay: Substrate
@@ -115,6 +118,7 @@ class ChurnBed:
     seed: int
     build_seconds: float
     metadata: dict[str, object]
+    repair: str = "full"
 
     def engine(
         self,
@@ -127,7 +131,8 @@ class ChurnBed:
         """The churn engine over this bed, holding the population steady.
 
         The arrival rate follows Little's law (``N = arrival_rate x mean
-        session``); the keywords are the engine's own.
+        session``), the repair policy is the bed's; the keywords are the
+        engine's own.
         """
         return SteadyStateChurnEngine(
             self.overlay,
@@ -140,6 +145,7 @@ class ChurnBed:
             seed=self.seed,
             membership=membership,
             replication=replication,
+            repair=self.repair,
         )
 
 
@@ -154,18 +160,21 @@ def build_churn_bed(
     sessions: str,
     keys: str,
     degrees: str,
+    repair: str = "full",
 ) -> ChurnBed:
     """Validate the shared churn-spec parameters and build the overlay.
 
     Names resolve through the ``workloads`` / ``degree`` / session
-    registries and ``epochs`` must be at least 1 (every churn spec
-    averages over its epoch history) — all raise
-    :class:`~repro.errors.ConfigError` before anything is built. The
-    overlay is then bulk-grown to ``size x scale`` peers and rewired
+    registries and the engine's repair policies, and ``epochs`` must be
+    at least 1 (every churn spec averages over its epoch history) — all
+    raise :class:`~repro.errors.ConfigError` before anything is built.
+    The overlay is then bulk-grown to ``size x scale`` peers and rewired
     once, timed.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    if repair not in REPAIR_POLICIES:
+        raise ConfigError(f"unknown repair {repair!r}; known: {list(REPAIR_POLICIES)}")
     key_distribution = workloads.by_name(keys)
     degree_distribution = degree.by_name(degrees)
     session_times = make_sessions(sessions, half_life)
@@ -193,7 +202,9 @@ def build_churn_bed(
             "sessions": sessions,
             "keys": keys,
             "degrees": degrees,
+            "repair": repair,
         },
+        repair=repair,
     )
 
 

@@ -55,6 +55,7 @@ __all__ = ["run"]
         "keys": "key distribution: uniform | clustered | zipf | gnutella",
         "degrees": "cap distribution: constant | realistic | stepped",
         "repair_every": "epochs between repairs + re-replication passes",
+        "repair": "link repair policy: full (the paper's rewire) | refill",
         "n_queries": "serve requests per epoch (0 = one per live peer)",
         "replicas": "replication factor k (owner + k-1 successors)",
         "items": "catalog size (0 = one item per initial peer)",
@@ -76,6 +77,7 @@ def run(
     keys: str = "gnutella",
     degrees: str = "constant",
     repair_every: int = 4,
+    repair: str = "full",
     n_queries: int = 4096,
     replicas: int = 3,
     items: int = 0,
@@ -99,6 +101,7 @@ def run(
         sessions=sessions,
         keys=keys,
         degrees=degrees,
+        repair=repair,
     )
     overlay = bed.overlay
 

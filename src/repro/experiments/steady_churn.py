@@ -13,8 +13,10 @@ snapshots into ``BENCH_churn.json``).
 The arrival rate is derived from the session distribution so the
 population holds steady around the configured size (Little's law:
 ``N = arrival_rate x mean session``); the registered ``churn-grid``
-sweep crosses churn half-life x substrate x cap distribution — the
-grid the docs call the steady-churn scenario family.
+sweep crosses churn half-life x substrate x cap distribution x repair
+policy — the grid the docs call the steady-churn scenario family.
+``repair="full"`` (the default) is the paper's periodic rewire of every
+peer; ``"refill"`` replaces only what churn broke.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ __all__ = ["run"]
         "sessions": "session-time shape: exponential | pareto | trace",
         "keys": "key distribution: uniform | clustered | zipf | gnutella",
         "degrees": "cap distribution: constant | realistic | stepped",
-        "repair_every": "epochs between full link repairs (1 = every epoch)",
+        "repair_every": "epochs between link repairs (1 = every epoch)",
+        "repair": "link repair policy: full (the paper's rewire) | refill",
         "n_queries": "routed probes per epoch (0 = one per live peer)",
     },
 )
@@ -55,6 +58,7 @@ def run(
     keys: str = "gnutella",
     degrees: str = "constant",
     repair_every: int = 4,
+    repair: str = "full",
     n_queries: int = 256,
 ) -> ExperimentResult:
     """Epoch time series of an overlay under steady-state churn."""
@@ -68,6 +72,7 @@ def run(
         sessions=sessions,
         keys=keys,
         degrees=degrees,
+        repair=repair,
     )
     engine = bed.engine(repair_every=repair_every, n_probes=n_queries)
 
@@ -76,6 +81,8 @@ def run(
     stale: list[tuple[float, float]] = []
     live: list[tuple[float, float]] = []
     epoch_seconds: list[tuple[float, float]] = []
+    given_up: list[tuple[float, float]] = []
+    samples: list[tuple[float, float]] = []
     churn_watch = Stopwatch()
     for __ in range(epochs):
         epoch_watch = Stopwatch()
@@ -87,6 +94,9 @@ def run(
         stale.append((x, float(stats.stale_links)))
         live.append((x, float(stats.live)))
         epoch_seconds.append((x, elapsed))
+        if stats.repair is not None:
+            given_up.append((x, float(stats.repair.slots_given_up)))
+            samples.append((x, float(stats.repair_samples)))
     churn_seconds = churn_watch.lap()
 
     history = engine.history
@@ -99,6 +109,8 @@ def run(
             "stale links": stale,
             "live peers": live,
             "epoch seconds": epoch_seconds,
+            "slots given up per repair": given_up,
+            "samples spent per repair": samples,
         },
         scalars={
             "mean_success_rate": sum(s.probes.success_rate for s in history) / len(history),
@@ -122,17 +134,18 @@ def run(
 
 
 # The steady-churn scenario family: churn speed x substrate x cap
-# distribution, each point one full epoch time series.
+# distribution x repair policy, each point one full epoch time series.
 # `repro sweep churn-grid --scale 0.02 --jobs 4`.
 register_sweep(
     SweepSpec(
         id="churn-grid",
         spec_id="steady-churn",
-        title="Churn half-life x substrate x cap distribution",
+        title="Churn half-life x substrate x cap distribution x repair policy",
         axes=(
             ("half_life", (2.0, 8.0, 32.0)),
             ("substrate", ("oscar", "chord", "mercury")),
             ("degrees", ("constant", "realistic")),
+            ("repair", ("full", "refill")),
         ),
     )
 )

@@ -31,6 +31,7 @@ from repro.engine.construct import (
     draw_positions,
 )
 from repro.errors import DuplicateNodeError, SamplingError
+from repro.experiments import make_overlay
 from repro.protocol.estimation import cw_arc_slice
 from repro.ring import Ring
 from repro.rng import make_rng, split
@@ -243,6 +244,67 @@ class TestAcquireOverExistingLinks:
             assert links[: len(before[node.node_id])] == before[node.node_id]
             assert len(set(links)) == len(links) and node.node_id not in links
         assert_padding(a)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=6, max_value=30),
+        seed=st.integers(min_value=0, max_value=9_999),
+        extra=st.integers(min_value=0, max_value=6),
+        power_of_two=st.booleans(),
+    )
+    def test_refill_matches_the_twin(self, n, seed, extra, power_of_two):
+        """Refill drops the links to the crashed and the retired peer
+        (rows compacted in order), recounts in-degree and fills the open
+        slots over the stored tables — kernels and twin alike."""
+        a, b = prefilled_pair(n, seed, extra, power_of_two)
+        live = {int(i) for i in a.ring.ids_array(live_only=True)}
+        kept = {node.node_id: [t for t in node.out_links if t in live] for node in a.live_nodes()}
+        stats_a = a.refill_batch(split(seed, "refill"))
+        stats_b = b.refill_batch(split(seed, "refill"), vectorized=False)
+        assert snapshot(a) == snapshot(b)
+        assert stats_a == stats_b
+        in_links = dict.fromkeys(live, 0)
+        for node in a.live_nodes():
+            links = list(node.out_links)
+            assert links[: len(kept[node.node_id])] == kept[node.node_id]
+            assert set(links) <= live and len(set(links)) == len(links)
+            assert node.node_id not in links
+            for target in links:
+                in_links[target] += 1
+        assert {node.node_id: node.in_degree for node in a.live_nodes()} == in_links
+        assert_padding(a)
+
+    def test_refill_of_a_peer_that_never_estimated(self):
+        """The first peer of a ring joined alone and holds no table: a
+        refill draws its links over the whole ring, on both paths."""
+        pair = [OscarOverlay(OscarConfig(), seed=2) for __ in "ab"]
+        for overlay in pair:
+            for position in (0.5, 0.1, 0.3, 0.7, 0.9):
+                overlay.join(position, 3, 3)
+        first = pair[0].nodes[0]
+        assert first.partitions is None and len(first.out_links) == 0
+        stats = pair[0].refill_batch(split(2, "refill"))
+        assert stats == pair[1].refill_batch(split(2, "refill"), vectorized=False)
+        assert snapshot(pair[0]) == snapshot(pair[1])
+        assert len(first.out_links) > 0 and first.partitions is None
+
+    @pytest.mark.parametrize("substrate", ["chord", "mercury"])
+    def test_refill_without_tables_is_the_rewire(self, substrate):
+        """Chord fingers and Mercury histograms hold no table to refill
+        against: their refill is the full rebuild, on either path."""
+        refill, rewire, twin = (make_overlay(substrate, seed=4) for __ in range(3))
+        for overlay in (refill, rewire, twin):
+            overlay.grow_batch(40, GnutellaLikeDistribution(), ConstantDegrees(5))
+            overlay.leave_batch([int(i) for i in overlay.ring.ids_array(live_only=True)[::7]])
+        results = (
+            refill.refill_batch(split(4, "r")),
+            rewire.rewire_batch(split(4, "r")),
+            twin.refill_batch(split(4, "r"), vectorized=False),
+        )
+        assert results[0] == results[1] == results[2]
+        for other in (rewire, twin):
+            for column in ("out_links", "out_count", "in_deg"):
+                assert np.array_equal(getattr(refill.state, column), getattr(other.state, column))
 
     def test_small_population_must_dedupe_to_fill(self):
         """10 peers wanting 8 targets each out of 9 possible: without the

@@ -1,0 +1,266 @@
+"""Whole-stack stateful testing: churn, repair and serving under one machine.
+
+:class:`ChurnProgram` drives an Oscar overlay, a
+:class:`~repro.engine.churn.SteadyStateChurnEngine` (either repair
+policy), a :class:`~repro.index.replication.ReplicatedStore` and a
+:class:`~repro.engine.serve.ServeEngine` through three verbs — an epoch,
+an external ``leave_batch`` wave, a serve batch with unknown sources and
+duplicate keys — on the vectorized kernels and, in lock-step, on the
+pure-Python twins, and checks after every step:
+
+* ``Ring.verify`` and the ring pointers;
+* no self or duplicate link in any row, ``-1`` past ``out_count``;
+* ``out_count <= cap_out`` and ``in_deg <= cap_in``;
+* right after a repair, every live ``in_deg`` is the count of live
+  in-links;
+* the twin's state, epoch statistics and serve outcomes are equal;
+* under gentle churn (``repair_every=1``, half-life 64, no external
+  waves) no item is ever lost.
+
+:class:`ChurnMachine` lets hypothesis choose the programs; every program
+it once shrank to a failure is committed under ``tests/data/programs/``
+and replayed by :func:`test_committed_program` without hypothesis.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+
+from repro import OscarConfig, OscarOverlay
+from repro.churn import ExponentialSessions
+from repro.core.soa import SubstrateState
+from repro.degree import ConstantDegrees
+from repro.engine import Outcome, ServeEngine, SteadyStateChurnEngine
+from repro.index import ReplicatedStore
+from repro.membership import OracleView
+from repro.ring import verify
+from repro.rng import split
+from repro.workloads import GnutellaLikeDistribution
+
+PROGRAMS = Path(__file__).parent / "data" / "programs"
+REPLICAS = 3
+
+
+class ChurnProgram:
+    """One composed system and its twin, advanced verb by verb.
+
+    ``params``: ``n`` (initial peers), ``seed``, ``cap`` (link caps),
+    ``repair`` (policy), ``gentle`` (half-life 64 and a repair every
+    epoch, else ``half_life`` / ``repair_every`` as given).
+    """
+
+    def __init__(self, params: dict) -> None:
+        self.params = params
+        self.gentle = bool(params["gentle"])
+        self.waves = 0
+        self.twins = [self._build(vectorized) for vectorized in (True, False)]
+        self.check()
+
+    def _build(self, vectorized: bool) -> dict:
+        p = self.params
+        keys, degrees = GnutellaLikeDistribution(), ConstantDegrees(p["cap"])
+        overlay = OscarOverlay(OscarConfig(), seed=p["seed"])
+        overlay.grow_batch(p["n"], keys, degrees, vectorized=vectorized)
+        overlay.rewire_batch(vectorized=vectorized)
+        view = OracleView(overlay.ring)
+        store = ReplicatedStore(overlay.ring, k=REPLICAS, vectorized=vectorized)
+        store.seed_items(split(p["seed"], "program-items").random(p["n"]), view)
+        sessions = ExponentialSessions(64.0 if self.gentle else p["half_life"])
+        engine = SteadyStateChurnEngine(
+            overlay,
+            keys,
+            degrees,
+            sessions,
+            arrival_rate=p["n"] / sessions.mean,
+            repair_every=1 if self.gentle else p["repair_every"],
+            n_probes=4,
+            seed=p["seed"],
+            vectorized=vectorized,
+            membership=view,
+            replication=store,
+            repair=p["repair"],
+        )
+        serve = ServeEngine(overlay, store, view, cache_size=32, vectorized=vectorized)
+        return {"overlay": overlay, "store": store, "engine": engine, "serve": serve}
+
+    @property
+    def overlay(self) -> OscarOverlay:
+        return self.twins[0]["overlay"]
+
+    # -- verbs ---------------------------------------------------------
+
+    def run_epoch(self) -> None:
+        stats = [twin["engine"].run_epoch() for twin in self.twins]
+        assert stats[0] == stats[1]
+        if stats[0].link_repair:
+            self.check_in_degrees()
+
+    def leave_wave(self, picks: list[int]) -> None:
+        """``leave_batch`` the live peers at ring ranks ``picks`` (mod
+        the live count), keeping at least two alive."""
+        live = self.overlay.ring.ids_array(live_only=True)
+        ids = sorted({int(live[i % live.size]) for i in picks})[: max(0, live.size - 2)]
+        for twin in self.twins:
+            twin["overlay"].leave_batch(ids)
+        self.waves += 1
+
+    def serve(self, picks: list[int], unknown: int, repeat: int) -> None:
+        """One batch: sources at live ranks ``picks`` plus ``unknown``
+        ids no peer holds, keys drawn from the catalog with every key
+        asked ``repeat`` times."""
+        live = self.overlay.ring.ids_array(live_only=True)
+        top = int(self.overlay._next_id)
+        sources = [int(live[i % live.size]) for i in picks] + [top + 7 * j for j in range(unknown)]
+        catalog = self.twins[0]["store"].item_keys
+        if catalog.size:  # the catalog empties when every replica of every item died
+            keys = catalog[np.asarray(picks, dtype=np.int64) % catalog.size]
+        else:
+            keys = np.full(len(picks), 0.5)
+        keys = np.concatenate([np.repeat(keys, repeat), np.full(unknown * repeat, 0.25)])
+        sources = np.repeat(np.asarray(sources, dtype=np.int64), repeat)
+        results = [twin["serve"].serve_batch(sources, keys) for twin in self.twins]
+        for name in ("owners", "outcome", "hit", "found", "success", "stale", "hops"):
+            assert np.array_equal(getattr(results[0], name), getattr(results[1], name)), name
+        if unknown:
+            assert (results[0].outcome[-unknown * repeat :] == Outcome.BAD_SOURCE).all()
+
+    # -- invariants ----------------------------------------------------
+
+    def check(self) -> None:
+        for twin in self.twins:
+            overlay = twin["overlay"]
+            overlay.ring.verify()
+            verify(overlay.ring, overlay.pointers)
+            self.check_links(overlay)
+        self.check_twins()
+        if self.gentle and not self.waves:
+            assert self.twins[0]["store"].items_lost_total == 0
+
+    @staticmethod
+    def check_links(overlay: OscarOverlay) -> None:
+        state = overlay.state
+        slots = overlay.ring.slots_array(live_only=False)
+        links = state.out_links[slots]
+        count = state.out_count[slots]
+        padding = np.arange(links.shape[1])[None, :] >= count[:, None]
+        assert (links[padding] == -1).all() and (links[~padding] >= 0).all()
+        for slot, row in zip(slots, links):
+            held = row[row >= 0].tolist()
+            assert len(set(held)) == len(held), "duplicate link"
+            assert int(state.node_id[slot]) not in held, "self link"
+        live = overlay.ring.slots_array(live_only=True)
+        assert (state.out_count[live] <= state.cap_out[live]).all()
+        assert (state.in_deg[live] <= state.cap_in[live]).all()
+
+    def check_in_degrees(self) -> None:
+        for twin in self.twins:
+            state, ring = twin["overlay"].state, twin["overlay"].ring
+            live_ids = ring.ids_array(live_only=True)
+            links = state.out_links[ring.slots_array(live_only=True)]
+            targets = links[np.isin(links, live_ids)]
+            recount = {int(i): 0 for i in live_ids}
+            for target in targets.tolist():
+                recount[target] += 1
+            held = {int(i): int(state.in_deg[state.slot_of(int(i))]) for i in live_ids}
+            assert held == recount
+
+    def check_twins(self) -> None:
+        states = [twin["overlay"].state for twin in self.twins]
+        for name, column in SubstrateState.COLUMNS.items():
+            a, b = (getattr(state, name) for state in states)
+            if column.matrix:
+                width = max(_used_width(a, column.fill), _used_width(b, column.fill))
+                a, b = a[:, :width], b[:, :width]
+            assert np.array_equal(a, b), name
+        stores = [twin["store"] for twin in self.twins]
+        assert np.array_equal(stores[0].holders, stores[1].holders)
+        assert stores[0].items_lost_total == stores[1].items_lost_total
+
+
+def _used_width(matrix: np.ndarray, fill: object) -> int:
+    """Columns up to the last one any row holds a non-``fill`` value in
+    (the two twins grow their padded tables to different widths)."""
+    used = np.flatnonzero((matrix != fill).any(axis=0))
+    return int(used[-1]) + 1 if used.size else 0
+
+
+def replay(program: dict) -> ChurnProgram:
+    """Run a committed program step by step (invariants after each)."""
+    system = ChurnProgram(program["params"])
+    for step in program["steps"]:
+        verb = step["verb"]
+        if verb == "epoch":
+            system.run_epoch()
+        elif verb == "wave":
+            system.leave_wave(step["picks"])
+        else:
+            system.serve(step["picks"], step["unknown"], step["repeat"])
+        system.check()
+    return system
+
+
+class ChurnMachine(RuleBasedStateMachine):
+    """Hypothesis over :class:`ChurnProgram`'s verbs."""
+
+    system: ChurnProgram
+
+    @initialize(
+        n=st.integers(min_value=12, max_value=48),
+        seed=st.integers(min_value=0, max_value=2**16),
+        cap=st.integers(min_value=2, max_value=6),
+        repair=st.sampled_from(["refill", "full"]),
+        gentle=st.booleans(),
+        half_life=st.sampled_from([1.0, 4.0, 16.0]),
+        repair_every=st.integers(min_value=1, max_value=3),
+    )
+    def build(self, **params) -> None:
+        self.system = ChurnProgram(params)
+
+    @rule()
+    def epoch(self) -> None:
+        self.system.run_epoch()
+
+    @precondition(lambda self: not self.system.gentle)
+    @rule(picks=st.lists(st.integers(0, 1000), min_size=1, max_size=6))
+    def wave(self, picks) -> None:
+        self.system.leave_wave(picks)
+
+    @rule(
+        picks=st.lists(st.integers(0, 1000), min_size=1, max_size=8),
+        unknown=st.integers(0, 2),
+        repeat=st.integers(1, 3),
+    )
+    def serve(self, picks, unknown, repeat) -> None:
+        self.system.serve(picks, unknown, repeat)
+
+    @invariant()
+    def holds(self) -> None:
+        self.system.check()
+
+
+ChurnMachine.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=8, deadline=None
+)
+TestChurnStateful = ChurnMachine.TestCase
+
+
+class DeepChurnMachine(ChurnMachine):
+    """The same machine with longer programs (CI's ``slow`` job)."""
+
+
+DeepChurnMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=20, deadline=None
+)
+TestChurnStatefulDeep = pytest.mark.slow(DeepChurnMachine.TestCase)
+
+
+@pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.json")), ids=lambda p: p.stem)
+def test_committed_program(path):
+    replay(json.loads(path.read_text()))

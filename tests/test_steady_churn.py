@@ -19,6 +19,7 @@ from repro.degree import ConstantDegrees
 from repro.engine import ChurnEpochStats, SteadyStateChurnEngine
 from repro.errors import ConfigError
 from repro.experiments import make_overlay
+from repro.experiments.growth import build_churn_bed
 from repro.membership import DetectorConfig, OracleView, ProbeView
 from repro.ring import verify
 from repro.rng import split
@@ -36,6 +37,7 @@ def build_engine(
     vectorized: bool = True,
     arrival_scale: float = 1.0,
     membership_factory=None,
+    repair: str = "refill",
 ) -> SteadyStateChurnEngine:
     keys = GnutellaLikeDistribution()
     degrees = ConstantDegrees(8)
@@ -54,6 +56,7 @@ def build_engine(
         seed=seed,
         vectorized=vectorized,
         membership=membership_factory(overlay.ring) if membership_factory else None,
+        repair=repair,
     )
 
 
@@ -118,6 +121,22 @@ class TestEngineValidation:
         with pytest.raises(ConfigError):
             SteadyStateChurnEngine(
                 overlay, keys, degrees, sessions, arrival_rate=1.0, n_probes=-1
+            )
+
+    def test_rejects_unknown_repair_before_anything_runs(self):
+        overlay = make_overlay("oscar", seed=0)
+        overlay.grow_batch(10, UniformKeys(), ConstantDegrees(4))
+        version = overlay.topology_version
+        with pytest.raises(ConfigError, match="repair"):
+            SteadyStateChurnEngine(
+                overlay, UniformKeys(), ConstantDegrees(4), ExponentialSessions(4.0), 1.0,
+                repair="masked",
+            )
+        assert overlay.topology_version == version
+        with pytest.raises(ConfigError, match="repair"):
+            build_churn_bed(
+                scale=1.0, seed=0, substrate="oscar", size=10, epochs=1, half_life=4.0,
+                sessions="exponential", keys="uniform", degrees="constant", repair="masked",
             )
 
     def test_rejects_tiny_overlay(self):
@@ -215,8 +234,18 @@ class TestEpochSemantics:
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("substrate", ["oscar", "chord", "mercury"])
     def test_vectorized_matches_reference(self, substrate):
-        vec = build_engine(substrate=substrate, size=90, n_probes=25, vectorized=True)
-        ref = build_engine(substrate=substrate, size=90, n_probes=25, vectorized=False)
+        self.assert_twins_agree(substrate, "refill")
+
+    @pytest.mark.parametrize("substrate", ["oscar", "chord", "mercury"])
+    def test_full_repair_matches_reference(self, substrate):
+        self.assert_twins_agree(substrate, "full")
+
+    @staticmethod
+    def assert_twins_agree(substrate: str, repair: str) -> None:
+        vec = build_engine(substrate=substrate, size=90, n_probes=25, repair=repair)
+        ref = build_engine(
+            substrate=substrate, size=90, n_probes=25, vectorized=False, repair=repair
+        )
         assert vec.run(7) == ref.run(7)
         ring_v, ring_r = vec.substrate.ring, ref.substrate.ring
         assert np.array_equal(ring_v.ids_array(), ring_r.ids_array())
@@ -236,13 +265,16 @@ class TestReferenceEquivalence:
         arrival_scale=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
         epochs=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        repair=st.sampled_from(["refill", "full"]),
     )
     def test_equivalence_and_invariants_property(
-        self, substrate, size, half_life, sessions, repair_every, arrival_scale, epochs, seed
+        self, substrate, size, half_life, sessions, repair_every, arrival_scale, epochs, seed,
+        repair,
     ):
         """Any interleaving of joins, deaths and repairs the process
         produces keeps ring/pointer invariants intact, and the
-        vectorized and reference paths never diverge."""
+        vectorized and reference paths never diverge — under either
+        repair policy."""
         vec = build_engine(
             substrate=substrate,
             size=size,
@@ -253,6 +285,7 @@ class TestReferenceEquivalence:
             seed=seed,
             vectorized=True,
             arrival_scale=arrival_scale,
+            repair=repair,
         )
         ref = build_engine(
             substrate=substrate,
@@ -264,11 +297,15 @@ class TestReferenceEquivalence:
             seed=seed,
             vectorized=False,
             arrival_scale=arrival_scale,
+            repair=repair,
         )
         for __ in range(epochs):
             stats_v = vec.run_epoch()
             stats_r = ref.run_epoch()
             assert stats_v == stats_r
+            state_v, state_r = vec.substrate.state, ref.substrate.state
+            for column in ("in_deg", "out_count", "n_medians", "samples_spent"):
+                assert np.array_equal(getattr(state_v, column), getattr(state_r, column))
             ring = vec.substrate.ring
             verify(ring, vec.substrate.pointers)  # raises on violation
             assert ring.live_count >= 1
@@ -408,3 +445,50 @@ class TestStaleLinkCount:
         top = int(engine.membership.live_ids().max())
         state.set_links(int(slots[0]), [top + 1, top + 5_000, int(state.node_id[slots[1]])])
         assert self.both(engine) == 2
+
+
+class TestRepairPolicies:
+    """``repair="refill"`` replaces what churn broke and keeps the rest;
+    ``repair="full"`` is the paper's rewire of every peer."""
+
+    def test_repair_counters_ride_the_repair_epochs(self):
+        history = build_engine(size=80, half_life=4.0, n_probes=5, repair="full").run(6)
+        for stats in history:
+            payload = stats.as_dict()
+            if stats.link_repair:
+                assert stats.repair is not None and stats.repair.links_placed > 0
+                assert stats.repair_samples > 0  # every peer re-estimated
+                assert payload["repair_links_placed"] == stats.repair.links_placed
+            else:
+                assert stats.repair is None and stats.repair_samples == 0
+                assert payload["repair_links_placed"] == payload["repair_samples_spent"] == 0
+
+    def test_refill_spends_no_samples_and_keeps_every_healthy_link(self):
+        engine = build_engine(size=120, half_life=4.0, n_probes=5, repair_every=3)
+        overlay = engine.substrate
+        engine.run(2)
+        live = set(overlay.ring.ids_array(live_only=True).tolist())
+        before = {
+            node.node_id: [t for t in node.out_links if t in live] for node in overlay.live_nodes()
+        }
+        stats = engine.run_epoch()  # epoch 3 repairs; arrivals and departures come first
+        assert stats.link_repair and stats.repair_samples == 0
+        assert stats.repair.links_placed > 0
+        alive = set(overlay.ring.ids_array(live_only=True).tolist())
+        for node in overlay.live_nodes():
+            kept = [t for t in before.get(node.node_id, []) if t in alive]
+            links = list(node.out_links)
+            assert links[: len(kept)] == kept
+            assert set(links) <= alive and len(links) <= node.rho_max_out
+
+    @pytest.mark.parametrize("repair", ["refill", "full"])
+    def test_in_degree_is_the_live_in_link_count_after_repair(self, repair):
+        engine = build_engine(size=100, half_life=3.0, n_probes=5, repair_every=2, repair=repair)
+        overlay = engine.substrate
+        stats = engine.run(4)[-1]
+        assert stats.link_repair
+        live = overlay.ring.ids_array(live_only=True)
+        links = overlay.state.out_links[overlay.ring.slots_array(live_only=True)]
+        counts = np.bincount(links[np.isin(links, live)], minlength=int(live.max()) + 1)
+        assert np.array_equal(overlay.in_degree_array(), counts[live])
+        assert (overlay.in_degree_array() <= overlay.in_cap_array()).all()
