@@ -9,7 +9,10 @@ generator event kernel under it — any change to RNG labels, call order
 or scalar names shows up here as a diff against that recording.
 ``tests/data/spec_series.json`` holds every non-timing series of the
 three churn specs from the same runs, recorded before their three epoch
-loops were folded into one. The ``bench_ci`` table is checked against
+loops were folded into one. ``fig1b``, ``ext-mercury`` and
+``abl-partitions`` (scalars and series) were recorded the same way
+before Mercury's builder and the partition ablation moved from per-peer
+objects onto the substrate columns. The ``bench_ci`` table is checked against
 the same runs: its rows must name registered specs, declared parameters
 and scalars the specs really emit.
 """
