@@ -43,10 +43,11 @@ def build(kind: str, keys) -> OscarOverlay | MercuryOverlay:
 def report(label: str, overlay) -> dict[str, float]:
     stats = measure_search_cost(overlay, split(SEED, "q", label), n_queries=300)
     volume = volume_exploitation(overlay.in_degree_array(), overlay.in_cap_array())
+    state = overlay.state  # one column per field, one row (slot) per peer
     links = [
-        (node.node_id, target)
-        for node in overlay.live_nodes()
-        for target in node.out_links
+        (int(state.node_id[slot]), target)
+        for slot in overlay.ring.slots_array(live_only=True)
+        for target in state.out_links[slot, : state.out_count[slot]].tolist()
     ]
     divergence = harmonic_divergence(
         link_rank_distribution(overlay.ring, links), overlay.ring.live_count

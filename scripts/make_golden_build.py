@@ -48,15 +48,16 @@ def main() -> int:
     stats = BatchConstructionEngine(overlay, vectorized=True).rewire(
         split(REWIRE_SEED, "golden-build")
     )
+    state = overlay.state
     nodes = []
-    for node in overlay.live_nodes():
-        table = node.partitions
+    for node_id, slot in zip(overlay.live_node_ids(), overlay.ring.slots_array(live_only=True)):
+        table = overlay.partition_table(node_id)
         nodes.append(
             {
-                "id": node.node_id,
-                "position": node.position,
-                "in_degree": node.in_degree,
-                "out_links": list(node.out_links),
+                "id": node_id,
+                "position": float(state.pos[slot]),
+                "in_degree": int(state.in_deg[slot]),
+                "out_links": state.out_links[slot, : state.out_count[slot]].tolist(),
                 "origin": table.origin,
                 "far_end": table.far_end,
                 "medians": list(table.medians),

@@ -28,7 +28,7 @@ from .config import (
     RoutingConfig,
     SamplingMode,
 )
-from .core import OscarNode, OscarOverlay, PartitionTable, Substrate
+from .core import OscarOverlay, PartitionTable, Substrate
 from .engine import BatchQueryEngine
 from .errors import ReproError
 from .mercury import MercuryOverlay
@@ -43,7 +43,6 @@ __all__ = [
     "MercuryConfig",
     "MercuryOverlay",
     "OscarConfig",
-    "OscarNode",
     "OscarOverlay",
     "PartitionTable",
     "RangeQueryResult",

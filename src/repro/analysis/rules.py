@@ -377,9 +377,9 @@ class SoaBoundaryRule(Rule):
 
     * reads of a ``.nodes`` attribute or of a local bound to one
       (subscripting, iterating or calling through ``nodes``);
-    * :class:`~repro.core.node.StateNodeView` per-peer attribute access
+    * the attribute names a per-peer object would carry
       (``in_degree``, ``partitions``, ``reset_links``, ...) on any
-      object;
+      object, so no such object creeps into a kernel;
     * per-peer protocol calls (``neighbors_of``) in loop position.
 
     **Whitelisted:** any function whose name contains ``reference`` —
@@ -401,7 +401,7 @@ class SoaBoundaryRule(Rule):
         "repro/engine/serve.py",
         "repro/engine/walk.py",
     )
-    #: Attributes unique to per-peer view objects (never SubstrateState
+    #: Attributes a per-peer object would carry (never SubstrateState
     #: columns — ``out_links``/``samples_spent`` are deliberately absent
     #: because the state arrays share those names).
     _VIEW_ATTRS = frozenset(

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..config import RoutingConfig
-from ..core.soa import FingerTable, row_table
+from ..core.soa import row_table
 from ..core.substrate import Substrate
 from ..errors import DuplicateNodeError
 from ..ring import in_closed_cw_range, normalize
@@ -52,7 +52,6 @@ class ChordOverlay(Substrate):
 
     def __init__(self, seed: int = 42, routing: RoutingConfig | None = None) -> None:
         super().__init__(seed, routing)
-        self.fingers = FingerTable(self.state)
         self.application_key: dict[NodeId, Key] = {}
 
     def join(self, application_key: Key) -> NodeId:
@@ -62,7 +61,7 @@ class ChordOverlay(Substrate):
         node_id = self._splice(hash_key(application_key))
         self.application_key[node_id] = application_key
         if self.ring.live_count > 1:
-            self.fingers[node_id] = self._build_fingers(node_id)
+            self._rebuild_fingers(node_id)
         return node_id
 
     def grow(
@@ -92,7 +91,9 @@ class ChordOverlay(Substrate):
         for node_id in node_ids:
             self.application_key.pop(node_id, None)
 
-    def _build_fingers(self, node_id: NodeId) -> list[NodeId]:
+    def _rebuild_fingers(self, node_id: NodeId) -> int:
+        """Write ``node_id``'s finger table into its link row; returns
+        the finger count."""
         position = self.ring.position(node_id)
         n = self.ring.live_count
         out: list[NodeId] = []
@@ -101,17 +102,14 @@ class ChordOverlay(Substrate):
             finger = self.ring.successor_of_key(target, live_only=True)
             if finger != node_id and finger not in out:
                 out.append(finger)
-        return out
+        self.state.set_links(self.state.slot_of(node_id), out)
+        return len(out)
 
     def rewire(self, rng: np.random.Generator | None = None) -> int:
         """Rebuild every live peer's finger table; returns links placed."""
         del rng  # deterministic; signature kept facade-compatible
         self._links_epoch += 1
-        placed = 0
-        for node_id in self.ring.node_ids(live_only=True):
-            self.fingers[node_id] = self._build_fingers(node_id)
-            placed += len(self.fingers[node_id])
-        return placed
+        return sum(self._rebuild_fingers(node_id) for node_id in self.ring.node_ids(live_only=True))
 
     def lookup(self, source: NodeId, application_key: Key, faulty: bool = False) -> RouteResult:
         """Route a lookup for an *application key* (hashes first;

@@ -6,24 +6,18 @@
   together; it builds through the one construction engine,
   :class:`repro.engine.construct.BatchConstructionEngine`;
 * :class:`SubstrateState` — the struct-of-arrays store every substrate's
-  per-peer columns live in (:class:`OscarNode` and friends are views).
+  per-peer columns live in, one array per field indexed by slot.
 """
 
 from .estimators import oracle_partitions
-from .node import OscarNode, StateNodeView
 from .overlay import OscarOverlay
 from .partitions import PartitionTable
-from .soa import FingerTable, LinkView, NodeTable, SubstrateState
+from .soa import SubstrateState
 from .substrate import Substrate
 
 __all__ = [
-    "FingerTable",
-    "LinkView",
-    "NodeTable",
-    "OscarNode",
     "OscarOverlay",
     "PartitionTable",
-    "StateNodeView",
     "Substrate",
     "SubstrateState",
     "oracle_partitions",

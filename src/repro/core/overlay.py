@@ -24,16 +24,16 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..config import OscarConfig, RoutingConfig
 from ..degree import DegreeDistribution
+from ..errors import UnknownNodeError
 from ..types import Key, NodeId
 from ..workloads import KeyDistribution
-from .node import OscarNode
-from .soa import NodeTable
+from .partitions import PartitionTable
 from .substrate import Substrate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,7 +59,6 @@ class OscarOverlay(Substrate):
     ) -> None:
         super().__init__(seed, routing)
         self.config = config or OscarConfig()
-        self.nodes = NodeTable(self.state, OscarNode._view)
 
     def join(self, position: Key, rho_max_in: int, rho_max_out: int) -> NodeId:
         """Add a peer at ``position`` with the given capacity caps.
@@ -146,7 +145,19 @@ class OscarOverlay(Substrate):
     rewire = rewire_batch
     leave_batch = Substrate.leave_batch
 
-    def live_nodes(self) -> Iterable[OscarNode]:
-        """Live peers' states, in ring order."""
-        for node_id in self.ring.node_ids(live_only=True):
-            yield self.nodes[node_id]
+    def partition_table(self, node_id: NodeId) -> PartitionTable | None:
+        """The partition table ``node_id`` stores; ``None`` until its
+        first estimation (``n_medians == -1``). Raises
+        :class:`UnknownNodeError` for an id the overlay does not hold."""
+        state = self.state
+        slot = state.slot_of(node_id)
+        if slot < 0:
+            raise UnknownNodeError(node_id)
+        n = int(state.n_medians[slot])
+        if n < 0:
+            return None
+        return PartitionTable(
+            origin=float(state.part_origin[slot]),
+            far_end=float(state.part_far_end[slot]),
+            medians=tuple(float(x) for x in state.medians[slot, :n]),
+        )

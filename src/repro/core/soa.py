@@ -8,11 +8,11 @@ liveness flag, maintained ring successor / predecessor pointers, in/out
 capacities and degrees, its padded long-link table, its partition-table
 view of the key space (or Mercury's histogram of it), its cumulative
 sampling spend, the failure-detector schedule that watches it and what
-the membership view believes about it. ``Ring``,
-``OscarNode``, ``MercuryNode`` and the overlay ``nodes`` / ``fingers``
-mappings are thin views over these arrays: reading ``node.in_degree``
-reads one array cell, and the batch engines read whole columns without
-crossing the Python object boundary per peer.
+the membership view believes about it. There is no per-peer object:
+``Ring`` and the overlays read and write these columns by slot
+(``state.in_deg[state.slot_of(node_id)]`` is a peer's in-degree), and
+the batch engines read whole columns without crossing the Python
+object boundary per peer.
 
 Design notes
 ------------
@@ -39,28 +39,19 @@ Design notes
   invariant* — vectorized kernels rely on it to read live links with a
   single mask). The medians table is its float twin for partition
   borders, gated by ``n_medians`` (``-1`` means "no table yet").
-* **Views are cheap and transient.** ``LinkView`` / node views carry
-  only ``(state, slot)``; equality and iteration materialize Python
-  ints so existing call sites (``set(node.out_links)``,
-  ``links == [3, 7]``) keep working unchanged.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Iterable, Iterator
+from typing import Any, ClassVar, Iterable
 
 import numpy as np
-
-from ..types import NodeId
 
 __all__ = [
     "SubstrateState",
     "Column",
-    "LinkView",
-    "NodeTable",
-    "FingerTable",
     "row_table",
     "rows_of",
 ]
@@ -350,181 +341,3 @@ class SubstrateState:
 SubstrateState.COLUMNS = {
     name: spec for name, spec in vars(SubstrateState).items() if isinstance(spec, Column)
 }
-
-
-class LinkView:
-    """List-like view of one peer's outgoing long links.
-
-    Supports the subset of the ``list`` protocol the construction and
-    churn code uses: ``len``, iteration (yielding Python ints),
-    indexing and slicing, ``in``, ``append`` / ``extend`` / ``clear``,
-    equality against lists/tuples/other views, and ``np.asarray``.
-    """
-
-    __slots__ = ("_state", "_slot")
-
-    def __init__(self, state: SubstrateState, slot: int) -> None:
-        self._state = state
-        self._slot = slot
-
-    def __len__(self) -> int:
-        return int(self._state.out_count[self._slot])
-
-    def __iter__(self) -> Iterator[int]:
-        row = self._state.out_links[self._slot]
-        for j in range(int(self._state.out_count[self._slot])):
-            yield int(row[j])
-
-    def __getitem__(self, index: int | slice) -> int | list[int]:
-        n = len(self)
-        if isinstance(index, slice):
-            return [int(v) for v in self._state.out_links[self._slot, :n][index]]
-        i = operator.index(index)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("link index out of range")
-        return int(self._state.out_links[self._slot, i])
-
-    def __contains__(self, value: object) -> bool:
-        try:
-            v = operator.index(value)  # type: ignore[arg-type]
-        except TypeError:
-            return False
-        n = len(self)
-        if n == 0:
-            return False
-        return bool((self._state.out_links[self._slot, :n] == v).any())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LinkView):
-            return list(self) == list(other)
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __array__(
-        self, dtype: np.dtype | type | None = None, copy: bool | None = None
-    ) -> np.ndarray:
-        n = len(self)
-        out = np.array(self._state.out_links[self._slot, :n], dtype=dtype or np.int64)
-        return out
-
-    def append(self, value: int) -> None:
-        state, slot = self._state, self._slot
-        n = int(state.out_count[slot])
-        state.ensure_width("out_links", n + 1)
-        state.out_links[slot, n] = int(value)
-        state.out_count[slot] = n + 1
-
-    def extend(self, values: Iterable[int]) -> None:
-        for value in values:
-            self.append(value)
-
-    def clear(self) -> None:
-        state, slot = self._state, self._slot
-        n = int(state.out_count[slot])
-        if n:
-            state.out_links[slot, :n] = -1
-        state.out_count[slot] = 0
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
-class NodeTable:
-    """Mapping-like view ``node_id -> node view`` over a substrate state.
-
-    Iteration yields node ids in ascending order (allocation order for
-    the dense ids the overlays assign, matching the old dict's
-    insertion order). ``pop`` is a deliberate no-op: peers leave the
-    table when their ring slot is freed (``Ring.remove_many``), not
-    before — the churn engine drops node state *then* compacts the
-    ring, and both must observe the peer until the slot goes away.
-    """
-
-    __slots__ = ("_state", "_factory")
-
-    def __init__(
-        self, state: SubstrateState, factory: Callable[[SubstrateState, int], Any]
-    ) -> None:
-        self._state = state
-        self._factory = factory
-
-    def _ids(self) -> np.ndarray:
-        used = self._state.node_id[: self._state._top]
-        return np.sort(used[used >= 0])
-
-    def __getitem__(self, node_id: NodeId) -> Any:
-        slot = self._state.slot_of(node_id)
-        if slot < 0:
-            raise KeyError(node_id)
-        return self._factory(self._state, slot)
-
-    def get(self, node_id: NodeId, default: Any = None) -> Any:
-        slot = self._state.slot_of(node_id)
-        if slot < 0:
-            return default
-        return self._factory(self._state, slot)
-
-    def __contains__(self, node_id: object) -> bool:
-        return self._state.slot_of(node_id) >= 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(int(i) for i in self._ids())
-
-    def __len__(self) -> int:
-        return self._state.n_slots
-
-    def keys(self) -> Iterator[int]:
-        return iter(self)
-
-    def values(self) -> Iterator[Any]:
-        for node_id in self:
-            yield self[node_id]
-
-    def items(self) -> Iterator[tuple[int, Any]]:
-        for node_id in self:
-            yield node_id, self[node_id]
-
-    def pop(self, node_id: NodeId, default: Any = None) -> Any:
-        """Non-destructive: views die with their ring slot, not here."""
-        return self.get(node_id, default)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={len(self)})"
-
-
-class FingerTable(NodeTable):
-    """Dict-like ``node_id -> finger list`` view for the Chord baseline:
-    a :class:`NodeTable` whose per-peer view is the :class:`LinkView`.
-
-    Fingers are stored in the same padded link table the other
-    substrates use for long links; assignment replaces the row.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, state: SubstrateState) -> None:
-        super().__init__(state, LinkView)
-
-    def __setitem__(self, node_id: NodeId, targets: Iterable[int]) -> None:
-        slot = self._state.slot_of(node_id)
-        if slot < 0:
-            raise KeyError(node_id)
-        self._state.set_links(slot, targets)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FingerTable):
-            other = dict(other.items())
-        if isinstance(other, dict):
-            return {i: list(v) for i, v in self.items()} == {
-                int(i): [int(t) for t in v] for i, v in other.items()
-            }
-        return NotImplemented

@@ -83,7 +83,6 @@ from ..sampling.batch_walk import BatchRestrictedWalker, in_cw_arc
 from ..workloads import KeyDistribution
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.node import OscarNode
     from ..core.soa import SubstrateState
     from ..core.overlay import OscarOverlay
 
@@ -130,12 +129,9 @@ class LiveView:
         slots: Row-aligned physical slots into ``state`` — the bridge
             the array kernels use to read/write per-peer columns.
         state: The overlay's shared struct-of-arrays substrate state.
-        nodes: Row-aligned :class:`~repro.core.node.OscarNode` views,
-            materialized lazily (only the sequential reference path and
-            the test suite touch per-peer objects).
     """
 
-    __slots__ = ("ids", "pos", "keys", "row_of", "slots", "state", "_nodes", "_keys_distinct")
+    __slots__ = ("ids", "pos", "keys", "row_of", "slots", "state", "_keys_distinct")
 
     def __init__(
         self,
@@ -152,7 +148,6 @@ class LiveView:
         self.row_of = row_of
         self.slots = slots
         self.state = state
-        self._nodes: "tuple[OscarNode, ...] | None" = None
         self._keys_distinct: bool | None = None
 
     @property
@@ -171,15 +166,6 @@ class LiveView:
         if self._keys_distinct is None:
             self._keys_distinct = bool((self.keys[1:] - self.keys[:-1]).all())
         return self._keys_distinct
-
-    @property
-    def nodes(self) -> "tuple[OscarNode, ...]":
-        """Row-aligned node views (built on first access)."""
-        if self._nodes is None:
-            from ..core.node import OscarNode
-
-            self._nodes = tuple(OscarNode._view(self.state, int(s)) for s in self.slots)
-        return self._nodes
 
     @classmethod
     def capture(cls, overlay: "OscarOverlay") -> "LiveView":
@@ -415,9 +401,9 @@ class BatchConstructionEngine:
     ) -> _ArcTables:
         """(Re-)estimate partition tables for ``rows``; returns their arcs.
 
-        Writes the partition columns of the substrate state (which back
-        ``node.partitions`` — the view the rest of the library reads)
-        and returns the same tables as padded arc matrices for the
+        Writes the partition columns of the substrate state (what
+        :meth:`~repro.core.overlay.OscarOverlay.partition_table` reads
+        back) and returns the same tables as padded arc matrices for the
         acquisition rounds. ``track_spend`` mirrors the rewiring path's
         ``samples_spent`` cost accounting.
 
@@ -813,18 +799,19 @@ class BatchConstructionEngine:
 
     @staticmethod
     def _drop_dead_links_reference(view: LiveView) -> None:
-        """Sequential twin of :meth:`_drop_dead_links`, one peer at a
-        time through the node views."""
+        """Sequential twin of :meth:`_drop_dead_links`, one peer's link
+        row at a time."""
+        state = view.state
         live = {int(node_id) for node_id in view.ids}
         in_deg = dict.fromkeys(live, 0)
-        for node in view.nodes:
-            kept = [target for target in node.out_links if target in live]
-            node.out_links.clear()
-            node.out_links.extend(kept)
+        for slot in view.slots:
+            held = state.out_links[slot, : state.out_count[slot]].tolist()
+            kept = [target for target in held if target in live]
+            state.set_links(slot, kept)
             for target in kept:
                 in_deg[target] += 1
-        for node in view.nodes:
-            node.in_degree = in_deg[node.node_id]
+        for node_id, slot in zip(view.ids.tolist(), view.slots):
+            state.in_deg[slot] = in_deg[node_id]
 
     def _stored_arcs(self, view: LiveView, rows: np.ndarray) -> _ArcTables:
         """The partition tables ``rows`` store, packed as arcs.
@@ -877,8 +864,8 @@ class BatchConstructionEngine:
         through ``links_t`` — a requester-ordered, column-major copy
         taken once here (row ``c`` is link column ``c`` of every
         requester, contiguous) and written back to ``state.out_links``
-        / ``out_count`` once when the loop ends; the twin appends
-        through each peer's :class:`~repro.core.soa.LinkView`.
+        / ``out_count`` once when the loop ends; the twin rewrites each
+        winner's own ``out_links`` row as it commits.
         """
         config = self.overlay.config
         stats = LinkAcquisitionStats()
@@ -1088,10 +1075,13 @@ class BatchConstructionEngine:
         m = view.m
         pos = view.pos
         ids = view.ids
+        state = view.state
         snapshot = in_deg.copy()
         success = np.zeros(act.size, dtype=bool)
         for a_i in np.argsort(priority_of[rows[act]], kind="stable"):
             r_row = int(rows[act[a_i]])
+            r_slot = int(view.slots[r_row])
+            held = state.out_links[r_slot, : state.out_count[r_slot]].tolist()
             k_count = int(arcs.k_count[act[a_i]])
             p = int(u_part[a_i] * k_count)
             if not arcs.valid[act[a_i], p]:
@@ -1110,7 +1100,7 @@ class BatchConstructionEngine:
                     candidates.append(c)
             accepting: list[int] = []
             for c in candidates:
-                if c == r_row or int(ids[c]) in view.nodes[r_row].out_links:
+                if c == r_row or int(ids[c]) in held:
                     continue
                 if accepts_link(int(snapshot[c]), int(rho_in[c])):
                     accepting.append(c)
@@ -1128,7 +1118,7 @@ class BatchConstructionEngine:
             if accepts_link(int(in_deg[chosen]), int(rho_in[chosen])):
                 in_deg[chosen] += 1
                 out_count[act[a_i]] += 1
-                view.nodes[r_row].out_links.append(int(ids[chosen]))
+                state.set_links(r_slot, [*held, int(ids[chosen])])
                 stats.links_placed += 1
                 success[a_i] = True
             else:

@@ -20,7 +20,6 @@ __all__ = [
     "InsufficientSamplesError",
     "PartitionError",
     "LinkAcquisitionError",
-    "CapacityExhaustedError",
     "DistributionError",
     "SimulationError",
     "ExperimentError",
@@ -90,10 +89,6 @@ class PartitionError(ReproError, RuntimeError):
 
 class LinkAcquisitionError(ReproError, RuntimeError):
     """A peer failed to acquire a mandatory long-range link."""
-
-
-class CapacityExhaustedError(LinkAcquisitionError):
-    """Every candidate neighbor refused a link (in-degree caps reached)."""
 
 
 class DistributionError(ReproError, ValueError):

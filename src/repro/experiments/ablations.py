@@ -134,10 +134,11 @@ def run_partitions(
         overlay = make_overlay("oscar", seed=seed, oscar_config=OscarConfig(n_partitions=k))
         stats = grow_and_measure(overlay, keys, degrees, growth)[-1].stats_by_kill[0.0]
         cost_series.append((float(k), stats.mean_cost))
+        state = overlay.state
         links = [
-            (node.node_id, target)
-            for node in overlay.live_nodes()
-            for target in node.out_links
+            (int(state.node_id[slot]), target)
+            for slot in overlay.ring.slots_array(live_only=True)
+            for target in state.out_links[slot, : state.out_count[slot]].tolist()
         ]
         ranks = link_rank_distribution(overlay.ring, links)
         divergence_series.append(

@@ -76,7 +76,9 @@ def run(
     matched_overlay = OscarOverlay(config, seed=seed)
     matched_overlay.grow(size, keys, spiky)
     matched_overlay.rewire()
-    matched_caps = {n.node_id: n.rho_max_in for n in matched_overlay.live_nodes()}
+    matched_caps = dict(
+        zip(matched_overlay.live_node_ids(), matched_overlay.in_cap_array().tolist())
+    )
     matched_bw = BandwidthModel.proportional_to_caps(matched_caps, rate_per_link)
 
     # oblivious: uniform caps over the *same* bandwidth population.
@@ -86,8 +88,8 @@ def run(
     bandwidth_draw = spiky.sample(split(seed, "ext-latency-bandwidths"), size)
     oblivious_bw = BandwidthModel(
         {
-            node.node_id: float(bw) * rate_per_link
-            for node, bw in zip(oblivious_overlay.live_nodes(), bandwidth_draw)
+            node_id: float(bw) * rate_per_link
+            for node_id, bw in zip(oblivious_overlay.live_node_ids(), bandwidth_draw)
         }
     )
 

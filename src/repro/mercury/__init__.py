@@ -6,7 +6,6 @@ two freely.
 """
 
 from .construction import build_histogram, harmonic_rank_fraction
-from .node import MercuryNode
 from .overlay import MercuryOverlay
 
-__all__ = ["MercuryNode", "MercuryOverlay", "build_histogram", "harmonic_rank_fraction"]
+__all__ = ["MercuryOverlay", "build_histogram", "harmonic_rank_fraction"]

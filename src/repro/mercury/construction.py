@@ -37,12 +37,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..config import MercuryConfig
+from ..protocol.decisions import accepts_link
 from ..ring import Ring
 from ..sampling import NodeDensityHistogram
-from ..types import NodeId
-from .node import MercuryNode
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..core.soa import SubstrateState
     from .overlay import MercuryOverlay
 
 __all__ = ["build_histogram", "harmonic_rank_fraction", "acquire_links", "rewire_all"]
@@ -71,46 +71,70 @@ def harmonic_rank_fraction(rng: np.random.Generator, n: int) -> float:
     return float(n ** (rng.random() - 1.0))
 
 
+def _store_histogram(
+    state: "SubstrateState", slot: int, histogram: NodeDensityHistogram | None
+) -> None:
+    """Write ``histogram``'s cumulative vector into ``slot``'s
+    ``hist_cdf`` row, ``nan`` past its end (``None`` clears the row)."""
+    cumulative = np.empty(0) if histogram is None else histogram.cumulative
+    state.ensure_width("hist_cdf", cumulative.size)
+    state.hist_cdf[slot] = np.nan
+    state.hist_cdf[slot, : cumulative.size] = cumulative
+
+
+def _read_histogram(state: "SubstrateState", slot: int) -> NodeDensityHistogram | None:
+    """The histogram ``slot``'s ``hist_cdf`` row holds (a read-only view
+    of the row), or ``None`` for an all-``nan`` row."""
+    row = state.hist_cdf[slot]
+    cumulative = row[: row.size - int(np.isnan(row).sum())]
+    if cumulative.size == 0:
+        return None
+    cumulative.flags.writeable = False
+    return NodeDensityHistogram(cumulative=cumulative)
+
+
 def acquire_links(
     ring: Ring,
-    nodes: dict[NodeId, MercuryNode],
-    node: MercuryNode,
+    slot: int,
     config: MercuryConfig,
     rng: np.random.Generator,
 ) -> int:
-    """Fill ``node``'s outgoing slots; returns links placed.
+    """Fill the outgoing slots of the peer at ``slot``; returns links placed.
 
-    Requires ``node.histogram`` to be set. Single candidate per draw,
-    ``config.link_retries`` redraws per slot, duplicates and self are
-    refused draws (a peer will not hold two links to one neighbor).
+    Requires the peer's histogram to be stored. Single candidate per
+    draw, ``config.link_retries`` redraws per slot, duplicates and self
+    are refused draws (a peer will not hold two links to one neighbor).
     """
-    histogram = node.histogram
+    state = ring.state
+    node_id = int(state.node_id[slot])
+    histogram = _read_histogram(state, slot)
     if histogram is None:
-        raise ValueError(f"node {node.node_id} has no histogram yet")
+        raise ValueError(f"node {node_id} has no histogram yet")
+    position = float(state.pos[slot])
     n = ring.live_count
+    links = state.out_links[slot, : state.out_count[slot]].tolist()
     placed = 0
-    existing = set(node.out_links)
-    while len(node.out_links) < node.rho_max_out:
+    while len(links) < state.cap_out[slot]:
         got_one = False
         for __ in range(config.link_retries + 1):
             if n < 2:
                 break
             fraction = harmonic_rank_fraction(rng, n)
-            target_key = histogram.key_at_cw_fraction(node.position, fraction)
+            target_key = histogram.key_at_cw_fraction(position, fraction)
             candidate_id = ring.successor_of_key(target_key, live_only=True)
-            if candidate_id == node.node_id or candidate_id in existing:
+            if candidate_id == node_id or candidate_id in links:
                 continue
-            candidate = nodes[candidate_id]
-            if not candidate.can_accept:
+            candidate = state.slot_of(candidate_id)
+            if not accepts_link(int(state.in_deg[candidate]), int(state.cap_in[candidate])):
                 continue
-            candidate.accept_in_link()
-            node.out_links.append(candidate_id)
-            existing.add(candidate_id)
+            state.in_deg[candidate] += 1
+            links.append(candidate_id)
             placed += 1
             got_one = True
             break
         if not got_one:
             break
+    state.set_links(slot, links)
     return placed
 
 
@@ -120,22 +144,12 @@ def rewire_all(overlay: "MercuryOverlay", rng: np.random.Generator) -> int:
     Histograms are rebuilt against the current population, links dropped
     and re-acquired in a random peer order. Returns total links placed.
     """
-    nodes = overlay.nodes
-    live_ids = overlay.ring.node_ids(live_only=True)
-
-    for node_id in live_ids:
-        node = nodes[node_id]
-        node.reset_links()
-        node.in_degree = 0
-
-    for node_id in live_ids:
-        node = nodes[node_id]
-        node.histogram = build_histogram(overlay.ring, overlay.config, rng)
-        node.samples_spent += overlay.config.sample_size
-
-    order = np.array(live_ids, dtype=np.int64)
-    rng.shuffle(order)
-    total = 0
-    for node_id in order:
-        total += acquire_links(overlay.ring, nodes, nodes[int(node_id)], overlay.config, rng)
-    return total
+    state, ring, config = overlay.state, overlay.ring, overlay.config
+    slots = ring.slots_array(live_only=True).astype(np.int64)
+    state.clear_links(slots)
+    state.in_deg[slots] = 0
+    for slot in slots:
+        _store_histogram(state, slot, build_histogram(ring, config, rng))
+    state.samples_spent[slots] += config.sample_size
+    rng.shuffle(slots)  # an int64 copy: the draw order of a shuffled id list
+    return sum(acquire_links(ring, int(slot), config, rng) for slot in slots)

@@ -9,16 +9,12 @@ machinery* differs — see :mod:`repro.mercury.construction`.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from ..config import MercuryConfig, RoutingConfig
-from ..core.soa import NodeTable
 from ..core.substrate import Substrate
 from ..types import Key, NodeId
-from .construction import acquire_links, build_histogram, rewire_all
-from .node import MercuryNode
+from .construction import _store_histogram, acquire_links, build_histogram, rewire_all
 
 __all__ = ["MercuryOverlay"]
 
@@ -36,24 +32,19 @@ class MercuryOverlay(Substrate):
     ) -> None:
         super().__init__(seed, routing)
         self.config = config or MercuryConfig()
-        self.nodes = NodeTable(self.state, MercuryNode._view)
 
     def join(self, position: Key, rho_max_in: int, rho_max_out: int) -> NodeId:
         """Add a peer: splice into the ring, sample a histogram, link up."""
         node_id = self._splice(position, rho_max_in, rho_max_out)
         if self.ring.live_count > 1:
-            node = self.nodes[node_id]
-            node.histogram = build_histogram(self.ring, self.config, self._join_rng)
-            node.samples_spent += self.config.sample_size
-            acquire_links(self.ring, self.nodes, node, self.config, self._join_rng)
+            slot = self.state.slot_of(node_id)
+            histogram = build_histogram(self.ring, self.config, self._join_rng)
+            _store_histogram(self.state, slot, histogram)
+            self.state.samples_spent[slot] += self.config.sample_size
+            acquire_links(self.ring, slot, self.config, self._join_rng)
         return node_id
 
     def rewire(self, rng: np.random.Generator | None = None) -> int:
         """One global rewiring round; returns links placed."""
         self._links_epoch += 1
         return rewire_all(self, rng if rng is not None else self._rewire_rng)
-
-    def live_nodes(self) -> Iterable[MercuryNode]:
-        """Live peers' states, in ring order."""
-        for node_id in self.ring.node_ids(live_only=True):
-            yield self.nodes[node_id]

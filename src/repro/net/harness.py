@@ -248,7 +248,7 @@ class NetHarness:
         """
         attempted, delivered, hops = self._routes
         transport = self._transport
-        live = self._live_nodes()
+        live = self._live_peers()
         return TopologySummary(
             n=len(live),
             links=sum(len(node.out_links) for node in live),
@@ -333,12 +333,12 @@ class NetHarness:
         for victim in kill_mid_join:
             self._killed.add(victim)
             self._seed_ep.send(victim, Kill())
-        await self._collect_join(self._live_nodes())
+        await self._collect_join(self._live_peers())
         return self._aggregate()
 
     async def _rewire_async(self) -> LinkAcquisitionStats:
         assert self.directory is not None
-        live = self._live_nodes()
+        live = self._live_peers()
         for node in live:
             self._seed_ep.send(node.node_id, Rewire(epoch=self._epoch))
         if self.config.delivery == "lockstep":
@@ -517,7 +517,7 @@ class NetHarness:
         self._runner.run(self._start_detector_async())
 
     async def _start_detector_async(self) -> None:
-        for node in self._live_nodes():
+        for node in self._live_peers():
             self._seed_ep.send(node.node_id, StartDetector())
         await asyncio.sleep(0)
 
@@ -569,11 +569,11 @@ class NetHarness:
         truth = {int(i) for i in self.directory.ids}
         return sum(
             1
-            for node in self._live_nodes()
+            for node in self._live_peers()
             if node.directory is None or {int(i) for i in node.directory.ids} != truth
         )
 
-    def _live_nodes(self) -> list[NetNode]:
+    def _live_peers(self) -> list[NetNode]:
         """The peers neither killed nor evicted, in id order."""
         dead = self._killed | self._evicted
         return [node for node in self.nodes if node.node_id not in dead]
@@ -596,7 +596,7 @@ class NetHarness:
         self._suspects.pop(target, None)
         keep = [pair for pair in self.directory.to_pairs() if int(pair[0]) != target]
         self.directory = Directory.from_pairs(keep)
-        for node in self._live_nodes():
+        for node in self._live_peers():
             self._seed_ep.send(node.node_id, Dead(targets=[target]))
 
     # -- plumbing ------------------------------------------------------
@@ -651,7 +651,7 @@ class NetHarness:
     def _aggregate(self) -> LinkAcquisitionStats:
         """Sum the per-peer join counters into engine-shaped stats."""
         stats = LinkAcquisitionStats()
-        for node in self._live_nodes():
+        for node in self._live_peers():
             if node.join is not None:
                 stats.merge(node.join)
         return stats

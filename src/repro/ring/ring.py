@@ -26,12 +26,12 @@ Design notes
 * **Struct-of-arrays state.** Per-peer facts (position, exact ``uint64``
   key, liveness) live in a shared :class:`~repro.core.soa.SubstrateState`
   — flat arrays indexed by slot — and the ring maintains only the sorted
-  clockwise *order* of slots. Overlays pass their state in so node views
-  and ring queries read the same cells; a stand-alone ``Ring()`` owns a
-  private state. Sorted position/id/key arrays (all peers, and
-  live-only) are cached and invalidated on mutation, so the hot lookups
-  used by sampling, link acquisition and the batch engine are
-  vectorized.
+  clockwise *order* of slots. Overlays pass their state in so their
+  builders and ring queries read the same cells; a stand-alone
+  ``Ring()`` owns a private state. Sorted position/id/key arrays (all
+  peers, and live-only) are cached and invalidated on mutation, so the
+  hot lookups used by sampling, link acquisition and the batch engine
+  are vectorized.
 """
 
 from __future__ import annotations
@@ -361,8 +361,7 @@ class Ring:
     def slots_array(self, live_only: bool = False) -> np.ndarray:
         """Physical slots (rows into the substrate state's arrays) in
         clockwise order, aligned with :meth:`positions_array`. This is
-        the bridge the array kernels use to read per-peer columns
-        without building node views."""
+        the bridge the array kernels use to read per-peer columns."""
         cache = self._tuples(live_only)
         return cache[3]
 

@@ -70,6 +70,27 @@ def build_mercury(
     return overlay
 
 
+def links_of(overlay, live_only: bool = True) -> dict[int, list[int]]:
+    """``{peer id: long-link targets}`` read from the ``out_links`` /
+    ``out_count`` columns, peers in ring order (dead ones too with
+    ``live_only=False``)."""
+    state = overlay.state
+    return {
+        int(state.node_id[slot]): state.out_links[slot, : state.out_count[slot]].tolist()
+        for slot in overlay.ring.slots_array(live_only=live_only)
+    }
+
+
+def decided(overlay) -> dict[int, tuple]:
+    """Everything an Oscar build decides, keyed by live node id: the
+    link row, the in-degree and the partition table."""
+    in_deg = overlay.in_degree_array().tolist()
+    return {
+        node_id: (links, degree, overlay.partition_table(node_id))
+        for (node_id, links), degree in zip(links_of(overlay).items(), in_deg)
+    }
+
+
 def draw_in_arc(pos, ids, rng, start: float, end: float, size: int) -> np.ndarray:
     """``size`` ids drawn uniformly from clockwise ``(start, end]`` over
     sorted positions ``pos`` (ids ``ids``) the way the construction

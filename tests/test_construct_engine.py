@@ -38,22 +38,9 @@ from repro.rng import make_rng, split
 from repro.sampling import BatchRestrictedWalker
 from repro.workloads import GnutellaLikeDistribution, KeyDistribution, UniformKeys
 
-from conftest import build_mercury, build_overlay
+from conftest import build_mercury, build_overlay, decided, links_of
 
 FIXTURE = Path(__file__).parent / "data" / "golden_build.json"
-
-
-def snapshot(overlay: OscarOverlay) -> dict:
-    """Everything construction decides, keyed by node id."""
-    state = {}
-    for node in overlay.live_nodes():
-        table = node.partitions
-        state[node.node_id] = (
-            list(node.out_links),
-            node.in_degree,
-            None if table is None else (table.origin, table.far_end, table.medians),
-        )
-    return state
 
 
 def paired_overlays(n=120, seed=3, cap=6, caps=None, **config_kwargs):
@@ -62,8 +49,8 @@ def paired_overlays(n=120, seed=3, cap=6, caps=None, **config_kwargs):
     for __ in range(2):
         overlay = build_overlay(n=n, seed=seed, cap=cap, rewire=False, **config_kwargs)
         if caps is not None:
-            for node, pair in zip(overlay.live_nodes(), caps):
-                node.rho_max_in, node.rho_max_out = int(pair[0]), int(pair[1])
+            slots, pairs = overlay.ring.slots_array(live_only=True), np.asarray(caps)
+            overlay.state.cap_in[slots], overlay.state.cap_out[slots] = pairs[:, 0], pairs[:, 1]
         out.append(overlay)
     return out
 
@@ -76,7 +63,7 @@ class TestPathEquivalence:
         a, b = paired_overlays(n=90, seed=5, cap=5, sampling_mode=mode)
         stats_a = BatchConstructionEngine(a, vectorized=True).rewire(split(11, "rw"))
         stats_b = BatchConstructionEngine(b, vectorized=False).rewire(split(11, "rw"))
-        assert snapshot(a) == snapshot(b)
+        assert decided(a) == decided(b)
         assert stats_a == stats_b
 
     def test_grow_bit_identical(self):
@@ -86,14 +73,14 @@ class TestPathEquivalence:
         stats_a = BatchConstructionEngine(a, vectorized=True).grow(250, keys, degrees)
         stats_b = BatchConstructionEngine(b, vectorized=False).grow(250, keys, degrees)
         assert a.size == b.size == 250
-        assert snapshot(a) == snapshot(b)
+        assert decided(a) == decided(b)
         assert stats_a == stats_b
 
     def test_power_of_two_off_single_candidate(self):
         a, b = paired_overlays(n=80, seed=6, cap=5, power_of_two=False)
         stats_a = BatchConstructionEngine(a, vectorized=True).rewire(split(2, "rw"))
         stats_b = BatchConstructionEngine(b, vectorized=False).rewire(split(2, "rw"))
-        assert snapshot(a) == snapshot(b)
+        assert decided(a) == decided(b)
         assert stats_a == stats_b
 
     @settings(max_examples=25, deadline=None)
@@ -133,7 +120,7 @@ class TestPathEquivalence:
         )
         stats_a = BatchConstructionEngine(a, vectorized=True).rewire(split(seed, "p"))
         stats_b = BatchConstructionEngine(b, vectorized=False).rewire(split(seed, "p"))
-        assert snapshot(a) == snapshot(b)
+        assert decided(a) == decided(b)
         assert stats_a.as_dict() == stats_b.as_dict()
 
     @settings(max_examples=40, deadline=None)
@@ -173,8 +160,8 @@ class TestPathEquivalence:
                 continue
             assert twin._splice(position, *caps) == node_id
             BatchConstructionEngine(twin, vectorized=False).join_cohort(np.asarray([node_id]))
-            assert snapshot(kernel) == snapshot(twin)
-            assert kernel.nodes[node_id].partitions is not None or kernel.size == 1
+            assert decided(kernel) == decided(twin)
+            assert kernel.partition_table(node_id) is not None or kernel.size == 1
 
     def test_all_refusal_gives_up_every_slot(self):
         a, b = paired_overlays(n=20, seed=8, cap=3, caps=[(0, 3)] * 20)
@@ -184,7 +171,7 @@ class TestPathEquivalence:
         assert stats_a.links_placed == 0
         assert stats_a.slots_given_up == 20
         assert stats_a.refusals > 0
-        assert all(not node.out_links for node in a.live_nodes())
+        assert not a.out_degree_array().any()
 
 
 def prefilled_pair(n, seed, extra, power_of_two):
@@ -195,15 +182,16 @@ def prefilled_pair(n, seed, extra, power_of_two):
     are raised by ``extra`` so slots are open again."""
     pair = paired_overlays(n=n, seed=seed, cap=3, power_of_two=power_of_two)
     for overlay in pair:
+        state = overlay.state
         ids = [int(i) for i in overlay.ring.ids_array(live_only=True)]
         crashed, retired = ids[1], ids[-2]
-        for node in overlay.live_nodes():
-            node.rho_max_in += extra
-            node.rho_max_out += extra + 2
-            if node.node_id in ids[: n // 2] and node.node_id not in (crashed, retired):
-                node.out_links.extend(
-                    t for t in (crashed, retired) if t not in node.out_links
-                )
+        slots = overlay.ring.slots_array(live_only=True)
+        state.cap_in[slots] += extra
+        state.cap_out[slots] += extra + 2
+        for node_id, links in links_of(overlay).items():
+            if node_id in ids[: n // 2] and node_id not in (crashed, retired):
+                extra_links = [t for t in (crashed, retired) if t not in links]
+                state.set_links(state.slot_of(node_id), links + extra_links)
         overlay.leave_batch([crashed, retired])
         overlay.retire([retired])
     return pair
@@ -234,15 +222,14 @@ class TestAcquireOverExistingLinks:
     )
     def test_vectorized_matches_reference(self, n, seed, extra, power_of_two):
         a, b = prefilled_pair(n, seed, extra, power_of_two)
-        before = {node.node_id: list(node.out_links) for node in a.live_nodes()}
+        before = links_of(a)
         stats_a = acquire_cohort(a, True, seed)
         stats_b = acquire_cohort(b, False, seed)
-        assert snapshot(a) == snapshot(b)
+        assert decided(a) == decided(b)
         assert stats_a == stats_b
-        for node in a.live_nodes():
-            links = list(node.out_links)
-            assert links[: len(before[node.node_id])] == before[node.node_id]
-            assert len(set(links)) == len(links) and node.node_id not in links
+        for node_id, links in links_of(a).items():
+            assert links[: len(before[node_id])] == before[node_id]
+            assert len(set(links)) == len(links) and node_id not in links
         assert_padding(a)
 
     @settings(max_examples=25, deadline=None)
@@ -258,20 +245,19 @@ class TestAcquireOverExistingLinks:
         slots over the stored tables — kernels and twin alike."""
         a, b = prefilled_pair(n, seed, extra, power_of_two)
         live = {int(i) for i in a.ring.ids_array(live_only=True)}
-        kept = {node.node_id: [t for t in node.out_links if t in live] for node in a.live_nodes()}
+        kept = {i: [t for t in links if t in live] for i, links in links_of(a).items()}
         stats_a = a.refill_batch(split(seed, "refill"))
         stats_b = b.refill_batch(split(seed, "refill"), vectorized=False)
-        assert snapshot(a) == snapshot(b)
+        assert decided(a) == decided(b)
         assert stats_a == stats_b
         in_links = dict.fromkeys(live, 0)
-        for node in a.live_nodes():
-            links = list(node.out_links)
-            assert links[: len(kept[node.node_id])] == kept[node.node_id]
+        for node_id, links in links_of(a).items():
+            assert links[: len(kept[node_id])] == kept[node_id]
             assert set(links) <= live and len(set(links)) == len(links)
-            assert node.node_id not in links
+            assert node_id not in links
             for target in links:
                 in_links[target] += 1
-        assert {node.node_id: node.in_degree for node in a.live_nodes()} == in_links
+        assert dict(zip(a.live_node_ids(), a.in_degree_array().tolist())) == in_links
         assert_padding(a)
 
     def test_refill_of_a_peer_that_never_estimated(self):
@@ -281,12 +267,11 @@ class TestAcquireOverExistingLinks:
         for overlay in pair:
             for position in (0.5, 0.1, 0.3, 0.7, 0.9):
                 overlay.join(position, 3, 3)
-        first = pair[0].nodes[0]
-        assert first.partitions is None and len(first.out_links) == 0
+        assert pair[0].partition_table(0) is None and links_of(pair[0])[0] == []
         stats = pair[0].refill_batch(split(2, "refill"))
         assert stats == pair[1].refill_batch(split(2, "refill"), vectorized=False)
-        assert snapshot(pair[0]) == snapshot(pair[1])
-        assert len(first.out_links) > 0 and first.partitions is None
+        assert decided(pair[0]) == decided(pair[1])
+        assert len(links_of(pair[0])[0]) > 0 and pair[0].partition_table(0) is None
 
     @pytest.mark.parametrize("substrate", ["chord", "mercury"])
     def test_refill_without_tables_is_the_rewire(self, substrate):
@@ -313,8 +298,8 @@ class TestAcquireOverExistingLinks:
         stats = acquire_cohort(a, True, 7)
         assert stats == acquire_cohort(b, False, 7)
         assert stats.links_placed > 0
-        assert snapshot(a) == snapshot(b)
-        assert all(len(set(n.out_links)) == len(n.out_links) for n in a.live_nodes())
+        assert decided(a) == decided(b)
+        assert all(len(set(links)) == len(links) for links in links_of(a).values())
 
 
     def test_row_already_past_its_cap_sets_the_table_width(self):
@@ -323,21 +308,21 @@ class TestAcquireOverExistingLinks:
         table's width has to come from ``out_count``, not the caps."""
         pair = paired_overlays(n=24, seed=4, cap=3)
         for overlay in pair:
-            nodes = list(overlay.live_nodes())
-            hoarder = nodes[0]
-            for node in nodes:
-                node.rho_max_in += 4
-                node.rho_max_out = 5
-            fresh = [n.node_id for n in nodes[1:] if n.node_id not in hoarder.out_links]
-            hoarder.out_links.extend(fresh[: 8 - len(hoarder.out_links)])
-            hoarder.rho_max_out = 2
-        held = list(pair[0].live_nodes())[0].out_links[:]
+            state, slots = overlay.state, overlay.ring.slots_array(live_only=True)
+            state.cap_in[slots] += 4
+            state.cap_out[slots] = 5
+            hoarder, ids = int(slots[0]), overlay.live_node_ids()
+            held = links_of(overlay)[ids[0]]
+            fresh = [i for i in ids[1:] if i not in held]
+            state.set_links(hoarder, held + fresh[: 8 - len(held)])
+            state.cap_out[hoarder] = 2
+        held = next(iter(links_of(pair[0]).values()))
         assert len(held) == 8
         stats = acquire_cohort(pair[0], True, 3)
         assert stats == acquire_cohort(pair[1], False, 3)
         assert stats.links_placed > 0
-        assert snapshot(pair[0]) == snapshot(pair[1])
-        assert list(pair[0].live_nodes())[0].out_links == held
+        assert decided(pair[0]) == decided(pair[1])
+        assert next(iter(links_of(pair[0]).values())) == held
         assert_padding(pair[0])
 
     def test_growing_cohort_is_a_strict_subset_of_the_rows(self):
@@ -345,13 +330,13 @@ class TestAcquireOverExistingLinks:
         request, so every round gathers its columns of the link table
         (and the write-back must leave everyone else's row alone)."""
         pair = paired_overlays(n=60, seed=11, cap=4)
-        before = {node.node_id: list(node.out_links) for node in pair[0].live_nodes()}
+        before = links_of(pair[0])
         keys, degrees = GnutellaLikeDistribution(), ConstantDegrees(6)
         stats = BatchConstructionEngine(pair[0], vectorized=True).grow(100, keys, degrees)
         assert stats == BatchConstructionEngine(pair[1], vectorized=False).grow(100, keys, degrees)
         assert stats.links_placed > 0
-        assert snapshot(pair[0]) == snapshot(pair[1])
-        after = {node.node_id: list(node.out_links) for node in pair[0].live_nodes()}
+        assert decided(pair[0]) == decided(pair[1])
+        after = links_of(pair[0])
         assert len(after) == 100 and all(after[nid] == links for nid, links in before.items())
         assert_padding(pair[0])
 
@@ -587,21 +572,21 @@ class TestConstructionInvariants:
         return overlay
 
     def test_caps_and_bookkeeping(self, built):
-        counted = {node.node_id: 0 for node in built.live_nodes()}
-        for node in built.live_nodes():
-            assert len(node.out_links) <= node.rho_max_out
-            assert len(set(node.out_links)) == len(node.out_links)
-            assert node.node_id not in node.out_links
-            for target in node.out_links:
+        links = links_of(built)
+        counted = dict.fromkeys(links, 0)
+        for node_id, targets in links.items():
+            assert len(set(targets)) == len(targets) and node_id not in targets
+            for target in targets:
                 counted[target] += 1
-        for node in built.live_nodes():
-            assert node.in_degree == counted[node.node_id]
-            assert node.in_degree <= node.rho_max_in
+        assert (built.out_degree_array() <= built.out_cap_array()).all()
+        assert built.in_degree_array().tolist() == list(counted.values())
+        assert (built.in_degree_array() <= built.in_cap_array()).all()
 
     def test_links_land_in_own_partitions(self, built):
-        for node in list(built.live_nodes())[:50]:
-            for target in node.out_links:
-                assert node.partitions.partition_of(built.ring.position(target)) >= 1
+        for node_id, targets in list(links_of(built).items())[:50]:
+            table = built.partition_table(node_id)
+            for target in targets:
+                assert table.partition_of(built.ring.position(target)) >= 1
 
     def test_overlay_routes_after_batched_build(self, built):
         stats = BatchQueryEngine(built).measure(split(1, "q"), n_queries=500)
@@ -615,13 +600,13 @@ class TestConstructionInvariants:
             overlay.rewire_batch()
             return overlay
 
-        assert snapshot(build()) == snapshot(build())
+        assert decided(build()) == decided(build())
 
     def test_rewire_batch_tracks_sampling_spend(self):
         overlay = OscarOverlay(OscarConfig(), seed=12)
         overlay.grow_batch(80, GnutellaLikeDistribution(), ConstantDegrees(5))
         overlay.rewire_batch()
-        assert all(node.samples_spent > 0 for node in overlay.live_nodes())
+        assert (overlay.state.samples_spent[overlay.ring.slots_array(live_only=True)] > 0).all()
 
     def test_rewire_batch_rejects_tiny_populations(self):
         overlay = OscarOverlay(OscarConfig(), seed=1)
@@ -631,9 +616,9 @@ class TestConstructionInvariants:
 
     def test_grow_batch_keeps_existing_links(self):
         overlay = build_overlay(n=100, seed=14, cap=5)
-        before = {n.node_id: list(n.out_links) for n in overlay.live_nodes()}
+        before = links_of(overlay)
         overlay.grow_batch(180, GnutellaLikeDistribution(), ConstantDegrees(5))
-        after = {n.node_id: list(n.out_links) for n in overlay.live_nodes()}
+        after = links_of(overlay)
         assert all(after[nid] == links for nid, links in before.items())
         assert overlay.size == 180
 
@@ -663,25 +648,12 @@ class TestGoldenBuild:
     def test_stats_bit_identical(self, fixture, rebuilt):
         assert rebuilt[1].as_dict() == fixture["stats"]
 
-    def test_every_node_bit_identical(self, fixture, rebuilt):
-        overlay = rebuilt[0]
-        nodes = {entry["id"]: entry for entry in fixture["nodes"]}
-        live = list(overlay.live_nodes())
-        assert {node.node_id for node in live} == set(nodes)
-        for node in live:
-            entry = nodes[node.node_id]
-            assert node.position == entry["position"]
-            assert node.in_degree == entry["in_degree"]
-            assert list(node.out_links) == entry["out_links"]
-            assert node.partitions.origin == entry["origin"]
-            assert node.partitions.far_end == entry["far_end"]
-            assert list(node.partitions.medians) == entry["medians"]
-
     def test_state_arrays_bit_identical(self, fixture, rebuilt):
-        """The same golden build read through the raw struct-of-arrays
-        columns instead of the node views — pins the storage itself, not
-        just the view translation, and the padding invariant with it."""
+        """Every live peer of the golden build, read through the raw
+        struct-of-arrays columns — pins the storage itself, and the
+        padding invariant with it."""
         state = rebuilt[0].state
+        assert set(rebuilt[0].live_node_ids()) == {entry["id"] for entry in fixture["nodes"]}
         for entry in fixture["nodes"]:
             slot = state.slot_of(entry["id"])
             assert slot >= 0 and bool(state.alive[slot])
@@ -777,7 +749,7 @@ class TestSubstrateSurface:
         b.grow_batch(120, UniformKeys())
         assert a.ring.node_ids() == b.ring.node_ids()
         assert a.rewire() == b.rewire_batch()
-        assert a.fingers == b.fingers
+        assert links_of(a) == links_of(b)
 
     def test_mercury_fallback_matches_scalar_grow(self):
         a = build_mercury(n=80, seed=4, cap=6, rewire=False)
@@ -794,7 +766,7 @@ class TestLiveView:
         assert view.m == 60
         assert np.all(np.diff(view.pos) > 0)
         for row in range(view.m):
-            assert view.nodes[row].node_id == int(view.ids[row])
+            assert int(view.state.node_id[view.slots[row]]) == int(view.ids[row])
             assert view.row_of[int(view.ids[row])] == row
 
     def test_dead_peers_excluded(self):

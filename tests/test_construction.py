@@ -17,16 +17,9 @@ from repro.engine.construct import BatchConstructionEngine, LinkAcquisitionStats
 from repro.rng import make_rng
 from repro.workloads import GnutellaLikeDistribution
 
+from conftest import decided, links_of
+
 PATHS = (True, False)  # the kernels, then the twin
-
-
-def links_of(overlay: OscarOverlay) -> dict[int, tuple]:
-    """Everything a build decides, keyed by node id."""
-    out = {}
-    for node in overlay.live_nodes():
-        table = node.partitions
-        out[node.node_id] = (list(node.out_links), node.in_degree, table)
-    return out
 
 
 def population(
@@ -53,7 +46,7 @@ def population(
         stats = BatchConstructionEngine(overlay, vectorized=vectorized).join_cohort(cohort)
         builds.append((overlay, stats))
     (kernel, kernel_stats), (twin, twin_stats) = builds
-    assert links_of(kernel) == links_of(twin) and kernel_stats == twin_stats
+    assert decided(kernel) == decided(twin) and kernel_stats == twin_stats
     return builds
 
 
@@ -68,37 +61,38 @@ def built(
         if rewire:
             overlay.rewire_batch(vectorized=vectorized)
         builds.append(overlay)
-    assert links_of(builds[0]) == links_of(builds[1])
+    assert decided(builds[0]) == decided(builds[1])
     return builds
 
 
 def assert_bookkeeping(overlay: OscarOverlay) -> None:
     """Every out link counted exactly once at its target, caps held."""
-    counted = {node.node_id: 0 for node in overlay.live_nodes()}
-    for node in overlay.live_nodes():
-        for target in node.out_links:
+    links = links_of(overlay)
+    counted = dict.fromkeys(links, 0)
+    for targets in links.values():
+        for target in targets:
             counted[target] += 1
-    for node in overlay.live_nodes():
-        assert node.in_degree == counted[node.node_id] <= node.rho_max_in
-        assert len(node.out_links) <= node.rho_max_out
+    assert overlay.in_degree_array().tolist() == list(counted.values())
+    assert (overlay.in_degree_array() <= overlay.in_cap_array()).all()
+    assert (overlay.out_degree_array() <= overlay.out_cap_array()).all()
 
 
 class TestAcquireLinks:
     def test_fills_all_slots_when_capacity_abounds(self):
         for overlay, stats in population(64, cap=6, members=1):
-            assert len(overlay.nodes[0].out_links) == 6
+            assert len(links_of(overlay)[0]) == 6
             assert stats.links_placed == 6
             assert stats.slots_given_up == 0
 
     def test_no_self_links(self):
         for overlay, __ in population(32):
-            for node in overlay.live_nodes():
-                assert node.node_id not in node.out_links
+            for node_id, links in links_of(overlay).items():
+                assert node_id not in links
 
     def test_no_duplicate_links(self):
         for overlay, __ in population(32):
-            for node in overlay.live_nodes():
-                assert len(node.out_links) == len(set(node.out_links))
+            for links in links_of(overlay).values():
+                assert len(links) == len(set(links))
 
     def test_in_degree_bookkeeping_consistent(self):
         for overlay, stats in population(48, seed=1):
@@ -107,44 +101,44 @@ class TestAcquireLinks:
 
     def test_in_caps_never_exceeded(self):
         for overlay, stats in population(24, cap=2, seed=2, link_retries=20):
-            assert all(n.in_degree <= n.rho_max_in for n in overlay.live_nodes())
+            assert (overlay.in_degree_array() <= overlay.in_cap_array()).all()
             assert stats.refusals + stats.conflicts > 0  # the caps did bind
 
     def test_out_caps_respected(self):
         for overlay, __ in population(24, cap=3, seed=3):
-            assert all(len(n.out_links) <= n.rho_max_out for n in overlay.live_nodes())
+            assert (overlay.out_degree_array() <= overlay.out_cap_array()).all()
 
     def test_targets_drawn_from_own_partitions(self):
         for overlay, __ in population(64, members=1, seed=4):
-            node = overlay.nodes[0]
-            assert node.out_links
-            for target in node.out_links:
+            links, table = links_of(overlay)[0], overlay.partition_table(0)
+            assert links
+            for target in links:
                 # partition_of raises if the target were out of range.
-                assert node.partitions.partition_of(overlay.ring.position(target)) >= 1
+                assert table.partition_of(overlay.ring.position(target)) >= 1
 
     def test_gives_up_when_population_saturated(self):
         # Two peers with in-cap 1 and out-cap 3: each can hold one link.
         for overlay, stats in population(2, cap=3, cap_in=1, seed=5, link_retries=3):
             assert stats.slots_given_up == 2
             assert stats.links_placed == 2
-            assert all(len(node.out_links) == 1 for node in overlay.live_nodes())
+            assert overlay.out_degree_array().tolist() == [1, 1]
 
     def test_keeps_existing_links(self):
         # Raise one peer's caps and run it through a one-row cohort again:
         # old links stay in place, the new ones append.
         results = []
         for (overlay, __), vectorized in zip(population(32, seed=6), PATHS):
-            node = overlay.nodes[0]
-            before = list(node.out_links)
-            for other in overlay.live_nodes():
-                other.rho_max_in += 2
-            node.rho_max_out += 2
+            state = overlay.state
+            before = links_of(overlay)[0]
+            state.cap_in[overlay.ring.slots_array(live_only=True)] += 2
+            state.cap_out[state.slot_of(0)] += 2
             engine = BatchConstructionEngine(overlay, vectorized=vectorized)
             stats = engine.join_cohort(np.asarray([0], dtype=np.int64))
-            assert node.out_links[: len(before)] == before
-            assert len(node.out_links) == len(before) + 2 == len(set(node.out_links))
+            after = links_of(overlay)[0]
+            assert after[: len(before)] == before
+            assert len(after) == len(before) + 2 == len(set(after))
             assert_bookkeeping(overlay)
-            results.append((links_of(overlay), stats))
+            results.append((decided(overlay), stats))
         assert results[0] == results[1]
 
     def test_stats_merge(self):
@@ -170,7 +164,7 @@ class TestPowerOfTwoChoices:
 
     def test_single_choice_draws_one_candidate(self):
         for overlay, stats in population(64, members=1, seed=7, power_of_two=False):
-            assert stats.links_placed == len(overlay.nodes[0].out_links) > 0
+            assert stats.links_placed == len(links_of(overlay)[0]) > 0
             # One candidate per draw: at most one refusal or one link each.
             assert stats.links_placed + stats.refusals <= stats.draws
 
@@ -178,10 +172,10 @@ class TestPowerOfTwoChoices:
 class TestRewireAll:
     def test_out_links_fully_rebuilt(self):
         for overlay, vectorized in zip(built(120, seed=8, cap=6, rewire=False), PATHS):
-            grown = links_of(overlay)
+            grown = decided(overlay)
             stats = overlay.rewire_batch(make_rng(8), vectorized=vectorized)
             assert stats.links_placed == sum(overlay.out_degree_array()) > 0
-            assert links_of(overlay) != grown
+            assert decided(overlay) != grown
             assert_bookkeeping(overlay)
 
     def test_bookkeeping_consistent_after_rewire(self):
@@ -190,34 +184,34 @@ class TestRewireAll:
 
     def test_rewire_refreshes_partitions(self):
         for overlay, vectorized in zip(built(60, seed=10, cap=6, rewire=False), PATHS):
-            stale = {n.node_id: n.partitions for n in overlay.live_nodes()}
+            stale = {i: overlay.partition_table(i) for i in overlay.live_node_ids()}
             overlay.grow_batch(120, GnutellaLikeDistribution(), ConstantDegrees(6), vectorized)
             overlay.rewire_batch(vectorized=vectorized)
             ring = overlay.ring
-            for node in overlay.live_nodes():
+            for node_id in overlay.live_node_ids():
                 # Every table was re-estimated against the current population.
-                table = node.partitions
-                assert table.far_end == ring.position(ring.predecessor(node.node_id))
+                table = overlay.partition_table(node_id)
+                assert table.far_end == ring.position(ring.predecessor(node_id))
             refreshed = sum(
-                overlay.nodes[node_id].partitions != table for node_id, table in stale.items()
+                overlay.partition_table(node_id) != table for node_id, table in stale.items()
             )
             assert refreshed == 60  # every original peer re-estimated
 
     def test_rewire_is_seeded_and_reproducible(self):
         first, second = built(100, seed=12, cap=6), built(100, seed=12, cap=6)
         for a, b in zip(first, second):
-            assert links_of(a) == links_of(b)
+            assert decided(a) == decided(b)
 
     def test_rewire_tracks_sampling_spend(self):
         for overlay in built(80, seed=13, cap=6):
-            assert all(n.samples_spent > 0 for n in overlay.live_nodes())
+            assert (overlay.state.samples_spent[overlay.ring.slots_array(True)] > 0).all()
 
     def test_oracle_mode_spends_no_uniform_samples_difference(self):
         # Oracle overlays also track spend (the counter is mode-agnostic);
         # here we just confirm rewiring works under ORACLE sampling.
         for overlay in built(80, seed=14, cap=6, sampling_mode=SamplingMode.ORACLE):
-            assert sum(len(n.out_links) for n in overlay.live_nodes()) > 0
-            assert all(n.samples_spent > 0 for n in overlay.live_nodes())
+            assert sum(overlay.out_degree_array()) > 0
+            assert (overlay.state.samples_spent[overlay.ring.slots_array(True)] > 0).all()
 
 
 class TestHeterogeneousCaps:
@@ -228,9 +222,9 @@ class TestHeterogeneousCaps:
         rewired = []
         for overlay, vectorized in zip(built(300, seed=15, cap=8), PATHS):
             # Replace caps mid-flight with a spiky draw, then rewire.
-            for node, cap in zip(overlay.live_nodes(), caps):
-                node.rho_max_in = int(cap)
-                node.rho_max_out = int(cap)
+            slots = overlay.ring.slots_array(live_only=True)
+            overlay.state.cap_in[slots] = caps
+            overlay.state.cap_out[slots] = caps
             overlay.rewire_batch(vectorized=vectorized)
             degrees = overlay.in_degree_array()
             limits = overlay.in_cap_array()
@@ -239,5 +233,5 @@ class TestHeterogeneousCaps:
             high = degrees[limits >= np.percentile(limits, 80)].mean()
             low = degrees[limits <= np.percentile(limits, 20)].mean()
             assert high > low
-            rewired.append(links_of(overlay))
+            rewired.append(decided(overlay))
         assert rewired[0] == rewired[1]

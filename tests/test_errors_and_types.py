@@ -20,7 +20,6 @@ class TestHierarchy:
         errors.InsufficientSamplesError,
         errors.PartitionError,
         errors.LinkAcquisitionError,
-        errors.CapacityExhaustedError,
         errors.DistributionError,
         errors.SimulationError,
         errors.ExperimentError,
@@ -41,7 +40,6 @@ class TestHierarchy:
 
     def test_specializations(self):
         assert issubclass(errors.InsufficientSamplesError, errors.SamplingError)
-        assert issubclass(errors.CapacityExhaustedError, errors.LinkAcquisitionError)
 
     def test_all_list_matches_module_contents(self):
         for name in errors.__all__:

@@ -1,6 +1,6 @@
 """Partition estimation: the exact oracle table, and the sampled
 estimates the construction engine makes — read back through
-``node.partitions`` after a ``rewire_batch``, on the kernels and on
+``OscarOverlay.partition_table`` after a ``rewire_batch``, on the kernels and on
 their twin (``vectorized=False``) alike."""
 
 from __future__ import annotations
@@ -53,8 +53,13 @@ def estimated(ring: Ring, seed: int, **config: object) -> list[OscarOverlay]:
         overlay.rewire_batch(make_rng(seed), vectorized=vectorized)
         overlays.append(overlay)
     kernel, twin = overlays
-    assert [n.partitions for n in kernel.live_nodes()] == [n.partitions for n in twin.live_nodes()]
+    assert tables(kernel) == tables(twin)
     return overlays
+
+
+def tables(overlay: OscarOverlay) -> list:
+    """Every live peer's partition table, in ring order."""
+    return [overlay.partition_table(node_id) for node_id in overlay.live_node_ids()]
 
 
 class TestOraclePartitions:
@@ -120,7 +125,7 @@ class TestSampledPartitions:
         origin = ring.position(node)
         oracle_rank = ring.cw_rank_of(origin, ring.successor_of_key(oracle.medians[0]))
         for overlay in estimated(ring, 2, n_partitions=8, sample_size=64):
-            sampled = overlay.nodes[node].partitions
+            sampled = overlay.partition_table(node)
             # Compare the rank position of the first (outermost) border.
             sampled_rank = ring.cw_rank_of(origin, ring.successor_of_key(sampled.medians[0]))
             assert abs(oracle_rank - sampled_rank) < 0.15 * n
@@ -131,7 +136,7 @@ class TestSampledPartitions:
         ring = skewed_ring(300, seed=2)
         node = ring.node_ids()[5]
         for overlay in estimated(ring, 3, n_partitions=8, sample_size=4):
-            table = overlay.nodes[node].partitions
+            table = overlay.partition_table(node)
             assert table.n_partitions >= 2
             # Invariant enforcement: medians strictly shrink.
             distances = [cw_distance(table.origin, m) for m in table.medians]
@@ -142,13 +147,13 @@ class TestSampledPartitions:
         node = ring.node_ids()[7]
         config = dict(sampling_mode=SamplingMode.WALK, sample_size=12, walk_hops=4)
         for overlay in estimated(ring, 4, n_partitions=6, **config):
-            assert overlay.nodes[node].partitions.n_partitions >= 2
+            assert overlay.partition_table(node).n_partitions >= 2
             # Every peer walked its own arcs: all tables are real descents.
-            assert all(n.partitions.n_partitions >= 2 for n in overlay.live_nodes())
+            assert all(table.n_partitions >= 2 for table in tables(overlay))
 
     def test_two_peer_network(self):
         for overlay in estimated(even_ring(2), 6, n_partitions=4):
-            assert overlay.nodes[0].partitions.n_partitions >= 1
+            assert overlay.partition_table(0).n_partitions >= 1
 
     def test_sole_live_peer_rejected(self):
         ring = Ring()
@@ -173,18 +178,17 @@ class TestEstimateDispatch:
         for overlay in estimated(ring, 9, sampling_mode=SamplingMode.ORACLE):
             for node_id in ring.node_ids():
                 exact = oracle_partitions(ring, node_id, config.partitions_for(64))
-                assert overlay.nodes[node_id].partitions == exact
+                assert overlay.partition_table(node_id) == exact
 
     def test_uniform_dispatch_uses_auto_k(self):
         # auto partitions: log2(64) = 6
         for overlay in estimated(even_ring(64), 10):
-            assert all(n.partitions.n_partitions <= 6 for n in overlay.live_nodes())
-            assert max(n.partitions.n_partitions for n in overlay.live_nodes()) == 6
+            assert max(table.n_partitions for table in tables(overlay)) == 6
 
     def test_explicit_k_respected(self):
         config = dict(n_partitions=3, sampling_mode=SamplingMode.ORACLE)
         for overlay in estimated(even_ring(256), 11, **config):
-            assert all(n.partitions.n_partitions == 3 for n in overlay.live_nodes())
+            assert all(table.n_partitions == 3 for table in tables(overlay))
 
 
 class TestEstimatorQualityUnderSkew:
@@ -196,7 +200,7 @@ class TestEstimatorQualityUnderSkew:
         origin = ring.position(node)
         n = ring.live_count - 1
         for overlay in estimated(ring, 13, n_partitions=6, sample_size=32):
-            table = overlay.nodes[node].partitions
+            table = overlay.partition_table(node)
             first_rank = ring.cw_rank_of(origin, ring.successor_of_key(table.medians[0]))
             # Population median rank is n/2; key-space midpoint under heavy
             # skew would land at a wildly different rank.

@@ -23,6 +23,8 @@ from repro.metrics import load_gini, measure_search_cost, volume_exploitation
 from repro.rng import split
 from repro.workloads import GnutellaLikeDistribution
 
+from conftest import links_of
+
 SIZES = (150, 300, 600)
 QUERIES = 150
 KEYS = GnutellaLikeDistribution()
@@ -188,11 +190,7 @@ class TestLinkRankNavigability:
         from repro.smallworld import harmonic_divergence, link_rank_distribution
 
         overlay, __ = oscar_growth
-        links = [
-            (node.node_id, target)
-            for node in overlay.live_nodes()
-            for target in node.out_links
-        ]
+        links = [(i, target) for i, targets in links_of(overlay).items() for target in targets]
         ranks = link_rank_distribution(overlay.ring, links)
         divergence = harmonic_divergence(ranks, overlay.ring.live_count)
         assert divergence < 0.35
@@ -201,11 +199,7 @@ class TestLinkRankNavigability:
         from repro.smallworld import harmonic_divergence, link_rank_distribution
 
         def divergence_of(overlay) -> float:
-            links = [
-                (node.node_id, target)
-                for node in overlay.live_nodes()
-                for target in node.out_links
-            ]
+            links = [(i, target) for i, targets in links_of(overlay).items() for target in targets]
             ranks = link_rank_distribution(overlay.ring, links)
             return harmonic_divergence(ranks, overlay.ring.live_count)
 

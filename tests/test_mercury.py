@@ -14,7 +14,7 @@ from repro.ring import verify
 from repro.rng import make_rng
 from repro.workloads import UniformKeys
 
-from conftest import build_mercury, build_overlay
+from conftest import build_mercury, build_overlay, links_of
 
 
 class TestHarmonicRankFraction:
@@ -99,9 +99,7 @@ class TestMercuryOverlayFacade:
     def test_same_seed_reproducible(self):
         a = build_mercury(n=60, seed=8)
         b = build_mercury(n=60, seed=8)
-        assert [n.out_links for n in a.live_nodes()] == [
-            n.out_links for n in b.live_nodes()
-        ]
+        assert links_of(a) == links_of(b)
 
     def test_repr(self):
         overlay = build_mercury(n=10, seed=9)
@@ -134,11 +132,7 @@ class TestMercuryVsOscarMechanism:
         from repro.smallworld import harmonic_divergence, link_rank_distribution
 
         def divergence(overlay) -> float:
-            links = [
-                (node.node_id, target)
-                for node in overlay.live_nodes()
-                for target in node.out_links
-            ]
+            links = [(i, target) for i, targets in links_of(overlay).items() for target in targets]
             ranks = link_rank_distribution(overlay.ring, links)
             return harmonic_divergence(ranks, overlay.ring.live_count)
 

@@ -14,7 +14,7 @@ from repro.workloads import UniformKeys
 
 from repro import OscarOverlay
 
-from conftest import build_overlay
+from conftest import build_overlay, links_of
 
 
 class TestJoin:
@@ -33,9 +33,17 @@ class TestJoin:
         overlay = OscarOverlay()
         for i, key in enumerate(np.linspace(0.05, 0.95, 20)):
             overlay.join(float(key), 4, 4)
-        late = overlay.nodes[19]
-        assert late.partitions is not None
-        assert len(late.out_links) > 0
+        assert overlay.partition_table(19) is not None
+        assert len(links_of(overlay)[19]) > 0
+
+    def test_partition_table_none_until_first_estimation(self):
+        overlay = OscarOverlay()
+        overlay.join(0.5, 4, 4)  # a one-peer ring estimates nothing
+        assert overlay.partition_table(0) is None
+        overlay.join(0.25, 4, 4)
+        assert overlay.partition_table(1) is not None
+        with pytest.raises(UnknownNodeError):
+            overlay.partition_table(2)
 
     def test_ring_pointers_stay_valid_through_joins(self):
         overlay = OscarOverlay()
@@ -62,9 +70,9 @@ class TestGrow:
     def test_growth_is_incremental(self):
         overlay = OscarOverlay()
         overlay.grow(50, UniformKeys(), ConstantDegrees(6))
-        first_ids = set(overlay.nodes)
+        first_ids = set(overlay.live_node_ids())
         overlay.grow(100, UniformKeys(), ConstantDegrees(6))
-        assert first_ids <= set(overlay.nodes)
+        assert first_ids <= set(overlay.live_node_ids())
         assert len(overlay) == 100
 
     def test_grow_to_smaller_size_is_noop(self):
@@ -76,31 +84,31 @@ class TestGrow:
     def test_caps_drawn_from_distribution(self):
         overlay = OscarOverlay()
         overlay.grow(200, UniformKeys(), SteppedDegrees())
-        caps = {n.rho_max_in for n in overlay.live_nodes()}
+        caps = set(overlay.in_cap_array().tolist())
         assert caps <= {19, 23, 27, 39}
         assert len(caps) > 1
 
     def test_same_seed_same_network(self):
         a = build_overlay(n=80, seed=21)
         b = build_overlay(n=80, seed=21)
-        assert [n.position for n in a.live_nodes()] == [n.position for n in b.live_nodes()]
-        assert [n.out_links for n in a.live_nodes()] == [n.out_links for n in b.live_nodes()]
+        assert np.array_equal(a.ring.positions_array(), b.ring.positions_array())
+        assert links_of(a) == links_of(b)
 
     def test_different_seeds_different_networks(self):
         a = build_overlay(n=80, seed=21)
         b = build_overlay(n=80, seed=22)
-        assert [n.position for n in a.live_nodes()] != [n.position for n in b.live_nodes()]
+        assert not np.array_equal(a.ring.positions_array(), b.ring.positions_array())
 
 
 class TestNeighbors:
     def test_neighbors_include_ring_and_long_links(self, shared_overlay):
-        node = next(iter(shared_overlay.live_nodes()))
-        neighbors = shared_overlay.neighbors_of(node.node_id)
-        succ = shared_overlay.pointers.successor[node.node_id]
-        pred = shared_overlay.pointers.predecessor[node.node_id]
+        node_id, links = next(iter(links_of(shared_overlay).items()))
+        neighbors = shared_overlay.neighbors_of(node_id)
+        succ = shared_overlay.pointers.successor[node_id]
+        pred = shared_overlay.pointers.predecessor[node_id]
         assert succ in neighbors
         assert pred in neighbors
-        for link in node.out_links:
+        for link in links:
             assert link in neighbors
 
     def test_unknown_node_rejected(self, shared_overlay):
@@ -239,8 +247,7 @@ class TestSamplingModes:
 
     def test_oracle_partitions_halve_exactly(self):
         overlay = build_overlay(n=128, seed=33, sampling_mode=SamplingMode.ORACLE)
-        node = next(iter(overlay.live_nodes()))
-        table = node.partitions
+        table = overlay.partition_table(overlay.live_node_ids()[0])
         sizes = []
         for index in range(1, table.n_partitions + 1):
             arc = table.arc(index)

@@ -1,26 +1,24 @@
-"""Differential equivalence: object-view API vs raw-array kernels.
+"""Differential equivalence: vectorized kernels vs their sequential twins.
 
-The struct-of-arrays refactor keeps two ways to read and write one
-substrate: the object views (``OscarNode`` / ``MercuryNode`` /
-``FingerTable`` over :class:`~repro.core.soa.SubstrateState`) that the
-scalar reference paths drive one peer at a time, and the raw array
-kernels the vectorized engines scatter into directly. These tests run
-the *same seeded program* — interleaved bulk grows, rewirings, churn
-epochs and routed probe batches — once through each path and require the
-outcomes to be bit-identical on all three substrates:
+Every engine runs two ways over the one
+:class:`~repro.core.soa.SubstrateState`: the numpy kernels that read and
+write whole columns, and the pure-Python reference twins
+(``vectorized=False``) that walk the same columns one peer at a time.
+These tests run the *same seeded program* — interleaved bulk grows,
+rewirings, churn epochs and routed probe batches — once through each
+path and require the outcomes to be bit-identical on all three
+substrates:
 
 * final topology (membership, positions, keys, liveness, every link
-  table, in-degrees, partition tables / fingers, samples spent);
+  row, in-degrees, caps, samples spent, Oscar's partition tables);
 * every :class:`~repro.engine.churn.ChurnEpochStats` along the way;
 * every probe batch's :class:`~repro.routing.RouteStats`.
 
-A separate check pins view/array coherence: whatever the vectorized
-kernels wrote must read back identically through the object views.
+A separate check pins the in-degree bookkeeping against the link rows.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +28,8 @@ from repro.degree import ConstantDegrees
 from repro.engine import BatchQueryEngine, SteadyStateChurnEngine
 from repro.rng import split
 from repro.workloads import UniformKeys
+
+from conftest import links_of
 
 SUBSTRATES = ("oscar", "mercury", "chord")
 
@@ -98,22 +98,14 @@ def topology_fingerprint(name: str, overlay) -> dict:
         "succ": dict(overlay.pointers.successor),
         "pred": dict(overlay.pointers.predecessor),
     }
+    state, slots = overlay.state, ring.slots_array(live_only=False)
+    fp["links"] = links_of(overlay, live_only=False)
+    for column in ("in_deg", "cap_in", "cap_out", "samples_spent"):
+        fp[column] = getattr(state, column)[slots].tolist()
     if name == "chord":
-        fp["links"] = {i: list(overlay.fingers[i]) for i in ids}
         fp["app_key"] = dict(overlay.application_key)
-        return fp
-    per_node = {}
-    for i in ids:
-        node = overlay.nodes[i]
-        per_node[i] = (
-            list(node.out_links),
-            node.in_degree,
-            node.rho_max_in,
-            node.rho_max_out,
-            node.samples_spent,
-            node.partitions if name == "oscar" else None,
-        )
-    fp["links"] = per_node
+    if name == "oscar":
+        fp["partitions"] = [overlay.partition_table(i) for i in ids]
     return fp
 
 
@@ -142,49 +134,22 @@ class TestProgramEquivalence:
 
 
 class TestViewArrayCoherence:
-    """Reads through the object views must agree with the raw arrays the
-    vectorized kernels wrote (same state, two access paths)."""
-
-    @given(seed=st.integers(0, 2**20))
-    @settings(max_examples=10, deadline=None)
-    def test_oscar_views_match_arrays(self, seed):
-        overlay, _, _ = run_program(
-            "oscar", seed, ["grow", "rewire", "epoch", "epoch"], vectorized=True
-        )
-        state = overlay.state
-        for node_id in overlay.ring.node_ids(live_only=False):
-            slot = state.slot_of(node_id)
-            node = overlay.nodes[node_id]
-            row = state.out_links[slot, : state.out_count[slot]]
-            assert list(node.out_links) == [int(t) for t in row]
-            assert node.in_degree == int(state.in_deg[slot])
-            assert node.rho_max_in == int(state.cap_in[slot])
-            assert node.rho_max_out == int(state.cap_out[slot])
-            assert node.position == float(state.pos[slot])
-            parts = node.partitions
-            if state.n_medians[slot] < 0:
-                assert parts is None
-            else:
-                assert parts is not None
-                assert parts.origin == float(state.part_origin[slot])
-                assert parts.far_end == float(state.part_far_end[slot])
-                n_med = int(state.n_medians[slot])
-                assert parts.medians == tuple(
-                    float(x) for x in state.medians[slot, :n_med]
-                )
+    """The in-degree column agrees with the link rows the vectorized
+    kernels wrote."""
 
     def test_in_degrees_match_actual_link_counts(self):
         overlay, _, _ = run_program(
             "oscar", 1234, ["grow", "rewire", "epoch", "epoch", "rewire"], True
         )
-        live = set(overlay.ring.node_ids(live_only=True))
-        counted: dict[int, int] = {i: 0 for i in overlay.ring.node_ids(live_only=False)}
-        for i in counted:
-            for t in overlay.nodes[i].out_links:
-                if int(t) in counted:
-                    counted[int(t)] += 1
+        links = links_of(overlay, live_only=False)
+        counted = dict.fromkeys(links, 0)
+        for targets in links.values():
+            for t in targets:
+                if t in counted:
+                    counted[t] += 1
         # in_degree is acquisition-side bookkeeping over *live* linkers;
         # after churn the recorded value counts links placed, so it must
         # be at least the surviving links and exact right after a rewire.
-        for i in live:
-            assert overlay.nodes[i].in_degree == counted[i]
+        state = overlay.state
+        for i in overlay.ring.node_ids(live_only=True):
+            assert int(state.in_deg[state.slot_of(i)]) == counted[i]

@@ -1,8 +1,8 @@
 """Structural invariants of the struct-of-arrays substrate state.
 
 The SoA store (:mod:`repro.core.soa`) holds every per-peer column the
-substrates read through their node views; these tests pin the storage
-contracts the views assume:
+substrates read and write by slot; these tests pin its storage
+contracts:
 
 * slot recycling — freed slots are reissued smallest-first, never twice,
   and a leave/rejoin sequence lands on deterministic slots;
@@ -11,9 +11,10 @@ contracts the views assume:
   slot holds no ring pointer (``succ`` / ``pred`` are ``-1``);
 * the liveness bitmap agrees with the ring's live view after
   ``OracleView.crash`` / ``remove_many`` waves;
-* the padded link table round-trips through :class:`LinkView` at
-  degree 0 and at the maximum width, keeping the padding invariant
-  (columns at or past ``out_count`` are -1);
+* the padded link table round-trips through ``set_links`` /
+  ``clear_links`` at degree 0 and at the maximum width, keeping the
+  padding invariant (columns at or past ``out_count`` are -1);
+* Mercury's histogram round-trips exactly through its ``hist_cdf`` row;
 * the column lifecycle — every column declared in
   ``SubstrateState.COLUMNS`` is back at its cleared value on a freed
   slot, under random alloc / write / widen / free programs and on a
@@ -35,12 +36,12 @@ import re
 from pathlib import Path
 from unittest import mock
 
-from repro.core.soa import LinkView, SubstrateState
+from repro.core.soa import SubstrateState
 from repro.degree import ConstantDegrees
 from repro.errors import RingInvariantError
 from repro.experiments.growth import make_overlay
 from repro.membership import DetectorConfig, OracleView, ProbeView, VectorizedDetectorBank
-from repro.mercury.node import MercuryNode
+from repro.mercury.construction import _read_histogram, _store_histogram
 from repro.ring import Ring, build_pointers
 from repro.sampling import NodeDensityHistogram
 from repro.workloads import GnutellaLikeDistribution
@@ -209,11 +210,16 @@ class TestLinkTablePadding:
         pad = cols >= state.out_count[: state._top, None]
         return bool(np.all(state.out_links[: state._top][pad] == -1))
 
+    @staticmethod
+    def row(state: SubstrateState, slot: int) -> list[int]:
+        return state.out_links[slot, : state.out_count[slot]].tolist()
+
     def test_degree_zero_round_trip(self):
         state = SubstrateState()
         state.alloc_one(0, 0.5, 0)
-        view = LinkView(state, 0)
-        assert len(view) == 0 and list(view) == []
+        assert self.row(state, 0) == []
+        state.set_links(0, [])
+        assert self.row(state, 0) == [] and int(state.out_count[0]) == 0
         assert self.padding_ok(state)
 
     @given(targets=st.lists(st.integers(0, 10_000), min_size=1, max_size=40))
@@ -221,16 +227,15 @@ class TestLinkTablePadding:
     def test_append_extend_clear_round_trip(self, targets):
         state = SubstrateState()
         state.alloc_one(0, 0.5, 0)
-        view = LinkView(state, 0)
-        for t in targets[: len(targets) // 2]:
-            view.append(t)
-        view.extend(targets[len(targets) // 2 :])
-        assert list(view) == targets
-        assert view == targets
+        for t in targets[: len(targets) // 2]:  # one append at a time
+            state.set_links(0, [*self.row(state, 0), t])
+            assert self.padding_ok(state)
+        state.set_links(0, self.row(state, 0) + targets[len(targets) // 2 :])
+        assert self.row(state, 0) == targets
         assert int(state.out_count[0]) == len(targets)
         assert self.padding_ok(state)
-        view.clear()
-        assert list(view) == []
+        state.clear_links(np.array([0]))
+        assert self.row(state, 0) == []
         assert self.padding_ok(state)
 
     def test_max_degree_row_then_free_resets_padding(self):
@@ -239,23 +244,23 @@ class TestLinkTablePadding:
             np.arange(3), np.array([0.1, 0.2, 0.3]), np.zeros(3, dtype=np.uint64)
         )
         full = list(range(64))
-        LinkView(state, 1).extend(full)
-        assert list(LinkView(state, 1)) == full
+        state.set_links(1, full)
+        assert self.row(state, 1) == full
         assert self.padding_ok(state)
         state.free_many(np.array([1]))
         assert self.padding_ok(state)
         # The recycled slot starts at degree 0 with a clean row.
         slot = state.alloc_one(9, 0.9, 0)
         assert int(slot) == 1
-        assert list(LinkView(state, 1)) == []
+        assert self.row(state, 1) == []
 
     def test_set_links_replaces_row(self):
         state = SubstrateState()
         state.alloc_one(0, 0.5, 0)
         state.set_links(0, [7, 8, 9])
-        assert list(LinkView(state, 0)) == [7, 8, 9]
+        assert self.row(state, 0) == [7, 8, 9]
         state.set_links(0, [3])
-        assert list(LinkView(state, 0)) == [3]
+        assert self.row(state, 0) == [3]
         assert self.padding_ok(state)
 
 
@@ -478,28 +483,32 @@ class TestHistogramColumn:
         samples = GnutellaLikeDistribution().sample(np.random.default_rng(3), 200)
         for buckets in (1, 7, 32):
             histogram = NodeDensityHistogram.from_samples(samples, buckets)
-            node = MercuryNode(node_id=2, position=0.25, rho_max_in=1, rho_max_out=1)
-            assert node.histogram is None
-            node.histogram = histogram
-            stored = node.histogram
+            state = SubstrateState()
+            slot = state.alloc_one(2, 0.25, 0)
+            assert _read_histogram(state, slot) is None
+            _store_histogram(state, slot, histogram)
+            stored = _read_histogram(state, slot)
             assert stored == histogram and stored.buckets == buckets
             assert stored.cumulative.tobytes() == histogram.cumulative.tobytes()
             assert not stored.cumulative.flags.writeable
             with pytest.raises(ValueError):
                 stored.cumulative[0] = 0.5
             assert stored.quantile(0.37) == histogram.quantile(0.37)
-            node.histogram = None
-            assert node.histogram is None
+            _store_histogram(state, slot, None)
+            assert _read_histogram(state, slot) is None
 
     def test_rows_of_different_lengths_share_one_table(self):
         overlay = make_overlay("mercury", seed=2)
         overlay.grow(6, GnutellaLikeDistribution(), ConstantDegrees(3))
-        a, b = (overlay.nodes[i] for i in overlay.ring.node_ids()[:2])
+        state = overlay.state
+        a, b = overlay.ring.slots_array()[:2]
         samples = np.linspace(0.0, 0.99, 50)
         small = NodeDensityHistogram.from_samples(samples, 4)
         large = NodeDensityHistogram.from_samples(samples, 4 * overlay.config.histogram_buckets)
-        a.histogram, b.histogram = small, large
-        assert a.histogram == small and b.histogram == large
-        assert a != b and a == overlay.nodes[a.node_id]
-        b.histogram = small  # a shorter vector leaves no tail behind
-        assert b.histogram == small
+        _store_histogram(state, a, small)
+        _store_histogram(state, b, large)
+        assert _read_histogram(state, a) == small and _read_histogram(state, b) == large
+        assert state.hist_cdf.shape[1] >= large.cumulative.size
+        _store_histogram(state, b, small)  # a shorter vector leaves no tail behind
+        assert _read_histogram(state, b) == small
+        assert np.isnan(state.hist_cdf[b, small.cumulative.size :]).all()

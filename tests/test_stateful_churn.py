@@ -1,18 +1,22 @@
 """Whole-stack stateful testing: churn, repair and serving under one machine.
 
-:class:`ChurnProgram` drives an Oscar overlay, a
+:class:`ChurnProgram` drives an overlay (Oscar, Mercury or Chord), a
 :class:`~repro.engine.churn.SteadyStateChurnEngine` (either repair
 policy), a :class:`~repro.index.replication.ReplicatedStore` and a
-:class:`~repro.engine.serve.ServeEngine` through three verbs — an epoch,
-an external ``leave_batch`` wave, a serve batch with unknown sources and
-duplicate keys — on the vectorized kernels and, in lock-step, on the
-pure-Python twins, and checks after every step:
+:class:`~repro.engine.serve.ServeEngine` through four verbs — an epoch,
+an external ``leave_batch`` wave, a direct repair (the policy's
+substrate verb, with no compaction first), a serve batch with unknown
+sources and duplicate keys — on the vectorized kernels and, in
+lock-step, on the pure-Python twins (Mercury and Chord build through
+one scalar path, so for them the twin check is a determinism check),
+and checks after every step:
 
 * ``Ring.verify`` and the ring pointers;
 * no self or duplicate link in any row, ``-1`` past ``out_count``;
 * ``out_count <= cap_out`` and ``in_deg <= cap_in``;
-* right after a repair, every live ``in_deg`` is the count of live
-  in-links;
+* right after a repair, no live peer's row names a peer outside the
+  live ring, and (except on Chord, which keeps no ``in_deg``) after an
+  epoch's repair every live ``in_deg`` is the count of live in-links;
 * the twin's state, epoch statistics and serve outcomes are equal;
 * conservation: an epoch's ``live`` is the live count it started from
   (after any wave) plus its arrivals minus its departures, and equals
@@ -36,11 +40,13 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from repro import OscarConfig, OscarOverlay
+from repro import Substrate
 from repro.churn import ExponentialSessions
 from repro.core.soa import SubstrateState
 from repro.degree import ConstantDegrees
 from repro.engine import Outcome, ServeEngine, SteadyStateChurnEngine
+from repro.engine.churn import REPAIR_POLICIES
+from repro.experiments import make_overlay
 from repro.index import ReplicatedStore
 from repro.membership import OracleView
 from repro.ring import verify
@@ -54,15 +60,18 @@ REPLICAS = 3
 class ChurnProgram:
     """One composed system and its twin, advanced verb by verb.
 
-    ``params``: ``n`` (initial peers), ``seed``, ``cap`` (link caps),
-    ``repair`` (policy), ``gentle`` (half-life 64 and a repair every
-    epoch, else ``half_life`` / ``repair_every`` as given).
+    ``params``: ``substrate`` (``oscar`` when absent), ``n`` (initial
+    peers), ``seed``, ``cap`` (link caps), ``repair`` (policy),
+    ``gentle`` (half-life 64 and a repair every epoch, else
+    ``half_life`` / ``repair_every`` as given).
     """
 
     def __init__(self, params: dict) -> None:
         self.params = params
+        self.substrate = params.get("substrate", "oscar")
         self.gentle = bool(params["gentle"])
         self.waves = 0
+        self.repairs = 0
         self.twins = [self._build(vectorized) for vectorized in (True, False)]
         self.seeded = self.twins[0]["store"].item_count
         self.check()
@@ -70,7 +79,7 @@ class ChurnProgram:
     def _build(self, vectorized: bool) -> dict:
         p = self.params
         keys, degrees = GnutellaLikeDistribution(), ConstantDegrees(p["cap"])
-        overlay = OscarOverlay(OscarConfig(), seed=p["seed"])
+        overlay = make_overlay(self.substrate, seed=p["seed"])
         overlay.grow_batch(p["n"], keys, degrees, vectorized=vectorized)
         overlay.rewire_batch(vectorized=vectorized)
         view = OracleView(overlay.ring)
@@ -95,7 +104,7 @@ class ChurnProgram:
         return {"overlay": overlay, "store": store, "engine": engine, "serve": serve}
 
     @property
-    def overlay(self) -> OscarOverlay:
+    def overlay(self) -> Substrate:
         return self.twins[0]["overlay"]
 
     # -- verbs ---------------------------------------------------------
@@ -108,7 +117,22 @@ class ChurnProgram:
         live_after = live_before + epoch.arrivals - epoch.departures
         assert epoch.live == live_after == self.overlay.ring.live_count
         if stats[0].link_repair:
-            self.check_in_degrees()
+            self.check_repaired()
+            if self.substrate != "chord":
+                self.check_in_degrees()
+
+    def repair(self) -> None:
+        """Run the repair policy's substrate verb straight away: no
+        compaction first, so dead peers (a wave's) are still in the
+        ring and a repair must route around them."""
+        if self.overlay.ring.live_count < 2:
+            return
+        self.repairs += 1
+        rng_key = (self.params["seed"], "program-repair", self.repairs)
+        for twin in self.twins:
+            verb = getattr(twin["overlay"], REPAIR_POLICIES[self.params["repair"]])
+            verb(split(*rng_key), vectorized=twin["engine"].vectorized)
+        self.check_repaired()
 
     def leave_wave(self, picks: list[int]) -> None:
         """``leave_batch`` the live peers at ring ranks ``picks`` (mod
@@ -146,7 +170,7 @@ class ChurnProgram:
             overlay = twin["overlay"]
             overlay.ring.verify()
             verify(overlay.ring, overlay.pointers)
-            self.check_links(overlay)
+            self.check_links(overlay, capped=self.substrate != "chord")
         self.check_twins()
         for twin in self.twins:
             store = twin["store"]
@@ -155,7 +179,7 @@ class ChurnProgram:
             assert self.twins[0]["store"].items_lost_total == 0
 
     @staticmethod
-    def check_links(overlay: OscarOverlay) -> None:
+    def check_links(overlay: Substrate, capped: bool = True) -> None:
         state = overlay.state
         slots = overlay.ring.slots_array(live_only=False)
         links = state.out_links[slots]
@@ -167,8 +191,18 @@ class ChurnProgram:
             assert len(set(held)) == len(held), "duplicate link"
             assert int(state.node_id[slot]) not in held, "self link"
         live = overlay.ring.slots_array(live_only=True)
-        assert (state.out_count[live] <= state.cap_out[live]).all()
-        assert (state.in_deg[live] <= state.cap_in[live]).all()
+        if capped:  # Chord's fingers have no caps
+            assert (state.out_count[live] <= state.cap_out[live]).all()
+            assert (state.in_deg[live] <= state.cap_in[live]).all()
+
+    def check_repaired(self) -> None:
+        """No live peer's row names a peer outside the live ring."""
+        for twin in self.twins:
+            state, ring = twin["overlay"].state, twin["overlay"].ring
+            links = state.out_links[ring.slots_array(live_only=True)]
+            held = links[links >= 0]
+            outside = held[~np.isin(held, ring.ids_array(live_only=True))]
+            assert outside.size == 0, f"links to non-live peers {sorted(set(outside.tolist()))}"
 
     def check_in_degrees(self) -> None:
         for twin in self.twins:
@@ -189,7 +223,7 @@ class ChurnProgram:
             if column.matrix:
                 width = max(_used_width(a, column.fill), _used_width(b, column.fill))
                 a, b = a[:, :width], b[:, :width]
-            assert np.array_equal(a, b), name
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
         stores = [twin["store"] for twin in self.twins]
         assert np.array_equal(stores[0].holders, stores[1].holders)
         assert stores[0].items_lost_total == stores[1].items_lost_total
@@ -198,7 +232,8 @@ class ChurnProgram:
 def _used_width(matrix: np.ndarray, fill: object) -> int:
     """Columns up to the last one any row holds a non-``fill`` value in
     (the two twins grow their padded tables to different widths)."""
-    used = np.flatnonzero((matrix != fill).any(axis=0))
+    held = ~np.isnan(matrix) if matrix.dtype.kind == "f" and np.isnan(fill) else matrix != fill
+    used = np.flatnonzero(held.any(axis=0))
     return int(used[-1]) + 1 if used.size else 0
 
 
@@ -211,6 +246,8 @@ def replay(program: dict) -> ChurnProgram:
             system.run_epoch()
         elif verb == "wave":
             system.leave_wave(step["picks"])
+        elif verb == "repair":
+            system.repair()
         else:
             system.serve(step["picks"], step["unknown"], step["repeat"])
         system.check()
@@ -223,6 +260,7 @@ class ChurnMachine(RuleBasedStateMachine):
     system: ChurnProgram
 
     @initialize(
+        substrate=st.sampled_from(["chord", "mercury", "oscar"]),
         n=st.integers(min_value=12, max_value=48),
         seed=st.integers(min_value=0, max_value=2**16),
         cap=st.integers(min_value=2, max_value=6),
@@ -242,6 +280,10 @@ class ChurnMachine(RuleBasedStateMachine):
     @rule(picks=st.lists(st.integers(0, 1000), min_size=1, max_size=6))
     def wave(self, picks) -> None:
         self.system.leave_wave(picks)
+
+    @rule()
+    def repair(self) -> None:
+        self.system.repair()
 
     @rule(
         picks=st.lists(st.integers(0, 1000), min_size=1, max_size=8),

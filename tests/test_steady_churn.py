@@ -25,6 +25,8 @@ from repro.ring import verify
 from repro.rng import split
 from repro.workloads import GnutellaLikeDistribution, UniformKeys
 
+from conftest import links_of
+
 
 def build_engine(
     substrate: str = "oscar",
@@ -470,17 +472,16 @@ class TestRepairPolicies:
         engine.run(2)
         live = set(overlay.ring.ids_array(live_only=True).tolist())
         before = {
-            node.node_id: [t for t in node.out_links if t in live] for node in overlay.live_nodes()
+            node_id: [t for t in links if t in live] for node_id, links in links_of(overlay).items()
         }
         stats = engine.run_epoch()  # epoch 3 repairs; arrivals and departures come first
         assert stats.link_repair and stats.repair_samples == 0
         assert stats.repair.links_placed > 0
         alive = set(overlay.ring.ids_array(live_only=True).tolist())
-        for node in overlay.live_nodes():
-            kept = [t for t in before.get(node.node_id, []) if t in alive]
-            links = list(node.out_links)
+        for (node_id, links), cap in zip(links_of(overlay).items(), overlay.out_cap_array()):
+            kept = [t for t in before.get(node_id, []) if t in alive]
             assert links[: len(kept)] == kept
-            assert set(links) <= alive and len(links) <= node.rho_max_out
+            assert set(links) <= alive and len(links) <= cap
 
     @pytest.mark.parametrize("repair", ["refill", "full"])
     def test_in_degree_is_the_live_in_link_count_after_repair(self, repair):

@@ -174,4 +174,5 @@ class TestFacade:
         verify(overlay.ring, overlay.pointers)
         if kind == "chord":
             assert set(overlay.application_key) == set(overlay.ring.node_ids())
-            assert sorted(overlay.fingers) == sorted(overlay.application_key)
+            held = overlay.state.node_id[overlay.state.node_id >= 0]  # freed with the slot
+            assert sorted(held.tolist()) == sorted(overlay.application_key)
