@@ -110,7 +110,10 @@ ROWS: dict[str, Row] = {
     # the 10k snapshot), five interleaved runs a side: 62.7-68.4 walking
     # in rank space (int32 row offsets), 23.1-29.0 reading the sorted
     # uint64 progress table it replaced (8-11 with the per-hop double
-    # gather before that) — the floor sits between the bands.
+    # gather before that) — the floor sits between the bands. Comparing
+    # each gathered row whole instead of from column 1 read 92.0-102.6
+    # against 81.0-85.8 on a 2-vCPU container (three interleaved runs a
+    # side).
     "build": Row(
         "scale-build",
         {"sizes": (10_000, 31_600, 100_000), "n_queries": 500},
@@ -132,6 +135,11 @@ ROWS: dict[str, Row] = {
     # before it, 23.1-26.0 with the walk before that; the per-request
     # cache loop this gate exists to catch read 6.6 against that oldest
     # walk, i.e. ~4 against this one — the floor sits between 4 and 14.
+    # Since the cold pass reads each catalog item's owner, bound and
+    # verdict from its snapshot (a faster routed request, a slightly
+    # dearer capture, which the cold pass also pays) the ratio reads
+    # 12.7-15.7 (median 13.5) against 13.4-15.3 (median 14.7) before, on a
+    # 2-vCPU container, ten interleaved runs a side.
     "serve": Row(
         "serve-churn",
         {**GENTLE_SERVE, "n_queries": 2048},

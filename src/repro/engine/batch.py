@@ -281,7 +281,7 @@ class BatchQueryEngine:
         if np.any(source_rows < 0):
             raise RoutingError("batch contains sources unknown to the topology")
         hops, code, __ = greedy_walk(
-            snap.table, source_rows, responsible, targets, self.routing.budget
+            snap.table, source_rows, responsible, snap.table.bounds(targets), self.routing.budget
         )
         return BatchRouteResult(
             sources=sources,

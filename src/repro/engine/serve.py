@@ -13,14 +13,21 @@ to be**, at millions of requests against a ring that churns underneath.
 
 * a **per-version serve snapshot** (:class:`ServeSnapshot`) — the
   believed-live peers as flat arrays (exact ``uint64`` keys, a
-  successor column, the believed-row links as row offsets), so owner
-  lookup is one ``searchsorted`` and routing is
-  the shared greedy-walk kernel (:mod:`repro.engine.walk` — the same
+  successor column, the believed-row links as row offsets), and routing
+  is the shared greedy-walk kernel (:mod:`repro.engine.walk` — the same
   function the batch engine runs over ground truth) handed the
   believed-live table. Because no row is a believed-dead peer, a walk
   cannot fail on a missing successor pointer the way a ground-truth
   batch walk does mid-churn — and it never *routes via* a peer the
   view has evicted;
+* **answers per catalog item, once per version**: who owns a key, the
+  walk's bound for it and whether it is delivered depend only on the
+  key and the serve version, so the capture computes them for every
+  catalog item as three columns (one search of the sorted catalog keys
+  over the ring keys, one holders check). A routed request whose key
+  is a catalog item reads its row through the one catalog search the
+  batch does; a key outside the catalog is located (one search) and
+  verified on its own, a masked branch of the same batch;
 * an **LRU result cache** (:class:`ResultCache`) — a struct-of-arrays
   table sorted on an injective ``uint64`` image of the request key,
   with stamp / owner / packed-verdict columns and **one** scalar
@@ -49,7 +56,9 @@ placement, and probe-view belief each invalidate independently.
 holder check) for a pure-Python twin that must produce **bit-identical**
 :class:`ServeBatchResult` arrays — the differential the test suite
 pins, cache-enabled vs cache-disabled and vectorized vs reference. The
-one result cache serves both modes.
+twin ignores the per-item columns: it bisects every owner and verifies
+every request, so the differential pins the columns too. The one result
+cache serves both modes.
 """
 
 from __future__ import annotations
@@ -206,8 +215,12 @@ class ResultCache:
         if self.capacity == 0 or n == 0:
             return
         self._enter(version)
-        bits, first = np.unique(_key_bits(keys)[::-1], return_index=True)
-        last = n - 1 - first
+        bits = _key_bits(keys)
+        order = np.argsort(bits)  # unstable: a key's requests in any order ...
+        bits = bits[order]
+        first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        last = np.maximum.reduceat(order, first)  # ... its last one is the largest index
+        bits = bits[first]
         added = (bits, self._clock + last, owners[last], flags[last])
         self._clock += n
         table_bits = self._table[0]
@@ -220,10 +233,18 @@ class ResultCache:
             at = at[~known]
             added = tuple(values[~known] for values in added)
         if at.size:
-            # One sorted merge: new row ``j`` lands before old row ``at[j]``.
-            self._table = tuple(
-                np.insert(column, at, values) for column, values in zip(self._table, added)
-            )
+            # One sorted merge: new row ``j`` lands before old row
+            # ``at[j]``, at ``at[j] + j``; the old rows fill the rest.
+            new = at + np.arange(at.size)
+            old = np.ones(len(self) + at.size, dtype=bool)
+            old[new] = False
+            merged = []
+            for column, values in zip(self._table, added):
+                out = np.empty(old.size, dtype=column.dtype)
+                out[new] = values
+                out[old] = column
+                merged.append(out)
+            self._table = tuple(merged)
         size = len(self)
         excess = size - self.capacity
         if excess > 0:
@@ -268,6 +289,21 @@ class ResultCache:
         return self.hits / total if total else 0.0
 
 
+def _owners_at_bounds(keys: np.ndarray, targets: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Owner row per exact ``uint64`` target key over the sorted
+    ``keys``, from its walk bound (the last row keyed at or below it,
+    :meth:`WalkTable.bounds <repro.engine.walk.WalkTable.bounds>`): the
+    first row keyed at or above the target is the row after the bound —
+    unless the target lies in the bound's ``2**-64`` cell, which may
+    hold several rows; only those rare targets are searched again."""
+    owners = bounds + 1
+    # A bound of -1 reads the last row, keyed above every such target.
+    in_cell = np.flatnonzero(keys[bounds] == targets)
+    owners[in_cell] = np.searchsorted(keys, targets[in_cell])
+    owners[owners == keys.size] = 0
+    return owners
+
+
 @dataclass(frozen=True)
 class ServeSnapshot:
     """Array view of the *believed-live* overlay at one serve version.
@@ -281,6 +317,12 @@ class ServeSnapshot:
     links are the only forwarding candidates (the ground-truth snapshot
     also offers the ring predecessor; see ``docs/architecture.md``).
 
+    Every answer about a catalog item depends only on its key and the
+    version, so capture answers them all, as three columns aligned with
+    the store's catalog rows. Each carries one spare last row, which a
+    catalog row of ``-1`` (a key outside the catalog) reads, so a gather
+    needs no mask; :meth:`ServeEngine.serve_batch` overwrites those rows.
+
     Attributes:
         version: The serve version triple this snapshot was built at.
         ids: Believed-live node ids, position order.
@@ -291,6 +333,14 @@ class ServeSnapshot:
             walks: believed ring successor ``(i + 1) % m`` per row
             (never -1), and each row's believed-row links as ascending
             row offsets (dropped links are padding).
+        item_owner: Believed owner row per catalog item (``int32``).
+        item_bound: Walk bound per catalog item (``int32``): the last
+            row keyed at or below its exact key.
+        item_flags: Packed delivery verdict per catalog item
+            (``FLAG_FOUND | FLAG_SUCCESS | FLAG_STALE``): found, and
+            stale when the owner is truth-dead — truth liveness is fixed
+            within a version, since a crash or revive bumps the ring
+            version — else delivered when the owner holds a replica.
     """
 
     version: object
@@ -298,13 +348,21 @@ class ServeSnapshot:
     keys: np.ndarray
     row_of: np.ndarray
     table: WalkTable
+    item_owner: np.ndarray
+    item_bound: np.ndarray
+    item_flags: np.ndarray
 
     @classmethod
     def capture(
-        cls, substrate: "Substrate", view: "MembershipView", version: object
+        cls,
+        substrate: "Substrate",
+        view: "MembershipView",
+        version: object,
+        store: "ReplicatedStore",
     ) -> "ServeSnapshot":
         """Materialize the believed-live topology of ``substrate`` as
-        seen through ``view``, stamped with ``version``."""
+        seen through ``view``, and the answer for every item of
+        ``store``'s catalog, stamped with ``version``."""
         state, slots = substrate.state, view.live_slots()
         if slots.size == 0:
             raise ConfigError("serve snapshot needs at least one believed-live peer")
@@ -312,16 +370,28 @@ class ServeSnapshot:
         m = int(ids.size)
         # Sized over every ring id, so a believed-dead peer reads -1.
         row_of = row_table(ids, int(substrate.ring.ids_array(live_only=False).max()) + 2)
+        table = WalkTable.build(
+            keys, (np.arange(m, dtype=np.int64) + 1) % m, state.link_rows(slots, row_of)
+        )
+        targets = keyspace.from_units(store.item_keys)
+        # The catalog is sorted, so its keys are searched in order as they stand.
+        bounds = (np.searchsorted(keys, targets, side="right") - 1).astype(np.int32)
+        owners = _owners_at_bounds(keys, targets, bounds)
+        owner_ids = ids[owners]
+        stale = ~store.truth_live_mask(owner_ids)
+        holds = np.zeros(owners.size, dtype=bool)
+        for holder in store.holders.T:
+            holds |= holder == owner_ids
+        flags = pack_flags(np.ones(owners.size, dtype=bool), ~stale & holds, stale)
         return cls(
             version=version,
             ids=ids,
             keys=keys,
             row_of=row_of,
-            table=WalkTable.build(
-                keys,
-                (np.arange(m, dtype=np.int64) + 1) % m,
-                state.link_rows(slots, row_of),
-            ),
+            table=table,
+            item_owner=np.append(owners, np.int32(0)),
+            item_bound=np.append(bounds, np.int32(-1)),
+            item_flags=np.append(flags, np.uint8(0)),
         )
 
     @property
@@ -335,6 +405,23 @@ class ServeSnapshot:
         ``successor_of_key`` over belief, decided in the key domain the
         walk delivers in."""
         return keyspace.search_sorted(self.keys, np.asarray(targets, dtype=np.uint64)) % self.size
+
+    def locate(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(owner row, walk bound)`` per exact ``uint64`` target key:
+        :meth:`owner_rows` and :meth:`WalkTable.bounds
+        <repro.engine.walk.WalkTable.bounds>` from one search (a second
+        only for a target inside a row's own key cell)."""
+        bounds = self.table.bounds(targets)
+        return _owners_at_bounds(self.keys, targets, bounds), bounds
+
+
+def _bisect_owner_rows(snap: ServeSnapshot, targets: np.ndarray) -> np.ndarray:
+    """:meth:`ServeSnapshot.owner_rows`, one ``bisect`` per target (the
+    reference twin's owner lookup)."""
+    ring_keys = [int(k) for k in snap.keys]
+    return np.asarray(
+        [bisect.bisect_left(ring_keys, int(t)) % snap.size for t in targets], dtype=np.int64
+    )
 
 
 class Outcome(enum.IntEnum):
@@ -512,7 +599,7 @@ class ServeEngine:
         if self._serve_cache is None or self._serve_cache.version != version:
             self._serve_cache = None  # the stale arrays go before their replacements come
             self._serve_cache = ServeSnapshot.capture(
-                self.substrate, self.membership, version
+                self.substrate, self.membership, version, self.store
             )
         return self._serve_cache
 
@@ -531,8 +618,10 @@ class ServeEngine:
 
         One cache probe for the whole batch, then the misses resolve
         their believed owner, route to it over believed-live peers and
-        are verified, and their results enter the cache stamped with
-        the current serve version. A request succeeds iff its key names
+        are verified — a catalog key by reading its item's row of the
+        snapshot's per-item columns, any other key on its own — and
+        their results enter the cache stamped with the current serve
+        version. A request succeeds iff its key names
         a surviving item whose believed owner is truth-alive and truly
         holds a replica; a truth-dead believed owner is a **stale
         serve**: counted, failed, never silently redirected — the
@@ -547,18 +636,22 @@ class ServeEngine:
         it took, not cached); the rest of the batch is served.
 
         Raises:
-            ValueError: ``sources`` and ``target_keys`` are misaligned.
+            ValueError: ``sources`` and ``target_keys`` are misaligned
+                (checked first).
+            KeyspaceError: A key is not a finite float in ``[0, 1)``
+                (``-0.0`` is ``0.0``) — raised before any counter, cache
+                row or snapshot changes.
         """
         sources = np.asarray(sources, dtype=np.int64)
         target_keys = np.asarray(target_keys, dtype=float)
         if sources.shape != target_keys.shape:
             raise ValueError("sources and target_keys must be aligned 1-d arrays")
+        # The batch's one exact key domain, converted before anything is
+        # counted, cached or captured: a key outside [0, 1) raises here.
+        targets = keyspace.from_units(target_keys)
         version = self.serve_version
         snap = self.serve_snapshot()
         n = int(sources.size)
-        # The batch's one exact key domain: owner lookup and walk both
-        # decide on these, so they cannot disagree inside a 2**-64 cell.
-        targets = keyspace.from_units(target_keys)
 
         hit, owners, flags = self.result_cache.probe(target_keys, version)
         outcome = np.full(n, Outcome.SERVED, dtype=np.uint8)
@@ -571,27 +664,23 @@ class ServeEngine:
             miss, source_rows = miss[~bad], source_rows[~bad]
         if miss.size:
             m_targets = targets[miss]
+            owner_rows, bounds, m_flags = self._resolve(snap, target_keys[miss], m_targets)
             if self.vectorized:
-                owner_rows = snap.owner_rows(m_targets)
-            else:
-                ring_keys = [int(k) for k in snap.keys]
-                owner_rows = np.asarray(
-                    [bisect.bisect_left(ring_keys, int(t)) % snap.size for t in m_targets],
-                    dtype=np.int64,
+                hops[miss], code, __ = greedy_walk(
+                    snap.table, source_rows, owner_rows, bounds, self.routing.budget
                 )
-            walk = greedy_walk if self.vectorized else greedy_walk_reference
-            hops[miss], code, __ = walk(
-                snap.table, source_rows, owner_rows, m_targets, self.routing.budget
-            )
+            else:
+                hops[miss], code, __ = greedy_walk_reference(
+                    snap.table, source_rows, owner_rows, m_targets, self.routing.budget
+                )
             if code.any():
                 outcome[miss] = code
                 walked = code == WalkCode.OK
-                miss, owner_rows = miss[walked], owner_rows[walked]
-            m_keys, m_owners = target_keys[miss], snap.ids[owner_rows]
-            m_flags = pack_flags(*self._verify(m_keys, m_owners))
+                miss, owner_rows, m_flags = miss[walked], owner_rows[walked], m_flags[walked]
+            m_owners = snap.ids[owner_rows]
             owners[miss] = m_owners
             flags[miss] = m_flags
-            self.result_cache.insert(m_keys, version, m_owners, m_flags)
+            self.result_cache.insert(target_keys[miss], version, m_owners, m_flags)
         stale = (flags & FLAG_STALE) != 0
         self.stale_serves += int(stale.sum())
         return ServeBatchResult(
@@ -628,29 +717,34 @@ class ServeEngine:
 
         Raises:
             ValueError: ``sources``, ``lo`` and ``hi`` are misaligned.
+            KeyspaceError: An end is not a finite float in ``[0, 1)``
+                (raised before the snapshot is captured).
         """
         sources = np.asarray(sources, dtype=np.int64)
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         if not sources.shape == lo.shape == hi.shape:
             raise ValueError("sources, lo and hi must be aligned 1-d arrays")
+        lo_keys, hi_keys = keyspace.from_units(lo), keyspace.from_units(hi)
         snap = self.serve_snapshot()
         n, m = int(sources.size), snap.size
-        lo_keys, hi_keys = keyspace.from_units(lo), keyspace.from_units(hi)
-        if self.vectorized:
-            row_lo = snap.owner_rows(lo_keys)
-        else:
-            ring_keys = [int(k) for k in snap.keys]
-            row_lo = np.asarray(
-                [bisect.bisect_left(ring_keys, int(t)) % m for t in lo_keys], dtype=np.int64
-            )
         outcome = np.full(n, Outcome.BAD_SOURCE, dtype=np.uint8)
         hops = np.zeros(n, dtype=np.int64)
         source_rows = rows_of(snap.row_of, sources)
         known = np.flatnonzero(source_rows >= 0)
-        walk = greedy_walk if self.vectorized else greedy_walk_reference
-        hops[known], outcome[known], __ = walk(
-            snap.table, source_rows[known], row_lo[known], lo_keys[known], self.routing.budget
-        )
+        if self.vectorized:
+            row_lo, lo_bounds = snap.locate(lo_keys)
+            hops[known], outcome[known], __ = greedy_walk(
+                snap.table,
+                source_rows[known],
+                row_lo[known],
+                lo_bounds[known],
+                self.routing.budget,
+            )
+        else:
+            row_lo = _bisect_owner_rows(snap, lo_keys)
+            hops[known], outcome[known], __ = greedy_walk_reference(
+                snap.table, source_rows[known], row_lo[known], lo_keys[known], self.routing.budget
+            )
         served = outcome == Outcome.SERVED
         dead = ~self.store.truth_live_mask(snap.ids)
         width = hi_keys - lo_keys  # wrapping uint64: 0 is the point range ...
@@ -693,13 +787,38 @@ class ServeEngine:
         )
 
     # ------------------------------------------------------------------
-    # delivery verification (vectorized + reference twins)
+    # owner, bound and delivery verdict (vectorized + reference twins)
     # ------------------------------------------------------------------
+
+    def _resolve(
+        self, snap: ServeSnapshot, keys: np.ndarray, targets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """``(owner row, walk bound, packed verdict)`` per routed request.
+
+        A catalog key reads its item's row of the snapshot's columns
+        through the one catalog search; a key outside the catalog is
+        located and verified on its own. The reference twin bisects
+        every owner, verifies every request and leaves the bound to its
+        walk (``None``).
+        """
+        if not self.vectorized:
+            owner_rows = _bisect_owner_rows(snap, targets)
+            return owner_rows, None, pack_flags(*self._verify(keys, snap.ids[owner_rows]))
+        rows = self.store.lookup_rows(keys)
+        owner_rows, bounds = snap.item_owner[rows], snap.item_bound[rows]
+        flags = snap.item_flags[rows]
+        other = np.flatnonzero(rows < 0)
+        if other.size:  # not found, so not delivered; stale if the owner is truth-dead
+            owner_rows[other], bounds[other] = snap.locate(targets[other])
+            flags[other] = FLAG_STALE * ~self.store.truth_live_mask(snap.ids[owner_rows[other]])
+        return owner_rows, bounds, flags
 
     def _verify(
         self, target_keys: np.ndarray, owner_ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Delivery verdict per request: ``(found, success, stale)``.
+        """Delivery verdict per request, one request at a time (the
+        reference twin's; the vectorized path reads a catalog item's
+        from the snapshot): ``(found, success, stale)``.
 
         ``found`` — the key names a surviving catalog item; ``stale`` —
         the believed owner is truth-dead; ``success`` — found, owner
@@ -709,17 +828,10 @@ class ServeEngine:
         rows = store.lookup_rows(target_keys)
         found = rows >= 0
         owner_live = store.truth_live_mask(owner_ids)
-        stale = ~owner_live
-        if not store.item_count:
-            holds = found  # an empty catalog: nothing found, nothing held
-        elif self.vectorized:
-            safe = np.where(found, rows, 0)
-            holds = (store.holders[safe] == owner_ids[:, None]).any(axis=1) & found
-        else:
-            holds = np.zeros(found.shape, dtype=bool)
-            for i in range(int(rows.size)):
-                if rows[i] < 0:
-                    continue
-                holder_row = store.holders[int(rows[i])]
-                holds[i] = any(int(h) == int(owner_ids[i]) for h in holder_row)
-        return found, found & owner_live & holds, stale
+        holds = np.zeros(found.shape, dtype=bool)
+        for i in range(int(rows.size)):
+            if rows[i] < 0:
+                continue
+            holder_row = store.holders[int(rows[i])]
+            holds[i] = any(int(h) == int(owner_ids[i]) for h in holder_row)
+        return found, found & owner_live & holds, ~owner_live

@@ -23,8 +23,11 @@ with the offset, except on the rows of ``v``'s own key cell below ``v``
 (progress 0, offsets at the far end). So :func:`greedy_walk` asks every
 question about offsets, never about distances:
 
-* once per query, ``hi`` = the last row keyed at or below the target
-  (``searchsorted(keys, t, "right") - 1``; ``-1`` when there is none);
+* once per query, its *bound* ``hi`` = the last row keyed at or below
+  the target (``searchsorted(keys, t, "right") - 1``; ``-1`` when there
+  is none — :meth:`WalkTable.bounds`). The caller hands it in: a key
+  the caller has already searched for (the serve path's catalog items
+  carry theirs per snapshot) is not searched again;
 * per hop, ``lim = (hi - v) mod m``. For every row outside ``v``'s
   cell, offset ``<= lim`` ⇔ progress ``<=`` the target's, and offset
   ``<= succ_lim`` ⇔ progress ``<=`` the successor's, where ``succ_lim``
@@ -39,11 +42,15 @@ can beat the successor, plus, in a shared cell, any row of ``v``'s own
 cell below ``v``, which no ``lim`` reaches — ascending, behind the
 successor's own offset: row ``v`` of ``offsets`` reads
 ``[(s - v) mod m, c_1 <= c_2 <= ..., m, ...]``. A hop is one row gather,
-one compare and one ``argmin``: ``c`` counts the candidates not passing
-the key (every row ends in an ``m``, which is ``<=`` no ``lim``, so the
-``argmin`` always finds a ``False``), and the next row is
-``(v + offsets[v, c]) mod m`` — the successor when ``c`` is 0, else the
-last candidate that qualifies. The delivery check needs no code of its
+one compare of the whole row against ``lim`` and one ``argmin``. Every
+kept candidate lies past the successor, so the entries ``<= lim`` are a
+prefix of the row: empty when ``lim`` is short of the successor — then
+no candidate qualifies either — else the successor and the ``c``
+candidates not passing the key (every row ends in an ``m``, which is
+``<=`` no ``lim``, so the ``argmin`` always finds a ``False``). With
+``c = max(prefix - 1, 0)`` the next row is ``(v + offsets[v, c]) mod m``
+— the successor when ``c`` is 0, else the last candidate that
+qualifies. The delivery check needs no code of its
 own: a key in ``(v, s]`` has ``lim <= succ_lim``, below every kept
 candidate, and so does a key on ``v``'s own cell (``lim`` ends there),
 which the scalar rule also sends to ``s``. A row without a successor
@@ -63,11 +70,14 @@ a shared cell that router decides at full float resolution and takes
 the first-listed of exact ties, so it may pick another row of the cell;
 only adversarial fixtures build such cells.
 
-Both functions take the same arguments:
+Both functions take the same arguments but one:
 
 * ``table`` — the :class:`WalkTable` of the snapshot walked on;
 * ``source_rows`` / ``owner_rows`` — start and destination row per query;
-* ``targets`` — ``uint64`` target key per query;
+* :func:`greedy_walk`: ``bounds`` — the bound row per query
+  (:meth:`WalkTable.bounds` of the targets); :func:`greedy_walk_reference`:
+  ``targets`` — the ``uint64`` target key per query, from which it
+  derives everything itself;
 * ``budget`` — maximum hops per query;
 
 and return ``(hops, code, stopped)`` per query: the ``int64`` hops
@@ -161,12 +171,17 @@ class WalkTable:
         offsets[:, -1] = m
         return cls(keys=keys, succ_row=succ_row, offsets=offsets)
 
+    def bounds(self, targets: np.ndarray) -> np.ndarray:
+        """The walk bound per ``uint64`` target key: the last row keyed
+        at or below it (``-1`` when there is none), as ``int32``."""
+        return (search_sorted(self.keys, targets, side="right") - 1).astype(np.int32)
+
 
 def greedy_walk(
     table: WalkTable,
     source_rows: np.ndarray,
     owner_rows: np.ndarray,
-    targets: np.ndarray,
+    bounds: np.ndarray,
     budget: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lock-step numpy walk: every still-active query advances one hop
@@ -174,7 +189,7 @@ def greedy_walk(
     offsets = table.offsets
     m, width = offsets.shape
     flat = offsets.reshape(-1)
-    hi = (search_sorted(table.keys, targets, side="right") - 1).astype(np.int32)
+    hi = np.asarray(bounds, dtype=np.int32)
     owners = owner_rows.astype(np.int32)
     current = source_rows.astype(np.int32)
     hops = np.zeros(current.size, dtype=np.int64)
@@ -187,10 +202,12 @@ def greedy_walk(
             break
         cur = current[rows]
         lim = _wrap(hi[rows] - cur, m)
-        # Candidates ascend along a row, so those not passing the key
-        # are a prefix; its length is the column of the next hop.
-        count = (offsets.take(cur, axis=0)[:, 1:] <= lim[:, None]).argmin(axis=1)
-        nxt = _wrap(flat[cur * width + count] + cur - m, m)
+        # Offsets ascend along a row, so those not passing the key are a
+        # prefix; its length less one is the column of the next hop. The
+        # whole row is compared: a contiguous compare is the cheaper one.
+        column = (offsets.take(cur, axis=0) <= lim[:, None]).argmin(axis=1)
+        column -= column > 0
+        nxt = _wrap(flat[cur * width + column] + cur - m, m)
         stuck = nxt == cur
         if stuck.any():
             code[rows[stuck]] = np.where(
@@ -212,7 +229,8 @@ def greedy_walk_reference(
     budget: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pure-Python twin of :func:`greedy_walk` — one query at a time,
-    exact integer geometry, identical results. It reads the rows behind
+    exact integer geometry, identical results. It takes the target keys,
+    not their bounds, and reads the rows behind
     ``offsets`` — ``(row + offset) mod m``: the successor, the kept
     candidates, and the row itself for padding — and scans them for the
     most progress, recomputing each progress from ``keys`` and breaking

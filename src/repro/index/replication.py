@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..ring.keyspace import search_sorted
+from ..ring.keyspace import from_units, search_sorted
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..membership import MembershipView
@@ -198,8 +198,13 @@ class ReplicatedStore:
         phantom, exactly like the re-replication pass). Records an
         epoch-0 :class:`ReplicationEpochStats` and bumps
         ``data_version``.
+
+        Raises:
+            KeyspaceError: A key is not a finite float in ``[0, 1)``
+                (checked before anything is placed).
         """
         keys = np.unique(np.asarray(keys, dtype=float))
+        from_units(keys)  # the check: every served key has an exact ring key
         if self.item_keys.size:
             keys = keys[~np.isin(keys, self.item_keys)]
         ids = np.arange(self._next_item_id, self._next_item_id + keys.size, dtype=np.int64)

@@ -61,7 +61,7 @@ import numpy as np
 
 from ..degree import DegreeDistribution, assign_caps
 from ..engine.construct import LinkAcquisitionStats, draw_positions
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError, EmptyPopulationError, SimulationError
 from ..protocol.directory import Directory
 from ..protocol.messages import (
     AcquireReport,
@@ -224,9 +224,16 @@ class NetHarness:
         that lands on a dead-but-undetected peer is silently dropped and
         must not hang the check); timed-out probes count attempted but
         undelivered.
+
+        Raises:
+            SimulationError: The network was never built.
+            EmptyPopulationError: The directory holds no peer to start a
+                probe from (every peer was evicted).
         """
         if self.directory is None:
             raise SimulationError("build() the network before routing on it")
+        if self.directory.m == 0:
+            raise EmptyPopulationError("no live peer in the directory to route from")
         if timeout_s is None and self.config.detector is not None:
             timeout_s = 2.0
         return self._runner.run(self._route_async(n_probes, budget, timeout_s))

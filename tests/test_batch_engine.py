@@ -24,6 +24,7 @@ from repro.engine import BatchQueryEngine, TopologySnapshot
 from repro.engine import ServeSnapshot
 from repro.engine.walk import WalkCode, WalkTable, greedy_walk, greedy_walk_reference
 from repro.errors import RoutingError
+from repro.index import ReplicatedStore
 from repro.membership import OracleView
 from repro.ring import keyspace
 from repro.metrics import measure_search_cost
@@ -295,7 +296,9 @@ class TestWalkTable:
         if kind == "truth":
             snap, width = TopologySnapshot.capture(overlay), cap + 2
         else:
-            snap = ServeSnapshot.capture(overlay, OracleView(overlay.ring), version=0)
+            snap = ServeSnapshot.capture(
+                overlay, OracleView(overlay.ring), 0, ReplicatedStore(overlay.ring)
+            )
             width = cap
         assert snap.table.offsets.shape[1] <= width + 2
         arrays = {
@@ -305,6 +308,14 @@ class TestWalkTable:
             if isinstance(a, np.ndarray)
         }
         assert sum(arrays.values()) / overlay.size <= 4 * (width + 2) + 96
+
+
+def kernel(table, source_rows, owner_rows, targets, budget):
+    """``greedy_walk`` asked as its twin is: handed the targets' bounds."""
+    return greedy_walk(table, source_rows, owner_rows, table.bounds(targets), budget)
+
+
+WALKS = [pytest.param(kernel, id="greedy_walk"), greedy_walk_reference]
 
 
 def _walk_outcome(walk, table, source_rows, owner_rows, targets, budget):
@@ -363,7 +374,7 @@ class TestWalkKernelTwins:
         owner_rows = snap.responsible_rows(targets)
 
         query = (snap.table, source_rows, owner_rows, targets, budget)
-        alone, batch = _alone_and_batch(greedy_walk, *query)
+        alone, batch = _alone_and_batch(kernel, *query)
         assert (alone, batch) == _alone_and_batch(greedy_walk_reference, *query)
         # A failed query stops alone: the batch is the per-query results.
         assert batch == [[value for [value] in column] for column in zip(*alone)]
@@ -401,11 +412,11 @@ class TestWalkKernelTwins:
         stray = rng.random(q) < 0.3
         owner_rows[stray] = rng.integers(0, m, size=int(stray.sum()))
         query = (table, rng.integers(0, m, size=q), owner_rows, targets, budget)
-        alone, batch = _alone_and_batch(greedy_walk, *query)
+        alone, batch = _alone_and_batch(kernel, *query)
         assert (alone, batch) == _alone_and_batch(greedy_walk_reference, *query)
         assert batch == [[value for [value] in column] for column in zip(*alone)]
 
-    @pytest.mark.parametrize("walk", [greedy_walk, greedy_walk_reference])
+    @pytest.mark.parametrize("walk", WALKS)
     def test_ties_in_a_shared_cell_go_to_the_higher_row(self, walk):
         """Rows 2 and 3 share a key cell; row 0 links to both, listing
         the lower first. The hop goes to row 3, one ring hop short of
@@ -421,7 +432,7 @@ class TestWalkKernelTwins:
             [4],
         ]
 
-    @pytest.mark.parametrize("walk", [greedy_walk, greedy_walk_reference])
+    @pytest.mark.parametrize("walk", WALKS)
     def test_each_failure_condition_is_a_code(self, walk):
         keys = [0.1, 0.4, 0.7]
         source, owner = np.asarray([0]), np.asarray([2])
@@ -447,7 +458,7 @@ class TestWalkKernelTwins:
             [0],
         ]
 
-    @pytest.mark.parametrize("walk", [greedy_walk, greedy_walk_reference])
+    @pytest.mark.parametrize("walk", WALKS)
     def test_failed_queries_stop_alone(self, walk):
         """One stuck, one over-budget and one pointer-less query beside
         good ones: good rows carry the hops they get alone, bad rows

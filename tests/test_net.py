@@ -30,7 +30,7 @@ from repro.degree import ConstantDegrees, SpikyDegreeDistribution
 from repro.engine.construct import BatchConstructionEngine, LiveView
 from repro.membership import DetectorConfig
 from repro.engine import BatchQueryEngine
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, EmptyPopulationError, SimulationError
 from repro.net import NetConfig, NetHarness, codec
 from repro.net.codec import MAX_FRAME, FrameError
 from repro.rng import split
@@ -279,6 +279,7 @@ class TestDetectorPipeline:
             harness.kill([3, 17])
             assert harness.await_evictions([3, 17], timeout_s=30.0) == [3, 17]
             assert harness.membership_agreement() == 0
+            assert harness.directory.m > 0  # a slow host can let the authority evict everyone
             success, __ = harness.route_check(60)
             assert success >= 0.99
             summary = harness.summary()
@@ -296,6 +297,7 @@ class TestDetectorPipeline:
             harness.start_detector()
             harness.await_evictions([4, 11], timeout_s=30.0)
             assert harness.membership_agreement() == 0
+            assert harness.directory.m > 0
             success, __ = harness.route_check(40)
             assert success >= 0.99
 
@@ -336,6 +338,18 @@ class TestDetectorPipeline:
             success, __ = harness.route_check(20)
             assert success == 1.0
             assert harness.summary().n == 30
+
+    def test_route_check_with_every_peer_evicted_answers_no_live_peer(self):
+        # The check must refuse before it draws a start row from an
+        # empty directory (it used to draw ``integers(0, 0)``).
+        with NetHarness(NetConfig(seed=5)) as harness:
+            harness.build(6, UniformKeys(), ConstantDegrees(2))
+            for node_id in [int(i) for i in harness.directory.ids]:
+                harness._evict(node_id)
+            assert harness.directory.m == 0
+            with pytest.raises(EmptyPopulationError):
+                harness.route_check(5)
+            assert harness.summary().routes_attempted == 0
 
     def test_route_check_bounded_before_detector_starts(self):
         # Mid-join victims are still in every directory and nobody

@@ -37,6 +37,7 @@ from repro.churn.sessions import make_sessions
 from repro.config import RoutingConfig
 from repro.degree import ConstantDegrees
 from repro.engine import Outcome, ResultCache, ServeEngine, SteadyStateChurnEngine
+from repro.engine.serve import _owners_at_bounds, pack_flags
 from repro.engine.walk import WalkTable
 from repro.errors import ConfigError, ExperimentError
 from repro.experiments.growth import make_overlay
@@ -581,6 +582,168 @@ class TestDifferential:
                 assert r.success.tolist() == [True, False, False, True]
             runs.append([(r.owners.tolist(), r.stale.tolist()) for r in passes])
         assert runs[0] == runs[1] == runs[2]
+
+
+class TestCatalogColumns:
+    """A capture answers every catalog item once: its owner row, walk
+    bound and packed verdict equal ``owner_rows``, a ``side="right"``
+    search and the reference ``_verify`` asked per request."""
+
+    @staticmethod
+    def assert_columns_are_per_request_answers(serve):
+        snap, store = serve.serve_snapshot(), serve.store
+        targets = keyspace.from_units(store.item_keys)
+        owner = snap.owner_rows(targets)
+        reference = ServeEngine(serve.substrate, store, serve.membership, vectorized=False)
+        verdict = pack_flags(*reference._verify(store.item_keys, snap.ids[owner]))
+        bound = np.searchsorted(snap.keys, targets, side="right") - 1
+        assert snap.item_owner.size == snap.item_bound.size == store.item_count + 1
+        assert snap.item_owner[:-1].tolist() == owner.tolist()
+        assert snap.item_bound[:-1].tolist() == bound.tolist()
+        assert snap.item_flags[:-1].tolist() == verdict.tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(8, 60),
+        n_items=st.integers(0, 40),
+        on_ring=st.integers(0, 6),
+        joins=st.integers(0, 6),
+        crashes=st.integers(0, 4),
+    )
+    def test_columns_equal_per_request_answers(self, seed, n, n_items, on_ring, joins, crashes):
+        """Empty catalogs, items on a peer's own key (one ``2**-64``
+        cell: that peer owns it, the bound is its row), owners that
+        joined after placement (they hold nothing yet) and owners
+        crashed but not yet evicted under a ``ProbeView`` (stale)."""
+        overlay, view, store, serve = build_plane(
+            n=n, seed=seed, n_items=n_items, membership="probe"
+        )
+        rng = split(seed, "catalog-columns")
+        positions = overlay.ring.positions_array(live_only=True)
+        store.seed_items(rng.choice(positions, size=min(on_ring, positions.size)), view)
+        overlay.grow_batch(n + joins, GnutellaLikeDistribution(), ConstantDegrees(6))
+        if store.item_count and crashes:
+            keys = rng.choice(store.item_keys, size=crashes)
+            owners = sorted({overlay.ring.successor_of_key(float(k)) for k in keys})
+            view.crash(owners)
+            view.record_deaths(owners, epoch=1)
+            assert np.isin(owners, view.live_ids()).all()  # believed alive: the lag window
+        self.assert_columns_are_per_request_answers(serve)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_items=st.integers(0, 30),
+        outside=st.integers(0, 12),
+        crashes=st.integers(0, 3),
+    )
+    def test_mixed_batches_vectorized_equals_reference(self, seed, n_items, outside, crashes):
+        """Catalog and non-catalog keys (random, and on peers' own keys)
+        in one batch, some owners stale: the catalog path and the
+        masked per-request path together equal the reference twin."""
+        planes = [
+            build_plane(n=40, seed=seed, n_items=n_items, membership="probe", vectorized=v)
+            for v in (True, False)
+        ]
+        rng = split(seed, "mixed-batch")
+        overlay, view, store, __ = planes[0]
+        positions = overlay.ring.positions_array(live_only=True)
+        others = np.concatenate([rng.random(outside), rng.choice(positions, size=outside)])
+        catalog = rng.choice(store.item_keys, size=24) if store.item_count else np.empty(0)
+        keys = np.concatenate([catalog, others])
+        victims = sorted(int(v) for v in rng.choice(view.live_ids(), size=crashes, replace=False))
+        sources = rng.choice(view.live_ids(), size=keys.size)
+        runs = []
+        for __, plane_view, __, serve in planes:
+            plane_view.crash(victims)
+            runs.append([serve.serve_batch(sources, keys) for __ in range(2)])
+        for vec, ref in zip(*runs):
+            for name in (field.name for field in dataclasses.fields(vec)):
+                assert np.array_equal(getattr(vec, name), getattr(ref, name)), name
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_owner_from_the_bound_search_in_shared_cells(self, seed):
+        """Raw sorted keys, several rows to a cell, targets on and off
+        the rows' keys: the owner derived from the walk bound (one
+        ``side="right"`` search) is the ``side="left"`` search mod ``m``."""
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 14))
+        keys = np.sort(rng.integers(0, 6, size=m, dtype=np.uint64) << np.uint64(60))
+        targets = np.concatenate(
+            [
+                keys[rng.integers(0, m, size=6)],
+                rng.integers(0, 6, size=4, dtype=np.uint64) << np.uint64(60),
+                rng.integers(0, 2**64, size=6, dtype=np.uint64, endpoint=False),
+            ]
+        )
+        table = WalkTable.build(keys, (np.arange(m) + 1) % m, np.empty((m, 0), dtype=np.int64))
+        bounds = table.bounds(targets)
+        assert bounds.tolist() == (np.searchsorted(keys, targets, side="right") - 1).tolist()
+        owners = _owners_at_bounds(keys, targets, bounds)
+        assert owners.tolist() == (np.searchsorted(keys, targets) % m).tolist()
+
+
+class TestHostileKeys:
+    """Keys the keyspace cannot hold raise at the ``serve_batch``
+    boundary before any counter, cache row or snapshot changes."""
+
+    @staticmethod
+    def state_of(serve):
+        cache = serve.result_cache
+        return (
+            (cache.hits, cache.misses, cache.evictions, cache.invalidations, cache._clock),
+            [column.tolist() for column in cache._table],
+            serve.stale_serves,
+            serve._serve_cache,
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0, -0.25, 2.0])
+    def test_bad_key_raises_before_anything_changes(self, bad):
+        overlay, view, store, serve = build_plane()
+        sources, targets = request_batch(view, overlay, store, seed=4)
+        serve.serve_batch(sources, targets)  # a snapshot and cached rows to keep
+        store.seed_items([0.123], view)  # a new version: the next serve would re-capture
+        before = self.state_of(serve)
+        targets = targets.copy()
+        targets[5] = bad
+        with pytest.raises(keyspace.KeyspaceError):
+            serve.serve_batch(sources, targets)
+        with pytest.raises(keyspace.KeyspaceError):
+            serve.serve_range(sources, targets, targets)
+        after = self.state_of(serve)
+        assert after[:3] == before[:3]
+        assert after[3] is before[3]
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.0, -0.25])
+    def test_catalog_refuses_keys_the_keyspace_cannot_hold(self, bad):
+        overlay, view, store, serve = build_plane()
+        before = (store.item_keys.tolist(), store.data_version, len(store.history))
+        with pytest.raises(keyspace.KeyspaceError):
+            store.seed_items([0.5, bad], view)
+        assert (store.item_keys.tolist(), store.data_version, len(store.history)) == before
+
+    def test_misaligned_raises_value_error_first(self):
+        overlay, view, store, serve = build_plane()
+        with pytest.raises(ValueError, match="aligned"):
+            serve.serve_batch(view.live_ids()[:3], np.asarray([np.nan, 0.5]))
+        assert serve._serve_cache is None and serve.result_cache.misses == 0
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_negative_zero_is_served_as_zero(self, vectorized):
+        results = []
+        for zero in (0.0, -0.0):
+            overlay, view, store, serve = build_plane(vectorized=vectorized)
+            store.seed_items([0.0], view)
+            sources = view.live_ids()[:3]
+            targets = np.asarray([zero, 0.5, zero])
+            results.append([serve.serve_batch(sources, targets) for __ in range(2)])
+        for plus, minus in zip(*results):
+            assert np.array_equal(plus.target_keys, minus.target_keys)  # -0.0 == 0.0
+            for name in ("owners", "outcome", "hit", "found", "success", "stale", "hops"):
+                assert np.array_equal(getattr(plus, name), getattr(minus, name)), name
+        assert results[1][0].found[0] and results[1][1].hit[0]
 
 
 class TestStaleServes:

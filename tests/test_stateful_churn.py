@@ -18,6 +18,9 @@ and checks after every step:
   live ring, and (except on Chord, which keeps no ``in_deg``) after an
   epoch's repair every live ``in_deg`` is the count of live in-links;
 * the twin's state, epoch statistics and serve outcomes are equal;
+* cache-on ≡ cache-off: after every serve batch, a cache-less engine on
+  the same system serves the same owners and verdicts on every row
+  both served, and the same outcome on every row the cache missed;
 * conservation: an epoch's ``live`` is the live count it started from
   (after any wave) plus its arrivals minus its departures, and equals
   the ring's; the catalog holds the seeded items minus those lost;
@@ -73,6 +76,8 @@ class ChurnProgram:
         self.waves = 0
         self.repairs = 0
         self.twins = [self._build(vectorized) for vectorized in (True, False)]
+        serve = self.twins[0]["serve"]
+        self.uncached = ServeEngine(serve.substrate, serve.store, serve.membership, cache_size=0)
         self.seeded = self.twins[0]["store"].item_count
         self.check()
 
@@ -162,6 +167,7 @@ class ChurnProgram:
             assert np.array_equal(getattr(results[0], name), getattr(results[1], name)), name
         if unknown:
             assert (results[0].outcome[-unknown * repeat :] == Outcome.BAD_SOURCE).all()
+        self.check_cache_transparent(results[0], self.uncached.serve_batch(sources, keys))
 
     # -- invariants ----------------------------------------------------
 
@@ -215,6 +221,17 @@ class ChurnProgram:
                 recount[target] += 1
             held = {int(i): int(state.in_deg[state.slot_of(int(i))]) for i in live_ids}
             assert held == recount
+
+    @staticmethod
+    def check_cache_transparent(cached, uncached) -> None:
+        """A cache hit answers what the routed request answers (a hit
+        never consults its source, so only rows both served compare)."""
+        both = (cached.outcome == Outcome.SERVED) & (uncached.outcome == Outcome.SERVED)
+        for name in ("owners", "found", "success", "stale"):
+            a, b = getattr(cached, name), getattr(uncached, name)
+            assert np.array_equal(a[both], b[both]), f"cache-on {name} differ from cache-off"
+        missed = ~cached.hit
+        assert np.array_equal(cached.outcome[missed], uncached.outcome[missed])
 
     def check_twins(self) -> None:
         states = [twin["overlay"].state for twin in self.twins]
