@@ -12,9 +12,12 @@ three churn specs from the same runs, recorded before their three epoch
 loops were folded into one. ``fig1b``, ``ext-mercury`` and
 ``abl-partitions`` (scalars and series) were recorded the same way
 before Mercury's builder and the partition ablation moved from per-peer
-objects onto the substrate columns. The ``bench_ci`` table is checked against
-the same runs: its rows must name registered specs, declared parameters
-and scalars the specs really emit.
+objects onto the substrate columns. ``fig1c``, ``fig2a``, ``fig2b`` and
+``ext-keydist`` (scalars and series), which measure through
+``BatchQueryEngine.measure``, were recorded the same way before the
+fault-free scalar router moved onto the walk kernel. The ``bench_ci``
+table is checked against the same runs: its rows must name registered
+specs, declared parameters and scalars the specs really emit.
 """
 
 from __future__ import annotations
