@@ -197,9 +197,10 @@ ROWS: dict[str, Row] = {
     # The committed benchmark's regime (bench/ `detect-churn`: 10k peers,
     # half-life 64). Six interleaved runs a side on the dev container
     # (2 vCPUs): 1.56-1.64 s with the bit-packed, block-wise gossip plane,
-    # 2.14-2.42 s with the re-indexed bool matrix before it; backend=scalar
-    # (a Python set per report) takes 9.7 s. The ceiling sits between the
-    # first two bands, so either fallback fails. An absolute time, like
+    # 2.14-2.42 s with the re-indexed bool matrix before it; the scalar
+    # detector bank (ProbeView(backend="scalar"), a Python set per report,
+    # kept as the reference twin) took 9.7 s. The ceiling sits between the
+    # first two bands, so the older matrix fails it. An absolute time, like
     # churn-50k: on a much slower runner re-derive it, don't loosen it.
     "detector-10k": Row(
         "detector-churn",

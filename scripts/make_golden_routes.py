@@ -76,7 +76,7 @@ def capture(kind: str) -> dict:
         source = int(sources[int(range_rng.integers(0, sources.size))])
         lo = float(range_rng.random())
         hi = float(range_rng.random())
-        result = route_range(overlay.ring, overlay.pointers, overlay, source, lo, hi)
+        result = route_range(overlay, source, lo, hi)
         ranges.append(
             {
                 "source": source,

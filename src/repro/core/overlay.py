@@ -2,8 +2,9 @@
 
 :class:`OscarOverlay` is the shared
 :class:`~repro.core.substrate.Substrate` facade (membership ring,
-maintained ring pointers, per-peer state, routing — the
-:class:`~repro.routing.NeighborProvider` both routers work against) plus
+maintained ring pointers, per-peer state, routing on the walk kernel,
+the :class:`~repro.routing.NeighborProvider` the fault-aware router
+reads) plus
 Oscar's link policy: partition estimation and capacity-respecting link
 acquisition and rewiring, all run by the one builder,
 :class:`~repro.engine.construct.BatchConstructionEngine`.

@@ -9,7 +9,8 @@ loop and the workloads silently diverge.
 :class:`Substrate` is that surface, written once: the struct-of-arrays
 :class:`~repro.core.soa.SubstrateState`, the ring over it, the ring
 pointers, id allocation, departures, ring repair, the topology version,
-neighbor access, routing and the degree / cap columns.
+neighbor access, routing (one query on the walk kernel every batch
+engine runs — :mod:`repro.engine.walk`) and the degree / cap columns.
 :class:`~repro.core.overlay.OscarOverlay`,
 :class:`~repro.mercury.overlay.MercuryOverlay` and
 :class:`~repro.chord.overlay.ChordOverlay` subclass it and supply only
@@ -20,7 +21,7 @@ accepts any of them.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Sequence
 
 import numpy as np
 
@@ -29,10 +30,13 @@ from ..degree import DegreeDistribution, assign_caps
 from ..errors import DuplicateNodeError, EmptyPopulationError, UnknownNodeError
 from ..ring import Ring, RingPointers, attach_node, repair_all
 from ..rng import split
-from ..routing import RouteResult, route_faulty, route_greedy
+from ..routing import RouteResult, route_faulty
 from ..types import Key, NodeId
 from ..workloads import KeyDistribution
 from .soa import SubstrateState
+
+if TYPE_CHECKING:  # pragma: no cover - the engines import this module
+    from ..engine.batch import BatchQueryEngine
 
 __all__ = ["Substrate"]
 
@@ -63,6 +67,7 @@ class Substrate:
         self.pointers = RingPointers(self.state)
         self._next_id = 0
         self._links_epoch = 0
+        self._queries: BatchQueryEngine | None = None  # what ``route`` resolves on
         self._join_rng = split(seed, f"{self._stream}join")
         self._rewire_rng = split(seed, f"{self._stream}rewire")
 
@@ -251,11 +256,21 @@ class Substrate:
     def route(
         self, source: NodeId, target_key: Key, faulty: bool = False, record_path: bool = False
     ) -> RouteResult:
-        """Route one lookup (the scalar reference path); ``faulty=True``
-        uses the probing/backtracking router required when the overlay
-        contains crashed peers."""
-        router = route_faulty if faulty else route_greedy
-        return router(self.ring, self.pointers, self, source, target_key, self.routing, record_path)
+        """Route one lookup. Fault-free, it is :meth:`BatchQueryEngine.route
+        <repro.engine.batch.BatchQueryEngine.route>` on an engine this
+        substrate keeps (the truth snapshot is captured once per
+        :attr:`topology_version`); ``faulty=True`` uses the
+        probing/backtracking router required when the overlay contains
+        crashed peers."""
+        if faulty:
+            return route_faulty(
+                self.ring, self.pointers, self, source, target_key, self.routing, record_path
+            )
+        if self._queries is None:
+            from ..engine.batch import BatchQueryEngine  # the engines import this module
+
+            self._queries = BatchQueryEngine(self)
+        return self._queries.route(source, target_key, record_path)
 
     # -- statistics ----------------------------------------------------
 

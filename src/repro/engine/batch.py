@@ -1,23 +1,23 @@
 """Batched query evaluation over numpy arrays — the measurement hot path.
 
 Every figure of the paper boils down to "route N random queries, average
-the cost". The scalar path (:meth:`Substrate.route
-<repro.core.substrate.Substrate.route>`) walks one query at a time
-through Python-level neighbor scans; at paper scale that is tens of
-millions of interpreter iterations per sweep. This module evaluates a
-whole query batch in lock-step instead: target-key sampling, responsible
--peer resolution, per-hop next-hop selection and hop/success tallies are
-all vectorized, with a cached topology snapshot (successor pointers +
-a rank-space candidate table) that is rebuilt only when the substrate's
-``topology_version`` changes — i.e. on join/leave/churn/rewire.
+the cost". This module evaluates a whole query batch in lock-step:
+target-key sampling, responsible-peer resolution, per-hop next-hop
+selection and hop/success tallies are all vectorized, with a cached
+topology snapshot (successor pointers + a rank-space candidate table)
+that is rebuilt only when the substrate's ``topology_version`` changes —
+i.e. on join/leave/churn/rewire.
 
 The walk itself is the shared kernel :func:`repro.engine.walk.greedy_walk`
 (the serving path runs the same function over believed-live arrays);
-this module owns the *ground-truth* array view it runs on. Batched hop
-counts and :class:`~repro.routing.RouteStats` are bit-identical to
-routing the same queries one at a time (see :mod:`repro.engine.walk`
-for why) — a property the test suite asserts for all three substrates
-and the golden fixture pins across refactors.
+this module owns the *ground-truth* array view it runs on. It is the
+simulator's one fault-free routing rule: :meth:`Substrate.route
+<repro.core.substrate.Substrate.route>` is :meth:`BatchQueryEngine.route`
+on the same snapshot, and ``vectorized=False`` measures through the
+kernel's twin, :func:`~repro.engine.walk.greedy_walk_reference`. The
+tests hold both to the live runtime's per-hop
+:class:`~repro.protocol.routing.GreedyRouter`; the golden fixture pins
+them across refactors.
 
 Typical use::
 
@@ -50,12 +50,13 @@ import numpy as np
 
 from ..config import RoutingConfig
 from ..core.soa import row_table, rows_of
-from ..errors import RoutingError
+from ..errors import RoutingError, UnknownNodeError
 from ..ring import keyspace
-from ..routing import RouteStats, summarize_routes
+from ..routing import RouteResult, RouteStats, summarize_routes
 from ..routing.result import _percentile  # shared so folds stay bit-identical
+from ..types import Key, NodeId
 from ..workloads import QueryWorkload
-from .walk import WalkCode, WalkTable, greedy_walk
+from .walk import WalkCode, WalkTable, greedy_walk, greedy_walk_reference
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports routing)
     from ..core.substrate import Substrate
@@ -68,20 +69,18 @@ class TopologySnapshot:
     """Array view of one substrate topology at a fixed version.
 
     Node identity is translated once into dense row indices over *all*
-    peers ever joined (live and dead — greedy routing follows links
-    without liveness checks, exactly like the scalar router), so the
+    peers ever joined (live and dead — the fault-free walk follows
+    links without liveness checks), so the
     per-hop inner loop is pure array gathering.
 
     Attributes:
         version: The substrate's ``topology_version`` this snapshot was
             built at; the engine compares it to decide staleness.
-        all_pos: Position per row, every peer, sorted by position.
-        all_keys: Exact ``uint64`` keyspace twin of ``all_pos`` — what
-            the per-hop integer geometry computes on.
-        all_ids: Node id per row, aligned with ``all_pos``.
+        all_ids: Node id per row, every peer, in ring (key) order; the
+            rows' exact ``uint64`` keys are ``table.keys``.
         live_keys: ``uint64`` keys of live peers only (sorted) — the
             responsible-peer (``successor_of_key``) lookup table.
-        live_rows: Row index (into ``all_pos``) of each live peer,
+        live_rows: Row index (into ``all_ids``) of each live peer,
             aligned with ``live_keys``.
         row_of: ``node id -> row`` translation array (-1 for unknown).
         table: The :class:`~repro.engine.walk.WalkTable` the kernel
@@ -95,8 +94,6 @@ class TopologySnapshot:
     """
 
     version: object
-    all_pos: np.ndarray
-    all_keys: np.ndarray
     all_ids: np.ndarray
     live_keys: np.ndarray
     live_rows: np.ndarray
@@ -118,17 +115,14 @@ class TopologySnapshot:
         succ_row = rows_of(row_of, substrate.state.succ[slots])
         pred_row = rows_of(row_of, substrate.state.pred[slots])
         links = substrate.state.link_rows(slots, row_of)
-        all_keys = ring.keys_array(live_only=False)
         return cls(
             version=substrate.topology_version,
-            all_pos=ring.positions_array(live_only=False),
-            all_keys=all_keys,
             all_ids=all_ids,
             live_keys=ring.keys_array(live_only=True),
             live_rows=row_of[ring.ids_array(live_only=True)],
             row_of=row_of,
             table=WalkTable.build(
-                all_keys,
+                ring.keys_array(live_only=False),
                 succ_row,
                 np.concatenate([pred_row[:, None], links], axis=1, dtype=np.int32),
             ),
@@ -156,9 +150,9 @@ class BatchRouteResult:
         hops: Forward hops per query (the fault-free search cost; for a
             failed walk, the hops taken before it stopped).
         code: The kernel's :class:`~repro.engine.walk.WalkCode` per
-            query — ``OK``, or the condition that makes the scalar
-            fault-free router raise (``BUDGET``, ``NO_SUCCESSOR``,
-            ``STUCK``). A failed query stops alone; the rest of the
+            query — ``OK``, or the condition that makes
+            :meth:`BatchQueryEngine.route` raise (``BUDGET``,
+            ``NO_SUCCESSOR``, ``STUCK``). A failed query stops alone; the rest of the
             batch is routed as if it were not there.
     """
 
@@ -175,9 +169,9 @@ class BatchRouteResult:
 
     def stats(self) -> RouteStats:
         """Fold into :class:`~repro.routing.RouteStats`, bit-identical to
-        :func:`~repro.routing.summarize_routes` over the equivalent
-        scalar :class:`~repro.routing.RouteResult` batch (a batch the
-        scalar router routes without raising)."""
+        :func:`~repro.routing.summarize_routes` over the same queries
+        routed one at a time by :meth:`BatchQueryEngine.route` (a batch
+        it routes without raising)."""
         n = int(self.hops.size)
         if n == 0:
             return RouteStats(0, 0, 0.0, 0.0, 0.0, 0, 0.0)
@@ -207,11 +201,13 @@ class BatchQueryEngine:
     Args:
         substrate: Any :class:`~repro.core.substrate.Substrate`.
         routing: Router cost model; defaults to the substrate's own
-            ``routing`` config so engine-measured budgets match scalar
-            routing.
-        vectorized: ``True`` measures through :meth:`route_batch`;
-            ``False`` through the scalar ``substrate.route`` reference
-            (same RNG draws, same statistics).
+            ``routing`` config (read at every walk), so engine-measured
+            budgets match :meth:`Substrate.route
+            <repro.core.substrate.Substrate.route>`.
+        vectorized: ``True`` measures fault-free batches through
+            :func:`~repro.engine.walk.greedy_walk`; ``False`` through
+            its twin :func:`~repro.engine.walk.greedy_walk_reference` on
+            the same snapshot (same RNG draws, same statistics).
     """
 
     def __init__(
@@ -221,9 +217,14 @@ class BatchQueryEngine:
         vectorized: bool = True,
     ) -> None:
         self.substrate = substrate
-        self.routing = routing or substrate.routing
+        self._routing = routing
         self.vectorized = bool(vectorized)
         self._route_cache: TopologySnapshot | None = None
+
+    @property
+    def routing(self) -> RoutingConfig:
+        """The cost model walks are budgeted by."""
+        return self._routing or self.substrate.routing
 
     # ------------------------------------------------------------------
     # snapshot cache
@@ -249,24 +250,28 @@ class BatchQueryEngine:
         return self._route_cache
 
     # ------------------------------------------------------------------
-    # batched routing
+    # routing
     # ------------------------------------------------------------------
 
     def route_batch(self, sources: np.ndarray, target_keys: np.ndarray) -> BatchRouteResult:
         """Route every ``(source, key)`` pair through the fault-free
         greedy walk — :func:`~repro.engine.walk.greedy_walk` over the
         current :class:`TopologySnapshot`, all queries advancing one hop
-        per iteration. The kernel evaluates exactly the scalar router's
-        rules as array ops, so hop counts match one-at-a-time routing.
-        A query that exceeds the message budget, reaches a peer with no
-        ring successor pointer or finds no progressing neighbor — the
-        conditions that abort the scalar fault-free router — is a row
+        per iteration. A query that exceeds the message budget, reaches
+        a peer with no ring successor pointer or finds no progressing
+        neighbor — the conditions :meth:`route` raises for — is a row
         code in the result, not an exception.
 
         Raises:
             RoutingError: A source is unknown to the topology (checked
                 before anything is routed).
         """
+        return self._walk(sources, target_keys, reference=False)
+
+    def _walk(
+        self, sources: np.ndarray, target_keys: np.ndarray, reference: bool
+    ) -> BatchRouteResult:
+        """:meth:`route_batch` on the kernel, or on its twin."""
         snap = self.snapshot()
         sources = np.asarray(sources, dtype=np.int64)
         target_keys = np.asarray(target_keys, dtype=float)
@@ -280,15 +285,61 @@ class BatchQueryEngine:
         source_rows = rows_of(snap.row_of, sources)
         if np.any(source_rows < 0):
             raise RoutingError("batch contains sources unknown to the topology")
-        hops, code, __ = greedy_walk(
-            snap.table, source_rows, responsible, snap.table.bounds(targets), self.routing.budget
-        )
+        if reference:
+            walk, asked = greedy_walk_reference, targets
+        else:
+            walk, asked = greedy_walk, snap.table.bounds(targets)
+        hops, code, __ = walk(snap.table, source_rows, responsible, asked, self.routing.budget)
         return BatchRouteResult(
             sources=sources,
             target_keys=target_keys,
             responsible=snap.all_ids[responsible],
             hops=hops,
             code=code,
+        )
+
+    def route(self, source: NodeId, target_key: Key, record_path: bool = False) -> RouteResult:
+        """Route one query through :func:`~repro.engine.walk.greedy_walk`
+        — the fault-free path of :meth:`Substrate.route
+        <repro.core.substrate.Substrate.route>`, hop for hop
+        :meth:`route_batch`'s row. ``record_path`` steps the kernel one
+        hop per call and keeps every peer it stands on.
+
+        Raises:
+            KeyspaceError: ``target_key`` is not a key in ``[0, 1)``.
+            UnknownNodeError: ``source`` is unknown to the topology.
+            RoutingError: The walk stopped short of the owner (its
+                ``WalkCode``) — a broken topology, not bad luck.
+        """
+        snap = self.snapshot()
+        target = keyspace.from_units([target_key])
+        owner = snap.responsible_rows(target)
+        row = rows_of(snap.row_of, np.asarray([source], dtype=np.int64))
+        if row[0] < 0:
+            raise UnknownNodeError(source)
+        bound = snap.table.bounds(target)
+        budget = self.routing.budget
+        step = 1 if record_path else budget
+        hops, path = 0, [source]
+        while True:
+            taken, code, row = greedy_walk(snap.table, row, owner, bound, step)
+            hops += int(taken[0])
+            if record_path and taken[0]:
+                path.append(int(snap.all_ids[row[0]]))
+            if code[0] != WalkCode.BUDGET or hops >= budget:
+                break
+        at = int(snap.all_ids[row[0]])
+        if code[0] != WalkCode.OK:
+            message = _WALK_ERRORS[WalkCode(code[0])]
+            raise RoutingError(message.format(source=source, key=target_key, at=at, budget=budget))
+        return RouteResult(
+            source=source,
+            target_key=target_key,
+            responsible=int(snap.all_ids[owner[0]]),
+            delivered_to=at,
+            success=True,
+            hops=hops,
+            path=tuple(path) if record_path else (),
         )
 
     # ------------------------------------------------------------------
@@ -324,17 +375,26 @@ class BatchQueryEngine:
         per call (sources + targets through
         :meth:`QueryWorkload.generate_arrays
         <repro.workloads.queries.QueryWorkload.generate_arrays>`),
-        whether the batch is then routed vectorized or scalar — the
+        whether the batch is then routed on the kernel or its twin — the
         same ``(ring, rng state, count)`` always yields the same
         queries and the same statistics on either path.
         """
         count = self.substrate.ring.live_count if n_queries is None else n_queries
         wl = workload if workload is not None else QueryWorkload()
         sources, targets = wl.generate_arrays(self.substrate.ring, rng, count)
-        if self.vectorized and not faulty:
+        if faulty:
+            return summarize_routes(
+                self.substrate.route(int(source), float(target), faulty=True)
+                for source, target in zip(sources, targets)
+            )
+        if self.vectorized:
             return self.route_batch(sources, targets).stats()
-        results = [
-            self.substrate.route(int(source), float(target), faulty=faulty)
-            for source, target in zip(sources, targets)
-        ]
-        return summarize_routes(results)
+        return self._walk(sources, targets, reference=True).stats()
+
+
+#: :meth:`BatchQueryEngine.route`'s message per failed walk.
+_WALK_ERRORS = {
+    WalkCode.BUDGET: "fault-free route from {source} to key {key!r} exceeded budget {budget}",
+    WalkCode.NO_SUCCESSOR: "node {at} has no ring successor pointer",
+    WalkCode.STUCK: "node {at} has no progressing neighbor toward {key!r}",
+}

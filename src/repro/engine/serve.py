@@ -73,7 +73,7 @@ import numpy as np
 from ..core.soa import row_table, rows_of
 from ..errors import ConfigError
 from ..ring import keyspace
-from .walk import WalkCode, WalkTable, greedy_walk, greedy_walk_reference
+from .walk import WalkCode, WalkTable, greedy_walk, greedy_walk_reference, walk_bounds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.substrate import Substrate
@@ -289,21 +289,6 @@ class ResultCache:
         return self.hits / total if total else 0.0
 
 
-def _owners_at_bounds(keys: np.ndarray, targets: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Owner row per exact ``uint64`` target key over the sorted
-    ``keys``, from its walk bound (the last row keyed at or below it,
-    :meth:`WalkTable.bounds <repro.engine.walk.WalkTable.bounds>`): the
-    first row keyed at or above the target is the row after the bound —
-    unless the target lies in the bound's ``2**-64`` cell, which may
-    hold several rows; only those rare targets are searched again."""
-    owners = bounds + 1
-    # A bound of -1 reads the last row, keyed above every such target.
-    in_cell = np.flatnonzero(keys[bounds] == targets)
-    owners[in_cell] = np.searchsorted(keys, targets[in_cell])
-    owners[owners == keys.size] = 0
-    return owners
-
-
 @dataclass(frozen=True)
 class ServeSnapshot:
     """Array view of the *believed-live* overlay at one serve version.
@@ -334,8 +319,9 @@ class ServeSnapshot:
             (never -1), and each row's believed-row links as ascending
             row offsets (dropped links are padding).
         item_owner: Believed owner row per catalog item (``int32``).
-        item_bound: Walk bound per catalog item (``int32``): the last
-            row keyed at or below its exact key.
+        item_bound: Walk bound per catalog item (``int32``,
+            :func:`~repro.engine.walk.walk_bounds`): its owner row when
+            a row is keyed exactly at it, else the last row keyed below.
         item_flags: Packed delivery verdict per catalog item
             (``FLAG_FOUND | FLAG_SUCCESS | FLAG_STALE``): found, and
             stale when the owner is truth-dead — truth liveness is fixed
@@ -375,8 +361,8 @@ class ServeSnapshot:
         )
         targets = keyspace.from_units(store.item_keys)
         # The catalog is sorted, so its keys are searched in order as they stand.
-        bounds = (np.searchsorted(keys, targets, side="right") - 1).astype(np.int32)
-        owners = _owners_at_bounds(keys, targets, bounds)
+        first = np.searchsorted(keys, targets)
+        owners, bounds = (first % m).astype(np.int32), walk_bounds(keys, targets, first)
         owner_ids = ids[owners]
         stale = ~store.truth_live_mask(owner_ids)
         holds = np.zeros(owners.size, dtype=bool)
@@ -409,10 +395,9 @@ class ServeSnapshot:
     def locate(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(owner row, walk bound)`` per exact ``uint64`` target key:
         :meth:`owner_rows` and :meth:`WalkTable.bounds
-        <repro.engine.walk.WalkTable.bounds>` from one search (a second
-        only for a target inside a row's own key cell)."""
-        bounds = self.table.bounds(targets)
-        return _owners_at_bounds(self.keys, targets, bounds), bounds
+        <repro.engine.walk.WalkTable.bounds>` from one search."""
+        first = keyspace.search_sorted(self.keys, targets)
+        return (first % self.size).astype(np.int32), walk_bounds(self.keys, targets, first)
 
 
 def _bisect_owner_rows(snap: ServeSnapshot, targets: np.ndarray) -> np.ndarray:

@@ -1,17 +1,18 @@
 """The greedy clockwise walk — one lock-step kernel, one reference twin.
 
 Every routed operation in the repo is this loop: ``BatchQueryEngine
-.route_batch`` runs it over ground-truth topology, ``ServeEngine
-.serve_batch`` over believed-live peers. The two differ only in the
+.route_batch`` (and ``Substrate.route``, one query at a time) runs it
+over ground-truth topology, ``ServeEngine.serve_batch`` over
+believed-live peers. The two differ only in the
 :class:`WalkTable` they hand the kernel — which peers are rows, the
 successor column, the candidates — never in code.
 
 Per hop, a query at row ``v`` with successor ``s = succ_row[v]``:
 deliver to ``s`` when the key falls in ``(v, s]``; otherwise forward to
 the candidate of ``v`` with maximal clockwise progress not passing the
-key, falling back to ``s`` when no candidate beats it — the scalar
-greedy router's final-interval check and closest-preceding-node rule
-over exact fixed-point keys (:mod:`repro.ring.keyspace`): progress is a
+key, falling back to ``s`` when no candidate beats it — Chord's
+final-interval check and closest-preceding-node rule over exact
+fixed-point keys (:mod:`repro.ring.keyspace`): progress is a
 wrapping ``uint64`` subtraction, and a successor without progress
 (missing, or in ``v``'s own ``2**-64`` key cell) is always delivered
 to. :func:`greedy_walk_reference` states that rule one query at a time.
@@ -23,24 +24,29 @@ with the offset, except on the rows of ``v``'s own key cell below ``v``
 (progress 0, offsets at the far end). So :func:`greedy_walk` asks every
 question about offsets, never about distances:
 
-* once per query, its *bound* ``hi`` = the last row keyed at or below
-  the target (``searchsorted(keys, t, "right") - 1``; ``-1`` when there
-  is none — :meth:`WalkTable.bounds`). The caller hands it in: a key
-  the caller has already searched for (the serve path's catalog items
-  carry theirs per snapshot) is not searched again;
+* once per query, its *bound* ``hi``: the lowest row keyed exactly at
+  the target when there is one — the owner, on a table of live rows —
+  else the last row keyed below the target (``-1`` when there is none):
+  :func:`walk_bounds`, from the owner search
+  ``searchsorted(keys, t, "left")``. The caller hands it in: a key the
+  caller has already searched for (the serve path's catalog items carry
+  theirs per snapshot) is not searched again;
 * per hop, ``lim = (hi - v) mod m``. For every row outside ``v``'s
-  cell, offset ``<= lim`` ⇔ progress ``<=`` the target's, and offset
-  ``<= succ_lim`` ⇔ progress ``<=`` the successor's, where ``succ_lim``
-  is the offset of the last row of ``s``'s cell. The rows of ``v``'s own
-  cell have progress 0 and never win: those above ``v`` sit below every
-  ``succ_lim``, those below ``v`` above every ``lim`` (``hi`` cannot
-  land among them, since row ``v`` is keyed no higher).
+  cell, offset ``<= lim`` ⇔ progress ``<=`` the target's — except the
+  rows of the target's own cell above ``hi``, which the bound leaves
+  out — and offset ``<= succ_lim`` ⇔ progress ``<=`` the successor's,
+  where ``succ_lim`` is the offset of the last row of ``s``'s cell. The
+  rows of ``v``'s own cell have progress 0: those above ``v`` sit below
+  every ``succ_lim``, those below ``v`` at the far end of the offsets,
+  a full circle on. ``lim`` reaches one of them only when the target is
+  on ``v``'s own key and ``hi`` is a lower row of ``v``'s cell: then
+  ``hi`` is the one of them ``lim`` reaches.
 
 :meth:`WalkTable.build` therefore keeps, per row, only the candidates
 past the successor's cell — offset ``> succ_lim``: every candidate that
 can beat the successor, plus, in a shared cell, any row of ``v``'s own
-cell below ``v``, which no ``lim`` reaches — ascending, behind the
-successor's own offset: row ``v`` of ``offsets`` reads
+cell below ``v``, which only a ``hi`` of that cell reaches — ascending,
+behind the successor's own offset: row ``v`` of ``offsets`` reads
 ``[(s - v) mod m, c_1 <= c_2 <= ..., m, ...]``. A hop is one row gather,
 one compare of the whole row against ``lim`` and one ``argmin``. Every
 kept candidate lies past the successor, so the entries ``<= lim`` are a
@@ -52,8 +58,8 @@ candidates not passing the key (every row ends in an ``m``, which is
 — the successor when ``c`` is 0, else the last candidate that
 qualifies. The delivery check needs no code of its
 own: a key in ``(v, s]`` has ``lim <= succ_lim``, below every kept
-candidate, and so does a key on ``v``'s own cell (``lim`` ends there),
-which the scalar rule also sends to ``s``. A row without a successor
+candidate, and so does a key whose bound is ``v`` itself (``lim`` is
+0), which the rule also sends to ``s``. A row without a successor
 pointer, or whose successor is itself, keeps offset 0 and no
 candidates: the hop lands on ``v`` and the query stops with the code
 ``succ_row`` names.
@@ -62,13 +68,11 @@ candidates: the hop lands on ``v`` and the query stops with the code
 progress and consecutive offsets in row order, so the last of the
 prefix is the *higher row* — the rule the twin states explicitly (most
 progress, then highest row); a candidate tied with the successor is not
-kept, so it never beats it. With distinct cells there are no ties —
+kept, so it never beats it. In the target's own cell only its lowest
+row qualifies, so a walk never lands on a higher row of that cell and
+circles the ring back to it. With distinct cells there are no ties —
 real workloads always have them (a million uniform draws share a cell
-with probability below ``10**-7``) — and the kernel picks what the
-scalar router :func:`~repro.routing.greedy.route_greedy` picks. Inside
-a shared cell that router decides at full float resolution and takes
-the first-listed of exact ties, so it may pick another row of the cell;
-only adversarial fixtures build such cells.
+with probability below ``10**-7``).
 
 Both functions take the same arguments but one:
 
@@ -88,14 +92,15 @@ stops where it failed; the rest of the batch finishes.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..ring.keyspace import KEY_MASK, search_sorted
+from ..ring.keyspace import KEY_MASK, KEY_MOD, search_sorted
 
-__all__ = ["WalkCode", "WalkTable", "greedy_walk", "greedy_walk_reference"]
+__all__ = ["WalkCode", "WalkTable", "greedy_walk", "greedy_walk_reference", "walk_bounds"]
 
 
 class WalkCode(enum.IntEnum):
@@ -172,9 +177,20 @@ class WalkTable:
         return cls(keys=keys, succ_row=succ_row, offsets=offsets)
 
     def bounds(self, targets: np.ndarray) -> np.ndarray:
-        """The walk bound per ``uint64`` target key: the last row keyed
-        at or below it (``-1`` when there is none), as ``int32``."""
-        return (search_sorted(self.keys, targets, side="right") - 1).astype(np.int32)
+        """The walk bound per ``uint64`` target key (:func:`walk_bounds`)."""
+        return walk_bounds(self.keys, targets, search_sorted(self.keys, targets))
+
+
+def walk_bounds(keys: np.ndarray, targets: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The walk bound per ``uint64`` target key over the sorted ``keys``,
+    from ``first = searchsorted(keys, targets, "left")``: ``first``
+    itself when that row is keyed exactly at the target (the lowest row
+    of the target's key cell), else ``first - 1``, the last row keyed
+    below the target (``-1`` when there is none); ``int32``."""
+    if keys.size == 0:
+        return np.full(np.shape(targets), -1, dtype=np.int32)
+    at_target = keys.take(first, mode="clip") == targets
+    return np.subtract(first, ~at_target).astype(np.int32)
 
 
 def greedy_walk(
@@ -235,7 +251,9 @@ def greedy_walk_reference(
     candidates, and the row itself for padding — and scans them for the
     most progress, recomputing each progress from ``keys`` and breaking
     ties toward the higher row: neither the offsets' order nor their
-    arithmetic is trusted."""
+    arithmetic is trusted. A row of the current row's own key cell
+    below it lies a full circle on; of the rows keyed at the target only
+    the lowest qualifies."""
     keys_int = [int(k) for k in table.keys]
     succs = [int(s) for s in table.succ_row]
     m = len(keys_int)
@@ -248,6 +266,7 @@ def greedy_walk_reference(
         cur = int(source_rows[q])
         owner = int(owner_rows[q])
         tgt = int(targets[q])
+        first = bisect.bisect_left(keys_int, tgt)  # the lowest row keyed at the target, if any
         count = 0
         while cur != owner:
             if count >= budget:
@@ -259,12 +278,16 @@ def greedy_walk_reference(
                 break
             cur_key = keys_int[cur]
             span = (tgt - cur_key) & KEY_MASK
+            if span == 0 and first < cur:
+                span = KEY_MOD
             succ_progress = (keys_int[succ] - cur_key) & KEY_MASK
             best = (succ_progress, succ)
             if succ_progress != 0 and not 0 < span <= succ_progress:
                 for cand in nbrs[cur]:
                     progress = (keys_int[cand] - cur_key) & KEY_MASK
-                    if succ_progress < progress <= span:
+                    if progress == 0 and cand < cur:
+                        progress = KEY_MOD
+                    if succ_progress < progress <= span and (progress < span or cand == first):
                         best = max(best, (progress, cand))  # ties: the higher row
             nxt = best[1]
             if nxt == cur:

@@ -19,7 +19,6 @@ __all__ = [
     "SamplingError",
     "InsufficientSamplesError",
     "PartitionError",
-    "LinkAcquisitionError",
     "DistributionError",
     "SimulationError",
     "ExperimentError",
@@ -85,10 +84,6 @@ class InsufficientSamplesError(SamplingError):
 
 class PartitionError(ReproError, RuntimeError):
     """Logarithmic partitioning produced an invalid partition table."""
-
-
-class LinkAcquisitionError(ReproError, RuntimeError):
-    """A peer failed to acquire a mandatory long-range link."""
 
 
 class DistributionError(ReproError, ValueError):

@@ -80,7 +80,6 @@ def churn_loop(
     repair: str,
     n_queries: int,
     detector: DetectorConfig | None = None,
-    backend: str = "vectorized",
     serving: ServingWorkload | None = None,
     replicas: int = 3,
     items: int = 0,
@@ -119,7 +118,7 @@ def churn_loop(
     build_seconds = watch.lap()
 
     ring = overlay.ring
-    probe = None if detector is None else ProbeView(ring, detector, seed=seed, backend=backend)
+    probe = None if detector is None else ProbeView(ring, detector, seed=seed)
     view: MembershipView = OracleView(ring) if probe is None else probe
     store = None if serving is None else ReplicatedStore(ring, k=replicas)
     if store is not None:
@@ -324,7 +323,6 @@ def steady_churn(
         "monitors": "clockwise successors probing each peer",
         "loss": "per-probe loss probability in [0, 1)",
         "fanout": "gossip push fanout per round",
-        "backend": "detector bank: vectorized | scalar (bit-identical)",
     },
 )
 def detector_churn(
@@ -346,7 +344,6 @@ def detector_churn(
     monitors: int = 3,
     loss: float = 0.0,
     fanout: int = 2,
-    backend: str = "vectorized",
 ) -> ExperimentResult:
     """Epoch time series of churn routed over probe-derived knowledge."""
     detector = DetectorConfig(
@@ -357,7 +354,7 @@ def detector_churn(
         rounds_per_epoch=rounds,
         gossip_fanout=fanout,
     )
-    run = churn_loop(**_loop_args(locals()), detector=detector, backend=backend)
+    run = churn_loop(**_loop_args(locals()), detector=detector)
     t, lags = run.table, run.lags
     # The lag window: epochs whose probe batch ran while >= 1 death was
     # still undetected — the regime the oracle never enters. An empty
@@ -408,7 +405,6 @@ def detector_churn(
             "monitors": monitors,
             "loss": loss,
             "fanout": fanout,
-            "backend": backend,
         },
     )
 

@@ -20,7 +20,7 @@ from ..workloads import GnutellaLikeDistribution
 from .growth import grow_and_measure, make_overlay
 from .spec import experiment
 
-__all__ = ["run", "run_panel", "run_fig2a", "run_fig2b"]
+__all__ = ["run_panel", "run_fig2a", "run_fig2b"]
 
 KILL_FRACTIONS = (0.0, 0.10, 0.33)
 
@@ -99,21 +99,3 @@ def run_fig2b(
 ) -> ExperimentResult:
     """Figure 2(b): crash waves over the spiky cap distribution."""
     return run_panel("fig2b", SpikyDegreeDistribution(), scale, seed, oscar_config, n_queries)
-
-
-def run(
-    scale: float = 1.0,
-    seed: int = 42,
-    panel: str = "both",
-    oscar_config: OscarConfig | None = None,
-    n_queries: int = 0,
-) -> list[ExperimentResult]:
-    """Run Figure 2 — ``panel`` in {"fig2a", "fig2b", "both"}."""
-    results: list[ExperimentResult] = []
-    if panel in ("fig2a", "both"):
-        results.append(run_fig2a(scale, seed, oscar_config, n_queries))
-    if panel in ("fig2b", "both"):
-        results.append(run_fig2b(scale, seed, oscar_config, n_queries))
-    if not results:
-        raise ValueError(f"panel must be fig2a, fig2b or both, got {panel!r}")
-    return results

@@ -138,34 +138,36 @@ class ReplicatedStore:
         return int(self.item_keys.size)
 
     def _believed_ring(self, view: "MembershipView") -> tuple[np.ndarray, np.ndarray]:
-        """``(positions, ids)`` of the believed-live peers, ring order —
-        the two columns gathered at ``view.live_slots()``."""
+        """``(keys, ids)`` of the believed-live peers, ring order — the
+        exact ``uint64`` key and id columns gathered at
+        ``view.live_slots()``."""
         state, slots = self.ring.state, view.live_slots()
-        return state.pos[slots], state.node_id[slots]
+        return state.key[slots], state.node_id[slots]
 
     def successor_targets(self, keys: np.ndarray, view: "MembershipView") -> np.ndarray:
         """First ``k`` believed-live clockwise successors of each key.
 
         Column 0 is the believed owner (``successor_of_key`` over the
-        believed-live set); columns pad with ``-1`` when fewer than
-        ``k`` believed-live peers exist. Vectorized and reference paths
-        produce identical matrices.
+        believed-live set, decided on exact ``uint64`` keys — the domain
+        a serve snapshot names owners in); columns pad with ``-1`` when
+        fewer than ``k`` believed-live peers exist. Vectorized and
+        reference paths produce identical matrices.
         """
-        keys = np.asarray(keys, dtype=float)
-        b_pos, b_ids = self._believed_ring(view)
+        exact_keys = from_units(keys)
+        b_keys, b_ids = self._believed_ring(view)
         if b_ids.size == 0:
             raise ConfigError("no believed-live peers to place replicas on")
         k_eff = min(self.k, int(b_ids.size))
-        targets = np.full((keys.size, self.k), -1, dtype=np.int64)
+        targets = np.full((exact_keys.size, self.k), -1, dtype=np.int64)
         if self.vectorized:
-            idx = np.searchsorted(b_pos, keys, side="left")
+            idx = np.searchsorted(b_keys, exact_keys, side="left")
             rows = (idx[:, None] + np.arange(k_eff)[None, :]) % b_ids.size
             targets[:, :k_eff] = b_ids[rows]
         else:
-            positions = [float(p) for p in b_pos]
+            ring_keys = [int(k) for k in b_keys]
             ids = [int(i) for i in b_ids]
-            for row, key in enumerate(keys):
-                start = bisect.bisect_left(positions, float(key))
+            for row, key in enumerate(exact_keys):
+                start = bisect.bisect_left(ring_keys, int(key))
                 for col in range(k_eff):
                     targets[row, col] = ids[(start + col) % len(ids)]
         return targets

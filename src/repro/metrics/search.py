@@ -6,45 +6,26 @@ batch against any overlay implementing the shared
 :class:`~repro.core.substrate.Substrate` surface (Oscar, Chord or
 Mercury) and folds it into :class:`~repro.routing.RouteStats`.
 
-Since the batched query engine landed, the batch itself is evaluated by
-:class:`~repro.engine.BatchQueryEngine` — thousands of routes per call
-over numpy arrays — rather than one scalar ``route()`` at a time. The
-results are bit-identical (the engine replays the greedy router's exact
-rules and arithmetic); only the wall-clock changes. Callers that
-measure the same overlay repeatedly (the growth harness) pass their own
-engine so the topology snapshot is reused across measurement rounds.
+The batch is evaluated by :class:`~repro.engine.BatchQueryEngine` over
+the substrate's topology snapshot. Callers that measure the same
+overlay repeatedly (the growth harness) pass their own engine so the
+snapshot is reused across measurement rounds.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 import numpy as np
 
-from ..config import RoutingConfig
 from ..core.substrate import Substrate
 from ..engine.batch import BatchQueryEngine
-from ..ring import Ring
-from ..routing import RouteResult, RouteStats
-from ..types import Key, NodeId
+from ..routing import RouteStats
 from ..workloads import QueryWorkload
 
-__all__ = ["RoutableOverlay", "measure_search_cost"]
-
-
-@runtime_checkable
-class RoutableOverlay(Protocol):
-    """The facade subset the measurement layer needs."""
-
-    ring: Ring
-
-    def route(
-        self, source: NodeId, target_key: Key, faulty: bool = False, record_path: bool = False
-    ) -> RouteResult: ...
+__all__ = ["measure_search_cost"]
 
 
 def measure_search_cost(
-    overlay: RoutableOverlay,
+    overlay: Substrate,
     rng: np.random.Generator,
     n_queries: int | None = None,
     workload: QueryWorkload | None = None,
@@ -54,7 +35,7 @@ def measure_search_cost(
     """Average search cost of random queries against ``overlay``.
 
     Args:
-        overlay: Any substrate exposing ``ring`` and ``route``.
+        overlay: Any :class:`~repro.core.substrate.Substrate`.
         rng: Query randomness (labelled stream per measurement round).
         n_queries: Number of queries; defaults to the live population
             size — exactly the paper's "N random queries".
@@ -66,16 +47,8 @@ def measure_search_cost(
             is constructed on the fly when omitted. Must wrap the same
             ``overlay`` being measured.
     """
-    if engine is None and isinstance(overlay, Substrate):
+    if engine is None:
         engine = BatchQueryEngine(overlay)
-    elif engine is None:
-        # A bare ``ring`` + ``route`` overlay is measured one query at a
-        # time; that path never reads the router cost model.
-        engine = BatchQueryEngine(
-            overlay,  # type: ignore[arg-type]
-            RoutingConfig(),
-            vectorized=False,
-        )
     elif engine.substrate is not overlay:
         raise ValueError("engine wraps a different overlay than the one being measured")
     return engine.measure(rng, n_queries=n_queries, workload=workload, faulty=faulty)

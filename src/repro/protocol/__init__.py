@@ -8,10 +8,11 @@ in messages. This package states those decisions once, transport-free:
 * :mod:`~repro.protocol.decisions` — the atomic decision rules (link
   acceptance, the power-of-two winner key, the Metropolis–Hastings
   acceptance step, the border clamp, the closest-preceding-hop rule).
-  The simulation paths (:mod:`repro.routing.greedy` and the sequential
-  reference of :mod:`repro.engine.construct`, the one Oscar builder)
-  call these *exact same functions*, so the sim is pinned bit-identical
-  to the protocol by construction;
+  The sequential reference of :mod:`repro.engine.construct`, the one
+  Oscar builder, calls these *exact same functions*, so the sim is
+  pinned bit-identical to the protocol by construction; the simulator's
+  greedy routing is the walk kernel (:mod:`repro.engine.walk`), held to
+  :class:`~repro.protocol.routing.GreedyRouter` hop by hop by the tests;
 * :mod:`~repro.protocol.messages` / :mod:`~repro.protocol.effects` —
   the typed message grammar and the typed effects machines emit
   (``Send``, ``StartTimer``, ``LinkEstablished``, ...);

@@ -2,9 +2,10 @@
 
 Each function here is a *local* rule a peer applies to information it
 can legitimately hold — its own counters plus what arrived in messages.
-The scalar router, the construction engine's sequential reference and
-the :mod:`repro.net` runtime all call these same functions, which is
-what pins the paths to one protocol:
+The construction engine's sequential reference and the
+:mod:`repro.net` runtime (its per-hop
+:class:`~repro.protocol.routing.GreedyRouter` included) call these same
+functions, which is what pins the paths to one protocol:
 
 * a candidate acknowledges a link request iff :func:`accepts_link`;
 * among acknowledging candidates the requester links the

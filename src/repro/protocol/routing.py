@@ -3,12 +3,15 @@
 :class:`GreedyRouter` is the per-hop rule of the paper's greedy lookup,
 stated over information one peer legitimately holds — its own position,
 its predecessor's position, and ``(id, position)`` pairs for its ring
-and long-link neighbors. :func:`repro.routing.greedy.route_greedy`
-walks the same rule omnisciently over the ring; the net runtime applies
-it hop by hop as :class:`~repro.protocol.messages.RouteProbe` messages
-arrive. Both share :func:`~repro.protocol.decisions.closest_preceding`,
-so a probe and the simulator traverse identical paths on identical
-topologies.
+and long-link neighbors. The net runtime applies it hop by hop as
+:class:`~repro.protocol.messages.RouteProbe` messages arrive. The
+simulator states the same rule once, over exact ``uint64`` keys, as the
+walk kernel behind :meth:`Substrate.route
+<repro.core.substrate.Substrate.route>` (:mod:`repro.engine.walk`);
+this float-domain statement, driven hop by hop, is the independent
+reference the tests hold that kernel to, so a probe and the simulator
+traverse identical paths on identical topologies (peers in distinct
+``2**-64`` key cells).
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ class GreedyRouter:
         ``(self, successor]`` no neighbor can precede it more closely
         than the ring successor (the final-interval rule); failing that,
         forward to the closest preceding neighbor. A hop that cannot
-        make progress raises :class:`RoutingError`, exactly where the
-        simulator's walker does.
+        make progress raises :class:`RoutingError`, as the simulator's
+        walk stops with ``WalkCode.STUCK``.
         """
         if predecessor_position == my_position or in_cw_interval(
             target_key, predecessor_position, my_position

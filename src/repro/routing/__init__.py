@@ -1,15 +1,17 @@
-"""Routing: greedy clockwise lookup and its fault-aware variant.
+"""Routing outcomes, the fault-aware router and range queries.
 
-* :func:`route_greedy` — fault-free Chord-style greedy routing;
+The fault-free greedy rule is the walk kernel (:mod:`repro.engine.walk`)
+behind ``Substrate.route`` and every batch engine; around it:
+
 * :func:`route_faulty` — dead-link probing + backtracking (paper §3,
   churn experiments);
+* :func:`route_range` — a range query: the entry lookup, then a sweep
+  of ring successors;
 * :class:`RouteResult` / :func:`summarize_routes` — per-query and
   aggregate cost accounting (the paper's "average search cost").
 """
 
-from .base import NeighborProvider
-from .faulty import route_faulty
-from .greedy import route_greedy
+from .faulty import NeighborProvider, route_faulty
 from .range_query import RangeQueryResult, route_range
 from .result import RouteResult, RouteStats, summarize_routes
 
@@ -19,7 +21,6 @@ __all__ = [
     "RouteResult",
     "RouteStats",
     "route_faulty",
-    "route_greedy",
     "route_range",
     "summarize_routes",
 ]

@@ -30,16 +30,33 @@ backtracking machinery carries the route.
 
 from __future__ import annotations
 
+from typing import Protocol, Sequence, runtime_checkable
+
 from ..config import RoutingConfig
 from ..errors import DeadNodeError
 from ..ring import Ring, RingPointers, in_cw_interval
 from ..types import Key, NodeId
-from .base import NeighborProvider
 from .result import RouteResult
 
-__all__ = ["route_faulty"]
+__all__ = ["NeighborProvider", "route_faulty"]
 
 _DEFAULT = RoutingConfig()
+
+
+@runtime_checkable
+class NeighborProvider(Protocol):
+    """Read access to a node's outgoing neighbor set — every
+    :class:`~repro.core.substrate.Substrate` is one.
+
+    Implementations must return *all* outgoing links (ring + long-range,
+    in any order — the router sorts), including links that currently
+    point at dead peers: discovering those is the router's job, and
+    charging for it is the point of the churn experiments.
+    """
+
+    def neighbors_of(self, node_id: NodeId) -> Sequence[NodeId]:
+        """Outgoing neighbor ids of ``node_id`` (order irrelevant)."""
+        ...
 
 
 def route_faulty(
@@ -149,7 +166,7 @@ def _candidates(
 
     Progress and "past the key" are decided with comparisons only
     (:func:`~repro.ring.identifiers.in_cw_interval` and the clockwise
-    rank order of :func:`~repro.routing.greedy.cw_closer`) — exact at
+    rank order of :func:`~repro.protocol.decisions.cw_closer`) — exact at
     full float resolution, so the preference order cannot be scrambled
     by subtractive rounding at arc boundaries. Exact order cannot tie on
     distinct positions, so no id tie-break is needed.

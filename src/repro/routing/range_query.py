@@ -18,18 +18,16 @@ skew shows up as more peers (not more data per peer) in hot ranges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..config import RoutingConfig
-from ..ring import Ring, RingPointers, in_cw_interval
+from ..ring import in_cw_interval
 from ..types import Key, NodeId
-from .base import NeighborProvider
-from .faulty import route_faulty
-from .greedy import route_greedy
 from .result import RouteResult
 
-__all__ = ["RangeQueryResult", "route_range"]
+if TYPE_CHECKING:  # pragma: no cover - core imports routing
+    from ..core.substrate import Substrate
 
-_DEFAULT = RoutingConfig()
+__all__ = ["RangeQueryResult", "route_range"]
 
 
 @dataclass(frozen=True)
@@ -66,20 +64,15 @@ class RangeQueryResult:
 
 
 def route_range(
-    ring: Ring,
-    pointers: RingPointers,
-    neighbors: NeighborProvider,
-    source: NodeId,
-    lo: Key,
-    hi: Key,
-    config: RoutingConfig = _DEFAULT,
-    faulty: bool = False,
+    substrate: "Substrate", source: NodeId, lo: Key, hi: Key, faulty: bool = False
 ) -> RangeQueryResult:
     """Resolve every live owner of keys in ``[lo, hi]``.
 
-    ``lo > hi`` is the wrapped range through 1.0. The entry lookup uses
-    the fault-aware router when ``faulty=True``; the sweep walks ring
-    successor pointers (always live after repair).
+    ``lo > hi`` is the wrapped range through 1.0. The entry lookup is
+    :meth:`substrate.route <repro.core.substrate.Substrate.route>` (the
+    fault-aware router when ``faulty=True``); the sweep walks the ring
+    successor pointers of ``substrate.state.succ`` (always live after
+    repair).
 
     The owner set starts at the entry peer (``successor(lo)``, which
     owns ``lo``) and sweeps ring successors up to and including
@@ -88,13 +81,13 @@ def route_range(
     ``lo == hi`` is the point range (a single owner), not the whole
     circle.
     """
-    router = route_faulty if faulty else route_greedy
-    entry = router(ring, pointers, neighbors, source, lo, config)
+    entry = substrate.route(source, lo, faulty=faulty)
     if not entry.success or entry.delivered_to is None:
         return RangeQueryResult(
             source=source, lo=lo, hi=hi, entry_route=entry, owners=(), sweep_hops=0
         )
 
+    state = substrate.state
     owners: list[NodeId] = [entry.delivered_to]
     sweep_hops = 0
     current = entry.delivered_to
@@ -104,9 +97,9 @@ def route_range(
     # and owners a sub-rounding step before ``hi`` all terminate
     # correctly; the `in owners` guard terminates degenerate
     # (single-peer) rings.
-    while _owner_arc_continues(ring.position(current), lo, hi):
-        nxt = pointers.successor.get(current)
-        if nxt is None or nxt == current or nxt in owners:
+    while _owner_arc_continues(float(state.pos[state.slot_of(current)]), lo, hi):
+        nxt = int(state.succ[state.slot_of(current)])
+        if nxt < 0 or nxt == current or nxt in owners:
             break
         owners.append(nxt)
         sweep_hops += 1

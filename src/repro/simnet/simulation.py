@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..core.substrate import Substrate
 from ..errors import ConfigError, EmptyPopulationError
-from ..metrics import RoutableOverlay
 from ..rng import split
 from ..types import NodeId
 from ..workloads import QueryWorkload
@@ -122,7 +122,8 @@ class QuerySimulation:
     """Run a Poisson query workload over an overlay, in simulated time.
 
     Args:
-        overlay: Any routable overlay facade (Oscar / Mercury / Chord).
+        overlay: Any :class:`~repro.core.substrate.Substrate` (Oscar /
+            Mercury / Chord).
         bandwidth: Per-peer service rates.
         latency: Per-link propagation model.
         arrival_rate: Mean query arrivals per simulated second (the
@@ -133,7 +134,7 @@ class QuerySimulation:
 
     def __init__(
         self,
-        overlay: RoutableOverlay,
+        overlay: Substrate,
         bandwidth: BandwidthModel,
         latency: LatencyModel,
         arrival_rate: float = 50.0,

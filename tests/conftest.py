@@ -29,10 +29,13 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 
 import numpy as np
 
-from repro import MercuryConfig, MercuryOverlay, OscarConfig, OscarOverlay
+from repro import MercuryConfig, MercuryOverlay, OscarConfig, OscarOverlay, Substrate
+from repro.config import RoutingConfig
 from repro.degree import ConstantDegrees
+from repro.protocol import Deliver, GreedyRouter
 from repro.ring import Ring, build_pointers
 from repro.ring.keyspace import KEY_MASK
+from repro.routing import RouteResult
 from repro.workloads import GnutellaLikeDistribution, UniformKeys
 
 
@@ -68,6 +71,59 @@ def build_mercury(
     if rewire:
         overlay.rewire()
     return overlay
+
+
+def hand_built(
+    positions, links: dict[int, list[int]] | None = None, budget: int | None = None
+) -> Substrate:
+    """A bare :class:`Substrate` for hand-built routing cases: peer ``i``
+    spliced in at ``positions[i]`` (``_splice`` keeps the ring pointers),
+    then ``links[i]`` written as its long-link row. Build it whole
+    before routing: a link row written later does not move the
+    topology version."""
+    substrate = Substrate(routing=None if budget is None else RoutingConfig(budget=budget))
+    for position in positions:
+        substrate._splice(position)
+    for node_id, targets in (links or {}).items():
+        substrate.state.set_links(substrate.state.slot_of(node_id), targets)
+    return substrate
+
+
+def greedy_hop(overlay, node_id: int, target: float):
+    """:meth:`GreedyRouter.decide <repro.protocol.routing.GreedyRouter.decide>`
+    at ``node_id``, handed what that peer holds: its position, its ring
+    neighbours' and every ``neighbors_of`` entry with its position."""
+    ring = overlay.ring
+    successor = ring.successor(node_id)
+    return GreedyRouter.decide(
+        target,
+        me=node_id,
+        my_position=ring.position(node_id),
+        predecessor_position=ring.position(ring.predecessor(node_id)),
+        successor=successor,
+        successor_position=ring.position(successor),
+        neighbors=[(peer, ring.position(peer)) for peer in overlay.neighbors_of(node_id)],
+    )
+
+
+def greedy_oracle(overlay, source: int, target: float) -> RouteResult:
+    """One lookup driven hop by hop through :func:`greedy_hop` — the live
+    runtime's per-hop rule, stated over float positions. It is the
+    independent reference the walk kernel is held to; it routes a
+    repaired ring (it reads the ring's own successor, not the pointer)."""
+    path = [int(source)]
+    while not isinstance(decision := greedy_hop(overlay, path[-1], target), Deliver):
+        path.append(decision.to)
+        assert len(path) <= overlay.ring.live_count + 1, "per-hop router failed to converge"
+    return RouteResult(
+        source=int(source),
+        target_key=target,
+        responsible=path[-1],
+        delivered_to=path[-1],
+        success=True,
+        hops=len(path) - 1,
+        path=tuple(path),
+    )
 
 
 def links_of(overlay, live_only: bool = True) -> dict[int, list[int]]:

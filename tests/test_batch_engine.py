@@ -1,8 +1,10 @@
 """Tests for the batched query engine (repro.engine.batch) and the
 Substrate protocol it drives.
 
-The headline guarantee under test: batched evaluation is *bit-identical*
-to scalar ``route()`` for the same seed, on every substrate — same hop
+The headline guarantee under test: the batched walk is *bit-identical*
+to the live runtime's per-hop ``GreedyRouter`` driven hop by hop
+(``conftest.greedy_oracle``), to the kernel's own twin and to the scalar
+``Substrate.route`` for the same seed, on every substrate — same hop
 counts per query, same folded statistics — and the engine's topology
 snapshot (the successor-lookup cache) invalidates exactly when
 membership or links change.
@@ -15,7 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_walk_table, build_mercury, build_overlay
+from conftest import (
+    assert_walk_table,
+    build_mercury,
+    build_overlay,
+    greedy_oracle,
+    hand_built,
+)
 from repro import ChordOverlay, Substrate
 from repro.churn import apply_churn, revive_all
 from repro.config import ChurnConfig
@@ -79,14 +87,16 @@ class TestSubstrateProtocol:
 class TestBatchMatchesScalar:
     @pytest.mark.parametrize("kind", KINDS)
     def test_stats_identical_for_fixed_seed(self, kind):
+        """The kernel, its twin (``vectorized=False``) and the per-hop
+        oracle fold to the same statistics."""
         overlay = build_substrate(kind)
-        engine = BatchQueryEngine(overlay)
-        scalar = summarize_routes(
-            overlay.route(q.source, q.target_key)
+        oracle = summarize_routes(
+            greedy_oracle(overlay, q.source, q.target_key)
             for q in QueryWorkload().generate(overlay.ring, split(9, "q"), 400)
         )
-        batched = engine.measure(split(9, "q"), n_queries=400)
-        assert batched == scalar
+        batched = BatchQueryEngine(overlay).measure(split(9, "q"), n_queries=400)
+        twin = BatchQueryEngine(overlay, vectorized=False).measure(split(9, "q"), n_queries=400)
+        assert batched == twin == oracle
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_per_query_hops_identical(self, kind):
@@ -96,11 +106,31 @@ class TestBatchMatchesScalar:
             overlay.ring, split(11, "pairs"), 200
         )
         batch = engine.route_batch(sources, targets)
+        assert batch.success.all()
         for i in range(sources.size):
-            result = overlay.route(int(sources[i]), float(targets[i]))
-            assert result.hops == batch.hops[i]
-            assert result.responsible == batch.responsible[i]
-            assert result.success and bool(batch.success[i])
+            oracle = greedy_oracle(overlay, int(sources[i]), float(targets[i]))
+            result = overlay.route(int(sources[i]), float(targets[i]), record_path=True)
+            assert result.hops == oracle.hops == batch.hops[i]
+            assert result.responsible == oracle.delivered_to == batch.responsible[i]
+            assert result.path == oracle.path
+
+    def test_scalar_route_agrees_with_the_batch_inside_a_keyspace_cell(self):
+        """``Substrate.route`` decides in the batch's key domain: a
+        target inside a peer's ``2**-64`` cell is that peer's, at the
+        batch's hop count, with or without a recorded path."""
+        overlay = build_overlay(n=60, seed=5)
+        peer = overlay.join(2.0**-70, 8, 8)
+        sources = overlay.live_node_ids()[::7]
+        for target in (2.0**-70, 1.5 * 2.0**-70, 2.0**-69):
+            batch = BatchQueryEngine(overlay).route_batch(
+                np.asarray(sources), np.full(len(sources), target)
+            )
+            assert (batch.responsible == peer).all()
+            for source, hops in zip(sources, batch.hops.tolist()):
+                for record_path in (False, True):
+                    result = overlay.route(source, target, record_path=record_path)
+                    assert (result.responsible, result.delivered_to) == (peer, peer)
+                    assert result.hops == hops
 
     def test_distinct_keys_inside_one_keyspace_cell_stay_distinct(self):
         """Truth-path twin of the serve-path case of the same name: a
@@ -129,21 +159,38 @@ class TestBatchMatchesScalar:
         assert hops.tolist() == batch.hops.tolist() and not code.any()
         assert snap.all_ids[stopped].tolist() == batch.responsible.tolist()
 
+    def test_target_on_a_shared_cell_key_reaches_the_cells_lowest_row(self):
+        """Peers 0 and 1 share key cell 0, and peer 2 links to peer 1. A
+        target in that cell is peer 0's, the cell's lowest row; the walk
+        must not stop short on peer 1 and circle the ring back to it
+        (regression: with the bound on the cell's highest row, the walk
+        from 1 went 1 -> 2 -> 1 ... until the budget ran out)."""
+        overlay = hand_built([2.0**-70, 2.0**-69, 0.5, 0.75], {2: [1]})
+        sources = np.asarray([1, 2, 3, 0])
+        for target in (2.0**-70, 2.0**-69, 0.0):
+            batch = BatchQueryEngine(overlay).route_batch(sources, np.full(4, target))
+            assert batch.success.all() and (batch.responsible == 0).all()
+            # 1 steps back to its predecessor, a full circle on in rank
+            # space; 2 passes 1 by for its successor 3, whose successor is 0.
+            assert batch.hops.tolist() == [1, 2, 1, 0]
+            for source, hops in zip(sources.tolist(), batch.hops.tolist()):
+                assert overlay.route(source, target, record_path=True).hops == hops
+
     def test_unrepaired_departure_still_matches_scalar(self):
         # A peer leaves without ring repair: its links dangle but its own
         # pointers survive, so the fault-free greedy walk can pass straight
-        # through it. The batched walk must follow those links identically
-        # instead of falling back to ring hops (regression: snapshot used
-        # to build neighbor rows for live peers only).
+        # through it. The kernel, its twin and ``Substrate.route`` must
+        # follow those links identically (the table they read is held to
+        # the neighbor scan with dead rows in TestWalkTable).
         overlay = build_overlay(n=120, seed=0)
         overlay.leave(overlay.random_live_node(make_rng(7)), repair=False)
-        engine = BatchQueryEngine(overlay)
-        batched = engine.measure(split(0, "dead"), n_queries=300)
+        batched = BatchQueryEngine(overlay).measure(split(0, "dead"), n_queries=300)
+        twin = BatchQueryEngine(overlay, vectorized=False).measure(split(0, "dead"), n_queries=300)
         scalar = summarize_routes(
             overlay.route(q.source, q.target_key)
             for q in QueryWorkload().generate(overlay.ring, split(0, "dead"), 300)
         )
-        assert batched == scalar
+        assert batched == twin == scalar
 
     def test_engine_overlay_mismatch_rejected(self):
         a = build_overlay(n=30, seed=1)
@@ -534,11 +581,11 @@ class TestSnapshotCache:
         overlay.grow(90, GnutellaLikeDistribution(), ConstantDegrees(8))
         overlay.rewire()
         batched = engine.measure(split(23, "after"), n_queries=200)
-        scalar = summarize_routes(
-            overlay.route(q.source, q.target_key)
+        oracle = summarize_routes(
+            greedy_oracle(overlay, q.source, q.target_key)
             for q in QueryWorkload().generate(overlay.ring, split(23, "after"), 200)
         )
-        assert batched == scalar
+        assert batched == oracle
 
     def test_manual_invalidate(self):
         overlay = build_overlay(n=40, seed=25)
@@ -551,9 +598,9 @@ class TestSnapshotCache:
     def test_snapshot_capture_shape(self):
         overlay = build_overlay(n=50, seed=27)
         snap = TopologySnapshot.capture(overlay)
-        assert snap.all_pos.size == len(overlay.ring)
+        assert snap.all_ids.size == snap.table.keys.size == len(overlay.ring)
         assert snap.live_keys.size == overlay.size
-        assert snap.table.offsets.shape[0] == snap.all_pos.size
+        assert snap.table.offsets.shape[0] == snap.all_ids.size
         # every live row's successor pointer resolves
         assert np.all(snap.table.succ_row[snap.live_rows] >= 0)
 

@@ -19,7 +19,6 @@ class TestHierarchy:
         errors.SamplingError,
         errors.InsufficientSamplesError,
         errors.PartitionError,
-        errors.LinkAcquisitionError,
         errors.DistributionError,
         errors.SimulationError,
         errors.ExperimentError,

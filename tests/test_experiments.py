@@ -203,12 +203,6 @@ class TestFig2:
         result = get_spec("fig2a").run(scale=SMALL, n_queries=100)
         assert result.scalars["success_33pct"] > 0.99
 
-    def test_panel_validation(self):
-        from repro.experiments import fig2
-
-        with pytest.raises(ValueError):
-            fig2.run(scale=SMALL, panel="fig2z")
-
 
 class TestExtMercury:
     def test_structure_and_ordering(self):

@@ -101,9 +101,7 @@ def test_range_queries_bit_identical(fixture, overlays, kind):
     for i, recorded in enumerate(fixture[kind]["ranges"]):
         lo = float.fromhex(recorded["lo"])
         hi = float.fromhex(recorded["hi"])
-        result = route_range(
-            overlay.ring, overlay.pointers, overlay, recorded["source"], lo, hi
-        )
+        result = route_range(overlay, recorded["source"], lo, hi)
         assert list(result.owners) == recorded["owners"], f"range {i} owners drifted"
         assert result.sweep_hops == recorded["sweep_hops"]
         assert result.entry_route.hops == recorded["entry_hops"]

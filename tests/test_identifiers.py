@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.protocol.decisions import cw_closer
 from repro.ring.identifiers import (
     KeyspaceError,
     ccw_distance,
@@ -20,7 +21,6 @@ from repro.ring.identifiers import (
     in_cw_interval,
     normalize,
 )
-from repro.routing.greedy import cw_closer
 
 keys = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 

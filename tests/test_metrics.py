@@ -5,17 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import hand_built
+from repro.engine import BatchQueryEngine
 from repro.metrics import (
-    RoutableOverlay,
     load_curve_points,
     load_gini,
     measure_search_cost,
     relative_degree_load,
     volume_exploitation,
 )
-from repro.ring import Ring
-from repro.routing import RouteResult
 from repro.rng import make_rng
+from repro.routing import summarize_routes
 from repro.workloads import QueryWorkload
 
 
@@ -108,70 +108,60 @@ class TestLoadGini:
             load_gini(np.array([]))
 
 
-class ScriptedOverlay:
-    """A RoutableOverlay stub with deterministic per-route costs."""
+def ring_overlay(n: int = 10, budget: int | None = None):
+    """``n`` peers at ``i / n`` with ring pointers and one long link each
+    (half the ring on), so routes cost a few hops."""
+    return hand_built([i / n for i in range(n)], {i: [(i + n // 2) % n] for i in range(n)}, budget)
 
-    def __init__(self, n: int = 10, hops: int = 3, fail_every: int = 0):
-        self.ring = Ring()
-        for node_id in range(n):
-            self.ring.insert(node_id, node_id / n)
-        self.hops = hops
-        self.fail_every = fail_every
-        self.calls: list[tuple[int, float, bool]] = []
 
-    def route(self, source, target_key, faulty=False, record_path=False):
-        self.calls.append((source, target_key, faulty))
-        responsible = self.ring.successor_of_key(target_key)
-        failed = self.fail_every and len(self.calls) % self.fail_every == 0
-        return RouteResult(
-            source=source,
-            target_key=target_key,
-            responsible=responsible,
-            delivered_to=None if failed else responsible,
-            success=not failed,
-            hops=self.hops,
-            wasted_probes=1 if faulty else 0,
-        )
+def one_at_a_time(overlay, rng, n_queries, workload=None, faulty=False):
+    """The same queries ``measure_search_cost`` draws, each routed by
+    ``Substrate.route`` and folded."""
+    wl = workload if workload is not None else QueryWorkload()
+    return summarize_routes(
+        overlay.route(q.source, q.target_key, faulty=faulty)
+        for q in wl.generate(overlay.ring, rng, n_queries)
+    )
 
 
 class TestMeasureSearchCost:
-    def test_satisfies_protocol(self):
-        assert isinstance(ScriptedOverlay(), RoutableOverlay)
-
     def test_defaults_to_one_query_per_live_peer(self):
-        overlay = ScriptedOverlay(n=12)
-        stats = measure_search_cost(overlay, make_rng(0))
+        stats = measure_search_cost(ring_overlay(n=12), make_rng(0))
         assert stats.n_routes == 12
 
     def test_explicit_query_count(self):
-        overlay = ScriptedOverlay(n=12)
-        stats = measure_search_cost(overlay, make_rng(1), n_queries=40)
+        stats = measure_search_cost(ring_overlay(n=12), make_rng(1), n_queries=40)
         assert stats.n_routes == 40
 
     def test_cost_statistics(self):
-        overlay = ScriptedOverlay(hops=5)
+        overlay = ring_overlay()
         stats = measure_search_cost(overlay, make_rng(2), n_queries=10)
-        assert stats.mean_cost == 5.0
+        assert stats == one_at_a_time(overlay, make_rng(2), 10)
+        assert stats.mean_cost > 0
         assert stats.success_rate == 1.0
 
     def test_faulty_flag_propagates(self):
-        overlay = ScriptedOverlay()
-        stats = measure_search_cost(overlay, make_rng(3), n_queries=5, faulty=True)
-        assert all(call[2] for call in overlay.calls)
-        assert stats.mean_wasted == 1.0
+        overlay = ring_overlay(n=16)
+        overlay.leave(8)  # the long links of 0 and of 8's ring neighbours dangle
+        stats = measure_search_cost(overlay, make_rng(3), n_queries=30, faulty=True)
+        assert stats == one_at_a_time(overlay, make_rng(3), 30, faulty=True)
+        assert stats.mean_wasted > 0.0
 
     def test_failures_counted(self):
-        overlay = ScriptedOverlay(fail_every=2)
-        stats = measure_search_cost(overlay, make_rng(4), n_queries=10)
-        assert stats.success_rate == pytest.approx(0.5)
+        overlay = ring_overlay(budget=1)
+        stats = measure_search_cost(overlay, make_rng(4), n_queries=40)
+        sources, targets = QueryWorkload().generate_arrays(overlay.ring, make_rng(4), 40)
+        delivered = BatchQueryEngine(overlay).route_batch(sources, targets).success
+        assert 0 < stats.success_rate == delivered.mean() < 1
 
     def test_custom_workload_used(self):
-        overlay = ScriptedOverlay()
+        overlay = ring_overlay()
         workload = QueryWorkload(target_mode="uniform")
-        measure_search_cost(overlay, make_rng(5), n_queries=30, workload=workload)
-        positions = {overlay.ring.position(i) for i in range(10)}
-        targets = {t for __, t, __f in overlay.calls}
+        stats = measure_search_cost(overlay, make_rng(5), n_queries=30, workload=workload)
+        assert stats == one_at_a_time(overlay, make_rng(5), 30, workload=workload)
         # Uniform targets are (a.s.) not peer positions.
+        positions = set(overlay.ring.positions_array().tolist())
+        targets = {q.target_key for q in workload.generate(overlay.ring, make_rng(5), 30)}
         assert not targets <= positions
 
     def test_real_overlay_end_to_end(self, shared_overlay):

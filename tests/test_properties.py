@@ -6,7 +6,7 @@ unit test cannot pin because it emerges from composition:
 * the ring's order statistics agree with brute-force recomputation
   under arbitrary join/crash/revive interleavings (stateful test);
 * greedy routing delivers to the ground-truth owner on *any* connected
-  topology over *any* peer placement;
+  topology over *any* peer placement, on the per-hop router's path;
 * partition tables built by the oracle estimator tile the population
   exactly at every size;
 * the index's range results equal brute-force filtering for arbitrary
@@ -20,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from conftest import greedy_oracle, hand_built
 from repro.core import oracle_partitions
-from repro.ring import Ring, build_pointers, cw_distance, repair
-from repro.routing import route_greedy
+from repro.ring import Ring, build_pointers, cw_distance, keyspace, repair
+from repro.ring.keyspace import KEY_MASK
 
 keys = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 
@@ -110,27 +111,25 @@ class TestGreedyDeliveryProperty:
     def test_delivers_on_any_connected_topology(
         self, positions, link_seed, source_index, target
     ):
-        ring = Ring()
-        for node_id, pos in enumerate(positions):
-            ring.insert(node_id, pos)
-        pointers = build_pointers(ring)
+        """``Substrate.route`` reaches the owner of the target's exact
+        key (the first peer keyed at or after it), and wherever no two
+        of the peers and the target share a ``2**-64`` key cell — the
+        float and key domains then order them alike — it walks the path
+        the per-hop ``GreedyRouter`` walks."""
         rng = np.random.default_rng(link_seed)
         n = len(positions)
-        table = {
-            i: [pointers.successor[i], pointers.predecessor[i]]
-            + [int(x) for x in rng.integers(0, n, size=3) if int(x) != i]
-            for i in range(n)
-        }
-
-        class Provider:
-            def neighbors_of(self, node_id: int):
-                return table[node_id]
-
+        links = {i: [int(x) for x in rng.integers(0, n, size=3) if int(x) != i] for i in range(n)}
+        overlay = hand_built(positions, links)
         source = source_index % n
-        result = route_greedy(ring, pointers, Provider(), source, target)
+        result = overlay.route(source, target, record_path=True)
+        peer_keys = [overlay.ring.key_of(i) for i in range(n)]
+        key = keyspace.from_unit(target)
+        owner = min(range(n), key=lambda i: ((peer_keys[i] - key) & KEY_MASK, positions[i]))
         assert result.success
-        assert result.delivered_to == ring.successor_of_key(target)
+        assert result.delivered_to == owner
         assert result.hops <= n  # strict progress bounds the walk
+        if len(set(peer_keys)) == n and (key not in peer_keys or target in positions):
+            assert result.path == greedy_oracle(overlay, source, target).path
 
 
 class TestOraclePartitionTiling:

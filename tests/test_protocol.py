@@ -63,9 +63,8 @@ from repro.protocol.messages import (
 )
 from repro.ring.identifiers import in_cw_interval
 from repro.rng import split
-from repro.routing.greedy import route_greedy
 from repro.workloads import UniformKeys
-from tests.conftest import build_overlay
+from tests.conftest import build_overlay, greedy_oracle
 
 SEED = -1
 
@@ -413,43 +412,20 @@ class TestJoinProtocolMatchesEngine:
 
 
 class TestGreedyRouterEquivalence:
-    def _hop(self, overlay, node_id, target):
-        ring = overlay.ring
-        successor = ring.successor(node_id)
-        return GreedyRouter.decide(
-            target,
-            me=node_id,
-            my_position=ring.position(node_id),
-            predecessor_position=ring.position(ring.predecessor(node_id)),
-            successor=successor,
-            successor_position=ring.position(successor),
-            neighbors=[
-                (peer, ring.position(peer)) for peer in overlay.neighbors_of(node_id)
-            ],
-        )
-
     def test_probe_hops_replay_route_greedy_paths(self):
+        """A probe decided hop by hop by ``GreedyRouter`` walks the path
+        ``Substrate.route`` records on the walk kernel."""
         overlay = build_overlay(n=80, seed=5, cap=6)
         ring = overlay.ring
         rng = split(5, "probe-targets")
         for __ in range(40):
             target = float(rng.random())
             source = int(ring.ids_array(live_only=True)[int(rng.integers(0, 80))])
-            reference = route_greedy(
-                ring, overlay.pointers, overlay, source, target, record_path=True
-            )
-            current, hops, path = source, 0, [source]
-            while True:
-                decision = self._hop(overlay, current, target)
-                if isinstance(decision, Deliver):
-                    break
-                current = decision.to
-                hops += 1
-                path.append(current)
-                assert hops <= 200, "per-hop router failed to converge"
-            assert current == reference.delivered_to
-            assert hops == reference.cost
-            assert path == list(reference.path)
+            walked = overlay.route(source, target, record_path=True)
+            probed = greedy_oracle(overlay, source, target)
+            assert probed.delivered_to == walked.delivered_to
+            assert probed.hops == walked.cost
+            assert probed.path == walked.path
 
     def test_sole_member_delivers_everything(self):
         # predecessor == self: the peer owns the whole circle.

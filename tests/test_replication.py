@@ -120,6 +120,26 @@ class TestPlacement:
             vec.successor_targets(keys, view), ref.successor_targets(keys, view)
         )
 
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_owner_is_decided_on_exact_keys_like_serve(self, vectorized):
+        """An item inside a peer's ``2**-64`` key cell is placed on that
+        peer — the owner ``serve_batch`` names — not on the next peer a
+        float search would pick, so the healthy item is served with
+        ``success``."""
+        from repro.engine import ServeEngine
+
+        from conftest import hand_built
+
+        overlay = hand_built([2.0**-70, 0.25, 0.5, 0.75])
+        view = OracleView(overlay.ring)
+        store = ReplicatedStore(overlay.ring, k=1, vectorized=vectorized)
+        store.seed_items(np.asarray([2.0**-69]), view)
+        assert store.holders.tolist() == [[0]]
+        serve = ServeEngine(overlay, store, view, cache_size=0, vectorized=vectorized)
+        result = serve.serve_batch(np.asarray([2]), np.asarray([2.0**-69]))
+        assert result.owners.tolist() == [0]
+        assert result.found.all() and result.success.all() and not result.stale.any()
+
 
 class TestSeeding:
     def test_seed_sorts_dedups_and_versions(self):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import hand_built
 from repro.config import RoutingConfig
 from repro.errors import DeadNodeError
 from repro.ring import Ring, build_pointers, repair
@@ -40,12 +41,10 @@ def build_topology(n: int, extra: dict[int, list[int]] | None = None):
 
 class TestFaultFreeEquivalence:
     def test_matches_greedy_without_faults(self):
-        from repro.routing import route_greedy
-
-        ring, pointers, neighbors = build_topology(16, extra={0: [4, 8], 8: [12]})
+        overlay = hand_built([i / 16 for i in range(16)], {0: [4, 8], 8: [12]})
         for key in (0.3, 0.55, 0.8, 0.99):
-            faulty = route_faulty(ring, pointers, neighbors, 0, key)
-            greedy = route_greedy(ring, pointers, neighbors, 0, key)
+            faulty = overlay.route(0, key, faulty=True)
+            greedy = overlay.route(0, key)
             assert faulty.success and greedy.success
             assert faulty.delivered_to == greedy.delivered_to
             assert faulty.hops == greedy.hops

@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ring import Ring, build_pointers, in_cw_interval
+from conftest import hand_built
+from repro.ring import in_cw_interval
 from repro.routing import (
     RouteResult,
     route_range,
@@ -89,27 +90,17 @@ class TestSummarizeRoutes:
         assert stats.n_routes == 3
 
 
-class RingNeighbors:
-    def __init__(self, pointers):
-        self.pointers = pointers
-
-    def neighbors_of(self, node_id: int) -> list[int]:
-        return [self.pointers.successor[node_id], self.pointers.predecessor[node_id]]
-
-
 def range_topology(n: int = 16):
-    ring = Ring()
-    for node_id in range(n):
-        ring.insert(node_id, node_id / n)
-    pointers = build_pointers(ring)
-    return ring, pointers, RingNeighbors(pointers)
+    """``n`` peers at ``i / n`` with ring pointers only."""
+    return hand_built([i / n for i in range(n)])
 
 
 class TestRouteRange:
     def test_owner_set_matches_brute_force(self):
-        ring, pointers, neighbors = range_topology(16)
+        overlay = range_topology(16)
+        ring = overlay.ring
         lo, hi = 0.3, 0.6
-        result = route_range(ring, pointers, neighbors, 0, lo, hi)
+        result = route_range(overlay, 0, lo, hi)
         assert result.success
         # Owners = peers whose arc intersects [lo, hi]: every peer with
         # position in (lo, hi], plus successor(lo) (owns lo) and
@@ -122,48 +113,44 @@ class TestRouteRange:
         assert set(result.owners) == expected
 
     def test_owners_in_ring_order(self):
-        ring, pointers, neighbors = range_topology(16)
-        result = route_range(ring, pointers, neighbors, 2, 0.25, 0.7)
-        positions = [ring.position(nid) for nid in result.owners]
+        overlay = range_topology(16)
+        result = route_range(overlay, 2, 0.25, 0.7)
+        positions = [overlay.ring.position(nid) for nid in result.owners]
         assert positions == sorted(positions)
 
     def test_wrapped_range(self):
-        ring, pointers, neighbors = range_topology(16)
-        result = route_range(ring, pointers, neighbors, 3, 0.9, 0.1)
+        overlay = range_topology(16)
+        result = route_range(overlay, 3, 0.9, 0.1)
         assert result.success
-        owned_positions = {ring.position(n) for n in result.owners}
+        owned_positions = {overlay.ring.position(n) for n in result.owners}
         # Must include peers just after 0.9 and up to 0.1, wrapping.
         assert any(p > 0.9 for p in owned_positions)
         assert any(p <= 0.1 for p in owned_positions)
 
     def test_cost_accounts_entry_plus_sweep(self):
-        ring, pointers, neighbors = range_topology(16)
-        result = route_range(ring, pointers, neighbors, 0, 0.5, 0.75)
+        result = route_range(range_topology(16), 0, 0.5, 0.75)
         assert result.total_cost == result.entry_route.cost + result.sweep_hops
         assert result.sweep_hops == len(result.owners) - 1
 
     def test_point_range_single_owner(self):
-        ring, pointers, neighbors = range_topology(16)
-        result = route_range(ring, pointers, neighbors, 0, 0.5, 0.5)
-        assert result.owners == (ring.successor_of_key(0.5),)
+        overlay = range_topology(16)
+        result = route_range(overlay, 0, 0.5, 0.5)
+        assert result.owners == (overlay.ring.successor_of_key(0.5),)
         assert result.sweep_hops == 0
 
     def test_faulty_entry_phase(self):
-        ring, pointers, neighbors = range_topology(16)
-        ring.mark_dead(5)
-        from repro.ring import repair
-
-        repair(ring, pointers)
-        result = route_range(ring, pointers, neighbors, 0, 0.35, 0.6, faulty=True)
+        overlay = range_topology(16)
+        overlay.leave(5)  # crashed, ring repaired around it
+        result = route_range(overlay, 0, 0.35, 0.6, faulty=True)
         assert result.success
         assert 5 not in result.owners
 
     def test_items_in_range_are_covered_by_owners(self):
         # Every key in [lo, hi] must be owned by one of the returned peers.
-        ring, pointers, neighbors = range_topology(16)
+        overlay = range_topology(16)
         lo, hi = 0.42, 0.81
-        result = route_range(ring, pointers, neighbors, 7, lo, hi)
+        result = route_range(overlay, 7, lo, hi)
         rng = np.random.default_rng(0)
         for __ in range(200):
             key = float(lo + (hi - lo) * rng.random())
-            assert ring.successor_of_key(key) in result.owners
+            assert overlay.ring.successor_of_key(key) in result.owners

@@ -37,7 +37,7 @@ from repro.churn.sessions import make_sessions
 from repro.config import RoutingConfig
 from repro.degree import ConstantDegrees
 from repro.engine import Outcome, ResultCache, ServeEngine, SteadyStateChurnEngine
-from repro.engine.serve import _owners_at_bounds, pack_flags
+from repro.engine.serve import pack_flags
 from repro.engine.walk import WalkTable
 from repro.errors import ConfigError, ExperimentError
 from repro.experiments.growth import make_overlay
@@ -584,10 +584,20 @@ class TestDifferential:
         assert runs[0] == runs[1] == runs[2]
 
 
+def spelled_out_bounds(keys, targets):
+    """The walk bound from two plain searches: the lowest row keyed at
+    the target when one is (``side="left"``), else the last row keyed
+    below it (``side="right"`` less one; ``-1`` when there is none)."""
+    left = np.searchsorted(keys, targets)
+    right = np.searchsorted(keys, targets, side="right")
+    return np.where(left < right, left, right - 1)
+
+
 class TestCatalogColumns:
     """A capture answers every catalog item once: its owner row, walk
-    bound and packed verdict equal ``owner_rows``, a ``side="right"``
-    search and the reference ``_verify`` asked per request."""
+    bound and packed verdict equal ``owner_rows``, the bound spelled out
+    from two plain searches and the reference ``_verify`` asked per
+    request."""
 
     @staticmethod
     def assert_columns_are_per_request_answers(serve):
@@ -596,7 +606,7 @@ class TestCatalogColumns:
         owner = snap.owner_rows(targets)
         reference = ServeEngine(serve.substrate, store, serve.membership, vectorized=False)
         verdict = pack_flags(*reference._verify(store.item_keys, snap.ids[owner]))
-        bound = np.searchsorted(snap.keys, targets, side="right") - 1
+        bound = spelled_out_bounds(snap.keys, targets)
         assert snap.item_owner.size == snap.item_bound.size == store.item_count + 1
         assert snap.item_owner[:-1].tolist() == owner.tolist()
         assert snap.item_bound[:-1].tolist() == bound.tolist()
@@ -666,8 +676,10 @@ class TestCatalogColumns:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_owner_from_the_bound_search_in_shared_cells(self, seed):
         """Raw sorted keys, several rows to a cell, targets on and off
-        the rows' keys: the owner derived from the walk bound (one
-        ``side="right"`` search) is the ``side="left"`` search mod ``m``."""
+        the rows' keys: the walk bound is the lowest row keyed at the
+        target, else the last row keyed below it, and the owner — the
+        ``side="left"`` search mod ``m`` — is the bound when it is keyed
+        at the target, else the row after it."""
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 14))
         keys = np.sort(rng.integers(0, 6, size=m, dtype=np.uint64) << np.uint64(60))
@@ -680,8 +692,8 @@ class TestCatalogColumns:
         )
         table = WalkTable.build(keys, (np.arange(m) + 1) % m, np.empty((m, 0), dtype=np.int64))
         bounds = table.bounds(targets)
-        assert bounds.tolist() == (np.searchsorted(keys, targets, side="right") - 1).tolist()
-        owners = _owners_at_bounds(keys, targets, bounds)
+        assert bounds.tolist() == spelled_out_bounds(keys, targets).tolist()
+        owners = np.where(keys[bounds] == targets, bounds, bounds + 1) % m
         assert owners.tolist() == (np.searchsorted(keys, targets) % m).tolist()
 
 

@@ -82,9 +82,7 @@ def assert_matches_route_range(substrate, n, sources, lo, hi):
         np.testing.assert_array_equal(getattr(result, column), getattr(reference, column), column)
     assert not result.outcome.any() and not result.stale_owners.any()
     for i in range(len(sources)):
-        scalar = route_range(
-            overlay.ring, overlay.pointers, overlay, int(sources[i]), float(lo[i]), float(hi[i])
-        )
+        scalar = route_range(overlay, int(sources[i]), float(lo[i]), float(hi[i]))
         assert result.owners[i] == scalar.owners[0] == overlay.ring.successor_of_key(lo[i])
         assert result.sweep_hops[i] == scalar.sweep_hops == len(scalar.owners) - 1
         owner = scalar.owners[0]

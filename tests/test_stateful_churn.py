@@ -3,10 +3,11 @@
 :class:`ChurnProgram` drives an overlay (Oscar, Mercury or Chord), a
 :class:`~repro.engine.churn.SteadyStateChurnEngine` (either repair
 policy), a :class:`~repro.index.replication.ReplicatedStore` and a
-:class:`~repro.engine.serve.ServeEngine` through four verbs — an epoch,
+:class:`~repro.engine.serve.ServeEngine` through five verbs — an epoch,
 an external ``leave_batch`` wave, a direct repair (the policy's
 substrate verb, with no compaction first), a serve batch with unknown
-sources and duplicate keys — on the vectorized kernels and, in
+sources and duplicate keys, a route batch on the truth snapshot — on
+the vectorized kernels and, in
 lock-step, on the pure-Python twins (Mercury and Chord build through
 one scalar path, so for them the twin check is a determinism check),
 and checks after every step:
@@ -21,6 +22,15 @@ and checks after every step:
 * cache-on ≡ cache-off: after every serve batch, a cache-less engine on
   the same system serves the same owners and verdicts on every row
   both served, and the same outcome on every row the cache missed;
+* one fault-free routing rule: after every route batch,
+  ``Substrate.route`` raises ``RoutingError`` exactly on the rows
+  ``route_batch`` gives a non-``OK`` code (with that code's message),
+  and otherwise answers the row's hops and responsible peer — with a
+  recorded path too, whose length is ``hops + 1`` and whose last peer
+  is the one delivered to; with no dead peer in the ring, every row
+  is ``OK``;
+* every truth and serve capture's ``WalkTable`` passes
+  ``tests/conftest.py::assert_walk_table``;
 * conservation: an epoch's ``live`` is the live count it started from
   (after any wave) plus its arrivals minus its departures, and equals
   the ring's; the catalog holds the seeded items minus those lost;
@@ -43,21 +53,33 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
+from conftest import assert_walk_table
 from repro import Substrate
 from repro.churn import ExponentialSessions
 from repro.core.soa import SubstrateState
 from repro.degree import ConstantDegrees
-from repro.engine import Outcome, ServeEngine, SteadyStateChurnEngine
+from repro.engine import BatchQueryEngine, Outcome, ServeEngine, SteadyStateChurnEngine
+from repro.engine import TopologySnapshot
 from repro.engine.churn import REPAIR_POLICIES
+from repro.engine.walk import WalkCode
+from repro.errors import RoutingError
 from repro.experiments import make_overlay
 from repro.index import ReplicatedStore
 from repro.membership import OracleView
-from repro.ring import verify
+from repro.ring import keyspace, verify
 from repro.rng import split
 from repro.workloads import GnutellaLikeDistribution
 
 PROGRAMS = Path(__file__).parent / "data" / "programs"
 REPLICAS = 3
+#: Two peers in key cell 0, joined when a program asks for ``shared_cell``.
+SHARED_CELL = (2.0**-70, 2.0**-69)
+#: What ``Substrate.route`` says where ``route_batch`` reports a code.
+WALK_ERRORS = {
+    WalkCode.BUDGET: "exceeded budget",
+    WalkCode.NO_SUCCESSOR: "no ring successor pointer",
+    WalkCode.STUCK: "no progressing neighbor",
+}
 
 
 class ChurnProgram:
@@ -66,7 +88,9 @@ class ChurnProgram:
     ``params``: ``substrate`` (``oscar`` when absent), ``n`` (initial
     peers), ``seed``, ``cap`` (link caps), ``repair`` (policy),
     ``gentle`` (half-life 64 and a repair every epoch, else
-    ``half_life`` / ``repair_every`` as given).
+    ``half_life`` / ``repair_every`` as given), ``shared_cell`` (when
+    true, two more peers joined at :data:`SHARED_CELL` after the build;
+    Chord's are spliced, its positions being hashes).
     """
 
     def __init__(self, params: dict) -> None:
@@ -87,6 +111,11 @@ class ChurnProgram:
         overlay = make_overlay(self.substrate, seed=p["seed"])
         overlay.grow_batch(p["n"], keys, degrees, vectorized=vectorized)
         overlay.rewire_batch(vectorized=vectorized)
+        for position in SHARED_CELL if p.get("shared_cell") else ():
+            if self.substrate == "chord":
+                overlay._splice(position)
+            else:
+                overlay.join(position, p["cap"], p["cap"])
         view = OracleView(overlay.ring)
         store = ReplicatedStore(overlay.ring, k=REPLICAS, vectorized=vectorized)
         store.seed_items(split(p["seed"], "program-items").random(p["n"]), view)
@@ -169,6 +198,54 @@ class ChurnProgram:
             assert (results[0].outcome[-unknown * repeat :] == Outcome.BAD_SOURCE).all()
         self.check_cache_transparent(results[0], self.uncached.serve_batch(sources, keys))
 
+    def route(self, queries: list) -> None:
+        """Route ``(source, kind, u)`` queries on the truth snapshot
+        through ``route_batch`` and one at a time through
+        ``Substrate.route``. The source is the live peer at rank
+        ``source`` (mod the live count); the key is ``u`` itself
+        (``free``), the exact position of the peer at ring rank
+        ``u * len(ring)``, dead ones too (``peer``), or the highest float
+        in that peer's ``2**-64`` key cell (``cell``)."""
+        live = self.overlay.ring.ids_array(live_only=True)
+        sources = np.asarray([int(live[source % live.size]) for source, __, __ in queries])
+        keys = np.asarray([self._route_key(kind, u) for __, kind, u in queries])
+        batches = [
+            BatchQueryEngine(twin["overlay"]).route_batch(sources, keys) for twin in self.twins
+        ]
+        for name in ("responsible", "hops", "code"):
+            assert np.array_equal(getattr(batches[0], name), getattr(batches[1], name)), name
+        batch = batches[0]
+        if self.overlay.ring.live_count == len(self.overlay.ring):  # a live, verified ring
+            assert (batch.code == WalkCode.OK).all(), batch.code
+        for source, key, hops, owner, code in zip(
+            sources.tolist(), keys.tolist(), batch.hops, batch.responsible, batch.code
+        ):
+            for record_path in (False, True):
+                if code != WalkCode.OK:
+                    with pytest.raises(RoutingError, match=WALK_ERRORS[WalkCode(code)]):
+                        self.overlay.route(source, key, record_path=record_path)
+                    continue
+                result = self.overlay.route(source, key, record_path=record_path)
+                assert (result.hops, result.responsible, result.delivered_to) == (
+                    hops,
+                    owner,
+                    owner,
+                )
+                if record_path:
+                    assert len(result.path) == hops + 1 and result.path[-1] == owner
+
+    def _route_key(self, kind: str, u: float) -> float:
+        if kind == "free":
+            return u
+        ring = self.overlay.ring
+        peer = int(ring.ids_array()[int(u * len(ring))])
+        position = ring.position(peer)
+        if kind == "cell":
+            top = float(np.nextafter(keyspace.to_unit(ring.key_of(peer) + 1), 0.0))
+            if keyspace.from_unit(top) == ring.key_of(peer):
+                return top
+        return position
+
     # -- invariants ----------------------------------------------------
 
     def check(self) -> None:
@@ -178,6 +255,7 @@ class ChurnProgram:
             verify(overlay.ring, overlay.pointers)
             self.check_links(overlay, capped=self.substrate != "chord")
         self.check_twins()
+        self.check_walk_tables()
         for twin in self.twins:
             store = twin["store"]
             assert store.item_count == self.seeded - store.items_lost_total
@@ -233,6 +311,28 @@ class ChurnProgram:
         missed = ~cached.hit
         assert np.array_equal(cached.outcome[missed], uncached.outcome[missed])
 
+    def check_walk_tables(self) -> None:
+        """The truth and serve captures hold the tables their candidate
+        lists say they must (``assert_walk_table``)."""
+        for twin in self.twins:
+            overlay, serve = twin["overlay"], twin["serve"]
+            truth = TopologySnapshot.capture(overlay)
+            assert_walk_table(
+                truth.table,
+                [
+                    [_row(truth.row_of, nbr) for nbr in overlay.neighbors_of(node_id)]
+                    for node_id in truth.all_ids.tolist()
+                ],
+            )
+            belief, state = serve.serve_snapshot(), overlay.state
+            assert_walk_table(
+                belief.table,
+                [
+                    [_row(belief.row_of, link) for link in state.out_links[slot] if link >= 0]
+                    for slot in serve.membership.live_slots().tolist()
+                ],
+            )
+
     def check_twins(self) -> None:
         states = [twin["overlay"].state for twin in self.twins]
         for name, column in SubstrateState.COLUMNS.items():
@@ -244,6 +344,11 @@ class ChurnProgram:
         stores = [twin["store"] for twin in self.twins]
         assert np.array_equal(stores[0].holders, stores[1].holders)
         assert stores[0].items_lost_total == stores[1].items_lost_total
+
+
+def _row(row_of: np.ndarray, node_id: int) -> int:
+    """``row_of[node_id]``, ``-1`` for an id past the table (compacted)."""
+    return int(row_of[node_id]) if node_id < row_of.size else -1
 
 
 def _used_width(matrix: np.ndarray, fill: object) -> int:
@@ -265,6 +370,8 @@ def replay(program: dict) -> ChurnProgram:
             system.leave_wave(step["picks"])
         elif verb == "repair":
             system.repair()
+        elif verb == "route":
+            system.route(step["queries"])
         else:
             system.serve(step["picks"], step["unknown"], step["repeat"])
         system.check()
@@ -285,6 +392,7 @@ class ChurnMachine(RuleBasedStateMachine):
         gentle=st.booleans(),
         half_life=st.sampled_from([1.0, 4.0, 16.0]),
         repair_every=st.integers(min_value=1, max_value=3),
+        shared_cell=st.booleans(),
     )
     def build(self, **params) -> None:
         self.system = ChurnProgram(params)
@@ -309,6 +417,20 @@ class ChurnMachine(RuleBasedStateMachine):
     )
     def serve(self, picks, unknown, repeat) -> None:
         self.system.serve(picks, unknown, repeat)
+
+    @rule(
+        queries=st.lists(
+            st.tuples(
+                st.integers(0, 1000),
+                st.sampled_from(["free", "peer", "cell"]),
+                st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def route(self, queries) -> None:
+        self.system.route(queries)
 
     @invariant()
     def holds(self) -> None:
