@@ -58,8 +58,13 @@ from repro import Substrate
 from repro.churn import ExponentialSessions
 from repro.core.soa import SubstrateState
 from repro.degree import ConstantDegrees
-from repro.engine import BatchQueryEngine, Outcome, ServeEngine, SteadyStateChurnEngine
-from repro.engine import TopologySnapshot
+from repro.engine import (
+    BatchQueryEngine,
+    Outcome,
+    ServeEngine,
+    SteadyStateChurnEngine,
+    TopologySnapshot,
+)
 from repro.engine.churn import REPAIR_POLICIES
 from repro.engine.walk import WalkCode
 from repro.errors import RoutingError
