@@ -15,7 +15,12 @@ before Mercury's builder and the partition ablation moved from per-peer
 objects onto the substrate columns. ``fig1c``, ``fig2a``, ``fig2b`` and
 ``ext-keydist`` (scalars and series), which measure through
 ``BatchQueryEngine.measure``, were recorded the same way before the
-fault-free scalar router moved onto the walk kernel. The ``bench_ci``
+fault-free scalar router moved onto the walk kernel. ``abl-power-of-two``,
+``abl-sampling`` and ``scenario`` (scalars and series), which grow
+through ``draw_positions`` and ``Ring.insert_many``, were recorded the
+same way before the ring began to refuse a second peer in one ``2**-64``
+key cell. ``net-churn`` is not pinned: its ``messages`` scalar counts
+probe traffic on wall-clock timers and differs from run to run. The ``bench_ci``
 table is checked against the same runs: its rows must name registered
 specs, declared parameters and scalars the specs really emit.
 """
