@@ -68,8 +68,8 @@ class OscarOverlay(Substrate):
         partitions against the current population and acquires long
         links (bounded by the caps of already-present peers) as a
         one-peer :meth:`~repro.engine.construct.BatchConstructionEngine.join_cohort`.
-        Raises :class:`DuplicateNodeError` on position collision —
-        callers redraw their key.
+        Raises :class:`DuplicateNodeError` when the position's
+        ``2**-64`` key cell is taken — callers redraw their key.
         """
         from ..engine.construct import BatchConstructionEngine  # lazy: import cycle
 

@@ -79,8 +79,9 @@ class Substrate:
 
     def _splice(self, position: Key, rho_max_in: int = 0, rho_max_out: int = 0) -> NodeId:
         """Allocate the next id and splice a peer into ring and pointers;
-        a position collision raises :class:`DuplicateNodeError` *before*
-        the id is spent — callers redraw their key."""
+        a position in a taken ``2**-64`` key cell raises
+        :class:`DuplicateNodeError` *before* the id is spent — callers
+        redraw their key."""
         node_id = self._next_id
         self.ring.insert(node_id, position)
         self._next_id += 1

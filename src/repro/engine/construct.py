@@ -13,8 +13,8 @@ over every peer at once. Every Oscar build goes through it: a bulk
   core defines (:func:`repro.protocol.decisions.border_is_terminal`).
   In ``UNIFORM`` mode the kernel does not build the samples it ranks:
   rows are in key order, so the sample median is the offset of an order
-  statistic of the uniform draw (one in-place ``partition``), unless
-  rows share a key cell or an arc is the full circle. Every border
+  statistic of the uniform draw (one in-place ``partition``), unless an
+  arc is the full circle. Every border
   keeps the ring rank it was picked at, so no arc window is searched
   twice — only the few percent of borders whose float reconstruction
   misses their sample's position by an ulp are searched at all.
@@ -78,7 +78,7 @@ from ..degree import DegreeDistribution, assign_caps
 from ..errors import SamplingError
 from ..protocol.decisions import accepts_link, link_winner_key
 from ..protocol.estimation import cw_arc_slice, select_border
-from ..ring import repair_all
+from ..ring import keyspace, repair_all
 from ..sampling.batch_walk import BatchRestrictedWalker, in_cw_arc
 from ..workloads import KeyDistribution
 
@@ -124,14 +124,14 @@ class LiveView:
         ids: Node id per row, sorted by position.
         pos: Float position per row (sorted — the ``searchsorted`` base
             for arc counting, exactly the ring's own lookup array).
-        keys: Exact ``uint64`` keyspace twin of ``pos``.
+        keys: Exact ``uint64`` keyspace twin of ``pos`` (strictly increasing).
         row_of: ``node id -> row`` translation (-1 for unknown/dead).
         slots: Row-aligned physical slots into ``state`` — the bridge
             the array kernels use to read/write per-peer columns.
         state: The overlay's shared struct-of-arrays substrate state.
     """
 
-    __slots__ = ("ids", "pos", "keys", "row_of", "slots", "state", "_keys_distinct")
+    __slots__ = ("ids", "pos", "keys", "row_of", "slots", "state")
 
     def __init__(
         self,
@@ -148,24 +148,11 @@ class LiveView:
         self.row_of = row_of
         self.slots = slots
         self.state = state
-        self._keys_distinct: bool | None = None
 
     @property
     def m(self) -> int:
         """Live peer count."""
         return int(self.ids.size)
-
-    @property
-    def keys_distinct(self) -> bool:
-        """Whether no two rows share a key cell (checked on first access).
-
-        Distinct positions closer than ``2**-64`` share one; clockwise
-        key distance is then only weakly increasing along the rows, and
-        ranking samples by it needs the draw-index tiebreak.
-        """
-        if self._keys_distinct is None:
-            self._keys_distinct = bool((self.keys[1:] - self.keys[:-1]).all())
-        return self._keys_distinct
 
     @classmethod
     def capture(cls, overlay: "OscarOverlay") -> "LiveView":
@@ -217,23 +204,27 @@ def _window_counts(
 def draw_positions(
     rng: np.random.Generator, keys: KeyDistribution, count: int, occupied: np.ndarray
 ) -> np.ndarray:
-    """``count`` distinct positions from the key sampler, none of them
-    in ``occupied``.
+    """``count`` positions from the key sampler, each in its own
+    ``2**-64`` key cell and none in a cell of ``occupied`` (a ring's
+    sorted ``uint64`` keys, its dead peers' included).
 
-    Bulk draws with vectorized collision rejection (against
-    ``occupied`` — a ring's dead entries included, positions are
-    forever — *and* within the batch, keeping first occurrences)
-    replace the scalar one-key-at-a-time try/except loop. Float key
-    collisions have probability ~0, so the expected number of redraw
-    passes is 1. RNG: one ``keys.sample(rng, missing)`` per pass — the
-    layout the engine's join stream and the live runtime's share.
+    A draw whose cell is occupied, or taken earlier in the batch, is
+    redrawn (first occurrences are kept); collisions have probability
+    ~0, so the expected number of redraw passes is 1. RNG: one
+    ``keys.sample(rng, missing)`` per pass — the layout the engine's
+    join stream and the live runtime's share.
     """
+    taken = np.asarray(occupied, dtype=np.uint64)
     accepted = np.empty(0, dtype=float)
     while accepted.size < count:
         draw = np.asarray(keys.sample(rng, count - accepted.size), dtype=float)
-        pool = np.concatenate([accepted, draw[~np.isin(draw, occupied)]])
-        # First occurrences, in draw order (earlier passes come first).
-        accepted = pool[np.sort(np.unique(pool, return_index=True)[1])]
+        if taken.size:
+            cells = keyspace.from_units(draw)
+            draw = draw[taken.take(keyspace.search_sorted(taken, cells), mode="clip") != cells]
+        pool = np.concatenate([accepted, draw])
+        # First occurrences per cell, in draw order (earlier passes first).
+        first = np.unique(keyspace.from_units(pool), return_index=True)[1]
+        accepted = pool[np.sort(first)]
     return accepted
 
 
@@ -339,9 +330,7 @@ class BatchConstructionEngine:
             return LinkAcquisitionStats()
         rng = overlay._join_rng
         caps_in, caps_out = assign_caps(degrees, rng, missing)
-        positions = draw_positions(
-            rng, keys, missing, overlay.ring.positions_array(live_only=False)
-        )
+        positions = draw_positions(rng, keys, missing, overlay.ring.keys_array(live_only=False))
         new_ids = np.arange(overlay._next_id, overlay._next_id + missing, dtype=np.int64)
         overlay._next_id += missing
         overlay.ring.insert_many(new_ids, positions)
@@ -493,15 +482,14 @@ class BatchConstructionEngine:
         clamp fires — the lock-step form of the estimation level
         :class:`repro.protocol.join.JoinProtocol` runs per peer.
 
-        In ``UNIFORM`` mode over distinct keys the vectorized kernel
-        never builds the samples: rows are in key order and an arc
+        In ``UNIFORM`` mode the vectorized kernel never builds the
+        samples: rows are in strictly increasing key order and an arc
         starts right after its origin, so clockwise distance is strictly
         increasing in the drawn offset ``floor(u * count)``, which is
         monotone in ``u`` — the rank-th sample *is* the offset of the
-        rank-th smallest uniform (:meth:`_median_offsets`). Rows sharing
-        a key cell tie on distance, and a full-circle arc ends on the
-        origin itself (distance 0, the *largest* offset); either sends
-        the whole level through the materialised samples instead.
+        rank-th smallest uniform (:meth:`_median_offsets`). A full-circle
+        arc ends on the origin itself (distance 0, the *largest* offset),
+        which sends the whole level through the materialised samples.
         """
         config = self.overlay.config
         m = view.m
@@ -552,7 +540,7 @@ class BatchConstructionEngine:
                     if act.size == 0:
                         continue
                 # count == m: the full circle, ending on the origin itself.
-                if self.vectorized and view.keys_distinct and (count < m).all():
+                if self.vectorized and (count < m).all():
                     selected = self._median_offsets(u, count) + lo
                     selected[selected >= m] -= m
                 else:
@@ -610,18 +598,13 @@ class BatchConstructionEngine:
         then :meth:`_clamp_borders`.
 
         Samples are ranked by exact wrapping ``uint64`` distance from
-        each origin (stable ties by draw index).
+        each origin. Rows hold distinct keys, so equal distances are one
+        row drawn twice — any rank-th pick is the twin's.
         """
         n, sample_size = samples.shape
         distance = view.keys[samples] - okey[:, None]  # wrapping uint64
         rank = (sample_size - 1) // 2
-        if not view.keys_distinct:
-            # A zero gap: distinct positions (below 2**-12) share a key,
-            # different rows tie, only the draw-index order is the twin's.
-            pick = np.argsort(distance, axis=1, kind="stable")[:, rank]
-        else:
-            # Equal distances are one row drawn twice — any rank-th pick.
-            pick = np.argpartition(distance, rank, axis=1)[:, rank]
+        pick = np.argpartition(distance, rank, axis=1)[:, rank]
         return self._clamp_borders(view, origin, prev, samples[np.arange(n), pick])
 
     @staticmethod

@@ -12,67 +12,45 @@ deliver to ``s`` when the key falls in ``(v, s]``; otherwise forward to
 the candidate of ``v`` with maximal clockwise progress not passing the
 key, falling back to ``s`` when no candidate beats it — Chord's
 final-interval check and closest-preceding-node rule over exact
-fixed-point keys (:mod:`repro.ring.keyspace`): progress is a
-wrapping ``uint64`` subtraction, and a successor without progress
-(missing, or in ``v``'s own ``2**-64`` key cell) is always delivered
-to. :func:`greedy_walk_reference` states that rule one query at a time.
+fixed-point keys (:mod:`repro.ring.keyspace`): progress is a wrapping
+``uint64`` subtraction, and a row without a successor, or whose
+successor is itself, stops. :func:`greedy_walk_reference` states that
+rule one query at a time.
 
-**The kernel walks in rank space.** Rows are in key order, so clockwise
-order from a row is row order from it: row ``c`` sits ``(c - v) mod m``
-rows clockwise of ``v`` — its *offset* — and progress never decreases
-with the offset, except on the rows of ``v``'s own key cell below ``v``
-(progress 0, offsets at the far end). So :func:`greedy_walk` asks every
-question about offsets, never about distances:
+**The kernel walks in rank space.** Rows are in key order and their
+keys are distinct — the ring admits one peer per ``2**-64`` key cell —
+so row ``c`` sits ``(c - v) mod m`` rows clockwise of ``v`` (its
+*offset*), and progress strictly grows with the offset. So
+:func:`greedy_walk` asks every question about offsets, never about
+distances:
 
-* once per query, its *bound* ``hi``: the lowest row keyed exactly at
-  the target when there is one — the owner, on a table of live rows —
-  else the last row keyed below the target (``-1`` when there is none):
+* once per query, its *bound* ``hi``: the row keyed exactly at the
+  target when there is one — the owner, on a table of live rows — else
+  the last row keyed below the target (``-1`` when there is none):
   :func:`walk_bounds`, from the owner search
   ``searchsorted(keys, t, "left")``. The caller hands it in: a key the
   caller has already searched for (the serve path's catalog items carry
   theirs per snapshot) is not searched again;
-* per hop, ``lim = (hi - v) mod m``. For every row outside ``v``'s
-  cell, offset ``<= lim`` ⇔ progress ``<=`` the target's — except the
-  rows of the target's own cell above ``hi``, which the bound leaves
-  out — and offset ``<= succ_lim`` ⇔ progress ``<=`` the successor's,
-  where ``succ_lim`` is the offset of the last row of ``s``'s cell. The
-  rows of ``v``'s own cell have progress 0: those above ``v`` sit below
-  every ``succ_lim``, those below ``v`` at the far end of the offsets,
-  a full circle on. ``lim`` reaches one of them only when the target is
-  on ``v``'s own key and ``hi`` is a lower row of ``v``'s cell: then
-  ``hi`` is the one of them ``lim`` reaches.
+* per hop, ``lim = (hi - v) mod m``: a row's offset is ``<= lim`` ⇔ its
+  progress is ``<=`` the target's.
 
 :meth:`WalkTable.build` therefore keeps, per row, only the candidates
-past the successor's cell — offset ``> succ_lim``: every candidate that
-can beat the successor, plus, in a shared cell, any row of ``v``'s own
-cell below ``v``, which only a ``hi`` of that cell reaches — ascending,
-behind the successor's own offset: row ``v`` of ``offsets`` reads
-``[(s - v) mod m, c_1 <= c_2 <= ..., m, ...]``. A hop is one row gather,
-one compare of the whole row against ``lim`` and one ``argmin``. Every
-kept candidate lies past the successor, so the entries ``<= lim`` are a
-prefix of the row: empty when ``lim`` is short of the successor — then
-no candidate qualifies either — else the successor and the ``c``
-candidates not passing the key (every row ends in an ``m``, which is
-``<=`` no ``lim``, so the ``argmin`` always finds a ``False``). With
-``c = max(prefix - 1, 0)`` the next row is ``(v + offsets[v, c]) mod m``
-— the successor when ``c`` is 0, else the last candidate that
-qualifies. The delivery check needs no code of its
-own: a key in ``(v, s]`` has ``lim <= succ_lim``, below every kept
-candidate, and so does a key whose bound is ``v`` itself (``lim`` is
-0), which the rule also sends to ``s``. A row without a successor
-pointer, or whose successor is itself, keeps offset 0 and no
-candidates: the hop lands on ``v`` and the query stops with the code
-``succ_row`` names.
-
-**Ties.** Two candidates in one shared key cell (not ``v``'s) have equal
-progress and consecutive offsets in row order, so the last of the
-prefix is the *higher row* — the rule the twin states explicitly (most
-progress, then highest row); a candidate tied with the successor is not
-kept, so it never beats it. In the target's own cell only its lowest
-row qualifies, so a walk never lands on a higher row of that cell and
-circles the ring back to it. With distinct cells there are no ties —
-real workloads always have them (a million uniform draws share a cell
-with probability below ``10**-7``).
+past the successor — the ones that can beat it — ascending, behind the
+successor's own offset: row ``v`` of ``offsets`` reads
+``[(s - v) mod m, c_1 <= c_2 <= ..., m, ...]``. A hop is one row
+gather, one compare of the whole row against ``lim`` and one
+``argmin``. The entries ``<= lim`` are a prefix of the row: empty when
+``lim`` is short of the successor — then no candidate qualifies either
+— else the successor and the ``c`` candidates not passing the key
+(every row ends in an ``m``, which is ``<=`` no ``lim``, so the
+``argmin`` always finds a ``False``). With ``c = max(prefix - 1, 0)``
+the next row is ``(v + offsets[v, c]) mod m`` — the successor when
+``c`` is 0, else the last candidate that qualifies. The delivery check
+needs no code of its own: a key in ``(v, s]``, or whose bound is ``v``
+itself (``lim`` 0), leaves every kept candidate out of reach, and the
+rule sends it to ``s``. A row without a successor pointer, or whose
+successor is itself, keeps offset 0 and no candidates: the hop lands on
+``v`` and the query stops with the code ``succ_row`` names.
 
 Both functions take the same arguments but one:
 
@@ -92,13 +70,12 @@ stops where it failed; the rest of the batch finishes.
 
 from __future__ import annotations
 
-import bisect
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..ring.keyspace import KEY_MASK, KEY_MOD, search_sorted
+from ..ring.keyspace import KEY_MASK, search_sorted
 
 __all__ = ["WalkCode", "WalkTable", "greedy_walk", "greedy_walk_reference", "walk_bounds"]
 
@@ -127,15 +104,16 @@ class WalkTable:
     """What the walk reads, computed once per snapshot.
 
     Attributes:
-        keys: ``uint64`` key per row, non-decreasing (rows in ring order).
+        keys: ``uint64`` key per row, strictly increasing (rows in ring
+            order).
         succ_row: Ring-successor row per row (``-1``: no pointer).
         offsets: ``(m, w + 2)`` ``int32``. Column 0 is the successor's
             offset ``(succ_row - row) mod m`` (0 where there is no
             pointer); columns ``1 .. w`` are the offsets of the
-            candidates past the successor's key cell, ascending, padded
-            with ``m`` (none are kept where there is no pointer or the
-            successor shares the row's cell); the last column is ``m``
-            in every row. ``w`` is the most candidates any row keeps.
+            candidates past the successor, ascending, padded with ``m``
+            (none are kept where the successor is missing or the row
+            itself); the last column is ``m`` in every row. ``w`` is the
+            most candidates any row keeps.
     """
 
     keys: np.ndarray
@@ -149,29 +127,28 @@ class WalkTable:
         duplicates and the successor itself may appear).
 
         Offsets are a sort of small integers per row: no key is
-        gathered. Of the keys only their cells are read — the last row
-        of each cell, so that every candidate sharing the successor's
-        cell is dropped with it.
+        gathered, only checked to strictly increase.
+
+        Raises:
+            ValueError: The keys do not strictly increase, or the table
+                would not fit ``int32`` offsets.
         """
         m = int(keys.size)
         if m * (nbr_rows.shape[1] + 2) >= 2**31:
             raise ValueError(f"an int32 walk table indexes fewer than 2**31 cells, got {m} rows")
+        if not bool((keys[1:] > keys[:-1]).all()):
+            raise ValueError("walk table keys must strictly increase (one row per key cell)")
         rows = np.arange(m, dtype=np.int32)
-        cell_end = rows.copy()  # the last row of each row's key cell
-        if m > 1:
-            np.copyto(cell_end[:-1], m, where=keys[:-1] == keys[1:])
-            np.minimum.accumulate(cell_end[::-1], out=cell_end[::-1])
-        # A missing successor points at the row itself: offset 0, and a
-        # cell shared with the row, so no candidate is kept past it.
-        succ = np.where(succ_row >= 0, succ_row, rows).astype(np.int32)
-        succ_lim = _wrap(cell_end[succ] - rows, m)
-        succ_lim[cell_end[succ] == cell_end] = m
+        # A missing successor points at the row itself: offset 0, past
+        # which no candidate is kept.
+        succ_off = _wrap(np.where(succ_row >= 0, succ_row, rows).astype(np.int32) - rows, m)
+        succ_lim = np.where(succ_off > 0, succ_off, m)
         cands = _wrap(np.subtract(nbr_rows, rows[:, None], dtype=np.int32), m)
         np.copyto(cands, m, where=(nbr_rows < 0) | (cands <= succ_lim[:, None]))
         cands.sort(axis=1)
         width = int((cands.min(axis=0, initial=m) < m).sum())
         offsets = np.empty((m, width + 2), dtype=np.int32)
-        offsets[:, 0] = _wrap(succ - rows, m)
+        offsets[:, 0] = succ_off
         offsets[:, 1:-1] = cands[:, :width]
         offsets[:, -1] = m
         return cls(keys=keys, succ_row=succ_row, offsets=offsets)
@@ -184,9 +161,9 @@ class WalkTable:
 def walk_bounds(keys: np.ndarray, targets: np.ndarray, first: np.ndarray) -> np.ndarray:
     """The walk bound per ``uint64`` target key over the sorted ``keys``,
     from ``first = searchsorted(keys, targets, "left")``: ``first``
-    itself when that row is keyed exactly at the target (the lowest row
-    of the target's key cell), else ``first - 1``, the last row keyed
-    below the target (``-1`` when there is none); ``int32``."""
+    itself when that row is keyed exactly at the target, else
+    ``first - 1``, the last row keyed below the target (``-1`` when
+    there is none); ``int32``."""
     if keys.size == 0:
         return np.full(np.shape(targets), -1, dtype=np.int32)
     at_target = keys.take(first, mode="clip") == targets
@@ -249,11 +226,8 @@ def greedy_walk_reference(
     not their bounds, and reads the rows behind
     ``offsets`` — ``(row + offset) mod m``: the successor, the kept
     candidates, and the row itself for padding — and scans them for the
-    most progress, recomputing each progress from ``keys`` and breaking
-    ties toward the higher row: neither the offsets' order nor their
-    arithmetic is trusted. A row of the current row's own key cell
-    below it lies a full circle on; of the rows keyed at the target only
-    the lowest qualifies."""
+    most progress, recomputing each progress from ``keys``: neither the
+    offsets' order nor their arithmetic is trusted."""
     keys_int = [int(k) for k in table.keys]
     succs = [int(s) for s in table.succ_row]
     m = len(keys_int)
@@ -266,7 +240,6 @@ def greedy_walk_reference(
         cur = int(source_rows[q])
         owner = int(owner_rows[q])
         tgt = int(targets[q])
-        first = bisect.bisect_left(keys_int, tgt)  # the lowest row keyed at the target, if any
         count = 0
         while cur != owner:
             if count >= budget:
@@ -278,17 +251,13 @@ def greedy_walk_reference(
                 break
             cur_key = keys_int[cur]
             span = (tgt - cur_key) & KEY_MASK
-            if span == 0 and first < cur:
-                span = KEY_MOD
             succ_progress = (keys_int[succ] - cur_key) & KEY_MASK
             best = (succ_progress, succ)
             if succ_progress != 0 and not 0 < span <= succ_progress:
                 for cand in nbrs[cur]:
                     progress = (keys_int[cand] - cur_key) & KEY_MASK
-                    if progress == 0 and cand < cur:
-                        progress = KEY_MOD
-                    if succ_progress < progress <= span and (progress < span or cand == first):
-                        best = max(best, (progress, cand))  # ties: the higher row
+                    if succ_progress < progress <= span:
+                        best = max(best, (progress, cand))
             nxt = best[1]
             if nxt == cur:
                 code[q] = WalkCode.STUCK

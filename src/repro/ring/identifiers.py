@@ -22,12 +22,15 @@ exact at full float resolution; float *subtraction* rounds, so
 :func:`cw_distance` can collapse denormal-scale separations (key
 ``1.4e-45`` with origin ``0.1`` measures exactly ``0.9``) and
 metric/predicate verdicts can disagree at boundaries. Geometry
-*decisions* therefore never use the subtractive metric: the scalar
-layers (partitions, estimators, routing, medians) decide with this
-module's comparison predicates, while the batched hot path computes on
-:mod:`repro.ring.keyspace` — exact ``uint64`` fixed-point modular
-arithmetic, bit-identical to the comparison rules whenever positions
-occupy distinct ``2**-64`` cells. ``cw_distance`` remains the
+*decisions* therefore never use the subtractive metric. Decisions about
+peers — the ring's searches, the walk kernel, the fault-aware router,
+range sweeps — are made on :mod:`repro.ring.keyspace`'s exact
+``uint64`` keys, and the ring admits one peer per ``2**-64`` key cell.
+The float layers left — construction's partition borders and
+estimators, and the protocol core the live runtime runs — decide with
+this module's comparison predicates, which agree with the key rules
+except for a float inside a peer's cell other than the peer's own
+(only ever below ``2**-11``). ``cw_distance`` remains the
 measurement/diagnostic metric of the float ``[0, 1)`` edge API.
 """
 

@@ -33,7 +33,8 @@ interface; conversion happens once at the API edge:
   least the ``2**-64`` cell width): ``to_unit(from_unit(x)) == x``.
   Floats below ``2**-11`` (including denormals) are quantized onto the
   ``2**-64`` grid — the keyspace's resolution limit, which
-  :class:`~repro.ring.ring.Ring` enforces as a position-uniqueness rule.
+  :class:`~repro.ring.ring.Ring` enforces by admitting one peer per
+  key cell.
 * ``to_unit(k)`` is the correctly-rounded ``k / 2**64``, clamped into
   ``[0, 1)``. It is a *section* of ``from_unit`` on its image:
   ``from_unit(to_unit(from_unit(x))) == from_unit(x)`` for every float

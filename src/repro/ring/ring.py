@@ -9,34 +9,30 @@ and clockwise-range queries in ``O(log N)`` using cached sorted arrays.
 Design notes
 ------------
 
-* **Positions are unique.** Joins with a colliding position are rejected
-  with :class:`~repro.errors.DuplicateNodeError`; callers draw a fresh key
-  (collisions of continuous keys have probability ~0 but a float can
-  repeat, so the overlay perturbs and retries). Distinct floats closer
-  than keyspace resolution (``2**-64``) are *allowed* and share a key
-  cell: the sorted ``uint64`` key array is then weakly increasing, and
-  key-space interval checks treat the tied peers as one point — the
-  degenerate whole-circle convention makes the ring hop between them,
-  so routing still terminates (property-tested with denormal
-  positions).
+* **One peer per key cell.** A join into a ``2**-64`` key cell a peer
+  (live or dead) already holds — at an equal float, or a distinct one
+  closer than ``2**-64``, only ever below ``2**-11`` — is rejected with
+  :class:`~repro.errors.DuplicateNodeError`; callers draw a fresh
+  position. So the sorted ``uint64`` keys strictly increase, every
+  lookup searches them, and a float argument is converted once, by
+  :func:`~repro.ring.keyspace.from_unit`.
 * **Crashes mark, never remove.** Failure injection flips the alive flag;
   dead peers stay in the structure so that long-range links pointing at
   them can be discovered as dangling by the fault-aware router, exactly
   like a timed-out probe in a deployed system.
 * **Struct-of-arrays state.** Per-peer facts (position, exact ``uint64``
   key, liveness) live in a shared :class:`~repro.core.soa.SubstrateState`
-  — flat arrays indexed by slot — and the ring maintains only the sorted
-  clockwise *order* of slots. Overlays pass their state in so their
-  builders and ring queries read the same cells; a stand-alone
-  ``Ring()`` owns a private state. Sorted position/id/key arrays (all
-  peers, and live-only) are cached and invalidated on mutation, so the
-  hot lookups used by sampling, link acquisition and the batch engine
-  are vectorized.
+  — flat arrays indexed by slot — and the ring keeps only the clockwise
+  order of slots and their sorted keys. Overlays pass their state in so
+  their builders and ring queries read the same cells; a stand-alone
+  ``Ring()`` owns a private state. Position/id/key arrays (all peers,
+  and live-only) are gathered from the state, cached and invalidated on
+  mutation, so the hot lookups used by sampling, link acquisition and
+  the batch engine are vectorized.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -44,7 +40,6 @@ import numpy as np
 from ..errors import DuplicateNodeError, EmptyPopulationError, RingInvariantError, UnknownNodeError
 from ..types import NodeId
 from . import keyspace
-from .identifiers import _check  # shared range validation
 
 if TYPE_CHECKING:
     from ..core.soa import SubstrateState
@@ -62,7 +57,7 @@ class Ring:
             state = SubstrateState()
         self.state = state
         self._sorted_slots = np.empty(0, dtype=np.int64)
-        self._sorted_pos = np.empty(0, dtype=np.float64)
+        self._sorted_keys = np.empty(0, dtype=np.uint64)
         # Cached (positions, ids, keys, slots) tuples; see _arrays().
         self._cache_all: tuple[np.ndarray, ...] | None = None
         self._cache_live: tuple[np.ndarray, ...] | None = None
@@ -83,20 +78,18 @@ class Ring:
         """Add a live peer at ``position``.
 
         Raises :class:`DuplicateNodeError` if the id is already present or
-        the position is occupied (positions must be unique for the
-        clockwise order to be total).
+        the position's ``2**-64`` key cell is taken (one peer per cell
+        keeps the clockwise key order total).
         """
-        _check(position, "position")
-        key = keyspace.from_unit(position, "position")
+        key = np.uint64(keyspace.from_unit(position, "position"))
         if self.state.slot_of(node_id) >= 0:
             raise DuplicateNodeError(f"node {node_id} already joined")
-        idx = int(np.searchsorted(self._sorted_pos, position, side="left"))
-        if idx < self._sorted_pos.size and self._sorted_pos[idx] == position:
-            occupant = int(self.state.node_id[self._sorted_slots[idx]])
-            raise DuplicateNodeError(f"position {position!r} already occupied by node {occupant}")
-        slot = self.state.alloc_one(int(node_id), float(position), key)
+        idx = int(np.searchsorted(self._sorted_keys, key))
+        if idx < self._sorted_keys.size and self._sorted_keys[idx] == key:
+            raise self._taken(position, idx)
+        slot = self.state.alloc_one(int(node_id), float(position), int(key))
         self._sorted_slots = np.insert(self._sorted_slots, idx, slot)
-        self._sorted_pos = np.insert(self._sorted_pos, idx, position)
+        self._sorted_keys = np.insert(self._sorted_keys, idx, key)
         self._version += 1
         self._invalidate()
 
@@ -117,9 +110,10 @@ class Ring:
         instead of the ``O(N)``-per-insert splicing, which is what
         makes million-peer bulk construction feasible. Validation runs
         on the arrays and before any mutation: a bad position raises
-        :class:`~repro.ring.keyspace.KeyspaceError`, a duplicate id or position
-        :class:`DuplicateNodeError` — naming the first offender, as the
-        per-pair loop would — and the ring is left untouched.
+        :class:`~repro.ring.keyspace.KeyspaceError`, a duplicate id or a
+        key cell taken twice in the batch or already held
+        :class:`DuplicateNodeError` — naming the first offender in key
+        order — and the ring is left untouched.
         """
         if positions is None:
             pairs = list(items)
@@ -134,34 +128,26 @@ class Ring:
             return
         bad = ~(np.isfinite(new_pos) & (new_pos >= 0.0) & (new_pos < 1.0))
         if bad.any():
-            _check(float(new_pos[int(bad.argmax())]), "position")
+            keyspace.from_unit(float(new_pos[int(bad.argmax())]), "position")  # raises, naming it
         if np.unique(new_ids).size != new_ids.size:
             raise DuplicateNodeError("bulk insert contains a repeated node id")
         joined = self.state.slots_of(new_ids) >= 0
         if joined.any():
             raise DuplicateNodeError(f"node {int(new_ids[int(joined.argmax())])} already joined")
-        order = np.argsort(new_pos, kind="stable")
-        sorted_new = new_pos[order]
-        if sorted_new.size > 1 and bool((sorted_new[1:] == sorted_new[:-1]).any()):
-            raise DuplicateNodeError("bulk insert contains a repeated position")
-        existing = self._sorted_pos
-        if existing.size:
-            at = np.searchsorted(existing, sorted_new, side="left")
-            hit = (at < existing.size) & (existing[np.minimum(at, existing.size - 1)] == sorted_new)
-            if bool(hit.any()):
-                taken = float(sorted_new[np.nonzero(hit)[0][0]])
-                occupant_slot = self._sorted_slots[int(np.searchsorted(existing, taken, side="left"))]
-                raise DuplicateNodeError(
-                    f"position {taken!r} already occupied by node "
-                    f"{int(self.state.node_id[occupant_slot])}"
-                )
         new_keys = keyspace.from_units(new_pos)  # bit-equal to scalar from_unit
-        slots = self.state.alloc_many(new_ids, new_pos, new_keys.astype(np.uint64))
-        merged_pos = np.concatenate([existing, new_pos])
-        merged_slots = np.concatenate([self._sorted_slots, slots])
-        merge_order = np.argsort(merged_pos, kind="stable")
-        self._sorted_pos = merged_pos[merge_order]
-        self._sorted_slots = merged_slots[merge_order]
+        held = self._sorted_keys.size
+        merged = np.concatenate([self._sorted_keys, new_keys])
+        merge_order = np.argsort(merged, kind="stable")  # a held key sorts before a new twin
+        merged = merged[merge_order]
+        clash = np.flatnonzero(merged[1:] - merged[:-1] == 0)  # a zero gap: one cell twice
+        if clash.size:
+            first, second = merge_order[clash[0]], merge_order[clash[0] + 1]
+            if first >= held:
+                raise DuplicateNodeError("bulk insert contains a repeated position (key cell)")
+            raise self._taken(float(new_pos[second - held]), int(first))
+        slots = self.state.alloc_many(new_ids, new_pos, new_keys)
+        self._sorted_keys = merged
+        self._sorted_slots = np.concatenate([self._sorted_slots, slots])[merge_order]
         self._version += int(new_ids.size)
         self._invalidate()
 
@@ -197,7 +183,7 @@ class Ring:
         flags[drop_slots] = True
         keep = ~flags[self._sorted_slots]
         self._sorted_slots = self._sorted_slots[keep]
-        self._sorted_pos = self._sorted_pos[keep]
+        self._sorted_keys = self._sorted_keys[keep]
         self.state.free_many(drop_slots)
         self._version += int(ids.size)
         self._invalidate()
@@ -260,14 +246,14 @@ class Ring:
     # ------------------------------------------------------------------
 
     def successor_of_key(self, key: float, live_only: bool = True) -> NodeId:
-        """The peer responsible for ``key``: the first peer at or after it
-        clockwise (Chord's ``successor(key)``)."""
-        _check(key, "key")
-        positions, ids, __ = self._arrays(live_only)
+        """The peer responsible for ``key`` (Chord's ``successor(key)``):
+        the peer holding ``key``'s ``2**-64`` key cell, else the first
+        one clockwise after it."""
+        target = np.uint64(keyspace.from_unit(key))
+        __, ids, keys = self._arrays(live_only)
         if ids.size == 0:
             raise EmptyPopulationError("ring has no " + ("live " if live_only else "") + "peers")
-        idx = int(np.searchsorted(positions, key, side="left"))
-        return int(ids[idx % ids.size])
+        return int(ids[int(np.searchsorted(keys, target)) % ids.size])
 
     def successor(self, node_id: NodeId, live_only: bool = True) -> NodeId:
         """The next peer clockwise after ``node_id`` (never itself, unless
@@ -279,17 +265,12 @@ class Ring:
         return self._neighbor(node_id, step=-1, live_only=live_only)
 
     def _neighbor(self, node_id: NodeId, step: int, live_only: bool) -> NodeId:
-        pos = self.position(node_id)
-        positions, ids, __ = self._arrays(live_only)
+        __, ids, keys = self._arrays(live_only)
+        idx, present = self._index(node_id, keys)
         if ids.size == 0:
             raise EmptyPopulationError("ring has no live peers")
-        idx = int(np.searchsorted(positions, pos, side="left"))
-        if idx >= ids.size or positions[idx] != pos or ids[idx] != node_id:
-            # node is dead and excluded from the live view: walk from the
-            # insertion point (its would-be slot).
-            if step > 0:
-                return int(ids[idx % ids.size])
-            return int(ids[(idx - 1) % ids.size])
+        if not present:  # dead and excluded from the live view: step from its would-be slot
+            return int(ids[(idx if step > 0 else idx - 1) % ids.size])
         return int(ids[(idx + step) % ids.size])
 
     # ------------------------------------------------------------------
@@ -299,9 +280,7 @@ class Ring:
     def cw_range_size(self, start: float, end: float, live_only: bool = True) -> int:
         """Number of peers with positions in the clockwise interval
         ``(start, end]`` (the whole circle when ``start == end``)."""
-        base, count, __ = self._range_span(start, end, live_only)
-        del base
-        return count
+        return self._range_span(start, end, live_only)[1]
 
     def ids_in_cw_range(self, start: float, end: float, live_only: bool = True) -> np.ndarray:
         """Node ids with positions in clockwise ``(start, end]``, in
@@ -319,25 +298,26 @@ class Ring:
         wraps all the way around. Used by the oracle partitioner to read
         exact median borders in ``O(log N)``.
         """
-        positions, __, __k = self._arrays(live_only)
+        origin_key = np.uint64(keyspace.from_unit(origin, "origin"))
+        positions, __, keys = self._arrays(live_only)
         n = positions.size
         if n == 0:
             raise EmptyPopulationError("ring has no live peers")
         if not 1 <= rank <= n:
             raise ValueError(f"rank must be in [1, {n}], got {rank}")
-        base = int(np.searchsorted(positions, origin, side="right"))
+        base = int(np.searchsorted(keys, origin_key, side="right"))
         return float(positions[(base + rank - 1) % n])
 
     def cw_rank_of(self, origin: float, node_id: NodeId, live_only: bool = True) -> int:
         """Clockwise rank of ``node_id`` as seen from ``origin`` (>= 1)."""
-        positions, ids, __ = self._arrays(live_only)
+        origin_key = np.uint64(keyspace.from_unit(origin, "origin"))
+        __, ids, keys = self._arrays(live_only)
         if ids.size == 0:
             raise EmptyPopulationError("ring has no live peers")
-        pos = self.position(node_id)
-        idx = int(np.searchsorted(positions, pos, side="left"))
-        if idx >= ids.size or ids[idx] != node_id:
+        idx, present = self._index(node_id, keys)
+        if not present:
             raise UnknownNodeError(node_id)
-        base = int(np.searchsorted(positions, origin, side="right"))
+        base = int(np.searchsorted(keys, origin_key, side="right"))
         return (idx - base) % ids.size + 1
 
     def positions_array(self, live_only: bool = False) -> np.ndarray:
@@ -353,8 +333,7 @@ class Ring:
 
     def keys_array(self, live_only: bool = False) -> np.ndarray:
         """Exact ``uint64`` keys aligned with :meth:`positions_array`
-        (weakly increasing: floats closer than ``2**-64`` share a key
-        cell)."""
+        (strictly increasing: one peer per key cell)."""
         __, __i, keys = self._arrays(live_only)
         return keys
 
@@ -373,8 +352,8 @@ class Ring:
         """Check the ring/state structural invariants, raising
         :class:`~repro.errors.RingInvariantError` on the first violation:
 
-        * the clockwise order is strictly increasing in position and
-          mirrors the state's position cells exactly;
+        * the sorted keys strictly increase, mirror the state's key
+          cells exactly, and each is the key of its peer's position;
         * every ordered slot is allocated (``node_id >= 0``) and the
           id -> slot map is its exact inverse;
         * the cached live view agrees with the liveness bitmap;
@@ -384,11 +363,13 @@ class Ring:
         slots = self._sorted_slots
         if slots.size != len(set(int(s) for s in slots)):
             raise RingInvariantError("clockwise order repeats a slot")
-        pos = state.pos[slots]
-        if not np.array_equal(pos, self._sorted_pos):
-            raise RingInvariantError("sorted position cache diverged from state positions")
-        if pos.size > 1 and not bool((pos[1:] > pos[:-1]).all()):
+        keys = self._sorted_keys
+        if not np.array_equal(keys, state.key[slots]):
+            raise RingInvariantError("sorted keys diverged from state keys")
+        if not bool((keys[1:] > keys[:-1]).all()):
             raise RingInvariantError("clockwise order is not strictly increasing")
+        if not np.array_equal(keys, keyspace.from_units(state.pos[slots])):
+            raise RingInvariantError("a peer's key is not the key of its position")
         ids = state.node_id[slots]
         if bool((ids < 0).any()):
             raise RingInvariantError("clockwise order references a freed slot")
@@ -413,6 +394,21 @@ class Ring:
             raise UnknownNodeError(node_id)
         return slot
 
+    def _index(self, node_id: NodeId, keys: np.ndarray) -> tuple[int, bool]:
+        """Where ``node_id``'s key sorts among the sorted ``keys``, and
+        whether it is there (a dead peer is not in the live keys)."""
+        key = self.state.key[self._require_known(node_id)]
+        idx = int(np.searchsorted(keys, key))
+        return idx, idx < keys.size and keys[idx] == key
+
+    def _taken(self, position: float, idx: int) -> DuplicateNodeError:
+        """The refusal of ``position``, whose key cell the peer at sorted
+        index ``idx`` holds."""
+        occupant = int(self.state.node_id[self._sorted_slots[idx]])
+        return DuplicateNodeError(
+            f"position {position!r} already occupied by node {occupant} (its 2**-64 key cell)"
+        )
+
     def _invalidate(self) -> None:
         self._cache_all = None
         self._cache_live = None
@@ -424,18 +420,18 @@ class Ring:
                 mask = state.alive[self._sorted_slots]
                 slots = self._sorted_slots[mask]
                 self._cache_live = (
-                    self._sorted_pos[mask],
+                    state.pos[slots],
                     state.node_id[slots],
-                    state.key[slots],
+                    self._sorted_keys[mask],
                     slots,
                 )
             return self._cache_live
         if self._cache_all is None:
             slots = self._sorted_slots
             self._cache_all = (
-                self._sorted_pos.copy(),
+                state.pos[slots],
                 state.node_id[slots],
-                state.key[slots],
+                self._sorted_keys.copy(),
                 slots.copy(),
             )
         return self._cache_all
@@ -446,17 +442,18 @@ class Ring:
 
     def _range_span(self, start: float, end: float, live_only: bool) -> tuple[int, int, np.ndarray]:
         """Return ``(base_index, count, ids_array)`` describing clockwise
-        ``(start, end]`` as a contiguous (mod n) span of the sorted order."""
-        _check(start, "start")
-        _check(end, "end")
-        positions, ids, __ = self._arrays(live_only)
-        n = positions.size
+        ``(start, end]`` as a contiguous (mod n) span of the sorted order,
+        decided on the ends' keys (one key cell is the whole circle)."""
+        start_key = np.uint64(keyspace.from_unit(start, "start"))
+        end_key = np.uint64(keyspace.from_unit(end, "end"))
+        __, ids, keys = self._arrays(live_only)
+        n = ids.size
         if n == 0:
             return 0, 0, ids
-        lo = int(np.searchsorted(positions, start, side="right"))
-        hi = int(np.searchsorted(positions, end, side="right"))
-        if start < end:
+        lo = int(np.searchsorted(keys, start_key, side="right"))
+        hi = int(np.searchsorted(keys, end_key, side="right"))
+        if start_key < end_key:
             return lo, hi - lo, ids
-        if start == end:  # whole circle
+        if start_key == end_key:  # whole circle
             return lo % n, n, ids
         return lo, (n - lo) + hi, ids

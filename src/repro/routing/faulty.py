@@ -34,7 +34,8 @@ from typing import Protocol, Sequence, runtime_checkable
 
 from ..config import RoutingConfig
 from ..errors import DeadNodeError
-from ..ring import Ring, RingPointers, in_cw_interval
+from ..ring import Ring, RingPointers
+from ..ring.keyspace import cw_distance, from_unit
 from ..types import Key, NodeId
 from .result import RouteResult
 
@@ -81,6 +82,7 @@ def route_faulty(
     """
     if not ring.is_alive(source):
         raise DeadNodeError(source, "route_faulty")
+    target = from_unit(target_key)  # every decision below is on keys
     responsible = ring.successor_of_key(target_key, live_only=True)
 
     hops = 0
@@ -107,7 +109,7 @@ def route_faulty(
         return make_result(source, True)
 
     stack: list[tuple[NodeId, "list[NodeId]", int]] = []
-    stack.append((source, _candidates(ring, pointers, neighbors, source, target_key), 0))
+    stack.append((source, _candidates(ring, pointers, neighbors, source, target), 0))
 
     while stack:
         node, cands, cursor = stack[-1]
@@ -132,7 +134,7 @@ def route_faulty(
             if candidate == responsible:
                 return make_result(candidate, True)
             stack.append(
-                (candidate, _candidates(ring, pointers, neighbors, candidate, target_key), 0)
+                (candidate, _candidates(ring, pointers, neighbors, candidate, target), 0)
             )
             advanced = True
             break
@@ -151,9 +153,10 @@ def _candidates(
     pointers: RingPointers,
     neighbors: NeighborProvider,
     node: NodeId,
-    target_key: Key,
+    target: int,
 ) -> list[NodeId]:
-    """Candidate next hops from ``node``, in greedy-preference order.
+    """Candidate next hops from ``node`` toward the ``uint64`` key
+    ``target``, in greedy-preference order.
 
     Three tiers (deduplicated, ``node`` itself excluded):
 
@@ -164,50 +167,39 @@ def _candidates(
     3. links already past the key, closest-after-the-key first
        (last-resort delivery attempts when the ring is unrepaired).
 
-    Progress and "past the key" are decided with comparisons only
-    (:func:`~repro.ring.identifiers.in_cw_interval` and the clockwise
-    rank order of :func:`~repro.protocol.decisions.cw_closer`) — exact at
-    full float resolution, so the preference order cannot be scrambled
-    by subtractive rounding at arc boundaries. Exact order cannot tie on
-    distinct positions, so no id tie-break is needed.
+    Progress and "past the key" are exact ``uint64`` clockwise distances
+    (:func:`~repro.ring.keyspace.cw_distance`), the walk kernel's; keys
+    are distinct (one peer per ``2**-64`` cell), so they cannot tie, and
+    with the key exactly at ``node`` (distance 0) nothing improves.
     """
-    node_pos = ring.position(node)
+    node_key = ring.key_of(node)
+    span = cw_distance(node_key, target)  # the key's own progress
     succ = pointers.successor.get(node)
 
     seen: set[NodeId] = {node}
-    improving: list[tuple[tuple[bool, float], NodeId]] = []
-    past: list[tuple[tuple[bool, float], NodeId]] = []
+    improving: list[tuple[int, NodeId]] = []
+    past: list[tuple[int, NodeId]] = []
     head: list[NodeId] = []
 
     if succ is not None and succ != node:
         seen.add(succ)
-        succ_pos = ring.position(succ)
-        if in_cw_interval(target_key, node_pos, succ_pos):
+        progress = cw_distance(node_key, ring.key_of(succ))
+        if 0 < span <= progress:
             head.append(succ)
         else:
-            improving.append((_cw_rank(node_pos, succ_pos), succ))
+            improving.append((progress, succ))
 
     for link in neighbors.neighbors_of(node):
         if link in seen:
             continue
         seen.add(link)
-        link_pos = ring.position(link)
-        if link_pos == node_pos:
-            continue
-        # Zero-span guard: with the key exactly at `node`, nothing can
-        # improve ("(node, node]" would read as the whole circle).
-        if target_key != node_pos and in_cw_interval(link_pos, node_pos, target_key):
-            improving.append((_cw_rank(node_pos, link_pos), link))
+        link_key = ring.key_of(link)
+        progress = cw_distance(node_key, link_key)
+        if progress <= span:
+            improving.append((progress, link))
         else:
-            past.append((_cw_rank(target_key, link_pos), link))
+            past.append((cw_distance(target, link_key), link))
 
-    improving.sort(key=lambda item: item[0], reverse=True)
-    past.sort(key=lambda item: item[0])
+    improving.sort(reverse=True)
+    past.sort()
     return head + [n for __, n in improving] + [n for __, n in past]
-
-
-def _cw_rank(origin: float, position: float) -> tuple[bool, float]:
-    """A sort key realizing exact clockwise-from-``origin`` order:
-    positions at/after the origin first (ascending), wrapped positions
-    after (ascending) — the total order :func:`cw_closer` compares by."""
-    return (position < origin, position)

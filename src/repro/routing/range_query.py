@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..ring import in_cw_interval
+from ..ring.keyspace import KEY_MOD, cw_distance, from_unit
 from ..types import Key, NodeId
 from .result import RouteResult
 
@@ -79,7 +79,9 @@ def route_range(
     ``successor(hi)``, the peer owning the range's tail slice — every
     key in ``[lo, hi]`` is owned by exactly one peer in the set.
     ``lo == hi`` is the point range (a single owner), not the whole
-    circle.
+    circle; two ends in one ``2**-64`` key cell with ``hi < lo`` are the
+    full circle, as in :meth:`ServeEngine.serve_range
+    <repro.engine.serve.ServeEngine.serve_range>`.
     """
     entry = substrate.route(source, lo, faulty=faulty)
     if not entry.success or entry.delivered_to is None:
@@ -91,13 +93,14 @@ def route_range(
     owners: list[NodeId] = [entry.delivered_to]
     sweep_hops = 0
     current = entry.delivered_to
-    # Sweep successor pointers while the current owner sits in the
-    # half-open clockwise range ``[lo, hi)`` — decided with comparisons
-    # only (exact), so wrapped ranges, ranges ending past the last peer,
-    # and owners a sub-rounding step before ``hi`` all terminate
-    # correctly; the `in owners` guard terminates degenerate
-    # (single-peer) rings.
-    while _owner_arc_continues(float(state.pos[state.slot_of(current)]), lo, hi):
+    # Sweep successor pointers while the current owner's key sits in the
+    # half-open clockwise range ``[lo, hi)`` of keys — the exact test
+    # ``serve_range`` makes; the `in owners` guard ends the full circle
+    # and degenerate (single-peer) rings.
+    lo_key = from_unit(lo)
+    width = cw_distance(lo_key, from_unit(hi))
+    reach = KEY_MOD if width == 0 and hi < lo else width
+    while cw_distance(lo_key, int(state.key[state.slot_of(current)])) < reach:
         nxt = int(state.succ[state.slot_of(current)])
         if nxt < 0 or nxt == current or nxt in owners:
             break
@@ -113,14 +116,3 @@ def route_range(
         sweep_hops=sweep_hops,
     )
 
-
-def _owner_arc_continues(position: float, lo: float, hi: float) -> bool:
-    """Whether a swept owner at ``position`` still ends before the range
-    end — i.e. ``position`` is in clockwise ``[lo, hi)``, exactly.
-
-    ``lo == hi`` is the point range: the entry peer alone owns it, so
-    the sweep never continues.
-    """
-    if lo == hi or position == hi:
-        return False
-    return position == lo or in_cw_interval(position, lo, hi)

@@ -174,11 +174,11 @@ def assert_walk_table(table, candidates) -> None:
     the successor's row offset ``(s - v) mod m`` (0 without a pointer);
     then, ascending, the offsets of the candidates of ``candidates[v]``
     (``-1`` is padding) that make more clockwise progress than the
-    successor — none when the successor makes none — plus any candidate
-    of ``v``'s own key cell below ``v``; then ``m`` to the width of the
-    fullest row, and one more ``m``. Progress never decreases along the
-    kept candidates outside ``v``'s cell."""
+    successor — none when the successor makes none; then ``m`` to the
+    width of the fullest row, and one more ``m``. The keys strictly
+    increase, so progress does too along the kept candidates."""
     keys = [int(k) for k in table.keys]
+    assert keys == sorted(set(keys))
     m = len(keys)
     expected = []
     for v, cands in enumerate(candidates):
@@ -187,13 +187,10 @@ def assert_walk_table(table, candidates) -> None:
         kept = sorted(
             (c - v) % m
             for c in (int(c) for c in cands)
-            if c >= 0
-            and succ_progress
-            and ((keys[c] - key) & KEY_MASK > succ_progress or (keys[c] == key and c < v))
+            if c >= 0 and succ_progress and (keys[c] - key) & KEY_MASK > succ_progress
         )
         progress = [(keys[(v + off) % m] - key) & KEY_MASK for off in kept]
-        moving = [p for p in progress if p]
-        assert moving == sorted(moving) and all(p > succ_progress for p in moving)
+        assert progress == sorted(progress) and all(p > succ_progress for p in progress)
         expected.append(((succ - v) % m if succ >= 0 else 0, kept))
     width = max((len(kept) for __, kept in expected), default=0)
     assert table.offsets.dtype == np.int32 and table.offsets.shape == (m, width + 2)

@@ -31,7 +31,7 @@ from repro.degree import ConstantDegrees
 from repro.engine import BatchQueryEngine, TopologySnapshot
 from repro.engine import ServeSnapshot
 from repro.engine.walk import WalkCode, WalkTable, greedy_walk, greedy_walk_reference
-from repro.errors import RoutingError
+from repro.errors import DuplicateNodeError, RoutingError
 from repro.index import ReplicatedStore
 from repro.membership import OracleView
 from repro.ring import keyspace
@@ -160,18 +160,19 @@ class TestBatchMatchesScalar:
         assert snap.all_ids[stopped].tolist() == batch.responsible.tolist()
 
     def test_target_on_a_shared_cell_key_reaches_the_cells_lowest_row(self):
-        """Peers 0 and 1 share key cell 0, and peer 2 links to peer 1. A
-        target in that cell is peer 0's, the cell's lowest row; the walk
-        must not stop short on peer 1 and circle the ring back to it
-        (regression: with the bound on the cell's highest row, the walk
-        from 1 went 1 -> 2 -> 1 ... until the budget ran out)."""
-        overlay = hand_built([2.0**-70, 2.0**-69, 0.5, 0.75], {2: [1]})
+        """A target sharing key cell 0 with peer 0 (at ``2**-70``) is
+        peer 0's, the cell's lowest — and only — row: the ring refuses a
+        second peer there. Peer 1 sits a few cells on and peer 2 links
+        to it; no walk stops short of peer 0 or circles back to it."""
+        with pytest.raises(DuplicateNodeError):
+            hand_built([2.0**-70, 2.0**-69, 0.5, 0.75])
+        overlay = hand_built([2.0**-70, 2.0**-63, 0.5, 0.75], {2: [1]})
         sources = np.asarray([1, 2, 3, 0])
         for target in (2.0**-70, 2.0**-69, 0.0):
             batch = BatchQueryEngine(overlay).route_batch(sources, np.full(4, target))
             assert batch.success.all() and (batch.responsible == 0).all()
-            # 1 steps back to its predecessor, a full circle on in rank
-            # space; 2 passes 1 by for its successor 3, whose successor is 0.
+            # 1 steps back to its predecessor; 2 passes 1 by for its
+            # successor 3, whose successor is 0.
             assert batch.hops.tolist() == [1, 2, 1, 0]
             for source, hops in zip(sources.tolist(), batch.hops.tolist()):
                 assert overlay.route(source, target, record_path=True).hops == hops
@@ -266,18 +267,16 @@ class TestWalkTable:
         width=st.integers(0, 6),
         seed=st.integers(0, 2**16),
         padding=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
-        cells=st.sampled_from([3, 2**20, 2**64]),
+        cells=st.sampled_from([16, 2**20, 2**64]),
     )
     def test_sorted_table_equals_brute_force(self, m, width, seed, padding, cells):
-        """Random candidate matrices: ``-1`` anywhere in a row,
-        duplicate candidates, self links, zero-width and all-padding
-        matrices, rows whose links wrap past key 0, missing, self and
-        random successor pointers, and (``cells=3``) several rows
-        sharing one key cell."""
+        """Random candidate matrices over distinct keys: ``-1`` anywhere
+        in a row, duplicate candidates, self links, zero-width and
+        all-padding matrices, rows whose links wrap past key 0, missing,
+        self and random successor pointers, and (``cells=16``) rows in
+        adjacent key cells."""
         rng = np.random.default_rng(seed)
-        keys = np.sort(rng.integers(0, cells, size=m, dtype=np.uint64, endpoint=False))
-        if cells > 3:
-            keys = np.unique(keys)
+        keys = np.unique(rng.integers(0, cells, size=m, dtype=np.uint64, endpoint=False))
         m = int(keys.size)
         nbr_rows = rng.integers(0, m, size=(m, width))
         nbr_rows[rng.random((m, width)) < padding] = -1
@@ -433,18 +432,19 @@ class TestWalkKernelTwins:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_twins_agree_on_adversarial_tables(self, seed):
-        """Raw tables no overlay builds, 1-13 rows: key cells shared by
-        several rows, padding anywhere, missing, self and random
-        successor pointers, targets exactly on a row's key, random
-        owners, budgets 2, 5 and 40. Inside a shared cell the twin must
-        break ties as the kernel does."""
+        """Raw tables no overlay builds, 1-13 rows: distinct keys
+        crowded into a few cells around the circle, padding anywhere,
+        missing, self and random successor pointers, targets exactly on
+        a row's key, random owners, budgets 2, 5 and 40."""
         rng = np.random.default_rng(seed)
-        m, width = int(rng.integers(1, 14)), int(rng.integers(0, 6))
+        width = int(rng.integers(0, 6))
         cells = (3, 5, 8, 2**64 - 1)[int(rng.integers(4))]
         budget = (2, 5, 40)[int(rng.integers(3))]
-        keys = np.sort(rng.integers(0, cells, size=m, dtype=np.uint64, endpoint=True))
+        size = int(rng.integers(1, 14))
+        keys = np.unique(rng.integers(0, cells, size=size, dtype=np.uint64, endpoint=True))
         if cells < 2**64 - 1:
             keys <<= np.uint64(60)  # a few cells spread around the circle
+        m = int(keys.size)
         succ_row = (np.arange(m) + 1) % m
         draw = rng.random(m)
         succ_row[draw < 0.15] = -1
@@ -463,21 +463,15 @@ class TestWalkKernelTwins:
         assert (alone, batch) == _alone_and_batch(greedy_walk_reference, *query)
         assert batch == [[value for [value] in column] for column in zip(*alone)]
 
-    @pytest.mark.parametrize("walk", WALKS)
-    def test_ties_in_a_shared_cell_go_to_the_higher_row(self, walk):
-        """Rows 2 and 3 share a key cell; row 0 links to both, listing
-        the lower first. The hop goes to row 3, one ring hop short of
-        the owner, not to row 2, two short."""
-        keys = np.asarray([0, 2, 5, 5, 9], dtype=np.uint64) << np.uint64(60)
+    def test_build_refuses_keys_that_do_not_strictly_increase(self):
+        """Rows 2 and 3 in one key cell — two peers the ring would not
+        admit — or rows out of key order: no table is built."""
         succ_row = np.asarray([1, 2, 3, 4, 0])
         nbr_rows = np.asarray([[2, 3], [-1, -1], [-1, -1], [-1, -1], [-1, -1]])
-        table = WalkTable.build(keys, succ_row, nbr_rows)
-        target = np.asarray([7 << 60], dtype=np.uint64)
-        assert _walk_outcome(walk, table, np.asarray([0]), np.asarray([4]), target, 8) == [
-            [2],
-            [WalkCode.OK],
-            [4],
-        ]
+        for cells in ([0, 2, 5, 5, 9], [0, 2, 5, 4, 9]):
+            keys = np.asarray(cells, dtype=np.uint64) << np.uint64(60)
+            with pytest.raises(ValueError, match="strictly increase"):
+                WalkTable.build(keys, succ_row, nbr_rows)
 
     @pytest.mark.parametrize("walk", WALKS)
     def test_each_failure_condition_is_a_code(self, walk):

@@ -32,8 +32,8 @@ from repro.engine.construct import (
 )
 from repro.errors import DuplicateNodeError, SamplingError
 from repro.experiments import make_overlay
-from repro.protocol.estimation import cw_arc_slice
-from repro.ring import Ring
+from repro.protocol.estimation import cw_arc_slice, select_border
+from repro.ring import Ring, keyspace, normalize
 from repro.rng import make_rng, split
 from repro.sampling import BatchRestrictedWalker
 from repro.workloads import GnutellaLikeDistribution, KeyDistribution, UniformKeys
@@ -130,8 +130,10 @@ class TestPathEquivalence:
         positions=st.lists(
             st.one_of(
                 st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-                # Distinct floats below 2**-64 share key cell 0.
+                # Distinct floats below 2**-64 share key cell 0; the
+                # multiples of 2**-64 are the cells above it.
                 st.integers(min_value=1, max_value=8).map(lambda j: j * 2.0**-70),
+                st.integers(min_value=1, max_value=8).map(lambda j: j * 2.0**-64),
             ),
             min_size=1,
             max_size=5,
@@ -146,8 +148,9 @@ class TestPathEquivalence:
     def test_join_matches_the_twin(self, n, seed, positions, caps, mode):
         """``OscarOverlay.join`` — a splice plus the kernels' one-row
         cohort — equals the splice plus the twin's cohort, join after
-        join: into an empty ring, a one-peer ring (``n`` 0 and 1), and
-        at positions sharing a ``2**-64`` key cell."""
+        join: into an empty ring, a one-peer ring (``n`` 0 and 1), into
+        adjacent ``2**-64`` key cells, and into a taken cell, which both
+        refuse."""
         kernel, twin = (OscarOverlay(OscarConfig(sampling_mode=mode), seed=seed) for __ in "ab")
         for overlay, vectorized in ((kernel, True), (twin, False)):
             overlay.grow_batch(n, UniformKeys(), ConstantDegrees(4), vectorized=vectorized)
@@ -415,18 +418,35 @@ class TestSelectBorders:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_colliding_keys_keep_the_draw_order_tiebreak(self, tiny, regular, sample_size, seed):
-        """Distinct positions below ``2**-64`` share key 0, so different
-        rows tie on distance; the kernel must still pick the twin's
-        draw-order median (and take the partition shortcut only when no
-        two rows share a key)."""
-        overlay = OscarOverlay(OscarConfig(sample_size=sample_size), seed=1)
-        for j in range(tiny):
-            overlay.join((j + 1) * 2.0**-70, 3, 3)
-        for j in range(regular):
-            overlay.join((j + 1) / (regular + 1), 3, 3)
-        view = LiveView.capture(overlay)
-        assert (np.unique(view.keys).size < view.m) == (tiny >= 2)
+        """Distinct positions below ``2**-64`` share key 0. No ring holds
+        two of them, but ``select_border`` — the protocol's estimation
+        level, which the engine's twin runs per row — is handed raw
+        samples: different samples then tie on key distance and the
+        draw-order one is the median (a numpy stable sort says which).
+        Over the ring's rows, which never tie, the kernel picks the
+        twin's median."""
+        positions = [(j + 1) * 2.0**-70 for j in range(tiny)]
+        positions += [(j + 1) / (regular + 1) for j in range(regular)]
+        cells = keyspace.from_units(positions)
         rng = make_rng(seed)
+        for origin in positions:
+            drawn = rng.integers(0, len(positions), size=sample_size)
+            distance = cells[drawn] - np.uint64(keyspace.from_unit(origin))
+            pick = drawn[np.argsort(distance, kind="stable")[(sample_size - 1) // 2]]
+            sample_keys, sample_positions = cells[drawn].tolist(), [positions[d] for d in drawn]
+            border, __ = select_border(
+                keyspace.from_unit(origin), origin, origin, sample_keys, sample_positions
+            )
+            assert border == normalize(origin + (positions[pick] - origin) % 1.0)
+
+        overlay = OscarOverlay(OscarConfig(sample_size=sample_size), seed=1)
+        for position in positions:
+            try:
+                overlay.join(position, 3, 3)
+            except DuplicateNodeError:
+                assert keyspace.from_unit(position) == 0  # only the cell-0 floats collide
+        view = LiveView.capture(overlay)
+        assert view.m == regular + min(tiny, 1)
         rows = np.arange(view.m, dtype=np.int64)
         samples = rng.integers(0, view.m, size=(view.m, sample_size))
         args = (view, view.keys[rows], view.pos[rows], view.pos[(rows - 1) % view.m], samples)
@@ -491,14 +511,20 @@ class TestOrderStatisticMedian:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_colliding_keys_route_to_the_stable_sort(self, seed):
-        """Positions ``j * 2**-70`` share key 0: ``_estimate`` must send
-        every level through the materialised samples (the draw-index
-        tiebreak is the twin's), not through the order statistic."""
-        positions = [(j + 1) * 2.0**-70 for j in range(12)] + [(j + 1) / 9 for j in range(8)]
+        """Positions ``j * 2**-70`` share key 0: the ring takes the first
+        and refuses the rest, so sample keys collide only where one row
+        is drawn twice. Twelve peers in adjacent cells ``j * 2**-64``
+        (floats finer than the grid) then go through the order
+        statistic, level by level equal to the twin's stable sort."""
+        overlay, __ = ring_view([2.0**-70])
+        for j in range(2, 13):
+            with pytest.raises(DuplicateNodeError):
+                overlay.join(j * 2.0**-70, 3, 3)
+        positions = [j * 2.0**-64 for j in range(12)] + [(j + 1) / 9 for j in range(8)]
         tables = []
         for vectorized in (True, False):
             overlay, view = ring_view(positions)
-            assert not view.keys_distinct
+            assert view.keys.tolist()[:12] == list(range(12))
             engine = BatchConstructionEngine(overlay, vectorized=vectorized)
             rows = np.arange(view.m, dtype=np.int64)
             arcs = engine._estimate(split(seed, "collide"), view, rows, track_spend=True)
@@ -556,11 +582,14 @@ def test_draw_positions_keeps_first_occurrences_and_redraws_the_rest():
     overlay.join(0.25, 3, 3)
     overlay.join(0.5, 3, 3)
     overlay.leave(overlay.ring.node_ids()[1])  # dead positions stay occupied
-    script = _Scripted([0.7, 0.25, 0.1, 0.7, 0.5, 0.1, 0.9, 0.7, -0.0, 0.0, 0.3, 0.9, 0.6])
-    occupied = overlay.ring.positions_array(live_only=False)
-    drawn = draw_positions(make_rng(0), script, 6, occupied)
-    assert drawn.tolist() == [0.7, 0.1, 0.9, -0.0, 0.3, 0.6]
-    assert script.calls == [6, 4, 2, 1]
+    # 2**-70 falls in -0.0's key cell 0; 2**-64 is cell 1.
+    script = _Scripted(
+        [0.7, 0.25, 0.1, 0.7, 0.5, 0.1, 0.9, 0.7, -0.0, 2.0**-70, 0.3, 0.9, 2.0**-64, 0.6]
+    )
+    occupied = overlay.ring.keys_array(live_only=False)
+    drawn = draw_positions(make_rng(0), script, 7, occupied)
+    assert drawn.tolist() == [0.7, 0.1, 0.9, -0.0, 0.3, 2.0**-64, 0.6]
+    assert script.calls == [7, 4, 2, 1]
 
 
 class TestConstructionInvariants:

@@ -4,7 +4,8 @@ Each test here exercises an invariant that spans modules — the kind a
 unit test cannot pin because it emerges from composition:
 
 * the ring's order statistics agree with brute-force recomputation
-  under arbitrary join/crash/revive interleavings (stateful test);
+  under arbitrary join/crash/revive interleavings, and a join into a
+  taken ``2**-64`` key cell is refused (stateful test);
 * greedy routing delivers to the ground-truth owner on *any* connected
   topology over *any* peer placement, on the per-hop router's path;
 * partition tables built by the oracle estimator tile the population
@@ -16,12 +17,14 @@ unit test cannot pin because it emerges from composition:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conftest import greedy_oracle, hand_built
 from repro.core import oracle_partitions
+from repro.errors import DuplicateNodeError
 from repro.ring import Ring, build_pointers, cw_distance, keyspace, repair
 from repro.ring.keyspace import KEY_MASK
 
@@ -39,8 +42,11 @@ class RingMachine(RuleBasedStateMachine):
 
     @rule(position=keys)
     def join(self, position: float) -> None:
-        if any(pos == position for pos, __ in self.model.values()):
-            return  # collision: the real API raises; model skips
+        cell = keyspace.from_unit(position)
+        if any(keyspace.from_unit(pos) == cell for pos, __ in self.model.values()):
+            with pytest.raises(DuplicateNodeError):  # one peer per key cell
+                self.ring.insert(self.next_id, position)
+            return
         self.ring.insert(self.next_id, position)
         self.model[self.next_id] = (position, True)
         self.next_id += 1
@@ -77,14 +83,19 @@ class RingMachine(RuleBasedStateMachine):
     @invariant()
     def successor_of_key_agrees(self) -> None:
         live = sorted(
-            (pos, nid) for nid, (pos, alive) in self.model.items() if alive
+            (keyspace.from_unit(pos), nid) for nid, (pos, alive) in self.model.items() if alive
         )
         if not live:
             return
-        for probe in (0.0, 0.33, 0.77):
-            candidates = [(pos, nid) for pos, nid in live if pos >= probe]
+        for probe in (0.0, 1.5 * 2.0**-70, 0.33, 0.77):
+            cell = keyspace.from_unit(probe)
+            candidates = [(key, nid) for key, nid in live if key >= cell]
             expected = candidates[0][1] if candidates else live[0][1]
             assert self.ring.successor_of_key(probe) == expected
+
+    @invariant()
+    def verifies(self) -> None:
+        self.ring.verify()  # keys strictly increase and equal the state's
 
     @invariant()
     def pointers_repairable(self) -> None:
@@ -103,7 +114,7 @@ TestRingStateful = RingMachine.TestCase
 class TestGreedyDeliveryProperty:
     @settings(max_examples=40, deadline=None)
     @given(
-        positions=st.lists(keys, min_size=3, max_size=40, unique=True),
+        positions=st.lists(keys, min_size=3, max_size=40, unique_by=keyspace.from_unit),
         link_seed=st.integers(min_value=0, max_value=2**16),
         source_index=st.integers(min_value=0, max_value=1_000_000),
         target=keys,
@@ -112,10 +123,10 @@ class TestGreedyDeliveryProperty:
         self, positions, link_seed, source_index, target
     ):
         """``Substrate.route`` reaches the owner of the target's exact
-        key (the first peer keyed at or after it), and wherever no two
-        of the peers and the target share a ``2**-64`` key cell — the
-        float and key domains then order them alike — it walks the path
-        the per-hop ``GreedyRouter`` walks."""
+        key (the first peer keyed at or after it), and wherever the
+        target shares no peer's ``2**-64`` key cell but as its exact
+        float — the float and key domains then order them alike — it
+        walks the path the per-hop ``GreedyRouter`` walks."""
         rng = np.random.default_rng(link_seed)
         n = len(positions)
         links = {i: [int(x) for x in rng.integers(0, n, size=3) if int(x) != i] for i in range(n)}
@@ -124,18 +135,18 @@ class TestGreedyDeliveryProperty:
         result = overlay.route(source, target, record_path=True)
         peer_keys = [overlay.ring.key_of(i) for i in range(n)]
         key = keyspace.from_unit(target)
-        owner = min(range(n), key=lambda i: ((peer_keys[i] - key) & KEY_MASK, positions[i]))
+        owner = min(range(n), key=lambda i: (peer_keys[i] - key) & KEY_MASK)
         assert result.success
         assert result.delivered_to == owner
         assert result.hops <= n  # strict progress bounds the walk
-        if len(set(peer_keys)) == n and (key not in peer_keys or target in positions):
+        if key not in peer_keys or target in positions:
             assert result.path == greedy_oracle(overlay, source, target).path
 
 
 class TestOraclePartitionTiling:
     @settings(max_examples=30, deadline=None)
     @given(
-        positions=st.lists(keys, min_size=4, max_size=60, unique=True),
+        positions=st.lists(keys, min_size=4, max_size=60, unique_by=keyspace.from_unit),
         origin_index=st.integers(min_value=0, max_value=1_000_000),
         k=st.integers(min_value=2, max_value=10),
     )
@@ -160,7 +171,7 @@ class TestOraclePartitionTiling:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        positions=st.lists(keys, min_size=8, max_size=64, unique=True),
+        positions=st.lists(keys, min_size=8, max_size=64, unique_by=keyspace.from_unit),
         origin_index=st.integers(min_value=0, max_value=1_000_000),
     )
     def test_outer_partition_holds_about_half(self, positions, origin_index):

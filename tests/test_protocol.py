@@ -62,6 +62,7 @@ from repro.protocol.messages import (
     WalkStep,
 )
 from repro.ring.identifiers import in_cw_interval
+from repro.ring.keyspace import from_unit
 from repro.rng import split
 from repro.workloads import UniformKeys
 from tests.conftest import build_overlay, greedy_oracle
@@ -362,22 +363,23 @@ class TestJoinProtocolMatchesEngine:
             power_of_two=power_of_two, link_retries=link_retries, sample_size=sample_size
         )
         degrees = SpikyDegreeDistribution() if spiky else ConstantDegrees(cap)
-        # "below" / "above": the joiner shares the 2**-64 key cell of
-        # peers at 2**-70 and 2**-69, below both or between them — rows
-        # that tie on key distance, ranked by draw index.
-        shared = isinstance(where, str)
-        position = {"below": 2.0**-71, "above": 1.5 * 2.0**-70}.get(where, where)
+        # "below" / "above": peers at 2**-70 (key cell 0) and 3 * 2**-64
+        # (cell 3), where floats are finer than the 2**-64 grid; the
+        # joiner takes cell 1 between them or cell 4 above both, off
+        # the grid.
+        low = isinstance(where, str)
+        position = {"below": 2.0**-64 + 2.0**-70, "above": 4.5 * 2.0**-64}.get(where, where)
 
         def spliced():
             overlay = OscarOverlay(config, seed=seed)
             overlay.grow(n, UniformKeys(), degrees)
-            if shared:
+            if low:
                 overlay.join(2.0**-70, cap, cap)
-                overlay.join(2.0**-69, cap, cap)
+                overlay.join(3 * 2.0**-64, cap, cap)
             if saturated:
                 live = overlay.ring.slots_array(live_only=True)
                 overlay.state.in_deg[live] = overlay.state.cap_in[live]
-            assume(position not in overlay.ring.positions_array(live_only=False))
+            assume(from_unit(position) not in overlay.ring.keys_array(live_only=False).tolist())
             return overlay, overlay._splice(position, *caps)
 
         twin, node_id = spliced()

@@ -353,20 +353,22 @@ class TestRanks:
         st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
         min_size=2,
         max_size=40,
-        unique=True,
+        unique_by=keyspace.from_unit,
     ),
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
 )
 def test_property_successor_is_geometrically_first(positions, key):
-    """successor_of_key returns the position-wise first node at/after key."""
+    """successor_of_key returns the key-wise first node at/after key
+    (denormal positions and keys included: a key inside a peer's
+    ``2**-64`` cell is that peer's)."""
     ring = make_ring(positions)
     node = ring.successor_of_key(key)
-    pos = ring.position(node)
-    # No other node lies strictly between key and pos (clockwise).
-    for other in positions:
-        if other == pos:
-            continue
-        assert not (((other - key) % 1.0) < ((pos - key) % 1.0))
+    target = keyspace.from_unit(key)
+    reach = keyspace.cw_distance(target, ring.key_of(node))
+    # No other node lies strictly between key and its owner (clockwise).
+    for other in range(len(positions)):
+        if other != node:
+            assert keyspace.cw_distance(target, ring.key_of(other)) > reach
 
 
 @settings(max_examples=50, deadline=None)
@@ -375,7 +377,7 @@ def test_property_successor_is_geometrically_first(positions, key):
         st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
         min_size=3,
         max_size=40,
-        unique=True,
+        unique_by=keyspace.from_unit,
     )
 )
 def test_property_successor_predecessor_roundtrip(positions):
@@ -391,7 +393,7 @@ def test_property_successor_predecessor_roundtrip(positions):
         st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
         min_size=2,
         max_size=30,
-        unique=True,
+        unique_by=keyspace.from_unit,
     ),
     st.data(),
 )
@@ -400,8 +402,8 @@ def test_property_range_partition_of_circle(positions, data):
     ring = make_ring(positions)
     a = data.draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
     b = data.draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
-    if a == b:
-        return
+    if keyspace.from_unit(a) == keyspace.from_unit(b):
+        return  # one key cell: the whole circle both ways
     first = ring.cw_range_size(a, b)
     second = ring.cw_range_size(b, a)
     assert first + second == len(positions)
@@ -420,7 +422,7 @@ class TestExactKeys:
         keys_arr = ring.keys_array()
         assert keys_arr.dtype == np.uint64
         assert np.array_equal(keys_arr, keyspace.from_units(ring.positions_array()))
-        assert np.all(keys_arr[:-1] <= keys_arr[1:])
+        assert np.all(keys_arr[:-1] < keys_arr[1:])
 
     def test_keys_array_live_view_tracks_deaths(self, five_ring):
         ring, ids = five_ring
@@ -430,15 +432,25 @@ class TestExactKeys:
         assert keyspace.from_unit(ring.position(ids[2])) not in live.tolist()
 
     def test_sub_resolution_positions_share_a_cell(self):
-        # Distinct floats closer than 2**-64 are allowed and coalesce
-        # onto one key cell (weakly increasing keys).
+        # Distinct floats closer than 2**-64 fall in one key cell, which
+        # holds one peer: the second is refused like an equal float,
+        # live or dead holder, one at a time or within one batch, and
+        # nothing changes.
         ring = Ring()
         ring.insert(0, 0.0)
-        ring.insert(1, 1e-300)
         ring.insert(2, 0.5)
-        assert ring.key_of(0) == ring.key_of(1) == 0
-        keys_arr = ring.keys_array()
-        assert keys_arr.tolist() == [0, 0, keyspace.from_unit(0.5)]
+        ring.mark_dead(0)
+        before = ring_fingerprint(ring)
+        with pytest.raises(DuplicateNodeError, match="occupied by node 0"):
+            ring.insert(1, 1e-300)
+        with pytest.raises(DuplicateNodeError, match="occupied by node 0"):
+            ring.insert_many([(3, 0.25), (1, 1e-300)])
+        with pytest.raises(DuplicateNodeError, match="repeated position"):
+            ring.insert_many([(3, 2**-64 + 2**-70), (1, 2**-64 + 2**-69)])  # both in cell 1
+        assert ring_fingerprint(ring) == before
+        ring.insert_many([(3, 2**-64), (1, 0.75)])  # the next cell is free
+        assert ring.keys_array().tolist() == [0, 1, *keyspace.from_units([0.5, 0.75]).tolist()]
+        ring.verify()
 
     def test_unknown_node_rejected(self, five_ring):
         ring, __ = five_ring

@@ -41,14 +41,23 @@ def build_topology(n: int, extra: dict[int, list[int]] | None = None):
 
 class TestFaultFreeEquivalence:
     def test_matches_greedy_without_faults(self):
-        overlay = hand_built([i / 16 for i in range(16)], {0: [4, 8], 8: [12]})
-        for key in (0.3, 0.55, 0.8, 0.99):
-            faulty = overlay.route(0, key, faulty=True)
-            greedy = overlay.route(0, key)
-            assert faulty.success and greedy.success
-            assert faulty.delivered_to == greedy.delivered_to
-            assert faulty.hops == greedy.hops
-            assert faulty.wasted == 0
+        sixteen = hand_built([i / 16 for i in range(16)], {0: [4, 8], 8: [12]})
+        cases = [
+            (sixteen, [0], (0.3, 0.55, 0.8, 0.99)),
+            # 1.5 * 2**-70 lies above peer 0's float but inside its 2**-64
+            # key cell (cell 0): peer 0 owns it, from every source.
+            (hand_built([2**-70, 0.25, 0.5, 0.75]), range(4), (1.5 * 2**-70,)),
+        ]
+        for overlay, sources, keys in cases:
+            for source in sources:
+                for key in keys:
+                    faulty = overlay.route(source, key, faulty=True)
+                    greedy = overlay.route(source, key)
+                    assert faulty.success and greedy.success
+                    assert faulty.responsible == greedy.responsible
+                    assert faulty.delivered_to == greedy.delivered_to
+                    assert faulty.hops == greedy.hops
+                    assert faulty.wasted == 0
 
     def test_source_owns_key(self):
         ring, pointers, neighbors = build_topology(8)

@@ -38,7 +38,7 @@ from repro.config import RoutingConfig
 from repro.degree import ConstantDegrees
 from repro.engine import Outcome, ResultCache, ServeEngine, SteadyStateChurnEngine
 from repro.engine.serve import pack_flags
-from repro.engine.walk import WalkTable
+from repro.engine.walk import WalkTable, walk_bounds
 from repro.errors import ConfigError, ExperimentError
 from repro.experiments.growth import make_overlay
 from repro.index import ReplicatedStore
@@ -676,10 +676,12 @@ class TestCatalogColumns:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_owner_from_the_bound_search_in_shared_cells(self, seed):
         """Raw sorted keys, several rows to a cell, targets on and off
-        the rows' keys: the walk bound is the lowest row keyed at the
+        the rows' keys: ``walk_bounds`` gives the lowest row keyed at the
         target, else the last row keyed below it, and the owner — the
         ``side="left"`` search mod ``m`` — is the bound when it is keyed
-        at the target, else the row after it."""
+        at the target, else the row after it. A walk table takes the
+        keys only when no two rows share a cell (the ring's rule), and
+        then its bounds are the same."""
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 14))
         keys = np.sort(rng.integers(0, 6, size=m, dtype=np.uint64) << np.uint64(60))
@@ -690,9 +692,15 @@ class TestCatalogColumns:
                 rng.integers(0, 2**64, size=6, dtype=np.uint64, endpoint=False),
             ]
         )
-        table = WalkTable.build(keys, (np.arange(m) + 1) % m, np.empty((m, 0), dtype=np.int64))
-        bounds = table.bounds(targets)
+        bounds = walk_bounds(keys, targets, np.searchsorted(keys, targets))
         assert bounds.tolist() == spelled_out_bounds(keys, targets).tolist()
+        succ_row, links = (np.arange(m) + 1) % m, np.empty((m, 0), dtype=np.int64)
+        if np.unique(keys).size < m:
+            with pytest.raises(ValueError, match="strictly increase"):
+                WalkTable.build(keys, succ_row, links)
+        else:
+            table = WalkTable.build(keys, succ_row, links)
+            assert table.bounds(targets).tolist() == bounds.tolist()
         owners = np.where(keys[bounds] == targets, bounds, bounds + 1) % m
         assert owners.tolist() == (np.searchsorted(keys, targets) % m).tolist()
 

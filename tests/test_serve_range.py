@@ -30,6 +30,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import hand_built
 from repro.degree import ConstantDegrees
 from repro.engine import Outcome, ServeEngine
 from repro.experiments.growth import make_overlay
@@ -72,10 +73,11 @@ def brute_force(keys, lo, hi):
     return [float(k) for k in keys if in_closed_cw_range(float(k), float(lo), float(hi))]
 
 
-def assert_matches_route_range(substrate, n, sources, lo, hi):
-    """One batch through both twins and, range by range, against the
-    scalar ``route_range``; returns the vectorized result."""
-    overlay, __, store, serve = plane(substrate, n)
+def assert_matches_route_range(built, sources, lo, hi):
+    """One batch through both twins of a ``build_plane`` result and,
+    range by range, against the scalar ``route_range``; returns the
+    vectorized result."""
+    overlay, __, store, serve = built
     result = serve[True].serve_range(sources, lo, hi)
     reference = serve[False].serve_range(sources, lo, hi)
     for column in COLUMNS:
@@ -135,7 +137,7 @@ class TestAgainstRouteRange:
     # Both ends in one 2**-64 key cell, hi < lo: the full circle, not a point.
     @example(n=2, drawn=[(0, 6.124244195258732e-130, 0.0, "free")])
     def test_differential(self, substrate, n, drawn):
-        assert_matches_route_range(substrate, n, *resolve(substrate, n, drawn))
+        assert_matches_route_range(plane(substrate, n), *resolve(substrate, n, drawn))
 
     @pytest.mark.parametrize("substrate", SUBSTRATES)
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -150,7 +152,7 @@ class TestAgainstRouteRange:
         gap = int(np.argmax(np.diff(positions)))
         a, b = positions[gap] + np.diff(positions)[gap] * np.asarray([1, 2]) / 3
         result = assert_matches_route_range(
-            substrate, n, np.full(2, ids[0]), np.asarray([a, b]), np.asarray([b, a])
+            plane(substrate, n), np.full(2, ids[0]), np.asarray([a, b]), np.asarray([b, a])
         )
         assert result.sweep_hops.tolist() == [0, n - 1]
         assert result.owners[0] == result.owners[1]
@@ -163,8 +165,27 @@ class TestAgainstRouteRange:
         ids = overlay.ring.ids_array(live_only=True)
         positions = overlay.ring.positions_array(live_only=True)
         sources, lo = (grid.ravel() for grid in np.meshgrid(ids, positions))
-        result = assert_matches_route_range("oscar", 40, sources, lo, lo)
+        result = assert_matches_route_range(plane("oscar", 40), sources, lo, lo)
         assert not result.sweep_hops.any()
+
+
+    def test_end_inside_a_peers_cell(self):
+        """``1.5 * 2**-70`` lies above peer 0's float but inside its
+        ``2**-64`` key cell, so it is peer 0's key: as ``lo`` its owner
+        is peer 0, as ``hi`` the sweep ends on peer 0, and with ``lo``
+        and ``hi`` swapped around peer 0's float the range is the full
+        circle."""
+        overlay = hand_built([2**-70, 0.25, 0.5, 0.75], {0: [2], 1: [3], 2: [0], 3: [1]})
+        view = OracleView(overlay.ring)
+        store = ReplicatedStore(overlay.ring, k=1)
+        store.seed_items([2**-71, 2**-70, 0.1, 0.3, 0.6, 0.8], view)
+        twins = {v: ServeEngine(overlay, store, view, vectorized=v) for v in (True, False)}
+        end = 1.5 * 2**-70
+        sources = np.asarray([2, 1, 3, 0, 2])
+        lo = np.asarray([end, 0.6, end, end, 2**-70])
+        hi = np.asarray([0.3, end, end, 2**-70, end])
+        result = assert_matches_route_range((overlay, view, store, twins), sources, lo, hi)
+        assert result.sweep_hops.tolist() == [2, 1, 0, 3, 0]
 
 
 class TestFailureIsolation:

@@ -3,16 +3,21 @@
 :class:`ChurnProgram` drives an overlay (Oscar, Mercury or Chord), a
 :class:`~repro.engine.churn.SteadyStateChurnEngine` (either repair
 policy), a :class:`~repro.index.replication.ReplicatedStore` and a
-:class:`~repro.engine.serve.ServeEngine` through five verbs — an epoch,
+:class:`~repro.engine.serve.ServeEngine` through six verbs — an epoch,
 an external ``leave_batch`` wave, a direct repair (the policy's
 substrate verb, with no compaction first), a serve batch with unknown
-sources and duplicate keys, a route batch on the truth snapshot — on
-the vectorized kernels and, in
+sources and duplicate keys, a route batch on the truth snapshot, a join
+into a taken ``2**-64`` key cell — on the vectorized kernels and, in
 lock-step, on the pure-Python twins (Mercury and Chord build through
 one scalar path, so for them the twin check is a determinism check),
 and checks after every step:
 
 * ``Ring.verify`` and the ring pointers;
+* one peer per key cell: the ring's keys strictly increase, and every
+  peer's ``state.key`` is ``from_unit`` of its ``state.pos``;
+* a join into a taken cell — ``Substrate._splice`` (``Ring.insert``)
+  or a ``Ring.insert_many`` batch holding it among free positions —
+  raises ``DuplicateNodeError`` and leaves the state byte-identical;
 * no self or duplicate link in any row, ``-1`` past ``out_count``;
 * ``out_count <= cap_out`` and ``in_deg <= cap_in``;
 * right after a repair, no live peer's row names a peer outside the
@@ -28,7 +33,8 @@ and checks after every step:
   and otherwise answers the row's hops and responsible peer — with a
   recorded path too, whose length is ``hops + 1`` and whose last peer
   is the one delivered to; with no dead peer in the ring, every row
-  is ``OK``;
+  is ``OK`` and the fault-aware ``Substrate.route(faulty=True)``
+  answers it too, at the same hops, without a wasted probe;
 * every truth and serve capture's ``WalkTable`` passes
   ``tests/conftest.py::assert_walk_table``;
 * conservation: an epoch's ``live`` is the live count it started from
@@ -67,7 +73,7 @@ from repro.engine import (
 )
 from repro.engine.churn import REPAIR_POLICIES
 from repro.engine.walk import WalkCode
-from repro.errors import RoutingError
+from repro.errors import DuplicateNodeError, RoutingError
 from repro.experiments import make_overlay
 from repro.index import ReplicatedStore
 from repro.membership import OracleView
@@ -77,8 +83,10 @@ from repro.workloads import GnutellaLikeDistribution
 
 PROGRAMS = Path(__file__).parent / "data" / "programs"
 REPLICAS = 3
-#: Two peers in key cell 0, joined when a program asks for ``shared_cell``.
-SHARED_CELL = (2.0**-70, 2.0**-69)
+#: A peer in key cell 0, below ``2**-11`` where floats are finer than the
+#: ``2**-64`` grid, so other floats fall in its cell; joined when a
+#: program asks for ``low_peer``.
+LOW_PEER = 2.0**-70
 #: What ``Substrate.route`` says where ``route_batch`` reports a code.
 WALK_ERRORS = {
     WalkCode.BUDGET: "exceeded budget",
@@ -93,9 +101,9 @@ class ChurnProgram:
     ``params``: ``substrate`` (``oscar`` when absent), ``n`` (initial
     peers), ``seed``, ``cap`` (link caps), ``repair`` (policy),
     ``gentle`` (half-life 64 and a repair every epoch, else
-    ``half_life`` / ``repair_every`` as given), ``shared_cell`` (when
-    true, two more peers joined at :data:`SHARED_CELL` after the build;
-    Chord's are spliced, its positions being hashes).
+    ``half_life`` / ``repair_every`` as given), ``low_peer`` (when true,
+    one more peer joined at :data:`LOW_PEER` after the build; Chord's is
+    spliced, its positions being hashes).
     """
 
     def __init__(self, params: dict) -> None:
@@ -116,11 +124,10 @@ class ChurnProgram:
         overlay = make_overlay(self.substrate, seed=p["seed"])
         overlay.grow_batch(p["n"], keys, degrees, vectorized=vectorized)
         overlay.rewire_batch(vectorized=vectorized)
-        for position in SHARED_CELL if p.get("shared_cell") else ():
-            if self.substrate == "chord":
-                overlay._splice(position)
-            else:
-                overlay.join(position, p["cap"], p["cap"])
+        if p.get("low_peer") and self.substrate == "chord":
+            overlay._splice(LOW_PEER)
+        elif p.get("low_peer"):
+            overlay.join(LOW_PEER, p["cap"], p["cap"])
         view = OracleView(overlay.ring)
         store = ReplicatedStore(overlay.ring, k=REPLICAS, vectorized=vectorized)
         store.seed_items(split(p["seed"], "program-items").random(p["n"]), view)
@@ -222,6 +229,16 @@ class ChurnProgram:
         batch = batches[0]
         if self.overlay.ring.live_count == len(self.overlay.ring):  # a live, verified ring
             assert (batch.code == WalkCode.OK).all(), batch.code
+            for source, key, hops, owner in zip(
+                sources.tolist(), keys.tolist(), batch.hops, batch.responsible
+            ):
+                faulty = self.overlay.route(source, key, faulty=True)
+                assert (faulty.hops, faulty.responsible, faulty.delivered_to, faulty.wasted) == (
+                    hops,
+                    owner,
+                    owner,
+                    0,
+                )
         for source, key, hops, owner, code in zip(
             sources.tolist(), keys.tolist(), batch.hops, batch.responsible, batch.code
         ):
@@ -238,6 +255,36 @@ class ChurnProgram:
                 )
                 if record_path:
                     assert len(result.path) == hops + 1 and result.path[-1] == owner
+
+    def join_taken(self, u: float, kind: str, at: int) -> None:
+        """Join into the key cell of the peer at ring rank
+        ``u * len(ring)`` (dead ones too), at the key ``_route_key``
+        names for ``kind``: through ``Substrate._splice``, then as item
+        ``at`` (mod its length) of a ``Ring.insert_many`` batch of free
+        positions. Both must raise ``DuplicateNodeError`` and change
+        nothing."""
+        overlay = self.overlay
+        ring = overlay.ring
+        position = self._route_key(kind, u)
+        before = self.fingerprint(overlay)
+        with pytest.raises(DuplicateNodeError):
+            overlay._splice(position)
+        assert self.fingerprint(overlay) == before
+        taken = set(ring.keys_array().tolist())
+        free = [x for x in (0.1, 0.3, 0.7, 0.9) if keyspace.from_unit(x) not in taken]
+        free.insert(at % (len(free) + 1), position)
+        ids = np.arange(overlay._next_id, overlay._next_id + len(free))
+        with pytest.raises(DuplicateNodeError):
+            ring.insert_many(ids, np.asarray(free))
+        assert self.fingerprint(overlay) == before
+
+    @staticmethod
+    def fingerprint(overlay: Substrate) -> tuple:
+        """Every byte of the substrate state and the ring's order."""
+        state, ring = overlay.state, overlay.ring
+        columns = tuple(getattr(state, name).tobytes() for name in SubstrateState.COLUMNS)
+        order = (ring.version, ring.slots_array().tobytes(), ring.keys_array().tobytes())
+        return columns, order, overlay._next_id, state.n_slots, tuple(state._free)
 
     def _route_key(self, kind: str, u: float) -> float:
         if kind == "free":
@@ -258,6 +305,7 @@ class ChurnProgram:
             overlay = twin["overlay"]
             overlay.ring.verify()
             verify(overlay.ring, overlay.pointers)
+            self.check_keys(overlay)
             self.check_links(overlay, capped=self.substrate != "chord")
         self.check_twins()
         self.check_walk_tables()
@@ -266,6 +314,18 @@ class ChurnProgram:
             assert store.item_count == self.seeded - store.items_lost_total
         if self.gentle and not self.waves:
             assert self.twins[0]["store"].items_lost_total == 0
+
+    @staticmethod
+    def check_keys(overlay: Substrate) -> None:
+        """One peer per key cell: keys strictly increase around the
+        ring, and each is the exact key of its peer's position."""
+        state, ring = overlay.state, overlay.ring
+        keys = ring.keys_array().tolist()
+        assert all(a < b for a, b in zip(keys, keys[1:])), "two peers in one key cell"
+        slots = ring.slots_array().tolist()
+        assert [int(state.key[s]) for s in slots] == [
+            keyspace.from_unit(float(state.pos[s])) for s in slots
+        ]
 
     @staticmethod
     def check_links(overlay: Substrate, capped: bool = True) -> None:
@@ -377,6 +437,8 @@ def replay(program: dict) -> ChurnProgram:
             system.repair()
         elif verb == "route":
             system.route(step["queries"])
+        elif verb == "join_taken":
+            system.join_taken(step["u"], step["kind"], step["at"])
         else:
             system.serve(step["picks"], step["unknown"], step["repeat"])
         system.check()
@@ -397,7 +459,7 @@ class ChurnMachine(RuleBasedStateMachine):
         gentle=st.booleans(),
         half_life=st.sampled_from([1.0, 4.0, 16.0]),
         repair_every=st.integers(min_value=1, max_value=3),
-        shared_cell=st.booleans(),
+        low_peer=st.booleans(),
     )
     def build(self, **params) -> None:
         self.system = ChurnProgram(params)
@@ -436,6 +498,14 @@ class ChurnMachine(RuleBasedStateMachine):
     )
     def route(self, queries) -> None:
         self.system.route(queries)
+
+    @rule(
+        u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        kind=st.sampled_from(["peer", "cell"]),
+        at=st.integers(0, 4),
+    )
+    def join_taken(self, u, kind, at) -> None:
+        self.system.join_taken(u, kind, at)
 
     @invariant()
     def holds(self) -> None:
