@@ -19,7 +19,9 @@ fault-free scalar router moved onto the walk kernel. ``abl-power-of-two``,
 ``abl-sampling`` and ``scenario`` (scalars and series), which grow
 through ``draw_positions`` and ``Ring.insert_many``, were recorded the
 same way before the ring began to refuse a second peer in one ``2**-64``
-key cell. ``net-churn`` is not pinned: its ``messages`` scalar counts
+key cell. ``fig1a`` (scalars and series) was recorded the same way
+before the grow-and-measure specs became declarations over one loop.
+``net-churn`` is the one spec not pinned: its ``messages`` scalar counts
 probe traffic on wall-clock timers and differs from run to run. The ``bench_ci``
 table is checked against the same runs: its rows must name registered
 specs, declared parameters and scalars the specs really emit.
