@@ -1,8 +1,10 @@
 """Experiment harness: declarative specs, one Runner, a JSON artifact store.
 
 Every experiment is an :class:`~repro.experiments.spec.ExperimentSpec`
-registered with the ``@experiment`` decorator in its module; execution
-(validation, caching, parallel fan-out) goes through
+registered with the ``@experiment`` decorator in its module (the
+grow-and-measure specs are declarations over one loop in
+:mod:`~repro.experiments.grow_measure`); execution (validation,
+caching, parallel fan-out) goes through
 :class:`~repro.experiments.runner.Runner`. **The registry itself is the
 single source of truth** — run ``python -m repro list`` to see every
 spec, its tags and its parameter schema. There is deliberately no
@@ -19,23 +21,17 @@ Typical use::
 
 # Importing the experiment modules populates the spec registry.
 from . import (  # noqa: F401
-    ablations,
     churn,
-    ext_keydist,
     ext_latency,
-    ext_mercury,
     ext_range,
     fig1a,
-    fig1b,
-    fig1c,
-    fig2,
+    grow_measure,
     net_churn,
     net_smoke,
     scale_build,
-    scenario,
 )
 from .base import ExperimentResult, scaled_sizes
-from .growth import SizeMeasurement, grow_and_measure, make_overlay
+from .growth import SizeMeasurement, grow_and_measure, make_overlay, measure_runs
 from .runner import Runner, RunRecord
 from .spec import (
     ExperimentSpec,
@@ -70,6 +66,7 @@ __all__ = [
     "get_sweep",
     "grow_and_measure",
     "make_overlay",
+    "measure_runs",
     "register_sweep",
     "scaled_sizes",
 ]

@@ -1,10 +1,10 @@
 """Experiment result container and shared plumbing.
 
-Every experiment module exposes ``run(scale=1.0, seed=42, ...)``
-returning an :class:`ExperimentResult`: named (x, y) series (one per
-curve of the paper figure), scalar findings (e.g. exploited degree
-volume), and metadata recording the exact parameters — enough for
-EXPERIMENTS.md to be regenerated mechanically.
+Every experiment's run function returns an :class:`ExperimentResult`:
+named (x, y) series (one per curve of the paper figure), scalar
+findings (e.g. exploited degree volume) and any derived metadata; the
+spec layer stamps its id, title and resolved parameters on it — enough
+for EXPERIMENTS.md to be regenerated mechanically.
 
 ``scale`` shrinks the paper-sized workload proportionally (network
 sizes, query counts) so the same code path serves full reproductions,
@@ -22,7 +22,7 @@ from ..config import DEFAULT_SIZE_FLOOR
 from ..errors import ConfigError
 from ..reporting import ascii_chart, format_table, write_series
 
-__all__ = ["ExperimentResult", "jsonify", "merged_metadata", "scaled_sizes"]
+__all__ = ["ExperimentResult", "jsonify", "scaled_sizes"]
 
 
 def jsonify(value: object) -> object:
@@ -54,11 +54,16 @@ class ExperimentResult:
         title: Human title matching the paper's figure caption.
         series: Curve name -> (x, y) points.
         scalars: Named scalar findings.
-        metadata: Exact run parameters (seed, scale, distribution names).
+        metadata: The resolved parameters and derived values (e.g. the
+            scaled ``sizes``), which win over a parameter of their name.
+
+    A run function leaves ``experiment_id``, ``title`` and the parameters
+    to :meth:`~repro.experiments.spec.ExperimentSpec.run`, which stamps
+    them from the spec.
     """
 
-    experiment_id: str
-    title: str
+    experiment_id: str = ""
+    title: str = ""
     series: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
     scalars: dict[str, float] = field(default_factory=dict)
     metadata: dict[str, object] = field(default_factory=dict)
@@ -104,14 +109,6 @@ class ExperimentResult:
             Path(directory) / f"{stem or self.experiment_id}.csv", self.series
         )
 
-    def summary_rows(self) -> list[tuple[str, float, float]]:
-        """(series, last_x, last_y) per curve — the headline numbers."""
-        rows = []
-        for name, points in self.series.items():
-            if points:
-                rows.append((name, points[-1][0], points[-1][1]))
-        return rows
-
     def to_json_dict(self) -> dict[str, object]:
         """Canonical JSON-ready representation (see :func:`jsonify`).
 
@@ -151,13 +148,6 @@ class ExperimentResult:
             scalars=scalars,
             metadata=dict(data.get("metadata", {})),
         )
-
-
-def merged_metadata(base: Mapping[str, object], **extra: object) -> dict[str, object]:
-    """Small helper: copy + extend metadata dictionaries."""
-    out = dict(base)
-    out.update(extra)
-    return out
 
 
 def scaled_sizes(

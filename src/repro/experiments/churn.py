@@ -56,13 +56,13 @@ __all__ = ["ChurnRun", "churn_loop"]
 class ChurnRun:
     """:func:`churn_loop`'s per-epoch ``table``, the detector's eviction
     ``lags`` (epochs; empty without one), the build and loop wall times
-    and the loop's parameters as run (``size`` scaled)."""
+    and the scaled population target ``size``."""
 
     table: dict[str, np.ndarray]
     lags: np.ndarray
     build_seconds: float
     churn_seconds: float
-    metadata: dict[str, object]
+    size: int
 
 
 def churn_loop(
@@ -110,7 +110,7 @@ def churn_loop(
     degree_distribution = degree.by_name(degrees)
     session_times = make_sessions(sessions, half_life)
     (target,) = scaled_sizes((size,), scale)
-    overlay = make_overlay(substrate, seed=seed)  # type: ignore[arg-type]
+    overlay = make_overlay(substrate, seed=seed)
 
     watch = Stopwatch()
     overlay.grow_batch(target, key_distribution, degree_distribution)
@@ -171,7 +171,7 @@ def churn_loop(
         lags=np.asarray(probe.detection_lags if probe is not None else [], dtype=float),
         build_seconds=build_seconds,
         churn_seconds=churn_seconds,
-        metadata={**_loop_args(locals()), "size": target},
+        size=target,
     )
 
 
@@ -230,8 +230,7 @@ def _mean(column: np.ndarray) -> float:
     return sum(column.tolist()) / column.size
 
 
-#: Help text of the loop parameters every preset declares (in the order
-#: the result's metadata lists them).
+#: Help text of the loop parameters every preset declares.
 LOOP_HELP = {
     "substrate": "overlay kind: oscar | chord | mercury",
     "size": "steady-state population target (scaled by --scale)",
@@ -276,8 +275,6 @@ def steady_churn(
     run = churn_loop(**_loop_args(locals()))
     t = run.table
     return ExperimentResult(
-        experiment_id="steady-churn",
-        title="Steady-state churn: routing under continuous turnover",
         series={
             **_series(
                 run,
@@ -307,7 +304,7 @@ def steady_churn(
             "churn_seconds": run.churn_seconds,
             "epochs_per_second": epochs / max(run.churn_seconds, 1e-9),
         },
-        metadata={**run.metadata, "session_distributions": sorted(SESSION_DISTRIBUTIONS)},
+        metadata={"size": run.size, "session_distributions": sorted(SESSION_DISTRIBUTIONS)},
     )
 
 
@@ -363,8 +360,6 @@ def detector_churn(
     lagged = t["undetected"] > 0
     evictions, false_evictions = float(t["evictions"][-1]), float(t["false_evictions"][-1])
     return ExperimentResult(
-        experiment_id="detector-churn",
-        title="Failure detection under churn: lag, false evictions, routing",
         series=_series(
             run,
             {
@@ -397,15 +392,7 @@ def detector_churn(
             "churn_seconds": run.churn_seconds,
             "epochs_per_second": epochs / max(run.churn_seconds, 1e-9),
         },
-        metadata={
-            **run.metadata,
-            "rounds": rounds,
-            "threshold": threshold,
-            "quorum": quorum,
-            "monitors": monitors,
-            "loss": loss,
-            "fanout": fanout,
-        },
+        metadata={"size": run.size},
     )
 
 
@@ -468,8 +455,6 @@ def serve_churn(
     t = run.table
     qps_cached, qps_uncached = float(np.median(t["qps_warm"])), float(np.median(t["qps_cold"]))
     return ExperimentResult(
-        experiment_id="serve-churn",
-        title="Data plane under churn: replication, caching, hot keys",
         series=_series(
             run,
             {
@@ -500,16 +485,7 @@ def serve_churn(
             "build_seconds": run.build_seconds,
             "serve_seconds": run.churn_seconds,
         },
-        metadata={
-            **run.metadata,
-            "replicas": replicas,
-            "items": items or run.metadata["size"],
-            "exponent": exponent,
-            "flash_fraction": flash_fraction,
-            "membership": membership,
-            "loss": loss,
-            "cache_size": cache_size,
-        },
+        metadata={"size": run.size, "items": items or run.size},
     )
 
 

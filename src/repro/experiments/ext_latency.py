@@ -138,16 +138,7 @@ def run(
     )
 
     return ExperimentResult(
-        experiment_id="ext-latency",
-        title="Query latency: bandwidth-matched vs bandwidth-oblivious caps",
         series=series,
         scalars=scalars,
-        metadata={
-            "seed": seed,
-            "scale": scale,
-            "size": size,
-            "queries": queries,
-            "arrival_rate": round(arrival_rate, 3),
-            "load_factor": load_factor,
-        },
+        metadata={"size": size, "queries": queries, "arrival_rate": round(arrival_rate, 3)},
     )

@@ -122,19 +122,11 @@ def run(
     scalars["chord_cost_at_max"] = chord_series[-1][1]
 
     return ExperimentResult(
-        experiment_id="ext-range",
-        title="Range queries: Oscar sweep vs hash-DHT scatter lookups",
         series={
             "oscar (search + sweep)": oscar_series,
             "chord (per-item lookups)": chord_series,
             "cost ratio chord/oscar": ratio_series,
         },
         scalars=scalars,
-        metadata={
-            "seed": seed,
-            "scale": scale,
-            "size": size,
-            "items": int(item_keys.size),
-            "queries_per_point": n_queries,
-        },
+        metadata={"size": size, "items": int(item_keys.size), "queries_per_point": n_queries},
     )

@@ -47,8 +47,6 @@ def run(scale: float = 1.0, seed: int = 42, mean_degree: float = 27.0) -> Experi
     sample = distribution.sample(split(seed, "fig1a-check"), check_n)
 
     return ExperimentResult(
-        experiment_id="fig1a",
-        title="Synthetic spiky node degree distribution (pdf, log-log)",
         series=series,
         scalars={
             "analytic_mean": distribution.mean(),
@@ -57,10 +55,5 @@ def run(scale: float = 1.0, seed: int = 42, mean_degree: float = 27.0) -> Experi
             "max_degree": float(distribution.d_max),
             "body_gamma": distribution.gamma,
         },
-        metadata={
-            "seed": seed,
-            "scale": scale,
-            "spikes": distribution.spikes,
-            "check_samples": check_n,
-        },
+        metadata={"spikes": distribution.spikes, "check_samples": check_n},
     )

@@ -9,8 +9,9 @@ the performance of a current network."
 :func:`grow_and_measure` is that loop, generalized over any
 :class:`~repro.core.substrate.Substrate` (Oscar / Mercury / Chord), key
 distribution, degree distribution and a set of churn cases evaluated at
-every measured size. One harness feeds Figures 1(b), 1(c), 2(a), 2(b)
-and the Mercury comparison, so all of them share identical growth
+every measured size. :func:`measure_runs` runs it once per declared
+run, so Figures 1(b), 1(c), 2(a), 2(b), their extensions and the
+ablations (:mod:`repro.experiments.grow_measure`) share identical growth
 mechanics; queries are evaluated by one
 :class:`~repro.engine.BatchQueryEngine` per run, whose topology snapshot
 is invalidated by the joins/rewire/churn between rounds and rebuilt once
@@ -20,13 +21,13 @@ per measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from ..chord import ChordOverlay
 from ..churn import apply_churn, revive_all
-from ..config import ChurnConfig, GrowthConfig, MercuryConfig, OscarConfig, RoutingConfig
+from ..config import ChurnConfig, GrowthConfig, MercuryConfig, OscarConfig
 from ..core import OscarOverlay
 from ..core.substrate import Substrate
 from ..degree import DegreeDistribution
@@ -37,10 +38,20 @@ from ..metrics import measure_search_cost, relative_degree_load, volume_exploita
 from ..routing import RouteStats
 from ..rng import split
 from ..workloads import KeyDistribution, QueryWorkload
+from .base import scaled_sizes
 
-__all__ = ["SizeMeasurement", "make_overlay", "grow_and_measure"]
+__all__ = [
+    "SizeMeasurement",
+    "cost_curves",
+    "final_costs",
+    "grow_and_measure",
+    "make_overlay",
+    "measure_runs",
+]
 
-OverlayKind = Literal["oscar", "mercury", "chord"]
+#: One growth of :func:`measure_runs`: ``(label, substrate, keys, caps,
+#: config)``, ``config`` the substrate's (``None`` = its default).
+Run = tuple[str, str, KeyDistribution, DegreeDistribution, Any]
 
 
 @dataclass(frozen=True)
@@ -65,20 +76,15 @@ class SizeMeasurement:
     load_ratios: np.ndarray
 
 
-def make_overlay(
-    kind: OverlayKind,
-    seed: int,
-    oscar_config: OscarConfig | None = None,
-    mercury_config: MercuryConfig | None = None,
-    routing: RoutingConfig | None = None,
-) -> Substrate:
-    """Construct a substrate by kind (shared by CLI, benches and tests)."""
+def make_overlay(kind: str, seed: int, config: Any = None) -> Substrate:
+    """Construct a substrate by kind, with its ``OscarConfig`` /
+    ``MercuryConfig`` (``None`` = the default; Chord takes none)."""
     if kind == "oscar":
-        return OscarOverlay(oscar_config or OscarConfig(), seed=seed, routing=routing)
+        return OscarOverlay(config or OscarConfig(), seed=seed)
     if kind == "mercury":
-        return MercuryOverlay(mercury_config or MercuryConfig(), seed=seed, routing=routing)
+        return MercuryOverlay(config or MercuryConfig(), seed=seed)
     if kind == "chord":
-        return ChordOverlay(seed=seed, routing=routing)
+        return ChordOverlay(seed=seed)
     raise ConfigError(f"unknown overlay kind {kind!r}")
 
 
@@ -144,3 +150,49 @@ def grow_and_measure(
             )
         )
     return results
+
+
+def measure_runs(
+    runs: Sequence[Run],
+    sizes: Sequence[int],
+    scale: float,
+    seed: int,
+    n_queries: int,
+    kills: Sequence[float] = (0.0,),
+) -> dict[str, list[SizeMeasurement]]:
+    """Grow one fresh overlay per run through the paper ``sizes`` scaled
+    by ``scale``, measuring every size under each crash fraction in
+    ``kills``: ``{label: measurements}`` in run order."""
+    growth = GrowthConfig(
+        measure_sizes=scaled_sizes(sizes, scale), n_queries=n_queries, seed=seed
+    )
+    cases = tuple(ChurnConfig(kill_fraction=f, seed=seed) for f in kills)
+    return {
+        label: grow_and_measure(
+            make_overlay(substrate, seed, config), keys, caps, growth, cases
+        )
+        for label, substrate, keys, caps, config in runs
+    }
+
+
+def cost_curves(
+    measured: Mapping[str, list[SizeMeasurement]], kill: float = 0.0
+) -> dict[str, list[tuple[float, float]]]:
+    """Mean search cost against size under crash fraction ``kill``, one
+    curve per run."""
+    return {
+        label: [(float(m.size), m.stats_by_kill[kill].mean_cost) for m in measurements]
+        for label, measurements in measured.items()
+    }
+
+
+def final_costs(measured: Mapping[str, list[SizeMeasurement]]) -> dict[str, float]:
+    """Each run's fault-free ``final_cost_<label>`` and ``success_<label>``
+    at the last size, and the ``max_curve_gap`` between the final costs."""
+    finals = {label: ms[-1].stats_by_kill[0.0] for label, ms in measured.items()}
+    costs = [stats.mean_cost for stats in finals.values()]
+    return {
+        **{f"final_cost_{label}": stats.mean_cost for label, stats in finals.items()},
+        **{f"success_{label}": stats.success_rate for label, stats in finals.items()},
+        "max_curve_gap": max(costs) - min(costs),
+    }

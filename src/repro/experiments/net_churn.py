@@ -136,8 +136,6 @@ def run(
         probes_dropped = harness.probes_dropped
 
     return ExperimentResult(
-        experiment_id="net-churn",
-        title="Probe-detected crashes in the asyncio runtime",
         series={
             # x = phase index: 0 pre-kill, 1 lag window, 2 post-detection.
             "route success by phase": [
@@ -160,21 +158,5 @@ def run(
             "messages": float(summary.messages),
             "build_seconds": build_seconds,
         },
-        metadata={
-            "scale": scale,
-            "seed": seed,
-            "size": n,
-            "kills": kills,
-            "victims": victims,
-            "probes": probes,
-            "threshold": threshold,
-            "quorum": quorum,
-            "monitors": monitors,
-            "loss": loss,
-            "ping_interval_s": ping_interval_s,
-            "timeout_s": timeout_s,
-            "lag_probe_timeout_s": lag_probe_timeout_s,
-            "keys": keys,
-            "degrees": degrees,
-        },
+        metadata={"size": n, "victims": victims},
     )

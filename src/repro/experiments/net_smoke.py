@@ -114,8 +114,6 @@ def run(
         free_summary = free.summary()
 
     return ExperimentResult(
-        experiment_id="net-smoke",
-        title="Asyncio runtime vs the deterministic engines",
         series={
             "route success": [
                 (float(lock_size), lock_success),
@@ -137,13 +135,5 @@ def run(
             "free_messages": float(free_summary.messages),
             "free_seconds": free_seconds,
         },
-        metadata={
-            "seed": seed,
-            "scale": scale,
-            "size": lock_size,
-            "free_size": open_size,
-            "probes": probes,
-            "keys": keys,
-            "degrees": degrees,
-        },
+        metadata={"size": lock_size, "free_size": open_size},
     )

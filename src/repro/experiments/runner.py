@@ -79,13 +79,9 @@ def _execute(spec_id: str, params: dict[str, object]) -> tuple[dict[str, object]
     result crosses the process boundary in canonical JSON form, which
     keeps worker payloads plain and matches what the store persists.
     """
-    spec = get_spec(spec_id)
     watch = Stopwatch()
-    result = spec.fn(**params)
-    wall = watch.lap()
-    if not isinstance(result, ExperimentResult):
-        raise TypeError(f"spec {spec_id!r} returned {type(result).__name__}, not ExperimentResult")
-    return result.to_json_dict(), wall
+    result = get_spec(spec_id).run(**params)
+    return result.to_json_dict(), watch.lap()
 
 
 class Runner:

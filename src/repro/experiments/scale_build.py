@@ -102,8 +102,6 @@ def run(
         cost_series.append((float(size), stats.mean_cost))
 
     return ExperimentResult(
-        experiment_id="scale-build",
-        title="Batched construction wall time vs network size",
         series={
             "build seconds": build_series,
             "rewire seconds": rewire_series,
@@ -118,15 +116,7 @@ def run(
             "final_build_seconds": build_series[-1][1],
             "final_rewire_seconds": rewire_series[-1][1],
         },
-        metadata={
-            "scale": scale,
-            "seed": seed,
-            "sizes": tuple(measured),
-            "substrate": substrate,
-            "cap": cap,
-            "n_queries": n_queries,
-            "compare_scalar": compare_scalar,
-        },
+        metadata={"sizes": measured},
     )
 
 

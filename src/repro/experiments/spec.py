@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Mapping
 
 from ..errors import ConfigError
 from ..rng import stable_label_hash
+from .base import ExperimentResult
 
 __all__ = [
     "Param",
@@ -138,7 +139,8 @@ class ExperimentSpec:
         id: Registry key (``fig1a`` .. ``abl-partitions``, ``scenario``).
         title: Human title matching the paper artifact.
         fn: The run function; called with the resolved parameters, must
-            return an :class:`~repro.experiments.base.ExperimentResult`.
+            return an :class:`~repro.experiments.base.ExperimentResult`
+            (:meth:`run` fills in its id, title and parameters).
         params: Parameter schema (names, defaults, help), derived from
             ``fn``'s signature.
         tags: Classification tags (see :data:`KNOWN_TAGS`).
@@ -201,9 +203,18 @@ class ExperimentSpec:
         resolved.update(overrides)
         return resolved
 
-    def run(self, **overrides: object) -> object:
-        """Resolve parameters and execute the run function in-process."""
-        return self.fn(**self.resolve(overrides))
+    def run(self, **overrides: object) -> ExperimentResult:
+        """Resolve parameters, execute the run function in-process and
+        stamp the spec's id and title and the parameters on its result
+        (the result's own metadata wins over a parameter of its name)."""
+        params = self.resolve(overrides)
+        result = self.fn(**params)
+        if not isinstance(result, ExperimentResult):
+            kind = type(result).__name__
+            raise TypeError(f"spec {self.id!r} returned {kind}, not ExperimentResult")
+        result.experiment_id, result.title = self.id, self.title
+        result.metadata = {**params, **result.metadata}
+        return result
 
 
 _REGISTRY: dict[str, ExperimentSpec] = {}

@@ -1,7 +1,7 @@
 """Result rendering: CSV files, terminal (ASCII) figures, markdown tables."""
 
 from .ascii_chart import ascii_chart, format_table
-from .csvout import write_rows, write_series
+from .csvout import write_series
 from .markdown import (
     experiments_document,
     markdown_report,
@@ -16,6 +16,5 @@ __all__ = [
     "markdown_report",
     "markdown_table",
     "series_endpoints_table",
-    "write_rows",
     "write_series",
 ]

@@ -9,38 +9,18 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-__all__ = ["write_rows", "write_series"]
+__all__ = ["write_series"]
 
 
-def write_rows(
-    path: str | Path,
-    header: Sequence[str],
-    rows: Iterable[Sequence[object]],
-) -> Path:
-    """Write ``rows`` under ``header``; parent directories are created.
-
-    Returns the resolved path for logging.
-    """
+def write_series(path: str | Path, series: Mapping[str, Sequence[tuple[float, float]]]) -> Path:
+    """Write named (x, y) series in long format, ``series,x,y``, creating
+    parent directories; returns the resolved path for logging."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow(list(row))
+        writer.writerow(("series", "x", "y"))
+        writer.writerows((name, x, y) for name, points in series.items() for x, y in points)
     return target.resolve()
-
-
-def write_series(
-    path: str | Path,
-    series: Mapping[str, Sequence[tuple[float, float]]],
-) -> Path:
-    """Write named (x, y) series in long format: ``series,x,y``."""
-    rows = [
-        (name, x, y)
-        for name, points in series.items()
-        for x, y in points
-    ]
-    return write_rows(path, ("series", "x", "y"), rows)

@@ -67,16 +67,11 @@ def markdown_report(result) -> str:
         parts.append(series_endpoints_table(result.series))
         parts.append("")
     if result.scalars:
-        parts.append(
-            markdown_table(
-                ("scalar", "value"),
-                sorted(result.scalars.items()),
-            )
-        )
+        parts.append(markdown_table(("scalar", "value"), sorted(result.scalars.items())))
         parts.append("")
     if result.metadata:
-        meta = ", ".join(f"`{k}={v}`" for k, v in sorted(result.metadata.items()))
-        parts.append(f"Parameters: {meta}")
+        shown = sorted((k, v) for k, v in result.metadata.items() if v is not None)
+        parts.append("Parameters: " + ", ".join(f"`{k}={v}`" for k, v in shown))
     return "\n".join(parts).rstrip() + "\n"
 
 
@@ -88,7 +83,8 @@ def experiments_document(
 
     ``runs`` is a sequence of ``(result, resolved_params, wall_time)``
     triples (duck-typed, so this module stays below the experiments
-    layer). One section per run, preceded by an index table.
+    layer). One section per run, preceded by an index table; a section
+    lists the parameters once, from the result's stamped metadata.
     """
     lines = [
         f"# {title}",
@@ -106,11 +102,8 @@ def experiments_document(
         )
     lines.append(markdown_table(("experiment", "title", "scale", "seed", "wall time"), index_rows))
     lines.append("")
-    for result, params, wall_time in runs:
+    for result, __, __ in runs:
         lines.append(f'<a id="{result.experiment_id}"></a>')
         lines.append("")
         lines.append(markdown_report(result))
-        shown = ", ".join(f"`{k}={v}`" for k, v in sorted(params.items()) if v is not None)
-        lines.append(f"Resolved spec parameters: {shown} — wall time {wall_time:.1f}s.")
-        lines.append("")
     return "\n".join(lines).rstrip() + "\n"

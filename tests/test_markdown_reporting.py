@@ -94,15 +94,18 @@ class TestExperimentsDocument:
             title="Search cost vs size",
             series={"constant": [(2000.0, 5.0), (10000.0, 6.5)]},
             scalars={"final_cost_constant": 6.5},
-            metadata={"seed": 42},
+            metadata={"seed": 42, "scale": 0.05, "oscar_config": None},
         )
         text = experiments_document([(result, {"scale": 0.05, "seed": 42}, 3.25)])
         assert text.startswith("# Experiment record")
         assert "do not edit by hand" in text
         assert "[`fig1c`](#fig1c)" in text  # index row links to the section
+        assert "| 0.050 | 42 | 3.2s |" in text  # index row: scale, seed, wall time
         assert "### `fig1c`" in text
-        assert "`scale=0.05`" in text
-        assert "wall time 3.2s" in text
+        # The section lists the stamped parameters once, None ones left out.
+        assert text.count("`scale=0.05`") == 1
+        assert "Parameters: `scale=0.05`, `seed=42`" in text
+        assert "oscar_config" not in text
         assert text.endswith("\n")
 
     def test_multiple_runs_keep_order(self):

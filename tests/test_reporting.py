@@ -6,7 +6,7 @@ import csv
 
 import pytest
 
-from repro.reporting import ascii_chart, format_table, write_rows, write_series
+from repro.reporting import ascii_chart, format_table, write_series
 
 
 class TestAsciiChart:
@@ -87,18 +87,6 @@ class TestFormatTable:
 
 
 class TestCsvWriters:
-    def test_write_rows_roundtrip(self, tmp_path):
-        path = write_rows(
-            tmp_path / "out.csv", ("a", "b"), [(1, 2.5), ("x", "y")]
-        )
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows == [["a", "b"], ["1", "2.5"], ["x", "y"]]
-
-    def test_write_rows_creates_parents(self, tmp_path):
-        path = write_rows(tmp_path / "deep" / "dir" / "out.csv", ("c",), [(1,)])
-        assert path.exists()
-
     def test_write_series_long_format(self, tmp_path):
         path = write_series(
             tmp_path / "series.csv",
@@ -106,10 +94,18 @@ class TestCsvWriters:
         )
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
-        assert rows[0] == ["series", "x", "y"]
-        assert ["constant", "1.0", "2.0"] in rows
-        assert ["stepped", "5.0", "6.0"] in rows
-        assert len(rows) == 4
+        # Header first, then every point in series order, point order kept.
+        assert rows == [
+            ["series", "x", "y"],
+            ["constant", "1.0", "2.0"],
+            ["stepped", "3.0", "4.0"],
+            ["stepped", "5.0", "6.0"],
+        ]
+
+    def test_write_series_creates_parents(self, tmp_path):
+        path = write_series(tmp_path / "deep" / "dir" / "out.csv", {"c": [(1.0, 2.0)]})
+        assert path.exists()
+        assert path == path.resolve()
 
     def test_write_series_empty(self, tmp_path):
         path = write_series(tmp_path / "empty.csv", {})
@@ -119,8 +115,8 @@ class TestCsvWriters:
 
     def test_overwrite_existing(self, tmp_path):
         target = tmp_path / "out.csv"
-        write_rows(target, ("a",), [(1,)])
-        write_rows(target, ("b",), [(2,)])
+        write_series(target, {"a": [(1.0, 1.0)]})
+        write_series(target, {"b": [(2.0, 2.0)]})
         with open(target, newline="") as handle:
             rows = list(csv.reader(handle))
-        assert rows == [["b"], ["2"]]
+        assert rows == [["series", "x", "y"], ["b", "2.0", "2.0"]]

@@ -7,6 +7,8 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments import (
     ArtifactStore,
+    ExperimentResult,
+    ExperimentSpec,
     Runner,
     SweepSpec,
     all_specs,
@@ -57,6 +59,21 @@ class TestSpecSchema:
 
     def test_descriptions_come_from_docstrings(self):
         assert get_spec("fig1c").description != ""
+
+    def test_run_stamps_id_title_and_parameters(self):
+        def fn(scale=1.0, size=10, note=None):
+            return ExperimentResult(metadata={"size": 3, "derived": "x"})
+
+        params = (Param("scale", 1.0), Param("size", 10), Param("note", None))
+        result = ExperimentSpec(id="demo", title="Demo", fn=fn, params=params).run(scale=0.5)
+        assert (result.experiment_id, result.title) == ("demo", "Demo")
+        # A derived value wins over the parameter of its name.
+        assert result.metadata == {"scale": 0.5, "size": 3, "note": None, "derived": "x"}
+
+    def test_run_rejects_a_non_result(self):
+        spec = ExperimentSpec(id="demo", title="Demo", fn=lambda: {}, params=())
+        with pytest.raises(TypeError, match="not ExperimentResult"):
+            spec.run()
 
 
 class TestParamCoercion:

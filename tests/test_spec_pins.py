@@ -37,6 +37,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import Runner, RunRecord, get_spec
+from repro.experiments.base import jsonify
 
 from scripts.bench_ci import OPS, ROWS  # type: ignore[import-not-found]
 
@@ -64,6 +65,16 @@ class TestPinnedSpecs:
         measured = deterministic(tiny(spec_id).result.scalars)
         assert sorted(measured) == sorted(PINS[spec_id])
         assert measured == pytest.approx(PINS[spec_id], rel=1e-12, abs=0.0)
+
+    def test_spec_layer_stamps_id_title_and_parameters(self, spec_id):
+        record, spec = tiny(spec_id), get_spec(spec_id)
+        result = record.result
+        assert (result.experiment_id, result.title) == (spec.id, spec.title)
+        # Every resolved parameter is in the metadata; only the scaled
+        # sizes and the catalog size (``items=0`` = one per peer) a spec
+        # derives stand in for a parameter of their name.
+        differs = {k for k, v in record.params.items() if result.metadata[k] != jsonify(v)}
+        assert differs <= {"size", "sizes", "free_size", "items"}
 
     def test_same_seed_same_result(self, spec_id):
         first, second = tiny(spec_id).result, tiny.__wrapped__(spec_id).result
