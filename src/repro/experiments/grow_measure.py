@@ -326,12 +326,11 @@ def run_partitions(
         ]
         ranks = link_rank_distribution(overlay.ring, links)
         divergence.append((float(k), harmonic_divergence(ranks, overlay.ring.live_count) * 10.0))
+    # The cheapest partition count (the first of equals) and its cost.
+    best_k, best_cost = min(cost, key=lambda point: point[1])
     return ExperimentResult(
         series={"mean cost": cost, "harmonic divergence x10": divergence},
-        scalars={
-            "best_cost": min(c for __, c in cost),
-            "auto_k_equivalent": float(min(range(len(cost)), key=lambda i: cost[i][1])),
-        },
+        scalars={"best_cost": best_cost, "auto_k_equivalent": best_k},
         metadata={"size": size},
     )
 

@@ -258,6 +258,10 @@ class TestAblations:
             scale=SMALL, n_queries=40, partition_counts=(4, 8)
         )
         assert len(result.series["mean cost"]) == 2
+        # The cheapest partition count itself, not its index in the sweep.
+        assert result.scalars["auto_k_equivalent"] in (4, 8)
+        costs = dict(result.series["mean cost"])
+        assert costs[result.scalars["auto_k_equivalent"]] == result.scalars["best_cost"]
 
     def test_log_n_partitions_are_near_optimal(self):
         result = get_spec("abl-partitions").run(
