@@ -3,11 +3,12 @@
 :class:`ChurnProgram` drives an overlay (Oscar, Mercury or Chord), a
 :class:`~repro.engine.churn.SteadyStateChurnEngine` (either repair
 policy), a :class:`~repro.index.replication.ReplicatedStore` and a
-:class:`~repro.engine.serve.ServeEngine` through six verbs — an epoch,
-an external ``leave_batch`` wave, a direct repair (the policy's
-substrate verb, with no compaction first), a serve batch with unknown
-sources and duplicate keys, a route batch on the truth snapshot, a join
-into a taken ``2**-64`` key cell — on the vectorized kernels and, in
+:class:`~repro.engine.serve.ServeEngine` through seven verbs — an epoch,
+an external ``leave_batch`` wave, a ``leave_batch`` wave it must refuse,
+a direct repair (the policy's substrate verb, with no compaction first),
+a serve batch with unknown sources and duplicate keys, a route batch on
+the truth snapshot, a join into a taken ``2**-64`` key cell — on the
+vectorized kernels and, in
 lock-step, on the pure-Python twins (Mercury and Chord build through
 one scalar path, so for them the twin check is a determinism check),
 and checks after every step:
@@ -18,6 +19,10 @@ and checks after every step:
 * a join into a taken cell — ``Substrate._splice`` (``Ring.insert``)
   or a ``Ring.insert_many`` batch holding it among free positions —
   raises ``DuplicateNodeError`` and leaves the state byte-identical;
+* a refused ``leave_batch`` — one id no peer holds among live ones, or
+  every live peer — raises ``UnknownNodeError`` or
+  ``EmptyPopulationError`` on both twins and leaves each
+  byte-identical;
 * no self or duplicate link in any row, ``-1`` past ``out_count``;
 * ``out_count <= cap_out`` and ``in_deg <= cap_in``;
 * right after a repair, no live peer's row names a peer outside the
@@ -73,7 +78,12 @@ from repro.engine import (
 )
 from repro.engine.churn import REPAIR_POLICIES
 from repro.engine.walk import WalkCode
-from repro.errors import DuplicateNodeError, RoutingError
+from repro.errors import (
+    DuplicateNodeError,
+    EmptyPopulationError,
+    RoutingError,
+    UnknownNodeError,
+)
 from repro.experiments import make_overlay
 from repro.index import ReplicatedStore
 from repro.membership import OracleView
@@ -188,6 +198,25 @@ class ChurnProgram:
         for twin in self.twins:
             twin["overlay"].leave_batch(ids)
         self.waves += 1
+
+    def leave_refused(self, picks: list[int], unknown: bool) -> None:
+        """A ``leave_batch`` wave that must be refused before anyone is
+        marked dead: the live peers at ranks ``picks`` with one id no
+        peer holds among them (``unknown``), or every live peer plus the
+        peers, dead ones too, at ring ranks ``picks``."""
+        ring = self.overlay.ring
+        live = ring.ids_array(live_only=True).tolist()
+        if unknown:
+            ids = [live[i % len(live)] for i in picks]
+            ids.insert(picks[0] % (len(ids) + 1), int(self.overlay._next_id) + 7)
+        else:
+            every = ring.ids_array().tolist()
+            ids = live + [every[i % len(every)] for i in picks]
+        for twin in self.twins:
+            before = self.fingerprint(twin["overlay"])
+            with pytest.raises(UnknownNodeError if unknown else EmptyPopulationError):
+                twin["overlay"].leave_batch(ids)
+            assert self.fingerprint(twin["overlay"]) == before
 
     def serve(self, picks: list[int], unknown: int, repeat: int) -> None:
         """One batch: sources at live ranks ``picks`` plus ``unknown``
@@ -433,6 +462,8 @@ def replay(program: dict) -> ChurnProgram:
             system.run_epoch()
         elif verb == "wave":
             system.leave_wave(step["picks"])
+        elif verb == "leave_refused":
+            system.leave_refused(step["picks"], step["unknown"])
         elif verb == "repair":
             system.repair()
         elif verb == "route":
@@ -472,6 +503,10 @@ class ChurnMachine(RuleBasedStateMachine):
     @rule(picks=st.lists(st.integers(0, 1000), min_size=1, max_size=6))
     def wave(self, picks) -> None:
         self.system.leave_wave(picks)
+
+    @rule(picks=st.lists(st.integers(0, 1000), min_size=1, max_size=6), unknown=st.booleans())
+    def leave_refused(self, picks, unknown) -> None:
+        self.system.leave_refused(picks, unknown)
 
     @rule()
     def repair(self) -> None:
