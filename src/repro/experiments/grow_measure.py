@@ -117,9 +117,8 @@ def _fig2(
     scalars: dict[str, float] = {}
     for fraction in KILL_FRACTIONS:
         pct = int(fraction * 100)
-        series["no faults" if fraction == 0 else f"{pct}% crashes"] = cost_curves(
-            measured, fraction
-        )["panel"]
+        label = "no faults" if fraction == 0 else f"{pct}% crashes"
+        series[label] = cost_curves(measured, fraction)["panel"]
         final = measured["panel"][-1].stats_by_kill[fraction]
         scalars[f"final_cost_{pct}pct"] = final.mean_cost
         scalars[f"success_{pct}pct"] = final.success_rate

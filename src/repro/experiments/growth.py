@@ -163,14 +163,10 @@ def measure_runs(
     """Grow one fresh overlay per run through the paper ``sizes`` scaled
     by ``scale``, measuring every size under each crash fraction in
     ``kills``: ``{label: measurements}`` in run order."""
-    growth = GrowthConfig(
-        measure_sizes=scaled_sizes(sizes, scale), n_queries=n_queries, seed=seed
-    )
+    growth = GrowthConfig(measure_sizes=scaled_sizes(sizes, scale), n_queries=n_queries, seed=seed)
     cases = tuple(ChurnConfig(kill_fraction=f, seed=seed) for f in kills)
     return {
-        label: grow_and_measure(
-            make_overlay(substrate, seed, config), keys, caps, growth, cases
-        )
+        label: grow_and_measure(make_overlay(substrate, seed, config), keys, caps, growth, cases)
         for label, substrate, keys, caps, config in runs
     }
 
