@@ -87,6 +87,24 @@ class TestFormatTable:
 
 
 class TestCsvWriters:
+    def test_write_rows_roundtrip(self, tmp_path):
+        # write_series writes one row per point; reading the file back
+        # gives every value as written, ints and floats alike.
+        series = {"a": [(1, 2.5), (3, 0.125)], "b": [(4.0, 7)]}
+        path = write_series(tmp_path / "out.csv", series)
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == [
+            ["series", "x", "y"],
+            ["a", "1", "2.5"],
+            ["a", "3", "0.125"],
+            ["b", "4.0", "7"],
+        ]
+        read_back: dict[str, list[tuple[float, float]]] = {}
+        for name, x, y in rows[1:]:
+            read_back.setdefault(name, []).append((float(x), float(y)))
+        assert read_back == series
+
     def test_write_series_long_format(self, tmp_path):
         path = write_series(
             tmp_path / "series.csv",
