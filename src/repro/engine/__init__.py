@@ -30,7 +30,8 @@ lock-step **epochs**; there is no event scheduler:
   :class:`ServeEngine` is the data-plane request path: believed-
   membership owner resolution and the same kernel over a per-version
   believed-live :class:`ServeSnapshot`, an array-native LRU
-  :class:`ResultCache` (one probe and one insert per batch) dropped on
+  :class:`ResultCache` (a hash table: one probe and one insert per
+  batch) dropped on
   topology/replica/belief change, and delivery verified
   against a
   :class:`~repro.index.replication.ReplicatedStore` (same

@@ -28,12 +28,12 @@ to be**, at millions of requests against a ring that churns underneath.
   is a catalog item reads its row through the one catalog search the
   batch does; a key outside the catalog is located (one search) and
   verified on its own, a masked branch of the same batch;
-* an **LRU result cache** (:class:`ResultCache`) — a struct-of-arrays
-  table sorted on an injective ``uint64`` image of the request key,
-  with stamp / owner / packed-verdict columns and **one** scalar
-  version: ``probe`` is one ``searchsorted`` + gather, ``insert`` one
-  sorted merge + ``argpartition`` eviction, and a version change drops
-  the whole table — membership change, link change, or replica movement
+* an **LRU result cache** (:class:`ResultCache`) — an open-addressing
+  hash table of slot-aligned columns (an injective ``uint64`` image of
+  the request key, stamp, owner, packed verdict) with **one** scalar
+  version: a hit is one hashed gather, a miss one slot write, eviction
+  one ``argpartition`` of the stamps, and a version change drops the
+  whole table — membership change, link change, or replica movement
   each bump the version, so a cache can return stale bytes for at most
   zero versions, never "the old owner";
 * **stale-serve accounting**: a believed owner that is truth-dead (the
@@ -101,41 +101,81 @@ def pack_flags(found: np.ndarray, success: np.ndarray, stale: np.ndarray) -> np.
     return found * FLAG_FOUND | success * FLAG_SUCCESS | stale * FLAG_STALE
 
 
+#: Bits of 1.0. Every float in ``[0, 1)`` has a bit pattern below it, so
+#: no request key can equal either slot sentinel above it.
+_ONE_BITS = np.uint64(0x3FF0_0000_0000_0000)
+#: ``bits`` of a slot that held no key since the last clear or rehash:
+#: a probe chain ends here.
+_EMPTY = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+#: ``bits`` of a slot whose key was evicted (a tombstone): a probe chain
+#: runs on past it, an insert may claim it.
+_DELETED = np.uint64(0xFFFF_FFFF_FFFF_FFFE)
+#: ``stamp`` of a slot without an entry: never among the smallest.
+_NO_STAMP = np.iinfo(np.int64).max
+#: Multiplicative (Fibonacci) hash: ``2**64`` over the golden ratio, odd.
+#: A key's home slot is the top ``log2(slots)`` bits of
+#: ``bits * HASH_MULTIPLIER``.
+HASH_MULTIPLIER = np.uint64(0x9E37_79B9_7F4A_7C15)
+#: Slots of a fresh table; rehashes grow it as entries arrive.
+_MIN_SLOTS = 64
+#: What a slot without an entry holds in ``bits`` / ``stamp`` / ``owner``
+#: / ``flags`` (an evicted slot holds ``_DELETED`` in place of ``_EMPTY``).
+_FILL = (_EMPTY, _NO_STAMP, -1, 0)
+
+
 def _key_bits(keys: np.ndarray) -> np.ndarray:
     """Injective ``uint64`` image of float request keys: the IEEE bit
     pattern (``+ 0.0`` folds ``-0.0`` onto ``0.0``, the only two equal
     floats with different bits). Distinct floats stay distinct even
     inside one ``2**-64`` keyspace cell, which ``keyspace.from_units``
-    merges below ``2**-11``."""
-    return (np.asarray(keys, dtype=np.float64) + 0.0).view(np.uint64)
+    merges below ``2**-11``.
+
+    Raises:
+        KeyspaceError: A key's bits are not below those of 1.0 — NaN,
+            ``±inf``, a negative key or one ``>= 1.0``. One ``max`` over
+            the bits decides, before the caller changes anything.
+    """
+    bits = (np.asarray(keys, dtype=np.float64) + 0.0).view(np.uint64)
+    if bits.size and bits.max() >= _ONE_BITS:
+        raise keyspace.KeyspaceError("cache keys must be finite floats in [0, 1)")
+    return bits
 
 
-def _empty_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    return (
-        np.empty(0, dtype=np.uint64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.uint8),
-    )
+def _empty_slots(size: int) -> tuple[np.ndarray, ...]:
+    dtypes = (np.uint64, np.int64, np.int64, np.uint8)
+    return tuple(np.full(size, fill, dtype=dtype) for fill, dtype in zip(_FILL, dtypes))
 
 
 class ResultCache:
-    """LRU result cache held as a struct-of-arrays table.
+    """LRU result cache held as an open-addressing hash table.
 
-    One row per cached request key, sorted on ``bits`` so a whole batch
-    is probed with one ``searchsorted`` and one gather:
+    Four slot-aligned columns of a power-of-two table; a key lives in
+    its home slot (a multiplicative hash of its bits) or, on collision,
+    in the first free slot after it (linear probing, wrapping):
 
     ========  ======  =================================================
     column    dtype   meaning
     ========  ======  =================================================
-    bits      uint64  IEEE bit pattern of the float request key (sorted)
+    bits      uint64  IEEE bit pattern of the float request key, or a
+                      sentinel: empty (``2**64 - 1``) or deleted
+                      (``2**64 - 2``) — no key in ``[0, 1)`` has either
     stamp     int64   use-counter value when last hit or inserted
-    owner     int64   believed owner node id
+                      (``int64`` max in a slot without an entry)
+    owner     int64   believed owner node id (``-1`` without an entry)
     flags     uint8   ``FLAG_FOUND | FLAG_SUCCESS | FLAG_STALE``
+                      (``0`` without an entry)
     ========  ======  =================================================
 
+    A whole batch is probed with one hash, one gather and one compare;
+    only keys whose chains collide take further vectorized rounds. An
+    insert overwrites known keys in place and writes each new key into
+    a free slot (write, read back, the losers step on), so it costs
+    O(misses), not O(table), unless it evicts. An evicted slot becomes
+    a tombstone; the table rehashes when live plus deleted slots pass
+    half of it.
+
     The table carries **one** version: the first :meth:`probe` or
-    :meth:`insert` at a different version drops every row (counted in
+    :meth:`insert` at a different version drops every entry (counted in
     ``invalidations``), so a read can only return a result computed at
     the caller's current version (the CACHE001 contract — see
     ``docs/serving.md``). Versions are expected to be monotone: one that
@@ -143,10 +183,15 @@ class ResultCache:
 
     Recency is the ``stamp`` column — every probed or inserted request
     takes the next counter value, in request order — and an insert that
-    overflows ``capacity`` drops the rows with the smallest stamps
+    overflows ``capacity`` drops the entries with the smallest stamps
     (counted in ``evictions``). After each batch the table therefore
     holds the ``capacity`` most recently used distinct keys, which is
     what a sequential ``get … get, put … put`` LRU holds.
+
+    Every key must be a finite float in ``[0, 1)`` (``-0.0`` is
+    ``0.0``): :meth:`probe`, :meth:`insert`, :meth:`get` and :meth:`put`
+    raise :class:`~repro.ring.keyspace.KeyspaceError` otherwise, before
+    any counter or slot changes.
 
     Args:
         capacity: Maximum retained entries; least-recently-used entries
@@ -163,17 +208,82 @@ class ResultCache:
         self.invalidations = 0
         self._version: object = None
         self._clock = 0
-        self._table = _empty_table()
+        self._live = 0
+        self._deleted = 0
+        self._slots = _empty_slots(_MIN_SLOTS)
 
     def __len__(self) -> int:
-        return int(self._table[0].size)
+        return self._live
 
     def _enter(self, version: object) -> None:
-        """Make ``version`` the table's version, dropping every row
+        """Make ``version`` the table's version, dropping every entry
         computed at another one."""
         if version != self._version:
             self.clear()
             self._version = version
+
+    def _home(self, bits: np.ndarray) -> np.ndarray:
+        """Home slot of every key: the top ``log2(slots)`` bits of
+        ``bits * HASH_MULTIPLIER``."""
+        shift = np.uint64(65 - self._slots[0].size.bit_length())
+        return ((bits * HASH_MULTIPLIER) >> shift).astype(np.intp)
+
+    def _find(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Walk every key's chain: ``(slot, found)``, the slot holding
+        the key, else the empty slot that ends its chain. A deleted
+        slot does not end a chain."""
+        table_bits = self._slots[0]
+        mask = table_bits.size - 1
+        slot = self._home(bits)
+        held = table_bits[slot]
+        found = held == bits
+        again = np.flatnonzero(~found)
+        again = again[held[again] != _EMPTY]
+        while again.size:
+            step = (slot[again] + 1) & mask
+            slot[again] = step
+            held = table_bits[step]
+            hit = held == bits[again]
+            found[again[hit]] = True
+            again = again[~hit & (held != _EMPTY)]
+        return slot, found
+
+    def _place(self, bits: np.ndarray, *values: np.ndarray) -> None:
+        """Write distinct keys absent from the table, with their
+        ``stamp`` / ``owner`` / ``flags`` values, each into the first
+        free (empty or deleted) slot of its chain. A round writes every
+        pending key into its slot if free and reads the slot back: one
+        key wins each slot, the rest step on."""
+        table_bits = self._slots[0]
+        mask = table_bits.size - 1
+        at, todo = self._home(bits), np.arange(bits.size)
+        while todo.size:
+            want = bits[todo]
+            held = table_bits[at]
+            table_bits[at] = np.where(held >= _DELETED, want, held)
+            won = table_bits[at] == want
+            claimed, rows = at[won], todo[won]
+            self._deleted -= int(np.count_nonzero(held[won] == _DELETED))
+            for column, value in zip(self._slots[1:], values):
+                column[claimed] = value[rows]
+            lost = ~won
+            todo, at = todo[lost], (at[lost] + 1) & mask
+
+    def _reserve(self, incoming: int) -> None:
+        """Rehash before ``incoming`` new keys would take live plus
+        deleted slots past half the table: the live entries move to a
+        table of at least four slots per entry, tombstones dropped."""
+        size = self._slots[0].size
+        if 2 * (self._live + self._deleted + incoming) <= size:
+            return
+        size = _MIN_SLOTS
+        while size < 4 * (self._live + incoming):
+            size *= 2
+        old = self._slots
+        keep = old[0] < _DELETED
+        self._slots = _empty_slots(size)
+        self._deleted = 0
+        self._place(old[0][keep], *(column[keep] for column in old[1:]))
 
     def probe(
         self, keys: np.ndarray, version: object
@@ -181,76 +291,72 @@ class ResultCache:
         """Look a batch of request keys up at ``version``.
 
         Returns ``(hit, owners, flags)`` aligned with ``keys``; a miss
-        reads ``owner = -1``, ``flags = 0``. Every key counts in
-        ``hits`` or ``misses``, and every hit refreshes its row's stamp
-        in request order (the last occurrence of a repeated key wins).
+        reads ``owner = -1``, ``flags = 0`` (the values of the empty
+        slot that ends its chain). Every key counts in ``hits`` or
+        ``misses``, and every hit refreshes its entry's stamp in request
+        order (the last occurrence of a repeated key wins).
+
+        Raises:
+            KeyspaceError: A key is not a finite float in ``[0, 1)``.
         """
+        bits = _key_bits(keys)
         self._enter(version)
-        n, size = int(keys.size), len(self)
-        if size == 0:
+        n = int(bits.size)
+        if not self._live:
             self.misses += n
             return (
                 np.zeros(n, dtype=bool),
                 np.full(n, -1, dtype=np.int64),
                 np.zeros(n, dtype=np.uint8),
             )
-        table_bits, table_stamp, table_owner, table_flags = self._table
-        bits = _key_bits(keys)
-        row = np.minimum(keyspace.search_sorted(table_bits, bits), size - 1)
-        hit = table_bits[row] == bits
+        slot, hit = self._find(bits)
+        __, table_stamp, table_owner, table_flags = self._slots
         at = np.flatnonzero(hit)
-        np.maximum.at(table_stamp, row[at], self._clock + at)
+        np.maximum.at(table_stamp, slot[at], self._clock + at)
         self._clock += n
         self.hits += int(at.size)
         self.misses += n - int(at.size)
-        return hit, np.where(hit, table_owner[row], -1), table_flags[row] * hit
+        return hit, table_owner[slot], table_flags[slot]
 
     def insert(
         self, keys: np.ndarray, version: object, owners: np.ndarray, flags: np.ndarray
     ) -> None:
         """Insert/overwrite the results of a batch of request keys at
         ``version`` (the last occurrence of a repeated key wins), then
-        evict least-recently-used rows down to ``capacity``."""
-        n = int(keys.size)
+        evict least-recently-used entries down to ``capacity``.
+
+        Raises:
+            KeyspaceError: A key is not a finite float in ``[0, 1)``.
+        """
+        bits = _key_bits(keys)
+        n = int(bits.size)
         if self.capacity == 0 or n == 0:
             return
         self._enter(version)
-        bits = _key_bits(keys)
         order = np.argsort(bits)  # unstable: a key's requests in any order ...
         bits = bits[order]
         first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
         last = np.maximum.reduceat(order, first)  # ... its last one is the largest index
         bits = bits[first]
-        added = (bits, self._clock + last, owners[last], flags[last])
+        added = (self._clock + last, owners[last], flags[last])
         self._clock += n
-        table_bits = self._table[0]
-        at = np.searchsorted(table_bits, bits)
-        known = at < table_bits.size
-        known[known] = table_bits[at[known]] == bits[known]
-        if known.any():
-            for column, values in zip(self._table[1:], added[1:]):
-                column[at[known]] = values[known]
-            at = at[~known]
-            added = tuple(values[~known] for values in added)
-        if at.size:
-            # One sorted merge: new row ``j`` lands before old row
-            # ``at[j]``, at ``at[j] + j``; the old rows fill the rest.
-            new = at + np.arange(at.size)
-            old = np.ones(len(self) + at.size, dtype=bool)
-            old[new] = False
-            merged = []
-            for column, values in zip(self._table, added):
-                out = np.empty(old.size, dtype=column.dtype)
-                out[new] = values
-                out[old] = column
-                merged.append(out)
-            self._table = tuple(merged)
-        size = len(self)
-        excess = size - self.capacity
+        slot, known = self._find(bits)
+        new = ~known
+        fresh = int(np.count_nonzero(new))
+        if fresh < bits.size:  # overwrite in place
+            for column, values in zip(self._slots[1:], added):
+                column[slot[known]] = values[known]
+        if fresh:
+            self._reserve(fresh)
+            self._place(bits[new], *(values[new] for values in added))
+            self._live += fresh
+        excess = self._live - self.capacity
         if excess > 0:
-            keep = np.ones(size, dtype=bool)
-            keep[np.argpartition(self._table[1], excess - 1)[:excess]] = False
-            self._table = tuple(column[keep] for column in self._table)
+            gone = np.argpartition(self._slots[1], excess - 1)[:excess]
+            for column, fill in zip(self._slots, (_DELETED, *_FILL[1:])):
+                column[gone] = fill
+            self._live -= excess
+            self._deleted += excess
             self.evictions += excess
 
     def get(self, key: float, version: object) -> tuple[int, bool, bool, bool] | None:
@@ -278,9 +384,13 @@ class ResultCache:
         )
 
     def clear(self) -> None:
-        """Drop every entry (bulk invalidation)."""
-        self.invalidations += len(self)
-        self._table = _empty_table()
+        """Drop every entry (bulk invalidation). The table keeps its
+        slots; they are refilled with the empty sentinels."""
+        self.invalidations += self._live
+        if self._live or self._deleted:
+            for column, fill in zip(self._slots, _FILL):
+                column.fill(fill)
+        self._live = self._deleted = 0
 
     @property
     def hit_rate(self) -> float:

@@ -14,6 +14,7 @@ run and every machine, not flake in and out with the random seed.
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 
 import pytest
 from hypothesis import settings
@@ -197,6 +198,36 @@ def assert_walk_table(table, candidates) -> None:
     assert table.offsets.tolist() == [
         [first] + kept + [m] * (width + 1 - len(kept)) for first, kept in expected
     ]
+
+
+class LruModel:
+    """The ``OrderedDict`` LRU the array cache replaced, verbatim: lazy
+    invalidation, one ``get``/``put`` per request."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity, self.entries = capacity, OrderedDict()
+        self.hits = self.misses = 0
+
+    def get(self, key, version):
+        entry = self.entries.get(key)
+        if entry is not None and entry[0] == version:
+            self.entries.move_to_end(key)
+            self.hits += 1
+            return entry[1]
+        self.entries.pop(key, None)
+        self.misses += 1
+        return None
+
+    def put(self, key, version, payload):
+        if self.capacity == 0:
+            return
+        self.entries[key] = (version, payload)
+        self.entries.move_to_end(key)
+        while len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+
+    def live_keys(self, version):
+        return {key for key, entry in self.entries.items() if entry[0] == version}
 
 
 @pytest.fixture

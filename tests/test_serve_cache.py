@@ -24,7 +24,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +31,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_walk_table
+from conftest import LruModel, assert_walk_table
 from repro.churn.sessions import make_sessions
 from repro.config import RoutingConfig
 from repro.degree import ConstantDegrees
 from repro.engine import Outcome, ResultCache, ServeEngine, SteadyStateChurnEngine
-from repro.engine.serve import pack_flags
+from repro.engine.serve import _DELETED, _EMPTY, HASH_MULTIPLIER, pack_flags
 from repro.engine.walk import WalkTable, walk_bounds
 from repro.errors import ConfigError, ExperimentError
 from repro.experiments.growth import make_overlay
@@ -174,36 +173,6 @@ class TestResultCache:
         assert cache.get(0.1, "v") is None
 
 
-class LruModel:
-    """The ``OrderedDict`` LRU the array cache replaced, verbatim: lazy
-    invalidation, one ``get``/``put`` per request."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity, self.entries = capacity, OrderedDict()
-        self.hits = self.misses = 0
-
-    def get(self, key, version):
-        entry = self.entries.get(key)
-        if entry is not None and entry[0] == version:
-            self.entries.move_to_end(key)
-            self.hits += 1
-            return entry[1]
-        self.entries.pop(key, None)
-        self.misses += 1
-        return None
-
-    def put(self, key, version, payload):
-        if self.capacity == 0:
-            return
-        self.entries[key] = (version, payload)
-        self.entries.move_to_end(key)
-        while len(self.entries) > self.capacity:
-            self.entries.popitem(last=False)
-
-    def live_keys(self, version):
-        return {key for key, entry in self.entries.items() if entry[0] == version}
-
-
 # Distinct floats, four of them inside the first 2**-64 keyspace cell.
 KEY_POOL = np.asarray([0.0, 5e-324, 2.0**-70, 1.5 * 2.0**-70, 2.0**-12, 0.1, 0.25, 0.5, 0.75, 0.9])
 
@@ -250,6 +219,214 @@ class TestLruModelDifferential:
             assert len(cache) == len(live)
             replica = copy.deepcopy(cache)  # reading must not disturb recency
             assert {float(k) for k in KEY_POOL if replica.get(float(k), version) is not None} == live
+
+
+ONE_BITS = 0x3FF0_0000_0000_0000  # the bits of 1.0
+
+
+def keys_homed_at(top: int, count: int, seed: int) -> np.ndarray:
+    """``count`` distinct keys in ``[0, 1)`` whose hash product ``bits *
+    HASH_MULTIPLIER`` starts with the 12 bits ``top``. A table of ``2**k``
+    slots homes a key at the product's top ``k`` bits, so these keys share
+    one home slot in every table of up to 4 096 slots; ``top = 0xFFF``
+    homes them at the last slot, and their chains wrap to slot 0."""
+    inverse = pow(int(HASH_MULTIPLIER), -1, 1 << 64)
+    rng = np.random.default_rng(seed)
+    found: list[int] = []
+    while len(found) < count:
+        bits = ((top << 52) | int(rng.integers(1 << 52))) * inverse % (1 << 64)
+        if bits < ONE_BITS and bits not in found:
+            found.append(bits)
+    return np.asarray(found, dtype=np.uint64).view(np.float64)
+
+
+SHARED = keys_homed_at(0x5A5, 16, seed=1)
+LAST = keys_homed_at(0xFFF, 16, seed=2)
+COLLIDING = np.concatenate([SHARED, LAST, KEY_POOL])
+
+
+def bits_of(keys) -> list[int]:
+    return np.asarray(keys, dtype=np.float64).view(np.uint64).tolist()
+
+
+def assert_slots_consistent(cache: ResultCache) -> None:
+    """The slot columns agree with the counts, a slot without an entry
+    holds the fill values, live plus deleted slots stay within half the
+    table, and every entry is reachable: no empty slot lies between its
+    home and its slot."""
+    table_bits, stamp, owner, flags = cache._slots
+    size = table_bits.size
+    live = table_bits < _DELETED
+    assert size & (size - 1) == 0
+    assert int(live.sum()) == len(cache) and int((table_bits == _DELETED).sum()) == cache._deleted
+    assert 2 * (len(cache) + cache._deleted) <= size
+    assert (stamp[~live] == np.iinfo(np.int64).max).all()
+    assert (owner[~live] == -1).all() and (flags[~live] == 0).all()
+    homes = cache._home(table_bits[live])
+    for home, slot in zip(homes.tolist(), np.flatnonzero(live).tolist()):
+        chain = [(home + i) % size for i in range((slot - home) % size)]
+        assert _EMPTY not in table_bits[chain]
+
+
+class TestCollidingKeys:
+    """Keys that share one home slot, or whose home is the last slot so
+    their chains wrap past it, against the ``OrderedDict`` model: long
+    chains, evictions in the middle of one, re-inserts into deleted
+    slots and rehashes — cases ``KEY_POOL``'s ten keys cannot reach."""
+
+    def test_pool_homes(self):
+        for size in (64, 256, 4096):
+            cache = ResultCache(1)
+            cache._slots = tuple(np.resize(column, size) for column in cache._slots)
+            assert set(cache._home(SHARED.view(np.uint64)).tolist()) == {0x5A5 * size >> 12}
+            assert set(cache._home(LAST.view(np.uint64)).tolist()) == {size - 1}
+
+    @given(
+        capacity=st.integers(1, 64),
+        batches=st.lists(
+            st.tuples(
+                st.sampled_from([False, False, False, True]),  # bump the version first
+                st.lists(st.integers(0, COLLIDING.size - 1), min_size=1, max_size=40),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        seed=st.integers(0, 1 << 16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_colliding_keys_serve_what_the_ordered_dict_served(self, capacity, batches, seed):
+        cache, model = ResultCache(capacity), LruModel(capacity)
+        rng = np.random.default_rng(seed)
+        version = 0
+        for bump, picks in batches:
+            version += int(bump)
+            keys = COLLIDING[picks]
+            owners = rng.integers(0, 100, size=keys.size)
+            flags = rng.integers(0, 8, size=keys.size).astype(np.uint8)
+
+            hit, got_owners, got_flags = cache.probe(keys, version)
+            miss = ~hit
+            cache.insert(keys[miss], version, owners[miss], flags[miss])
+
+            want = [model.get(float(key), version) for key in keys]
+            for key, served, owner, flag in zip(keys, want, owners, flags):
+                if served is None:
+                    model.put(float(key), version, (int(owner), int(flag)))
+
+            assert hit.tolist() == [served is not None for served in want]
+            assert [
+                (int(o), int(f)) for o, f in zip(got_owners[hit], got_flags[hit])
+            ] == [served for served in want if served is not None]
+            assert (cache.hits, cache.misses) == (model.hits, model.misses)
+            assert_slots_consistent(cache)
+            live = model.live_keys(version)
+            assert len(cache) == len(live)
+            replica = copy.deepcopy(cache)  # reading must not disturb recency
+            assert {float(k) for k in COLLIDING if replica.get(float(k), version)} == live
+
+    def test_chain_runs_past_a_tombstone_that_a_new_key_then_takes(self):
+        a, b, c, d, e = SHARED[:5]
+        cache = ResultCache(3)
+        for key, payload in ((a, A), (b, B), (c, C)):
+            cache.put(key, "v", payload)
+        home = 0x5A5 * cache._slots[0].size >> 12
+        chain = [home, home + 1, home + 2, home + 3]
+        assert cache._slots[0][chain].tolist() == bits_of([a, b, c]) + [int(_EMPTY)]
+        cache.get(b, "v")
+        cache.get(c, "v")  # a is now the least recently used
+        cache.put(d, "v", A)  # d lands after c, then a goes: the chain's head is a tombstone
+        assert cache._slots[0][chain].tolist() == [int(_DELETED)] + bits_of([b, c, d])
+        assert [cache.get(key, "v") for key in (a, b, c, d)] == [None, B, C, A]
+        cache.put(e, "v", B)  # absent past the tombstone; takes it, and b goes
+        assert cache._slots[0][chain].tolist() == bits_of([e]) + [int(_DELETED)] + bits_of([c, d])
+        assert [cache.get(key, "v") for key in (b, c, d, e)] == [None, C, A, B]
+        assert (len(cache), cache._deleted, cache.evictions) == (3, 1, 2)
+        assert_slots_consistent(cache)
+
+    def test_chain_wraps_past_the_last_slot(self):
+        cache = ResultCache(8)
+        for key in LAST[:3]:
+            cache.put(key, "v", A)
+        last = cache._slots[0].size - 1
+        assert cache._slots[0][[last, 0, 1, 2]].tolist() == bits_of(LAST[:3]) + [int(_EMPTY)]
+        assert [cache.get(key, "v") for key in LAST[:4]] == [A, A, A, None]
+        assert_slots_consistent(cache)
+
+    def test_rehash_keeps_every_entry_and_clear_keeps_the_slots(self):
+        cache = ResultCache(40)
+        owners = np.arange(COLLIDING.size)
+        flags = np.zeros(COLLIDING.size, dtype=np.uint8)
+        cache.insert(COLLIDING[:30], "v", owners[:30], flags[:30])
+        assert cache._slots[0].size == 64
+        cache.insert(COLLIDING[30:], "v", owners[30:], flags[30:])
+        # 42 keys pass half of 64 slots: rehashed to 4 slots per key,
+        # then the two oldest entries go.
+        assert cache._slots[0].size == 256 and cache.evictions == 2
+        hit, got, __ = cache.probe(COLLIDING, "v")
+        assert hit.tolist() == [False, False] + [True] * 40
+        assert got[hit].tolist() == owners[2:].tolist()
+        assert_slots_consistent(cache)
+        cache.clear()
+        assert cache._slots[0].size == 256 and (cache._slots[0] == _EMPTY).all()
+        assert_slots_consistent(cache)
+
+
+HOSTILE = {
+    "nan": np.nan,
+    "inf": np.inf,
+    "-inf": -np.inf,
+    "negative": -0.25,
+    "negative-denormal": -5e-324,
+    "one": 1.0,
+    "two": 2.0,
+    "empty-sentinel-nan": np.uint64(2**64 - 1).view(np.float64),
+    "deleted-sentinel-nan": np.uint64(2**64 - 2).view(np.float64),
+}
+
+
+class TestCacheRefusesHostileKeys:
+    """``probe``, ``insert``, ``get`` and ``put`` refuse a key whose bits
+    are not below those of 1.0 before any counter, version or slot
+    changes — at the cache's version and at a new one, which would drop
+    the table were the check late."""
+
+    @staticmethod
+    def state_of(cache: ResultCache) -> tuple:
+        counters = (cache.hits, cache.misses, cache.evictions, cache.invalidations)
+        return (
+            counters,
+            (cache._clock, cache._version, len(cache), cache._deleted),
+            [column.tobytes() for column in cache._slots],
+        )
+
+    def test_sentinel_nans_keep_their_bits(self):
+        for name, sentinel in (("empty-sentinel-nan", _EMPTY), ("deleted-sentinel-nan", _DELETED)):
+            assert (np.asarray([HOSTILE[name]]) + 0.0).view(np.uint64)[0] == sentinel
+
+    @pytest.mark.parametrize("bad", HOSTILE.values(), ids=HOSTILE.keys())
+    @pytest.mark.parametrize("capacity", [0, 4])
+    def test_every_entry_point_refuses_before_anything_changes(self, capacity, bad):
+        cache = ResultCache(capacity)
+        cache.insert(KEY_POOL[5:], "v", np.arange(5), np.ones(5, dtype=np.uint8))
+        cache.probe(KEY_POOL[6:8], "v")
+        before = self.state_of(cache)
+        keys = np.asarray([0.25, bad, 0.5])
+        owners, flags = np.arange(3), np.zeros(3, dtype=np.uint8)
+        for version in ("v", "w"):
+            with pytest.raises(keyspace.KeyspaceError):
+                cache.probe(keys, version)
+            with pytest.raises(keyspace.KeyspaceError):
+                cache.insert(keys, version, owners, flags)
+            with pytest.raises(keyspace.KeyspaceError):
+                cache.get(float(bad), version)
+            with pytest.raises(keyspace.KeyspaceError):
+                cache.put(float(bad), version, A)
+        assert self.state_of(cache) == before
+
+    def test_negative_zero_is_zero(self):
+        cache = ResultCache(4)
+        cache.put(-0.0, "v", A)
+        assert cache.get(0.0, "v") == A and len(cache) == 1
 
 
 class TestServeSnapshot:
@@ -714,7 +891,7 @@ class TestHostileKeys:
         cache = serve.result_cache
         return (
             (cache.hits, cache.misses, cache.evictions, cache.invalidations, cache._clock),
-            [column.tolist() for column in cache._table],
+            (len(cache), cache._deleted, [column.tobytes() for column in cache._slots]),
             serve.stale_serves,
             serve._serve_cache,
         )
