@@ -32,6 +32,12 @@ and checks after every step:
 * cache-on ≡ cache-off: after every serve batch, a cache-less engine on
   the same system serves the same owners and verdicts on every row
   both served, and the same outcome on every row the cache missed;
+* the cache against its reference twin: after every serve batch, the
+  cached engine's ``ResultCache`` and the ``OrderedDict`` LRU model
+  (``tests/conftest.py::LruModel``), driven in lock-step across
+  versions, agree on the hit mask, the hit payloads and ``len``, and
+  ``hits + misses`` counts every request that reached the cache — with
+  ``cache_size=32``, so evictions leave tombstones in probe chains;
 * one fault-free routing rule: after every route batch,
   ``Substrate.route`` raises ``RoutingError`` exactly on the rows
   ``route_batch`` gives a non-``OK`` code (with that code's message),
@@ -64,7 +70,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from conftest import assert_walk_table
+from conftest import LruModel, assert_walk_table
 from repro import Substrate
 from repro.churn import ExponentialSessions
 from repro.core.soa import SubstrateState
@@ -125,6 +131,8 @@ class ChurnProgram:
         self.twins = [self._build(vectorized) for vectorized in (True, False)]
         serve = self.twins[0]["serve"]
         self.uncached = ServeEngine(serve.substrate, serve.store, serve.membership, cache_size=0)
+        self.model = LruModel(serve.result_cache.capacity)
+        self.requests = 0
         self.seeded = self.twins[0]["store"].item_count
         self.check()
 
@@ -232,12 +240,14 @@ class ChurnProgram:
             keys = np.full(len(picks), 0.5)
         keys = np.concatenate([np.repeat(keys, repeat), np.full(unknown * repeat, 0.25)])
         sources = np.repeat(np.asarray(sources, dtype=np.int64), repeat)
+        version = self.twins[0]["serve"].serve_version
         results = [twin["serve"].serve_batch(sources, keys) for twin in self.twins]
         for name in ("owners", "outcome", "hit", "found", "success", "stale", "hops"):
             assert np.array_equal(getattr(results[0], name), getattr(results[1], name)), name
         if unknown:
             assert (results[0].outcome[-unknown * repeat :] == Outcome.BAD_SOURCE).all()
         self.check_cache_transparent(results[0], self.uncached.serve_batch(sources, keys))
+        self.check_cache_model(results[0], keys, version)
 
     def route(self, queries: list) -> None:
         """Route ``(source, kind, u)`` queries on the truth snapshot
@@ -404,6 +414,29 @@ class ChurnProgram:
             assert np.array_equal(a[both], b[both]), f"cache-on {name} differ from cache-off"
         missed = ~cached.hit
         assert np.array_equal(cached.outcome[missed], uncached.outcome[missed])
+
+    def check_cache_model(self, result, keys: np.ndarray, version: tuple) -> None:
+        """The cached engine's ``ResultCache`` in lock-step with the
+        ``OrderedDict`` LRU: the model gets every key of the batch, then
+        puts every miss the engine served, in request order. Hit masks,
+        hit payloads and ``len`` agree, and ``hits + misses`` counts
+        every request that reached the cache (all of them: the probe
+        precedes the source check)."""
+        model, cache = self.model, self.twins[0]["serve"].result_cache
+        payloads = list(zip(result.owners.tolist(), result.found, result.success, result.stale))
+        served = [model.get(key, version) for key in keys.tolist()]
+        for key, payload, inserted in zip(
+            keys.tolist(), payloads, ~result.hit & (result.outcome == Outcome.SERVED)
+        ):
+            if inserted:
+                model.put(key, version, payload)
+        assert result.hit.tolist() == [entry is not None for entry in served]
+        assert [payloads[i] for i in np.flatnonzero(result.hit)] == [
+            entry for entry in served if entry is not None
+        ]
+        assert len(cache) == len(model.live_keys(version))
+        self.requests += keys.size
+        assert cache.hits + cache.misses == self.requests == model.hits + model.misses
 
     def check_walk_tables(self) -> None:
         """The truth and serve captures hold the tables their candidate
