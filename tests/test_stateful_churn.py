@@ -423,7 +423,8 @@ class ChurnProgram:
         every request that reached the cache (all of them: the probe
         precedes the source check)."""
         model, cache = self.model, self.twins[0]["serve"].result_cache
-        payloads = list(zip(result.owners.tolist(), result.found, result.success, result.stale))
+        columns = (result.owners, result.found, result.success, result.stale)
+        payloads = list(zip(*(column.tolist() for column in columns)))
         served = [model.get(key, version) for key in keys.tolist()]
         for key, payload, inserted in zip(
             keys.tolist(), payloads, ~result.hit & (result.outcome == Outcome.SERVED)
