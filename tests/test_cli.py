@@ -383,6 +383,21 @@ class TestBenchSubcommand:
             assert capsys.readouterr().err == message
         assert grown == []
 
+    def test_grow_specs_reject_outside_input_before_growing(self, capsys, monkeypatch):
+        # The grow-and-measure loop refuses a bad query count or crash
+        # fraction with one line, exit 2, before any overlay is grown.
+        grown = []
+        monkeypatch.setattr(OscarOverlay, "grow", lambda *a, **k: grown.append(a))
+        for spec_id, pair, message in [
+            ("scenario", "kill_fraction=1.0", "run: kill_fraction must be in [0, 1), got 1.0\n"),
+            ("scenario", "kill_fraction=-0.1", "run: kill_fraction must be in [0, 1), got -0.1\n"),
+            ("fig1c", "n_queries=-1", "run: n_queries must be >= 0, got -1\n"),
+            ("abl-partitions", "n_queries=-1", "run: n_queries must be >= 0, got -1\n"),
+        ]:
+            assert run_spec(spec_id, pair) == 2, (spec_id, pair)
+            assert capsys.readouterr().err == message
+        assert grown == []
+
     @pytest.mark.parametrize("spec_id", ["steady-churn", "ext-latency", "scenario"])
     @pytest.mark.parametrize("scale", ["0", "-1"])
     def test_nonpositive_scale_is_a_config_error(self, spec_id, scale, capsys):
