@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import OscarConfig, OscarOverlay
-from repro.churn import apply_churn, revive_all
-from repro.config import ChurnConfig
+from repro import BatchQueryEngine, OscarConfig, OscarOverlay
 from repro.degree import ConstantDegrees
 from repro.engine import ServeEngine
 from repro.index import ReplicatedStore
 from repro.membership import OracleView
-from repro.metrics import measure_search_cost
 from repro.rng import split
 from repro.ring import verify
 from repro.workloads import GnutellaLikeDistribution
@@ -33,14 +30,20 @@ REPLICAS = 8  # a successor list of ~log2(N) peers: what outlives a 33% wave
 SEED = 31
 
 
-def cost_report(overlay: OscarOverlay, label: str, faulty: bool, round_id: str) -> float:
-    stats = measure_search_cost(
-        overlay, split(SEED, "queries", round_id), n_queries=200, faulty=faulty
-    )
+def cost_report(engine: BatchQueryEngine, label: str, faulty: bool, round_id: str) -> float:
+    stats = engine.measure(split(SEED, "queries", round_id), n_queries=200, faulty=faulty)
     print(f"  {label:28s} mean {stats.mean_cost:6.2f} msgs "
           f"(wasted {stats.mean_wasted:5.2f}), success {stats.success_rate:.1%}")
     assert stats.success_rate == 1.0
     return stats.mean_cost
+
+
+def crash_wave(view: OracleView, overlay: OscarOverlay, fraction: float, seed: int) -> list[int]:
+    """Crash ``fraction`` of the live peers at once, then let the ring
+    self-stabilize; long-range links to the victims dangle."""
+    victims = view.crash_fraction(split(seed, "churn-victims", int(fraction * 1_000_000)), fraction)
+    overlay.repair_ring()
+    return victims
 
 
 def main() -> None:
@@ -52,28 +55,25 @@ def main() -> None:
     item_keys = GnutellaLikeDistribution().sample(split(SEED, "items"), N_ITEMS)
     store.seed_items(item_keys, view)
     serve = ServeEngine(overlay, store, view)
+    engine = BatchQueryEngine(overlay)
     print(f"built {N_PEERS}-peer network holding {store.item_count} items\n")
 
     print("search cost through the churn lifecycle:")
-    healthy = cost_report(overlay, "healthy network", faulty=False, round_id="healthy")
+    healthy = cost_report(engine, "healthy network", faulty=False, round_id="healthy")
 
     # --- the crash waves of Figure 2 --------------------------------------
     for fraction in (0.10, 0.33):
-        victims = apply_churn(
-            overlay.ring, overlay.pointers, ChurnConfig(kill_fraction=fraction, seed=SEED)
-        )
+        victims = crash_wave(view, overlay, fraction, SEED)
         degraded = cost_report(
-            overlay, f"after {fraction:.0%} crash wave", faulty=True,
+            engine, f"after {fraction:.0%} crash wave", faulty=True,
             round_id=f"crash-{fraction}",
         )
         assert degraded >= healthy * 0.9, "churn should not make routing cheaper"
-        revive_all(overlay.ring, victims)
+        view.revive(victims)
         overlay.repair_ring()
 
     # --- data recovery at 33% ----------------------------------------------
-    victims = apply_churn(
-        overlay.ring, overlay.pointers, ChurnConfig(kill_fraction=0.33, seed=SEED + 1)
-    )
+    victims = crash_wave(view, overlay, 0.33, SEED + 1)
     owners_before = store.holders[:, 0]
     repair = store.rereplicate(view, epoch=1)
     assert repair.items_lost == 0, "some replica of every item must outlive the wave"
@@ -85,11 +85,11 @@ def main() -> None:
     assert found == 100, "successor takeover must preserve every item"
 
     # --- healing --------------------------------------------------------------
-    revive_all(overlay.ring, victims)
+    view.revive(victims)
     overlay.repair_ring()
     verify(overlay.ring, overlay.pointers)
     overlay.rewire()  # the periodic rewiring round re-points long links
-    healed = cost_report(overlay, "revived + rewired", faulty=False, round_id="healed")
+    healed = cost_report(engine, "revived + rewired", faulty=False, round_id="healed")
     assert healed <= healthy * 1.5
     print("\nnetwork healed: ring invariants verified, cost back to baseline")
 

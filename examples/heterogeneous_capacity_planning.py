@@ -17,14 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import OscarConfig, OscarOverlay
+from repro import BatchQueryEngine, OscarConfig, OscarOverlay
 from repro.degree import SpikyDegreeDistribution
-from repro.metrics import (
-    load_gini,
-    measure_search_cost,
-    relative_degree_load,
-    volume_exploitation,
-)
+from repro.metrics import load_gini, relative_degree_load, volume_exploitation
 from repro.rng import split
 from repro.smallworld import min_long_links_for_cost
 from repro.workloads import GnutellaLikeDistribution
@@ -67,7 +62,7 @@ def main() -> None:
           f"low-cap peers {small.mean():.1f}")
 
     # --- search performance under heterogeneity ---------------------------
-    stats = measure_search_cost(overlay, split(SEED, "queries"), n_queries=300)
+    stats = BatchQueryEngine(overlay).measure(split(SEED, "queries"), n_queries=300)
     print(f"\nsearch: mean {stats.mean_cost:.2f} msgs, p95 {stats.p95_cost:.0f}, "
           f"success {stats.success_rate:.1%}")
 

@@ -19,9 +19,9 @@ homogeneity assumption holds, it routes just as well.
 
 from __future__ import annotations
 
-from repro import MercuryConfig, MercuryOverlay, OscarConfig, OscarOverlay
+from repro import BatchQueryEngine, MercuryConfig, MercuryOverlay, OscarConfig, OscarOverlay
 from repro.degree import ConstantDegrees
-from repro.metrics import measure_search_cost, volume_exploitation
+from repro.metrics import volume_exploitation
 from repro.rng import split
 from repro.smallworld import harmonic_divergence, link_rank_distribution
 from repro.workloads import GnutellaLikeDistribution, UniformKeys
@@ -41,7 +41,7 @@ def build(kind: str, keys) -> OscarOverlay | MercuryOverlay:
 
 
 def report(label: str, overlay) -> dict[str, float]:
-    stats = measure_search_cost(overlay, split(SEED, "q", label), n_queries=300)
+    stats = BatchQueryEngine(overlay).measure(split(SEED, "q", label), n_queries=300)
     volume = volume_exploitation(overlay.in_degree_array(), overlay.in_cap_array())
     state = overlay.state  # one column per field, one row (slot) per peer
     links = [

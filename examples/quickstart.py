@@ -11,9 +11,9 @@ the paper's evaluation is built on.
 
 from __future__ import annotations
 
-from repro import OscarConfig, OscarOverlay
+from repro import BatchQueryEngine, OscarConfig, OscarOverlay
 from repro.degree import SteppedDegrees
-from repro.metrics import measure_search_cost, volume_exploitation
+from repro.metrics import volume_exploitation
 from repro.rng import split
 from repro.smallworld import expected_greedy_cost, worst_case_greedy_cost
 from repro.workloads import GnutellaLikeDistribution
@@ -49,7 +49,7 @@ def main() -> None:
           f"{result.hops} hops via {list(result.path)}")
 
     # 5. Measure the paper's metric: average search cost of random queries.
-    batch = measure_search_cost(overlay, split(SEED, "queries"), n_queries=200)
+    batch = BatchQueryEngine(overlay).measure(split(SEED, "queries"), n_queries=200)
     volume = volume_exploitation(overlay.in_degree_array(), overlay.in_cap_array())
 
     print("\n=== network summary ===")

@@ -20,14 +20,7 @@ Quickstart::
 
 from ._version import __version__
 from .chord import ChordOverlay
-from .config import (
-    ChurnConfig,
-    GrowthConfig,
-    MercuryConfig,
-    OscarConfig,
-    RoutingConfig,
-    SamplingMode,
-)
+from .config import MercuryConfig, OscarConfig, RoutingConfig, SamplingMode
 from .core import OscarOverlay, PartitionTable, Substrate
 from .engine import BatchQueryEngine
 from .errors import ReproError
@@ -38,8 +31,6 @@ from .routing import RangeQueryResult, RouteResult, RouteStats, route_range, sum
 __all__ = [
     "BatchQueryEngine",
     "ChordOverlay",
-    "ChurnConfig",
-    "GrowthConfig",
     "MercuryConfig",
     "MercuryOverlay",
     "OscarConfig",

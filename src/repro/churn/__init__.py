@@ -1,16 +1,16 @@
-"""Failure models: crash waves and session times.
+"""Session-time models for churn over time.
 
-* :func:`apply_churn` — static kill of 10%/33% of the population with
-  optional ring repair (Figure 2), routed through the unified
-  :class:`~repro.membership.views.MembershipView` liveness API;
-* :mod:`repro.churn.sessions` — pluggable session-time distributions
-  (exponential, Pareto heavy-tail, Gnutella-trace-driven) for
-  steady-state churn.
+:mod:`repro.churn.sessions` holds the pluggable session-time
+distributions (exponential, Pareto heavy-tail, Gnutella-trace-driven)
+that :class:`~repro.engine.churn.SteadyStateChurnEngine` draws from.
 
-Churn *over time* is :class:`~repro.engine.churn.SteadyStateChurnEngine`.
+Figure 2's static crash wave (10% / 33% killed at once) needs no module
+of its own: it is :meth:`OracleView.crash_fraction
+<repro.membership.views.OracleView.crash_fraction>` then
+``Substrate.repair_ring()``, undone by ``OracleView.revive``, as
+:func:`repro.experiments.growth.grow_and_measure` calls them.
 """
 
-from .failures import apply_churn, revive_all
 from .sessions import (
     SESSION_DISTRIBUTIONS,
     ExponentialSessions,
@@ -26,7 +26,5 @@ __all__ = [
     "ParetoSessions",
     "SessionTimes",
     "TraceSessions",
-    "apply_churn",
     "make_sessions",
-    "revive_all",
 ]

@@ -21,16 +21,12 @@ __all__ = [
     "OscarConfig",
     "MercuryConfig",
     "RoutingConfig",
-    "GrowthConfig",
-    "ChurnConfig",
 ]
 
-#: The one floor rule for scaled network sizes, shared by
-#: :meth:`GrowthConfig.scaled` and ``repro.experiments.base.scaled_sizes``:
-#: a scaled measurement size never drops below this many peers (nor below
-#: the growth seed population). 64 peers keeps even heavily miniaturized
-#: runs above the seed ring and statistically meaningful, while staying
-#: small enough for sub-second CI smoke runs.
+#: The floor of ``repro.experiments.base.scaled_sizes``, the one rule for
+#: scaled network sizes: a scaled measurement size never drops below this
+#: many peers. 64 peers keeps even heavily miniaturized runs statistically
+#: meaningful, while staying small enough for sub-second CI smoke runs.
 DEFAULT_SIZE_FLOOR = 64
 
 
@@ -140,112 +136,12 @@ class RoutingConfig:
 
     Attributes:
         budget: Maximum messages (hops + probes + backtracks) per query
-            before the route is abandoned.
-        probe_cost: Messages charged for discovering that a neighbor is
-            dead (a timed-out probe). The paper counts this as "wasted"
-            traffic; 1 is the natural unit.
-        backtrack_cost: Messages charged for returning to the previous hop
-            when a node has no live improving neighbor.
+            before the route is abandoned. The fault-aware router charges
+            one message per probe of a dead peer and one per backtrack,
+            the paper's "wasted" traffic unit.
     """
 
     budget: int = 10_000
-    probe_cost: int = 1
-    backtrack_cost: int = 1
 
     def __post_init__(self) -> None:
         _require(self.budget >= 1, f"budget must be >= 1, got {self.budget}")
-        _require(self.probe_cost >= 0, f"probe_cost must be >= 0, got {self.probe_cost}")
-        _require(self.backtrack_cost >= 0, f"backtrack_cost must be >= 0, got {self.backtrack_cost}")
-
-
-@dataclass(frozen=True)
-class GrowthConfig:
-    """Bootstrap-and-grow harness parameters (paper §3, first paragraph).
-
-    The network starts from ``seed_size`` peers wired into a ring, grows by
-    joins to each size in ``measure_sizes``; at each measured size all
-    peers re-estimate partitions and rewire their long links, then average
-    search cost is measured over ``n_queries`` random queries —
-    ``n_queries = 0`` (the default) means "as many queries as live peers",
-    the paper's "N random queries".
-    """
-
-    seed_size: int = 16
-    measure_sizes: tuple[int, ...] = (2000, 4000, 6000, 8000, 10000)
-    n_queries: int = 0
-    seed: int = 42
-
-    def __post_init__(self) -> None:
-        _require(self.seed_size >= 2, f"seed_size must be >= 2, got {self.seed_size}")
-        _require(len(self.measure_sizes) >= 1, "measure_sizes must not be empty")
-        _require(
-            all(s >= self.seed_size for s in self.measure_sizes),
-            "every measure size must be >= seed_size",
-        )
-        _require(
-            tuple(sorted(self.measure_sizes)) == tuple(self.measure_sizes),
-            "measure_sizes must be sorted ascending",
-        )
-        _require(self.n_queries >= 0, f"n_queries must be >= 0, got {self.n_queries}")
-
-    @property
-    def final_size(self) -> int:
-        """The largest measured network size."""
-        return self.measure_sizes[-1]
-
-    def queries_at(self, size: int) -> int:
-        """Queries to issue at a measured ``size`` (paper: one per peer)."""
-        return size if self.n_queries == 0 else self.n_queries
-
-    def scaled(self, factor: float) -> "GrowthConfig":
-        """Return a proportionally smaller/larger copy (benchmark helper).
-
-        Sizes are scaled and deduplicated while preserving order. The floor
-        rule is shared with ``repro.experiments.base.scaled_sizes``: no
-        scaled size drops below ``max(seed_size, DEFAULT_SIZE_FLOOR)``.
-        The query count is scaled with its own floor of 50.
-        """
-        _require(factor > 0, f"factor must be > 0, got {factor}")
-        floor = max(self.seed_size, DEFAULT_SIZE_FLOOR)
-        sizes: list[int] = []
-        for s in self.measure_sizes:
-            scaled_size = max(floor, int(round(s * factor)))
-            if not sizes or scaled_size > sizes[-1]:
-                sizes.append(scaled_size)
-        scaled_queries = self.n_queries if self.n_queries == 0 else max(50, int(round(self.n_queries * factor)))
-        return replace(self, measure_sizes=tuple(sizes), n_queries=scaled_queries)
-
-
-@dataclass(frozen=True)
-class ChurnConfig:
-    """Failure-injection parameters (paper §3, "Oscar under churn").
-
-    Attributes:
-        kill_fraction: Fraction of the population crashed simultaneously
-            (paper: 0.10 and 0.33).
-        repair_ring: Apply the Chord-style ring repair the paper assumes
-            ("the ring structure was preserved by the devised
-            self-stabilizing techniques").
-        seed: Stream label for selecting victims.
-    """
-
-    kill_fraction: float = 0.0
-    repair_ring: bool = True
-    seed: int = 7
-
-    def __post_init__(self) -> None:
-        _require(0.0 <= self.kill_fraction < 1.0, f"kill_fraction must be in [0, 1), got {self.kill_fraction}")
-
-    @property
-    def is_faulty(self) -> bool:
-        """True when any peers are crashed at all."""
-        return self.kill_fraction > 0.0
-
-
-# Paper-default experiment shapes, importable by benches and the CLI.
-PAPER_GROWTH = GrowthConfig()
-PAPER_CHURN_CASES: tuple[ChurnConfig, ...] = (
-    ChurnConfig(kill_fraction=0.0),
-    ChurnConfig(kill_fraction=0.10),
-    ChurnConfig(kill_fraction=0.33),
-)

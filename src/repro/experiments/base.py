@@ -155,9 +155,9 @@ def scaled_sizes(
 ) -> tuple[int, ...]:
     """Scale the paper's measurement sizes, deduplicated and floored.
 
-    The floor rule is shared with :meth:`repro.config.GrowthConfig.scaled`:
-    no scaled size drops below :data:`repro.config.DEFAULT_SIZE_FLOOR`
-    (64 peers) unless a caller explicitly passes a different ``floor``.
+    This is the one floor rule for scaled sizes: no scaled size drops
+    below :data:`repro.config.DEFAULT_SIZE_FLOOR` (64 peers) unless a
+    caller explicitly passes a different ``floor``.
     """
     if not scale > 0:
         raise ConfigError(f"scale must be > 0, got {scale}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 from ..config import OscarConfig
 from ..core import OscarOverlay
 from ..degree import ConstantDegrees, SpikyDegreeDistribution
-from ..metrics import measure_search_cost
+from ..engine import BatchQueryEngine
 from ..rng import split
 from ..simnet import BandwidthModel, LatencyModel, QuerySimulation
 from ..workloads import GnutellaLikeDistribution
@@ -96,8 +96,8 @@ def run(
     # Offered load: keep the slowest peer of the oblivious system at
     # ~load_factor utilization. Its transit share is ~(mean hops / N) of
     # the arrival rate; its rate is d_min links worth of bandwidth.
-    probe = measure_search_cost(
-        oblivious_overlay, split(seed, "ext-latency-probe"), n_queries=100
+    probe = BatchQueryEngine(oblivious_overlay).measure(
+        split(seed, "ext-latency-probe"), n_queries=100
     )
     mean_hops = max(probe.mean_hops, 1.0)
     d_min = float(min(spiky.support()))

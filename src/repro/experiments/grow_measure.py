@@ -11,7 +11,7 @@ the measurements. The spec layer stamps id, title and parameters.
 from __future__ import annotations
 
 from .. import degree, workloads
-from ..config import GrowthConfig, MercuryConfig, OscarConfig, SamplingMode
+from ..config import MercuryConfig, OscarConfig, SamplingMode
 from ..degree import ConstantDegrees, DegreeDistribution, SpikyDegreeDistribution, SteppedDegrees
 from ..metrics import load_curve_points, load_gini
 from ..rng import split
@@ -20,6 +20,7 @@ from ..workloads import ClusteredKeys, GnutellaLikeDistribution, UniformKeys, Zi
 from .base import ExperimentResult, scaled_sizes
 from .growth import (
     SizeMeasurement,
+    check_inputs,
     cost_curves,
     final_costs,
     grow_and_measure,
@@ -309,13 +310,14 @@ def run_partitions(
     itself.
     """
     (size,) = scaled_sizes((ABL_SIZE,), scale)
+    check_inputs(n_queries)
     keys, caps = GnutellaLikeDistribution(), SpikyDegreeDistribution()
-    growth = GrowthConfig(measure_sizes=(size,), n_queries=n_queries, seed=seed)
     cost: list[tuple[float, float]] = []
     divergence: list[tuple[float, float]] = []
     for k in partition_counts:
         overlay = make_overlay("oscar", seed, OscarConfig(n_partitions=k))
-        stats = grow_and_measure(overlay, keys, caps, growth)[-1].stats_by_kill[0.0]
+        (measured,) = grow_and_measure(overlay, keys, caps, (size,), n_queries, seed)
+        stats = measured.stats_by_kill[0.0]
         cost.append((float(k), stats.mean_cost))
         state = overlay.state
         links = [

@@ -8,8 +8,8 @@ the performance of a current network."
 
 :func:`grow_and_measure` is that loop, generalized over any
 :class:`~repro.core.substrate.Substrate` (Oscar / Mercury / Chord), key
-distribution, degree distribution and a set of churn cases evaluated at
-every measured size. :func:`measure_runs` runs it once per declared
+distribution, degree distribution and a set of crash fractions evaluated
+at every measured size. :func:`measure_runs` runs it once per declared
 run, so Figures 1(b), 1(c), 2(a), 2(b), their extensions and the
 ablations (:mod:`repro.experiments.grow_measure`) share identical growth
 mechanics; queries are evaluated by one
@@ -26,22 +26,23 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from ..chord import ChordOverlay
-from ..churn import apply_churn, revive_all
-from ..config import ChurnConfig, GrowthConfig, MercuryConfig, OscarConfig
+from ..config import MercuryConfig, OscarConfig
 from ..core import OscarOverlay
 from ..core.substrate import Substrate
 from ..degree import DegreeDistribution
 from ..engine import BatchQueryEngine
 from ..errors import ConfigError
+from ..membership import OracleView
 from ..mercury import MercuryOverlay
-from ..metrics import measure_search_cost, relative_degree_load, volume_exploitation
+from ..metrics import relative_degree_load, volume_exploitation
 from ..routing import RouteStats
 from ..rng import split
-from ..workloads import KeyDistribution, QueryWorkload
+from ..workloads import KeyDistribution
 from .base import scaled_sizes
 
 __all__ = [
     "SizeMeasurement",
+    "check_inputs",
     "cost_curves",
     "final_costs",
     "grow_and_measure",
@@ -60,8 +61,8 @@ class SizeMeasurement:
 
     Attributes:
         size: Live peer count at measurement time.
-        stats_by_kill: ``kill_fraction -> RouteStats`` for every churn
-            case measured at this size (0.0 = fault-free).
+        stats_by_kill: ``kill_fraction -> RouteStats`` for every crash
+            fraction measured at this size (0.0 = fault-free).
         volume: Exploited in-degree volume after the rewiring round
             (measured fault-free, before any crash wave). ``nan`` for
             substrates without capacity caps (Chord fingers are
@@ -88,32 +89,46 @@ def make_overlay(kind: str, seed: int, config: Any = None) -> Substrate:
     raise ConfigError(f"unknown overlay kind {kind!r}")
 
 
+def check_inputs(n_queries: int, kills: Sequence[float] = ()) -> None:
+    """Refuse a negative query count or a crash fraction outside [0, 1)
+    with a :class:`~repro.errors.ConfigError`, before anything is grown."""
+    if n_queries < 0:
+        raise ConfigError(f"n_queries must be >= 0, got {n_queries}")
+    for kill in kills:
+        if not 0.0 <= kill < 1.0:
+            raise ConfigError(f"kill_fraction must be in [0, 1), got {kill}")
+
+
 def grow_and_measure(
     overlay: Substrate,
     keys: KeyDistribution,
     degrees: DegreeDistribution,
-    growth: GrowthConfig,
-    churn_cases: Sequence[ChurnConfig] = (ChurnConfig(),),
-    workload: QueryWorkload | None = None,
+    sizes: Sequence[int],
+    n_queries: int,
+    seed: int,
+    kills: Sequence[float] = (0.0,),
 ) -> list[SizeMeasurement]:
-    """Grow ``overlay`` through ``growth.measure_sizes``, measuring each.
+    """Grow ``overlay`` through the ascending ``sizes``, measuring each.
 
     At each size: join up to the size, rewire every peer, record volume
-    and load ratios, then for every churn case crash the victims, route
-    ``growth.queries_at(size)`` random queries (fault-aware router as
-    soon as the case is faulty), revive and re-repair the ring. All
-    query batches run through one :class:`~repro.engine.BatchQueryEngine`
-    whose successor cache revalidates automatically as the topology
-    changes between rounds.
+    and load ratios, then for every crash fraction in ``kills`` crash
+    that share of the live peers (ring repaired, long links left
+    dangling), route ``n_queries`` random queries (``0`` = one per
+    peer; the fault-aware router whenever peers are crashed), revive
+    the victims and re-repair the ring. All query batches run through
+    one :class:`~repro.engine.BatchQueryEngine` whose topology snapshot
+    revalidates automatically as the topology changes between rounds.
 
-    Churn cases never leak into one another or into later sizes: victims
-    are revived and ring pointers re-stabilized after every case.
+    Crash waves never leak into one another or into later sizes: victims
+    are revived and ring pointers re-stabilized after every wave. The
+    inputs are the caller's to check (:func:`check_inputs`).
     """
     engine = BatchQueryEngine(overlay)
+    view = OracleView(overlay.ring)
     results: list[SizeMeasurement] = []
-    for size in growth.measure_sizes:
+    for size in sizes:
         overlay.grow(size, keys, degrees)
-        overlay.rewire(split(growth.seed, "rewire-round", size))
+        overlay.rewire(split(seed, "rewire-round", size))
 
         in_caps = overlay.in_cap_array()
         if in_caps.any():
@@ -124,21 +139,18 @@ def grow_and_measure(
             ratios = np.empty(0, dtype=float)
 
         stats_by_kill: dict[float, RouteStats] = {}
-        for case in churn_cases:
-            victims = apply_churn(overlay.ring, overlay.pointers, case)
-            query_rng = split(
-                growth.seed, "queries", size, int(case.kill_fraction * 1_000_000)
-            )
-            stats_by_kill[case.kill_fraction] = measure_search_cost(
-                overlay,
-                query_rng,
-                n_queries=growth.queries_at(size),
-                workload=workload,
-                faulty=case.is_faulty,
-                engine=engine,
+        for kill in kills:
+            label = int(kill * 1_000_000)
+            victims = view.crash_fraction(split(seed, "churn-victims", label), kill)
+            if victims:
+                overlay.repair_ring()
+            stats_by_kill[kill] = engine.measure(
+                split(seed, "queries", size, label),
+                n_queries=size if n_queries == 0 else n_queries,
+                faulty=kill > 0,
             )
             if victims:
-                revive_all(overlay.ring, victims)
+                view.revive(victims)
                 overlay.repair_ring()
 
         results.append(
@@ -163,10 +175,12 @@ def measure_runs(
     """Grow one fresh overlay per run through the paper ``sizes`` scaled
     by ``scale``, measuring every size under each crash fraction in
     ``kills``: ``{label: measurements}`` in run order."""
-    growth = GrowthConfig(measure_sizes=scaled_sizes(sizes, scale), n_queries=n_queries, seed=seed)
-    cases = tuple(ChurnConfig(kill_fraction=f, seed=seed) for f in kills)
+    scaled = scaled_sizes(sizes, scale)
+    check_inputs(n_queries, kills)
     return {
-        label: grow_and_measure(make_overlay(substrate, seed, config), keys, caps, growth, cases)
+        label: grow_and_measure(
+            make_overlay(substrate, seed, config), keys, caps, scaled, n_queries, seed, kills
+        )
         for label, substrate, keys, caps, config in runs
     }
 

@@ -1,12 +1,15 @@
-"""Measurement layer: search cost, degree load, volume exploitation."""
+"""Measurement layer: degree load and volume exploitation.
+
+Search cost, the paper's "average search cost induced by N random
+queries", is :meth:`BatchQueryEngine.measure
+<repro.engine.batch.BatchQueryEngine.measure>`.
+"""
 
 from .degree_load import load_curve_points, load_gini, relative_degree_load, volume_exploitation
-from .search import measure_search_cost
 
 __all__ = [
     "load_curve_points",
     "load_gini",
-    "measure_search_cost",
     "relative_degree_load",
     "volume_exploitation",
 ]

@@ -4,7 +4,7 @@ The :class:`Ring` is the ground-truth membership structure shared by the
 Oscar overlay, the Mercury baseline, the samplers and the experiment
 harness. It stores, for every peer that ever joined, a unique position on
 the unit circle and an alive/dead flag; it answers successor/predecessor
-and clockwise-range queries in ``O(log N)`` using cached sorted arrays.
+and clockwise-rank queries in ``O(log N)`` using cached sorted arrays.
 
 Design notes
 ------------
@@ -274,22 +274,8 @@ class Ring:
         return int(ids[(idx + step) % ids.size])
 
     # ------------------------------------------------------------------
-    # clockwise ranges and ranks
+    # clockwise ranks
     # ------------------------------------------------------------------
-
-    def cw_range_size(self, start: float, end: float, live_only: bool = True) -> int:
-        """Number of peers with positions in the clockwise interval
-        ``(start, end]`` (the whole circle when ``start == end``)."""
-        return self._range_span(start, end, live_only)[1]
-
-    def ids_in_cw_range(self, start: float, end: float, live_only: bool = True) -> np.ndarray:
-        """Node ids with positions in clockwise ``(start, end]``, in
-        clockwise order starting just after ``start``."""
-        base, count, ids = self._range_span(start, end, live_only)
-        if count == 0:
-            return np.empty(0, dtype=ids.dtype)
-        idx = (base + np.arange(count)) % ids.size
-        return ids[idx]
 
     def position_at_cw_rank(self, origin: float, rank: int, live_only: bool = True) -> float:
         """Position of the peer at clockwise rank ``rank`` from ``origin``.
@@ -439,21 +425,3 @@ class Ring:
     def _arrays(self, live_only: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         positions, ids, keys, __ = self._tuples(live_only)
         return positions, ids, keys
-
-    def _range_span(self, start: float, end: float, live_only: bool) -> tuple[int, int, np.ndarray]:
-        """Return ``(base_index, count, ids_array)`` describing clockwise
-        ``(start, end]`` as a contiguous (mod n) span of the sorted order,
-        decided on the ends' keys (one key cell is the whole circle)."""
-        start_key = np.uint64(keyspace.from_unit(start, "start"))
-        end_key = np.uint64(keyspace.from_unit(end, "end"))
-        __, ids, keys = self._arrays(live_only)
-        n = ids.size
-        if n == 0:
-            return 0, 0, ids
-        lo = int(np.searchsorted(keys, start_key, side="right"))
-        hi = int(np.searchsorted(keys, end_key, side="right"))
-        if start_key < end_key:
-            return lo, hi - lo, ids
-        if start_key == end_key:  # whole circle
-            return lo % n, n, ids
-        return lo, (n - lo) + hi, ids

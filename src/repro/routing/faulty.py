@@ -125,7 +125,7 @@ def route_faulty(
             if not ring.is_alive(candidate):
                 if candidate not in known_dead:
                     known_dead.add(candidate)
-                    probes += config.probe_cost
+                    probes += 1
                 continue
             hops += 1
             visited.add(candidate)
@@ -141,7 +141,7 @@ def route_faulty(
         if not advanced:
             stack.pop()
             if stack:
-                backtracks += config.backtrack_cost
+                backtracks += 1
                 if hops + probes + backtracks >= config.budget:
                     return make_result(None, False)
 

@@ -1,19 +1,12 @@
-"""Small-world theory: harmonic targets, oracle links, analytic bounds."""
+"""Small-world theory: harmonic link-rank diagnostics and analytic bounds."""
 
-from .kleinberg import (
-    draw_harmonic_rank,
-    harmonic_divergence,
-    link_rank_distribution,
-    oracle_harmonic_neighbor,
-)
+from .kleinberg import harmonic_divergence, link_rank_distribution
 from .theory import expected_greedy_cost, min_long_links_for_cost, worst_case_greedy_cost
 
 __all__ = [
-    "draw_harmonic_rank",
     "expected_greedy_cost",
     "harmonic_divergence",
     "link_rank_distribution",
     "min_long_links_for_cost",
-    "oracle_harmonic_neighbor",
     "worst_case_greedy_cost",
 ]

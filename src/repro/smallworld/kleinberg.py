@@ -4,10 +4,8 @@ Oscar's partition trick exists to approximate one target: long links
 whose *clockwise rank distance* follows the harmonic distribution
 ``P(rank = r) ∝ 1/r`` — Kleinberg's unique navigable exponent on a
 one-dimensional lattice, generalized to arbitrary key skew by working in
-rank space ([7]). This module provides the oracle version of that target
-(for the upper-bound ablation and for validating Oscar's approximation)
-plus diagnostics comparing an overlay's realized link ranks to the
-harmonic ideal.
+rank space ([7]). This module holds the diagnostics comparing an
+overlay's realized link ranks to that harmonic ideal.
 """
 
 from __future__ import annotations
@@ -20,38 +18,7 @@ import numpy as np
 from ..ring import Ring
 from ..types import NodeId
 
-__all__ = ["draw_harmonic_rank", "oracle_harmonic_neighbor", "link_rank_distribution", "harmonic_divergence"]
-
-
-def draw_harmonic_rank(rng: np.random.Generator, n: int) -> int:
-    """Draw an integer rank in ``[1, n]`` with ``P(r) ∝ 1/r``.
-
-    Inverse-CDF on the continuous approximation then clamped — exact
-    enough for link construction while O(1) per draw.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    u = rng.random()
-    rank = int(math.exp(u * math.log(n)))
-    return min(max(rank, 1), n)
-
-
-def oracle_harmonic_neighbor(ring: Ring, rng: np.random.Generator, node_id: NodeId) -> NodeId:
-    """A long-link target drawn with exact harmonic rank probabilities.
-
-    This is the unattainable ideal (it requires global knowledge of the
-    rank order); Oscar's partition-uniform draw approximates it within a
-    factor of 2 per partition level.
-    """
-    n = ring.live_count - 1
-    if n < 1:
-        raise ValueError("need at least two live peers")
-    rank = draw_harmonic_rank(rng, n)
-    origin = ring.position(node_id)
-    position = ring.position_at_cw_rank(origin, rank, live_only=True)
-    return ring.successor_of_key(position, live_only=True)
+__all__ = ["link_rank_distribution", "harmonic_divergence"]
 
 
 def link_rank_distribution(

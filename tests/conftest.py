@@ -34,8 +34,10 @@ from repro import MercuryConfig, MercuryOverlay, OscarConfig, OscarOverlay, Subs
 from repro.config import RoutingConfig
 from repro.degree import ConstantDegrees
 from repro.protocol import Deliver, GreedyRouter
-from repro.ring import Ring, build_pointers
+from repro.membership import OracleView
+from repro.ring import Ring, build_pointers, keyspace
 from repro.ring.keyspace import KEY_MASK
+from repro.rng import split
 from repro.routing import RouteResult
 from repro.workloads import GnutellaLikeDistribution, UniformKeys
 
@@ -146,6 +148,32 @@ def decided(overlay) -> dict[int, tuple]:
         node_id: (links, degree, overlay.partition_table(node_id))
         for (node_id, links), degree in zip(links_of(overlay).items(), in_deg)
     }
+
+
+def crash_wave(overlay, fraction: float = 0.33, seed: int = 7) -> list[int]:
+    """Figure 2's crash wave as the grow-and-measure loop runs it: crash
+    ``fraction`` of the live peers on the ``("churn-victims", fraction)``
+    stream of ``seed``, then repair the ring; returns the victims
+    (``OracleView(overlay.ring).revive`` undoes it)."""
+    rng = split(seed, "churn-victims", int(fraction * 1_000_000))
+    victims = OracleView(overlay.ring).crash_fraction(rng, fraction)
+    overlay.repair_ring()
+    return victims
+
+
+def ids_in_cw_range(ring, start: float, end: float, live_only: bool = True) -> list[int]:
+    """Peers keyed in the clockwise arc ``(start, end]`` (the whole
+    circle when both ends share a key cell), clockwise from ``start``:
+    a brute-force oracle over the ring's exact keys."""
+    lo, hi = keyspace.from_unit(start), keyspace.from_unit(end)
+    span = (hi - lo) & KEY_MASK or KEY_MASK + 1
+    # Clockwise offset past `start`, in (0, 2**64]: a peer keyed at
+    # `start` itself comes last, and only the whole circle holds it.
+    offset = {
+        int(node_id): ((int(key) - lo - 1) & KEY_MASK) + 1
+        for node_id, key in zip(ring.ids_array(live_only), ring.keys_array(live_only))
+    }
+    return sorted((i for i, d in offset.items() if d <= span), key=offset.__getitem__)
 
 
 def draw_in_arc(pos, ids, rng, start: float, end: float, size: int) -> np.ndarray:

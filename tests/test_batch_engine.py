@@ -21,12 +21,11 @@ from conftest import (
     assert_walk_table,
     build_mercury,
     build_overlay,
+    crash_wave,
     greedy_oracle,
     hand_built,
 )
 from repro import ChordOverlay, Substrate
-from repro.churn import apply_churn, revive_all
-from repro.config import ChurnConfig
 from repro.degree import ConstantDegrees
 from repro.engine import BatchQueryEngine, TopologySnapshot
 from repro.engine import ServeSnapshot
@@ -35,7 +34,6 @@ from repro.errors import DuplicateNodeError, RoutingError
 from repro.index import ReplicatedStore
 from repro.membership import OracleView
 from repro.ring import keyspace
-from repro.metrics import measure_search_cost
 from repro.rng import make_rng, split
 from repro.routing import summarize_routes
 from repro.workloads import GnutellaLikeDistribution, QueryWorkload
@@ -193,15 +191,9 @@ class TestBatchMatchesScalar:
         )
         assert batched == twin == scalar
 
-    def test_engine_overlay_mismatch_rejected(self):
-        a = build_overlay(n=30, seed=1)
-        b = build_overlay(n=30, seed=2)
-        with pytest.raises(ValueError, match="different overlay"):
-            measure_search_cost(a, make_rng(0), n_queries=5, engine=BatchQueryEngine(b))
-
     def test_faulty_measurement_matches_scalar_router(self):
         overlay = build_overlay(n=150, seed=13)
-        victims = apply_churn(overlay.ring, overlay.pointers, ChurnConfig(kill_fraction=0.2))
+        victims = crash_wave(overlay, 0.2)
         engine = BatchQueryEngine(overlay)
         batched = engine.measure(split(13, "f"), n_queries=120, faulty=True)
         scalar = summarize_routes(
@@ -209,15 +201,7 @@ class TestBatchMatchesScalar:
             for q in QueryWorkload().generate(overlay.ring, split(13, "f"), 120)
         )
         assert batched == scalar
-        revive_all(overlay.ring, victims)
-
-    def test_measure_search_cost_goes_through_engine(self):
-        overlay = build_overlay(n=100, seed=15)
-        engine = BatchQueryEngine(overlay)
-        via_metric = measure_search_cost(overlay, split(15, "m"), n_queries=150, engine=engine)
-        via_engine = engine.measure(split(15, "m"), n_queries=150)
-        assert via_metric == via_engine
-        assert engine.cached_snapshot is not None
+        OracleView(overlay.ring).revive(victims)
 
     def test_empty_batch(self):
         overlay = build_overlay(n=20, seed=16)

@@ -1,18 +1,20 @@
 """Tests for failure injection: the crash/revive liveness mutations of
-:class:`repro.membership.OracleView` and the paper's churn procedures
-(:func:`repro.churn.apply_churn`, :func:`repro.churn.revive_all`).
+:class:`repro.membership.OracleView` and Figure 2's crash wave built on
+them (``crash_fraction`` on the ``("churn-victims", fraction)`` stream,
+then ring repair; ``revive`` undoes it), as the grow-and-measure loop
+calls them.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.churn import apply_churn, revive_all
-from repro.config import ChurnConfig
 from repro.errors import EmptyPopulationError
 from repro.membership import OracleView
-from repro.ring import Ring, build_pointers, verify
-from repro.rng import make_rng
+from repro.ring import Ring, build_pointers, repair_all, verify
+from repro.rng import make_rng, split
+
+from conftest import build_overlay, crash_wave
 
 
 def ring_of(n: int) -> Ring:
@@ -123,67 +125,64 @@ class TestReviveAll:
     def test_round_trip(self):
         ring = ring_of(40)
         victims = OracleView(ring).crash_fraction(make_rng(9), 0.25)
-        revive_all(ring, victims)
+        OracleView(ring).revive(victims)
         assert ring.live_count == 40
 
     def test_revive_empty_list_noop(self):
         ring = ring_of(5)
-        revive_all(ring, [])
+        assert OracleView(ring).revive([]) == []
         assert ring.live_count == 5
 
 
+def wave(ring: Ring, fraction: float, seed: int = 7) -> list[int]:
+    """Crash ``fraction`` of ``ring`` on the loop's victim stream."""
+    rng = split(seed, "churn-victims", int(fraction * 1_000_000))
+    return OracleView(ring).crash_fraction(rng, fraction)
+
+
 class TestApplyChurn:
+    """The crash wave: victims on a labelled stream, then ring repair."""
+
     def test_faultless_config_is_noop(self):
         ring = ring_of(20)
-        pointers = build_pointers(ring)
-        victims = apply_churn(ring, pointers, ChurnConfig(kill_fraction=0.0))
-        assert victims == []
+        assert wave(ring, 0.0) == []
         assert ring.live_count == 20
 
     def test_kill_and_repair(self):
         ring = ring_of(60)
         pointers = build_pointers(ring)
-        victims = apply_churn(ring, pointers, ChurnConfig(kill_fraction=0.33))
+        victims = wave(ring, 0.33)
+        repair_all(ring, pointers)
         assert len(victims) == 19
         verify(ring, pointers)  # the paper's assumed self-stabilization
 
     def test_repair_can_be_disabled(self):
+        # The crash alone leaves the pointers to dead peers: the repair
+        # step is what restores the ring.
         from repro.errors import RingInvariantError
 
         ring = ring_of(60)
         pointers = build_pointers(ring)
-        apply_churn(ring, pointers, ChurnConfig(kill_fraction=0.33, repair_ring=False))
+        wave(ring, 0.33)
         with pytest.raises(RingInvariantError):
             verify(ring, pointers)
 
     def test_victim_choice_is_seeded(self):
-        ring_a, ring_b = ring_of(50), ring_of(50)
-        victims_a = apply_churn(ring_a, build_pointers(ring_a), ChurnConfig(kill_fraction=0.2, seed=5))
-        victims_b = apply_churn(ring_b, build_pointers(ring_b), ChurnConfig(kill_fraction=0.2, seed=5))
-        assert victims_a == victims_b
+        assert wave(ring_of(50), 0.2, seed=5) == wave(ring_of(50), 0.2, seed=5)
 
     def test_different_fractions_use_disjoint_streams(self):
-        ring_a, ring_b = ring_of(50), ring_of(50)
-        victims_a = apply_churn(ring_a, build_pointers(ring_a), ChurnConfig(kill_fraction=0.2, seed=5))
-        victims_b = apply_churn(ring_b, build_pointers(ring_b), ChurnConfig(kill_fraction=0.4, seed=5))
-        assert set(victims_a) != set(victims_b)
+        assert set(wave(ring_of(50), 0.2, seed=5)) != set(wave(ring_of(50), 0.4, seed=5))
 
 
 class TestChurnOnOverlay:
     def test_overlay_survives_wave_and_revival(self):
-        from repro.rng import make_rng as rng_of
-
-        from conftest import build_overlay
-
         overlay = build_overlay(n=150, seed=40, cap=8)
-        victims = apply_churn(
-            overlay.ring, overlay.pointers, ChurnConfig(kill_fraction=0.33)
-        )
-        rng = rng_of(41)
+        victims = crash_wave(overlay)
+        rng = make_rng(41)
         for __ in range(40):
             source = overlay.random_live_node(rng)
             assert overlay.route(source, float(rng.random()), faulty=True).success
-        revive_all(overlay.ring, victims)
+        OracleView(overlay.ring).revive(victims)
         overlay.repair_ring()
         verify(overlay.ring, overlay.pointers)
         for __ in range(20):
@@ -192,12 +191,10 @@ class TestChurnOnOverlay:
 
 
 class TestDeprecationShims:
-    """The deprecated free-function shims are removed; the procedures
-    that stayed are supported API and must never warn."""
+    """The deprecated free-function shims are removed; the crash wave's
+    membership calls are supported API and must never warn."""
 
     @pytest.mark.filterwarnings("error::DeprecationWarning")
     def test_supported_procedures_do_not_warn(self):
-        # apply_churn / revive_all are supported API: no warning.
         ring = ring_of(20)
-        victims = apply_churn(ring, build_pointers(ring), ChurnConfig(kill_fraction=0.2))
-        revive_all(ring, victims)
+        OracleView(ring).revive(wave(ring, 0.2))

@@ -6,16 +6,7 @@ import math
 
 import pytest
 
-from repro.config import (
-    PAPER_CHURN_CASES,
-    PAPER_GROWTH,
-    ChurnConfig,
-    GrowthConfig,
-    MercuryConfig,
-    OscarConfig,
-    RoutingConfig,
-    SamplingMode,
-)
+from repro.config import MercuryConfig, OscarConfig, RoutingConfig, SamplingMode
 from repro.errors import ConfigError
 
 
@@ -105,102 +96,11 @@ class TestRoutingConfig:
     def test_defaults_are_valid(self):
         config = RoutingConfig()
         assert config.budget >= 1
-        assert config.probe_cost == 1
-        assert config.backtrack_cost == 1
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"budget": 0}, {"probe_cost": -1}, {"backtrack_cost": -1}],
-    )
+    @pytest.mark.parametrize("kwargs", [{"budget": 0}])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ConfigError):
             RoutingConfig(**kwargs)
-
-    def test_free_probes_allowed(self):
-        # Zero-cost probes are a legitimate ablation (count hops only).
-        config = RoutingConfig(probe_cost=0, backtrack_cost=0)
-        assert config.probe_cost == 0
-
-
-class TestGrowthConfig:
-    def test_paper_defaults(self):
-        assert PAPER_GROWTH.measure_sizes == (2000, 4000, 6000, 8000, 10000)
-        assert PAPER_GROWTH.final_size == 10000
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"seed_size": 1},
-            {"measure_sizes": ()},
-            {"measure_sizes": (10, 5)},
-            {"measure_sizes": (8,), "seed_size": 16},
-            {"n_queries": -1},
-        ],
-    )
-    def test_rejects_inconsistent(self, kwargs):
-        with pytest.raises(ConfigError):
-            GrowthConfig(**kwargs)
-
-    def test_queries_at_defaults_to_population(self):
-        growth = GrowthConfig(n_queries=0)
-        assert growth.queries_at(2000) == 2000
-
-    def test_queries_at_fixed_override(self):
-        growth = GrowthConfig(n_queries=500)
-        assert growth.queries_at(2000) == 500
-
-    def test_scaled_shrinks_and_dedupes(self):
-        growth = GrowthConfig(measure_sizes=(2000, 4000, 6000, 8000, 10000))
-        small = growth.scaled(0.01)
-        assert small.measure_sizes[0] >= small.seed_size
-        assert list(small.measure_sizes) == sorted(set(small.measure_sizes))
-
-    def test_scaled_preserves_query_semantics(self):
-        assert GrowthConfig(n_queries=0).scaled(0.5).n_queries == 0
-        assert GrowthConfig(n_queries=1000).scaled(0.5).n_queries == 500
-
-    def test_scaled_floors_queries(self):
-        assert GrowthConfig(n_queries=100).scaled(0.01).n_queries == 50
-
-    def test_scaled_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            GrowthConfig().scaled(0.0)
-
-    def test_scaled_identity(self):
-        assert GrowthConfig().scaled(1.0).measure_sizes == GrowthConfig().measure_sizes
-
-    def test_scaled_floor_matches_scaled_sizes(self):
-        # One floor rule everywhere: GrowthConfig.scaled and
-        # experiments.base.scaled_sizes agree at DEFAULT_SIZE_FLOOR.
-        from repro.config import DEFAULT_SIZE_FLOOR
-        from repro.experiments.base import scaled_sizes
-
-        growth = GrowthConfig(measure_sizes=(2000, 4000, 10000))
-        assert growth.scaled(0.001).measure_sizes == scaled_sizes((2000, 4000, 10000), 0.001)
-        assert growth.scaled(0.001).measure_sizes == (DEFAULT_SIZE_FLOOR,)
-
-    def test_scaled_floor_respects_larger_seed_size(self):
-        growth = GrowthConfig(seed_size=128, measure_sizes=(2000, 4000))
-        assert growth.scaled(0.001).measure_sizes == (128,)
-
-
-class TestChurnConfig:
-    def test_paper_cases(self):
-        fractions = [case.kill_fraction for case in PAPER_CHURN_CASES]
-        assert fractions == [0.0, 0.10, 0.33]
-
-    def test_is_faulty_flag(self):
-        assert not ChurnConfig(kill_fraction=0.0).is_faulty
-        assert ChurnConfig(kill_fraction=0.1).is_faulty
-
-    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5])
-    def test_rejects_out_of_range_fraction(self, fraction):
-        with pytest.raises(ConfigError):
-            ChurnConfig(kill_fraction=fraction)
-
-    def test_repair_defaults_on(self):
-        # The paper assumes ring self-stabilization; that must be the default.
-        assert ChurnConfig().repair_ring
 
 
 class TestSamplingMode:

@@ -14,8 +14,9 @@ import math
 
 import pytest
 
-from repro.config import ChurnConfig, GrowthConfig
+from repro.config import DEFAULT_SIZE_FLOOR
 from repro.degree import ConstantDegrees
+from repro.errors import ConfigError
 from repro.experiments import (
     ExperimentResult,
     all_specs,
@@ -24,6 +25,7 @@ from repro.experiments import (
     make_overlay,
 )
 from repro.experiments.base import scaled_sizes
+from repro.experiments.growth import check_inputs
 from repro.workloads import GnutellaLikeDistribution
 
 SMALL = 0.02  # 10,000-peer figures shrink to 200 peers
@@ -63,6 +65,9 @@ class TestScaledSizes:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             scaled_sizes((100,), 0.0)
+
+    def test_default_floor(self):
+        assert scaled_sizes((2000, 4000, 10000), 0.001) == (DEFAULT_SIZE_FLOOR,)
 
 
 class TestExperimentResult:
@@ -277,10 +282,9 @@ class TestAblations:
 
 class TestGrowAndMeasure:
     def test_measurements_per_size(self):
-        growth = GrowthConfig(measure_sizes=(80, 160), n_queries=30, seed=11)
         overlay = make_overlay("oscar", seed=11)
         measurements = grow_and_measure(
-            overlay, GnutellaLikeDistribution(), ConstantDegrees(8), growth
+            overlay, GnutellaLikeDistribution(), ConstantDegrees(8), (80, 160), 30, 11
         )
         assert [m.size for m in measurements] == [80, 160]
         for measurement in measurements:
@@ -289,24 +293,36 @@ class TestGrowAndMeasure:
             assert measurement.load_ratios.size == measurement.size
 
     def test_churn_cases_leave_no_residue(self):
-        growth = GrowthConfig(measure_sizes=(100,), n_queries=20, seed=12)
-        cases = (ChurnConfig(kill_fraction=0.0), ChurnConfig(kill_fraction=0.33))
         overlay = make_overlay("oscar", seed=12)
-        grow_and_measure(
-            overlay, GnutellaLikeDistribution(), ConstantDegrees(8), growth, churn_cases=cases
+        measured = grow_and_measure(
+            overlay, GnutellaLikeDistribution(), ConstantDegrees(8), (100,), 20, 12, (0.0, 0.33)
         )
-        # All victims revived afterwards.
+        # All victims revived afterwards, and the wave was routed around.
         assert overlay.ring.live_count == 100
+        assert measured[-1].stats_by_kill[0.33].mean_wasted > 0.0
+
+    def test_zero_queries_means_one_per_peer(self):
+        overlay = make_overlay("oscar", seed=15)
+        (measured,) = grow_and_measure(
+            overlay, GnutellaLikeDistribution(), ConstantDegrees(8), (70,), 0, 15
+        )
+        assert measured.stats_by_kill[0.0].n_routes == 70
+
+    def test_fixed_query_count(self):
+        overlay = make_overlay("oscar", seed=16)
+        (measured,) = grow_and_measure(
+            overlay, GnutellaLikeDistribution(), ConstantDegrees(8), (70,), 25, 16
+        )
+        assert measured.stats_by_kill[0.0].n_routes == 25
 
     def test_unknown_overlay_kind(self):
         with pytest.raises(ValueError):
             make_overlay("kademlia", seed=1)  # type: ignore[arg-type]
 
     def test_chord_kind(self):
-        growth = GrowthConfig(measure_sizes=(60,), n_queries=10, seed=14)
         overlay = make_overlay("chord", seed=14)
         measurements = grow_and_measure(
-            overlay, GnutellaLikeDistribution(), ConstantDegrees(8), growth
+            overlay, GnutellaLikeDistribution(), ConstantDegrees(8), (60,), 10, 14
         )
         assert measurements[-1].stats_by_kill[0.0].success_rate == 1.0
         # Chord has no capacity caps, so exploited volume is undefined.
@@ -314,9 +330,22 @@ class TestGrowAndMeasure:
         assert measurements[-1].load_ratios.size == 0
 
     def test_mercury_kind(self):
-        growth = GrowthConfig(measure_sizes=(60,), n_queries=10, seed=13)
         overlay = make_overlay("mercury", seed=13)
         measurements = grow_and_measure(
-            overlay, GnutellaLikeDistribution(), ConstantDegrees(8), growth
+            overlay, GnutellaLikeDistribution(), ConstantDegrees(8), (60,), 10, 13
         )
         assert measurements[-1].stats_by_kill[0.0].success_rate == 1.0
+
+
+class TestCheckInputs:
+    """The loop's outside-input checks (the grow specs call them before
+    anything is grown)."""
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5])
+    def test_rejects_out_of_range_fraction(self, fraction):
+        with pytest.raises(ConfigError, match=r"kill_fraction must be in \[0, 1\)"):
+            check_inputs(0, (0.0, fraction))
+
+    def test_rejects_negative_queries(self):
+        with pytest.raises(ConfigError, match="n_queries must be >= 0, got -1"):
+            check_inputs(-1)

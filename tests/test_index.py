@@ -12,8 +12,6 @@ import numpy as np
 import pytest
 
 from repro import OscarConfig, OscarOverlay, RoutingConfig
-from repro.churn import apply_churn
-from repro.config import ChurnConfig
 from repro.degree import ConstantDegrees
 from repro.engine import Outcome, ServeEngine
 from repro.index import ReplicatedStore
@@ -21,7 +19,7 @@ from repro.membership import OracleView
 from repro.rng import make_rng
 from repro.workloads import GnutellaLikeDistribution, UniformKeys
 
-from conftest import build_overlay
+from conftest import build_overlay, crash_wave
 
 
 class Index:
@@ -132,7 +130,7 @@ class TestChurnRebalance:
         index.put(*keys)
         owners_before = index.store.holders[:, 0]
 
-        apply_churn(overlay.ring, overlay.pointers, ChurnConfig(kill_fraction=0.33))
+        crash_wave(overlay)
         stats = index.store.rereplicate(index.view, epoch=1)
         assert (index.store.holders[:, 0] != owners_before).any()
         # All items preserved, every copy on a live peer.
@@ -153,7 +151,7 @@ class TestChurnRebalance:
         overlay = build_overlay(n=100, seed=58, cap=8)
         index = Index(overlay, k=8)
         index.put(0.37)
-        apply_churn(overlay.ring, overlay.pointers, ChurnConfig(kill_fraction=0.33))
+        crash_wave(overlay)
         index.store.rereplicate(index.view, epoch=1)
         receipt = index.get(overlay.random_live_node(make_rng(59)), 0.37)
         assert receipt.success.all()

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import ChurnConfig, GrowthConfig
 from repro.degree import ConstantDegrees, SpikyDegreeDistribution, SteppedDegrees
 from repro.experiments import grow_and_measure, make_overlay
-from repro.metrics import load_gini, measure_search_cost, volume_exploitation
+from repro.engine import BatchQueryEngine
+from repro.membership import OracleView
+from repro.metrics import load_gini, volume_exploitation
 from repro.rng import split
 from repro.workloads import GnutellaLikeDistribution
 
@@ -33,20 +34,17 @@ KEYS = GnutellaLikeDistribution()
 @pytest.fixture(scope="module")
 def oscar_growth():
     """One Oscar growth (constant caps) measured at three sizes under churn."""
-    growth = GrowthConfig(measure_sizes=SIZES, n_queries=QUERIES, seed=101)
-    cases = tuple(ChurnConfig(kill_fraction=f, seed=101) for f in (0.0, 0.10, 0.33))
     overlay = make_overlay("oscar", seed=101)
     measurements = grow_and_measure(
-        overlay, KEYS, ConstantDegrees(12), growth, churn_cases=cases
+        overlay, KEYS, ConstantDegrees(12), SIZES, QUERIES, 101, (0.0, 0.10, 0.33)
     )
     return overlay, measurements
 
 
 @pytest.fixture(scope="module")
 def mercury_growth():
-    growth = GrowthConfig(measure_sizes=SIZES, n_queries=QUERIES, seed=101)
     overlay = make_overlay("mercury", seed=101)
-    measurements = grow_and_measure(overlay, KEYS, ConstantDegrees(12), growth)
+    measurements = grow_and_measure(overlay, KEYS, ConstantDegrees(12), SIZES, QUERIES, 101)
     return overlay, measurements
 
 
@@ -76,7 +74,6 @@ class TestCapDistributionsEquivalent:
 
     @pytest.fixture(scope="class")
     def three_cases(self):
-        growth = GrowthConfig(measure_sizes=(400,), n_queries=QUERIES, seed=103)
         results = {}
         for label, degrees in (
             ("constant", ConstantDegrees(12)),
@@ -84,7 +81,7 @@ class TestCapDistributionsEquivalent:
             ("stepped", SteppedDegrees((8, 10, 12, 18))),
         ):
             overlay = make_overlay("oscar", seed=103)
-            results[label] = grow_and_measure(overlay, KEYS, degrees, growth)[-1]
+            results[label] = grow_and_measure(overlay, KEYS, degrees, (400,), QUERIES, 103)[-1]
         return results
 
     def test_costs_nearly_identical(self, three_cases):
@@ -152,7 +149,6 @@ class TestChurnOrdering:
 
 class TestLifecycle:
     def test_full_cycle_grow_rewire_churn_revive(self):
-        from repro.churn import apply_churn, revive_all
         from repro.ring import verify
 
         overlay = make_overlay("oscar", seed=107)
@@ -160,26 +156,26 @@ class TestLifecycle:
         overlay.rewire(split(107, "cycle-rewire"))
         verify(overlay.ring, overlay.pointers)
 
-        victims = apply_churn(
-            overlay.ring, overlay.pointers, ChurnConfig(kill_fraction=0.33, seed=107)
-        )
-        stats = measure_search_cost(overlay, split(107, "cycle-q1"), n_queries=80, faulty=True)
+        view = OracleView(overlay.ring)
+        victims = view.crash_fraction(split(107, "churn-victims", 330_000), 0.33)
+        overlay.repair_ring()
+        engine = BatchQueryEngine(overlay)
+        stats = engine.measure(split(107, "cycle-q1"), n_queries=80, faulty=True)
         assert stats.success_rate == 1.0
 
-        revive_all(overlay.ring, victims)
+        view.revive(victims)
         overlay.repair_ring()
         verify(overlay.ring, overlay.pointers)
 
         overlay.grow(300, KEYS, ConstantDegrees(10))
         overlay.rewire(split(107, "cycle-rewire-2"))
-        stats = measure_search_cost(overlay, split(107, "cycle-q2"), n_queries=80)
+        stats = engine.measure(split(107, "cycle-q2"), n_queries=80)
         assert stats.success_rate == 1.0
 
     def test_growth_determinism_end_to_end(self):
         def run() -> float:
             overlay = make_overlay("oscar", seed=109)
-            growth = GrowthConfig(measure_sizes=(150,), n_queries=50, seed=109)
-            m = grow_and_measure(overlay, KEYS, ConstantDegrees(8), growth)[-1]
+            m = grow_and_measure(overlay, KEYS, ConstantDegrees(8), (150,), 50, 109)[-1]
             return m.stats_by_kill[0.0].mean_cost
 
         assert run() == run()

@@ -10,7 +10,6 @@ from repro.engine import BatchQueryEngine
 from repro.metrics import (
     load_curve_points,
     load_gini,
-    measure_search_cost,
     relative_degree_load,
     volume_exploitation,
 )
@@ -115,7 +114,7 @@ def ring_overlay(n: int = 10, budget: int | None = None):
 
 
 def one_at_a_time(overlay, rng, n_queries, workload=None, faulty=False):
-    """The same queries ``measure_search_cost`` draws, each routed by
+    """The same queries ``BatchQueryEngine.measure`` draws, each routed by
     ``Substrate.route`` and folded."""
     wl = workload if workload is not None else QueryWorkload()
     return summarize_routes(
@@ -125,17 +124,19 @@ def one_at_a_time(overlay, rng, n_queries, workload=None, faulty=False):
 
 
 class TestMeasureSearchCost:
+    """The paper's search-cost metric, :meth:`BatchQueryEngine.measure`."""
+
     def test_defaults_to_one_query_per_live_peer(self):
-        stats = measure_search_cost(ring_overlay(n=12), make_rng(0))
+        stats = BatchQueryEngine(ring_overlay(n=12)).measure(make_rng(0))
         assert stats.n_routes == 12
 
     def test_explicit_query_count(self):
-        stats = measure_search_cost(ring_overlay(n=12), make_rng(1), n_queries=40)
+        stats = BatchQueryEngine(ring_overlay(n=12)).measure(make_rng(1), n_queries=40)
         assert stats.n_routes == 40
 
     def test_cost_statistics(self):
         overlay = ring_overlay()
-        stats = measure_search_cost(overlay, make_rng(2), n_queries=10)
+        stats = BatchQueryEngine(overlay).measure(make_rng(2), n_queries=10)
         assert stats == one_at_a_time(overlay, make_rng(2), 10)
         assert stats.mean_cost > 0
         assert stats.success_rate == 1.0
@@ -143,13 +144,13 @@ class TestMeasureSearchCost:
     def test_faulty_flag_propagates(self):
         overlay = ring_overlay(n=16)
         overlay.leave(8)  # the long links of 0 and of 8's ring neighbours dangle
-        stats = measure_search_cost(overlay, make_rng(3), n_queries=30, faulty=True)
+        stats = BatchQueryEngine(overlay).measure(make_rng(3), n_queries=30, faulty=True)
         assert stats == one_at_a_time(overlay, make_rng(3), 30, faulty=True)
         assert stats.mean_wasted > 0.0
 
     def test_failures_counted(self):
         overlay = ring_overlay(budget=1)
-        stats = measure_search_cost(overlay, make_rng(4), n_queries=40)
+        stats = BatchQueryEngine(overlay).measure(make_rng(4), n_queries=40)
         sources, targets = QueryWorkload().generate_arrays(overlay.ring, make_rng(4), 40)
         delivered = BatchQueryEngine(overlay).route_batch(sources, targets).success
         assert 0 < stats.success_rate == delivered.mean() < 1
@@ -157,7 +158,7 @@ class TestMeasureSearchCost:
     def test_custom_workload_used(self):
         overlay = ring_overlay()
         workload = QueryWorkload(target_mode="uniform")
-        stats = measure_search_cost(overlay, make_rng(5), n_queries=30, workload=workload)
+        stats = BatchQueryEngine(overlay).measure(make_rng(5), n_queries=30, workload=workload)
         assert stats == one_at_a_time(overlay, make_rng(5), 30, workload=workload)
         # Uniform targets are (a.s.) not peer positions.
         positions = set(overlay.ring.positions_array().tolist())
@@ -165,7 +166,7 @@ class TestMeasureSearchCost:
         assert not targets <= positions
 
     def test_real_overlay_end_to_end(self, shared_overlay):
-        stats = measure_search_cost(shared_overlay, make_rng(6), n_queries=50)
+        stats = BatchQueryEngine(shared_overlay).measure(make_rng(6), n_queries=50)
         assert stats.n_routes == 50
         assert stats.success_rate == 1.0
         assert 0 < stats.mean_cost < 30

@@ -14,7 +14,7 @@ from repro.workloads import UniformKeys
 
 from repro import OscarOverlay
 
-from conftest import build_overlay, links_of
+from conftest import build_overlay, ids_in_cw_range, links_of
 
 
 class TestJoin:
@@ -254,7 +254,7 @@ class TestSamplingModes:
             if arc is None:
                 sizes.append(0)
                 continue
-            sizes.append(overlay.ring.cw_range_size(arc[0], arc[1]))
+            sizes.append(len(ids_in_cw_range(overlay.ring, arc[0], arc[1])))
         # Outermost partition holds about half the population, then half
         # of the rest, etc.
         n = len(overlay) - 1

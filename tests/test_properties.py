@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import greedy_oracle, hand_built
+from conftest import greedy_oracle, hand_built, ids_in_cw_range
 from repro.core import oracle_partitions
 from repro.errors import DuplicateNodeError
 from repro.ring import Ring, build_pointers, cw_distance, keyspace, repair
@@ -162,7 +162,7 @@ class TestOraclePartitionTiling:
         for arc in table.arcs():
             if arc is None:
                 continue
-            members = {int(i) for i in ring.ids_in_cw_range(arc[0], arc[1])}
+            members = {int(i) for i in ids_in_cw_range(ring, arc[0], arc[1])}
             assert node_id not in members
             assert not members & seen  # arcs are disjoint
             seen |= members
@@ -182,7 +182,7 @@ class TestOraclePartitionTiling:
         table = oracle_partitions(ring, node_id, k=4)
         arc = table.arc(1)
         population = len(positions) - 1
-        outer = ring.cw_range_size(arc[0], arc[1])
+        outer = len(ids_in_cw_range(ring, arc[0], arc[1]))
         # Recursive lower-median split: the outer arc holds ceil(n/2).
         assert abs(outer - population / 2) <= 1
 

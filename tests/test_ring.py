@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from repro.errors import DuplicateNodeError, EmptyPopulationError, UnknownNodeError
 from repro.ring import Ring, keyspace
+from repro.protocol.estimation import cw_arc_slice
 from repro.ring.keyspace import KeyspaceError
 
-from conftest import draw_in_arc
+from conftest import draw_in_arc, ids_in_cw_range
 
 
 def choose_in_cw_range(ring: Ring, rng, start: float, end: float, k: int) -> np.ndarray:
@@ -261,36 +262,43 @@ class TestSuccessorLookups:
 
 
 class TestRangeQueries:
+    """Clockwise arcs over the ring: the tests' brute-force arc oracle
+    (``conftest.ids_in_cw_range``, which the partition tests count
+    with) and the construction engine's uniform draw over an arc."""
+
     def test_simple_range(self, five_ring):
         ring, __ = five_ring
-        ids = ring.ids_in_cw_range(0.2, 0.6)
+        ids = ids_in_cw_range(ring, 0.2, 0.6)
         assert list(ids) == [1, 2]  # nodes at 0.3 and 0.5
 
     def test_range_includes_end_node(self, five_ring):
         ring, __ = five_ring
-        assert list(ring.ids_in_cw_range(0.2, 0.5)) == [1, 2]
+        assert list(ids_in_cw_range(ring, 0.2, 0.5)) == [1, 2]
 
     def test_range_excludes_start_node(self, five_ring):
         ring, __ = five_ring
-        assert list(ring.ids_in_cw_range(0.3, 0.5)) == [2]
+        assert list(ids_in_cw_range(ring, 0.3, 0.5)) == [2]
 
     def test_wrapped_range(self, five_ring):
         ring, __ = five_ring
-        assert list(ring.ids_in_cw_range(0.8, 0.2)) == [4, 0]
+        assert list(ids_in_cw_range(ring, 0.8, 0.2)) == [4, 0]
 
     def test_whole_circle_when_start_equals_end(self, five_ring):
         ring, __ = five_ring
-        assert ring.cw_range_size(0.5, 0.5) == 5
+        assert len(ids_in_cw_range(ring, 0.5, 0.5)) == 5
 
     def test_range_size_matches_ids(self, five_ring):
+        # The arc window the construction engine draws from holds
+        # exactly the oracle's peers.
         ring, __ = five_ring
-        assert ring.cw_range_size(0.2, 0.6) == len(ring.ids_in_cw_range(0.2, 0.6))
+        __, __, count = cw_arc_slice(ring.positions_array(live_only=True), 0.2, 0.6)
+        assert count == len(ids_in_cw_range(ring, 0.2, 0.6))
 
     def test_live_only_filtering(self, five_ring):
         ring, __ = five_ring
         ring.mark_dead(1)
-        assert list(ring.ids_in_cw_range(0.2, 0.6, live_only=True)) == [2]
-        assert list(ring.ids_in_cw_range(0.2, 0.6, live_only=False)) == [1, 2]
+        assert list(ids_in_cw_range(ring, 0.2, 0.6, live_only=True)) == [2]
+        assert list(ids_in_cw_range(ring, 0.2, 0.6, live_only=False)) == [1, 2]
 
     def test_choose_in_range_uniformity(self, five_ring):
         ring, __ = five_ring
@@ -300,7 +308,7 @@ class TestRangeQueries:
 
     def test_choose_in_empty_range(self, five_ring):
         ring, __ = five_ring
-        assert ring.cw_range_size(0.55, 0.65) == 0
+        assert len(ids_in_cw_range(ring, 0.55, 0.65)) == 0
         assert choose_in_cw_range(ring, np.random.default_rng(0), 0.55, 0.65, k=3).size == 0
 
     def test_choose_respects_liveness(self, five_ring):
@@ -404,8 +412,8 @@ def test_property_range_partition_of_circle(positions, data):
     b = data.draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
     if keyspace.from_unit(a) == keyspace.from_unit(b):
         return  # one key cell: the whole circle both ways
-    first = ring.cw_range_size(a, b)
-    second = ring.cw_range_size(b, a)
+    first = len(ids_in_cw_range(ring, a, b))
+    second = len(ids_in_cw_range(ring, b, a))
     assert first + second == len(positions)
 
 

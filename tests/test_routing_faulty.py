@@ -80,10 +80,9 @@ class TestDeadNeighborProbes:
         ring, pointers, neighbors = build_topology(16, extra={0: [8], 1: [8], 2: [8]})
         ring.mark_dead(8)
         repair(ring, pointers)
-        config = RoutingConfig()
-        result = route_faulty(ring, pointers, neighbors, 0, 0.6, config)
+        result = route_faulty(ring, pointers, neighbors, 0, 0.6)
         assert result.success
-        assert result.wasted_probes == config.probe_cost
+        assert result.wasted_probes == 1  # one message, the paper's unit
 
     def test_source_dead_rejected(self):
         ring, pointers, neighbors = build_topology(8)
@@ -91,15 +90,6 @@ class TestDeadNeighborProbes:
         repair(ring, pointers)
         with pytest.raises(DeadNodeError):
             route_faulty(ring, pointers, neighbors, 3, 0.9)
-
-    def test_custom_probe_cost(self):
-        ring, pointers, neighbors = build_topology(16, extra={0: [8]})
-        ring.mark_dead(8)
-        repair(ring, pointers)
-        result = route_faulty(
-            ring, pointers, neighbors, 0, 0.6, RoutingConfig(probe_cost=5)
-        )
-        assert result.wasted_probes == 5
 
 
 class TestRepairedRingAlwaysDelivers:
@@ -173,6 +163,17 @@ class TestBacktracking:
         assert result.delivered_to == ring.successor_of_key(0.13, live_only=True)
         assert result.success
         assert result.wasted_probes >= 1
+
+    def test_each_probe_and_backtrack_costs_one_message(self):
+        # Unrepaired: 2's successor pointer leads to dead 3. The route
+        # 0 -> 2 -> 1 dead-ends, backtracks 1 -> 2 -> 0 and goes round
+        # the other way: 6 hops, 1 probe (3, charged once), 2 backtracks.
+        ring, pointers, neighbors = build_topology(8, extra={0: [2]})
+        ring.mark_dead(3)
+        result = route_faulty(ring, pointers, neighbors, 0, 0.45, record_path=True)
+        assert result.path == (0, 2, 1, 7, 6, 5, 4)
+        assert (result.hops, result.wasted_probes, result.backtracks) == (6, 1, 2)
+        assert result.cost == 9
 
     def test_budget_exhaustion_fails_gracefully(self):
         ring, pointers, neighbors = build_topology(32)

@@ -10,12 +10,10 @@ import pytest
 from repro.ring import Ring
 from repro.rng import make_rng
 from repro.smallworld import (
-    draw_harmonic_rank,
     expected_greedy_cost,
     harmonic_divergence,
     link_rank_distribution,
     min_long_links_for_cost,
-    oracle_harmonic_neighbor,
     worst_case_greedy_cost,
 )
 
@@ -25,56 +23,6 @@ def even_ring(n: int) -> Ring:
     for node_id in range(n):
         ring.insert(node_id, node_id / n)
     return ring
-
-
-class TestDrawHarmonicRank:
-    def test_bounds(self):
-        rng = make_rng(0)
-        for n in (1, 2, 100, 10_000):
-            for __ in range(100):
-                rank = draw_harmonic_rank(rng, n)
-                assert 1 <= rank <= n
-
-    def test_n_one_is_always_one(self):
-        assert draw_harmonic_rank(make_rng(1), 1) == 1
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            draw_harmonic_rank(make_rng(0), 0)
-
-    def test_harmonic_mass_shape(self):
-        # P(rank <= r) should be ~ log(r)/log(n).
-        rng = make_rng(2)
-        n = 4096
-        draws = np.array([draw_harmonic_rank(rng, n) for __ in range(30_000)])
-        for r in (8, 64, 512):
-            expected = math.log(r) / math.log(n)
-            actual = float((draws <= r).mean())
-            assert actual == pytest.approx(expected, abs=0.03)
-
-
-class TestOracleHarmonicNeighbor:
-    def test_neighbor_is_a_live_peer(self):
-        ring = even_ring(64)
-        rng = make_rng(3)
-        for __ in range(50):
-            neighbor = oracle_harmonic_neighbor(ring, rng, 0)
-            assert neighbor in ring
-            assert ring.is_alive(neighbor)
-
-    def test_requires_two_peers(self):
-        ring = even_ring(1)
-        with pytest.raises(ValueError):
-            oracle_harmonic_neighbor(ring, make_rng(4), 0)
-
-    def test_nearby_ranks_most_likely(self):
-        ring = even_ring(256)
-        rng = make_rng(5)
-        neighbors = [oracle_harmonic_neighbor(ring, rng, 0) for __ in range(2000)]
-        ranks = [ring.cw_rank_of(0.0, n) for n in neighbors]
-        # Half the harmonic mass sits below sqrt(n).
-        near = sum(1 for r in ranks if r <= math.sqrt(255))
-        assert near / len(ranks) == pytest.approx(0.5, abs=0.06)
 
 
 class TestLinkRankDistribution:
@@ -92,7 +40,8 @@ class TestHarmonicDivergence:
     def test_harmonic_links_score_low(self):
         rng = make_rng(6)
         n = 2048
-        ranks = np.array([draw_harmonic_rank(rng, n) for __ in range(20_000)])
+        # Inverse-CDF draws with P(rank = r) ~ 1/r, clamped to [1, n].
+        ranks = np.clip(np.exp(rng.random(20_000) * math.log(n)).astype(np.int64), 1, n)
         assert harmonic_divergence(ranks, n) < 0.1
 
     def test_point_mass_scores_high(self):
@@ -149,9 +98,9 @@ class TestTheoryAnchors:
         # The shared 300-peer overlay with ~10 links/peer must beat the
         # 1-link worst case comfortably and sit within a small constant
         # of the expected-cost anchor.
-        from repro.metrics import measure_search_cost
+        from repro.engine import BatchQueryEngine
 
-        stats = measure_search_cost(shared_overlay, make_rng(8), n_queries=150)
+        stats = BatchQueryEngine(shared_overlay).measure(make_rng(8), n_queries=150)
         n = len(shared_overlay)
         assert stats.mean_cost < worst_case_greedy_cost(n)
         anchor = expected_greedy_cost(n, 10)
