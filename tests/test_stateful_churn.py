@@ -3,11 +3,12 @@
 :class:`ChurnProgram` drives an overlay (Oscar, Mercury or Chord), a
 :class:`~repro.engine.churn.SteadyStateChurnEngine` (either repair
 policy), a :class:`~repro.index.replication.ReplicatedStore` and a
-:class:`~repro.engine.serve.ServeEngine` through seven verbs — an epoch,
+:class:`~repro.engine.serve.ServeEngine` through eight verbs — an epoch,
 an external ``leave_batch`` wave, a ``leave_batch`` wave it must refuse,
 a direct repair (the policy's substrate verb, with no compaction first),
 a serve batch with unknown sources and duplicate keys, a route batch on
-the truth snapshot, a join into a taken ``2**-64`` key cell — on the
+the truth snapshot, a join into a taken ``2**-64`` key cell, Figure 2's
+crash wave and its undoing — on the
 vectorized kernels and, in
 lock-step, on the pure-Python twins (Mercury and Chord build through
 one scalar path, so for them the twin check is a determinism check),
@@ -46,6 +47,13 @@ and checks after every step:
   is the one delivered to; with no dead peer in the ring, every row
   is ``OK`` and the fault-aware ``Substrate.route(faulty=True)``
   answers it too, at the same hops, without a wasted probe;
+* the crash wave as the grow-and-measure loop runs it: after
+  ``OracleView.crash_fraction(f)`` and ``repair_ring()`` the victims
+  are ``min(floor(f * live), live - 1)`` distinct truth-live peers, a
+  fault-aware route delivers to the key's live successor at ``cost ==
+  hops + wasted_probes + backtracks``, and after ``revive`` and
+  ``repair_ring()`` every ``SubstrateState`` column and the ring's
+  order are byte-identical to before the wave (no residue);
 * every truth and serve capture's ``WalkTable`` passes
   ``tests/conftest.py::assert_walk_table``;
 * conservation: an epoch's ``live`` is the live count it started from
@@ -128,6 +136,7 @@ class ChurnProgram:
         self.gentle = bool(params["gentle"])
         self.waves = 0
         self.repairs = 0
+        self.crashes = 0
         self.twins = [self._build(vectorized) for vectorized in (True, False)]
         serve = self.twins[0]["serve"]
         self.uncached = ServeEngine(serve.substrate, serve.store, serve.membership, cache_size=0)
@@ -295,6 +304,34 @@ class ChurnProgram:
                 if record_path:
                     assert len(result.path) == hops + 1 and result.path[-1] == owner
 
+    def crash_revive(self, fraction: float) -> None:
+        """Crash ``fraction`` of the truth-live peers with
+        ``OracleView.crash_fraction`` on a stream labelled by the
+        program, ``repair_ring()``, route four keys fault-aware, then
+        ``revive`` the victims and ``repair_ring()`` again: the
+        grow-and-measure loop's wave, which must leave no residue."""
+        self.crashes += 1
+        stream = (self.params["seed"], "program-crash", self.crashes)
+        for twin in self.twins:
+            overlay = twin["overlay"]
+            ring, view = overlay.ring, OracleView(overlay.ring)
+            before = self.fingerprint(overlay)
+            live = ring.ids_array(live_only=True).tolist()
+            victims = view.crash_fraction(split(*stream), fraction)
+            expected = min(int(fraction * len(live)), len(live) - 1)
+            assert len(set(victims)) == len(victims) == expected
+            assert set(victims) <= set(live), "a victim that was not truth-live"
+            overlay.repair_ring()
+            survivors = ring.ids_array(live_only=True)
+            rng = split(*stream, "routes")
+            for source, key in zip(rng.choice(survivors, 4), rng.random(4).tolist()):
+                result = overlay.route(int(source), key, faulty=True)
+                assert result.success and result.delivered_to == ring.successor_of_key(key)
+                assert result.cost == result.hops + result.wasted_probes + result.backtracks
+            assert view.revive(victims) == victims
+            overlay.repair_ring()
+            assert self.fingerprint(overlay)[1:] == before[1:], "the wave left a residue"
+
     def join_taken(self, u: float, kind: str, at: int) -> None:
         """Join into the key cell of the peer at ring rank
         ``u * len(ring)`` (dead ones too), at the key ``_route_key``
@@ -319,11 +356,12 @@ class ChurnProgram:
 
     @staticmethod
     def fingerprint(overlay: Substrate) -> tuple:
-        """Every byte of the substrate state and the ring's order."""
+        """The ring's version, then every byte of the substrate state
+        and the ring's order."""
         state, ring = overlay.state, overlay.ring
         columns = tuple(getattr(state, name).tobytes() for name in SubstrateState.COLUMNS)
-        order = (ring.version, ring.slots_array().tobytes(), ring.keys_array().tobytes())
-        return columns, order, overlay._next_id, state.n_slots, tuple(state._free)
+        order = (ring.slots_array().tobytes(), ring.keys_array().tobytes())
+        return ring.version, columns, order, overlay._next_id, state.n_slots, tuple(state._free)
 
     def _route_key(self, kind: str, u: float) -> float:
         if kind == "free":
@@ -504,6 +542,8 @@ def replay(program: dict) -> ChurnProgram:
             system.route(step["queries"])
         elif verb == "join_taken":
             system.join_taken(step["u"], step["kind"], step["at"])
+        elif verb == "crash_revive":
+            system.crash_revive(step["fraction"])
         else:
             system.serve(step["picks"], step["unknown"], step["repeat"])
         system.check()
@@ -575,6 +615,10 @@ class ChurnMachine(RuleBasedStateMachine):
     )
     def join_taken(self, u, kind, at) -> None:
         self.system.join_taken(u, kind, at)
+
+    @rule(fraction=st.floats(min_value=0.0, max_value=1.0))
+    def crash_revive(self, fraction) -> None:
+        self.system.crash_revive(fraction)
 
     @invariant()
     def holds(self) -> None:
