@@ -150,13 +150,18 @@ def decided(overlay) -> dict[int, tuple]:
     }
 
 
-def crash_wave(overlay, fraction: float = 0.33, seed: int = 7) -> list[int]:
-    """Figure 2's crash wave as the grow-and-measure loop runs it: crash
-    ``fraction`` of the live peers on the ``("churn-victims", fraction)``
-    stream of ``seed``, then repair the ring; returns the victims
-    (``OracleView(overlay.ring).revive`` undoes it)."""
+def crash_victims(ring, fraction: float, seed: int = 7) -> list[int]:
+    """Crash ``fraction`` of the ring's live peers on the
+    ``("churn-victims", fraction)`` stream of ``seed``, as the
+    grow-and-measure loop draws them; returns the victims."""
     rng = split(seed, "churn-victims", int(fraction * 1_000_000))
-    victims = OracleView(overlay.ring).crash_fraction(rng, fraction)
+    return OracleView(ring).crash_fraction(rng, fraction)
+
+
+def crash_wave(overlay, fraction: float = 0.33, seed: int = 7) -> list[int]:
+    """Figure 2's crash wave: :func:`crash_victims`, then ring repair
+    (``OracleView(overlay.ring).revive`` undoes it)."""
+    victims = crash_victims(overlay.ring, fraction, seed)
     overlay.repair_ring()
     return victims
 

@@ -12,9 +12,9 @@ import pytest
 from repro.errors import EmptyPopulationError
 from repro.membership import OracleView
 from repro.ring import Ring, build_pointers, repair_all, verify
-from repro.rng import make_rng, split
+from repro.rng import make_rng
 
-from conftest import build_overlay, crash_wave
+from conftest import build_overlay, crash_victims, crash_wave
 
 
 def ring_of(n: int) -> Ring:
@@ -134,24 +134,18 @@ class TestReviveAll:
         assert ring.live_count == 5
 
 
-def wave(ring: Ring, fraction: float, seed: int = 7) -> list[int]:
-    """Crash ``fraction`` of ``ring`` on the loop's victim stream."""
-    rng = split(seed, "churn-victims", int(fraction * 1_000_000))
-    return OracleView(ring).crash_fraction(rng, fraction)
-
-
 class TestApplyChurn:
     """The crash wave: victims on a labelled stream, then ring repair."""
 
     def test_faultless_config_is_noop(self):
         ring = ring_of(20)
-        assert wave(ring, 0.0) == []
+        assert crash_victims(ring, 0.0) == []
         assert ring.live_count == 20
 
     def test_kill_and_repair(self):
         ring = ring_of(60)
         pointers = build_pointers(ring)
-        victims = wave(ring, 0.33)
+        victims = crash_victims(ring, 0.33)
         repair_all(ring, pointers)
         assert len(victims) == 19
         verify(ring, pointers)  # the paper's assumed self-stabilization
@@ -163,15 +157,17 @@ class TestApplyChurn:
 
         ring = ring_of(60)
         pointers = build_pointers(ring)
-        wave(ring, 0.33)
+        crash_victims(ring, 0.33)
         with pytest.raises(RingInvariantError):
             verify(ring, pointers)
 
     def test_victim_choice_is_seeded(self):
-        assert wave(ring_of(50), 0.2, seed=5) == wave(ring_of(50), 0.2, seed=5)
+        first, second = (crash_victims(ring_of(50), 0.2, seed=5) for __ in range(2))
+        assert first == second
 
     def test_different_fractions_use_disjoint_streams(self):
-        assert set(wave(ring_of(50), 0.2, seed=5)) != set(wave(ring_of(50), 0.4, seed=5))
+        low, high = (crash_victims(ring_of(50), f, seed=5) for f in (0.2, 0.4))
+        assert set(low) != set(high)
 
 
 class TestChurnOnOverlay:
@@ -197,4 +193,4 @@ class TestDeprecationShims:
     @pytest.mark.filterwarnings("error::DeprecationWarning")
     def test_supported_procedures_do_not_warn(self):
         ring = ring_of(20)
-        OracleView(ring).revive(wave(ring, 0.2))
+        OracleView(ring).revive(crash_victims(ring, 0.2))

@@ -24,7 +24,7 @@ from repro.metrics import load_gini, volume_exploitation
 from repro.rng import split
 from repro.workloads import GnutellaLikeDistribution
 
-from conftest import links_of
+from conftest import crash_wave, links_of
 
 SIZES = (150, 300, 600)
 QUERIES = 150
@@ -156,14 +156,12 @@ class TestLifecycle:
         overlay.rewire(split(107, "cycle-rewire"))
         verify(overlay.ring, overlay.pointers)
 
-        view = OracleView(overlay.ring)
-        victims = view.crash_fraction(split(107, "churn-victims", 330_000), 0.33)
-        overlay.repair_ring()
+        victims = crash_wave(overlay, 0.33, seed=107)
         engine = BatchQueryEngine(overlay)
         stats = engine.measure(split(107, "cycle-q1"), n_queries=80, faulty=True)
         assert stats.success_rate == 1.0
 
-        view.revive(victims)
+        OracleView(overlay.ring).revive(victims)
         overlay.repair_ring()
         verify(overlay.ring, overlay.pointers)
 
