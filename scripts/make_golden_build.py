@@ -43,7 +43,9 @@ def build() -> OscarOverlay:
     return overlay
 
 
-def main() -> int:
+def payload() -> str:
+    """The fixture's text: the build, one vectorized rewire, and every
+    live peer's columns, serialized as the committed file is."""
     overlay = build()
     stats = BatchConstructionEngine(overlay, vectorized=True).rewire(
         split(REWIRE_SEED, "golden-build")
@@ -63,7 +65,7 @@ def main() -> int:
                 "medians": list(table.medians),
             }
         )
-    payload = {
+    document = {
         "schema_version": 1,
         "builder": {
             "n_peers": N_PEERS,
@@ -75,8 +77,13 @@ def main() -> int:
         "stats": stats.as_dict(),
         "nodes": nodes,
     }
-    OUT.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {OUT} ({len(nodes)} peers, {stats!r})")
+    return json.dumps(document, indent=1, sort_keys=True) + "\n"
+
+
+def main() -> int:
+    text = payload()
+    OUT.write_text(text, encoding="utf-8")
+    print(f"wrote {OUT} ({len(json.loads(text)['nodes'])} peers)")
     return 0
 
 

@@ -113,19 +113,20 @@ class TopologySnapshot:
         # table's own first column, so it is not offered again.
         slots = ring.slots_array(live_only=False)
         succ_row = rows_of(row_of, substrate.state.succ[slots])
-        pred_row = rows_of(row_of, substrate.state.pred[slots])
-        links = substrate.state.link_rows(slots, row_of)
+        pred_row = rows_of(row_of, substrate.state.pred[slots]).astype(np.int32)
+        links = substrate.state.link_blocks(slots, row_of)
+
+        def candidates(block: slice) -> np.ndarray:
+            """The predecessor and link rows of a row block."""
+            return np.concatenate([pred_row[block, None], links(block)], axis=1)
+
         return cls(
             version=substrate.topology_version,
             all_ids=all_ids,
             live_keys=ring.keys_array(live_only=True),
             live_rows=row_of[ring.ids_array(live_only=True)],
             row_of=row_of,
-            table=WalkTable.build(
-                ring.keys_array(live_only=False),
-                succ_row,
-                np.concatenate([pred_row[:, None], links], axis=1, dtype=np.int32),
-            ),
+            table=WalkTable.build(ring.keys_array(live_only=False), succ_row, candidates),
         )
 
     def responsible_rows(self, targets: np.ndarray) -> np.ndarray:

@@ -69,6 +69,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..churn.sessions import SessionTimes
+from ..core.soa import row_blocks
 from ..core.substrate import Substrate
 from ..degree import DegreeDistribution
 from ..errors import ConfigError
@@ -506,17 +507,23 @@ class SteadyStateChurnEngine:
         fault-free walk on a clean overlay. Both go through the one
         :class:`~repro.engine.batch.BatchQueryEngine` API on the
         ``("steady-probes", e)`` stream, so the probe count and targets
-        are identical across paths.
+        are identical across paths. The truth snapshot a fault-free
+        batch captures is dropped once the batch is measured: the next
+        epoch's arrivals and departures move ``topology_version``, so
+        holding it would only keep a table the size of the overlay alive
+        until it is replaced.
         """
         ring = self.substrate.ring
         faulty = len(ring) > ring.live_count
         count = None if self.n_probes == 0 else self.n_probes
-        return self._query_engine.measure(
+        stats = self._query_engine.measure(
             split(self.seed, "steady-probes", e),
             n_queries=count,
             workload=self.workload,
             faulty=faulty,
         )
+        self._query_engine.invalidate()
+        return stats
 
     # ------------------------------------------------------------------
     # observability
@@ -533,21 +540,25 @@ class SteadyStateChurnEngine:
         a crashed-but-undetected peer is *not* yet stale — the gap
         between this number and the probe failures in :meth:`_probe` is
         the detection lag made visible. The vectorized kernel gathers a
-        believed-live flag per link target from one id-indexed table
-        (sized to cover every target, so a retired id or one above every
-        live id just reads "not live"); the reference twin walks a set —
-        identical counts.
+        believed-live flag per link cell from one id-indexed table, one
+        row block of the live peers' link rows at a time: the table
+        covers every id the link table holds, so a retired id or one
+        above every live id reads "not live", and its last cell, onto
+        which the padding ``-1`` read as ``uint32`` clips, reads live.
+        The reference twin walks a set — identical counts.
         """
         live_ids = self.membership.live_ids()
         if self.vectorized:
-            # Every live peer's link row at once, no per-node lists.
-            links = self.substrate.state.out_links[self.membership.live_slots()]
-            flat = links[links >= 0]  # padding invariant: -1 past out_count
-            if flat.size == 0:
-                return 0
-            believed = np.zeros(max(int(flat.max()), int(live_ids.max())) + 1, dtype=bool)
+            state, slots = self.substrate.state, self.membership.live_slots()
+            top = max(int(state.out_links.max(initial=-1)), int(live_ids.max(initial=-1)))
+            believed = np.zeros(top + 2, dtype=bool)
             believed[live_ids] = True
-            return int(flat.size - np.count_nonzero(believed[flat]))
+            believed[-1] = True
+            stale = 0
+            for block in row_blocks(slots.size):
+                links = state.out_links.take(slots[block], axis=0).view(np.uint32)
+                stale += links.size - int(np.count_nonzero(believed.take(links, mode="clip")))
+            return stale
         targets = self._long_link_targets()
         live_set = {int(i) for i in live_ids}
         return sum(1 for links in targets for target in links if int(target) not in live_set)

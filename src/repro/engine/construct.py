@@ -68,12 +68,12 @@ Typical use goes through the substrate surface::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ..config import SamplingMode
-from ..core.soa import row_table
+from ..core.soa import row_blocks, row_table
 from ..degree import DegreeDistribution, assign_caps
 from ..errors import SamplingError
 from ..protocol.decisions import accepts_link, link_winner_key
@@ -432,7 +432,9 @@ class BatchConstructionEngine:
         if track_spend:
             state.samples_spent[est_slots] += config.sample_size * counts
         origin_rank = (rows + 1).astype(np.int32)
-        return self._arc_tables(m, origin, far_end, medians, counts, origin_rank, far_rank, ranks)
+        return self._arc_tables(
+            m, origin, far_end, counts, origin_rank, far_rank, lambda b: (medians[b], ranks[b])
+        )
 
     def _oracle_levels(
         self,
@@ -504,65 +506,72 @@ class BatchConstructionEngine:
             walker = BatchRestrictedWalker(view.pos, self._neighbor_matrix(view))
             start_rows = (rows + 1) % m
         for level in range(levels):
-            act = np.nonzero(active)[0]
-            if act.size == 0:
+            level_rows = np.nonzero(active)[0]
+            if level_rows.size == 0:
                 break
-            selected = None
-            if walk:
-                started = in_cw_arc(view.pos[start_rows[act]], origin[act], prev[act])
-                # A walker whose ring successor fell outside the shrunken
-                # arc sees an arc empty of other live peers: stop, as an
-                # empty sample stops the level machine.
-                active[act[~started]] = False
-                act = act[started]
-                if act.size == 0:
-                    break
-                walk_fn = walker.walk if self.vectorized else walker.walk_reference
-                samples = walk_fn(
-                    rng,
-                    start_rows[act],
-                    origin[act],
-                    prev[act],
-                    sample_size,
-                    config.walk_hops,
-                )
-            else:
-                # Drawn for *every* active peer — one whose arc holds no
-                # peers discards its row — so the draw layout is
-                # state-independent and both paths consume it identically.
-                u = rng.random((int(act.size), sample_size))
-                lo = rows[act] + 1  # positions are distinct: right of the origin's own slot
-                count = _window_counts(m, origin[act], prev[act], lo, prev_rank[act])
-                drew = count > 0
-                if not drew.all():
-                    active[act[~drew]] = False
-                    act, u, lo, count = act[drew], u[drew], lo[drew], count[drew]
+            # The vectorized UNIFORM level is drawn and resolved one row
+            # block at a time: a row's border depends on its own draws
+            # alone, and one draw per block consumes the stream exactly
+            # as one draw for the level does.
+            parts = [slice(None)] if walk or not self.vectorized else row_blocks(level_rows.size)
+            for part in parts:
+                act = level_rows[part]
+                selected = None
+                if walk:
+                    started = in_cw_arc(view.pos[start_rows[act]], origin[act], prev[act])
+                    # A walker whose ring successor fell outside the shrunken
+                    # arc sees an arc empty of other live peers: stop, as an
+                    # empty sample stops the level machine.
+                    active[act[~started]] = False
+                    act = act[started]
                     if act.size == 0:
                         continue
-                # count == m: the full circle, ending on the origin itself.
-                if self.vectorized and (count < m).all():
-                    selected = self._median_offsets(u, count) + lo
-                    selected[selected >= m] -= m
+                    walk_fn = walker.walk if self.vectorized else walker.walk_reference
+                    samples = walk_fn(
+                        rng,
+                        start_rows[act],
+                        origin[act],
+                        prev[act],
+                        sample_size,
+                        config.walk_hops,
+                    )
                 else:
-                    samples = self._uniform_samples(m, u, lo, count)
-            if not self.vectorized:
-                border, stop = self._select_borders_reference(
-                    view, okey[act], origin[act], prev[act], samples
-                )
-                rank = np.searchsorted(view.pos, border, side="right")
-            elif selected is None:
-                border, stop, rank = self._select_borders(
-                    view, okey[act], origin[act], prev[act], samples
-                )
-            else:
-                border, stop, rank = self._clamp_borders(view, origin[act], prev[act], selected)
-            active[act[stop]] = False
-            keep = act[~stop]
-            medians[keep, level] = border[~stop]
-            ranks[keep, level] = rank[~stop]
-            counts[keep] += 1
-            prev[keep] = border[~stop]
-            prev_rank[keep] = rank[~stop]
+                    # Drawn for *every* active peer — one whose arc holds no
+                    # peers discards its row — so the draw layout is
+                    # state-independent and both paths consume it identically.
+                    u = rng.random((int(act.size), sample_size))
+                    lo = rows[act] + 1  # positions are distinct: right of the origin's own slot
+                    count = _window_counts(m, origin[act], prev[act], lo, prev_rank[act])
+                    drew = count > 0
+                    if not drew.all():
+                        active[act[~drew]] = False
+                        act, u, lo, count = act[drew], u[drew], lo[drew], count[drew]
+                        if act.size == 0:
+                            continue
+                    # count == m: the full circle, ending on the origin itself.
+                    if self.vectorized and (count < m).all():
+                        selected = self._median_offsets(u, count) + lo
+                        selected[selected >= m] -= m
+                    else:
+                        samples = self._uniform_samples(m, u, lo, count)
+                if not self.vectorized:
+                    border, stop = self._select_borders_reference(
+                        view, okey[act], origin[act], prev[act], samples
+                    )
+                    rank = np.searchsorted(view.pos, border, side="right")
+                elif selected is None:
+                    border, stop, rank = self._select_borders(
+                        view, okey[act], origin[act], prev[act], samples
+                    )
+                else:
+                    border, stop, rank = self._clamp_borders(view, origin[act], prev[act], selected)
+                active[act[stop]] = False
+                keep = act[~stop]
+                medians[keep, level] = border[~stop]
+                ranks[keep, level] = rank[~stop]
+                counts[keep] += 1
+                prev[keep] = border[~stop]
+                prev_rank[keep] = rank[~stop]
 
     @staticmethod
     def _median_offsets(u: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -689,11 +698,10 @@ class BatchConstructionEngine:
         m: int,
         origin: np.ndarray,
         far_end: np.ndarray,
-        medians: np.ndarray,
         counts: np.ndarray,
         origin_rank: np.ndarray,
         far_rank: np.ndarray,
-        ranks: np.ndarray,
+        borders: Callable[[slice], tuple[np.ndarray, np.ndarray]],
     ) -> _ArcTables:
         """Pack per-peer partition arcs into padded matrices.
 
@@ -704,40 +712,41 @@ class BatchConstructionEngine:
         non-outermost arc whose borders coincide is degenerate. The
         candidate windows over the ``m`` ring positions are closed here,
         once, and without a search: ``origin_rank`` / ``far_rank`` /
-        ``ranks`` are every border's ``searchsorted(pos, border,
+        every border's rank are ``searchsorted(pos, border,
         side="right")``, and arc ``p`` ends where arc ``p - 1`` starts.
+        ``borders(block)`` returns the medians of a row block and their
+        ranks; the tables are packed one row block at a time, straight
+        into their requester-major rows.
         """
         n = int(origin.size)
         kmax = int(counts.max(initial=0)) + 1
-        # Built level-major, so each level reads and writes contiguous
-        # rows instead of strided columns; handed out requester-major.
-        lo = np.zeros((kmax, n), dtype=np.int32)
-        count = np.zeros((kmax, n), dtype=np.int32)
+        lo = np.zeros((n, kmax), dtype=np.int32)
+        count = np.zeros((n, kmax), dtype=np.int32)
         if not self.vectorized:
             starts = np.zeros((n, kmax), dtype=float)
             ends = np.zeros((n, kmax), dtype=float)
             valid = np.zeros((n, kmax), dtype=bool)
-        medians_t = np.ascontiguousarray(medians.T)
-        ranks_t = np.ascontiguousarray(ranks.T)
-        end_col, hi = far_end, far_rank
-        for p in range(kmax):
-            has = counts >= p
-            if p < medians_t.shape[0]:
-                inner = counts > p
-                start_col = np.where(inner, medians_t[p], origin)
-                lo_col = np.where(inner, ranks_t[p], origin_rank)
-            else:
-                start_col, lo_col = origin, origin_rank
-            window = _window_counts(m, start_col, end_col, lo_col, hi)
-            ok = has & ~((start_col == end_col) & (p > 0))
-            lo[p] = np.where(has, lo_col, 0)
-            count[p] = np.where(ok, window, 0)
-            if not self.vectorized:
-                starts[:, p] = np.where(has, start_col, 0.0)
-                ends[:, p] = np.where(has, end_col, 0.0)
-                valid[:, p] = ok
-            end_col, hi = start_col, lo_col
-        lo, count = np.ascontiguousarray(lo.T), np.ascontiguousarray(count.T)
+        for block in row_blocks(n):
+            medians, ranks = borders(block)
+            start, low, block_counts = origin[block], origin_rank[block], counts[block]
+            end_col, hi = far_end[block], far_rank[block]
+            for p in range(kmax):
+                has = block_counts >= p
+                if p < medians.shape[1]:
+                    inner = block_counts > p
+                    start_col = np.where(inner, medians[:, p], start)
+                    lo_col = np.where(inner, ranks[:, p], low)
+                else:
+                    start_col, lo_col = start, low
+                window = _window_counts(m, start_col, end_col, lo_col, hi)
+                ok = has & ~((start_col == end_col) & (p > 0))
+                lo[block, p] = np.where(has, lo_col, 0)
+                count[block, p] = np.where(ok, window, 0)
+                if not self.vectorized:
+                    starts[block, p] = np.where(has, start_col, 0.0)
+                    ends[block, p] = np.where(has, end_col, 0.0)
+                    valid[block, p] = ok
+                end_col, hi = start_col, lo_col
         if self.vectorized:
             return _ArcTables(k_count=counts + 1, lo=lo, count=count)
         return _ArcTables(
@@ -753,31 +762,35 @@ class BatchConstructionEngine:
         """Drop every link whose target is not in ``view``; recount
         in-degree from the links that survive.
 
-        Column by column over a column-major ``int32`` copy of the live
-        rows: a link survives when its target has a row, and is written
-        to the next free cell of its row, so each row keeps its
-        survivors in order with ``-1`` past the new ``out_count``; a
-        dropped link is written to one sink cell instead. No per-link
-        index pair is built — every temporary is one column long.
+        One row block of the live rows at a time
+        (:func:`~repro.core.soa.row_blocks`), column by column over a
+        column-major ``int32`` copy of the block: a link survives when
+        its target has a row, and is written to the next free cell of
+        its row, so each row keeps its survivors in order with ``-1``
+        past the new ``out_count``; a dropped link is written to one sink
+        cell instead. In-degree is one ``bincount`` of the block's target
+        rows. Every temporary is one block long.
         """
         state, m = view.state, view.m
         width = int(state.out_count[view.slots].max(initial=0))
-        links = np.ascontiguousarray(state.out_links[view.slots, :width].T)
         # id -> row; the padding, dead and retired ids all read row m.
         table = np.append(view.row_of, m).astype(np.int32)
         table[table < 0] = m
-        sink = links.size
-        kept = np.full(sink + 1, -1, dtype=links.dtype)  # column-major cells + the sink
-        cell = np.arange(m, dtype=np.int64)  # each row's next free cell
         in_deg = np.zeros(m + 1, dtype=np.int64)
-        for column in links:
-            target = table.take(column.view(np.uint32), mode="clip")
-            live = target < m
-            kept[np.where(live, cell, sink)] = column
-            cell += live * m
-            in_deg += np.bincount(target, minlength=m + 1)
-        state.out_links[view.slots, :width] = kept[:sink].reshape(width, m).T
-        state.out_count[view.slots] = cell // m
+        for block in row_blocks(m):
+            slots = view.slots[block]
+            links = np.ascontiguousarray(state.out_links[slots, :width].T)
+            target = table.take(links.view(np.uint32), mode="clip")
+            in_deg += np.bincount(target.reshape(-1), minlength=m + 1)
+            sink = links.size
+            kept = np.full(sink + 1, -1, dtype=links.dtype)  # column-major cells + the sink
+            cell = np.arange(slots.size, dtype=np.int64)  # each row's next free cell
+            for column, rows in zip(links, target):
+                live = rows < m
+                kept[np.where(live, cell, sink)] = column
+                cell += live * slots.size
+            state.out_links[slots, :width] = kept[:sink].reshape(width, slots.size).T
+            state.out_count[slots] = cell // slots.size
         state.in_deg[view.slots] = in_deg[:m]
 
     @staticmethod
@@ -812,11 +825,16 @@ class BatchConstructionEngine:
         origin = view.pos[rows]
         pred = view.pos[np.where(rows == 0, m, rows) - 1]
         far_end = np.where(n_medians < 0, pred, state.part_far_end[slots])
-        medians = state.medians[slots, : max(1, int(counts.max(initial=0)))]
-        ranks = np.searchsorted(view.pos, medians, side="right").astype(np.int32)
+        width = max(1, int(counts.max(initial=0)))
+
+        def borders(block: slice) -> tuple[np.ndarray, np.ndarray]:
+            """A row block's stored medians and their current ring ranks."""
+            medians = state.medians[slots[block], :width]
+            return medians, np.searchsorted(view.pos, medians, side="right").astype(np.int32)
+
         far_rank = np.searchsorted(view.pos, far_end, side="right").astype(np.int32)
         origin_rank = (rows + 1).astype(np.int32)
-        return self._arc_tables(m, origin, far_end, medians, counts, origin_rank, far_rank, ranks)
+        return self._arc_tables(m, origin, far_end, counts, origin_rank, far_rank, borders)
 
     # ------------------------------------------------------------------
     # link acquisition (vectorized rounds)
@@ -873,7 +891,8 @@ class BatchConstructionEngine:
             # so stale or retired targets in a prefilled row keep working.
             held = int(out_count.max())
             links_t = np.full((max(int(target.max()), held), n), -1, dtype=state.out_links.dtype)
-            links_t[:held] = state.out_links[req_slots, :held].T
+            for block in row_blocks(n):
+                links_t[:held, block] = state.out_links[req_slots[block], :held].T
 
         while True:
             act = np.nonzero(active)[0]
@@ -949,23 +968,27 @@ class BatchConstructionEngine:
         # "Already my target?" is a compare against the requester's own
         # link columns: ids are never reused, so a dead or retired target
         # cannot alias a live candidate, and padding is -1.
-        held = int(out_count[act].max())
-        own = links_t[:held] if everyone else links_t[:held].take(act, axis=1)
+        cand_ids = [ids[cand[:, j]].astype(links_t.dtype) for j in range(n_cand)]
+        eligible = [drew & (cand[:, j] != act_rows) for j in range(n_cand)]
+        if n_cand == 2:
+            eligible[1] &= cand[:, 1] != cand[:, 0]
+        # One requester link column at a time, gathered at the active
+        # requesters: no copy of their whole link rows.
+        for column in links_t[: int(out_count[act].max())]:
+            own = column if everyone else column.take(act)
+            for j in range(n_cand):
+                eligible[j] &= own != cand_ids[j]
         columns = []
         for j in range(n_cand):
             c = cand[:, j]
-            cand_id = ids[c].astype(links_t.dtype)
-            eligible = (c != act_rows) & (drew if j == 0 else drew & (c != cand[:, 0]))
-            for column in own:
-                eligible &= column != cand_id
             # Round-start in-degree and spare in-capacity, gathered at the
             # candidates: they serve the refusal test, the tiebreak and
             # the commit.
             deg = in_deg[c]
             spare = rho_in[c] - deg
-            ack = eligible & (spare > 0)
-            stats.refusals += int(eligible.sum() - ack.sum())
-            columns.append((c, cand_id, ack, deg, spare))
+            ack = eligible[j] & (spare > 0)
+            stats.refusals += int(eligible[j].sum() - ack.sum())
+            columns.append((c, cand_ids[j], ack, deg, spare))
 
         c0, i0, ack0, d0, spare0 = columns[0]
         if n_cand == 2:

@@ -467,7 +467,7 @@ class ServeSnapshot:
         # Sized over every ring id, so a believed-dead peer reads -1.
         row_of = row_table(ids, int(substrate.ring.ids_array(live_only=False).max()) + 2)
         table = WalkTable.build(
-            keys, (np.arange(m, dtype=np.int64) + 1) % m, state.link_rows(slots, row_of)
+            keys, (np.arange(m, dtype=np.int64) + 1) % m, state.link_blocks(slots, row_of)
         )
         targets = keyspace.from_units(store.item_keys)
         # The catalog is sorted, so its keys are searched in order as they stand.

@@ -72,9 +72,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from ..core.soa import row_blocks
 from ..ring.keyspace import KEY_MASK, search_sorted
 
 __all__ = ["WalkCode", "WalkTable", "greedy_walk", "greedy_walk_reference", "walk_bounds"]
@@ -121,21 +123,32 @@ class WalkTable:
     offsets: np.ndarray
 
     @classmethod
-    def build(cls, keys: np.ndarray, succ_row: np.ndarray, nbr_rows: np.ndarray) -> "WalkTable":
+    def build(
+        cls,
+        keys: np.ndarray,
+        succ_row: np.ndarray,
+        nbr_rows: np.ndarray | Callable[[slice], np.ndarray],
+    ) -> "WalkTable":
         """Offset table of the padded candidate matrix ``nbr_rows``
         (``-1`` entries, anywhere in a row, are padding; self links,
         duplicates and the successor itself may appear).
 
+        ``nbr_rows`` is the matrix, or a function that returns its rows
+        ``block`` (a :func:`~repro.core.soa.row_blocks` slice) — a
+        capture translates its link table one row block at a time, so
+        no candidate matrix the size of the overlay is ever built.
         Offsets are a sort of small integers per row: no key is
-        gathered, only checked to strictly increase.
+        gathered, only checked to strictly increase. Each block is
+        sorted straight into ``offsets``, sized first for a row that
+        keeps every candidate; when no row does, the rows are moved left
+        in place, block by block, to the widest row's width.
 
         Raises:
             ValueError: The keys do not strictly increase, or the table
                 would not fit ``int32`` offsets.
         """
+        read = nbr_rows if callable(nbr_rows) else nbr_rows.__getitem__
         m = int(keys.size)
-        if m * (nbr_rows.shape[1] + 2) >= 2**31:
-            raise ValueError(f"an int32 walk table indexes fewer than 2**31 cells, got {m} rows")
         if not bool((keys[1:] > keys[:-1]).all()):
             raise ValueError("walk table keys must strictly increase (one row per key cell)")
         rows = np.arange(m, dtype=np.int32)
@@ -143,14 +156,31 @@ class WalkTable:
         # which no candidate is kept.
         succ_off = _wrap(np.where(succ_row >= 0, succ_row, rows).astype(np.int32) - rows, m)
         succ_lim = np.where(succ_off > 0, succ_off, m)
-        cands = _wrap(np.subtract(nbr_rows, rows[:, None], dtype=np.int32), m)
-        np.copyto(cands, m, where=(nbr_rows < 0) | (cands <= succ_lim[:, None]))
-        cands.sort(axis=1)
-        width = int((cands.min(axis=0, initial=m) < m).sum())
-        offsets = np.empty((m, width + 2), dtype=np.int32)
+        offsets = np.empty((m, 2), dtype=np.int32)
+        width = 0
+        for block in row_blocks(m):
+            nbr = read(block)
+            if block.start == 0:
+                if m * (nbr.shape[1] + 2) >= 2**31:
+                    raise ValueError(
+                        f"an int32 walk table indexes fewer than 2**31 cells, got {m} rows"
+                    )
+                offsets = np.empty((m, nbr.shape[1] + 2), dtype=np.int32)
+            cands = _wrap(np.subtract(nbr, rows[block, None], dtype=np.int32), m)
+            np.copyto(cands, m, where=(nbr < 0) | (cands <= succ_lim[block, None]))
+            cands.sort(axis=1)
+            offsets[block, 1:-1] = cands
+            width = max(width, int((cands.min(axis=0, initial=m) < m).sum()))
         offsets[:, 0] = succ_off
-        offsets[:, 1:-1] = cands[:, :width]
         offsets[:, -1] = m
+        if width + 2 < offsets.shape[1]:
+            # Row v moves from v * W to v * (width + 2): never past a row
+            # still unread, and each block is read before it is written.
+            flat = offsets.reshape(-1)
+            for block in row_blocks(m):
+                lo, hi = block.start * (width + 2), block.stop * (width + 2)
+                flat[lo:hi] = offsets[block, : width + 2].reshape(-1)
+            offsets = flat[: m * (width + 2)].reshape(m, width + 2)
         return cls(keys=keys, succ_row=succ_row, offsets=offsets)
 
     def bounds(self, targets: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import settings
@@ -32,7 +33,10 @@ import numpy as np
 
 from repro import MercuryConfig, MercuryOverlay, OscarConfig, OscarOverlay, Substrate
 from repro.config import RoutingConfig
+from repro.core import soa
+from repro.core.soa import row_table, rows_of
 from repro.degree import ConstantDegrees
+from repro.engine.walk import WalkTable
 from repro.protocol import Deliver, GreedyRouter
 from repro.membership import OracleView
 from repro.ring import Ring, build_pointers, keyspace
@@ -231,6 +235,81 @@ def assert_walk_table(table, candidates) -> None:
     assert table.offsets.tolist() == [
         [first] + kept + [m] * (width + 1 - len(kept)) for first, kept in expected
     ]
+
+
+@contextmanager
+def row_block(rows: int):
+    """Run the row-block kernels (``repro.core.soa.row_blocks``) in
+    blocks of ``rows`` rows, the module constant restored after."""
+    saved = soa.ROW_BLOCK
+    soa.ROW_BLOCK = rows
+    try:
+        yield
+    finally:
+        soa.ROW_BLOCK = saved
+
+
+def whole_matrix_table(keys, succ_row, nbr_rows) -> WalkTable:
+    """``WalkTable.build`` as one pass over the whole candidate matrix —
+    the build before it worked in row blocks, kept as its reference."""
+    m = int(keys.size)
+    rows = np.arange(m, dtype=np.int32)
+    succ_off = np.where(succ_row >= 0, succ_row, rows).astype(np.int32) - rows
+    succ_off = np.where(succ_off < 0, succ_off + m, succ_off).astype(np.int32)
+    succ_lim = np.where(succ_off > 0, succ_off, m)
+    cands = np.subtract(nbr_rows, rows[:, None], dtype=np.int32)
+    cands = np.where(cands < 0, cands + m, cands).astype(np.int32)
+    np.copyto(cands, m, where=(nbr_rows < 0) | (cands <= succ_lim[:, None]))
+    cands.sort(axis=1)
+    width = int((cands.min(axis=0, initial=m) < m).sum())
+    offsets = np.empty((m, width + 2), dtype=np.int32)
+    offsets[:, 0] = succ_off
+    offsets[:, 1:-1] = cands[:, :width]
+    offsets[:, -1] = m
+    return WalkTable(keys=keys, succ_row=succ_row, offsets=offsets)
+
+
+def assert_same_table(table: WalkTable, reference: WalkTable) -> None:
+    """Two walk tables are equal: keys, successor rows and offsets, the
+    offsets' shape and dtype included."""
+    assert table.offsets.dtype == reference.offsets.dtype == np.int32
+    assert table.offsets.shape == reference.offsets.shape
+    assert np.array_equal(table.offsets, reference.offsets)
+    assert np.array_equal(table.keys, reference.keys)
+    assert np.array_equal(table.succ_row, reference.succ_row)
+
+
+def _whole_link_rows(state, slots: np.ndarray, row_of: np.ndarray) -> np.ndarray:
+    """Every link row of ``slots`` as rows of ``row_of``, in one gather."""
+    table = np.append(row_of, -1).astype(np.int32)
+    return table.take(state.out_links[slots].view(np.uint32), mode="clip")
+
+
+def reference_truth_table(substrate) -> WalkTable:
+    """The ``TopologySnapshot`` table from whole matrices: predecessor
+    and link rows of every peer, dead ones included."""
+    ring, state = substrate.ring, substrate.state
+    row_of = row_table(ring.ids_array(live_only=False))
+    slots = ring.slots_array(live_only=False)
+    pred_row = rows_of(row_of, state.pred[slots])
+    nbr_rows = np.concatenate(
+        [pred_row[:, None], _whole_link_rows(state, slots, row_of)], axis=1, dtype=np.int32
+    )
+    return whole_matrix_table(
+        ring.keys_array(live_only=False), rows_of(row_of, state.succ[slots]), nbr_rows
+    )
+
+
+def reference_serve_table(substrate, view) -> WalkTable:
+    """The ``ServeSnapshot`` table from whole matrices: the believed-live
+    rows, their believed successors and their believed-row links."""
+    state, slots = substrate.state, view.live_slots()
+    m = int(slots.size)
+    top = int(substrate.ring.ids_array(live_only=False).max())
+    row_of = row_table(state.node_id[slots], top + 2)
+    return whole_matrix_table(
+        state.key[slots], (np.arange(m) + 1) % m, _whole_link_rows(state, slots, row_of)
+    )
 
 
 class LruModel:

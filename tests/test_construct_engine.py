@@ -390,14 +390,14 @@ class TestArcTables:
         def rank(border):
             return np.searchsorted(pos, border, side="right").astype(np.int32)
 
-        arcs = engine._arc_tables(
-            pos.size, origin, far_end, medians, counts, rank(origin), rank(far_end), rank(medians)
-        )
+        def borders(block):
+            return medians[block], rank(medians[block])
+
+        packing = (pos.size, origin, far_end, counts, rank(origin), rank(far_end), borders)
+        arcs = engine._arc_tables(*packing)
         assert arcs.lo.shape == arcs.count.shape == arcs.starts.shape
         assert arcs.lo.dtype == arcs.count.dtype == np.int32
-        packed = BatchConstructionEngine(engine.overlay)._arc_tables(
-            pos.size, origin, far_end, medians, counts, rank(origin), rank(far_end), rank(medians)
-        )
+        packed = BatchConstructionEngine(engine.overlay)._arc_tables(*packing)
         assert packed.starts is None and packed.ends is None and packed.valid is None
         assert np.array_equal(packed.lo, arcs.lo) and np.array_equal(packed.count, arcs.count)
         for i in range(n):

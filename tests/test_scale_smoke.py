@@ -4,7 +4,7 @@ then a million-peer SoA build.
 Marked ``slow`` and therefore excluded from the tier-1 run (see
 ``pytest.ini``); the bench-trajectory CI job runs it with ``-m slow``. The
 gates are deliberately generous multiples of the measured CI-runner
-numbers (~60 s build, ~1.5 GiB peak RSS for the million-peer half) —
+numbers (~15 s build, ~0.9 GiB peak RSS for the million-peer half) —
 they catch order-of-magnitude regressions (per-peer Python objects
 creeping back in, accidental O(N²) loops), not scheduler jitter.
 """

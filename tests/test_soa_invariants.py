@@ -355,16 +355,32 @@ class TestColumnLifecycle:
             with pytest.raises(AssertionError, match=name):
                 run_lifecycle(program)
 
-    def test_ensure_width_is_exact_then_doubles_and_never_shrinks(self):
+    def test_ensure_width_is_exact_then_grows_a_quarter(self):
         state = SubstrateState(4)
-        state.ensure_width("probe_fails", 3)
-        assert state.probe_fails.shape == (4, 3)
+        state.ensure_width("probe_fails", 8)
+        assert state.probe_fails.shape == (4, 8)
         state.probe_fails[:] = 5
-        state.ensure_width("probe_fails", 4)
-        assert state.probe_fails.shape == (4, 6)
-        assert (state.probe_fails[:, :3] == 5).all() and (state.probe_fails[:, 3:] == 0).all()
+        state.ensure_width("probe_fails", 9)
+        assert state.probe_fails.shape == (4, 10)
+        assert (state.probe_fails[:, :8] == 5).all() and (state.probe_fails[:, 8:] == 0).all()
+        state.ensure_width("probe_fails", 13)
+        assert state.probe_fails.shape == (4, 13)
         state.ensure_width("probe_fails", 2)
-        assert state.probe_fails.shape == (4, 6)
+        assert state.probe_fails.shape == (4, 13)
+
+    def test_rows_grow_a_quarter_past_what_they_must_hold(self):
+        """A full table grows to 5/4 of its rows (8 at least), never to
+        double: a 100k-peer overlay under churn holds ~25k idle slots."""
+        ring = Ring()
+        ring.insert_many((i, (i + 0.5) / 4096) for i in range(100))
+        assert ring.state.capacity == 100
+        ring.insert_many([(100, 100.5 / 4096)])
+        assert ring.state.capacity == 125
+        assert ring.state._slot_of.size == 125
+        assert SubstrateState(0).capacity == 0
+        empty = Ring()
+        empty.insert_many([(0, 0.5)])
+        assert empty.state.capacity == 8
 
     def test_architecture_doc_lists_the_declared_columns(self):
         text = (Path(__file__).parents[1] / "docs" / "architecture.md").read_text()

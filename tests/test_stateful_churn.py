@@ -55,7 +55,11 @@ and checks after every step:
   ``repair_ring()`` every ``SubstrateState`` column and the ring's
   order are byte-identical to before the wave (no residue);
 * every truth and serve capture's ``WalkTable`` passes
-  ``tests/conftest.py::assert_walk_table``;
+  ``tests/conftest.py::assert_walk_table``, and a capture made in blocks
+  of three rows equals the whole-matrix reference capture
+  (``reference_truth_table`` / ``reference_serve_table``);
+* after every epoch the churn engine's probe engine holds no truth
+  snapshot (the probe drops it once measured);
 * conservation: an epoch's ``live`` is the live count it started from
   (after any wave) plus its arrivals minus its departures, and equals
   the ring's; the catalog holds the seeded items minus those lost;
@@ -78,7 +82,14 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from conftest import LruModel, assert_walk_table
+from conftest import (
+    LruModel,
+    assert_same_table,
+    assert_walk_table,
+    reference_serve_table,
+    reference_truth_table,
+    row_block,
+)
 from repro import Substrate
 from repro.churn import ExponentialSessions
 from repro.core.soa import SubstrateState
@@ -87,6 +98,7 @@ from repro.engine import (
     BatchQueryEngine,
     Outcome,
     ServeEngine,
+    ServeSnapshot,
     SteadyStateChurnEngine,
     TopologySnapshot,
 )
@@ -107,6 +119,9 @@ from repro.workloads import GnutellaLikeDistribution
 
 PROGRAMS = Path(__file__).parent / "data" / "programs"
 REPLICAS = 3
+#: Rows per block the machine's captures run in: a program's overlay of
+#: 12-60 peers is cut into several blocks.
+CAPTURE_BLOCK = 3
 #: A peer in key cell 0, below ``2**-11`` where floats are finer than the
 #: ``2**-64`` grid, so other floats fall in its cell; joined when a
 #: program asks for ``low_peer``.
@@ -186,6 +201,8 @@ class ChurnProgram:
         live_before = self.overlay.ring.live_count
         stats = [twin["engine"].run_epoch() for twin in self.twins]
         assert stats[0] == stats[1]
+        for twin in self.twins:  # the probe's truth snapshot is not held
+            assert twin["engine"]._query_engine.cached_snapshot is None
         epoch = stats[0]
         live_after = live_before + epoch.arrivals - epoch.departures
         assert epoch.live == live_after == self.overlay.ring.live_count
@@ -479,10 +496,18 @@ class ChurnProgram:
 
     def check_walk_tables(self) -> None:
         """The truth and serve captures hold the tables their candidate
-        lists say they must (``assert_walk_table``)."""
+        lists say they must (``assert_walk_table``), and, captured in
+        blocks of :data:`CAPTURE_BLOCK` rows, the tables the whole-matrix
+        reference captures build."""
         for twin in self.twins:
             overlay, serve = twin["overlay"], twin["serve"]
-            truth = TopologySnapshot.capture(overlay)
+            with row_block(CAPTURE_BLOCK):
+                truth = TopologySnapshot.capture(overlay)
+                fresh = ServeSnapshot.capture(
+                    overlay, serve.membership, serve.serve_version, serve.store
+                )
+            assert_same_table(truth.table, reference_truth_table(overlay))
+            assert_same_table(fresh.table, reference_serve_table(overlay, serve.membership))
             assert_walk_table(
                 truth.table,
                 [
