@@ -170,16 +170,15 @@ class Substrate:
         a wave that would leave no live peer :class:`EmptyPopulationError`
         — both before anyone is marked dead.
         """
-        ids = [int(node_id) for node_id in node_ids]
-        slots = self.state.slots_of(np.asarray(ids, dtype=np.int64))
+        ids = np.asarray(node_ids, dtype=np.int64)
+        slots = self.state.slots_of(ids)
         unknown = slots < 0
         if unknown.any():
-            raise UnknownNodeError(ids[int(unknown.argmax())])
+            raise UnknownNodeError(int(ids[int(unknown.argmax())]))
         departing = np.unique(slots[self.state.alive[slots]]).size
         if departing and departing >= self.ring.live_count:
             raise EmptyPopulationError("departures would leave no live peer")
-        for node_id in ids:
-            self.ring.mark_dead(node_id)
+        self.ring.mark_dead_slots(slots)
         if not repair:
             return 0
         self._links_epoch += 1

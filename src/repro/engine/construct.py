@@ -828,10 +828,12 @@ class BatchConstructionEngine:
         width = max(1, int(counts.max(initial=0)))
 
         def borders(block: slice) -> tuple[np.ndarray, np.ndarray]:
-            """A row block's stored medians and their current ring ranks."""
+            """A row block's stored medians and their current ring ranks
+            (asked in key order: the medians of ring-ordered rows are not)."""
             medians = state.medians[slots[block], :width]
-            return medians, np.searchsorted(view.pos, medians, side="right").astype(np.int32)
+            return medians, keyspace.search_sorted(view.pos, medians, side="right").astype(np.int32)
 
+        # far_end follows the rows' ring order already: searched as it stands.
         far_rank = np.searchsorted(view.pos, far_end, side="right").astype(np.int32)
         origin_rank = (rows + 1).astype(np.int32)
         return self._arc_tables(m, origin, far_end, counts, origin_rank, far_rank, borders)
@@ -972,12 +974,13 @@ class BatchConstructionEngine:
         eligible = [drew & (cand[:, j] != act_rows) for j in range(n_cand)]
         if n_cand == 2:
             eligible[1] &= cand[:, 1] != cand[:, 0]
-        # One requester link column at a time, gathered at the active
-        # requesters: no copy of their whole link rows.
-        for column in links_t[: int(out_count[act].max())]:
-            own = column if everyone else column.take(act)
+        # One row block of the active requesters at a time: their held
+        # link columns, gathered, against each candidate in one test.
+        held = int(out_count[act].max())
+        for block in row_blocks(act.size) if held else ():
+            own = links_t[:held, block] if everyone else links_t[:held, act[block]]
             for j in range(n_cand):
-                eligible[j] &= own != cand_ids[j]
+                eligible[j][block] &= ~(own == cand_ids[j][block]).any(axis=0)
         columns = []
         for j in range(n_cand):
             c = cand[:, j]

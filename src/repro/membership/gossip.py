@@ -32,14 +32,19 @@ informed members (its count at round start) consumes ``integers(0, n,
 (k, fanout))`` per round, reports in ascending target order. The round
 walks them in blocks of at most :data:`DRAW_CHUNK` draw rows and
 :data:`BLOCK_BYTES` unpacked bytes (at least one row; a report over the
-draw budget is drawn in pieces): unpack, draw, one flat scatter,
-repack. Bounded ``integers`` calls concatenate exactly on PCG64 at any
-cut (``test_batched_gossip_draw_matches_per_report_draws``), so no
-block boundary shows in the stream.
+draw budget is drawn in pieces): unpack, one flat ``integers(0, n,
+rows * fanout)`` draw plus a per-draw row offset, one flat scatter,
+repack. A report in its last round — its age at the staleness bound,
+so it retires whatever it draws — consumes the same draws and nothing
+else: runs of them are drawn and dropped, never unpacked, and no block
+mixes them with spreading reports. Bounded ``integers`` calls
+concatenate exactly on PCG64 at any cut, and a flat call equals the
+``(rows, fanout)`` one (``test_batched_gossip_draw_matches_per_report_draws``),
+so no block boundary shows in the stream.
 
 Memory is reports in flight × columns / 8 bytes plus one block of
 scratch: ``detector-churn`` at ``size=100_000, half_life=64,
-epochs=12`` peaks at 523 MiB RSS (42 s on a 2-vCPU container); a
+epochs=12`` peaks at 499 MiB RSS (48 s on a 2-vCPU container); a
 Python ``set`` per report passed 15 GB there.
 
 :class:`ScalarGossipMembership` is that set-per-report code, kept as
@@ -151,15 +156,16 @@ class GossipMembership:
         n = int(live_ids.size)
         self._age += 1
         live_cols = self._columns(live_ids)
+        last = self._age >= self.config.staleness_bound(max(n, 2))  # retires whatever it draws
         if n > 0:
-            self._push(live_cols, rng)
+            self._push(live_cols, last, rng)
         stale = np.ones(self._cols.size, dtype=bool)  # columns no live peer owns
         stale[live_cols] = False
         n_stale, mask = int(stale.sum()), np.packbits(stale, bitorder="little")
         hit = np.flatnonzero(mask)  # a covered report's count is its stale bits + every live one
         off_live = np.bitwise_count(self._bits[:r, hit] & mask[hit]).sum(axis=1, dtype=np.int64)
         covered = self._count - off_live == stale.size - n_stale
-        done = covered | (self._age >= self.config.staleness_bound(max(n, 2)))
+        done = covered | last
         finished = np.sort(self._target[done]).tolist()
         self.completed.update(finished)
         self._keep(~done)
@@ -167,28 +173,39 @@ class GossipMembership:
             self._drop_columns(stale)
         return finished
 
-    def _push(self, live_cols: np.ndarray, rng: np.random.Generator) -> None:
-        """One push round of every report, block by block (module docstring)."""
+    def _push(self, live_cols: np.ndarray, last: np.ndarray, rng: np.random.Generator) -> None:
+        """One push round of every report, block by block (module
+        docstring); the reports ``last`` marks only consume their draws."""
         nbytes = -(-self._cols.size // 8)
         width = 8 * nbytes
+        fanout = self.config.gossip_fanout
+        piece = DRAW_CHUNK * fanout
         order = np.argsort(self._target)
         sizes = self._count[order]
         ends = np.cumsum(sizes)
+        last = last[order]
+        runs = np.append(np.flatnonzero(last[1:] != last[:-1]) + 1, order.size)
         per_block = max(1, BLOCK_BYTES // width)
         i = 0
         while i < order.size:
+            stop = int(runs[np.searchsorted(runs, i, side="right")])
+            if last[i]:  # a run of last-round reports: the stream moves, the rows do not
+                left = int(ends[stop - 1] - ends[i] + sizes[i]) * fanout
+                for lo in range(0, left, piece):
+                    rng.integers(0, live_cols.size, size=min(piece, left - lo))
+                i = stop
+                continue
             j = int(np.searchsorted(ends, ends[i] - sizes[i] + DRAW_CHUNK, side="right"))
-            j = min(max(j, i + 1), i + per_block)
+            j = min(max(j, i + 1), i + per_block, stop)
             rows = order[i:j]
-            block = np.unpackbits(self._bits[rows, :nbytes], axis=1, bitorder="little")
-            owner = np.repeat(np.arange(j - i) * width, sizes[i:j])
-            for lo in range(0, owner.size, DRAW_CHUNK):  # > 1 piece: one report over budget
-                part = owner[lo : lo + DRAW_CHUNK]
-                draws = rng.integers(0, live_cols.size, size=(part.size, self.config.gossip_fanout))
-                flat = live_cols[draws]
-                flat += part[:, None]
-                block.reshape(-1)[flat.ravel()] = 1
-            packed = np.packbits(block, axis=1, bitorder="little")
+            block = np.unpackbits(self._bits[rows, :nbytes], axis=1, bitorder="little").reshape(-1)
+            owner = np.repeat(np.arange(0, (j - i) * width, width), sizes[i:j] * fanout)
+            for lo in range(0, owner.size, piece):  # > 1 piece: one report over budget
+                part = owner[lo : lo + piece]
+                flat = live_cols[rng.integers(0, live_cols.size, size=part.size)]
+                flat += part
+                block[flat] = 1
+            packed = np.packbits(block.reshape(j - i, width), axis=1, bitorder="little")
             self._bits[rows, :nbytes] = packed
             self._count[rows] = np.bitwise_count(packed).sum(axis=1)
             i = j

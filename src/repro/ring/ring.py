@@ -196,6 +196,17 @@ class Ring:
             self._version += 1
             self._cache_live = None
 
+    def mark_dead_slots(self, slots: np.ndarray) -> None:
+        """Crash the peers in ``slots`` (known slots; repeats and dead
+        ones are idempotent) in one masked write; the version moves by
+        the number killed, as that many :meth:`mark_dead` calls move it."""
+        alive = self.state.alive
+        killed = np.unique(slots[alive[slots]])
+        if killed.size:
+            alive[killed] = False
+            self._version += int(killed.size)
+            self._cache_live = None
+
     def mark_alive(self, node_id: NodeId) -> None:
         """Revive a crashed peer (used by churn processes). Idempotent."""
         slot = self._require_known(node_id)

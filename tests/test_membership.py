@@ -220,11 +220,13 @@ BUDGETS = [(1, 1), (3, 64), (gossip_module.DRAW_CHUNK, gossip_module.BLOCK_BYTES
 
 
 def assert_gossip_layout(gossip: GossipMembership, live: list[int]) -> None:
-    """The storage invariants of the bit-packed plane: every count is
-    its row's popcount, every believed-live id has a column, the id
-    table and the column ids invert each other, and no bit is set past
-    the used width."""
+    """The storage invariants of the bit-packed plane after a
+    ``spread`` over ``live``: every count is its row's popcount, every
+    believed-live id has a column, the id table and the column ids
+    invert each other, no bit is set past the used width, and no report
+    still in flight has reached the staleness bound."""
     r, width = gossip._target.size, gossip._cols.size
+    assert (gossip._age < gossip.config.staleness_bound(max(len(live), 2))).all()
     rows = gossip._bits[:r]
     assert np.array_equal(gossip._count, np.bitwise_count(rows).sum(axis=1))
     assert (gossip._col_of[np.array(live, dtype=np.int64)] >= 0).all()
@@ -320,6 +322,36 @@ class TestGossipMembership:
             assert gossip._cols.size <= 2 * (len(live) + informed_departed(gossip, live)) + 8
         assert gossip._col_of.size > 900  # the id table did grow past every id seen
 
+    @pytest.mark.parametrize("budgets", [(1, 8), *BUDGETS[1:]])
+    def test_last_round_reports_between_spreading_ones(self, budgets):
+        """Reports at the staleness bound retire without spreading but
+        still consume their draws, in target order between reports that
+        spread: with one-row blocks every retiring/spreading boundary is
+        a cut, with the shipped budgets one block would span them all.
+        The set-per-report twin agrees on completions, ``active``,
+        ``informed_count`` and generator position."""
+        cfg = DetectorConfig(gossip_fanout=2, staleness_rounds=2)
+        twins = [(cls(cfg), split(6, "gossip-test")) for cls in GOSSIP_TWINS]
+        live = list(range(200))
+        population = np.array(live, dtype=np.int64)
+        waves = [[1000, 1002, 1004], [1001, 1003, 1005], [], []]
+        with (
+            mock.patch.object(gossip_module, "DRAW_CHUNK", budgets[0]),
+            mock.patch.object(gossip_module, "BLOCK_BYTES", budgets[1]),
+        ):
+            for step, wave in enumerate(waves):
+                for gossip, _ in twins:
+                    gossip.start_many(wave, [7 * t % 200 for t in wave])
+                matrix, reference = (g.spread(population, rng) for g, rng in twins)
+                assert matrix == reference == [[], [1000, 1002, 1004], [1001, 1003, 1005], []][step]
+                (matrix, rng_m), (reference, rng_r) = twins
+                assert_gossip_layout(matrix, live)
+                assert matrix.active == reference.active
+                assert matrix.completed == reference.completed
+                for target in reference.active:
+                    assert matrix.informed_count(target) == reference.informed_count(target) > 1
+                assert rng_m.bit_generator.state == rng_r.bit_generator.state
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -382,19 +414,21 @@ def test_batched_gossip_draw_matches_per_report_draws(n):
     """The RNG-layout assumption ``GossipMembership.spread`` rests on:
     one bounded ``integers`` call of ``k1 + k2 + k3`` rows consumes the
     stream exactly like three consecutive per-report calls (a zero-row
-    one included) and like blocks cut anywhere — inside a report, at odd
-    element counts — at every fanout, and every split leaves the
-    generator in the same place."""
+    one included), like blocks cut anywhere — inside a report, at odd
+    element counts — and like one flat ``rows * fanout`` call, at every
+    fanout, and every split leaves the generator in the same place."""
     sizes = (5, 0, 38)
     cuts = (0, 3, 5, 5, 22, 43)  # blocks of 3, 2, 0, 17 and 21 rows
     for fanout in (1, 2, 3):
-        batched, per_report, blocks = (split(11, "gossip-layout", n, fanout) for _ in range(3))
+        streams = [split(11, "gossip-layout", n, fanout) for _ in range(4)]
+        batched, per_report, blocks, flat = streams
         whole = batched.integers(0, n, size=(sum(sizes), fanout))
         parts = [per_report.integers(0, n, size=(k, fanout)) for k in sizes]
         pieces = [blocks.integers(0, n, size=(b - a, fanout)) for a, b in zip(cuts, cuts[1:])]
         assert np.array_equal(whole, np.concatenate(parts))
         assert np.array_equal(whole, np.concatenate(pieces))
-        assert batched.random() == per_report.random() == blocks.random()
+        assert np.array_equal(whole.ravel(), flat.integers(0, n, size=sum(sizes) * fanout))
+        assert len({stream.random() for stream in streams}) == 1
 
 
 class TestOracleView:

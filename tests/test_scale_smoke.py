@@ -80,7 +80,7 @@ def test_hundred_thousand_peer_probe_membership_fits_a_gibibyte():
 
     Ordered after the 10k net test (~130 MiB) and before the
     million-peer test, so the high-water mark it reads is its own. The
-    measured numbers are ~42 s and ~523 MiB; the bit-packed gossip plane
+    measured numbers are ~48 s and ~500 MiB; the bit-packed gossip plane
     is what fits — its ``bool``-matrix predecessor peaked at 2.5 GiB.
     """
     record = Runner(defaults={"seed": 20070415}).run(

@@ -64,7 +64,17 @@ and checks after every step:
   (after any wave) plus its arrivals minus its departures, and equals
   the ring's; the catalog holds the seeded items minus those lost;
 * under gentle churn (``repair_every=1``, half-life 64, no external
-  waves) no item is ever lost.
+  waves) no item is ever lost;
+* under a probe view (``view="probe"``: a ``ProbeView`` with probe loss
+  ``loss``, the reference twin's on the scalar detector bank and the
+  set-per-report gossip twin) the twins agree on evictions, false
+  evictions, detection lags, the believed-live ids and the gossip
+  plane's reports in flight and informed counts (the vectorized bank's
+  ``probe_*`` columns are not compared: the scalar bank keeps detector
+  objects instead), an epoch's conservation counts its false evictions
+  as deaths, and after every epoch no report in flight has reached the
+  staleness bound. The other checks read the truth-live ring, which
+  the believed-live set contains: a false eviction kills its peer.
 
 :class:`ChurnMachine` lets hypothesis choose the programs; every program
 it once shrank to a failure is committed under ``tests/data/programs/``
@@ -112,7 +122,7 @@ from repro.errors import (
 )
 from repro.experiments import make_overlay
 from repro.index import ReplicatedStore
-from repro.membership import OracleView
+from repro.membership import DetectorConfig, OracleView, ProbeView
 from repro.ring import keyspace, verify
 from repro.rng import split
 from repro.workloads import GnutellaLikeDistribution
@@ -142,12 +152,15 @@ class ChurnProgram:
     ``gentle`` (half-life 64 and a repair every epoch, else
     ``half_life`` / ``repair_every`` as given), ``low_peer`` (when true,
     one more peer joined at :data:`LOW_PEER` after the build; Chord's is
-    spliced, its positions being hashes).
+    spliced, its positions being hashes), ``view`` (``oracle`` when
+    absent; ``probe``: a :class:`ProbeView` with probe loss ``loss``,
+    the reference twin's on the scalar backend).
     """
 
     def __init__(self, params: dict) -> None:
         self.params = params
         self.substrate = params.get("substrate", "oscar")
+        self.probe = params.get("view", "oracle") == "probe"
         self.gentle = bool(params["gentle"])
         self.waves = 0
         self.repairs = 0
@@ -170,7 +183,12 @@ class ChurnProgram:
             overlay._splice(LOW_PEER)
         elif p.get("low_peer"):
             overlay.join(LOW_PEER, p["cap"], p["cap"])
-        view = OracleView(overlay.ring)
+        if self.probe:
+            config = DetectorConfig(loss=p["loss"])
+            backend = "vectorized" if vectorized else "scalar"
+            view = ProbeView(overlay.ring, config, seed=p["seed"], backend=backend)
+        else:
+            view = OracleView(overlay.ring)
         store = ReplicatedStore(overlay.ring, k=REPLICAS, vectorized=vectorized)
         store.seed_items(split(p["seed"], "program-items").random(p["n"]), view)
         sessions = ExponentialSessions(64.0 if self.gentle else p["half_life"])
@@ -189,7 +207,7 @@ class ChurnProgram:
             repair=p["repair"],
         )
         serve = ServeEngine(overlay, store, view, cache_size=32, vectorized=vectorized)
-        return {"overlay": overlay, "store": store, "engine": engine, "serve": serve}
+        return {"overlay": overlay, "store": store, "engine": engine, "serve": serve, "view": view}
 
     @property
     def overlay(self) -> Substrate:
@@ -199,13 +217,19 @@ class ChurnProgram:
 
     def run_epoch(self) -> None:
         live_before = self.overlay.ring.live_count
+        view = self.twins[0]["view"]
+        evictions, false_evictions = view.evictions, getattr(view, "false_evictions", 0)
         stats = [twin["engine"].run_epoch() for twin in self.twins]
         assert stats[0] == stats[1]
         for twin in self.twins:  # the probe's truth snapshot is not held
             assert twin["engine"]._query_engine.cached_snapshot is None
         epoch = stats[0]
-        live_after = live_before + epoch.arrivals - epoch.departures
+        # A false eviction (probe loss) ground-truth kills a live peer.
+        killed = getattr(view, "false_evictions", 0) - false_evictions
+        live_after = live_before + epoch.arrivals - epoch.departures - killed
         assert epoch.live == live_after == self.overlay.ring.live_count
+        if self.probe:
+            self.check_gossip_bound(view.evictions - evictions)
         if stats[0].link_repair:
             self.check_repaired()
             if self.substrate != "chord":
@@ -524,9 +548,22 @@ class ChurnProgram:
                 ],
             )
 
+    def check_gossip_bound(self, evicted: int) -> None:
+        """No report in flight has reached the staleness bound. The
+        epoch's last push round ran over at most the believed-live peers
+        of now plus those the epoch evicted, and the bound only grows
+        with the population, so that population's bound caps it."""
+        for twin in self.twins:
+            gossip = twin["view"]._gossip
+            bound = gossip.config.staleness_bound(max(twin["view"].live_count + evicted, 2))
+            ages = gossip._age.values() if isinstance(gossip._age, dict) else gossip._age
+            assert all(age < bound for age in ages)
+
     def check_twins(self) -> None:
         states = [twin["overlay"].state for twin in self.twins]
         for name, column in SubstrateState.COLUMNS.items():
+            if self.probe and name.startswith("probe_"):
+                continue  # the vectorized bank's; the scalar one keeps detector objects
             a, b = (getattr(state, name) for state in states)
             if column.matrix:
                 width = max(_used_width(a, column.fill), _used_width(b, column.fill))
@@ -535,6 +572,15 @@ class ChurnProgram:
         stores = [twin["store"] for twin in self.twins]
         assert np.array_equal(stores[0].holders, stores[1].holders)
         assert stores[0].items_lost_total == stores[1].items_lost_total
+        if self.probe:
+            views = [twin["view"] for twin in self.twins]
+            for name in ("evictions", "false_evictions", "detection_lags"):
+                assert getattr(views[0], name) == getattr(views[1], name), name
+            assert np.array_equal(views[0].live_ids(), views[1].live_ids())
+            matrix, reference = (view._gossip for view in views)
+            assert matrix.active == reference.active
+            for target in reference.active:
+                assert matrix.informed_count(target) == reference.informed_count(target)
 
 
 def _row(row_of: np.ndarray, node_id: int) -> int:
@@ -583,6 +629,8 @@ class ChurnMachine(RuleBasedStateMachine):
     @initialize(
         substrate=st.sampled_from(["chord", "mercury", "oscar"]),
         n=st.integers(min_value=12, max_value=48),
+        view=st.sampled_from(["oracle", "probe"]),
+        loss=st.sampled_from([0.0, 0.05, 0.3]),
         seed=st.integers(min_value=0, max_value=2**16),
         cap=st.integers(min_value=2, max_value=6),
         repair=st.sampled_from(["refill", "full"]),
