@@ -45,33 +45,37 @@ def main() -> None:
         n_probes=120,
         seed=SEED,
     )
-    history = engine.run(EPOCHS)
+    engine.run(EPOCHS)
+    # Every epoch wrote one row into the overlay's registry: read the
+    # run back as one table of columns.
+    t = overlay.state.obs.table("churn")
 
     print(f"simulated {EPOCHS} epochs of steady churn (session half-life "
           f"{HALF_LIFE:.0f} epochs, link repair every {REPAIR_EVERY})\n")
     print(f"  {'epoch':>5s} {'live':>5s} {'joined':>7s} {'left':>5s} "
           f"{'stale links':>12s} {'mean cost':>10s} {'success':>8s}")
-    for stats in history:
-        print(f"  {stats.epoch:5d} {stats.live:5d} {stats.arrivals:7d} "
-              f"{stats.departures:5d} {stats.stale_links:12d} "
-              f"{stats.probes.mean_cost:10.2f} {stats.probes.success_rate:8.1%}"
-              f"{'  <- repair' if stats.link_repair else ''}")
+    for epoch, live, joined, left, stale, cost, success, repair in zip(
+        *(t[name].tolist() for name in (
+            "epoch", "live", "arrivals", "departures", "stale_links",
+            "mean_cost", "success_rate", "link_repair",
+        ))
+    ):
+        print(f"  {epoch:5d} {live:5d} {joined:7d} {left:5d} {stale:12d} "
+              f"{cost:10.2f} {success:8.1%}{'  <- repair' if repair else ''}")
 
-    left = sum(stats.departures for stats in history)
-    compacted = sum(stats.compacted for stats in history)
+    left = int(t["departures"].sum())
+    compacted = int(t["compacted"].sum())
     print(f"\n{left} peers left over the run ({left / N_PEERS:.0%} of the "
           f"starting population); {EPOCHS // REPAIR_EVERY} repairs compacted "
           f"{compacted} of them out of the ring")
 
     # The network must remain navigable throughout, despite routing
     # over stale long links between repairs.
-    assert min(s.probes.success_rate for s in history) == 1.0, (
-        "navigability lost under continuous churn"
-    )
+    assert t["success_rate"].min() == 1.0, "navigability lost under continuous churn"
 
     # The sawtooth: damage peaks on the repair epoch (counted before the
     # repair runs) and restarts from one epoch's worth right after it.
-    stale = {stats.epoch: stats.stale_links for stats in history}
+    stale = dict(zip(t["epoch"].tolist(), t["stale_links"].tolist()))
     for repair in range(REPAIR_EVERY, EPOCHS, REPAIR_EVERY):
         assert stale[repair + 1] < stale[repair], "repair did not clear stale links"
     peak, after = stale[REPAIR_EVERY], stale[REPAIR_EVERY + 1]

@@ -94,6 +94,8 @@ def capture() -> dict:
     for __ in range(EPOCHS):
         stats = engine.run_epoch()
         e = stats.epoch
+        passes = overlay.state.obs.table("store")
+        this_epoch = passes["epoch"] == e
         believed = view.live_ids()
         truth = overlay.ring.ids_array(live_only=True)
         pool = believed[np.isin(believed, truth, assume_unique=True)]
@@ -108,10 +110,8 @@ def capture() -> dict:
                 "epoch": e,
                 "live": stats.live,
                 "items": store.item_count,
-                "items_lost": sum(r.items_lost for r in store.history if r.epoch == e),
-                "phantom": sum(
-                    r.phantom_replicas for r in store.history if r.epoch == e
-                ),
+                "items_lost": int(passes["items_lost"][this_epoch].sum()),
+                "phantom": int(passes["phantom_replicas"][this_epoch].sum()),
                 "under_k": store.under_replicated(),
                 "histogram": list(store.replica_histogram()),
                 "cold": cold,
@@ -138,7 +138,7 @@ def capture() -> dict:
         },
         "epochs": epochs,
         "totals": {
-            "items_lost": store.items_lost_total,
+            "items_lost": overlay.state.obs.total("store", "items_lost"),
             "stale_serves": serve.stale_serves,
             "cache_hits": serve.result_cache.hits,
             "cache_misses": serve.result_cache.misses,

@@ -57,6 +57,8 @@ from typing import Any, Callable, ClassVar, Iterable
 
 import numpy as np
 
+from ..obs import Registry
+
 __all__ = [
     "ROW_BLOCK",
     "SubstrateState",
@@ -198,6 +200,9 @@ class SubstrateState:
         capacity = max(int(capacity), 0)
         for name, col in self.COLUMNS.items():
             setattr(self, name, col.full(capacity))
+        #: What the layers over this state count, one row per epoch or
+        #: pass (:mod:`repro.obs`); not a column, so never freed or grown.
+        self.obs = Registry()
         self._slot_of = np.full(capacity, -1, dtype=np.int64)
         self._free: list[int] = []
         self._top = 0

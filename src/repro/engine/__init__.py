@@ -40,7 +40,7 @@ lock-step **epochs**; there is no event scheduler:
 """
 
 from .batch import BatchQueryEngine, BatchRouteResult, TopologySnapshot
-from .churn import ChurnEpochStats, SteadyStateChurnEngine
+from .churn import SteadyStateChurnEngine
 from .construct import BatchConstructionEngine, LinkAcquisitionStats, LiveView
 from .serve import (
     Outcome,
@@ -55,7 +55,6 @@ __all__ = [
     "BatchConstructionEngine",
     "BatchQueryEngine",
     "BatchRouteResult",
-    "ChurnEpochStats",
     "LinkAcquisitionStats",
     "LiveView",
     "Outcome",

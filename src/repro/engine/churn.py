@@ -42,9 +42,10 @@ any :class:`~repro.core.substrate.Substrate` through lock-step
    whenever crashed peers are present, the vectorized fault-free walk
    on a freshly repaired overlay.
 
-Per-epoch outcomes land in :class:`ChurnEpochStats` — success rate,
-mean cost, stale-link count, population size, and on repair epochs the
-repair's acquisition counters and sampling spend — the time series the
+Each epoch writes one ``churn`` row into the overlay's registry
+(``state.obs``, :mod:`repro.obs`) — population, stale links, probe
+success rate and mean cost, and on repair epochs the repair's
+acquisition counters and sampling spend — the time series the
 ``steady-churn`` experiment plots.
 
 Determinism contract
@@ -57,13 +58,13 @@ paths consume each stream identically. ``vectorized=False`` replaces
 every churn-side numpy kernel with its pure-Python twin — expiry
 selection by loop, stale-link counting by set membership, scalar ring
 repair, the construction engine's sequential reference, scalar probe
-routing — and must produce **bit-identical** epoch statistics and final
+routing — and must produce **bit-identical** ``churn`` rows and final
 overlay state; the test suite pins the equivalence property-style.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -84,71 +85,10 @@ from .construct import LinkAcquisitionStats
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..index.replication import ReplicatedStore
 
-__all__ = ["ChurnEpochStats", "REPAIR_POLICIES", "SteadyStateChurnEngine"]
+__all__ = ["REPAIR_POLICIES", "SteadyStateChurnEngine"]
 
 #: Repair policy name -> the substrate verb a repair epoch calls.
 REPAIR_POLICIES = {"refill": "refill_batch", "full": "rewire_batch"}
-
-
-@dataclass(frozen=True)
-class ChurnEpochStats:
-    """Everything observed in one steady-state churn epoch.
-
-    Attributes:
-        epoch: 1-based epoch index.
-        arrivals: Peers that joined this epoch (the Poisson cohort).
-        departures: Peers whose sessions expired and crashed this epoch.
-        live: Live population at the end of the epoch.
-        pointer_fixes: Ring pointer entries the post-wave stabilization
-            had to add, change or drop.
-        stale_links: Live-to-dead long links outstanding after the wave
-            (before any periodic repair this epoch) — the damage the
-            fault-aware router pays probes for.
-        link_repair: Whether the periodic repair ran this epoch.
-        compacted: Dead peers removed from the ring by that repair
-            (0 on non-repair epochs).
-        probes: Routed probe-batch statistics
-            (:class:`~repro.routing.RouteStats`): success rate and mean
-            cost as seen by queries issued at this instant.
-        repair: The link repair's acquisition counters
-            (:class:`~repro.engine.construct.LinkAcquisitionStats`;
-            substrates without an acquisition engine report only
-            ``links_placed``), ``None`` off repair epochs.
-        repair_samples: Sampling messages the link repair spent (the
-            growth of the live peers' ``samples_spent``; 0 for a refill
-            and off repair epochs).
-    """
-
-    epoch: int
-    arrivals: int
-    departures: int
-    live: int
-    pointer_fixes: int
-    stale_links: int
-    link_repair: bool
-    compacted: int
-    probes: RouteStats
-    repair: LinkAcquisitionStats | None = None
-    repair_samples: int = 0
-
-    def as_dict(self) -> dict[str, object]:
-        """Flat JSON-ready view (used by benchmarks and the CLI); the
-        repair counters are ``repair_*`` keys, 0 off repair epochs."""
-        repair = self.repair if self.repair is not None else LinkAcquisitionStats()
-        return {
-            "epoch": self.epoch,
-            "arrivals": self.arrivals,
-            "departures": self.departures,
-            "live": self.live,
-            "pointer_fixes": self.pointer_fixes,
-            "stale_links": self.stale_links,
-            "link_repair": self.link_repair,
-            "compacted": self.compacted,
-            "success_rate": self.probes.success_rate,
-            "mean_cost": self.probes.mean_cost,
-            **{f"repair_{name}": value for name, value in repair.as_dict().items()},
-            "repair_samples_spent": self.repair_samples,
-        }
 
 
 class SteadyStateChurnEngine:
@@ -203,11 +143,12 @@ class SteadyStateChurnEngine:
             paper's procedure, which the paper-reproducing specs keep.
 
     Attributes:
-        history: Every :class:`ChurnEpochStats` recorded so far.
-        membership: The installed view (read detector metrics —
-            ``detection_lags``, ``false_evictions`` — off it).
-        replication: The installed store, or ``None`` (read data-risk
-            metrics — ``items_lost_total``, ``history`` — off it).
+        membership: The installed view.
+        replication: The installed store, or ``None``.
+
+    The engine, the view and the store each write their rows into the
+    substrate's registry, ``substrate.state.obs`` (layers ``churn``,
+    ``membership`` / ``detection`` and ``store``).
     """
 
     def __init__(
@@ -271,7 +212,6 @@ class SteadyStateChurnEngine:
         self.seed = int(seed)
         self.vectorized = bool(vectorized)
         self.workload = workload if workload is not None else QueryWorkload()
-        self.history: list[ChurnEpochStats] = []
         self._epoch = 0
         self._query_engine = BatchQueryEngine(substrate, vectorized=self.vectorized)
         # The initial population's sessions, clocked from time 0 — one
@@ -286,12 +226,18 @@ class SteadyStateChurnEngine:
         """Number of epochs run so far (the current simulation time)."""
         return self._epoch
 
+    @property
+    def history(self) -> list[SimpleNamespace]:
+        """The ``churn`` rows so far, one record each. A view for
+        ``bench/harness.py``; it goes once the bench reads ``table``."""
+        return self.substrate.state.obs.rows("churn")
+
     # ------------------------------------------------------------------
     # the epoch loop
     # ------------------------------------------------------------------
 
-    def run(self, epochs: int) -> list[ChurnEpochStats]:
-        """Advance ``epochs`` lock-step epochs; returns their statistics.
+    def run(self, epochs: int) -> list[SimpleNamespace]:
+        """Advance ``epochs`` lock-step epochs; returns their ``churn`` rows.
 
         Purely cumulative: ``run(3)`` then ``run(2)`` is identical to
         one ``run(5)`` — every epoch draws from streams labelled by its
@@ -301,8 +247,29 @@ class SteadyStateChurnEngine:
             raise ConfigError(f"epochs must be >= 0, got {epochs}")
         return [self.run_epoch() for __ in range(epochs)]
 
-    def run_epoch(self) -> ChurnEpochStats:
+    def run_epoch(self) -> SimpleNamespace:
         """Advance one epoch: arrivals, departures, repair, probes.
+
+        Records the epoch's ``churn`` row and returns it:
+
+        * ``arrivals`` / ``departures`` — the Poisson cohort joined and
+          the expired sessions crashed;
+        * ``live`` / ``believed`` — the truth-live and believed-live
+          populations at the end of the epoch;
+        * ``pointer_fixes`` — ring pointer entries the post-wave
+          stabilization added, changed or dropped;
+        * ``stale_links`` — believed-live-to-believed-dead long links
+          after ``membership.advance``, before any repair this epoch;
+        * ``link_repair`` / ``compacted`` — whether the periodic repair
+          ran and how many believed-dead peers it retired;
+        * ``probes`` / ``success_rate`` / ``mean_cost`` — the probe
+          batch's size and what it measured;
+        * ``repair_*`` — the repair's
+          :class:`~repro.engine.construct.LinkAcquisitionStats` counters
+          (substrates without an acquisition engine report only
+          ``links_placed``) and ``repair_samples_spent``, the live
+          peers' ``samples_spent`` growth (0 for a refill); all 0 off
+          repair epochs.
 
         RNG-stream layout (all derived from the engine ``seed``; ``e``
         is the 1-based epoch index):
@@ -337,28 +304,32 @@ class SteadyStateChurnEngine:
             self._drop_sessions(np.asarray(evicted, dtype=np.int64))
         stale = self._count_stale_links()
         repair_due = (e % self.repair_every) == 0
-        compacted, repair, repair_samples = self._repair_links(e) if repair_due else (0, None, 0)
+        compacted, repair, repair_samples = (
+            self._repair_links(e) if repair_due else (0, LinkAcquisitionStats(), 0)
+        )
         if repair_due and self.replication is not None:
             # Re-replication rides the repair epoch and acts on the same
             # *believed* membership the link repair just used; it draws
             # no randomness, so the engine's streams are untouched.
             self.replication.rereplicate(self.membership, e)
         probes = self._probe(e)
-        stats = ChurnEpochStats(
-            epoch=e,
+        return self.substrate.state.obs.record(
+            "churn",
+            e,
             arrivals=arrivals,
             departures=departures,
             live=self.substrate.ring.live_count,
+            believed=self.membership.live_count,
             pointer_fixes=pointer_fixes,
             stale_links=stale,
             link_repair=repair_due,
             compacted=compacted,
-            probes=probes,
-            repair=repair,
-            repair_samples=repair_samples,
+            probes=probes.n_routes,
+            success_rate=probes.success_rate,
+            mean_cost=probes.mean_cost,
+            **{f"repair_{name}": value for name, value in repair.as_dict().items()},
+            repair_samples_spent=repair_samples,
         )
-        self.history.append(stats)
-        return stats
 
     # ------------------------------------------------------------------
     # epoch phases

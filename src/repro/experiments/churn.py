@@ -5,9 +5,9 @@ argument is about *long-running* operation under continuous turnover.
 :func:`churn_loop` bulk-grows and rewires an overlay, runs the
 :class:`~repro.engine.churn.SteadyStateChurnEngine` (lock-step epochs
 of Poisson arrivals at Little's-law rate ``N / mean session``,
-session-expiry departures, periodic repair, routed probes) and fills
-one per-epoch table of named numpy columns (TabulaROSA's "system state
-is a table"). ``repair="full"`` is the paper's rewire of every peer;
+session-expiry departures, periodic repair, routed probes) and reads
+the overlay's registry (:mod:`repro.obs`) back as one per-epoch table of
+named numpy columns (TabulaROSA's "system state is a table"). ``repair="full"`` is the paper's rewire of every peer;
 ``"refill"`` replaces only what churn broke. Two optional parts ride
 the same path, each an object or ``None``: a ``DetectorConfig`` swaps
 the omniscient ``OracleView`` for a ``ProbeView`` (the engine still
@@ -42,6 +42,7 @@ from ..engine.churn import REPAIR_POLICIES
 from ..errors import ConfigError
 from ..index import ReplicatedStore
 from ..membership import DetectorConfig, MembershipView, OracleView, ProbeView
+from ..obs import Registry
 from ..rng import split
 from ..workloads import FlashCrowdSchedule, ServingWorkload
 from .base import ExperimentResult, scaled_sizes
@@ -54,12 +55,13 @@ __all__ = ["ChurnRun", "churn_loop"]
 
 @dataclass(frozen=True)
 class ChurnRun:
-    """:func:`churn_loop`'s per-epoch ``table``, the detector's eviction
-    ``lags`` (epochs; empty without one), the build and loop wall times
-    and the scaled population target ``size``."""
+    """:func:`churn_loop`'s per-epoch ``table``, the overlay's registry
+    ``obs`` (every layer, the per-pass ``store`` and per-eviction
+    ``detection`` rows too), the build and loop wall times and the scaled
+    population target ``size``."""
 
     table: dict[str, np.ndarray]
-    lags: np.ndarray
+    obs: Registry
     build_seconds: float
     churn_seconds: float
     size: int
@@ -88,11 +90,12 @@ def churn_loop(
     """Grow an overlay to ``size x scale`` peers, churn it, tabulate it.
 
     Every parameter is checked before anything is built (a bad one
-    raises :class:`~repro.errors.ConfigError`). Each row holds the
-    engine's epoch counters, the probe batch's ``success`` and ``cost``,
-    whether the epoch ``repaired`` and the wall ``seconds`` of
-    ``run_epoch``; a ``detector`` adds the view's believed-live count and
-    evictions, ``serving`` the columns of :func:`_serve_epoch`. With
+    raises :class:`~repro.errors.ConfigError`). The table is the
+    registry's ``churn`` layer, joined by a ``detector``'s
+    ``membership`` rows and ``serving``'s ``serve`` rows (each one per
+    epoch), plus the wall ``seconds`` of each ``run_epoch`` and, with
+    ``serving``, the wall ``qps_cold`` / ``qps_warm`` of
+    :func:`_serve_epoch` — wall time never enters the registry. With
     ``serving``, ``n_queries`` sizes the serve batch instead of the
     probe batch (the engine then probes one route per live peer).
     """
@@ -118,8 +121,9 @@ def churn_loop(
     build_seconds = watch.lap()
 
     ring = overlay.ring
-    probe = None if detector is None else ProbeView(ring, detector, seed=seed)
-    view: MembershipView = OracleView(ring) if probe is None else probe
+    view: MembershipView = (
+        OracleView(ring) if detector is None else ProbeView(ring, detector, seed=seed)
+    )
     store = None if serving is None else ReplicatedStore(ring, k=replicas)
     if store is not None:
         store.seed_items(split(seed, "serve-items").random(items or target), view)
@@ -138,37 +142,26 @@ def churn_loop(
     )
     serve = None if store is None else ServeEngine(overlay, store, view, cache_size=cache_size)
 
-    rows: list[dict[str, float]] = []
+    seconds, qps = [], []
     churn_watch = Stopwatch()
-    for __ in range(epochs):
+    for e in range(1, epochs + 1):
         epoch_watch = Stopwatch()
-        stats = engine.run_epoch()
-        row = {
-            "seconds": epoch_watch.lap(),
-            "epoch": float(stats.epoch),
-            "arrivals": float(stats.arrivals),
-            "departures": float(stats.departures),
-            "live": float(stats.live),
-            "stale_links": float(stats.stale_links),
-            "success": stats.probes.success_rate,
-            "cost": stats.probes.mean_cost,
-            "repaired": stats.repair is not None,
-            "given_up": float(stats.repair.slots_given_up if stats.repair is not None else 0),
-            "samples": float(stats.repair_samples),
-        }
-        if probe is not None:
-            row["believed"] = float(probe.live_count)
-            row["undetected"] = float(probe.live_count - ring.live_count)
-            row["evictions"] = float(probe.evictions)
-            row["false_evictions"] = float(probe.false_evictions)
+        engine.run_epoch()
+        seconds.append(epoch_watch.lap())
         if serve is not None and serving is not None:
-            row.update(_serve_epoch(serve, serving, seed, stats.epoch, n_queries))
-        rows.append(row)
+            qps.append(_serve_epoch(serve, serving, seed, e, n_queries))
     churn_seconds = churn_watch.lap()
 
+    obs = overlay.state.obs
+    table = obs.table("churn")
+    for layer in ("membership", "serve"):  # one row per epoch, when the loop has the layer
+        table.update(obs.table(layer))
+    table["seconds"] = np.asarray(seconds)
+    if qps:
+        table["qps_cold"], table["qps_warm"] = np.asarray(qps).T
     return ChurnRun(
-        table={name: np.asarray([row[name] for row in rows]) for name in rows[0]},
-        lags=np.asarray(probe.detection_lags if probe is not None else [], dtype=float),
+        table=table,
+        obs=obs,
         build_seconds=build_seconds,
         churn_seconds=churn_seconds,
         size=target,
@@ -177,9 +170,12 @@ def churn_loop(
 
 def _serve_epoch(
     serve: ServeEngine, workload: ServingWorkload, seed: int, e: int, n_queries: int
-) -> dict[str, float]:
-    """Serve epoch ``e``'s request batch cold, then warm: the epoch's
-    serve and replication columns, and the store's and cache's totals."""
+) -> tuple[float, float]:
+    """Serve epoch ``e``'s request batch cold, then warm; records the
+    epoch's ``serve`` row (warm ``hit_rate``, cold ``stale`` and
+    ``served`` rates, the store's ``under_k`` and ``items`` and the
+    cumulative ``stale_serves`` and ``cache_hit_rate``) and returns the
+    wall ``(qps_cold, qps_warm)``."""
     ring, store = serve.substrate.ring, serve.store
     # Requests originate from peers that truly exist *and* are believed
     # alive (a believed-dead source cannot inject traffic; a truth-dead
@@ -195,32 +191,38 @@ def _serve_epoch(
     warm = serve.serve_batch(sources, target_keys)
     warm_seconds = batch_watch.lap()
     requests = max(1, int(cold.target_keys.size))
-    replication = [r for r in store.history if r.epoch == e]
-    return {
-        "hit_rate": int(warm.hit.sum()) / requests,
-        "qps_cold": requests / max(cold_seconds, 1e-9),
-        "qps_warm": requests / max(warm_seconds, 1e-9),
-        "lost": float(sum(r.items_lost for r in replication)),
-        "under_k": float(store.under_replicated()),
-        "phantom": float(sum(r.phantom_replicas for r in replication)),
-        "stale": int(cold.stale.sum()) / requests,
-        "served": int(cold.success.sum()) / requests,
-        "items": float(store.item_count),
-        "stale_serves": float(serve.stale_serves),
-        "cache_hit_rate": serve.result_cache.hit_rate,
-    }
+    ring.state.obs.record(
+        "serve",
+        e,
+        hit_rate=int(warm.hit.sum()) / requests,
+        stale=int(cold.stale.sum()) / requests,
+        served=int(cold.success.sum()) / requests,
+        under_k=store.under_replicated(),
+        items=store.item_count,
+        stale_serves=serve.stale_serves,
+        cache_hit_rate=serve.result_cache.hit_rate,
+    )
+    return requests / max(cold_seconds, 1e-9), requests / max(warm_seconds, 1e-9)
+
+
+def _per_epoch(run: ChurnRun, layer: str, name: str) -> np.ndarray:
+    """Sum of ``layer``'s ``name`` column over each epoch's rows, one
+    value per epoch of the run (a layer written per pass, not per epoch,
+    sums to 0 on epochs without a pass)."""
+    rows = run.obs.table(layer)
+    epochs = run.table["epoch"].size
+    return np.bincount(rows["epoch"], weights=rows[name], minlength=epochs + 1)[1 : epochs + 1]
 
 
 def _series(
-    run: ChurnRun, columns: dict[str, str], rows: np.ndarray | None = None
+    table: dict[str, np.ndarray], columns: dict[str, str], rows: np.ndarray | None = None
 ) -> dict[str, list[tuple[float, float]]]:
     """``{series name: [(epoch, value), ...]}`` read off the named
-    columns, over every row or the ``rows`` mask."""
+    columns of a run's table, over every row or the ``rows`` mask."""
     pick = slice(None) if rows is None else rows
-    epochs = run.table["epoch"][pick].tolist()
+    epochs = table["epoch"][pick].tolist()
     return {
-        name: list(zip(epochs, run.table[column][pick].tolist()))
-        for name, column in columns.items()
+        name: list(zip(epochs, table[column][pick].tolist())) for name, column in columns.items()
     }
 
 
@@ -277,25 +279,28 @@ def steady_churn(
     return ExperimentResult(
         series={
             **_series(
-                run,
+                t,
                 {
-                    "success rate": "success",
-                    "mean search cost": "cost",
+                    "success rate": "success_rate",
+                    "mean search cost": "mean_cost",
                     "stale links": "stale_links",
                     "live peers": "live",
                     "epoch seconds": "seconds",
                 },
             ),
             **_series(
-                run,
-                {"slots given up per repair": "given_up", "samples spent per repair": "samples"},
-                rows=t["repaired"],
+                t,
+                {
+                    "slots given up per repair": "repair_slots_given_up",
+                    "samples spent per repair": "repair_samples_spent",
+                },
+                rows=t["link_repair"],
             ),
         },
         scalars={
-            "mean_success_rate": _mean(t["success"]),
-            "final_success_rate": float(t["success"][-1]),
-            "mean_cost": _mean(t["cost"]),
+            "mean_success_rate": _mean(t["success_rate"]),
+            "final_success_rate": float(t["success_rate"][-1]),
+            "mean_cost": _mean(t["mean_cost"]),
             "max_stale_links": float(t["stale_links"].max()),
             "final_live": float(t["live"][-1]),
             "total_arrivals": float(t["arrivals"].sum()),
@@ -352,33 +357,40 @@ def detector_churn(
         gossip_fanout=fanout,
     )
     run = churn_loop(**_loop_args(locals()), detector=detector)
-    t, lags = run.table, run.lags
+    t = {
+        **run.table,
+        "undetected": run.table["believed"] - run.table["live"],
+        "evicted": np.cumsum(run.table["evictions"]),
+    }
+    lags = run.obs.table("detection").get("lag", np.zeros(0))
     # The lag window: epochs whose probe batch ran while >= 1 death was
     # still undetected — the regime the oracle never enters. An empty
     # window (e.g. zero churn) reports 1.0: "no lagged probes failed" is
     # vacuously true.
     lagged = t["undetected"] > 0
-    evictions, false_evictions = float(t["evictions"][-1]), float(t["false_evictions"][-1])
+    evictions, false_evictions = float(t["evictions"].sum()), float(t["false_evictions"].sum())
     return ExperimentResult(
         series=_series(
-            run,
+            t,
             {
-                "success rate": "success",
-                "mean search cost": "cost",
+                "success rate": "success_rate",
+                "mean search cost": "mean_cost",
                 "believed live": "believed",
                 "truth live": "live",
                 "undetected dead": "undetected",
-                "evictions (cumulative)": "evictions",
+                "evictions (cumulative)": "evicted",
                 "epoch seconds": "seconds",
             },
         ),
         scalars={
-            "mean_success_rate": _mean(t["success"]),
-            "final_success_rate": float(t["success"][-1]),
-            "mean_cost": _mean(t["cost"]),
+            "mean_success_rate": _mean(t["success_rate"]),
+            "final_success_rate": float(t["success_rate"][-1]),
+            "mean_cost": _mean(t["mean_cost"]),
             "lag_window_epochs": float(lagged.sum()),
-            "lag_window_success": _mean(t["success"][lagged]) if lagged.any() else 1.0,
-            "clean_window_success": _mean(t["success"][~lagged]) if not lagged.all() else 1.0,
+            "lag_window_success": _mean(t["success_rate"][lagged]) if lagged.any() else 1.0,
+            "clean_window_success": (
+                _mean(t["success_rate"][~lagged]) if not lagged.all() else 1.0
+            ),
             "detection_lag_mean": float(lags.mean()) if lags.size else 0.0,
             "detection_lag_p50": float(np.percentile(lags, 50)) if lags.size else 0.0,
             "detection_lag_p99": float(np.percentile(lags, 99)) if lags.size else 0.0,
@@ -452,11 +464,15 @@ def serve_churn(
         items=items,
         cache_size=cache_size,
     )
-    t = run.table
+    t = {
+        **run.table,
+        "lost": _per_epoch(run, "store", "items_lost"),
+        "phantom": _per_epoch(run, "store", "phantom_replicas"),
+    }
     qps_cached, qps_uncached = float(np.median(t["qps_warm"])), float(np.median(t["qps_cold"]))
     return ExperimentResult(
         series=_series(
-            run,
+            t,
             {
                 "cache hit rate (warm)": "hit_rate",
                 "queries/sec cold": "qps_cold",

@@ -1,5 +1,5 @@
 """Application layer: a replicated key-value catalog over the overlay."""
 
-from .replication import ReplicatedStore, ReplicationEpochStats
+from .replication import ReplicatedStore
 
-__all__ = ["ReplicatedStore", "ReplicationEpochStats"]
+__all__ = ["ReplicatedStore"]

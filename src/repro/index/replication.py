@@ -33,7 +33,7 @@ counts, histograms); the differential suite asserts it.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -45,48 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..membership import MembershipView
     from ..ring import Ring
 
-__all__ = ["ReplicationEpochStats", "ReplicatedStore"]
-
-
-@dataclass(frozen=True)
-class ReplicationEpochStats:
-    """Outcome of one re-replication pass.
-
-    Attributes:
-        epoch: The churn epoch the pass ran in (0 for the seeding pass).
-        items: Items surviving after the pass.
-        items_lost: Items whose every replica was truth-dead when the
-            pass ran — unrecoverable, removed from the catalog.
-        placed: Replica copies actually materialized this pass (targets
-            that were truth-live).
-        phantom_replicas: Copies "transferred" to believed-live but
-            truth-dead peers — the detection-lag data-risk exposure
-            (always 0 under the oracle).
-        under_k: Items holding fewer than ``k`` truth-live replicas
-            *after* the pass (phantom targets leave gaps).
-        histogram: ``histogram[r]`` = items with exactly ``r``
-            truth-live replicas after the pass, ``r in 0..k``.
-    """
-
-    epoch: int
-    items: int
-    items_lost: int
-    placed: int
-    phantom_replicas: int
-    under_k: int
-    histogram: tuple[int, ...]
-
-    def as_dict(self) -> dict[str, object]:
-        """Flat JSON-ready view (golden fixtures, benchmarks)."""
-        return {
-            "epoch": self.epoch,
-            "items": self.items,
-            "items_lost": self.items_lost,
-            "placed": self.placed,
-            "phantom_replicas": self.phantom_replicas,
-            "under_k": self.under_k,
-            "histogram": list(self.histogram),
-        }
+__all__ = ["ReplicatedStore"]
 
 
 class ReplicatedStore:
@@ -110,8 +69,17 @@ class ReplicatedStore:
         data_version: Monotonic counter bumped whenever stored results
             may change (seeding, puts, every re-replication pass) — the
             result-cache invalidation hook.
-        items_lost_total: Cumulative unrecoverable losses.
-        history: Every :class:`ReplicationEpochStats` recorded so far.
+
+    Every seeding and re-replication pass writes one ``store`` row into
+    the ring's registry (``ring.state.obs``, :mod:`repro.obs`): its
+    ``epoch`` (0 for seeding), ``items`` surviving after it,
+    ``items_lost`` (every replica truth-dead: unrecoverable, removed from
+    the catalog), ``placed`` (copies materialized on truth-live targets),
+    ``phantom_replicas`` (copies "transferred" to believed-live but
+    truth-dead peers — the detection-lag data-risk exposure, always 0
+    under the oracle), ``under_k`` (items below ``k`` truth-live copies
+    after the pass) and ``histogram`` (``histogram[r]`` = items with
+    exactly ``r`` truth-live copies, ``r in 0..k``).
     """
 
     def __init__(self, ring: "Ring", k: int = 3, vectorized: bool = True) -> None:
@@ -124,8 +92,6 @@ class ReplicatedStore:
         self.item_ids = np.empty(0, dtype=np.int64)
         self.holders = np.empty((0, self.k), dtype=np.int64)
         self.data_version = 0
-        self.items_lost_total = 0
-        self.history: list[ReplicationEpochStats] = []
         self._next_item_id = 0
 
     # ------------------------------------------------------------------
@@ -136,6 +102,19 @@ class ReplicatedStore:
     def item_count(self) -> int:
         """Items currently surviving in the catalog."""
         return int(self.item_keys.size)
+
+    # Views over the ``store`` rows for ``bench/harness.py``; they go once
+    # the bench reads ``table``.
+
+    @property
+    def history(self) -> list[SimpleNamespace]:
+        """The ``store`` rows so far, one record each."""
+        return self.ring.state.obs.rows("store")
+
+    @property
+    def items_lost_total(self) -> int:
+        """Cumulative unrecoverable losses."""
+        return self.ring.state.obs.total("store", "items_lost")
 
     def _believed_ring(self, view: "MembershipView") -> tuple[np.ndarray, np.ndarray]:
         """``(keys, ids)`` of the believed-live peers, ring order — the
@@ -198,8 +177,7 @@ class ReplicatedStore:
         ``k`` believed-live successors; copies only materialize on
         truth-live targets (a believed-live-but-dead target yields a
         phantom, exactly like the re-replication pass). Records an
-        epoch-0 :class:`ReplicationEpochStats` and bumps
-        ``data_version``.
+        epoch-0 ``store`` row and bumps ``data_version``.
 
         Raises:
             KeyspaceError: A key is not a finite float in ``[0, 1)``
@@ -226,14 +204,14 @@ class ReplicatedStore:
             self.holders = holders
         self.data_version += 1
         phantom = int(((targets >= 0) & ~alive).sum())
-        self._record(epoch=0, items_lost=0, placed=int(alive.sum()), phantom=phantom)
+        self._record_pass(0, lost=0, placed=int(alive.sum()), phantom=phantom)
         return int(keys.size)
 
     # ------------------------------------------------------------------
     # the re-replication pass
     # ------------------------------------------------------------------
 
-    def rereplicate(self, view: "MembershipView", epoch: int) -> ReplicationEpochStats:
+    def rereplicate(self, view: "MembershipView", epoch: int) -> SimpleNamespace:
         """One repair-epoch pass: drop the dead, restore ``k`` copies.
 
         For every item: if **no** current holder is truth-alive the item
@@ -244,19 +222,14 @@ class ReplicatedStore:
         leave phantom gaps until a later pass (after eviction) fills
         them. Consumes no randomness, never touches the ring — running
         the pass cannot perturb the churn engine's RNG streams or
-        topology. Bumps ``data_version``.
+        topology. Bumps ``data_version``; returns the pass's ``store`` row.
         """
-        if self.item_keys.size == 0:
-            stats = self._record(epoch=int(epoch), items_lost=0, placed=0, phantom=0)
-            self.data_version += 1
-            return stats
         has_source = self.truth_live_mask(self.holders).any(axis=1)
         lost = int((~has_source).sum())
         if lost:
             self.item_keys = self.item_keys[has_source]
             self.item_ids = self.item_ids[has_source]
             self.holders = self.holders[has_source]
-            self.items_lost_total += lost
         if self.item_keys.size:
             targets = self.successor_targets(self.item_keys, view)
             alive = self.truth_live_mask(targets)
@@ -266,7 +239,7 @@ class ReplicatedStore:
         else:
             placed = phantom = 0
         self.data_version += 1
-        return self._record(epoch=int(epoch), items_lost=lost, placed=placed, phantom=phantom)
+        return self._record_pass(int(epoch), lost=lost, placed=placed, phantom=phantom)
 
     # ------------------------------------------------------------------
     # lookup + observability
@@ -313,16 +286,16 @@ class ReplicatedStore:
             return 0
         return int((self.live_replica_counts() < self.k).sum())
 
-    def _record(self, epoch: int, items_lost: int, placed: int, phantom: int) -> ReplicationEpochStats:
-        histogram = self.replica_histogram()
-        stats = ReplicationEpochStats(
-            epoch=epoch,
+    def _record_pass(self, epoch: int, lost: int, placed: int, phantom: int) -> SimpleNamespace:
+        """Write a pass's ``store`` row, its catalog counted after it."""
+        counts = self.live_replica_counts()
+        return self.ring.state.obs.record(
+            "store",
+            epoch,
             items=self.item_count,
-            items_lost=items_lost,
+            items_lost=lost,
             placed=placed,
             phantom_replicas=phantom,
-            under_k=int(sum(histogram[: self.k])),
-            histogram=histogram,
+            under_k=int((counts < self.k).sum()),
+            histogram=tuple(int(c) for c in np.bincount(counts, minlength=self.k + 1)),
         )
-        self.history.append(stats)
-        return stats

@@ -10,8 +10,9 @@ believed-live until a quorum of their probe panels votes them out and
 the resulting dead report finishes spreading. The gap between a
 recorded death and its eviction is the *detection lag*; evicting a
 truth-live peer (possible under probe loss) is a *false eviction* —
-both are first-class measurements (``detection_lags`` /
-``false_evictions``) the ``detector-grid`` scenario sweeps.
+both are first-class measurements, written into the ring's registry
+(``ring.state.obs``, :mod:`repro.obs`), that the ``detector-grid``
+scenario sweeps.
 
 Two interchangeable execution backends advance the same abstract
 machine one probe round at a time:
@@ -201,13 +202,15 @@ class ProbeView(MembershipView):
         backend: ``"vectorized"`` (default) or ``"scalar"`` — the
             detector bank and the gossip plane switch together.
 
-    Attributes:
-        detection_lags: Epoch lag (eviction epoch − recorded death
-            epoch) per evicted recorded death.
-        false_evictions: Evictions of truth-live peers (the evicted
-            peer is then ground-truth killed — the overlay *treats*
-            it as dead, so it is).
-        evictions: Total peers evicted so far.
+    Each :meth:`advance` writes one ``membership`` row into the ring's
+    registry: ``evictions`` this epoch, split into ``lagged`` (a recorded
+    death, detected), ``false_evictions`` (a truth-live peer — it is then
+    ground-truth killed: the overlay *treats* it as dead, so it is) and
+    ``moot`` (a report completing for a peer already compacted away, or
+    already dead with no death stamp), so ``evictions == lagged +
+    false_evictions + moot``. Each lagged eviction also writes one
+    ``detection`` row whose ``lag`` is the eviction epoch minus the
+    recorded death epoch.
     """
 
     def __init__(
@@ -234,9 +237,25 @@ class ProbeView(MembershipView):
                 f"backend must be 'vectorized' or 'scalar', got {backend!r}"
             )
         self.backend = backend
-        self.detection_lags: list[int] = []
-        self.false_evictions = 0
-        self.evictions = 0
+
+    # Views over the registry for ``bench/harness.py`` (``evictions`` is
+    # also the serve engine's belief version); they go once the bench
+    # reads ``table``.
+
+    @property
+    def evictions(self) -> int:
+        """Peers evicted so far."""
+        return self.ring.state.obs.total("membership", "evictions")
+
+    @property
+    def false_evictions(self) -> int:
+        """Truth-live peers evicted so far."""
+        return self.ring.state.obs.total("membership", "false_evictions")
+
+    @property
+    def detection_lags(self) -> list[int]:
+        """Epoch lag of every evicted recorded death, eviction order."""
+        return self.ring.state.obs.table("detection").get("lag", np.zeros(0, int)).tolist()
 
     # -- believed knowledge --------------------------------------------
 
@@ -296,10 +315,12 @@ class ProbeView(MembershipView):
         quorum votes start dead reports, and the epidemic advances one
         push round — completed reports evict their targets from the
         believed set immediately (the next round's panels already
-        exclude them). Returns the newly evicted ids, eviction order.
+        exclude them). Records the epoch's ``membership`` row; returns
+        the newly evicted ids, eviction order.
         """
         rng = split(self.seed, "steady-detect", int(epoch))
         evicted: list[NodeId] = []
+        outcomes = dict.fromkeys(("lagged", "false_evictions", "moot"), 0)
         for _ in range(self.config.rounds_per_epoch):
             believed_ids, believed_slots = self._believed()
             t = int(believed_ids.size)
@@ -312,23 +333,26 @@ class ProbeView(MembershipView):
                 if reports:
                     self._gossip.start_many(*np.array(reports, dtype=np.int64).T)
             for target in self._gossip.spread(believed_ids, rng):
-                self._evict(int(target), int(epoch))
+                outcomes[self._evict(int(target), int(epoch))] += 1
                 evicted.append(int(target))
+        self.ring.state.obs.record("membership", epoch, evictions=len(evicted), **outcomes)
         return evicted
 
-    def _evict(self, target: int, epoch: int) -> None:
-        self.evictions += 1
+    def _evict(self, target: int, epoch: int) -> str:
+        """Evict ``target``; returns the outcome's ``membership`` column."""
         state = self.ring.state
         slot = state.slot_of(target)
         if slot < 0:  # compacted while its report was still spreading
-            return
+            return "moot"
         state.believed_dead[slot] = True
         if state.died_at[slot] >= 0:
-            self.detection_lags.append(epoch - int(state.died_at[slot]))
+            state.obs.record("detection", epoch, lag=epoch - int(state.died_at[slot]))
             state.died_at[slot] = -1
-        elif state.alive[slot]:
-            self.false_evictions += 1
+            return "lagged"
+        if state.alive[slot]:
             self.ring.mark_dead(target)
+            return "false_evictions"
+        return "moot"
 
     def record_deaths(self, node_ids: "Iterable[NodeId]", epoch: int) -> None:
         """Stamp environment-caused deaths with their epoch so eviction

@@ -14,7 +14,7 @@ The fault-injection half of the PR-10 acceptance criteria:
   twin produce bit-identical holder matrices and epoch stats;
 * the non-interference contract — attaching replication to
   :class:`~repro.engine.churn.SteadyStateChurnEngine` consumes no
-  randomness and leaves every :class:`ChurnEpochStats` bit-identical.
+  randomness and leaves every ``churn`` row bit-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.degree import ConstantDegrees
 from repro.engine import SteadyStateChurnEngine
 from repro.errors import ConfigError
 from repro.experiments.growth import make_overlay
-from repro.index import ReplicatedStore, ReplicationEpochStats
+from repro.index import ReplicatedStore
 from repro.membership import DetectorConfig, OracleView, ProbeView
 from repro.ring import Ring
 from repro.rng import split
@@ -210,12 +210,13 @@ class TestRereplication:
         ring = make_ring(4)
         store = ReplicatedStore(ring, k=2)
         before = store.data_version
-        stats = store.rereplicate(OracleView(ring), epoch=3)
-        assert stats == ReplicationEpochStats(
+        row = store.rereplicate(OracleView(ring), epoch=3)
+        assert vars(row) == dict(
             epoch=3, items=0, items_lost=0, placed=0,
             phantom_replicas=0, under_k=0, histogram=(0, 0, 0),
         )
         assert store.data_version == before + 1
+        assert ring.state.obs.table("store")["epoch"].tolist() == [3]
 
     def test_probe_lag_creates_phantom_replicas(self):
         ring = make_ring(24)
@@ -254,13 +255,18 @@ class TestRereplication:
         assert sum(hist) == store.item_count
         assert store.under_replicated() == sum(hist[: store.k])
 
-    def test_stats_round_trip_dict(self):
+    def test_passes_land_in_the_store_table(self):
         ring = make_ring(8)
+        view = OracleView(ring)
         store = ReplicatedStore(ring, k=2)
-        store.seed_items([0.3, 0.6], OracleView(ring))
-        d = store.history[0].as_dict()
-        assert d["epoch"] == 0 and d["items"] == 2
-        assert d["histogram"] == [0, 0, 2]
+        store.seed_items([0.3, 0.6], view)
+        view.crash([int(store.holders[0, 0])])
+        store.rereplicate(view, epoch=4)
+        t = ring.state.obs.table("store")
+        assert t["epoch"].tolist() == [0, 4] and t["items"].tolist() == [2, 2]
+        assert t["histogram"].tolist() == [[0, 0, 2], [0, 0, 2]]
+        assert t["placed"].tolist() == [4, 4] and t["phantom_replicas"].tolist() == [0, 0]
+        assert store.items_lost_total == int(t["items_lost"].sum()) == 0
 
 
 class TestDifferential:
@@ -275,9 +281,11 @@ class TestDifferential:
             for epoch in range(1, 6):
                 view.crash_fraction(rng, 0.12)
                 store.rereplicate(view, epoch=epoch)
-            results.append((store.holders.copy(), [s.as_dict() for s in store.history]))
+            results.append((store.holders.copy(), ring.state.obs.table("store")))
         np.testing.assert_array_equal(results[0][0], results[1][0])
-        assert results[0][1] == results[1][1]
+        assert results[0][1].keys() == results[1][1].keys()
+        for name, column in results[0][1].items():
+            np.testing.assert_array_equal(column, results[1][1][name])
 
     @given(seed=st.integers(0, 50), k=st.integers(1, 4))
     @settings(max_examples=20, deadline=None)

@@ -305,7 +305,7 @@ class TestMemoryGuard:
             engine.run_epoch()  # grows the state past its first 20k rows
             stats, peak = traced_peak(engine.run_epoch)
             truth = TopologySnapshot.capture(overlay)
-        assert stats.link_repair and stats.repair.links_placed > 0
+        assert stats.link_repair and stats.repair_links_placed > 0
         assert engine._query_engine.cached_snapshot is None
         m = overlay.size
         levels = overlay.config.partitions_for(m) - 1

@@ -124,6 +124,6 @@ def test_million_peer_build_and_steady_churn():
     )
     for _ in range(10):
         stats = churn.run_epoch()
-        assert stats.probes.success_rate == 1.0
+        assert stats.success_rate == 1.0
     assert overlay.size > MILLION // 2
     check_rss_ceiling(RSS_CEILING_MB)

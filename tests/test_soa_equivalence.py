@@ -11,7 +11,7 @@ substrates:
 
 * final topology (membership, positions, keys, liveness, every link
   row, in-degrees, caps, samples spent, Oscar's partition tables);
-* every :class:`~repro.engine.churn.ChurnEpochStats` along the way;
+* every ``churn`` row along the way;
 * every probe batch's :class:`~repro.routing.RouteStats`.
 
 A separate check pins the in-degree bookkeeping against the link rows.
@@ -129,7 +129,7 @@ class TestProgramEquivalence:
         vec = run_program(name, seed, ops, vectorized=True)
         ref = run_program(name, seed, ops, vectorized=False)
         assert topology_fingerprint(name, vec[0]) == topology_fingerprint(name, ref[0])
-        assert vec[1] == ref[1]  # every ChurnEpochStats, field for field
+        assert vec[1] == ref[1]  # every churn row, column for column
         assert vec[2] == ref[2]  # every probe batch's RouteStats
 
 

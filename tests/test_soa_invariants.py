@@ -482,10 +482,9 @@ def test_evicting_an_id_the_ring_no_longer_knows_is_a_counted_no_op():
     ring = fresh_ring(8)
     view = ProbeView(ring, DETECT, seed=1)
     ring.remove_many([3])  # compacted while its report was still spreading
-    view._evict(3, epoch=4)
-    view._evict(999, epoch=4)
-    assert view.evictions == 2
-    assert view.detection_lags == [] and view.false_evictions == 0
+    # Counted as the ``moot`` outcome of its epoch's ``membership`` row.
+    assert [view._evict(3, epoch=4), view._evict(999, epoch=4)] == ["moot", "moot"]
+    assert ring.state.obs.table("detection") == {} and view.false_evictions == 0
     assert view.live_count == 7 and not ring.state.believed_dead.any()
 
 

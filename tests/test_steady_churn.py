@@ -16,7 +16,7 @@ from repro.churn import (
     make_sessions,
 )
 from repro.degree import ConstantDegrees
-from repro.engine import ChurnEpochStats, SteadyStateChurnEngine
+from repro.engine import SteadyStateChurnEngine
 from repro.errors import ConfigError
 from repro.experiments import make_overlay
 from repro.experiments.churn import churn_loop
@@ -212,10 +212,10 @@ class TestEpochSemantics:
 
     def test_probe_counts_follow_convention(self):
         engine = build_engine(size=80, n_probes=17)
-        assert engine.run_epoch().probes.n_routes == 17
+        assert engine.run_epoch().probes == 17
         per_peer = build_engine(size=80, n_probes=0)
         stats = per_peer.run_epoch()
-        assert stats.probes.n_routes == stats.live
+        assert stats.probes == stats.live
 
     def test_total_expiry_spares_longest_lived(self):
         # Tiny half-life, no arrivals: everyone's session expires in
@@ -225,13 +225,16 @@ class TestEpochSemantics:
         assert history[0].departures == 29
         assert all(s.live >= 1 for s in history)
 
-    def test_epoch_stats_round_trip_dict(self):
-        stats = build_engine(size=40, n_probes=5).run_epoch()
-        assert isinstance(stats, ChurnEpochStats)
-        payload = stats.as_dict()
-        assert payload["epoch"] == 1
-        assert payload["live"] == stats.live
-        assert 0.0 <= payload["success_rate"] <= 1.0
+    def test_epoch_row_lands_in_the_churn_table(self):
+        engine = build_engine(size=40, n_probes=5)
+        rows = engine.run(2)
+        table = engine.substrate.state.obs.table("churn")
+        assert table["epoch"].tolist() == [1, 2]
+        for name, column in table.items():
+            assert column.tolist() == [getattr(row, name) for row in rows], name
+        assert table["live"][-1] == engine.substrate.ring.live_count
+        assert table["believed"].tolist() == table["live"].tolist()  # the oracle
+        assert ((0.0 <= table["success_rate"]) & (table["success_rate"] <= 1.0)).all()
 
 
 class TestReferenceEquivalence:
@@ -455,16 +458,16 @@ class TestRepairPolicies:
     ``repair="full"`` is the paper's rewire of every peer."""
 
     def test_repair_counters_ride_the_repair_epochs(self):
-        history = build_engine(size=80, half_life=4.0, n_probes=5, repair="full").run(6)
-        for stats in history:
-            payload = stats.as_dict()
-            if stats.link_repair:
-                assert stats.repair is not None and stats.repair.links_placed > 0
-                assert stats.repair_samples > 0  # every peer re-estimated
-                assert payload["repair_links_placed"] == stats.repair.links_placed
-            else:
-                assert stats.repair is None and stats.repair_samples == 0
-                assert payload["repair_links_placed"] == payload["repair_samples_spent"] == 0
+        engine = build_engine(size=80, half_life=4.0, n_probes=5, repair="full")
+        engine.run(6)
+        t = engine.substrate.state.obs.table("churn")
+        repaired = t["link_repair"]
+        assert repaired.tolist() == [e % engine.repair_every == 0 for e in range(1, 7)]
+        assert repaired.any()
+        assert (t["repair_links_placed"][repaired] > 0).all()
+        assert (t["repair_samples_spent"][repaired] > 0).all()  # every peer re-estimated
+        for name in (n for n in t if n.startswith("repair_")):
+            assert (t[name][~repaired] == 0).all(), name
 
     def test_refill_spends_no_samples_and_keeps_every_healthy_link(self):
         engine = build_engine(size=120, half_life=4.0, n_probes=5, repair_every=3)
@@ -475,8 +478,8 @@ class TestRepairPolicies:
             node_id: [t for t in links if t in live] for node_id, links in links_of(overlay).items()
         }
         stats = engine.run_epoch()  # epoch 3 repairs; arrivals and departures come first
-        assert stats.link_repair and stats.repair_samples == 0
-        assert stats.repair.links_placed > 0
+        assert stats.link_repair and stats.repair_samples_spent == 0
+        assert stats.repair_links_placed > 0
         alive = set(overlay.ring.ids_array(live_only=True).tolist())
         for (node_id, links), cap in zip(links_of(overlay).items(), overlay.out_cap_array()):
             kept = [t for t in before.get(node_id, []) if t in alive]
