@@ -74,7 +74,21 @@ and checks after every step:
   objects instead), an epoch's conservation counts its false evictions
   as deaths, and after every epoch no report in flight has reached the
   staleness bound. The other checks read the truth-live ring, which
-  the believed-live set contains: a false eviction kills its peer.
+  the believed-live set contains: a false eviction kills its peer;
+* the registry (``state.obs``) reconciles with ground truth: both twins'
+  tables are byte-equal, an epoch's ``churn`` row carries the ring's
+  live count and the view's believed-live count, every ``membership``
+  row splits its evictions into ``lagged + false_evictions + moot`` and
+  its epoch holds one ``detection`` row per lagged eviction, every
+  ``store`` row's histogram sums to its ``items`` and its first ``k``
+  bins to its ``under_k``, every acquisition of an epoch places exactly
+  the links its peers' ``out_count`` gains, and a repair row's
+  ``repair_links_placed`` is the repair's gain; a serve batch grows
+  the cache's ``hits + misses`` by its size and ``hits`` by its hits;
+* after every repair epoch, each holder of the store is believed-live,
+  the pass's ``placed`` counts every holder, and the empty holder cells
+  are the pass's phantoms plus the cells a believed-live ring shorter
+  than ``k`` leaves empty.
 
 :class:`ChurnMachine` lets hypothesis choose the programs; every program
 it once shrank to a failure is committed under ``tests/data/programs/``
@@ -84,7 +98,9 @@ and replayed by :func:`test_committed_program` without hypothesis.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -113,6 +129,7 @@ from repro.engine import (
     TopologySnapshot,
 )
 from repro.engine.churn import REPAIR_POLICIES
+from repro.engine.construct import BatchConstructionEngine
 from repro.engine.walk import WalkCode
 from repro.errors import (
     DuplicateNodeError,
@@ -217,21 +234,27 @@ class ChurnProgram:
 
     def run_epoch(self) -> None:
         live_before = self.overlay.ring.live_count
-        view = self.twins[0]["view"]
-        evictions, false_evictions = view.evictions, getattr(view, "false_evictions", 0)
-        stats = [twin["engine"].run_epoch() for twin in self.twins]
-        assert stats[0] == stats[1]
+        rows = []
+        for twin in self.twins:
+            with acquisitions() as placed:
+                rows.append(twin["engine"].run_epoch())
+            self.check_acquisitions(twin["overlay"], rows[-1], placed)
+        assert rows[0] == rows[1]
         for twin in self.twins:  # the probe's truth snapshot is not held
             assert twin["engine"]._query_engine.cached_snapshot is None
-        epoch = stats[0]
+        epoch = rows[0]
         # A false eviction (probe loss) ground-truth kills a live peer.
-        killed = getattr(view, "false_evictions", 0) - false_evictions
+        membership = self.overlay.state.obs.rows("membership")[-1] if self.probe else None
+        killed = membership.false_evictions if membership is not None else 0
         live_after = live_before + epoch.arrivals - epoch.departures - killed
         assert epoch.live == live_after == self.overlay.ring.live_count
-        if self.probe:
-            self.check_gossip_bound(view.evictions - evictions)
-        if stats[0].link_repair:
+        assert epoch.believed == self.twins[0]["view"].live_count
+        if membership is not None:
+            assert membership.epoch == epoch.epoch
+            self.check_gossip_bound(membership.evictions)
+        if epoch.link_repair:
             self.check_repaired()
+            self.check_holders(epoch.epoch)
             if self.substrate != "chord":
                 self.check_in_degrees()
 
@@ -291,7 +314,11 @@ class ChurnProgram:
         keys = np.concatenate([np.repeat(keys, repeat), np.full(unknown * repeat, 0.25)])
         sources = np.repeat(np.asarray(sources, dtype=np.int64), repeat)
         version = self.twins[0]["serve"].serve_version
+        cache = self.twins[0]["serve"].result_cache
+        hits, misses = cache.hits, cache.misses
         results = [twin["serve"].serve_batch(sources, keys) for twin in self.twins]
+        assert cache.hits + cache.misses == hits + misses + keys.size
+        assert cache.hits == hits + int(results[0].hit.sum())
         for name in ("owners", "outcome", "hit", "found", "success", "stale", "hops"):
             assert np.array_equal(getattr(results[0], name), getattr(results[1], name)), name
         if unknown:
@@ -432,6 +459,55 @@ class ChurnProgram:
             assert store.item_count == self.seeded - store.items_lost_total
         if self.gentle and not self.waves:
             assert self.twins[0]["store"].items_lost_total == 0
+        self.check_registry()
+
+    def check_registry(self) -> None:
+        """The counters add up: per ``membership`` row its evictions'
+        three outcomes, and one ``detection`` row per lagged eviction;
+        per ``store`` row its histogram, its ``items`` and ``under_k``."""
+        obs = self.overlay.state.obs
+        m = obs.table("membership")
+        if m:
+            assert (m["evictions"] == m["lagged"] + m["false_evictions"] + m["moot"]).all()
+            lags = obs.table("detection").get("epoch", np.zeros(0, dtype=np.int64))
+            assert np.bincount(lags, minlength=m["epoch"].max() + 1)[m["epoch"]].tolist() == (
+                m["lagged"].tolist()
+            )
+        passes = obs.table("store")
+        histogram = passes["histogram"]
+        assert histogram.shape == (passes["epoch"].size, REPLICAS + 1)
+        assert (histogram.sum(axis=1) == passes["items"]).all()
+        assert (histogram[:, :REPLICAS].sum(axis=1) == passes["under_k"]).all()
+
+    def check_acquisitions(self, overlay: Substrate, row, placed: list) -> None:
+        """Every acquisition placed what its peers' ``out_count`` gained;
+        a repair row's ``repair_links_placed`` is the repair's gain —
+        Oscar's last acquisition of the epoch, or Chord's and Mercury's
+        rebuild of every live row."""
+        assert all(counted == gained for counted, gained in placed), placed
+        if not row.link_repair:
+            assert row.repair_links_placed == 0
+        elif overlay.ring.live_count < 2:  # a lone survivor only drops its links
+            assert row.repair_links_placed == 0
+        elif self.substrate == "oscar":
+            assert row.repair_links_placed == placed[-1][1]
+        else:
+            live = overlay.ring.slots_array(live_only=True)
+            assert row.repair_links_placed == int(overlay.state.out_count[live].sum())
+
+    def check_holders(self, epoch: int) -> None:
+        """After a repair epoch's pass: every holder is believed-live, and
+        the empty holder cells are the pass's phantom replicas plus the
+        cells a believed-live ring shorter than ``k`` leaves empty."""
+        for twin in self.twins:
+            store, view = twin["store"], twin["view"]
+            row = twin["overlay"].state.obs.rows("store")[-1]
+            assert row.epoch == epoch
+            held = store.holders[store.holders >= 0]
+            assert np.isin(held, view.live_ids()).all(), "a holder that is not believed-live"
+            assert row.placed == held.size  # the pass re-placed every copy
+            short = store.k - min(store.k, view.live_count)
+            assert (store.holders < 0).sum() == row.phantom_replicas + store.item_count * short
 
     @staticmethod
     def check_keys(overlay: Substrate) -> None:
@@ -571,16 +647,40 @@ class ChurnProgram:
             assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
         stores = [twin["store"] for twin in self.twins]
         assert np.array_equal(stores[0].holders, stores[1].holders)
-        assert stores[0].items_lost_total == stores[1].items_lost_total
+        for layer in ("churn", "membership", "detection", "store"):
+            a, b = (state.obs.table(layer) for state in states)
+            assert a.keys() == b.keys(), layer
+            for name, column in a.items():
+                assert column.dtype == b[name].dtype, (layer, name)
+                assert column.tobytes() == b[name].tobytes(), (layer, name)
         if self.probe:
             views = [twin["view"] for twin in self.twins]
-            for name in ("evictions", "false_evictions", "detection_lags"):
-                assert getattr(views[0], name) == getattr(views[1], name), name
             assert np.array_equal(views[0].live_ids(), views[1].live_ids())
             matrix, reference = (view._gossip for view in views)
             assert matrix.active == reference.active
             for target in reference.active:
                 assert matrix.informed_count(target) == reference.informed_count(target)
+
+
+@contextmanager
+def acquisitions() -> Iterator[list[tuple[int, int]]]:
+    """``(links placed, out_count gained)`` of every
+    ``BatchConstructionEngine`` acquisition run while open, the gain
+    summed over the acquiring view's peers."""
+    placed: list[tuple[int, int]] = []
+    acquire = BatchConstructionEngine._acquire
+
+    def counted(engine, rng, view, *args):
+        before = int(view.state.out_count[view.slots].sum())
+        stats = acquire(engine, rng, view, *args)
+        placed.append((stats.links_placed, int(view.state.out_count[view.slots].sum()) - before))
+        return stats
+
+    BatchConstructionEngine._acquire = counted  # type: ignore[method-assign]
+    try:
+        yield placed
+    finally:
+        BatchConstructionEngine._acquire = acquire  # type: ignore[method-assign]
 
 
 def _row(row_of: np.ndarray, node_id: int) -> int:
