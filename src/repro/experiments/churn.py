@@ -6,9 +6,10 @@ argument is about *long-running* operation under continuous turnover.
 :class:`~repro.engine.churn.SteadyStateChurnEngine` (lock-step epochs
 of Poisson arrivals at Little's-law rate ``N / mean session``,
 session-expiry departures, periodic repair, routed probes) and reads
-the overlay's registry (:mod:`repro.obs`) back as one per-epoch table of
-named numpy columns (TabulaROSA's "system state is a table"). ``repair="full"`` is the paper's rewire of every peer;
-``"refill"`` replaces only what churn broke. Two optional parts ride
+the overlay's registry (:mod:`repro.obs`) back as one per-epoch table
+of named numpy columns (TabulaROSA's "system state is a table").
+``repair="full"`` is the paper's rewire of every peer; ``"refill"``
+replaces only what churn broke. Two optional parts ride
 the same path, each an object or ``None``: a ``DetectorConfig`` swaps
 the omniscient ``OracleView`` for a ``ProbeView`` (the engine still
 kills through ground truth, but reads what detectors and gossip have

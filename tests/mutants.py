@@ -151,7 +151,8 @@ CATALOGUE = (
         (
             (
                 "self._push(live_cols, last, rng)",
-                "self._push(live_cols, self._age + 1 >= self.config.staleness_bound(max(n, 2)), rng)",
+                "self._push(live_cols, self._age + 1 >= self.config.staleness_bound(max(n, 2)), "
+                "rng)",
             ),
         ),
         (
@@ -204,6 +205,13 @@ CATALOGUE = (
             PROGRAM.format("probe_repair_epochs_reconcile"),
             "tests/test_obs.py::TestStoreRows::test_a_phantom_replica_is_not_placed",
         ),
+    ),
+    Mutant(
+        "store-row-under-k-counts-full-items",
+        "a pass's under_k counts the items holding all k copies too",
+        "repro.index.replication:ReplicatedStore._record_pass",
+        (("under_k=int((counts < self.k).sum())", "under_k=int((counts <= self.k).sum())"),),
+        (PROGRAM.format("probe_repair_epochs_reconcile"),),
     ),
     Mutant(
         "churn-row-believed-is-truth",
@@ -277,7 +285,7 @@ class _Failures:
     def __init__(self) -> None:
         self.failed: set[str] = set()
 
-    def pytest_runtest_logreport(self, report) -> None:  # noqa: ANN001 - pytest's report
+    def pytest_runtest_logreport(self, report) -> None:
         if report.failed:
             self.failed.add(report.nodeid)
 
@@ -301,7 +309,11 @@ def run(name: str) -> int:
     os.environ["HYPOTHESIS_PROFILE"] = "mutants"
     apply(mutant)
     failures = _Failures()
-    code = pytest.main(["-q", "-p", "no:cacheprovider", *mutant.catchers], plugins=[failures])
+    # hypothesis is imported before pytest starts, so pytest cannot
+    # rewrite its asserts; it has none of ours to rewrite.
+    quiet = ("-W", "ignore::pytest.PytestAssertRewriteWarning")
+    args = ["-q", "-p", "no:cacheprovider", *quiet, *mutant.catchers]
+    code = pytest.main(args, plugins=[failures])
     if code not in (pytest.ExitCode.OK, pytest.ExitCode.TESTS_FAILED):
         print(f"[mutants] {name}: pytest exit code {int(code)}")
         return 2

@@ -55,7 +55,7 @@ class TestRegistry:
     def test_a_layer_keeps_the_columns_of_its_first_row(self):
         obs = Registry()
         obs.record("churn", 1, live=3, stale_links=0)
-        for bad in ({"live": 3}, {"live": 3, "stale_links": 0, "extra": 1}, {"stale": 0, "live": 1}):
+        for bad in ({"live": 3}, {"live": 3, "stale_links": 0, "x": 1}, {"stale": 0, "live": 1}):
             with pytest.raises(ValueError, match="churn"):
                 obs.record("churn", 2, **bad)
         assert obs.table("churn")["epoch"].tolist() == [1]
