@@ -200,8 +200,7 @@ class SubstrateState:
         capacity = max(int(capacity), 0)
         for name, col in self.COLUMNS.items():
             setattr(self, name, col.full(capacity))
-        #: What the layers over this state count, one row per epoch or
-        #: pass (:mod:`repro.obs`); not a column, so never freed or grown.
+        #: What the layers over this state count (:mod:`repro.obs`).
         self.obs = Registry()
         self._slot_of = np.full(capacity, -1, dtype=np.int64)
         self._free: list[int] = []

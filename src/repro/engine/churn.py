@@ -228,8 +228,8 @@ class SteadyStateChurnEngine:
 
     @property
     def history(self) -> list[SimpleNamespace]:
-        """The ``churn`` rows so far, one record each. A view for
-        ``bench/harness.py``; it goes once the bench reads ``table``."""
+        """The ``churn`` rows so far: a view for ``bench/harness.py``,
+        which goes once the bench reads ``table``."""
         return self.substrate.state.obs.rows("churn")
 
     # ------------------------------------------------------------------
@@ -250,26 +250,9 @@ class SteadyStateChurnEngine:
     def run_epoch(self) -> SimpleNamespace:
         """Advance one epoch: arrivals, departures, repair, probes.
 
-        Records the epoch's ``churn`` row and returns it:
-
-        * ``arrivals`` / ``departures`` — the Poisson cohort joined and
-          the expired sessions crashed;
-        * ``live`` / ``believed`` — the truth-live and believed-live
-          populations at the end of the epoch;
-        * ``pointer_fixes`` — ring pointer entries the post-wave
-          stabilization added, changed or dropped;
-        * ``stale_links`` — believed-live-to-believed-dead long links
-          after ``membership.advance``, before any repair this epoch;
-        * ``link_repair`` / ``compacted`` — whether the periodic repair
-          ran and how many believed-dead peers it retired;
-        * ``probes`` / ``success_rate`` / ``mean_cost`` — the probe
-          batch's size and what it measured;
-        * ``repair_*`` — the repair's
-          :class:`~repro.engine.construct.LinkAcquisitionStats` counters
-          (substrates without an acquisition engine report only
-          ``links_placed``) and ``repair_samples_spent``, the live
-          peers' ``samples_spent`` growth (0 for a refill); all 0 off
-          repair epochs.
+        Records the epoch's ``churn`` row and returns it (its columns:
+        ``docs/observability.md``; ``stale_links`` counts
+        believed-live-to-believed-dead links after ``membership.advance``).
 
         RNG-stream layout (all derived from the engine ``seed``; ``e``
         is the 1-based epoch index):
@@ -304,9 +287,7 @@ class SteadyStateChurnEngine:
             self._drop_sessions(np.asarray(evicted, dtype=np.int64))
         stale = self._count_stale_links()
         repair_due = (e % self.repair_every) == 0
-        compacted, repair, repair_samples = (
-            self._repair_links(e) if repair_due else (0, LinkAcquisitionStats(), 0)
-        )
+        compacted, repair, repair_samples = self._repair_links(e) if repair_due else (0, None, 0)
         if repair_due and self.replication is not None:
             # Re-replication rides the repair epoch and acts on the same
             # *believed* membership the link repair just used; it draws
@@ -327,7 +308,7 @@ class SteadyStateChurnEngine:
             probes=probes.n_routes,
             success_rate=probes.success_rate,
             mean_cost=probes.mean_cost,
-            **{f"repair_{name}": value for name, value in repair.as_dict().items()},
+            **{f"repair_{k}": v for k, v in (repair or LinkAcquisitionStats()).as_dict().items()},
             repair_samples_spent=repair_samples,
         )
 
@@ -530,14 +511,9 @@ class SteadyStateChurnEngine:
                 links = state.out_links.take(slots[block], axis=0).view(np.uint32)
                 stale += links.size - int(np.count_nonzero(believed.take(links, mode="clip")))
             return stale
-        targets = self._long_link_targets()
-        live_set = {int(i) for i in live_ids}
-        return sum(1 for links in targets for target in links if int(target) not in live_set)
-
-    def _long_link_targets(self) -> list[list[int]]:
-        """Per-believed-live-peer long-link target lists, in ring order."""
-        state = self.substrate.state
-        return [
-            state.out_links[slot, : state.out_count[slot]].tolist()
+        state, live_set = self.substrate.state, {int(i) for i in live_ids}
+        return sum(
+            int(target) not in live_set
             for slot in self.membership.live_slots()
-        ]
+            for target in state.out_links[slot, : state.out_count[slot]].tolist()
+        )

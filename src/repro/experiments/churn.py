@@ -42,7 +42,7 @@ from ..engine import ServeEngine, SteadyStateChurnEngine
 from ..engine.churn import REPAIR_POLICIES
 from ..errors import ConfigError
 from ..index import ReplicatedStore
-from ..membership import DetectorConfig, MembershipView, OracleView, ProbeView
+from ..membership import DetectorConfig, OracleView, ProbeView
 from ..obs import Registry
 from ..rng import split
 from ..workloads import FlashCrowdSchedule, ServingWorkload
@@ -122,9 +122,7 @@ def churn_loop(
     build_seconds = watch.lap()
 
     ring = overlay.ring
-    view: MembershipView = (
-        OracleView(ring) if detector is None else ProbeView(ring, detector, seed=seed)
-    )
+    view = OracleView(ring) if detector is None else ProbeView(ring, detector, seed=seed)
     store = None if serving is None else ReplicatedStore(ring, k=replicas)
     if store is not None:
         store.seed_items(split(seed, "serve-items").random(items or target), view)
@@ -173,10 +171,7 @@ def _serve_epoch(
     serve: ServeEngine, workload: ServingWorkload, seed: int, e: int, n_queries: int
 ) -> tuple[float, float]:
     """Serve epoch ``e``'s request batch cold, then warm; records the
-    epoch's ``serve`` row (warm ``hit_rate``, cold ``stale`` and
-    ``served`` rates, the store's ``under_k`` and ``items`` and the
-    cumulative ``stale_serves`` and ``cache_hit_rate``) and returns the
-    wall ``(qps_cold, qps_warm)``."""
+    epoch's ``serve`` row and returns the wall ``(qps_cold, qps_warm)``."""
     ring, store = serve.substrate.ring, serve.store
     # Requests originate from peers that truly exist *and* are believed
     # alive (a believed-dead source cannot inject traffic; a truth-dead
@@ -207,9 +202,8 @@ def _serve_epoch(
 
 
 def _per_epoch(run: ChurnRun, layer: str, name: str) -> np.ndarray:
-    """Sum of ``layer``'s ``name`` column over each epoch's rows, one
-    value per epoch of the run (a layer written per pass, not per epoch,
-    sums to 0 on epochs without a pass)."""
+    """``layer``'s ``name`` column summed per epoch of the run (0 on an
+    epoch without a row)."""
     rows = run.obs.table(layer)
     epochs = run.table["epoch"].size
     return np.bincount(rows["epoch"], weights=rows[name], minlength=epochs + 1)[1 : epochs + 1]

@@ -70,16 +70,9 @@ class ReplicatedStore:
             may change (seeding, puts, every re-replication pass) — the
             result-cache invalidation hook.
 
-    Every seeding and re-replication pass writes one ``store`` row into
-    the ring's registry (``ring.state.obs``, :mod:`repro.obs`): its
-    ``epoch`` (0 for seeding), ``items`` surviving after it,
-    ``items_lost`` (every replica truth-dead: unrecoverable, removed from
-    the catalog), ``placed`` (copies materialized on truth-live targets),
-    ``phantom_replicas`` (copies "transferred" to believed-live but
-    truth-dead peers — the detection-lag data-risk exposure, always 0
-    under the oracle), ``under_k`` (items below ``k`` truth-live copies
-    after the pass) and ``histogram`` (``histogram[r]`` = items with
-    exactly ``r`` truth-live copies, ``r in 0..k``).
+    Every seeding (epoch 0) and re-replication pass writes one ``store``
+    row into the ring's registry (``ring.state.obs``; its columns:
+    ``docs/observability.md``).
     """
 
     def __init__(self, ring: "Ring", k: int = 3, vectorized: bool = True) -> None:
@@ -203,8 +196,7 @@ class ReplicatedStore:
             self.item_ids = ids
             self.holders = holders
         self.data_version += 1
-        phantom = int(((targets >= 0) & ~alive).sum())
-        self._record_pass(0, lost=0, placed=int(alive.sum()), phantom=phantom)
+        self._record_pass(0, 0, targets, alive)
         return int(keys.size)
 
     # ------------------------------------------------------------------
@@ -230,16 +222,12 @@ class ReplicatedStore:
             self.item_keys = self.item_keys[has_source]
             self.item_ids = self.item_ids[has_source]
             self.holders = self.holders[has_source]
-        if self.item_keys.size:
-            targets = self.successor_targets(self.item_keys, view)
-            alive = self.truth_live_mask(targets)
-            self.holders = np.where(alive, targets, -1)
-            placed = int(alive.sum())
-            phantom = int(((targets >= 0) & ~alive).sum())
-        else:
-            placed = phantom = 0
+        empty = self.item_keys.size == 0
+        targets = self.holders if empty else self.successor_targets(self.item_keys, view)
+        alive = self.truth_live_mask(targets)
+        self.holders = np.where(alive, targets, -1)
         self.data_version += 1
-        return self._record_pass(int(epoch), lost=lost, placed=placed, phantom=phantom)
+        return self._record_pass(int(epoch), lost, targets, alive)
 
     # ------------------------------------------------------------------
     # lookup + observability
@@ -282,20 +270,22 @@ class ReplicatedStore:
 
     def under_replicated(self) -> int:
         """Items currently holding fewer than ``k`` truth-live copies."""
-        if self.item_keys.size == 0:
-            return 0
         return int((self.live_replica_counts() < self.k).sum())
 
-    def _record_pass(self, epoch: int, lost: int, placed: int, phantom: int) -> SimpleNamespace:
-        """Write a pass's ``store`` row, its catalog counted after it."""
+    def _record_pass(
+        self, epoch: int, lost: int, targets: np.ndarray, alive: np.ndarray
+    ) -> SimpleNamespace:
+        """Write the ``store`` row of a pass that sent copies to
+        ``targets`` and landed those ``alive`` marks; the catalog is
+        counted after the pass."""
         counts = self.live_replica_counts()
         return self.ring.state.obs.record(
             "store",
             epoch,
             items=self.item_count,
             items_lost=lost,
-            placed=placed,
-            phantom_replicas=phantom,
+            placed=int(alive.sum()),
+            phantom_replicas=int(((targets >= 0) & ~alive).sum()),
             under_k=int((counts < self.k).sum()),
             histogram=tuple(int(c) for c in np.bincount(counts, minlength=self.k + 1)),
         )

@@ -10,9 +10,8 @@ believed-live until a quorum of their probe panels votes them out and
 the resulting dead report finishes spreading. The gap between a
 recorded death and its eviction is the *detection lag*; evicting a
 truth-live peer (possible under probe loss) is a *false eviction* —
-both are first-class measurements, written into the ring's registry
-(``ring.state.obs``, :mod:`repro.obs`), that the ``detector-grid``
-scenario sweeps.
+both are first-class measurements (registry rows, :mod:`repro.obs`)
+the ``detector-grid`` scenario sweeps.
 
 Two interchangeable execution backends advance the same abstract
 machine one probe round at a time:
@@ -202,15 +201,9 @@ class ProbeView(MembershipView):
         backend: ``"vectorized"`` (default) or ``"scalar"`` — the
             detector bank and the gossip plane switch together.
 
-    Each :meth:`advance` writes one ``membership`` row into the ring's
-    registry: ``evictions`` this epoch, split into ``lagged`` (a recorded
-    death, detected), ``false_evictions`` (a truth-live peer — it is then
-    ground-truth killed: the overlay *treats* it as dead, so it is) and
-    ``moot`` (a report completing for a peer already compacted away, or
-    already dead with no death stamp), so ``evictions == lagged +
-    false_evictions + moot``. Each lagged eviction also writes one
-    ``detection`` row whose ``lag`` is the eviction epoch minus the
-    recorded death epoch.
+    Each :meth:`advance` writes a ``membership`` row (``evictions ==
+    lagged + false_evictions + moot``) into the ring's registry, and each
+    lagged eviction a ``detection`` row (``docs/observability.md``).
     """
 
     def __init__(

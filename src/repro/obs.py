@@ -1,17 +1,13 @@
 """One table of what the system counts, stamped with simulation time.
 
 Every overlay's :class:`~repro.core.soa.SubstrateState` carries one
-:class:`Registry` as ``state.obs``. The layers that count something —
-the churn engine, the replicated store, the probe membership view —
-reach it through the ring they already hold and write one row per epoch
-or pass into their own *layer*; nothing is written per hop or per
-request, and nothing needs switching on. A layer is a set of named
-columns (TabulaROSA's "system state is a table"), so an epoch series is
-one ``table(layer)`` read, not a loop over per-epoch objects.
-
-Every row is stamped with the epoch it describes — simulation time,
-never the wall clock — so two runs of one seed hold byte-identical
-tables. ``docs/observability.md`` lists the layers and their columns.
+:class:`Registry` as ``state.obs``. The churn engine, the replicated
+store and the probe membership view reach it through the ring they hold
+and write one row per epoch or pass into their own *layer* — never per
+hop or per request, and with nothing to switch on. A layer is a set of
+named columns (TabulaROSA's "system state is a table"), and every row
+is stamped with its epoch, never the wall clock, so one seed gives
+byte-identical tables. ``docs/observability.md`` lists the layers.
 """
 
 from __future__ import annotations

@@ -198,9 +198,9 @@ CATALOGUE = (
     ),
     Mutant(
         "store-row-counts-phantoms-as-placed",
-        "a re-replication pass counts copies sent to dead targets as placed",
-        "repro.index.replication:ReplicatedStore.rereplicate",
-        (("placed = int(alive.sum())", "placed = int((targets >= 0).sum())"),),
+        "a store row counts copies sent to dead targets as placed",
+        "repro.index.replication:ReplicatedStore._record_pass",
+        (("placed=int(alive.sum())", "placed=int((targets >= 0).sum())"),),
         (
             PROGRAM.format("probe_repair_epochs_reconcile"),
             "tests/test_obs.py::TestStoreRows::test_a_phantom_replica_is_not_placed",

@@ -430,11 +430,7 @@ class TestStaleLinkCount:
             view.advance(epoch)
             if view.live_count == overlay.ring.live_count:
                 break
-        inbound = sum(
-            int(target) in victims
-            for links in engine._long_link_targets()
-            for target in links
-        )
+        inbound = int(np.isin(overlay.state.out_links[view.live_slots()], victims).sum())
         assert inbound > 0 and self.both(engine) == inbound
         # Retired: the ids no longer have a slot, the dangling links still count.
         view.forget(victims)
