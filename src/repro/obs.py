@@ -31,7 +31,7 @@ class Registry:
         self._layers: dict[str, dict[str, list]] = {}
 
     def record(self, layer: str, epoch: int, **values: object) -> SimpleNamespace:
-        """Append one row to ``layer``; returns it as a read-only record
+        """Append one row to ``layer``; returns it as one record
         (``row.epoch``, ``row.<name>``)."""
         columns = self._layers.setdefault(layer, {name: [] for name in ("epoch", *values)})
         if columns.keys() != {"epoch", *values}:
