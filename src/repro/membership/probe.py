@@ -27,8 +27,8 @@ Both consume the *same* uniform draw matrix per round (one
 ``rng.random((T, J_eff))`` from the ``("steady-detect", epoch)``
 stream) and are pinned bit-identical on every observable by the
 hypothesis differential in ``tests/test_membership.py``. The backend
-picks the gossip twin too: the bit-matrix :class:`~repro.membership
-.gossip.GossipMembership` with the kernel, the set-per-report
+picks the gossip twin too: the count plane :class:`~repro.membership
+.gossip.GossipMembership` with the kernel, its per-report
 :class:`~repro.membership.gossip.ScalarGossipMembership` with the
 scalar bank.
 """

@@ -136,28 +136,70 @@ CATALOGUE = (
     ),
     Mutant(
         "gossip-last-round-skips-draws",
-        "GossipMembership._push skips a last-round report's draws (PR 42)",
-        "repro.membership.gossip:GossipMembership._push",
-        (("rng.integers(0, live_cols.size, size=min(piece, left - lo))", "pass"),),
-        (
-            PROGRAM.format("probe_reports_retire_at_the_bound"),
-            "tests/test_membership.py::TestGossipMembership::test_matrix_matches_set_reference",
-        ),
-    ),
-    Mutant(
-        "gossip-last-round-one-early",
-        "GossipMembership.spread hands _push the last-round mask a round early (PR 42)",
+        "GossipMembership.spread skips the draw of a report at its bound (PR 42; count kernel)",
         "repro.membership.gossip:GossipMembership.spread",
         (
             (
-                "self._push(live_cols, last, rng)",
-                "self._push(live_cols, self._age + 1 >= self.config.staleness_bound(max(n, 2)), "
-                "rng)",
+                "rng.binomial(n - k, 1.0 - miss)",
+                "rng.binomial(np.where(self._age >= self.config.staleness_bound(n), 0, n - k), "
+                "1.0 - miss)",
             ),
         ),
         (
             PROGRAM.format("probe_reports_retire_at_the_bound"),
-            "tests/test_membership.py::TestGossipMembership::test_matrix_matches_set_reference",
+            "tests/test_membership.py::TestGossipMembership::test_count_plane_matches_scalar_twin",
+        ),
+    ),
+    Mutant(
+        "gossip-last-round-one-early",
+        "GossipMembership.spread retires a report a round before its bound (PR 42; count kernel)",
+        "repro.membership.gossip:GossipMembership.spread",
+        (
+            (
+                "(self._age >= self.config.staleness_bound",
+                "(self._age + 1 >= self.config.staleness_bound",
+            ),
+        ),
+        (
+            PROGRAM.format("probe_reports_retire_at_the_bound"),
+            "tests/test_membership.py::TestGossipMembership::test_count_plane_matches_scalar_twin",
+        ),
+    ),
+    Mutant(
+        "gossip-push-without-fanout",
+        "GossipMembership.spread pushes once per informed peer, not fanout times",
+        "repro.membership.gossip:GossipMembership.spread",
+        (("e = 1.0 - 1.0 / n, k * self.config.gossip_fanout", "e = 1.0 - 1.0 / n, k.copy()"),),
+        (
+            "tests/test_gossip_oracle.py::test_completion_rounds_agree_in_law[24-4]",
+            "tests/test_membership.py::TestGossipMembership::test_count_plane_matches_scalar_twin",
+        ),
+    ),
+    Mutant(
+        "gossip-covered-strictly",
+        "GossipMembership.spread completes a report only past coverage (count > n)",
+        "repro.membership.gossip:GossipMembership.spread",
+        (("done = (self._count >= n)", "done = (self._count > n)"),),
+        (
+            "tests/test_membership.py::TestGossipMembership::"
+            "test_report_covers_a_tiny_population_before_its_bound[GossipMembership]",
+            "tests/test_gossip_oracle.py::test_completion_rounds_agree_in_law[24-4]",
+            PROGRAM.format("probe_reports_retire_at_the_bound"),
+        ),
+    ),
+    Mutant(
+        "gossip-report-starts-uninformed",
+        "GossipMembership.start_many starts a report at count 0, its origin uncounted",
+        "repro.membership.gossip:GossipMembership.start_many",
+        (
+            (
+                "np.append(self._count, np.ones_like(targets))",
+                "np.append(self._count, np.zeros_like(targets))",
+            ),
+        ),
+        (
+            PROGRAM.format("probe_reports_retire_at_the_bound"),
+            PROGRAM.format("probe_repair_epochs_reconcile"),
         ),
     ),
     Mutant(

@@ -7,10 +7,11 @@ Four layers, innermost out:
   round trip equals ``timeout_s`` exactly is on time; a poll at exactly
   the deadline expires nothing);
 * :class:`~repro.membership.gossip.GossipMembership` — push-epidemic
-  spread, the staleness bound, duplicate suppression, and the
-  hypothesis differential that holds the bit-matrix class identical to
-  its set-per-report reference twin (completions, ``informed_count``,
-  generator position);
+  spread, the staleness bound, duplicate suppression, coverage before
+  the bound, and the hypothesis differential that holds the count plane
+  identical to its per-report scalar twin (completions,
+  ``informed_count``, generator position); the per-peer set model it
+  replaced is a distributional oracle in ``tests/test_gossip_oracle.py``;
 * the :class:`~repro.membership.views.MembershipView` implementations —
   :class:`OracleView` must be byte-for-byte the old bitmap behavior,
   :class:`ProbeView` must measure detection lag and never falsely evict
@@ -24,7 +25,6 @@ Four layers, innermost out:
 from __future__ import annotations
 
 import dataclasses
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +41,6 @@ from repro.membership import (
     OracleView,
     ProbeView,
 )
-from repro.membership import gossip as gossip_module
 from repro.membership.gossip import ScalarGossipMembership
 from repro.protocol.effects import Send, StartTimer, SuspectPeer
 from repro.protocol.messages import Ping, Pong
@@ -213,35 +212,6 @@ class TestFailureDetector:
 
 GOSSIP_TWINS = (GossipMembership, ScalarGossipMembership)
 GOSSIP_OPS = ["start", "start_many", "cancel", "forget", "arrive", "leave", "empty", "spread"]
-# Budgets the differential patches in: the smallest (one draw row, a
-# one-row block — every report drawn in pieces), a middling cut and the
-# shipped constants.
-BUDGETS = [(1, 1), (3, 64), (gossip_module.DRAW_CHUNK, gossip_module.BLOCK_BYTES)]
-
-
-def assert_gossip_layout(gossip: GossipMembership, live: list[int]) -> None:
-    """The storage invariants of the bit-packed plane after a
-    ``spread`` over ``live``: every count is its row's popcount, every
-    believed-live id has a column, the id table and the column ids
-    invert each other, no bit is set past the used width, and no report
-    still in flight has reached the staleness bound."""
-    r, width = gossip._target.size, gossip._cols.size
-    assert (gossip._age < gossip.config.staleness_bound(max(len(live), 2))).all()
-    rows = gossip._bits[:r]
-    assert np.array_equal(gossip._count, np.bitwise_count(rows).sum(axis=1))
-    assert (gossip._col_of[np.array(live, dtype=np.int64)] >= 0).all()
-    assert np.array_equal(gossip._col_of[gossip._cols], np.arange(width))
-    assert int((gossip._col_of >= 0).sum()) == width
-    assert not np.unpackbits(rows, axis=1, bitorder="little")[:, width:].any()
-
-
-def informed_departed(gossip: GossipMembership, live: list[int]) -> int:
-    """Columns some in-flight report has set whose id is not live."""
-    r, width = gossip._target.size, gossip._cols.size
-    used = np.unpackbits(
-        np.bitwise_or.reduce(gossip._bits[:r], axis=0), count=width, bitorder="little"
-    ).astype(bool)
-    return int((used & ~np.isin(gossip._cols, live)).sum())
 
 
 class TestGossipMembership:
@@ -305,77 +275,49 @@ class TestGossipMembership:
         assert gossip.start(5, origin=1)  # forgotten: may be reported again
         assert not gossip.start(7, origin=1)
 
-    def test_width_stays_bounded_as_ids_advance(self):
-        """Ids are never reused, so a long run keeps handing out fresh
-        ones: the one-shot column compaction holds the width within
-        twice what must stay (the live ids and the departed ones some
-        report still holds), however many ids have come and gone."""
-        gossip, rng = GossipMembership(self.CFG), split(5, "gossip-test")
-        first = 0
-        for step in range(300):
-            first += 3
-            live = list(range(first, first + 40))
-            if step % 2 == 0:
-                gossip.start_many([first - 1, first - 2], [first, first + 39])
-            gossip.spread(np.array(live, dtype=np.int64), rng)
-            assert_gossip_layout(gossip, live)
-            assert gossip._cols.size <= 2 * (len(live) + informed_departed(gossip, live)) + 8
-        assert gossip._col_of.size > 900  # the id table did grow past every id seen
-
-    @pytest.mark.parametrize("budgets", [(1, 8), *BUDGETS[1:]])
-    def test_last_round_reports_between_spreading_ones(self, budgets):
-        """Reports at the staleness bound retire without spreading but
-        still consume their draws, in target order between reports that
-        spread: with one-row blocks every retiring/spreading boundary is
-        a cut, with the shipped budgets one block would span them all.
-        The set-per-report twin agrees on completions, ``active``,
-        ``informed_count`` and generator position."""
-        cfg = DetectorConfig(gossip_fanout=2, staleness_rounds=2)
-        twins = [(cls(cfg), split(6, "gossip-test")) for cls in GOSSIP_TWINS]
-        live = list(range(200))
-        population = np.array(live, dtype=np.int64)
-        waves = [[1000, 1002, 1004], [1001, 1003, 1005], [], []]
-        with (
-            mock.patch.object(gossip_module, "DRAW_CHUNK", budgets[0]),
-            mock.patch.object(gossip_module, "BLOCK_BYTES", budgets[1]),
-        ):
-            for step, wave in enumerate(waves):
-                for gossip, _ in twins:
-                    gossip.start_many(wave, [7 * t % 200 for t in wave])
-                matrix, reference = (g.spread(population, rng) for g, rng in twins)
-                assert matrix == reference == [[], [1000, 1002, 1004], [1001, 1003, 1005], []][step]
-                (matrix, rng_m), (reference, rng_r) = twins
-                assert_gossip_layout(matrix, live)
-                assert matrix.active == reference.active
-                assert matrix.completed == reference.completed
-                for target in reference.active:
-                    assert matrix.informed_count(target) == reference.informed_count(target) > 1
-                assert rng_m.bit_generator.state == rng_r.bit_generator.state
+    @pytest.mark.parametrize("cls", GOSSIP_TWINS)
+    def test_report_covers_a_tiny_population_before_its_bound(self, cls):
+        """Coverage, not the bound, completes a report over a tiny
+        population: one live peer is the origin's own count (covered in
+        the first round, no draw), and at fanout 2 most of 20 reports
+        over three peers are covered before the bound of 4 retires the
+        rest."""
+        assert self.CFG.staleness_bound(3) == 4
+        gossip, rng = cls(self.CFG), split(5, "gossip-test")
+        gossip.start_many(range(100, 120), [0] * 20)
+        assert gossip.spread(np.array([0], dtype=np.int64), rng) == list(range(100, 120))
+        gossip.start_many(range(200, 220), [0] * 20)
+        rounds = {}
+        for age in range(1, 5):
+            rounds.update(dict.fromkeys(gossip.spread(np.arange(3, dtype=np.int64), rng), age))
+        assert sorted(rounds) == list(range(200, 220)) and gossip.active == []
+        early = sorted(age for age in rounds.values() if age < 4)
+        assert len(early) >= 15 and early[0] == 1, sorted(rounds.values())
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         fanout=st.sampled_from([1, 2, 3]),
         staleness=st.sampled_from([0, 1, 4]),
-        budgets=st.sampled_from(BUDGETS),
         pool=st.lists(
-            st.integers(min_value=0, max_value=5000), min_size=1, max_size=25, unique=True
+            st.integers(min_value=0, max_value=5000), min_size=2, max_size=25, unique=True
         ),
         data=st.data(),
     )
-    def test_matrix_matches_set_reference(self, seed, fanout, staleness, budgets, pool, data):
-        """Random start / start_many / cancel / forget programs over a
-        population of sparse ids that arrives, leaves, revives and
-        empties: after every ``spread`` the two twins agree on
+    def test_count_plane_matches_scalar_twin(self, seed, fanout, staleness, pool, data):
+        """The count-twin differential. Random start / start_many /
+        cancel / forget programs over a population of sparse ids that
+        arrives, leaves, revives and empties: after every ``spread`` the
+        vectorized count plane and its per-report scalar twin agree on
         completions, ``active``, ``informed_count`` and generator
-        position, and the bit-packed layout holds its invariants."""
+        position, and no report still in flight has reached the bound."""
         cfg = DetectorConfig(gossip_fanout=fanout, staleness_rounds=staleness)
         twins = [(cls(cfg), split(seed, "gossip-diff")) for cls in GOSSIP_TWINS]
         ids_from = st.sampled_from(pool)
-        live: list[int] = data.draw(st.lists(ids_from, max_size=12, unique=True), label="live")
+        live = data.draw(st.lists(ids_from, min_size=1, max_size=12, unique=True), label="live")
         for step in range(data.draw(st.integers(min_value=1, max_value=12))):
             op = data.draw(st.sampled_from(GOSSIP_OPS), label=f"op@{step}")
-            ids = data.draw(st.lists(ids_from, max_size=4), label=f"ids@{step}")
+            ids = data.draw(st.lists(ids_from, min_size=1, max_size=4), label=f"ids@{step}")
             if op == "start" and ids:
                 assert len({g.start(ids[0], ids[-1]) for g, _ in twins}) == 1
             elif op == "start_many":
@@ -394,41 +336,34 @@ class TestGossipMembership:
             elif op == "empty":
                 live = []
             population = np.array(live, dtype=np.int64)
-            with (
-                mock.patch.object(gossip_module, "DRAW_CHUNK", budgets[0]),
-                mock.patch.object(gossip_module, "BLOCK_BYTES", budgets[1]),
-            ):
-                matrix, reference = (g.spread(population, rng) for g, rng in twins)
-            assert matrix == reference
-            (matrix, rng_m), (reference, rng_r) = twins
-            assert_gossip_layout(matrix, live)
-            assert matrix.active == reference.active
-            assert matrix.completed == reference.completed
+            plane, reference = (g.spread(population, rng) for g, rng in twins)
+            assert plane == reference
+            (plane, rng_p), (reference, rng_r) = twins
+            assert (plane._age < cfg.staleness_bound(max(len(live), 2))).all()
+            assert plane.active == reference.active
+            assert plane.completed == reference.completed
             for target in reference.active:
-                assert matrix.informed_count(target) == reference.informed_count(target)
-            assert rng_m.integers(1 << 30) == rng_r.integers(1 << 30)
+                assert 1 <= plane.informed_count(target) == reference.informed_count(target)
+                assert plane.informed_count(target) < max(len(live), 1)
+            assert rng_p.bit_generator.state == rng_r.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [7, 9_973, 10_000, 100_000, 2**33])
 def test_batched_gossip_draw_matches_per_report_draws(n):
     """The RNG-layout assumption ``GossipMembership.spread`` rests on:
-    one bounded ``integers`` call of ``k1 + k2 + k3`` rows consumes the
-    stream exactly like three consecutive per-report calls (a zero-row
-    one included), like blocks cut anywhere — inside a report, at odd
-    element counts — and like one flat ``rows * fanout`` call, at every
-    fanout, and every split leaves the generator in the same place."""
-    sizes = (5, 0, 38)
-    cuts = (0, 3, 5, 5, 22, 43)  # blocks of 3, 2, 0, 17 and 21 rows
+    one array-argument ``binomial`` over every report consumes the
+    stream exactly like one scalar ``binomial`` per report, in order —
+    zero-trial reports (covered, or ``k`` capped at ``n``) drawing
+    nothing, push probabilities from the smallest to 1 — and leaves the
+    generator in the same place, at every fanout."""
+    k = np.unique(np.array([1, 2, 3, n // 7 + 1, n // 2, n - 1, n, n]).clip(1, n))
     for fanout in (1, 2, 3):
-        streams = [split(11, "gossip-layout", n, fanout) for _ in range(4)]
-        batched, per_report, blocks, flat = streams
-        whole = batched.integers(0, n, size=(sum(sizes), fanout))
-        parts = [per_report.integers(0, n, size=(k, fanout)) for k in sizes]
-        pieces = [blocks.integers(0, n, size=(b - a, fanout)) for a, b in zip(cuts, cuts[1:])]
-        assert np.array_equal(whole, np.concatenate(parts))
-        assert np.array_equal(whole, np.concatenate(pieces))
-        assert np.array_equal(whole.ravel(), flat.integers(0, n, size=sum(sizes) * fanout))
-        assert len({stream.random() for stream in streams}) == 1
+        p = 1.0 - (1.0 - 1.0 / n) ** (k * fanout)
+        batched, per_report = (split(11, "gossip-layout", n, fanout) for _ in range(2))
+        whole = batched.binomial(n - k, p)
+        parts = [per_report.binomial(int(t), float(q)) for t, q in zip(n - k, p)]
+        assert whole.tolist() == parts
+        assert batched.bit_generator.state == per_report.bit_generator.state
 
 
 class TestOracleView:

@@ -80,11 +80,31 @@ def test_hundred_thousand_peer_probe_membership_fits_a_gibibyte():
 
     Ordered after the 10k net test (~130 MiB) and before the
     million-peer test, so the high-water mark it reads is its own. The
-    measured numbers are ~48 s and ~500 MiB; the bit-packed gossip plane
-    is what fits — its ``bool``-matrix predecessor peaked at 2.5 GiB.
+    measured numbers are ~9 s and ~160 MiB with the informed-count
+    gossip plane; the per-peer planes before it took ~55 s / 499 MiB
+    (bit-packed rows) and 97 s / 2.5 GiB (a ``bool`` matrix).
     """
     record = Runner(defaults={"seed": 20070415}).run(
         "detector-churn", {"size": 100_000, "half_life": 64.0, "epochs": 12}
+    )
+    assert record.result.scalars["evictions"] > 0
+    assert record.result.scalars["false_evictions"] == 0
+    check_rss_ceiling(DETECT_RSS_CEILING_MB)
+
+
+@pytest.mark.slow
+def test_hundred_thousand_peer_detection_under_fast_churn_fits_a_gibibyte():
+    """``detector-churn`` at 100k peers under fast churn (half-life 8,
+    10 epochs): tens of thousands of dead reports are in flight at once,
+    the case whose per-peer informed rows took 345 s and 2.7 GiB. The
+    probe plane evicts, never falsely at zero loss, and fits in 1 GiB.
+
+    Ordered after the half-life-64 run and before the million-peer test:
+    the high-water mark it reads is its own or that smaller run's. The
+    measured numbers are ~10 s and ~200 MiB.
+    """
+    record = Runner(defaults={"seed": 20070415}).run(
+        "detector-churn", {"size": 100_000, "half_life": 8.0, "epochs": 10}
     )
     assert record.result.scalars["evictions"] > 0
     assert record.result.scalars["false_evictions"] == 0

@@ -67,14 +67,16 @@ and checks after every step:
   waves) no item is ever lost;
 * under a probe view (``view="probe"``: a ``ProbeView`` with probe loss
   ``loss``, the reference twin's on the scalar detector bank and the
-  set-per-report gossip twin) the twins agree on evictions, false
+  per-report scalar gossip twin) the twins agree on evictions, false
   evictions, detection lags, the believed-live ids and the gossip
   plane's reports in flight and informed counts (the vectorized bank's
   ``probe_*`` columns are not compared: the scalar bank keeps detector
   objects instead), an epoch's conservation counts its false evictions
-  as deaths, and after every epoch no report in flight has reached the
-  staleness bound. The other checks read the truth-live ring, which
-  the believed-live set contains: a false eviction kills its peer;
+  as deaths, and after every step every report in flight counts at
+  least its origin and has neither reached the staleness bound nor
+  covered the population its last push round ran over. The other checks
+  read the truth-live ring, which the believed-live set contains: a
+  false eviction kills its peer;
 * the registry (``state.obs``) reconciles with ground truth: both twins'
   tables are byte-equal, an epoch's ``churn`` row carries the ring's
   live count and the view's believed-live count, every ``membership``
@@ -188,6 +190,7 @@ class ChurnProgram:
         self.model = LruModel(serve.result_cache.capacity)
         self.requests = 0
         self.seeded = self.twins[0]["store"].item_count
+        self.spread_over = 0  # peers the last push round ran over (check_gossip_bound)
         self.check()
 
     def _build(self, vectorized: bool) -> dict:
@@ -251,7 +254,7 @@ class ChurnProgram:
         assert epoch.believed == self.twins[0]["view"].live_count
         if membership is not None:
             assert membership.epoch == epoch.epoch
-            self.check_gossip_bound(membership.evictions)
+            self.spread_over = self.twins[0]["view"].live_count + membership.evictions
         if epoch.link_repair:
             self.check_repaired()
             self.check_holders(epoch.epoch)
@@ -446,6 +449,8 @@ class ChurnProgram:
     # -- invariants ----------------------------------------------------
 
     def check(self) -> None:
+        if self.probe:
+            self.check_gossip_bound()
         for twin in self.twins:
             overlay = twin["overlay"]
             overlay.ring.verify()
@@ -624,16 +629,26 @@ class ChurnProgram:
                 ],
             )
 
-    def check_gossip_bound(self, evicted: int) -> None:
-        """No report in flight has reached the staleness bound. The
-        epoch's last push round ran over at most the believed-live peers
-        of now plus those the epoch evicted, and the bound only grows
-        with the population, so that population's bound caps it."""
+    def check_gossip_bound(self) -> None:
+        """No report in flight has reached the staleness bound or is
+        already covered, and each has informed at least its origin. The
+        last push round (the last epoch's) ran over at most
+        :attr:`spread_over` peers — that epoch's believed-live peers at
+        its end plus those it evicted — and the bound only grows with
+        the population, so that population's bound caps the ages; a
+        report counts at most that population and completes once it
+        counts all of it, so it counts fewer. Only a push round starts
+        or grows a report, so this holds after every step."""
+        population = self.spread_over
         for twin in self.twins:
             gossip = twin["view"]._gossip
-            bound = gossip.config.staleness_bound(max(twin["view"].live_count + evicted, 2))
+            bound = gossip.config.staleness_bound(max(population, 2))
             ages = gossip._age.values() if isinstance(gossip._age, dict) else gossip._age
             assert all(age < bound for age in ages)
+            for target in gossip.active:
+                count = gossip.informed_count(target)
+                assert 1 <= count <= max(population, 1), (target, count, population)
+                assert count < population, (target, count, population)  # else covered
 
     def check_twins(self) -> None:
         states = [twin["overlay"].state for twin in self.twins]
