@@ -136,7 +136,7 @@ CATALOGUE = (
     ),
     Mutant(
         "gossip-last-round-skips-draws",
-        "GossipMembership.spread skips the draw of a report at its bound (PR 42; count kernel)",
+        "GossipMembership.spread skips the draw of a report at its bound",
         "repro.membership.gossip:GossipMembership.spread",
         (
             (
@@ -152,7 +152,7 @@ CATALOGUE = (
     ),
     Mutant(
         "gossip-last-round-one-early",
-        "GossipMembership.spread retires a report a round before its bound (PR 42; count kernel)",
+        "GossipMembership.spread retires a report a round before its bound",
         "repro.membership.gossip:GossipMembership.spread",
         (
             (
