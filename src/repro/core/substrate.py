@@ -170,11 +170,7 @@ class Substrate:
         a wave that would leave no live peer :class:`EmptyPopulationError`
         — both before anyone is marked dead.
         """
-        ids = np.asarray(node_ids, dtype=np.int64)
-        slots = self.state.slots_of(ids)
-        unknown = slots < 0
-        if unknown.any():
-            raise UnknownNodeError(int(ids[int(unknown.argmax())]))
+        slots = self.ring.known_slots(node_ids)
         departing = np.unique(slots[self.state.alive[slots]]).size
         if departing and departing >= self.ring.live_count:
             raise EmptyPopulationError("departures would leave no live peer")

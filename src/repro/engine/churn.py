@@ -19,7 +19,8 @@ any :class:`~repro.core.substrate.Substrate` through lock-step
    for every substrate — and ring pointers re-stabilize immediately
    (the paper's standing self-stabilization assumption) through the
    bulk :func:`~repro.ring.maintenance.repair_all` rebuild, while long
-   links keep dangling;
+   links keep dangling. Peers the membership view falsely evicts
+   (probe loss) leave through the same door in the same epoch;
 3. **periodic repair** — every ``repair_every`` epochs the accumulated
    damage is actually fixed: long-dead peers are compacted out of the
    ring in one :meth:`Ring.remove_many
@@ -282,9 +283,7 @@ class SteadyStateChurnEngine:
         departures, pointer_fixes = self._depart(e)
         evicted = self.membership.advance(e)
         if evicted:
-            # A false eviction ground-truth kills a session holder; its
-            # session must not expire a second time later.
-            self._drop_sessions(np.asarray(evicted, dtype=np.int64))
+            pointer_fixes += self._leave(e, np.asarray(evicted, dtype=np.int64))[1]
         stale = self._count_stale_links()
         repair_due = (e % self.repair_every) == 0
         compacted, repair, repair_samples = self._repair_links(e) if repair_due else (0, None, 0)
@@ -344,15 +343,8 @@ class SteadyStateChurnEngine:
 
         Expiry is "session end at or before time ``e``"; a session whose
         peer is no longer live (it left through an external
-        ``leave_batch`` or crash) ends without a departure. At least one
-        peer always survives (a fully dead overlay has nothing left to
-        measure): when every session expired at once, the longest-lived
-        peer (ties to the higher id) is reprieved and keeps its slot in
-        the table. The wave lands as one bulk ``leave_batch`` (ring
-        pointers re-stabilized once, long links left dangling); the
-        reference path crashes one peer at a time and runs the scalar
-        repair instead — identical end state.
-        """
+        ``leave_batch`` or crash) ends without a departure; the expired
+        peers leave through :meth:`_leave`."""
         ring = self.substrate.ring
         if self.vectorized:
             ended = self._session_ids[self._departs <= float(e)]
@@ -378,23 +370,35 @@ class SteadyStateChurnEngine:
             self._drop_sessions(ended[~np.isin(ended, expired)])
         if expired.size == 0:
             return 0, 0
-        if expired.size >= self.substrate.ring.live_count:
-            keep = self._longest_lived(expired)
-            expired = expired[expired != keep]
-            if expired.size == 0:
+        return self._leave(e, expired)
+
+    def _leave(self, e: int, node_ids: np.ndarray) -> tuple[int, int]:
+        """The one departure door for truth-live ``node_ids``; returns
+        ``(left, fixes)``. At least one peer always survives: when every
+        live peer would leave, the longest-lived (ties to the higher id)
+        is reprieved, keeps its session and is believed live again. The
+        rest land as one bulk ``leave_batch`` (ring pointers re-stabilized
+        once, long links left dangling; the reference path makes the same
+        bulk kill, then the scalar repair), their sessions end and the
+        view stamps the deaths."""
+        ring = self.substrate.ring
+        if node_ids.size >= ring.live_count:
+            keep = self._longest_lived(node_ids)
+            node_ids = node_ids[node_ids != keep]
+            self.membership.revive([keep])
+            if node_ids.size == 0:
                 return 0, 0
         if self.vectorized:
-            fixes = int(self.substrate.leave_batch(expired, repair=True))
+            fixes = int(self.substrate.leave_batch(node_ids, repair=True))
         else:
-            for node_id in expired:
-                self.substrate.ring.mark_dead(int(node_id))
+            ring.mark_dead_slots(ring.known_slots(node_ids))
             # The scalar twin of repair_all, with the link-epoch bump
             # leave_batch's repair makes.
             self.substrate._links_epoch += 1
-            fixes = repair_pointers(self.substrate.ring, self.substrate.pointers)
-        self._drop_sessions(expired)
-        self.membership.record_deaths(expired, e)
-        return int(expired.size), fixes
+            fixes = repair_pointers(ring, self.substrate.pointers)
+        self._drop_sessions(node_ids)
+        self.membership.record_deaths(node_ids, e)
+        return int(node_ids.size), fixes
 
     def _drop_sessions(self, node_ids: np.ndarray) -> None:
         """End the sessions of ``node_ids`` (the table keeps the rest)."""
@@ -402,10 +406,10 @@ class SteadyStateChurnEngine:
         self._session_ids = self._session_ids[~gone]
         self._departs = self._departs[~gone]
 
-    def _longest_lived(self, expired: np.ndarray) -> int:
-        """The reprieved peer of a total-expiry wave: maximal
-        ``(departure time, id)`` — deterministic on both paths."""
-        order = np.isin(self._session_ids, expired)
+    def _longest_lived(self, leaving: np.ndarray) -> int:
+        """The reprieved peer of a wave that would leave no live peer:
+        maximal ``(departure time, id)`` — deterministic on both paths."""
+        order = np.isin(self._session_ids, leaving)
         ids = self._session_ids[order]
         departs = self._departs[order]
         best = int(np.lexsort((ids, departs))[-1])

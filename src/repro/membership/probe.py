@@ -9,9 +9,9 @@ answers with the **believed** population: truth-dead peers stay
 believed-live until a quorum of their probe panels votes them out and
 the resulting dead report finishes spreading. The gap between a
 recorded death and its eviction is the *detection lag*; evicting a
-truth-live peer (possible under probe loss) is a *false eviction* —
-both are first-class measurements (registry rows, :mod:`repro.obs`)
-the ``detector-grid`` scenario sweeps.
+truth-live peer (possible under probe loss) is a *false eviction*,
+handed back for the caller to kill — both are first-class measurements
+(registry rows, :mod:`repro.obs`) the ``detector-grid`` scenario sweeps.
 
 Two interchangeable execution backends advance the same abstract
 machine one probe round at a time:
@@ -309,10 +309,11 @@ class ProbeView(MembershipView):
         push round — completed reports evict their targets from the
         believed set immediately (the next round's panels already
         exclude them). Records the epoch's ``membership`` row; returns
-        the newly evicted ids, eviction order.
+        the truth-live peers it evicted, eviction order (the churn
+        engine sends them through its departure door).
         """
         rng = split(self.seed, "steady-detect", int(epoch))
-        evicted: list[NodeId] = []
+        false_evicted: list[NodeId] = []
         outcomes = dict.fromkeys(("lagged", "false_evictions", "moot"), 0)
         for _ in range(self.config.rounds_per_epoch):
             believed_ids, believed_slots = self._believed()
@@ -326,13 +327,17 @@ class ProbeView(MembershipView):
                 if reports:
                     self._gossip.start_many(*np.array(reports, dtype=np.int64).T)
             for target in self._gossip.spread(believed_ids, rng):
-                outcomes[self._evict(int(target), int(epoch))] += 1
-                evicted.append(int(target))
-        self.ring.state.obs.record("membership", epoch, evictions=len(evicted), **outcomes)
-        return evicted
+                outcome = self._evict(int(target), int(epoch))
+                outcomes[outcome] += 1
+                if outcome == "false_evictions":
+                    false_evicted.append(int(target))
+        self.ring.state.obs.record(
+            "membership", epoch, evictions=sum(outcomes.values()), **outcomes
+        )
+        return false_evicted
 
     def _evict(self, target: int, epoch: int) -> str:
-        """Evict ``target``; returns the outcome's ``membership`` column."""
+        """Believe ``target`` dead; returns the outcome's ``membership`` column."""
         state = self.ring.state
         slot = state.slot_of(target)
         if slot < 0:  # compacted while its report was still spreading
@@ -343,7 +348,6 @@ class ProbeView(MembershipView):
             state.died_at[slot] = -1
             return "lagged"
         if state.alive[slot]:
-            self.ring.mark_dead(target)
             return "false_evictions"
         return "moot"
 

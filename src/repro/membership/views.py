@@ -25,7 +25,7 @@ Two implementations ship:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -86,26 +86,24 @@ class MembershipView(ABC):
     # -- failure injection (ground truth) ------------------------------
 
     def crash(self, node_ids: "Iterable[NodeId]") -> list[NodeId]:
-        """Ground-truth kill in bulk (idempotent per peer); returns the
-        ids that actually changed state, in input order."""
-        crashed: list[NodeId] = []
-        for node_id in node_ids:
-            node_id = int(node_id)
-            if self.ring.is_alive(node_id):
-                self.ring.mark_dead(node_id)
-                crashed.append(node_id)
-        return crashed
+        """Ground-truth kill in one masked write (idempotent per peer);
+        returns the ids that changed state, in input order. An unknown
+        id raises before anyone dies."""
+        return self._write(node_ids, self.ring.mark_dead_slots)
 
     def revive(self, node_ids: "Iterable[NodeId]") -> list[NodeId]:
-        """Ground-truth revive in bulk (idempotent per peer); returns
-        the ids that actually changed state, in input order."""
-        revived: list[NodeId] = []
-        for node_id in node_ids:
-            node_id = int(node_id)
-            if not self.ring.is_alive(node_id):
-                self.ring.mark_alive(node_id)
-                revived.append(node_id)
-        return revived
+        """Ground-truth revive: :meth:`crash`'s mirror."""
+        return self._write(node_ids, self.ring.mark_alive_slots)
+
+    def _write(
+        self, node_ids: "Iterable[NodeId]", write: Callable[[np.ndarray], None]
+    ) -> list[NodeId]:
+        ids = np.fromiter(node_ids, dtype=np.int64)
+        slots = self.ring.known_slots(ids)
+        first = np.sort(np.unique(slots, return_index=True)[1])
+        before = self.ring.state.alive[slots[first]]
+        write(slots)
+        return ids[first[self.ring.state.alive[slots[first]] != before]].tolist()
 
     def crash_fraction(self, rng: np.random.Generator, fraction: float) -> list[NodeId]:
         """Crash ``fraction`` of the truth-live population, chosen uniformly.
@@ -129,8 +127,8 @@ class MembershipView(ABC):
     # -- engine hooks (knowledge == truth: nothing to do) --------------
 
     def advance(self, epoch: int) -> list[NodeId]:
-        """Run one epoch of knowledge acquisition; returns newly
-        evicted peers (none here — truth needs no detecting)."""
+        """Run one epoch of knowledge acquisition; returns the truth-live
+        peers it evicted, for the caller to kill (none here)."""
         return []
 
     def record_deaths(self, node_ids: "Iterable[NodeId]", epoch: int) -> None:

@@ -33,7 +33,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -175,10 +175,7 @@ class Ring:
             return
         if np.unique(ids).size != ids.size:
             raise DuplicateNodeError("bulk remove contains a repeated node id")
-        drop_slots = self.state.slots_of(ids)
-        unknown = drop_slots < 0
-        if unknown.any():
-            raise UnknownNodeError(int(ids[int(unknown.argmax())]))
+        drop_slots = self.known_slots(ids)
         flags = np.zeros(self.state.capacity, dtype=bool)
         flags[drop_slots] = True
         keep = ~flags[self._sorted_slots]
@@ -188,32 +185,24 @@ class Ring:
         self._version += int(ids.size)
         self._invalidate()
 
-    def mark_dead(self, node_id: NodeId) -> None:
-        """Crash a peer. Idempotent."""
-        slot = self._require_known(node_id)
-        if self.state.alive[slot]:
-            self.state.alive[slot] = False
-            self._version += 1
-            self._cache_live = None
+    def known_slots(self, node_ids: "Sequence[NodeId] | np.ndarray") -> np.ndarray:
+        """Slots of ``node_ids``, dead peers too; :class:`UnknownNodeError`
+        names the first id the ring does not hold."""
+        ids = np.asarray(node_ids, dtype=np.int64)
+        slots = self.state.slots_of(ids)
+        unknown = slots < 0
+        if unknown.any():
+            raise UnknownNodeError(int(ids[int(unknown.argmax())]))
+        return slots
 
     def mark_dead_slots(self, slots: np.ndarray) -> None:
-        """Crash the peers in ``slots`` (known slots; repeats and dead
-        ones are idempotent) in one masked write; the version moves by
-        the number killed, as that many :meth:`mark_dead` calls move it."""
-        alive = self.state.alive
-        killed = np.unique(slots[alive[slots]])
-        if killed.size:
-            alive[killed] = False
-            self._version += int(killed.size)
-            self._cache_live = None
+        """Crash ``slots`` in one masked write (repeats and dead peers are
+        idempotent); the version moves by the number killed."""
+        self._set_alive(slots, False)
 
-    def mark_alive(self, node_id: NodeId) -> None:
-        """Revive a crashed peer (used by churn processes). Idempotent."""
-        slot = self._require_known(node_id)
-        if not self.state.alive[slot]:
-            self.state.alive[slot] = True
-            self._version += 1
-            self._cache_live = None
+    def mark_alive_slots(self, slots: np.ndarray) -> None:
+        """Revive the peers in ``slots``: :meth:`mark_dead_slots`'s mirror."""
+        self._set_alive(slots, True)
 
     def is_alive(self, node_id: NodeId) -> bool:
         """Whether the peer is currently live."""
@@ -384,6 +373,14 @@ class Ring:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+
+    def _set_alive(self, slots: np.ndarray, alive: bool) -> None:
+        alive_column = self.state.alive
+        changed = np.unique(slots[alive_column[slots] != alive])
+        if changed.size:
+            alive_column[changed] = alive
+            self._version += int(changed.size)
+            self._cache_live = None
 
     def _require_known(self, node_id: NodeId) -> int:
         slot = self.state.slot_of(node_id)

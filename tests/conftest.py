@@ -170,6 +170,11 @@ def crash_wave(overlay, fraction: float = 0.33, seed: int = 7) -> list[int]:
     return victims
 
 
+def kill(ring, *node_ids: int) -> None:
+    """Crash ``node_ids`` in the ring's one bulk write (no view)."""
+    ring.mark_dead_slots(ring.known_slots(node_ids))
+
+
 def ids_in_cw_range(ring, start: float, end: float, live_only: bool = True) -> list[int]:
     """Peers keyed in the clockwise arc ``(start, end]`` (the whole
     circle when both ends share a key cell), clockwise from ``start``:

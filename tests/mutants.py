@@ -115,14 +115,10 @@ CATALOGUE = (
         "repro.membership.views:MembershipView.revive",
         (
             (
-                "    for node_id in node_ids:\n",
-                "    node_ids = list(node_ids)\n"
-                "    for node_id in node_ids:\n",
-            ),
-            (
-                "            self.ring.mark_alive(node_id)\n",
-                "            if node_id != int(node_ids[-1]):\n"
-                "                self.ring.mark_alive(node_id)\n",
+                "return self._write(node_ids, self.ring.mark_alive_slots)",
+                "node_ids = list(node_ids)\n"
+                "    revived = self._write(node_ids[:-1], self.ring.mark_alive_slots)\n"
+                "    return revived + [int(node_ids[-1])]",
             ),
         ),
         (PROGRAM.format("crash_revive_after_a_wave"),),
@@ -131,7 +127,12 @@ CATALOGUE = (
         "revive-skips-last-victim",
         "revive never reaches the last victim (PR 40)",
         "repro.membership.views:MembershipView.revive",
-        (("    for node_id in node_ids:\n", "    for node_id in list(node_ids)[:-1]:\n"),),
+        (
+            (
+                "self._write(node_ids, self.ring.mark_alive_slots)",
+                "self._write(list(node_ids)[:-1], self.ring.mark_alive_slots)",
+            ),
+        ),
         (PROGRAM.format("crash_revive_after_a_wave"),),
     ),
     Mutant(
@@ -206,7 +207,7 @@ CATALOGUE = (
         "churn-counts-wave-victims-as-departures",
         "the churn engine counts a session whose peer left in a wave as a departure",
         "repro.engine.churn:SteadyStateChurnEngine._depart",
-        (("return int(expired.size), fixes", "return int(ended.size), fixes"),),
+        (("return self._leave(e, expired)", "return int(ended.size), self._leave(e, expired)[1]"),),
         (PROGRAM.format("wave_victim_session_not_a_departure"),),
     ),
     Mutant(
@@ -223,19 +224,42 @@ CATALOGUE = (
     ),
     Mutant(
         "membership-row-drops-false-evictions",
-        "a false eviction kills its peer but the membership row files it as moot",
+        "a false eviction is filed as moot: the membership row drops it and advance never "
+        "hands it back",
         "repro.membership.probe:ProbeView._evict",
         (('        return "false_evictions"', '        return "moot"'),),
         (
-            "tests/test_obs.py::TestMembershipRows::test_false_evictions_are_counted_and_kill_"
-            "their_peer",
+            "tests/test_obs.py::TestMembershipRows::test_false_evictions_are_counted_and_leave_"
+            "truth_alone",
+        ),
+    ),
+    Mutant(
+        "false-eviction-skips-the-departure-door",
+        "ProbeView.advance kills a false eviction itself and hands nothing back, so the engine "
+        "never repairs the ring pointers around it",
+        "repro.membership.probe:ProbeView.advance",
+        (
+            (
+                "false_evicted.append(int(target))",
+                "self.ring.mark_dead_slots(self.ring.known_slots([target]))",
+            ),
+        ),
+        (
+            PROGRAM.format("false_eviction_then_repair_and_route"),
+            "tests/test_steady_churn.py::TestFalseEvictions::test_false_evictions_leave_by_"
+            "leave_batch",
         ),
     ),
     Mutant(
         "membership-row-drops-moot-evictions",
         "the membership row's evictions leave out the moot outcome",
         "repro.membership.probe:ProbeView.advance",
-        (("evictions=len(evicted)", 'evictions=len(evicted) - outcomes["moot"]'),),
+        (
+            (
+                "evictions=sum(outcomes.values())",
+                'evictions=sum(outcomes.values()) - outcomes["moot"]',
+            ),
+        ),
         (PROGRAM.format("probe_repair_epochs_reconcile"),),
     ),
     Mutant(

@@ -12,6 +12,7 @@ from repro.chord.hashing import hash_key_exact, hash_str, hash_str_exact
 from repro.ring import keyspace
 from repro.degree import ConstantDegrees
 from repro.errors import EmptyPopulationError, UnknownNodeError
+from repro.membership import OracleView
 from repro.ring import verify
 from repro.rng import make_rng
 from repro.workloads import GnutellaLikeDistribution, UniformKeys
@@ -141,8 +142,7 @@ class TestRouting:
         overlay = build_chord(n=150)
         rng = make_rng(7)
         victims = rng.choice(overlay.live_node_ids(), size=50, replace=False)
-        for victim in victims:
-            overlay.ring.mark_dead(int(victim))
+        OracleView(overlay.ring).crash(victims)
         overlay.repair_ring()
         for __ in range(30):
             source = overlay.random_live_node(rng)

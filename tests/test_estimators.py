@@ -8,6 +8,7 @@ from __future__ import annotations
 import pytest
 
 from repro import OscarOverlay
+from repro.membership import OracleView
 from repro.config import OscarConfig, SamplingMode
 from repro.core import oracle_partitions
 from repro.errors import SamplingError
@@ -49,9 +50,7 @@ def estimated(ring: Ring, seed: int, **config: object) -> list[OscarOverlay]:
         overlay = OscarOverlay(OscarConfig(**config), seed=seed)
         for node_id in ids:
             overlay._splice(ring.position(node_id))
-        for node_id in ids:
-            if not ring.is_alive(node_id):
-                overlay.ring.mark_dead(node_id)
+        OracleView(overlay.ring).crash([i for i in ids if not ring.is_alive(i)])
         overlay.rewire_batch(make_rng(seed), vectorized=vectorized)
         overlays.append(overlay)
     kernel, twin = overlays
@@ -109,9 +108,7 @@ class TestOraclePartitions:
 
     def test_dead_peers_excluded(self):
         ring = even_ring(64)
-        for victim in range(0, 64, 4):
-            if victim != 1:
-                ring.mark_dead(victim)
+        OracleView(ring).crash([victim for victim in range(0, 64, 4) if victim != 1])
         table = oracle_partitions(ring, 1, k=4)
         live = ring.live_count - 1
         arc1 = table.arc(1)
@@ -165,8 +162,7 @@ class TestSampledPartitions:
 
     def test_sole_live_peer_among_dead_gets_trivial_table(self):
         ring = even_ring(4)
-        for victim in (1, 2, 3):
-            ring.mark_dead(victim)
+        OracleView(ring).crash([1, 2, 3])
         # The dead peers are no population: node 0 alone cannot be
         # estimated (nor rewired), on either path.
         with pytest.raises(SamplingError):

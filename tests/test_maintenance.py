@@ -18,6 +18,8 @@ from repro.ring import (
     verify,
 )
 
+from conftest import kill
+
 
 def fresh_ring(positions: list[float]) -> Ring:
     ring = Ring()
@@ -44,7 +46,7 @@ class TestBuildPointers:
 
     def test_dead_peers_excluded(self):
         ring = fresh_ring([0.1, 0.2, 0.3])
-        ring.mark_dead(1)
+        kill(ring, 1)
         pointers = build_pointers(ring)
         assert pointers.successor[0] == 2
         assert 1 not in pointers.successor
@@ -93,7 +95,7 @@ class TestRepair:
     def test_repairs_after_single_crash(self, five_ring):
         ring, __ = five_ring
         pointers = build_pointers(ring)
-        ring.mark_dead(2)
+        kill(ring, 2)
         changed = repair(ring, pointers)
         assert changed > 0
         verify(ring, pointers)
@@ -105,25 +107,23 @@ class TestRepair:
     def test_repairs_after_mass_crash(self):
         ring = fresh_ring([i / 20 for i in range(20)])
         pointers = build_pointers(ring)
-        for victim in (0, 1, 2, 5, 7, 11, 13, 17, 19):
-            ring.mark_dead(victim)
+        kill(ring, 0, 1, 2, 5, 7, 11, 13, 17, 19)
         repair(ring, pointers)
         verify(ring, pointers)
 
     def test_repair_is_idempotent(self, five_ring):
         ring, __ = five_ring
         pointers = build_pointers(ring)
-        ring.mark_dead(0)
-        ring.mark_dead(3)
+        kill(ring, 0, 3)
         assert repair(ring, pointers) > 0
         assert repair(ring, pointers) == 0
 
     def test_repair_handles_revival(self, five_ring):
         ring, __ = five_ring
         pointers = build_pointers(ring)
-        ring.mark_dead(2)
+        kill(ring, 2)
         repair(ring, pointers)
-        ring.mark_alive(2)
+        ring.mark_alive_slots(ring.known_slots([2]))
         changed = repair(ring, pointers)
         assert changed > 0
         verify(ring, pointers)
@@ -132,7 +132,7 @@ class TestRepair:
     def test_repair_empty_ring_rejected(self):
         ring = fresh_ring([0.5])
         pointers = build_pointers(ring)
-        ring.mark_dead(0)
+        kill(ring, 0)
         with pytest.raises(EmptyPopulationError):
             repair(ring, pointers)
 
@@ -154,8 +154,7 @@ class TestRepair:
         pointers = build_pointers(ring)
         live = ring.node_ids(live_only=True)
         n_kill = min(int(kill_fraction * len(live)), len(live) - 1)
-        for victim in rng.choice(live, size=n_kill, replace=False):
-            ring.mark_dead(int(victim))
+        kill(ring, *rng.choice(live, size=n_kill, replace=False))
         repair(ring, pointers)
         verify(ring, pointers)
 
@@ -168,7 +167,7 @@ class TestRepairAll:
 
     def test_empty_ring_rejected(self):
         ring = fresh_ring([0.5])
-        ring.mark_dead(0)
+        kill(ring, 0)
         with pytest.raises(EmptyPopulationError):
             repair_all(ring, RingPointers(ring.state))
 
@@ -188,9 +187,8 @@ class TestRepairAll:
         victims = data.draw(
             st.lists(st.integers(min_value=0, max_value=n - 1), unique=True, max_size=n - 1)
         )
-        for victim in victims:
-            ring_a.mark_dead(victim)
-            ring_b.mark_dead(victim)
+        kill(ring_a, *victims)
+        kill(ring_b, *victims)
         # Scramble some surviving entries to exercise the changed-entry path.
         survivors = [i for i in range(n) if i not in set(victims)]
         if len(survivors) >= 2:
@@ -204,8 +202,7 @@ class TestRepairAll:
     def test_idempotent(self, five_ring):
         ring, __ = five_ring
         pointers = build_pointers(ring)
-        ring.mark_dead(0)
-        ring.mark_dead(3)
+        kill(ring, 0, 3)
         assert repair_all(ring, pointers) > 0
         assert repair_all(ring, pointers) == 0
         verify(ring, pointers)
@@ -222,7 +219,7 @@ class TestVerify:
     def test_detects_dangling_target(self, five_ring):
         ring, __ = five_ring
         pointers = build_pointers(ring)
-        ring.mark_dead(3)
+        kill(ring, 3)
         # no repair: 2's successor still points at dead 3
         with pytest.raises(RingInvariantError):
             verify(ring, pointers)
@@ -237,7 +234,7 @@ class TestVerify:
     def test_detects_entry_for_dead_node(self, five_ring):
         ring, __ = five_ring
         pointers = build_pointers(ring)
-        ring.mark_dead(4)
+        kill(ring, 4)
         repair(ring, pointers)
         pointers.successor[4] = 0  # stale entry resurfaces
         with pytest.raises(RingInvariantError):
@@ -297,8 +294,7 @@ class TestPointerColumns:
                 elif op in ("mark_dead", "mark_alive"):
                     chosen = subset(live, len(live) - 1) if op == "mark_dead" else subset(dead, 3)
                     for ring in twins:
-                        for node_id in chosen:
-                            getattr(ring, op)(node_id)
+                        getattr(ring, f"{op}_slots")(ring.known_slots(chosen))
                 elif op == "remove_many":
                     # Live peers go too — unrepaired, so their cells are
                     # set when the slot is freed; one live peer stays.

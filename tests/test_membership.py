@@ -376,7 +376,7 @@ class TestOracleView:
     def test_reads_are_the_bitmap_verbatim(self):
         ring = make_ring(6)
         view = OracleView(ring)
-        ring.mark_dead(2)
+        view.crash([2])
         assert list(view.live_ids()) == list(ring.ids_array(live_only=True))
         assert list(view.live_slots()) == list(ring.slots_array(live_only=True))
         assert view.live_count == ring.live_count == 5

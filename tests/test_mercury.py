@@ -8,6 +8,7 @@ import pytest
 from repro.config import MercuryConfig
 from repro.degree import ConstantDegrees
 from repro.errors import EmptyPopulationError, UnknownNodeError
+from repro.membership import OracleView
 from repro.mercury import MercuryOverlay
 from repro.mercury.construction import build_histogram, harmonic_rank_fraction
 from repro.ring import verify
@@ -107,8 +108,7 @@ class TestMercuryOverlayFacade:
 
     def test_faulty_routing_after_churn(self):
         overlay = build_mercury(n=100, seed=10)
-        for victim in list(overlay.ring.node_ids())[::6]:
-            overlay.ring.mark_dead(victim)
+        OracleView(overlay.ring).crash(overlay.ring.node_ids()[::6])
         overlay.repair_ring()
         rng = make_rng(11)
         delivered = 0

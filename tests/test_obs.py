@@ -90,18 +90,25 @@ class TestMembershipRows:
         assert detection["lag"].tolist() == [int(detection["epoch"][0]) - 1]
         assert view._evict(999, epoch) == "moot"
 
-    def test_false_evictions_are_counted_and_kill_their_peer(self):
+    def test_false_evictions_are_counted_and_leave_truth_alone(self):
         """Under heavy probe loss on a ring nobody crashed, every
-        eviction is false, and each one is a peer the view killed."""
+        eviction is false: the view stops believing in each such peer
+        and hands it back from ``advance``, and nobody dies (a bare view
+        has no departure door; the churn engine's is tested in
+        ``tests/test_steady_churn.py::TestFalseEvictions``)."""
         ring = fresh_ring(16)
         config = DetectorConfig(loss=0.6, failure_threshold=1, quorum=1)
         view = ProbeView(ring, config, seed=2)
+        handed: list[int] = []
         for epoch in range(1, 6):
-            view.advance(epoch)
+            handed += view.advance(epoch)
         m = ring.state.obs.table("membership")
         assert (m["evictions"] == m["lagged"] + m["false_evictions"] + m["moot"]).all()
         assert m["false_evictions"].sum() > 0
-        assert m["false_evictions"].sum() == 16 - ring.live_count == view.false_evictions
+        assert m["false_evictions"].sum() == len(handed) == 16 - view.live_count
+        assert view.false_evictions == len(handed) == len(set(handed))
+        assert sorted(handed) == sorted(set(ring.node_ids()) - set(view.live_ids().tolist()))
+        assert ring.live_count == 16
         assert m["lagged"].sum() == 0 and ring.state.obs.table("detection") == {}
 
 

@@ -13,6 +13,7 @@ from repro.rng import make_rng
 from repro.workloads import UniformKeys
 
 from repro import OscarOverlay
+from repro.membership import OracleView
 
 from conftest import build_overlay, ids_in_cw_range, links_of
 
@@ -179,16 +180,14 @@ class TestRepairRing:
     def test_repair_after_crash(self):
         overlay = build_overlay(n=60, seed=30)
         victims = [nid for nid in list(overlay.ring.node_ids())[::7]]
-        for victim in victims:
-            overlay.ring.mark_dead(victim)
+        OracleView(overlay.ring).crash(victims)
         fixed = overlay.repair_ring()
         assert fixed > 0
         verify(overlay.ring, overlay.pointers)
 
     def test_routes_still_work_after_repair(self):
         overlay = build_overlay(n=60, seed=31)
-        for victim in list(overlay.ring.node_ids())[::5]:
-            overlay.ring.mark_dead(victim)
+        OracleView(overlay.ring).crash(overlay.ring.node_ids()[::5])
         overlay.repair_ring()
         rng = make_rng(5)
         for __ in range(30):

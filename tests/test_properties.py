@@ -25,6 +25,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from conftest import greedy_oracle, hand_built, ids_in_cw_range
 from repro.core import oracle_partitions
 from repro.errors import DuplicateNodeError
+from repro.membership import OracleView
 from repro.ring import Ring, build_pointers, cw_distance, keyspace, repair
 from repro.ring.keyspace import KEY_MASK
 
@@ -56,7 +57,7 @@ class RingMachine(RuleBasedStateMachine):
     def crash(self, data) -> None:
         live = [nid for nid, (__, alive) in self.model.items() if alive]
         victim = data.draw(st.sampled_from(live))
-        self.ring.mark_dead(victim)
+        OracleView(self.ring).crash([victim])
         self.model[victim] = (self.model[victim][0], False)
 
     @precondition(lambda self: any(not alive for __, alive in self.model.values()))
@@ -64,7 +65,7 @@ class RingMachine(RuleBasedStateMachine):
     def revive(self, data) -> None:
         dead = [nid for nid, (__, alive) in self.model.items() if not alive]
         chosen = data.draw(st.sampled_from(dead))
-        self.ring.mark_alive(chosen)
+        OracleView(self.ring).revive([chosen])
         self.model[chosen] = (self.model[chosen][0], True)
 
     @invariant()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import EmptyPopulationError, ExperimentError
+from repro.membership import OracleView
 from repro.ring import Ring
 from repro.rng import make_rng
 from repro.workloads import GnutellaLikeDistribution, Query, QueryWorkload
@@ -45,7 +46,7 @@ class TestPeerMode:
 
     def test_sources_are_live_peers(self):
         ring = ring_of(16)
-        ring.mark_dead(3)
+        OracleView(ring).crash([3])
         queries = list(QueryWorkload().generate(ring, make_rng(2), 200))
         assert all(q.source != 3 for q in queries)
 

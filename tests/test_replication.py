@@ -103,8 +103,7 @@ class TestPlacement:
         ring = make_ring(4)
         with pytest.raises(ConfigError):
             ReplicatedStore(ring, k=0)
-        for i in range(4):
-            ring.mark_dead(i)
+        OracleView(ring).crash(range(4))
         store = ReplicatedStore(ring, k=2)
         with pytest.raises(ConfigError):
             store.successor_targets(np.asarray([0.5]), OracleView(ring))

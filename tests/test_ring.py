@@ -12,7 +12,7 @@ from repro.ring import Ring, keyspace
 from repro.protocol.estimation import cw_arc_slice
 from repro.ring.keyspace import KeyspaceError
 
-from conftest import draw_in_arc, ids_in_cw_range
+from conftest import draw_in_arc, ids_in_cw_range, kill
 
 
 def choose_in_cw_range(ring: Ring, rng, start: float, end: float, k: int) -> np.ndarray:
@@ -57,18 +57,29 @@ class TestMembership:
 
     def test_mark_dead_and_alive(self, five_ring):
         ring, __ = five_ring
-        ring.mark_dead(2)
-        assert not ring.is_alive(2)
-        assert ring.live_count == 4
-        ring.mark_alive(2)
-        assert ring.is_alive(2)
-        assert ring.live_count == 5
+        version = ring.version
+        ring.mark_dead_slots(ring.known_slots([2, 4]))
+        assert not ring.is_alive(2) and not ring.is_alive(4)
+        assert ring.live_count == 3 and ring.version == version + 2
+        ring.mark_alive_slots(ring.known_slots([2, 4]))
+        assert ring.is_alive(2) and ring.is_alive(4)
+        assert ring.live_count == 5 and ring.version == version + 4
 
     def test_mark_dead_idempotent(self, five_ring):
+        """Repeats and peers already in the target state change nothing,
+        the version included."""
         ring, __ = five_ring
-        ring.mark_dead(2)
-        ring.mark_dead(2)
-        assert ring.live_count == 4
+        kill(ring, 2, 2)
+        version = ring.version
+        kill(ring, 2)
+        ring.mark_alive_slots(ring.known_slots([0, 0, 1]))
+        assert ring.live_count == 4 and ring.version == version
+
+    def test_known_slots_names_the_first_unknown_id(self, five_ring):
+        ring, __ = five_ring
+        assert ring.known_slots([3, 0]).tolist() == [ring.state.slot_of(3), ring.state.slot_of(0)]
+        with pytest.raises(UnknownNodeError, match="98"):
+            ring.known_slots([1, 98, 99])
 
     def test_node_ids_in_clockwise_order(self):
         ring = make_ring([0.7, 0.1, 0.4])
@@ -112,7 +123,7 @@ class TestBulkValidation:
         self, five_ring, ids, positions, error, message
     ):
         ring, __ = five_ring
-        ring.mark_dead(2)
+        kill(ring, 2)
         before = ring_fingerprint(ring)
         for batch in (
             (zip(ids, positions),),
@@ -151,7 +162,7 @@ class TestBulkValidation:
 class TestRemoveMany:
     def test_removes_live_and_dead(self, five_ring):
         ring, __ = five_ring
-        ring.mark_dead(1)
+        kill(ring, 1)
         version_before = ring.version
         ring.remove_many([1, 3])
         assert len(ring) == 3
@@ -232,13 +243,13 @@ class TestSuccessorLookups:
 
     def test_successor_skips_dead(self, five_ring):
         ring, __ = five_ring
-        ring.mark_dead(1)
+        kill(ring, 1)
         assert ring.successor(0, live_only=True) == 2
         assert ring.successor(0, live_only=False) == 1
 
     def test_neighbor_of_dead_node(self, five_ring):
         ring, __ = five_ring
-        ring.mark_dead(2)
+        kill(ring, 2)
         # asking for the live successor of the dead node itself
         assert ring.successor(2, live_only=True) == 3
         assert ring.predecessor(2, live_only=True) == 1
@@ -250,8 +261,7 @@ class TestSuccessorLookups:
 
     def test_all_dead_raises(self, five_ring):
         ring, ids = five_ring
-        for i in ids:
-            ring.mark_dead(i)
+        kill(ring, *ids)
         with pytest.raises(EmptyPopulationError):
             ring.successor_of_key(0.5, live_only=True)
 
@@ -296,7 +306,7 @@ class TestRangeQueries:
 
     def test_live_only_filtering(self, five_ring):
         ring, __ = five_ring
-        ring.mark_dead(1)
+        kill(ring, 1)
         assert list(ids_in_cw_range(ring, 0.2, 0.6, live_only=True)) == [2]
         assert list(ids_in_cw_range(ring, 0.2, 0.6, live_only=False)) == [1, 2]
 
@@ -315,7 +325,7 @@ class TestRangeQueries:
         # range (0.2, 0.6] holds nodes 1 (at 0.3) and 2 (at 0.5); with 2
         # dead every draw must return node 1.
         ring, __ = five_ring
-        ring.mark_dead(2)
+        kill(ring, 2)
         draws = choose_in_cw_range(ring, np.random.default_rng(0), 0.2, 0.6, k=100)
         assert set(draws.tolist()) == {1}
 
@@ -350,7 +360,7 @@ class TestRanks:
 
     def test_rank_of_dead_node_raises(self, five_ring):
         ring, __ = five_ring
-        ring.mark_dead(3)
+        kill(ring, 3)
         with pytest.raises(UnknownNodeError):
             ring.cw_rank_of(0.1, 3, live_only=True)
 
@@ -434,7 +444,7 @@ class TestExactKeys:
 
     def test_keys_array_live_view_tracks_deaths(self, five_ring):
         ring, ids = five_ring
-        ring.mark_dead(ids[2])
+        kill(ring, ids[2])
         live = ring.keys_array(live_only=True)
         assert live.size == len(ids) - 1
         assert keyspace.from_unit(ring.position(ids[2])) not in live.tolist()
@@ -447,7 +457,7 @@ class TestExactKeys:
         ring = Ring()
         ring.insert(0, 0.0)
         ring.insert(2, 0.5)
-        ring.mark_dead(0)
+        kill(ring, 0)
         before = ring_fingerprint(ring)
         with pytest.raises(DuplicateNodeError, match="occupied by node 0"):
             ring.insert(1, 1e-300)

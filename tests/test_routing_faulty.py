@@ -9,6 +9,7 @@ import pytest
 from conftest import hand_built
 from repro.config import RoutingConfig
 from repro.errors import DeadNodeError
+from repro.membership import OracleView
 from repro.ring import Ring, build_pointers, repair
 from repro.routing import route_faulty
 
@@ -68,7 +69,7 @@ class TestFaultFreeEquivalence:
 class TestDeadNeighborProbes:
     def test_probe_charged_for_dead_long_link(self):
         ring, pointers, neighbors = build_topology(16, extra={0: [8]})
-        ring.mark_dead(8)
+        OracleView(ring).crash([8])
         repair(ring, pointers)
         result = route_faulty(ring, pointers, neighbors, 0, 0.6)
         assert result.success
@@ -78,7 +79,7 @@ class TestDeadNeighborProbes:
         # Two paths could re-probe the same dead node; the discovery
         # cache must charge it once.
         ring, pointers, neighbors = build_topology(16, extra={0: [8], 1: [8], 2: [8]})
-        ring.mark_dead(8)
+        OracleView(ring).crash([8])
         repair(ring, pointers)
         result = route_faulty(ring, pointers, neighbors, 0, 0.6)
         assert result.success
@@ -86,7 +87,7 @@ class TestDeadNeighborProbes:
 
     def test_source_dead_rejected(self):
         ring, pointers, neighbors = build_topology(8)
-        ring.mark_dead(3)
+        OracleView(ring).crash([3])
         repair(ring, pointers)
         with pytest.raises(DeadNodeError):
             route_faulty(ring, pointers, neighbors, 3, 0.9)
@@ -109,8 +110,7 @@ class TestRepairedRingAlwaysDelivers:
         }
         neighbors = StaticNeighbors(table)
         victims = rng.choice(n, size=int(kill_fraction * n), replace=False)
-        for victim in victims:
-            ring.mark_dead(int(victim))
+        OracleView(ring).crash(victims)
         repair(ring, pointers)
         live = ring.node_ids(live_only=True)
         for __ in range(60):
@@ -143,8 +143,7 @@ class TestRepairedRingAlwaysDelivers:
             return float(np.mean(costs))
 
         healthy = mean_cost()
-        for victim in rng.choice(n, size=n // 3, replace=False):
-            ring.mark_dead(int(victim))
+        OracleView(ring).crash(rng.choice(n, size=n // 3, replace=False))
         repair(ring, pointers)
         damaged = mean_cost()
         assert damaged > healthy
@@ -157,7 +156,7 @@ class TestBacktracking:
         # assuming 1 dead). The only delivery path needs the past-key tier
         # or backtracking, never an exception.
         ring, pointers, neighbors = build_topology(8, extra={0: [3]})
-        ring.mark_dead(1)
+        OracleView(ring).crash([1])
         # deliberate: no repair
         result = route_faulty(ring, pointers, neighbors, 0, 0.13)
         assert result.delivered_to == ring.successor_of_key(0.13, live_only=True)
@@ -169,7 +168,7 @@ class TestBacktracking:
         # 0 -> 2 -> 1 dead-ends, backtracks 1 -> 2 -> 0 and goes round
         # the other way: 6 hops, 1 probe (3, charged once), 2 backtracks.
         ring, pointers, neighbors = build_topology(8, extra={0: [2]})
-        ring.mark_dead(3)
+        OracleView(ring).crash([3])
         result = route_faulty(ring, pointers, neighbors, 0, 0.45, record_path=True)
         assert result.path == (0, 2, 1, 7, 6, 5, 4)
         assert (result.hops, result.wasted_probes, result.backtracks) == (6, 1, 2)
@@ -196,7 +195,7 @@ class TestBacktracking:
 class TestPathRecording:
     def test_path_contains_only_live_nodes(self):
         ring, pointers, neighbors = build_topology(16, extra={0: [8], 4: [12]})
-        ring.mark_dead(8)
+        OracleView(ring).crash([8])
         repair(ring, pointers)
         result = route_faulty(ring, pointers, neighbors, 0, 0.9, record_path=True)
         assert result.success

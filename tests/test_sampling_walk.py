@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import OscarConfig, OscarOverlay
+from repro.membership import OracleView
 from repro.engine.construct import LiveView, _window_counts
 from repro.errors import ConfigError, SamplingError
 from repro.ring import in_cw_interval
@@ -70,7 +71,7 @@ class TestSampleArcUniform:
         overlay = OscarOverlay(OscarConfig(), seed=0)
         for i in range(8):
             overlay._splice(i / 8)
-        overlay.ring.mark_dead(2)
+        OracleView(overlay.ring).crash([2])
         view = LiveView.capture(overlay)  # the engine samples live rows only
         ids = draw_arc(view, make_rng(2), 0.0, 0.99, size=500)
         assert 2 not in set(int(i) for i in ids)

@@ -468,8 +468,7 @@ class TestServeSnapshot:
 
     def test_empty_believed_set_rejected(self):
         overlay, view, store, serve = build_plane(n=20, n_items=5)
-        for i in view.live_ids():
-            overlay.ring.mark_dead(int(i))
+        view.crash(view.live_ids())
         with pytest.raises(ConfigError):
             serve.serve_snapshot()
 

@@ -181,7 +181,7 @@ class TestCompactionAndLiveness:
 
     def test_verify_catches_corrupted_liveness_cache(self):
         ring = fresh_ring(5)
-        ring.mark_dead(2)
+        OracleView(ring).crash([2])
         _ = ring.ids_array(live_only=True)  # populate the live cache
         ring.state.alive[ring.state.slot_of(2)] = True  # corrupt behind the cache
         with pytest.raises(RingInvariantError):

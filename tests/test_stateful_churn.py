@@ -64,19 +64,21 @@ and checks after every step:
   (after any wave) plus its arrivals minus its departures, and equals
   the ring's; the catalog holds the seeded items minus those lost;
 * under gentle churn (``repair_every=1``, half-life 64, no external
-  waves) no item is ever lost;
+  waves and no false evictions) no item is ever lost;
 * under a probe view (``view="probe"``: a ``ProbeView`` with probe loss
   ``loss``, the reference twin's on the scalar detector bank and the
   per-report scalar gossip twin) the twins agree on evictions, false
   evictions, detection lags, the believed-live ids and the gossip
   plane's reports in flight and informed counts (the vectorized bank's
   ``probe_*`` columns are not compared: the scalar bank keeps detector
-  objects instead), an epoch's conservation counts its false evictions
-  as deaths, and after every step every report in flight counts at
-  least its origin and has neither reached the staleness bound nor
-  covered the population its last push round ran over. The other checks
-  read the truth-live ring, which the believed-live set contains: a
-  false eviction kills its peer;
+  objects instead); a false eviction leaves through the engine's
+  departure door in its own epoch (all but the longest-lived peer when
+  it would leave none), so an epoch's conservation counts it as a death;
+  and after every step no truth-live peer is believed-dead, and every
+  report in flight counts at least its origin and has neither reached
+  the staleness bound nor covered the population its last push round
+  ran over. The other checks read the truth-live ring, which the
+  believed-live set contains;
 * the registry (``state.obs``) reconciles with ground truth: both twins'
   tables are byte-equal, an epoch's ``churn`` row carries the ring's
   live count and the view's believed-live count, every ``membership``
@@ -246,10 +248,12 @@ class ChurnProgram:
         for twin in self.twins:  # the probe's truth snapshot is not held
             assert twin["engine"]._query_engine.cached_snapshot is None
         epoch = rows[0]
-        # A false eviction (probe loss) ground-truth kills a live peer.
+        # A false eviction (probe loss) leaves like an expired session;
+        # an eviction wave that would leave no peer reprieves one.
         membership = self.overlay.state.obs.rows("membership")[-1] if self.probe else None
-        killed = membership.false_evictions if membership is not None else 0
-        live_after = live_before + epoch.arrivals - epoch.departures - killed
+        live_after = live_before + epoch.arrivals - epoch.departures
+        if membership is not None:
+            live_after -= min(membership.false_evictions, live_after - 1)
         assert epoch.live == live_after == self.overlay.ring.live_count
         assert epoch.believed == self.twins[0]["view"].live_count
         if membership is not None:
@@ -451,6 +455,7 @@ class ChurnProgram:
     def check(self) -> None:
         if self.probe:
             self.check_gossip_bound()
+            self.check_belief()
         for twin in self.twins:
             overlay = twin["overlay"]
             overlay.ring.verify()
@@ -462,7 +467,9 @@ class ChurnProgram:
         for twin in self.twins:
             store = twin["store"]
             assert store.item_count == self.seeded - store.items_lost_total
-        if self.gentle and not self.waves:
+        # A false eviction is a death gentle churn does not pace, as a wave is.
+        false_evictions = self.overlay.state.obs.total("membership", "false_evictions")
+        if self.gentle and not self.waves and not false_evictions:
             assert self.twins[0]["store"].items_lost_total == 0
         self.check_registry()
 
@@ -629,6 +636,13 @@ class ChurnProgram:
                 ],
             )
 
+    def check_belief(self) -> None:
+        """No truth-live peer is believed-dead: an evicted peer has left."""
+        for twin in self.twins:
+            state, slots = twin["overlay"].state, twin["overlay"].ring.slots_array()
+            wrongly = slots[state.alive[slots] & state.believed_dead[slots]]
+            assert wrongly.size == 0, f"believed-dead live peers {state.node_id[wrongly].tolist()}"
+
     def check_gossip_bound(self) -> None:
         """No report in flight has reached the staleness bound or is
         already covered, and each has informed at least its origin. The
@@ -745,7 +759,7 @@ class ChurnMachine(RuleBasedStateMachine):
         substrate=st.sampled_from(["chord", "mercury", "oscar"]),
         n=st.integers(min_value=12, max_value=48),
         view=st.sampled_from(["oracle", "probe"]),
-        loss=st.sampled_from([0.0, 0.05, 0.3]),
+        loss=st.sampled_from([0.0, 0.05, 0.3, 0.8]),
         seed=st.integers(min_value=0, max_value=2**16),
         cap=st.integers(min_value=2, max_value=6),
         repair=st.sampled_from(["refill", "full"]),

@@ -396,6 +396,81 @@ class TestMembershipViews:
         assert view.false_evictions == 0
 
 
+class TestFalseEvictions:
+    """A false eviction (a truth-live peer a lossy probe view evicts)
+    leaves through the engine's one departure door in the epoch that
+    evicted it: ``leave_batch``, ring pointers repaired at once, its
+    session ended — and a wave that would empty the overlay reprieves
+    the longest-lived peer, believed live again."""
+
+    #: Every probe a coin flip and one missed pong a vote: on 16 peers
+    #: every peer is falsely evicted within a few epochs.
+    LOSSY = DetectorConfig(loss=0.6, failure_threshold=1, quorum=1)
+
+    def lossy_engine(self, seed: int, vectorized: bool = True) -> SteadyStateChurnEngine:
+        backend = "vectorized" if vectorized else "scalar"
+        return build_engine(
+            size=16,
+            half_life=16.0,
+            repair_every=2,
+            n_probes=4,
+            seed=seed,
+            vectorized=vectorized,
+            membership_factory=lambda ring: ProbeView(ring, self.LOSSY, seed=seed, backend=backend),
+        )
+
+    def test_false_evictions_leave_by_leave_batch(self, monkeypatch):
+        engine = self.lossy_engine(seed=2)
+        overlay, view = engine.substrate, engine.membership
+        left: list[list[int]] = []
+        evicted: list[list[int]] = []
+        leave_batch, advance = overlay.leave_batch, view.advance
+
+        def leaving(node_ids, repair=True):
+            left.append(sorted(int(i) for i in node_ids))
+            return leave_batch(node_ids, repair=repair)
+
+        def evicting(epoch):
+            evicted.append(advance(epoch))
+            return evicted[-1]
+
+        monkeypatch.setattr(overlay, "leave_batch", leaving)
+        monkeypatch.setattr(view, "advance", evicting)
+        for __ in range(5):  # the sixth epoch's evictions would empty the overlay
+            left.clear()
+            row = engine.run_epoch()
+            verify(overlay.ring, overlay.pointers)
+            wrongly = evicted[-1]
+            if wrongly:
+                assert left[-1] == sorted(wrongly)  # the epoch's last leave_batch
+                slots = overlay.state.slots_of(wrongly)  # -1: compacted by the repair
+                assert not overlay.state.alive[slots[slots >= 0]].any()
+                assert not np.isin(wrongly, engine._session_ids).any()
+            else:
+                assert len(left) == (row.departures > 0)
+        assert view.false_evictions == sum(map(len, evicted)) > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_an_eviction_wave_never_empties_the_overlay(self, seed):
+        twins = [self.lossy_engine(seed, vectorized) for vectorized in (True, False)]
+        engine = twins[0]
+        ring, state = engine.substrate.ring, engine.substrate.state
+        reprieved = 0
+        for __ in range(6):
+            live_before = ring.live_count
+            rows = [twin.run_epoch() for twin in twins]
+            assert rows[0] == rows[1]
+            verify(ring, engine.substrate.pointers)
+            false = state.obs.rows("membership")[-1].false_evictions
+            live = live_before + rows[0].arrivals - rows[0].departures
+            reprieved += false == live
+            assert rows[0].live == ring.live_count == live - min(false, live - 1) >= 1
+            slots = ring.slots_array()
+            assert not (state.alive[slots] & state.believed_dead[slots]).any()
+        if seed in (1, 5):  # an epoch that evicts every live peer
+            assert reprieved
+
+
 class TestStaleLinkCount:
     """``_count_stale_links`` is a gather from one id-indexed
     believed-live table; the set-walking twin pins it on every shape of

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Substrate
+from repro.membership import OracleView
 from repro.degree import ConstantDegrees
 from repro.engine import TopologySnapshot
 from repro.errors import EmptyPopulationError, UnknownNodeError
@@ -56,8 +57,7 @@ class TestLeaveBatch:
         bulk.ring.verify()
         verify(bulk.ring, bulk.pointers)
         # The bulk repair_all rebuild counts exactly what scalar repair does.
-        for node_id in ids:
-            twin.ring.mark_dead(node_id)
+        OracleView(twin.ring).crash(ids)
         assert fixed == repair(twin.ring, twin.pointers) > 0
         assert bulk.pointers == twin.pointers
 
