@@ -287,8 +287,8 @@ class ProbeView(MembershipView):
     # believing the victims alive until their panels vote them out.
 
     def revive(self, node_ids: "Iterable[NodeId]") -> list[NodeId]:
-        """Ground-truth revive; also restores belief (an evicted peer
-        that comes back re-enters the believed set with fresh detector
+        """Ground-truth revive; also restores belief (an evicted or
+        reprieved peer re-enters the believed set with fresh detector
         state and may be reported dead again later)."""
         ids = [int(n) for n in node_ids]
         revived = super().revive(ids)
@@ -296,7 +296,7 @@ class ProbeView(MembershipView):
         state.believed_dead[slots] = False
         state.died_at[slots] = -1
         self._gossip.forget(ids)
-        self._bank.forget(revived)
+        self._bank.forget(ids)
         return revived
 
     # -- knowledge acquisition -----------------------------------------

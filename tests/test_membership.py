@@ -536,7 +536,10 @@ class TestProbeView:
             assert view.revive([2]) == [2] and view.is_live(2)
             view.crash([5])
             view.record_deaths([5], epoch=last + 1)
-            seen = [list(view.advance(epoch)) for epoch in range(last + 1, last + 9)]
+            seen = []
+            for epoch in range(last + 1, last + 9):
+                view.advance(epoch)
+                seen.append(view.live_ids().tolist())
             assert view.is_live(2) and not view.is_live(5)
             trace[backend] = (last, seen, view.detection_lags, view.false_evictions)
         assert trace["scalar"] == trace["vectorized"]

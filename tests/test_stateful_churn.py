@@ -64,7 +64,7 @@ and checks after every step:
   (after any wave) plus its arrivals minus its departures, and equals
   the ring's; the catalog holds the seeded items minus those lost;
 * under gentle churn (``repair_every=1``, half-life 64, no external
-  waves and no false evictions) no item is ever lost;
+  waves, and at probe loss 0.8 no false evictions) no item is ever lost;
 * under a probe view (``view="probe"``: a ``ProbeView`` with probe loss
   ``loss``, the reference twin's on the scalar detector bank and the
   per-report scalar gossip twin) the twins agree on evictions, false
@@ -467,9 +467,11 @@ class ChurnProgram:
         for twin in self.twins:
             store = twin["store"]
             assert store.item_count == self.seeded - store.items_lost_total
-        # A false eviction is a death gentle churn does not pace, as a wave is.
+        # At probe loss 0.8 a false eviction is a death gentle churn does
+        # not pace, as a wave is: it can take every replica holder at once.
+        lossiest = self.probe and self.params["loss"] >= 0.8
         false_evictions = self.overlay.state.obs.total("membership", "false_evictions")
-        if self.gentle and not self.waves and not false_evictions:
+        if self.gentle and not self.waves and not (lossiest and false_evictions):
             assert self.twins[0]["store"].items_lost_total == 0
         self.check_registry()
 
