@@ -863,6 +863,9 @@ class BatchConstructionEngine:
         ``link_retries + 1`` tries; exhausting them gives the peer's
         remaining slots up.
 
+        The requesters still at work are carried as a compacted index
+        list ``act`` into ``rows``, aligned with their tries at the
+        current slot and their open slots, so a round touches only them.
         The vectorized rounds read and write the requesters' link rows
         through ``links_t`` — a requester-ordered, column-major copy
         taken once here (row ``c`` is link column ``c`` of every
@@ -885,8 +888,9 @@ class BatchConstructionEngine:
         out_count = state.out_count[req_slots].astype(np.int64)
         n_cand = 2 if config.power_of_two else 1
         run_round = self._round_vectorized if self.vectorized else self._round_reference
-        slot_attempts = np.zeros(n, dtype=np.int64)
-        active = out_count < target
+        act = np.flatnonzero(out_count < target)
+        tries = np.zeros(act.size, dtype=np.int64)
+        left = target.take(act) - out_count.take(act)
         links_t = None
         if self.vectorized:
             # Wide enough for a row already past its cap: ids are compared,
@@ -896,10 +900,7 @@ class BatchConstructionEngine:
             for block in row_blocks(n):
                 links_t[:held, block] = state.out_links[req_slots[block], :held].T
 
-        while True:
-            act = np.nonzero(active)[0]
-            if act.size == 0:
-                break
+        while act.size:
             u_part = rng.random(act.size)
             u_cand = rng.random((act.size, n_cand))
             stats.draws += int(act.size)
@@ -917,14 +918,15 @@ class BatchConstructionEngine:
                 links_t,
                 stats,
             )
-            fail = ~success
-            slot_attempts[act[success]] = 0
-            slot_attempts[act[fail]] += 1
-            gave = fail & (slot_attempts[act] > config.link_retries)
-            stats.slots_given_up += int(gave.sum())
-            active[act[gave]] = False
-            filled = success & (out_count[act] >= target[act])
-            active[act[filled]] = False
+            # A placed link restarts the next slot's tries; a failure
+            # spends one, and the last one gives the open slots up.
+            tries = np.where(success, 0, tries + 1)
+            left -= success
+            gave = tries > config.link_retries
+            stats.slots_given_up += int(np.count_nonzero(gave))
+            keep = (left > 0) & ~gave
+            if not keep.all():
+                act, tries, left = act[keep], tries[keep], left[keep]
 
         if links_t is not None:
             held = int(out_count.max())
@@ -950,98 +952,89 @@ class BatchConstructionEngine:
         stats: LinkAcquisitionStats,
     ) -> np.ndarray:
         """One acquisition round as array kernels; returns the success
-        mask over ``act``."""
-        m = view.m
-        ids = view.ids
-        n_cand = u_cand.shape[1]
-        everyone = act.size == rows.size
-        act_rows = rows if everyone else rows[act]
-        success = np.zeros(act.size, dtype=bool)
+        mask over ``act``.
 
-        arc = act * arcs.lo.shape[1] + (u_part * arcs.k_count[act]).astype(np.int64)
+        The candidates are one ``(n_cand, a)`` block, a row per choice,
+        so every per-candidate quantity is one ``take`` and the chosen
+        candidate of request ``r`` sits at flat index ``pick * a + r``.
+        """
+        m, a = view.m, act.size
+        everyone = a == rows.size
+        act_rows = rows if everyone else rows.take(act)
+        success = np.zeros(a, dtype=bool)
+
+        arc = (u_part * arcs.k_count.take(act)).astype(np.int64)
+        arc += act * arcs.lo.shape[1]
         lo = arcs.lo.take(arc)
         count = arcs.count.take(arc)
         drew = count > 0
-        stats.empty_partition_draws += int((~drew).sum())
+        stats.empty_partition_draws += a - int(np.count_nonzero(drew))
 
-        offsets = (u_cand * count[:, None]).astype(np.int64)
-        cand = lo[:, None] + offsets
-        cand[cand >= m] -= m
+        cand = np.multiply(u_cand.T, count, order="C").astype(np.int64)
+        cand += lo
+        np.subtract(cand, m, out=cand, where=cand >= m)
+        cand_ids = view.ids.take(cand).astype(links_t.dtype)
+        eligible = cand != act_rows
+        eligible &= drew
+        if u_cand.shape[1] == 2:
+            eligible[1] &= cand[1] != cand[0]
         # "Already my target?" is a compare against the requester's own
         # link columns: ids are never reused, so a dead or retired target
-        # cannot alias a live candidate, and padding is -1.
-        cand_ids = [ids[cand[:, j]].astype(links_t.dtype) for j in range(n_cand)]
-        eligible = [drew & (cand[:, j] != act_rows) for j in range(n_cand)]
-        if n_cand == 2:
-            eligible[1] &= cand[:, 1] != cand[:, 0]
-        # One row block of the active requesters at a time: their held
-        # link columns, gathered, against each candidate in one test.
-        held = int(out_count[act].max())
-        for block in row_blocks(act.size) if held else ():
-            own = links_t[:held, block] if everyone else links_t[:held, act[block]]
-            for j in range(n_cand):
-                eligible[j][block] &= ~(own == cand_ids[j][block]).any(axis=0)
-        columns = []
-        for j in range(n_cand):
-            c = cand[:, j]
-            # Round-start in-degree and spare in-capacity, gathered at the
-            # candidates: they serve the refusal test, the tiebreak and
-            # the commit.
-            deg = in_deg[c]
-            spare = rho_in[c] - deg
-            ack = eligible[j] & (spare > 0)
-            stats.refusals += int(eligible[j].sum() - ack.sum())
-            columns.append((c, cand_ids[j], ack, deg, spare))
+        # cannot alias a live candidate, and padding is -1. One row block
+        # of the requesters at a time, both candidates in one test.
+        held = int(out_count.take(act).max())
+        for block in row_blocks(a) if held else ():
+            own = links_t[:held, block] if everyone else links_t[:held].take(act[block], axis=1)
+            eligible[:, block] &= (own[:, None, :] != cand_ids[:, block]).all(axis=0)
+        # Round-start in-degree and spare in-capacity, gathered at the
+        # candidates: they serve the refusal test, the tiebreak and the
+        # commit.
+        deg = in_deg.take(cand)
+        spare = rho_in.take(cand) - deg
+        ack = eligible & (spare > 0)
+        stats.refusals += int(np.count_nonzero(eligible) - np.count_nonzero(ack))
 
-        c0, i0, ack0, d0, spare0 = columns[0]
-        if n_cand == 2:
-            c1, i1, ack1, d1, spare1 = columns[1]
+        if u_cand.shape[1] == 2:
+            (d0, d1), (s0, s1), (i0, i1) = deg, spare, cand_ids
             # Lexicographic (in-degree, -spare, id) — the link_winner_key order.
-            roomier1 = (spare1 > spare0) | ((spare1 == spare0) & (i1 < i0))
+            roomier1 = (s1 > s0) | ((s1 == s0) & (i1 < i0))
             better1 = (d1 < d0) | ((d1 == d0) & roomier1)
-            use1 = ack1 & (~ack0 | better1)
-            chosen = np.where(use1, c1, c0)
-            chosen_deg = np.where(use1, d1, d0)
-            chosen_spare = np.where(use1, spare1, spare0)
-            has_choice = ack0 | ack1
+            use1 = ack[1] & (~ack[0] | better1)
+            req = (ack[0] | use1).nonzero()[0]
+            pick = use1.take(req) * a + req
         else:
-            chosen, chosen_deg, chosen_spare, has_choice = c0, d0, spare0, ack0
-
-        req = np.flatnonzero(has_choice)
+            req = pick = ack[0].nonzero()[0]
         if req.size == 0:
             return success
-        req_cand = chosen[req]
-        spare = chosen_spare[req]
+        req_cand = cand.take(pick)
+        req_spare = spare.take(pick)
         demand = self._demand(req_cand, m)
         # A candidate asked at most `spare` times takes every request;
         # only the over-subscribed ones need the priority order, in which
         # their first `spare` requesters win.
-        win = demand <= spare
-        over = np.flatnonzero(~win)
-        if over.size:
+        win = demand <= req_spare
+        winners, chosen = req, pick
+        if not win.all():
+            over = np.flatnonzero(~win)
             over_cand = req_cand[over]
             # (candidate, priority) as one key: priorities are unique, so
             # the keys are and any sort yields the lexicographic order.
             order = np.argsort(over_cand * m + priority_of[act_rows[req[over]]])
             sorted_cand = over_cand[order]
-            seq = np.arange(sorted_cand.size, dtype=np.int64)
-            group_head = np.empty(sorted_cand.size, dtype=bool)
-            group_head[0] = True
-            group_head[1:] = sorted_cand[1:] != sorted_cand[:-1]
-            group_start = np.maximum.accumulate(np.where(group_head, seq, 0))
-            rank = seq - group_start
+            # A request's rank in its candidate's group: its distance from the group's head.
+            rank = np.arange(order.size) - sorted_cand.searchsorted(sorted_cand)
             ranked = over[order]
-            win[ranked[rank < spare[ranked]]] = True
-        winners = req[win]
+            win[ranked[rank < req_spare[ranked]]] = True
+            winners, chosen = req[win], pick[win]
         stats.conflicts += int(req.size - winners.size)
         # A candidate takes min(demand, spare) links, so every request of
         # it writes the same committed in-degree.
-        in_deg[req_cand] = chosen_deg[req] + np.minimum(demand, spare)
+        in_deg[req_cand] = deg.take(pick) + np.minimum(demand, req_spare)
         # Scatter commit: requester rows are unique within a round, so the
         # write column is just each winner's current count.
-        won = act[winners]
-        write_col = out_count[won]
-        links_t[write_col, won] = ids[chosen[winners]]
+        won = act.take(winners)
+        write_col = out_count.take(won)
+        links_t[write_col, won] = cand_ids.take(chosen)
         out_count[won] = write_col + 1
         stats.links_placed += int(winners.size)
         success[winners] = True
@@ -1054,8 +1047,8 @@ class BatchConstructionEngine:
         ``m`` rows, a sort of the requests alone when they are few)."""
         if cand.size * 16 >= m:
             return np.bincount(cand).take(cand)
-        __, inverse, counts = np.unique(cand, return_inverse=True, return_counts=True)
-        return counts.take(inverse)
+        ranked = np.sort(cand)
+        return ranked.searchsorted(cand, "right") - ranked.searchsorted(cand, "left")
 
     def _round_reference(
         self,

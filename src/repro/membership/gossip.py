@@ -29,17 +29,22 @@ __all__ = ["GossipMembership", "ScalarGossipMembership"]
 
 class GossipMembership:
     """Every in-flight dead report as ``target``, ``age`` and ``count``
-    columns in ascending target order; ``completed`` holds the targets
-    whose reports finished (reported dead once per life: until
-    :meth:`forget`)."""
+    columns in ascending target order, and the targets whose reports
+    finished as one ascending column ``_done`` (reported dead once per
+    life: until :meth:`forget`)."""
 
-    __slots__ = ("config", "completed", "_target", "_age", "_count")
+    __slots__ = ("config", "_done", "_target", "_age", "_count")
 
     def __init__(self, config: DetectorConfig | None = None) -> None:
         self.config = config or DetectorConfig()
-        self.completed: set[int] = set()
         self._target = np.empty(0, dtype=np.int64)
         self._age, self._count = self._target.copy(), self._target.copy()
+        self._done = self._target.copy()
+
+    @property
+    def completed(self) -> set[int]:
+        """Targets whose reports finished."""
+        return set(self._done.tolist())
 
     @property
     def active(self) -> list[int]:
@@ -60,8 +65,7 @@ class GossipMembership:
         Each origin is its report's one informed peer: only the count is
         kept, so ``origins`` is never read."""
         targets = np.unique(np.asarray(targets, dtype=np.int64))
-        done = np.fromiter(self.completed, dtype=np.int64, count=len(self.completed))
-        targets = targets[~(np.isin(targets, self._target) | np.isin(targets, done))]
+        targets = targets[~(np.isin(targets, self._target) | np.isin(targets, self._done))]
         if targets.size:
             order = np.argsort(np.concatenate([self._target, targets]))
             self._target = np.concatenate([self._target, targets])[order]
@@ -76,8 +80,8 @@ class GossipMembership:
     def forget(self, targets: "Iterable[NodeId]") -> None:
         """Drop in-flight *and* completed state of ``targets`` (revived
         or compacted away: they may be reported again)."""
-        ids = [int(t) for t in targets]
-        self.completed.difference_update(ids)
+        ids = np.fromiter(targets, dtype=np.int64)
+        self._done = self._done[~np.isin(self._done, ids)]
         self._keep(~np.isin(self._target, ids))
 
     def spread(self, live_ids: np.ndarray, rng: np.random.Generator) -> list[int]:
@@ -94,10 +98,10 @@ class GossipMembership:
                 base, e = base * base, e >> 1
             self._count = k + rng.binomial(n - k, 1.0 - miss)
         done = (self._count >= n) | (self._age >= self.config.staleness_bound(max(n, 2)))
-        finished = self._target[done].tolist()
-        self.completed.update(finished)
+        finished = self._target[done]
+        self._done = np.union1d(self._done, finished)
         self._keep(~done)
-        return finished
+        return finished.tolist()
 
     def _keep(self, keep: np.ndarray) -> None:
         self._target, self._age = self._target[keep], self._age[keep]

@@ -124,16 +124,16 @@ class ScalarDetectorBank:
         believed_slots: np.ndarray,
         alive: np.ndarray,
         u: np.ndarray,
-    ) -> list[tuple[int, int]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One probe round; same contract as
         :meth:`VectorizedDetectorBank.round
         <repro.membership.vectorized.VectorizedDetectorBank.round>`."""
         cfg = self.config
         t = int(believed_ids.size)
         j_eff = int(u.shape[1]) if u.ndim == 2 else 0
-        if t == 0 or j_eff == 0:
-            return []
         b = believed_ids.astype(np.int64, copy=False)
+        if t == 0 or j_eff == 0:
+            return b[:0], b[:0]
         offsets = np.arange(1, j_eff + 1, dtype=np.int64)
         panel_rows = (np.arange(t, dtype=np.int64)[:, None] + offsets[None, :]) % t
         self._sync_watches(b, panel_rows, j_eff)
@@ -172,7 +172,8 @@ class ScalarDetectorBank:
             if len(voting) >= cfg.quorum:
                 reports.append((target, voting[0]))
         self._round += 1
-        return reports
+        targets, origins = np.array(reports, dtype=np.int64).reshape(-1, 2).T
+        return targets, origins
 
     def forget(self, node_ids: "Iterable[int]") -> None:
         """Drop the pair state of ``node_ids`` *as targets* — exactly the
@@ -321,11 +322,11 @@ class ProbeView(MembershipView):
             j_eff = min(self.config.n_monitors, t - 1)
             if j_eff > 0:
                 u = rng.random((t, j_eff))
-                reports = self._bank.round(
+                targets, origins = self._bank.round(
                     believed_ids, believed_slots, self.ring.state.alive, u
                 )
-                if reports:
-                    self._gossip.start_many(*np.array(reports, dtype=np.int64).T)
+                if targets.size:
+                    self._gossip.start_many(targets, origins)
             for target in self._gossip.spread(believed_ids, rng):
                 outcome = self._evict(int(target), int(epoch))
                 outcomes[outcome] += 1

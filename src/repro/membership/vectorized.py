@@ -68,7 +68,7 @@ class VectorizedDetectorBank:
         believed_slots: np.ndarray,
         alive: np.ndarray,
         u: np.ndarray,
-    ) -> list[tuple[int, int]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Advance one probe round over the believed-live population.
 
         Args:
@@ -79,53 +79,51 @@ class VectorizedDetectorBank:
             u: The round's ``(T, J_eff)`` uniform matrix (shared with
                 the scalar bank — one draw, two consumers).
 
-        Returns ``(target_id, origin_monitor_id)`` pairs that reached
-        the suspicion quorum this round, in believed-ring order, origin
-        being the lowest-rank voting monitor.
+        Returns the ids of the targets that reached the suspicion
+        quorum this round, in believed-ring order, and aligned with
+        them each one's origin: its lowest-rank voting monitor.
         """
         cfg = self.config
         t = int(believed_ids.size)
         j_eff = int(u.shape[1]) if u.ndim == 2 else 0
-        if t == 0 or j_eff == 0:
-            return []
-        state = self.state
         b = believed_ids.astype(np.int64, copy=False)
+        if t == 0 or j_eff == 0:
+            return b[:0], b[:0]
+        state = self.state
         s = believed_slots.astype(np.int64, copy=False)
-        # Rank-keyed panels: rows i+1..i+J_eff (mod T) monitor row i.
-        offsets = np.arange(1, j_eff + 1, dtype=np.int64)
-        panel_rows = (np.arange(t, dtype=np.int64)[:, None] + offsets[None, :]) % t
-        monitor_ids = b[panel_rows]
-        monitor_slots = s[panel_rows]
+        # Rank-keyed panels: rows i+1..i+J_eff (mod T) monitor row i, a
+        # window sliding over the ring order wrapped by its first J_eff rows.
+        window = np.lib.stride_tricks.sliding_window_view
+        target_alive = alive.take(s)
+        monitor_ids = window(np.concatenate([b, b[:j_eff]]), j_eff)[1:]
+        monitor_alive = window(np.concatenate([target_alive, target_alive[:j_eff]]), j_eff)[1:]
 
-        snap = state.probe_fails[s]
+        snap = state.probe_fails.take(s, axis=0)
         counts = snap[:, :j_eff]
-        pend_snap = state.probe_pending[s]
+        pend_snap = state.probe_pending.take(s, axis=0)
         pending = pend_snap[:, :j_eff]
-        mon_snap = state.probe_monitor[s]
+        mon_snap = state.probe_monitor.take(s, axis=0)
         prev_monitors = mon_snap[:, :j_eff]
 
         changed = prev_monitors != monitor_ids
-        counts[changed] = 0
-        pending[changed] = False
+        np.copyto(counts, 0, where=changed)
+        np.copyto(pending, False, where=changed)
 
-        monitor_alive = alive[monitor_slots]
-        target_alive = alive[s][:, None]
         # Last round's unanswered probes time out now — but only where
         # the monitor still runs (dead peers poll nothing).
         counts += (pending & monitor_alive).astype(np.int64)
-        ok = monitor_alive & target_alive & (u >= cfg.loss)
-        counts[ok] = 0
+        ok = monitor_alive & target_alive[:, None] & (u >= cfg.loss)
+        np.copyto(counts, 0, where=ok)
         votes = monitor_alive & (counts >= cfg.failure_threshold)
         fail = monitor_alive & ~ok
 
-        reports: list[tuple[int, int]] = []
-        tallies = votes.sum(axis=1)
-        for i in np.nonzero(tallies >= cfg.quorum)[0]:
-            j0 = int(np.nonzero(votes[int(i)])[0][0])
-            reports.append((int(b[int(i)]), int(monitor_ids[int(i), j0])))
+        # The quorum rows, and in each the first voting rank. The tally sums
+        # the contiguous transpose: a reduction along the short J_eff axis
+        # costs several times more.
+        hit = np.flatnonzero(np.ascontiguousarray(votes.T).sum(axis=0) >= cfg.quorum)
+        origins = monitor_ids[hit, votes[hit].argmax(axis=1)]
 
-        snap[:, :j_eff] = counts
-        snap[:, j_eff:] = 0
+        snap[:, j_eff:] = 0  # counts is a view of its first J_eff columns
         pend_snap[:, :j_eff] = fail
         pend_snap[:, j_eff:] = False
         mon_snap[:, :j_eff] = monitor_ids
@@ -133,4 +131,4 @@ class VectorizedDetectorBank:
         state.probe_fails[s] = snap
         state.probe_pending[s] = pend_snap
         state.probe_monitor[s] = mon_snap
-        return reports
+        return b[hit], origins

@@ -18,13 +18,16 @@ from collections import OrderedDict
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 settings.register_profile(
     "deterministic",
     derandomize=True,  # examples are a pure function of the test, seed-free
     database=None,  # no cross-run example reuse: run N == run N+1
     print_blob=True,
+    # Shrinking stays; the explain phase goes: it re-runs the shrunk
+    # example under a line tracer, which on a machine program takes minutes.
+    phases=[phase for phase in Phase if phase is not Phase.explain],
 )
 settings.register_profile("random", print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))

@@ -294,6 +294,30 @@ CATALOGUE = (
         ("tests/test_stateful_churn.py::TestChurnStateful",),
     ),
     Mutant(
+        "acquisition-demand-ignores-repeats",
+        "an acquisition round's demand is 1 for every request, so every requester of an "
+        "over-subscribed candidate wins: it takes more links than its spare in-capacity",
+        "repro.engine.construct:BatchConstructionEngine._demand",
+        (
+            (
+                "    if cand.size * 16 >= m:\n",
+                "    return np.ones_like(cand)\n    if cand.size * 16 >= m:\n",
+            ),
+        ),
+        (
+            "tests/test_construct_engine.py::TestDemand",
+            "tests/test_construct_engine.py::TestPathEquivalence",
+            "tests/test_stateful_churn.py::TestChurnStateful",
+        ),
+    ),
+    Mutant(
+        "detector-origin-is-last-voter",
+        "a quorum target's origin is its highest-rank voting monitor, not its lowest",
+        "repro.membership.vectorized:VectorizedDetectorBank.round",
+        (("votes[hit].argmax(axis=1)", "j_eff - 1 - votes[hit][:, ::-1].argmax(axis=1)"),),
+        ("tests/test_membership.py::TestBankDifferential",),
+    ),
+    Mutant(
         "detection-lag-from-the-wrong-epoch",
         "a lagged eviction's detection row measures its lag one epoch short",
         "repro.membership.probe:ProbeView._evict",

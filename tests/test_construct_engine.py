@@ -409,6 +409,26 @@ class TestArcTables:
                 assert (int(arcs.lo[i, p]), int(arcs.count[i, p])) == (lo, count)
 
 
+class TestDemand:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cand=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=60),
+        slack=st.integers(min_value=-3, max_value=3),
+    )
+    def test_sort_and_bincount_paths_match_unique(self, cand, slack):
+        """A round's demand per request — how many of the round's
+        requests name its candidate — is the same on the ``bincount``
+        path (``16 * requests >= m``), on the sort path below it and by
+        ``np.unique``, repeats included, on both sides of the threshold."""
+        cand = np.asarray(cand, dtype=np.int64)
+        __, inverse, counts = np.unique(cand, return_inverse=True, return_counts=True)
+        expected = counts[inverse]
+        threshold = 16 * cand.size
+        for m in (max(int(cand.max()) + 1, threshold + slack), threshold, threshold + 1):
+            demand = BatchConstructionEngine._demand(cand, m)
+            assert demand.tolist() == expected.tolist(), m
+
+
 class TestSelectBorders:
     @settings(max_examples=60, deadline=None)
     @given(

@@ -42,6 +42,8 @@ from repro.membership import (
     ProbeView,
 )
 from repro.membership.gossip import ScalarGossipMembership
+from repro.membership.probe import ScalarDetectorBank
+from repro.membership.vectorized import VectorizedDetectorBank
 from repro.protocol.effects import Send, StartTimer, SuspectPeer
 from repro.protocol.messages import Ping, Pong
 from repro.ring import Ring
@@ -654,3 +656,30 @@ class TestProbeView:
             assert scalar.false_evictions == vectorized.false_evictions, schedule
             assert scalar.detection_lags == vectorized.detection_lags, schedule
             assert scalar._gossip.active == vectorized._gossip.active, schedule
+
+
+class TestBankDifferential:
+    @pytest.mark.parametrize("threshold, quorum", [(1, 1), (3, 2)])
+    def test_crash_wave_reports_match_scalar_bank(self, threshold, quorum):
+        """Both banks, driven round by round over the same draws after a
+        30 % crash wave on 2 000 peers, report the same quorum targets
+        with the same origins (the lowest-rank voting monitor) in the
+        same believed-ring order — hundreds of them in one round."""
+        config = DetectorConfig(
+            failure_threshold=threshold, quorum=quorum, n_monitors=3, loss=0.01
+        )
+        ring = make_ring(2_000)
+        rng = split(7, "bank-differential")
+        OracleView(ring).crash_fraction(rng, 0.3)
+        banks = VectorizedDetectorBank(config, ring.state), ScalarDetectorBank(config)
+        ids, slots = ring.ids_array(live_only=False), ring.slots_array(live_only=False)
+        most = 0
+        for _ in range(threshold + 3):
+            u = rng.random((ids.size, config.n_monitors))
+            (targets, origins), (ref_targets, ref_origins) = (
+                bank.round(ids, slots, ring.state.alive, u) for bank in banks
+            )
+            assert targets.tolist() == ref_targets.tolist()
+            assert origins.tolist() == ref_origins.tolist()
+            most = max(most, targets.size)
+        assert most >= 300

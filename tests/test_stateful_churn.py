@@ -74,11 +74,12 @@ and checks after every step:
   objects instead); a false eviction leaves through the engine's
   departure door in its own epoch (all but the longest-lived peer when
   it would leave none), so an epoch's conservation counts it as a death;
-  and after every step no truth-live peer is believed-dead, and every
-  report in flight counts at least its origin and has neither reached
-  the staleness bound nor covered the population its last push round
-  ran over. The other checks read the truth-live ring, which the
-  believed-live set contains;
+  and after every step no truth-live peer is believed-dead, the reports
+  in flight are in strictly ascending target order and none of them has
+  completed, and every report in flight counts at least its origin and
+  has neither reached the staleness bound nor covered the population its
+  last push round ran over. The other checks read the truth-live ring,
+  which the believed-live set contains;
 * the registry (``state.obs``) reconciles with ground truth: both twins'
   tables are byte-equal, an epoch's ``churn`` row carries the ring's
   live count and the view's believed-live count, every ``membership``
@@ -86,8 +87,10 @@ and checks after every step:
   its epoch holds one ``detection`` row per lagged eviction, every
   ``store`` row's histogram sums to its ``items`` and its first ``k``
   bins to its ``under_k``, every acquisition of an epoch places exactly
-  the links its peers' ``out_count`` gains, and a repair row's
-  ``repair_links_placed`` is the repair's gain; a serve batch grows
+  the links its peers' ``out_count`` gains, draws at least once per
+  link placed, commit lost and empty partition, and at least
+  ``link_retries + 1`` unplaced draws per slot given up, and a repair
+  row's ``repair_links_placed`` is the repair's gain; a serve batch grows
   the cache's ``hits + misses`` by its size and ``hits`` by its hits;
 * after every repair epoch, each holder of the store is believed-live,
   the pass's ``placed`` counts every holder, and the empty holder cells
@@ -133,7 +136,7 @@ from repro.engine import (
     TopologySnapshot,
 )
 from repro.engine.churn import REPAIR_POLICIES
-from repro.engine.construct import BatchConstructionEngine
+from repro.engine.construct import BatchConstructionEngine, LinkAcquisitionStats
 from repro.engine.walk import WalkCode
 from repro.errors import (
     DuplicateNodeError,
@@ -494,11 +497,20 @@ class ChurnProgram:
         assert (histogram[:, :REPLICAS].sum(axis=1) == passes["under_k"]).all()
 
     def check_acquisitions(self, overlay: Substrate, row, placed: list) -> None:
-        """Every acquisition placed what its peers' ``out_count`` gained;
-        a repair row's ``repair_links_placed`` is the repair's gain —
-        Oscar's last acquisition of the epoch, or Chord's and Mercury's
-        rebuild of every live row."""
-        assert all(counted == gained for counted, gained in placed), placed
+        """Every acquisition placed what its peers' ``out_count`` gained,
+        and its counters reconcile: a draw places a link, loses a
+        commit race, draws an empty partition or fails on its
+        candidates, and each slot given up ends a streak of
+        ``link_retries + 1`` failed draws. A repair row's
+        ``repair_links_placed`` is the repair's gain — Oscar's last
+        acquisition of the epoch, or Chord's and Mercury's rebuild of
+        every live row."""
+        for stats, gained, retries in placed:
+            assert stats.links_placed == gained, stats
+            assert stats.draws >= (
+                stats.links_placed + stats.conflicts + stats.empty_partition_draws
+            ), stats
+            assert stats.draws - stats.links_placed >= stats.slots_given_up * (retries + 1), stats
         if not row.link_repair:
             assert row.repair_links_placed == 0
         elif overlay.ring.live_count < 2:  # a lone survivor only drops its links
@@ -646,8 +658,9 @@ class ChurnProgram:
             assert wrongly.size == 0, f"believed-dead live peers {state.node_id[wrongly].tolist()}"
 
     def check_gossip_bound(self) -> None:
-        """No report in flight has reached the staleness bound or is
-        already covered, and each has informed at least its origin. The
+        """The reports in flight are in strictly ascending target order,
+        none of them completed; none has reached the staleness bound or
+        is already covered, and each has informed at least its origin. The
         last push round (the last epoch's) ran over at most
         :attr:`spread_over` peers — that epoch's believed-live peers at
         its end plus those it evicted — and the bound only grows with
@@ -658,6 +671,9 @@ class ChurnProgram:
         population = self.spread_over
         for twin in self.twins:
             gossip = twin["view"]._gossip
+            in_flight = gossip.active
+            assert all(a < b for a, b in zip(in_flight, in_flight[1:])), in_flight
+            assert not gossip.completed.intersection(in_flight), in_flight
             bound = gossip.config.staleness_bound(max(population, 2))
             ages = gossip._age.values() if isinstance(gossip._age, dict) else gossip._age
             assert all(age < bound for age in ages)
@@ -694,17 +710,18 @@ class ChurnProgram:
 
 
 @contextmanager
-def acquisitions() -> Iterator[list[tuple[int, int]]]:
-    """``(links placed, out_count gained)`` of every
+def acquisitions() -> Iterator[list[tuple[LinkAcquisitionStats, int, int]]]:
+    """``(stats, out_count gained, link_retries)`` of every
     ``BatchConstructionEngine`` acquisition run while open, the gain
     summed over the acquiring view's peers."""
-    placed: list[tuple[int, int]] = []
+    placed: list[tuple[LinkAcquisitionStats, int, int]] = []
     acquire = BatchConstructionEngine._acquire
 
     def counted(engine, rng, view, *args):
         before = int(view.state.out_count[view.slots].sum())
         stats = acquire(engine, rng, view, *args)
-        placed.append((stats.links_placed, int(view.state.out_count[view.slots].sum()) - before))
+        gained = int(view.state.out_count[view.slots].sum()) - before
+        placed.append((stats, gained, engine.overlay.config.link_retries))
         return stats
 
     BatchConstructionEngine._acquire = counted  # type: ignore[method-assign]
