@@ -30,8 +30,8 @@ REPLICAS = 8  # a successor list of ~log2(N) peers: what outlives a 33% wave
 SEED = 31
 
 
-def cost_report(engine: BatchQueryEngine, label: str, faulty: bool, round_id: str) -> float:
-    stats = engine.measure(split(SEED, "queries", round_id), n_queries=200, faulty=faulty)
+def cost_report(engine: BatchQueryEngine, label: str, round_id: str) -> float:
+    stats = engine.measure(split(SEED, "queries", round_id), n_queries=200)
     print(f"  {label:28s} mean {stats.mean_cost:6.2f} msgs "
           f"(wasted {stats.mean_wasted:5.2f}), success {stats.success_rate:.1%}")
     assert stats.success_rate == 1.0
@@ -59,14 +59,13 @@ def main() -> None:
     print(f"built {N_PEERS}-peer network holding {store.item_count} items\n")
 
     print("search cost through the churn lifecycle:")
-    healthy = cost_report(engine, "healthy network", faulty=False, round_id="healthy")
+    healthy = cost_report(engine, "healthy network", round_id="healthy")
 
     # --- the crash waves of Figure 2 --------------------------------------
     for fraction in (0.10, 0.33):
         victims = crash_wave(view, overlay, fraction, SEED)
         degraded = cost_report(
-            engine, f"after {fraction:.0%} crash wave", faulty=True,
-            round_id=f"crash-{fraction}",
+            engine, f"after {fraction:.0%} crash wave", round_id=f"crash-{fraction}"
         )
         assert degraded >= healthy * 0.9, "churn should not make routing cheaper"
         view.revive(victims)
@@ -89,7 +88,7 @@ def main() -> None:
     overlay.repair_ring()
     verify(overlay.ring, overlay.pointers)
     overlay.rewire()  # the periodic rewiring round re-points long links
-    healed = cost_report(engine, "revived + rewired", faulty=False, round_id="healed")
+    healed = cost_report(engine, "revived + rewired", round_id="healed")
     assert healed <= healthy * 1.5
     print("\nnetwork healed: ring invariants verified, cost back to baseline")
 

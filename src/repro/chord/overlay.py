@@ -111,10 +111,10 @@ class ChordOverlay(Substrate):
         self._links_epoch += 1
         return sum(self._rebuild_fingers(node_id) for node_id in self.ring.node_ids(live_only=True))
 
-    def lookup(self, source: NodeId, application_key: Key, faulty: bool = False) -> RouteResult:
+    def lookup(self, source: NodeId, application_key: Key) -> RouteResult:
         """Route a lookup for an *application key* (hashes first;
         :meth:`route` takes a pre-hashed circle position)."""
-        return self.route(source, hash_key(application_key), faulty=faulty)
+        return self.route(source, hash_key(application_key))
 
     def in_degree_array(self) -> np.ndarray:
         """Incoming finger counts per live peer (circle order) — counted
@@ -130,7 +130,6 @@ def scatter_range(
     item_keys: Iterable[Key],
     lo: Key,
     hi: Key,
-    faulty: bool = False,
 ) -> tuple[int, int]:
     """Resolve a range query the only way a hash DHT can: per-key lookups.
 
@@ -147,6 +146,6 @@ def scatter_range(
     matches = [k for k in item_keys if in_closed_cw_range(k, lo, hi)]
     messages = 0
     for key in matches:
-        result = overlay.lookup(source, key, faulty=faulty)
+        result = overlay.lookup(source, key)
         messages += result.cost
     return len(matches), messages

@@ -10,7 +10,9 @@ loop and the workloads silently diverge.
 :class:`~repro.core.soa.SubstrateState`, the ring over it, the ring
 pointers, id allocation, departures, ring repair, the topology version,
 neighbor access, routing (one query on the walk kernel every batch
-engine runs — :mod:`repro.engine.walk`) and the degree / cap columns.
+engine runs — :mod:`repro.engine.walk` — or, while the ring holds a
+dead peer, on :func:`~repro.routing.route_faulty`) and the degree / cap
+columns.
 :class:`~repro.core.overlay.OscarOverlay`,
 :class:`~repro.mercury.overlay.MercuryOverlay` and
 :class:`~repro.chord.overlay.ChordOverlay` subclass it and supply only
@@ -249,16 +251,15 @@ class Substrate:
         generator = rng if rng is not None else self._join_rng
         return int(ids[int(generator.integers(0, ids.size))])
 
-    def route(
-        self, source: NodeId, target_key: Key, faulty: bool = False, record_path: bool = False
-    ) -> RouteResult:
-        """Route one lookup. Fault-free, it is :meth:`BatchQueryEngine.route
+    def route(self, source: NodeId, target_key: Key, record_path: bool = False) -> RouteResult:
+        """Route one lookup; the ring's dead peers choose the router. While
+        a slot is dead (:attr:`Ring.has_dead <repro.ring.ring.Ring.has_dead>`)
+        it is the probing/backtracking :func:`~repro.routing.route_faulty`;
+        on an all-live ring it is :meth:`BatchQueryEngine.route
         <repro.engine.batch.BatchQueryEngine.route>` on an engine this
         substrate keeps (the truth snapshot is captured once per
-        :attr:`topology_version`); ``faulty=True`` uses the
-        probing/backtracking router required when the overlay contains
-        crashed peers."""
-        if faulty:
+        :attr:`topology_version`)."""
+        if self.ring.has_dead:
             return route_faulty(
                 self.ring, self.pointers, self, source, target_key, self.routing, record_path
             )

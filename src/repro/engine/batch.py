@@ -35,10 +35,11 @@ Typical use::
     stats = engine.measure(split(42, "demo"), n_queries=5000)
     print(stats.mean_cost, stats.success_rate)   # e.g. 4.87 1.0
 
-Under churn (``faulty=True``) the probing/backtracking router is
+While the ring holds a dead peer (crashed, or departed and not yet
+compacted) the ring itself chooses the probing/backtracking router. It is
 inherently sequential (its depth-first search carries per-query mutable
-state), so :meth:`BatchQueryEngine.measure` falls back to the scalar
-fault-aware router for those batches while keeping the one engine API.
+state), so :meth:`BatchQueryEngine.measure` folds the scalar fault-aware
+router over those batches while keeping the one engine API.
 """
 
 from __future__ import annotations
@@ -352,7 +353,6 @@ class BatchQueryEngine:
         rng: np.random.Generator,
         n_queries: int | None = None,
         workload: QueryWorkload | None = None,
-        faulty: bool = False,
     ) -> RouteStats:
         """The paper's "N random queries" measurement, batched.
 
@@ -362,15 +362,14 @@ class BatchQueryEngine:
                 population size (the paper's N).
             workload: Target selection policy (default: uniform over
                 live peers).
-            faulty: Route through the probing/backtracking router —
-                required whenever the overlay holds crashed peers. This
-                path is sequential (per-query DFS state) and bypasses
-                the snapshot cache.
 
         Returns:
             Aggregate :class:`~repro.routing.RouteStats`, identical to
-            folding per-query ``route()`` results for the same RNG
-            state.
+            folding per-query :meth:`Substrate.route
+            <repro.core.substrate.Substrate.route>` results for the same
+            RNG state. While the ring holds a dead peer that fold is the
+            measurement: the probing/backtracking router is sequential
+            (per-query DFS state) and bypasses the snapshot cache.
 
         RNG-stream contract: exactly one workload draw against ``rng``
         per call (sources + targets through
@@ -383,9 +382,9 @@ class BatchQueryEngine:
         count = self.substrate.ring.live_count if n_queries is None else n_queries
         wl = workload if workload is not None else QueryWorkload()
         sources, targets = wl.generate_arrays(self.substrate.ring, rng, count)
-        if faulty:
+        if self.substrate.ring.has_dead:
             return summarize_routes(
-                self.substrate.route(int(source), float(target), faulty=True)
+                self.substrate.route(int(source), float(target))
                 for source, target in zip(sources, targets)
             )
         if self.vectorized:

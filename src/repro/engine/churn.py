@@ -459,7 +459,7 @@ class SteadyStateChurnEngine:
         """Route this epoch's probe batch; returns its statistics.
 
         Fault-aware routing (scalar by nature — per-probe backtracking
-        state) whenever crashed peers are present; the vectorized
+        state) while the ring holds a dead peer; the vectorized
         fault-free walk on a clean overlay. Both go through the one
         :class:`~repro.engine.batch.BatchQueryEngine` API on the
         ``("steady-probes", e)`` stream, so the probe count and targets
@@ -469,14 +469,9 @@ class SteadyStateChurnEngine:
         holding it would only keep a table the size of the overlay alive
         until it is replaced.
         """
-        ring = self.substrate.ring
-        faulty = len(ring) > ring.live_count
         count = None if self.n_probes == 0 else self.n_probes
         stats = self._query_engine.measure(
-            split(self.seed, "steady-probes", e),
-            n_queries=count,
-            workload=self.workload,
-            faulty=faulty,
+            split(self.seed, "steady-probes", e), n_queries=count, workload=self.workload
         )
         self._query_engine.invalidate()
         return stats

@@ -147,7 +147,6 @@ def grow_and_measure(
             stats_by_kill[kill] = engine.measure(
                 split(seed, "queries", size, label),
                 n_queries=size if n_queries == 0 else n_queries,
-                faulty=kill > 0,
             )
             if victims:
                 view.revive(victims)

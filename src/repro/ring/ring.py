@@ -222,6 +222,12 @@ class Ring:
         __, ids, __k = self._arrays(live_only=True)
         return int(ids.size)
 
+    @property
+    def has_dead(self) -> bool:
+        """Whether a slot holds a dead peer (crashed, or departed and not
+        yet compacted) — what makes routing probe and backtrack."""
+        return len(self) > self.live_count
+
     def position(self, node_id: NodeId) -> float:
         """The unit-circle position of a peer (live or dead)."""
         slot = self._require_known(node_id)

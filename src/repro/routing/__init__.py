@@ -1,10 +1,12 @@
 """Routing outcomes, the fault-aware router and range queries.
 
 The fault-free greedy rule is the walk kernel (:mod:`repro.engine.walk`)
-behind ``Substrate.route`` and every batch engine; around it:
+behind every batch engine; around it:
 
 * :func:`route_faulty` — dead-link probing + backtracking (paper §3,
-  churn experiments);
+  churn experiments). The ring's dead peers choose between the two:
+  ``Substrate.route`` is ``route_faulty`` while a slot is dead, the
+  kernel on an all-live ring;
 * :func:`route_range` — a range query: the entry lookup, then a sweep
   of ring successors;
 * :class:`RouteResult` / :func:`summarize_routes` — per-query and

@@ -63,16 +63,14 @@ class RangeQueryResult:
         return self.entry_route.success
 
 
-def route_range(
-    substrate: "Substrate", source: NodeId, lo: Key, hi: Key, faulty: bool = False
-) -> RangeQueryResult:
+def route_range(substrate: "Substrate", source: NodeId, lo: Key, hi: Key) -> RangeQueryResult:
     """Resolve every live owner of keys in ``[lo, hi]``.
 
     ``lo > hi`` is the wrapped range through 1.0. The entry lookup is
     :meth:`substrate.route <repro.core.substrate.Substrate.route>` (the
-    fault-aware router when ``faulty=True``); the sweep walks the ring
-    successor pointers of ``substrate.state.succ`` (always live after
-    repair).
+    fault-aware router while the ring holds a dead peer); the sweep
+    walks the ring successor pointers of ``substrate.state.succ``
+    (always live after repair).
 
     The owner set starts at the entry peer (``successor(lo)``, which
     owns ``lo``) and sweeps ring successors up to and including
@@ -83,7 +81,7 @@ def route_range(
     full circle, as in :meth:`ServeEngine.serve_range
     <repro.engine.serve.ServeEngine.serve_range>`.
     """
-    entry = substrate.route(source, lo, faulty=faulty)
+    entry = substrate.route(source, lo)
     if not entry.success or entry.delivered_to is None:
         return RangeQueryResult(
             source=source, lo=lo, hi=hi, entry_route=entry, owners=(), sweep_hops=0

@@ -150,12 +150,7 @@ class QuerySimulation:
         self.latencies: list[float] = []
         self.queue_waits: list[float] = []
 
-    def run(
-        self,
-        n_queries: int,
-        workload: QueryWorkload | None = None,
-        faulty: bool = False,
-    ) -> QueryLatencyStats:
+    def run(self, n_queries: int, workload: QueryWorkload | None = None) -> QueryLatencyStats:
         """Simulate ``n_queries`` arrivals; returns the latency summary.
 
         Routes are resolved through the overlay's real router (with
@@ -169,9 +164,7 @@ class QuerySimulation:
         wl = workload if workload is not None else QueryWorkload()
         paths: list[tuple[NodeId, ...]] = []
         for query in wl.generate(self.overlay.ring, rng, n_queries):
-            result = self.overlay.route(
-                query.source, query.target_key, faulty=faulty, record_path=True
-            )
+            result = self.overlay.route(query.source, query.target_key, record_path=True)
             if result.success and len(result.path) >= 1:
                 paths.append(result.path)
 

@@ -13,9 +13,13 @@ run and every machine, not flake in and out with the random seed.
 
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
+import sys
 from collections import OrderedDict
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, settings
@@ -34,6 +38,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 
 import numpy as np
 
+import repro
 from repro import MercuryConfig, MercuryOverlay, OscarConfig, OscarOverlay, Substrate
 from repro.config import RoutingConfig
 from repro.core import soa
@@ -47,6 +52,37 @@ from repro.ring.keyspace import KEY_MASK
 from repro.rng import split
 from repro.routing import RouteResult
 from repro.workloads import GnutellaLikeDistribution, UniformKeys
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _import_every_local_module() -> None:
+    """Import every module of ``repro``, ``scripts`` and ``bench`` before a
+    test runs.
+
+    Hypothesis draws some integers and floats from a pool of the literals
+    of the local (non-test) modules loaded when it draws. Without this, a
+    program's draws hung on which modules the collected tests happened to
+    import: collecting ``test_spec_pins.py``, which imports
+    ``scripts.bench_ci``, changed the stateful machine's programs from
+    the tenth on, and the whole suite (``test_bench_contract.py`` loads
+    ``bench/harness.py``) drew others again. With every local module
+    loaded first, the pool — and so every drawn example — is the same
+    however the suite is selected.
+    """
+    bench = ROOT / "bench"
+    sys.path.extend(str(path) for path in (ROOT, bench) if str(path) not in sys.path)
+    import scripts  # type: ignore[import-not-found]
+
+    names = [path.stem for path in sorted(bench.glob("*.py"))]  # top-level, as the tests import
+    for package in (repro, scripts):
+        names += [m.name for m in pkgutil.walk_packages(package.__path__, f"{package.__name__}.")]
+    for name in names:
+        importlib.import_module(name)
+
+
+_import_every_local_module()
 
 
 def build_overlay(

@@ -164,6 +164,8 @@ CATALOGUE = (
         (
             PROGRAM.format("probe_reports_retire_at_the_bound"),
             "tests/test_membership.py::TestGossipMembership::test_count_plane_matches_scalar_twin",
+            "tests/test_membership.py::TestGossipMembership"
+            "::test_report_covers_a_tiny_population_before_its_bound",
         ),
     ),
     Mutant(
@@ -328,6 +330,32 @@ CATALOGUE = (
             ),
         ),
         ("tests/test_obs.py::TestMembershipRows::test_every_eviction_has_exactly_one_outcome",),
+    ),
+    Mutant(
+        "route-ignores-dead-peers",
+        "Substrate.route walks the truth snapshot fault-free with dead peers in the ring",
+        "repro.core.substrate:Substrate.route",
+        (("if self.ring.has_dead:", "if False:"),),
+        (
+            PROGRAM.format("crash_revive_after_a_wave"),
+            "tests/test_overlay.py::TestRouting::test_dead_peers_choose_the_backtracking_router",
+            "tests/test_stateful_churn.py::TestChurnStateful",
+        ),
+    ),
+    Mutant(
+        "measure-ignores-dead-peers",
+        "BatchQueryEngine.measure walks the truth snapshot fault-free with dead peers in "
+        "the ring: a repaired crash wave reads as lost queries, and no error",
+        "repro.engine.batch:BatchQueryEngine.measure",
+        (("if self.substrate.ring.has_dead:", "if False:"),),
+        (
+            PROGRAM.format("crash_revive_after_a_wave"),
+            "tests/test_batch_engine.py::TestBatchMatchesScalar"
+            "::test_a_repaired_crash_wave_is_measured_without_a_flag",
+            "tests/test_metrics.py::TestMeasureSearchCost"
+            "::test_a_dead_peer_routes_through_the_backtracking_router",
+            "tests/test_stateful_churn.py::TestChurnStateful",
+        ),
     ),
     Mutant(
         "cache-hits-count-distinct-slots",

@@ -35,7 +35,7 @@ from repro.index import ReplicatedStore
 from repro.membership import OracleView
 from repro.ring import keyspace
 from repro.rng import make_rng, split
-from repro.routing import summarize_routes
+from repro.routing import route_faulty, summarize_routes
 from repro.workloads import GnutellaLikeDistribution, QueryWorkload
 
 
@@ -178,30 +178,52 @@ class TestBatchMatchesScalar:
     def test_unrepaired_departure_still_matches_scalar(self):
         # A peer leaves without ring repair: its links dangle but its own
         # pointers survive, so the fault-free greedy walk can pass straight
-        # through it. The kernel, its twin and ``Substrate.route`` must
-        # follow those links identically (the table they read is held to
-        # the neighbor scan with dead rows in TestWalkTable).
+        # through it. The kernel, its twin and ``BatchQueryEngine.route``
+        # must follow those links identically (the table they read is held
+        # to the neighbor scan with dead rows in TestWalkTable).
         overlay = build_overlay(n=120, seed=0)
         overlay.leave(overlay.random_live_node(make_rng(7)), repair=False)
-        batched = BatchQueryEngine(overlay).measure(split(0, "dead"), n_queries=300)
-        twin = BatchQueryEngine(overlay, vectorized=False).measure(split(0, "dead"), n_queries=300)
+        engine = BatchQueryEngine(overlay)
+        sources, targets = QueryWorkload().generate_arrays(overlay.ring, split(0, "dead"), 300)
+        batched = engine.route_batch(sources, targets).stats()
+        twin = engine._walk(sources, targets, reference=True).stats()
         scalar = summarize_routes(
-            overlay.route(q.source, q.target_key)
-            for q in QueryWorkload().generate(overlay.ring, split(0, "dead"), 300)
+            engine.route(int(source), float(target)) for source, target in zip(sources, targets)
         )
         assert batched == twin == scalar
 
     def test_faulty_measurement_matches_scalar_router(self):
+        """A ring holding crashed peers is measured through
+        ``route_faulty``, on either path, with no caller's say."""
         overlay = build_overlay(n=150, seed=13)
         victims = crash_wave(overlay, 0.2)
-        engine = BatchQueryEngine(overlay)
-        batched = engine.measure(split(13, "f"), n_queries=120, faulty=True)
         scalar = summarize_routes(
-            overlay.route(q.source, q.target_key, faulty=True)
+            route_faulty(overlay.ring, overlay.pointers, overlay, q.source, q.target_key)
             for q in QueryWorkload().generate(overlay.ring, split(13, "f"), 120)
         )
-        assert batched == scalar
+        for vectorized in (True, False):
+            engine = BatchQueryEngine(overlay, vectorized=vectorized)
+            assert engine.measure(split(13, "f"), n_queries=120) == scalar
+        assert scalar.mean_wasted > 0.0
         OracleView(overlay.ring).revive(victims)
+
+    def test_a_repaired_crash_wave_is_measured_without_a_flag(self):
+        """300 peers, a third crashed and the ring repaired: the
+        fault-free walk on the truth snapshot delivers well under all of
+        the queries and raises nothing, so the router must not be the
+        caller's choice. ``measure`` takes ``route_faulty``, which
+        delivers every one."""
+        overlay = build_overlay(n=300, seed=42)
+        crash_wave(overlay, 0.33)
+        drawn = QueryWorkload().generate_arrays(overlay.ring, split(42, "silent"), 300)
+        engine = BatchQueryEngine(overlay)
+        assert engine.route_batch(*drawn).success.mean() < 1.0
+        stats = engine.measure(split(42, "silent"), n_queries=300)
+        assert stats == summarize_routes(
+            route_faulty(overlay.ring, overlay.pointers, overlay, int(source), float(key))
+            for source, key in zip(*drawn)
+        )
+        assert stats.success_rate == 1.0
 
     def test_empty_batch(self):
         overlay = build_overlay(n=20, seed=16)

@@ -146,7 +146,7 @@ class TestRouting:
         overlay.repair_ring()
         for __ in range(30):
             source = overlay.random_live_node(rng)
-            result = overlay.lookup(source, float(rng.random()), faulty=True)
+            result = overlay.lookup(source, float(rng.random()))
             assert result.success
 
 

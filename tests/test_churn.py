@@ -177,7 +177,7 @@ class TestChurnOnOverlay:
         rng = make_rng(41)
         for __ in range(40):
             source = overlay.random_live_node(rng)
-            assert overlay.route(source, float(rng.random()), faulty=True).success
+            assert overlay.route(source, float(rng.random())).success
         OracleView(overlay.ring).revive(victims)
         overlay.repair_ring()
         verify(overlay.ring, overlay.pointers)

@@ -158,7 +158,7 @@ class TestLifecycle:
 
         victims = crash_wave(overlay, 0.33, seed=107)
         engine = BatchQueryEngine(overlay)
-        stats = engine.measure(split(107, "cycle-q1"), n_queries=80, faulty=True)
+        stats = engine.measure(split(107, "cycle-q1"), n_queries=80)
         assert stats.success_rate == 1.0
 
         OracleView(overlay.ring).revive(victims)

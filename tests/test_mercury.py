@@ -114,7 +114,7 @@ class TestMercuryOverlayFacade:
         delivered = 0
         for __ in range(40):
             source = overlay.random_live_node(rng)
-            delivered += overlay.route(source, float(rng.random()), faulty=True).success
+            delivered += overlay.route(source, float(rng.random())).success
         assert delivered == 40
 
 

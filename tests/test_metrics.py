@@ -14,7 +14,7 @@ from repro.metrics import (
     volume_exploitation,
 )
 from repro.rng import make_rng
-from repro.routing import summarize_routes
+from repro.routing import route_faulty, summarize_routes
 from repro.workloads import QueryWorkload
 
 
@@ -113,13 +113,12 @@ def ring_overlay(n: int = 10, budget: int | None = None):
     return hand_built([i / n for i in range(n)], {i: [(i + n // 2) % n] for i in range(n)}, budget)
 
 
-def one_at_a_time(overlay, rng, n_queries, workload=None, faulty=False):
+def one_at_a_time(overlay, rng, n_queries, workload=None):
     """The same queries ``BatchQueryEngine.measure`` draws, each routed by
     ``Substrate.route`` and folded."""
     wl = workload if workload is not None else QueryWorkload()
     return summarize_routes(
-        overlay.route(q.source, q.target_key, faulty=faulty)
-        for q in wl.generate(overlay.ring, rng, n_queries)
+        overlay.route(q.source, q.target_key) for q in wl.generate(overlay.ring, rng, n_queries)
     )
 
 
@@ -141,11 +140,14 @@ class TestMeasureSearchCost:
         assert stats.mean_cost > 0
         assert stats.success_rate == 1.0
 
-    def test_faulty_flag_propagates(self):
+    def test_a_dead_peer_routes_through_the_backtracking_router(self):
         overlay = ring_overlay(n=16)
         overlay.leave(8)  # the long links of 0 and of 8's ring neighbours dangle
-        stats = BatchQueryEngine(overlay).measure(make_rng(3), n_queries=30, faulty=True)
-        assert stats == one_at_a_time(overlay, make_rng(3), 30, faulty=True)
+        stats = BatchQueryEngine(overlay).measure(make_rng(3), n_queries=30)
+        assert stats == summarize_routes(
+            route_faulty(overlay.ring, overlay.pointers, overlay, q.source, q.target_key)
+            for q in QueryWorkload().generate(overlay.ring, make_rng(3), 30)
+        )
         assert stats.mean_wasted > 0.0
 
     def test_failures_counted(self):

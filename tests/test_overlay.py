@@ -10,6 +10,7 @@ from repro.degree import ConstantDegrees, SteppedDegrees
 from repro.errors import EmptyPopulationError, UnknownNodeError
 from repro.ring import verify
 from repro.rng import make_rng
+from repro.routing import route_faulty
 from repro.workloads import UniformKeys
 
 from repro import OscarOverlay
@@ -146,12 +147,19 @@ class TestRouting:
         n = len(shared_overlay)
         assert np.mean(costs) < np.log2(n) ** 2  # far below the worst case
 
-    def test_faulty_flag_uses_backtracking_router(self, shared_overlay):
+    def test_dead_peers_choose_the_backtracking_router(self):
+        overlay = build_overlay(n=60, seed=34)
+        OracleView(overlay.ring).crash(overlay.ring.node_ids()[::3])
+        overlay.repair_ring()
         rng = make_rng(4)
-        result = shared_overlay.route(
-            shared_overlay.random_live_node(rng), 0.5, faulty=True
-        )
-        assert result.success
+        wasted = 0
+        for __ in range(30):
+            source, key = overlay.random_live_node(rng), float(rng.random())
+            result = overlay.route(source, key)
+            assert result == route_faulty(overlay.ring, overlay.pointers, overlay, source, key)
+            assert result.success
+            wasted += result.wasted
+        assert wasted > 0
 
 
 class TestStatArrays:
@@ -192,7 +200,7 @@ class TestRepairRing:
         rng = make_rng(5)
         for __ in range(30):
             source = overlay.random_live_node(rng)
-            result = overlay.route(source, float(rng.random()), faulty=True)
+            result = overlay.route(source, float(rng.random()))
             assert result.success
 
 

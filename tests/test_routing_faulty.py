@@ -52,7 +52,7 @@ class TestFaultFreeEquivalence:
         for overlay, sources, keys in cases:
             for source in sources:
                 for key in keys:
-                    faulty = overlay.route(source, key, faulty=True)
+                    faulty = route_faulty(overlay.ring, overlay.pointers, overlay, source, key)
                     greedy = overlay.route(source, key)
                     assert faulty.success and greedy.success
                     assert faulty.responsible == greedy.responsible

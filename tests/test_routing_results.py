@@ -141,7 +141,7 @@ class TestRouteRange:
     def test_faulty_entry_phase(self):
         overlay = range_topology(16)
         overlay.leave(5)  # crashed, ring repaired around it
-        result = route_range(overlay, 0, 0.35, 0.6, faulty=True)
+        result = route_range(overlay, 0, 0.35, 0.6)
         assert result.success
         assert 5 not in result.owners
 

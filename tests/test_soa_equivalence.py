@@ -77,10 +77,9 @@ def run_program(name: str, seed: int, ops: list[str], vectorized: bool):
                 )
             epoch_stats.append(churn.run_epoch())
         else:  # route
-            faulty = len(overlay.ring) > overlay.ring.live_count
             route_stats.append(
                 BatchQueryEngine(overlay, vectorized=vectorized).measure(
-                    split(seed, "prog-route", i), n_queries=16, faulty=faulty
+                    split(seed, "prog-route", i), n_queries=16
                 )
             )
     return overlay, epoch_stats, route_stats

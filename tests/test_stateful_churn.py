@@ -40,17 +40,22 @@ and checks after every step:
   ``hits + misses`` counts every request that reached the cache — with
   ``cache_size=32``, so evictions leave tombstones in probe chains;
 * one fault-free routing rule: after every route batch,
-  ``Substrate.route`` raises ``RoutingError`` exactly on the rows
-  ``route_batch`` gives a non-``OK`` code (with that code's message),
-  and otherwise answers the row's hops and responsible peer — with a
-  recorded path too, whose length is ``hops + 1`` and whose last peer
-  is the one delivered to; with no dead peer in the ring, every row
-  is ``OK`` and the fault-aware ``Substrate.route(faulty=True)``
+  ``BatchQueryEngine.route`` raises ``RoutingError`` exactly on the
+  rows ``route_batch`` gives a non-``OK`` code (with that code's
+  message), and otherwise answers the row's hops and responsible peer —
+  with a recorded path too, whose length is ``hops + 1`` and whose last
+  peer is the one delivered to; with no dead peer in the ring, every
+  row is ``OK``, ``Substrate.route`` answers as
+  ``BatchQueryEngine.route`` does, and the fault-aware ``route_faulty``
   answers it too, at the same hops, without a wasted probe;
+* the ring's dead peers choose the router: with a dead peer in the
+  ring (at a route batch or in a crash wave), ``Substrate.route`` is
+  ``route_faulty`` and ``BatchQueryEngine.measure``, on either path, is
+  the fold of ``route_faulty`` over the queries it draws;
 * the crash wave as the grow-and-measure loop runs it: after
   ``OracleView.crash_fraction(f)`` and ``repair_ring()`` the victims
-  are ``min(floor(f * live), live - 1)`` distinct truth-live peers, a
-  fault-aware route delivers to the key's live successor at ``cost ==
+  are ``min(floor(f * live), live - 1)`` distinct truth-live peers, an
+  unflagged route delivers to the key's live successor at ``cost ==
   hops + wasted_probes + backtracks``, and after ``revive`` and
   ``repair_ring()`` every ``SubstrateState`` column and the ring's
   order are byte-identical to before the wave (no residue);
@@ -149,7 +154,8 @@ from repro.index import ReplicatedStore
 from repro.membership import DetectorConfig, OracleView, ProbeView
 from repro.ring import keyspace, verify
 from repro.rng import split
-from repro.workloads import GnutellaLikeDistribution
+from repro.routing import route_faulty, summarize_routes
+from repro.workloads import GnutellaLikeDistribution, QueryWorkload
 
 PROGRAMS = Path(__file__).parent / "data" / "programs"
 REPLICAS = 3
@@ -160,7 +166,9 @@ CAPTURE_BLOCK = 3
 #: ``2**-64`` grid, so other floats fall in its cell; joined when a
 #: program asks for ``low_peer``.
 LOW_PEER = 2.0**-70
-#: What ``Substrate.route`` says where ``route_batch`` reports a code.
+#: Queries a ``measure`` on a ring with dead peers draws.
+MEASURED = 8
+#: What ``BatchQueryEngine.route`` says where ``route_batch`` reports a code.
 WALK_ERRORS = {
     WalkCode.BUDGET: "exceeded budget",
     WalkCode.NO_SUCCESSOR: "no ring successor pointer",
@@ -339,12 +347,13 @@ class ChurnProgram:
     def route(self, queries: list) -> None:
         """Route ``(source, kind, u)`` queries on the truth snapshot
         through ``route_batch`` and one at a time through
-        ``Substrate.route``. The source is the live peer at rank
-        ``source`` (mod the live count); the key is ``u`` itself
-        (``free``), the exact position of the peer at ring rank
-        ``u * len(ring)``, dead ones too (``peer``), or the highest float
-        in that peer's ``2**-64`` key cell (``cell``)."""
-        live = self.overlay.ring.ids_array(live_only=True)
+        ``BatchQueryEngine.route``, then through ``Substrate.route``. The
+        source is the live peer at rank ``source`` (mod the live count);
+        the key is ``u`` itself (``free``), the exact position of the peer
+        at ring rank ``u * len(ring)``, dead ones too (``peer``), or the
+        highest float in that peer's ``2**-64`` key cell (``cell``)."""
+        overlay = self.overlay
+        live = overlay.ring.ids_array(live_only=True)
         sources = np.asarray([int(live[source % live.size]) for source, __, __ in queries])
         keys = np.asarray([self._route_key(kind, u) for __, kind, u in queries])
         batches = [
@@ -353,27 +362,31 @@ class ChurnProgram:
         for name in ("responsible", "hops", "code"):
             assert np.array_equal(getattr(batches[0], name), getattr(batches[1], name)), name
         batch = batches[0]
-        if self.overlay.ring.live_count == len(self.overlay.ring):  # a live, verified ring
+        dead = overlay.ring.has_dead
+        if dead:
+            self.check_dead_routing(overlay, sources.tolist(), keys.tolist())
+        else:  # a live, verified ring
             assert (batch.code == WalkCode.OK).all(), batch.code
             for source, key, hops, owner in zip(
                 sources.tolist(), keys.tolist(), batch.hops, batch.responsible
             ):
-                faulty = self.overlay.route(source, key, faulty=True)
+                faulty = route_faulty(overlay.ring, overlay.pointers, overlay, source, key)
                 assert (faulty.hops, faulty.responsible, faulty.delivered_to, faulty.wasted) == (
                     hops,
                     owner,
                     owner,
                     0,
                 )
+        engine = BatchQueryEngine(overlay)
         for source, key, hops, owner, code in zip(
             sources.tolist(), keys.tolist(), batch.hops, batch.responsible, batch.code
         ):
             for record_path in (False, True):
                 if code != WalkCode.OK:
                     with pytest.raises(RoutingError, match=WALK_ERRORS[WalkCode(code)]):
-                        self.overlay.route(source, key, record_path=record_path)
+                        engine.route(source, key, record_path=record_path)
                     continue
-                result = self.overlay.route(source, key, record_path=record_path)
+                result = engine.route(source, key, record_path=record_path)
                 assert (result.hops, result.responsible, result.delivered_to) == (
                     hops,
                     owner,
@@ -381,13 +394,16 @@ class ChurnProgram:
                 )
                 if record_path:
                     assert len(result.path) == hops + 1 and result.path[-1] == owner
+                if not dead:
+                    assert overlay.route(source, key, record_path=record_path) == result
 
     def crash_revive(self, fraction: float) -> None:
         """Crash ``fraction`` of the truth-live peers with
         ``OracleView.crash_fraction`` on a stream labelled by the
-        program, ``repair_ring()``, route four keys fault-aware, then
-        ``revive`` the victims and ``repair_ring()`` again: the
-        grow-and-measure loop's wave, which must leave no residue."""
+        program, ``repair_ring()``, route four keys with no flag (the
+        dead victims choose the fault-aware router), then ``revive`` the
+        victims and ``repair_ring()`` again: the grow-and-measure loop's
+        wave, which must leave no residue."""
         self.crashes += 1
         stream = (self.params["seed"], "program-crash", self.crashes)
         for twin in self.twins:
@@ -402,10 +418,13 @@ class ChurnProgram:
             overlay.repair_ring()
             survivors = ring.ids_array(live_only=True)
             rng = split(*stream, "routes")
-            for source, key in zip(rng.choice(survivors, 4), rng.random(4).tolist()):
-                result = overlay.route(int(source), key, faulty=True)
+            sources, keys = rng.choice(survivors, 4).tolist(), rng.random(4).tolist()
+            for source, key in zip(sources, keys):
+                result = overlay.route(source, key)
                 assert result.success and result.delivered_to == ring.successor_of_key(key)
                 assert result.cost == result.hops + result.wasted_probes + result.backtracks
+            if ring.has_dead:
+                self.check_dead_routing(overlay, sources, keys)
             assert view.revive(victims) == victims
             overlay.repair_ring()
             assert self.fingerprint(overlay)[1:] == before[1:], "the wave left a residue"
@@ -431,6 +450,25 @@ class ChurnProgram:
         with pytest.raises(DuplicateNodeError):
             ring.insert_many(ids, np.asarray(free))
         assert self.fingerprint(overlay) == before
+
+    def check_dead_routing(self, overlay: Substrate, sources: list, keys: list) -> None:
+        """With a dead peer in the ring, ``Substrate.route`` is
+        ``route_faulty``, and ``measure`` on either path is the fold of
+        ``route_faulty`` over the queries it draws."""
+        ring, pointers, routing = overlay.ring, overlay.pointers, overlay.routing
+
+        def faulty(source: int, key: float, record_path: bool = False):
+            return route_faulty(ring, pointers, overlay, source, key, routing, record_path)
+
+        for source, key in zip(sources, keys):
+            for record_path in (False, True):
+                assert overlay.route(source, key, record_path) == faulty(source, key, record_path)
+        stream = (self.params["seed"], "program-measure")
+        drawn = QueryWorkload().generate(ring, split(*stream), MEASURED)
+        folded = summarize_routes(faulty(q.source, q.target_key) for q in drawn)
+        for vectorized in (True, False):
+            engine = BatchQueryEngine(overlay, vectorized=vectorized)
+            assert engine.measure(split(*stream), n_queries=MEASURED) == folded
 
     @staticmethod
     def fingerprint(overlay: Substrate) -> tuple:
