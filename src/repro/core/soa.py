@@ -104,6 +104,80 @@ def rows_of(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.where(inside, table[np.clip(ids, 0, table.size - 1)], -1)
 
 
+# Open addressing over float keys: a key is its IEEE bits, homed by a
+# multiplicative hash and probed linearly (wrapping) in a power-of-two
+# slot column. The result cache and the store's catalog index share it.
+
+#: Multiplicative (Fibonacci) hash: ``2**64`` over the golden ratio, odd.
+HASH_MULTIPLIER = np.uint64(0x9E37_79B9_7F4A_7C15)
+#: Bits of a slot that held no key since the table was built or cleared: a
+#: chain ends here. No key in ``[0, 1)`` has these bits, nor ``HASH_DELETED``.
+HASH_EMPTY = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+#: Bits of a slot whose key was removed (a tombstone): a chain runs on
+#: past it, a placement may claim it.
+HASH_DELETED = np.uint64(0xFFFF_FFFF_FFFF_FFFE)
+
+
+def key_bits(keys: np.ndarray) -> np.ndarray:
+    """Injective ``uint64`` image of float keys: the IEEE bit pattern
+    (``+ 0.0`` folds ``-0.0`` onto ``0.0``, the only two equal floats
+    with different bits). Distinct floats stay distinct even inside one
+    ``2**-64`` keyspace cell."""
+    return (np.asarray(keys, dtype=np.float64) + 0.0).view(np.uint64)
+
+
+def hash_slots(keys: int) -> int:
+    """Slots of a table built for ``keys`` keys: a power of two, at
+    least 64 and four per key."""
+    return max(64, 1 << (4 * keys - 1).bit_length())
+
+
+def hash_home(bits: np.ndarray, slots: int) -> np.ndarray:
+    """Home slot of every key in a table of ``slots`` slots: the top
+    ``log2(slots)`` bits of ``bits * HASH_MULTIPLIER``."""
+    shift = np.uint64(65 - slots.bit_length())
+    return ((bits * HASH_MULTIPLIER) >> shift).astype(np.intp)
+
+
+def hash_find(table: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk every key's chain through the slot bits ``table``: ``(slot,
+    found)``, the slot holding the key, else the empty slot that ends
+    its chain. A deleted slot does not end a chain."""
+    mask = table.size - 1
+    slot = hash_home(bits, table.size)
+    held = table[slot]
+    found = held == bits
+    again = np.flatnonzero(~found)
+    again = again[held[again] != HASH_EMPTY]
+    while again.size:
+        step = (slot[again] + 1) & mask
+        slot[again] = step
+        held = table[step]
+        hit = held == bits[again]
+        found[again[hit]] = True
+        again = again[~hit & (held != HASH_EMPTY)]
+    return slot, found
+
+
+def hash_place(table: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, int]:
+    """Write distinct keys absent from ``table`` each into the first
+    free (empty or deleted) slot of its chain: ``(slot per key, deleted
+    slots taken)``. A round writes every pending key into its slot if
+    free and reads the slot back: one key wins each slot, the rest step
+    on."""
+    mask = table.size - 1
+    slot, todo, reused = hash_home(bits, table.size), np.arange(bits.size), 0
+    while todo.size:
+        at, want = slot[todo], bits[todo]
+        held = table[at]
+        table[at] = np.where(held >= HASH_DELETED, want, held)
+        won = table[at] == want
+        reused += int(np.count_nonzero(held[won] == HASH_DELETED))
+        todo = todo[~won]
+        slot[todo] = (slot[todo] + 1) & mask
+    return slot, reused
+
+
 _MIN_CAPACITY = 8
 
 

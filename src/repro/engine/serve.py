@@ -25,9 +25,10 @@ to be**, at millions of requests against a ring that churns underneath.
   key and the serve version, so the capture computes them for every
   catalog item as three columns (one search of the sorted catalog keys
   over the ring keys, one holders check). A routed request whose key
-  is a catalog item reads its row through the one catalog search the
-  batch does; a key outside the catalog is located (one search) and
-  verified on its own, a masked branch of the same batch;
+  is a catalog item reads its row through the store's hashed catalog
+  index (one gather, no search); a key outside the catalog is located
+  (one search) and verified on its own, a masked branch of the same
+  batch;
 * an **LRU result cache** (:class:`ResultCache`) — an open-addressing
   hash table of slot-aligned columns (an injective ``uint64`` image of
   the request key, stamp, owner, packed verdict) with **one** scalar
@@ -70,7 +71,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.soa import row_table, rows_of
+from ..core.soa import (
+    HASH_DELETED,
+    HASH_EMPTY,
+    hash_find,
+    hash_place,
+    hash_slots,
+    key_bits,
+    row_table,
+    rows_of,
+)
 from ..errors import ConfigError
 from ..ring import keyspace
 from .walk import WalkCode, WalkTable, greedy_walk, greedy_walk_reference, walk_bounds
@@ -104,40 +114,25 @@ def pack_flags(found: np.ndarray, success: np.ndarray, stale: np.ndarray) -> np.
 #: Bits of 1.0. Every float in ``[0, 1)`` has a bit pattern below it, so
 #: no request key can equal either slot sentinel above it.
 _ONE_BITS = np.uint64(0x3FF0_0000_0000_0000)
-#: ``bits`` of a slot that held no key since the last clear or rehash:
-#: a probe chain ends here.
-_EMPTY = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-#: ``bits`` of a slot whose key was evicted (a tombstone): a probe chain
-#: runs on past it, an insert may claim it.
-_DELETED = np.uint64(0xFFFF_FFFF_FFFF_FFFE)
 #: ``stamp`` of a slot without an entry: never among the smallest.
 _NO_STAMP = np.iinfo(np.int64).max
-#: Multiplicative (Fibonacci) hash: ``2**64`` over the golden ratio, odd.
-#: A key's home slot is the top ``log2(slots)`` bits of
-#: ``bits * HASH_MULTIPLIER``.
-HASH_MULTIPLIER = np.uint64(0x9E37_79B9_7F4A_7C15)
-#: Slots of a fresh table; rehashes grow it as entries arrive.
-_MIN_SLOTS = 64
 #: What a slot without an entry holds in ``bits`` / ``stamp`` / ``owner``
-#: / ``flags`` (an evicted slot holds ``_DELETED`` in place of ``_EMPTY``).
-_FILL = (_EMPTY, _NO_STAMP, -1, 0)
+#: / ``flags`` (an evicted slot holds ``HASH_DELETED`` in place of
+#: ``HASH_EMPTY``).
+_FILL = (HASH_EMPTY, _NO_STAMP, -1, 0)
 
 
 def _key_bits(keys: np.ndarray) -> np.ndarray:
-    """Injective ``uint64`` image of float request keys: the IEEE bit
-    pattern (``+ 0.0`` folds ``-0.0`` onto ``0.0``, the only two equal
-    floats with different bits). Distinct floats stay distinct even
-    inside one ``2**-64`` keyspace cell, which ``keyspace.from_units``
-    merges below ``2**-11``.
+    """:func:`~repro.core.soa.key_bits` of float request keys, checked.
 
     Raises:
         KeyspaceError: A key's bits are not below those of 1.0 — NaN,
             ``±inf``, a negative key or one ``>= 1.0``. One ``max`` over
             the bits decides, before the caller changes anything.
     """
-    bits = (np.asarray(keys, dtype=np.float64) + 0.0).view(np.uint64)
+    bits = key_bits(keys)
     if bits.size and bits.max() >= _ONE_BITS:
-        raise keyspace.KeyspaceError("cache keys must be finite floats in [0, 1)")
+        raise keyspace.KeyspaceError("keys must be finite floats in [0, 1)")
     return bits
 
 
@@ -210,7 +205,7 @@ class ResultCache:
         self._clock = 0
         self._live = 0
         self._deleted = 0
-        self._slots = _empty_slots(_MIN_SLOTS)
+        self._slots = _empty_slots(hash_slots(0))
 
     def __len__(self) -> int:
         return self._live
@@ -222,66 +217,24 @@ class ResultCache:
             self.clear()
             self._version = version
 
-    def _home(self, bits: np.ndarray) -> np.ndarray:
-        """Home slot of every key: the top ``log2(slots)`` bits of
-        ``bits * HASH_MULTIPLIER``."""
-        shift = np.uint64(65 - self._slots[0].size.bit_length())
-        return ((bits * HASH_MULTIPLIER) >> shift).astype(np.intp)
-
-    def _find(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Walk every key's chain: ``(slot, found)``, the slot holding
-        the key, else the empty slot that ends its chain. A deleted
-        slot does not end a chain."""
-        table_bits = self._slots[0]
-        mask = table_bits.size - 1
-        slot = self._home(bits)
-        held = table_bits[slot]
-        found = held == bits
-        again = np.flatnonzero(~found)
-        again = again[held[again] != _EMPTY]
-        while again.size:
-            step = (slot[again] + 1) & mask
-            slot[again] = step
-            held = table_bits[step]
-            hit = held == bits[again]
-            found[again[hit]] = True
-            again = again[~hit & (held != _EMPTY)]
-        return slot, found
-
     def _place(self, bits: np.ndarray, *values: np.ndarray) -> None:
         """Write distinct keys absent from the table, with their
         ``stamp`` / ``owner`` / ``flags`` values, each into the first
-        free (empty or deleted) slot of its chain. A round writes every
-        pending key into its slot if free and reads the slot back: one
-        key wins each slot, the rest step on."""
-        table_bits = self._slots[0]
-        mask = table_bits.size - 1
-        at, todo = self._home(bits), np.arange(bits.size)
-        while todo.size:
-            want = bits[todo]
-            held = table_bits[at]
-            table_bits[at] = np.where(held >= _DELETED, want, held)
-            won = table_bits[at] == want
-            claimed, rows = at[won], todo[won]
-            self._deleted -= int(np.count_nonzero(held[won] == _DELETED))
-            for column, value in zip(self._slots[1:], values):
-                column[claimed] = value[rows]
-            lost = ~won
-            todo, at = todo[lost], (at[lost] + 1) & mask
+        free slot of its chain."""
+        slot, reused = hash_place(self._slots[0], bits)
+        self._deleted -= reused
+        for column, value in zip(self._slots[1:], values):
+            column[slot] = value
 
     def _reserve(self, incoming: int) -> None:
         """Rehash before ``incoming`` new keys would take live plus
         deleted slots past half the table: the live entries move to a
         table of at least four slots per entry, tombstones dropped."""
-        size = self._slots[0].size
-        if 2 * (self._live + self._deleted + incoming) <= size:
+        if 2 * (self._live + self._deleted + incoming) <= self._slots[0].size:
             return
-        size = _MIN_SLOTS
-        while size < 4 * (self._live + incoming):
-            size *= 2
         old = self._slots
-        keep = old[0] < _DELETED
-        self._slots = _empty_slots(size)
+        keep = old[0] < HASH_DELETED
+        self._slots = _empty_slots(hash_slots(self._live + incoming))
         self._deleted = 0
         self._place(old[0][keep], *(column[keep] for column in old[1:]))
 
@@ -309,7 +262,7 @@ class ResultCache:
                 np.full(n, -1, dtype=np.int64),
                 np.zeros(n, dtype=np.uint8),
             )
-        slot, hit = self._find(bits)
+        slot, hit = hash_find(self._slots[0], bits)
         __, table_stamp, table_owner, table_flags = self._slots
         at = np.flatnonzero(hit)
         np.maximum.at(table_stamp, slot[at], self._clock + at)
@@ -340,7 +293,7 @@ class ResultCache:
         bits = bits[first]
         added = (self._clock + last, owners[last], flags[last])
         self._clock += n
-        slot, known = self._find(bits)
+        slot, known = hash_find(self._slots[0], bits)
         new = ~known
         fresh = int(np.count_nonzero(new))
         if fresh < bits.size:  # overwrite in place
@@ -353,7 +306,7 @@ class ResultCache:
         excess = self._live - self.capacity
         if excess > 0:
             gone = np.argpartition(self._slots[1], excess - 1)[:excess]
-            for column, fill in zip(self._slots, (_DELETED, *_FILL[1:])):
+            for column, fill in zip(self._slots, (HASH_DELETED, *_FILL[1:])):
                 column[gone] = fill
             self._live -= excess
             self._deleted += excess
@@ -741,9 +694,7 @@ class ServeEngine:
         target_keys = np.asarray(target_keys, dtype=float)
         if sources.shape != target_keys.shape:
             raise ValueError("sources and target_keys must be aligned 1-d arrays")
-        # The batch's one exact key domain, converted before anything is
-        # counted, cached or captured: a key outside [0, 1) raises here.
-        targets = keyspace.from_units(target_keys)
+        _key_bits(target_keys)  # a key outside [0, 1) raises before anything changes
         version = self.serve_version
         snap = self.serve_snapshot()
         n = int(sources.size)
@@ -758,13 +709,16 @@ class ServeEngine:
             outcome[miss[bad]] = Outcome.BAD_SOURCE
             miss, source_rows = miss[~bad], source_rows[~bad]
         if miss.size:
-            m_targets = targets[miss]
-            owner_rows, bounds, m_flags = self._resolve(snap, target_keys[miss], m_targets)
+            m_keys = target_keys[miss]
             if self.vectorized:
+                owner_rows, bounds, m_flags = self._resolve(snap, m_keys)
                 hops[miss], code, __ = greedy_walk(
                     snap.table, source_rows, owner_rows, bounds, self.routing.budget
                 )
-            else:
+            else:  # bisect every owner, verify every request, the walk takes the keys
+                m_targets = keyspace.from_units(m_keys)
+                owner_rows = _bisect_owner_rows(snap, m_targets)
+                m_flags = pack_flags(*self._verify(m_keys, snap.ids[owner_rows]))
                 hops[miss], code, __ = greedy_walk_reference(
                     snap.table, source_rows, owner_rows, m_targets, self.routing.budget
                 )
@@ -886,25 +840,20 @@ class ServeEngine:
     # ------------------------------------------------------------------
 
     def _resolve(
-        self, snap: ServeSnapshot, keys: np.ndarray, targets: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        self, snap: ServeSnapshot, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(owner row, walk bound, packed verdict)`` per routed request.
 
         A catalog key reads its item's row of the snapshot's columns
-        through the one catalog search; a key outside the catalog is
-        located and verified on its own. The reference twin bisects
-        every owner, verifies every request and leaves the bound to its
-        walk (``None``).
+        through one hashed catalog lookup; a key outside the catalog
+        gets its exact ring key and is located and verified on its own.
         """
-        if not self.vectorized:
-            owner_rows = _bisect_owner_rows(snap, targets)
-            return owner_rows, None, pack_flags(*self._verify(keys, snap.ids[owner_rows]))
         rows = self.store.lookup_rows(keys)
         owner_rows, bounds = snap.item_owner[rows], snap.item_bound[rows]
         flags = snap.item_flags[rows]
         other = np.flatnonzero(rows < 0)
         if other.size:  # not found, so not delivered; stale if the owner is truth-dead
-            owner_rows[other], bounds[other] = snap.locate(targets[other])
+            owner_rows[other], bounds[other] = snap.locate(keyspace.from_units(keys[other]))
             flags[other] = FLAG_STALE * ~self.store.truth_live_mask(snap.ids[owner_rows[other]])
         return owner_rows, bounds, flags
 

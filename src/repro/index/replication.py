@@ -22,9 +22,10 @@ on ground truth, which is the whole point:
   data-risk exposure (phantom counts, under-replication histograms,
   and real loss once lag eats a whole successor list).
 
-Storage is struct-of-arrays — item keys, ids and a ``(n_items, k)``
-holder matrix — so seeding, membership checks and the re-replication
-pass are single numpy passes even at millions of items. The
+Storage is struct-of-arrays — item keys (sorted, and hashed for exact
+lookups), ids and a ``(n_items, k)`` holder matrix — so seeding,
+membership checks and the re-replication pass are single numpy passes
+even at millions of items. The
 ``vectorized=False`` reference twin replays the same decisions with
 pure-Python loops and must stay **bit-identical** (holders, loss
 counts, histograms); the differential suite asserts it.
@@ -38,6 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..core.soa import HASH_EMPTY, hash_find, hash_place, hash_slots, key_bits
 from ..errors import ConfigError
 from ..ring.keyspace import from_units, search_sorted
 
@@ -86,6 +88,7 @@ class ReplicatedStore:
         self.holders = np.empty((0, self.k), dtype=np.int64)
         self.data_version = 0
         self._next_item_id = 0
+        self._index_catalog()
 
     # ------------------------------------------------------------------
     # placement
@@ -165,12 +168,12 @@ class ReplicatedStore:
     def seed_items(self, keys: Sequence[float] | np.ndarray, view: "MembershipView") -> int:
         """Bulk-publish items at ``keys``; returns how many were placed.
 
-        Keys are deduplicated and the catalog kept key-sorted (exact-key
-        lookups are a ``searchsorted``). Each item lands on its first
-        ``k`` believed-live successors; copies only materialize on
-        truth-live targets (a believed-live-but-dead target yields a
-        phantom, exactly like the re-replication pass). Records an
-        epoch-0 ``store`` row and bumps ``data_version``.
+        Keys are deduplicated, the catalog kept key-sorted (a range is a
+        slice) and hashed (an exact-key lookup is a gather). Each item
+        lands on its first ``k`` believed-live successors; copies only
+        materialize on truth-live targets (a believed-live-but-dead
+        target yields a phantom, exactly like the re-replication pass).
+        Records an epoch-0 ``store`` row and bumps ``data_version``.
 
         Raises:
             KeyspaceError: A key is not a finite float in ``[0, 1)``
@@ -195,6 +198,7 @@ class ReplicatedStore:
             self.item_keys = keys
             self.item_ids = ids
             self.holders = holders
+        self._index_catalog()
         self.data_version += 1
         self._record_pass(0, 0, targets, alive)
         return int(keys.size)
@@ -222,6 +226,7 @@ class ReplicatedStore:
             self.item_keys = self.item_keys[has_source]
             self.item_ids = self.item_ids[has_source]
             self.holders = self.holders[has_source]
+            self._index_catalog()
         empty = self.item_keys.size == 0
         targets = self.holders if empty else self.successor_targets(self.item_keys, view)
         alive = self.truth_live_mask(targets)
@@ -233,9 +238,22 @@ class ReplicatedStore:
     # lookup + observability
     # ------------------------------------------------------------------
 
+    def _index_catalog(self) -> None:
+        """Hash every catalog key's bits to its row: the open-addressing
+        index :meth:`lookup_rows` reads (``-1`` in a slot without a key)."""
+        self._index_bits = np.full(hash_slots(self.item_count), HASH_EMPTY)
+        slot, __ = hash_place(self._index_bits, key_bits(self.item_keys))
+        self._index_rows = np.full(self._index_bits.size, -1, dtype=np.int32)
+        self._index_rows[slot] = np.arange(self.item_count)
+
     def lookup_rows(self, keys: np.ndarray) -> np.ndarray:
-        """Catalog row of each exact key (``-1`` when absent/lost)."""
+        """Catalog row of each exact key (``-1`` when absent or lost): a
+        hashed gather of the key's bits, ``-0.0`` read as ``0.0``. The
+        reference twin searches the sorted keys."""
         keys = np.asarray(keys, dtype=float)
+        if self.vectorized:
+            slot, __ = hash_find(self._index_bits, key_bits(keys.reshape(-1)))
+            return self._index_rows[slot].reshape(keys.shape)
         if self.item_keys.size == 0:
             return np.full(keys.shape, -1, dtype=np.int64)
         idx = np.minimum(search_sorted(self.item_keys, keys), self.item_keys.size - 1)

@@ -98,22 +98,16 @@ class VectorizedDetectorBank:
         monitor_ids = window(np.concatenate([b, b[:j_eff]]), j_eff)[1:]
         monitor_alive = window(np.concatenate([target_alive, target_alive[:j_eff]]), j_eff)[1:]
 
-        snap = state.probe_fails.take(s, axis=0)
-        counts = snap[:, :j_eff]
-        pend_snap = state.probe_pending.take(s, axis=0)
-        pending = pend_snap[:, :j_eff]
-        mon_snap = state.probe_monitor.take(s, axis=0)
-        prev_monitors = mon_snap[:, :j_eff]
+        fails = state.probe_fails.take(s, axis=0)
+        pend = state.probe_pending.take(s, axis=0)
+        monitors = state.probe_monitor.take(s, axis=0)
+        kept = monitors[:, :j_eff] == monitor_ids
 
-        changed = prev_monitors != monitor_ids
-        np.copyto(counts, 0, where=changed)
-        np.copyto(pending, False, where=changed)
-
-        # Last round's unanswered probes time out now — but only where
-        # the monitor still runs (dead peers poll nothing).
-        counts += (pending & monitor_alive).astype(np.int64)
+        # A changed monitor restarts the pair at zero; last round's
+        # unanswered probes time out now — but only where the monitor still
+        # runs (dead peers poll nothing); an on-time answer resets the count.
         ok = monitor_alive & target_alive[:, None] & (u >= cfg.loss)
-        np.copyto(counts, 0, where=ok)
+        counts = (fails[:, :j_eff] + (pend[:, :j_eff] & monitor_alive)) * (kept & ~ok)
         votes = monitor_alive & (counts >= cfg.failure_threshold)
         fail = monitor_alive & ~ok
 
@@ -123,12 +117,16 @@ class VectorizedDetectorBank:
         hit = np.flatnonzero(np.ascontiguousarray(votes.T).sum(axis=0) >= cfg.quorum)
         origins = monitor_ids[hit, votes[hit].argmax(axis=1)]
 
-        snap[:, j_eff:] = 0  # counts is a view of its first J_eff columns
-        pend_snap[:, :j_eff] = fail
-        pend_snap[:, j_eff:] = False
-        mon_snap[:, :j_eff] = monitor_ids
-        mon_snap[:, j_eff:] = -1
-        state.probe_fails[s] = snap
-        state.probe_pending[s] = pend_snap
-        state.probe_monitor[s] = mon_snap
+        # Write back only the rows this round changed; ranks past J_eff clear.
+        moved = ~kept | (fails[:, :j_eff] != counts) | (pend[:, :j_eff] != fail)
+        dirty = np.ascontiguousarray(moved.T).any(axis=0)
+        if j_eff < fails.shape[1]:  # a believed ring too small for every rank
+            dirty |= fails[:, j_eff:].any(axis=1) | pend[:, j_eff:].any(axis=1)
+            dirty |= (monitors[:, j_eff:] != -1).any(axis=1)
+        rows = np.flatnonzero(dirty)
+        at = s[rows]
+        for name, cols in zip(self._COLUMNS, (counts, fail, monitor_ids)):
+            column = getattr(state, name)
+            column[at, :j_eff] = cols[rows]
+            column[at, j_eff:] = state.COLUMNS[name].fill
         return b[hit], origins

@@ -42,7 +42,7 @@ import repro
 from repro import MercuryConfig, MercuryOverlay, OscarConfig, OscarOverlay, Substrate
 from repro.config import RoutingConfig
 from repro.core import soa
-from repro.core.soa import row_table, rows_of
+from repro.core.soa import HASH_MULTIPLIER, row_table, rows_of
 from repro.degree import ConstantDegrees
 from repro.engine.walk import WalkTable
 from repro.protocol import Deliver, GreedyRouter
@@ -354,6 +354,25 @@ def reference_serve_table(substrate, view) -> WalkTable:
     return whole_matrix_table(
         state.key[slots], (np.arange(m) + 1) % m, _whole_link_rows(state, slots, row_of)
     )
+
+
+ONE_BITS = 0x3FF0_0000_0000_0000  # the bits of 1.0
+
+
+def keys_homed_at(top: int, count: int, seed: int) -> np.ndarray:
+    """``count`` distinct keys in ``[0, 1)`` whose hash product ``bits *
+    HASH_MULTIPLIER`` starts with the 12 bits ``top``. A table of ``2**k``
+    slots homes a key at the product's top ``k`` bits, so these keys share
+    one home slot in every table of up to 4 096 slots; ``top = 0xFFF``
+    homes them at the last slot, and their chains wrap to slot 0."""
+    inverse = pow(int(HASH_MULTIPLIER), -1, 1 << 64)
+    rng = np.random.default_rng(seed)
+    found: list[int] = []
+    while len(found) < count:
+        bits = ((top << 52) | int(rng.integers(1 << 52))) * inverse % (1 << 64)
+        if bits < ONE_BITS and bits not in found:
+            found.append(bits)
+    return np.asarray(found, dtype=np.uint64).view(np.float64)
 
 
 class LruModel:

@@ -79,15 +79,49 @@ CATALOGUE = (
     ),
     Mutant(
         "cache-find-tombstone-ends-chain",
-        "ResultCache._find treats a deleted slot as empty (PR 39)",
-        "repro.engine.serve:ResultCache._find",
+        "the shared hash_find under ResultCache.probe treats a deleted slot as empty",
+        "repro.core.soa:hash_find",
         (
-            ("again = again[held[again] != _EMPTY]", "again = again[held[again] < _DELETED]"),
-            ("again = again[~hit & (held != _EMPTY)]", "again = again[~hit & (held < _DELETED)]"),
+            (
+                "again = again[held[again] != HASH_EMPTY]",
+                "again = again[held[again] < HASH_DELETED]",
+            ),
+            (
+                "again = again[~hit & (held != HASH_EMPTY)]",
+                "again = again[~hit & (held < HASH_DELETED)]",
+            ),
         ),
         (
             PROGRAM.format("serve_cache_evicts_through_tombstones"),
             "tests/test_serve_cache.py::TestLruModelDifferential",
+        ),
+    ),
+    Mutant(
+        "catalog-index-kept-after-loss",
+        "rereplicate drops lost items from the catalog but keeps the old hashed index",
+        "repro.index.replication:ReplicatedStore.rereplicate",
+        (("        self._index_catalog()\n", ""),),
+        (
+            "tests/test_replication.py::TestCatalogIndex",
+            PROGRAM.format("probe_repair_epochs_reconcile"),
+        ),
+    ),
+    Mutant(
+        "catalog-index-stops-at-home-slot",
+        "lookup_rows reads a key's home slot only, never the chain past a collision",
+        "repro.index.replication:ReplicatedStore.lookup_rows",
+        (
+            (
+                "slot, __ = hash_find(self._index_bits, key_bits(keys.reshape(-1)))",
+                "from repro.core.soa import hash_home\n"
+                "        bits = key_bits(keys.reshape(-1))\n"
+                "        slot = hash_home(bits, self._index_bits.size)\n"
+                "        slot[self._index_bits[slot] != bits] = np.argmax(self._index_rows < 0)",
+            ),
+        ),
+        (
+            "tests/test_replication.py::TestCatalogIndex",
+            "tests/test_stateful_churn.py::TestChurnStateful",
         ),
     ),
     Mutant(
@@ -318,6 +352,25 @@ CATALOGUE = (
         "repro.membership.vectorized:VectorizedDetectorBank.round",
         (("votes[hit].argmax(axis=1)", "j_eff - 1 - votes[hit][:, ::-1].argmax(axis=1)"),),
         ("tests/test_membership.py::TestBankDifferential",),
+    ),
+    Mutant(
+        "detector-write-back-skips-new-pending",
+        "a detector round writes back no row whose only change is a probe left pending",
+        "repro.membership.vectorized:VectorizedDetectorBank.round",
+        (
+            (
+                "(fails[:, :j_eff] != counts) | (pend[:, :j_eff] != fail)",
+                "(fails[:, :j_eff] != counts)",
+            ),
+        ),
+        ("tests/test_membership.py::TestBankDifferential",),
+    ),
+    Mutant(
+        "detector-write-back-keeps-a-shrunk-tail",
+        "a detector round leaves ranks past a shrunk panel uncleared in rows it did not change",
+        "repro.membership.vectorized:VectorizedDetectorBank.round",
+        (("if j_eff < fails.shape[1]:", "if False:"),),
+        ("tests/test_membership.py::TestBankDifferential::test_ranks_past_a_shrunk_panel_clear",),
     ),
     Mutant(
         "detection-lag-from-the-wrong-epoch",

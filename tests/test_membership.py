@@ -684,3 +684,19 @@ class TestBankDifferential:
             assert origins.tolist() == ref_origins.tolist()
             most = max(most, targets.size)
         assert most >= 300
+
+    def test_ranks_past_a_shrunk_panel_clear(self):
+        """Rows written at panel width 3 hold only cleared cells past
+        ``J_eff`` once the believed ring is too small for three monitors
+        — also a row whose first ``J_eff`` ranks did not change (row 0
+        keeps monitors 1, 2; its third, 3, must go)."""
+        config = DetectorConfig(n_monitors=3, loss=0.0)
+        ring = make_ring(8)
+        bank = VectorizedDetectorBank(config, ring.state)
+        ids, slots = ring.ids_array(), ring.slots_array()
+        bank.round(ids, slots, ring.state.alive, np.ones((8, 3)))
+        assert ring.state.probe_monitor[slots[0]].tolist() == [1, 2, 3]
+        bank.round(ids[:3], slots[:3], ring.state.alive, np.ones((3, 2)))
+        state = ring.state
+        assert state.probe_monitor[slots[:3]].tolist() == [[1, 2, -1], [2, 0, -1], [0, 1, -1]]
+        assert not state.probe_fails[slots[:3]].any() and not state.probe_pending[slots].any()

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import keys_homed_at
 from repro.churn.sessions import make_sessions
 from repro.degree import ConstantDegrees
 from repro.engine import SteadyStateChurnEngine
@@ -298,6 +299,65 @@ class TestDifferential:
         np.testing.assert_array_equal(
             vec.truth_live_mask(ids), ref.truth_live_mask(ids)
         )
+
+
+#: Catalog keys the hashed index must tell apart or find: ``0.0`` and
+#: ``-0.0``, subnormals, keys sharing the ``2**-64`` cell at 0, the largest
+#: float below 1.0, keys sharing one home slot and keys homed at the last
+#: slot, whose chains wrap (in every table of up to 4 096 slots).
+AWKWARD = np.concatenate(
+    [
+        [0.0, -0.0, 5e-324, 2.0**-1070, 2.0**-1022, np.nextafter(1.0, 0.0), 0.5],
+        np.arange(1, 6) * 2.0**-72,
+        keys_homed_at(0x5A5, 12, seed=3),
+        keys_homed_at(0xFFF, 12, seed=4),
+    ]
+)
+
+
+class TestCatalogIndex:
+    @given(
+        picks=st.lists(st.integers(0, AWKWARD.size - 1), max_size=AWKWARD.size),
+        drawn=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+        split_at=st.integers(0, 60),
+        crashed=st.lists(st.integers(0, 15), max_size=15),
+        k=st.integers(1, 2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_hashed_lookup_equals_the_sorted_search(self, picks, drawn, split_at, crashed, k):
+        """The hashed ``lookup_rows`` against its sorted-search twin, on
+        a catalog seeded in two calls (the index rebuilt over the merged
+        rows), then after a pass that drops every item whose holders
+        all crashed: asked for every catalog key, both of its one-ulp
+        neighbours, ``±0.0``, every awkward key and keys outside."""
+        ring = make_ring(16)
+        view = OracleView(ring)
+        stores = [ReplicatedStore(ring, k=k, vectorized=v) for v in (True, False)]
+        keys = np.concatenate([AWKWARD[picks], drawn])
+        for part in (keys[:split_at], keys[split_at:]):
+            for store in stores:
+                store.seed_items(part, view)
+        self.assert_twins_agree(*stores)
+        view.crash(sorted(set(crashed))[:15])
+        for store in stores:
+            store.rereplicate(view, epoch=1)
+        self.assert_twins_agree(*stores)
+
+    @staticmethod
+    def assert_twins_agree(hashed: ReplicatedStore, sorted_twin: ReplicatedStore) -> None:
+        catalog = hashed.item_keys
+        assert catalog.tobytes() == sorted_twin.item_keys.tobytes()
+        assert hashed.lookup_rows(catalog).tolist() == list(range(catalog.size))
+        queries = np.concatenate(
+            [
+                catalog,
+                np.nextafter(catalog, -1.0),
+                np.nextafter(catalog, 1.0),
+                [0.0, -0.0, 0.25, 0.75],
+                AWKWARD,
+            ]
+        )
+        assert hashed.lookup_rows(queries).tolist() == sorted_twin.lookup_rows(queries).tolist()
 
 
 class TestZeroLossProperty:

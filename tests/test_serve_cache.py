@@ -31,12 +31,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LruModel, assert_walk_table
+from conftest import LruModel, assert_walk_table, keys_homed_at
 from repro.churn.sessions import make_sessions
 from repro.config import RoutingConfig
+from repro.core.soa import HASH_DELETED, HASH_EMPTY, hash_home
 from repro.degree import ConstantDegrees
 from repro.engine import Outcome, ResultCache, ServeEngine, SteadyStateChurnEngine
-from repro.engine.serve import _DELETED, _EMPTY, HASH_MULTIPLIER, pack_flags
+from repro.engine.serve import pack_flags
 from repro.engine.walk import WalkTable, walk_bounds
 from repro.errors import ConfigError, ExperimentError
 from repro.experiments.growth import make_overlay
@@ -221,25 +222,6 @@ class TestLruModelDifferential:
             assert {float(k) for k in KEY_POOL if replica.get(float(k), version) is not None} == live
 
 
-ONE_BITS = 0x3FF0_0000_0000_0000  # the bits of 1.0
-
-
-def keys_homed_at(top: int, count: int, seed: int) -> np.ndarray:
-    """``count`` distinct keys in ``[0, 1)`` whose hash product ``bits *
-    HASH_MULTIPLIER`` starts with the 12 bits ``top``. A table of ``2**k``
-    slots homes a key at the product's top ``k`` bits, so these keys share
-    one home slot in every table of up to 4 096 slots; ``top = 0xFFF``
-    homes them at the last slot, and their chains wrap to slot 0."""
-    inverse = pow(int(HASH_MULTIPLIER), -1, 1 << 64)
-    rng = np.random.default_rng(seed)
-    found: list[int] = []
-    while len(found) < count:
-        bits = ((top << 52) | int(rng.integers(1 << 52))) * inverse % (1 << 64)
-        if bits < ONE_BITS and bits not in found:
-            found.append(bits)
-    return np.asarray(found, dtype=np.uint64).view(np.float64)
-
-
 SHARED = keys_homed_at(0x5A5, 16, seed=1)
 LAST = keys_homed_at(0xFFF, 16, seed=2)
 COLLIDING = np.concatenate([SHARED, LAST, KEY_POOL])
@@ -256,16 +238,17 @@ def assert_slots_consistent(cache: ResultCache) -> None:
     home and its slot."""
     table_bits, stamp, owner, flags = cache._slots
     size = table_bits.size
-    live = table_bits < _DELETED
+    live = table_bits < HASH_DELETED
     assert size & (size - 1) == 0
-    assert int(live.sum()) == len(cache) and int((table_bits == _DELETED).sum()) == cache._deleted
+    assert int(live.sum()) == len(cache)
+    assert int((table_bits == HASH_DELETED).sum()) == cache._deleted
     assert 2 * (len(cache) + cache._deleted) <= size
     assert (stamp[~live] == np.iinfo(np.int64).max).all()
     assert (owner[~live] == -1).all() and (flags[~live] == 0).all()
-    homes = cache._home(table_bits[live])
+    homes = hash_home(table_bits[live], size)
     for home, slot in zip(homes.tolist(), np.flatnonzero(live).tolist()):
         chain = [(home + i) % size for i in range((slot - home) % size)]
-        assert _EMPTY not in table_bits[chain]
+        assert HASH_EMPTY not in table_bits[chain]
 
 
 class TestCollidingKeys:
@@ -276,10 +259,8 @@ class TestCollidingKeys:
 
     def test_pool_homes(self):
         for size in (64, 256, 4096):
-            cache = ResultCache(1)
-            cache._slots = tuple(np.resize(column, size) for column in cache._slots)
-            assert set(cache._home(SHARED.view(np.uint64)).tolist()) == {0x5A5 * size >> 12}
-            assert set(cache._home(LAST.view(np.uint64)).tolist()) == {size - 1}
+            assert set(hash_home(SHARED.view(np.uint64), size).tolist()) == {0x5A5 * size >> 12}
+            assert set(hash_home(LAST.view(np.uint64), size).tolist()) == {size - 1}
 
     @given(
         capacity=st.integers(1, 64),
@@ -331,14 +312,15 @@ class TestCollidingKeys:
             cache.put(key, "v", payload)
         home = 0x5A5 * cache._slots[0].size >> 12
         chain = [home, home + 1, home + 2, home + 3]
-        assert cache._slots[0][chain].tolist() == bits_of([a, b, c]) + [int(_EMPTY)]
+        assert cache._slots[0][chain].tolist() == bits_of([a, b, c]) + [int(HASH_EMPTY)]
         cache.get(b, "v")
         cache.get(c, "v")  # a is now the least recently used
         cache.put(d, "v", A)  # d lands after c, then a goes: the chain's head is a tombstone
-        assert cache._slots[0][chain].tolist() == [int(_DELETED)] + bits_of([b, c, d])
+        assert cache._slots[0][chain].tolist() == [int(HASH_DELETED)] + bits_of([b, c, d])
         assert [cache.get(key, "v") for key in (a, b, c, d)] == [None, B, C, A]
         cache.put(e, "v", B)  # absent past the tombstone; takes it, and b goes
-        assert cache._slots[0][chain].tolist() == bits_of([e]) + [int(_DELETED)] + bits_of([c, d])
+        tombstone = [int(HASH_DELETED)]
+        assert cache._slots[0][chain].tolist() == bits_of([e]) + tombstone + bits_of([c, d])
         assert [cache.get(key, "v") for key in (b, c, d, e)] == [None, C, A, B]
         assert (len(cache), cache._deleted, cache.evictions) == (3, 1, 2)
         assert_slots_consistent(cache)
@@ -348,7 +330,7 @@ class TestCollidingKeys:
         for key in LAST[:3]:
             cache.put(key, "v", A)
         last = cache._slots[0].size - 1
-        assert cache._slots[0][[last, 0, 1, 2]].tolist() == bits_of(LAST[:3]) + [int(_EMPTY)]
+        assert cache._slots[0][[last, 0, 1, 2]].tolist() == bits_of(LAST[:3]) + [int(HASH_EMPTY)]
         assert [cache.get(key, "v") for key in LAST[:4]] == [A, A, A, None]
         assert_slots_consistent(cache)
 
@@ -367,7 +349,7 @@ class TestCollidingKeys:
         assert got[hit].tolist() == owners[2:].tolist()
         assert_slots_consistent(cache)
         cache.clear()
-        assert cache._slots[0].size == 256 and (cache._slots[0] == _EMPTY).all()
+        assert cache._slots[0].size == 256 and (cache._slots[0] == HASH_EMPTY).all()
         assert_slots_consistent(cache)
 
 
@@ -400,7 +382,10 @@ class TestCacheRefusesHostileKeys:
         )
 
     def test_sentinel_nans_keep_their_bits(self):
-        for name, sentinel in (("empty-sentinel-nan", _EMPTY), ("deleted-sentinel-nan", _DELETED)):
+        for name, sentinel in (
+            ("empty-sentinel-nan", HASH_EMPTY),
+            ("deleted-sentinel-nan", HASH_DELETED),
+        ):
             assert (np.asarray([HOSTILE[name]]) + 0.0).view(np.uint64)[0] == sentinel
 
     @pytest.mark.parametrize("bad", HOSTILE.values(), ids=HOSTILE.keys())

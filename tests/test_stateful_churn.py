@@ -65,6 +65,8 @@ and checks after every step:
   (``reference_truth_table`` / ``reference_serve_table``);
 * after every epoch the churn engine's probe engine holds no truth
   snapshot (the probe drops it once measured);
+* the hashed catalog index: the store's ``lookup_rows`` reads each
+  catalog key's own row and ``-1`` for each one-ulp neighbour of one;
 * conservation: an epoch's ``live`` is the live count it started from
   (after any wave) plus its arrivals minus its departures, and equals
   the ring's; the catalog holds the seeded items minus those lost;
@@ -319,16 +321,20 @@ class ChurnProgram:
 
     def serve(self, picks: list[int], unknown: int, repeat: int) -> None:
         """One batch: sources at live ranks ``picks`` plus ``unknown``
-        ids no peer holds, keys drawn from the catalog with every key
+        ids no peer holds, keys drawn from the catalog and, from the same
+        sources again, keys one ulp below or above them, with every key
         asked ``repeat`` times."""
         live = self.overlay.ring.ids_array(live_only=True)
         top = int(self.overlay._next_id)
-        sources = [int(live[i % live.size]) for i in picks] + [top + 7 * j for j in range(unknown)]
+        asked = [int(live[i % live.size]) for i in picks]
+        sources = asked + asked + [top + 7 * j for j in range(unknown)]
         catalog = self.twins[0]["store"].item_keys
         if catalog.size:  # the catalog empties when every replica of every item died
             keys = catalog[np.asarray(picks, dtype=np.int64) % catalog.size]
         else:
             keys = np.full(len(picks), 0.5)
+        near = np.nextafter(keys, np.arange(keys.size) % 2.0)
+        keys = np.concatenate([keys, np.minimum(near, np.nextafter(1.0, 0.0))])
         keys = np.concatenate([np.repeat(keys, repeat), np.full(unknown * repeat, 0.25)])
         sources = np.repeat(np.asarray(sources, dtype=np.int64), repeat)
         version = self.twins[0]["serve"].serve_version
@@ -508,6 +514,7 @@ class ChurnProgram:
         for twin in self.twins:
             store = twin["store"]
             assert store.item_count == self.seeded - store.items_lost_total
+        self.check_catalog_index(self.twins[0]["store"])
         # At probe loss 0.8 a false eviction is a death gentle churn does
         # not pace, as a wave is: it can take every replica holder at once.
         lossiest = self.probe and self.params["loss"] >= 0.8
@@ -572,6 +579,17 @@ class ChurnProgram:
             assert row.placed == held.size  # the pass re-placed every copy
             short = store.k - min(store.k, view.live_count)
             assert (store.holders < 0).sum() == row.phantom_replicas + store.item_count * short
+
+    @staticmethod
+    def check_catalog_index(store: ReplicatedStore) -> None:
+        """The hashed catalog index holds the catalog as it stands: each
+        key reads its own row, and each one-ulp neighbour of a key that
+        is not itself a key reads ``-1``."""
+        keys = store.item_keys
+        assert store.lookup_rows(keys).tolist() == list(range(keys.size))
+        near = np.nextafter(np.concatenate([keys, keys]), np.repeat([0.0, 1.0], keys.size))
+        near = near[(near < 1.0) & ~np.isin(near, keys)]
+        assert (store.lookup_rows(near) == -1).all()
 
     @staticmethod
     def check_keys(overlay: Substrate) -> None:
