@@ -46,7 +46,8 @@ Design notes
   ``0..out_count[s])`` and ``-1`` everywhere after (the *padding
   invariant* — vectorized kernels rely on it to read live links with a
   single mask). The medians table is its float twin for partition
-  borders, gated by ``n_medians`` (``-1`` means "no table yet").
+  borders, gated by ``n_medians`` (``-1`` means "no table yet"), and
+  ``median_ids`` names, per border, the peer it was picked on.
 """
 
 from __future__ import annotations
@@ -256,6 +257,9 @@ class SubstrateState:
     part_far_end: np.ndarray = column(np.float64, 0.0)
     n_medians: np.ndarray = column(np.int32, -1)
     medians: np.ndarray = column(np.float64, 0.0, matrix=True)
+    #: Per border, the id of the peer whose position it equals when it
+    #: was picked (``-1``: an ulp-off border, or past ``n_medians``).
+    median_ids: np.ndarray = column(np.int32, -1, matrix=True)
     #: Mercury's density histogram as its cumulative vector; ``nan``
     #: past its end, an all-``nan`` row = no histogram.
     hist_cdf: np.ndarray = column(np.float64, np.nan, matrix=True)
@@ -419,17 +423,21 @@ class SubstrateState:
         no row or the column is padding."""
         return self.link_blocks(slots, row_of)(slice(None))
 
-    def link_blocks(self, slots: np.ndarray, row_of: np.ndarray) -> Callable[[slice], np.ndarray]:
+    def link_blocks(
+        self, slots: np.ndarray, row_of: np.ndarray, missing: int = -1
+    ) -> Callable[[Any], np.ndarray]:
         """:meth:`link_rows` one block at a time: a function of a slice
-        of ``slots`` returning those rows, with the translation table
-        built once.
+        (or an index array) of ``slots`` returning those rows, with the
+        translation table built once; ``missing`` stands for a target
+        without a row and for padding.
 
         One gather per block, no mask: read as ``uint32``, the padding
         ``-1`` and every id past the table are out of range, and
-        ``take`` clips them all onto one ``-1`` appended to the table."""
-        table = np.append(row_of, -1).astype(np.int32)
+        ``take`` clips them all onto one ``missing`` appended to the
+        table."""
+        table = np.append(np.where(row_of < 0, missing, row_of), missing).astype(np.int32)
 
-        def rows(block: slice) -> np.ndarray:
+        def rows(block: Any) -> np.ndarray:
             links = self.out_links.take(slots[block], axis=0)
             return table.take(links.view(np.uint32), mode="clip")
 

@@ -57,7 +57,7 @@ from ..routing import RouteResult, RouteStats, summarize_routes
 from ..routing.result import _percentile  # shared so folds stay bit-identical
 from ..types import Key, NodeId
 from ..workloads import QueryWorkload
-from .walk import WalkCode, WalkTable, greedy_walk, greedy_walk_reference
+from .walk import NO_ROW, WalkCode, WalkTable, greedy_walk, greedy_walk_reference
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports routing)
     from ..core.substrate import Substrate
@@ -85,10 +85,14 @@ class TopologySnapshot:
             aligned with ``live_keys``.
         row_of: ``node id -> row`` translation array (-1 for unknown).
         table: The :class:`~repro.engine.walk.WalkTable` the kernel
-            walks. Its ``succ_row`` is the state's ``succ`` column as
-            rows (-1 when the peer has no pointer, e.g. it is dead and
-            was repaired away); the candidates of row ``i`` are the rows
-            of peer ``all_ids[i]``'s ``neighbors_of`` list — successor,
+            walks, :meth:`~repro.engine.walk.WalkTable.deferred`: a row
+            is built the first time a walk is about to stand on it, from
+            the state as it stands — so the snapshot is read only at its
+            ``version``.
+            Its ``succ_row`` is the state's ``succ`` column as rows (-1
+            when the peer has no pointer, e.g. it is dead and was
+            repaired away); the candidates of row ``i`` are the rows of
+            peer ``all_ids[i]``'s ``neighbors_of`` list — successor,
             predecessor, every link slot (absent pointers and
             hard-removed targets are padding) — as row offsets, those
             that cannot beat the successor dropped.
@@ -103,8 +107,9 @@ class TopologySnapshot:
 
     @classmethod
     def capture(cls, substrate: "Substrate") -> "TopologySnapshot":
-        """Materialize the current topology of ``substrate`` as arrays."""
-        ring = substrate.ring
+        """Materialize the current topology of ``substrate`` as arrays:
+        the per-peer columns now, the walk table's rows on first visit."""
+        ring, state = substrate.ring, substrate.state
         all_ids = ring.ids_array(live_only=False)
         row_of = row_table(all_ids)
 
@@ -113,21 +118,23 @@ class TopologySnapshot:
         # follows links without liveness checks). The successor is the
         # table's own first column, so it is not offered again.
         slots = ring.slots_array(live_only=False)
-        succ_row = rows_of(row_of, substrate.state.succ[slots])
-        pred_row = rows_of(row_of, substrate.state.pred[slots]).astype(np.int32)
-        links = substrate.state.link_blocks(slots, row_of)
+        succ_row = rows_of(row_of, state.succ[slots])
+        pred_row = rows_of(row_of, state.pred[slots])
+        pred_row = np.where(pred_row >= 0, pred_row, NO_ROW).astype(np.int32)
+        links = state.link_blocks(slots, row_of, NO_ROW)
 
-        def candidates(block: slice) -> np.ndarray:
-            """The predecessor and link rows of a row block."""
-            return np.concatenate([pred_row[block, None], links(block)], axis=1)
+        def candidates(rows: np.ndarray) -> np.ndarray:
+            """The predecessor and link rows of ``rows``."""
+            return np.concatenate([pred_row[rows, None], links(rows)], axis=1)
 
+        keys = ring.keys_array(live_only=False)
         return cls(
             version=substrate.topology_version,
             all_ids=all_ids,
             live_keys=ring.keys_array(live_only=True),
             live_rows=row_of[ring.ids_array(live_only=True)],
             row_of=row_of,
-            table=WalkTable.build(ring.keys_array(live_only=False), succ_row, candidates),
+            table=WalkTable.deferred(keys, succ_row, candidates, 1 + state.link_width),
         )
 
     def responsible_rows(self, targets: np.ndarray) -> np.ndarray:

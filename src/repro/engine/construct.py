@@ -201,6 +201,36 @@ def _window_counts(
     return np.where(start < end, span, np.where(start == end, m, m + span))
 
 
+def stored_border_ranks(
+    view: LiveView, slots: np.ndarray, counts: np.ndarray, width: int
+) -> Callable[[slice], np.ndarray]:
+    """The current ring rank ``searchsorted(view.pos, border, "right")``
+    of the first ``width`` stored borders of ``slots``, as a function of
+    a slice of ``slots`` (``int32``; 0 past a row's ``counts``).
+
+    A border picked on a peer (its ``median_ids`` entry) still equals
+    that peer's position and positions are distinct, so while the peer
+    is live its rank is its row + 1 — one gather through the view's
+    ``id -> row`` table, read as ``uint32`` so that ``-1`` and every id
+    without a row clip onto one appended ``-1``. Only the borders whose
+    peer has left or crashed, or that sit on no peer, are searched
+    (asked in key order: the borders of ring-ordered rows are not)."""
+    table = np.append(view.row_of, -1).astype(np.int32)
+    cell = np.arange(width)
+
+    def ranks(block: slice) -> np.ndarray:
+        """The current ranks of a block's stored borders."""
+        ids = view.state.median_ids[slots[block], :width]
+        rank = table.take(ids.view(np.uint32), mode="clip")
+        rank += 1
+        row, col = np.nonzero((rank == 0) & (cell < counts[block, None]))
+        borders = view.state.medians[slots[block][row], col]
+        rank[row, col] = keyspace.search_sorted(view.pos, borders, side="right")
+        return rank
+
+    return ranks
+
+
 def draw_positions(
     rng: np.random.Generator, keys: KeyDistribution, count: int, occupied: np.ndarray
 ) -> np.ndarray:
@@ -399,7 +429,10 @@ class BatchConstructionEngine:
         Every border is carried with its *ring rank* —
         ``searchsorted(pos, border, side="right")``, known when the
         border is picked — in a local matrix next to ``medians``, so
-        packing the arcs searches nothing.
+        packing the arcs searches nothing. The peer at ``rank - 1`` is
+        stored as the border's ``median_ids`` entry where its position
+        is the border, so a later refill reads the rank off that peer's
+        row.
         """
         config = self.overlay.config
         m = view.m
@@ -425,9 +458,19 @@ class BatchConstructionEngine:
         est_slots = view.slots[rows]
         state.part_origin[est_slots] = origin
         state.part_far_end[est_slots] = far_end
-        state.ensure_width("medians", medians.shape[1])
-        state.medians[est_slots, :] = 0.0
-        state.medians[est_slots, : medians.shape[1]] = medians
+        width = medians.shape[1]
+        state.ensure_width("medians", width)
+        state.ensure_width("median_ids", width)
+        state.medians[est_slots, width:] = 0.0
+        state.median_ids[est_slots, width:] = -1
+        state.medians[est_slots, :width] = medians
+        # A padding cell (border 0.0, rank 0) reads the last row, whose
+        # position is above 0.0, so only a border on its peer names one.
+        ids = view.ids.astype(np.int32)
+        for block in row_blocks(n):
+            at = ranks[block] - 1
+            on_peer = view.pos.take(at) == medians[block]
+            state.median_ids[est_slots[block], :width] = np.where(on_peer, ids.take(at), -1)
         state.n_medians[est_slots] = counts
         if track_spend:
             state.samples_spent[est_slots] += config.sample_size * counts
@@ -813,10 +856,10 @@ class BatchConstructionEngine:
         """The partition tables ``rows`` store, packed as arcs.
 
         Borders are read back as the last estimation left them; their
-        ring ranks, which churn has moved since, are searched over the
-        current positions. A peer that never estimated (it joined a
-        one-peer ring) holds one partition: the whole ring up to its
-        current predecessor.
+        ring ranks, which churn has moved since, are
+        :func:`stored_border_ranks`. A peer that never estimated (it
+        joined a one-peer ring) holds one partition: the whole ring up
+        to its current predecessor.
         """
         state, m = view.state, view.m
         slots = view.slots[rows]
@@ -827,16 +870,19 @@ class BatchConstructionEngine:
         far_end = np.where(n_medians < 0, pred, state.part_far_end[slots])
         width = max(1, int(counts.max(initial=0)))
 
-        def borders(block: slice) -> tuple[np.ndarray, np.ndarray]:
-            """A row block's stored medians and their current ring ranks
-            (asked in key order: the medians of ring-ordered rows are not)."""
-            medians = state.medians[slots[block], :width]
-            return medians, keyspace.search_sorted(view.pos, medians, side="right").astype(np.int32)
-
+        ranks = stored_border_ranks(view, slots, counts, width)
         # far_end follows the rows' ring order already: searched as it stands.
         far_rank = np.searchsorted(view.pos, far_end, side="right").astype(np.int32)
         origin_rank = (rows + 1).astype(np.int32)
-        return self._arc_tables(m, origin, far_end, counts, origin_rank, far_rank, borders)
+        return self._arc_tables(
+            m,
+            origin,
+            far_end,
+            counts,
+            origin_rank,
+            far_rank,
+            lambda b: (state.medians[slots[b], :width], ranks(b)),
+        )
 
     # ------------------------------------------------------------------
     # link acquisition (vectorized rounds)

@@ -83,7 +83,7 @@ from ..core.soa import (
 )
 from ..errors import ConfigError
 from ..ring import keyspace
-from .walk import WalkCode, WalkTable, greedy_walk, greedy_walk_reference, walk_bounds
+from .walk import NO_ROW, WalkCode, WalkTable, greedy_walk, greedy_walk_reference, walk_bounds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.substrate import Substrate
@@ -252,7 +252,14 @@ class ResultCache:
         Raises:
             KeyspaceError: A key is not a finite float in ``[0, 1)``.
         """
-        bits = _key_bits(keys)
+        return self.probe_bits(_key_bits(keys), version)
+
+    def probe_bits(
+        self, bits: np.ndarray, version: object
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`probe` of keys already turned into checked bits (what
+        ``_key_bits`` returns), so a caller that holds them does not
+        convert the batch again."""
         self._enter(version)
         n = int(bits.size)
         if not self._live:
@@ -281,7 +288,13 @@ class ResultCache:
         Raises:
             KeyspaceError: A key is not a finite float in ``[0, 1)``.
         """
-        bits = _key_bits(keys)
+        self.insert_bits(_key_bits(keys), version, owners, flags)
+
+    def insert_bits(
+        self, bits: np.ndarray, version: object, owners: np.ndarray, flags: np.ndarray
+    ) -> None:
+        """:meth:`insert` of keys already turned into checked bits (as
+        :meth:`probe_bits`)."""
         n = int(bits.size)
         if self.capacity == 0 or n == 0:
             return
@@ -420,7 +433,7 @@ class ServeSnapshot:
         # Sized over every ring id, so a believed-dead peer reads -1.
         row_of = row_table(ids, int(substrate.ring.ids_array(live_only=False).max()) + 2)
         table = WalkTable.build(
-            keys, (np.arange(m, dtype=np.int64) + 1) % m, state.link_blocks(slots, row_of)
+            keys, (np.arange(m, dtype=np.int64) + 1) % m, state.link_blocks(slots, row_of, NO_ROW)
         )
         targets = keyspace.from_units(store.item_keys)
         # The catalog is sorted, so its keys are searched in order as they stand.
@@ -694,12 +707,12 @@ class ServeEngine:
         target_keys = np.asarray(target_keys, dtype=float)
         if sources.shape != target_keys.shape:
             raise ValueError("sources and target_keys must be aligned 1-d arrays")
-        _key_bits(target_keys)  # a key outside [0, 1) raises before anything changes
+        bits = _key_bits(target_keys)  # a key outside [0, 1) raises before anything changes
         version = self.serve_version
         snap = self.serve_snapshot()
         n = int(sources.size)
 
-        hit, owners, flags = self.result_cache.probe(target_keys, version)
+        hit, owners, flags = self.result_cache.probe_bits(bits, version)
         outcome = np.full(n, Outcome.SERVED, dtype=np.uint8)
         hops = np.zeros(n, dtype=np.int64)
         miss = np.flatnonzero(~hit)
@@ -729,7 +742,7 @@ class ServeEngine:
             m_owners = snap.ids[owner_rows]
             owners[miss] = m_owners
             flags[miss] = m_flags
-            self.result_cache.insert(target_keys[miss], version, m_owners, m_flags)
+            self.result_cache.insert_bits(bits[miss], version, m_owners, m_flags)
         stale = (flags & FLAG_STALE) != 0
         self.stale_serves += int(stale.sum())
         return ServeBatchResult(

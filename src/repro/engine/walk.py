@@ -72,14 +72,21 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from ..core.soa import row_blocks
 from ..ring.keyspace import KEY_MASK, search_sorted
 
-__all__ = ["WalkCode", "WalkTable", "greedy_walk", "greedy_walk_reference", "walk_bounds"]
+__all__ = [
+    "NO_ROW",
+    "WalkCode",
+    "WalkTable",
+    "greedy_walk",
+    "greedy_walk_reference",
+    "walk_bounds",
+]
 
 
 class WalkCode(enum.IntEnum):
@@ -101,6 +108,18 @@ def _wrap(values: np.ndarray, m: int) -> np.ndarray:
     return values
 
 
+#: What a capture's candidate reader returns for padding and for an id
+#: that is no row. Below ``-m`` for every table that fits ``int32``
+#: offsets (``m < 2**30``), so ``NO_ROW + m - v`` stays negative for
+#: every row ``v``: read as ``uint32`` it lies past every offset, and
+#: the row builder drops it with the candidates the successor beats.
+NO_ROW = -(1 << 30)
+
+#: A capture's candidate reader: the candidate rows of a row block (a
+#: slice) or of any array of rows, one row each, padded with ``NO_ROW``.
+Candidates = Callable[[Any], np.ndarray]
+
+
 @dataclass(frozen=True)
 class WalkTable:
     """What the walk reads, computed once per snapshot.
@@ -115,64 +134,66 @@ class WalkTable:
             candidates past the successor, ascending, padded with ``m``
             (none are kept where the successor is missing or the row
             itself); the last column is ``m`` in every row. ``w`` is the
-            most candidates any row keeps.
+            most candidates any row keeps (:meth:`build`), or any row
+            can keep (:meth:`deferred`).
+        built: ``None`` when every row is built; else which rows are
+            (a row not built yet reads all zeros: a walk standing on it
+            is ``STUCK``).
+        candidates: The candidate reader a :meth:`deferred` table builds
+            its rows from (``None`` once built whole).
     """
 
     keys: np.ndarray
     succ_row: np.ndarray
     offsets: np.ndarray
+    built: np.ndarray | None = None
+    candidates: Candidates | None = None
 
     @classmethod
     def build(
         cls,
         keys: np.ndarray,
         succ_row: np.ndarray,
-        nbr_rows: np.ndarray | Callable[[slice], np.ndarray],
+        candidates: np.ndarray | Candidates,
     ) -> "WalkTable":
-        """Offset table of the padded candidate matrix ``nbr_rows``
-        (``-1`` entries, anywhere in a row, are padding; self links,
-        duplicates and the successor itself may appear).
+        """Offset table of every row, from the padded candidate matrix
+        ``candidates`` (negative entries are padding) or a reader: a
+        function that returns the candidate rows of a
+        :func:`~repro.core.soa.row_blocks` slice, padded with
+        :data:`NO_ROW`. Padding may sit anywhere in a row; self links,
+        duplicates and the successor itself may appear. A capture
+        translates its link table one row block at a time, so no
+        candidate matrix the size of the overlay is ever built.
 
-        ``nbr_rows`` is the matrix, or a function that returns its rows
-        ``block`` (a :func:`~repro.core.soa.row_blocks` slice) — a
-        capture translates its link table one row block at a time, so
-        no candidate matrix the size of the overlay is ever built.
-        Offsets are a sort of small integers per row: no key is
-        gathered, only checked to strictly increase. Each block is
-        sorted straight into ``offsets``, sized first for a row that
-        keeps every candidate; when no row does, the rows are moved left
-        in place, block by block, to the widest row's width.
+        Each block is sorted straight into ``offsets``, sized first for
+        a row that keeps every candidate (:func:`_offset_rows`); when no
+        row does, the rows are moved left in place, block by block, to
+        the widest row's width, read off the sorted columns.
 
         Raises:
             ValueError: The keys do not strictly increase, or the table
                 would not fit ``int32`` offsets.
         """
-        read = nbr_rows if callable(nbr_rows) else nbr_rows.__getitem__
-        m = int(keys.size)
-        if not bool((keys[1:] > keys[:-1]).all()):
-            raise ValueError("walk table keys must strictly increase (one row per key cell)")
+        read = (
+            candidates
+            if callable(candidates)
+            else np.where(candidates < 0, NO_ROW, candidates).__getitem__
+        )
+        m = _rows(keys)
         rows = np.arange(m, dtype=np.int32)
-        # A missing successor points at the row itself: offset 0, past
-        # which no candidate is kept.
-        succ_off = _wrap(np.where(succ_row >= 0, succ_row, rows).astype(np.int32) - rows, m)
-        succ_lim = np.where(succ_off > 0, succ_off, m)
+        succ_off, lim = _successor(succ_row, rows, m)
+        # One limit for every row (a believed ring's) is one scalar.
+        scalar = lim[0] if lim.size and (lim == lim[0]).all() else None
         offsets = np.empty((m, 2), dtype=np.int32)
         width = 0
         for block in row_blocks(m):
             nbr = read(block)
             if block.start == 0:
-                if m * (nbr.shape[1] + 2) >= 2**31:
-                    raise ValueError(
-                        f"an int32 walk table indexes fewer than 2**31 cells, got {m} rows"
-                    )
-                offsets = np.empty((m, nbr.shape[1] + 2), dtype=np.int32)
-            cands = _wrap(np.subtract(nbr, rows[block, None], dtype=np.int32), m)
-            np.copyto(cands, m, where=(nbr < 0) | (cands <= succ_lim[block, None]))
-            cands.sort(axis=1)
-            offsets[block, 1:-1] = cands
-            width = max(width, int((cands.min(axis=0, initial=m) < m).sum()))
-        offsets[:, 0] = succ_off
-        offsets[:, -1] = m
+                offsets = np.empty((m, _width(m, nbr.shape[1])), dtype=np.int32)
+            out = offsets[block]
+            limit = lim[block] if scalar is None else scalar
+            _offset_rows(out, rows[block], succ_off[block], limit, nbr, m)
+            width = _kept_width(out[:, 1:-1], width, m)
         if width + 2 < offsets.shape[1]:
             # Row v moves from v * W to v * (width + 2): never past a row
             # still unread, and each block is read before it is written.
@@ -183,9 +204,139 @@ class WalkTable:
             offsets = flat[: m * (width + 2)].reshape(m, width + 2)
         return cls(keys=keys, succ_row=succ_row, offsets=offsets)
 
+    @classmethod
+    def deferred(
+        cls,
+        keys: np.ndarray,
+        succ_row: np.ndarray,
+        candidates: Candidates,
+        width: int,
+    ) -> "WalkTable":
+        """The table :meth:`build` would hold, with no row built yet:
+        :meth:`visit` builds a row the first time a walk is about to
+        stand on it. ``candidates`` returns the ``width`` candidate
+        columns of any array of rows, as :meth:`build`'s reader does of
+        a block; the rows keep every column (``w`` is ``width``), since
+        the widest row is not known until every row is built.
+
+        Raises:
+            ValueError: As :meth:`build`.
+        """
+        m = _rows(keys)
+        return cls(
+            keys=keys,
+            succ_row=succ_row,
+            offsets=np.zeros((m, _width(m, width)), dtype=np.int32),
+            built=np.zeros(m, dtype=bool),
+            candidates=candidates,
+        )
+
+    def visit(self, rows: np.ndarray) -> None:
+        """Build every row of ``rows`` not built yet, a row repeated in
+        ``rows`` once per repeat (cheaper than finding the repeats);
+        nothing to do on a table built whole.
+
+        A visit that finds an eighth of the table unbuilt builds every
+        row left, in row order: a batch that stands on that many rows
+        at one hop crosses most of the table, and rows gathered in
+        order cost less than rows gathered where walks stand."""
+        if self.built is None:
+            return
+        todo = rows[~self.built[rows]]
+        if 8 * todo.size >= self.built.size:
+            todo = np.flatnonzero(~self.built).astype(np.int32)
+        m = int(self.keys.size)
+        assert self.candidates is not None
+        for part in row_blocks(todo.size):
+            at = todo[part]
+            succ_off, lim = _successor(self.succ_row[at], at, m)
+            out = np.empty((at.size, self.offsets.shape[1]), dtype=np.int32)
+            _offset_rows(out, at, succ_off, lim, self.candidates(at), m)
+            self.offsets[at] = out
+        self.built[todo] = True
+
+    def whole(self) -> "WalkTable":
+        """This table with every row built — itself, or for a
+        :meth:`deferred` table the one :meth:`build` makes from the same
+        reader (the rows it visited are left as they are)."""
+        if self.built is None:
+            return self
+        assert self.candidates is not None
+        return WalkTable.build(self.keys, self.succ_row, self.candidates)
+
     def bounds(self, targets: np.ndarray) -> np.ndarray:
         """The walk bound per ``uint64`` target key (:func:`walk_bounds`)."""
         return walk_bounds(self.keys, targets, search_sorted(self.keys, targets))
+
+
+def _rows(keys: np.ndarray) -> int:
+    """Row count of a table over ``keys``, checked to strictly increase."""
+    if not bool((keys[1:] > keys[:-1]).all()):
+        raise ValueError("walk table keys must strictly increase (one row per key cell)")
+    return int(keys.size)
+
+
+def _width(m: int, candidates: int) -> int:
+    """Columns of an ``m``-row offset matrix with room for ``candidates``
+    per row, checked to fit ``int32`` offsets."""
+    if m * (candidates + 2) >= 2**31:
+        raise ValueError(f"an int32 walk table indexes fewer than 2**31 cells, got {m} rows")
+    return candidates + 2
+
+
+def _successor(succ_row: np.ndarray, rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the successor's offset — a missing successor points at
+    the row itself, offset 0 — and the *limit*, the largest offset a
+    kept candidate must pass: the successor's, or ``m - 1`` (none is
+    kept) when that is 0."""
+    succ_off = _wrap(np.where(succ_row >= 0, succ_row, rows).astype(np.int32) - rows, m)
+    return succ_off, np.where(succ_off > 0, succ_off, m - 1)
+
+
+def _offset_rows(
+    out: np.ndarray,
+    rows: np.ndarray,
+    succ_off: np.ndarray,
+    lim: int | np.ndarray,
+    nbr: np.ndarray,
+    m: int,
+) -> None:
+    """Write the offset rows of ``rows`` into ``out`` (``len(rows)`` by
+    ``nbr.shape[1] + 2``) — the one row builder of both captures.
+
+    ``nbr`` holds the rows' candidate rows (:data:`NO_ROW` for none) and
+    ``lim`` their limits (:func:`_successor`), or one for all. The work is
+    ``uint32`` arithmetic on one contiguous block, with no mask:
+
+    * row ``c`` sits ``t mod m`` rows past ``v``, ``t = c + m - v`` in
+      ``[1, 2m)``, and ``t mod m`` is ``min(t, t - m)`` (``t - m``
+      wraps past ``2**32`` when ``t < m``); :data:`NO_ROW` stays past
+      ``2**31``;
+    * shifted down by ``lim + 1``, every offset at or below the limit —
+      the row itself, each one the successor beats — wraps past
+      ``2**32`` too, and one ``minimum`` turns it and :data:`NO_ROW`
+      into ``m`` once shifted back.
+    """
+    cands = np.add(nbr, (m - rows)[:, None], dtype=np.int32).view(np.uint32)
+    np.minimum(cands, cands - np.uint32(m), out=cands)
+    shift = np.asarray(lim, dtype=np.uint32)[..., None] + np.uint32(1)
+    cands -= shift
+    np.minimum(cands, np.uint32(m) - shift, out=cands)
+    cands += shift
+    cands.sort(axis=1)
+    out[:, 1:-1] = cands
+    out[:, 0] = succ_off
+    out[:, -1] = m
+
+
+def _kept_width(cands: np.ndarray, width: int, m: int) -> int:
+    """The kept width of sorted candidate rows, at least ``width``: one
+    past the last column holding an offset below ``m`` in some row,
+    checked from the right (kept offsets are a prefix of every row)."""
+    for column in range(cands.shape[1] - 1, width - 1, -1):
+        if cands[:, column].min() < m:
+            return column + 1
+    return width
 
 
 def walk_bounds(keys: np.ndarray, targets: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -208,7 +359,9 @@ def greedy_walk(
     budget: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lock-step numpy walk: every still-active query advances one hop
-    per iteration (see the module docstring for arguments and result)."""
+    per iteration (see the module docstring for arguments and result).
+    Each hop first builds the rows it is about to read
+    (:meth:`WalkTable.visit`; nothing to do on a table built whole)."""
     offsets = table.offsets
     m, width = offsets.shape
     flat = offsets.reshape(-1)
@@ -224,6 +377,7 @@ def greedy_walk(
             code[rows] = WalkCode.BUDGET
             break
         cur = current[rows]
+        table.visit(cur)
         lim = _wrap(hi[rows] - cur, m)
         # Offsets ascend along a row, so those not passing the key are a
         # prefix; its length less one is the column of the next hop. The
@@ -257,7 +411,9 @@ def greedy_walk_reference(
     ``offsets`` — ``(row + offset) mod m``: the successor, the kept
     candidates, and the row itself for padding — and scans them for the
     most progress, recomputing each progress from ``keys``: neither the
-    offsets' order nor their arithmetic is trusted."""
+    offsets' order nor their arithmetic is trusted. A deferred table is
+    read built whole (:meth:`WalkTable.whole`)."""
+    table = table.whole()
     keys_int = [int(k) for k in table.keys]
     succs = [int(s) for s in table.succ_row]
     m = len(keys_int)

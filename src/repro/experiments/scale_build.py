@@ -125,14 +125,15 @@ def _walk_speedup(engine: BatchQueryEngine, rng: np.random.Generator) -> float:
     peer on the engine's snapshot — a ratio of two timings on one host.
     The kernel side is the best of three: it is milliseconds long."""
     snap = engine.snapshot()
+    table = snap.table.whole()  # both sides walk every row built
     ring = engine.substrate.ring
     sources, target_keys = QueryWorkload().generate_arrays(ring, rng, ring.live_count)
     targets = keyspace.from_units(target_keys)
-    rows = (snap.table, snap.row_of[sources], snap.responsible_rows(targets))
+    rows = (table, snap.row_of[sources], snap.responsible_rows(targets))
     kernel_seconds = []
     for __ in range(3):
         watch = Stopwatch()  # the kernel side pays for its bound search, as the twin does
-        greedy_walk(*rows, snap.table.bounds(targets), engine.routing.budget)
+        greedy_walk(*rows, table.bounds(targets), engine.routing.budget)
         kernel_seconds.append(watch.lap())
     watch = Stopwatch()
     greedy_walk_reference(*rows, targets, engine.routing.budget)

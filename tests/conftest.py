@@ -44,6 +44,7 @@ from repro.config import RoutingConfig
 from repro.core import soa
 from repro.core.soa import HASH_MULTIPLIER, row_table, rows_of
 from repro.degree import ConstantDegrees
+from repro.engine.construct import LiveView, stored_border_ranks
 from repro.engine.walk import WalkTable
 from repro.protocol import Deliver, GreedyRouter
 from repro.membership import OracleView
@@ -321,6 +322,47 @@ def assert_same_table(table: WalkTable, reference: WalkTable) -> None:
     assert np.array_equal(table.offsets, reference.offsets)
     assert np.array_equal(table.keys, reference.keys)
     assert np.array_equal(table.succ_row, reference.succ_row)
+
+
+def assert_border_ids(overlay) -> float:
+    """Every stored border id is ``-1`` or names the peer sitting exactly
+    on its border, for as long as that peer holds a slot; padding past
+    ``n_medians`` is ``-1``. Over the live peers, the ranks read through
+    the ids (``stored_border_ranks``) are ``searchsorted(pos, border,
+    "right")``. Returns the share of stored borders that name a peer."""
+    state, ring = overlay.state, overlay.ring
+    width = state.median_ids.shape[1]
+    assert state.medians.shape[1] >= width
+    slots = ring.slots_array(live_only=False)
+    counts = np.maximum(state.n_medians[slots], 0)
+    cell = np.arange(width) < counts[:, None]
+    ids, borders = state.median_ids[slots], state.medians[slots, :width]
+    assert (ids[~cell] == -1).all()
+    named = cell & (ids >= 0)
+    holder = state.slots_of(ids[named])
+    held = holder >= 0
+    assert np.array_equal(state.pos[holder[held]], borders[named][held])
+    view = LiveView.capture(overlay)
+    live = np.maximum(state.n_medians[view.slots], 0)
+    ranks = stored_border_ranks(view, view.slots, live, width)(slice(None))
+    searched = np.searchsorted(view.pos, state.medians[view.slots, :width], side="right")
+    on = np.arange(width) < live[:, None]
+    assert np.array_equal(np.where(on, ranks, 0), np.where(on, searched, 0))
+    return float(named.sum() / max(int(cell.sum()), 1))
+
+
+def assert_built_rows(table: WalkTable, reference: WalkTable) -> None:
+    """Every row a deferred ``table`` has built equals ``reference``'s
+    row, padded with ``m`` to ``table``'s width (a deferred table keeps
+    every candidate column); keys and successor rows are equal."""
+    assert table.built is not None
+    assert np.array_equal(table.keys, reference.keys)
+    assert np.array_equal(table.succ_row, reference.succ_row)
+    rows, m = np.flatnonzero(table.built), int(reference.keys.size)
+    kept = reference.offsets.shape[1] - 1
+    assert table.offsets.shape[1] > kept
+    assert np.array_equal(table.offsets[rows, :kept], reference.offsets[rows, :kept])
+    assert (table.offsets[rows, kept:] == m).all()
 
 
 def _whole_link_rows(state, slots: np.ndarray, row_of: np.ndarray) -> np.ndarray:

@@ -127,9 +127,12 @@ CATALOGUE = (
     Mutant(
         "cache-probe-no-stamp-refresh",
         "ResultCache.probe leaves a hit's recency stamp as it was (PR 39)",
-        "repro.engine.serve:ResultCache.probe",
+        "repro.engine.serve:ResultCache.probe_bits",
         (("np.maximum.at(table_stamp, slot[at], self._clock + at)", "pass"),),
-        ("tests/test_serve_cache.py::TestLruModelDifferential",),
+        (
+            "tests/test_serve_cache.py::TestResultCache::test_get_refreshes_recency",
+            "tests/test_serve_cache.py::TestLruModelDifferential",
+        ),
     ),
     Mutant(
         "crash-fraction-from-every-peer",
@@ -413,9 +416,48 @@ CATALOGUE = (
     Mutant(
         "cache-hits-count-distinct-slots",
         "ResultCache.probe counts a batch's hits on one entry once",
-        "repro.engine.serve:ResultCache.probe",
+        "repro.engine.serve:ResultCache.probe_bits",
         (("self.hits += int(at.size)", "self.hits += int(np.unique(slot[at]).size)"),),
-        ("tests/test_serve_cache.py::TestLruModelDifferential",),
+        (
+            "tests/test_serve_cache.py::TestResultCache::test_every_hit_counts_repeats_included",
+            "tests/test_serve_cache.py::TestLruModelDifferential",
+        ),
+    ),
+    Mutant(
+        "border-id-one-row-late",
+        "_estimate stores the id of the peer one row past each border, not the peer on it",
+        "repro.engine.construct:BatchConstructionEngine._estimate",
+        (
+            (
+                "np.where(on_peer, ids.take(at), -1)",
+                "np.where(on_peer, np.roll(ids, -1).take(at), -1)",
+            ),
+        ),
+        (
+            "tests/test_construct_engine.py::TestBorderIds"
+            "::test_each_border_names_the_peer_it_sits_on",
+            "tests/test_stateful_churn.py::TestChurnStateful",
+        ),
+    ),
+    Mutant(
+        "truth-rows-kept-across-version",
+        "BatchQueryEngine.snapshot carries the rows built under the last version into the new "
+        "capture when the row count is unchanged",
+        "repro.engine.batch:BatchQueryEngine.snapshot",
+        (
+            (
+                "        self._route_cache = None"
+                "  # the stale arrays go before their replacements come\n"
+                "        self._route_cache = TopologySnapshot.capture(self.substrate)\n",
+                "        old = self._route_cache\n"
+                "        self._route_cache = TopologySnapshot.capture(self.substrate)\n"
+                "        new = self._route_cache.table\n"
+                "        if old is not None and old.table.offsets.shape == new.offsets.shape:\n"
+                "            new.offsets[old.table.built] = old.table.offsets[old.table.built]\n"
+                "            new.built[old.table.built] = True\n",
+            ),
+        ),
+        ("tests/test_batch_engine.py::TestDeferredTruthRows::test_no_row_survives_a_version_bump",),
     ),
 )
 

@@ -18,12 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_built_rows,
     assert_walk_table,
     build_mercury,
     build_overlay,
     crash_wave,
     greedy_oracle,
     hand_built,
+    reference_truth_table,
 )
 from repro import ChordOverlay, Substrate
 from repro.degree import ConstantDegrees
@@ -312,18 +314,19 @@ class TestWalkTable:
         if repair:
             overlay.repair_ring()
         snap = TopologySnapshot.capture(overlay)
+        table = snap.table.whole()
         assert_walk_table(
-            snap.table,
+            table,
             [
                 [int(snap.row_of[nbr]) for nbr in overlay.neighbors_of(node_id)]
                 for node_id in snap.all_ids.tolist()
             ],
         )
-        pointerless = snap.table.succ_row < 0
+        pointerless = table.succ_row < 0
         if repair and crash:
             assert pointerless.any()
-        assert (snap.table.offsets[pointerless, 0] == 0).all()
-        assert (snap.table.offsets[pointerless, 1:] == snap.all_ids.size).all()
+        assert (table.offsets[pointerless, 0] == 0).all()
+        assert (table.offsets[pointerless, 1:] == snap.all_ids.size).all()
 
     def test_wide_table_with_narrow_rows_drops_the_padding_columns(self):
         keys = keyspace.from_units(np.asarray([0.1, 0.4, 0.7, 0.9]))
@@ -425,7 +428,7 @@ class TestWalkKernelTwins:
         targets = keyspace.from_units(target_keys)
         owner_rows = snap.responsible_rows(targets)
 
-        query = (snap.table, source_rows, owner_rows, targets, budget)
+        query = (snap.table.whole(), source_rows, owner_rows, targets, budget)
         alone, batch = _alone_and_batch(kernel, *query)
         assert (alone, batch) == _alone_and_batch(greedy_walk_reference, *query)
         # A failed query stops alone: the batch is the per-query results.
@@ -603,6 +606,98 @@ class TestSnapshotCache:
         assert snap.table.offsets.shape[0] == snap.all_ids.size
         # every live row's successor pointer resolves
         assert np.all(snap.table.succ_row[snap.live_rows] >= 0)
+
+
+def _eager_routes(engine: BatchQueryEngine, sources, target_keys):
+    """``(hops, code, responsible)`` of ``route_batch``'s queries, walked
+    by the kernel over the engine's truth table built whole."""
+    snap = engine.snapshot()
+    targets = keyspace.from_units(target_keys)
+    owners = snap.responsible_rows(targets)
+    table = snap.table.whole()
+    hops, code, __ = greedy_walk(
+        table, snap.row_of[sources], owners, table.bounds(targets), engine.routing.budget
+    )
+    return hops.tolist(), code.tolist(), snap.all_ids[owners].tolist()
+
+
+class TestDeferredTruthRows:
+    """The truth snapshot builds a walk-table row the first time a walk
+    is about to stand on it: every row it has built is the eager
+    table's row, and every walk over it answers as the eager table."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**16),
+        n=st.integers(8, 90),
+        crash=st.sampled_from([0.0, 0.3, 0.6]),
+        repair=st.booleans(),
+        retire=st.booleans(),
+        queries=st.integers(1, 12),
+    )
+    def test_built_rows_and_answers_equal_the_eager_table(
+        self, kind, seed, n, crash, repair, retire, queries
+    ):
+        """Crash waves with dead rows kept (fault-free walks through
+        them, pointers repaired or not) or retired for good; batches
+        that build their rows one visit at a time and batches that
+        stand on an eighth of the table at once."""
+        overlay = build_substrate(kind, n=n, seed=seed)
+        rng = split(seed, "deferred")
+        dead = OracleView(overlay.ring).crash_fraction(rng, crash)
+        if retire and dead:
+            overlay.retire(dead)
+        if repair:
+            overlay.repair_ring()
+        engine = BatchQueryEngine(overlay)
+        assert not engine.snapshot().table.built.any()  # nothing built at capture
+        sources, target_keys = QueryWorkload().generate_arrays(overlay.ring, rng, queries)
+        batch = engine.route_batch(sources, target_keys)
+        hops, code, responsible = _eager_routes(engine, sources, target_keys)
+        assert (batch.hops.tolist(), batch.code.tolist()) == (hops, code)
+        assert batch.responsible.tolist() == responsible
+        reference = reference_truth_table(overlay)
+        assert_built_rows(engine.snapshot().table, reference)
+        for source, key, want in zip(sources.tolist(), target_keys.tolist(), batch.success):
+            if want:
+                route = engine.route(source, key, record_path=True)
+                assert len(route.path) == route.hops + 1 and route.path[-1] == route.delivered_to
+        twin = BatchQueryEngine(overlay, vectorized=False)
+        for count in (1, None):
+            stream = split(seed, "deferred-measure", count or 0)
+            if overlay.ring.has_dead:
+                continue  # measured by the fault-aware router, no snapshot
+            assert engine.measure(stream, n_queries=count) == twin.measure(
+                split(seed, "deferred-measure", count or 0), n_queries=count
+            )
+        assert_built_rows(engine.snapshot().table, reference)
+
+    def test_no_row_survives_a_version_bump(self):
+        """A rewire keeps every row and moves the links: the rows built
+        before it are built again from the new links, not kept."""
+        overlay = build_overlay(n=80, seed=31)
+        engine = BatchQueryEngine(overlay)
+        sources, target_keys = QueryWorkload().generate_arrays(overlay.ring, make_rng(31), 80)
+        engine.route_batch(sources, target_keys)
+        before = engine.snapshot()
+        assert before.table.built.all()  # eighty sources stand on an eighth of the table
+        overlay.rewire()
+        after = engine.route_batch(sources, target_keys)
+        assert engine.snapshot() is not before
+        assert_built_rows(engine.snapshot().table, reference_truth_table(overlay))
+        hops, code, __ = _eager_routes(engine, sources, target_keys)
+        assert (after.hops.tolist(), after.code.tolist()) == (hops, code)
+
+
+    def test_one_query_builds_only_the_rows_it_stands_on(self):
+        overlay = build_overlay(n=200, seed=37)
+        engine = BatchQueryEngine(overlay)
+        route = engine.route(overlay.random_live_node(make_rng(37)), 0.5, record_path=True)
+        built = engine.snapshot().table.built
+        rows = engine.snapshot().row_of[list(route.path[:-1])]
+        assert set(np.flatnonzero(built).tolist()) == set(rows.tolist())
+        assert_built_rows(engine.snapshot().table, reference_truth_table(overlay))
 
 
 class TestWorkloadArrays:

@@ -19,10 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import OscarConfig, OscarOverlay
+from repro.churn import ExponentialSessions
 from repro.config import SamplingMode
 from repro.core.substrate import Substrate
 from repro.degree import ConstantDegrees
-from repro.engine import BatchQueryEngine
+from repro.engine import BatchQueryEngine, SteadyStateChurnEngine
 from repro.engine.construct import (
     BatchConstructionEngine,
     LinkAcquisitionStats,
@@ -31,6 +32,7 @@ from repro.engine.construct import (
     draw_positions,
 )
 from repro.errors import DuplicateNodeError, SamplingError
+from repro.membership import OracleView
 from repro.experiments import make_overlay
 from repro.protocol.estimation import cw_arc_slice, select_border
 from repro.ring import Ring, keyspace, normalize
@@ -38,7 +40,7 @@ from repro.rng import make_rng, split
 from repro.sampling import BatchRestrictedWalker
 from repro.workloads import GnutellaLikeDistribution, KeyDistribution, UniformKeys
 
-from conftest import build_mercury, build_overlay, decided, links_of
+from conftest import assert_border_ids, build_mercury, build_overlay, decided, links_of
 
 FIXTURE = Path(__file__).parent / "data" / "golden_build.json"
 
@@ -407,6 +409,52 @@ class TestArcTables:
                     continue
                 lo, __, count = cw_arc_slice(pos, arcs.starts[i, p], arcs.ends[i, p])
                 assert (int(arcs.lo[i, p]), int(arcs.count[i, p])) == (lo, count)
+
+
+class TestBorderIds:
+    """Every stored border remembers the peer it was picked on, and a
+    refill reads its rank off that peer's row."""
+
+    @pytest.mark.parametrize(
+        "mode", [SamplingMode.UNIFORM, SamplingMode.WALK, SamplingMode.ORACLE]
+    )
+    def test_each_border_names_the_peer_it_sits_on(self, mode):
+        overlay = build_overlay(n=200, seed=13, sampling_mode=mode)
+        share = assert_border_ids(overlay)
+        # An oracle border is a peer's position; a sampled one misses it
+        # by an ulp a few percent of the time.
+        assert share == 1.0 if mode is SamplingMode.ORACLE else share > 0.8
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(8, 80),
+        epochs=st.integers(1, 6),
+        crash=st.sampled_from([0.0, 0.2, 0.5]),
+    )
+    def test_ranks_read_through_ids_equal_the_search(self, seed, n, epochs, crash):
+        """Under churn and refill repairs the border peers leave, crash
+        and are compacted; after each epoch and after a crash wave the
+        ranks read through the ids are the searched ranks."""
+        overlay = build_overlay(n=n, seed=seed, cap=5)
+        engine = SteadyStateChurnEngine(
+            overlay,
+            GnutellaLikeDistribution(),
+            ConstantDegrees(5),
+            ExponentialSessions(3.0),
+            arrival_rate=n / 3.0,
+            repair_every=2,
+            n_probes=1,
+            seed=seed,
+        )
+        for __ in range(epochs):
+            engine.run_epoch()
+            assert_border_ids(overlay)
+        OracleView(overlay.ring).crash_fraction(split(seed, "borders"), crash)
+        assert_border_ids(overlay)
+        if overlay.ring.live_count >= 2:
+            overlay.refill_batch(split(seed, "refill"))
+            assert_border_ids(overlay)
 
 
 class TestDemand:

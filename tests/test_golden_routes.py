@@ -81,7 +81,7 @@ def test_snapshot_fast_path_matches_scalar_fallback(overlays, kind):
 
     overlay = overlays[kind]
     snap = TopologySnapshot.capture(overlay)
-    table = snap.table
+    table = snap.table.whole()
     assert table.offsets.shape[0] == snap.all_ids.size
     for row, node_id in enumerate(snap.all_ids.tolist()):
         successor = overlay.pointers.successor.get(node_id)

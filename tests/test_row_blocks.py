@@ -43,7 +43,7 @@ from repro.core import soa
 from repro.degree import ConstantDegrees
 from repro.engine import ServeSnapshot, SteadyStateChurnEngine, TopologySnapshot
 from repro.engine.construct import BatchConstructionEngine
-from repro.engine.walk import WalkTable
+from repro.engine.walk import NO_ROW, WalkTable
 from repro.experiments import make_overlay
 from repro.index import ReplicatedStore
 from repro.membership import OracleView
@@ -74,8 +74,8 @@ class TestBlockedWalkTable:
     ):
         """Rows without a successor (``-1``) or whose successor is the
         row itself, self and duplicate links, the successor among the
-        links, ``-1`` padding anywhere — handed over as the matrix or as
-        a function of a row block."""
+        links, padding anywhere — handed over as the matrix (``-1``
+        padding) or as a function of a row block (``NO_ROW`` padding)."""
         rng = np.random.default_rng(seed)
         keys = np.unique(rng.integers(0, 2**64 - 1, size=size, dtype=np.uint64))
         m = int(keys.size)
@@ -94,7 +94,8 @@ class TestBlockedWalkTable:
                 nbr_rows[:, 1] = nbr_rows[:, 0]  # duplicates
         nbr_rows[rng.random((m, width)) < padding] = -1
         reference = whole_matrix_table(keys, succ_row, nbr_rows)
-        candidates = (lambda b: nbr_rows[b]) if as_function else nbr_rows
+        padded = np.where(nbr_rows < 0, NO_ROW, nbr_rows)
+        candidates = (lambda b: padded[b]) if as_function else nbr_rows
         with row_block(block_rows(block, m)):
             table = WalkTable.build(keys, succ_row, candidates)
         assert_same_table(table, reference)
@@ -130,7 +131,7 @@ class TestBlockedWalkTable:
         belief = reference_serve_table(overlay, view)
         for block in BLOCKS:
             with row_block(block_rows(block, len(overlay.ring))):
-                assert_same_table(TopologySnapshot.capture(overlay).table, truth)
+                assert_same_table(TopologySnapshot.capture(overlay).table.whole(), truth)
                 snapshot = ServeSnapshot.capture(overlay, view, 0, store)
                 assert_same_table(snapshot.table, belief)
 

@@ -135,6 +135,13 @@ class TestResultCache:
         assert cache.get(0.2, "v") is None
         assert cache.get(0.1, "v") == A
 
+    def test_every_hit_counts_repeats_included(self):
+        cache = ResultCache(4)
+        cache.put(0.1, "v", A)
+        hit, __, ___ = cache.probe(np.asarray([0.1, 0.2, 0.1, 0.1]), "v")
+        assert hit.tolist() == [True, False, True, True]
+        assert (cache.hits, cache.misses) == (3, 1)
+
     def test_batch_probe_refreshes_in_request_order(self):
         keys = np.asarray([0.1, 0.2, 0.3])
         cache = ResultCache(3)

@@ -124,6 +124,8 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 from conftest import (
     LruModel,
+    assert_border_ids,
+    assert_built_rows,
     assert_same_table,
     assert_walk_table,
     reference_serve_table,
@@ -509,6 +511,7 @@ class ChurnProgram:
             verify(overlay.ring, overlay.pointers)
             self.check_keys(overlay)
             self.check_links(overlay, capped=self.substrate != "chord")
+            self.check_border_ids(overlay)
         self.check_twins()
         self.check_walk_tables()
         for twin in self.twins:
@@ -590,6 +593,13 @@ class ChurnProgram:
         near = np.nextafter(np.concatenate([keys, keys]), np.repeat([0.0, 1.0], keys.size))
         near = near[(near < 1.0) & ~np.isin(near, keys)]
         assert (store.lookup_rows(near) == -1).all()
+
+    @staticmethod
+    def check_border_ids(overlay: Substrate) -> None:
+        """Each stored border id names the peer on its border while that
+        peer holds a slot, and the ranks read through the ids are the
+        searched ranks (``assert_border_ids``)."""
+        assert_border_ids(overlay)
 
     @staticmethod
     def check_keys(overlay: Substrate) -> None:
@@ -680,7 +690,8 @@ class ChurnProgram:
         """The truth and serve captures hold the tables their candidate
         lists say they must (``assert_walk_table``), and, captured in
         blocks of :data:`CAPTURE_BLOCK` rows, the tables the whole-matrix
-        reference captures build."""
+        reference captures build — the truth table built whole; the
+        rows the overlay's own router has built so far, as they stand."""
         for twin in self.twins:
             overlay, serve = twin["overlay"], twin["serve"]
             with row_block(CAPTURE_BLOCK):
@@ -688,10 +699,14 @@ class ChurnProgram:
                 fresh = ServeSnapshot.capture(
                     overlay, serve.membership, serve.serve_version, serve.store
                 )
-            assert_same_table(truth.table, reference_truth_table(overlay))
+            reference, whole = reference_truth_table(overlay), truth.table.whole()
+            assert_same_table(whole, reference)
             assert_same_table(fresh.table, reference_serve_table(overlay, serve.membership))
+            routed = overlay._queries.cached_snapshot if overlay._queries else None
+            if routed is not None and routed.version == overlay.topology_version:
+                assert_built_rows(routed.table, reference)
             assert_walk_table(
-                truth.table,
+                whole,
                 [
                     [_row(truth.row_of, nbr) for nbr in overlay.neighbors_of(node_id)]
                     for node_id in truth.all_ids.tolist()
