@@ -123,9 +123,9 @@ class TopologySnapshot:
         pred_row = np.where(pred_row >= 0, pred_row, NO_ROW).astype(np.int32)
         links = state.link_blocks(slots, row_of, NO_ROW)
 
-        def candidates(rows: np.ndarray) -> np.ndarray:
-            """The predecessor and link rows of ``rows``."""
-            return np.concatenate([pred_row[rows, None], links(rows)], axis=1)
+        def candidates(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """The predecessor and link rows of ``rows``, apart."""
+            return pred_row[rows], links(rows)
 
         keys = ring.keys_array(live_only=False)
         return cls(

@@ -66,18 +66,32 @@ and return ``(hops, code, stopped)`` per query: the ``int64`` hops
 taken, a :class:`WalkCode` (``uint8``) and the row the query stands on
 when it stops (``int32``; its owner row when ``OK``). A failed query
 stops where it failed; the rest of the batch finishes.
+
+**A large batch walks on two threads.** Each query's walk reads only
+the table and that query, so a batch of at least :data:`SPLIT_AT`
+queries over a table built whole, on a process that may run on two
+CPUs, walks its second half on one worker thread while the caller walks
+the first, and the halves are joined in query order: the answer is the
+unsplit one, bit for bit. numpy drops the GIL inside a hop's gather,
+compare and ``argmin``, so the halves run side by side. A
+:meth:`WalkTable.deferred` table always walks on the caller's thread:
+:meth:`WalkTable.visit` writes the table.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from ..core.soa import row_blocks
 from ..ring.keyspace import KEY_MASK, search_sorted
+
+if TYPE_CHECKING:  # pragma: no cover - imported where the pool starts
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "NO_ROW",
@@ -116,8 +130,12 @@ def _wrap(values: np.ndarray, m: int) -> np.ndarray:
 NO_ROW = -(1 << 30)
 
 #: A capture's candidate reader: the candidate rows of a row block (a
-#: slice) or of any array of rows, one row each, padded with ``NO_ROW``.
-Candidates = Callable[[Any], np.ndarray]
+#: slice) or of any array of rows, one row each, padded with ``NO_ROW`` —
+#: as one block, or as a ``(column, block)`` pair: one candidate per row
+#: kept apart from the block (the truth capture's predecessor), which the
+#: row builder writes into the same block as its first arithmetic, with
+#: no copy to join them.
+Candidates = Callable[[Any], np.ndarray | tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -189,7 +207,7 @@ class WalkTable:
         for block in row_blocks(m):
             nbr = read(block)
             if block.start == 0:
-                offsets = np.empty((m, _width(m, nbr.shape[1])), dtype=np.int32)
+                offsets = np.empty((m, _width(m, _columns(nbr))), dtype=np.int32)
             out = offsets[block]
             limit = lim[block] if scalar is None else scalar
             _offset_rows(out, rows[block], succ_off[block], limit, nbr, m)
@@ -293,18 +311,24 @@ def _successor(succ_row: np.ndarray, rows: np.ndarray, m: int) -> tuple[np.ndarr
     return succ_off, np.where(succ_off > 0, succ_off, m - 1)
 
 
+def _columns(nbr: np.ndarray | tuple[np.ndarray, np.ndarray]) -> int:
+    """Candidates per row of a reader's block (:data:`Candidates`)."""
+    return nbr[1].shape[1] + 1 if isinstance(nbr, tuple) else nbr.shape[1]
+
+
 def _offset_rows(
     out: np.ndarray,
     rows: np.ndarray,
     succ_off: np.ndarray,
     lim: int | np.ndarray,
-    nbr: np.ndarray,
+    nbr: np.ndarray | tuple[np.ndarray, np.ndarray],
     m: int,
 ) -> None:
     """Write the offset rows of ``rows`` into ``out`` (``len(rows)`` by
-    ``nbr.shape[1] + 2``) — the one row builder of both captures.
+    ``_columns(nbr) + 2``) — the one row builder of both captures.
 
-    ``nbr`` holds the rows' candidate rows (:data:`NO_ROW` for none) and
+    ``nbr`` holds the rows' candidate rows (:data:`NO_ROW` for none; a
+    ``(column, block)`` pair is read as the column before the block) and
     ``lim`` their limits (:func:`_successor`), or one for all. The work is
     ``uint32`` arithmetic on one contiguous block, with no mask:
 
@@ -317,7 +341,15 @@ def _offset_rows(
       ``2**32`` too, and one ``minimum`` turns it and :data:`NO_ROW`
       into ``m`` once shifted back.
     """
-    cands = np.add(nbr, (m - rows)[:, None], dtype=np.int32).view(np.uint32)
+    ahead = m - rows
+    if isinstance(nbr, tuple):
+        lead, block = nbr
+        cands = np.empty((rows.size, block.shape[1] + 1), dtype=np.int32)
+        np.add(lead, ahead, out=cands[:, 0])
+        np.add(block, ahead[:, None], out=cands[:, 1:])
+    else:
+        cands = np.add(nbr, ahead[:, None], dtype=np.int32)
+    cands = cands.view(np.uint32)
     np.minimum(cands, cands - np.uint32(m), out=cands)
     shift = np.asarray(lim, dtype=np.uint32)[..., None] + np.uint32(1)
     cands -= shift
@@ -351,6 +383,19 @@ def walk_bounds(keys: np.ndarray, targets: np.ndarray, first: np.ndarray) -> np.
     return np.subtract(first, ~at_target).astype(np.int32)
 
 
+#: The fewest queries :func:`greedy_walk` splits across two threads.
+#: ``scripts/walk_split.py`` measures the crossover on a 100k-peer serve
+#: table (docs/serving.md has the table): halves of ~1 000 queries walk
+#: at half the speed of one walk of ~2 000, ~5 000 queries break even,
+#: 16 384 walk 1.2-1.6x faster.
+SPLIT_AT = 10240
+
+#: ``mallopt``'s parameter number for the cap on glibc malloc arenas.
+_M_ARENA_MAX = -8
+
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+
+
 def greedy_walk(
     table: WalkTable,
     source_rows: np.ndarray,
@@ -361,11 +406,69 @@ def greedy_walk(
     """Lock-step numpy walk: every still-active query advances one hop
     per iteration (see the module docstring for arguments and result).
     Each hop first builds the rows it is about to read
-    (:meth:`WalkTable.visit`; nothing to do on a table built whole)."""
+    (:meth:`WalkTable.visit`; nothing to do on a table built whole).
+    A batch of :data:`SPLIT_AT` or more queries over a table built whole
+    walks its second half on the worker thread when the process may run
+    on two CPUs; the result is the same either way."""
+    hi = np.asarray(bounds, dtype=np.int32)
+    n = int(source_rows.size)
+    if n < SPLIT_AT or table.built is not None or _cpus() < 2:
+        return _walk(table, source_rows, owner_rows, hi, budget)
+    half = n // 2
+    tail = _worker().submit(_walk, table, source_rows[half:], owner_rows[half:], hi[half:], budget)
+    head = _walk(table, source_rows[:half], owner_rows[:half], hi[:half], budget)
+    hops, code, stopped = (np.concatenate(halves) for halves in zip(head, tail.result()))
+    return hops, code, stopped
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on (its affinity, where the
+    platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker() -> ThreadPoolExecutor:
+    """The walk's one worker thread, started on first use in each
+    process. A fork-started child inherits its parent's executor but not
+    its thread (a task submitted there would never run), so a new process
+    id starts a new pool.
+
+    Starting it caps glibc's malloc at one arena first: a thread of its
+    own would get an arena of its own, whose pages it hands back and
+    faults in again batch after batch (a slower ``serve-churn``, a higher
+    peak RSS). Elsewhere the cap is skipped.
+
+    The pool's modules are imported here, not with this module: they
+    bring in :mod:`logging`, ~1.2 MiB more peak RSS in a process that
+    never splits a walk."""
+    import ctypes
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool
+    pid = os.getpid()
+    if _pool is None or _pool[0] != pid:
+        try:
+            ctypes.CDLL(None).mallopt(_M_ARENA_MAX, 1)
+        except (AttributeError, OSError, TypeError):  # not glibc
+            pass
+        _pool = (pid, ThreadPoolExecutor(max_workers=1, thread_name_prefix="greedy-walk"))
+    return _pool[1]
+
+
+def _walk(
+    table: WalkTable,
+    source_rows: np.ndarray,
+    owner_rows: np.ndarray,
+    hi: np.ndarray,
+    budget: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`greedy_walk` on the calling thread, ``hi`` the ``int32``
+    bounds."""
     offsets = table.offsets
     m, width = offsets.shape
     flat = offsets.reshape(-1)
-    hi = np.asarray(bounds, dtype=np.int32)
     owners = owner_rows.astype(np.int32)
     current = source_rows.astype(np.int32)
     hops = np.zeros(current.size, dtype=np.int64)

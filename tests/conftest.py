@@ -45,6 +45,7 @@ from repro.core import soa
 from repro.core.soa import HASH_MULTIPLIER, row_table, rows_of
 from repro.degree import ConstantDegrees
 from repro.engine.construct import LiveView, stored_border_ranks
+from repro.engine import walk
 from repro.engine.walk import WalkTable
 from repro.protocol import Deliver, GreedyRouter
 from repro.membership import OracleView
@@ -292,6 +293,26 @@ def row_block(rows: int):
         yield
     finally:
         soa.ROW_BLOCK = saved
+
+
+@contextmanager
+def split_walks(at: int = 2):
+    """Split every ``greedy_walk`` of ``at`` or more queries over a table
+    built whole across the walk's worker thread (``walk.SPLIT_AT``), on
+    any host, one CPU included; the module's values restored after."""
+    saved = walk.SPLIT_AT, walk._cpus
+    walk.SPLIT_AT, walk._cpus = at, lambda: 2
+    try:
+        yield
+    finally:
+        walk.SPLIT_AT, walk._cpus = saved
+
+
+@pytest.fixture
+def split_walk():
+    """:func:`split_walks` for the whole test."""
+    with split_walks():
+        yield
 
 
 def whole_matrix_table(keys, succ_row, nbr_rows) -> WalkTable:

@@ -459,6 +459,17 @@ CATALOGUE = (
         ),
         ("tests/test_batch_engine.py::TestDeferredTruthRows::test_no_row_survives_a_version_bump",),
     ),
+    Mutant(
+        "walk-split-halves-swapped",
+        "greedy_walk joins a split batch's halves with the worker's half first",
+        "repro.engine.walk:greedy_walk",
+        (("zip(head, tail.result())", "zip(tail.result(), head)"),),
+        (
+            "tests/test_walk_split.py::TestSplitWalk::test_codes_in_either_half_stay_in_query_order",
+            PROGRAM.format("serve_cache_evicts_through_tombstones"),
+            PROGRAM.format("route_and_join_into_a_low_peers_cell"),
+        ),
+    ),
 )
 
 BY_NAME = {mutant.name: mutant for mutant in CATALOGUE}

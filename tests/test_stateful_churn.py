@@ -29,7 +29,12 @@ and checks after every step:
 * right after a repair, no live peer's row names a peer outside the
   live ring, and (except on Chord, which keeps no ``in_deg``) after an
   epoch's repair every live ``in_deg`` is the count of live in-links;
-* the twin's state, epoch statistics and serve outcomes are equal;
+* the twin's state, epoch statistics and serve outcomes are equal —
+  with every ``greedy_walk`` of two or more queries over a table built
+  whole split across the walk's worker thread (``walk.SPLIT_AT`` is 2
+  for the whole module), so every serve batch holds the split walk to
+  ``greedy_walk_reference``, and every route batch's rows equal the
+  split walk over the truth table built whole;
 * cache-on ≡ cache-off: after every serve batch, a cache-less engine on
   the same system serves the same owners and verdicts on every row
   both served, and the same outcome on every row the cache missed;
@@ -146,7 +151,7 @@ from repro.engine import (
 )
 from repro.engine.churn import REPAIR_POLICIES
 from repro.engine.construct import BatchConstructionEngine, LinkAcquisitionStats
-from repro.engine.walk import WalkCode
+from repro.engine.walk import WalkCode, greedy_walk
 from repro.errors import (
     DuplicateNodeError,
     EmptyPopulationError,
@@ -160,6 +165,8 @@ from repro.ring import keyspace, verify
 from repro.rng import split
 from repro.routing import route_faulty, summarize_routes
 from repro.workloads import GnutellaLikeDistribution, QueryWorkload
+
+pytestmark = pytest.mark.usefixtures("split_walk")
 
 PROGRAMS = Path(__file__).parent / "data" / "programs"
 REPLICAS = 3
@@ -370,6 +377,16 @@ class ChurnProgram:
         for name in ("responsible", "hops", "code"):
             assert np.array_equal(getattr(batches[0], name), getattr(batches[1], name)), name
         batch = batches[0]
+        snap = BatchQueryEngine(overlay).snapshot()
+        whole, targets = snap.table.whole(), keyspace.from_units(keys)
+        split = greedy_walk(
+            whole,
+            snap.row_of[sources],
+            snap.responsible_rows(targets),
+            whole.bounds(targets),
+            overlay.routing.budget,
+        )
+        assert np.array_equal(split[0], batch.hops) and np.array_equal(split[1], batch.code)
         dead = overlay.ring.has_dead
         if dead:
             self.check_dead_routing(overlay, sources.tolist(), keys.tolist())
