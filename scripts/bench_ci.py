@@ -198,7 +198,7 @@ ROWS: dict[str, Row] = {
     # half-life 64). Six interleaved runs a side on the dev container
     # (2 vCPUs): 1.56-1.64 s with the bit-packed, block-wise gossip plane,
     # 2.14-2.42 s with the re-indexed bool matrix before it; the scalar
-    # detector bank (ProbeView(backend="scalar"), then a Python set per
+    # detector bank (tests/twins/ ScalarProbeView, then a Python set per
     # report) took 9.7 s. The ceiling sits between the first two bands, so
     # the older matrix fails it. An absolute time, like churn-50k: on a much
     # slower runner re-derive it, don't loosen it. The informed-count gossip

@@ -24,8 +24,8 @@ lock-step **epochs**; there is no event scheduler:
   :class:`SteadyStateChurnEngine` advances an overlay through lock-step
   epochs of batched arrivals, session-expiry departures, periodic
   repair and routed probes, composing the other engines into one
-  continuous-turnover simulation (same bit-identical reference-path
-  contract);
+  continuous-turnover simulation (same bit-identical contract, against
+  a test-side reference subclass);
 * the serving engine (:mod:`repro.engine.serve`) —
   :class:`ServeEngine` is the data-plane request path: believed-
   membership owner resolution and the same kernel over a per-version

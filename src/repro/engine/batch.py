@@ -13,9 +13,10 @@ The walk itself is the shared kernel :func:`repro.engine.walk.greedy_walk`
 this module owns the *ground-truth* array view it runs on. It is the
 simulator's one fault-free routing rule: :meth:`Substrate.route
 <repro.core.substrate.Substrate.route>` is :meth:`BatchQueryEngine.route`
-on the same snapshot, and ``vectorized=False`` measures through the
-kernel's twin, :func:`~repro.engine.walk.greedy_walk_reference`. The
-tests hold both to the live runtime's per-hop
+on the same snapshot. A test-side subclass (``tests/twins/``) walks its
+batches through the kernel's twin,
+:func:`~repro.engine.walk.greedy_walk_reference`; the tests hold both to
+the live runtime's per-hop
 :class:`~repro.protocol.routing.GreedyRouter`; the golden fixture pins
 them across refactors.
 
@@ -57,7 +58,7 @@ from ..routing import RouteResult, RouteStats, summarize_routes
 from ..routing.result import _percentile  # shared so folds stay bit-identical
 from ..types import Key, NodeId
 from ..workloads import QueryWorkload
-from .walk import NO_ROW, WalkCode, WalkTable, greedy_walk, greedy_walk_reference
+from .walk import NO_ROW, WalkCode, WalkTable, greedy_walk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports routing)
     from ..core.substrate import Substrate
@@ -213,21 +214,11 @@ class BatchQueryEngine:
             ``routing`` config (read at every walk), so engine-measured
             budgets match :meth:`Substrate.route
             <repro.core.substrate.Substrate.route>`.
-        vectorized: ``True`` measures fault-free batches through
-            :func:`~repro.engine.walk.greedy_walk`; ``False`` through
-            its twin :func:`~repro.engine.walk.greedy_walk_reference` on
-            the same snapshot (same RNG draws, same statistics).
     """
 
-    def __init__(
-        self,
-        substrate: "Substrate",
-        routing: RoutingConfig | None = None,
-        vectorized: bool = True,
-    ) -> None:
+    def __init__(self, substrate: "Substrate", routing: RoutingConfig | None = None) -> None:
         self.substrate = substrate
         self._routing = routing
-        self.vectorized = bool(vectorized)
         self._route_cache: TopologySnapshot | None = None
 
     @property
@@ -275,12 +266,6 @@ class BatchQueryEngine:
             RoutingError: A source is unknown to the topology (checked
                 before anything is routed).
         """
-        return self._walk(sources, target_keys, reference=False)
-
-    def _walk(
-        self, sources: np.ndarray, target_keys: np.ndarray, reference: bool
-    ) -> BatchRouteResult:
-        """:meth:`route_batch` on the kernel, or on its twin."""
         snap = self.snapshot()
         sources = np.asarray(sources, dtype=np.int64)
         target_keys = np.asarray(target_keys, dtype=float)
@@ -294,11 +279,7 @@ class BatchQueryEngine:
         source_rows = rows_of(snap.row_of, sources)
         if np.any(source_rows < 0):
             raise RoutingError("batch contains sources unknown to the topology")
-        if reference:
-            walk, asked = greedy_walk_reference, targets
-        else:
-            walk, asked = greedy_walk, snap.table.bounds(targets)
-        hops, code, __ = walk(snap.table, source_rows, responsible, asked, self.routing.budget)
+        hops, code = self._walk(snap.table, source_rows, responsible, targets)
         return BatchRouteResult(
             sources=sources,
             target_keys=target_keys,
@@ -306,6 +287,16 @@ class BatchQueryEngine:
             hops=hops,
             code=code,
         )
+
+    def _walk(
+        self, table: WalkTable, source_rows: np.ndarray, owners: np.ndarray, targets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(hops, code)`` of :func:`~repro.engine.walk.greedy_walk` from
+        ``source_rows`` to the rows ``owners`` of the exact ``targets``."""
+        hops, code, __ = greedy_walk(
+            table, source_rows, owners, table.bounds(targets), self.routing.budget
+        )
+        return hops, code
 
     def route(self, source: NodeId, target_key: Key, record_path: bool = False) -> RouteResult:
         """Route one query through :func:`~repro.engine.walk.greedy_walk`
@@ -382,9 +373,8 @@ class BatchQueryEngine:
         per call (sources + targets through
         :meth:`QueryWorkload.generate_arrays
         <repro.workloads.queries.QueryWorkload.generate_arrays>`),
-        whether the batch is then routed on the kernel or its twin — the
-        same ``(ring, rng state, count)`` always yields the same
-        queries and the same statistics on either path.
+        whichever router then takes the batch — the same ``(ring, rng
+        state, count)`` always yields the same queries.
         """
         count = self.substrate.ring.live_count if n_queries is None else n_queries
         wl = workload if workload is not None else QueryWorkload()
@@ -394,9 +384,7 @@ class BatchQueryEngine:
                 self.substrate.route(int(source), float(target))
                 for source, target in zip(sources, targets)
             )
-        if self.vectorized:
-            return self.route_batch(sources, targets).stats()
-        return self._walk(sources, targets, reference=True).stats()
+        return self.route_batch(sources, targets).stats()
 
 
 #: :meth:`BatchQueryEngine.route`'s message per failed walk.

@@ -54,19 +54,23 @@ Determinism contract
 
 Every random decision draws from a labelled stream derived from the
 engine's ``seed`` (see :meth:`SteadyStateChurnEngine.run_epoch` for the
-exact layout), and the draw layout is state-independent: both execution
-paths consume each stream identically. ``vectorized=False`` replaces
-every churn-side numpy kernel with its pure-Python twin — expiry
-selection by loop, stale-link counting by set membership, scalar ring
-repair, the construction engine's sequential reference, scalar probe
-routing — and must produce **bit-identical** ``churn`` rows and final
-overlay state; the test suite pins the equivalence property-style.
+exact layout), and the draw layout is state-independent: any execution
+path consumes each stream identically. Each numpy kernel of an epoch is
+one small method — :meth:`~SteadyStateChurnEngine._expired`,
+:meth:`~SteadyStateChurnEngine._kill`,
+:meth:`~SteadyStateChurnEngine._count_stale_links`, the probe engine's
+factory and the construction verbs' call. The reference twin in
+``tests/twins/`` overrides exactly those with pure-Python twins —
+expiry selection by loop, stale-link counting by set membership, scalar
+ring repair, the construction engine's sequential reference, scalar
+probe routing — and must produce **bit-identical** ``churn`` rows and
+final overlay state; the test suite pins the equivalence property-style.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -76,7 +80,6 @@ from ..core.substrate import Substrate
 from ..degree import DegreeDistribution
 from ..errors import ConfigError
 from ..membership import MembershipView, OracleView
-from ..ring import repair as repair_pointers
 from ..routing import RouteStats
 from ..rng import split
 from ..workloads import KeyDistribution, QueryWorkload
@@ -115,8 +118,6 @@ class SteadyStateChurnEngine:
         n_probes: Routed probes per epoch (0 = one per live peer, the
             paper's N convention).
         seed: Root of every engine-labelled RNG stream.
-        vectorized: ``True`` runs the numpy kernels; ``False`` the
-            bit-identical pure-Python reference (see module docstring).
         workload: Probe target selection policy (default: uniform over
             live peers).
         membership: The :class:`~repro.membership.views.MembershipView`
@@ -162,7 +163,6 @@ class SteadyStateChurnEngine:
         repair_every: int = 4,
         n_probes: int = 256,
         seed: int = 42,
-        vectorized: bool = True,
         workload: QueryWorkload | None = None,
         membership: MembershipView | None = None,
         replication: "ReplicatedStore | None" = None,
@@ -211,10 +211,9 @@ class SteadyStateChurnEngine:
         self.repair = repair
         self.n_probes = int(n_probes)
         self.seed = int(seed)
-        self.vectorized = bool(vectorized)
         self.workload = workload if workload is not None else QueryWorkload()
         self._epoch = 0
-        self._query_engine = BatchQueryEngine(substrate, vectorized=self.vectorized)
+        self._query_engine = self._probe_engine()
         # The initial population's sessions, clocked from time 0 — one
         # bulk draw on its own labelled stream.
         ids = substrate.ring.ids_array(live_only=True)
@@ -270,12 +269,13 @@ class SteadyStateChurnEngine:
           repair landing on this epoch;
         * ``("steady-probes", e)`` — the probe workload;
         * the substrate's own join stream is consumed by ``grow_batch``
-          (state-dependent, but both execution paths consume it
-          identically — the construction engine's own contract).
+          (state-dependent, but the construction engine and its
+          sequential reference consume it identically — its own
+          contract).
 
         The layout is state-independent: every stream is consumed the
         same way whatever individual peers decide, which is what keeps
-        the vectorized and reference paths bit-identical.
+        the engine and its reference twin bit-identical.
         """
         self._epoch += 1
         e = self._epoch
@@ -320,9 +320,8 @@ class SteadyStateChurnEngine:
 
         One count draw plus one bulk session draw, both on epoch-``e``
         labelled streams; the join itself goes through the substrate's
-        ``grow_batch`` with the engine's execution path threaded in, so
-        an Oscar cohort estimates partitions and acquires links as one
-        lock-step batch.
+        ``grow_batch``, so an Oscar cohort estimates partitions and
+        acquires links as one lock-step batch.
         """
         ring = self.substrate.ring
         count = int(split(self.seed, "steady-arrivals", e).poisson(self.arrival_rate))
@@ -330,9 +329,7 @@ class SteadyStateChurnEngine:
         if count == 0:
             return 0
         before = int(self.substrate._next_id)
-        self.substrate.grow_batch(
-            ring.live_count + count, self.keys, self.degrees, vectorized=self.vectorized
-        )
+        self._construct(self.substrate.grow_batch, ring.live_count + count, self.keys, self.degrees)
         new_ids = np.arange(before, int(self.substrate._next_id), dtype=np.int64)
         self._session_ids = np.concatenate([self._session_ids, new_ids])
         self._departs = np.concatenate([self._departs, float(e) + np.asarray(lengths, dtype=float)])
@@ -345,24 +342,7 @@ class SteadyStateChurnEngine:
         peer is no longer live (it left through an external
         ``leave_batch`` or crash) ends without a departure; the expired
         peers leave through :meth:`_leave`."""
-        ring = self.substrate.ring
-        if self.vectorized:
-            ended = self._session_ids[self._departs <= float(e)]
-            slots = ring.state.slots_of(ended)  # -1: compacted (its alive read is masked)
-            expired = ended[(slots >= 0) & ring.state.alive[slots]]
-        else:
-            ended = np.asarray(
-                [
-                    int(node_id)
-                    for node_id, depart in zip(self._session_ids, self._departs)
-                    if float(depart) <= float(e)
-                ],
-                dtype=np.int64,
-            )
-            expired = np.asarray(
-                [node_id for node_id in ended if node_id in ring and ring.is_alive(node_id)],
-                dtype=np.int64,
-            )
+        ended, expired = self._expired(e)
         if expired.size < ended.size:
             # A peer that already left by another door (an external
             # leave_batch or crash wave) just ends its session: nothing
@@ -372,14 +352,20 @@ class SteadyStateChurnEngine:
             return 0, 0
         return self._leave(e, expired)
 
+    def _expired(self, e: int) -> tuple[np.ndarray, np.ndarray]:
+        """The session table's ids whose session ends at or before time
+        ``e``, and those of them still truth-live — two gathers."""
+        state = self.substrate.state
+        ended = self._session_ids[self._departs <= float(e)]
+        slots = state.slots_of(ended)  # -1: compacted (its alive read is masked)
+        return ended, ended[(slots >= 0) & state.alive[slots]]
+
     def _leave(self, e: int, node_ids: np.ndarray) -> tuple[int, int]:
         """The one departure door for truth-live ``node_ids``; returns
         ``(left, fixes)``. At least one peer always survives: when every
         live peer would leave, the longest-lived (ties to the higher id)
         is reprieved, keeps its session and is believed live again. The
-        rest land as one bulk ``leave_batch`` (ring pointers re-stabilized
-        once, long links left dangling; the reference path makes the same
-        bulk kill, then the scalar repair), their sessions end and the
+        rest land as one bulk :meth:`_kill`, their sessions end and the
         view stamps the deaths."""
         ring = self.substrate.ring
         if node_ids.size >= ring.live_count:
@@ -388,17 +374,16 @@ class SteadyStateChurnEngine:
             self.membership.revive([keep])
             if node_ids.size == 0:
                 return 0, 0
-        if self.vectorized:
-            fixes = int(self.substrate.leave_batch(node_ids, repair=True))
-        else:
-            ring.mark_dead_slots(ring.known_slots(node_ids))
-            # The scalar twin of repair_all, with the link-epoch bump
-            # leave_batch's repair makes.
-            self.substrate._links_epoch += 1
-            fixes = repair_pointers(ring, self.substrate.pointers)
+        fixes = self._kill(node_ids)
         self._drop_sessions(node_ids)
         self.membership.record_deaths(node_ids, e)
         return int(node_ids.size), fixes
+
+    def _kill(self, node_ids: np.ndarray) -> int:
+        """Crash truth-live ``node_ids`` in one ``leave_batch``: ring
+        pointers re-stabilized once, long links left dangling. Returns
+        the pointer fixes."""
+        return int(self.substrate.leave_batch(node_ids, repair=True))
 
     def _drop_sessions(self, node_ids: np.ndarray) -> None:
         """End the sessions of ``node_ids`` (the table keeps the rest)."""
@@ -448,7 +433,7 @@ class SteadyStateChurnEngine:
             return int(dead.size), LinkAcquisitionStats(), 0
         spent = int(state.samples_spent[slots].sum())
         verb = getattr(self.substrate, REPAIR_POLICIES[self.repair])
-        result = verb(split(self.seed, "steady-repair", e), vectorized=self.vectorized)
+        result = self._construct(verb, split(self.seed, "steady-repair", e))
         if not isinstance(result, LinkAcquisitionStats):
             # Chord and Mercury rebuild through their scalar rewire,
             # which reports links placed only.
@@ -476,6 +461,15 @@ class SteadyStateChurnEngine:
         self._query_engine.invalidate()
         return stats
 
+    def _probe_engine(self) -> BatchQueryEngine:
+        """The query engine :meth:`_probe` measures through."""
+        return BatchQueryEngine(self.substrate)
+
+    def _construct(self, verb: Callable[..., Any], *args: Any) -> Any:
+        """Call a construction verb of the substrate (``grow_batch`` for
+        arrivals, the repair policy's verb) on the batched engine."""
+        return verb(*args)
+
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
@@ -496,23 +490,15 @@ class SteadyStateChurnEngine:
         covers every id the link table holds, so a retired id or one
         above every live id reads "not live", and its last cell, onto
         which the padding ``-1`` read as ``uint32`` clips, reads live.
-        The reference twin walks a set — identical counts.
         """
         live_ids = self.membership.live_ids()
-        if self.vectorized:
-            state, slots = self.substrate.state, self.membership.live_slots()
-            top = max(int(state.out_links.max(initial=-1)), int(live_ids.max(initial=-1)))
-            believed = np.zeros(top + 2, dtype=bool)
-            believed[live_ids] = True
-            believed[-1] = True
-            stale = 0
-            for block in row_blocks(slots.size):
-                links = state.out_links.take(slots[block], axis=0).view(np.uint32)
-                stale += links.size - int(np.count_nonzero(believed.take(links, mode="clip")))
-            return stale
-        state, live_set = self.substrate.state, {int(i) for i in live_ids}
-        return sum(
-            int(target) not in live_set
-            for slot in self.membership.live_slots()
-            for target in state.out_links[slot, : state.out_count[slot]].tolist()
-        )
+        state, slots = self.substrate.state, self.membership.live_slots()
+        top = max(int(state.out_links.max(initial=-1)), int(live_ids.max(initial=-1)))
+        believed = np.zeros(top + 2, dtype=bool)
+        believed[live_ids] = True
+        believed[-1] = True
+        stale = 0
+        for block in row_blocks(slots.size):
+            links = state.out_links.take(slots[block], axis=0).view(np.uint32)
+            stale += links.size - int(np.count_nonzero(believed.take(links, mode="clip")))
+        return stale

@@ -25,15 +25,16 @@ on ground truth, which is the whole point:
 Storage is struct-of-arrays — item keys (sorted, and hashed for exact
 lookups), ids and a ``(n_items, k)`` holder matrix — so seeding,
 membership checks and the re-replication pass are single numpy passes
-even at millions of items. The
-``vectorized=False`` reference twin replays the same decisions with
-pure-Python loops and must stay **bit-identical** (holders, loss
-counts, histograms); the differential suite asserts it.
+even at millions of items. A reference twin in ``tests/twins/``
+overrides the three kernels (:meth:`ReplicatedStore.successor_targets`,
+:meth:`~ReplicatedStore.truth_live_mask`,
+:meth:`~ReplicatedStore.lookup_rows`) with pure-Python loops and must
+stay **bit-identical** (holders, loss counts, histograms); the
+differential suite asserts it.
 """
 
 from __future__ import annotations
 
-import bisect
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from ..core.soa import HASH_EMPTY, hash_find, hash_place, hash_slots, key_bits
 from ..errors import ConfigError
-from ..ring.keyspace import from_units, search_sorted
+from ..ring.keyspace import from_units
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..membership import MembershipView
@@ -58,8 +59,6 @@ class ReplicatedStore:
             for whether a transfer target can actually receive a copy).
         k: Replication factor — owner plus ``k - 1`` further clockwise
             believed-live successors.
-        vectorized: ``True`` runs the numpy kernels; ``False`` the
-            bit-identical pure-Python reference twin.
 
     Attributes:
         item_keys: Sorted item positions on the unit circle (float,
@@ -77,12 +76,11 @@ class ReplicatedStore:
     ``docs/observability.md``).
     """
 
-    def __init__(self, ring: "Ring", k: int = 3, vectorized: bool = True) -> None:
+    def __init__(self, ring: "Ring", k: int = 3) -> None:
         if k < 1:
             raise ConfigError(f"replication factor k must be >= 1, got {k}")
         self.ring = ring
         self.k = int(k)
-        self.vectorized = bool(vectorized)
         self.item_keys = np.empty(0, dtype=float)
         self.item_ids = np.empty(0, dtype=np.int64)
         self.holders = np.empty((0, self.k), dtype=np.int64)
@@ -125,8 +123,7 @@ class ReplicatedStore:
         Column 0 is the believed owner (``successor_of_key`` over the
         believed-live set, decided on exact ``uint64`` keys — the domain
         a serve snapshot names owners in); columns pad with ``-1`` when
-        fewer than ``k`` believed-live peers exist. Vectorized and
-        reference paths produce identical matrices.
+        fewer than ``k`` believed-live peers exist.
         """
         exact_keys = from_units(keys)
         b_keys, b_ids = self._believed_ring(view)
@@ -134,36 +131,18 @@ class ReplicatedStore:
             raise ConfigError("no believed-live peers to place replicas on")
         k_eff = min(self.k, int(b_ids.size))
         targets = np.full((exact_keys.size, self.k), -1, dtype=np.int64)
-        if self.vectorized:
-            idx = np.searchsorted(b_keys, exact_keys, side="left")
-            rows = (idx[:, None] + np.arange(k_eff)[None, :]) % b_ids.size
-            targets[:, :k_eff] = b_ids[rows]
-        else:
-            ring_keys = [int(k) for k in b_keys]
-            ids = [int(i) for i in b_ids]
-            for row, key in enumerate(exact_keys):
-                start = bisect.bisect_left(ring_keys, int(key))
-                for col in range(k_eff):
-                    targets[row, col] = ids[(start + col) % len(ids)]
+        idx = np.searchsorted(b_keys, exact_keys, side="left")
+        rows = (idx[:, None] + np.arange(k_eff)[None, :]) % b_ids.size
+        targets[:, :k_eff] = b_ids[rows]
         return targets
 
     def truth_live_mask(self, node_ids: np.ndarray) -> np.ndarray:
         """Element-wise "is this holder truth-alive" over an id array
-        (``-1`` slots and compacted ids are dead). Vectorized as an
-        ``id -> slot -> alive`` gather; the reference twin asks the ring
-        one id at a time — identical masks."""
-        if self.vectorized:
-            state = self.ring.state
-            slots = state.slots_of(node_ids)
-            return (slots >= 0) & state.alive[slots]
-        mask = np.zeros(node_ids.shape, dtype=bool)
-        flat = node_ids.reshape(-1)
-        out = mask.reshape(-1)
-        for i, node_id in enumerate(flat):
-            node_id = int(node_id)
-            if node_id >= 0 and node_id in self.ring and self.ring.is_alive(node_id):
-                out[i] = True
-        return mask
+        (``-1`` slots and compacted ids are dead): an
+        ``id -> slot -> alive`` gather."""
+        state = self.ring.state
+        slots = state.slots_of(node_ids)
+        return (slots >= 0) & state.alive[slots]
 
     def seed_items(self, keys: Sequence[float] | np.ndarray, view: "MembershipView") -> int:
         """Bulk-publish items at ``keys``; returns how many were placed.
@@ -248,16 +227,10 @@ class ReplicatedStore:
 
     def lookup_rows(self, keys: np.ndarray) -> np.ndarray:
         """Catalog row of each exact key (``-1`` when absent or lost): a
-        hashed gather of the key's bits, ``-0.0`` read as ``0.0``. The
-        reference twin searches the sorted keys."""
+        hashed gather of the key's bits, ``-0.0`` read as ``0.0``."""
         keys = np.asarray(keys, dtype=float)
-        if self.vectorized:
-            slot, __ = hash_find(self._index_bits, key_bits(keys.reshape(-1)))
-            return self._index_rows[slot].reshape(keys.shape)
-        if self.item_keys.size == 0:
-            return np.full(keys.shape, -1, dtype=np.int64)
-        idx = np.minimum(search_sorted(self.item_keys, keys), self.item_keys.size - 1)
-        return np.where(self.item_keys[idx] == keys, idx, -1)
+        slot, __ = hash_find(self._index_bits, key_bits(keys.reshape(-1)))
+        return self._index_rows[slot].reshape(keys.shape)
 
     def range_rows(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Catalog slice ``(first, count)`` of each closed clockwise

@@ -7,16 +7,16 @@ surface engines and the net runtime use to learn who is alive.
 omniscient behavior bit-for-bit; :class:`~repro.membership.probe
 .ProbeView` derives knowledge from :class:`~repro.membership.detector
 .FailureDetector` probe schedules, quorum suspicion and
-:class:`~repro.membership.gossip.GossipMembership` epidemics — with a
-vectorized kernel (:class:`~repro.membership.vectorized
-.VectorizedDetectorBank`) pinned bit-identical to the scalar machines.
-See ``docs/membership.md``.
+:class:`~repro.membership.gossip.GossipMembership` epidemics — through
+a vectorized kernel (:class:`~repro.membership.vectorized
+.VectorizedDetectorBank`) pinned bit-identical to the scalar machines of
+``tests/twins/``. See ``docs/membership.md``.
 """
 
 from .config import DetectorConfig
 from .detector import POLL_TIMER, FailureDetector
 from .gossip import GossipMembership
-from .probe import ProbeView, ScalarDetectorBank
+from .probe import ProbeView
 from .vectorized import VectorizedDetectorBank
 from .views import MembershipView, OracleView
 
@@ -28,6 +28,5 @@ __all__ = [
     "OracleView",
     "POLL_TIMER",
     "ProbeView",
-    "ScalarDetectorBank",
     "VectorizedDetectorBank",
 ]

@@ -11,8 +11,8 @@ binomial stand-in for the per-peer model's occupancy law
 (``docs/membership.md``). A round is one array-argument ``rng.binomial``
 over the reports in ascending target order; the power is taken by
 repeated squaring (IEEE products round alike in Python and numpy), so
-:class:`ScalarGossipMembership`, one scalar draw per report, is
-bit-identical in completions, counts and generator position.
+the per-report reference twin in ``tests/twins/``, one scalar draw per
+report, is bit-identical in completions, counts and generator position.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from ..types import NodeId
 from .config import DetectorConfig
 
-__all__ = ["GossipMembership", "ScalarGossipMembership"]
+__all__ = ["GossipMembership"]
 
 
 class GossipMembership:
@@ -106,57 +106,3 @@ class GossipMembership:
     def _keep(self, keep: np.ndarray) -> None:
         self._target, self._age = self._target[keep], self._age[keep]
         self._count = self._count[keep]
-
-
-class ScalarGossipMembership:
-    """:class:`GossipMembership`'s twin: dicts, one scalar draw a report."""
-
-    def __init__(self, config: DetectorConfig | None = None) -> None:
-        self.config = config or DetectorConfig()
-        self.completed: set[int] = set()
-        self._count: dict[int, int] = {}
-        self._age: dict[int, int] = {}
-
-    @property
-    def active(self) -> list[int]:
-        return sorted(self._count)
-
-    def informed_count(self, target: NodeId) -> int:
-        return self._count.get(int(target), 0)
-
-    def start(self, target: NodeId, origin: NodeId) -> bool:
-        target = int(target)
-        if target in self._count or target in self.completed:
-            return False
-        self._count[target], self._age[target] = 1, 0
-        return True
-
-    def start_many(self, targets: "Iterable[NodeId]", origins: "Iterable[NodeId]") -> int:
-        return sum(self.start(t, o) for t, o in zip(targets, origins))
-
-    def cancel(self, target: NodeId) -> None:
-        self._count.pop(int(target), None)
-        self._age.pop(int(target), None)
-
-    def forget(self, targets: "Iterable[NodeId]") -> None:
-        for target in targets:
-            self.cancel(target)
-            self.completed.discard(int(target))
-
-    def spread(self, live_ids: np.ndarray, rng: np.random.Generator) -> list[int]:
-        n = int(np.asarray(live_ids).size)
-        bound = self.config.staleness_bound(max(n, 2))
-        done: list[int] = []
-        for target in self.active:
-            self._age[target] += 1
-            if n > 0:
-                k = min(self._count[target], n)
-                miss, base, e = 1.0, 1.0 - 1.0 / n, k * self.config.gossip_fanout
-                while e:
-                    miss, base, e = miss * base if e & 1 else miss, base * base, e >> 1
-                self._count[target] = k + int(rng.binomial(n - k, 1.0 - miss))
-            if self._count[target] >= n or self._age[target] >= bound:
-                done.append(target)
-        self.forget(done)
-        self.completed.update(done)
-        return done

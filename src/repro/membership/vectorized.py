@@ -1,4 +1,4 @@
-"""The numpy twin of the scalar detector bank — one round, no loops.
+"""The detector bank as numpy — one round, no loops.
 
 The sim probes every believed-live peer every round: at 50k+ peers the
 scalar machines would burn hundreds of thousands of Python dict
@@ -11,8 +11,8 @@ columns like any other: a compacted peer's row is cleared with its
 slot, so the next peer to get the slot starts a fresh schedule.
 
 Pinned semantics (the hypothesis differential in
-``tests/test_membership.py`` holds the two banks bit-identical on
-every observable):
+``tests/test_membership.py`` holds this bank and the scalar bank of
+``tests/twins/`` bit-identical on every observable):
 
 * the probe **panel** is rank-keyed: target at believed-ring row ``i``
   is watched by the believed peers at rows ``i+1 .. i+J`` (clockwise

@@ -107,6 +107,14 @@ CATALOGUE = (
         ),
     ),
     Mutant(
+        "rereplicate-keeps-dead-targets",
+        "a re-replication pass keeps its truth-dead targets as holders: a phantom replica "
+        "reads as a held copy",
+        "repro.index.replication:ReplicatedStore.rereplicate",
+        (("self.holders = np.where(alive, targets, -1)", "self.holders = targets"),),
+        (PROGRAM.format("rereplicate_onto_undetected_deaths"),),
+    ),
+    Mutant(
         "catalog-index-stops-at-home-slot",
         "lookup_rows reads a key's home slot only, never the chain past a collision",
         "repro.index.replication:ReplicatedStore.lookup_rows",
@@ -114,9 +122,9 @@ CATALOGUE = (
             (
                 "slot, __ = hash_find(self._index_bits, key_bits(keys.reshape(-1)))",
                 "from repro.core.soa import hash_home\n"
-                "        bits = key_bits(keys.reshape(-1))\n"
-                "        slot = hash_home(bits, self._index_bits.size)\n"
-                "        slot[self._index_bits[slot] != bits] = np.argmax(self._index_rows < 0)",
+                "    bits = key_bits(keys.reshape(-1))\n"
+                "    slot = hash_home(bits, self._index_bits.size)\n"
+                "    slot[self._index_bits[slot] != bits] = np.argmax(self._index_rows < 0)",
             ),
         ),
         (

@@ -39,6 +39,7 @@ from repro.ring import keyspace
 from repro.rng import make_rng, split
 from repro.routing import route_faulty, summarize_routes
 from repro.workloads import GnutellaLikeDistribution, QueryWorkload
+from twins import ReferenceQueryEngine
 
 
 def build_chord(n: int = 100, seed: int = 42) -> ChordOverlay:
@@ -87,7 +88,7 @@ class TestSubstrateProtocol:
 class TestBatchMatchesScalar:
     @pytest.mark.parametrize("kind", KINDS)
     def test_stats_identical_for_fixed_seed(self, kind):
-        """The kernel, its twin (``vectorized=False``) and the per-hop
+        """The kernel, its twin (``tests/twins/``) and the per-hop
         oracle fold to the same statistics."""
         overlay = build_substrate(kind)
         oracle = summarize_routes(
@@ -95,7 +96,7 @@ class TestBatchMatchesScalar:
             for q in QueryWorkload().generate(overlay.ring, split(9, "q"), 400)
         )
         batched = BatchQueryEngine(overlay).measure(split(9, "q"), n_queries=400)
-        twin = BatchQueryEngine(overlay, vectorized=False).measure(split(9, "q"), n_queries=400)
+        twin = ReferenceQueryEngine(overlay).measure(split(9, "q"), n_queries=400)
         assert batched == twin == oracle
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -188,7 +189,7 @@ class TestBatchMatchesScalar:
         engine = BatchQueryEngine(overlay)
         sources, targets = QueryWorkload().generate_arrays(overlay.ring, split(0, "dead"), 300)
         batched = engine.route_batch(sources, targets).stats()
-        twin = engine._walk(sources, targets, reference=True).stats()
+        twin = ReferenceQueryEngine(overlay).route_batch(sources, targets).stats()
         scalar = summarize_routes(
             engine.route(int(source), float(target)) for source, target in zip(sources, targets)
         )
@@ -203,8 +204,7 @@ class TestBatchMatchesScalar:
             route_faulty(overlay.ring, overlay.pointers, overlay, q.source, q.target_key)
             for q in QueryWorkload().generate(overlay.ring, split(13, "f"), 120)
         )
-        for vectorized in (True, False):
-            engine = BatchQueryEngine(overlay, vectorized=vectorized)
+        for engine in (BatchQueryEngine(overlay), ReferenceQueryEngine(overlay)):
             assert engine.measure(split(13, "f"), n_queries=120) == scalar
         assert scalar.mean_wasted > 0.0
         OracleView(overlay.ring).revive(victims)
@@ -663,7 +663,7 @@ class TestDeferredTruthRows:
             if want:
                 route = engine.route(source, key, record_path=True)
                 assert len(route.path) == route.hops + 1 and route.path[-1] == route.delivered_to
-        twin = BatchQueryEngine(overlay, vectorized=False)
+        twin = ReferenceQueryEngine(overlay)
         for count in (1, None):
             stream = split(seed, "deferred-measure", count or 0)
             if overlay.ring.has_dead:

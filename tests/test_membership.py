@@ -41,13 +41,15 @@ from repro.membership import (
     OracleView,
     ProbeView,
 )
-from repro.membership.gossip import ScalarGossipMembership
-from repro.membership.probe import ScalarDetectorBank
 from repro.membership.vectorized import VectorizedDetectorBank
 from repro.protocol.effects import Send, StartTimer, SuspectPeer
 from repro.protocol.messages import Ping, Pong
 from repro.ring import Ring
 from repro.rng import split
+from twins import ScalarDetectorBank, ScalarGossipMembership, ScalarProbeView
+
+#: The probe view of each backend: the kernels, or the scalar twins.
+PROBE_VIEWS = {"vectorized": ProbeView, "scalar": ScalarProbeView}
 
 
 def make_ring(n: int) -> Ring:
@@ -469,10 +471,6 @@ def evict_all(view: ProbeView, start_epoch: int, max_epochs: int = 40) -> int:
 
 
 class TestProbeView:
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            ProbeView(make_ring(4), DetectorConfig(), backend="gpu")
-
     def test_crashed_peer_lingers_until_quorum_evicts(self):
         view = ProbeView(make_ring(16), DETECT, seed=3)
         view.crash([5])
@@ -511,7 +509,7 @@ class TestProbeView:
     def test_revived_peer_that_dies_again_is_evicted_again(self, backend):
         """evict -> revive -> crash: the completed report must not
         survive the revival, or the second death is a zombie forever."""
-        view = ProbeView(make_ring(16), DETECT, seed=8, backend=backend)
+        view = PROBE_VIEWS[backend](make_ring(16), DETECT, seed=8)
         view.crash([5])
         view.record_deaths([5], epoch=1)
         last = evict_all(view, start_epoch=1)
@@ -532,7 +530,7 @@ class TestProbeView:
         on, and run identically."""
         trace = {}
         for backend in ("scalar", "vectorized"):
-            view = ProbeView(make_ring(8), DETECT, seed=0, backend=backend)
+            view = PROBE_VIEWS[backend](make_ring(8), DETECT, seed=0)
             view.crash([2])
             view.record_deaths([2], epoch=1)
             last = evict_all(view, start_epoch=1)
@@ -580,9 +578,7 @@ class TestProbeView:
     def test_zero_loss_means_zero_false_evictions(self, n, seed, backend, data):
         """The ISSUE's property: loss == 0 => no truth-live peer is ever
         evicted, whatever the crash schedule."""
-        view = ProbeView(
-            make_ring(n), DETECT, seed=seed, backend=backend
-        )
+        view = PROBE_VIEWS[backend](make_ring(n), DETECT, seed=seed)
         for epoch in range(1, 9):
             live = [int(i) for i in view.ring.ids_array(live_only=True)]
             if len(live) > 2:
@@ -619,7 +615,7 @@ class TestProbeView:
         after every epoch."""
         config = dataclasses.replace(DETECT, loss=loss)
         views = {
-            backend: ProbeView(make_ring(n), config, seed=seed, backend=backend)
+            backend: PROBE_VIEWS[backend](make_ring(n), config, seed=seed)
             for backend in ("scalar", "vectorized")
         }
         scalar, vectorized = views["scalar"], views["vectorized"]

@@ -10,8 +10,8 @@ The fault-injection half of the PR-10 acceptance criteria:
   repair interval (the hypothesis-pinned zero-loss property), and under
   a lagging :class:`~repro.membership.probe.ProbeView` converts
   detection lag into *phantom replicas* and measurable under-replication;
-* the differential — ``vectorized=True`` and the pure-Python reference
-  twin produce bit-identical holder matrices and epoch stats;
+* the differential — the store and its pure-Python reference twin
+  (``tests/twins/``) produce bit-identical holder matrices and epoch stats;
 * the non-interference contract — attaching replication to
   :class:`~repro.engine.churn.SteadyStateChurnEngine` consumes no
   randomness and leaves every ``churn`` row bit-identical.
@@ -37,6 +37,10 @@ from repro.membership import DetectorConfig, OracleView, ProbeView
 from repro.ring import Ring
 from repro.rng import split
 from repro.workloads import GnutellaLikeDistribution
+from twins import ReferenceStore
+
+#: The store of each path: the kernels, or the loops of the twin.
+STORES = {True: ReplicatedStore, False: ReferenceStore}
 
 
 def make_ring(n: int) -> Ring:
@@ -114,8 +118,8 @@ class TestPlacement:
         view = OracleView(ring)
         view.crash([2, 3, 11])
         keys = split(5, "placement").random(64)
-        vec = ReplicatedStore(ring, k=4, vectorized=True)
-        ref = ReplicatedStore(ring, k=4, vectorized=False)
+        vec = ReplicatedStore(ring, k=4)
+        ref = ReferenceStore(ring, k=4)
         np.testing.assert_array_equal(
             vec.successor_targets(keys, view), ref.successor_targets(keys, view)
         )
@@ -132,7 +136,7 @@ class TestPlacement:
 
         overlay = hand_built([2.0**-70, 0.25, 0.5, 0.75])
         view = OracleView(overlay.ring)
-        store = ReplicatedStore(overlay.ring, k=1, vectorized=vectorized)
+        store = STORES[vectorized](overlay.ring, k=1)
         store.seed_items(np.asarray([2.0**-69]), view)
         assert store.holders.tolist() == [[0]]
         serve = ServeEngine(overlay, store, view, cache_size=0, vectorized=vectorized)
@@ -275,7 +279,7 @@ class TestDifferential:
         for vectorized in (True, False):
             ring = make_ring(32)
             view = OracleView(ring)
-            store = ReplicatedStore(ring, k=3, vectorized=vectorized)
+            store = STORES[vectorized](ring, k=3)
             store.seed_items(split(6, "seed").random(24), view)
             rng = split(6, "crash")
             for epoch in range(1, 6):
@@ -294,8 +298,8 @@ class TestDifferential:
         view = OracleView(ring)
         view.crash_fraction(split(seed, "mask-crash"), 0.4)
         ids = split(seed, "mask-ids").integers(-2, 25, size=(6, k))
-        vec = ReplicatedStore(ring, k=k, vectorized=True)
-        ref = ReplicatedStore(ring, k=k, vectorized=False)
+        vec = ReplicatedStore(ring, k=k)
+        ref = ReferenceStore(ring, k=k)
         np.testing.assert_array_equal(
             vec.truth_live_mask(ids), ref.truth_live_mask(ids)
         )
@@ -332,7 +336,7 @@ class TestCatalogIndex:
         neighbours, ``±0.0``, every awkward key and keys outside."""
         ring = make_ring(16)
         view = OracleView(ring)
-        stores = [ReplicatedStore(ring, k=k, vectorized=v) for v in (True, False)]
+        stores = [cls(ring, k=k) for cls in (ReplicatedStore, ReferenceStore)]
         keys = np.concatenate([AWKWARD[picks], drawn])
         for part in (keys[:split_at], keys[split_at:]):
             for store in stores:

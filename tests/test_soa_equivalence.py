@@ -3,7 +3,9 @@
 Every engine runs two ways over the one
 :class:`~repro.core.soa.SubstrateState`: the numpy kernels that read and
 write whole columns, and the pure-Python reference twins
-(``vectorized=False``) that walk the same columns one peer at a time.
+that walk the same columns one peer at a time — the construction
+engine's ``vectorized=False`` path, and the churn and query engines'
+subclasses in ``tests/twins/``.
 These tests run the *same seeded program* — interleaved bulk grows,
 rewirings, churn epochs and routed probe batches — once through each
 path and require the outcomes to be bit-identical on all three
@@ -28,6 +30,7 @@ from repro.degree import ConstantDegrees
 from repro.engine import BatchQueryEngine, SteadyStateChurnEngine
 from repro.rng import split
 from repro.workloads import UniformKeys
+from twins import ReferenceChurnEngine, ReferenceQueryEngine
 
 from conftest import links_of
 
@@ -54,6 +57,8 @@ def run_program(name: str, seed: int, ops: list[str], vectorized: bool):
     keys = UniformKeys()
     degrees = ConstantDegrees(6)
     overlay.grow_batch(12, keys, degrees, vectorized=vectorized)
+    churn_engine = SteadyStateChurnEngine if vectorized else ReferenceChurnEngine
+    query_engine = BatchQueryEngine if vectorized else ReferenceQueryEngine
     churn = None
     epoch_stats = []
     route_stats = []
@@ -64,7 +69,7 @@ def run_program(name: str, seed: int, ops: list[str], vectorized: bool):
             overlay.rewire_batch(split(seed, "prog-rewire", i), vectorized=vectorized)
         elif op == "epoch":
             if churn is None:
-                churn = SteadyStateChurnEngine(
+                churn = churn_engine(
                     overlay,
                     keys,
                     degrees,
@@ -73,12 +78,11 @@ def run_program(name: str, seed: int, ops: list[str], vectorized: bool):
                     repair_every=2,
                     n_probes=8,
                     seed=seed + 1,
-                    vectorized=vectorized,
                 )
             epoch_stats.append(churn.run_epoch())
         else:  # route
             route_stats.append(
-                BatchQueryEngine(overlay, vectorized=vectorized).measure(
+                query_engine(overlay).measure(
                     split(seed, "prog-route", i), n_queries=16
                 )
             )

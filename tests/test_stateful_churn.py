@@ -3,15 +3,16 @@
 :class:`ChurnProgram` drives an overlay (Oscar, Mercury or Chord), a
 :class:`~repro.engine.churn.SteadyStateChurnEngine` (either repair
 policy), a :class:`~repro.index.replication.ReplicatedStore` and a
-:class:`~repro.engine.serve.ServeEngine` through eight verbs — an epoch,
+:class:`~repro.engine.serve.ServeEngine` through nine verbs — an epoch,
 an external ``leave_batch`` wave, a ``leave_batch`` wave it must refuse,
 a direct repair (the policy's substrate verb, with no compaction first),
 a serve batch with unknown sources and duplicate keys, a route batch on
 the truth snapshot, a join into a taken ``2**-64`` key cell, Figure 2's
-crash wave and its undoing — on the
-vectorized kernels and, in
-lock-step, on the pure-Python twins (Mercury and Chord build through
-one scalar path, so for them the twin check is a determinism check),
+crash wave and its undoing, a re-replication pass between epochs — on
+the vectorized kernels and, in lock-step, on the pure-Python twins (the
+construction engine's ``vectorized=False`` path and the reference
+classes of ``tests/twins/``; Mercury and Chord build through one scalar
+path, so for them the construction twin check is a determinism check),
 and checks after every step:
 
 * ``Ring.verify`` and the ring pointers;
@@ -79,7 +80,7 @@ and checks after every step:
   waves, and at probe loss 0.8 no false evictions) no item is ever lost;
 * under a probe view (``view="probe"``: a ``ProbeView`` with probe loss
   ``loss``, the reference twin's on the scalar detector bank and the
-  per-report scalar gossip twin) the twins agree on evictions, false
+  per-report scalar gossip twin of ``tests/twins/``) the twins agree on evictions, false
   evictions, detection lags, the believed-live ids and the gossip
   plane's reports in flight and informed counts (the vectorized bank's
   ``probe_*`` columns are not compared: the scalar bank keeps detector
@@ -107,7 +108,12 @@ and checks after every step:
 * after every repair epoch, each holder of the store is believed-live,
   the pass's ``placed`` counts every holder, and the empty holder cells
   are the pass's phantoms plus the cells a believed-live ring shorter
-  than ``k`` leaves empty.
+  than ``k`` leaves empty;
+* after every re-replication pass between epochs, on both twins, the
+  catalog is a brute-force recomputation from the state before it: the
+  items with no truth-live holder are gone and counted lost, and every
+  other item's holders are the first ``k`` believed-live successors of
+  its exact key, a truth-dead one ``-1``.
 
 :class:`ChurnMachine` lets hypothesis choose the programs; every program
 it once shrank to a failure is committed under ``tests/data/programs/``
@@ -165,6 +171,7 @@ from repro.ring import keyspace, verify
 from repro.rng import split
 from repro.routing import route_faulty, summarize_routes
 from repro.workloads import GnutellaLikeDistribution, QueryWorkload
+from twins import ReferenceChurnEngine, ReferenceQueryEngine, ReferenceStore, ScalarProbeView
 
 pytestmark = pytest.mark.usefixtures("split_walk")
 
@@ -197,7 +204,7 @@ class ChurnProgram:
     one more peer joined at :data:`LOW_PEER` after the build; Chord's is
     spliced, its positions being hashes), ``view`` (``oracle`` when
     absent; ``probe``: a :class:`ProbeView` with probe loss ``loss``,
-    the reference twin's on the scalar backend).
+    the reference twin's a :class:`~twins.ScalarProbeView`).
     """
 
     def __init__(self, params: dict) -> None:
@@ -229,14 +236,14 @@ class ChurnProgram:
             overlay.join(LOW_PEER, p["cap"], p["cap"])
         if self.probe:
             config = DetectorConfig(loss=p["loss"])
-            backend = "vectorized" if vectorized else "scalar"
-            view = ProbeView(overlay.ring, config, seed=p["seed"], backend=backend)
+            probe_view = ProbeView if vectorized else ScalarProbeView
+            view = probe_view(overlay.ring, config, seed=p["seed"])
         else:
             view = OracleView(overlay.ring)
-        store = ReplicatedStore(overlay.ring, k=REPLICAS, vectorized=vectorized)
+        store = (ReplicatedStore if vectorized else ReferenceStore)(overlay.ring, k=REPLICAS)
         store.seed_items(split(p["seed"], "program-items").random(p["n"]), view)
         sessions = ExponentialSessions(64.0 if self.gentle else p["half_life"])
-        engine = SteadyStateChurnEngine(
+        engine = (SteadyStateChurnEngine if vectorized else ReferenceChurnEngine)(
             overlay,
             keys,
             degrees,
@@ -245,13 +252,19 @@ class ChurnProgram:
             repair_every=1 if self.gentle else p["repair_every"],
             n_probes=4,
             seed=p["seed"],
-            vectorized=vectorized,
             membership=view,
             replication=store,
             repair=p["repair"],
         )
         serve = ServeEngine(overlay, store, view, cache_size=32, vectorized=vectorized)
-        return {"overlay": overlay, "store": store, "engine": engine, "serve": serve, "view": view}
+        return {
+            "overlay": overlay,
+            "store": store,
+            "engine": engine,
+            "serve": serve,
+            "view": view,
+            "vectorized": vectorized,
+        }
 
     @property
     def overlay(self) -> Substrate:
@@ -297,8 +310,52 @@ class ChurnProgram:
         rng_key = (self.params["seed"], "program-repair", self.repairs)
         for twin in self.twins:
             verb = getattr(twin["overlay"], REPAIR_POLICIES[self.params["repair"]])
-            verb(split(*rng_key), vectorized=twin["engine"].vectorized)
+            verb(split(*rng_key), vectorized=twin["vectorized"])
         self.check_repaired()
+
+    def rereplicate(self) -> None:
+        """Run the store's re-replication pass between epochs, at the
+        epoch the engine stands at, and hold each twin's catalog to
+        :meth:`brute_pass` of the state before it."""
+        for twin in self.twins:
+            store, view = twin["store"], twin["view"]
+            ids, holders, lost = self.brute_pass(twin["overlay"], store, view)
+            lost_before = store.items_lost_total
+            row = store.rereplicate(view, twin["engine"].epoch)
+            assert row.items_lost == lost == store.items_lost_total - lost_before
+            assert store.item_ids.tolist() == ids, "the pass kept or lost the wrong items"
+            assert store.holders.tolist() == holders, "holders that are not the successors"
+
+    @staticmethod
+    def brute_pass(
+        overlay: Substrate, store: ReplicatedStore, view
+    ) -> tuple[list[int], list[list[int]], int]:
+        """What a pass must leave, one item at a time: the ids of the
+        items with a truth-live holder, each one's holders — the first
+        ``k`` believed-live successors of its exact key (``-1`` past a
+        believed ring shorter than ``k``), a truth-dead one ``-1`` — and
+        how many items are lost."""
+        ring = overlay.ring
+
+        def live(node_id: int) -> bool:
+            return node_id >= 0 and node_id in ring and ring.is_alive(node_id)
+
+        believed = sorted((ring.key_of(i), i) for i in view.live_ids().tolist())
+        ids, rows, lost = [], [], 0
+        for item, key, held in zip(
+            store.item_ids.tolist(), store.item_keys.tolist(), store.holders.tolist()
+        ):
+            if not any(live(h) for h in held):
+                lost += 1
+                continue
+            exact = keyspace.from_unit(key)
+            start = next((r for r, (k, __) in enumerate(believed) if k >= exact), 0)
+            width = min(store.k, len(believed))
+            row = [believed[(start + c) % len(believed)][1] for c in range(width)]
+            row += [-1] * (store.k - width)
+            ids.append(item)
+            rows.append([t if live(t) else -1 for t in row])
+        return ids, rows, lost
 
     def leave_wave(self, picks: list[int]) -> None:
         """``leave_batch`` the live peers at ring ranks ``picks`` (mod
@@ -491,8 +548,7 @@ class ChurnProgram:
         stream = (self.params["seed"], "program-measure")
         drawn = QueryWorkload().generate(ring, split(*stream), MEASURED)
         folded = summarize_routes(faulty(q.source, q.target_key) for q in drawn)
-        for vectorized in (True, False):
-            engine = BatchQueryEngine(overlay, vectorized=vectorized)
+        for engine in (BatchQueryEngine(overlay), ReferenceQueryEngine(overlay)):
             assert engine.measure(split(*stream), n_queries=MEASURED) == folded
 
     @staticmethod
@@ -851,6 +907,8 @@ def replay(program: dict) -> ChurnProgram:
             system.join_taken(step["u"], step["kind"], step["at"])
         elif verb == "crash_revive":
             system.crash_revive(step["fraction"])
+        elif verb == "rereplicate":
+            system.rereplicate()
         else:
             system.serve(step["picks"], step["unknown"], step["repeat"])
         system.check()
@@ -894,6 +952,10 @@ class ChurnMachine(RuleBasedStateMachine):
     @rule()
     def repair(self) -> None:
         self.system.repair()
+
+    @rule()
+    def rereplicate(self) -> None:
+        self.system.rereplicate()
 
     @rule(
         picks=st.lists(st.integers(0, 1000), min_size=1, max_size=8),

@@ -26,6 +26,10 @@ from repro.rng import split
 from repro.workloads import GnutellaLikeDistribution, UniformKeys
 
 from conftest import links_of
+from twins import ReferenceChurnEngine, ScalarProbeView
+
+#: The probe view of each backend: the kernels, or the scalar twins.
+VIEWS = {"vectorized": ProbeView, "scalar": ScalarProbeView}
 
 
 def build_engine(
@@ -47,7 +51,8 @@ def build_engine(
     overlay.grow_batch(size, keys, degrees, vectorized=vectorized)
     overlay.rewire_batch(vectorized=vectorized)
     session_times = make_sessions(sessions, half_life)
-    return SteadyStateChurnEngine(
+    engine = SteadyStateChurnEngine if vectorized else ReferenceChurnEngine
+    return engine(
         overlay,
         keys,
         degrees,
@@ -56,7 +61,6 @@ def build_engine(
         repair_every=repair_every,
         n_probes=n_probes,
         seed=seed,
-        vectorized=vectorized,
         membership=membership_factory(overlay.ring) if membership_factory else None,
         repair=repair,
     )
@@ -370,9 +374,7 @@ class TestMembershipViews:
             size=80,
             half_life=6.0,
             seed=23,
-            membership_factory=lambda ring: ProbeView(
-                ring, config, seed=23, backend=backend
-            ),
+            membership_factory=lambda ring: VIEWS[backend](ring, config, seed=23),
         )
         epochs = 8
         oracle.run(epochs)
@@ -408,7 +410,7 @@ class TestFalseEvictions:
     LOSSY = DetectorConfig(loss=0.6, failure_threshold=1, quorum=1)
 
     def lossy_engine(self, seed: int, vectorized: bool = True) -> SteadyStateChurnEngine:
-        backend = "vectorized" if vectorized else "scalar"
+        view = ProbeView if vectorized else ScalarProbeView
         return build_engine(
             size=16,
             half_life=16.0,
@@ -416,7 +418,7 @@ class TestFalseEvictions:
             n_probes=4,
             seed=seed,
             vectorized=vectorized,
-            membership_factory=lambda ring: ProbeView(ring, self.LOSSY, seed=seed, backend=backend),
+            membership_factory=lambda ring: view(ring, self.LOSSY, seed=seed),
         )
 
     def test_false_evictions_leave_by_leave_batch(self, monkeypatch):
@@ -476,17 +478,14 @@ class TestFalseEvictions:
 
 class TestStaleLinkCount:
     """``_count_stale_links`` is a gather from one id-indexed
-    believed-live table; the set-walking twin pins it on every shape of
-    link table the engine can meet."""
+    believed-live table; the set-walking twin's count, taken on the same
+    engine, pins it on every shape of link table the engine can meet."""
 
     @staticmethod
     def both(engine: SteadyStateChurnEngine) -> int:
-        counts = []
-        for vectorized in (True, False):
-            engine.vectorized = vectorized
-            counts.append(engine._count_stale_links())
-        assert counts[0] == counts[1]
-        return counts[0]
+        count = engine._count_stale_links()
+        assert count == ReferenceChurnEngine._count_stale_links(engine)
+        return count
 
     @pytest.mark.parametrize("substrate", ["oscar", "chord", "mercury"])
     def test_probe_view_crashed_undetected_then_evicted_then_retired(self, substrate):

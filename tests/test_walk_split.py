@@ -34,6 +34,7 @@ from repro.index import ReplicatedStore
 from repro.membership import OracleView
 from repro.ring import keyspace
 from repro.rng import split
+from twins import ReferenceQueryEngine
 
 #: A ``SPLIT_AT`` no batch reaches: every walk runs on the caller's thread.
 SERIAL = 1 << 40
@@ -176,7 +177,7 @@ class TestSplitWalk:
         every = overlay.ring.ids_array(live_only=False)
         sources = every[rng.integers(0, every.size, size=queries)]  # dead peers too
         batch = BatchQueryEngine(overlay).route_batch(sources, keys)
-        twin = BatchQueryEngine(overlay, vectorized=False).route_batch(sources, keys)
+        twin = ReferenceQueryEngine(overlay).route_batch(sources, keys)
         snap = BatchQueryEngine(overlay).snapshot()
         whole, targets = snap.table.whole(), keyspace.from_units(keys)
         with split_walks(), walks_seen() as seen:
